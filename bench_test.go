@@ -23,7 +23,9 @@ import (
 	"path/filepath"
 	"runtime"
 	"sync"
+	"syscall"
 	"testing"
+	"time"
 
 	micro "repro"
 	"repro/internal/classifier"
@@ -300,14 +302,26 @@ func getEngineBench(b *testing.B) ([]micro.ScoreRequest, *micro.Model) {
 	return benchEngineCorpus.reqs, benchEngineCorpus.model
 }
 
+// processCPU is the process's user+system CPU time so far: what a
+// batch costs, where the wall clock only says how long it took — a
+// woken helper shortens the second and lengthens the first.
+func processCPU() time.Duration {
+	var ru syscall.Rusage
+	if err := syscall.Getrusage(syscall.RUSAGE_SELF, &ru); err != nil {
+		return 0
+	}
+	return time.Duration(ru.Utime.Nano() + ru.Stime.Nano())
+}
+
 // BenchmarkEngineScoreBatch measures batch-scoring throughput of the
-// unified engine over its worker pool at 1, 4 and GOMAXPROCS workers.
-// On multi-core hardware the 4-worker batch must beat the single
-// worker; on a single hardware thread the pool degenerates gracefully.
+// unified engine on a full-corpus batch with its strand cap at 1, 4
+// and GOMAXPROCS. On multi-core hardware the 4-strand batch must beat
+// the single strand; on a single hardware thread the helpers
+// degenerate gracefully.
 //
 // The dispatch sub-benches swap the micro scorer for a no-op, so the
 // per-request engine overhead — model resolution (the RWMutex-vs-
-// atomic-table read path), worker pool, response bookkeeping — is
+// atomic-table read path), chunk claiming, response bookkeeping — is
 // measured bare instead of buried under term extraction.
 func BenchmarkEngineScoreBatch(b *testing.B) {
 	reqs, model := getEngineBench(b)
@@ -326,6 +340,40 @@ func BenchmarkEngineScoreBatch(b *testing.B) {
 			}
 			b.ReportMetric(float64(len(reqs))*float64(b.N)/b.Elapsed().Seconds(), "req/s")
 		})
+	}
+	// The size sub-benches price one batch of a given size on one strand
+	// (workers=1) against the same batch with helpers allowed: the
+	// smallest size at which the second beats the first by more than
+	// their run-to-run spread is the break-even engine.minStrandBatch
+	// is read from.
+	maxWorkers := []int{1}
+	if p := runtime.GOMAXPROCS(0); p > 1 {
+		maxWorkers = append(maxWorkers, p)
+	}
+	for _, size := range []int{32, 64, 256, 4096} {
+		sized := make([]micro.ScoreRequest, size)
+		for i := range sized {
+			sized[i] = reqs[i%len(reqs)]
+		}
+		for _, workers := range maxWorkers {
+			b.Run(fmt.Sprintf("size=%d/workers=%d", size, workers), func(b *testing.B) {
+				eng := micro.NewEngine(micro.WithWorkers(workers))
+				eng.UseMicro(model)
+				out := make([]micro.ScoreResponse, size)
+				b.ReportAllocs()
+				b.ResetTimer()
+				cpu0 := processCPU()
+				for i := 0; i < b.N; i++ {
+					out = eng.ScoreBatchInto(ctx, sized, out)
+					if out[0].Err != nil {
+						b.Fatal(out[0].Err)
+					}
+				}
+				perReq := float64(size) * float64(b.N)
+				b.ReportMetric(float64(processCPU()-cpu0)/perReq, "cpu-ns/req")
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/perReq, "ns/req")
+			})
+		}
 	}
 	nopReqs := make([]micro.ScoreRequest, 4096)
 	for i := range nopReqs {

@@ -5,8 +5,8 @@
 // substrate experiment of DESIGN.md.
 //
 // Models are selected by registry name through the unified scoring
-// engine; held-out CTR prediction runs through Engine.ScoreBatch over
-// the configured worker pool.
+// engine; held-out CTR prediction runs through Engine.ScoreBatch, on
+// the calling goroutine plus helper strands up to the -workers cap.
 //
 // With -o the fitted model is also written as a versioned snapshot
 // artifact — the train-offline half of the serving split; point
@@ -57,7 +57,7 @@ func main() {
 	seed := flag.Int64("seed", 11, "random seed")
 	only := flag.String("model", "", "fit only this registry model (empty = all; see -list)")
 	iters := flag.Int("iters", 0, "EM iterations for iterative models (0 = model default)")
-	workers := flag.Int("workers", runtime.GOMAXPROCS(0), "scoring engine worker-pool size")
+	workers := flag.Int("workers", runtime.GOMAXPROCS(0), "engine-wide cap on batch-scoring strands (the calling goroutine always scores)")
 	out := flag.String("o", "", "write the fitted model (-model; default pbm when fitting all) as a snapshot artifact")
 	format := flag.String("format", "v1", "artifact format for -o: v1 (portable varint) or v2 (zero-parse mapped)")
 	conv := flag.String("conv", "", "upgrade the named v1 artifact to v2 in place (atomic) and exit; no fitting")

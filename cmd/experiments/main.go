@@ -39,7 +39,7 @@ func main() {
 	seed := flag.Int64("seed", 0, "base random seed (default 2019)")
 	model := flag.String("model", "pbm", "macro click model for -run ctr (registry name)")
 	iters := flag.Int("iters", 0, "EM iterations for -run ctr iterative models (0 = model default)")
-	workers := flag.Int("workers", runtime.GOMAXPROCS(0), "scoring engine worker-pool size")
+	workers := flag.Int("workers", runtime.GOMAXPROCS(0), "engine-wide cap on batch-scoring strands (the calling goroutine always scores)")
 	flag.Parse()
 
 	// Validate the model name up front, whatever the run: a typo in a

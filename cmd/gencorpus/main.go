@@ -48,7 +48,7 @@ func main() {
 	impressions := flag.Int("impressions", 1500, "impressions per creative when simulating")
 	rhs := flag.Bool("rhs", false, "simulate right-hand-side placement instead of top")
 	model := flag.String("model", engine.NameMicro, "scoring model for the summary: micro or a registry click model")
-	workers := flag.Int("workers", runtime.GOMAXPROCS(0), "scoring engine worker-pool size")
+	workers := flag.Int("workers", runtime.GOMAXPROCS(0), "engine-wide cap on batch-scoring strands (the calling goroutine always scores)")
 	flag.Parse()
 
 	if *model != engine.NameMicro {

@@ -97,12 +97,23 @@ import (
 	"repro/internal/wal"
 )
 
+// HTTP-side connection limits, the counterpart of binproto's frame
+// read timeout: no peer holds a connection's goroutine and buffers
+// forever by going quiet. Headers get seconds; a whole request gets
+// long enough for an admin upload of a 100MB artifact over a slow
+// link; a keep-alive connection may sit idle as long as a binary one.
+const (
+	httpReadHeaderTimeout = 5 * time.Second
+	httpReadTimeout       = 2 * time.Minute
+	httpIdleTimeout       = 5 * time.Minute
+)
+
 func main() {
 	log.SetFlags(log.LstdFlags | log.Lmicroseconds)
 	log.SetPrefix("microserve: ")
 
 	addr := flag.String("addr", ":8377", "listen address")
-	workers := flag.Int("workers", runtime.GOMAXPROCS(0), "scoring worker-pool size")
+	workers := flag.Int("workers", runtime.GOMAXPROCS(0), "engine-wide cap on batch-scoring strands; the goroutine that receives a batch always scores it, helpers join large batches up to this cap")
 	defModel := flag.String("default", engine.NameMicro, "model served when a request names none")
 	keep := flag.Int("keep", 8, "model versions kept per name (0 = unbounded)")
 	drain := flag.Duration("drain", 10*time.Second, "graceful-shutdown drain timeout")
@@ -197,7 +208,9 @@ func main() {
 
 	srv := &http.Server{
 		Handler:           server.New(eng, log.Default(), opts...),
-		ReadHeaderTimeout: 5 * time.Second,
+		ReadHeaderTimeout: httpReadHeaderTimeout,
+		ReadTimeout:       httpReadTimeout,
+		IdleTimeout:       httpIdleTimeout,
 	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
@@ -236,7 +249,7 @@ func main() {
 
 	errc := make(chan error, 1)
 	go func() {
-		log.Printf("serving on %s (default model %q, %d workers, JSON + binary protocol)", *addr, *defModel, *workers)
+		log.Printf("serving on %s (default model %q, strand cap %d: the receiving goroutine always scores, JSON + binary protocol)", *addr, *defModel, *workers)
 		errc <- srv.Serve(mux)
 	}()
 

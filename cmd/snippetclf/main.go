@@ -42,7 +42,7 @@ func main() {
 	folds := flag.Int("folds", 10, "cross-validation folds")
 	seed := flag.Int64("seed", 2019, "base random seed")
 	rhs := flag.Bool("rhs", false, "simulate right-hand-side placement instead of top")
-	workers := flag.Int("workers", runtime.GOMAXPROCS(0), "scoring engine worker-pool size")
+	workers := flag.Int("workers", runtime.GOMAXPROCS(0), "engine-wide cap on batch-scoring strands (the calling goroutine always scores)")
 	flag.Parse()
 
 	setup := experiments.Setup{

@@ -23,9 +23,11 @@
 //     (internal/snapshot) and LoadSnapshot hot-swaps one in — the
 //     fit-offline / serve-online split (cmd/microserve is the HTTP
 //     front over exactly this surface);
-//   - concurrent batch scoring: ScoreBatch fans a request slice over a
-//     worker pool with per-request error reporting and cooperative
-//     context cancellation.
+//   - batch scoring on the goroutine that received the batch: ScoreBatch
+//     runs a scoring strand on its caller and, for batches large enough
+//     to repay a wake-up, helper strands beside it under one
+//     engine-wide cap (WithWorkers), with per-request error reporting
+//     and cooperative context cancellation.
 //
 // The facade package re-exports the engine as the library's primary
 // public API; see the repository README for the serving walkthrough
@@ -56,9 +58,9 @@ import (
 // NameMicro is the reserved scorer name of the micro-browsing model.
 const NameMicro = "micro"
 
-// Engine routes scoring requests to named, versioned scorers and runs
-// batches over a worker pool. Create one with New; the zero value is
-// unusable.
+// Engine routes scoring requests to named, versioned scorers and
+// scores batches on their callers, helped by a capped number of extra
+// strands. Create one with New; the zero value is unusable.
 //
 // An Engine is safe for concurrent use. Installing scorers (Register,
 // Fit, LoadSnapshot, Rollback) while batches are in flight is allowed:
@@ -71,6 +73,8 @@ type Engine struct {
 	defaultModel string
 	keep         int
 	obs          *Observer // nil = uninstrumented (see WithObserver)
+
+	strands atomic.Int32 // batch-scoring strands in flight, callers and helpers
 
 	mu  sync.Mutex                  // serialises table writers only
 	tab atomic.Pointer[scorerTable] // read path loads this, lock-free
@@ -146,8 +150,14 @@ func (mi ModelInfo) Ref() string {
 // Option configures an Engine at construction time.
 type Option func(*Engine)
 
-// WithWorkers sets the ScoreBatch worker-pool size (default
-// runtime.GOMAXPROCS(0); values < 1 are treated as 1).
+// WithWorkers sets the engine-wide cap on batch-scoring strands
+// (default runtime.GOMAXPROCS(0); values < 1 are treated as 1). The
+// goroutine that calls ScoreBatch always scores, whatever the cap; a
+// helper strand is woken only while fewer than this many strands —
+// callers and helpers of every batch the engine is running, counted
+// together — are in flight. It is the engine's pool size, not a
+// per-batch multiplier: n concurrent callers wake at most workers-1
+// helpers between them, and none once n reaches the cap.
 func WithWorkers(n int) Option {
 	return func(e *Engine) {
 		if n < 1 {
@@ -903,8 +913,9 @@ func (e *Engine) ScoreCTR(ctx context.Context, req Request) (Response, error) {
 
 // scoreResolved is the post-resolution half of ScoreCTR. Scorers that
 // implement the internal scratchScorer surface run with the caller's
-// scratch (per-worker in batches, pooled for single requests);
-// third-party Scorer implementations take their public path. When the
+// scratch (per-strand in batches, pooled for single requests) and
+// leave the cancellation check to the caller; third-party Scorer
+// implementations take their public path, context included. When the
 // version carries a CTR histogram (observed engines), every
 // successful score lands one atomic sample in it — the raw material
 // of the drift block.
@@ -914,7 +925,7 @@ func (e *Engine) scoreResolved(ctx context.Context, req Request, name string, mv
 	var resp Response
 	var err error
 	if ss, ok := mv.scorer.(scratchScorer); ok {
-		resp, err = ss.scoreCTR(ctx, req, sc)
+		resp, err = ss.scoreCTR(req, sc)
 	} else {
 		resp, err = mv.scorer.ScoreCTR(ctx, req)
 	}
@@ -928,20 +939,35 @@ func (e *Engine) scoreResolved(ctx context.Context, req Request, name string, mv
 	return resp, err
 }
 
-// minParallelBatch is the batch size below which ScoreBatchInto scores
-// inline instead of fanning out.
-const minParallelBatch = 32
+// minStrandBatch is the number of requests a batch must hold per
+// scoring strand before a helper goroutine is woken for it: a batch of
+// n requests runs on at most n/minStrandBatch strands, the caller's
+// included. It is twice the break-even read off
+// BenchmarkEngineScoreBatch's size sub-benches (BENCH_engine.json; 2
+// vCPUs, ~1.3µs requests): with one helper forced, two strands first
+// beat one on the wall clock between 128- and 192-request batches
+// (172→180µs, 259→226µs) — a helper's share of 64 to 96 requests —
+// and cost 35–40% more CPU per request there. A helper that is woken
+// therefore takes over at least twice what waking it costs, and the
+// 64-request frames of the serving protocols are scored where they
+// arrive.
+const minStrandBatch = 128
+
+// strandChunk is how many requests a strand claims per bump of the
+// batch cursor: large enough that the shared cursor and the
+// cancellation check cost nothing per request, small enough that the
+// last strand to finish is at most one chunk behind the others.
+const strandChunk = 16
 
 // batchState is one scoring strand's memoised model resolution.
 // Batches overwhelmingly score one or two models, so each strand
-// (worker goroutine, or the serial path) memoises its last successful
-// resolution: repeated references skip the ref parse and table lookup,
-// keeping the hot dispatch loop at a string compare per request. The
-// cache lives for one batch only — a hot-swap lands no later than the
-// next ScoreBatch call. Mapped versions are pinned once per cache
-// fill, not per request, so the artifact refcount is off the
-// per-request path; the pin is released when the cache rolls over or
-// the strand drains (release()).
+// memoises its last successful resolution: repeated references skip
+// the ref parse and table lookup, keeping the hot dispatch loop at a
+// string compare per request. The cache lives for one batch only — a
+// hot-swap lands no later than the next ScoreBatch call. Mapped
+// versions are pinned once per cache fill, not per request, so the
+// artifact refcount is off the per-request path; the pin is released
+// when the cache rolls over or the strand drains (release()).
 type batchState struct {
 	ref  string
 	name string
@@ -964,11 +990,6 @@ func (bs *batchState) release() {
 //
 //mb:noalloc
 func (e *Engine) scoreOne(ctx context.Context, req Request, out *Response, bs *batchState, sc *scratch) {
-	if err := ctx.Err(); err != nil {
-		*out = Response{ID: req.ID, Model: e.requestModel(req.Model)}
-		out.setErr(err)
-		return
-	}
 	if bs.mv.scorer == nil || req.Model != bs.ref {
 		name, _, mv, err := e.resolvePinnedTimed(req.Model)
 		if err != nil {
@@ -995,14 +1016,17 @@ func (e *Engine) scoreOne(ctx context.Context, req Request, out *Response, bs *b
 	}
 }
 
-// ScoreBatch scores every request concurrently over the engine's
-// worker pool and returns responses aligned with the input slice. A
-// request that fails records its error in Response.Err without
-// affecting its neighbours. When ctx is cancelled mid-batch,
-// unprocessed requests are returned with Err set to ctx.Err().
+// ScoreBatch scores every request and returns responses aligned with
+// the input slice. The calling goroutine always scores: it runs the
+// first scoring strand itself, and helper strands join it only when
+// the batch holds at least minStrandBatch requests per strand and the
+// engine-wide cap (WithWorkers) has room. A request that fails records
+// its error in Response.Err without affecting its neighbours. When ctx
+// is cancelled mid-batch, requests not yet claimed by a strand are
+// returned with Err set to ctx.Err().
 //
 // Model references are resolved against the table as the batch runs
-// (workers memoise repeated references), so a concurrent hot-swap may
+// (strands memoise repeated references), so a concurrent hot-swap may
 // serve part of a batch from the old version and part from the new —
 // each response's ModelVersion records which.
 func (e *Engine) ScoreBatch(ctx context.Context, reqs []Request) []Response {
@@ -1041,84 +1065,79 @@ func (e *Engine) scoreBatchInto(ctx context.Context, reqs []Request, out []Respo
 	if len(reqs) == 0 {
 		return out
 	}
-	workers := e.workers
-	if workers > len(reqs) {
-		workers = len(reqs)
+	// Reserve this goroutine's strand slot plus as many helper slots as
+	// the batch is worth. The counter may overshoot the cap for a moment
+	// before the excess is handed back, which only ever makes a
+	// concurrent batch claim fewer helpers, never more.
+	helpers := max(len(reqs)/minStrandBatch-1, 0)
+	if over := min(int(e.strands.Add(int32(1+helpers)))-e.workers, helpers); over > 0 {
+		e.strands.Add(int32(-over))
+		helpers -= over
 	}
-	if workers < 1 {
-		workers = 1
-	}
-	if workers == 1 || len(reqs) <= minParallelBatch {
-		// Small batches score inline: below this size the channel and
-		// goroutine fan-out costs more than it buys, and the serial
-		// path allocates nothing — which is what keeps the binary
-		// protocol's per-frame cycle at zero steady-state allocations.
-		sc := getScratch()
-		defer putScratch(sc)
-		var bs batchState
-		defer bs.release()
-		for i := range reqs {
-			e.scoreOne(ctx, reqs[i], &out[i], &bs, sc)
-		}
-		return out
-	}
-	return e.scoreBatchParallel(ctx, reqs, out, workers)
-}
-
-// scoreBatchParallel is ScoreBatchInto's fan-out path. It lives in its
-// own frame so the worker closure's captured variables are not
-// heap-allocated when the serial path runs.
-func (e *Engine) scoreBatchParallel(ctx context.Context, reqs []Request, out []Response, workers int) []Response {
-	// Work is handed out in chunks to amortise channel hops; cancellation
-	// stays per-request because the worker loop checks the context before
-	// each score, so a cancelled batch drains each in-flight chunk with
-	// error responses rather than stale scores.
-	chunk := len(reqs) / (workers * 8)
-	if chunk < 1 {
-		chunk = 1
-	}
-	starts := make(chan int)
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			// Each worker owns one scratch for the whole batch: the
-			// tokenisation buffers are reused per request and the macro
-			// Positions arena hands out write-once regions, so the
-			// steady-state per-request path allocates nothing.
-			sc := getScratch()
-			defer putScratch(sc)
-			var bs batchState
-			defer bs.release()
-			for start := range starts {
-				end := start + chunk
-				if end > len(reqs) {
-					end = len(reqs)
-				}
-				for i := start; i < end; i++ {
-					e.scoreOne(ctx, reqs[i], &out[i], &bs, sc)
-				}
-			}
-		}()
-	}
-
-	next := 0
-feed:
-	for ; next < len(reqs); next += chunk {
-		select {
-		case starts <- next:
-		case <-ctx.Done():
-			break feed
-		}
-	}
-	close(starts)
-	wg.Wait()
-
-	// Requests the feeder never dispatched carry the cancellation error.
-	for i := next; i < len(reqs); i++ {
-		out[i] = Response{ID: reqs[i].ID, Model: e.requestModel(reqs[i].Model)}
-		out[i].setErr(ctx.Err())
+	if helpers == 0 {
+		var cursor atomic.Int64
+		e.strand(ctx, reqs, out, &cursor)
+	} else {
+		e.scoreBatchHelped(ctx, reqs, out, helpers)
 	}
 	return out
+}
+
+// scoreBatchHelped runs the caller's strand beside helper goroutines.
+// It is its own frame so that the cursor the helpers share is
+// heap-allocated only when there are helpers.
+func (e *Engine) scoreBatchHelped(ctx context.Context, reqs []Request, out []Response, helpers int) {
+	var (
+		cursor atomic.Int64
+		wg     sync.WaitGroup
+	)
+	wg.Add(helpers)
+	for ; helpers > 0; helpers-- {
+		go func() {
+			defer wg.Done()
+			e.strand(ctx, reqs, out, &cursor)
+		}()
+	}
+	e.strand(ctx, reqs, out, &cursor)
+	wg.Wait()
+}
+
+// strand is the one batch-scoring loop: claim the next strandChunk
+// requests from the batch's cursor, score them, repeat until the
+// cursor passes the end. The goroutine that called ScoreBatch runs it
+// first, so no request waits for a wake-up; helpers run the same loop
+// and one that starts late finds nothing left to claim. Cancellation
+// is checked once per claimed chunk, and a cancelled batch is drained
+// by this same loop: every chunk claimed after the cancellation is
+// filled with the context's error, so each slot is written exactly
+// once. The strand owns one scratch and one memoised resolution for
+// its whole run and gives back its slot of the engine's cap on return.
+//
+//mb:noalloc
+func (e *Engine) strand(ctx context.Context, reqs []Request, out []Response, cursor *atomic.Int64) {
+	defer e.strands.Add(-1)
+	sc := getScratch()
+	defer putScratch(sc)
+	var bs batchState
+	defer bs.release()
+	for {
+		end := int(cursor.Add(strandChunk))
+		start := end - strandChunk
+		if start >= len(reqs) {
+			return
+		}
+		if end > len(reqs) {
+			end = len(reqs)
+		}
+		if err := ctx.Err(); err != nil {
+			for i := start; i < end; i++ {
+				out[i] = Response{ID: reqs[i].ID, Model: e.requestModel(reqs[i].Model)}
+				out[i].setErr(err)
+			}
+			continue
+		}
+		for i := start; i < end; i++ {
+			e.scoreOne(ctx, reqs[i], &out[i], &bs, sc)
+		}
+	}
 }

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"context"
+	"sync/atomic"
 	"testing"
 )
 
@@ -57,5 +58,41 @@ func assertStrandScoreNoalloc(t *testing.T, e *Engine) {
 	})
 	if allocs != 0 {
 		t.Fatalf("warm strand score allocates %v/op, want 0", allocs)
+	}
+}
+
+// TestStrandNoalloc backs the //mb:noalloc annotation on strand and
+// the rule it serves: a batch too small to repay a helper's wake-up is
+// scored on its caller without a single allocation, whatever the cap.
+// It drives the loop both bare and through ScoreBatchInto — claim,
+// stack-held cursor and all — over a frame-sized batch at a cap of 4.
+func TestStrandNoalloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates defer records; alloc counts only hold uninstrumented")
+	}
+	for _, e := range []*Engine{New(WithWorkers(4)), New(WithWorkers(4), WithObserver(&Observer{}))} {
+		e.UseMicro(testMicroModel())
+		ctx := context.Background()
+		reqs := make([]Request, 2*minStrandBatch-1)
+		for i := range reqs {
+			reqs[i] = Request{Lines: testLines, MaxN: 3}
+		}
+		out := e.ScoreBatchInto(ctx, reqs, nil) // warm the pooled scratch
+		var cursor atomic.Int64
+		allocs := testing.AllocsPerRun(100, func() {
+			cursor.Store(0)
+			e.strands.Add(1) // the slot strand gives back
+			e.strand(ctx, reqs, out, &cursor)
+			out = e.ScoreBatchInto(ctx, reqs, out)
+		})
+		if allocs != 0 {
+			t.Fatalf("caller-only batch of %d allocates %v/op, want 0", len(reqs), allocs)
+		}
+		if out[len(out)-1].Err != nil || out[len(out)-1].CTR <= 0 {
+			t.Fatalf("last response not scored: %+v", out[len(out)-1])
+		}
+		if n := e.strands.Load(); n != 0 {
+			t.Fatalf("%d strand slots still held", n)
+		}
 	}
 }

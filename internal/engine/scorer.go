@@ -86,7 +86,8 @@ func (r *Response) setErr(err error) {
 
 // Scorer is the unified scoring surface: anything that can turn a
 // Request into a CTR estimate. Implementations must be safe for
-// concurrent use — the engine calls them from a worker pool.
+// concurrent use — the engine calls them from every goroutine that
+// hands it a batch, plus its helper strands.
 type Scorer interface {
 	ScoreCTR(ctx context.Context, req Request) (Response, error)
 }
@@ -115,22 +116,22 @@ func NewClickModelScorer(m clickmodel.Model) *ClickModelScorer {
 // ScoreCTR implements Scorer: per-position marginal click probabilities
 // plus their mean as the headline CTR. It borrows a pooled scratch so
 // the Positions slice is carved from an arena rather than allocated
-// per request; the engine's batch path passes each worker's own
+// per request; the engine's batch path passes each strand's own
 // scratch instead.
 func (s *ClickModelScorer) ScoreCTR(ctx context.Context, req Request) (Response, error) {
+	if err := ctx.Err(); err != nil {
+		return Response{}, err
+	}
 	sc := getScratch()
 	defer putScratch(sc)
-	return s.scoreCTR(ctx, req, sc)
+	return s.scoreCTR(req, sc)
 }
 
 // scoreCTR implements scratchScorer. Every built-in model's
 // ClickProbsInto keeps the scoring recursion's internal state on the
 // stack and writes the marginals straight into the arena-carved
 // region, so the steady-state macro path allocates nothing.
-func (s *ClickModelScorer) scoreCTR(ctx context.Context, req Request, sc *scratch) (Response, error) {
-	if err := ctx.Err(); err != nil {
-		return Response{}, err
-	}
+func (s *ClickModelScorer) scoreCTR(req Request, sc *scratch) (Response, error) {
 	if req.Session == nil {
 		return Response{}, fmt.Errorf("%w: click model %q needs a session", ErrNoEvidence, s.M.Name())
 	}
@@ -200,16 +201,16 @@ func (s *MicroScorer) Compiled() *core.CompiledModel { return s.c }
 // materialisation by resolving n-gram byte windows against the
 // interned vocab.
 func (s *MicroScorer) ScoreCTR(ctx context.Context, req Request) (Response, error) {
-	sc := getScratch()
-	defer putScratch(sc)
-	return s.scoreCTR(ctx, req, sc)
-}
-
-// scoreCTR implements scratchScorer.
-func (s *MicroScorer) scoreCTR(ctx context.Context, req Request, sc *scratch) (Response, error) {
 	if err := ctx.Err(); err != nil {
 		return Response{}, err
 	}
+	sc := getScratch()
+	defer putScratch(sc)
+	return s.scoreCTR(req, sc)
+}
+
+// scoreCTR implements scratchScorer.
+func (s *MicroScorer) scoreCTR(req Request, sc *scratch) (Response, error) {
 	if len(req.Lines) == 0 {
 		return Response{}, fmt.Errorf("%w: micro scorer needs snippet lines", ErrNoEvidence)
 	}

@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"context"
 	"sync"
 
 	"repro/internal/core"
@@ -9,7 +8,7 @@ import (
 )
 
 // scratch is the per-goroutine working storage of the serving read
-// path. Each ScoreBatch worker owns one for the duration of the batch
+// path. Each ScoreBatch strand owns one for the duration of the batch
 // (no pool contention on the hot loop); single-request ScoreCTR calls
 // borrow one from the pool.
 //
@@ -64,10 +63,14 @@ func (a *floatArena) take(n int) []float64 {
 }
 
 // scratchScorer is the widened internal scoring surface: scorers that
-// can use per-worker scratch implement it, and the engine's dispatch
-// prefers it over the public allocation-per-call Scorer method. The
-// public ScoreCTR methods remain the same computation with a pooled
-// scratch borrowed per call.
+// can use per-strand scratch implement it, and the engine's dispatch
+// prefers it over the public allocation-per-call Scorer method. It
+// takes no context: these scorers run in about a microsecond, so the
+// engine checks for cancellation around them (once per request in
+// ScoreCTR, once per claimed chunk in a batch strand) instead of
+// paying cancelCtx.Err's mutex inside every call. The public ScoreCTR
+// methods remain the same computation behind their own context check,
+// with a pooled scratch borrowed per call.
 type scratchScorer interface {
-	scoreCTR(ctx context.Context, req Request, sc *scratch) (Response, error)
+	scoreCTR(req Request, sc *scratch) (Response, error)
 }

@@ -8,15 +8,16 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/clickmodel"
 	"repro/internal/core"
 	"repro/internal/engine"
 )
 
-func testEngine(t *testing.T) *engine.Engine {
+func testEngine(t *testing.T, opts ...engine.Option) *engine.Engine {
 	t.Helper()
-	e := engine.New()
+	e := engine.New(opts...)
 	m := core.NewModel(core.GeometricAttention{LineWeights: []float64{0.9, 0.6, 0.3}, Decay: 0.8})
 	m.Relevance["find cheap"] = 0.85
 	m.Relevance["flights"] = 0.6
@@ -165,37 +166,116 @@ func TestServerMatchesJSONSemantics(t *testing.T) {
 
 // TestProcessZeroAlloc is the acceptance-criteria allocation test: a
 // warm connection's full score cycle — decode, batch score, encode —
-// performs zero heap allocations.
+// performs zero heap allocations, for a three-request frame and for
+// the 64-request frame the serving benchmark sends alike, on an engine
+// whose strand cap would allow helpers: a frame that size is scored on
+// the connection's own goroutine.
 func TestProcessZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates defer records; alloc counts only hold uninstrumented")
 	}
-	eng := testEngine(t)
+	eng := testEngine(t, engine.WithWorkers(4))
 	srv := NewServer(eng, nil)
-	reqs := []engine.Request{
+	mixed := []engine.Request{
 		{ID: "m1", Lines: microLines},
 		{ID: "m2", Lines: microLines},
 		{ID: "s1", Model: "pbm", Session: &clickmodel.Session{
 			Query: "q", Docs: []string{"a", "b", "c"}, Clicks: []bool{true, false, false}}},
 	}
-	payload, err := AppendRequests(nil, reqs)
+	for _, size := range []int{3, 64} {
+		reqs := make([]engine.Request, size)
+		for i := range reqs {
+			reqs[i] = mixed[i%len(mixed)]
+		}
+		payload, err := AppendRequests(nil, reqs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st := &connState{}
+		ctx := context.Background()
+		for i := 0; i < 4; i++ { // warm the arenas
+			if err := srv.process(ctx, st, payload); err != nil {
+				t.Fatal(err)
+			}
+		}
+		allocs := testing.AllocsPerRun(200, func() {
+			if err := srv.process(ctx, st, payload); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("warm score cycle of a %d-request frame allocates %v/op, want 0", size, allocs)
+		}
+	}
+}
+
+// TestStalledPeerIsClosed: a peer that delivers half a frame and then
+// nothing is closed once the frame read timeout passes — told why,
+// counted as an error — instead of pinning its goroutine and arenas.
+func TestStalledPeerIsClosed(t *testing.T) {
+	srv := NewServer(testEngine(t), nil)
+	srv.readTimeout = 100 * time.Millisecond
+	client, server := net.Pipe()
+	defer client.Close()
+	done := make(chan struct{})
+	go func() {
+		srv.ServeConn(context.Background(), server)
+		close(done)
+	}()
+
+	payload, err := AppendRequests(nil, testRequests())
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := &connState{}
-	ctx := context.Background()
-	for i := 0; i < 4; i++ { // warm the arenas
-		if err := srv.process(ctx, st, payload); err != nil {
-			t.Fatal(err)
+	frame := append(make([]byte, HeaderSize), payload...)
+	putHeaderTag(frame, FrameScore, 9, len(payload))
+	if _, err := client.Write(frame[:HeaderSize+len(payload)/2]); err != nil {
+		t.Fatal(err)
+	}
+
+	ftype, _, msg, err := NewClient(client).readFrame()
+	if err != nil {
+		t.Fatalf("reading the error frame: %v", err)
+	}
+	r := reader{b: msg}
+	if text := r.str(); ftype != FrameError || !strings.Contains(text, "timeout") {
+		t.Errorf("got frame type %d %q, want an error frame naming the timeout", ftype, text)
+	}
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("ServeConn still running 10s after a 100ms read timeout")
+	}
+	if c := srv.Counters(); c.Errors != 1 || c.Frames != 0 {
+		t.Errorf("counters = %+v, want the stall counted as 1 error and no frame", c)
+	}
+}
+
+// TestIdleWithinTimeoutKeepsWorking: the timeout restarts with every
+// frame, so a connection that pauses for less than it between frames
+// outlives it many times over.
+func TestIdleWithinTimeoutKeepsWorking(t *testing.T) {
+	srv := NewServer(testEngine(t), nil)
+	srv.readTimeout = 500 * time.Millisecond
+	client, server := net.Pipe()
+	go srv.ServeConn(context.Background(), server)
+	cli := NewClient(client)
+	defer cli.Close()
+
+	for round := 0; round < 4; round++ { // 3 x 200ms of pauses: past one timeout in total
+		if round > 0 {
+			time.Sleep(200 * time.Millisecond)
+		}
+		resps, err := cli.ScoreBatch(testRequests())
+		if err != nil {
+			t.Fatalf("round %d: %v", round, err)
+		}
+		if len(resps) != len(testRequests()) || resps[0].Error != "" {
+			t.Fatalf("round %d: unexpected responses %+v", round, resps)
 		}
 	}
-	allocs := testing.AllocsPerRun(200, func() {
-		if err := srv.process(ctx, st, payload); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if allocs != 0 {
-		t.Fatalf("warm score cycle allocates %v/op, want 0", allocs)
+	if c := srv.Counters(); c.Errors != 0 || c.Frames != 4 {
+		t.Errorf("counters = %+v, want 4 frames and no errors", c)
 	}
 }
 

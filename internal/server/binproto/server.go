@@ -26,6 +26,10 @@ type Server struct {
 	eng *engine.Engine
 	log *log.Logger
 
+	// readTimeout is how long ServeConn waits for a whole frame; see
+	// frameReadTimeout.
+	readTimeout time.Duration
+
 	frames   atomic.Uint64
 	requests atomic.Uint64
 	errs     atomic.Uint64
@@ -48,13 +52,21 @@ func (s *Server) SetTracing(ring *obs.TraceRing) { s.ring = ring }
 // (nanosecond samples).
 func (s *Server) FrameLatency() obs.Snapshot { return s.frameH.Snapshot() }
 
+// frameReadTimeout bounds how long a connection may take to deliver
+// its next frame, header and payload together, counted from the end of
+// the previous one. It is an idle timeout and a stall timeout in one:
+// a peer that goes quiet between frames or in the middle of one is
+// closed and its arenas freed, so no connection holds a goroutine and
+// its buffers forever. Minutes, not seconds — pooled clients idle.
+const frameReadTimeout = 5 * time.Minute
+
 // NewServer returns a binary-protocol server over eng. logger may be
 // nil (discards).
 func NewServer(eng *engine.Engine, logger *log.Logger) *Server {
 	if logger == nil {
 		logger = log.New(io.Discard, "", 0)
 	}
-	return &Server{eng: eng, log: logger}
+	return &Server{eng: eng, log: logger, readTimeout: frameReadTimeout}
 }
 
 // Counters is a point-in-time snapshot of the binary surface's
@@ -254,20 +266,23 @@ func (st *connState) readFrame(br *bufio.Reader) (byte, []byte, error) {
 
 // writeError sends a best-effort error frame echoing the failing
 // request's tag; the connection closes right after, so a failed write
-// is not itself an error.
+// is not itself an error — and a peer that is not reading does not get
+// to hold the close up either.
 func writeError(conn net.Conn, tag uint16, msg string) {
 	if len(msg) > maxStr {
 		msg = msg[:maxStr]
 	}
+	_ = conn.SetWriteDeadline(time.Now().Add(time.Second))
 	buf := make([]byte, HeaderSize, HeaderSize+2+len(msg))
 	buf, _ = appendStr16(buf, msg)
 	putHeaderTag(buf, FrameError, tag, len(buf)-HeaderSize)
 	conn.Write(buf)
 }
 
-// ServeConn runs the request/response loop until the peer closes,
-// the context is cancelled, or a protocol error makes the stream
-// unrecoverable. It owns conn and closes it on return.
+// ServeConn runs the request/response loop until the peer closes, goes
+// quiet for longer than the frame read timeout, the context is
+// cancelled, or a protocol error makes the stream unrecoverable. It
+// owns conn and closes it on return.
 func (s *Server) ServeConn(ctx context.Context, conn net.Conn) {
 	defer conn.Close()
 	if ctx == nil {
@@ -278,7 +293,11 @@ func (s *Server) ServeConn(ctx context.Context, conn net.Conn) {
 
 	st := &connState{}
 	br := bufio.NewReaderSize(conn, 64<<10)
+	now := time.Now()
 	for {
+		// A failed SetReadDeadline means the connection is already dead;
+		// the read below reports it.
+		_ = conn.SetReadDeadline(now.Add(s.readTimeout))
 		ftype, payload, err := st.readFrame(br)
 		if err != nil {
 			if !errors.Is(err, io.EOF) && !errors.Is(err, net.ErrClosed) && ctx.Err() == nil {
@@ -314,7 +333,8 @@ func (s *Server) ServeConn(ctx context.Context, conn net.Conn) {
 		if _, err := conn.Write(st.out); err != nil {
 			return
 		}
-		d := time.Since(t0)
+		now = time.Now()
+		d := now.Sub(t0)
 		if d < 0 {
 			d = 0
 		}

@@ -179,7 +179,7 @@ func appendTokens(norm []byte, spans []TokenSpan, line string) ([]byte, []TokenS
 			continue
 		}
 		if start < 0 {
-			if len(norm) > 0 {
+			if len(norm) > base {
 				norm = append(norm, ' ')
 			}
 			start = len(norm)

@@ -103,6 +103,40 @@ func TestScratchTokenize(t *testing.T) {
 	}
 }
 
+// TestAppendTokensArenaFlush pins appendTokens' arena contract on both
+// byte classes: a line appended after a non-empty arena starts flush —
+// no joining space before its first token, ASCII or not — so the bytes
+// it adds and its span texts are exactly Scratch.Tokenize's.
+func TestAppendTokensArenaFlush(t *testing.T) {
+	lines := []string{
+		"été à Paris",
+		"ßtraße frei",
+		"日本 の 旅",
+		"ascii first",
+		"— é after a separator",
+	}
+	for _, line := range lines {
+		var sc Scratch
+		want := sc.Tokenize(line)
+
+		arena := []byte("earlier line")
+		base := len(arena)
+		norm, spans := appendTokens(arena, nil, line)
+		if got := string(norm[base:]); got != string(sc.Norm) {
+			t.Errorf("appendTokens(%q) added %q, Scratch.Tokenize wrote %q", line, got, sc.Norm)
+		}
+		if len(spans) != len(want) {
+			t.Fatalf("appendTokens(%q): %d spans, want %d", line, len(spans), len(want))
+		}
+		for i, sp := range spans {
+			got, w := string(norm[sp.Start:sp.End]), string(sc.Norm[want[i].Start:want[i].End])
+			if got != w || sp.Hash != want[i].Hash || sp.Start-base != want[i].Start {
+				t.Errorf("appendTokens(%q) span %d = %q@%d, want %q@%d", line, i, got, sp.Start-base, w, want[i].Start)
+			}
+		}
+	}
+}
+
 // TestScratchTokenizeZeroAlloc pins the steady-state allocation count
 // of the zero-copy path.
 func TestScratchTokenizeZeroAlloc(t *testing.T) {

@@ -72,7 +72,8 @@ import (
 // Unified scoring engine (the primary public API).
 type (
 	// Engine routes scoring requests to named, versioned scorers and
-	// runs batches over a worker pool with context cancellation.
+	// scores batches on the goroutine that hands them in, helped by a
+	// capped number of extra strands, with context cancellation.
 	Engine = engine.Engine
 	// EngineOption configures NewEngine.
 	EngineOption = engine.Option
@@ -103,7 +104,8 @@ var (
 	// NewEngine returns a scoring engine; see WithWorkers,
 	// WithAttention and WithDefaultModel.
 	NewEngine = engine.New
-	// WithWorkers sets the ScoreBatch worker-pool size.
+	// WithWorkers sets the engine-wide cap on batch-scoring strands;
+	// the goroutine that calls ScoreBatch always scores.
 	WithWorkers = engine.WithWorkers
 	// WithAttention sets the attention layer of the engine's default
 	// micro scorer.

@@ -10,7 +10,9 @@
 #
 # Suites:
 #   clickmodel — BenchmarkClickModel_* (fit substrate), BENCH_clickmodel.json
-#   engine     — BenchmarkEngineScoreBatch/* (batch read path), BENCH_engine.json
+#   engine     — BenchmarkEngineScoreBatch/* (batch read path: full
+#                corpus per strand cap, size={32,64,256,4096} on one
+#                strand vs GOMAXPROCS, bare dispatch), BENCH_engine.json
 #   micro      — BenchmarkMicroScore/* + BenchmarkExtractTermsPath/*
 #                (compiled micro kernel vs map path), BENCH_engine.json
 #   serve      — BenchmarkServeProtocol/* (JSON vs MBSP binary framing
@@ -28,9 +30,10 @@
 #                ScoreBatch — the observability tax), BENCH_obs.json
 #
 # A trajectory file is a JSON array of run records ordered oldest to
-# newest; each record carries the environment and the parsed
-# ns/op / B/op / allocs/op (and req/s where reported) of every
-# benchmark in the suite.
+# newest; each record carries the environment — commit, Go version and
+# host shape (CPU model, nproc, GOMAXPROCS) — and the parsed
+# ns/op / B/op / allocs/op (and req/s, ns/req, cpu-ns/req where
+# reported) of every benchmark in the suite.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -46,7 +49,7 @@ while getopts "s:t:o:l:h" opt; do
     o) out="$OPTARG" ;;
     l) label="$OPTARG" ;;
     h)
-      sed -n '2,28p' "$0"
+      sed -n '2,30p' "$0"
       exit 0
       ;;
     *) exit 2 ;;
@@ -85,7 +88,7 @@ results=$(awk '
     name = $1
     sub(/-[0-9]+$/, "", name)
     sub(/^Benchmark/, "", name)
-    ns = ""; bytes = ""; allocs = ""; reqs = ""; sess = ""; cand = ""
+    ns = ""; bytes = ""; allocs = ""; reqs = ""; sess = ""; cand = ""; nsreq = ""; cpureq = ""
     for (i = 3; i <= NF; i++) {
       if ($i == "ns/op") ns = $(i-1)
       else if ($i == "B/op") bytes = $(i-1)
@@ -93,10 +96,14 @@ results=$(awk '
       else if ($i == "req/s") reqs = $(i-1)
       else if ($i == "sessions/s") sess = $(i-1)
       else if ($i == "cand/s") cand = $(i-1)
+      else if ($i == "ns/req") nsreq = $(i-1)
+      else if ($i == "cpu-ns/req") cpureq = $(i-1)
     }
     if (ns == "") next
     extra = ""
     if (reqs != "") extra = sprintf(", \"req_per_s\": %s", reqs)
+    if (nsreq != "") extra = extra sprintf(", \"ns_per_req\": %s", nsreq)
+    if (cpureq != "") extra = extra sprintf(", \"cpu_ns_per_req\": %s", cpureq)
     if (sess != "") extra = extra sprintf(", \"sessions_per_s\": %s", sess)
     if (cand != "") extra = extra sprintf(", \"cand_per_s\": %s", cand)
     printf "%s    {\"name\": \"%s\", \"iters\": %s, \"ns_per_op\": %s, \"bytes_per_op\": %s, \"allocs_per_op\": %s%s}", sep, name, $2, ns, bytes, allocs, extra
@@ -121,8 +128,16 @@ date=$(date -u +%Y-%m-%dT%H:%M:%SZ)
 label=$(json_escape "$label")
 benchtime_esc=$(json_escape "$benchtime")
 
-entry=$(printf '  {\n    "date": "%s",\n    "commit": "%s",\n    "label": "%s",\n    "go": "%s",\n    "benchtime": "%s",\n    "results": [\n%s\n    ]\n  }' \
-  "$date" "$commit" "$label" "$goversion" "$benchtime_esc" "$results")
+# Host shape, so that two records are only ever compared knowingly
+# across hosts: the CPU model as go test printed it, the CPUs this
+# process may run on, and the GOMAXPROCS the benchmarks ran at — the
+# -N suffix go test puts on their names (it omits the suffix at 1).
+cpu=$(json_escape "$(sed -n 's/^cpu: *//p' "$raw" | head -n 1)")
+ncpu=$(nproc 2>/dev/null || echo 0)
+gomaxprocs=$(awk '/^Benchmark/ { n = 1; if (match($1, /-[0-9]+$/)) n = substr($1, RSTART + 1); print n; exit }' "$raw")
+
+entry=$(printf '  {\n    "date": "%s",\n    "commit": "%s",\n    "label": "%s",\n    "go": "%s",\n    "host": {"cpu": "%s", "nproc": %s, "gomaxprocs": %s},\n    "benchtime": "%s",\n    "results": [\n%s\n    ]\n  }' \
+  "$date" "$commit" "$label" "$goversion" "$cpu" "$ncpu" "${gomaxprocs:-1}" "$benchtime_esc" "$results")
 
 if [ ! -s "$out" ]; then
   printf '[\n%s\n]\n' "$entry" > "$out"
