@@ -80,7 +80,9 @@ func (p *frozenPairs) NumPairs() int { return len(p.pairQ) }
 
 // find resolves a (query, doc) pair to its dense ID; a miss anywhere
 // along the way (unknown query, unknown doc, absent pair) returns
-// false and the caller falls back to the prior.
+// false and the caller falls back to the prior. Like the vocabulary
+// lookups, the probe gives up after one pass over the table, so an
+// unvalidated table with no empty bucket ends in a miss, not a spin.
 func (p *frozenPairs) find(q, d string) (int32, bool) {
 	qid, ok := p.qv.Lookup(q)
 	if !ok {
@@ -90,7 +92,7 @@ func (p *frozenPairs) find(q, d string) (int32, bool) {
 	if !ok {
 		return 0, false
 	}
-	for i := pairHash(qid, did) & p.mask; ; i = (i + 1) & p.mask {
+	for i, left := pairHash(qid, did)&p.mask, len(p.tab); left > 0; i, left = (i+1)&p.mask, left-1 {
 		id := p.tab[i]
 		if id < 0 {
 			return 0, false
@@ -104,6 +106,7 @@ func (p *frozenPairs) find(q, d string) (int32, bool) {
 			return id, true
 		}
 	}
+	return 0, false
 }
 
 // validate runs the O(n) per-element checks pairsFromArtifact skips:

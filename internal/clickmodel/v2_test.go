@@ -257,3 +257,27 @@ var (
 	_ Examiner      = (*MappedDBN)(nil)
 	_ Snapshotter   = (*MappedDBN)(nil)
 )
+
+// TestFrozenPairsFullTableTerminates is the pair-table half of the
+// hostile-artifact regression (see textproc's
+// TestFrozenVocabFullTableTerminates): a probe table with no empty
+// bucket and only valid pair IDs must end an absent pair's probe in a
+// miss after one pass, not spin the serving goroutine.
+func TestFrozenPairsFullTableTerminates(t *testing.T) {
+	p, _ := freezePairs([]map[qd]float64{{
+		{q: "q0", d: "d0"}: 0.5,
+		{q: "q1", d: "d1"}: 0.5,
+	}}, []float64{0})
+	for i := range p.tab {
+		p.tab[i] = 0 // every bucket names pair 0 = (q0, d0)
+	}
+	if err := p.validate(); err != nil {
+		t.Fatalf("the full table is made of valid IDs, yet validate says %v", err)
+	}
+	if id, ok := p.find("q1", "d1"); ok {
+		t.Errorf("find of a pair no bucket names resolved to %d", id)
+	}
+	if id, ok := p.find("q0", "d0"); !ok || id != 0 {
+		t.Errorf("find(q0, d0) = %d, %v; want 0, true", id, ok)
+	}
+}

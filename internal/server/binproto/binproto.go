@@ -77,6 +77,16 @@
 // cycle performs zero heap allocations (request strings are unsafe
 // views into the frame buffer, valid only until the next frame — the
 // engine does not retain them).
+//
+// # The evidence arena
+//
+// Batch (batch.go) is the request-batch builder behind that cycle, and
+// behind the JSON score routes of package server as well: one arena,
+// two wire syntaxes. This package decodes MBSP payloads into it; the
+// HTTP surface scans JSON bodies into a pooled one through the same
+// exported builder methods, which is why the byte-view helper and the
+// arena live together here, in the one serving package allowed to use
+// unsafe.
 package binproto
 
 import (
@@ -418,9 +428,14 @@ func (r *reader) bytes(n int) []byte {
 	return v
 }
 
-// str returns a zero-copy view into the payload.
+// raw returns the bytes of one str16, still inside the payload.
+func (r *reader) raw() []byte {
+	return r.bytes(int(r.u16()))
+}
+
+// str returns a str16 as a zero-copy view into the payload.
 func (r *reader) str() string {
-	return byteString(r.bytes(int(r.u16())))
+	return byteString(r.raw())
 }
 
 // done verifies the payload was consumed exactly.

@@ -61,7 +61,7 @@ func TestEncodeDecodeRequests(t *testing.T) {
 		t.Fatal(err)
 	}
 	var st connState
-	got, err := st.decodeRequests(payload)
+	got, err := st.batch.decodeRequests(payload)
 	if err != nil {
 		t.Fatalf("decodeRequests: %v", err)
 	}

@@ -13,7 +13,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/clickmodel"
 	"repro/internal/engine"
 	"repro/internal/obs"
 )
@@ -87,29 +86,10 @@ func (s *Server) Counters() Counters {
 	}
 }
 
-// span records where one request's variable-length evidence landed in
-// the connection arenas, so slices are taken only after the arenas
-// stop growing (append may move the backing array).
-type span struct {
-	req   int
-	start int
-	n     int
-}
-
-// sessSpan is span for macro evidence: one session's query plus its
-// doc and click ranges.
-type sessSpan struct {
-	req    int
-	query  string
-	dstart int
-	ndocs  int
-	cstart int
-}
-
 // connState is the per-connection working set: the frame buffer, the
-// decoded request batch, the response batch and the evidence arenas.
-// Everything is reused frame over frame, so a warm connection's score
-// cycle allocates nothing.
+// evidence arena the request batch is decoded into (batch.go) and the
+// response batch. Everything is reused frame over frame, so a warm
+// connection's score cycle allocates nothing.
 type connState struct {
 	hdr     [HeaderSize]byte
 	payload []byte
@@ -123,94 +103,10 @@ type connState struct {
 	frameModel string
 	frameItems int
 
-	reqs  []engine.Request
+	batch Batch
 	resps []engine.Response
 
-	lines     []string
-	lineSpans []span
-	docs      []string
-	clicks    []bool
-	sessions  []clickmodel.Session
-	sessSpans []sessSpan
-
 	opt optState
-}
-
-// decodeRequests rebuilds the request batch from a score payload.
-// Strings are zero-copy views into st.payload: valid until the next
-// frame is read, which is after the batch is fully scored and the
-// responses encoded.
-//
-//mb:noalloc
-func (st *connState) decodeRequests(payload []byte) ([]engine.Request, error) {
-	r := reader{b: payload}
-	n := int(r.u32())
-	if r.err == nil && n > MaxBatch {
-		return nil, fmt.Errorf("binproto: batch of %d requests exceeds the %d limit; split it", n, MaxBatch) //mb:allocok cold reject path
-	}
-	if cap(st.reqs) < n {
-		st.reqs = make([]engine.Request, n) //mb:allocok capacity miss: first frame this size, then reused
-	}
-	st.reqs = st.reqs[:n]
-	st.lines = st.lines[:0]
-	st.lineSpans = st.lineSpans[:0]
-	st.docs = st.docs[:0]
-	st.clicks = st.clicks[:0]
-	st.sessions = st.sessions[:0]
-	st.sessSpans = st.sessSpans[:0]
-
-	for i := 0; i < n && r.err == nil; i++ {
-		req := &st.reqs[i]
-		*req = engine.Request{}
-		req.ID = r.str()
-		req.Model = r.str()
-		req.MaxN = int(r.u8())
-		switch kind := r.u8(); kind {
-		case evLines:
-			nl := int(r.u16())
-			start := len(st.lines)
-			for j := 0; j < nl && r.err == nil; j++ {
-				st.lines = append(st.lines, r.str())
-			}
-			st.lineSpans = append(st.lineSpans, span{req: i, start: start, n: nl})
-		case evSession:
-			ss := sessSpan{req: i, query: r.str()}
-			ss.ndocs = int(r.u16())
-			ss.dstart = len(st.docs)
-			for j := 0; j < ss.ndocs && r.err == nil; j++ {
-				st.docs = append(st.docs, r.str())
-			}
-			ss.cstart = len(st.clicks)
-			bits := r.bytes((ss.ndocs + 7) / 8)
-			for j := 0; j < ss.ndocs && r.err == nil; j++ {
-				st.clicks = append(st.clicks, bits[j/8]&(1<<(j%8)) != 0)
-			}
-			st.sessSpans = append(st.sessSpans, ss)
-		default:
-			if r.err == nil {
-				return nil, fmt.Errorf("binproto: request %d: unknown evidence kind %d", i, kind) //mb:allocok cold reject path
-			}
-		}
-	}
-	if err := r.done(); err != nil {
-		return nil, err
-	}
-
-	// The arenas are final; now the slices they back cannot move.
-	for _, s := range st.lineSpans {
-		st.reqs[s.req].Lines = st.lines[s.start : s.start+s.n : s.start+s.n]
-	}
-	for _, ss := range st.sessSpans {
-		st.sessions = append(st.sessions, clickmodel.Session{
-			Query:  ss.query,
-			Docs:   st.docs[ss.dstart : ss.dstart+ss.ndocs : ss.dstart+ss.ndocs],
-			Clicks: st.clicks[ss.cstart : ss.cstart+ss.ndocs : ss.cstart+ss.ndocs],
-		})
-	}
-	for k, ss := range st.sessSpans {
-		st.reqs[ss.req].Session = &st.sessions[k]
-	}
-	return st.reqs, nil
 }
 
 // process runs one score cycle with no I/O: decode the payload, score
@@ -220,7 +116,7 @@ func (st *connState) decodeRequests(payload []byte) ([]engine.Request, error) {
 //
 //mb:noalloc
 func (s *Server) process(ctx context.Context, st *connState, payload []byte) error {
-	reqs, err := st.decodeRequests(payload)
+	reqs, err := st.batch.decodeRequests(payload)
 	if err != nil {
 		return err
 	}

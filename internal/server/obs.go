@@ -96,9 +96,12 @@ type traceKey struct{}
 // request: the model and item count it resolved to, plus up to
 // MaxStages named stage timings. All methods tolerate a nil receiver
 // so handlers annotate unconditionally and pay nothing when tracing
-// is off.
+// is off. The model is copied in (into a buffer the pooled slot keeps):
+// a trace is offered to the ring after the handler has returned, and
+// on the score routes the handler's strings are views of a body buffer
+// that is back in its pool by then.
 type traceInfo struct {
-	model  string
+	model  []byte
 	items  int
 	n      int
 	stages [obs.MaxStages]obs.Stage
@@ -126,7 +129,7 @@ func (ti *traceInfo) shape(model string, items int) {
 	if ti == nil {
 		return
 	}
-	ti.model, ti.items = model, items
+	ti.model, ti.items = append(ti.model[:0], model...), items
 }
 
 // ServeHTTP implements http.Handler: the observability middleware
@@ -143,7 +146,7 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	var ti *traceInfo
 	if s.ring != nil {
 		ti = traceInfoPool.Get().(*traceInfo)
-		*ti = traceInfo{}
+		*ti = traceInfo{model: ti.model[:0]}
 		r = r.WithContext(context.WithValue(r.Context(), traceKey{}, ti))
 	}
 	t0 := time.Now()
@@ -159,7 +162,7 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 				ID:      rid,
 				Proto:   "http",
 				Kind:    routeNames[rt],
-				Model:   ti.model,
+				Model:   string(ti.model),
 				Items:   ti.items,
 				UnixMS:  time.Now().UnixMilli(),
 				TotalMS: float64(d) / float64(time.Millisecond),

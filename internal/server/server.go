@@ -26,7 +26,16 @@
 //
 // Scoring endpoints speak engine.Request / engine.Response verbatim
 // (the engine types carry the wire tags); per-request failures travel
-// in Response.Error, never silently as "{}". Feedback is accepted into
+// in Response.Error, never silently as "{}". The two score routes do
+// not run encoding/json: scorejson.go scans their bodies into the
+// evidence arena the binary protocol decodes into (binproto.Batch — one
+// request-batch builder, two wire syntaxes) and appends their replies
+// with strconv, out of one pooled codec per request. Request strings on
+// those routes are views of the pooled body buffer — they die when the
+// handler returns, so whatever outlives it clones first — and
+// encoding/json stays the contract as the oracle of the package's
+// tests. Every JSON body is exactly one value: data after it is a 400
+// on every route, and on the two score routes so is a repeated key. Feedback is accepted into
 // the learner's bounded sink: the response reports accepted / dropped
 // / invalid counts, and saturation surfaces as 429 so load generators
 // can back off.
@@ -204,12 +213,17 @@ func (s *Server) writeError(w http.ResponseWriter, status int, format string, ar
 	s.writeJSON(w, status, errorBody{Error: fmt.Sprintf(format, args...)})
 }
 
-// decodeBody unmarshals a bounded JSON request body into v.
+// decodeBody unmarshals a bounded JSON request body into v. The body
+// is one JSON value: only whitespace may follow it.
 func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
 		s.writeError(w, http.StatusBadRequest, "bad request body: %v", err)
+		return false
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		s.writeError(w, http.StatusBadRequest, "bad request body: unexpected data after the JSON value")
 		return false
 	}
 	return true
@@ -265,63 +279,32 @@ func (s *Server) handleModels(w http.ResponseWriter, r *http.Request) {
 	}{s.eng.Models()})
 }
 
+// handleScore and handleScoreBatch are the hot routes: their bodies
+// go through the schema-specific codec of scorejson.go — read once into
+// a pooled buffer, scanned into the shared evidence arena, scored, and
+// the reply appended — not through decodeBody/writeJSON.
 func (s *Server) handleScore(w http.ResponseWriter, r *http.Request) {
 	s.met.scores.Add(1)
 	ti := traceFrom(r.Context())
 	t0 := time.Now()
-	var req engine.Request
-	if !s.decodeBody(w, r, &req) {
+	c := getCodec()
+	defer putCodec(c)
+	if !s.readBody(w, r, c) {
 		return
 	}
-	ti.stage("decode", t0)
-	t1 := time.Now()
-	resp, err := s.eng.ScoreCTR(r.Context(), req)
-	ti.stage("score", t1)
-	ti.shape(resp.Model, 1)
-	if err != nil {
-		// Model-resolution failures are addressing errors (404); evidence
-		// and validation failures are semantic (422). resp carries Error.
-		status := http.StatusUnprocessableEntity
-		if errors.Is(err, engine.ErrNoModel) {
-			status = http.StatusNotFound
-		}
-		s.writeJSON(w, status, resp)
-		return
-	}
-	s.writeJSON(w, http.StatusOK, resp)
-}
-
-// batchRequest / batchResponse are the /v1/score/batch wire shapes.
-type batchRequest struct {
-	Requests []engine.Request `json:"requests"`
-}
-
-type batchResponse struct {
-	Responses []engine.Response `json:"responses"`
+	s.reply(w, c, s.scoreCycle(r.Context(), c, ti, t0))
 }
 
 func (s *Server) handleScoreBatch(w http.ResponseWriter, r *http.Request) {
 	s.met.batches.Add(1)
 	ti := traceFrom(r.Context())
 	t0 := time.Now()
-	var req batchRequest
-	if !s.decodeBody(w, r, &req) {
+	c := getCodec()
+	defer putCodec(c)
+	if !s.readBody(w, r, c) {
 		return
 	}
-	ti.stage("decode", t0)
-	if len(req.Requests) > maxBatchItems {
-		s.writeError(w, http.StatusRequestEntityTooLarge,
-			"batch of %d requests exceeds the %d limit; split it", len(req.Requests), maxBatchItems)
-		return
-	}
-	s.met.batchRequests.Add(uint64(len(req.Requests)))
-	t1 := time.Now()
-	resps := s.eng.ScoreBatch(r.Context(), req.Requests)
-	ti.stage("score", t1)
-	if len(req.Requests) > 0 {
-		ti.shape(req.Requests[0].Model, len(req.Requests))
-	}
-	s.writeJSON(w, http.StatusOK, batchResponse{Responses: resps})
+	s.reply(w, c, s.scoreBatchCycle(r.Context(), c, ti, t0))
 }
 
 // feedbackRequest is the POST /v1/feedback wire shape: one session

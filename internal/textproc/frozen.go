@@ -66,8 +66,9 @@ func FreezeVocab(v *TermVocab) *FrozenVocab {
 // IDs) are NOT checked here — that would make every mapped load O(size)
 // and defeat the zero-parse layout; Validate runs them on demand for
 // loads of untrusted bytes. The lookup loop bounds-checks every probe
-// itself, so a vocabulary corrupted past the constructor degrades to
-// lookup misses, never to aliased terms or out-of-range panics.
+// itself and gives up after one pass over the table, so a vocabulary
+// corrupted past the constructor degrades to lookup misses, never to
+// aliased terms, out-of-range panics or an endless probe.
 func NewFrozenVocab(blob []byte, offs []uint32, tab []int32) (*FrozenVocab, error) {
 	if len(offs) == 0 {
 		return nil, errors.New("textproc: frozen vocab needs an offsets array")
@@ -124,8 +125,12 @@ func (v *FrozenVocab) term(id int32) ([]byte, bool) {
 // LookupHashed resolves a normalised byte window whose hash the caller
 // built with NGramHashSeed/ExtendNGramHash — the hot call of the
 // compiled scoring path, identical in shape to TermVocab.LookupHashed.
+//
+// The probe is bounded by the table length: a well-formed table always
+// has an empty bucket to stop at, but an unvalidated one may have none,
+// and a full table of valid IDs must end in a miss, not a spin.
 func (v *FrozenVocab) LookupHashed(h uint64, b []byte) (int32, bool) {
-	for i := h & v.mask; ; i = (i + 1) & v.mask {
+	for i, left := h&v.mask, len(v.tab); left > 0; i, left = (i+1)&v.mask, left-1 {
 		id := v.tab[i]
 		if id < 0 {
 			return 0, false
@@ -138,11 +143,13 @@ func (v *FrozenVocab) LookupHashed(h uint64, b []byte) (int32, bool) {
 			return id, true
 		}
 	}
+	return 0, false
 }
 
-// Lookup resolves a term string without interning.
+// Lookup resolves a term string without interning, under the same
+// probe bound as LookupHashed.
 func (v *FrozenVocab) Lookup(s string) (int32, bool) {
-	for i := hashString(s) & v.mask; ; i = (i + 1) & v.mask {
+	for i, left := hashString(s)&v.mask, len(v.tab); left > 0; i, left = (i+1)&v.mask, left-1 {
 		id := v.tab[i]
 		if id < 0 {
 			return 0, false
@@ -155,6 +162,7 @@ func (v *FrozenVocab) Lookup(s string) (int32, bool) {
 			return id, true
 		}
 	}
+	return 0, false
 }
 
 // Len returns the number of terms.

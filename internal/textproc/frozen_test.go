@@ -177,3 +177,27 @@ func TestFrozenVocabDeferredValidation(t *testing.T) {
 		t.Error("Validate accepted decreasing offsets")
 	}
 }
+
+// TestFrozenVocabFullTableTerminates is the hostile-artifact
+// regression: a probe table that passes the O(1) constructor but has
+// no empty bucket — every bucket a valid ID — gave the probe loops
+// nothing to stop at, so a lookup of an absent term never returned.
+// Both loops must miss after one pass over the table. Validate cannot
+// catch this table (every ID is in range), so the bound is the only
+// defence on trusted and verified loads alike.
+func TestFrozenVocabFullTableTerminates(t *testing.T) {
+	fv, err := NewFrozenVocab([]byte("aa"), []uint32{0, 2}, make([]int32, 16)) // 16 × term 0
+	if err != nil {
+		t.Fatalf("O(1) constructor rejected a full table: %v", err)
+	}
+	if id, ok := fv.Lookup("zz"); ok {
+		t.Errorf("Lookup of an absent term resolved to %d", id)
+	}
+	if id, ok := fv.LookupHashed(HashString("zz"), []byte("zz")); ok {
+		t.Errorf("LookupHashed of an absent term resolved to %d", id)
+	}
+	// The term the buckets do name is still found, from any start.
+	if id, ok := fv.Lookup("aa"); !ok || id != 0 {
+		t.Errorf("Lookup(aa) = %d, %v; want 0, true", id, ok)
+	}
+}
