@@ -22,6 +22,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"strconv"
 	"sync"
 	"syscall"
 	"testing"
@@ -467,10 +468,11 @@ func BenchmarkExtractTermsPath(b *testing.B) {
 	})
 
 	b.Run("lookup", func(b *testing.B) {
-		vocab := textproc.NewTermVocab(len(model.Relevance))
+		tv := textproc.NewTermVocab(len(model.Relevance))
 		for t := range model.Relevance {
-			vocab.Add(t)
+			tv.Add(t)
 		}
+		vocab := textproc.FreezeVocab(tv)
 		var sc textproc.Scratch
 		hits := 0
 		b.ReportAllocs()
@@ -479,9 +481,12 @@ func BenchmarkExtractTermsPath(b *testing.B) {
 			r := reqs[i%len(reqs)]
 			for _, line := range r.Lines {
 				spans := sc.Tokenize(line)
-				for n := 1; n <= r.MaxN; n++ {
-					for j := 0; j+n <= len(spans); j++ {
-						if _, ok := vocab.LookupBytes(sc.Norm[spans[j].Start:spans[j+n-1].End]); ok {
+				for j := range spans {
+					h := textproc.NGramHashSeed
+					for n := 1; n <= r.MaxN && j+n <= len(spans); n++ {
+						sp := spans[j+n-1]
+						h = textproc.ExtendNGramHash(h, sp.Hash)
+						if _, ok := vocab.LookupHashed(h, sc.Norm[spans[j].Start:sp.End]); ok {
 							hits++
 						}
 					}
@@ -492,6 +497,79 @@ func BenchmarkExtractTermsPath(b *testing.B) {
 			b.Fatal("vocab lookups never hit; bench is not measuring the hit path")
 		}
 	})
+}
+
+// BenchmarkVocabLookup prices one FrozenVocab.LookupHashed, hit and
+// miss apart, at two vocabulary sizes: 2k terms (table and tags sit in
+// L1/L2, as in every other bench here, whose corpus has a few dozen
+// terms) and 200k terms — the planted terms padded with filler, the
+// shape the end-to-end benchmark gives its artifact, whose 2 MB probe
+// table does not. Probes are pre-tokenised, 64k distinct ones per
+// sub-bench walked in order, so what is timed is the lookup and what it
+// misses in cache, not the hashing. A miss probes a term with one byte
+// appended: same length class, unrelated hash.
+func BenchmarkVocabLookup(b *testing.B) {
+	_, model := getEngineBench(b)
+	for _, terms := range []int{2_000, 200_000} {
+		tv := textproc.NewTermVocab(terms)
+		for t := range model.Relevance {
+			tv.Add(t)
+		}
+		for i := 0; tv.Len() < terms; i++ {
+			term := "pad" + strconv.Itoa(i)
+			if i%3 != 0 {
+				term += " filler" + strconv.Itoa(i%977)
+			}
+			tv.Add(term)
+		}
+		vocab := textproc.FreezeVocab(tv)
+
+		type probe struct {
+			h      uint64
+			lo, hi int
+		}
+		var sc textproc.Scratch
+		build := func(suffix string) ([]byte, []probe) {
+			var arena []byte
+			var probes []probe
+			for id := 0; id < terms && len(probes) < 1<<16; id += 1 + terms>>16 {
+				spans := sc.Tokenize(tv.Text(int32(id)) + suffix)
+				h := textproc.NGramHashSeed
+				for _, sp := range spans {
+					h = textproc.ExtendNGramHash(h, sp.Hash)
+				}
+				probes = append(probes, probe{h: h, lo: len(arena), hi: len(arena) + len(sc.Norm)})
+				arena = append(arena, sc.Norm...)
+			}
+			return arena, probes
+		}
+		for _, kind := range []struct {
+			name, suffix string
+			hit          bool
+		}{{"hit", "", true}, {"miss", "x", false}} {
+			arena, probes := build(kind.suffix)
+			b.Run(fmt.Sprintf("terms=%dk/%s", terms/1000, kind.name), func(b *testing.B) {
+				found, want := 0, 0
+				if kind.hit {
+					want = b.N
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i, j := 0, 0; i < b.N; i++ {
+					p := probes[j]
+					if _, ok := vocab.LookupHashed(p.h, arena[p.lo:p.hi]); ok {
+						found++
+					}
+					if j++; j == len(probes) {
+						j = 0
+					}
+				}
+				if found != want {
+					b.Fatalf("%d of %d %s probes were found, want %d", found, b.N, kind.name, want)
+				}
+			})
+		}
+	}
 }
 
 // --- serving transport + zero-parse artifact loading ---

@@ -15,12 +15,10 @@ package clickmodel
 //
 //	meta    bytes    raw-encoded scalars (priors; DBN's gamma)
 //	gamma   float64  PBM per-position examination probabilities
-//	q.blob  bytes    query vocabulary term bytes
-//	q.offs  uint32   query vocabulary offsets
-//	q.tabl  int32    query vocabulary probe table
-//	d.blob  bytes    doc vocabulary term bytes
-//	d.offs  uint32   doc vocabulary offsets
-//	d.tabl  int32    doc vocabulary probe table
+//	q.*     —        query vocabulary: the four sections textproc's
+//	                 WriteSections/ReadSections own (blob, offs, tabl,
+//	                 tags; without tags it predates them and still loads)
+//	d.*     —        doc vocabulary, likewise
 //	p.q     int32    pair -> query ID
 //	p.d     int32    pair -> doc ID
 //	p.tabl  int32    open-addressed (qid, did) probe table
@@ -204,47 +202,21 @@ func freezePairs(sets []map[qd]float64, defaults []float64) (*frozenPairs, [][]f
 
 // writePairs adds the shared pair sections to a v2 writer.
 func writePairs(w *snapshot.V2Writer, p *frozenPairs) {
-	w.Bytes("q.blob", p.qv.Blob())
-	w.Uint32s("q.offs", p.qv.Offsets())
-	w.Int32s("q.tabl", p.qv.Table())
-	w.Bytes("d.blob", p.dv.Blob())
-	w.Uint32s("d.offs", p.dv.Offsets())
-	w.Int32s("d.tabl", p.dv.Table())
+	p.qv.WriteSections(w, "q")
+	p.dv.WriteSections(w, "d")
 	w.Int32s("p.q", p.pairQ)
 	w.Int32s("p.d", p.pairD)
 	w.Int32s("p.tabl", p.tab)
-}
-
-// readVocab reconstitutes one frozen vocabulary from its three
-// prefixed sections.
-func readVocab(a *snapshot.V2Artifact, prefix string) (*textproc.FrozenVocab, error) {
-	blob, err := a.BytesView(prefix + ".blob")
-	if err != nil {
-		return nil, err
-	}
-	offs, err := a.Uint32sView(prefix + ".offs")
-	if err != nil {
-		return nil, err
-	}
-	tab, err := a.Int32sView(prefix + ".tabl")
-	if err != nil {
-		return nil, err
-	}
-	v, err := textproc.NewFrozenVocab(blob, offs, tab)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", snapshot.ErrCorrupt, err)
-	}
-	return v, nil
 }
 
 // pairsFromArtifact validates and wraps the pair sections.
 func pairsFromArtifact(a *snapshot.V2Artifact) (*frozenPairs, error) {
 	p := &frozenPairs{}
 	var err error
-	if p.qv, err = readVocab(a, "q"); err != nil {
+	if p.qv, err = textproc.ReadSections(a, "q"); err != nil {
 		return nil, err
 	}
-	if p.dv, err = readVocab(a, "d"); err != nil {
+	if p.dv, err = textproc.ReadSections(a, "d"); err != nil {
 		return nil, err
 	}
 	if p.pairQ, err = a.Int32sView("p.q"); err != nil {

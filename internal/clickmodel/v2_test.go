@@ -149,31 +149,7 @@ func TestV2MappedRejectsCorruptPairs(t *testing.T) {
 	// Rebuild the artifact with one section dropped or mangled; the
 	// loader must fail closed.
 	rebuild := func(mangle func(tag string, w *snapshot.V2Writer, a *snapshot.V2Artifact) bool) ([]byte, error) {
-		w := snapshot.NewV2Writer("DBN")
-		for _, s := range orig.Sections {
-			if mangle(s.Tag, w, orig) {
-				continue
-			}
-			switch s.Kind {
-			case snapshot.V2Float64:
-				f, _ := orig.FloatsView(s.Tag)
-				w.Floats(s.Tag, f)
-			case snapshot.V2Int32:
-				v, _ := orig.Int32sView(s.Tag)
-				w.Int32s(s.Tag, v)
-			case snapshot.V2Uint32:
-				u, _ := orig.Uint32sView(s.Tag)
-				w.Uint32s(s.Tag, u)
-			default:
-				b, _ := orig.BytesView(s.Tag)
-				w.Bytes(s.Tag, b)
-			}
-		}
-		var out bytes.Buffer
-		if _, err := w.WriteTo(&out); err != nil {
-			return nil, err
-		}
-		return out.Bytes(), nil
+		return rebuildV2(orig, mangle)
 	}
 
 	for _, drop := range []string{"meta", "q.blob", "p.q", "p.tabl", "a.vals", "s.vals"} {
@@ -244,6 +220,95 @@ func TestV2MappedRejectsCorruptPairs(t *testing.T) {
 	}
 	if err := dv.ValidateTables(); err == nil {
 		t.Error("deep validation accepted out-of-range pair IDs")
+	}
+}
+
+// rebuildV2 re-emits a parsed artifact section by section; mangle may
+// write a replacement for a section (or nothing, dropping it) and
+// report true to have the original skipped.
+func rebuildV2(orig *snapshot.V2Artifact, mangle func(tag string, w *snapshot.V2Writer, a *snapshot.V2Artifact) bool) ([]byte, error) {
+	w := snapshot.NewV2Writer(orig.ModelName)
+	for _, s := range orig.Sections {
+		if mangle(s.Tag, w, orig) {
+			continue
+		}
+		switch s.Kind {
+		case snapshot.V2Float64:
+			f, _ := orig.FloatsView(s.Tag)
+			w.Floats(s.Tag, f)
+		case snapshot.V2Int32:
+			v, _ := orig.Int32sView(s.Tag)
+			w.Int32s(s.Tag, v)
+		case snapshot.V2Uint32:
+			u, _ := orig.Uint32sView(s.Tag)
+			w.Uint32s(s.Tag, u)
+		default:
+			b, _ := orig.BytesView(s.Tag)
+			w.Bytes(s.Tag, b)
+		}
+	}
+	var out bytes.Buffer
+	if _, err := w.WriteTo(&out); err != nil {
+		return nil, err
+	}
+	return out.Bytes(), nil
+}
+
+// TestV2MappedLoadsUntaggedArtifact is the compatibility pin for the
+// macro models: a PBM or DBN artifact written before the vocabularies
+// carried tags (no q.tags / d.tags) loads — the tags are derived — passes
+// deep validation, and scores bit for bit what the tagged one scores,
+// known pairs and prior fallbacks alike.
+func TestV2MappedLoadsUntaggedArtifact(t *testing.T) {
+	train := snapSessions(707, 400, 5)
+	eval := append(snapSessions(808, 40, 5),
+		Session{Query: "novel query", Docs: []string{"zz", "yy"}, Clicks: []bool{true, false}})
+	for _, name := range []string{"PBM", "DBN"} {
+		var buf bytes.Buffer
+		if err := SaveV2Model(&buf, fitFresh(t, name, train)); err != nil {
+			t.Fatal(err)
+		}
+		orig, err := snapshot.ParseV2(buf.Bytes())
+		if err != nil {
+			t.Fatal(err)
+		}
+		tagged, err := MappedFromArtifact(orig)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dropped := 0
+		b, err := rebuildV2(orig, func(tag string, _ *snapshot.V2Writer, _ *snapshot.V2Artifact) bool {
+			if tag == "q.tags" || tag == "d.tags" {
+				dropped++
+				return true
+			}
+			return false
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if dropped != 2 {
+			t.Fatalf("%s: artifact carries %d vocabulary tag sections, want 2", name, dropped)
+		}
+		a, err := snapshot.ParseV2(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		untagged, err := MappedFromArtifact(a)
+		if err != nil {
+			t.Fatalf("%s: untagged artifact: %v", name, err)
+		}
+		if err := untagged.(interface{ ValidateTables() error }).ValidateTables(); err != nil {
+			t.Fatalf("%s: untagged artifact fails deep validation: %v", name, err)
+		}
+		for i, s := range eval {
+			want, got := tagged.ClickProbs(s), untagged.ClickProbs(s)
+			for j := range want {
+				if got[j] != want[j] {
+					t.Fatalf("%s session %d pos %d: untagged %v, tagged %v", name, i, j, got[j], want[j])
+				}
+			}
+		}
 	}
 }
 

@@ -6,8 +6,10 @@ package core
 // Register/LoadSnapshot/hot-swap all publish pre-compiled versions).
 //
 // Compilation mirrors what internal/clickmodel's compile layer did for
-// training: every relevance key is interned into a textproc.TermVocab,
-// the clamped relevance and its logarithm land in flat ID-indexed
+// training: every relevance key is interned through a
+// textproc.TermVocab (the builder) and frozen into the flat
+// textproc.FrozenVocab the scoring loop looks windows up in, the
+// clamped relevance and its logarithm land in flat ID-indexed
 // []float64 (the log is precomputed, so the serving loop never calls
 // math.Log), and the attention layer is sampled into a dense
 // (line, pos) table covering the micro-positions real snippets use.
@@ -37,10 +39,11 @@ const (
 type CompiledModel struct {
 	src *Model
 
-	// vocab is frozen — flat blob/offsets/table slices with no interior
-	// pointers — so a compiled model is the SAME shape whether Compile
-	// built it on the heap or CompiledFromArtifact wrapped a read-only
-	// file mapping (v2 snapshots). The scoring loop cannot tell.
+	// vocab is frozen — flat blob/offsets/table/tags slices with no
+	// interior pointers — so a compiled model is the SAME shape whether
+	// Compile built it on the heap or CompiledFromArtifact wrapped a
+	// read-only file mapping (v2 snapshots). The scoring loop cannot
+	// tell.
 	vocab  *textproc.FrozenVocab
 	rel    []float64 // id -> clamped relevance
 	logRel []float64 // id -> log(clamped relevance), precomputed

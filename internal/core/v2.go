@@ -14,9 +14,11 @@ package core
 //
 //	meta    bytes    raw-encoded scalars: default relevance, attention
 //	                 spec (kind + params), attention-table dims
-//	v.blob  bytes    frozen vocab term bytes
-//	v.offs  uint32   frozen vocab offsets (n+1)
-//	v.tabl  int32    frozen vocab open-addressed probe table
+//	v.*     —        the frozen vocabulary's four sections (v.blob,
+//	                 v.offs, v.tabl, v.tags), written and read by
+//	                 textproc's WriteSections/ReadSections, which own
+//	                 that layout; an artifact without v.tags predates
+//	                 the tags and still loads (they are derived, O(n))
 //	rel     float64  id -> clamped relevance
 //	logrel  float64  id -> log(clamped relevance)
 //	attw    float64  dense (line, pos) attention table; empty when the
@@ -34,13 +36,11 @@ import (
 )
 
 const (
-	v2TagMeta      = "meta"
-	v2TagVocabBlob = "v.blob"
-	v2TagVocabOffs = "v.offs"
-	v2TagVocabTab  = "v.tabl"
-	v2TagRel       = "rel"
-	v2TagLogRel    = "logrel"
-	v2TagAttW      = "attw"
+	v2TagMeta   = "meta"
+	v2TagVocab  = "v" // section prefix of the frozen vocabulary
+	v2TagRel    = "rel"
+	v2TagLogRel = "logrel"
+	v2TagAttW   = "attw"
 )
 
 // SaveV2 writes the compiled model as a zero-parse v2 artifact. The
@@ -75,9 +75,7 @@ func (c *CompiledModel) SaveV2(w io.Writer) error {
 
 	vw := snapshot.NewV2Writer(SnapshotName)
 	vw.Bytes(v2TagMeta, meta.Bytes())
-	vw.Bytes(v2TagVocabBlob, c.vocab.Blob())
-	vw.Uint32s(v2TagVocabOffs, c.vocab.Offsets())
-	vw.Int32s(v2TagVocabTab, c.vocab.Table())
+	c.vocab.WriteSections(vw, v2TagVocab)
 	vw.Floats(v2TagRel, c.rel)
 	vw.Floats(v2TagLogRel, c.logRel)
 	vw.Floats(v2TagAttW, c.attW) // empty under full attention
@@ -138,23 +136,9 @@ func CompiledFromArtifact(a *snapshot.V2Artifact) (*CompiledModel, error) {
 			lines, cols, attTableLines, attTableCols)
 	}
 
-	blob, err := a.BytesView(v2TagVocabBlob)
-	if err != nil {
+	if c.vocab, err = textproc.ReadSections(a, v2TagVocab); err != nil {
 		return nil, err
 	}
-	offs, err := a.Uint32sView(v2TagVocabOffs)
-	if err != nil {
-		return nil, err
-	}
-	tab, err := a.Int32sView(v2TagVocabTab)
-	if err != nil {
-		return nil, err
-	}
-	c.vocab, err = textproc.NewFrozenVocab(blob, offs, tab)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", snapshot.ErrCorrupt, err)
-	}
-
 	if c.rel, err = a.FloatsView(v2TagRel); err != nil {
 		return nil, err
 	}
@@ -180,7 +164,7 @@ func CompiledFromArtifact(a *snapshot.V2Artifact) (*CompiledModel, error) {
 }
 
 // ValidateTables runs the deep O(n) checks CompiledFromArtifact defers
-// (the frozen vocabulary's per-element invariants); verified load
-// paths call it before install so untrusted artifacts stay fail-closed
-// while trusted local loads remain O(1).
+// (the frozen vocabulary's per-element invariants, its tags included);
+// verified load paths call it before install so untrusted artifacts
+// stay fail-closed while trusted local loads remain O(1).
 func (c *CompiledModel) ValidateTables() error { return c.vocab.Validate() }

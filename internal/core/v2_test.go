@@ -135,42 +135,140 @@ func TestCompiledFromArtifactRejects(t *testing.T) {
 	}
 
 	// Drop each section in turn: the loader must fail closed, not
-	// serve partial tables.
-	orig, err := snapshot.ParseV2(good)
+	// serve partial tables. v.tags is the one section whose absence is
+	// not an error: an artifact without it predates the tags.
+	for _, drop := range []string{"meta", "v.blob", "v.offs", "v.tabl", "v.tags", "rel", "logrel"} {
+		_, err := CompiledFromArtifact(withoutSection(t, good, drop))
+		if drop == "v.tags" {
+			if err != nil {
+				t.Errorf("rejected an artifact without %q: %v", drop, err)
+			}
+		} else if err == nil {
+			t.Errorf("accepted an artifact missing section %q", drop)
+		}
+	}
+}
+
+// withoutSection re-emits a v2 artifact with one section left out.
+func withoutSection(t *testing.T, art []byte, drop string) *snapshot.V2Artifact {
+	t.Helper()
+	orig, err := snapshot.ParseV2(art)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, drop := range []string{"meta", "v.blob", "v.offs", "v.tabl", "rel", "logrel"} {
-		w := snapshot.NewV2Writer(SnapshotName)
-		for _, s := range orig.Sections {
-			if s.Tag == drop {
-				continue
+	if _, ok := orig.Section(drop); !ok {
+		t.Fatalf("artifact has no section %q to drop", drop)
+	}
+	w := snapshot.NewV2Writer(orig.ModelName)
+	for _, s := range orig.Sections {
+		if s.Tag == drop {
+			continue
+		}
+		switch s.Kind {
+		case snapshot.V2Float64:
+			f, _ := orig.FloatsView(s.Tag)
+			w.Floats(s.Tag, f)
+		case snapshot.V2Int32:
+			v, _ := orig.Int32sView(s.Tag)
+			w.Int32s(s.Tag, v)
+		case snapshot.V2Uint32:
+			u, _ := orig.Uint32sView(s.Tag)
+			w.Uint32s(s.Tag, u)
+		default:
+			b, _ := orig.BytesView(s.Tag)
+			w.Bytes(s.Tag, b)
+		}
+	}
+	var out bytes.Buffer
+	if _, err := w.WriteTo(&out); err != nil {
+		t.Fatal(err)
+	}
+	a, err := snapshot.ParseV2(out.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return a
+}
+
+// TestV2UntaggedArtifactScoresIdentically is the compatibility pin: an
+// artifact written before the vocabulary carried tags (no v.tags
+// section) loads — the tags are derived — and scores bit for bit what
+// the tagged artifact scores, hits and misses alike.
+func TestV2UntaggedArtifactScoresIdentically(t *testing.T) {
+	rng := rand.New(rand.NewSource(15))
+	var sc, sc2 textproc.Scratch
+	for trial := 0; trial < 20; trial++ {
+		for _, att := range parityAttentions(rng) {
+			var buf bytes.Buffer
+			if err := randomModel(rng, att).SaveV2(&buf); err != nil {
+				t.Fatal(err)
 			}
-			switch s.Tag {
-			case "v.offs":
-				u, _ := orig.Uint32sView(s.Tag)
-				w.Uint32s(s.Tag, u)
-			case "v.tabl":
-				v, _ := orig.Int32sView(s.Tag)
-				w.Int32s(s.Tag, v)
-			case "rel", "logrel", "attw":
-				f, _ := orig.FloatsView(s.Tag)
-				w.Floats(s.Tag, f)
-			default:
-				b, _ := orig.BytesView(s.Tag)
-				w.Bytes(s.Tag, b)
+			tagged, err := snapshot.ParseV2(buf.Bytes())
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := CompiledFromArtifact(tagged)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := CompiledFromArtifact(withoutSection(t, buf.Bytes(), "v.tags"))
+			if err != nil {
+				t.Fatalf("untagged artifact: %v", err)
+			}
+			if err := got.ValidateTables(); err != nil {
+				t.Fatalf("untagged artifact fails deep validation: %v", err)
+			}
+			for i := 0; i < 4; i++ {
+				lines := randomLines(rng, 4, 8)
+				maxN := 1 + rng.Intn(3)
+				wantCTR, wantScore := want.ScoreSnippet(lines, maxN, &sc)
+				gotCTR, gotScore := got.ScoreSnippet(lines, maxN, &sc2)
+				if gotCTR != wantCTR || gotScore != wantScore {
+					t.Fatalf("trial %d att %T: untagged (%v, %v) vs tagged (%v, %v)\nlines: %q",
+						trial, att, gotCTR, gotScore, wantCTR, wantScore, lines)
+				}
 			}
 		}
-		var out bytes.Buffer
-		if _, err := w.WriteTo(&out); err != nil {
-			t.Fatal(err)
+	}
+}
+
+// TestValidateTablesRejectsFlippedTag: the trusted load maps the tags
+// unread, so a tag that no longer agrees with its bucket gets through
+// CompiledFromArtifact and can only cost misses; the verified load's
+// deep pass must refuse it.
+func TestValidateTablesRejectsFlippedTag(t *testing.T) {
+	m := NewModel(FullAttention{})
+	for _, term := range []string{"a", "b", "c d", "e"} {
+		m.Relevance[term] = 0.5
+	}
+	var buf bytes.Buffer
+	if err := m.SaveV2(&buf); err != nil {
+		t.Fatal(err)
+	}
+	a, err := snapshot.ParseV2(buf.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	tags, err := a.BytesView("v.tags")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// An empty bucket past the mirrored head gains a tag: no lookup
+	// changes its answer, and only the deep pass can tell.
+	flipped := false
+	for i := 8; i < len(tags)-8 && !flipped; i++ {
+		if tags[i] == 0 {
+			tags[i], flipped = 0x81, true
 		}
-		a, err := snapshot.ParseV2(out.Bytes())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := CompiledFromArtifact(a); err == nil {
-			t.Errorf("accepted an artifact missing section %q", drop)
-		}
+	}
+	if !flipped {
+		t.Fatal("no empty bucket to corrupt")
+	}
+	c, err := CompiledFromArtifact(a)
+	if err != nil {
+		t.Fatalf("trusted load reads no tag but term 0's, yet: %v", err)
+	}
+	if err := c.ValidateTables(); err == nil {
+		t.Error("ValidateTables accepted a tag over an empty bucket")
 	}
 }

@@ -108,12 +108,15 @@ func TestFrameLatencyAndTracing(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if snap := srv.FrameLatency(); snap.Count != 1 {
-		t.Fatalf("frame latency samples = %d, want 1", snap.Count)
-	}
+	// The server records the frame after it has written the reply, the
+	// histogram first and the trace second: wait for the trace, then
+	// both are there.
 	deadline := time.Now().Add(2 * time.Second)
 	for ring.Added() == 0 && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
+	}
+	if snap := srv.FrameLatency(); snap.Count != 1 {
+		t.Fatalf("frame latency samples = %d, want 1", snap.Count)
 	}
 	traces := ring.Snapshot()
 	if len(traces) != 1 {

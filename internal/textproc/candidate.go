@@ -9,7 +9,7 @@ package textproc
 //
 // Lines are deduplicated by a hash-keyed open-addressed table with an
 // exact raw-byte comparison on every probe (the same collision
-// discipline as TermVocab: a colliding hash can only cost an extra
+// discipline as the vocabulary: a colliding hash can only cost an extra
 // compare, never alias two lines). Each distinct line is tokenised
 // exactly once into one shared normalised-byte arena — span offsets are
 // absolute, and the first token of a line starts flush against the
@@ -95,7 +95,39 @@ func (cs *CandidateSet) Line(id LineID) string { return cs.lines[id].raw }
 //
 //mb:noalloc
 func (cs *CandidateSet) AddLine(line string) LineID {
-	return cs.addLine(line, hashString(line))
+	return cs.addLine(line, hashLine(line))
+}
+
+// hashLine is the dedup key of a raw line. It never has to agree with
+// the vocabulary's hash — addLine's raw == line compare decides — so it
+// takes the raw bytes eight per step with no per-byte branch: a
+// multiply-xorshift per word, the length in the seed, and the last
+// word read overlapping the one before it (lines under eight bytes are
+// gathered byte by byte).
+func hashLine(s string) uint64 {
+	h := hashSeed ^ uint64(len(s))*hashMult1
+	var tail uint64
+	if len(s) >= 8 {
+		for i := 0; i+8 < len(s); i += 8 {
+			h = (h ^ le64(s[i:])) * hashMult2
+			h ^= h >> 32
+		}
+		tail = le64(s[len(s)-8:])
+	} else {
+		for i := 0; i < len(s); i++ {
+			tail |= uint64(s[i]) << (8 * i)
+		}
+	}
+	h = (h ^ tail) * hashMult2
+	return h ^ h>>32
+}
+
+// le64 is binary.LittleEndian.Uint64 over a string: the compiler merges
+// the eight byte loads into one.
+func le64(s string) uint64 {
+	_ = s[7]
+	return uint64(s[0]) | uint64(s[1])<<8 | uint64(s[2])<<16 | uint64(s[3])<<24 |
+		uint64(s[4])<<32 | uint64(s[5])<<40 | uint64(s[6])<<48 | uint64(s[7])<<56
 }
 
 // addLine is AddLine with the dedup hash supplied by the caller, split

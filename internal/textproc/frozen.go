@@ -1,29 +1,37 @@
 package textproc
 
 // FrozenVocab is the immutable, flat form of a TermVocab: term texts
-// live in one contiguous byte blob indexed by an offsets array, and
-// the open-addressed probe table is a plain []int32 — three slices
-// with no interior pointers, so a frozen vocabulary can be serialized
-// as raw sections and reconstituted over foreign memory (a read-only
-// file mapping) without touching a single term. This is the classic
-// flat-language-model layout: the on-disk bytes ARE the lookup
-// structure, and N processes mapping the same artifact share one page
-// cache copy.
+// live in one contiguous byte blob indexed by an offsets array, the
+// open-addressed probe table is a plain []int32, and one tag byte per
+// probe bucket summarises it — four slices with no interior pointers,
+// so a frozen vocabulary can be serialized as raw sections and
+// reconstituted over foreign memory (a read-only file mapping) without
+// touching a single term. This is the classic flat-language-model
+// layout: the on-disk bytes ARE the lookup structure, and N processes
+// mapping the same artifact share one page cache copy.
 //
-// The lookup methods mirror TermVocab's exactly — same two-level hash,
-// same probe discipline, same byte-compare collision check — so the
-// compiled scoring loop is indifferent to which side of a freeze it is
-// reading. A corrupt probe table can only cause misses (the byte
-// compare rejects wrong IDs); it can never alias two distinct terms.
+// Placement is TermVocab's — same two-level hash, same linear probe —
+// but the lookup does not walk the table: it walks the tags, eight
+// buckets per step, and opens the table, the offsets and the blob only
+// for a bucket whose tag matches the probed hash. The snippet scorer
+// looks up every 1..3-gram window and few of them are terms, so the
+// common lookup is a miss, and a miss is one load from an array an
+// eighth the size of the table. The byte compare against the term text
+// is still the only thing that can say "hit": corrupt tags or a corrupt
+// table can only cause misses, never alias two distinct terms.
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/bits"
+
+	"repro/internal/snapshot"
 )
 
-// FrozenVocab is built by FreezeVocab (from an in-memory TermVocab) or
-// NewFrozenVocab (over foreign memory). It is immutable and safe for
+// FrozenVocab is built by FreezeVocab (from an in-memory TermVocab),
+// ReadSections (over a mapped artifact) or NewFrozenVocab (over three
+// foreign sections, deriving the fourth). It is immutable and safe for
 // concurrent use. When the backing slices view a file mapping, the
 // mapping must outlive the vocabulary — the engine's refcounted
 // version table enforces this for serving.
@@ -31,13 +39,37 @@ type FrozenVocab struct {
 	blob []byte
 	offs []uint32 // len n+1; term i is blob[offs[i]:offs[i+1]]
 	tab  []int32  // open-addressed probe table; -1 = empty
+	tags []byte   // len(tab)+tagStep; tags[i] summarises tab[i], 0 = empty
 	mask uint64
 }
 
+// tagStep is how many buckets one probe step covers: the tags are read
+// eight at a time as one little-endian uint64. The tag array carries
+// tagStep extra bytes repeating its first tagStep, so a step starting at
+// any bucket reads on past the end of the table instead of wrapping.
+const tagStep = 8
+
+// SWAR constants: the low and the high bit of every byte of a word.
+const (
+	swarLo = 0x0101010101010101
+	swarHi = 0x8080808080808080
+)
+
+// hashTag is the tag of a bucket holding a term placed under hash h: a
+// non-zero byte from the hash's high bits (the bucket index uses the
+// low bits, so terms sharing a probe chain still differ in tag).
+func hashTag(h uint64) byte { return byte(h>>56) | 1 }
+
+// zeroBytes sets the high bit of the lowest zero byte of w; bits above
+// it are only ever set in the high bit of a byte that is zero or 0x01.
+// Callers use the lowest set bit as exact and treat the rest as
+// candidates.
+func zeroBytes(w uint64) uint64 { return (w - swarLo) & ^w & swarHi }
+
 // FreezeVocab flattens an in-memory vocabulary: term texts are copied
-// into one blob and the probe table is rebuilt at the same geometry.
-// The source vocabulary must not be mutated afterwards if the caller
-// intends the frozen form to stay equivalent.
+// into one blob, and the probe table and its tags are copied at the
+// same geometry. The source vocabulary must not be mutated afterwards
+// if the caller intends the frozen form to stay equivalent.
 func FreezeVocab(v *TermVocab) *FrozenVocab {
 	n := v.Len()
 	total := 0
@@ -48,6 +80,7 @@ func FreezeVocab(v *TermVocab) *FrozenVocab {
 		blob: make([]byte, 0, total),
 		offs: make([]uint32, n+1),
 		tab:  make([]int32, len(v.table)),
+		tags: make([]byte, len(v.table)+tagStep),
 		mask: v.mask,
 	}
 	for i, s := range v.strs {
@@ -56,20 +89,32 @@ func FreezeVocab(v *TermVocab) *FrozenVocab {
 	}
 	f.offs[n] = uint32(len(f.blob))
 	copy(f.tab, v.table)
+	copy(f.tags, v.tags)
+	copy(f.tags[len(v.table):], v.tags)
 	return f
 }
 
-// NewFrozenVocab wraps pre-built sections — typically views into a
-// mapped artifact — after O(1) structural checks: offsets bracketing
-// the blob and a power-of-two probe table large enough for the term
-// count. Per-element invariants (monotone offsets, in-range bucket
-// IDs) are NOT checked here — that would make every mapped load O(size)
-// and defeat the zero-parse layout; Validate runs them on demand for
-// loads of untrusted bytes. The lookup loop bounds-checks every probe
-// itself and gives up after one pass over the table, so a vocabulary
-// corrupted past the constructor degrades to lookup misses, never to
-// aliased terms, out-of-range panics or an endless probe.
-func NewFrozenVocab(blob []byte, offs []uint32, tab []int32) (*FrozenVocab, error) {
+// newFrozenVocab wraps four pre-built sections — views into a mapped
+// artifact — after O(1) structural checks: offsets bracketing the blob,
+// a power-of-two probe table large enough for the term count, and one
+// tag per bucket plus the mirrored tail. Per-element invariants
+// (monotone offsets, in-range bucket IDs, tags agreeing with the table)
+// are NOT checked here — that would make every mapped load O(size) and
+// defeat the zero-parse layout; Validate runs them on demand for loads
+// of untrusted bytes.
+//
+// What a bad tag that was never validated can do: a zero over an
+// occupied bucket ends the probe chain there, so that term and the
+// ones placed after it on the chain read as misses; a non-zero tag over
+// an empty bucket is passed over when the table says id < 0, and the
+// chain is walked further than it had to be; a tag array with no zero
+// anywhere ends every absent term's lookup in a miss after len(tab)
+// buckets. What it cannot do: every load is bounds-checked against
+// slices whose lengths the constructor tied together, the probe gives
+// up after one pass over the table, and only the byte compare says
+// "hit" — so no aliased terms, no panic, no endless probe and no read
+// outside the mapping.
+func newFrozenVocab(blob []byte, offs []uint32, tab []int32, tags []byte) (*FrozenVocab, error) {
 	if len(offs) == 0 {
 		return nil, errors.New("textproc: frozen vocab needs an offsets array")
 	}
@@ -83,16 +128,104 @@ func NewFrozenVocab(blob []byte, offs []uint32, tab []int32) (*FrozenVocab, erro
 	if len(tab) < 2*n {
 		return nil, fmt.Errorf("textproc: frozen vocab probe table (%d buckets) cannot hold %d terms at load factor 1/2", len(tab), n)
 	}
-	return &FrozenVocab{blob: blob, offs: offs, tab: tab, mask: uint64(len(tab) - 1)}, nil
+	if len(tags) != len(tab)+tagStep {
+		return nil, fmt.Errorf("textproc: frozen vocab has %d tags for %d buckets, want %d", len(tags), len(tab), len(tab)+tagStep)
+	}
+	return &FrozenVocab{blob: blob, offs: offs, tab: tab, tags: tags, mask: uint64(len(tab) - 1)}, nil
 }
 
-// Validate runs the O(n) per-element checks NewFrozenVocab skips:
-// monotone offsets covering the blob and every probe bucket either
-// empty or a valid term ID. Verified load paths (artifacts arriving
-// over the network or flagged untrusted) call this once before
-// install; trusted local loads skip it and rely on the lookup loop's
-// own bounds checks. Hash placement is still not verified — a
-// misplaced entry can only cause misses.
+// NewFrozenVocab wraps three pre-built sections and derives the tags
+// from them, hashing every placed term once: the O(n) form, for callers
+// that hold no tag section (an artifact written before tags existed).
+// The tag array is allocated on the heap; the other three stay views.
+// The trust split is newFrozenVocab's: the same O(1) checks here,
+// Validate for the rest.
+func NewFrozenVocab(blob []byte, offs []uint32, tab []int32) (*FrozenVocab, error) {
+	v, err := newFrozenVocab(blob, offs, tab, make([]byte, len(tab)+tagStep))
+	if err != nil {
+		return nil, err
+	}
+	for i, id := range tab {
+		if id >= 0 {
+			text, _ := v.term(id) // a corrupt ID hashes as the empty term: occupied, never matched
+			v.tags[i] = hashTag(hashBytes(text))
+		}
+	}
+	copy(v.tags[len(tab):], v.tags)
+	return v, nil
+}
+
+// Section suffixes of a vocabulary inside a v2 artifact; the prefix
+// ("v", "q", "d") names which vocabulary of the model it is.
+const (
+	secBlob = ".blob" // bytes   term bytes
+	secOffs = ".offs" // uint32  term offsets (n+1)
+	secTabl = ".tabl" // int32   open-addressed probe table
+	secTags = ".tags" // bytes   one tag per bucket + tagStep mirrored
+)
+
+// WriteSections adds the vocabulary's four sections to a v2 writer
+// under the given prefix.
+func (v *FrozenVocab) WriteSections(w *snapshot.V2Writer, prefix string) {
+	w.Bytes(prefix+secBlob, v.blob)
+	w.Uint32s(prefix+secOffs, v.offs)
+	w.Int32s(prefix+secTabl, v.tab)
+	w.Bytes(prefix+secTags, v.tags)
+}
+
+// ReadSections wraps the vocabulary stored under prefix as zero-copy
+// views, in O(1): no term is touched but term 0. An artifact with no
+// tag section predates tags and loads through NewFrozenVocab's O(n)
+// derivation instead of being rejected.
+//
+// Term 0 must look itself up as ID 0. The probe table is only
+// meaningful under the hash and tag rule that placed it; an artifact
+// from a build with different ones would otherwise load cleanly and
+// score every term as unknown.
+func ReadSections(a *snapshot.V2Artifact, prefix string) (*FrozenVocab, error) {
+	blob, err := a.BytesView(prefix + secBlob)
+	if err != nil {
+		return nil, err
+	}
+	offs, err := a.Uint32sView(prefix + secOffs)
+	if err != nil {
+		return nil, err
+	}
+	tab, err := a.Int32sView(prefix + secTabl)
+	if err != nil {
+		return nil, err
+	}
+	var v *FrozenVocab
+	if _, tagged := a.Section(prefix + secTags); tagged {
+		var tags []byte
+		if tags, err = a.BytesView(prefix + secTags); err != nil {
+			return nil, err
+		}
+		v, err = newFrozenVocab(blob, offs, tab, tags)
+	} else {
+		v, err = NewFrozenVocab(blob, offs, tab)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("%w: %v", snapshot.ErrCorrupt, err)
+	}
+	if v.Len() > 0 {
+		text, _ := v.term(0)
+		if id, ok := v.LookupHashed(hashBytes(text), text); !ok || id != 0 {
+			return nil, fmt.Errorf("%w: vocabulary %q does not find its own first term: written under a different hash/tag scheme — re-export", snapshot.ErrCorrupt, prefix)
+		}
+	}
+	return v, nil
+}
+
+// Validate runs the O(n) per-element checks the constructors skip:
+// monotone offsets covering the blob, every probe bucket either empty
+// or a valid term ID, and the tags agreeing with the table — a zero tag
+// exactly over the empty buckets, the tail repeating the head. Verified
+// load paths (artifacts arriving over the network or flagged untrusted)
+// call this once before install; trusted local loads skip it and rely
+// on the lookup loop's own bounds checks. Hash placement and tag values
+// are still not verified — a misplaced or mistagged entry can only
+// cause misses.
 func (v *FrozenVocab) Validate() error {
 	n := v.Len()
 	for i := 0; i < n; i++ {
@@ -100,10 +233,19 @@ func (v *FrozenVocab) Validate() error {
 			return fmt.Errorf("textproc: frozen vocab offset %d decreases (%d -> %d)", i, v.offs[i], v.offs[i+1])
 		}
 	}
+	if len(v.tags) != len(v.tab)+tagStep {
+		return fmt.Errorf("textproc: frozen vocab has %d tags for %d buckets", len(v.tags), len(v.tab))
+	}
 	for i, id := range v.tab {
 		if id < -1 || int(id) >= n {
 			return fmt.Errorf("textproc: frozen vocab bucket %d holds id %d of %d terms", i, id, n)
 		}
+		if (v.tags[i] == 0) != (id < 0) {
+			return fmt.Errorf("textproc: frozen vocab bucket %d holds id %d under tag %#02x", i, id, v.tags[i])
+		}
+	}
+	if string(v.tags[len(v.tab):]) != string(v.tags[:tagStep]) {
+		return errors.New("textproc: frozen vocab tag tail does not repeat its head")
 	}
 	return nil
 }
@@ -122,48 +264,52 @@ func (v *FrozenVocab) term(id int32) ([]byte, bool) {
 	return v.blob[lo:hi], true
 }
 
-// LookupHashed resolves a normalised byte window whose hash the caller
-// built with NGramHashSeed/ExtendNGramHash — the hot call of the
-// compiled scoring path, identical in shape to TermVocab.LookupHashed.
+// probe is the one lookup: key's ID if a bucket on h's probe chain
+// holds it. Each step loads tagStep tags, finds the chain's end (the
+// first empty tag), and reads the table, the offsets and the blob only
+// for buckets below it whose tag equals h's.
 //
 // The probe is bounded by the table length: a well-formed table always
 // has an empty bucket to stop at, but an unvalidated one may have none,
 // and a full table of valid IDs must end in a miss, not a spin.
-func (v *FrozenVocab) LookupHashed(h uint64, b []byte) (int32, bool) {
-	for i, left := h&v.mask, len(v.tab); left > 0; i, left = (i+1)&v.mask, left-1 {
-		id := v.tab[i]
-		if id < 0 {
+//
+//mb:noalloc
+func probe[K string | []byte](v *FrozenVocab, h uint64, key K) (int32, bool) {
+	want := uint64(hashTag(h)) * swarLo
+	i := h & v.mask
+	for left := len(v.tab); left > 0; left -= tagStep {
+		w := binary.LittleEndian.Uint64(v.tags[i : i+tagStep])
+		empty := zeroBytes(w)
+		// Matches above the first empty tag belong to other chains.
+		match := zeroBytes(w^want) & (empty - 1) & ^empty
+		for ; match != 0; match &= match - 1 {
+			id := v.tab[(i+uint64(bits.TrailingZeros64(match)>>3))&v.mask]
+			if id < 0 {
+				continue
+			}
+			if text, ok := v.term(id); ok && string(text) == string(key) { //mb:allocok comparison-only conversions
+				return id, true
+			}
+		}
+		if empty != 0 {
 			return 0, false
 		}
-		text, ok := v.term(id)
-		if !ok {
-			return 0, false
-		}
-		if string(text) == string(b) { // comparison-only conversions: no alloc
-			return id, true
-		}
+		i = (i + tagStep) & v.mask
 	}
 	return 0, false
 }
 
-// Lookup resolves a term string without interning, under the same
-// probe bound as LookupHashed.
-func (v *FrozenVocab) Lookup(s string) (int32, bool) {
-	for i, left := hashString(s)&v.mask, len(v.tab); left > 0; i, left = (i+1)&v.mask, left-1 {
-		id := v.tab[i]
-		if id < 0 {
-			return 0, false
-		}
-		text, ok := v.term(id)
-		if !ok {
-			return 0, false
-		}
-		if string(text) == s {
-			return id, true
-		}
-	}
-	return 0, false
-}
+// LookupHashed resolves a normalised byte window whose hash the caller
+// built with NGramHashSeed/ExtendNGramHash — the hot call of the
+// compiled scoring path.
+//
+//mb:noalloc
+func (v *FrozenVocab) LookupHashed(h uint64, b []byte) (int32, bool) { return probe(v, h, b) }
+
+// Lookup resolves a term string without interning.
+//
+//mb:noalloc
+func (v *FrozenVocab) Lookup(s string) (int32, bool) { return probe(v, hashString(s), s) }
 
 // Len returns the number of terms.
 func (v *FrozenVocab) Len() int { return len(v.offs) - 1 }
@@ -179,14 +325,3 @@ func (v *FrozenVocab) Text(id int32) string {
 func (v *FrozenVocab) AppendText(dst []byte, id int32) []byte {
 	return append(dst, v.blob[v.offs[id]:v.offs[id+1]]...)
 }
-
-// Blob, Offsets and Table expose the backing sections for
-// serialization. Callers must treat them as read-only.
-func (v *FrozenVocab) Blob() []byte      { return v.blob }
-func (v *FrozenVocab) Offsets() []uint32 { return v.offs }
-func (v *FrozenVocab) Table() []int32    { return v.tab }
-
-// HashString exposes the vocabulary's string hash so foreign-memory
-// pair tables (internal/clickmodel's frozen views) probe with exactly
-// the hash the freeze placed entries under.
-func HashString(s string) uint64 { return hashString(s) }

@@ -6,7 +6,7 @@ package textproc
 // into a reusable byte buffer, tokens are recorded as byte spans into
 // that buffer, and — because normalisation emits exactly one space
 // between tokens — every n-gram window is a contiguous byte slice
-// Norm[spans[i].Start:spans[i+n-1].End] that a TermVocab can look up
+// Norm[spans[i].Start:spans[i+n-1].End] that a FrozenVocab can look up
 // directly, with a byte-compare collision check instead of a string
 // allocation per bigram/trigram.
 //
@@ -101,7 +101,7 @@ func NormalizeInto(dst []byte, s string) []byte {
 // TokenSpan locates one normalised token inside a Scratch buffer: the
 // token's text is Norm[Start:End] and its 1-based position within the
 // line is its index in the span slice plus one. Hash is the token's
-// accumulated byte hash, combined per window by the TermVocab lookup.
+// accumulated byte hash, combined per window with ExtendNGramHash.
 type TokenSpan struct {
 	Start, End int
 	Hash       uint64
@@ -197,20 +197,21 @@ func appendTokens(norm []byte, spans []TokenSpan, line string) ([]byte, []TokenS
 	return norm, spans
 }
 
-// TermVocab interns term texts to dense int32 IDs behind an
-// open-addressed hash table keyed by the term's token hashes, so the
-// serving path can resolve an n-gram window — a span slice over raw
-// normalised bytes — to its ID without building the string. Hash
-// collisions are resolved by linear probing with an exact byte
-// comparison against the interned text, so a colliding probe can
-// never alias two distinct terms.
+// TermVocab interns term texts to dense int32 IDs: the growable
+// builder whose frozen form (FreezeVocab) the serving path looks terms
+// up in. Its open-addressed table is keyed by the term's token hashes,
+// so the frozen table can resolve an n-gram window — a span slice over
+// raw normalised bytes — to its ID without building the string. Hash
+// collisions are resolved by linear probing with an exact comparison
+// against the interned text, so a colliding probe can never alias two
+// distinct terms.
 //
-// Build the vocabulary once (Add is not safe for concurrent use);
-// the lookup methods are read-only and safe to call from any number
-// of goroutines.
+// A TermVocab is not safe for concurrent use and has no lookup of its
+// own: freeze it to read it.
 type TermVocab struct {
 	strs  []string
 	table []int32 // open-addressed buckets; -1 = empty
+	tags  []byte  // hashTag of the hash each bucket was placed under; 0 = empty
 	mask  uint64
 }
 
@@ -235,6 +236,7 @@ func (v *TermVocab) grow(size int) {
 	for i := range v.table {
 		v.table[i] = -1
 	}
+	v.tags = make([]byte, size)
 	v.mask = uint64(size - 1)
 	for id, s := range v.strs {
 		v.place(hashString(s), int32(id))
@@ -246,6 +248,7 @@ func (v *TermVocab) place(h uint64, id int32) {
 	for i := h & v.mask; ; i = (i + 1) & v.mask {
 		if v.table[i] < 0 {
 			v.table[i] = id
+			v.tags[i] = hashTag(h)
 			return
 		}
 	}
@@ -275,26 +278,6 @@ func (v *TermVocab) Add(s string) int32 {
 	return id
 }
 
-// Lookup returns the ID of s without interning, and whether it is
-// known.
-func (v *TermVocab) Lookup(s string) (int32, bool) {
-	for i := hashString(s) & v.mask; ; i = (i + 1) & v.mask {
-		id := v.table[i]
-		if id < 0 {
-			return 0, false
-		}
-		if v.strs[id] == s {
-			return id, true
-		}
-	}
-}
-
-// LookupBytes resolves a raw byte window (normalised, single-space-
-// separated tokens) to its term ID without allocating.
-func (v *TermVocab) LookupBytes(b []byte) (int32, bool) {
-	return v.LookupHashed(hashBytes(b), b)
-}
-
 // NGramHashSeed is the initial value of an n-gram window hash; extend
 // it with ExtendNGramHash once per token. The windows starting at one
 // token share prefixes, so a caller scanning gram sizes 1..n extends
@@ -308,42 +291,11 @@ func ExtendNGramHash(h, tokenHash uint64) uint64 {
 	return h ^ h>>31
 }
 
-// LookupHashed resolves a normalised byte window whose hash the
-// caller has already built with NGramHashSeed/ExtendNGramHash — the
-// hot call of the compiled scoring path. The byte comparison against
-// the interned text keeps hash collisions (or a miscomputed caller
-// hash colliding by accident) harmless: a wrong hash can only cause a
-// miss, never a false hit.
-func (v *TermVocab) LookupHashed(h uint64, b []byte) (int32, bool) {
-	for i := h & v.mask; ; i = (i + 1) & v.mask {
-		id := v.table[i]
-		if id < 0 {
-			return 0, false
-		}
-		if v.strs[id] == string(b) { // comparison-only conversion: no alloc
-			return id, true
-		}
-	}
-}
-
-// LookupNGram resolves the n-gram spanning window (a sub-slice of a
-// Scratch's token spans) to its term ID: the window's hash is mixed
-// from the tokens' precomputed hashes, so looking up every 1..3-gram
-// window of a line hashes each byte exactly once, in Tokenize.
-func (v *TermVocab) LookupNGram(norm []byte, window []TokenSpan) (int32, bool) {
-	h := NGramHashSeed
-	for k := range window {
-		h = ExtendNGramHash(h, window[k].Hash)
-	}
-	return v.LookupHashed(h, norm[window[0].Start:window[len(window)-1].End])
-}
-
 // Len returns the number of interned terms.
 func (v *TermVocab) Len() int { return len(v.strs) }
 
-// Text returns the term text behind an ID. IDs come from Add/Lookup,
-// so out-of-range values are programmer errors and panic via the
-// slice.
+// Text returns the term text behind an ID. IDs come from Add, so
+// out-of-range values are programmer errors and panic via the slice.
 func (v *TermVocab) Text(id int32) string { return v.strs[id] }
 
 // Hash constants: 64-bit avalanche multipliers (golden-ratio and
@@ -358,10 +310,10 @@ const (
 	hashMult2 = 0xc2b2ae3d27d4eb4f
 )
 
-// hashString hashes a space-joined term string exactly as the
-// Tokenize + LookupNGram pair hashes the equivalent token window: the
-// table is built from strings and probed with windows, so the two
-// forms must agree byte for byte.
+// hashString hashes a space-joined term string exactly as Tokenize and
+// ExtendNGramHash hash the equivalent token window: the table is built
+// from strings and probed with windows, so the two forms must agree
+// byte for byte.
 func hashString(s string) uint64 {
 	h := uint64(hashSeed)
 	th := uint64(hashSeed)

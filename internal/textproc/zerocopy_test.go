@@ -169,6 +169,9 @@ func TestNGramWindowContiguity(t *testing.T) {
 	}
 }
 
+// TestTermVocab pins the builder's contract — dense IDs in first-seen
+// order, re-Add returns the existing ID — and reads it back the only
+// way there is: through the frozen form.
 func TestTermVocab(t *testing.T) {
 	v := NewTermVocab(0)
 	terms := []string{"find cheap", "flights", "new york", "20% off", "$99", "find cheap flights"}
@@ -184,24 +187,15 @@ func TestTermVocab(t *testing.T) {
 	if v.Len() != len(terms) {
 		t.Errorf("Len = %d, want %d", v.Len(), len(terms))
 	}
+	f := FreezeVocab(v)
 	for i, s := range terms {
-		if id, ok := v.Lookup(s); !ok || id != int32(i) {
-			t.Errorf("Lookup(%q) = %d, %v; want %d, true", s, id, ok, i)
-		}
-		if id, ok := v.LookupBytes([]byte(s)); !ok || id != int32(i) {
-			t.Errorf("LookupBytes(%q) = %d, %v; want %d, true", s, id, ok, i)
-		}
+		checkLookup(t, f, s, int32(i), true)
 		if v.Text(int32(i)) != s {
 			t.Errorf("Text(%d) = %q, want %q", i, v.Text(int32(i)), s)
 		}
 	}
 	for _, absent := range []string{"", "find", "cheap flights", "flights ", " flights", "FLIGHTS"} {
-		if _, ok := v.Lookup(absent); ok {
-			t.Errorf("Lookup(%q) found a vocab hit, want miss", absent)
-		}
-		if _, ok := v.LookupBytes([]byte(absent)); ok {
-			t.Errorf("LookupBytes(%q) found a vocab hit, want miss", absent)
-		}
+		checkLookup(t, f, absent, 0, false)
 	}
 }
 
@@ -213,39 +207,22 @@ func TestTermVocabCollisions(t *testing.T) {
 	mask := v.mask
 	// Gather strings landing in one bucket of the initial table.
 	target := hashString("term0") & mask
-	var colliding []string
-	for i := 0; len(colliding) < 4 && i < 100000; i++ {
-		s := "term" + strconv.Itoa(i)
-		if hashString(s)&mask == target {
-			colliding = append(colliding, s)
-		}
-	}
-	if len(colliding) < 4 {
-		t.Fatalf("could not build a collision set over mask %#x", mask)
-	}
+	colliding := collide(t, "term", mask, target, 0, 5)
+	colliding, absent := colliding[:4], colliding[4]
 	for _, s := range colliding {
 		v.Add(s)
 	}
+	f := FreezeVocab(v)
 	for i, s := range colliding {
-		if id, ok := v.LookupBytes([]byte(s)); !ok || id != int32(i) {
-			t.Errorf("colliding LookupBytes(%q) = %d, %v; want %d, true", s, id, ok, i)
-		}
+		checkLookup(t, f, s, int32(i), true)
 	}
 	// A probe that walks the whole colliding chain and still misses.
-	for i := 100000; ; i++ {
-		s := "term" + strconv.Itoa(i)
-		if hashString(s)&mask != target {
-			continue
-		}
-		if _, ok := v.LookupBytes([]byte(s)); ok {
-			t.Errorf("absent colliding term %q reported found", s)
-		}
-		break
-	}
+	checkLookup(t, f, absent, 0, false)
 }
 
 // TestTermVocabGrowth crosses several table rebuilds and re-verifies
-// every interned term afterwards.
+// every interned term afterwards: a rebuild re-places every term and
+// re-tags every bucket.
 func TestTermVocabGrowth(t *testing.T) {
 	v := NewTermVocab(0)
 	n := 5000
@@ -255,27 +232,12 @@ func TestTermVocabGrowth(t *testing.T) {
 	if v.Len() != n {
 		t.Fatalf("Len = %d, want %d", v.Len(), n)
 	}
-	for i := 0; i < n; i++ {
-		s := "w" + strconv.Itoa(i)
-		if id, ok := v.LookupBytes([]byte(s)); !ok || id != int32(i) {
-			t.Fatalf("post-growth LookupBytes(%q) = %d, %v; want %d, true", s, id, ok, i)
-		}
+	f := FreezeVocab(v)
+	if err := f.Validate(); err != nil {
+		t.Fatalf("Validate after growth: %v", err)
 	}
-}
-
-// TestLookupBytesZeroAlloc pins the hot lookup to zero allocations.
-func TestLookupBytesZeroAlloc(t *testing.T) {
-	v := NewTermVocab(4)
-	v.Add("find cheap flights")
-	v.Add("new york")
-	hit := []byte("find cheap flights")
-	miss := []byte("not in the vocab at all")
-	allocs := testing.AllocsPerRun(100, func() {
-		v.LookupBytes(hit)
-		v.LookupBytes(miss)
-	})
-	if allocs != 0 {
-		t.Errorf("LookupBytes allocates %v per run, want 0", allocs)
+	for i := 0; i < n; i++ {
+		checkLookup(t, f, "w"+strconv.Itoa(i), int32(i), true)
 	}
 }
 

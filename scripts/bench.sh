@@ -14,7 +14,10 @@
 #                corpus per strand cap, size={32,64,256,4096} on one
 #                strand vs GOMAXPROCS, bare dispatch), BENCH_engine.json
 #   micro      — BenchmarkMicroScore/* + BenchmarkExtractTermsPath/*
-#                (compiled micro kernel vs map path), BENCH_engine.json
+#                (compiled micro kernel vs map path) +
+#                BenchmarkVocabLookup/terms={2k,200k}/{hit,miss} (one
+#                frozen-vocabulary lookup, in cache and out of it),
+#                BENCH_engine.json
 #   serve      — BenchmarkServeProtocol/* (JSON vs MBSP binary framing
 #                over real TCP) + BenchmarkSnapshotLoad/* (v1 decode vs
 #                v2 mmap at 1/10/100MB artifacts), BENCH_engine.json
@@ -59,7 +62,7 @@ done
 case "$suite" in
   clickmodel) pattern="ClickModel"; default_out="BENCH_clickmodel.json" ;;
   engine)     pattern="EngineScoreBatch"; default_out="BENCH_engine.json" ;;
-  micro)      pattern="MicroScore|ExtractTermsPath"; default_out="BENCH_engine.json" ;;
+  micro)      pattern="MicroScore|ExtractTermsPath|VocabLookup"; default_out="BENCH_engine.json" ;;
   serve)      pattern="ServeProtocol|SnapshotLoad"; default_out="BENCH_engine.json" ;;
   optimize)   pattern="OptimizeCandidates"; default_out="BENCH_optimize.json" ;;
   stream)     pattern="Stream"; default_out="BENCH_stream.json" ;;
