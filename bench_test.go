@@ -32,6 +32,7 @@ import (
 	"repro/internal/classifier"
 	"repro/internal/clickmodel"
 	"repro/internal/core"
+	"repro/internal/core/coreref"
 	"repro/internal/experiments"
 	"repro/internal/ml"
 	"repro/internal/obs"
@@ -383,7 +384,9 @@ func BenchmarkEngineScoreBatch(b *testing.B) {
 	for _, workers := range []int{1, 4} {
 		b.Run(fmt.Sprintf("dispatch/workers=%d", workers), func(b *testing.B) {
 			eng := micro.NewEngine(micro.WithWorkers(workers))
-			eng.Register("nop", nopScorer{})
+			if _, err := eng.Install("nop", nopScorer{}, "register"); err != nil {
+				b.Fatal(err)
+			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -402,7 +405,8 @@ func BenchmarkEngineScoreBatch(b *testing.B) {
 // BenchmarkMicroScore prices one micro scoring request through the
 // three serving layers: the compiled model kernel (interned vocab,
 // byte-window n-gram lookup, dense attention table — the steady-state
-// zero-allocation path), the fused map-based fallback, and the full
+// zero-allocation path), the map-based reference the parity suites
+// hold it against (package coreref; never served), and the full
 // engine dispatch (resolution + pooled scratch around the compiled
 // kernel).
 func BenchmarkMicroScore(b *testing.B) {
@@ -428,7 +432,7 @@ func BenchmarkMicroScore(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			r := reqs[i%len(reqs)]
-			ctr, _ := model.ScoreSnippet(r.Lines, r.MaxN)
+			ctr, _ := coreref.ScoreSnippet(model, r.Lines, r.MaxN)
 			if ctr < 0 || ctr > 1 {
 				b.Fatalf("ctr out of range: %v", ctr)
 			}

@@ -200,7 +200,7 @@ func convertToV2(path string) error {
 	return snapshot.WriteFileAtomic(path, func(w io.Writer) error {
 		switch t := s.(type) {
 		case *engine.MicroScorer:
-			return t.M.SaveV2(w)
+			return t.Compiled().SaveV2(w)
 		case *engine.ClickModelScorer:
 			return clickmodel.SaveV2Model(w, t.M)
 		}

@@ -65,7 +65,7 @@ func (m *CCM) contClick(r float64) float64 {
 	return m.Alpha2*(1-r) + m.Alpha3*r
 }
 
-// tailPosterior mirrors DBN.tailPosterior for CCM's transition structure:
+// tailPosterior mirrors DBN.tailZ for CCM's transition structure:
 // after the last click the user continues with contClick(r_last), then
 // keeps examining skipped results with alpha1 per step. This
 // Session-based form serves SessionLogLikelihood; the compiled E-step

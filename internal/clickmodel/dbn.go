@@ -26,6 +26,12 @@ type DBN struct {
 	PriorA, PriorS float64
 	// Workers caps the parallel E-step fan-out (0 = GOMAXPROCS).
 	Workers int
+
+	// pairs, attrVals and satVals are set only by DBNFromArtifact: the
+	// frozen pair table and per-pair values of a v2 artifact, read in
+	// place of AttrA and SatS. Such a model is immutable.
+	pairs             *frozenPairs
+	attrVals, satVals []float64
 }
 
 // NewDBN returns a DBN with default hyper-parameters.
@@ -53,43 +59,26 @@ func (m *DBN) defaults() {
 }
 
 func (m *DBN) a(q, d string) float64 {
-	if v, ok := m.AttrA[qd{q, d}]; ok {
-		return v
-	}
-	return m.PriorA
+	return pairParam(m.pairs, m.attrVals, m.AttrA, q, d, m.PriorA)
 }
 
 func (m *DBN) s(q, d string) float64 {
-	if v, ok := m.SatS[qd{q, d}]; ok {
-		return v
-	}
-	return m.PriorS
+	return pairParam(m.pairs, m.satVals, m.SatS, q, d, m.PriorS)
 }
 
-// tailPosterior computes, for a session whose last click is at index
-// `last` (-1 for none), the posterior over the latent tail behaviour:
-//
-//   - pSat: P(user satisfied at the last click | observations)
-//   - pExam[j] for j in (last, n): P(E_j = 1 | observations)
-//   - z: the likelihood of the tail observations (all skips past `last`),
-//     including the satisfaction/stop marginalisation at the last click.
-//
-// Enumeration is over t = last examined position. This Session-based
-// form serves SessionLogLikelihood; the compiled E-step inlines the
-// same enumeration over worker-owned scratch.
-func (m *DBN) tailPosterior(s Session, last int) (pSat float64, pExam []float64, z float64) {
+// tailZ is the likelihood of the observed all-skip tail past the last
+// click (index last, -1 for none): the sum, over the position t where
+// examination stopped, of the joint probability of the skips up to t,
+// plus — when there is a click — the branch in which that click
+// satisfied the user. The compiled E-step inlines the same enumeration
+// over worker-owned scratch.
+func (m *DBN) tailZ(s Session, last int) float64 {
 	n := len(s.Docs)
-	pExam = make([]float64, n)
 	g := m.Gamma
-
-	// Branch weights: wStop[t] = joint probability of the tail
-	// observations with examination stopping exactly at position t.
-	wStop := make([]float64, n)
-	var wSat float64
-
+	var z float64
 	if last >= 0 {
 		sat := m.s(s.Query, s.Docs[last])
-		wSat = sat
+		z = sat
 		cur := 1 - sat // unsatisfied, still deciding
 		for t := last; t < n; t++ {
 			if t > last {
@@ -100,7 +89,7 @@ func (m *DBN) tailPosterior(s Session, last int) (pSat float64, pExam []float64,
 			if t < n-1 {
 				w *= 1 - g // explicit stop before the next position
 			}
-			wStop[t] = w
+			z += w
 		}
 	} else {
 		cur := 1.0 // position 0 is always examined
@@ -108,39 +97,25 @@ func (m *DBN) tailPosterior(s Session, last int) (pSat float64, pExam []float64,
 			if t > 0 {
 				cur *= g
 			}
-			cur0 := cur * (1 - m.a(s.Query, s.Docs[t]))
-			cur = cur0
-			w := cur0
+			cur *= 1 - m.a(s.Query, s.Docs[t])
+			w := cur
 			if t < n-1 {
 				w *= 1 - g
 			}
-			wStop[t] = w
+			z += w
 		}
-	}
-
-	z = wSat
-	for _, w := range wStop {
-		z += w
 	}
 	if z <= 0 {
 		z = probEps
 	}
-
-	pSat = wSat / z
-	// P(E_j = 1 | obs) for tail positions: examination reached j iff the
-	// stop position t >= j (and the user was not satisfied).
-	suffix := 0.0
-	for j := n - 1; j > last; j-- {
-		suffix += wStop[j]
-		if j >= 0 {
-			pExam[j] = suffix / z
-		}
-	}
-	return pSat, pExam, z
+	return z
 }
 
 // Fit implements Model: compile the log, then run the dense EM.
 func (m *DBN) Fit(sessions []Session) error {
+	if m.pairs != nil {
+		return ErrMappedImmutable
+	}
 	c, err := Compile(sessions)
 	if err != nil {
 		return err
@@ -155,6 +130,9 @@ func dbnAccStride(nPair int) int { return 4*nPair + 2 }
 
 // FitLog runs EM with exact tail enumeration over a compiled log.
 func (m *DBN) FitLog(c *CompiledLog) error {
+	if m.pairs != nil {
+		return ErrMappedImmutable
+	}
 	if c == nil {
 		return errNilLog
 	}
@@ -368,7 +346,6 @@ func (m *DBN) SessionLogLikelihood(s Session) float64 {
 			ll += log(1-a) + log(m.Gamma)
 		}
 	}
-	_, _, z := m.tailPosterior(s, last)
-	ll += log(z)
+	ll += log(m.tailZ(s, last))
 	return ll
 }

@@ -21,6 +21,12 @@ type PBM struct {
 	PriorAlpha float64
 	// Workers caps the parallel E-step fan-out (0 = GOMAXPROCS).
 	Workers int
+
+	// pairs and alphaVals are set only by PBMFromArtifact: the frozen
+	// pair table and attractiveness values of a v2 artifact, read in
+	// place of Alpha. Such a model is immutable.
+	pairs     *frozenPairs
+	alphaVals []float64
 }
 
 // NewPBM returns a PBM with default hyper-parameters.
@@ -43,6 +49,9 @@ func (m *PBM) defaults() {
 
 // Fit implements Model: compile the log, then run the dense EM.
 func (m *PBM) Fit(sessions []Session) error {
+	if m.pairs != nil {
+		return ErrMappedImmutable
+	}
 	c, err := Compile(sessions)
 	if err != nil {
 		return err
@@ -59,6 +68,9 @@ func (m *PBM) Fit(sessions []Session) error {
 // denominators (impressions per position and per pair) are log
 // constants precomputed at Compile.
 func (m *PBM) FitLog(c *CompiledLog) error {
+	if m.pairs != nil {
+		return ErrMappedImmutable
+	}
 	if c == nil {
 		return errNilLog
 	}
@@ -142,10 +154,7 @@ func pbmEStep(c *CompiledLog, gamma, alpha, gNum, aNum []float64, lo, hi int) {
 }
 
 func (m *PBM) alpha(q, d string) float64 {
-	if a, ok := m.Alpha[qd{q, d}]; ok {
-		return a
-	}
-	return m.PriorAlpha
+	return pairParam(m.pairs, m.alphaVals, m.Alpha, q, d, m.PriorAlpha)
 }
 
 // ClickProbs implements Model.

@@ -183,11 +183,23 @@ func decodePairParams(d *snapshot.Decoder) map[qd]float64 {
 
 // --- PBM ---
 
-// Save implements Snapshotter.
-func (m *PBM) Save(w io.Writer) error { return saveSnapshot(w, m) }
+// Save implements Snapshotter. A fitted model writes the v1 artifact;
+// an artifact-backed one re-emits the v2 sections it serves, so a
+// replica syncs the same format it maps.
+func (m *PBM) Save(w io.Writer) error {
+	if m.pairs != nil {
+		return m.SaveV2(w)
+	}
+	return saveSnapshot(w, m)
+}
 
-// Load implements Snapshotter.
-func (m *PBM) Load(r io.Reader) error { return loadSnapshot(r, m) }
+// Load implements Snapshotter; an artifact-backed model refuses.
+func (m *PBM) Load(r io.Reader) error {
+	if m.pairs != nil {
+		return ErrMappedImmutable
+	}
+	return loadSnapshot(r, m)
+}
 
 func (m *PBM) encodeSnapshot(e *snapshot.Encoder) {
 	e.Floats(m.Gamma)
@@ -475,11 +487,21 @@ func (m *CCM) decodeSnapshot(d *snapshot.Decoder) {
 
 // --- DBN ---
 
-// Save implements Snapshotter.
-func (m *DBN) Save(w io.Writer) error { return saveSnapshot(w, m) }
+// Save implements Snapshotter (see PBM.Save for the two forms).
+func (m *DBN) Save(w io.Writer) error {
+	if m.pairs != nil {
+		return m.SaveV2(w)
+	}
+	return saveSnapshot(w, m)
+}
 
-// Load implements Snapshotter.
-func (m *DBN) Load(r io.Reader) error { return loadSnapshot(r, m) }
+// Load implements Snapshotter; an artifact-backed model refuses.
+func (m *DBN) Load(r io.Reader) error {
+	if m.pairs != nil {
+		return ErrMappedImmutable
+	}
+	return loadSnapshot(r, m)
+}
 
 func (m *DBN) encodeSnapshot(e *snapshot.Encoder) {
 	encodePairParams(e, m.AttrA)
@@ -591,7 +613,7 @@ var (
 func ParamCount(m Model) int {
 	switch t := m.(type) {
 	case *PBM:
-		return len(t.Gamma) + len(t.Alpha)
+		return len(t.Gamma) + len(t.Alpha) + len(t.alphaVals)
 	case *Cascade:
 		return len(t.Alpha)
 	case *DCM:
@@ -607,7 +629,7 @@ func ParamCount(m Model) int {
 	case *CCM:
 		return len(t.Rel) + 3
 	case *DBN:
-		return len(t.AttrA) + len(t.SatS) + 1
+		return len(t.AttrA) + len(t.SatS) + len(t.attrVals) + len(t.satVals) + 1
 	case *SDBN:
 		return len(t.AttrA) + len(t.SatS)
 	case *GCM:

@@ -7,9 +7,11 @@ package clickmodel
 // *serving* form: two frozen vocabularies (queries, docs), a flat
 // (query ID, doc ID) pair table with an open-addressed probe index, and
 // one dense value array per parameter set, all as raw little-endian
-// sections. MappedPBM/MappedDBN wrap zero-copy views over those bytes
-// (typically a read-only file mapping owned by internal/mmap) and score
-// identically to their map-backed twins; they do not refit.
+// sections. PBMFromArtifact/DBNFromArtifact return the same *PBM/*DBN a
+// fit produces, with the per-pair accessors reading zero-copy views over
+// those bytes (typically a read-only file mapping owned by
+// internal/mmap) where a fitted model reads its maps: the scoring maths
+// of each model exists once. An artifact-backed model does not refit.
 //
 // Section layout (v2 directory tags):
 //
@@ -42,9 +44,9 @@ import (
 	"repro/internal/textproc"
 )
 
-// ErrMappedImmutable is returned by the Fit and Load methods of mapped
-// models: an artifact-backed model is a read-only serving view. Refit
-// the map-backed model and export a new artifact instead.
+// ErrMappedImmutable is returned by the Fit, FitLog and Load methods of
+// an artifact-backed model: it is a read-only serving view. Refit a
+// fresh model and export a new artifact instead.
 var ErrMappedImmutable = fmt.Errorf("clickmodel: mapped models are immutable serving views")
 
 // minPairTable mirrors the vocabulary's minimum probe-table size.
@@ -112,6 +114,9 @@ func (p *frozenPairs) find(q, d string) (int32, bool) {
 // is empty or a valid pair ID, plus the underlying vocabularies' own
 // deep checks. Verified load paths call this before install.
 func (p *frozenPairs) validate() error {
+	if p == nil {
+		return nil // a fitted model: no frozen tables to check
+	}
 	if err := p.qv.Validate(); err != nil {
 		return fmt.Errorf("%w: query vocab: %v", snapshot.ErrCorrupt, err)
 	}
@@ -254,12 +259,49 @@ func pairVals(a *snapshot.V2Artifact, tag string, n int) ([]float64, error) {
 	return v, nil
 }
 
+// pairParam reads one per-pair parameter of a model that is either
+// fitted (its exported map holds the values) or artifact-backed (vals
+// is a view of the artifact, indexed through the frozen pair table).
+// Either way a pair the model never saw takes the prior.
+func pairParam(p *frozenPairs, vals []float64, fitted map[qd]float64, q, d string, prior float64) float64 {
+	if p != nil {
+		if id, ok := p.find(q, d); ok {
+			return vals[id]
+		}
+		return prior
+	}
+	if v, ok := fitted[qd{q, d}]; ok {
+		return v
+	}
+	return prior
+}
+
+// artifactMeta checks the artifact's model name and opens its scalar
+// section for decoding.
+func artifactMeta(a *snapshot.V2Artifact, model string) (*snapshot.Decoder, error) {
+	if !strings.EqualFold(a.ModelName, model) {
+		return nil, fmt.Errorf("clickmodel: artifact holds a %q model, not %s", a.ModelName, model)
+	}
+	meta, err := a.BytesView("meta")
+	if err != nil {
+		return nil, err
+	}
+	return snapshot.NewRawDecoder(bytes.NewReader(meta)), nil
+}
+
 // --- PBM ---
 
-// SaveV2 writes the fitted PBM as a zero-parse v2 artifact.
+// SaveV2 writes the PBM as a zero-parse v2 artifact. A fitted model's
+// Alpha map is frozen into the flat form; an artifact-backed model
+// re-emits the sections it serves, byte for byte.
 func (m *PBM) SaveV2(w io.Writer) error {
-	m.defaults()
-	p, vals := freezePairs([]map[qd]float64{m.Alpha}, []float64{m.PriorAlpha})
+	p, alpha := m.pairs, m.alphaVals
+	if p == nil {
+		m.defaults()
+		var vals [][]float64
+		p, vals = freezePairs([]map[qd]float64{m.Alpha}, []float64{m.PriorAlpha})
+		alpha = vals[0]
+	}
 	var meta bytes.Buffer
 	e := snapshot.NewRawEncoder(&meta)
 	e.Float(m.PriorAlpha)
@@ -270,133 +312,56 @@ func (m *PBM) SaveV2(w io.Writer) error {
 	vw.Bytes("meta", meta.Bytes())
 	vw.Floats("gamma", m.Gamma)
 	writePairs(vw, p)
-	vw.Floats("a.vals", vals[0])
+	vw.Floats("a.vals", alpha)
 	_, err := vw.WriteTo(w)
 	return err
 }
 
-// MappedPBM is a PBM serving view over v2 artifact bytes: same scoring
-// surface (Model, InplaceScorer, Examiner), zero-copy tables, no
-// fitting. The artifact bytes must outlive the model.
-type MappedPBM struct {
-	gamma []float64
-	pairs *frozenPairs
-	alpha []float64
-	prior float64
-}
-
-// PBMFromArtifact wraps a parsed v2 PBM artifact.
-func PBMFromArtifact(a *snapshot.V2Artifact) (*MappedPBM, error) {
-	if !strings.EqualFold(a.ModelName, "PBM") {
-		return nil, fmt.Errorf("clickmodel: artifact holds a %q model, not PBM", a.ModelName)
-	}
-	meta, err := a.BytesView("meta")
+// PBMFromArtifact returns a PBM served from a parsed v2 artifact: the
+// pair table and the attractiveness values are zero-copy views of the
+// artifact bytes, which must outlive the model; Gamma, a handful of
+// floats behind an exported field, is copied out of the read-only
+// bytes. The model scores and re-exports; Fit, FitLog and Load return
+// ErrMappedImmutable, and Alpha stays nil.
+func PBMFromArtifact(a *snapshot.V2Artifact) (*PBM, error) {
+	d, err := artifactMeta(a, "PBM")
 	if err != nil {
 		return nil, err
 	}
-	m := &MappedPBM{}
-	d := snapshot.NewRawDecoder(bytes.NewReader(meta))
-	m.prior = d.Float()
+	m := &PBM{PriorAlpha: d.Float()}
 	if err := d.Err(); err != nil {
 		return nil, err
 	}
-	if m.gamma, err = a.FloatsView("gamma"); err != nil {
+	gamma, err := a.FloatsView("gamma")
+	if err != nil {
 		return nil, err
 	}
+	m.Gamma = append([]float64(nil), gamma...)
 	if m.pairs, err = pairsFromArtifact(a); err != nil {
 		return nil, err
 	}
-	if m.alpha, err = pairVals(a, "a.vals", m.pairs.NumPairs()); err != nil {
+	if m.alphaVals, err = pairVals(a, "a.vals", m.pairs.NumPairs()); err != nil {
 		return nil, err
 	}
 	return m, nil
 }
 
-// Name implements Model; a mapped PBM serves under the same name as
-// its fitting twin.
-func (m *MappedPBM) Name() string { return "PBM" }
-
-// Fit implements Model by refusing: mapped models are immutable.
-func (m *MappedPBM) Fit([]Session) error { return ErrMappedImmutable }
-
-func (m *MappedPBM) alphaOf(q, d string) float64 {
-	if id, ok := m.pairs.find(q, d); ok {
-		return m.alpha[id]
-	}
-	return m.prior
-}
-
-// ClickProbs implements Model.
-func (m *MappedPBM) ClickProbs(s Session) []float64 { return m.ClickProbsInto(s, nil) }
-
-// ClickProbsInto implements InplaceScorer, mirroring PBM exactly.
-func (m *MappedPBM) ClickProbsInto(s Session, buf []float64) []float64 {
-	out := resizeProbs(buf, len(s.Docs))
-	for i, d := range s.Docs {
-		g := 0.0
-		if i < len(m.gamma) {
-			g = m.gamma[i]
-		}
-		out[i] = m.alphaOf(s.Query, d) * g
-	}
-	return out
-}
-
-// ExaminationProbs implements Examiner.
-func (m *MappedPBM) ExaminationProbs(s Session) []float64 {
-	out := make([]float64, len(s.Docs))
-	for i := range out {
-		if i < len(m.gamma) {
-			out[i] = m.gamma[i]
-		}
-	}
-	return out
-}
-
-// SessionLogLikelihood implements Model.
-func (m *MappedPBM) SessionLogLikelihood(s Session) float64 {
-	ll := 0.0
-	for i, d := range s.Docs {
-		g := 0.0
-		if i < len(m.gamma) {
-			g = m.gamma[i]
-		}
-		ll += bernoulliLL(m.alphaOf(s.Query, d)*g, s.Clicks[i])
-	}
-	return ll
-}
-
-// NumParams feeds ParamCount's generic arm.
-func (m *MappedPBM) NumParams() int { return len(m.gamma) + len(m.alpha) }
-
-// Save implements Snapshotter by re-emitting the v2 sections, so a
-// mapped model exports byte-compatible artifacts (replica sync reads
-// the same format it serves).
-func (m *MappedPBM) Save(w io.Writer) error {
-	var meta bytes.Buffer
-	e := snapshot.NewRawEncoder(&meta)
-	e.Float(m.prior)
-	if err := e.Flush(); err != nil {
-		return err
-	}
-	vw := snapshot.NewV2Writer(m.Name())
-	vw.Bytes("meta", meta.Bytes())
-	vw.Floats("gamma", m.gamma)
-	writePairs(vw, m.pairs)
-	vw.Floats("a.vals", m.alpha)
-	_, err := vw.WriteTo(w)
-	return err
-}
-
-// Load implements Snapshotter by refusing: mapped models are immutable.
-func (m *MappedPBM) Load(io.Reader) error { return ErrMappedImmutable }
+// ValidateTables runs the deep O(n) structural checks PBMFromArtifact
+// defers; verified load paths call it before install. A fitted model
+// has no frozen tables and passes.
+func (m *PBM) ValidateTables() error { return m.pairs.validate() }
 
 // --- DBN ---
 
-// SaveV2 writes the fitted DBN as a zero-parse v2 artifact.
+// SaveV2 writes the DBN as a zero-parse v2 artifact (see PBM.SaveV2).
 func (m *DBN) SaveV2(w io.Writer) error {
-	m.defaults()
-	p, vals := freezePairs([]map[qd]float64{m.AttrA, m.SatS}, []float64{m.PriorA, m.PriorS})
+	p, attr, sat := m.pairs, m.attrVals, m.satVals
+	if p == nil {
+		m.defaults()
+		var vals [][]float64
+		p, vals = freezePairs([]map[qd]float64{m.AttrA, m.SatS}, []float64{m.PriorA, m.PriorS})
+		attr, sat = vals[0], vals[1]
+	}
 	var meta bytes.Buffer
 	e := snapshot.NewRawEncoder(&meta)
 	e.Float(m.Gamma)
@@ -408,38 +373,21 @@ func (m *DBN) SaveV2(w io.Writer) error {
 	vw := snapshot.NewV2Writer(m.Name())
 	vw.Bytes("meta", meta.Bytes())
 	writePairs(vw, p)
-	vw.Floats("a.vals", vals[0])
-	vw.Floats("s.vals", vals[1])
+	vw.Floats("a.vals", attr)
+	vw.Floats("s.vals", sat)
 	_, err := vw.WriteTo(w)
 	return err
 }
 
-// MappedDBN is a DBN serving view over v2 artifact bytes.
-type MappedDBN struct {
-	pairs          *frozenPairs
-	attr, sat      []float64
-	gamma          float64
-	priorA, priorS float64
-}
-
-// ValidateTables runs the deep O(n) structural checks the mapped
-// constructor defers; verified load paths call it before install.
-func (m *MappedPBM) ValidateTables() error { return m.pairs.validate() }
-
-// DBNFromArtifact wraps a parsed v2 DBN artifact.
-func DBNFromArtifact(a *snapshot.V2Artifact) (*MappedDBN, error) {
-	if !strings.EqualFold(a.ModelName, "DBN") {
-		return nil, fmt.Errorf("clickmodel: artifact holds a %q model, not DBN", a.ModelName)
-	}
-	meta, err := a.BytesView("meta")
+// DBNFromArtifact returns a DBN served from a parsed v2 artifact (see
+// PBMFromArtifact): AttrA and SatS stay nil, the per-pair values are
+// views of the artifact bytes.
+func DBNFromArtifact(a *snapshot.V2Artifact) (*DBN, error) {
+	d, err := artifactMeta(a, "DBN")
 	if err != nil {
 		return nil, err
 	}
-	m := &MappedDBN{}
-	d := snapshot.NewRawDecoder(bytes.NewReader(meta))
-	m.gamma = d.Float()
-	m.priorA = d.Float()
-	m.priorS = d.Float()
+	m := &DBN{Gamma: d.Float(), PriorA: d.Float(), PriorS: d.Float()}
 	if err := d.Err(); err != nil {
 		return nil, err
 	}
@@ -447,179 +395,33 @@ func DBNFromArtifact(a *snapshot.V2Artifact) (*MappedDBN, error) {
 		return nil, err
 	}
 	n := m.pairs.NumPairs()
-	if m.attr, err = pairVals(a, "a.vals", n); err != nil {
+	if m.attrVals, err = pairVals(a, "a.vals", n); err != nil {
 		return nil, err
 	}
-	if m.sat, err = pairVals(a, "s.vals", n); err != nil {
+	if m.satVals, err = pairVals(a, "s.vals", n); err != nil {
 		return nil, err
 	}
 	return m, nil
 }
 
-// Name implements Model.
-func (m *MappedDBN) Name() string { return "DBN" }
-
-// ValidateTables runs the deep O(n) structural checks the mapped
-// constructor defers; verified load paths call it before install.
-func (m *MappedDBN) ValidateTables() error { return m.pairs.validate() }
-
-// Fit implements Model by refusing: mapped models are immutable.
-func (m *MappedDBN) Fit([]Session) error { return ErrMappedImmutable }
-
-func (m *MappedDBN) aOf(q, d string) float64 {
-	if id, ok := m.pairs.find(q, d); ok {
-		return m.attr[id]
-	}
-	return m.priorA
-}
-
-func (m *MappedDBN) sOf(q, d string) float64 {
-	if id, ok := m.pairs.find(q, d); ok {
-		return m.sat[id]
-	}
-	return m.priorS
-}
-
-// ClickProbs implements Model.
-func (m *MappedDBN) ClickProbs(s Session) []float64 { return m.ClickProbsInto(s, nil) }
-
-// ClickProbsInto implements InplaceScorer via the same forward
-// examination recursion as DBN.ClickProbsInto, term for term.
-func (m *MappedDBN) ClickProbsInto(s Session, buf []float64) []float64 {
-	out := resizeProbs(buf, len(s.Docs))
-	exam := 1.0
-	for i, d := range s.Docs {
-		a := m.aOf(s.Query, d)
-		sat := m.sOf(s.Query, d)
-		out[i] = exam * a
-		exam *= m.gamma * (a*(1-sat) + (1 - a))
-	}
-	return out
-}
-
-// ExaminationProbs implements Examiner.
-func (m *MappedDBN) ExaminationProbs(s Session) []float64 {
-	out := make([]float64, len(s.Docs))
-	exam := 1.0
-	for i, d := range s.Docs {
-		out[i] = exam
-		a := m.aOf(s.Query, d)
-		sat := m.sOf(s.Query, d)
-		exam *= m.gamma * (a*(1-sat) + (1 - a))
-	}
-	return out
-}
-
-// tailZ is the likelihood of the observed all-skip tail past the last
-// click, marginalising the stop position and (when there is a click)
-// the satisfaction outcome — the z of DBN.tailPosterior with the same
-// accumulation order, so likelihoods agree bit for bit.
-func (m *MappedDBN) tailZ(s Session, last int) float64 {
-	n := len(s.Docs)
-	g := m.gamma
-	var wSat, sum float64
-	if last >= 0 {
-		sat := m.sOf(s.Query, s.Docs[last])
-		wSat = sat
-		cur := 1 - sat
-		for t := last; t < n; t++ {
-			if t > last {
-				cur *= g * (1 - m.aOf(s.Query, s.Docs[t]))
-			}
-			w := cur
-			if t < n-1 {
-				w *= 1 - g
-			}
-			sum += w
-		}
-	} else {
-		cur := 1.0
-		for t := 0; t < n; t++ {
-			if t > 0 {
-				cur *= g
-			}
-			cur *= 1 - m.aOf(s.Query, s.Docs[t])
-			w := cur
-			if t < n-1 {
-				w *= 1 - g
-			}
-			sum += w
-		}
-	}
-	z := wSat + sum
-	if z <= 0 {
-		z = probEps
-	}
-	return z
-}
-
-// SessionLogLikelihood implements Model, mirroring DBN's exact
-// likelihood: certainly-examined prefix plus marginalised tail.
-func (m *MappedDBN) SessionLogLikelihood(s Session) float64 {
-	last := s.LastClick()
-	ll := 0.0
-	for j := 0; j <= last; j++ {
-		a := m.aOf(s.Query, s.Docs[j])
-		if s.Clicks[j] {
-			ll += log(a)
-			if j < last {
-				ll += log((1 - m.sOf(s.Query, s.Docs[j])) * m.gamma)
-			}
-		} else {
-			ll += log(1-a) + log(m.gamma)
-		}
-	}
-	ll += log(m.tailZ(s, last))
-	return ll
-}
-
-// NumParams feeds ParamCount's generic arm (mirrors DBN: pairs twice
-// plus the continuation scalar).
-func (m *MappedDBN) NumParams() int { return len(m.attr) + len(m.sat) + 1 }
-
-// Save implements Snapshotter by re-emitting the v2 sections.
-func (m *MappedDBN) Save(w io.Writer) error {
-	var meta bytes.Buffer
-	e := snapshot.NewRawEncoder(&meta)
-	e.Float(m.gamma)
-	e.Float(m.priorA)
-	e.Float(m.priorS)
-	if err := e.Flush(); err != nil {
-		return err
-	}
-	vw := snapshot.NewV2Writer(m.Name())
-	vw.Bytes("meta", meta.Bytes())
-	writePairs(vw, m.pairs)
-	vw.Floats("a.vals", m.attr)
-	vw.Floats("s.vals", m.sat)
-	_, err := vw.WriteTo(w)
-	return err
-}
-
-// Load implements Snapshotter by refusing: mapped models are immutable.
-func (m *MappedDBN) Load(io.Reader) error { return ErrMappedImmutable }
+// ValidateTables runs the deep O(n) structural checks DBNFromArtifact
+// defers (see PBM.ValidateTables).
+func (m *DBN) ValidateTables() error { return m.pairs.validate() }
 
 // --- dispatch ---
 
 // SaveV2Model writes a v2 artifact for any model with zero-parse
-// support (PBM, DBN, and their mapped forms); other models return an
-// error naming the v1 fallback.
+// support (PBM and DBN, fitted or artifact-backed); other models
+// return an error naming the v1 fallback.
 func SaveV2Model(w io.Writer, m Model) error {
-	switch t := m.(type) {
-	case *PBM:
-		return t.SaveV2(w)
-	case *DBN:
-		return t.SaveV2(w)
-	case *MappedPBM:
-		return t.Save(w)
-	case *MappedDBN:
-		return t.Save(w)
+	if sv, ok := m.(interface{ SaveV2(io.Writer) error }); ok {
+		return sv.SaveV2(w)
 	}
 	return fmt.Errorf("clickmodel: model %q has no v2 (zero-parse) codec; use the v1 snapshot format", m.Name())
 }
 
-// MappedFromArtifact constructs the serving view for the model named in
-// a parsed v2 artifact.
+// MappedFromArtifact constructs the model named in a parsed v2
+// artifact, served from the artifact's bytes.
 func MappedFromArtifact(a *snapshot.V2Artifact) (Model, error) {
 	switch strings.ToUpper(a.ModelName) {
 	case "PBM":

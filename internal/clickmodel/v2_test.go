@@ -4,8 +4,12 @@ import (
 	"bytes"
 	"errors"
 	"math"
+	"os"
+	"path/filepath"
+	"reflect"
 	"testing"
 
+	"repro/internal/mmap"
 	"repro/internal/snapshot"
 )
 
@@ -114,9 +118,74 @@ func TestV2MappedImmutable(t *testing.T) {
 	}
 }
 
+// TestV2MappedWritesCannotFault maps a PBM artifact read-only, as the
+// serving path does, and then does everything a caller holding the
+// *PBM can do to change it: Fit, FitLog, Load, and a store through the
+// exported Gamma. Each must be refused or land in heap memory; a store
+// into the PROT_READ mapping would kill the process with SIGSEGV, so
+// reaching the end of the test is the assertion. The scores are
+// compared before and after to show the refusals changed nothing.
+func TestV2MappedWritesCannotFault(t *testing.T) {
+	train := snapSessions(11, 300, 5)
+	var buf bytes.Buffer
+	if err := SaveV2Model(&buf, fitFresh(t, "PBM", train)); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "pbm.mbs2")
+	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	art, err := mmap.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer art.Release()
+	m, err := PBMFromArtifact(art.V2Artifact)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := train[0]
+	before := m.ClickProbs(s)
+
+	if err := m.Fit(train); !errors.Is(err, ErrMappedImmutable) {
+		t.Errorf("Fit err = %v, want ErrMappedImmutable", err)
+	}
+	c, err := Compile(train)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m.FitLog(c); !errors.Is(err, ErrMappedImmutable) {
+		t.Errorf("FitLog err = %v, want ErrMappedImmutable", err)
+	}
+	var v1 bytes.Buffer
+	if err := fitFresh(t, "PBM", train).(Snapshotter).Save(&v1); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Load(&v1); !errors.Is(err, ErrMappedImmutable) {
+		t.Errorf("Load err = %v, want ErrMappedImmutable", err)
+	}
+	if got := m.ClickProbs(s); !reflect.DeepEqual(got, before) {
+		t.Errorf("refused writes changed the scores: %v, was %v", got, before)
+	}
+
+	// Gamma is a heap copy: the store succeeds, is observed by scoring,
+	// and leaves the artifact's own section as it was.
+	m.Gamma[0] = 0.25
+	if got := m.ClickProbs(s)[0]; got == before[0] {
+		t.Errorf("a store through Gamma was not observed: position 0 still scores %v", got)
+	}
+	mapped, err := art.FloatsView("gamma")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if mapped[0] == 0.25 {
+		t.Error("the store through Gamma reached the mapped section")
+	}
+}
+
 func TestV2MappedZeroAllocScore(t *testing.T) {
 	fitted := fitFresh(t, "PBM", snapSessions(2, 300, 5))
-	mapped := v2Mapped(t, fitted).(*MappedPBM)
+	mapped := v2Mapped(t, fitted).(*PBM)
 	s := Session{Query: "flights", Docs: []string{"d1", "d2", "d3", "d4"}, Clicks: make([]bool, 4)}
 	buf := make([]float64, 4)
 	allocs := testing.AllocsPerRun(200, func() {
@@ -311,17 +380,6 @@ func TestV2MappedLoadsUntaggedArtifact(t *testing.T) {
 		}
 	}
 }
-
-var (
-	_ Model         = (*MappedPBM)(nil)
-	_ InplaceScorer = (*MappedPBM)(nil)
-	_ Examiner      = (*MappedPBM)(nil)
-	_ Snapshotter   = (*MappedPBM)(nil)
-	_ Model         = (*MappedDBN)(nil)
-	_ InplaceScorer = (*MappedDBN)(nil)
-	_ Examiner      = (*MappedDBN)(nil)
-	_ Snapshotter   = (*MappedDBN)(nil)
-)
 
 // TestFrozenPairsFullTableTerminates is the pair-table half of the
 // hostile-artifact regression (see textproc's

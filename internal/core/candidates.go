@@ -10,7 +10,7 @@ package core
 // partials. Both the CTR (a product of per-term factors) and the
 // expected score (a sum) factor exactly across lines, so the
 // combination is lossless up to float re-association, which the parity
-// suite pins at 1e-12 against the map model.
+// suite pins at 1e-12 against the reference in package coreref.
 
 import (
 	"math"
@@ -172,20 +172,4 @@ func (c *CompiledModel) scoreCandLine(cs *CandidateScratch, id textproc.LineID, 
 		terms += int32(nmax)
 	}
 	return ctr, score, terms
-}
-
-// ScoreCandidates is the map-model fallback: a plain per-candidate
-// ScoreSnippet loop with the same output contract as the compiled
-// path. The parity suite pins the two within 1e-12.
-func (m *Model) ScoreCandidates(cands [][]string, maxN int, out []CandidateScore) []CandidateScore {
-	if cap(out) >= len(cands) {
-		out = out[:len(cands)]
-	} else {
-		out = make([]CandidateScore, len(cands))
-	}
-	for i, lines := range cands {
-		ctr, score := m.ScoreSnippet(lines, maxN)
-		out[i] = CandidateScore{CTR: ctr, Score: score}
-	}
-	return out
 }

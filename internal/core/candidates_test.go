@@ -1,4 +1,4 @@
-package core
+package core_test
 
 import (
 	"math"
@@ -6,6 +6,8 @@ import (
 	"strconv"
 	"testing"
 
+	"repro/internal/core"
+	"repro/internal/core/coreref"
 	"repro/internal/textproc"
 )
 
@@ -43,9 +45,9 @@ func randomCandidates(rng *rand.Rand, n int) [][]string {
 // fallback and with per-candidate compiled ScoreSnippet within 1e-12.
 func TestScoreCandidatesParity(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	var cs CandidateScratch
+	var cs core.CandidateScratch
 	var sc textproc.Scratch
-	var out, mapOut []CandidateScore
+	var out, mapOut []core.CandidateScore
 	for trial := 0; trial < 60; trial++ {
 		for _, att := range parityAttentions(rng) {
 			m := randomModel(rng, att)
@@ -54,7 +56,7 @@ func TestScoreCandidatesParity(t *testing.T) {
 			maxN := 1 + rng.Intn(3)
 
 			out = cm.ScoreCandidates(cands, maxN, &cs, out)
-			mapOut = m.ScoreCandidates(cands, maxN, mapOut)
+			mapOut = coreref.ScoreCandidates(m, cands, maxN, mapOut)
 			if len(out) != len(cands) || len(mapOut) != len(cands) {
 				t.Fatalf("trial %d: %d candidates scored as %d/%d", trial, len(cands), len(out), len(mapOut))
 			}
@@ -76,10 +78,10 @@ func TestScoreCandidatesParity(t *testing.T) {
 // TestScoreCandidatesEdgeShapes pins the degenerate inputs: no
 // candidates at all, all-empty candidates, and punctuation-only lines.
 func TestScoreCandidatesEdgeShapes(t *testing.T) {
-	m := NewModel(GeometricAttention{LineWeights: []float64{0.9, 0.6, 0.3}, Decay: 0.8})
+	m := core.NewModel(core.GeometricAttention{LineWeights: []float64{0.9, 0.6, 0.3}, Decay: 0.8})
 	m.Relevance["find cheap"] = 0.85
 	cm := m.Compile()
-	var cs CandidateScratch
+	var cs core.CandidateScratch
 
 	if out := cm.ScoreCandidates(nil, 2, &cs, nil); len(out) != 0 {
 		t.Fatalf("nil candidates scored as %d results", len(out))
@@ -96,11 +98,11 @@ func TestScoreCandidatesEdgeShapes(t *testing.T) {
 // cache's line bound (and the attention table) so the uncached
 // recompute path is compared against ScoreSnippet too.
 func TestScoreCandidatesDeepLines(t *testing.T) {
-	m := NewModel(GeometricAttention{LineWeights: []float64{0.9, 0.8, 0.7, 0.6, 0.5, 0.4, 0.3, 0.2, 0.1, 0.05}, Decay: 0.95})
+	m := core.NewModel(core.GeometricAttention{LineWeights: []float64{0.9, 0.8, 0.7, 0.6, 0.5, 0.4, 0.3, 0.2, 0.1, 0.05}, Decay: 0.95})
 	m.Relevance["deep"] = 0.9
 	m.Relevance["deep deep"] = 0.4
 	cm := m.Compile()
-	var cs CandidateScratch
+	var cs core.CandidateScratch
 	var sc textproc.Scratch
 
 	deep := make([]string, 12) // beyond candCacheLines
@@ -123,11 +125,11 @@ func TestScoreCandidatesDeepLines(t *testing.T) {
 // and that duplicate candidates reuse their originals' partials
 // bit for bit.
 func TestScoreCandidatesDistinctAndDuplicate(t *testing.T) {
-	m := NewModel(FullAttention{})
+	m := core.NewModel(core.FullAttention{})
 	m.Relevance["alpha"] = 0.9
 	m.Relevance["beta"] = 0.1
 	cm := m.Compile()
-	var cs CandidateScratch
+	var cs core.CandidateScratch
 	var sc textproc.Scratch
 
 	cands := [][]string{{"alpha"}, {"beta"}, {"alpha"}, {"beta"}}
@@ -150,11 +152,11 @@ func TestScoreCandidatesDistinctAndDuplicate(t *testing.T) {
 // ScoreCandidates and scoreCandLine: a warm candidate-set pass over a
 // fixed workload must not allocate.
 func TestScoreCandidatesNoalloc(t *testing.T) {
-	m := NewModel(GeometricAttention{LineWeights: []float64{0.9, 0.6, 0.3}, Decay: 0.8})
+	m := core.NewModel(core.GeometricAttention{LineWeights: []float64{0.9, 0.6, 0.3}, Decay: 0.8})
 	m.Relevance["find cheap"] = 0.85
 	m.Relevance["flights"] = 0.6
 	cm := m.Compile()
-	var cs CandidateScratch
+	var cs core.CandidateScratch
 
 	base := []string{"XYZ Airlines Official Site", "Find cheap flights to Rome", "No reservation costs!"}
 	cands := make([][]string, 32)
@@ -164,7 +166,7 @@ func TestScoreCandidatesNoalloc(t *testing.T) {
 		edit[i%3] = "Great rates variant " + strconv.Itoa(i)
 		cands[i] = edit
 	}
-	var out []CandidateScore
+	var out []core.CandidateScore
 	out = cm.ScoreCandidates(cands, 3, &cs, out) // warm arenas and caches
 	allocs := testing.AllocsPerRun(100, func() {
 		out = cm.ScoreCandidates(cands, 3, &cs, out)

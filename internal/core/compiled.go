@@ -134,11 +134,13 @@ func (c *CompiledModel) examine(line, pos int) float64 {
 // the micro CTR — the exact expectation of Eq. 3 under independent
 // micro-examination, Π (a_i·r_i + 1 − a_i) — and the expected
 // log-probability score Σ a_i·log r_i whose pairwise differences
-// reproduce Eq. 5. Clamping and the empty/NaN CTR guard match
-// Model.ScoreSnippet; terms accumulate in window-start order rather
-// than gram-size order, so the only divergence from the map path is
-// float re-association, and the parity suite pins both CTR and Score
-// to 1e-12.
+// reproduce Eq. 5. It is the only scoring pass production code runs;
+// the term-by-term statement of the same equations over the Relevance
+// map lives in the test-only package coreref. Clamping and the
+// empty/NaN CTR guard match that reference; terms accumulate in
+// window-start order rather than gram-size order, so the only
+// divergence is float re-association, and the parity suite pins both
+// CTR and Score to 1e-12.
 //
 // sc is the caller-owned tokenisation scratch (one per goroutine);
 // every n-gram window resolves through the interned vocab by byte
@@ -184,27 +186,6 @@ func (c *CompiledModel) ScoreSnippet(lines []string, maxN int, sc *textproc.Scra
 		}
 	}
 	if terms == 0 || math.IsNaN(ctr) {
-		ctr = 0
-	}
-	return ctr, score
-}
-
-// ScoreSnippet is the fused, uncompiled scoring pass: one walk over
-// the extracted terms computes both the exact Eq. 3 CTR expectation
-// and the expected log-probability score, where the previous serving
-// path walked the terms twice (CTR, then ExpectedScore re-doing the
-// attention, map lookup and logarithm). CompiledModel.ScoreSnippet is
-// the allocation-free form of the same computation.
-func (m *Model) ScoreSnippet(lines []string, maxN int) (ctr, score float64) {
-	terms := textproc.ExtractTerms(lines, maxN)
-	ctr = 1.0
-	for _, t := range terms {
-		a := m.Examine(t)
-		r := m.TermRelevance(t.Text)
-		ctr *= a*r + 1 - a
-		score += a * math.Log(r)
-	}
-	if len(terms) == 0 || math.IsNaN(ctr) {
 		ctr = 0
 	}
 	return ctr, score

@@ -1,4 +1,4 @@
-package core
+package core_test
 
 import (
 	"bytes"
@@ -7,13 +7,15 @@ import (
 	"strconv"
 	"testing"
 
+	"repro/internal/core"
+	"repro/internal/core/coreref"
 	"repro/internal/textproc"
 )
 
 // legacyScore replicates the pre-fusion serving computation (one CTR
 // walk, then ExpectedScore re-walking the terms) as the reference the
 // fused paths must match.
-func legacyScore(m *Model, lines []string, maxN int) (ctr, score float64) {
+func legacyScore(m *core.Model, lines []string, maxN int) (ctr, score float64) {
 	terms := textproc.ExtractTerms(lines, maxN)
 	ctr = 1.0
 	for _, t := range terms {
@@ -36,8 +38,8 @@ func randomWords(rng *rand.Rand, n int) []string {
 	return words
 }
 
-func randomModel(rng *rand.Rand, att Attention) *Model {
-	m := NewModel(att)
+func randomModel(rng *rand.Rand, att core.Attention) *core.Model {
+	m := core.NewModel(att)
 	for _, w := range randomWords(rng, 120) {
 		// Deliberately out-of-range values exercise the clamps: the
 		// compiled table must bake in exactly TermRelevance's clamping.
@@ -84,7 +86,7 @@ func randomLines(rng *rand.Rand, maxLines, maxTokens int) []string {
 
 // parityAttentions returns the attention layers of the property suite:
 // the three shipped families plus nil (degenerate FullAttention).
-func parityAttentions(rng *rand.Rand) []Attention {
+func parityAttentions(rng *rand.Rand) []core.Attention {
 	w := make([][]float64, 3)
 	for i := range w {
 		w[i] = make([]float64, 6)
@@ -92,11 +94,11 @@ func parityAttentions(rng *rand.Rand) []Attention {
 			w[i][j] = rng.Float64()*1.2 - 0.1 // includes out-of-range cells
 		}
 	}
-	return []Attention{
+	return []core.Attention{
 		nil,
-		FullAttention{},
-		GeometricAttention{LineWeights: []float64{0.95, 0.7, 0.45}, Decay: 0.85},
-		TableAttention{W: w, Default: rng.Float64()},
+		core.FullAttention{},
+		core.GeometricAttention{LineWeights: []float64{0.95, 0.7, 0.45}, Decay: 0.85},
+		core.TableAttention{W: w, Default: rng.Float64()},
 	}
 }
 
@@ -115,7 +117,7 @@ func TestCompiledParity(t *testing.T) {
 			maxN := 1 + rng.Intn(3)
 
 			wantCTR, wantScore := legacyScore(m, lines, maxN)
-			fusedCTR, fusedScore := m.ScoreSnippet(lines, maxN)
+			fusedCTR, fusedScore := coreref.ScoreSnippet(m, lines, maxN)
 			gotCTR, gotScore := cm.ScoreSnippet(lines, maxN, &sc)
 
 			if math.Abs(fusedCTR-wantCTR) > 1e-12 || math.Abs(fusedScore-wantScore) > 1e-12 {
@@ -134,7 +136,7 @@ func TestCompiledParity(t *testing.T) {
 // mixed-case ad text, so the zero-copy normaliser inside the compiled
 // path is compared against the string path end to end.
 func TestCompiledParityRealText(t *testing.T) {
-	m := NewModel(GeometricAttention{LineWeights: []float64{0.9, 0.6, 0.3}, Decay: 0.8})
+	m := core.NewModel(core.GeometricAttention{LineWeights: []float64{0.9, 0.6, 0.3}, Decay: 0.8})
 	m.Relevance["find cheap"] = 0.85
 	m.Relevance["flights"] = 0.6
 	m.Relevance["20%"] = 0.9
@@ -150,7 +152,7 @@ func TestCompiledParityRealText(t *testing.T) {
 	}
 	for _, lines := range snippets {
 		for maxN := 1; maxN <= 3; maxN++ {
-			wantCTR, wantScore := m.ScoreSnippet(lines, maxN)
+			wantCTR, wantScore := coreref.ScoreSnippet(m, lines, maxN)
 			gotCTR, gotScore := cm.ScoreSnippet(lines, maxN, &sc)
 			if math.Abs(gotCTR-wantCTR) > 1e-12 || math.Abs(gotScore-wantScore) > 1e-12 {
 				t.Errorf("lines %q maxN %d: compiled (%v, %v), want (%v, %v)",
@@ -167,11 +169,11 @@ func TestCompiledDefaultRelevance(t *testing.T) {
 	var sc textproc.Scratch
 	lines := []string{"totally unknown words here"}
 	for _, def := range []float64{0, 0.3, 1.5, -2} {
-		m := NewModel(FullAttention{})
+		m := core.NewModel(core.FullAttention{})
 		m.Relevance["known"] = 0.9
 		m.DefaultRelevance = def
 		cm := m.Compile()
-		wantCTR, wantScore := m.ScoreSnippet(lines, 2)
+		wantCTR, wantScore := coreref.ScoreSnippet(m, lines, 2)
 		gotCTR, gotScore := cm.ScoreSnippet(lines, 2, &sc)
 		if math.Abs(gotCTR-wantCTR) > 1e-12 || math.Abs(gotScore-wantScore) > 1e-12 {
 			t.Errorf("default %v: compiled (%v, %v), want (%v, %v)", def, gotCTR, gotScore, wantCTR, wantScore)
@@ -181,7 +183,7 @@ func TestCompiledDefaultRelevance(t *testing.T) {
 		if r == 0 {
 			r = 0.5
 		}
-		r = clampRel(r)
+		r = core.ClampRel(r)
 		if want := math.Pow(r, 7); math.Abs(gotCTR-want) > 1e-9 { // 4 unigram + 3 bigram windows
 			t.Errorf("default %v: CTR %v, want %v", def, gotCTR, want)
 		}
@@ -191,13 +193,13 @@ func TestCompiledDefaultRelevance(t *testing.T) {
 // TestCompiledEmptySnippet mirrors the serving guard: no terms means
 // CTR 0, not the multiplicative identity.
 func TestCompiledEmptySnippet(t *testing.T) {
-	m := NewModel(nil)
+	m := core.NewModel(nil)
 	cm := m.Compile()
 	var sc textproc.Scratch
 	if ctr, score := cm.ScoreSnippet([]string{"", "?!"}, 2, &sc); ctr != 0 || score != 0 {
 		t.Errorf("empty snippet scored (%v, %v), want (0, 0)", ctr, score)
 	}
-	if ctr, _ := m.ScoreSnippet(nil, 2); ctr != 0 {
+	if ctr, _ := coreref.ScoreSnippet(m, nil, 2); ctr != 0 {
 		t.Errorf("fused map path: empty snippet CTR %v, want 0", ctr)
 	}
 }
@@ -205,7 +207,7 @@ func TestCompiledEmptySnippet(t *testing.T) {
 // TestCompiledDeepSnippet pushes coordinates beyond the dense
 // attention table so the interface fallback path is exercised.
 func TestCompiledDeepSnippet(t *testing.T) {
-	m := NewModel(GeometricAttention{LineWeights: []float64{0.9, 0.8, 0.7, 0.6, 0.5, 0.4, 0.3, 0.2, 0.1, 0.05}, Decay: 0.95})
+	m := core.NewModel(core.GeometricAttention{LineWeights: []float64{0.9, 0.8, 0.7, 0.6, 0.5, 0.4, 0.3, 0.2, 0.1, 0.05}, Decay: 0.95})
 	m.Relevance["deep"] = 0.9
 	cm := m.Compile()
 	var sc textproc.Scratch
@@ -221,7 +223,7 @@ func TestCompiledDeepSnippet(t *testing.T) {
 	for i := range lines {
 		lines[i] = long
 	}
-	wantCTR, wantScore := m.ScoreSnippet(lines, 3)
+	wantCTR, wantScore := coreref.ScoreSnippet(m, lines, 3)
 	gotCTR, gotScore := cm.ScoreSnippet(lines, 3, &sc)
 	if math.Abs(gotCTR-wantCTR) > 1e-12 || math.Abs(gotScore-wantScore) > 1e-12 {
 		t.Errorf("deep snippet: compiled (%v, %v), want (%v, %v)", gotCTR, gotScore, wantCTR, wantScore)
@@ -232,7 +234,7 @@ func TestCompiledDeepSnippet(t *testing.T) {
 // normalise, tokenise, n-gram lookups, CTR and score — to zero
 // steady-state allocations.
 func TestCompiledZeroAlloc(t *testing.T) {
-	m := NewModel(GeometricAttention{LineWeights: []float64{0.9, 0.6, 0.3}, Decay: 0.8})
+	m := core.NewModel(core.GeometricAttention{LineWeights: []float64{0.9, 0.6, 0.3}, Decay: 0.8})
 	m.Relevance["find cheap"] = 0.85
 	m.Relevance["flights"] = 0.6
 	cm := m.Compile()
@@ -251,7 +253,7 @@ func TestCompiledZeroAlloc(t *testing.T) {
 // model and checks parity against the original — the LoadSnapshot
 // compile-on-install path end to end.
 func TestCompiledAfterSnapshotRoundTrip(t *testing.T) {
-	m := NewModel(TableAttention{W: [][]float64{{0.9, 0.7}, {0.5, 0.3}}, Default: 0.2})
+	m := core.NewModel(core.TableAttention{W: [][]float64{{0.9, 0.7}, {0.5, 0.3}}, Default: 0.2})
 	m.Relevance["find cheap"] = 0.85
 	m.Relevance["flights"] = 0.6
 	m.DefaultRelevance = 0.4
@@ -260,7 +262,7 @@ func TestCompiledAfterSnapshotRoundTrip(t *testing.T) {
 	if err := m.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := LoadModel(&buf)
+	loaded, err := core.LoadModel(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,7 +275,7 @@ func TestCompiledAfterSnapshotRoundTrip(t *testing.T) {
 	}
 	var sc textproc.Scratch
 	lines := []string{"Find cheap flights", "Great rates"}
-	wantCTR, wantScore := m.ScoreSnippet(lines, 2)
+	wantCTR, wantScore := coreref.ScoreSnippet(m, lines, 2)
 	gotCTR, gotScore := cm.ScoreSnippet(lines, 2, &sc)
 	if math.Abs(gotCTR-wantCTR) > 1e-12 || math.Abs(gotScore-wantScore) > 1e-12 {
 		t.Errorf("round-tripped compile: (%v, %v), want (%v, %v)", gotCTR, gotScore, wantCTR, wantScore)

@@ -1,4 +1,4 @@
-package core
+package core_test
 
 import (
 	"bytes"
@@ -6,11 +6,12 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/snapshot"
 	"repro/internal/textproc"
 )
 
-func v2RoundTrip(t *testing.T, c *CompiledModel) *CompiledModel {
+func v2RoundTrip(t *testing.T, c *core.CompiledModel) *core.CompiledModel {
 	t.Helper()
 	var buf bytes.Buffer
 	if err := c.SaveV2(&buf); err != nil {
@@ -23,7 +24,7 @@ func v2RoundTrip(t *testing.T, c *CompiledModel) *CompiledModel {
 	if err := a.VerifySections(); err != nil {
 		t.Fatalf("VerifySections: %v", err)
 	}
-	mapped, err := CompiledFromArtifact(a)
+	mapped, err := core.CompiledFromArtifact(a)
 	if err != nil {
 		t.Fatalf("CompiledFromArtifact: %v", err)
 	}
@@ -67,7 +68,7 @@ func TestV2CompiledParity(t *testing.T) {
 // save → load → recompile path end to end, the exact comparison the
 // serving smoke test automates.
 func TestV2ParityVsV1Path(t *testing.T) {
-	m := NewModel(GeometricAttention{LineWeights: []float64{0.9, 0.6, 0.3}, Decay: 0.8})
+	m := core.NewModel(core.GeometricAttention{LineWeights: []float64{0.9, 0.6, 0.3}, Decay: 0.8})
 	m.Relevance["find cheap"] = 0.85
 	m.Relevance["flights"] = 0.6
 	m.Relevance["cheap flights"] = 0.9
@@ -78,7 +79,7 @@ func TestV2ParityVsV1Path(t *testing.T) {
 	if err := m.Save(&v1); err != nil {
 		t.Fatal(err)
 	}
-	m1, err := LoadModel(bytes.NewReader(v1.Bytes()))
+	m1, err := core.LoadModel(bytes.NewReader(v1.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +98,7 @@ func TestV2ParityVsV1Path(t *testing.T) {
 }
 
 func TestV2ZeroAllocMapped(t *testing.T) {
-	m := NewModel(GeometricAttention{LineWeights: []float64{0.9, 0.6, 0.3}, Decay: 0.8})
+	m := core.NewModel(core.GeometricAttention{LineWeights: []float64{0.9, 0.6, 0.3}, Decay: 0.8})
 	m.Relevance["cheap flights"] = 0.9
 	m.Relevance["flights"] = 0.6
 	mapped := v2RoundTrip(t, m.Compile())
@@ -113,7 +114,7 @@ func TestV2ZeroAllocMapped(t *testing.T) {
 }
 
 func TestCompiledFromArtifactRejects(t *testing.T) {
-	m := NewModel(FullAttention{})
+	m := core.NewModel(core.FullAttention{})
 	m.Relevance["a"] = 0.5
 	var buf bytes.Buffer
 	if err := m.SaveV2(&buf); err != nil {
@@ -130,7 +131,7 @@ func TestCompiledFromArtifactRejects(t *testing.T) {
 	}
 	if a, err := snapshot.ParseV2(other.Bytes()); err != nil {
 		t.Fatal(err)
-	} else if _, err := CompiledFromArtifact(a); err == nil {
+	} else if _, err := core.CompiledFromArtifact(a); err == nil {
 		t.Error("accepted an artifact for a different model")
 	}
 
@@ -138,7 +139,7 @@ func TestCompiledFromArtifactRejects(t *testing.T) {
 	// serve partial tables. v.tags is the one section whose absence is
 	// not an error: an artifact without it predates the tags.
 	for _, drop := range []string{"meta", "v.blob", "v.offs", "v.tabl", "v.tags", "rel", "logrel"} {
-		_, err := CompiledFromArtifact(withoutSection(t, good, drop))
+		_, err := core.CompiledFromArtifact(withoutSection(t, good, drop))
 		if drop == "v.tags" {
 			if err != nil {
 				t.Errorf("rejected an artifact without %q: %v", drop, err)
@@ -207,11 +208,11 @@ func TestV2UntaggedArtifactScoresIdentically(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, err := CompiledFromArtifact(tagged)
+			want, err := core.CompiledFromArtifact(tagged)
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := CompiledFromArtifact(withoutSection(t, buf.Bytes(), "v.tags"))
+			got, err := core.CompiledFromArtifact(withoutSection(t, buf.Bytes(), "v.tags"))
 			if err != nil {
 				t.Fatalf("untagged artifact: %v", err)
 			}
@@ -237,7 +238,7 @@ func TestV2UntaggedArtifactScoresIdentically(t *testing.T) {
 // CompiledFromArtifact and can only cost misses; the verified load's
 // deep pass must refuse it.
 func TestValidateTablesRejectsFlippedTag(t *testing.T) {
-	m := NewModel(FullAttention{})
+	m := core.NewModel(core.FullAttention{})
 	for _, term := range []string{"a", "b", "c d", "e"} {
 		m.Relevance[term] = 0.5
 	}
@@ -264,7 +265,7 @@ func TestValidateTablesRejectsFlippedTag(t *testing.T) {
 	if !flipped {
 		t.Fatal("no empty bucket to corrupt")
 	}
-	c, err := CompiledFromArtifact(a)
+	c, err := core.CompiledFromArtifact(a)
 	if err != nil {
 		t.Fatalf("trusted load reads no tag but term 0's, yet: %v", err)
 	}

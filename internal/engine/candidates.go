@@ -50,10 +50,5 @@ func (e *Engine) ScoreCandidates(ctx context.Context, ref string, cands [][]stri
 	}
 	sc := getScratch()
 	defer putScratch(sc)
-	if c := ms.Compiled(); c != nil {
-		out = c.ScoreCandidates(cands, maxN, &sc.cands, out)
-	} else {
-		out = ms.M.ScoreCandidates(cands, maxN, out)
-	}
-	return out, mv.info, nil
+	return ms.c.ScoreCandidates(cands, maxN, &sc.cands, out), mv.info, nil
 }

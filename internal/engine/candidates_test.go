@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/core/coreref"
 )
 
 // testCandidates builds the optimize workload shape over testLines:
@@ -52,13 +53,8 @@ func TestEngineScoreCandidatesMatchesScoreCTR(t *testing.T) {
 		}
 	}
 
-	// Map-fallback scorer (no compiled form) must agree too.
-	e2 := New()
-	e2.Register("literal", &MicroScorer{M: testMicroModel()})
-	out2, _, err := e2.ScoreCandidates(ctx, "literal", cands, 3, out[:0])
-	if err != nil {
-		t.Fatal(err)
-	}
+	// The map-based reference (no compiled form) must agree too.
+	out2 := coreref.ScoreCandidates(testMicroModel(), cands, 3, nil)
 	for k := range cands {
 		if math.Abs(out2[k].CTR-out[k].CTR) > 1e-12 || math.Abs(out2[k].Score-out[k].Score) > 1e-12 {
 			t.Fatalf("cand %d: map fallback (%v, %v) vs compiled (%v, %v)", k, out2[k].CTR, out2[k].Score, out[k].CTR, out[k].Score)

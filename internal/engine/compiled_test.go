@@ -11,11 +11,13 @@ import (
 
 	"repro/internal/clickmodel"
 	"repro/internal/core"
+	"repro/internal/core/coreref"
 )
 
 // TestCompiledMicroMatchesMapScorer pins the engine-visible compiled
-// scorer to the uncompiled map-based computation across attention
-// families — the serving-level half of the core parity suite.
+// scorer to the reference map-based computation (package coreref)
+// across attention families — the serving-level half of the core
+// parity suite.
 func TestCompiledMicroMatchesMapScorer(t *testing.T) {
 	attentions := []core.Attention{
 		nil,
@@ -35,7 +37,6 @@ func TestCompiledMicroMatchesMapScorer(t *testing.T) {
 		m.Relevance["flights"] = 0.6
 		m.Relevance["20%"] = 0.9
 		compiled := NewMicroScorer(m)
-		uncompiled := &MicroScorer{M: m} // literal construction: no compiled form
 		for _, lines := range snippets {
 			for _, maxN := range []int{0, 1, 2, 3} {
 				req := Request{Lines: lines, MaxN: maxN}
@@ -43,10 +44,8 @@ func TestCompiledMicroMatchesMapScorer(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				want, err := uncompiled.ScoreCTR(ctx, req)
-				if err != nil {
-					t.Fatal(err)
-				}
+				var want Response // the reference: Eq. 3–5 term by term over the map
+				want.CTR, want.Score = coreref.ScoreSnippet(m, lines, req.maxN())
 				if math.Abs(got.CTR-want.CTR) > 1e-12 || math.Abs(got.Score-want.Score) > 1e-12 {
 					t.Errorf("attention %d lines %q maxN %d: compiled (%v, %v), map (%v, %v)",
 						ai, lines, maxN, got.CTR, got.Score, want.CTR, want.Score)
@@ -131,7 +130,7 @@ func TestPositionsArenaNoAliasing(t *testing.T) {
 		t.Fatal(err)
 	}
 	e := New(WithWorkers(2))
-	e.RegisterModel(m)
+	installed(t, e, m.Name(), NewClickModelScorer(m))
 
 	sessions := clickSessions(30, 4)
 	reqs := make([]Request, len(sessions))
@@ -197,8 +196,8 @@ func TestModelCount(t *testing.T) {
 	if err := m.Fit(clickSessions(10, 3)); err != nil {
 		t.Fatal(err)
 	}
-	e.RegisterModel(m)
-	e.RegisterModel(m) // second version of the same name: count unchanged
+	installed(t, e, m.Name(), NewClickModelScorer(m))
+	installed(t, e, m.Name(), NewClickModelScorer(m)) // second version of the same name: count unchanged
 	if got, want := e.ModelCount(), len(e.ModelNames()); got != want {
 		t.Errorf("ModelCount = %d, ModelNames has %d", got, want)
 	}

@@ -11,9 +11,10 @@
 //
 //   - name-based model selection backed by the clickmodel registry, so
 //     binaries pick models from config strings (-model pbm);
-//   - immutable, versioned model installs: every Register/Fit/
-//     LoadSnapshot publishes a new version of the named scorer into a
-//     copy-on-write table behind an atomic pointer, so the read path
+//   - immutable, versioned model installs: Install — and Fit, UseMicro
+//     and the LoadSnapshot family, which end in the same publish —
+//     puts a new version of the named scorer into a copy-on-write
+//     table behind an atomic pointer, so the read path
 //     (ScoreCTR/ScoreBatch) is lock-free and in-flight requests always
 //     see a consistent table. Requests address "name" (the latest
 //     version) or "name@3" (a pinned version); Rollback moves the
@@ -36,6 +37,7 @@ package engine
 
 import (
 	"bufio"
+	"cmp"
 	"context"
 	"fmt"
 	"io"
@@ -62,11 +64,11 @@ const NameMicro = "micro"
 // scores batches on their callers, helped by a capped number of extra
 // strands. Create one with New; the zero value is unusable.
 //
-// An Engine is safe for concurrent use. Installing scorers (Register,
-// Fit, LoadSnapshot, Rollback) while batches are in flight is allowed:
-// writers publish a fresh immutable scorer table through an atomic
-// pointer, so readers never block and each request resolves against
-// one consistent table.
+// An Engine is safe for concurrent use. Installing scorers (Install,
+// Fit, LoadSnapshot) or rolling one back while batches are in flight
+// is allowed: writers publish a fresh immutable scorer table through
+// an atomic pointer, so readers never block and each request resolves
+// against one consistent table.
 type Engine struct {
 	workers      int
 	attention    core.Attention
@@ -322,28 +324,19 @@ func (e *Engine) installLocked(name string, s Scorer, source string, art *mmap.A
 	return info
 }
 
-// install takes the writer lock and publishes a new version. Name
-// validation returns an error (not a panic) because names arrive from
-// the wire via LoadSnapshot.
-func (e *Engine) install(name string, s Scorer, source string) (ModelInfo, error) {
-	return e.installArtifact(name, s, source, nil)
-}
-
-// installArtifact is install carrying a mapped artifact's owner
-// reference; on a rejected install the reference is released so the
-// mapping does not leak.
-func (e *Engine) installArtifact(name string, s Scorer, source string, art *mmap.Artifact) (ModelInfo, error) {
+// publish validates the name and, under the writer lock, swaps in a
+// table that serves s as the next version of it — the one point every
+// route to an installed version passes. Names arrive from the wire
+// (the admin load endpoint), so a bad one is an error, not a panic.
+// art, when non-nil, is the artifact s's tables view: a successful
+// publish takes over the caller's reference to it, a refused one
+// leaves that reference with the caller.
+func (e *Engine) publish(name string, s Scorer, source string, art *mmap.Artifact) (ModelInfo, error) {
 	key := canonical(name)
 	if key == "" || s == nil {
-		if art != nil {
-			art.Release()
-		}
 		return ModelInfo{}, fmt.Errorf("engine: install needs a name and a scorer")
 	}
 	if strings.ContainsRune(key, '@') {
-		if art != nil {
-			art.Release()
-		}
 		return ModelInfo{}, fmt.Errorf("engine: model name %q must not contain '@' (reserved for version references)", name)
 	}
 	e.mu.Lock()
@@ -351,66 +344,27 @@ func (e *Engine) installArtifact(name string, s Scorer, source string, art *mmap
 	return e.installLocked(key, s, source, art), nil
 }
 
-// mustInstall is install for compile-time-known names, where a bad
-// name or nil scorer is a programmer error worth failing loudly at
-// process start.
-func (e *Engine) mustInstall(name string, s Scorer, source string) ModelInfo {
-	info, err := e.install(name, s, source)
-	if err != nil {
-		panic(err)
-	}
-	return info
-}
-
 // SourceOnline is the Models() provenance tag of versions published by
 // the online learning loop (internal/stream).
 const SourceOnline = "online"
 
-// InstallModel installs a fitted click model under its canonical name
-// with the given provenance tag (shown as ModelInfo.Source). It is the
-// error-returning counterpart of RegisterModel for callers that
-// install models at runtime — the online publisher above all — where a
-// bad model must not panic the serving process. An empty source is
-// recorded as "register".
-func (e *Engine) InstallModel(m clickmodel.Model, source string) (ModelInfo, error) {
-	if m == nil {
-		return ModelInfo{}, fmt.Errorf("engine: InstallModel with nil model")
-	}
-	if source == "" {
-		source = "register"
-	}
-	return e.install(m.Name(), NewClickModelScorer(m), source)
-}
-
-// InstallMicro is InstallModel for the micro-browsing model: the new
-// version is compiled on wrap and published under NameMicro.
-func (e *Engine) InstallMicro(m *core.Model, source string) (ModelInfo, error) {
-	if m == nil {
-		return ModelInfo{}, fmt.Errorf("engine: InstallMicro with nil model")
-	}
-	if source == "" {
-		source = "register"
-	}
-	return e.install(NameMicro, NewMicroScorer(m), source)
-}
-
-// Register installs a scorer as a new version under the given name.
-// Earlier versions stay addressable as name@version (subject to
-// WithKeepVersions pruning). Invalid names and nil scorers panic —
-// Register wires code, not wire input; use LoadSnapshot for the
-// latter.
-func (e *Engine) Register(name string, s Scorer) ModelInfo {
-	return e.mustInstall(name, s, "register")
-}
-
-// RegisterModel installs a fitted macro click model under its own name.
-func (e *Engine) RegisterModel(m clickmodel.Model) ModelInfo {
-	return e.mustInstall(m.Name(), NewClickModelScorer(m), "fit")
+// Install publishes s as a new version under name and returns its
+// metadata; source is the provenance tag shown as ModelInfo.Source
+// ("register" for scorers wired in by code, SourceOnline for the
+// learner's publishes). Earlier versions stay addressable as
+// name@version, subject to WithKeepVersions pruning. An empty name, a
+// name containing '@' and a nil scorer are refused with the table
+// unchanged. Wrap a fitted model first: NewClickModelScorer for a
+// click model (conventionally under its own Name), NewMicroScorer for
+// the micro model under NameMicro.
+func (e *Engine) Install(name string, s Scorer, source string) (ModelInfo, error) {
+	return e.publish(name, s, source, nil)
 }
 
 // UseMicro installs a micro-browsing model as the NameMicro scorer.
 func (e *Engine) UseMicro(m *core.Model) ModelInfo {
-	return e.mustInstall(NameMicro, NewMicroScorer(m), "register")
+	info, _ := e.Install(NameMicro, NewMicroScorer(m), "register") // a fixed name and a non-nil scorer are never refused
+	return info
 }
 
 // FitOption tunes a freshly constructed registry model before Fit
@@ -436,18 +390,7 @@ func Iterations(n int) FitOption {
 // version, and returns the fitted instance (e.g. for offline
 // evaluation with clickmodel.Evaluate or snapshotting with Save).
 func (e *Engine) Fit(name string, sessions []clickmodel.Session, opts ...FitOption) (clickmodel.Model, error) {
-	m, err := clickmodel.New(name)
-	if err != nil {
-		return nil, err
-	}
-	for _, opt := range opts {
-		opt(m)
-	}
-	if err := m.Fit(sessions); err != nil {
-		return nil, fmt.Errorf("engine: fitting %s: %w", m.Name(), err)
-	}
-	e.RegisterModel(m)
-	return m, nil
+	return e.fit(name, opts, func(m clickmodel.Model) error { return m.Fit(sessions) })
 }
 
 // FitCompiled is Fit over a pre-compiled session log: when several
@@ -458,6 +401,17 @@ func (e *Engine) FitCompiled(name string, c *clickmodel.CompiledLog, opts ...Fit
 	if c == nil {
 		return nil, fmt.Errorf("engine: FitCompiled(%q) on a nil compiled log", name)
 	}
+	return e.fit(name, opts, func(m clickmodel.Model) error {
+		if lf, ok := m.(clickmodel.LogFitter); ok {
+			return lf.FitLog(c)
+		}
+		return m.Fit(c.Sessions())
+	})
+}
+
+// fit is the body Fit and FitCompiled share: registry lookup, options,
+// the given training step, Install under the model's own name.
+func (e *Engine) fit(name string, opts []FitOption, train func(clickmodel.Model) error) (clickmodel.Model, error) {
 	m, err := clickmodel.New(name)
 	if err != nil {
 		return nil, err
@@ -465,15 +419,12 @@ func (e *Engine) FitCompiled(name string, c *clickmodel.CompiledLog, opts ...Fit
 	for _, opt := range opts {
 		opt(m)
 	}
-	if lf, ok := m.(clickmodel.LogFitter); ok {
-		err = lf.FitLog(c)
-	} else {
-		err = m.Fit(c.Sessions())
-	}
-	if err != nil {
+	if err := train(m); err != nil {
 		return nil, fmt.Errorf("engine: fitting %s: %w", m.Name(), err)
 	}
-	e.RegisterModel(m)
+	if _, err := e.Install(m.Name(), NewClickModelScorer(m), "fit"); err != nil {
+		return nil, err
+	}
 	return m, nil
 }
 
@@ -558,160 +509,172 @@ func (e *Engine) Rollback(name string) (ModelInfo, error) {
 	return info, nil
 }
 
-// LoadSnapshot decodes a model artifact (written by SaveSnapshot, a
-// model's own Save, or cmd/clickmodelfit -o) and installs it as a new
-// version under name; an empty name installs under the model name
-// recorded in the artifact. The swap is atomic: requests in flight
-// keep the version they resolved, later requests see the new one.
+// LoadSnapshot reads a model artifact (written by SaveSnapshot, a
+// model's own Save, or cmd/clickmodelfit -o) from a stream and installs
+// it as a new version under name; an empty name installs under the
+// model name recorded in the artifact. The swap is atomic: requests in
+// flight keep the version they resolved, later requests see the new
+// one.
 //
-// Both artifact generations are accepted, sniffed by magic: v1
-// ("MBSN") decodes through the varint codec, v2 ("MBS2") is read into
-// anonymous memory, CRC-verified (stream provenance is untrusted) and
-// served zero-parse. For v2 files on disk prefer LoadSnapshotFile,
-// which maps the file instead of copying it.
+// Both artifact generations are accepted, sniffed by magic: v1 ("MBSN")
+// decodes through the varint codec, v2 ("MBS2") is read into anonymous
+// memory and served zero-parse. A stream's provenance is unknown, so
+// v2 bytes are checked like LoadSnapshotFileVerified checks a file's.
+// For a v2 file on disk use one of the file loads, which map the file
+// instead of copying it.
 func (e *Engine) LoadSnapshot(name string, r io.Reader) (ModelInfo, error) {
-	br := bufio.NewReader(r)
-	if magic, err := br.Peek(4); err == nil && snapshot.IsV2(magic) {
-		data, err := io.ReadAll(br)
+	return e.load(name, r, func(rest io.Reader) (*mmap.Artifact, error) {
+		data, err := io.ReadAll(rest)
 		if err != nil {
-			return ModelInfo{}, err
+			return nil, err
 		}
-		art, err := mmap.FromBytes(data)
-		if err != nil {
-			return ModelInfo{}, err
-		}
-		return e.loadArtifact(name, art, true)
-	}
-	s, artifactName, err := DecodeScorer(br)
-	if err != nil {
-		return ModelInfo{}, err
-	}
-	key := canonical(name)
-	if key == "" {
-		key = artifactName
-	}
-	return e.install(key, s, "snapshot")
+		return mmap.FromBytes(data)
+	}, true)
 }
 
 // LoadSnapshotFile installs a model artifact from disk. A v2 artifact
 // is mapped read-only (O(1) in artifact size — the tables are served
-// straight off the page cache) without a checksum pass: local files
-// are trusted the way any loaded code is, and the per-section CRCs
-// remain available via LoadSnapshotFileVerified for artifacts of
-// doubtful provenance. A v1 artifact takes the decode path.
+// straight off the page cache) without a checksum pass: a file the
+// operator names at start-up is trusted the way any loaded code is. A
+// v1 artifact is decoded from the file.
 func (e *Engine) LoadSnapshotFile(name, path string) (ModelInfo, error) {
-	return e.loadSnapshotFile(name, path, false)
+	return e.loadFile(name, path, false)
 }
 
-// LoadSnapshotFileVerified is LoadSnapshotFile with a full CRC-32C
-// pass over every v2 section before install — one sequential read of
-// the file, the admin-endpoint default for uploaded artifacts.
+// LoadSnapshotFileVerified is LoadSnapshotFile for a file of doubtful
+// provenance: before anything is installed, every v2 section's CRC-32C
+// is checked (one sequential read of the file) and the probe tables
+// are scanned. It is what the admin load endpoint calls.
 func (e *Engine) LoadSnapshotFileVerified(name, path string) (ModelInfo, error) {
-	return e.loadSnapshotFile(name, path, true)
+	return e.loadFile(name, path, true)
 }
 
-func (e *Engine) loadSnapshotFile(name, path string, verify bool) (ModelInfo, error) {
+// loadFile is load over a file: v1 bytes are decoded from it, a v2
+// file is mapped.
+func (e *Engine) loadFile(name, path string, verify bool) (ModelInfo, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return ModelInfo{}, err
 	}
-	var magic [4]byte
-	if _, err := io.ReadFull(f, magic[:]); err != nil {
-		f.Close()
-		return ModelInfo{}, fmt.Errorf("engine: %s: %w", path, err)
-	}
-	if !snapshot.IsV2(magic[:]) {
-		// v1: rewind and decode through the varint codec.
-		if _, err := f.Seek(0, io.SeekStart); err != nil {
-			f.Close()
+	defer f.Close()
+	return e.load(name, f, func(io.Reader) (*mmap.Artifact, error) { return mmap.Open(path) }, verify)
+}
+
+// load is the one route from artifact bytes to a published version:
+// sniff the magic, build the scorer, check it when the provenance is
+// not trusted, publish. r supplies the bytes; for a v2 artifact, v2
+// turns what is left of them into the refcounted artifact the scorer's
+// tables will view (a file is mapped, a stream is read onto the heap).
+// From the moment v2 returns, load owns that reference and drops it on
+// every path that does not publish, so a refused load leaves nothing
+// mapped and the previous version serving.
+func (e *Engine) load(name string, r io.Reader, v2 func(rest io.Reader) (*mmap.Artifact, error), verify bool) (info ModelInfo, err error) {
+	br := bufio.NewReader(r)
+	// A source too short to hold a magic falls through to the v1
+	// decoder, whose header check names the fault.
+	if magic, _ := br.Peek(4); !snapshot.IsV2(magic) {
+		s, model, err := DecodeScorer(br)
+		if err != nil {
 			return ModelInfo{}, err
 		}
-		info, err := e.LoadSnapshot(name, f)
-		f.Close()
-		return info, err
+		return e.publish(cmp.Or(canonical(name), model), s, "snapshot", nil)
 	}
-	f.Close()
-	art, err := mmap.Open(path)
+	art, err := v2(br)
 	if err != nil {
 		return ModelInfo{}, err
 	}
-	return e.loadArtifact(name, art, verify)
-}
-
-// loadArtifact verifies (optionally), wraps and installs a parsed v2
-// artifact. Ownership of art's initial reference transfers to this
-// call: on any failure the artifact is released (unmapped).
-func (e *Engine) loadArtifact(name string, art *mmap.Artifact, verify bool) (ModelInfo, error) {
-	if verify {
-		if err := art.Verify(); err != nil {
+	defer func() {
+		if err != nil {
 			art.Release()
+		}
+	}()
+	if verify {
+		if err = art.Verify(); err != nil {
 			return ModelInfo{}, err
 		}
 	}
-	s, artifactName, err := scorerFromArtifact(art.V2Artifact)
+	// A v2 scorer is zero-copy views of the artifact's bytes.
+	s, model, err := scorerFor(art.ModelName,
+		func() (*core.CompiledModel, error) { return core.CompiledFromArtifact(art.V2Artifact) },
+		func() (clickmodel.Model, error) { return clickmodel.MappedFromArtifact(art.V2Artifact) })
 	if err != nil {
-		art.Release()
 		return ModelInfo{}, err
 	}
 	if verify {
-		// The deep O(n) table scan the trusted path skips: verified
-		// loads fail closed on structurally corrupt probe tables before
-		// anything is installed.
-		if err := validateScorerTables(s); err != nil {
-			art.Release()
+		// The deep O(n) table scan the constructors defer to keep a
+		// trusted load O(1) in artifact size.
+		if err = validateScorerTables(s); err != nil {
 			return ModelInfo{}, err
 		}
 	}
-	key := canonical(name)
-	if key == "" {
-		key = artifactName
-	}
-	return e.installArtifact(key, s, "snapshot", art)
+	return e.publish(cmp.Or(canonical(name), model), s, "snapshot", art)
 }
 
-// validateScorerTables runs the mapped tables' deep O(n) structural
-// checks when the scorer exposes them. Constructors keep loads O(1) in
-// artifact size by deferring these scans; the verified path pays for
-// them explicitly.
+// validateScorerTables runs the deep structural checks of an
+// artifact-backed scorer's probe tables.
 func validateScorerTables(s Scorer) error {
-	type deepValidator interface{ ValidateTables() error }
 	switch t := s.(type) {
 	case *MicroScorer:
-		if t.c != nil {
-			return t.c.ValidateTables()
-		}
+		return t.c.ValidateTables()
 	case *ClickModelScorer:
-		if dv, ok := t.M.(deepValidator); ok {
+		if dv, ok := t.M.(interface{ ValidateTables() error }); ok {
 			return dv.ValidateTables()
 		}
 	}
 	return nil
 }
 
-// scorerFromArtifact builds the serving view over a v2 artifact: the
-// micro model maps to a compiled scorer, click-model artifacts map to
-// their immutable mapped forms. All tables are zero-copy views into
-// the artifact bytes.
-func scorerFromArtifact(a *snapshot.V2Artifact) (Scorer, string, error) {
-	name := canonical(a.ModelName)
-	if name == NameMicro {
-		c, err := core.CompiledFromArtifact(a)
+// scorerFor is the one micro-vs-macro dispatch: given the model name an
+// artifact's header records, it builds the serving scorer from the
+// artifact generation's own constructor for that kind and returns it
+// with the canonical name.
+func scorerFor(header string, micro func() (*core.CompiledModel, error), click func() (clickmodel.Model, error)) (Scorer, string, error) {
+	model := canonical(header)
+	if model == NameMicro {
+		c, err := micro()
 		if err != nil {
 			return nil, "", err
 		}
-		return NewCompiledMicroScorer(c), name, nil
+		return NewCompiledMicroScorer(c), model, nil
 	}
-	m, err := clickmodel.MappedFromArtifact(a)
+	m, err := click()
 	if err != nil {
 		return nil, "", err
 	}
-	return NewClickModelScorer(m), name, nil
+	return NewClickModelScorer(m), model, nil
+}
+
+// DecodeScorer reads any v1 model artifact — macro or micro — and
+// returns a ready Scorer plus the canonical model name recorded in the
+// header. The payload is decoded into the fitted form, which for the
+// micro model is then compiled.
+func DecodeScorer(r io.Reader) (Scorer, string, error) {
+	d, err := snapshot.NewDecoder(r)
+	if err != nil {
+		return nil, "", err
+	}
+	s, model, err := scorerFor(d.ModelName(),
+		func() (*core.CompiledModel, error) {
+			m, err := core.Decode(d)
+			if err != nil {
+				return nil, err
+			}
+			return m.Compile(), nil
+		},
+		func() (clickmodel.Model, error) { return clickmodel.Decode(d) })
+	if err != nil {
+		return nil, "", err
+	}
+	if err := d.Close(); err != nil {
+		return nil, "", err
+	}
+	return s, model, nil
 }
 
 // SaveSnapshot writes the model a reference resolves to ("pbm",
 // "pbm@2", "micro", empty = engine default) as a binary artifact.
-// Fitted models emit the v1 varint format; mapped (v2-loaded) models
-// re-emit a v2 artifact, since the fitting form no longer exists.
+// Fitted models emit the v1 varint format; artifact-backed (v2-loaded)
+// models re-emit a v2 artifact, since the fitted form no longer exists.
 func (e *Engine) SaveSnapshot(ref string, w io.Writer) error {
 	_, _, mv, err := e.resolvePinned(ref)
 	if err != nil {
@@ -727,45 +690,14 @@ func (e *Engine) SaveSnapshot(ref string, w io.Writer) error {
 		}
 		return fmt.Errorf("engine: click model %q does not implement clickmodel.Snapshotter", t.M.Name())
 	case *MicroScorer:
-		if t.M != nil {
-			return t.M.Save(w)
+		if m := t.c.Source(); m != nil {
+			return m.Save(w)
 		}
-		if t.c != nil {
-			return t.c.SaveV2(w)
-		}
-	}
-	if sn, ok := mv.scorer.(interface{ Save(io.Writer) error }); ok {
-		return sn.Save(w)
+		return t.c.SaveV2(w)
+	case interface{ Save(io.Writer) error }:
+		return t.Save(w)
 	}
 	return fmt.Errorf("engine: scorer %q is not snapshot-serializable", ref)
-}
-
-// DecodeScorer reads any model artifact — macro or micro — and returns
-// a ready Scorer plus the canonical model name recorded in the header.
-func DecodeScorer(r io.Reader) (Scorer, string, error) {
-	d, err := snapshot.NewDecoder(r)
-	if err != nil {
-		return nil, "", err
-	}
-	name := canonical(d.ModelName())
-	var s Scorer
-	if name == NameMicro {
-		m, err := core.Decode(d)
-		if err != nil {
-			return nil, "", err
-		}
-		s = NewMicroScorer(m)
-	} else {
-		m, err := clickmodel.Decode(d)
-		if err != nil {
-			return nil, "", err
-		}
-		s = NewClickModelScorer(m)
-	}
-	if err := d.Close(); err != nil {
-		return nil, "", err
-	}
-	return s, name, nil
 }
 
 // scorerParams extracts the fitted-parameter count for Models()
@@ -775,13 +707,7 @@ func scorerParams(s Scorer) int {
 	case *ClickModelScorer:
 		return clickmodel.ParamCount(t.M)
 	case *MicroScorer:
-		if t.M != nil {
-			return t.M.NumParams()
-		}
-		if t.c != nil {
-			return t.c.NumParams()
-		}
-		return 0
+		return t.c.NumParams()
 	case interface{ NumParams() int }:
 		return t.NumParams()
 	}

@@ -198,7 +198,7 @@ func (b *blockingScorer) ScoreCTR(ctx context.Context, req Request) (Response, e
 func TestScoreBatchCancellation(t *testing.T) {
 	b := &blockingScorer{gate: make(chan struct{}), started: make(chan struct{})}
 	e := New(WithWorkers(2), WithDefaultModel("slow"))
-	e.Register("slow", b)
+	installed(t, e, "slow", b)
 
 	ctx, cancel := context.WithCancel(context.Background())
 	reqs := make([]Request, 64)
@@ -448,4 +448,15 @@ func TestMicroFromStats(t *testing.T) {
 	if up, down := m.Relevance["find cheap"], m.Relevance["terms apply"]; up <= 0.5 || down >= 0.5 {
 		t.Errorf("lift direction lost: up %v, down %v", up, down)
 	}
+}
+
+// installed publishes s under name the way code wiring a scorer in
+// does, and fails the test if the engine refuses it.
+func installed(t testing.TB, e *Engine, name string, s Scorer) ModelInfo {
+	t.Helper()
+	info, err := e.Install(name, s, "register")
+	if err != nil {
+		t.Fatalf("Install(%q): %v", name, err)
+	}
+	return info
 }

@@ -1,0 +1,320 @@
+package engine
+
+import (
+	"bytes"
+	"context"
+	"io"
+	"math"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+
+	"repro/internal/clickmodel"
+	"repro/internal/mmap"
+	"repro/internal/snapshot"
+)
+
+// lifecycleModel is one model of the lifecycle table: the fitted form
+// wrapped for serving, the two artifacts it exports, and the requests
+// it is scored on.
+type lifecycleModel struct {
+	name   string
+	scorer func() Scorer // a fresh wrap of the fitted form
+	v1, v2 []byte
+	v2path string
+	reqs   []Request
+}
+
+func lifecycleModels(t *testing.T) []lifecycleModel {
+	t.Helper()
+	sessions := testSessions(600)
+	dir := t.TempDir()
+	save := func(name string, v1, v2 func(io.Writer) error) lifecycleModel {
+		var b1, b2 bytes.Buffer
+		if err := v1(&b1); err != nil {
+			t.Fatalf("save %s v1: %v", name, err)
+		}
+		if err := v2(&b2); err != nil {
+			t.Fatalf("save %s v2: %v", name, err)
+		}
+		path := filepath.Join(dir, name+".mbs2")
+		if err := os.WriteFile(path, b2.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return lifecycleModel{name: name, v1: b1.Bytes(), v2: b2.Bytes(), v2path: path}
+	}
+
+	micro := testMicroModel()
+	mm := save(NameMicro, micro.Save, micro.SaveV2)
+	mm.scorer = func() Scorer { return NewMicroScorer(micro) }
+	for maxN := 0; maxN <= 3; maxN++ {
+		mm.reqs = append(mm.reqs,
+			Request{Lines: testLines, MaxN: maxN},
+			Request{Lines: []string{"unknown terms only", "Flights!"}, MaxN: maxN})
+	}
+	models := []lifecycleModel{mm}
+
+	for _, name := range []string{"pbm", "dbn"} {
+		m := fitClick(t, name, sessions[:500])
+		cm := save(name, m.(clickmodel.Snapshotter).Save, func(w io.Writer) error { return clickmodel.SaveV2Model(w, m) })
+		cm.scorer = func() Scorer { return NewClickModelScorer(m) }
+		for i := range sessions[500:540] {
+			cm.reqs = append(cm.reqs, Request{Session: &sessions[500+i]})
+		}
+		// Unseen query and documents: the prior paths.
+		cm.reqs = append(cm.reqs, Request{Session: &clickmodel.Session{Query: "novel", Docs: []string{"zz", "a", "yy"}, Clicks: make([]bool, 3)}})
+		models = append(models, cm)
+	}
+	return models
+}
+
+// sameScores compares two engines' answers over a model's requests to
+// the 1e-12 of the parity suites.
+func sameScores(t *testing.T, what string, got, want []Response) {
+	t.Helper()
+	for i := range want {
+		if got[i].Err != nil || want[i].Err != nil {
+			t.Fatalf("%s req %d: errors %v / %v", what, i, got[i].Err, want[i].Err)
+		}
+		if math.Abs(got[i].CTR-want[i].CTR) > 1e-12 || math.Abs(got[i].Score-want[i].Score) > 1e-12 {
+			t.Fatalf("%s req %d: (%v, %v), want (%v, %v)", what, i, got[i].CTR, got[i].Score, want[i].CTR, want[i].Score)
+		}
+		if len(got[i].Positions) != len(want[i].Positions) {
+			t.Fatalf("%s req %d: %d positions, want %d", what, i, len(got[i].Positions), len(want[i].Positions))
+		}
+		for j := range want[i].Positions {
+			if math.Abs(got[i].Positions[j]-want[i].Positions[j]) > 1e-12 {
+				t.Fatalf("%s req %d pos %d: %v, want %v", what, i, j, got[i].Positions[j], want[i].Positions[j])
+			}
+		}
+	}
+}
+
+// TestInstallLifecycle follows one version from every way in — a
+// fitted scorer through Install, a v1 stream, a v2 stream, a v2 file
+// trusted and verified — for each model that has both artifact forms,
+// to the day it is pruned: what Models() says about it, what it
+// scores, what SaveSnapshot exports and whether that loads back, and
+// that the keep window lets go of the bytes it was served from.
+func TestInstallLifecycle(t *testing.T) {
+	routes := []struct {
+		name    string
+		source  string // ModelInfo.Source
+		backed  bool   // served from a v2 artifact the version table owns
+		mapped  bool   // … which is a file mapping, not a heap copy
+		install func(e *Engine, m lifecycleModel) (ModelInfo, error)
+	}{
+		{"fitted Install", SourceOnline, false, false, func(e *Engine, m lifecycleModel) (ModelInfo, error) {
+			return e.Install(m.name, m.scorer(), SourceOnline)
+		}},
+		{"v1 stream", "snapshot", false, false, func(e *Engine, m lifecycleModel) (ModelInfo, error) {
+			return e.LoadSnapshot("", bytes.NewReader(m.v1))
+		}},
+		{"v2 stream", "snapshot", true, false, func(e *Engine, m lifecycleModel) (ModelInfo, error) {
+			return e.LoadSnapshot("", bytes.NewReader(m.v2))
+		}},
+		{"v2 file trusted", "snapshot", true, true, func(e *Engine, m lifecycleModel) (ModelInfo, error) {
+			return e.LoadSnapshotFile("", m.v2path)
+		}},
+		{"v2 file verified", "snapshot", true, true, func(e *Engine, m lifecycleModel) (ModelInfo, error) {
+			return e.LoadSnapshotFileVerified("", m.v2path)
+		}},
+	}
+	ctx := context.Background()
+	for _, m := range lifecycleModels(t) {
+		// The reference answers: the fitted form, never serialised.
+		ref := New()
+		installed(t, ref, m.name, m.scorer())
+		reqs := make([]Request, len(m.reqs))
+		for i, r := range m.reqs {
+			r.Model = m.name
+			reqs[i] = r
+		}
+		want := ref.ScoreBatch(ctx, reqs)
+
+		for _, rt := range routes {
+			t.Run(m.name+"/"+rt.name, func(t *testing.T) {
+				e := New(WithKeepVersions(1))
+				info, err := rt.install(e, m)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if info.Name != m.name || info.Version != 1 || !info.Latest || info.Source != rt.source || info.Params <= 0 {
+					t.Fatalf("info = %+v, want %s@1 latest, source %q, params > 0", info, m.name, rt.source)
+				}
+				if got := e.Models(); len(got) != 1 || got[0] != info {
+					t.Fatalf("Models() = %+v, want [%+v]", got, info)
+				}
+				sameScores(t, "installed", e.ScoreBatch(ctx, reqs), want)
+
+				art := e.tab.Load().entries[m.name].versions[1].art
+				if (art != nil) != rt.backed {
+					t.Fatalf("artifact-backed = %v, want %v", art != nil, rt.backed)
+				}
+				if rt.backed && (art.Path() != "") != rt.mapped {
+					t.Fatalf("artifact path %q, want mapped = %v", art.Path(), rt.mapped)
+				}
+				if rt.backed && art.Refs() != 1 {
+					t.Fatalf("idle artifact holds %d refs, want the table's one", art.Refs())
+				}
+
+				// Export: a fitted form writes v1, an artifact-backed one
+				// re-emits the v2 bytes it serves. Either loads back,
+				// under an explicit name, and scores the same.
+				var out bytes.Buffer
+				if err := e.SaveSnapshot(m.name, &out); err != nil {
+					t.Fatalf("SaveSnapshot: %v", err)
+				}
+				if rt.backed && !bytes.Equal(out.Bytes(), m.v2) {
+					t.Fatalf("re-export of an artifact-backed version is not byte-identical (%d vs %d bytes)", out.Len(), len(m.v2))
+				}
+				if !rt.backed && !bytes.Equal(out.Bytes(), m.v1) {
+					t.Fatalf("export of a fitted version is not the model's own v1 artifact (%d vs %d bytes)", out.Len(), len(m.v1))
+				}
+				back := New()
+				binfo, err := back.LoadSnapshot("canary", &out)
+				if err != nil {
+					t.Fatalf("loading the export back: %v", err)
+				}
+				if binfo.Name != "canary" || binfo.Source != "snapshot" {
+					t.Fatalf("explicit name ignored: %+v", binfo)
+				}
+				canary := make([]Request, len(reqs))
+				for i, r := range reqs {
+					r.Model = "canary"
+					canary[i] = r
+				}
+				sameScores(t, "round trip", back.ScoreBatch(ctx, canary), want)
+
+				// The next version pushes this one out of the keep window;
+				// with no reader pinning it, its bytes are released.
+				installed(t, e, m.name, m.scorer())
+				if got := e.Models(); len(got) != 1 || got[0].Version != 2 {
+					t.Fatalf("after the second install Models() = %+v, want only version 2", got)
+				}
+				if rt.backed && art.Refs() != 0 {
+					t.Fatalf("pruned artifact still holds %d refs", art.Refs())
+				}
+			})
+		}
+	}
+}
+
+// rebuiltV2 re-emits a v2 artifact under a (possibly different) model
+// name, passing each section through mangle first; every CRC of the
+// result is valid.
+func rebuiltV2(t *testing.T, blob []byte, model string, mangle func(tag string, ids []int32)) []byte {
+	t.Helper()
+	a, err := snapshot.ParseV2(blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := snapshot.NewV2Writer(model)
+	for _, s := range a.Sections {
+		switch s.Kind {
+		case snapshot.V2Float64:
+			f, _ := a.FloatsView(s.Tag)
+			w.Floats(s.Tag, f)
+		case snapshot.V2Int32:
+			v, _ := a.Int32sView(s.Tag)
+			ids := append([]int32(nil), v...)
+			mangle(s.Tag, ids)
+			w.Int32s(s.Tag, ids)
+		case snapshot.V2Uint32:
+			u, _ := a.Uint32sView(s.Tag)
+			w.Uint32s(s.Tag, u)
+		default:
+			b, _ := a.BytesView(s.Tag)
+			w.Bytes(s.Tag, b)
+		}
+	}
+	var out bytes.Buffer
+	if _, err := w.WriteTo(&out); err != nil {
+		t.Fatal(err)
+	}
+	return out.Bytes()
+}
+
+// TestLoadRejectionsReleaseArtifact is the fail-closed half of the
+// lifecycle: whatever makes load refuse a v2 artifact, the mapping it
+// opened is gone by the time load returns (Refs() == 0 is munmap),
+// nothing was published, and the version that was serving still is.
+// The same inputs are then put through the public entry points, which
+// must refuse them too.
+func TestLoadRejectionsReleaseArtifact(t *testing.T) {
+	good := fitClick(t, "pbm", testSessions(300))
+	var buf bytes.Buffer
+	if err := clickmodel.SaveV2Model(&buf, good); err != nil {
+		t.Fatal(err)
+	}
+	pbm := buf.Bytes()
+	keep := func(string, []int32) {}
+
+	flipped := append([]byte(nil), pbm...)
+	flipped[len(flipped)-2] ^= 0x01 // a payload byte: the structure parses, a section CRC does not match
+
+	cases := []struct {
+		name, install string
+		blob          []byte
+		verify        bool
+		wantErr       string
+	}{
+		{"bad name", "@", pbm, false, "'@'"},
+		{"name@version", "pbm@2", pbm, false, "'@'"},
+		{"unknown model in the header", "", rebuiltV2(t, pbm, "ghost", keep), false, "ghost"},
+		{"failed Verify", "pbm", flipped, true, "checksum"},
+		{"failed ValidateTables", "pbm", rebuiltV2(t, pbm, "PBM", func(tag string, ids []int32) {
+			if tag == "p.q" {
+				ids[0] = 1 << 30 // valid CRC, pair 0 names a query far outside the vocabulary
+			}
+		}), true, "out-of-range"},
+	}
+	ctx := context.Background()
+	probe := Request{Model: "pbm", Session: &clickmodel.Session{Query: "q", Docs: []string{"a", "b"}, Clicks: make([]bool, 2)}}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			e := New()
+			installed(t, e, "pbm", NewClickModelScorer(good))
+			before := e.Models()
+
+			path := filepath.Join(t.TempDir(), "artifact.mbs2")
+			if err := os.WriteFile(path, tc.blob, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			var art *mmap.Artifact
+			_, err := e.load(tc.install, bytes.NewReader(tc.blob), func(io.Reader) (*mmap.Artifact, error) {
+				var err error
+				art, err = mmap.Open(path)
+				return art, err
+			}, tc.verify)
+			if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+				t.Fatalf("load error = %v, want one mentioning %q", err, tc.wantErr)
+			}
+			if art == nil {
+				t.Fatal("load refused before opening the artifact; the case does not test the release")
+			}
+			if refs := art.Refs(); refs != 0 {
+				t.Fatalf("refused load left %d refs on the mapping", refs)
+			}
+
+			if _, err := e.LoadSnapshotFileVerified(tc.install, path); err == nil {
+				t.Error("LoadSnapshotFileVerified accepted it")
+			}
+			if _, err := e.LoadSnapshot(tc.install, bytes.NewReader(tc.blob)); err == nil {
+				t.Error("LoadSnapshot accepted it")
+			}
+			if !tc.verify {
+				if _, err := e.LoadSnapshotFile(tc.install, path); err == nil {
+					t.Error("LoadSnapshotFile accepted it")
+				}
+			}
+			if got := e.Models(); len(got) != 1 || got[0] != before[0] {
+				t.Fatalf("Models() = %+v after refused loads, want %+v", got, before)
+			}
+			if resp, err := e.ScoreCTR(ctx, probe); err != nil || resp.ModelVersion != 1 {
+				t.Fatalf("prior version no longer serving: %+v, %v", resp, err)
+			}
+		})
+	}
+}

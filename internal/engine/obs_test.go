@@ -29,7 +29,7 @@ func TestDriftBaselinePinnedAtPublish(t *testing.T) {
 
 	// v1 serves and accumulates a live distribution; nothing to drift
 	// against yet.
-	e.Register("m", fixedScorer{ctr: 0.01})
+	installed(t, e, "m", fixedScorer{ctr: 0.01})
 	scoreN(t, e, "m", 100)
 	if d := e.Drift(); len(d) != 0 {
 		t.Fatalf("v1 has no predecessor, want empty drift, got %+v", d)
@@ -37,7 +37,7 @@ func TestDriftBaselinePinnedAtPublish(t *testing.T) {
 
 	// v2 predicts identically: live distribution matches the pinned
 	// baseline, L1 ~ 0.
-	e.Register("m", fixedScorer{ctr: 0.01})
+	installed(t, e, "m", fixedScorer{ctr: 0.01})
 	scoreN(t, e, "m", 100)
 	d := e.Drift()
 	if len(d) != 1 {
@@ -55,7 +55,7 @@ func TestDriftBaselinePinnedAtPublish(t *testing.T) {
 
 	// v3 predicts a disjoint CTR decade: maximal drift against the
 	// distribution pinned from v2.
-	e.Register("m", fixedScorer{ctr: 0.5})
+	installed(t, e, "m", fixedScorer{ctr: 0.5})
 	scoreN(t, e, "m", 100)
 	d = e.Drift()
 	if len(d) != 1 || d[0].Version != 3 || d[0].BaselineVersion != 2 {
@@ -68,8 +68,8 @@ func TestDriftBaselinePinnedAtPublish(t *testing.T) {
 
 func TestDriftRequiresObserver(t *testing.T) {
 	e := New()
-	e.Register("m", fixedScorer{ctr: 0.1})
-	e.Register("m", fixedScorer{ctr: 0.9})
+	installed(t, e, "m", fixedScorer{ctr: 0.1})
+	installed(t, e, "m", fixedScorer{ctr: 0.9})
 	scoreN(t, e, "m", 10)
 	if d := e.Drift(); len(d) != 0 {
 		t.Fatalf("uninstrumented engine reports drift: %+v", d)
@@ -81,9 +81,9 @@ func TestDriftRequiresObserver(t *testing.T) {
 
 func TestDriftSurvivesRollback(t *testing.T) {
 	e := New(WithObserver(&Observer{}))
-	e.Register("m", fixedScorer{ctr: 0.01})
+	installed(t, e, "m", fixedScorer{ctr: 0.01})
 	scoreN(t, e, "m", 50)
-	e.Register("m", fixedScorer{ctr: 0.5})
+	installed(t, e, "m", fixedScorer{ctr: 0.5})
 	scoreN(t, e, "m", 50)
 
 	// Rolling back serves v1 again, which has no baseline — the drift

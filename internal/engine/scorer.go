@@ -155,39 +155,33 @@ func (s *ClickModelScorer) scoreCTR(req Request, sc *scratch) (Response, error) 
 }
 
 // MicroScorer adapts the paper's micro-browsing model (internal/core)
-// to the Scorer interface. NewMicroScorer compiles the model on wrap
-// (interned relevance vocab, precomputed log-relevances, dense
-// attention table), so every engine install — Register, Fit,
-// LoadSnapshot, the hot-swap admin endpoint — publishes a pre-compiled
-// version and the read path runs allocation-free. The wrapped model
-// must not be mutated once the scorer exists: the compiled form
-// snapshots it.
-//
-// A MicroScorer built as a literal (&MicroScorer{M: m}) has no
-// compiled form and falls back to the fused map-based pass.
+// to the Scorer interface. It always holds the compiled form (interned
+// relevance vocab, precomputed log-relevances, dense attention table),
+// so every route to an installed version — UseMicro, Install, a v1 or
+// v2 load, an online publish — serves through the same
+// allocation-free pass. NewMicroScorer compiles a fitted model, which
+// must not be mutated afterwards (the compiled form snapshots it);
+// NewCompiledMicroScorer wraps tables that already exist, such as the
+// zero-copy views of a mapped v2 artifact.
 type MicroScorer struct {
-	M *core.Model
-
 	c *core.CompiledModel
 }
 
-// NewMicroScorer wraps and compiles a micro-browsing model (relevance
-// table plus attention layer).
+// NewMicroScorer compiles a micro-browsing model (relevance table plus
+// attention layer) and wraps the result.
 func NewMicroScorer(m *core.Model) *MicroScorer {
-	return &MicroScorer{M: m, c: m.Compile()}
+	return &MicroScorer{c: m.Compile()}
 }
 
-// NewCompiledMicroScorer wraps an already-compiled model — the mapped
-// (v2 artifact) path, where no fitting form exists. M stays nil; the
-// scorer serves straight off the compiled tables, which may be
-// zero-copy views into a file mapping pinned by the engine's version
-// table.
+// NewCompiledMicroScorer wraps an already-compiled model. When its
+// tables view a file mapping, the engine's version table pins the
+// mapping for as long as the scorer is installed.
 func NewCompiledMicroScorer(c *core.CompiledModel) *MicroScorer {
 	return &MicroScorer{c: c}
 }
 
-// Compiled exposes the scorer's compiled form (nil for a literal
-// &MicroScorer{M: m} with no compiled tables).
+// Compiled exposes the scorer's compiled form. Its Source is the
+// fitted model where one exists and nil for an artifact-backed scorer.
 func (s *MicroScorer) Compiled() *core.CompiledModel { return s.c }
 
 // ScoreCTR implements Scorer. CTR is the exact expectation of Eq. 3
@@ -197,9 +191,8 @@ func (s *MicroScorer) Compiled() *core.CompiledModel { return s.c }
 //
 // and Score is the expected log-probability Σ a_i·log r_i whose
 // pairwise differences reproduce Eq. 5. Both are computed in a single
-// fused pass; the compiled path additionally skips all term
-// materialisation by resolving n-gram byte windows against the
-// interned vocab.
+// fused pass that resolves n-gram byte windows against the interned
+// vocab without materialising a term.
 func (s *MicroScorer) ScoreCTR(ctx context.Context, req Request) (Response, error) {
 	if err := ctx.Err(); err != nil {
 		return Response{}, err
@@ -214,12 +207,7 @@ func (s *MicroScorer) scoreCTR(req Request, sc *scratch) (Response, error) {
 	if len(req.Lines) == 0 {
 		return Response{}, fmt.Errorf("%w: micro scorer needs snippet lines", ErrNoEvidence)
 	}
-	var ctr, score float64
-	if s.c != nil {
-		ctr, score = s.c.ScoreSnippet(req.Lines, req.maxN(), &sc.text)
-	} else {
-		ctr, score = s.M.ScoreSnippet(req.Lines, req.maxN())
-	}
+	ctr, score := s.c.ScoreSnippet(req.Lines, req.maxN(), &sc.text)
 	return Response{Model: NameMicro, CTR: ctr, Score: score}, nil
 }
 

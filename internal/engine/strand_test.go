@@ -128,7 +128,7 @@ func TestStrandCap(t *testing.T) {
 	const workers, callers, batch = 4, 8, 1000
 	g := newGateScorer()
 	e := New(WithWorkers(workers), WithDefaultModel("gate"))
-	e.Register("gate", g)
+	installed(t, e, "gate", g)
 	reqs := make([]Request, batch)
 
 	var wg sync.WaitGroup
@@ -198,7 +198,7 @@ func TestScoreBatchCancelledWithHelpers(t *testing.T) {
 	const workers, batch = 4, 2000
 	c := &cancelScorer{calls: make([]atomic.Int32, batch), arrived: make(chan struct{}, batch)}
 	e := New(WithWorkers(workers), WithDefaultModel("slow"))
-	e.Register("slow", c)
+	installed(t, e, "slow", c)
 	reqs := make([]Request, batch)
 	for i := range reqs {
 		reqs[i] = Request{ID: strconv.Itoa(i)}
@@ -264,7 +264,7 @@ func TestStrandClaim(t *testing.T) {
 	} {
 		g := newGateScorer()
 		e := New(WithWorkers(workers), WithDefaultModel("gate"))
-		e.Register("gate", g)
+		installed(t, e, "gate", g)
 		e.strands.Store(tc.held)
 		done := make(chan struct{})
 		go func() {

@@ -13,7 +13,6 @@ import (
 
 	"repro/internal/clickmodel"
 	"repro/internal/mmap"
-	"repro/internal/textproc"
 )
 
 // writeV2File fits nothing — it serialises an already-built model as a
@@ -122,94 +121,6 @@ func TestLoadSnapshotFileV2Parity(t *testing.T) {
 	}
 }
 
-// TestLoadSnapshotStreamSniffsV2 feeds a v2 artifact through the
-// generic reader entry point (the HTTP admin upload path): the stream
-// is sniffed by magic, copied, CRC-verified and served mapped.
-func TestLoadSnapshotStreamSniffsV2(t *testing.T) {
-	m := testMicroModel()
-	var buf bytes.Buffer
-	if err := m.SaveV2(&buf); err != nil {
-		t.Fatal(err)
-	}
-	e := New()
-	info, err := e.LoadSnapshot("", bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatalf("LoadSnapshot(v2 stream): %v", err)
-	}
-	if info.Source != "snapshot" {
-		t.Errorf("Source = %q, want snapshot", info.Source)
-	}
-	resp, err := e.ScoreCTR(context.Background(), Request{Lines: testLines})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var sc textproc.Scratch
-	want, _ := m.Compile().ScoreSnippet(testLines, 2, &sc)
-	if math.Abs(resp.CTR-want) > 1e-12 {
-		t.Fatalf("mapped CTR %v, want %v", resp.CTR, want)
-	}
-
-	// A corrupted stream must fail closed: flip one payload byte (the
-	// CRC pass catches it before install).
-	bad := append([]byte(nil), buf.Bytes()...)
-	bad[len(bad)-1] ^= 0xFF
-	if _, err := New().LoadSnapshot("", bytes.NewReader(bad)); err == nil {
-		t.Fatal("corrupted v2 stream installed without error")
-	}
-}
-
-// TestSaveSnapshotMapped re-exports a mapped model: SaveSnapshot on a
-// v2-loaded version emits a fresh v2 artifact that loads and scores
-// identically.
-func TestSaveSnapshotMapped(t *testing.T) {
-	m := testMicroModel()
-	path := writeV2File(t, "micro", m.SaveV2)
-	e := New()
-	if _, err := e.LoadSnapshotFile("", path); err != nil {
-		t.Fatal(err)
-	}
-	var out bytes.Buffer
-	if err := e.SaveSnapshot(NameMicro, &out); err != nil {
-		t.Fatalf("SaveSnapshot(mapped): %v", err)
-	}
-	e2 := New()
-	if _, err := e2.LoadSnapshot("", bytes.NewReader(out.Bytes())); err != nil {
-		t.Fatalf("reload re-exported artifact: %v", err)
-	}
-	ctx := context.Background()
-	a, err := e.ScoreCTR(ctx, Request{Lines: testLines})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := e2.ScoreCTR(ctx, Request{Lines: testLines})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.CTR != b.CTR || a.Score != b.Score {
-		t.Fatalf("re-export diverges: (%v, %v) vs (%v, %v)", a.CTR, a.Score, b.CTR, b.Score)
-	}
-}
-
-// TestLoadSnapshotFileRejectsCorrupt covers the fail-closed admin
-// path: a flipped byte anywhere in a verified load must be caught.
-func TestLoadSnapshotFileRejectsCorrupt(t *testing.T) {
-	m := testMicroModel()
-	var buf bytes.Buffer
-	if err := m.SaveV2(&buf); err != nil {
-		t.Fatal(err)
-	}
-	data := buf.Bytes()
-	bad := append([]byte(nil), data...)
-	bad[len(bad)-2] ^= 0x01
-	path := filepath.Join(t.TempDir(), "bad.mbs2")
-	if err := os.WriteFile(path, bad, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := New().LoadSnapshotFileVerified("", path); err == nil {
-		t.Fatal("verified load accepted a corrupted artifact")
-	}
-}
-
 // TestHotSwapUnderLoadPinnedReaders is the acceptance-criteria drain
 // test: scoring load runs against mapped artifacts while repeated
 // installs under WithKeepVersions(2) prune old versions. In-flight
@@ -242,7 +153,7 @@ func TestHotSwapUnderLoadPinnedReaders(t *testing.T) {
 			return
 		}
 		arts[i] = art
-		if _, err := e.loadArtifact(NameMicro, art, false); err != nil {
+		if _, err := e.load(NameMicro, bytes.NewReader(blobs[i]), func(io.Reader) (*mmap.Artifact, error) { return art, nil }, false); err != nil {
 			t.Errorf("install %d: %v", i, err)
 		}
 	}

@@ -5,7 +5,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"math"
 	"strings"
 	"sync"
 	"testing"
@@ -22,9 +21,9 @@ func (c constScorer) ScoreCTR(ctx context.Context, req Request) (Response, error
 func TestVersionAddressing(t *testing.T) {
 	e := New()
 	ctx := context.Background()
-	e.Register("m", constScorer(0.1))
-	e.Register("m", constScorer(0.2))
-	e.Register("m", constScorer(0.3))
+	installed(t, e, "m", constScorer(0.1))
+	installed(t, e, "m", constScorer(0.2))
+	installed(t, e, "m", constScorer(0.3))
 
 	cases := map[string]float64{"m": 0.3, "m@1": 0.1, "m@2": 0.2, "m@3": 0.3, "M@2 ": 0.2}
 	for ref, want := range cases {
@@ -63,8 +62,8 @@ func TestVersionAddressing(t *testing.T) {
 func TestRollback(t *testing.T) {
 	e := New()
 	ctx := context.Background()
-	e.Register("m", constScorer(0.1))
-	e.Register("m", constScorer(0.2))
+	installed(t, e, "m", constScorer(0.1))
+	installed(t, e, "m", constScorer(0.2))
 
 	info, err := e.Rollback("m")
 	if err != nil {
@@ -88,7 +87,7 @@ func TestRollback(t *testing.T) {
 		t.Error("rollback of unknown model succeeded")
 	}
 	// A new install after rollback continues the version counter.
-	info = e.Register("m", constScorer(0.5))
+	info = installed(t, e, "m", constScorer(0.5))
 	if info.Version != 3 {
 		t.Errorf("post-rollback install got version %d, want 3", info.Version)
 	}
@@ -100,7 +99,7 @@ func TestRollback(t *testing.T) {
 func TestKeepVersionsPruning(t *testing.T) {
 	e := New(WithKeepVersions(2))
 	for i := 1; i <= 5; i++ {
-		e.Register("m", constScorer(float64(i)/10))
+		installed(t, e, "m", constScorer(float64(i)/10))
 	}
 	infos := e.Models()
 	if len(infos) != 2 {
@@ -114,80 +113,12 @@ func TestKeepVersionsPruning(t *testing.T) {
 	}
 }
 
-// TestEngineSnapshotRoundTrip closes the fit → Save → Load → serve
-// loop through the engine for a macro model and the micro model.
-func TestEngineSnapshotRoundTrip(t *testing.T) {
-	ctx := context.Background()
-	sessions := testSessions(300)
-	e := New()
-	if _, err := e.Fit("pbm", sessions[:200], Iterations(5)); err != nil {
-		t.Fatal(err)
-	}
-	e.UseMicro(testMicroModel())
-
-	for _, name := range []string{"pbm", NameMicro} {
-		var buf bytes.Buffer
-		if err := e.SaveSnapshot(name, &buf); err != nil {
-			t.Fatalf("save %s: %v", name, err)
-		}
-		serve := New()
-		info, err := serve.LoadSnapshot("", bytes.NewReader(buf.Bytes()))
-		if err != nil {
-			t.Fatalf("load %s: %v", name, err)
-		}
-		if info.Name != name || info.Version != 1 || info.Source != "snapshot" {
-			t.Fatalf("load info = %+v", info)
-		}
-
-		var reqs []Request
-		if name == "pbm" {
-			for i := range sessions[200:250] {
-				reqs = append(reqs, Request{ID: fmt.Sprint(i), Model: name, Session: &sessions[200+i]})
-			}
-		} else {
-			reqs = []Request{{ID: "m", Model: name, Lines: testLines}}
-		}
-		want := e.ScoreBatch(ctx, reqs)
-		got := serve.ScoreBatch(ctx, reqs)
-		for i := range want {
-			if got[i].Err != nil {
-				t.Fatalf("%s req %d: %v", name, i, got[i].Err)
-			}
-			if math.Abs(got[i].CTR-want[i].CTR) > 1e-12 {
-				t.Errorf("%s req %d: CTR %v, want %v", name, i, got[i].CTR, want[i].CTR)
-			}
-			for j := range want[i].Positions {
-				if math.Abs(got[i].Positions[j]-want[i].Positions[j]) > 1e-12 {
-					t.Errorf("%s req %d pos %d: %v, want %v", name, i, j, got[i].Positions[j], want[i].Positions[j])
-				}
-			}
-		}
-	}
-
-	// Installing under an explicit name overrides the artifact name.
-	var buf bytes.Buffer
-	if err := e.SaveSnapshot("pbm", &buf); err != nil {
-		t.Fatal(err)
-	}
-	serve := New()
-	info, err := serve.LoadSnapshot("canary", &buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if info.Name != "canary" {
-		t.Errorf("explicit name ignored: %+v", info)
-	}
-	if resp, err := serve.ScoreCTR(ctx, Request{Model: "canary", Session: &sessions[0]}); err != nil || resp.CTR <= 0 {
-		t.Errorf("canary scoring: %v %v", resp.CTR, err)
-	}
-}
-
 func TestSaveSnapshotUnknownRef(t *testing.T) {
 	e := New()
 	if err := e.SaveSnapshot("ghost", &bytes.Buffer{}); err == nil {
 		t.Fatal("saved an unknown model")
 	}
-	e.Register("custom", constScorer(0.5))
+	installed(t, e, "custom", constScorer(0.5))
 	if err := e.SaveSnapshot("custom", &bytes.Buffer{}); err == nil {
 		t.Fatal("saved a non-serializable scorer")
 	}
@@ -200,27 +131,12 @@ func TestLoadSnapshotRejectsGarbage(t *testing.T) {
 	}
 }
 
-// TestLoadSnapshotRejectsVersionedName: '@' names arrive from the wire
-// (POST /v1/models/pbm@2/load), so they must error, not panic.
-func TestLoadSnapshotRejectsVersionedName(t *testing.T) {
-	e := New()
-	e.UseMicro(testMicroModel())
-	var buf bytes.Buffer
-	if err := e.SaveSnapshot(NameMicro, &buf); err != nil {
-		t.Fatal(err)
-	}
-	_, err := e.LoadSnapshot("pbm@2", &buf)
-	if err == nil || !strings.Contains(err.Error(), "@") {
-		t.Fatalf("versioned install name accepted: %v", err)
-	}
-}
-
 // TestDefaultModelMayPinVersion: WithDefaultModel("m@1") must serve
 // version 1 for bare requests.
 func TestDefaultModelMayPinVersion(t *testing.T) {
 	e := New(WithDefaultModel("m@1"))
-	e.Register("m", constScorer(0.1))
-	e.Register("m", constScorer(0.2))
+	installed(t, e, "m", constScorer(0.1))
+	installed(t, e, "m", constScorer(0.2))
 	resp, err := e.ScoreCTR(context.Background(), Request{})
 	if err != nil {
 		t.Fatal(err)

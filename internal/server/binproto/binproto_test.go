@@ -36,7 +36,9 @@ func testEngine(t *testing.T, opts ...engine.Option) *engine.Engine {
 	if err := pbm.Fit(sessions); err != nil {
 		t.Fatal(err)
 	}
-	e.RegisterModel(pbm)
+	if _, err := e.Install(pbm.Name(), engine.NewClickModelScorer(pbm), "fit"); err != nil {
+		t.Fatal(err)
+	}
 	return e
 }
 

@@ -47,9 +47,9 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 	"log"
 	"net/http"
-	"os"
 	"strconv"
 	"strings"
 	"sync"
@@ -417,15 +417,18 @@ func (s *Server) handleLoad(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusBadRequest, "load needs a snapshot path")
 		return
 	}
-	f, err := os.Open(req.Path)
+	// The path comes from the wire, so the file is not trusted: a v2
+	// artifact is mapped, not copied, but its CRCs and probe tables are
+	// checked before the swap, and a refused load leaves the previous
+	// version serving.
+	info, err := s.eng.LoadSnapshotFileVerified(name, req.Path)
 	if err != nil {
-		s.writeError(w, http.StatusBadRequest, "open snapshot: %v", err)
-		return
-	}
-	defer f.Close()
-	info, err := s.eng.LoadSnapshot(name, f)
-	if err != nil {
-		s.writeError(w, http.StatusUnprocessableEntity, "load snapshot: %v", err)
+		status := http.StatusUnprocessableEntity
+		var pathErr *fs.PathError
+		if errors.As(err, &pathErr) {
+			status = http.StatusBadRequest // the path could not be opened: the request is at fault, not the artifact
+		}
+		s.writeError(w, status, "load snapshot: %v", err)
 		return
 	}
 	s.met.loads.Add(1)

@@ -11,6 +11,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
@@ -307,6 +308,89 @@ func TestLoadAndRollbackEndpoints(t *testing.T) {
 	code = postJSON(t, ts.URL+"/v1/models/pbm@2/load", map[string]string{"path": path}, &eb)
 	if code != http.StatusUnprocessableEntity || !strings.Contains(eb.Error, "@") {
 		t.Errorf("versioned load name: %d %+v", code, eb)
+	}
+}
+
+// TestLoadEndpointMapsAndVerifiesV2 is the admin load of a v2 artifact:
+// the file is served from a mapping (a stream copy onto the heap would
+// not show in the process's maps), and because the path arrived over
+// the wire its CRCs are checked first — a flipped byte answers 422,
+// maps nothing and leaves the model table as it was.
+func TestLoadEndpointMapsAndVerifiesV2(t *testing.T) {
+	ts, eng, sessions := newTestServer(t)
+	pbm := clickmodel.NewPBM()
+	if err := pbm.Fit(sessions[:100]); err != nil {
+		t.Fatal(err)
+	}
+	var blob bytes.Buffer
+	if err := pbm.SaveV2(&blob); err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	path := filepath.Join(dir, "pbm.mbs2")
+	if err := os.WriteFile(path, blob.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	mapped := func(path string) bool {
+		maps, err := os.ReadFile("/proc/self/maps")
+		if err != nil {
+			t.Skipf("no /proc/self/maps to see mappings in: %v", err)
+		}
+		return bytes.Contains(maps, []byte(path))
+	}
+
+	var info engine.ModelInfo
+	if code := postJSON(t, ts.URL+"/v1/models/pbm/load", map[string]string{"path": path}, &info); code != http.StatusOK {
+		t.Fatalf("load status %d: %+v", code, info)
+	}
+	if info.Name != "pbm" || info.Version != 2 || info.Source != "snapshot" {
+		t.Fatalf("load info = %+v", info)
+	}
+	if !mapped(path) {
+		t.Errorf("%s is not mapped after the admin load: the artifact was copied, not mapped", path)
+	}
+	// Artifact-backed: the export of this version is the file itself.
+	var out bytes.Buffer
+	if err := eng.SaveSnapshot("pbm@2", &out); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(out.Bytes(), blob.Bytes()) {
+		t.Errorf("export of the loaded version differs from the artifact (%d vs %d bytes)", out.Len(), blob.Len())
+	}
+	var got engine.Response
+	postJSON(t, ts.URL+"/v1/score", engine.Request{Model: "pbm", Session: &sessions[250]}, &got)
+	want := pbm.ClickProbs(sessions[250])
+	if got.ModelVersion != 2 || len(got.Positions) != len(want) {
+		t.Fatalf("served %+v, want version 2 with %d positions", got, len(want))
+	}
+	for i := range want {
+		if math.Abs(got.Positions[i]-want[i]) > 1e-12 {
+			t.Errorf("pos %d: %v, want %v", i, got.Positions[i], want[i])
+		}
+	}
+
+	bad := append([]byte(nil), blob.Bytes()...)
+	bad[len(bad)-2] ^= 0x01
+	badPath := filepath.Join(dir, "flipped.mbs2")
+	if err := os.WriteFile(badPath, bad, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var before, after struct {
+		Models []engine.ModelInfo `json:"models"`
+	}
+	getJSON(t, ts.URL+"/v1/models", &before)
+	var eb struct {
+		Error string `json:"error"`
+	}
+	if code := postJSON(t, ts.URL+"/v1/models/pbm/load", map[string]string{"path": badPath}, &eb); code != http.StatusUnprocessableEntity || eb.Error == "" {
+		t.Errorf("CRC-flipped artifact: %d %+v, want 422 with an error", code, eb)
+	}
+	getJSON(t, ts.URL+"/v1/models", &after)
+	if !reflect.DeepEqual(before, after) {
+		t.Errorf("a refused load changed /v1/models:\n before %+v\n after  %+v", before, after)
+	}
+	if mapped(badPath) {
+		t.Errorf("%s is still mapped after its load was refused", badPath)
 	}
 }
 

@@ -543,7 +543,7 @@ func (l *Learner) fitOneLocked(name string, window []clickmodel.Session, compile
 	if err != nil {
 		return engine.ModelInfo{}, err
 	}
-	return l.eng.InstallModel(m, engine.SourceOnline)
+	return l.eng.Install(m.Name(), engine.NewClickModelScorer(m), engine.SourceOnline)
 }
 
 // fitMicroLocked rebuilds the micro model's relevance table from the
@@ -562,7 +562,7 @@ func (l *Learner) fitMicroLocked() (engine.ModelInfo, error) {
 		}
 		m.Relevance[term] = (tc.clicks + 1) / (tc.imps + 2)
 	}
-	return l.eng.InstallMicro(m, engine.SourceOnline)
+	return l.eng.Install(engine.NameMicro, engine.NewMicroScorer(m), engine.SourceOnline)
 }
 
 // Start launches the background loop: frequent folds (so ingest

@@ -102,8 +102,8 @@ func TestOnlineLoopImprovesPerplexity(t *testing.T) {
 	if err := seed.Fit(seedLog); err != nil {
 		t.Fatal(err)
 	}
-	if info := eng.RegisterModel(seed); info.Version != 1 {
-		t.Fatalf("seed install: %+v", info)
+	if info, err := eng.Install(seed.Name(), engine.NewClickModelScorer(seed), "fit"); err != nil || info.Version != 1 {
+		t.Fatalf("seed install: %+v, %v", info, err)
 	}
 
 	l, err := New(eng, Config{Models: []string{"sdbn"}, Shards: 4, QueueCap: 1 << 14})
@@ -387,7 +387,9 @@ func TestConcurrentIngestPublishScore(t *testing.T) {
 	if err := seed.Fit(live[:100]); err != nil {
 		t.Fatal(err)
 	}
-	eng.RegisterModel(seed)
+	if _, err := eng.Install(seed.Name(), engine.NewClickModelScorer(seed), "fit"); err != nil {
+		t.Fatal(err)
+	}
 
 	l, err := New(eng, Config{Models: []string{"sdbn", "dcm"}, Shards: 4, QueueCap: 1 << 12, Interval: 15 * time.Millisecond, MinEvents: 50})
 	if err != nil {

@@ -20,8 +20,9 @@
 // config string.
 //
 // The engine is built for the train-offline / serve-online split:
-// every install (Fit, Register, LoadSnapshot) publishes an immutable
-// new version into a lock-free table, fitted models Save to
+// every install (Engine.Install, and Fit, UseMicro and LoadSnapshot,
+// which end in it) publishes an immutable new version into a
+// lock-free table, fitted models Save to
 // self-describing binary artifacts and Load back (LoadClickModel,
 // LoadMicroModel, Engine.LoadSnapshot), Rollback un-ships a bad
 // artifact, and cmd/microserve is the HTTP front over exactly this
@@ -157,7 +158,7 @@ var (
 	LoadClickModel = clickmodel.LoadModel
 	// LoadMicroModel reads a micro-browsing model artifact.
 	LoadMicroModel = core.LoadModel
-	// DecodeScorer reads any artifact — macro or micro — into a ready
+	// DecodeScorer reads any v1 artifact — macro or micro — into a ready
 	// Scorer plus the model name recorded in the header.
 	DecodeScorer = engine.DecodeScorer
 )

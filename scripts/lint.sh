@@ -1,8 +1,10 @@
 #!/usr/bin/env bash
 # lint.sh — the repo's static gate: gofmt, go vet, mbvet (the custom
 # invariant analyzers, driven through go vet's -vettool protocol so
-# cmd/go handles package loading and caching), and — when the pinned
-# tools are installed — staticcheck and govulncheck.
+# cmd/go handles package loading and caching), the check that the
+# reference scorer (internal/core/coreref) is imported by tests only,
+# and — when the pinned tools are installed — staticcheck and
+# govulncheck.
 #
 # Usage: scripts/lint.sh
 # Exits nonzero on any finding. CI installs staticcheck/govulncheck
@@ -28,6 +30,16 @@ echo "== mbvet (invariant analyzers)"
 mkdir -p bin
 go build -o bin/mbvet ./cmd/mbvet
 go vet -vettool="$(pwd)/bin/mbvet" ./... || fail=1
+
+echo "== reference package stays test-only"
+# coreref is the oracle the parity suites score against; only _test.go
+# files may import it (.Imports lists non-test imports).
+importers=$(go list -f '{{$p := .ImportPath}}{{range .Imports}}{{if eq . "repro/internal/core/coreref"}}{{$p}}{{"\n"}}{{end}}{{end}}' ./...)
+if [ -n "$importers" ]; then
+  echo "non-test code imports repro/internal/core/coreref:" >&2
+  echo "$importers" >&2
+  fail=1
+fi
 
 echo "== staticcheck"
 if command -v staticcheck >/dev/null 2>&1; then
