@@ -19,6 +19,7 @@ import (
 	"fmt"
 	"net"
 	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -976,6 +977,106 @@ func BenchmarkStreamPublish(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// feedbackBench is the write path's replayable traffic in the shape
+// benchmark/inputs.go posts on mixed_online: bodies of 200 four-doc
+// sessions and 20 three-line snippet events of 50 impressions.
+var feedbackBench = struct {
+	once     sync.Once
+	bodies   [][]byte
+	snippets []stream.SnippetEvent
+}{}
+
+func getFeedbackBench(b *testing.B) ([][]byte, []stream.SnippetEvent) {
+	b.Helper()
+	fb := &feedbackBench
+	fb.once.Do(func() {
+		corpus := micro.GenerateCorpus(micro.CorpusConfig{Seed: 405, Groups: 150}, micro.DefaultLexicon())
+		sim := micro.NewSimulator(micro.SimConfig{Seed: 407})
+		for i := 0; i < 64; i++ {
+			body := struct {
+				Sessions []clickmodel.Session  `json:"sessions"`
+				Snippets []stream.SnippetEvent `json:"snippets"`
+			}{Sessions: sim.Sessions(corpus, 200, 4)}
+			for j := 0; j < 20; j++ {
+				lines, clicks := sim.SnippetFeedback(corpus, 50)
+				body.Snippets = append(body.Snippets, stream.SnippetEvent{Lines: lines, Impressions: 50, Clicks: clicks})
+			}
+			raw, err := json.Marshal(body)
+			if err != nil {
+				panic(err)
+			}
+			fb.bodies = append(fb.bodies, raw)
+			fb.snippets = append(fb.snippets, body.Snippets...)
+		}
+	})
+	return fb.bodies, fb.snippets
+}
+
+// BenchmarkStreamFeedbackHandle prices POST /v1/feedback in process,
+// per 220-event body: route, body read, decode, the learner's ingest
+// (no WAL — durability has its own suite) and the reply. The sink is
+// emptied by a publish outside the timer every 256 bodies, so nothing
+// drops and no fold runs beside the handler.
+func BenchmarkStreamFeedbackHandle(b *testing.B) {
+	bodies, _ := getFeedbackBench(b)
+	eng := micro.NewEngine(micro.WithKeepVersions(2))
+	l, err := stream.New(eng, stream.Config{Models: []string{"sdbn", "micro"}, Shards: 2, QueueCap: 1 << 15})
+	if err != nil {
+		b.Fatal(err)
+	}
+	srv := server.New(eng, nil, server.WithLearner(l))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if i%256 == 255 {
+			b.StopTimer()
+			if _, err := l.Publish(); err != nil {
+				b.Fatal(err)
+			}
+			b.StartTimer()
+		}
+		rec := httptest.NewRecorder()
+		srv.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/feedback", bytes.NewReader(bodies[i%len(bodies)])))
+		if rec.Code != http.StatusOK {
+			b.Fatalf("feedback answered %d: %s", rec.Code, rec.Body)
+		}
+	}
+	b.StopTimer()
+	if c := l.Counters(); c.Dropped+c.Invalid != 0 || c.Accepted != uint64(b.N)*220 {
+		b.Fatalf("accepted %d of %d events (%d dropped, %d invalid)", c.Accepted, b.N*220, c.Dropped, c.Invalid)
+	}
+}
+
+// BenchmarkStreamFoldSnippet prices the snippet half of a fold, which
+// BenchmarkStreamFold (sessions into the statistics) does not see: an
+// op is one publish over 4096 queued snippet events — the fold that
+// tokenises each and credits its distinct n-grams, then the merge and
+// the micro refit over the ≈ 2k-term table they leave. Queueing the
+// events is outside the timer.
+func BenchmarkStreamFoldSnippet(b *testing.B) {
+	_, snippets := getFeedbackBench(b)
+	eng := micro.NewEngine(micro.WithKeepVersions(2))
+	l, err := stream.New(eng, stream.Config{Models: []string{"micro"}, Shards: 2, QueueCap: 1 << 12, MicroMaxN: 3})
+	if err != nil {
+		b.Fatal(err)
+	}
+	const perOp = 4096
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		for k := 0; k < perOp; k++ {
+			if err := l.Ingest(stream.Event{Snippet: &snippets[(i*perOp+k)%len(snippets)]}); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.StartTimer()
+		if _, err := l.Publish(); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

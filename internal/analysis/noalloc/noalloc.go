@@ -10,7 +10,10 @@
 //   - make/new and map/slice composite literals (and &T{} literals);
 //   - append whose result is not assigned back to its own first
 //     operand (unbounded growth into a fresh backing array);
-//   - string concatenation and string<->[]byte/[]rune conversions;
+//   - string concatenation and string<->[]byte/[]rune conversions —
+//     except m[string(b)] read from a map, which the compiler looks up
+//     without building the string (a store through the same expression
+//     does build it, and is reported);
 //   - closures (func literals) and go statements;
 //   - interface boxing: passing, assigning or returning a value of
 //     non-pointer-shaped concrete type where an interface is expected;
@@ -60,7 +63,7 @@ func run(pass *analysis.Pass) error {
 		if fd.Body == nil {
 			continue
 		}
-		c := &checker{pass: pass, fd: fd, allocOK: allocOK}
+		c := &checker{pass: pass, fd: fd, allocOK: allocOK, stored: map[ast.Expr]bool{}, free: map[*ast.CallExpr]bool{}}
 		c.check()
 	}
 	return nil
@@ -70,6 +73,10 @@ type checker struct {
 	pass    *analysis.Pass
 	fd      *ast.FuncDecl
 	allocOK map[string]map[int]bool
+	// stored: index expressions written through; free: conversions that
+	// are the key of a map read.
+	stored map[ast.Expr]bool
+	free   map[*ast.CallExpr]bool
 }
 
 // report emits a finding unless its line carries //mb:allocok.
@@ -104,7 +111,19 @@ func (c *checker) check() {
 				c.report(x.Pos(), "string concatenation allocates")
 			}
 		case *ast.AssignStmt:
+			for _, lhs := range x.Lhs {
+				c.stored[lhs] = true
+			}
 			c.assign(x)
+		case *ast.IncDecStmt:
+			c.stored[x.X] = true
+		case *ast.IndexExpr:
+			// Parents come before children: by now a store has been seen.
+			if call, ok := x.Index.(*ast.CallExpr); ok && !c.stored[x] {
+				if _, isMap := types.Unalias(info.TypeOf(x.X)).Underlying().(*types.Map); isMap {
+					c.free[call] = true
+				}
+			}
 		case *ast.ReturnStmt:
 			c.returnStmt(x)
 		case *ast.CallExpr:
@@ -273,7 +292,7 @@ func (c *checker) conversion(x *ast.CallExpr, to types.Type) {
 			c.report(x.Pos(), "string to %s conversion copies", to.String())
 		}
 	}
-	if s, ok := fromU.(*types.Slice); ok && isByteOrRune(s.Elem()) && isString(toU) {
+	if s, ok := fromU.(*types.Slice); ok && isByteOrRune(s.Elem()) && isString(toU) && !c.free[x] {
 		c.report(x.Pos(), "%s to string conversion copies", from.String())
 	}
 	if types.IsInterface(toU) && !types.IsInterface(fromU) && !analysis.IsPointerShaped(from) {

@@ -41,6 +41,17 @@ func convert(b []byte) string {
 }
 
 //mb:noalloc
+func mapKey(m map[string]int, b []byte) int {
+	n, ok := m[string(b)] // ok: a map read looks the bytes up in place
+	if !ok {
+		m[string(b)] = n  // want `to string conversion copies`
+		m[string(b)]++    // want `to string conversion copies`
+		m[string(b)] += 2 // want `to string conversion copies`
+	}
+	return n + m[string(b)] // ok
+}
+
+//mb:noalloc
 func convertBack(s string) []byte {
 	return []byte(s) // want `string to \[\]byte conversion copies`
 }

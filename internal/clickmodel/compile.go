@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"runtime"
+	"strings"
 	"sync"
 )
 
@@ -23,11 +24,15 @@ type Vocab struct {
 func NewVocab() *Vocab { return &Vocab{ids: make(map[string]int32)} }
 
 // ID interns s, returning its dense ID (allocating the next one for a
-// string never seen before).
+// string never seen before). The vocabulary keeps a copy of a new
+// string, never s itself: s may be a substring of something large and
+// short-lived — a feedback body owns all its strings as one — which a
+// long-lived table must not hold alive for the sake of one key.
 func (v *Vocab) ID(s string) int32 {
 	if id, ok := v.ids[s]; ok {
 		return id
 	}
+	s = strings.Clone(s)
 	id := int32(len(v.strs))
 	v.ids[s] = id
 	v.strs = append(v.strs, s)

@@ -1,6 +1,9 @@
 package clickmodel
 
-import "errors"
+import (
+	"errors"
+	"strings"
+)
 
 // Stats is an incremental sufficient-statistics accumulator for the
 // counting-family click models (SDBN, Cascade, DCM). Where Compile
@@ -54,14 +57,15 @@ func NewStats() *Stats {
 }
 
 // pairID interns a (query ID, doc) pair, growing every per-pair array
-// in step so the count slices always cover pair IDs densely.
+// in step so the count slices always cover pair IDs densely. Like
+// Vocab.ID it keeps a copy of a new doc, not the caller's string.
 func (st *Stats) pairID(qid int32, doc string) int32 {
-	k := pairKey{qid, doc}
-	if id, ok := st.pairIDs[k]; ok {
+	if id, ok := st.pairIDs[pairKey{qid, doc}]; ok {
 		return id
 	}
+	doc = strings.Clone(doc)
 	id := int32(len(st.pairs))
-	st.pairIDs[k] = id
+	st.pairIDs[pairKey{qid, doc}] = id
 	st.pairs = append(st.pairs, qd{st.queries.String(qid), doc})
 	st.clicks = append(st.clicks, 0)
 	st.examLast = append(st.examLast, 0)

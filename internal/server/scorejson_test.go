@@ -111,6 +111,13 @@ func oracleBatch(body []byte, limit int) ([]engine.Request, error) {
 	return req.Requests, nil
 }
 
+// codecOver is a fresh codec whose body buffer is body itself.
+func codecOver(body []byte) *scoreCodec {
+	c := new(scoreCodec)
+	c.body = body
+	return c
+}
+
 // scanBatch / scanOne run the scanner on a private copy of body.
 func scanBatch(c *scoreCodec, body []byte, limit int) ([]engine.Request, bool) {
 	c.body = append(c.body[:0], body...)
@@ -427,7 +434,7 @@ func TestScoreCycleZeroAlloc(t *testing.T) {
 	ctx := context.Background()
 	for _, ti := range []*traceInfo{nil, new(traceInfo)} {
 		for _, size := range []int{3, 64} {
-			c := &scoreCodec{body: cycleBody(t, size, sessions)}
+			c := codecOver(cycleBody(t, size, sessions))
 			cycle := func() {
 				s.scoreBatchCycle(ctx, c, ti, time.Time{})
 				if c.status != 0 || len(c.resps) != size || c.resps[size-1].Error != "" {
@@ -450,7 +457,7 @@ func TestScoreCycleZeroAlloc(t *testing.T) {
 		`{"id":"m1","model":"micro","lines":["Acme","Find \"cheap\" flights"]}`,
 		`{"id":"s1","model":"pbm","session":{"query":"q","docs":["a","b","c"],"clicks":[true,false,false]}}`,
 	} {
-		c := &scoreCodec{body: []byte(body)}
+		c := codecOver([]byte(body))
 		cycle := func() {
 			if status := s.scoreCycle(ctx, c, nil, time.Time{}); status != http.StatusOK {
 				t.Fatalf("single cycle: status %d / %d %q", status, c.status, c.errMsg)
@@ -479,9 +486,10 @@ func post(t *testing.T, url, body string) (int, string) {
 }
 
 // TestBodyTightenings: on every JSON route a body is one value — data
-// after it is a 400 — and on the two hot routes a key appears once per
-// object. Each rejected body is paired with its accepted twin, and
-// every rejection has the one error-body shape.
+// after it is a 400 — and on the routes the scanner serves (the two
+// score routes and feedback) a key appears once per object. Each
+// rejected body is paired with its accepted twin, and every rejection
+// has the one error-body shape.
 func TestBodyTightenings(t *testing.T) {
 	ts, _, _, _ := newOnlineServer(t)
 	sess := `{"query":"q","docs":["a","b"],"clicks":[true,false]}`
@@ -501,7 +509,12 @@ func TestBodyTightenings(t *testing.T) {
 			`{"requests":[{"lines":["Find cheap flights"],"id":"a","id":"a"}]}`,
 		}},
 		{"/v1/optimize", `{"model":"micro","lines":["Find cheap flights"],"candidates":[["Find cheap hotels"]]}`, http.StatusOK, nil},
-		{"/v1/feedback", `{"session":` + sess + `}`, http.StatusOK, nil},
+		{"/v1/feedback", `{"session":` + sess + `}`, http.StatusOK, []string{
+			`{"session":` + sess + `,"session":` + sess + `}`,
+			`{"session":` + sess + `,"SESSION":null}`,
+			`{"session":{"query":"q","docs":["a","b"],"clicks":[true,false],"docs":["a","b"]}}`,
+			`{"session":` + sess + `,"snippets":[{"lines":["x"],"impressions":2,"clicks":1,"Clicks":1}]}`,
+		}},
 	}
 	for _, rt := range routes {
 		if code, body := post(t, ts.URL+rt.path, rt.ok+" \n"); code != rt.okStatus {
@@ -554,12 +567,9 @@ func TestOutsizedCodecIsNotPooled(t *testing.T) {
 			codecPool.Get()
 		}
 	}
-	big := []*scoreCodec{
-		{body: make([]byte, 0, maxPooledEncodeBuf+1)},
-		{out: make([]byte, 0, maxPooledEncodeBuf+1)},
-		{esc: make([]byte, 0, maxPooledEncodeBuf+1)},
-		new(scoreCodec),
-	}
+	big := []*scoreCodec{codecOver(make([]byte, 0, maxPooledEncodeBuf+1)), new(scoreCodec), new(scoreCodec), new(scoreCodec)}
+	big[1].out = make([]byte, 0, maxPooledEncodeBuf+1)
+	big[2].esc = make([]byte, 0, maxPooledEncodeBuf+1)
 	if _, ok := scanBatch(big[3], []byte(`{"requests":[`+strings.Repeat(`{"lines":["a","b"]},`, maxBatchItems-1)+`{}]}`), maxBatchItems); !ok {
 		t.Fatal("the arena-filling batch was rejected")
 	}

@@ -26,19 +26,22 @@
 //
 // Scoring endpoints speak engine.Request / engine.Response verbatim
 // (the engine types carry the wire tags); per-request failures travel
-// in Response.Error, never silently as "{}". The two score routes do
-// not run encoding/json: scorejson.go scans their bodies into the
-// evidence arena the binary protocol decodes into (binproto.Batch — one
-// request-batch builder, two wire syntaxes) and appends their replies
-// with strconv, out of one pooled codec per request. Request strings on
-// those routes are views of the pooled body buffer — they die when the
-// handler returns, so whatever outlives it clones first — and
-// encoding/json stays the contract as the oracle of the package's
-// tests. Every JSON body is exactly one value: data after it is a 400
-// on every route, and on the two score routes so is a repeated key. Feedback is accepted into
-// the learner's bounded sink: the response reports accepted / dropped
-// / invalid counts, and saturation surfaces as 429 so load generators
-// can back off.
+// in Response.Error, never silently as "{}". The two score routes and
+// the feedback route do not run encoding/json: one scanner (jsonscan.go)
+// under a field table and a walk per route (scorejson.go, feedback.go)
+// reads their bodies into the evidence arena the binary protocol decodes
+// into (binproto.Batch — one request-batch builder, two wire syntaxes),
+// and their replies are appended with strconv, out of one pooled codec
+// per request. Strings scanned on those routes are views of the pooled
+// buffers: a scored request dies when the handler returns, so whatever
+// outlives it clones first; feedback events outlive it by design, so
+// the route copies them out, once per body, before the learner sees
+// them. encoding/json stays the contract as the oracle of the package's
+// tests. Every JSON body is exactly one value: data after it is a 400 on
+// every route, and on the scanned routes so is a repeated key. Feedback
+// is accepted into the learner's bounded sink: the response reports
+// accepted / dropped / invalid counts, and saturation surfaces as 429 so
+// load generators can back off.
 package server
 
 import (
@@ -55,7 +58,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/clickmodel"
 	"repro/internal/engine"
 	"repro/internal/obs"
 	"repro/internal/server/binproto"
@@ -305,100 +307,6 @@ func (s *Server) handleScoreBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.reply(w, c, s.scoreBatchCycle(r.Context(), c, ti, t0))
-}
-
-// feedbackRequest is the POST /v1/feedback wire shape: one session
-// and/or snippet, or batches of both.
-type feedbackRequest struct {
-	Session  *clickmodel.Session   `json:"session,omitempty"`
-	Sessions []clickmodel.Session  `json:"sessions,omitempty"`
-	Snippet  *stream.SnippetEvent  `json:"snippet,omitempty"`
-	Snippets []stream.SnippetEvent `json:"snippets,omitempty"`
-}
-
-// feedbackResponse reports what happened to each event: queued into
-// the learner, dropped on saturation, or rejected as malformed.
-type feedbackResponse struct {
-	Accepted int `json:"accepted"`
-	Dropped  int `json:"dropped"`
-	Invalid  int `json:"invalid"`
-}
-
-func (s *Server) handleFeedback(w http.ResponseWriter, r *http.Request) {
-	s.met.feedbacks.Add(1)
-	if s.learner == nil {
-		s.writeError(w, http.StatusServiceUnavailable,
-			"online learning is not enabled on this server (start microserve with -online)")
-		return
-	}
-	ti := traceFrom(r.Context())
-	t0 := time.Now()
-	var req feedbackRequest
-	if !s.decodeBody(w, r, &req) {
-		return
-	}
-	ti.stage("decode", t0)
-	total := len(req.Sessions) + len(req.Snippets)
-	if req.Session != nil {
-		total++
-	}
-	if req.Snippet != nil {
-		total++
-	}
-	if total == 0 {
-		s.writeError(w, http.StatusBadRequest, "feedback needs a session or a snippet")
-		return
-	}
-	if total > maxBatchItems {
-		s.writeError(w, http.StatusRequestEntityTooLarge,
-			"feedback batch of %d events exceeds the %d limit; split it", total, maxBatchItems)
-		return
-	}
-	if s.limiter != nil {
-		if ok, retryAfter := s.limiter.allowN(clientKey(r), total); !ok {
-			secs := int64((retryAfter + time.Second - 1) / time.Second)
-			w.Header().Set("Retry-After", strconv.FormatInt(secs, 10))
-			s.writeError(w, http.StatusTooManyRequests,
-				"feedback rate limit exceeded; retry after %ds", secs)
-			return
-		}
-	}
-	s.met.feedbackEvents.Add(uint64(total))
-	ti.shape("", total)
-	t1 := time.Now()
-
-	var out feedbackResponse
-	ingest := func(ev stream.Event) {
-		switch err := s.learner.Ingest(ev); {
-		case err == nil:
-			out.Accepted++
-		case errors.Is(err, stream.ErrDropped):
-			out.Dropped++
-		default:
-			out.Invalid++
-		}
-	}
-	if req.Session != nil {
-		ingest(stream.Event{Session: req.Session})
-	}
-	for i := range req.Sessions {
-		ingest(stream.Event{Session: &req.Sessions[i]})
-	}
-	if req.Snippet != nil {
-		ingest(stream.Event{Snippet: req.Snippet})
-	}
-	for i := range req.Snippets {
-		ingest(stream.Event{Snippet: &req.Snippets[i]})
-	}
-
-	ti.stage("ingest", t1)
-	// All-dropped is backpressure, not success: tell the producer to
-	// slow down. Partial acceptance stays 200 with the counts.
-	status := http.StatusOK
-	if out.Accepted == 0 && out.Dropped > 0 {
-		status = http.StatusTooManyRequests
-	}
-	s.writeJSON(w, status, out)
 }
 
 // loadRequest is the admin body of POST /v1/models/{name}/load: the

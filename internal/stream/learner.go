@@ -91,10 +91,33 @@ func (c *Config) defaults() {
 	if c.MicroMaxN < 1 {
 		c.MicroMaxN = 2
 	}
+	if c.MicroMaxN > 3 {
+		c.MicroMaxN = 3 // the paper's unigrams, bigrams and trigrams: textproc.ExtractTerms' clamp
+	}
 }
 
 // termCount is one micro term's decayed impression/click mass.
 type termCount struct{ imps, clicks float64 }
+
+// termShard is one shard's micro accumulator between two merges: the
+// terms sighted since the last merge, their counts in a slab beside the
+// map (crediting a known term is a map read and two adds), and the
+// scratch the shard's snippets are tokenised into.
+type termShard struct {
+	ids    map[string]int32
+	counts []termDelta
+	// event numbers the snippet events the shard folds. A count stamped
+	// with the current number has had this event's mass: each distinct
+	// term is credited once per event without a set per event. 0: none.
+	event uint32
+	sc    textproc.Scratch
+	_     [64]byte // shards fold concurrently: keep neighbours off one cache line
+}
+
+type termDelta struct {
+	termCount
+	event uint32
+}
 
 // sessionRing is one shard's slice of the EM mini-batch window.
 type sessionRing struct {
@@ -172,8 +195,8 @@ type Learner struct {
 	mu         sync.Mutex
 	deltas     []*clickmodel.Stats // per shard, reset on every merge
 	idmaps     [][]int32           // per shard: delta pair ID -> global pair ID
-	rings      []sessionRing       // per shard slice of the EM window
-	termDeltas []map[string]termCount
+	rings      []sessionRing       // per shard slice of the EM window; nil without an EM-family model
+	termDeltas []termShard
 	global     *clickmodel.Stats
 	terms      map[string]termCount
 	winScratch []clickmodel.Session
@@ -228,18 +251,20 @@ func New(eng *engine.Engine, cfg Config) (*Learner, error) {
 		}
 	}
 	shards := l.sink.Shards()
-	perShard := cfg.Window / shards
-	if perShard < 1 {
-		perShard = 1
-	}
 	l.deltas = make([]*clickmodel.Stats, shards)
 	l.idmaps = make([][]int32, shards)
-	l.rings = make([]sessionRing, shards)
-	l.termDeltas = make([]map[string]termCount, shards)
+	l.termDeltas = make([]termShard, shards)
 	for i := 0; i < shards; i++ {
 		l.deltas[i] = clickmodel.NewStats()
-		l.rings[i] = sessionRing{buf: make([]clickmodel.Session, perShard)}
-		l.termDeltas[i] = make(map[string]termCount)
+		l.termDeltas[i].ids = make(map[string]int32)
+	}
+	if l.emModels > 0 {
+		// Only windowLocked reads the rings, and only an EM-family refit
+		// calls it: counting-family models must not pin Window sessions.
+		l.rings = make([]sessionRing, shards)
+		for i := range l.rings {
+			l.rings[i].buf = make([]clickmodel.Session, max(cfg.Window/shards, 1))
+		}
 	}
 	if cfg.WAL != nil {
 		l.wal = cfg.WAL
@@ -371,7 +396,9 @@ func (l *Learner) absorb(i int, ev *Event) (sessions, snippets uint64) {
 	}
 	if ev.Session != nil {
 		if l.deltas[i].Add(*ev.Session) == nil {
-			l.rings[i].add(*ev.Session)
+			if l.rings != nil {
+				l.rings[i].add(*ev.Session)
+			}
 			sessions++
 		}
 	}
@@ -383,15 +410,49 @@ func (l *Learner) absorb(i int, ev *Event) (sessions, snippets uint64) {
 }
 
 // foldSnippet credits every distinct term of the snippet with the
-// event's impression and click mass.
+// event's impression and click mass. Each line is tokenised into the
+// shard's scratch, where an n-gram is the contiguous bytes from its
+// first token's start to its last token's end (tokens are joined by
+// single spaces), and looked up as those bytes: only a term's first
+// sighting since the last merge makes a string.
+//
+//mb:noalloc
 func (l *Learner) foldSnippet(shard int, ev *SnippetEvent) {
-	m := l.termDeltas[shard]
-	for term := range textproc.TermSet(ev.Lines, l.cfg.MicroMaxN) {
-		tc := m[term]
-		tc.imps += float64(ev.Impressions)
-		tc.clicks += float64(ev.Clicks)
-		m[term] = tc
+	t := &l.termDeltas[shard]
+	if t.event++; t.event == 0 {
+		// The numbering wrapped: no count may still look credited by an
+		// event 2^32 ago.
+		for i := range t.counts {
+			t.counts[i].event = 0
+		}
+		t.event = 1
 	}
+	imps, clicks := float64(ev.Impressions), float64(ev.Clicks)
+	for _, line := range ev.Lines {
+		spans := t.sc.Tokenize(line)
+		for i := range spans {
+			for n := 1; n <= l.cfg.MicroMaxN && i+n <= len(spans); n++ {
+				term := t.sc.Norm[spans[i].Start:spans[i+n-1].End]
+				id, known := t.ids[string(term)]
+				if !known {
+					id = t.add(term)
+				}
+				if d := &t.counts[id]; d.event != t.event {
+					d.event = t.event
+					d.imps += imps
+					d.clicks += clicks
+				}
+			}
+		}
+	}
+}
+
+// add enters a term the shard has not sighted since the last merge.
+func (t *termShard) add(term []byte) int32 {
+	id := int32(len(t.counts))
+	t.ids[string(term)] = id
+	t.counts = append(t.counts, termDelta{})
+	return id
 }
 
 // pruneMass is the decayed impression mass below which a pair or term
@@ -420,14 +481,16 @@ func (l *Learner) mergeLocked() {
 		l.idmaps[i] = l.global.Merge(d, l.idmaps[i])
 		d.Reset()
 	}
-	for _, td := range l.termDeltas {
-		for term, tc := range td {
+	for i := range l.termDeltas {
+		t := &l.termDeltas[i]
+		for term, id := range t.ids {
 			cur := l.terms[term]
-			cur.imps += tc.imps
-			cur.clicks += tc.clicks
+			cur.imps += t.counts[id].imps
+			cur.clicks += t.counts[id].clicks
 			l.terms[term] = cur
 		}
-		clear(td)
+		clear(t.ids)
+		t.counts = t.counts[:0]
 	}
 	if decaying && l.global.Prune(pruneMass) > 0 {
 		// Pruning renumbers global pair IDs, so the cached delta→global

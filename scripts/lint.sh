@@ -1,10 +1,10 @@
 #!/usr/bin/env bash
 # lint.sh — the repo's static gate: gofmt, go vet, mbvet (the custom
 # invariant analyzers, driven through go vet's -vettool protocol so
-# cmd/go handles package loading and caching), the check that the
-# reference scorer (internal/core/coreref) is imported by tests only,
-# and — when the pinned tools are installed — staticcheck and
-# govulncheck.
+# cmd/go handles package loading and caching), the checks that the two
+# test oracles stay in tests (the reference scorer internal/core/coreref;
+# feedbackRequest, the encoding/json shape of POST /v1/feedback), and —
+# when the pinned tools are installed — staticcheck and govulncheck.
 #
 # Usage: scripts/lint.sh
 # Exits nonzero on any finding. CI installs staticcheck/govulncheck
@@ -38,6 +38,16 @@ importers=$(go list -f '{{$p := .ImportPath}}{{range .Imports}}{{if eq . "repro/
 if [ -n "$importers" ]; then
   echo "non-test code imports repro/internal/core/coreref:" >&2
   echo "$importers" >&2
+  fail=1
+fi
+
+echo "== the feedback route's encoding/json shape stays a test oracle"
+# POST /v1/feedback is scanned by hand; feedbackRequest is what
+# encoding/json would decode, kept in _test.go to check the scanner.
+users=$(grep -rl --include='*.go' feedbackRequest internal/server | grep -v '_test\.go$' || true)
+if [ -n "$users" ]; then
+  echo "non-test code references feedbackRequest:" >&2
+  echo "$users" >&2
   fail=1
 fi
 
