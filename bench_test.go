@@ -24,6 +24,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"strconv"
+	"strings"
 	"sync"
 	"syscall"
 	"testing"
@@ -451,6 +452,86 @@ func BenchmarkMicroScore(b *testing.B) {
 			}
 		}
 	})
+}
+
+// BenchmarkMicroTokenize prices Scratch.Tokenize per line, by line
+// shape, so a tokeniser that is only fast on lower-case words shows:
+// the bench corpus' lines as they are, and four shapes derived from
+// them — Title Case with ", . ! -" between words, "'s" on every third
+// word (the dropped byte), two lines joined to about 90 bytes (more than
+// one 64-byte block), and one "é" per line (the non-ASCII fallback).
+// ns/op is ns per line.
+func BenchmarkMicroTokenize(b *testing.B) {
+	reqs, _ := getEngineBench(b)
+	var corpus []string
+	for _, r := range reqs {
+		corpus = append(corpus, r.Lines...)
+	}
+	perWord := func(edit func(i int, w string) string, sep func(i int) string) []string {
+		out := make([]string, len(corpus))
+		for li, line := range corpus {
+			var sb strings.Builder
+			for i, w := range strings.Fields(line) {
+				if i > 0 {
+					sb.WriteString(sep(i))
+				}
+				sb.WriteString(edit(i, w))
+			}
+			out[li] = sb.String()
+		}
+		return out
+	}
+	space := func(int) string { return " " }
+	long90 := make([]string, len(corpus))
+	for i, line := range corpus {
+		long90[i] = line + " " + corpus[(i+1)%len(corpus)]
+		for j := 2; len(long90[i]) < 80; j++ {
+			long90[i] += " " + corpus[(i+j)%len(corpus)]
+		}
+	}
+	shapes := []struct {
+		name  string
+		lines []string
+	}{
+		{"corpus", corpus},
+		{"title_punct", perWord(
+			func(_ int, w string) string { return strings.ToUpper(w[:1]) + w[1:] },
+			func(i int) string { return []string{", ", ". ", "! ", " - "}[i%4] })},
+		{"apostrophe", perWord(
+			func(i int, w string) string {
+				if i%3 == 0 {
+					return w + "'s"
+				}
+				return w
+			}, space)},
+		{"long90", long90},
+		{"nonascii", perWord(
+			func(i int, w string) string {
+				if i == 1 {
+					return w + "é"
+				}
+				return w
+			}, space)},
+	}
+	for _, shape := range shapes {
+		b.Run(shape.name, func(b *testing.B) {
+			var sc textproc.Scratch
+			var bytes, tokens int
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i, j := 0, 0; i < b.N; i++ {
+				bytes += len(shape.lines[j])
+				tokens += len(sc.Tokenize(shape.lines[j]))
+				if j++; j == len(shape.lines) {
+					j = 0
+				}
+			}
+			if tokens == 0 && b.N > 100 {
+				b.Fatal("no tokens")
+			}
+			b.ReportMetric(float64(bytes)/1e6/b.Elapsed().Seconds(), "MB/s")
+		})
+	}
 }
 
 // BenchmarkExtractTermsPath compares the two term-resolution paths on

@@ -14,7 +14,9 @@
 // to serve it. -format picks the artifact encoding: v1 is the portable
 // varint stream every model supports; v2 is the sectioned zero-parse
 // layout (PBM and DBN) that microserve maps read-only instead of
-// decoding. -conv upgrades an existing v1 artifact to v2 in place
+// decoding. -conv rewrites an existing artifact — v1, or v2 placed under
+// an earlier build's hash scheme, which microserve loads only by
+// rebuilding its probe tables on the heap — as a current v2 one in place
 // (atomic temp-file + rename, so a serving process watching the path
 // never sees a half-written file) without refitting anything.
 //
@@ -24,7 +26,7 @@
 //	clickmodelfit -model pbm -workers 8 -iters 10
 //	clickmodelfit -model pbm -o pbm.bin              # fit → snapshot → serve
 //	clickmodelfit -model pbm -o pbm.bin -format v2   # zero-parse artifact
-//	clickmodelfit -conv pbm.bin                      # v1 → v2, in place
+//	clickmodelfit -conv pbm.bin                      # v1 or older v2 → current v2, in place
 //	clickmodelfit -list
 package main
 
@@ -60,7 +62,7 @@ func main() {
 	workers := flag.Int("workers", runtime.GOMAXPROCS(0), "engine-wide cap on batch-scoring strands (the calling goroutine always scores)")
 	out := flag.String("o", "", "write the fitted model (-model; default pbm when fitting all) as a snapshot artifact")
 	format := flag.String("format", "v1", "artifact format for -o: v1 (portable varint) or v2 (zero-parse mapped)")
-	conv := flag.String("conv", "", "upgrade the named v1 artifact to v2 in place (atomic) and exit; no fitting")
+	conv := flag.String("conv", "", "rewrite the named artifact (v1, or v2 from an earlier build) as a current v2 one in place (atomic) and exit; no fitting")
 	list := flag.Bool("list", false, "list registered click models and exit")
 	flag.Parse()
 
@@ -75,7 +77,7 @@ func main() {
 		if err := convertToV2(*conv); err != nil {
 			log.Fatalf("-conv %s: %v", *conv, err)
 		}
-		log.Printf("upgraded %s to the v2 (zero-parse) format", *conv)
+		log.Printf("%s is now a current v2 (zero-parse) artifact", *conv)
 		return
 	}
 
@@ -181,17 +183,23 @@ func writeSnapshot(path string, m clickmodel.Model, format string) error {
 	return snapshot.WriteFileAtomic(path, sn.Save)
 }
 
-// convertToV2 rewrites an existing artifact in the v2 zero-parse
-// layout, in place. It decodes any v1 artifact (macro or micro) and
-// re-encodes through the model's v2 codec; an already-v2 input is
-// rejected rather than rewritten, so the flag is safe to run twice.
+// convertToV2 rewrites an existing artifact as a current v2 one, in
+// place. A v1 artifact (macro or micro) is decoded and re-encoded
+// through the model's v2 codec; a v2 artifact is loaded as a stream is
+// (checked, foreign vocabularies re-placed) and exported again, which
+// gives a current artifact back byte for byte: safe to run twice.
 func convertToV2(path string) error {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return err
 	}
 	if snapshot.IsV2(data) {
-		return fmt.Errorf("already a v2 artifact")
+		eng := engine.New()
+		info, err := eng.LoadSnapshot("", bytes.NewReader(data))
+		if err != nil {
+			return err
+		}
+		return snapshot.WriteFileAtomic(path, func(w io.Writer) error { return eng.SaveSnapshot(info.Ref(), w) })
 	}
 	s, name, err := engine.DecodeScorer(bytes.NewReader(data))
 	if err != nil {

@@ -122,9 +122,9 @@ func hashLine(s string) uint64 {
 	return h ^ h>>32
 }
 
-// le64 is binary.LittleEndian.Uint64 over a string: the compiler merges
-// the eight byte loads into one.
-func le64(s string) uint64 {
+// le64 is binary.LittleEndian.Uint64 for a string or a byte slice: the
+// compiler merges the eight byte loads into one.
+func le64[K string | []byte](s K) uint64 {
 	_ = s[7]
 	return uint64(s[0]) | uint64(s[1])<<8 | uint64(s[2])<<16 | uint64(s[3])<<24 |
 		uint64(s[4])<<32 | uint64(s[5])<<40 | uint64(s[6])<<48 | uint64(s[7])<<56

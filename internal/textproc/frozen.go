@@ -10,10 +10,13 @@ package textproc
 // layout: the on-disk bytes ARE the lookup structure, and N processes
 // mapping the same artifact share one page cache copy.
 //
-// Placement is TermVocab's — same two-level hash, same linear probe —
-// but the lookup does not walk the table: it walks the tags, eight
-// buckets per step, and opens the table, the offsets and the blob only
-// for a bucket whose tag matches the probed hash. The snippet scorer
+// Placement is TermVocab's — hashTerm of the term, linear probe, IDs in
+// order — so the table and the tags are a function of the terms, the
+// table's size and this build's hash scheme, and ReadSections re-places
+// a vocabulary another scheme placed. The lookup does not walk the
+// table: it walks the tags, eight buckets per step, and opens the table,
+// the offsets and the blob only for a bucket whose tag matches the
+// probed hash. The snippet scorer
 // looks up every 1..3-gram window and few of them are terms, so the
 // common lookup is a miss, and a miss is one load from an array an
 // eighth the size of the table. The byte compare against the term text
@@ -24,6 +27,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"log"
 	"math/bits"
 
 	"repro/internal/snapshot"
@@ -136,7 +140,7 @@ func newFrozenVocab(blob []byte, offs []uint32, tab []int32, tags []byte) (*Froz
 
 // NewFrozenVocab wraps three pre-built sections and derives the tags
 // from them, hashing every placed term once: the O(n) form, for callers
-// that hold no tag section (an artifact written before tags existed).
+// that hold a table this build placed and no tag section.
 // The tag array is allocated on the heap; the other three stay views.
 // The trust split is newFrozenVocab's: the same O(1) checks here,
 // Validate for the rest.
@@ -148,11 +152,33 @@ func NewFrozenVocab(blob []byte, offs []uint32, tab []int32) (*FrozenVocab, erro
 	for i, id := range tab {
 		if id >= 0 {
 			text, _ := v.term(id) // a corrupt ID hashes as the empty term: occupied, never matched
-			v.tags[i] = hashTag(hashBytes(text))
+			v.tags[i] = hashTag(hashTerm(text))
 		}
 	}
 	copy(v.tags[len(tab):], v.tags)
 	return v, nil
+}
+
+// place rebuilds the probe table and its tags on the heap from the terms
+// alone, under this build's hash: IDs in order, each at the first free
+// bucket of its chain (the table has twice the term count), at the size
+// the table had — what FreezeVocab would write for the same terms.
+func (v *FrozenVocab) place() {
+	tab, tags := make([]int32, len(v.tab)), make([]byte, len(v.tags))
+	for i := range tab {
+		tab[i] = -1
+	}
+	for id := range v.Len() {
+		text, _ := v.term(int32(id)) // corrupt offsets place the empty term: occupied, never matched
+		h := hashTerm(text)
+		i := h & v.mask
+		for tab[i] >= 0 {
+			i = (i + 1) & v.mask
+		}
+		tab[i], tags[i] = int32(id), hashTag(h)
+	}
+	copy(tags[len(tab):], tags)
+	v.tab, v.tags = tab, tags
 }
 
 // Section suffixes of a vocabulary inside a v2 artifact; the prefix
@@ -174,14 +200,15 @@ func (v *FrozenVocab) WriteSections(w *snapshot.V2Writer, prefix string) {
 }
 
 // ReadSections wraps the vocabulary stored under prefix as zero-copy
-// views, in O(1): no term is touched but term 0. An artifact with no
-// tag section predates tags and loads through NewFrozenVocab's O(n)
-// derivation instead of being rejected.
-//
-// Term 0 must look itself up as ID 0. The probe table is only
-// meaningful under the hash and tag rule that placed it; an artifact
-// from a build with different ones would otherwise load cleanly and
-// score every term as unknown.
+// views, in O(1): no term is touched but term 0, which must look itself
+// up as ID 0. The table and the tags only mean something under the hash
+// scheme that placed them; a table from a build with another one would
+// otherwise load cleanly and score every term as unknown. When term 0
+// is not found — or there is no tag section, which only an artifact
+// older than the tags lacks — place rebuilds both on the heap, O(n), and
+// the log says so: blob, offs and everything keyed by ID are unaffected,
+// and WriteSections then emits the rebuilt sections (clickmodelfit
+// -conv). Structurally unsound sections are snapshot.ErrCorrupt.
 func ReadSections(a *snapshot.V2Artifact, prefix string) (*FrozenVocab, error) {
 	blob, err := a.BytesView(prefix + secBlob)
 	if err != nil {
@@ -195,23 +222,21 @@ func ReadSections(a *snapshot.V2Artifact, prefix string) (*FrozenVocab, error) {
 	if err != nil {
 		return nil, err
 	}
-	var v *FrozenVocab
-	if _, tagged := a.Section(prefix + secTags); tagged {
-		var tags []byte
-		if tags, err = a.BytesView(prefix + secTags); err != nil {
-			return nil, err
-		}
-		v, err = newFrozenVocab(blob, offs, tab, tags)
-	} else {
-		v, err = NewFrozenVocab(blob, offs, tab)
+	var tags []byte
+	if _, tagged := a.Section(prefix + secTags); !tagged {
+		tags = make([]byte, len(tab)+tagStep) // every lookup misses until place
+	} else if tags, err = a.BytesView(prefix + secTags); err != nil {
+		return nil, err
 	}
+	v, err := newFrozenVocab(blob, offs, tab, tags)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", snapshot.ErrCorrupt, err)
 	}
 	if v.Len() > 0 {
 		text, _ := v.term(0)
-		if id, ok := v.LookupHashed(hashBytes(text), text); !ok || id != 0 {
-			return nil, fmt.Errorf("%w: vocabulary %q does not find its own first term: written under a different hash/tag scheme — re-export", snapshot.ErrCorrupt, prefix)
+		if id, ok := v.LookupHashed(hashTerm(text), text); !ok || id != 0 {
+			v.place()
+			log.Printf("textproc: vocabulary %q (%d terms) was placed under another build's hash scheme: probe table rebuilt on the heap; re-export the artifact (clickmodelfit -conv) to load it mapped", prefix, v.Len())
 		}
 	}
 	return v, nil
@@ -309,7 +334,7 @@ func (v *FrozenVocab) LookupHashed(h uint64, b []byte) (int32, bool) { return pr
 // Lookup resolves a term string without interning.
 //
 //mb:noalloc
-func (v *FrozenVocab) Lookup(s string) (int32, bool) { return probe(v, hashString(s), s) }
+func (v *FrozenVocab) Lookup(s string) (int32, bool) { return probe(v, hashTerm(s), s) }
 
 // Len returns the number of terms.
 func (v *FrozenVocab) Len() int { return len(v.offs) - 1 }

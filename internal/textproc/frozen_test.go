@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"slices"
 	"strconv"
 	"testing"
 
@@ -372,12 +373,16 @@ func TestFrozenVocabBadTags(t *testing.T) {
 	}
 }
 
-// TestReadSectionsRejectsForeignPlacement: a table placed under another
+// TestReadSectionsReplacesForeignPlacement: a table placed under another
 // hash (the writer's constants or tag rule differ from this build's)
 // passes every structural check, and before the canary it loaded and
-// scored every term as unknown. ReadSections must refuse it, with or
-// without a tag section, as snapshot.ErrCorrupt.
-func TestReadSectionsRejectsForeignPlacement(t *testing.T) {
+// scored every term as unknown. ReadSections must re-place it, with or
+// without a tag section: every term found under its own ID, the table
+// and tags bucket for bucket what this build's freeze writes, the terms
+// still views of the artifact. Written out again it loads as it stands.
+// A table that is structurally unsound is snapshot.ErrCorrupt, not
+// something to re-place.
+func TestReadSectionsReplacesForeignPlacement(t *testing.T) {
 	terms := []string{"alpha", "beta", "gamma", "alpha beta", "delta"}
 	f := freezeTerms(terms...)
 	foreign := &FrozenVocab{blob: f.blob, offs: f.offs, mask: f.mask,
@@ -397,15 +402,48 @@ func TestReadSectionsRejectsForeignPlacement(t *testing.T) {
 	if err := foreign.Validate(); err != nil {
 		t.Fatalf("the foreign table is structurally sound, yet Validate says %v", err)
 	}
+	// viewed reports whether v's table is the artifact's section rather
+	// than a rebuilt copy.
+	viewed := func(v *FrozenVocab, a *snapshot.V2Artifact) bool {
+		tab, err := a.Int32sView("q" + secTabl)
+		return err == nil && &v.tab[0] == &tab[0]
+	}
 	for _, tagged := range []bool{true, false} {
-		_, err := ReadSections(writeVocab(t, foreign, "q", tagged), "q")
-		if !errors.Is(err, snapshot.ErrCorrupt) {
-			t.Errorf("tagged=%v: ReadSections = %v, want snapshot.ErrCorrupt", tagged, err)
+		a := writeVocab(t, foreign, "q", tagged)
+		v, err := ReadSections(a, "q")
+		if err != nil {
+			t.Fatalf("tagged=%v: ReadSections = %v, want the vocabulary re-placed", tagged, err)
+		}
+		if viewed(v, a) {
+			t.Errorf("tagged=%v: the foreign table is still being served", tagged)
+		}
+		if blob, _ := a.BytesView("q" + secBlob); &v.blob[0] != &blob[0] {
+			t.Errorf("tagged=%v: re-placing copied the terms", tagged)
+		}
+		if !slices.Equal(v.tab, f.tab) || !bytes.Equal(v.tags, f.tags) {
+			t.Errorf("tagged=%v: re-placed table %v tags %v, a freeze of the same terms has %v and %v", tagged, v.tab, v.tags, f.tab, f.tags)
+		}
+		if err := v.Validate(); err != nil {
+			t.Errorf("tagged=%v: Validate on the re-placed vocabulary: %v", tagged, err)
+		}
+		for id, s := range terms {
+			checkLookup(t, v, s, int32(id), true)
+			checkLookup(t, v, s+"x", 0, false)
+		}
+		again := writeVocab(t, v, "q", true)
+		if v2, err := ReadSections(again, "q"); err != nil || !viewed(v2, again) {
+			t.Errorf("tagged=%v: the re-exported vocabulary did not load as it stands (err %v)", tagged, err)
 		}
 	}
-	// The same sections under this build's placement load.
-	if _, err := ReadSections(writeVocab(t, f, "q", true), "q"); err != nil {
-		t.Errorf("ReadSections of a well-placed vocabulary: %v", err)
+	// The same sections under this build's placement load as views.
+	a := writeVocab(t, f, "q", true)
+	if v, err := ReadSections(a, "q"); err != nil || !viewed(v, a) {
+		t.Errorf("ReadSections of a well-placed vocabulary re-placed it or failed (err %v)", err)
+	}
+	// Unsound: a table too small for its terms.
+	small := &FrozenVocab{blob: f.blob, offs: f.offs, tab: foreign.tab[:8], tags: foreign.tags[:8+tagStep]}
+	if _, err := ReadSections(writeVocab(t, small, "q", true), "q"); !errors.Is(err, snapshot.ErrCorrupt) {
+		t.Errorf("ReadSections of an undersized table = %v, want snapshot.ErrCorrupt", err)
 	}
 }
 

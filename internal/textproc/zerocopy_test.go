@@ -1,6 +1,7 @@
 package textproc
 
 import (
+	"bytes"
 	"math"
 	"strconv"
 	"strings"
@@ -108,14 +109,7 @@ func TestScratchTokenize(t *testing.T) {
 // no joining space before its first token, ASCII or not — so the bytes
 // it adds and its span texts are exactly Scratch.Tokenize's.
 func TestAppendTokensArenaFlush(t *testing.T) {
-	lines := []string{
-		"été à Paris",
-		"ßtraße frei",
-		"日本 の 旅",
-		"ascii first",
-		"— é after a separator",
-	}
-	for _, line := range lines {
+	for _, line := range arenaFlushLines {
 		var sc Scratch
 		want := sc.Tokenize(line)
 
@@ -135,6 +129,117 @@ func TestAppendTokensArenaFlush(t *testing.T) {
 			}
 		}
 	}
+}
+
+// arenaFlushLines are TestAppendTokensArenaFlush's inputs, shared with
+// FuzzTokenize's seeds.
+var arenaFlushLines = []string{
+	"été à Paris",
+	"ßtraße frei",
+	"日本 の 旅",
+	"ascii first",
+	"— é after a separator",
+}
+
+// checkAppendTokens is the differential statement of appendTokens
+// against the reference normaliser, for one line appended to an arena
+// that already holds prefix bytes: the bytes added are NormalizeInto's,
+// the spans are exactly the space-separated fields of those bytes, every
+// Hash is hashToken of its field, and neither the arena's prefix nor the
+// spans already there are touched.
+func checkAppendTokens(t *testing.T, line string, prefix int) {
+	t.Helper()
+	want := NormalizeInto(nil, line)
+	// Tight: the arena has no spare capacity, so the call must grow it.
+	// Roomy: it has, so the call writes in place beside the prefix.
+	for _, spare := range []int{0, len(line) + 64} {
+		arena := make([]byte, prefix, prefix+spare)
+		for i := range arena {
+			arena[i] = byte(0xa0 + i%7)
+		}
+		held := append([]byte(nil), arena...)
+		sentinel := TokenSpan{Start: -1, End: -2, Hash: 3}
+		norm, spans := appendTokens(arena, []TokenSpan{sentinel}, line)
+		if !bytes.Equal(arena, held) || !bytes.Equal(norm[:prefix], held) {
+			t.Fatalf("appendTokens(%q) at prefix %d, spare %d wrote before the prefix", line, prefix, spare)
+		}
+		if got := norm[prefix:]; !bytes.Equal(got, want) {
+			t.Fatalf("appendTokens(%q) at prefix %d, spare %d added %q, NormalizeInto wrote %q", line, prefix, spare, got, want)
+		}
+		if len(spans) == 0 || spans[0] != sentinel {
+			t.Fatalf("appendTokens(%q) dropped or rewrote the spans it was handed: %v", line, spans)
+		}
+		spans = spans[1:]
+		var fields [][]byte
+		if len(want) > 0 {
+			fields = bytes.Split(want, []byte{' '})
+		}
+		if len(spans) != len(fields) {
+			t.Fatalf("appendTokens(%q): %d spans over %q, want %d", line, len(spans), want, len(fields))
+		}
+		at := prefix
+		for i, sp := range spans {
+			if sp.Start != at || sp.End != at+len(fields[i]) {
+				t.Fatalf("appendTokens(%q) span %d = [%d,%d), want [%d,%d) (%q)", line, i, sp.Start, sp.End, at, at+len(fields[i]), fields[i])
+			}
+			if h := hashToken(fields[i]); sp.Hash != h {
+				t.Fatalf("appendTokens(%q) span %d (%q) hash %#x, hashToken %#x", line, i, fields[i], sp.Hash, h)
+			}
+			at = sp.End + 1
+		}
+	}
+}
+
+// tokenizeSeeds are the shapes the block tokeniser has an edge for:
+// lines one byte either side of a word, a block and two blocks; a token
+// straddling each block edge; the apostrophe (a dropped byte) at the
+// first and last byte of a word and of a block, and alone; "$%" runs;
+// NUL, DEL and tab; Title Case with punctuation; a non-ASCII rune in the
+// first, a middle and the last block; a rune whose lower-case form is
+// longer than itself; and the arena-flush regression lines.
+func tokenizeSeeds() []string {
+	letters := strings.Repeat("Find cheap flights to New York today no reservation costs ", 4)
+	seeds := []string{
+		"", " ", "a", "'", "'''", "a'", "'a", "a'b", "' a '", "don't", "O'Brien's $5 o'clock",
+		"$", "%", "$$$ %%% $5 20% 100%$", "a\x00b", "a\x7fb", "a\tb c\td", "\x00\x00\x00", "Find Cheap Flights, To New-York. Now!",
+		"Ⱥ", "Ⱥbc ȺȺ x", "x Ⱥ", strings.Repeat("A", 200), strings.Repeat("'", 70), strings.Repeat("a'", 40),
+	}
+	for _, n := range []int{7, 8, 9, 63, 64, 65, 127, 128, 129} {
+		seeds = append(seeds, letters[:n], strings.Repeat("x", n), strings.Repeat("ab ", n)[:n])
+		// A token across the byte at n, and an apostrophe on either side
+		// of that byte.
+		seeds = append(seeds,
+			strings.Repeat(" ", n-3)+"straddle more",
+			strings.Repeat(".", n-1)+"'edge' '"+strings.Repeat("z", 9),
+			letters[:n-1]+"'"+letters[n:n+20],
+			letters[:n]+"'"+letters[n:n+20])
+	}
+	for _, at := range []int{0, 5, 63, 64, 100, 127, 140, len(letters) - 1} {
+		seeds = append(seeds, letters[:at]+"é"+letters[at:], letters[:at]+" — Ⱥ "+letters[at:])
+	}
+	return append(seeds, arenaFlushLines...)
+}
+
+// TestAppendTokensSeeds runs the differential check over the seeds at
+// every arena prefix that moves the line against the word grid.
+func TestAppendTokensSeeds(t *testing.T) {
+	for _, line := range tokenizeSeeds() {
+		for prefix := 0; prefix <= 9; prefix++ {
+			checkAppendTokens(t, line, prefix)
+		}
+	}
+}
+
+// FuzzTokenize is the differential fuzz target of the block tokeniser
+// (appendTokens, under Scratch.Tokenize, CandidateSet.addLine and the
+// learner's foldSnippet) against the reference normaliser.
+func FuzzTokenize(f *testing.F) {
+	for i, seed := range tokenizeSeeds() {
+		f.Add(seed, uint8(i))
+	}
+	f.Fuzz(func(t *testing.T, line string, prefix uint8) {
+		checkAppendTokens(t, line, int(prefix))
+	})
 }
 
 // TestScratchTokenizeZeroAlloc pins the steady-state allocation count

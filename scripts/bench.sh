@@ -16,8 +16,10 @@
 #   micro      — BenchmarkMicroScore/* + BenchmarkExtractTermsPath/*
 #                (compiled micro kernel vs map path) +
 #                BenchmarkVocabLookup/terms={2k,200k}/{hit,miss} (one
-#                frozen-vocabulary lookup, in cache and out of it),
-#                BENCH_engine.json
+#                frozen-vocabulary lookup, in cache and out of it) +
+#                BenchmarkMicroTokenize/{corpus,title_punct,apostrophe,
+#                long90,nonascii} (Scratch.Tokenize per line and MB/s,
+#                by line shape), BENCH_engine.json
 #   serve      — BenchmarkServeProtocol/* (JSON vs MBSP binary framing
 #                over real TCP) + BenchmarkSnapshotLoad/* (v1 decode vs
 #                v2 mmap at 1/10/100MB artifacts), BENCH_engine.json
@@ -35,7 +37,7 @@
 # A trajectory file is a JSON array of run records ordered oldest to
 # newest; each record carries the environment — commit, Go version and
 # host shape (CPU model, nproc, GOMAXPROCS) — and the parsed
-# ns/op / B/op / allocs/op (and req/s, ns/req, cpu-ns/req where
+# ns/op / B/op / allocs/op (and req/s, ns/req, cpu-ns/req, MB/s where
 # reported) of every benchmark in the suite.
 set -euo pipefail
 
@@ -62,7 +64,7 @@ done
 case "$suite" in
   clickmodel) pattern="ClickModel"; default_out="BENCH_clickmodel.json" ;;
   engine)     pattern="EngineScoreBatch"; default_out="BENCH_engine.json" ;;
-  micro)      pattern="MicroScore|ExtractTermsPath|VocabLookup"; default_out="BENCH_engine.json" ;;
+  micro)      pattern="MicroScore|ExtractTermsPath|VocabLookup|MicroTokenize"; default_out="BENCH_engine.json" ;;
   serve)      pattern="ServeProtocol|SnapshotLoad"; default_out="BENCH_engine.json" ;;
   optimize)   pattern="OptimizeCandidates"; default_out="BENCH_optimize.json" ;;
   stream)     pattern="Stream"; default_out="BENCH_stream.json" ;;
@@ -91,7 +93,7 @@ results=$(awk '
     name = $1
     sub(/-[0-9]+$/, "", name)
     sub(/^Benchmark/, "", name)
-    ns = ""; bytes = ""; allocs = ""; reqs = ""; sess = ""; cand = ""; nsreq = ""; cpureq = ""
+    ns = ""; bytes = ""; allocs = ""; reqs = ""; sess = ""; cand = ""; nsreq = ""; cpureq = ""; mbs = ""
     for (i = 3; i <= NF; i++) {
       if ($i == "ns/op") ns = $(i-1)
       else if ($i == "B/op") bytes = $(i-1)
@@ -101,6 +103,7 @@ results=$(awk '
       else if ($i == "cand/s") cand = $(i-1)
       else if ($i == "ns/req") nsreq = $(i-1)
       else if ($i == "cpu-ns/req") cpureq = $(i-1)
+      else if ($i == "MB/s") mbs = $(i-1)
     }
     if (ns == "") next
     extra = ""
@@ -109,6 +112,7 @@ results=$(awk '
     if (cpureq != "") extra = extra sprintf(", \"cpu_ns_per_req\": %s", cpureq)
     if (sess != "") extra = extra sprintf(", \"sessions_per_s\": %s", sess)
     if (cand != "") extra = extra sprintf(", \"cand_per_s\": %s", cand)
+    if (mbs != "") extra = extra sprintf(", \"mb_per_s\": %s", mbs)
     printf "%s    {\"name\": \"%s\", \"iters\": %s, \"ns_per_op\": %s, \"bytes_per_op\": %s, \"allocs_per_op\": %s%s}", sep, name, $2, ns, bytes, allocs, extra
     sep = ",\n"
   }

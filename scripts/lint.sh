@@ -3,8 +3,9 @@
 # invariant analyzers, driven through go vet's -vettool protocol so
 # cmd/go handles package loading and caching), the checks that the two
 # test oracles stay in tests (the reference scorer internal/core/coreref;
-# feedbackRequest, the encoding/json shape of POST /v1/feedback), and —
-# when the pinned tools are installed — staticcheck and govulncheck.
+# feedbackRequest, the encoding/json shape of POST /v1/feedback), the
+# check that the token hash keeps its one owner, and — when the pinned
+# tools are installed — staticcheck and govulncheck.
 #
 # Usage: scripts/lint.sh
 # Exits nonzero on any finding. CI installs staticcheck/govulncheck
@@ -48,6 +49,19 @@ users=$(grep -rl --include='*.go' feedbackRequest internal/server | grep -v '_te
 if [ -n "$users" ]; then
   echo "non-test code references feedbackRequest:" >&2
   echo "$users" >&2
+  fail=1
+fi
+
+echo "== the token hash has one owner"
+# hashMult1 is the multiplier of hashToken, the one definition of a
+# token's hash (and of hashLine's length seed beside it). Artifacts carry
+# tables placed under that hash, so a second spelling of the recurrence
+# elsewhere is a second scheme waiting to disagree with the first.
+spellers=$(grep -rl --include='*.go' hashMult1 . | grep -v '^\./\.bench_build/' \
+  | grep -v -x -e './internal/textproc/zerocopy.go' -e './internal/textproc/candidate.go' || true)
+if [ -n "$spellers" ]; then
+  echo "hashMult1 is spelled outside internal/textproc/{zerocopy,candidate}.go:" >&2
+  echo "$spellers" >&2
   fail=1
 fi
 
