@@ -554,11 +554,7 @@ func BenchmarkExtractTermsPath(b *testing.B) {
 	})
 
 	b.Run("lookup", func(b *testing.B) {
-		tv := textproc.NewTermVocab(len(model.Relevance))
-		for t := range model.Relevance {
-			tv.Add(t)
-		}
-		vocab := textproc.FreezeVocab(tv)
+		vocab := textproc.FreezeVocab(vocabBenchTerms(model, 0))
 		var sc textproc.Scratch
 		hits := 0
 		b.ReportAllocs()
@@ -585,6 +581,47 @@ func BenchmarkExtractTermsPath(b *testing.B) {
 	})
 }
 
+// vocabBenchTerms lists the bench model's planted terms, padded with
+// distinct one- and two-token filler to n terms when it has fewer.
+func vocabBenchTerms(model *micro.Model, n int) []string {
+	terms := make([]string, 0, max(n, len(model.Relevance)))
+	for t := range model.Relevance {
+		terms = append(terms, t)
+	}
+	for i := 0; len(terms) < n; i++ {
+		term := "pad" + strconv.Itoa(i)
+		if i%3 != 0 {
+			term += " filler" + strconv.Itoa(i%977)
+		}
+		if _, planted := model.Relevance[term]; !planted {
+			terms = append(terms, term)
+		}
+	}
+	return terms
+}
+
+// BenchmarkMicroCompile prices core.Model.Compile — list the relevance
+// keys, freeze them, take the logarithms — at BenchmarkVocabLookup's two
+// vocabulary sizes. A micro publish of the online learner pays it, and
+// so does every load of a v1 artifact.
+func BenchmarkMicroCompile(b *testing.B) {
+	_, model := getEngineBench(b)
+	for _, terms := range []int{2_000, 200_000} {
+		m := core.NewModel(nil)
+		for i, t := range vocabBenchTerms(model, terms) {
+			m.Relevance[t] = 0.2 + float64(i%61)/100
+		}
+		b.Run(fmt.Sprintf("%dk", terms/1000), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if c := m.Compile(); c.NumParams() != terms {
+					b.Fatalf("compiled %d terms, want %d", c.NumParams(), terms)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkVocabLookup prices one FrozenVocab.LookupHashed, hit and
 // miss apart, at two vocabulary sizes: 2k terms (table and tags sit in
 // L1/L2, as in every other bench here, whose corpus has a few dozen
@@ -597,18 +634,8 @@ func BenchmarkExtractTermsPath(b *testing.B) {
 func BenchmarkVocabLookup(b *testing.B) {
 	_, model := getEngineBench(b)
 	for _, terms := range []int{2_000, 200_000} {
-		tv := textproc.NewTermVocab(terms)
-		for t := range model.Relevance {
-			tv.Add(t)
-		}
-		for i := 0; tv.Len() < terms; i++ {
-			term := "pad" + strconv.Itoa(i)
-			if i%3 != 0 {
-				term += " filler" + strconv.Itoa(i%977)
-			}
-			tv.Add(term)
-		}
-		vocab := textproc.FreezeVocab(tv)
+		texts := vocabBenchTerms(model, terms)
+		vocab := textproc.FreezeVocab(texts)
 
 		type probe struct {
 			h      uint64
@@ -619,7 +646,7 @@ func BenchmarkVocabLookup(b *testing.B) {
 			var arena []byte
 			var probes []probe
 			for id := 0; id < terms && len(probes) < 1<<16; id += 1 + terms>>16 {
-				spans := sc.Tokenize(tv.Text(int32(id)) + suffix)
+				spans := sc.Tokenize(texts[id] + suffix)
 				h := textproc.NGramHashSeed
 				for _, sp := range spans {
 					h = textproc.ExtendNGramHash(h, sp.Hash)
@@ -1323,8 +1350,9 @@ func BenchmarkOptimizeCandidates(b *testing.B) {
 	ctx := context.Background()
 
 	// The candidate pool: lines drawn from a dozen sibling creatives,
-	// mixed three at a time — the loadgen -optimize-every workload
-	// shape, with the heavy line sharing real edit spaces have.
+	// mixed three at a time — the snippet-construction workload shape
+	// (optimize_mbsp's in benchmark/), with the heavy line sharing real
+	// edit spaces have.
 	var pool []string
 	for i := 0; i < len(reqs) && len(pool) < 36; i++ {
 		pool = append(pool, reqs[i].Lines...)

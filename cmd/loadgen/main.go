@@ -1,35 +1,21 @@
-// Command loadgen replays simulated SERP traffic against a running
-// microserve instance, driving the whole online loop end to end: the
-// simulator's two-layer user model produces sessions (and optionally
-// aggregated snippet feedback), loadgen batches them into POST
-// /v1/feedback calls, and — with -score-every — mixes scoring reads in
-// so the serving path and the learning path run concurrently, the way
-// production traffic arrives.
+// Command loadgen replays simulated SERP feedback at a running
+// microserve instance — the one job no other tool here does: the
+// simulator's two-layer user model produces sessions (and, with
+// -snippets, aggregated snippet feedback), and loadgen batches them into
+// POST /v1/feedback calls, so an online learner has traffic to fold,
+// log to its WAL and publish from. scripts/serve_smoke.sh drives its
+// publish → kill -9 → replay loop with it, and README's online
+// walkthrough uses it by hand.
 //
 // Usage:
 //
 //	loadgen -addr http://127.0.0.1:8377 -sessions 20000
 //	loadgen -sessions 50000 -batch 500 -workers 8 -snippets 2
-//	loadgen -sessions 10000 -score-every 4   # 1 score batch per 4 feedback batches
-//	loadgen -sessions 10000 -score-every 1 -proto binary   # score over MBSP frames
-//	loadgen -sessions 10000 -optimize-every 2 -optimize-cands 128   # candidate-set traffic
 //
-// With -optimize-every, loadgen mixes POST /v1/optimize calls into the
-// stream: each call is one query × N candidate snippets mixed-and-
-// matched from one adgroup's creatives (the snippet-construction
-// workload the amortised candidate-set path is built for).
-//
-// With -proto binary the score batches and optimize calls skip HTTP
-// and JSON entirely: each worker holds one TCP connection to the same
-// port speaking the length-prefixed MBSP framing
-// (internal/server/binproto), which the server sniffs apart from HTTP
-// by the first bytes. Feedback ingest stays on JSON either way — the
-// binary protocol covers the hot scoring path only.
-//
-// At exit loadgen reports client-observed latency quantiles
-// (p50/p95/p99) per traffic class — feedback, score, optimize — from
-// the same log2-bucketed histograms the server uses (internal/obs),
-// so client-side and /metrics numbers are directly comparable.
+// loadgen measures nothing. Latency, goodput and reply checking — of
+// score and optimize traffic over both wire protocols, and of feedback
+// beside them — are the benchmark's (benchmark/, open-loop, every reply
+// checked): bash benchmark/run.sh --workload mixed_online.
 //
 // The exit status is non-zero when the server rejects traffic for any
 // reason other than saturation (429 counts as drops, not failure).
@@ -42,50 +28,16 @@ import (
 	"fmt"
 	"io"
 	"log"
-	"math/rand"
 	"net/http"
 	"os"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/adcorpus"
 	"repro/internal/clickmodel"
-	"repro/internal/engine"
-	"repro/internal/obs"
 	"repro/internal/serp"
-	"repro/internal/server/binproto"
 )
-
-// Client-side latency histograms per traffic class, shared by the
-// sender pool (obs.Histogram records are atomic). Samples are
-// nanoseconds of full request round trips — including body drain, so
-// the numbers line up with what a real caller experiences rather than
-// with the server's own service-time histograms.
-var feedbackLat, scoreLat, optimizeLat obs.Histogram
-
-// latFor maps an HTTP job path to its latency class.
-func latFor(path string) *obs.Histogram {
-	switch path {
-	case "/v1/feedback":
-		return &feedbackLat
-	case "/v1/optimize":
-		return &optimizeLat
-	default:
-		return &scoreLat
-	}
-}
-
-// printLatency reports one class's client-observed quantiles.
-func printLatency(name string, h *obs.Histogram) {
-	s := h.Snapshot()
-	if s.Count == 0 {
-		return
-	}
-	fmt.Printf("  %-8s n=%-6d p50=%.2fms p95=%.2fms p99=%.2fms mean=%.2fms\n",
-		name, s.Count, s.Quantile(0.5)/1e6, s.Quantile(0.95)/1e6, s.Quantile(0.99)/1e6, s.Mean()/1e6)
-}
 
 // feedbackBody mirrors the server's /v1/feedback wire shape.
 type feedbackBody struct {
@@ -105,43 +57,6 @@ type feedbackReply struct {
 	Invalid  int `json:"invalid"`
 }
 
-type scoreBody struct {
-	Requests []engine.Request `json:"requests"`
-}
-
-// optimizeBody mirrors the server's /v1/optimize wire shape.
-type optimizeBody struct {
-	Model      string     `json:"model,omitempty"`
-	Query      string     `json:"query,omitempty"`
-	Lines      []string   `json:"lines"`
-	Candidates [][]string `json:"candidates"`
-	MaxN       int        `json:"max_n,omitempty"`
-	TopK       int        `json:"top_k,omitempty"`
-}
-
-// optimizeWorkload mixes-and-matches one adgroup's creative lines into
-// a candidate set: the base is one creative verbatim, every candidate
-// picks each line position from a random sibling. Candidates share
-// lines heavily — the shape the candidate-set fast path amortises.
-func optimizeWorkload(rng *rand.Rand, corpus *adcorpus.Corpus, n int) (query string, base []string, cands [][]string) {
-	g := &corpus.Groups[rng.Intn(len(corpus.Groups))]
-	base = g.Creatives[rng.Intn(len(g.Creatives))].Lines
-	cands = make([][]string, n)
-	for i := range cands {
-		lines := make([]string, len(base))
-		for j := range lines {
-			c := &g.Creatives[rng.Intn(len(g.Creatives))]
-			if j < len(c.Lines) {
-				lines[j] = c.Lines[j]
-			} else {
-				lines[j] = base[j]
-			}
-		}
-		cands[i] = lines
-	}
-	return g.Keyword, base, cands
-}
-
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("loadgen: ")
@@ -151,12 +66,6 @@ func main() {
 	batch := flag.Int("batch", 200, "sessions per feedback POST")
 	snippets := flag.Int("snippets", 0, "snippet feedback events per batch (micro model fuel)")
 	impressions := flag.Int("impressions", 50, "impressions aggregated into each snippet event")
-	scoreEvery := flag.Int("score-every", 0, "POST one score batch per N feedback batches (0 = feedback only)")
-	scoreModel := flag.String("score-model", "", "model reference for score traffic (empty = server default)")
-	optimizeEvery := flag.Int("optimize-every", 0, "POST one /v1/optimize call per N feedback batches (0 = none)")
-	optimizeCands := flag.Int("optimize-cands", 64, "candidate snippets per optimize call")
-	optimizeModel := flag.String("optimize-model", "micro", "model reference for optimize traffic")
-	proto := flag.String("proto", "json", "score traffic protocol: json (HTTP) or binary (MBSP frames on the same port)")
 	workers := flag.Int("workers", 4, "concurrent HTTP senders")
 	clients := flag.Int("clients", 1, "distinct X-Client-ID identities to spread traffic across (0 = no header)")
 	groups := flag.Int("groups", 200, "adgroups backing the simulation")
@@ -164,34 +73,18 @@ func main() {
 	seed := flag.Int64("seed", 42, "simulation seed")
 	flag.Parse()
 
-	binary := false
-	switch *proto {
-	case "json":
-	case "binary":
-		binary = true
-	default:
-		log.Fatalf("-proto %q: want json or binary", *proto)
-	}
-	// The binary protocol shares microserve's port; its dial target is
-	// the base URL's host:port with the scheme stripped.
-	binAddr := strings.TrimPrefix(strings.TrimPrefix(*addr, "http://"), "https://")
-	binAddr = strings.TrimSuffix(binAddr, "/")
-
 	corpus := adcorpus.Generate(adcorpus.Config{Seed: *seed, Groups: *groups}, adcorpus.DefaultLexicon())
 	sim := serp.New(serp.Config{Seed: *seed + 1})
 
 	client := &http.Client{Timeout: 30 * time.Second}
-	var accepted, dropped, invalid, limited, scored, optimized, httpErrs atomic.Uint64
+	var accepted, dropped, invalid, limited, httpErrs atomic.Uint64
 
 	// One generator feeds request bodies to the sender pool: the
 	// simulator's rng is not safe for concurrent draws, and a single
 	// producer keeps the replayed traffic deterministic per seed.
 	type job struct {
-		path   string
 		client string // X-Client-ID header ("" = none)
 		body   []byte
-		reqs   []engine.Request          // binary score batch (path/body unused)
-		opt    *binproto.OptimizeRequest // binary optimize call (path/body unused)
 	}
 	jobs := make(chan job, *workers)
 	var wg sync.WaitGroup
@@ -199,77 +92,8 @@ func main() {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			// Each worker keeps one MBSP connection open for the run; the
-			// client is synchronous, so per-worker ownership is the natural
-			// concurrency unit.
-			var bin *binproto.Client
-			defer func() {
-				if bin != nil {
-					bin.Close()
-				}
-			}()
 			for j := range jobs {
-				if j.opt != nil {
-					if bin == nil {
-						var err error
-						if bin, err = binproto.Dial(binAddr); err != nil {
-							httpErrs.Add(1)
-							log.Printf("binary dial %s: %v", binAddr, err)
-							continue
-						}
-					}
-					t0 := time.Now()
-					res, err := bin.Optimize(*j.opt)
-					optimizeLat.RecordSince(t0)
-					if err != nil {
-						httpErrs.Add(1)
-						log.Printf("binary optimize: %v", err)
-						bin.Close()
-						bin = nil
-						continue
-					}
-					if res.Err != "" {
-						httpErrs.Add(1)
-						log.Printf("binary optimize result: %s", res.Err)
-						continue
-					}
-					optimized.Add(1)
-					continue
-				}
-				if j.reqs != nil {
-					if bin == nil {
-						var err error
-						if bin, err = binproto.Dial(binAddr); err != nil {
-							httpErrs.Add(1)
-							log.Printf("binary dial %s: %v", binAddr, err)
-							continue
-						}
-					}
-					t0 := time.Now()
-					resps, err := bin.ScoreBatch(j.reqs)
-					scoreLat.RecordSince(t0)
-					if err != nil {
-						httpErrs.Add(1)
-						log.Printf("binary score: %v", err)
-						bin.Close()
-						bin = nil
-						continue
-					}
-					ok := true
-					for i := range resps {
-						if resps[i].Error != "" {
-							ok = false
-							httpErrs.Add(1)
-							log.Printf("binary score response: %s", resps[i].Error)
-							break
-						}
-					}
-					if ok {
-						scored.Add(1)
-					}
-					continue
-				}
-				req, err := http.NewRequest(http.MethodPost, *addr+j.path, bytes.NewReader(j.body))
+				req, err := http.NewRequest(http.MethodPost, *addr+"/v1/feedback", bytes.NewReader(j.body))
 				if err != nil {
 					log.Fatal(err)
 				}
@@ -277,59 +101,36 @@ func main() {
 				if j.client != "" {
 					req.Header.Set("X-Client-ID", j.client)
 				}
-				t0 := time.Now()
 				resp, err := client.Do(req)
 				if err != nil {
 					httpErrs.Add(1)
-					log.Printf("%s: %v", j.path, err)
+					log.Printf("feedback: %v", err)
 					continue
 				}
-				switch j.path {
-				case "/v1/feedback":
-					if resp.StatusCode == http.StatusTooManyRequests {
-						// Rate-limited or saturated: both are backpressure,
-						// count the batch as dropped and move on.
-						limited.Add(1)
-						io.Copy(io.Discard, resp.Body)
-						resp.Body.Close()
-						feedbackLat.RecordSince(t0)
-						continue
-					}
-					var fr feedbackReply
-					if err := json.NewDecoder(resp.Body).Decode(&fr); err == nil {
-						accepted.Add(uint64(fr.Accepted))
-						dropped.Add(uint64(fr.Dropped))
-						invalid.Add(uint64(fr.Invalid))
-					}
-					if resp.StatusCode != http.StatusOK {
-						httpErrs.Add(1)
-						log.Printf("feedback status %d", resp.StatusCode)
-					}
-				case "/v1/optimize":
+				if resp.StatusCode == http.StatusTooManyRequests {
+					// Rate-limited or saturated: both are backpressure,
+					// count the batch as dropped and move on.
+					limited.Add(1)
 					io.Copy(io.Discard, resp.Body)
-					if resp.StatusCode != http.StatusOK {
-						httpErrs.Add(1)
-						log.Printf("optimize status %d", resp.StatusCode)
-					} else {
-						optimized.Add(1)
-					}
-				default:
-					io.Copy(io.Discard, resp.Body)
-					if resp.StatusCode != http.StatusOK {
-						httpErrs.Add(1)
-						log.Printf("%s status %d", j.path, resp.StatusCode)
-					} else {
-						scored.Add(1)
-					}
+					resp.Body.Close()
+					continue
+				}
+				var fr feedbackReply
+				if err := json.NewDecoder(resp.Body).Decode(&fr); err == nil {
+					accepted.Add(uint64(fr.Accepted))
+					dropped.Add(uint64(fr.Dropped))
+					invalid.Add(uint64(fr.Invalid))
+				}
+				if resp.StatusCode != http.StatusOK {
+					httpErrs.Add(1)
+					log.Printf("feedback status %d", resp.StatusCode)
 				}
 				resp.Body.Close()
-				latFor(j.path).RecordSince(t0)
 			}
 		}()
 	}
 
 	start := time.Now()
-	optRng := rand.New(rand.NewSource(*seed + 2))
 	sent, batches := 0, 0
 	for sent < *nSessions {
 		n := *batch
@@ -352,56 +153,17 @@ func main() {
 		if *clients > 0 {
 			id = fmt.Sprintf("loadgen-%d", batches%*clients)
 		}
-		jobs <- job{path: "/v1/feedback", client: id, body: body}
+		jobs <- job{client: id, body: body}
 		sent += n
 		batches++
-
-		if *optimizeEvery > 0 && batches%*optimizeEvery == 0 {
-			query, base, cands := optimizeWorkload(optRng, corpus, *optimizeCands)
-			if binary {
-				jobs <- job{opt: &binproto.OptimizeRequest{
-					ID: fmt.Sprintf("opt-%d", batches), Model: *optimizeModel,
-					MaxN: 2, Lines: base, Candidates: cands,
-				}}
-			} else {
-				body, err := json.Marshal(optimizeBody{
-					Model: *optimizeModel, Query: query, Lines: base,
-					Candidates: cands, MaxN: 2, TopK: 5,
-				})
-				if err != nil {
-					log.Fatal(err)
-				}
-				jobs <- job{path: "/v1/optimize", client: id, body: body}
-			}
-		}
-
-		if *scoreEvery > 0 && batches%*scoreEvery == 0 {
-			reqs := make([]engine.Request, 0, n)
-			for i := range fb.Sessions {
-				reqs = append(reqs, engine.Request{Model: *scoreModel, Session: &fb.Sessions[i]})
-			}
-			if binary {
-				jobs <- job{reqs: reqs}
-			} else {
-				body, err := json.Marshal(scoreBody{Requests: reqs})
-				if err != nil {
-					log.Fatal(err)
-				}
-				jobs <- job{path: "/v1/score/batch", client: id, body: body}
-			}
-		}
 	}
 	close(jobs)
 	wg.Wait()
 	elapsed := time.Since(start)
 
 	rate := float64(sent) / elapsed.Seconds()
-	fmt.Printf("replayed %d sessions in %v (%.0f sessions/s): accepted %d, dropped %d, invalid %d, rate-limited batches %d, score batches %d, optimize calls %d\n",
-		sent, elapsed.Round(time.Millisecond), rate, accepted.Load(), dropped.Load(), invalid.Load(), limited.Load(), scored.Load(), optimized.Load())
-	fmt.Printf("client-observed latency (score/optimize over %s):\n", *proto)
-	printLatency("feedback", &feedbackLat)
-	printLatency("score", &scoreLat)
-	printLatency("optimize", &optimizeLat)
+	fmt.Printf("replayed %d sessions in %v (%.0f sessions/s): accepted %d, dropped %d, invalid %d, rate-limited batches %d\n",
+		sent, elapsed.Round(time.Millisecond), rate, accepted.Load(), dropped.Load(), invalid.Load(), limited.Load())
 	if httpErrs.Load() > 0 {
 		log.Printf("%d transport/status errors", httpErrs.Load())
 		os.Exit(1)

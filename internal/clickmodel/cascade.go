@@ -12,8 +12,8 @@ package clickmodel
 // likelihood estimation is closed-form: a document's attractiveness is the
 // fraction of its *examined* impressions that were clicked, where the
 // examined positions of a session are those up to and including the first
-// click (all positions, if there is no click). The count pass runs over
-// the compiled log, sharded like the EM models' E-steps.
+// click (all positions, if there is no click). The counts are a Stats'
+// (examFirst, clickFirst) and the ratio is FitStats'.
 type Cascade struct {
 	Alpha      map[qd]float64
 	PriorAlpha float64 // attractiveness for unseen (query, doc); default 0.5
@@ -21,8 +21,6 @@ type Cascade struct {
 	// LaplaceA and LaplaceB are the add-a/add-b smoothing counts for the
 	// click/examination ratio (default 1 and 2: a Beta(1,1) prior mean).
 	LaplaceA, LaplaceB float64
-	// Workers caps the parallel counting fan-out (0 = GOMAXPROCS).
-	Workers int
 }
 
 // NewCascade returns a Cascade with default smoothing.
@@ -40,7 +38,7 @@ func (m *Cascade) defaults() {
 	}
 }
 
-// Fit implements Model: compile the log, then count.
+// Fit implements Model: compile the log, then FitLog.
 func (m *Cascade) Fit(sessions []Session) error {
 	c, err := Compile(sessions)
 	if err != nil {
@@ -49,58 +47,14 @@ func (m *Cascade) Fit(sessions []Session) error {
 	return m.FitLog(c)
 }
 
-// FitLog computes the closed-form MLE described on the type from a
-// compiled log in one sharded counting pass.
+// FitLog implements LogFitter: the log's statistics, then FitStats.
 func (m *Cascade) FitLog(c *CompiledLog) error {
 	if c == nil {
 		return errNilLog
 	}
-	m.defaults()
-	nPair := c.NumPairs()
-	workers := emWorkers(m.Workers, c.NumSessions())
-
-	fs, buf := getScratch(workers * 2 * nPair)
+	fs, st := logStats(c)
 	defer putScratch(fs)
-	all := buf
-	nSess := c.NumSessions()
-	if workers == 1 {
-		cascadeCount(c, all[:nPair], all[nPair:2*nPair], 0, nSess)
-	} else {
-		forEachShard(workers, nSess, func(w, lo, hi int) {
-			base := all[w*2*nPair:]
-			cascadeCount(c, base[:nPair], base[nPair:2*nPair], lo, hi)
-		})
-	}
-	merged := mergeShards(all, 2*nPair, workers)
-	clicks, exams := merged[:nPair], merged[nPair:2*nPair]
-
-	m.Alpha = reuseMap(m.Alpha, nPair)
-	for p, k := range c.pairs {
-		if exams[p] > 0 {
-			m.Alpha[k] = clampProb((clicks[p] + m.LaplaceA) / (exams[p] + m.LaplaceB))
-		}
-	}
-	return nil
-}
-
-// cascadeCount accumulates click/examination counts for the sessions
-// [lo, hi): every position up to and including the first click is
-// examined (the whole list when there is no click).
-func cascadeCount(c *CompiledLog, clicks, exams []float64, lo, hi int) {
-	for s := lo; s < hi; s++ {
-		b, e := c.off[s], c.off[s+1]
-		stop := c.first[s]
-		if stop < 0 {
-			stop = e - b - 1
-		}
-		for i := b; i <= b+stop; i++ {
-			p := c.pair[i]
-			exams[p]++
-			if c.click[i] {
-				clicks[p]++
-			}
-		}
-	}
+	return m.FitStats(&st)
 }
 
 func (m *Cascade) alpha(q, d string) float64 {

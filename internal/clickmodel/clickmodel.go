@@ -16,9 +16,13 @@
 // documents and the observed click pattern — and the Model interface, so
 // they can be fitted and evaluated interchangeably. Estimation runs on a
 // compiled form of the log (see Vocab and CompiledLog): queries and
-// (query, doc) pairs are interned to dense int32 IDs once, and the EM or
-// counting passes accumulate into flat ID-indexed arrays sharded over a
-// worker pool, instead of rebuilding string-keyed maps per iteration.
+// (query, doc) pairs are interned to dense int32 IDs once, and the passes
+// accumulate into flat ID-indexed arrays instead of rebuilding
+// string-keyed maps per iteration: the EM models' E-steps sharded over a
+// worker pool, the counting models (SDBN, Cascade, DCM) in one pass into
+// a Stats — their sufficient statistics, grown a session at a time by an
+// online learner or filled at once from a compiled log — from which
+// FitStats, the one statement of their closed forms, estimates.
 // Fit(sessions) compiles internally; callers fitting several models on
 // one log should Compile once and use each model's FitLog.
 package clickmodel

@@ -11,16 +11,15 @@ package clickmodel
 // lambda_i; after a skip she always continues. Estimation follows the
 // original paper's maximum-likelihood recipe: positions up to the last
 // click are certainly examined; lambda_i is one minus the fraction of
-// clicks at position i that were the session's last click. The count
-// pass runs over the compiled log, sharded like the EM models' E-steps.
+// clicks at position i that were the session's last click; with no
+// click the whole list counts as examined (the user never stops after a
+// skip). The counts are a Stats' and the ratios are FitStats'.
 type DCM struct {
 	Alpha  map[qd]float64
 	Lambda []float64 // Lambda[i]: continue probability after a click at position i+1
 
 	PriorAlpha         float64
 	LaplaceA, LaplaceB float64
-	// Workers caps the parallel counting fan-out (0 = GOMAXPROCS).
-	Workers int
 }
 
 // NewDCM returns a DCM with default smoothing.
@@ -38,7 +37,7 @@ func (m *DCM) defaults() {
 	}
 }
 
-// Fit implements Model: compile the log, then count.
+// Fit implements Model: compile the log, then FitLog.
 func (m *DCM) Fit(sessions []Session) error {
 	c, err := Compile(sessions)
 	if err != nil {
@@ -47,80 +46,14 @@ func (m *DCM) Fit(sessions []Session) error {
 	return m.FitLog(c)
 }
 
-// FitLog computes the closed-form estimates from a compiled log in one
-// sharded counting pass.
+// FitLog implements LogFitter: the log's statistics, then FitStats.
 func (m *DCM) FitLog(c *CompiledLog) error {
 	if c == nil {
 		return errNilLog
 	}
-	m.defaults()
-	n := c.maxPos
-	nPair := c.NumPairs()
-	stride := 2*nPair + 2*n
-	workers := emWorkers(m.Workers, c.NumSessions())
-
-	fs, buf := getScratch(workers * stride)
+	fs, st := logStats(c)
 	defer putScratch(fs)
-	nSess := c.NumSessions()
-	if workers == 1 {
-		dcmCount(c, buf[:stride], nPair, n, 0, nSess)
-	} else {
-		forEachShard(workers, nSess, func(w, lo, hi int) {
-			dcmCount(c, buf[w*stride:(w+1)*stride], nPair, n, lo, hi)
-		})
-	}
-	merged := mergeShards(buf, stride, workers)
-	clicks := merged[:nPair]
-	exams := merged[nPair : 2*nPair]
-	clickAt := merged[2*nPair : 2*nPair+n]
-	lastClickAt := merged[2*nPair+n:]
-
-	m.Alpha = reuseMap(m.Alpha, nPair)
-	for p, k := range c.pairs {
-		if exams[p] > 0 {
-			m.Alpha[k] = clampProb((clicks[p] + m.LaplaceA) / (exams[p] + m.LaplaceB))
-		}
-	}
-	m.Lambda = reuseFloats(m.Lambda, n)
-	for i := 0; i < n; i++ {
-		if den := clickAt[i] + m.LaplaceB; den > 0 {
-			m.Lambda[i] = clampProb(1 - (lastClickAt[i]+m.LaplaceA)/den)
-		} else {
-			m.Lambda[i] = 0.5
-		}
-	}
-	return nil
-}
-
-// dcmCount accumulates one worker's counts for the sessions [lo, hi).
-// Positions up to the last click are certainly examined; with no click,
-// DCM's estimation treats the whole list as examined (the user never
-// stops after skips).
-func dcmCount(c *CompiledLog, acc []float64, nPair, n, lo, hi int) {
-	clicks := acc[:nPair]
-	exams := acc[nPair : 2*nPair]
-	clickAt := acc[2*nPair : 2*nPair+n]
-	lastClickAt := acc[2*nPair+n:]
-	for s := lo; s < hi; s++ {
-		b, e := c.off[s], c.off[s+1]
-		last := c.last[s]
-		stop := last
-		if stop < 0 {
-			stop = e - b - 1
-		}
-		for i := b; i <= b+stop; i++ {
-			p := c.pair[i]
-			exams[p]++
-			if c.click[i] {
-				pos := int(i - b)
-				clicks[p]++
-				clickAt[pos]++
-				if int32(pos) == last {
-					lastClickAt[pos]++
-				}
-			}
-		}
-	}
+	return m.FitStats(&st)
 }
 
 func (m *DCM) alpha(q, d string) float64 {

@@ -978,12 +978,6 @@ func TestParallelFitParity(t *testing.T) {
 			mm.Iterations, mm.Workers = 6, workers
 		case *GCM:
 			mm.Iterations, mm.Workers = 6, workers
-		case *Cascade:
-			mm.Workers = workers
-		case *DCM:
-			mm.Workers = workers
-		case *SDBN:
-			mm.Workers = workers
 		case *BBM:
 			mm.SetIterations(6)
 			mm.Workers = workers

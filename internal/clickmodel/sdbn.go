@@ -2,8 +2,9 @@ package clickmodel
 
 // SDBN is the simplified dynamic Bayesian network model: DBN with the
 // continuation parameter fixed at gamma = 1. Estimation is closed-form
-// counting over the compiled log, which makes SDBN the workhorse for
-// large logs:
+// counting — one pass over the log into a Stats, then FitStats' ratios —
+// which makes SDBN the workhorse for large logs. With gamma = 1 a
+// session without clicks means every result was examined and skipped:
 //
 //	a(q,d) = clicks on d / impressions of d at positions <= last click
 //	s(q,d) = sessions where d was the last click / sessions where d clicked
@@ -13,8 +14,6 @@ type SDBN struct {
 
 	PriorA, PriorS     float64
 	LaplaceA, LaplaceB float64
-	// Workers caps the parallel counting fan-out (0 = GOMAXPROCS).
-	Workers int
 }
 
 // NewSDBN returns an SDBN with default smoothing.
@@ -39,7 +38,7 @@ func (m *SDBN) defaults() {
 	}
 }
 
-// Fit implements Model: compile the log, then count.
+// Fit implements Model: compile the log, then FitLog.
 func (m *SDBN) Fit(sessions []Session) error {
 	c, err := Compile(sessions)
 	if err != nil {
@@ -48,73 +47,14 @@ func (m *SDBN) Fit(sessions []Session) error {
 	return m.FitLog(c)
 }
 
-// FitLog computes the closed-form estimates from a compiled log in one
-// sharded counting pass.
+// FitLog implements LogFitter: the log's statistics, then FitStats.
 func (m *SDBN) FitLog(c *CompiledLog) error {
 	if c == nil {
 		return errNilLog
 	}
-	m.defaults()
-	nPair := c.NumPairs()
-	stride := 4 * nPair
-	workers := emWorkers(m.Workers, c.NumSessions())
-
-	fs, buf := getScratch(workers * stride)
+	fs, st := logStats(c)
 	defer putScratch(fs)
-	nSess := c.NumSessions()
-	if workers == 1 {
-		sdbnCount(c, buf[:stride], nPair, 0, nSess)
-	} else {
-		forEachShard(workers, nSess, func(w, lo, hi int) {
-			sdbnCount(c, buf[w*stride:(w+1)*stride], nPair, lo, hi)
-		})
-	}
-	merged := mergeShards(buf, stride, workers)
-	aNum := merged[:nPair]
-	aDen := merged[nPair : 2*nPair]
-	sNum := merged[2*nPair : 3*nPair]
-	sDen := merged[3*nPair:]
-
-	m.AttrA = reuseMap(m.AttrA, nPair)
-	m.SatS = reuseMap(m.SatS, nPair)
-	for p, k := range c.pairs {
-		if aDen[p] > 0 {
-			m.AttrA[k] = clampProb((aNum[p] + m.LaplaceA) / (aDen[p] + m.LaplaceB))
-		}
-		if sDen[p] > 0 {
-			m.SatS[k] = clampProb((sNum[p] + m.LaplaceA) / (sDen[p] + m.LaplaceB))
-		}
-	}
-	return nil
-}
-
-// sdbnCount accumulates one worker's attractiveness/satisfaction counts
-// for the sessions [lo, hi). With gamma = 1 a session without clicks
-// means every result was examined and skipped.
-func sdbnCount(c *CompiledLog, acc []float64, nPair, lo, hi int) {
-	aNum := acc[:nPair]
-	aDen := acc[nPair : 2*nPair]
-	sNum := acc[2*nPair : 3*nPair]
-	sDen := acc[3*nPair:]
-	for s := lo; s < hi; s++ {
-		b, e := c.off[s], c.off[s+1]
-		last := c.last[s]
-		stop := last
-		if stop < 0 {
-			stop = e - b - 1
-		}
-		for i := b; i <= b+stop; i++ {
-			p := c.pair[i]
-			aDen[p]++
-			if c.click[i] {
-				aNum[p]++
-				sDen[p]++
-				if i-b == last {
-					sNum[p]++
-				}
-			}
-		}
-	}
+	return m.FitStats(&st)
 }
 
 func (m *SDBN) a(q, d string) float64 {

@@ -5,15 +5,16 @@ import (
 	"strings"
 )
 
-// Stats is an incremental sufficient-statistics accumulator for the
-// counting-family click models (SDBN, Cascade, DCM). Where Compile
-// turns a *finished* log into dense arrays once, Stats grows the same
-// dense per-pair and per-position arrays one session at a time, so an
-// online learner can fold live click feedback into model-ready counts
-// without re-compiling history on every refit.
-//
-// The accumulated quantities are exactly the merged counting arrays of
-// the models' FitLog passes:
+// Stats is the sufficient-statistics form of the counting-family click
+// models (SDBN, Cascade, DCM): seven dense arrays, per (query, doc) pair
+// and per position, that their closed-form estimates (FitStats, below —
+// the only place those are written) read and nothing else. One rule,
+// tally, says what an impression adds to them, and two fillers apply it:
+// Add interns as it goes and grows the arrays one session at a time, so
+// an online learner folds live click feedback into model-ready counts
+// without re-compiling history on every refit; logStats fills them in one
+// pass from a CompiledLog, whose pairs are interned already, and is all
+// the models' FitLog does before FitStats.
 //
 //   - clicks / examLast — clicks and impressions at positions up to
 //     and including the last click (the whole list when there is no
@@ -83,6 +84,30 @@ func (st *Stats) growPos(n int) {
 	}
 }
 
+// tally is the counting rule, once: what the impression of pair p at
+// 0-based position pos, at or above its session's last click (anywhere
+// in a session without one), adds to the seven arrays. last and first
+// are the session's last and first click positions, -1 for none. Small
+// enough to inline into both fillers: the fold path of the online
+// learner runs it per impression.
+func (st *Stats) tally(p int32, pos, last, first int, clicked bool) {
+	st.examLast[p]++
+	if first < 0 || pos <= first {
+		st.examFirst[p]++
+	}
+	if clicked {
+		st.clicks[p]++
+		st.clickAt[pos]++
+		if pos == first {
+			st.clickFirst[p]++
+		}
+		if pos == last {
+			st.satNum[p]++
+			st.lastAt[pos]++
+		}
+	}
+}
+
 // Add folds one session into the accumulator. The session must be
 // well-formed (the same contract Fit enforces on whole logs).
 func (st *Stats) Add(s Session) error {
@@ -90,43 +115,50 @@ func (st *Stats) Add(s Session) error {
 		return err
 	}
 	qid := st.queries.ID(s.Query)
-	n := len(s.Docs)
-	st.growPos(n)
-
+	st.growPos(len(s.Docs))
 	last, first := s.LastClick(), s.FirstClick()
-	stopLast, stopFirst := last, first
-	if stopLast < 0 {
-		stopLast = n - 1
+	stop := last
+	if stop < 0 {
+		stop = len(s.Docs) - 1
 	}
-	if stopFirst < 0 {
-		stopFirst = n - 1
-	}
-	for i, d := range s.Docs {
-		if i > stopLast && i > stopFirst {
-			break
-		}
-		p := st.pairID(qid, d)
-		if i <= stopLast {
-			st.examLast[p]++
-			if s.Clicks[i] {
-				st.clicks[p]++
-				st.clickAt[i]++
-				if i == last {
-					st.satNum[p]++
-					st.lastAt[i]++
-				}
-			}
-		}
-		if i <= stopFirst {
-			st.examFirst[p]++
-			if s.Clicks[i] {
-				st.clickFirst[p]++
-			}
-		}
+	for i, d := range s.Docs[:stop+1] {
+		st.tally(st.pairID(qid, d), i, last, first, s.Clicks[i])
 	}
 	st.sessions++
 	st.added++
 	return nil
+}
+
+// logStats is the dense filler: the statistics of a compiled log in one
+// pass over its impressions, on one strand — a second one breaks even
+// only at some 40,000 sessions and wins at 400,000, where the Compile
+// that must come first costs 90 ms (DESIGN.md §6) — in arrays carved
+// from the pooled fit scratch, sharing the log's pair table. The result
+// is for FitStats to read and dies with putScratch(fs): it has no
+// interning maps, so Add, Merge and Prune are not for it.
+func logStats(c *CompiledLog) (fs *fitScratch, st Stats) {
+	nPair, nSess := c.NumPairs(), c.NumSessions()
+	fs, buf := getScratch(5*nPair + 2*c.maxPos)
+	sl := slab{buf}
+	st = Stats{
+		pairs:  c.pairs,
+		clicks: sl.take(nPair), examLast: sl.take(nPair), satNum: sl.take(nPair),
+		clickFirst: sl.take(nPair), examFirst: sl.take(nPair),
+		clickAt: sl.take(c.maxPos), lastAt: sl.take(c.maxPos),
+		sessions: float64(nSess), added: uint64(nSess),
+	}
+	for s := 0; s < nSess; s++ {
+		b, last, first := int(c.off[s]), int(c.last[s]), int(c.first[s])
+		stop := last
+		if stop < 0 {
+			stop = int(c.off[s+1]) - b - 1
+		}
+		click := c.click[b : b+stop+1]
+		for pos, p := range c.pair[b : b+stop+1] {
+			st.tally(p, pos, last, first, click[pos])
+		}
+	}
+	return fs, st
 }
 
 // AddAll folds a whole log, stopping at the first invalid session.
@@ -255,8 +287,9 @@ func (st *Stats) Added() uint64 { return st.added }
 
 // StatsFitter is implemented by the counting-family models, whose
 // closed-form estimates need only the sufficient statistics a Stats
-// accumulates — the online-learning analogue of LogFitter. FitStats
-// reuses the model's exported parameter storage like FitLog does.
+// holds — what the online learner fits through, and what FitLog of
+// those models ends in. FitStats reuses the model's exported parameter
+// storage, so a steady-state refit allocates nothing.
 type StatsFitter interface {
 	FitStats(st *Stats) error
 }
@@ -264,9 +297,8 @@ type StatsFitter interface {
 // errEmptyStats guards the FitStats entry points.
 var errEmptyStats = errors.New("clickmodel: FitStats on an empty accumulator")
 
-// FitStats implements StatsFitter: SDBN's closed-form estimates from
-// accumulated counts. Identical to FitLog on a log holding the same
-// (undecayed) sessions.
+// FitStats implements StatsFitter: SDBN's closed-form estimates, the
+// ratios stated on the type.
 func (m *SDBN) FitStats(st *Stats) error {
 	if st == nil || st.NumPairs() == 0 {
 		return errEmptyStats

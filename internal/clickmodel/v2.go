@@ -161,15 +161,14 @@ func freezePairs(sets []map[qd]float64, defaults []float64) (*frozenPairs, [][]f
 	})
 
 	n := len(keys)
-	qv := textproc.NewTermVocab(n)
-	dv := textproc.NewTermVocab(n)
+	qv, dv := NewVocab(), NewVocab()
 	p := &frozenPairs{pairQ: make([]int32, n), pairD: make([]int32, n)}
 	for i, k := range keys {
-		p.pairQ[i] = qv.Add(k.q)
-		p.pairD[i] = dv.Add(k.d)
+		p.pairQ[i] = qv.ID(k.q)
+		p.pairD[i] = dv.ID(k.d)
 	}
-	p.qv = textproc.FreezeVocab(qv)
-	p.dv = textproc.FreezeVocab(dv)
+	p.qv = textproc.FreezeVocab(qv.strs)
+	p.dv = textproc.FreezeVocab(dv.strs)
 
 	size := minPairTable
 	for size < 2*n {

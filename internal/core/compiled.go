@@ -6,8 +6,8 @@ package core
 // Register/LoadSnapshot/hot-swap all publish pre-compiled versions).
 //
 // Compilation mirrors what internal/clickmodel's compile layer did for
-// training: every relevance key is interned through a
-// textproc.TermVocab (the builder) and frozen into the flat
+// training: the relevance keys, distinct by construction, are listed
+// and frozen (textproc.FreezeVocab, the one builder) into the flat
 // textproc.FrozenVocab the scoring loop looks windows up in, the
 // clamped relevance and its logarithm land in flat ID-indexed
 // []float64 (the log is precomputed, so the serving loop never calls
@@ -89,12 +89,12 @@ func (m *Model) Compile() *CompiledModel {
 	c.defRel = clampRel(def)
 	c.defLogRel = math.Log(c.defRel)
 
-	tv := textproc.NewTermVocab(len(m.Relevance))
+	terms := make([]string, 0, len(m.Relevance))
 	for t, r := range m.Relevance {
-		id := tv.Add(t)
-		c.rel[id] = clampRel(r)
+		c.rel[len(terms)] = clampRel(r)
+		terms = append(terms, t)
 	}
-	c.vocab = textproc.FreezeVocab(tv)
+	c.vocab = textproc.FreezeVocab(terms)
 	c.logRel = make([]float64, len(c.rel))
 	for id, r := range c.rel {
 		c.logRel[id] = math.Log(r)

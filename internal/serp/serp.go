@@ -30,7 +30,6 @@
 package serp
 
 import (
-	"math"
 	"math/rand"
 
 	"repro/internal/adcorpus"
@@ -293,11 +292,3 @@ func (s *Simulator) ExpectedCTR(c *adcorpus.Creative) float64 {
 
 // Sigmoid is re-exported for ground-truth computations in tests.
 func Sigmoid(z float64) float64 { return ml.Sigmoid(z) }
-
-// LogOddsToRelevance maps a planted appeal (log-odds) to the equivalent
-// product-form relevance used by core.Model.
-func LogOddsToRelevance(appeal float64) float64 { return ml.Sigmoid(appeal) }
-
-// AppealFromCTRRatio back-solves the appeal that multiplies click odds
-// by ratio (diagnostic helper).
-func AppealFromCTRRatio(ratio float64) float64 { return math.Log(ratio) }

@@ -1,6 +1,6 @@
 // Package binproto is the length-prefixed binary scoring protocol: the
 // allocation-free alternative to the JSON surface for high-throughput
-// scoring clients (cmd/loadgen -proto binary, embedded rankers). It
+// scoring clients (embedded rankers; the benchmark/ generator). It
 // shares a listener with the HTTP server — Mux sniffs the first bytes
 // of each accepted connection and routes "MBSP" traffic here, leaving
 // everything else to net/http.

@@ -11,7 +11,7 @@ import (
 // Client is one binary-protocol connection. It is synchronous and not
 // safe for concurrent use: one ScoreBatch at a time per client, one
 // client per goroutine (the protocol itself pipelines by opening more
-// connections, which is exactly what cmd/loadgen does).
+// connections, which is what the benchmark/ generator's lanes do).
 //
 // Decoded responses reuse client-owned buffers, and their strings are
 // zero-copy views into the receive buffer: everything returned by

@@ -1,11 +1,13 @@
 package binproto
 
 import (
+	"bytes"
 	"context"
 	"math"
 	"net"
 	"strconv"
 	"testing"
+	"unsafe"
 )
 
 func testOptimizeRequest(n int) OptimizeRequest {
@@ -193,4 +195,61 @@ func TestProcessOptimizeZeroAlloc(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("warm optimize cycle allocates %v/op, want 0", allocs)
 	}
+}
+
+// FuzzDecodeOptimize: an MBSP optimize payload decodes with an error, or
+// into a base snippet and at most MaxBatch candidates, every line of
+// them a view inside the payload, that encode back to the payload byte
+// for byte (the format has no padding and no second spelling). Never a
+// panic, never a read past the payload.
+func FuzzDecodeOptimize(f *testing.F) {
+	for _, req := range []OptimizeRequest{
+		testOptimizeRequest(3),
+		testOptimizeRequest(40),
+		{},
+		{ID: "only a base", Lines: []string{"Acme Air", ""}, TopK: 7},
+		{Model: "micro", MaxN: 255, Candidates: [][]string{{}, {"x"}, {}}},
+	} {
+		seed, err := AppendOptimize(nil, &req)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(seed)
+		f.Add(seed[:len(seed)/2])           // truncated inside a line
+		f.Add(seed[:len(seed)-1])           // truncated at the last byte
+		f.Add(append(bytes.Clone(seed), 0)) // trailing byte
+		flipped := bytes.Clone(seed)
+		flipped[len(flipped)/3] ^= 0x80
+		f.Add(flipped)
+	}
+	// Heads that promise more than the payload or the limit allows: a
+	// full candidate count, one over it, a base of 65535 lines.
+	head := []byte{0, 0, 0, 0, 2, 0, 0} // id "", model "", max_n 2, top_k 0
+	f.Add(appendU32(append(bytes.Clone(head), 0, 0), MaxBatch))
+	f.Add(appendU32(append(bytes.Clone(head), 0, 0), MaxBatch+1))
+	f.Add(append(bytes.Clone(head), 0xff, 0xff))
+	var st connState
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		id, model, maxN, topK, err := st.decodeOptimize(payload)
+		if err != nil {
+			return
+		}
+		cands := st.opt.cands
+		if len(cands) == 0 || len(cands)-1 > MaxBatch {
+			t.Fatalf("decoded %d snippets, want a base and at most %d candidates", len(cands), MaxBatch)
+		}
+		lo := uintptr(unsafe.Pointer(unsafe.SliceData(payload)))
+		for _, s := range append([]string{id, model}, st.opt.lines...) {
+			if p := uintptr(unsafe.Pointer(unsafe.StringData(s))); len(s) > 0 && (p < lo || p+uintptr(len(s)) > lo+uintptr(len(payload))) {
+				t.Fatalf("%q is not a view inside the payload", s)
+			}
+		}
+		enc, err := AppendOptimize(nil, &OptimizeRequest{ID: id, Model: model, MaxN: maxN, TopK: topK, Lines: cands[0], Candidates: cands[1:]})
+		if err != nil {
+			t.Fatalf("a decoded optimize call does not re-encode: %v", err)
+		}
+		if !bytes.Equal(enc, payload) {
+			t.Fatalf("re-encoding differs from the payload:\n%x\n%x", enc, payload)
+		}
+	})
 }

@@ -6,17 +6,22 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
+	"repro/internal/clickmodel"
 	"repro/internal/engine"
 	"repro/internal/obs"
+	"repro/internal/server/binproto"
 	"repro/internal/stream"
 	"repro/internal/wal"
 )
 
 // newObservedServer wires the full observability stack the way
-// cmd/microserve does: instrumented engine, learner, WAL, trace ring
-// with threshold 0 (every request traces).
+// cmd/microserve does: instrumented engine, learner, WAL, the MBSP
+// server's counters, trace ring with threshold 0 (every request traces).
 func newObservedServer(t *testing.T) (*httptest.Server, *engine.Engine, *obs.TraceRing) {
 	t.Helper()
 	sessions := testSessions(300)
@@ -39,7 +44,7 @@ func newObservedServer(t *testing.T) (*httptest.Server, *engine.Engine, *obs.Tra
 
 	ring := obs.NewTraceRing(16, 0)
 	ts := httptest.NewServer(New(eng, nil,
-		WithLearner(l), WithWAL(w), WithTracing(ring)))
+		WithLearner(l), WithWAL(w), WithTracing(ring), WithBinary(binproto.NewServer(eng, nil))))
 	t.Cleanup(ts.Close)
 	return ts, eng, ring
 }
@@ -235,5 +240,140 @@ func TestHealthzObservability(t *testing.T) {
 	}
 	if d.L1 != 0 {
 		t.Errorf("identical model refit drifted: L1 = %v", d.L1)
+	}
+}
+
+// TestMetricNamesTheBenchmarkScrapes pins the /metrics spellings the
+// end-to-end benchmark reads by name. benchmark/ is its own module and
+// tier-1 never compiles it, so a rename here would pass every test and
+// leave the instrument reading zeros. The list is benchmark/layers.go
+// lines 204-240 (histDelta reads a family's _sum and _count under one
+// label set, counterDelta a bare series) and benchmark/host.go's
+// microserve_build_info prefix; a series must be present before any
+// traffic, because the benchmark's first scrape is its baseline.
+func TestMetricNamesTheBenchmarkScrapes(t *testing.T) {
+	ts, _, _ := newObservedServer(t)
+	resp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	raw, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Series keys as benchmark/scrape.go's parseProm spells them: the
+	// line up to its last space.
+	have := map[string]bool{}
+	buildInfo := false
+	for _, line := range strings.Split(string(raw), "\n") {
+		if i := strings.LastIndexByte(line, ' '); i > 0 && line[0] != '#' {
+			have[line[:i]] = true
+			buildInfo = buildInfo || strings.HasPrefix(line, "microserve_build_info{")
+		}
+	}
+	if !buildInfo {
+		t.Error("no microserve_build_info{ series (benchmark/host.go)")
+	}
+	for _, h := range []struct{ family, labels string }{
+		{"microserve_engine_stage_duration_seconds", `{stage="resolve"}`},
+		{"microserve_engine_stage_duration_seconds", `{stage="batch"}`},
+		{"microserve_engine_stage_duration_seconds", `{stage="candidates"}`},
+		{"microserve_mbsp_frame_duration_seconds", ""},
+		{"microserve_http_request_duration_seconds", `{route="score_batch"}`},
+		{"microserve_http_request_duration_seconds", `{route="feedback"}`},
+		{"microserve_stream_stage_duration_seconds", `{stage="fold_lag"}`},
+		{"microserve_stream_stage_duration_seconds", `{stage="publish"}`},
+		{"microserve_wal_op_duration_seconds", `{op="sync"}`},
+	} {
+		for _, suffix := range []string{"_sum", "_count"} {
+			if key := h.family + suffix + h.labels; !have[key] {
+				t.Errorf("/metrics has no series %s", key)
+			}
+		}
+	}
+	for _, key := range []string{
+		"microserve_stream_publishes_total",
+		"microserve_stream_accepted_total",
+		"microserve_stream_dropped_total",
+		"microserve_wal_syncs_total",
+		"microserve_wal_flushes_total",
+		"microserve_wal_appended_total",
+		"microserve_wal_bytes",
+	} {
+		if !have[key] {
+			t.Errorf("/metrics has no series %s", key)
+		}
+	}
+}
+
+// parkedModel is a click model whose next Fit parks until the test
+// releases it, holding the learner's lock the way a long EM refit does
+// (the stream package's own test of Learner.Counters has its twin: the
+// registry is process-wide and has no unregister).
+type parkedModel struct{ pbm *clickmodel.PBM }
+
+type parkGate struct{ entered, release chan struct{} }
+
+var (
+	parkedGate     atomic.Pointer[parkGate]
+	registerParked sync.Once
+)
+
+func (m parkedModel) Name() string { return "parked" }
+func (m parkedModel) Fit(s []clickmodel.Session) error {
+	if g := parkedGate.Swap(nil); g != nil {
+		close(g.entered)
+		<-g.release
+	}
+	return m.pbm.Fit(s)
+}
+func (m parkedModel) ClickProbs(s clickmodel.Session) []float64 { return m.pbm.ClickProbs(s) }
+func (m parkedModel) SessionLogLikelihood(s clickmodel.Session) float64 {
+	return m.pbm.SessionLogLikelihood(s)
+}
+
+// TestProbesDoNotWaitForPublish: while the online learner is inside a
+// model fit, /healthz and /metrics still answer — a liveness probe or a
+// scrape with a short timeout must not read a slow publish as a dead
+// server.
+func TestProbesDoNotWaitForPublish(t *testing.T) {
+	registerParked.Do(func() {
+		clickmodel.Register("parked", func() clickmodel.Model { return parkedModel{clickmodel.NewPBM()} })
+	})
+	ts, _, l, sessions := newOnlineServer(t, "sdbn", "parked")
+	for i := range sessions {
+		if err := l.Ingest(stream.Event{Session: &sessions[i]}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	gate := &parkGate{entered: make(chan struct{}), release: make(chan struct{})}
+	parkedGate.Store(gate)
+	published := make(chan error, 1)
+	go func() {
+		_, err := l.Publish()
+		published <- err
+	}()
+	select {
+	case <-gate.entered:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the publish never reached the parked fit")
+	}
+	probe := &http.Client{Timeout: 100 * time.Millisecond}
+	for _, path := range []string{"/healthz", "/metrics"} {
+		resp, err := probe.Get(ts.URL + path)
+		if err != nil {
+			t.Errorf("GET %s during a publish: %v", path, err)
+			continue
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Errorf("GET %s during a publish: status %d", path, resp.StatusCode)
+		}
+	}
+	close(gate.release)
+	if err := <-published; err != nil {
+		t.Fatal(err)
 	}
 }

@@ -116,10 +116,6 @@ var hostLittleEndian = func() bool {
 	return *(*byte)(unsafe.Pointer(&x)) == 1
 }()
 
-// HostLittleEndian reports whether this process can reinterpret v2
-// payloads zero-copy.
-func HostLittleEndian() bool { return hostLittleEndian }
-
 // V2Writer accumulates named sections and writes the container. The
 // writer borrows the section slices (no copies) until WriteTo runs, so
 // build the sections and write in one breath.

@@ -15,7 +15,11 @@ import (
 // as the oracle — the statement of "every distinct term of the snippet
 // is credited once".
 func foldSnippetTermSet(m map[string]termCount, ev *SnippetEvent, maxN int) {
-	for term := range textproc.TermSet(ev.Lines, maxN) {
+	set := map[string]bool{}
+	for _, t := range textproc.ExtractTerms(ev.Lines, maxN) {
+		set[t.Text] = true
+	}
+	for term := range set {
 		tc := m[term]
 		tc.imps += float64(ev.Impressions)
 		tc.clicks += float64(ev.Clicks)
@@ -61,7 +65,7 @@ func sameCounts(t *testing.T, what string, got, want map[string]termCount) {
 }
 
 // TestFoldSnippetMatchesTermSet: the scratch-based fold and the
-// TermSet-based oracle build identical term → (imps, clicks) tables, by
+// set-per-event oracle build identical term → (imps, clicks) tables, by
 // bits, for every n-gram order (with ExtractTerms' [1,3] clamp), across
 // merges — which empty the shard's table — and across the wrap-around of
 // the event numbering, where a count stamped by event k long ago meets a

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"log"
+	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -204,12 +205,17 @@ type Learner struct {
 	wantMicro bool
 	emModels  int // configured models that need the session window
 
-	lastFolded    uint64 // foldedSessions at the last publish
-	publishes     uint64
-	publishSkips  uint64
-	publishErrors uint64
-	lastPublish   time.Duration
-	lastInfos     []engine.ModelInfo
+	lastFolded uint64 // foldedSessions at the last publish
+	lastInfos  []engine.ModelInfo
+
+	// What Counters reports of the state above, stored where it changes
+	// (fold and replay, merge, publish, a skipped tick) so that a health
+	// probe takes no lock: mu is held across a whole publish — every
+	// configured fit — and a liveness check must not wait on EM.
+	publishes, publishSkips, publishErrors atomic.Uint64
+	lastPublish                            atomic.Int64  // nanoseconds
+	window, pairs, microTerms              atomic.Int64  // EM window fill, global pairs, micro terms
+	weight                                 atomic.Uint64 // math.Float64bits of the decayed session mass
 
 	started  atomic.Bool
 	stopOnce sync.Once
@@ -281,6 +287,7 @@ func New(eng *engine.Engine, cfg Config) (*Learner, error) {
 // first publish tick sees them and re-installs a recovered model
 // without waiting for fresh traffic.
 func (l *Learner) replayWAL() error {
+	defer l.noteWindow()
 	shard := 0
 	return l.wal.Replay(func(_ uint64, rec *wal.Record) error {
 		ev := Event{Session: rec.Session}
@@ -380,6 +387,17 @@ func (l *Learner) foldLocked() {
 		}(i)
 	}
 	wg.Wait()
+	l.noteWindow()
+}
+
+// noteWindow publishes the EM window's fill to Counters. The caller owns
+// every ring: a fold under l.mu, or replay before the learner is shared.
+func (l *Learner) noteWindow() {
+	n := 0
+	for i := range l.rings {
+		n += l.rings[i].n
+	}
+	l.window.Store(int64(n))
 }
 
 // absorb folds one event into shard i's accumulators (statistics
@@ -501,6 +519,9 @@ func (l *Learner) mergeLocked() {
 			l.idmaps[i] = nil
 		}
 	}
+	l.pairs.Store(int64(l.global.NumPairs()))
+	l.microTerms.Store(int64(len(l.terms)))
+	l.weight.Store(math.Float64bits(l.global.Weight()))
 }
 
 // windowLocked gathers the EM mini-batch window into a reused scratch
@@ -554,14 +575,15 @@ func (l *Learner) publishLocked() ([]engine.ModelInfo, error) {
 		infos = append(infos, info)
 	}
 
-	l.lastPublish = time.Since(start)
-	l.publishH.Record(uint64(l.lastPublish))
+	took := time.Since(start)
+	l.lastPublish.Store(int64(took))
+	l.publishH.Record(uint64(took))
 	l.lastInfos = infos
 	if len(infos) > 0 {
-		l.publishes++
+		l.publishes.Add(1)
 	}
 	if len(errs) > 0 {
-		l.publishErrors++
+		l.publishErrors.Add(1)
 	}
 	if l.cfg.Logger != nil {
 		for _, info := range infos {
@@ -666,7 +688,7 @@ func (l *Learner) run() {
 			if fresh {
 				l.publishLocked() // logs its own errors; counters record them
 			} else {
-				l.publishSkips++
+				l.publishSkips.Add(1)
 			}
 			l.mu.Unlock()
 		}
@@ -693,31 +715,27 @@ func (l *Learner) LastPublished() []engine.ModelInfo {
 	return out
 }
 
-// Counters returns a consistent-enough snapshot of the loop's health.
+// Counters returns a consistent-enough snapshot of the loop's health. It
+// takes no lock and never waits for a fold or a publish in flight: the
+// values that live under l.mu are read from their atomic copies, each as
+// of the last fold, merge or publish that finished.
 func (l *Learner) Counters() Counters {
-	l.mu.Lock()
-	window := 0
-	for i := range l.rings {
-		window += l.rings[i].n
+	return Counters{
+		Accepted:       l.sink.Queued(),
+		Dropped:        l.sink.Dropped(),
+		Invalid:        l.invalid.Load(),
+		FoldedSessions: l.foldedSessions.Load(),
+		FoldedSnippets: l.foldedSnippets.Load(),
+		Replayed:       l.replayed,
+		Publishes:      l.publishes.Load(),
+		PublishSkips:   l.publishSkips.Load(),
+		PublishErrors:  l.publishErrors.Load(),
+		LastPublishMS:  float64(l.lastPublish.Load()) / float64(time.Millisecond),
+		WindowSessions: int(l.window.Load()),
+		Pairs:          int(l.pairs.Load()),
+		MicroTerms:     int(l.microTerms.Load()),
+		Weight:         math.Float64frombits(l.weight.Load()),
 	}
-	c := Counters{
-		Publishes:      l.publishes,
-		PublishSkips:   l.publishSkips,
-		PublishErrors:  l.publishErrors,
-		LastPublishMS:  float64(l.lastPublish) / float64(time.Millisecond),
-		WindowSessions: window,
-		Pairs:          l.global.NumPairs(),
-		MicroTerms:     len(l.terms),
-		Weight:         l.global.Weight(),
-	}
-	l.mu.Unlock()
-	c.Accepted = l.sink.Queued()
-	c.Dropped = l.sink.Dropped()
-	c.Invalid = l.invalid.Load()
-	c.FoldedSessions = l.foldedSessions.Load()
-	c.FoldedSnippets = l.foldedSnippets.Load()
-	c.Replayed = l.replayed
-	return c
 }
 
 // HistSnapshots is the loop's latency detail behind the Counters

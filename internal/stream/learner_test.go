@@ -6,11 +6,13 @@ import (
 	"math"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/clickmodel"
 	"repro/internal/engine"
+	"repro/internal/wal"
 )
 
 // genSessions simulates a PBM-style ground truth: per-doc
@@ -495,4 +497,131 @@ func TestDecayPrunesPairs(t *testing.T) {
 	if resp.Positions[0] <= 0.5 {
 		t.Fatalf("evergreen pair lost its clicks: %+v", resp)
 	}
+}
+
+// parkedModel is a click model whose next Fit parks until the test
+// releases it: a publish that holds l.mu for as long as the test likes,
+// the way an EM refit on a full window holds it for real. It implements
+// neither StatsFitter nor LogFitter, so the learner fits it with Fit.
+type parkedModel struct{ pbm *clickmodel.PBM }
+
+type parkGate struct{ entered, release chan struct{} }
+
+var (
+	parkedGate     atomic.Pointer[parkGate] // the gate the next Fit parks at; nil: none
+	registerParked sync.Once                // the registry has no unregister, and -count reruns the test
+)
+
+func (m parkedModel) Name() string { return "parked" }
+func (m parkedModel) Fit(s []clickmodel.Session) error {
+	if g := parkedGate.Swap(nil); g != nil {
+		close(g.entered)
+		<-g.release
+	}
+	return m.pbm.Fit(s)
+}
+func (m parkedModel) ClickProbs(s clickmodel.Session) []float64 { return m.pbm.ClickProbs(s) }
+func (m parkedModel) SessionLogLikelihood(s clickmodel.Session) float64 {
+	return m.pbm.SessionLogLikelihood(s)
+}
+
+// countersUnderLock is what Counters must report of the state l.mu
+// guards, read from that state itself with the lock held.
+func countersUnderLock(l *Learner) (window, pairs, terms int, weight float64) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	for i := range l.rings {
+		window += l.rings[i].n
+	}
+	return window, l.global.NumPairs(), len(l.terms), l.global.Weight()
+}
+
+// TestCountersDoNotWaitForPublish: /healthz and /metrics read Counters,
+// and a liveness probe must not queue behind a model fit. With a publish
+// parked inside a fit — l.mu held — Counters answers at once, with what
+// the fold and the merge of that publish already made true; once the
+// publish is through it reports what a read under the lock finds.
+func TestCountersDoNotWaitForPublish(t *testing.T) {
+	registerParked.Do(func() {
+		clickmodel.Register("parked", func() clickmodel.Model { return parkedModel{clickmodel.NewPBM()} })
+	})
+	dir := t.TempDir()
+	w, err := wal.Open(dir, wal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := Config{Models: []string{"sdbn", engine.NameMicro, "parked"}, Shards: 2, Decay: 0.9, WAL: w}
+	l := mustLearner(t, cfg)
+	sessions := genSessions(400, 11)
+	for i := range sessions {
+		if err := l.Ingest(Event{Session: &sessions[i]}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	snip := SnippetEvent{Lines: []string{"Acme Air", "Find cheap flights"}, Impressions: 40, Clicks: 7}
+	if err := l.Ingest(Event{Snippet: &snip}); err != nil {
+		t.Fatal(err)
+	}
+
+	gate := &parkGate{entered: make(chan struct{}), release: make(chan struct{})}
+	parkedGate.Store(gate)
+	published := make(chan error, 1)
+	go func() {
+		_, err := l.Publish()
+		published <- err
+	}()
+	select {
+	case <-gate.entered:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the publish never reached the parked fit")
+	}
+	got := make(chan Counters, 1)
+	go func() { got <- l.Counters() }()
+	select {
+	case c := <-got:
+		if c.FoldedSessions != 400 || c.WindowSessions != 400 || c.Pairs == 0 || c.MicroTerms == 0 || c.Weight != 400 || c.Publishes != 0 {
+			t.Errorf("during the publish, after its fold and merge: %+v", c)
+		}
+	case <-time.After(100 * time.Millisecond):
+		t.Error("Counters waited for a publish that is inside a model fit")
+	}
+	close(gate.release)
+	if err := <-published; err != nil {
+		t.Fatal(err)
+	}
+
+	check := func(when string, l *Learner, publishes uint64) {
+		t.Helper()
+		c := l.Counters()
+		window, pairs, terms, weight := countersUnderLock(l)
+		if c.WindowSessions != window || c.Pairs != pairs || c.MicroTerms != terms || c.Weight != weight {
+			t.Errorf("%s: Counters reports window %d, %d pairs, %d terms, weight %v; under the lock %d, %d, %d, %v",
+				when, c.WindowSessions, c.Pairs, c.MicroTerms, c.Weight, window, pairs, terms, weight)
+		}
+		if c.Publishes != publishes || c.PublishErrors != 0 || c.PublishSkips != 0 || (c.LastPublishMS > 0) != (publishes > 0) {
+			t.Errorf("%s: %d publishes, %d errors, %d skips, last took %v ms; want %d clean ones",
+				when, c.Publishes, c.PublishErrors, c.PublishSkips, c.LastPublishMS, publishes)
+		}
+	}
+	check("after the publish", l, 1)
+	if _, err := l.Publish(); err != nil { // decays: the weight is no longer a session count
+		t.Fatal(err)
+	}
+	check("after a second publish", l, 2)
+	l.Close()
+
+	// A restart replays the log into the window before New returns.
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if cfg.WAL, err = wal.Open(dir, wal.Options{}); err != nil {
+		t.Fatal(err)
+	}
+	defer cfg.WAL.Close()
+	l2 := mustLearner(t, cfg)
+	defer l2.Close()
+	if c := l2.Counters(); c.WindowSessions != 400 {
+		t.Errorf("after replay Counters reports a window of %d sessions, want 400", c.WindowSessions)
+	}
+	check("after replay", l2, 0)
 }

@@ -158,7 +158,7 @@ func (cs *CandidateSet) addLine(line string, h uint64) LineID {
 		spanEnd:   int32(len(cs.spans)),
 		idStart:   -1,
 	})
-	// Keep the load factor under 1/2, as TermVocab does.
+	// Keep the load factor under 1/2, as FreezeVocab sizes its table.
 	if 2*len(cs.lines) > len(cs.table) {
 		cs.growTable(2 * len(cs.table)) //mb:allocok capacity miss: table doubles, then reused
 	} else {

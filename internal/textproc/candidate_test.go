@@ -8,11 +8,15 @@ import (
 // candTestVocab freezes a vocabulary holding every 1..3-gram of the
 // given lines, the shape CompiledModel serves against.
 func candTestVocab(lines ...string) *FrozenVocab {
-	v := NewTermVocab(16)
+	var terms []string
+	seen := map[string]bool{}
 	for _, t := range ExtractTerms(lines, 3) {
-		v.Add(t.Text)
+		if !seen[t.Text] {
+			seen[t.Text] = true
+			terms = append(terms, t.Text)
+		}
 	}
-	return FreezeVocab(v)
+	return FreezeVocab(terms)
 }
 
 func TestCandidateSetDedupAndTokenParity(t *testing.T) {

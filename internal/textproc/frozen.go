@@ -1,24 +1,27 @@
 package textproc
 
-// FrozenVocab is the immutable, flat form of a TermVocab: term texts
-// live in one contiguous byte blob indexed by an offsets array, the
-// open-addressed probe table is a plain []int32, and one tag byte per
-// probe bucket summarises it — four slices with no interior pointers,
-// so a frozen vocabulary can be serialized as raw sections and
-// reconstituted over foreign memory (a read-only file mapping) without
-// touching a single term. This is the classic flat-language-model
-// layout: the on-disk bytes ARE the lookup structure, and N processes
-// mapping the same artifact share one page cache copy.
+// FrozenVocab is the vocabulary: a list of terms in, an immutable flat
+// table out. Term texts live in one contiguous byte blob indexed by an
+// offsets array, the open-addressed probe table is a plain []int32, and
+// one tag byte per probe bucket summarises it — four slices with no
+// interior pointers, so a frozen vocabulary can be serialized as raw
+// sections and reconstituted over foreign memory (a read-only file
+// mapping) without touching a single term. This is the classic
+// flat-language-model layout: the on-disk bytes ARE the lookup
+// structure, and N processes mapping the same artifact share one page
+// cache copy.
 //
-// Placement is TermVocab's — hashTerm of the term, linear probe, IDs in
-// order — so the table and the tags are a function of the terms, the
-// table's size and this build's hash scheme, and ReadSections re-places
-// a vocabulary another scheme placed. The lookup does not walk the
-// table: it walks the tags, eight buckets per step, and opens the table,
-// the offsets and the blob only for a bucket whose tag matches the
-// probed hash. The snippet scorer
-// looks up every 1..3-gram window and few of them are terms, so the
-// common lookup is a miss, and a miss is one load from an array an
+// There is one builder, FreezeVocab, and one placement, place — hashTerm
+// of the term, linear probe, IDs in order — so the table and the tags
+// are a function of the terms, the table's size and this build's hash
+// scheme, and ReadSections re-places a vocabulary another scheme placed.
+// The table is keyed by the term's token hashes, so a lookup resolves an
+// n-gram window — a span over raw normalised bytes — to its ID without
+// building the string. The lookup does not walk the table: it walks the
+// tags, eight buckets per step, and opens the table, the offsets and the
+// blob only for a bucket whose tag matches the probed hash. The snippet
+// scorer looks up every 1..3-gram window and few of them are terms, so
+// the common lookup is a miss, and a miss is one load from an array an
 // eighth the size of the table. The byte compare against the term text
 // is still the only thing that can say "hit": corrupt tags or a corrupt
 // table can only cause misses, never alias two distinct terms.
@@ -33,7 +36,7 @@ import (
 	"repro/internal/snapshot"
 )
 
-// FrozenVocab is built by FreezeVocab (from an in-memory TermVocab),
+// FrozenVocab is built by FreezeVocab (from a list of distinct terms),
 // ReadSections (over a mapped artifact) or NewFrozenVocab (over three
 // foreign sections, deriving the fourth). It is immutable and safe for
 // concurrent use. When the backing slices view a file mapping, the
@@ -70,32 +73,26 @@ func hashTag(h uint64) byte { return byte(h>>56) | 1 }
 // candidates.
 func zeroBytes(w uint64) uint64 { return (w - swarLo) & ^w & swarHi }
 
-// FreezeVocab flattens an in-memory vocabulary: term texts are copied
-// into one blob, and the probe table and its tags are copied at the
-// same geometry. The source vocabulary must not be mutated afterwards
-// if the caller intends the frozen form to stay equivalent.
-func FreezeVocab(v *TermVocab) *FrozenVocab {
-	n := v.Len()
+// FreezeVocab builds the vocabulary of terms, which must be distinct:
+// term i gets ID i, the texts are copied into one blob, and the probe
+// table is the smallest power of two holding them at load factor 1/2.
+func FreezeVocab(terms []string) *FrozenVocab {
 	total := 0
-	for _, s := range v.strs {
+	for _, s := range terms {
 		total += len(s)
 	}
-	f := &FrozenVocab{
-		blob: make([]byte, 0, total),
-		offs: make([]uint32, n+1),
-		tab:  make([]int32, len(v.table)),
-		tags: make([]byte, len(v.table)+tagStep),
-		mask: v.mask,
+	v := &FrozenVocab{blob: make([]byte, 0, total), offs: make([]uint32, len(terms)+1)}
+	for i, s := range terms {
+		v.offs[i] = uint32(len(v.blob))
+		v.blob = append(v.blob, s...)
 	}
-	for i, s := range v.strs {
-		f.offs[i] = uint32(len(f.blob))
-		f.blob = append(f.blob, s...)
+	v.offs[len(terms)] = uint32(len(v.blob))
+	size := minVocabTable
+	for size < 2*len(terms) {
+		size <<= 1
 	}
-	f.offs[n] = uint32(len(f.blob))
-	copy(f.tab, v.table)
-	copy(f.tags, v.tags)
-	copy(f.tags[len(v.table):], v.tags)
-	return f
+	v.place(size)
+	return v
 }
 
 // newFrozenVocab wraps four pre-built sections — views into a mapped
@@ -159,26 +156,28 @@ func NewFrozenVocab(blob []byte, offs []uint32, tab []int32) (*FrozenVocab, erro
 	return v, nil
 }
 
-// place rebuilds the probe table and its tags on the heap from the terms
-// alone, under this build's hash: IDs in order, each at the first free
-// bucket of its chain (the table has twice the term count), at the size
-// the table had — what FreezeVocab would write for the same terms.
-func (v *FrozenVocab) place() {
-	tab, tags := make([]int32, len(v.tab)), make([]byte, len(v.tags))
+// place builds the probe table, size buckets, and its tags on the heap
+// from the terms alone, under this build's hash: IDs in order, each at
+// the first free bucket of its chain (size is at least twice the term
+// count, so there is one). It is the only placement there is: what
+// FreezeVocab writes is what ReadSections rebuilds.
+func (v *FrozenVocab) place(size int) {
+	tab, tags := make([]int32, size), make([]byte, size+tagStep)
 	for i := range tab {
 		tab[i] = -1
 	}
+	mask := uint64(size - 1)
 	for id := range v.Len() {
 		text, _ := v.term(int32(id)) // corrupt offsets place the empty term: occupied, never matched
 		h := hashTerm(text)
-		i := h & v.mask
+		i := h & mask
 		for tab[i] >= 0 {
-			i = (i + 1) & v.mask
+			i = (i + 1) & mask
 		}
 		tab[i], tags[i] = int32(id), hashTag(h)
 	}
-	copy(tags[len(tab):], tags)
-	v.tab, v.tags = tab, tags
+	copy(tags[size:], tags)
+	v.tab, v.tags, v.mask = tab, tags, mask
 }
 
 // Section suffixes of a vocabulary inside a v2 artifact; the prefix
@@ -235,7 +234,7 @@ func ReadSections(a *snapshot.V2Artifact, prefix string) (*FrozenVocab, error) {
 	if v.Len() > 0 {
 		text, _ := v.term(0)
 		if id, ok := v.LookupHashed(hashTerm(text), text); !ok || id != 0 {
-			v.place()
+			v.place(len(v.tab))
 			log.Printf("textproc: vocabulary %q (%d terms) was placed under another build's hash scheme: probe table rebuilt on the heap; re-export the artifact (clickmodelfit -conv) to load it mapped", prefix, v.Len())
 		}
 	}

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"slices"
 	"strconv"
+	"strings"
 	"testing"
 
 	"repro/internal/snapshot"
@@ -32,14 +33,8 @@ func oracleLookup(v *FrozenVocab, h uint64, key []byte) (int32, bool) {
 	return 0, false
 }
 
-// freezeTerms interns terms in order (so term i has ID i) and freezes.
-func freezeTerms(terms ...string) *FrozenVocab {
-	v := NewTermVocab(len(terms))
-	for _, s := range terms {
-		v.Add(s)
-	}
-	return FreezeVocab(v)
-}
+// freezeTerms freezes distinct terms in order (so term i has ID i).
+func freezeTerms(terms ...string) *FrozenVocab { return FreezeVocab(terms) }
 
 // checkLookup asserts the three views of one probe agree: the tagged
 // lookup (both entry points), the oracle, and the expected answer.
@@ -464,6 +459,91 @@ func collide(t *testing.T, prefix string, mask, bucket uint64, tag byte, n int) 
 	return out
 }
 
+// referencePlacement is the placement stated on its own, over the term
+// strings: the smallest power-of-two table of at least 16 buckets and
+// twice the terms, IDs in order, each at the first free bucket from its
+// hash, tagged from the hash's high bits, the first tags repeated at the
+// end. It is what every build since the tags has written for an ordered
+// list of distinct terms.
+func referencePlacement(terms []string) (tab []int32, tags []byte) {
+	size := 16
+	for size < 2*len(terms) {
+		size *= 2
+	}
+	tab, tags = make([]int32, size), make([]byte, size+tagStep)
+	for i := range tab {
+		tab[i] = -1
+	}
+	for id, s := range terms {
+		h := hashString(s)
+		i := h & uint64(size-1)
+		for tab[i] >= 0 {
+			i = (i + 1) & uint64(size-1)
+		}
+		tab[i], tags[i] = int32(id), hashTag(h)
+	}
+	copy(tags[size:], tags)
+	return tab, tags
+}
+
+// TestFreezeVocabPlacement holds the one builder to the reference
+// placement, bucket for bucket, at the term counts around a table
+// doubling and on a chain forced into one bucket, and reads every
+// vocabulary back: each term finds its own ID, its near neighbours miss.
+func TestFreezeVocabPlacement(t *testing.T) {
+	// Five strings of one bucket: four make the chain, a probe for the
+	// fifth walks all of it and still misses.
+	chain := collide(t, "term", 15, hashString("term0")&15, 0, 5)
+	type termList struct {
+		name  string
+		terms []string
+	}
+	cases := []termList{
+		{"chain", chain[:4]},
+		{"phrases", []string{"find cheap", "flights", "new york", "20% off", "$99", "find cheap flights"}},
+	}
+	for _, n := range []int{0, 1, 7, 8, 9, 5000} {
+		terms := make([]string, n)
+		for i := range terms {
+			terms[i] = "w" + strconv.Itoa(i)
+		}
+		cases = append(cases, termList{strconv.Itoa(n) + " terms", terms})
+	}
+	for _, c := range cases {
+		terms := c.terms
+		t.Run(c.name, func(t *testing.T) {
+			f := FreezeVocab(terms)
+			tab, tags := referencePlacement(terms)
+			if !slices.Equal(f.tab, tab) || !bytes.Equal(f.tags, tags) || f.mask != uint64(len(tab)-1) {
+				t.Fatalf("placement differs from the reference: %d buckets, mask %#x, reference %d buckets", len(f.tab), f.mask, len(tab))
+			}
+			if err := f.Validate(); err != nil {
+				t.Fatalf("Validate: %v", err)
+			}
+			if f.Len() != len(terms) {
+				t.Fatalf("Len = %d, want %d", f.Len(), len(terms))
+			}
+			member := make(map[string]bool, len(terms))
+			for _, s := range terms {
+				member[s] = true
+			}
+			for i, s := range terms {
+				checkLookup(t, f, s, int32(i), true)
+				if f.Text(int32(i)) != s {
+					t.Errorf("Text(%d) = %q, want %q", i, f.Text(int32(i)), s)
+				}
+				for _, absent := range []string{s + "x", s[:len(s)-1], s + " ", " " + s, strings.ToUpper(s) + "!"} {
+					if !member[absent] {
+						checkLookup(t, f, absent, 0, false)
+					}
+				}
+			}
+			checkLookup(t, f, "", 0, false)
+			checkLookup(t, f, chain[4], 0, false)
+		})
+	}
+}
+
 // TestFrozenVocabProbeShapes pins the shapes of a tagged step a fuzzer
 // reaches slowly.
 func TestFrozenVocabProbeShapes(t *testing.T) {
@@ -591,7 +671,7 @@ func TestFrozenLookupNoalloc(t *testing.T) {
 // are kept, so small caps force every string onto the few chains of a
 // 16-bucket table. Every member, near-member (last byte flipped, one
 // byte more, one byte less) and a few fixed strings is then looked up
-// in three vocabularies — frozen from the builder, derived from three
+// in three vocabularies — frozen from the list, derived from three
 // sections, and read back from a written artifact — and each answer
 // must equal the oracle probe's and plain map membership.
 func FuzzFrozenLookup(f *testing.F) {
@@ -606,17 +686,17 @@ func FuzzFrozenLookup(f *testing.F) {
 		}
 		limit := int(data[0]) % 64
 		want := map[string]int32{}
-		tv := NewTermVocab(0)
+		var terms []string
 		for _, term := range bytes.Split(data[1:], []byte{'\n'}) {
 			if len(want) == limit {
 				break
 			}
-			want[string(term)] = tv.Add(string(term))
+			if _, dup := want[string(term)]; !dup {
+				want[string(term)] = int32(len(terms))
+				terms = append(terms, string(term))
+			}
 		}
-		if tv.Len() != len(want) {
-			t.Fatalf("builder holds %d terms, the map %d", tv.Len(), len(want))
-		}
-		frozen := FreezeVocab(tv)
+		frozen := FreezeVocab(terms)
 		derived, err := NewFrozenVocab(frozen.blob, frozen.offs, frozen.tab)
 		if err != nil {
 			t.Fatalf("NewFrozenVocab: %v", err)
@@ -636,8 +716,8 @@ func FuzzFrozenLookup(f *testing.F) {
 		}
 
 		probes := [][]byte{nil, []byte("x"), []byte(" "), []byte("cheap flights")}
-		for id := 0; id < tv.Len(); id++ { // not the map: a fuzz target's coverage must repeat
-			b := []byte(tv.Text(int32(id)))
+		for _, term := range terms { // not the map: a fuzz target's coverage must repeat
+			b := []byte(term)
 			probes = append(probes, b, append(append([]byte(nil), b...), 'x'))
 			if len(b) > 0 {
 				flipped := append([]byte(nil), b...)

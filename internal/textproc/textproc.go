@@ -143,17 +143,6 @@ func ExtractTerms(lines []string, maxN int) []Term {
 	return terms
 }
 
-// TermSet returns the set of distinct term texts (ignoring position) for
-// the given lines, useful for set-difference operations between a pair of
-// snippets.
-func TermSet(lines []string, maxN int) map[string]bool {
-	set := make(map[string]bool)
-	for _, t := range ExtractTerms(lines, maxN) {
-		set[t.Text] = true
-	}
-	return set
-}
-
 // stopwords are high-frequency function words whose presence differences
 // between creatives carry no appeal signal. Kept deliberately small: ad
 // text is terse and aggressive stopwording destroys bigrams like

@@ -157,17 +157,6 @@ func TestTermKey(t *testing.T) {
 	}
 }
 
-func TestTermSet(t *testing.T) {
-	set := TermSet([]string{"no reservation costs", "no reservation costs"}, 2)
-	if !set["no reservation"] || !set["costs"] {
-		t.Errorf("TermSet missing expected entries: %v", set)
-	}
-	// Duplicate lines do not duplicate set entries; sanity on size.
-	if len(set) != 5 { // no, reservation, costs, no reservation, reservation costs
-		t.Errorf("TermSet size = %d, want 5: %v", len(set), set)
-	}
-}
-
 func TestFilterStopTerms(t *testing.T) {
 	terms := ExtractTerms([]string{"the best of rates"}, 2)
 	filtered := FilterStopTerms(terms)

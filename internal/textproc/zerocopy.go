@@ -287,86 +287,9 @@ func appendTokensRef(norm []byte, spans []TokenSpan, base int, text string) ([]b
 	return norm, spans
 }
 
-// TermVocab interns term texts to dense int32 IDs: the growable
-// builder whose frozen form (FreezeVocab) the serving path looks terms
-// up in. Its open-addressed table is keyed by the term's token hashes,
-// so the frozen table can resolve an n-gram window — a span slice over
-// raw normalised bytes — to its ID without building the string. Hash
-// collisions are resolved by linear probing with an exact comparison
-// against the interned text, so a colliding probe can never alias two
-// distinct terms.
-//
-// A TermVocab is not safe for concurrent use and has no lookup of its
-// own: freeze it to read it.
-type TermVocab struct {
-	strs  []string
-	table []int32 // open-addressed buckets; -1 = empty
-	tags  []byte  // hashTag of the hash each bucket was placed under; 0 = empty
-	mask  uint64
-}
-
 // minVocabTable keeps the probe table at least this many buckets so
 // tiny vocabularies still terminate probes quickly.
 const minVocabTable = 16
-
-// NewTermVocab returns an empty vocabulary sized for about n terms.
-func NewTermVocab(n int) *TermVocab {
-	v := &TermVocab{}
-	size := minVocabTable
-	for size < 2*n {
-		size <<= 1
-	}
-	v.grow(size)
-	return v
-}
-
-// grow rebuilds the probe table at the given power-of-two size.
-func (v *TermVocab) grow(size int) {
-	v.table = make([]int32, size)
-	for i := range v.table {
-		v.table[i] = -1
-	}
-	v.tags = make([]byte, size)
-	v.mask = uint64(size - 1)
-	for id, s := range v.strs {
-		v.place(hashTerm(s), int32(id))
-	}
-}
-
-// place inserts an ID at the first free bucket of its probe chain.
-func (v *TermVocab) place(h uint64, id int32) {
-	for i := h & v.mask; ; i = (i + 1) & v.mask {
-		if v.table[i] < 0 {
-			v.table[i] = id
-			v.tags[i] = hashTag(h)
-			return
-		}
-	}
-}
-
-// Add interns s, returning its dense ID (allocating the next one for
-// a string never seen before).
-func (v *TermVocab) Add(s string) int32 {
-	h := hashTerm(s)
-	for i := h & v.mask; ; i = (i + 1) & v.mask {
-		id := v.table[i]
-		if id < 0 {
-			break
-		}
-		if v.strs[id] == s {
-			return id
-		}
-	}
-	id := int32(len(v.strs))
-	v.strs = append(v.strs, s)
-	// Keep the load factor under 1/2 so probe chains stay short.
-	if 2*len(v.strs) > len(v.table) {
-		v.grow(2 * len(v.table))
-	} else {
-		v.place(h, id)
-	}
-	return id
-}
 
 // NGramHashSeed is the initial value of an n-gram window hash; extend
 // it with ExtendNGramHash once per token. The windows starting at one
@@ -380,13 +303,6 @@ func ExtendNGramHash(h, tokenHash uint64) uint64 {
 	h = (h ^ tokenHash) * hashMult2
 	return h ^ h>>31
 }
-
-// Len returns the number of interned terms.
-func (v *TermVocab) Len() int { return len(v.strs) }
-
-// Text returns the term text behind an ID. IDs come from Add, so
-// out-of-range values are programmer errors and panic via the slice.
-func (v *TermVocab) Text(id int32) string { return v.strs[id] }
 
 // Hash constants: 64-bit avalanche multipliers (golden-ratio and
 // xxhash-flavoured). The scheme is two-level — hashToken over a token's

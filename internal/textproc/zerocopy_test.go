@@ -274,78 +274,6 @@ func TestNGramWindowContiguity(t *testing.T) {
 	}
 }
 
-// TestTermVocab pins the builder's contract — dense IDs in first-seen
-// order, re-Add returns the existing ID — and reads it back the only
-// way there is: through the frozen form.
-func TestTermVocab(t *testing.T) {
-	v := NewTermVocab(0)
-	terms := []string{"find cheap", "flights", "new york", "20% off", "$99", "find cheap flights"}
-	for i, s := range terms {
-		if id := v.Add(s); id != int32(i) {
-			t.Fatalf("Add(%q) = %d, want %d", s, id, i)
-		}
-	}
-	// Re-adding returns the existing ID.
-	if id := v.Add("flights"); id != 1 {
-		t.Errorf("re-Add(flights) = %d, want 1", id)
-	}
-	if v.Len() != len(terms) {
-		t.Errorf("Len = %d, want %d", v.Len(), len(terms))
-	}
-	f := FreezeVocab(v)
-	for i, s := range terms {
-		checkLookup(t, f, s, int32(i), true)
-		if v.Text(int32(i)) != s {
-			t.Errorf("Text(%d) = %q, want %q", i, v.Text(int32(i)), s)
-		}
-	}
-	for _, absent := range []string{"", "find", "cheap flights", "flights ", " flights", "FLIGHTS"} {
-		checkLookup(t, f, absent, 0, false)
-	}
-}
-
-// TestTermVocabCollisions forces same-bucket probe chains and checks
-// that the byte-compare collision check keeps colliding terms
-// distinct, for hits and misses alike.
-func TestTermVocabCollisions(t *testing.T) {
-	v := NewTermVocab(0)
-	mask := v.mask
-	// Gather strings landing in one bucket of the initial table.
-	target := hashString("term0") & mask
-	colliding := collide(t, "term", mask, target, 0, 5)
-	colliding, absent := colliding[:4], colliding[4]
-	for _, s := range colliding {
-		v.Add(s)
-	}
-	f := FreezeVocab(v)
-	for i, s := range colliding {
-		checkLookup(t, f, s, int32(i), true)
-	}
-	// A probe that walks the whole colliding chain and still misses.
-	checkLookup(t, f, absent, 0, false)
-}
-
-// TestTermVocabGrowth crosses several table rebuilds and re-verifies
-// every interned term afterwards: a rebuild re-places every term and
-// re-tags every bucket.
-func TestTermVocabGrowth(t *testing.T) {
-	v := NewTermVocab(0)
-	n := 5000
-	for i := 0; i < n; i++ {
-		v.Add("w" + strconv.Itoa(i))
-	}
-	if v.Len() != n {
-		t.Fatalf("Len = %d, want %d", v.Len(), n)
-	}
-	f := FreezeVocab(v)
-	if err := f.Validate(); err != nil {
-		t.Fatalf("Validate after growth: %v", err)
-	}
-	for i := 0; i < n; i++ {
-		checkLookup(t, f, "w"+strconv.Itoa(i), int32(i), true)
-	}
-}
-
 // TestWriteIntNegative makes the sign branch live: malformed Terms
 // with negative coordinates must render sign-correctly, including the
 // one value whose int negation overflows.

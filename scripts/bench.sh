@@ -19,7 +19,9 @@
 #                frozen-vocabulary lookup, in cache and out of it) +
 #                BenchmarkMicroTokenize/{corpus,title_punct,apostrophe,
 #                long90,nonascii} (Scratch.Tokenize per line and MB/s,
-#                by line shape), BENCH_engine.json
+#                by line shape) + BenchmarkMicroCompile/{2k,200k}
+#                (core.Model.Compile: what a micro publish and a v1
+#                load pay to build the vocabulary), BENCH_engine.json
 #   serve      — BenchmarkServeProtocol/* (JSON vs MBSP binary framing
 #                over real TCP) + BenchmarkSnapshotLoad/* (v1 decode vs
 #                v2 mmap at 1/10/100MB artifacts), BENCH_engine.json
@@ -64,7 +66,7 @@ done
 case "$suite" in
   clickmodel) pattern="ClickModel"; default_out="BENCH_clickmodel.json" ;;
   engine)     pattern="EngineScoreBatch"; default_out="BENCH_engine.json" ;;
-  micro)      pattern="MicroScore|ExtractTermsPath|VocabLookup|MicroTokenize"; default_out="BENCH_engine.json" ;;
+  micro)      pattern="MicroScore|ExtractTermsPath|VocabLookup|MicroTokenize|MicroCompile"; default_out="BENCH_engine.json" ;;
   serve)      pattern="ServeProtocol|SnapshotLoad"; default_out="BENCH_engine.json" ;;
   optimize)   pattern="OptimizeCandidates"; default_out="BENCH_optimize.json" ;;
   stream)     pattern="Stream"; default_out="BENCH_stream.json" ;;

@@ -4,8 +4,10 @@
 # cmd/go handles package loading and caching), the checks that the two
 # test oracles stay in tests (the reference scorer internal/core/coreref;
 # feedbackRequest, the encoding/json shape of POST /v1/feedback), the
-# check that the token hash keeps its one owner, and — when the pinned
-# tools are installed — staticcheck and govulncheck.
+# checks that the token hash, the vocabulary builder, the counting
+# family's closed forms and latency measurement each keep their one
+# owner, and — when the pinned tools are installed — staticcheck and
+# govulncheck.
 #
 # Usage: scripts/lint.sh
 # Exits nonzero on any finding. CI installs staticcheck/govulncheck
@@ -62,6 +64,39 @@ spellers=$(grep -rl --include='*.go' hashMult1 . | grep -v '^\./\.bench_build/' 
 if [ -n "$spellers" ]; then
   echo "hashMult1 is spelled outside internal/textproc/{zerocopy,candidate}.go:" >&2
   echo "$spellers" >&2
+  fail=1
+fi
+
+echo "== the vocabulary has one builder"
+# textproc.FreezeVocab takes a term list and (*FrozenVocab).place is the
+# one placement; the growable second hash table that used to feed it was
+# called TermVocab.
+builders=$(grep -rlw --include='*.go' TermVocab . | grep -v '^\./\.bench_build/' | grep -v '_test\.go$' || true)
+if [ -n "$builders" ]; then
+  echo "non-test code names TermVocab:" >&2
+  echo "$builders" >&2
+  fail=1
+fi
+
+echo "== the counting models' closed forms are written once"
+# SDBN's, Cascade's and DCM's Laplace ratios live in FitStats
+# (internal/clickmodel/stats.go); their FitLog fills a Stats and calls it.
+ratios=$(grep -l 'LaplaceA) /' internal/clickmodel/sdbn.go internal/clickmodel/cascade.go internal/clickmodel/dcm.go || true)
+if [ -n "$ratios" ]; then
+  echo "a counting-family ratio is spelled outside stats.go:" >&2
+  echo "$ratios" >&2
+  fail=1
+fi
+
+echo "== cmd/loadgen replays feedback and measures nothing"
+# Latency and MBSP traffic are benchmark/'s, which checks every reply and
+# paces open-loop; a histogram or a binary client in loadgen is the
+# second load generator coming back.
+measuring=$(go list -f '{{range .Imports}}{{.}}{{"\n"}}{{end}}' ./cmd/loadgen \
+  | grep -x -e 'repro/internal/server/binproto' -e 'repro/internal/obs' || true)
+if [ -n "$measuring" ]; then
+  echo "cmd/loadgen imports:" >&2
+  echo "$measuring" >&2
   fail=1
 fi
 
