@@ -30,7 +30,9 @@ type Config struct {
 	Interval time.Duration
 	// Shards is the ingest fan-out (default GOMAXPROCS, capped at 16).
 	Shards int
-	// QueueCap bounds each shard's ingest buffer (default 4096).
+	// QueueCap is the bound on the events one shard may hold between two
+	// folds (default 4096): the event past it is dropped. A bound, not a
+	// buffer size — nothing is allocated for it ahead of the traffic.
 	QueueCap int
 	// Window bounds the raw-session ring the EM-family models refit on
 	// (default 50000, split across shards).
@@ -186,7 +188,7 @@ type Learner struct {
 	// Loop-health histograms (nanosecond samples, scraped by /metrics):
 	// how long events queue before a fold absorbs them, how long folds
 	// take, how long publishes take. Atomic recording — foldLag lands
-	// from concurrent shard drainers.
+	// from concurrent fold strands.
 	foldLagH obs.Histogram
 	foldH    obs.Histogram
 	publishH obs.Histogram
@@ -201,6 +203,12 @@ type Learner struct {
 	global     *clickmodel.Stats
 	terms      map[string]termCount
 	winScratch []clickmodel.Session
+
+	// One fold's work list: the shards that held events when it began,
+	// and the cursor its strands claim them with.
+	foldShards []int
+	foldCursor atomic.Int32
+	strandHook func() // tests: called by every strand of a fold as it runs out of shards
 
 	wantMicro bool
 	emModels  int // configured models that need the session window
@@ -283,9 +291,9 @@ func New(eng *engine.Engine, cfg Config) (*Learner, error) {
 
 // replayWAL streams the log's retained records back into the shard
 // accumulators, round-robin, before the learner is shared — the crash
-// half of crash-safe learning. Replayed events count as folded, so the
-// first publish tick sees them and re-installs a recovered model
-// without waiting for fresh traffic.
+// half of crash-safe learning. Replayed events count as folded, and
+// Start publishes from them before the loop's first tick: a recovered
+// model is re-installed without waiting for fresh traffic or a timer.
 func (l *Learner) replayWAL() error {
 	defer l.noteWindow()
 	shard := 0
@@ -307,7 +315,7 @@ func (l *Learner) replayWAL() error {
 		if ev.Session == nil && ev.Snippet == nil {
 			return nil
 		}
-		ns, nn := l.absorb(shard, &ev)
+		ns, nn := l.absorb(shard, &ev, 0)
 		l.foldedSessions.Add(ns)
 		l.foldedSnippets.Add(nn)
 		l.replayed += ns + nn
@@ -362,32 +370,63 @@ func (l *Learner) Ingest(ev Event) error {
 	return nil
 }
 
-// foldLocked drains every shard concurrently, folding sessions into
-// the shard's Stats delta and window ring and snippets into the
-// shard's term counts. Caller holds l.mu.
+// foldLocked is the one fold, whoever asks for it — a shard that
+// reached its fill mark, the backstop ticker, a publish: it drains the
+// shards that hold events, folding sessions into the shard's Stats delta
+// and window ring and snippets into the shard's term counts. The shards
+// are claimed from an atomic cursor by min(shards holding events,
+// max(1, GOMAXPROCS-1)) strands, and the caller's goroutine is the
+// first: one strand and no goroutine on two CPUs (a fold that fanned
+// out there took both Ps from the reader beside it and cost more CPU
+// than it saved), one P left for readers on any host. Each shard has
+// one drainer and its own accumulators, and the counts are sums, so the
+// result is the same on any number of strands. Caller holds l.mu.
 func (l *Learner) foldLocked() {
 	defer l.foldH.RecordSince(time.Now())
+	l.foldShards = l.sink.holding(l.foldShards[:0])
+	l.foldCursor.Store(0)
+	helpers := min(len(l.foldShards), max(1, runtime.GOMAXPROCS(0)-1)) - 1
 	var wg sync.WaitGroup
-	for i := 0; i < l.sink.Shards(); i++ {
+	for ; helpers > 0; helpers-- {
 		wg.Add(1)
-		go func(i int) {
+		go func() {
 			defer wg.Done()
-			var ns, nn uint64
-			l.sink.DrainShard(i, func(ev *Event) {
-				s, n := l.absorb(i, ev)
-				ns += s
-				nn += n
-			})
-			if ns > 0 {
-				l.foldedSessions.Add(ns)
-			}
-			if nn > 0 {
-				l.foldedSnippets.Add(nn)
-			}
-		}(i)
+			l.foldStrand()
+		}()
 	}
+	l.foldStrand()
 	wg.Wait()
 	l.noteWindow()
+}
+
+// foldStrand claims shards from the fold's work list until none is left
+// and drains each into that shard's accumulators. The fold-lag clock is
+// read once per shard, before its buffer is swapped out: an event
+// offered in between reads as folded at once.
+func (l *Learner) foldStrand() {
+	for {
+		k := int(l.foldCursor.Add(1)) - 1
+		if k >= len(l.foldShards) {
+			break
+		}
+		i := l.foldShards[k]
+		var ns, nn uint64
+		now := time.Now().UnixNano()
+		l.sink.DrainShard(i, func(ev *Event) {
+			s, n := l.absorb(i, ev, now)
+			ns += s
+			nn += n
+		})
+		if ns > 0 {
+			l.foldedSessions.Add(ns)
+		}
+		if nn > 0 {
+			l.foldedSnippets.Add(nn)
+		}
+	}
+	if l.strandHook != nil {
+		l.strandHook()
+	}
 }
 
 // noteWindow publishes the EM window's fill to Counters. The caller owns
@@ -402,15 +441,14 @@ func (l *Learner) noteWindow() {
 
 // absorb folds one event into shard i's accumulators (statistics
 // delta, session ring, term counts), returning how many sessions and
-// snippets it credited. Callers must own shard i: the drain fan-out
-// does, and replay runs before the learner is shared.
-func (l *Learner) absorb(i int, ev *Event) (sessions, snippets uint64) {
+// snippets it credited. now is the drain's clock reading (UnixNano), the
+// far end of the event's fold lag; one reading serves every event of the
+// drain, and a sample is still recorded per event. Callers must own
+// shard i: the strand that claimed it does, and replay runs before the
+// learner is shared.
+func (l *Learner) absorb(i int, ev *Event, now int64) (sessions, snippets uint64) {
 	if ev.enqueuedNS > 0 {
-		if lag := time.Now().UnixNano() - ev.enqueuedNS; lag > 0 {
-			l.foldLagH.Record(uint64(lag))
-		} else {
-			l.foldLagH.Record(0)
-		}
+		l.foldLagH.Record(uint64(max(now-ev.enqueuedNS, 0)))
 	}
 	if ev.Session != nil {
 		if l.deltas[i].Add(*ev.Session) == nil {
@@ -650,16 +688,31 @@ func (l *Learner) fitMicroLocked() (engine.ModelInfo, error) {
 	return l.eng.Install(engine.NameMicro, engine.NewMicroScorer(m), engine.SourceOnline)
 }
 
-// Start launches the background loop: frequent folds (so ingest
-// buffers never back up waiting for a publish) and a publish per
-// Interval, gated by MinEvents. Idempotent.
+// Start launches the background loop: a fold whenever a shard fills to
+// its mark, a backstop fold on a timer, and a publish per Interval,
+// gated by MinEvents. A learner whose WAL replay credited at least
+// MinEvents events publishes once first, before Start returns: a
+// restarted server holds all of its evidence in memory and must not
+// answer without a model, or with a stale one, until an interval tick
+// that may be 30 s away. Idempotent.
 func (l *Learner) Start() {
 	if !l.started.CompareAndSwap(false, true) {
 		return
 	}
+	if l.replayed >= uint64(l.cfg.MinEvents) {
+		l.Publish() // logs its own errors; counters record them
+	}
 	go l.run()
 }
 
+// run folds on three triggers and publishes on one. The sink's token
+// says a shard has reached its fill mark: under load this is what
+// drains the queue, so a fold is a few thousand events per shard at any
+// feedback rate and the queue holds what arrives in one fold's time, not
+// in one tick's. The Interval/8 ticker is the backstop for trickle
+// traffic that never fills a shard. The publish tick folds so that
+// buffered events count toward its gate. All three run foldLocked on
+// this goroutine.
 func (l *Learner) run() {
 	defer close(l.done)
 	foldEvery := l.cfg.Interval / 8
@@ -677,6 +730,10 @@ func (l *Learner) run() {
 		select {
 		case <-l.stop:
 			return
+		case <-l.sink.filled:
+			l.mu.Lock()
+			l.foldLocked()
+			l.mu.Unlock()
 		case <-foldT.C:
 			l.mu.Lock()
 			l.foldLocked()

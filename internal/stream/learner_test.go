@@ -381,8 +381,16 @@ func TestBackgroundLoopPublishes(t *testing.T) {
 
 // TestConcurrentIngestPublishScore is the -race acceptance test:
 // concurrent producers, a running background publisher, manual
-// publishes and batch scoring all at once.
+// publishes and batch scoring all at once — with a roomy queue, and
+// with one small enough (a shard asks for a fold every 32 events) that
+// fill-triggered folds race the ticker's folds and Publish throughout.
 func TestConcurrentIngestPublishScore(t *testing.T) {
+	for _, queueCap := range []int{1 << 12, 64} {
+		t.Run(fmt.Sprintf("queue=%d", queueCap), func(t *testing.T) { concurrentIngestPublishScore(t, queueCap) })
+	}
+}
+
+func concurrentIngestPublishScore(t *testing.T, queueCap int) {
 	live := genSessions(4000, 31)
 	eng := engine.New(engine.WithKeepVersions(4))
 	seed := clickmodel.NewSDBN()
@@ -393,7 +401,7 @@ func TestConcurrentIngestPublishScore(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	l, err := New(eng, Config{Models: []string{"sdbn", "dcm"}, Shards: 4, QueueCap: 1 << 12, Interval: 15 * time.Millisecond, MinEvents: 50})
+	l, err := New(eng, Config{Models: []string{"sdbn", "dcm"}, Shards: 4, QueueCap: queueCap, Interval: 15 * time.Millisecond, MinEvents: 50})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,13 +11,18 @@
 //   - Sink: a sharded, lock-minimal ingest queue. Producers (the HTTP
 //     feedback handler) round-robin events over N shards, each owning a
 //     bounded append buffer; a full shard drops the event and counts
-//     the drop rather than blocking the serving path.
+//     the drop rather than blocking the serving path. Bounded is not
+//     preallocated: a buffer grows to what the shard has had to hold
+//     and no further, and the Offer that half-fills a shard (at most
+//     4096 events) wakes the learner's fold, so what the queue holds
+//     follows the feedback rate and not a timer.
 //   - Accumulation: each shard folds its drained events into its own
 //     clickmodel.Stats delta (counting-family sufficient statistics),
 //     a ring of recent raw sessions (the mini-batch window for the
 //     EM-family models) and per-term impression/click counts (the
-//     micro model). Folding shards run concurrently — interning is the
-//     expensive part, and it parallelises.
+//     micro model). One fold walks the shards that hold events on at
+//     most GOMAXPROCS-1 strands, the caller's goroutine being the
+//     first, so a reader always has a core.
 //   - Publisher: on every interval the deltas are merged into a global
 //     decayed table, each configured model is refitted — closed-form
 //     from the global statistics, windowed EM from the session ring,
@@ -79,12 +84,14 @@ func (e *SnippetEvent) Validate() error {
 // queued. Producers treat it as backpressure, not failure.
 var ErrDropped = errors.New("stream: ingest queue saturated, event dropped")
 
-// sinkShard is one ingest lane: a mutex and two swap buffers. The pad
-// keeps neighbouring shards off one cache line so producers on
-// different shards do not false-share.
+// sinkShard is one ingest lane: a mutex and two swap buffers. Both
+// start nil and grow by append to the most events the shard has held
+// between two drains — the sink's bound limits their length, nothing
+// sizes them ahead of the traffic. The pad keeps neighbouring shards off
+// one cache line so producers on different shards do not false-share.
 type sinkShard struct {
 	mu    sync.Mutex
-	buf   []Event // producers append here (bounded by cap)
+	buf   []Event // producers append here (len bounded by Sink.queueCap)
 	spare []Event // drained buffer, swapped in by DrainShard
 	_     [64]byte
 }
@@ -95,14 +102,28 @@ type sinkShard struct {
 // allocates nothing on the steady-state accept path; a saturated shard
 // drops the event rather than blocking.
 type Sink struct {
-	shards []sinkShard
+	shards   []sinkShard
+	queueCap int // a shard holding this many events drops the next
+	fillAt   int // a shard reaching this many events asks for a fold
+	// filled carries that request to whoever drains the sink (the
+	// Learner's loop). One slot: a fold drains every shard that holds
+	// events, so requests made while one is pending add nothing, and one
+	// made while a fold runs is kept for the next.
+	filled chan struct{}
 	cursor atomic.Uint64
 	queued atomic.Uint64 // accepted into a shard buffer
 	drops  atomic.Uint64 // rejected because the shard was full
 }
 
-// NewSink returns a sink with the given shard count and per-shard
-// buffer capacity (values < 1 become 1 and 1024).
+// maxFill is the most events a shard collects before it asks for a
+// fold: a few thousand events fold in about a millisecond, which keeps
+// the drainer's turns short however large the bound is.
+const maxFill = 4096
+
+// NewSink returns a sink with the given shard count and per-shard bound
+// on buffered events (values < 1 become 1 and 1024). The bound is a drop
+// threshold, not a reservation: no event buffer exists until events
+// arrive.
 func NewSink(shards, queueCap int) *Sink {
 	if shards < 1 {
 		shards = 1
@@ -110,30 +131,58 @@ func NewSink(shards, queueCap int) *Sink {
 	if queueCap < 1 {
 		queueCap = 1024
 	}
-	s := &Sink{shards: make([]sinkShard, shards)}
-	for i := range s.shards {
-		s.shards[i].buf = make([]Event, 0, queueCap)
-		s.shards[i].spare = make([]Event, 0, queueCap)
+	return &Sink{
+		shards:   make([]sinkShard, shards),
+		queueCap: queueCap,
+		// Half the bound, so the other half absorbs what arrives while
+		// the fold is on its way. A rule and not a setting: it trades fold
+		// size against fold count, and no deployment wants another answer.
+		fillAt: max(1, min(queueCap/2, maxFill)),
+		filled: make(chan struct{}, 1),
 	}
-	return s
 }
 
 // Offer enqueues one event, returning false (and counting a drop) when
-// the selected shard's buffer is full.
+// the selected shard already holds its bound. Acceptance goes by the
+// buffer's length, never its capacity: append's doubling may leave room
+// past the bound, and that room is not queue. The Offer that brings a
+// shard to its fill mark leaves one token for the drainer and never
+// waits for it.
 //
 //mb:noalloc
 func (s *Sink) Offer(ev Event) bool {
 	sh := &s.shards[s.cursor.Add(1)%uint64(len(s.shards))]
 	sh.mu.Lock()
-	if len(sh.buf) == cap(sh.buf) {
+	if len(sh.buf) >= s.queueCap {
 		sh.mu.Unlock()
 		s.drops.Add(1)
 		return false
 	}
 	sh.buf = append(sh.buf, ev)
+	n := len(sh.buf)
 	sh.mu.Unlock()
 	s.queued.Add(1)
+	if n == s.fillAt {
+		select {
+		case s.filled <- struct{}{}:
+		default:
+		}
+	}
 	return true
+}
+
+// holding appends to dst the shards that hold events right now.
+func (s *Sink) holding(dst []int) []int {
+	for i := range s.shards {
+		sh := &s.shards[i]
+		sh.mu.Lock()
+		n := len(sh.buf)
+		sh.mu.Unlock()
+		if n > 0 {
+			dst = append(dst, i)
+		}
+	}
+	return dst
 }
 
 // DrainShard swaps shard i's buffer out (one short critical section)

@@ -106,6 +106,11 @@ func decodePayload(payload []byte) (seq uint64, rec Record, err error) {
 	if flags&flagSession != 0 {
 		s := &clickmodel.Session{Query: c.String()}
 		n := c.Int()
+		if n > c.Remaining()/2 {
+			// A doc is at least a length byte and a click byte: a count the
+			// payload cannot hold is refused before it sizes an allocation.
+			return 0, Record{}, fmt.Errorf("wal: %d docs claimed in %d payload bytes", n, c.Remaining())
+		}
 		if n > 0 && c.Err() == nil {
 			s.Docs = make([]string, n)
 			s.Clicks = make([]bool, n)
@@ -120,11 +125,14 @@ func decodePayload(payload []byte) (seq uint64, rec Record, err error) {
 	}
 	if flags&flagSnippet != 0 {
 		n := c.Int()
-		if n > 0 && c.Err() == nil {
-			rec.SnippetLines = make([]string, n)
-			for i := range rec.SnippetLines {
-				rec.SnippetLines[i] = c.String()
-			}
+		if n == 0 || n > c.Remaining() {
+			// appendFrame sets the flag only for a snippet with lines, and a
+			// line is at least its length byte.
+			return 0, Record{}, fmt.Errorf("wal: %d snippet lines claimed in %d payload bytes", n, c.Remaining())
+		}
+		rec.SnippetLines = make([]string, n)
+		for i := range rec.SnippetLines {
+			rec.SnippetLines[i] = c.String()
 		}
 		rec.Impressions = int(c.Uint())
 		rec.Clicks = int(c.Uint())

@@ -10,8 +10,9 @@
 # time, replay simulated feedback with loadgen until a new model
 # version auto-publishes, export it back to disk through the admin
 # surface — then kill -9 the server, restart it on the same WAL
-# directory, and require the replayed log to republish the online
-# model with no fresh traffic before shutting down gracefully. Exits
+# directory with a 60 s publish interval, and require the replayed log
+# to republish the online model at once, with no fresh traffic and no
+# tick, before shutting down gracefully. Exits
 # non-zero on any failed step. CI runs this; it is equally useful
 # locally.
 set -euo pipefail
@@ -224,8 +225,11 @@ srv_pid=""
 
 echo "serve_smoke: restarting on the surviving WAL (pprof sidecar on)"
 debug_addr="127.0.0.1:8390"
+# interval=60s: no publish tick falls inside this script's lifetime, so
+# the republish polled for below can only be the one the learner makes
+# from the replayed log before it serves.
 "$workdir/microserve" -addr "$addr" -load "pbm=$workdir/pbm.bin" \
-  -online "model=sdbn+micro,interval=1s,min=100" \
+  -online "model=sdbn+micro,interval=60s,min=100" \
   -wal "dir=$workdir/wal,fsync=interval=50ms" \
   -debug-addr "$debug_addr" >"$workdir/serve2.log" 2>&1 &
 srv_pid=$!
@@ -256,8 +260,8 @@ code=$(curl -s -o /dev/null -w '%{http_code}' "http://$addr/debug/pprof/")
 [ "$code" = "404" ] || { echo "serve_smoke: pprof leaked onto the serving port (got $code)" >&2; exit 1; }
 echo "serve_smoke: pprof gating ok"
 
-# The replayed feedback alone — no fresh traffic — must republish the
-# online model in the restarted process.
+# The replayed feedback alone — no fresh traffic, no interval tick —
+# must republish the online model in the restarted process.
 published=""
 for _ in $(seq 100); do
   models=$(curl -fs "http://$addr/v1/models")
