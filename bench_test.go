@@ -17,6 +17,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math/rand"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -379,6 +380,42 @@ func BenchmarkEngineScoreBatch(b *testing.B) {
 			})
 		}
 	}
+	// The repeat sub-benches price the engine's snippet memo from both
+	// sides, in the serving protocols' 64-request frames on one strand:
+	// repeat=all cycles 1,024 distinct snippets (after two passes every
+	// request is answered from the memo), repeat=none cycles 65,536 —
+	// several times what the memo holds, so no request ever is, while a
+	// sight that still finds its marker stores: the memo's worst case,
+	// and an upper bound on what traffic without repeats pays for it
+	// being there. 18-token snippets over a 50,000-term model.
+	repeatModel, repeatPool := repeatBench()
+	for _, rb := range []struct {
+		name     string
+		distinct int
+	}{{"repeat=all", 1 << 10}, {"repeat=none", len(repeatPool)}} {
+		b.Run(rb.name, func(b *testing.B) {
+			eng := micro.NewEngine(micro.WithWorkers(1))
+			eng.UseMicro(repeatModel)
+			pool := repeatPool[:rb.distinct]
+			out := make([]micro.ScoreResponse, scoreFrame)
+			for at := 0; at < 2*len(pool); at += scoreFrame { // two passes: every snippet that will be stored is
+				out = eng.ScoreBatchInto(ctx, pool[at%len(pool):][:scoreFrame], out)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			at := 0
+			for i := 0; i < b.N; i++ {
+				out = eng.ScoreBatchInto(ctx, pool[at:at+scoreFrame], out)
+				if out[0].Err != nil {
+					b.Fatal(out[0].Err)
+				}
+				if at += scoreFrame; at == len(pool) {
+					at = 0
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/(scoreFrame*float64(b.N)), "ns/req")
+		})
+	}
 	nopReqs := make([]micro.ScoreRequest, 4096)
 	for i := range nopReqs {
 		nopReqs[i] = micro.ScoreRequest{Model: "nop"}
@@ -400,6 +437,42 @@ func BenchmarkEngineScoreBatch(b *testing.B) {
 			b.ReportMetric(float64(len(nopReqs))*float64(b.N)/b.Elapsed().Seconds(), "req/s")
 		})
 	}
+}
+
+// scoreFrame is the serving protocols' batch: 64 snippets per MBSP
+// frame or JSON body.
+const scoreFrame = 64
+
+// repeatBench builds the repeat sub-benches' inputs: a 50,000-term
+// model over a 2,000-word vocabulary and 65,536 distinct three-line,
+// 18-token snippets drawn from it.
+func repeatBench() (*micro.Model, []micro.ScoreRequest) {
+	rng := rand.New(rand.NewSource(409))
+	words := make([]string, 2000)
+	for i := range words {
+		words[i] = fmt.Sprintf("w%dx%d", i, rng.Intn(1000))
+	}
+	model := micro.NewModel(micro.DefaultAttention())
+	for len(model.Relevance) < 50000 {
+		term := words[rng.Intn(len(words))]
+		for n := rng.Intn(3); n > 0; n-- {
+			term += " " + words[rng.Intn(len(words))]
+		}
+		model.Relevance[term] = 0.05 + 0.9*rng.Float64()
+	}
+	pool := make([]micro.ScoreRequest, 1<<16)
+	for i := range pool {
+		lines := make([]string, 3)
+		for l := range lines {
+			line := words[rng.Intn(len(words))]
+			for t := 1; t < 6; t++ {
+				line += " " + words[rng.Intn(len(words))]
+			}
+			lines[l] = line
+		}
+		pool[i] = micro.ScoreRequest{Lines: lines, MaxN: 3}
+	}
+	return model, pool
 }
 
 // --- micro scoring path: compiled vs map-based ---

@@ -28,7 +28,10 @@
 //     runs a scoring strand on its caller and, for batches large enough
 //     to repay a wake-up, helper strands beside it under one
 //     engine-wide cap (WithWorkers), with per-request error reporting
-//     and cooperative context cancellation.
+//     and cooperative context cancellation;
+//   - a bounded memo of micro answers (memo.go): a snippet the version
+//     being served has already scored is answered without running the
+//     kernel, bit for bit what the kernel said.
 //
 // The facade package re-exports the engine as the library's primary
 // public API; see the repository README for the serving walkthrough
@@ -78,8 +81,13 @@ type Engine struct {
 
 	strands atomic.Int32 // batch-scoring strands in flight, callers and helpers
 
-	mu  sync.Mutex                  // serialises table writers only
-	tab atomic.Pointer[scorerTable] // read path loads this, lock-free
+	// memo answers a micro request the live version has already scored
+	// (memo.go). It is the one thing strands share besides the table.
+	memo *snippetMemo
+
+	mu        sync.Mutex                  // serialises table writers only
+	tab       atomic.Pointer[scorerTable] // read path loads this, lock-free
+	lastIdent uint64                      // identity of the newest installed version; under mu
 }
 
 // scorerTable is one immutable generation of the engine's model table.
@@ -113,6 +121,13 @@ type modelVersion struct {
 	scorer Scorer
 	info   ModelInfo
 	art    *mmap.Artifact
+
+	// ident names this version in the engine's snippet memo: assigned at
+	// install from a counter of this engine's own, so no two versions of
+	// any name share one and none is an address. A
+	// rollback serves the same version under the same identity; whatever
+	// the memo still holds of it is still right.
+	ident uint64
 
 	// ctr is the live predicted-CTR distribution of this version
 	// (micro-CTR units), allocated at install when the engine carries
@@ -202,6 +217,7 @@ func New(opts ...Option) *Engine {
 		workers:      runtime.GOMAXPROCS(0),
 		defaultModel: NameMicro,
 		keep:         defaultKeepVersions,
+		memo:         newSnippetMemo(memoShardCount(runtime.GOMAXPROCS(0))),
 	}
 	e.tab.Store(&scorerTable{entries: map[string]*modelEntry{}})
 	for _, opt := range opts {
@@ -277,7 +293,8 @@ func (e *Engine) installLocked(name string, s Scorer, source string, art *mmap.A
 		Source:   source,
 		FittedAt: time.Now().UTC(),
 	}
-	nv := modelVersion{scorer: s, info: info, art: art}
+	e.lastIdent++
+	nv := modelVersion{scorer: s, info: info, art: art, ident: e.lastIdent}
 	if e.obs != nil {
 		// Observed engines track each version's predicted-CTR
 		// distribution, and pin the outgoing serving version's live
@@ -295,6 +312,7 @@ func (e *Engine) installLocked(name string, s Scorer, source string, art *mmap.A
 	}
 	ent.versions[ent.maxVer] = nv
 
+	var pruned []*mmap.Artifact
 	if e.keep > 0 && len(ent.versions) > e.keep {
 		vers := make([]int, 0, len(ent.versions))
 		for v := range ent.versions {
@@ -303,15 +321,11 @@ func (e *Engine) installLocked(name string, s Scorer, source string, art *mmap.A
 		sort.Ints(vers)
 		for _, v := range vers[:len(vers)-e.keep] {
 			if v != ent.latest {
-				// Dropping a mapped version surrenders the table's owner
-				// reference. In-flight requests that pinned the artifact
-				// keep the mapping alive until they Release; requests that
-				// resolved it from an older table generation but have not
-				// pinned yet will fail Retain and re-resolve. Pruning runs
-				// once per version: entry clones share modelVersion values,
-				// but only this canonical (mu-serialised) history deletes.
+				// Pruning runs once per version: entry clones share
+				// modelVersion values, but only this canonical
+				// (mu-serialised) history deletes.
 				if mv := ent.versions[v]; mv.art != nil {
-					mv.art.Release()
+					pruned = append(pruned, mv.art)
 				}
 				delete(ent.versions, v)
 			}
@@ -320,6 +334,18 @@ func (e *Engine) installLocked(name string, s Scorer, source string, art *mmap.A
 
 	next.entries[name] = ent
 	e.tab.Store(next)
+	// Dropping a mapped version surrenders the table's owner reference —
+	// after the table without it is published, never before: a rollback
+	// can leave the version being pruned as the one bare names resolve
+	// to, and a reader that found it still served by the current table
+	// but already drained would burn its retries inside this call.
+	// In-flight requests that pinned the artifact keep the mapping alive
+	// until they Release; requests that resolved it from an older table
+	// generation but have not pinned yet fail Retain and re-resolve
+	// against a table that no longer has it.
+	for _, art := range pruned {
+		art.Release()
+	}
 	info.Latest = true // the stored copy leaves Latest to Models(), which computes it per table generation
 	return info
 }
@@ -823,8 +849,8 @@ func (e *Engine) ScoreCTR(ctx context.Context, req Request) (Response, error) {
 	if mv.art != nil {
 		defer mv.art.Release()
 	}
-	sc := getScratch()
-	defer putScratch(sc)
+	sc := e.getScratch()
+	defer e.putScratch(sc)
 	if e.obs == nil {
 		return e.scoreResolved(ctx, req, name, &mv, sc)
 	}
@@ -851,6 +877,7 @@ func (e *Engine) scoreResolved(ctx context.Context, req Request, name string, mv
 	var resp Response
 	var err error
 	if ss, ok := mv.scorer.(scratchScorer); ok {
+		sc.ident = mv.ident
 		resp, err = ss.scoreCTR(req, sc)
 	} else {
 		resp, err = mv.scorer.ScoreCTR(ctx, req)
@@ -868,15 +895,22 @@ func (e *Engine) scoreResolved(ctx context.Context, req Request, name string, mv
 // minStrandBatch is the number of requests a batch must hold per
 // scoring strand before a helper goroutine is woken for it: a batch of
 // n requests runs on at most n/minStrandBatch strands, the caller's
-// included. It is twice the break-even read off
-// BenchmarkEngineScoreBatch's size sub-benches (BENCH_engine.json; 2
-// vCPUs, ~1.3µs requests): with one helper forced, two strands first
-// beat one on the wall clock between 128- and 192-request batches
-// (172→180µs, 259→226µs) — a helper's share of 64 to 96 requests —
-// and cost 35–40% more CPU per request there. A helper that is woken
-// therefore takes over at least twice what waking it costs, and the
-// 64-request frames of the serving protocols are scored where they
-// arrive.
+// included. It is twice the break-even of requests that run the kernel,
+// read off BenchmarkEngineScoreBatch's size sub-benches before the
+// snippet memo existed (BENCH_engine.json at 36fe5a5; 2 vCPUs, ~1.3µs
+// requests): with one helper forced, two strands first beat one on the
+// wall clock between 128- and 192-request batches (172→180µs,
+// 259→226µs) — a helper's share of 64 to 96 requests — and cost 35–40%
+// more CPU per request there. A helper that is woken therefore takes
+// over at least twice what waking it costs, and the 64-request frames
+// of the serving protocols are scored where they arrive.
+//
+// It is too low for a batch the memo answers: at ~180ns a request the
+// same sub-benches read 231 against 189 ns/req for two strands against
+// one at 256 requests, and two only pull level near 4,096. A batch does
+// not know its hit share before it is scored, so the constant stays
+// where a batch of misses needs it; pricing it by what the first chunk
+// observed is an open follow-up (CHANGES.md, PR 24).
 const minStrandBatch = 128
 
 // strandChunk is how many requests a strand claims per bump of the
@@ -1042,8 +1076,8 @@ func (e *Engine) scoreBatchHelped(ctx context.Context, reqs []Request, out []Res
 //mb:noalloc
 func (e *Engine) strand(ctx context.Context, reqs []Request, out []Response, cursor *atomic.Int64) {
 	defer e.strands.Add(-1)
-	sc := getScratch()
-	defer putScratch(sc)
+	sc := e.getScratch()
+	defer e.putScratch(sc)
 	var bs batchState
 	defer bs.release()
 	for {

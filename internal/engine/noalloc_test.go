@@ -2,6 +2,7 @@ package engine
 
 import (
 	"context"
+	"fmt"
 	"sync/atomic"
 	"testing"
 )
@@ -94,5 +95,54 @@ func TestStrandNoalloc(t *testing.T) {
 		if n := e.strands.Load(); n != 0 {
 			t.Fatalf("%d strand slots still held", n)
 		}
+	}
+}
+
+// TestMemoNoalloc backs the //mb:noalloc annotations on scoreSnippet,
+// scoreHashed, lookup and store: once a shard has its index and its
+// ring (each allocated once, on the shard's first lookup and first
+// store), a hit, a first miss and a second miss with its store allocate
+// nothing.
+func TestMemoNoalloc(t *testing.T) {
+	e := New()
+	e.UseMicro(testMicroModel())
+	st := newMemoStrand(e)
+	_, _, mv, err := e.resolve(NameMicro)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := mv.scorer.(*MicroScorer).c
+	st.sc.ident = mv.ident
+
+	// Three sights of enough snippets that every shard has stored one.
+	fresh := make([][]string, 4096)
+	for i := range fresh {
+		fresh[i] = []string{"Acme Air", fmt.Sprintf("Find cheap flights to gate %d", i)}
+	}
+	for _, lines := range fresh[:2048] {
+		for sight := 0; sight < 3; sight++ {
+			st.sc.scoreSnippet(c, lines, 3)
+		}
+	}
+	for i := range e.memo.shards {
+		if e.memo.shards[i].ring == nil {
+			t.Fatalf("shard %d stored nothing during warm-up", i)
+		}
+	}
+	before := e.MemoStats()
+
+	next := 2048
+	allocs := testing.AllocsPerRun(500, func() {
+		st.sc.scoreSnippet(c, fresh[0], 3)    // hit
+		st.sc.scoreSnippet(c, fresh[next], 3) // miss, marker
+		st.sc.scoreSnippet(c, fresh[next], 3) // miss, store
+		next++
+	})
+	if allocs != 0 {
+		t.Fatalf("warm memo cycle allocates %v/op, want 0", allocs)
+	}
+	after := e.MemoStats()
+	if after.Hits-before.Hits < 500 || after.Stores-before.Stores < 500 {
+		t.Fatalf("the cycle did not hit and store every run: %+v → %+v", before, after)
 	}
 }

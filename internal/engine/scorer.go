@@ -202,12 +202,15 @@ func (s *MicroScorer) ScoreCTR(ctx context.Context, req Request) (Response, erro
 	return s.scoreCTR(req, sc)
 }
 
-// scoreCTR implements scratchScorer.
+// scoreCTR implements scratchScorer. Inside an engine the scratch
+// carries the engine's snippet memo and the version's identity, and the
+// kernel runs only for text this version has not scored before; the
+// pooled scratch of the public ScoreCTR carries neither.
 func (s *MicroScorer) scoreCTR(req Request, sc *scratch) (Response, error) {
 	if len(req.Lines) == 0 {
 		return Response{}, fmt.Errorf("%w: micro scorer needs snippet lines", ErrNoEvidence)
 	}
-	ctr, score := s.c.ScoreSnippet(req.Lines, req.maxN(), &sc.text)
+	ctr, score := sc.scoreSnippet(s.c, req.Lines, req.maxN())
 	return Response{Model: NameMicro, CTR: ctr, Score: score}, nil
 }
 

@@ -12,7 +12,8 @@ import (
 // (no pool contention on the hot loop); single-request ScoreCTR calls
 // borrow one from the pool.
 //
-// Ownership rules:
+// Ownership rules — everything in a scratch belongs to the goroutine
+// holding it, except memo, which is the engine's and shared:
 //
 //   - text is reused freely: nothing derived from it survives a
 //     request (the compiled micro scorer returns plain floats).
@@ -24,16 +25,40 @@ import (
 //   - cands is the candidate-set working set (line dedup arena plus
 //     per-line partial cache); ScoreCandidates resets it at the top of
 //     every pass, so nothing derived from it survives a request either.
+//   - memo is the engine's snippet memo, every strand's alike and
+//     guarded by its own shard locks; Engine.getScratch lends it for one
+//     strand and Engine.putScratch takes it back, so a scratch in the
+//     pool (and so MicroScorer.ScoreCTR outside an engine) has none.
+//     ident is the identity of the version the request in hand resolved
+//     to, set by scoreResolved before each scratchScorer call.
 type scratch struct {
 	text      textproc.Scratch
 	positions floatArena
 	cands     core.CandidateScratch
+
+	memo  *snippetMemo
+	ident uint64
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
 
 func getScratch() *scratch  { return scratchPool.Get().(*scratch) }
 func putScratch(s *scratch) { scratchPool.Put(s) }
+
+// getScratch borrows a scratch for a strand that scores requests: it
+// carries the engine's memo until putScratch.
+func (e *Engine) getScratch() *scratch {
+	sc := getScratch()
+	sc.memo = e.memo
+	return sc
+}
+
+// putScratch ends a strand: the scratch goes back to the pool without
+// the memo.
+func (e *Engine) putScratch(sc *scratch) {
+	sc.memo = nil
+	putScratch(sc)
+}
 
 // floatArena hands out write-once []float64 regions from a chunked
 // backing slice. take never recycles handed-out memory: when a chunk

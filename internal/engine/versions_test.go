@@ -4,10 +4,19 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"math"
+	"math/rand"
+	"os"
+	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
+
+	"repro/internal/core"
+	"repro/internal/mmap"
 )
 
 // constScorer answers every request with a fixed CTR — version plumbing
@@ -245,4 +254,184 @@ func TestModelInfoRef(t *testing.T) {
 	if got := mi.Ref(); got != "pbm@7" {
 		t.Errorf("Ref() = %q", got)
 	}
+}
+
+// TestVersionedTableModelCheck is the checked model of what a reader may
+// observe while the table changes under it: writers interleave Install,
+// Rollback, pruning (WithKeepVersions(2)) and mapped-artifact loads from
+// a seeded schedule while readers score a fixed request set through
+// ScoreBatchInto, and every response must carry, by bits, exactly what an
+// unmemoised MicroScorer over the parameters of the version named in its
+// ModelVersion returns — that version having been installed before the
+// response was read. A memo record outliving its version, an identity
+// reused across versions or a response stamped with one version and
+// scored by another all fail it.
+func TestVersionedTableModelCheck(t *testing.T) {
+	const (
+		params   = 4 // distinct parameterisations, each as a fitted model and as a v2 file
+		writers  = 2
+		readers  = 3
+		writeOps = 40
+	)
+	ctx := context.Background()
+
+	// Every snippet four times a batch, so third and later sights — memo
+	// hits — happen inside any one version's life; pinned references to
+	// versions that may be pruned ride along.
+	var reqs []Request
+	for rep := 0; rep < 4; rep++ {
+		for i, lines := range [][]string{
+			testLines, {"Acme Air"}, {"Find cheap flights"}, {"flights", "flights"}, {""}, {"Great rates", "Find cheap"},
+		} {
+			reqs = append(reqs, Request{Lines: lines, MaxN: 1 + (i+rep/2)%3})
+		}
+	}
+
+	// refs[2k] is parameterisation k compiled from the fitted model,
+	// refs[2k+1] the same loaded from its v2 bytes; want[r][i] is what
+	// refs[r] answers request i through the public, unmemoised path.
+	type bits2 [2]uint64
+	var (
+		models [params]*core.Model
+		paths  [params]string
+		want   [2 * params][]bits2
+	)
+	for k := range models {
+		m := testMicroModel()
+		m.Relevance["flights"] = 0.2 + 0.15*float64(k)
+		m.Relevance["great rates"] = 0.9 - 0.1*float64(k)
+		models[k] = m
+		paths[k] = writeV2File(t, fmt.Sprintf("micro%d", k), m.SaveV2)
+		blob, err := os.ReadFile(paths[k])
+		if err != nil {
+			t.Fatal(err)
+		}
+		art, err := mmap.FromBytes(blob) // kept alive by the scorer below
+		if err != nil {
+			t.Fatal(err)
+		}
+		c, err := core.CompiledFromArtifact(art.V2Artifact)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for r, s := range []Scorer{NewMicroScorer(m), NewCompiledMicroScorer(c)} {
+			for _, req := range reqs {
+				resp, err := s.ScoreCTR(ctx, req)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want[2*k+r] = append(want[2*k+r], bits2{math.Float64bits(resp.CTR), math.Float64bits(resp.Score)})
+			}
+		}
+	}
+
+	e := New(WithKeepVersions(2), WithWorkers(2))
+	var (
+		mu        sync.RWMutex
+		refOf     = map[int]int{} // version → index into want, written before mu is released
+		batches   atomic.Int64
+		writersWG sync.WaitGroup
+		readersWG sync.WaitGroup
+		done      = make(chan struct{})
+	)
+	install := func(k int, mapped bool) {
+		mu.Lock()
+		defer mu.Unlock()
+		var (
+			info ModelInfo
+			err  error
+		)
+		if mapped {
+			info, err = e.LoadSnapshotFile(NameMicro, paths[k])
+		} else {
+			info, err = e.Install(NameMicro, NewMicroScorer(models[k]), "register")
+		}
+		if err != nil {
+			t.Errorf("install of parameterisation %d (mapped %v): %v", k, mapped, err)
+			return
+		}
+		r := 2 * k
+		if mapped {
+			r++
+		}
+		refOf[info.Version] = r
+	}
+	install(0, false)
+
+	for w := 0; w < writers; w++ {
+		writersWG.Add(1)
+		go func() {
+			defer writersWG.Done()
+			rng := rand.New(rand.NewSource(int64(20190408 + w)))
+			for op := 0; op < writeOps; op++ {
+				switch k := rng.Intn(params); rng.Intn(4) {
+				case 0:
+					_, _ = e.Rollback(NameMicro) // refused when the live version is the oldest kept
+				case 1:
+					install(k, true)
+				default:
+					install(k, false)
+				}
+				// Let the readers see the table this left before the next.
+				for seen := batches.Load(); batches.Load() < seen+2 && !t.Failed(); {
+					runtime.Gosched()
+				}
+			}
+		}()
+	}
+	for r := 0; r < readers; r++ {
+		readersWG.Add(1)
+		go func() {
+			defer readersWG.Done()
+			batch := append([]Request(nil), reqs...)
+			var out []Response
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				out = e.ScoreBatchInto(ctx, batch, out)
+				batches.Add(1)
+				mu.RLock()
+				for i, resp := range out {
+					if resp.Err != nil {
+						if batch[i].Model == "" || !errors.Is(resp.Err, ErrNoModel) {
+							t.Errorf("request %d (%q): %v", i, batch[i].Model, resp.Err)
+						}
+						continue
+					}
+					ref, ok := refOf[resp.ModelVersion]
+					if !ok {
+						t.Errorf("request %d answered by version %d, which no install has returned", i, resp.ModelVersion)
+						continue
+					}
+					if got := (bits2{math.Float64bits(resp.CTR), math.Float64bits(resp.Score)}); got != want[ref][i] {
+						t.Errorf("request %d (%q), version %d: answered %x, that version's parameters give %x",
+							i, batch[i].Model, resp.ModelVersion, got, want[ref][i])
+					}
+				}
+				mu.RUnlock()
+				if t.Failed() {
+					return
+				}
+				// The next batch's last few requests pin the version before
+				// the one this batch began on: kept, pruned or never there.
+				if v := out[0].ModelVersion; v > 1 {
+					for i := len(batch) - 6; i < len(batch); i++ {
+						batch[i].Model = fmt.Sprintf("%s@%d", NameMicro, v-1)
+					}
+				}
+			}
+		}()
+	}
+	writersWG.Wait()
+	close(done)
+	readersWG.Wait()
+
+	st := e.MemoStats()
+	if st.Hits == 0 || st.Stores == 0 {
+		t.Errorf("the memo never answered during the check: %+v", st)
+	}
+	t.Logf("%d batches, memo %+v", batches.Load(), st)
 }

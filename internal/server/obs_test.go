@@ -243,6 +243,51 @@ func TestHealthzObservability(t *testing.T) {
 	}
 }
 
+// TestMemoCountersExposed: the engine's snippet memo can be asked what
+// it did. Three scores of one snippet are a first sight, a store and a
+// hit, and both /metrics (the three microserve_engine_memo_*_total
+// families) and the memo block of /healthz say so.
+func TestMemoCountersExposed(t *testing.T) {
+	ts, eng, _ := newObservedServer(t)
+	for i := 0; i < 3; i++ {
+		if code := postJSON(t, ts.URL+"/v1/score", engine.Request{
+			Lines: []string{"Acme Air", "Find cheap flights to Rome"},
+		}, &engine.Response{}); code != http.StatusOK {
+			t.Fatalf("score status %d", code)
+		}
+	}
+	want := engine.MemoStats{Lookups: 3, Hits: 1, Stores: 1}
+	if got := eng.MemoStats(); got != want {
+		t.Fatalf("Engine.MemoStats() = %+v, want %+v", got, want)
+	}
+
+	resp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	raw, _ := io.ReadAll(resp.Body)
+	for family, v := range map[string]string{
+		"microserve_engine_memo_lookups_total": "3",
+		"microserve_engine_memo_hits_total":    "1",
+		"microserve_engine_memo_stores_total":  "1",
+	} {
+		if !strings.Contains(string(raw), "# TYPE "+family+" counter\n"+family+" "+v+"\n") {
+			t.Errorf("/metrics has no counter %s %s", family, v)
+		}
+	}
+
+	var body struct {
+		Memo *engine.MemoStats `json:"memo"`
+	}
+	if code := getJSON(t, ts.URL+"/healthz", &body); code != http.StatusOK {
+		t.Fatalf("healthz status %d", code)
+	}
+	if body.Memo == nil || *body.Memo != want {
+		t.Errorf("healthz memo block = %+v, want %+v", body.Memo, want)
+	}
+}
+
 // TestMetricNamesTheBenchmarkScrapes pins the /metrics spellings the
 // end-to-end benchmark reads by name. benchmark/ is its own module and
 // tier-1 never compiles it, so a rename here would pass every test and

@@ -52,6 +52,11 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	p.counter("microserve_model_snapshots_total", "Snapshot exports.", m.Snapshots)
 	p.gauge("microserve_models", "Installed model versions.", float64(s.eng.ModelCount()))
 
+	memo := s.eng.MemoStats()
+	p.counter("microserve_engine_memo_lookups_total", "Micro requests that looked in the snippet memo.", memo.Lookups)
+	p.counter("microserve_engine_memo_hits_total", "Micro requests answered from the snippet memo, the kernel not run.", memo.Hits)
+	p.counter("microserve_engine_memo_stores_total", "Records written to the snippet memo (a snippet's second miss).", memo.Stores)
+
 	if s.limiter != nil {
 		rl := s.limiter.snapshot()
 		p.counter("microserve_feedback_ratelimited_total", "Feedback requests rejected by the per-client limiter.", rl.Limited)

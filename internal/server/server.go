@@ -232,8 +232,9 @@ func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, v any) bool 
 }
 
 // healthzBody is the GET /healthz wire shape: liveness, build and
-// uptime identity, the serving counters, the stream / WAL / rate-limit
-// blocks when those subsystems are attached, and — when the engine is
+// uptime identity, the serving counters, what the engine's snippet memo
+// did, the stream / WAL / rate-limit blocks when those subsystems are
+// attached, and — when the engine is
 // instrumented — the per-model CTR drift block comparing each serving
 // version's live predicted-CTR distribution against the distribution
 // pinned when it was published.
@@ -243,6 +244,7 @@ type healthzBody struct {
 	UptimeSeconds float64              `json:"uptime_seconds"`
 	Models        int                  `json:"models"`
 	Serving       MetricsSnapshot      `json:"serving"`
+	Memo          engine.MemoStats     `json:"memo"`
 	Stream        *stream.Counters     `json:"stream,omitempty"`
 	WAL           *wal.Counters        `json:"wal,omitempty"`
 	RateLimit     *RateLimitSnapshot   `json:"ratelimit,omitempty"`
@@ -256,6 +258,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		UptimeSeconds: obs.Uptime().Seconds(),
 		Models:        s.eng.ModelCount(),
 		Serving:       s.met.snapshot(),
+		Memo:          s.eng.MemoStats(),
 	}
 	if s.learner != nil {
 		c := s.learner.Counters()

@@ -95,16 +95,18 @@ func (cs *CandidateSet) Line(id LineID) string { return cs.lines[id].raw }
 //
 //mb:noalloc
 func (cs *CandidateSet) AddLine(line string) LineID {
-	return cs.addLine(line, hashLine(line))
+	return cs.addLine(line, HashLine(line))
 }
 
-// hashLine is the dedup key of a raw line. It never has to agree with
-// the vocabulary's hash — addLine's raw == line compare decides — so it
+// HashLine is the dedup key of a raw line, here and in the engine's
+// snippet memo (which folds a snippet's line hashes together with
+// ExtendNGramHash). It never has to agree with the vocabulary's hash —
+// the user's byte compare decides, addLine's raw == line here — so it
 // takes the raw bytes eight per step with no per-byte branch: a
 // multiply-xorshift per word, the length in the seed, and the last
 // word read overlapping the one before it (lines under eight bytes are
 // gathered byte by byte).
-func hashLine(s string) uint64 {
+func HashLine(s string) uint64 {
 	h := hashSeed ^ uint64(len(s))*hashMult1
 	var tail uint64
 	if len(s) >= 8 {

@@ -56,7 +56,7 @@ fi
 
 echo "== the token hash has one owner"
 # hashMult1 is the multiplier of hashToken, the one definition of a
-# token's hash (and of hashLine's length seed beside it). Artifacts carry
+# token's hash (and of HashLine's length seed beside it). Artifacts carry
 # tables placed under that hash, so a second spelling of the recurrence
 # elsewhere is a second scheme waiting to disagree with the first.
 spellers=$(grep -rl --include='*.go' hashMult1 . | grep -v '^\./\.bench_build/' \
