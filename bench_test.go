@@ -676,7 +676,7 @@ func vocabBenchTerms(model *micro.Model, n int) []string {
 // BenchmarkMicroCompile prices core.Model.Compile — list the relevance
 // keys, freeze them, take the logarithms — at BenchmarkVocabLookup's two
 // vocabulary sizes. A micro publish of the online learner pays it, and
-// so does every load of a v1 artifact.
+// so does every Save (which sorts the keys first).
 func BenchmarkMicroCompile(b *testing.B) {
 	_, model := getEngineBench(b)
 	for _, terms := range []int{2_000, 200_000} {
@@ -861,16 +861,14 @@ func syntheticMicroModel(b *testing.B, terms int) *micro.Model {
 	return m
 }
 
-// BenchmarkSnapshotLoad prices a model hot-swap per artifact format at
-// three artifact sizes: the v1 varint stream (decode every parameter,
-// rebuild every table — O(size) before the swap lands) against the v2
-// sectioned layout (validate the directory, map the file, adopt the
-// tables in place — O(1) in artifact size). The engine keeps one
-// version per name, so each op also prices the unmap/free of the
-// previous artifact, exactly what a production reload pays.
+// BenchmarkSnapshotLoad prices a model hot-swap from an artifact at
+// three sizes: validate the directory, map the file, adopt the tables
+// in place — O(1) in artifact size. The engine keeps one version per
+// name, so each op also prices the unmap of the previous artifact,
+// exactly what a production reload pays.
 func BenchmarkSnapshotLoad(b *testing.B) {
 	dir := b.TempDir()
-	type artifact struct{ label, v1, v2 string }
+	type artifact struct{ label, path string }
 	var arts []artifact
 	for _, sz := range []struct {
 		label string
@@ -880,44 +878,30 @@ func BenchmarkSnapshotLoad(b *testing.B) {
 		{"10MB", 250_000},
 		{"100MB", 2_750_000},
 	} {
-		m := syntheticMicroModel(b, sz.terms)
-		a := artifact{
-			label: sz.label,
-			v1:    filepath.Join(dir, sz.label+"-v1.bin"),
-			v2:    filepath.Join(dir, sz.label+"-v2.bin"),
-		}
-		if err := snapshot.WriteFileAtomic(a.v1, m.Save); err != nil {
-			b.Fatal(err)
-		}
-		if err := snapshot.WriteFileAtomic(a.v2, m.SaveV2); err != nil {
+		a := artifact{label: sz.label, path: filepath.Join(dir, sz.label+".mbs2")}
+		if err := snapshot.WriteFileAtomic(a.path, syntheticMicroModel(b, sz.terms).Save); err != nil {
 			b.Fatal(err)
 		}
 		arts = append(arts, a)
 	}
-	// The top size must genuinely be a >=100MB artifact in both formats
-	// or the O(1)-load claim is being tested against a toy.
-	for _, path := range []string{arts[len(arts)-1].v1, arts[len(arts)-1].v2} {
-		fi, err := os.Stat(path)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if fi.Size() < 100<<20 {
-			b.Fatalf("%s is %d bytes, want >= 100MB", path, fi.Size())
-		}
-	}
-	run := func(b *testing.B, path string) {
-		eng := micro.NewEngine(micro.WithKeepVersions(1))
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := eng.LoadSnapshotFile("m", path); err != nil {
-				b.Fatal(err)
-			}
-		}
+	// The top size must genuinely be a >=100MB artifact or the O(1)-load
+	// claim is being tested against a toy.
+	if fi, err := os.Stat(arts[len(arts)-1].path); err != nil {
+		b.Fatal(err)
+	} else if fi.Size() < 100<<20 {
+		b.Fatalf("%s is %d bytes, want >= 100MB", fi.Name(), fi.Size())
 	}
 	for _, a := range arts {
-		b.Run("v1/size="+a.label, func(b *testing.B) { run(b, a.v1) })
-		b.Run("mmap/size="+a.label, func(b *testing.B) { run(b, a.v2) })
+		b.Run("mmap/size="+a.label, func(b *testing.B) {
+			eng := micro.NewEngine(micro.WithKeepVersions(1))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := eng.LoadSnapshotFile("m", a.path); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

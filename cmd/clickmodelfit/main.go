@@ -8,30 +8,29 @@
 // engine; held-out CTR prediction runs through Engine.ScoreBatch, on
 // the calling goroutine plus helper strands up to the -workers cap.
 //
-// With -o the fitted model is also written as a versioned snapshot
-// artifact — the train-offline half of the serving split; point
-// cmd/microserve -load at the file (or POST it to /v1/models/{name}/load)
-// to serve it. -format picks the artifact encoding: v1 is the portable
-// varint stream every model supports; v2 is the sectioned zero-parse
-// layout (PBM and DBN) that microserve maps read-only instead of
-// decoding. -conv rewrites an existing artifact — v1, or v2 placed under
-// an earlier build's hash scheme, which microserve loads only by
-// rebuilding its probe tables on the heap — as a current v2 one in place
-// (atomic temp-file + rename, so a serving process watching the path
-// never sees a half-written file) without refitting anything.
+// With -o the fitted model is also written as a snapshot artifact — the
+// train-offline half of the serving split; point cmd/microserve -load
+// at the file (or POST it to /v1/models/{name}/load) to serve it. Every
+// model writes the one artifact format, v2: a sectioned layout that
+// microserve maps read-only (PBM and DBN serve from the mapping, the
+// other models copy their values out of it). -conv rewrites an existing
+// artifact — v1, which microserve still reads through its importer, or
+// v2 placed under an earlier build's hash scheme, which it loads only
+// by rebuilding its probe tables on the heap — as a current v2 one in
+// place (atomic temp-file + rename, so a serving process watching the
+// path never sees a half-written file) without refitting anything: it
+// loads the artifact into an engine and exports it again.
 //
 // Usage:
 //
 //	clickmodelfit -sessions 20000 -ads 4
 //	clickmodelfit -model pbm -workers 8 -iters 10
 //	clickmodelfit -model pbm -o pbm.bin              # fit → snapshot → serve
-//	clickmodelfit -model pbm -o pbm.bin -format v2   # zero-parse artifact
 //	clickmodelfit -conv pbm.bin                      # v1 or older v2 → current v2, in place
 //	clickmodelfit -list
 package main
 
 import (
-	"bytes"
 	"context"
 	"flag"
 	"fmt"
@@ -61,7 +60,6 @@ func main() {
 	iters := flag.Int("iters", 0, "EM iterations for iterative models (0 = model default)")
 	workers := flag.Int("workers", runtime.GOMAXPROCS(0), "engine-wide cap on batch-scoring strands (the calling goroutine always scores)")
 	out := flag.String("o", "", "write the fitted model (-model; default pbm when fitting all) as a snapshot artifact")
-	format := flag.String("format", "v1", "artifact format for -o: v1 (portable varint) or v2 (zero-parse mapped)")
 	conv := flag.String("conv", "", "rewrite the named artifact (v1, or v2 from an earlier build) as a current v2 one in place (atomic) and exit; no fitting")
 	list := flag.Bool("list", false, "list registered click models and exit")
 	flag.Parse()
@@ -69,9 +67,6 @@ func main() {
 	if *list {
 		fmt.Println(strings.Join(clickmodel.Names(), "\n"))
 		return
-	}
-	if *format != "v1" && *format != "v2" {
-		log.Fatalf("-format %q: want v1 or v2", *format)
 	}
 	if *conv != "" {
 		if err := convertToV2(*conv); err != nil {
@@ -145,11 +140,17 @@ func main() {
 			time.Since(start).Round(time.Millisecond))
 
 		if *out != "" && strings.EqualFold(name, snapTarget) {
-			if err := writeSnapshot(*out, m, *format); err != nil {
+			sn, ok := m.(clickmodel.Snapshotter)
+			if !ok {
+				log.Fatalf("-o %s: model %s does not support snapshots", *out, m.Name())
+			}
+			// Atomic (temp file, then rename): a serving process never
+			// loads a half-written file.
+			if err := snapshot.WriteFileAtomic(*out, sn.Save); err != nil {
 				log.Fatalf("-o %s: %v", *out, err)
 			}
-			log.Printf("wrote %s %s snapshot to %s (serve with: microserve -load %s=%s)",
-				m.Name(), *format, *out, snapTarget, *out)
+			log.Printf("wrote %s snapshot to %s (serve with: microserve -load %s=%s)",
+				m.Name(), *out, snapTarget, *out)
 		}
 	}
 
@@ -167,51 +168,21 @@ func main() {
 	fmt.Printf("\nempirical CTR by position: [%s] (mean %.4f)\n", strings.Join(parts, " "), mean)
 }
 
-// writeSnapshot saves a fitted model as a binary artifact, atomically
-// (write to a temp file, then rename) so a serving process never loads
-// a half-written file.
-func writeSnapshot(path string, m clickmodel.Model, format string) error {
-	if format == "v2" {
-		return snapshot.WriteFileAtomic(path, func(w io.Writer) error {
-			return clickmodel.SaveV2Model(w, m)
-		})
-	}
-	sn, ok := m.(clickmodel.Snapshotter)
-	if !ok {
-		return fmt.Errorf("model %s does not support snapshots", m.Name())
-	}
-	return snapshot.WriteFileAtomic(path, sn.Save)
-}
-
 // convertToV2 rewrites an existing artifact as a current v2 one, in
-// place. A v1 artifact (macro or micro) is decoded and re-encoded
-// through the model's v2 codec; a v2 artifact is loaded as a stream is
-// (checked, foreign vocabularies re-placed) and exported again, which
-// gives a current artifact back byte for byte: safe to run twice.
+// place: it is loaded as a stream is (a v1 artifact through the
+// engine's importer; v2 checked, foreign vocabularies re-placed) and
+// exported again, which gives a current artifact back byte for byte —
+// safe to run twice.
 func convertToV2(path string) error {
-	data, err := os.ReadFile(path)
+	f, err := os.Open(path)
 	if err != nil {
 		return err
 	}
-	if snapshot.IsV2(data) {
-		eng := engine.New()
-		info, err := eng.LoadSnapshot("", bytes.NewReader(data))
-		if err != nil {
-			return err
-		}
-		return snapshot.WriteFileAtomic(path, func(w io.Writer) error { return eng.SaveSnapshot(info.Ref(), w) })
-	}
-	s, name, err := engine.DecodeScorer(bytes.NewReader(data))
+	defer f.Close()
+	eng := engine.New()
+	info, err := eng.LoadSnapshot("", f)
 	if err != nil {
 		return err
 	}
-	return snapshot.WriteFileAtomic(path, func(w io.Writer) error {
-		switch t := s.(type) {
-		case *engine.MicroScorer:
-			return t.Compiled().SaveV2(w)
-		case *engine.ClickModelScorer:
-			return clickmodel.SaveV2Model(w, t.M)
-		}
-		return fmt.Errorf("artifact model %q has no v2 codec", name)
-	})
+	return snapshot.WriteFileAtomic(path, func(w io.Writer) error { return eng.SaveSnapshot(info.Ref(), w) })
 }

@@ -46,8 +46,9 @@ type BBM struct {
 // beyond ~45 positions the triangular cell axis goes sparse instead.
 const maxDenseBBMCells = 1024
 
-// NewBBM returns a BBM with default hyper-parameters.
-func NewBBM() *BBM { return &BBM{GridSize: 51} }
+// NewBBM returns a BBM with default hyper-parameters and an unfitted
+// browsing layer.
+func NewBBM() *BBM { return &BBM{Browse: NewUBM(), GridSize: 51} }
 
 // Name implements Model.
 func (m *BBM) Name() string { return "BBM" }

@@ -27,7 +27,7 @@ type DBN struct {
 	// Workers caps the parallel E-step fan-out (0 = GOMAXPROCS).
 	Workers int
 
-	// pairs, attrVals and satVals are set only by DBNFromArtifact: the
+	// pairs, attrVals and satVals are set only by FromArtifact: the
 	// frozen pair table and per-pair values of a v2 artifact, read in
 	// place of AttrA and SatS. Such a model is immutable.
 	pairs             *frozenPairs

@@ -22,7 +22,7 @@ type PBM struct {
 	// Workers caps the parallel E-step fan-out (0 = GOMAXPROCS).
 	Workers int
 
-	// pairs and alphaVals are set only by PBMFromArtifact: the frozen
+	// pairs and alphaVals are set only by FromArtifact: the frozen
 	// pair table and attractiveness values of a v2 artifact, read in
 	// place of Alpha. Such a model is immutable.
 	pairs     *frozenPairs

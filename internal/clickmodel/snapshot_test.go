@@ -2,13 +2,19 @@ package clickmodel
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
+	"io"
 	"math"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/mmap"
 	"repro/internal/snapshot"
 )
 
@@ -53,11 +59,43 @@ func fitFresh(t *testing.T, name string, sessions []Session) Model {
 	return m
 }
 
+// sameAnswers pins got's predictions (ClickProbs, SessionLogLikelihood,
+// ExaminationProbs) to want's within 1e-12 on eval.
+func sameAnswers(t *testing.T, what string, want, got Model, eval []Session) {
+	t.Helper()
+	for i, s := range eval {
+		w, g := want.ClickProbs(s), got.ClickProbs(s)
+		if len(w) != len(g) {
+			t.Fatalf("%s session %d: %d probs, want %d", what, i, len(g), len(w))
+		}
+		for j := range w {
+			if math.Abs(w[j]-g[j]) > 1e-12 {
+				t.Errorf("%s session %d pos %d: ClickProbs %v, want %v", what, i, j, g[j], w[j])
+			}
+		}
+		wll, gll := want.SessionLogLikelihood(s), got.SessionLogLikelihood(s)
+		if math.Abs(wll-gll) > 1e-12 {
+			t.Errorf("%s session %d: LL %v, want %v", what, i, gll, wll)
+		}
+		if ex, ok := want.(Examiner); ok {
+			we, ge := ex.ExaminationProbs(s), got.(Examiner).ExaminationProbs(s)
+			for j := range we {
+				if math.Abs(we[j]-ge[j]) > 1e-12 {
+					t.Errorf("%s session %d pos %d: ExaminationProbs %v, want %v", what, i, j, ge[j], we[j])
+				}
+			}
+		}
+	}
+}
+
 // TestSnapshotRoundTrip is the per-model property test: fit → Save →
-// Load into a fresh instance → identical predictions (ClickProbs,
-// SessionLogLikelihood, ExaminationProbs) within 1e-12 on held-out
-// sessions, including sessions with unseen queries and documents so
-// the round-tripped priors are exercised too.
+// Load into a fresh instance, LoadModel through the registry, and
+// FromArtifact over a read-only file mapping (the engine's load) →
+// identical predictions within 1e-12 on held-out sessions, including
+// sessions with unseen queries and documents so the round-tripped
+// priors are exercised too. Each of the three re-saves the original
+// bytes. A thawed model is scored after its mapping is gone: it must
+// not pin the artifact.
 func TestSnapshotRoundTrip(t *testing.T) {
 	train := snapSessions(101, 800, 6)
 	eval := snapSessions(202, 60, 6)
@@ -75,6 +113,20 @@ func TestSnapshotRoundTrip(t *testing.T) {
 			if err := fitted.(Snapshotter).Save(&buf); err != nil {
 				t.Fatalf("save: %v", err)
 			}
+			if !snapshot.IsV2(buf.Bytes()) {
+				t.Fatalf("Save wrote %q, not a v2 artifact", buf.Bytes()[:4])
+			}
+			resaves := func(what string, m Model) {
+				t.Helper()
+				var again bytes.Buffer
+				if err := m.(Snapshotter).Save(&again); err != nil {
+					t.Fatalf("%s re-save: %v", what, err)
+				}
+				if !bytes.Equal(buf.Bytes(), again.Bytes()) {
+					t.Errorf("%s re-saved artifact differs from the original", what)
+				}
+			}
+
 			fresh, err := New(name)
 			if err != nil {
 				t.Fatal(err)
@@ -82,43 +134,44 @@ func TestSnapshotRoundTrip(t *testing.T) {
 			if err := fresh.(Snapshotter).Load(bytes.NewReader(buf.Bytes())); err != nil {
 				t.Fatalf("load: %v", err)
 			}
+			sameAnswers(t, "Load", fitted, fresh, eval)
+			resaves("Load", fresh)
 
-			for i, s := range eval {
-				want, got := fitted.ClickProbs(s), fresh.ClickProbs(s)
-				if len(want) != len(got) {
-					t.Fatalf("session %d: %d probs, want %d", i, len(got), len(want))
-				}
-				for j := range want {
-					if math.Abs(want[j]-got[j]) > 1e-12 {
-						t.Errorf("session %d pos %d: ClickProbs %v, want %v", i, j, got[j], want[j])
-					}
-				}
-				wll, gll := fitted.SessionLogLikelihood(s), fresh.SessionLogLikelihood(s)
-				if math.Abs(wll-gll) > 1e-12 {
-					t.Errorf("session %d: LL %v, want %v", i, gll, wll)
-				}
-				if ex, ok := fitted.(Examiner); ok {
-					we, ge := ex.ExaminationProbs(s), fresh.(Examiner).ExaminationProbs(s)
-					for j := range we {
-						if math.Abs(we[j]-ge[j]) > 1e-12 {
-							t.Errorf("session %d pos %d: ExaminationProbs %v, want %v", i, j, ge[j], we[j])
-						}
-					}
-				}
+			viaRegistry, err := LoadModel(bytes.NewReader(buf.Bytes()))
+			if err != nil {
+				t.Fatalf("LoadModel: %v", err)
+			}
+			sameAnswers(t, "LoadModel", fitted, viaRegistry, eval)
+			resaves("LoadModel", viaRegistry)
+
+			path := filepath.Join(t.TempDir(), name+".mbs2")
+			if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			art, err := mmap.Open(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			mapped, views, err := FromArtifact(art.V2Artifact)
+			if err != nil {
+				art.Release()
+				t.Fatalf("FromArtifact: %v", err)
+			}
+			if wantViews := name == "pbm" || name == "dbn"; views != wantViews {
+				t.Errorf("FromArtifact views = %v, want %v", views, wantViews)
+			}
+			if views {
+				sameAnswers(t, "mapped", fitted, mapped, eval)
+				resaves("mapped", mapped)
+				art.Release()
+			} else {
+				art.Release() // unmapped: a thawed model reading it would fault
+				sameAnswers(t, "thawed", fitted, mapped, eval)
+				resaves("thawed", mapped)
 			}
 
-			// A second Save must produce identical bytes: artifacts are
-			// deterministic (sorted keys), so they diff and cache cleanly.
-			var buf2 bytes.Buffer
-			if err := fresh.(Snapshotter).Save(&buf2); err != nil {
-				t.Fatalf("re-save: %v", err)
-			}
-			if !bytes.Equal(buf.Bytes(), buf2.Bytes()) {
-				t.Error("re-saved artifact differs from the original")
-			}
-
-			if ParamCount(fitted) <= 0 {
-				t.Errorf("ParamCount(%s) = %d after fit", name, ParamCount(fitted))
+			if ParamCount(fitted) <= 0 || ParamCount(mapped) != ParamCount(fitted) {
+				t.Errorf("ParamCount(%s) = %d fitted, %d loaded", name, ParamCount(fitted), ParamCount(mapped))
 			}
 		})
 	}
@@ -152,11 +205,53 @@ func TestSnapshotBBMSparse(t *testing.T) {
 		t.Fatal(err)
 	}
 	fresh := NewBBM()
-	if err := fresh.Load(&buf); err != nil {
+	if err := fresh.Load(bytes.NewReader(buf.Bytes())); err != nil {
 		t.Fatal(err)
+	}
+	if fresh.nonClickS == nil {
+		t.Fatal("the sparse layout did not survive the round trip")
 	}
 	for i, s := range sessions[:5] {
 		want, got := m.ClickProbs(s), fresh.ClickProbs(s)
+		for j := range want {
+			if math.Abs(want[j]-got[j]) > 1e-12 {
+				t.Fatalf("session %d pos %d: %v, want %v", i, j, got[j], want[j])
+			}
+		}
+	}
+	var again bytes.Buffer
+	if err := fresh.Save(&again); err != nil || !bytes.Equal(again.Bytes(), buf.Bytes()) {
+		t.Fatalf("re-save of the sparse BBM differs (err %v)", err)
+	}
+}
+
+// TestBBMParamsOnlyRead: listing a BBM's parameters — ParamCount, the
+// engine's concurrent Models() metadata, and Save — does not write the
+// model, even one built without NewBBM; Load gives such a BBM the
+// browsing layer it fills.
+func TestBBMParamsOnlyRead(t *testing.T) {
+	bare := &BBM{}
+	if ParamCount(bare) != 0 {
+		t.Errorf("an unfitted BBM counts %d params", ParamCount(bare))
+	}
+	if err := bare.Save(io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	if bare.Browse != nil {
+		t.Fatal("listing a bare BBM's parameters gave it a browsing layer")
+	}
+
+	sessions := snapSessions(404, 200, 4)
+	fitted := fitFresh(t, "bbm", sessions)
+	var buf bytes.Buffer
+	if err := fitted.(Snapshotter).Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if err := bare.Load(&buf); err != nil {
+		t.Fatal(err)
+	}
+	for i, s := range sessions[:5] {
+		want, got := fitted.ClickProbs(s), bare.ClickProbs(s)
 		for j := range want {
 			if math.Abs(want[j]-got[j]) > 1e-12 {
 				t.Fatalf("session %d pos %d: %v, want %v", i, j, got[j], want[j])
@@ -204,8 +299,12 @@ func TestSnapshotWrongModel(t *testing.T) {
 	}
 }
 
-// TestSnapshotRejectsDamage truncates and corrupts a real artifact at
-// every byte: no damaged artifact may load cleanly.
+// TestSnapshotRejectsDamage truncates a real artifact at every byte and
+// flips every byte: no truncation loads, and a flip is detected or
+// harmless — the rule TestV2EveryByteCorruptionDetectedOrHarmless
+// states for the container. A flip nothing catches lies in bytes no
+// reader looks at (padding between sections, the reserved header
+// field), so what loads answers exactly what the original does.
 func TestSnapshotRejectsDamage(t *testing.T) {
 	sessions := snapSessions(505, 120, 4)
 	pbm := fitFresh(t, "pbm", sessions)
@@ -220,37 +319,60 @@ func TestSnapshotRejectsDamage(t *testing.T) {
 			t.Fatalf("truncation at %d/%d loaded cleanly", cut, len(raw))
 		}
 	}
+	harmless := func(m Model) bool {
+		for _, s := range sessions[:20] {
+			want, got := pbm.ClickProbs(s), m.ClickProbs(s)
+			for j := range want {
+				if math.Float64bits(want[j]) != math.Float64bits(got[j]) {
+					return false
+				}
+			}
+		}
+		return true
+	}
 	for i := range raw {
 		bad := bytes.Clone(raw)
 		bad[i] ^= 0x5A
-		if err := NewPBM().Load(bytes.NewReader(bad)); err == nil {
-			t.Fatalf("flipped byte %d/%d loaded cleanly", i, len(raw))
+		if m := NewPBM(); m.Load(bytes.NewReader(bad)) == nil && !harmless(m) {
+			t.Fatalf("flipped byte %d/%d loaded and changed the answers", i, len(raw))
 		}
-		if _, err := LoadModel(bytes.NewReader(bad)); err == nil {
-			t.Fatalf("LoadModel accepted artifact with flipped byte %d", i)
+		if m, err := LoadModel(bytes.NewReader(bad)); err == nil && !harmless(m) {
+			t.Fatalf("LoadModel accepted flipped byte %d and changed the answers", i)
 		}
 	}
 }
 
+// v1Artifact frames a v1 payload by hand — magic, version, name,
+// payload, CRC-32 — the way the deleted v1 writer did.
+func v1Artifact(name string, payload []byte) []byte {
+	b := snapshot.AppendUint([]byte("MBSN"), snapshot.Version)
+	b = snapshot.AppendString(b, name)
+	b = append(b, payload...)
+	return binary.LittleEndian.AppendUint32(b, crc32.ChecksumIEEE(b))
+}
+
 // TestSnapshotHugeCountFailsFast: a corrupt count prefix near the
-// codec's length bound must fail on the first missing element instead
-// of pre-allocating gigabytes or spinning through millions of no-op
-// reads.
+// codec's length bound must fail the v1 importer on the first missing
+// element instead of pre-allocating gigabytes or spinning through
+// millions of no-op reads.
 func TestSnapshotHugeCountFailsFast(t *testing.T) {
-	var buf bytes.Buffer
-	e := snapshot.NewEncoder(&buf, "PBM")
-	e.Floats(nil)   // Gamma
-	e.Uint(1 << 27) // query count: plausible to Int(), far past the data
-	e.String("q")   // one query, then nothing
-	if err := e.Close(); err != nil {
-		t.Fatal(err)
-	}
+	var p []byte
+	p = snapshot.AppendFloats(p, nil) // Gamma
+	p = snapshot.AppendUint(p, 1<<27) // query count: plausible to Int(), far past the data
+	p = snapshot.AppendString(p, "q") // one query, then nothing
+	raw := v1Artifact("PBM", p)
 	done := make(chan error, 1)
-	go func() { done <- NewPBM().Load(bytes.NewReader(buf.Bytes())) }()
+	go func() {
+		name, c, err := snapshot.OpenV1(raw)
+		if err == nil {
+			_, err = DecodeV1(name, c)
+		}
+		done <- err
+	}()
 	select {
 	case err := <-done:
 		if err == nil {
-			t.Fatal("huge-count artifact loaded cleanly")
+			t.Fatal("huge-count artifact decoded cleanly")
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("decoder spun on a corrupt count instead of failing fast")
@@ -258,13 +380,19 @@ func TestSnapshotHugeCountFailsFast(t *testing.T) {
 }
 
 // TestSnapshotRefusesBadTriangle: a hand-mangled UBM gamma table must
-// fail Save rather than emit an artifact only the decoder rejects.
+// fail Save rather than emit an artifact only the reader rejects; so
+// must a negative count, which meta cannot hold.
 func TestSnapshotRefusesBadTriangle(t *testing.T) {
 	sessions := snapSessions(707, 100, 4)
 	m := fitFresh(t, "ubm", sessions).(*UBM)
 	m.Gamma[1] = m.Gamma[1][:1] // row 1 should have 2 cells
 	if err := m.Save(&bytes.Buffer{}); err == nil || !strings.Contains(err.Error(), "triangular") {
 		t.Fatalf("non-triangular gamma saved cleanly: %v", err)
+	}
+	b := fitFresh(t, "bbm", sessions).(*BBM)
+	b.GridSize = -1
+	if err := b.Save(&bytes.Buffer{}); err == nil || !strings.Contains(err.Error(), "negative") {
+		t.Fatalf("negative grid size saved cleanly: %v", err)
 	}
 }
 
@@ -276,8 +404,8 @@ func TestSnapshotCorruptIsErrCorrupt(t *testing.T) {
 		t.Fatal(err)
 	}
 	raw := buf.Bytes()
-	raw[len(raw)-1] ^= 0xFF // damage the checksum itself
+	raw[len(raw)-1] ^= 0xFF // the last section's last payload byte
 	if err := NewPBM().Load(bytes.NewReader(raw)); !errors.Is(err, snapshot.ErrCorrupt) {
-		t.Fatalf("checksum damage not ErrCorrupt: %v", err)
+		t.Fatalf("payload damage not ErrCorrupt: %v", err)
 	}
 }

@@ -1,31 +1,40 @@
 package clickmodel
 
-// v2 (zero-parse) snapshot support for the macro click models that
-// serve traffic: PBM and DBN. A v1 artifact stores per-pair parameters
-// as a varint stream decoded into map[qd]float64 on every load — O(log)
-// work and a private heap copy per process. A v2 artifact stores the
-// *serving* form: two frozen vocabularies (queries, docs), a flat
-// (query ID, doc ID) pair table with an open-addressed probe index, and
-// one dense value array per parameter set, all as raw little-endian
-// sections. PBMFromArtifact/DBNFromArtifact return the same *PBM/*DBN a
-// fit produces, with the per-pair accessors reading zero-copy views over
-// those bytes (typically a read-only file mapping owned by
-// internal/mmap) where a fitted model reads its maps: the scoring maths
-// of each model exists once. An artifact-backed model does not refit.
+// The artifact codec of the macro click models. Every model writes one
+// format — v2, the sectioned container of internal/snapshot — from one
+// parameter list: its params method (snapshot.go) is the only place the
+// model's layout is spelled, and writeArtifact, readArtifact and
+// ParamCount all walk that list. Sections, in directory order:
 //
-// Section layout (v2 directory tags):
+//	meta      bytes    the scalars and counts, in list order, in the
+//	                   snapshot Append forms (float64 bits, uvarints);
+//	                   a triangular table's row count goes here too
+//	<dense>   float64  one section per dense array; a triangular table
+//	                   (UBM's gamma) is flattened row after row
+//	q.*, d.*  —        the query and doc vocabularies of the one pair
+//	                   table every per-(query, doc) parameter shares:
+//	                   the four sections textproc's WriteSections owns
+//	                   (blob, offs, tabl, tags; without tags it predates
+//	                   them and still loads)
+//	p.q       int32    pair -> query ID
+//	p.d       int32    pair -> doc ID
+//	p.tabl    int32    open-addressed (qid, did) probe table
+//	<x>.vals  float64  one value per pair for each per-pair map; a pair
+//	                   a map lacks holds that map's prior, which is what
+//	                   a miss scores
+//	c.vals, n.*        BBM's per-pair counts (writeCounts)
 //
-//	meta    bytes    raw-encoded scalars (priors; DBN's gamma)
-//	gamma   float64  PBM per-position examination probabilities
-//	q.*     —        query vocabulary: the four sections textproc's
-//	                 WriteSections/ReadSections own (blob, offs, tabl,
-//	                 tags; without tags it predates them and still loads)
-//	d.*     —        doc vocabulary, likewise
-//	p.q     int32    pair -> query ID
-//	p.d     int32    pair -> doc ID
-//	p.tabl  int32    open-addressed (qid, did) probe table
-//	a.vals  float64  attractiveness per pair (PBM alpha, DBN a)
-//	s.vals  float64  DBN satisfaction per pair
+// Pairs and both vocabularies are numbered in sorted (query, doc)
+// order, so equal parameters write equal bytes.
+//
+// PBM and DBN serve straight from an artifact (FromArtifact): their
+// pair table and value sections stay zero-copy views of its bytes
+// (typically a read-only file mapping owned by internal/mmap), read by
+// the accessor that reads a fitted map, so each model's scoring maths
+// exists once; such a model does not refit. Every other model, and
+// every model Load or LoadModel reads, is thawed: its values are copied
+// into the maps and slices it fits into, and it keeps no reference to
+// the artifact.
 //
 // A probe-table miss — including one caused by a corrupted table that
 // slipped past the CRCs — degrades to the model's prior, exactly the
@@ -33,11 +42,12 @@ package clickmodel
 // hit is confirmed against the pair arrays.
 
 import (
-	"bytes"
+	"cmp"
 	"fmt"
 	"io"
+	"maps"
 	"math/bits"
-	"sort"
+	"slices"
 	"strings"
 
 	"repro/internal/snapshot"
@@ -63,10 +73,9 @@ func pairHash(qid, did int32) uint64 {
 	return h
 }
 
-// frozenPairs is the immutable flat form of one or more map[qd]float64
-// parameter sets sharing a key universe: interned query/doc
+// frozenPairs is the immutable flat pair table: interned query/doc
 // vocabularies, pair ID arrays, and a probe table. Values live in
-// separate dense arrays (one per parameter set) indexed by pair ID.
+// separate dense arrays (one per parameter) indexed by pair ID.
 type frozenPairs struct {
 	qv, dv *textproc.FrozenVocab
 	pairQ  []int32
@@ -112,7 +121,8 @@ func (p *frozenPairs) find(q, d string) (int32, bool) {
 // validate runs the O(n) per-element checks pairsFromArtifact skips:
 // every pair references in-range vocabulary IDs and every probe bucket
 // is empty or a valid pair ID, plus the underlying vocabularies' own
-// deep checks. Verified load paths call this before install.
+// deep checks. Verified load paths call this before install, and a
+// thaw before it reads a single term.
 func (p *frozenPairs) validate() error {
 	if p == nil {
 		return nil // a fitted model: no frozen tables to check
@@ -137,29 +147,27 @@ func (p *frozenPairs) validate() error {
 	return nil
 }
 
-// freezePairs interns the union of the sets' keys (sorted, so identical
-// parameters produce identical artifacts) and materialises one dense
-// value array per set, filling absent keys with that set's default —
-// which preserves scoring semantics exactly, since a map miss returns
-// the same default.
-func freezePairs(sets []map[qd]float64, defaults []float64) (*frozenPairs, [][]float64) {
-	seen := make(map[qd]struct{})
-	var keys []qd
-	for _, m := range sets {
-		for k := range m {
-			if _, ok := seen[k]; !ok {
-				seen[k] = struct{}{}
-				keys = append(keys, k)
-			}
+// keys lists every pair's (query, doc), sharing one string per distinct
+// query and doc. Only a validated table may be listed.
+func (p *frozenPairs) keys() []qd {
+	texts := func(v *textproc.FrozenVocab) []string {
+		out := make([]string, v.Len())
+		for i := range out {
+			out[i] = v.Text(int32(i))
 		}
+		return out
 	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].q != keys[j].q {
-			return keys[i].q < keys[j].q
-		}
-		return keys[i].d < keys[j].d
-	})
+	qs, ds := texts(p.qv), texts(p.dv)
+	out := make([]qd, len(p.pairQ))
+	for i := range out {
+		out[i] = qd{qs[p.pairQ[i]], ds[p.pairD[i]]}
+	}
+	return out
+}
 
+// freezePairs builds the pair table of keys, which must be sorted and
+// distinct: pair i is keys[i].
+func freezePairs(keys []qd) *frozenPairs {
 	n := len(keys)
 	qv, dv := NewVocab(), NewVocab()
 	p := &frozenPairs{pairQ: make([]int32, n), pairD: make([]int32, n)}
@@ -188,32 +196,10 @@ func freezePairs(sets []map[qd]float64, defaults []float64) (*frozenPairs, [][]f
 			}
 		}
 	}
-
-	vals := make([][]float64, len(sets))
-	for si, m := range sets {
-		v := make([]float64, n)
-		for i, k := range keys {
-			if x, ok := m[k]; ok {
-				v[i] = x
-			} else {
-				v[i] = defaults[si]
-			}
-		}
-		vals[si] = v
-	}
-	return p, vals
+	return p
 }
 
-// writePairs adds the shared pair sections to a v2 writer.
-func writePairs(w *snapshot.V2Writer, p *frozenPairs) {
-	p.qv.WriteSections(w, "q")
-	p.dv.WriteSections(w, "d")
-	w.Int32s("p.q", p.pairQ)
-	w.Int32s("p.d", p.pairD)
-	w.Int32s("p.tabl", p.tab)
-}
-
-// pairsFromArtifact validates and wraps the pair sections.
+// pairsFromArtifact wraps the pair sections after O(1) structural checks.
 func pairsFromArtifact(a *snapshot.V2Artifact) (*frozenPairs, error) {
 	p := &frozenPairs{}
 	var err error
@@ -275,158 +261,358 @@ func pairParam(p *frozenPairs, vals []float64, fitted map[qd]float64, q, d strin
 	return prior
 }
 
-// artifactMeta checks the artifact's model name and opens its scalar
-// section for decoding.
-func artifactMeta(a *snapshot.V2Artifact, model string) (*snapshot.Decoder, error) {
-	if !strings.EqualFold(a.ModelName, model) {
-		return nil, fmt.Errorf("clickmodel: artifact holds a %q model, not %s", a.ModelName, model)
+// --- parameter lists ---
+
+// paramKind is where a parameter lives in the artifact.
+type paramKind uint8
+
+const (
+	metaFloat paramKind = iota // a float64 in meta
+	metaCount                  // a non-negative int in meta
+	denseVals                  // a []float64 section
+	triVals                    // a [][]float64 whose row i holds i+1 cells: one flat section, the row count in meta
+	pairMap                    // a map[qd]float64: a value section over the pair table
+	bbmCounts                  // BBM's counts, keyed by its own pair IDs
+)
+
+// param is one entry of a model's parameter list: what kind it is, its
+// section tag, and a pointer to the field it is.
+type param struct {
+	kind   paramKind
+	tag    string
+	fitted bool // a metaFloat ParamCount counts; the rest are priors and hyper-parameters
+	f      *float64
+	n      *int
+	vals   *[]float64      // denseVals
+	rows   *[][]float64    // triVals
+	m      *map[qd]float64 // pairMap: the fitted values,
+	prior  *float64        // what a pair the map lacks scores,
+	table  **frozenPairs   // and, for a model that can serve from its artifact,
+	view   *[]float64      // where the pair table and a view of the values go instead
+	bbm    *BBM
+}
+
+func scalar(f *float64) param       { return param{kind: metaFloat, f: f} }
+func fittedScalar(f *float64) param { return param{kind: metaFloat, f: f, fitted: true} }
+func count(n *int) param            { return param{kind: metaCount, n: n} }
+
+func dense(tag string, v *[]float64) param { return param{kind: denseVals, tag: tag, vals: v} }
+
+func triangular(tag string, rows *[][]float64) param {
+	return param{kind: triVals, tag: tag, rows: rows}
+}
+
+func perPair(tag string, m *map[qd]float64, prior *float64) param {
+	return param{kind: pairMap, tag: tag, m: m, prior: prior}
+}
+
+// servedFrom marks a per-pair parameter the model can serve from its
+// artifact: FromArtifact leaves the pair table and a view of the values
+// in table and view, and the map stays nil.
+func (p param) servedFrom(table **frozenPairs, view *[]float64) param {
+	p.table, p.view = table, view
+	return p
+}
+
+// listed is a model with a parameter list: every built-in model.
+type listed interface {
+	Model
+	params() []param
+}
+
+// writeArtifact writes m's v2 artifact from its parameter list: meta,
+// the dense sections, the pair table, then the per-pair sections, each
+// group in list order. A model serving from an artifact re-emits the
+// pair table and the values it serves, byte for byte.
+func writeArtifact(w io.Writer, m listed) error {
+	ps := m.params()
+	var meta []byte
+	for _, p := range ps {
+		switch p.kind {
+		case metaFloat:
+			meta = snapshot.AppendFloat(meta, *p.f)
+		case metaCount:
+			if *p.n < 0 {
+				return fmt.Errorf("clickmodel: %s count %d is negative", m.Name(), *p.n)
+			}
+			meta = snapshot.AppendUint(meta, uint64(*p.n))
+		case triVals:
+			meta = snapshot.AppendUint(meta, uint64(len(*p.rows)))
+		}
+	}
+	vw := snapshot.NewV2Writer(m.Name())
+	vw.Bytes("meta", meta)
+
+	var keys []qd
+	var served *frozenPairs
+	for _, p := range ps {
+		switch p.kind {
+		case denseVals:
+			vw.Floats(p.tag, *p.vals)
+		case triVals:
+			flat := make([]float64, 0, tri(len(*p.rows)))
+			for i, row := range *p.rows {
+				if len(row) != i+1 {
+					return fmt.Errorf("clickmodel: %s triangular row %d has %d cells, want %d", m.Name(), i, len(row), i+1)
+				}
+				flat = append(flat, row...)
+			}
+			vw.Floats(p.tag, flat)
+		case pairMap:
+			if p.table != nil && *p.table != nil {
+				served = *p.table
+			}
+			keys = slices.AppendSeq(keys, maps.Keys(*p.m))
+		case bbmCounts:
+			keys = p.bbm.appendKeys(keys)
+		}
+	}
+	reemit := served != nil
+	if !reemit {
+		slices.SortFunc(keys, func(a, b qd) int { return cmp.Or(strings.Compare(a.q, b.q), strings.Compare(a.d, b.d)) })
+		keys = slices.Compact(keys)
+		served = freezePairs(keys)
+	}
+	served.qv.WriteSections(vw, "q")
+	served.dv.WriteSections(vw, "d")
+	vw.Int32s("p.q", served.pairQ)
+	vw.Int32s("p.d", served.pairD)
+	vw.Int32s("p.tabl", served.tab)
+
+	for _, p := range ps {
+		switch p.kind {
+		case pairMap:
+			if reemit {
+				vw.Floats(p.tag, *p.view)
+				continue
+			}
+			v := make([]float64, len(keys))
+			for i, k := range keys {
+				x, ok := (*p.m)[k]
+				if !ok {
+					x = *p.prior
+				}
+				v[i] = x
+			}
+			vw.Floats(p.tag, v)
+		case bbmCounts:
+			p.bbm.writeCounts(vw, keys)
+		}
+	}
+	_, err := vw.WriteTo(w)
+	return err
+}
+
+// readArtifact fills m from a through its parameter list. Dense values
+// are copied; per-pair values stay views of a when serve is asked for
+// and every per-pair parameter of m can be served, and are thawed into
+// maps otherwise — after the pair table has passed its deep checks.
+// It reports whether m now views a's bytes.
+func readArtifact(a *snapshot.V2Artifact, m listed, serve bool) (views bool, err error) {
+	if !strings.EqualFold(a.ModelName, m.Name()) {
+		return false, fmt.Errorf("clickmodel: artifact holds a %q model, not %q", a.ModelName, m.Name())
 	}
 	meta, err := a.BytesView("meta")
 	if err != nil {
-		return nil, err
+		return false, err
 	}
-	return snapshot.NewRawDecoder(bytes.NewReader(meta)), nil
+	ps := m.params()
+	c := snapshot.NewCursor(meta)
+	rows := make([]int, len(ps))
+	for i, p := range ps {
+		switch p.kind {
+		case metaFloat:
+			*p.f = c.Float()
+		case metaCount:
+			*p.n = c.Int()
+		case triVals:
+			rows[i] = c.Int()
+		case pairMap, bbmCounts:
+			serve = serve && p.table != nil
+		}
+	}
+	if err := c.Err(); err != nil {
+		return false, err
+	}
+	for i, p := range ps {
+		if p.kind != denseVals && p.kind != triVals {
+			continue
+		}
+		v, err := a.FloatsView(p.tag)
+		if err != nil {
+			return false, err
+		}
+		v = slices.Clone(v)
+		if p.kind == denseVals {
+			*p.vals = v
+			continue
+		}
+		n := rows[i]
+		if n > len(v) || tri(n) != len(v) {
+			return false, fmt.Errorf("%w: triangular section %q claims %d rows but holds %d cells", snapshot.ErrCorrupt, p.tag, n, len(v))
+		}
+		// Rows over one backing array, as a fit leaves them.
+		*p.rows = make([][]float64, n)
+		for r := range *p.rows {
+			(*p.rows)[r] = v[tri(r) : tri(r)+r+1 : tri(r)+r+1]
+		}
+	}
+
+	tab, err := pairsFromArtifact(a)
+	if err != nil {
+		return false, err
+	}
+	var keys []qd
+	if !serve {
+		if err := tab.validate(); err != nil {
+			return false, err
+		}
+		keys = tab.keys()
+	}
+	for _, p := range ps {
+		switch p.kind {
+		case pairMap:
+			v, err := pairVals(a, p.tag, tab.NumPairs())
+			if err != nil {
+				return false, err
+			}
+			if serve {
+				*p.table, *p.view = tab, v
+				continue
+			}
+			vals := make(map[qd]float64, len(keys))
+			for i, k := range keys {
+				vals[k] = v[i]
+			}
+			*p.m = vals
+		case bbmCounts:
+			if err := p.bbm.readCounts(a, keys); err != nil {
+				return false, err
+			}
+		}
+	}
+	return serve, nil
 }
 
-// --- PBM ---
+// --- BBM's counts ---
 
-// SaveV2 writes the PBM as a zero-parse v2 artifact. A fitted model's
-// Alpha map is frozen into the flat form; an artifact-backed model
-// re-emits the sections it serves, byte for byte.
-func (m *PBM) SaveV2(w io.Writer) error {
-	p, alpha := m.pairs, m.alphaVals
-	if p == nil {
-		m.defaults()
-		var vals [][]float64
-		p, vals = freezePairs([]map[qd]float64{m.Alpha}, []float64{m.PriorAlpha})
-		alpha = vals[0]
+// maxGridSize bounds BBM's posterior grid on load: every PosteriorMean
+// allocates GridSize floats, so a corrupt size must not reach scoring.
+const maxGridSize = 1 << 16
+
+// appendKeys lists the pairs BBM holds counts for.
+func (m *BBM) appendKeys(keys []qd) []qd {
+	for k := range m.pairIDs {
+		keys = append(keys, qd{m.queries.String(k.q), k.d})
 	}
-	var meta bytes.Buffer
-	e := snapshot.NewRawEncoder(&meta)
-	e.Float(m.PriorAlpha)
-	if err := e.Flush(); err != nil {
+	return keys
+}
+
+// writeCounts writes BBM's per-pair counts over the pair table keys:
+// c.vals holds each pair's clicks; the skip counts are n.vals, the
+// dense pairs × cells matrix, when nCell > 0, and otherwise CSR sections
+// — n.off (int32, pairs+1: where each pair's cells start), n.cell
+// (int32, ascending within a pair) and n.cnt (float64).
+func (m *BBM) writeCounts(w *snapshot.V2Writer, keys []qd) {
+	ids := make(map[qd]int32, len(m.pairIDs))
+	for k, id := range m.pairIDs {
+		ids[qd{m.queries.String(k.q), k.d}] = id
+	}
+	clicks := make([]float64, len(keys))
+	var skips, cnts []float64
+	if m.nCell > 0 {
+		skips = make([]float64, len(keys)*m.nCell)
+	}
+	off, cells := make([]int32, 1, len(keys)+1), []int32(nil)
+	for i, k := range keys {
+		if id, ok := ids[k]; ok {
+			clicks[i] = m.clicks[id]
+			if m.nCell > 0 {
+				copy(skips[i*m.nCell:(i+1)*m.nCell], m.nonClick[int(id)*m.nCell:])
+			} else if int(id) < len(m.nonClickS) {
+				inner := m.nonClickS[id]
+				for _, cell := range slices.Sorted(maps.Keys(inner)) {
+					cells, cnts = append(cells, cell), append(cnts, inner[cell])
+				}
+			}
+		}
+		off = append(off, int32(len(cells)))
+	}
+	w.Floats("c.vals", clicks)
+	if m.nCell > 0 {
+		w.Floats("n.vals", skips)
+		return
+	}
+	w.Int32s("n.off", off)
+	w.Int32s("n.cell", cells)
+	w.Floats("n.cnt", cnts)
+}
+
+// readCounts thaws writeCounts' sections over the validated pair table
+// keys, BBM's pair IDs becoming the table's.
+func (m *BBM) readCounts(a *snapshot.V2Artifact, keys []qd) error {
+	n := len(keys)
+	if m.GridSize > maxGridSize {
+		return fmt.Errorf("%w: BBM grid of %d points", snapshot.ErrCorrupt, m.GridSize)
+	}
+	clicks, err := pairVals(a, "c.vals", n)
+	if err != nil {
 		return err
 	}
-	vw := snapshot.NewV2Writer(m.Name())
-	vw.Bytes("meta", meta.Bytes())
-	vw.Floats("gamma", m.Gamma)
-	writePairs(vw, p)
-	vw.Floats("a.vals", alpha)
-	_, err := vw.WriteTo(w)
-	return err
-}
-
-// PBMFromArtifact returns a PBM served from a parsed v2 artifact: the
-// pair table and the attractiveness values are zero-copy views of the
-// artifact bytes, which must outlive the model; Gamma, a handful of
-// floats behind an exported field, is copied out of the read-only
-// bytes. The model scores and re-exports; Fit, FitLog and Load return
-// ErrMappedImmutable, and Alpha stays nil.
-func PBMFromArtifact(a *snapshot.V2Artifact) (*PBM, error) {
-	d, err := artifactMeta(a, "PBM")
+	m.queries = NewVocab()
+	m.pairIDs = make(map[pairKey]int32, n)
+	for i, k := range keys {
+		m.pairIDs[pairKey{m.queries.ID(k.q), k.d}] = int32(i)
+	}
+	m.clicks = slices.Clone(clicks)
+	m.nonClick, m.nonClickS = nil, nil
+	if m.nCell > 0 {
+		if m.nCell != len(m.cellGamma) {
+			return fmt.Errorf("%w: BBM skip rows of %d cells over %d gammas", snapshot.ErrCorrupt, m.nCell, len(m.cellGamma))
+		}
+		skips, err := a.FloatsView("n.vals")
+		if err != nil {
+			return err
+		}
+		if len(skips) != n*m.nCell {
+			return fmt.Errorf("%w: BBM skip matrix holds %d cells, want %d×%d", snapshot.ErrCorrupt, len(skips), n, m.nCell)
+		}
+		m.nonClick = slices.Clone(skips)
+		return nil
+	}
+	off, err := a.Int32sView("n.off")
 	if err != nil {
-		return nil, err
-	}
-	m := &PBM{PriorAlpha: d.Float()}
-	if err := d.Err(); err != nil {
-		return nil, err
-	}
-	gamma, err := a.FloatsView("gamma")
-	if err != nil {
-		return nil, err
-	}
-	m.Gamma = append([]float64(nil), gamma...)
-	if m.pairs, err = pairsFromArtifact(a); err != nil {
-		return nil, err
-	}
-	if m.alphaVals, err = pairVals(a, "a.vals", m.pairs.NumPairs()); err != nil {
-		return nil, err
-	}
-	return m, nil
-}
-
-// ValidateTables runs the deep O(n) structural checks PBMFromArtifact
-// defers; verified load paths call it before install. A fitted model
-// has no frozen tables and passes.
-func (m *PBM) ValidateTables() error { return m.pairs.validate() }
-
-// --- DBN ---
-
-// SaveV2 writes the DBN as a zero-parse v2 artifact (see PBM.SaveV2).
-func (m *DBN) SaveV2(w io.Writer) error {
-	p, attr, sat := m.pairs, m.attrVals, m.satVals
-	if p == nil {
-		m.defaults()
-		var vals [][]float64
-		p, vals = freezePairs([]map[qd]float64{m.AttrA, m.SatS}, []float64{m.PriorA, m.PriorS})
-		attr, sat = vals[0], vals[1]
-	}
-	var meta bytes.Buffer
-	e := snapshot.NewRawEncoder(&meta)
-	e.Float(m.Gamma)
-	e.Float(m.PriorA)
-	e.Float(m.PriorS)
-	if err := e.Flush(); err != nil {
 		return err
 	}
-	vw := snapshot.NewV2Writer(m.Name())
-	vw.Bytes("meta", meta.Bytes())
-	writePairs(vw, p)
-	vw.Floats("a.vals", attr)
-	vw.Floats("s.vals", sat)
-	_, err := vw.WriteTo(w)
-	return err
-}
-
-// DBNFromArtifact returns a DBN served from a parsed v2 artifact (see
-// PBMFromArtifact): AttrA and SatS stay nil, the per-pair values are
-// views of the artifact bytes.
-func DBNFromArtifact(a *snapshot.V2Artifact) (*DBN, error) {
-	d, err := artifactMeta(a, "DBN")
+	cells, err := a.Int32sView("n.cell")
 	if err != nil {
-		return nil, err
+		return err
 	}
-	m := &DBN{Gamma: d.Float(), PriorA: d.Float(), PriorS: d.Float()}
-	if err := d.Err(); err != nil {
-		return nil, err
+	cnts, err := a.FloatsView("n.cnt")
+	if err != nil {
+		return err
 	}
-	if m.pairs, err = pairsFromArtifact(a); err != nil {
-		return nil, err
+	if len(off) != n+1 || off[0] != 0 || int(off[n]) != len(cells) || len(cnts) != len(cells) {
+		return fmt.Errorf("%w: BBM skip offsets do not cover %d pairs and %d cells", snapshot.ErrCorrupt, n, len(cells))
 	}
-	n := m.pairs.NumPairs()
-	if m.attrVals, err = pairVals(a, "a.vals", n); err != nil {
-		return nil, err
+	for p := 0; p < n; p++ {
+		if off[p] > off[p+1] {
+			return fmt.Errorf("%w: BBM skip offsets decrease at pair %d", snapshot.ErrCorrupt, p)
+		}
 	}
-	if m.satVals, err = pairVals(a, "s.vals", n); err != nil {
-		return nil, err
+	m.nonClickS = make([]map[int32]float64, n)
+	for p := 0; p < n; p++ {
+		if off[p] == off[p+1] {
+			continue
+		}
+		inner := make(map[int32]float64, off[p+1]-off[p])
+		for j := off[p]; j < off[p+1]; j++ {
+			if uint32(cells[j]) >= uint32(len(m.cellGamma)) {
+				return fmt.Errorf("%w: BBM skip cell %d of %d", snapshot.ErrCorrupt, cells[j], len(m.cellGamma))
+			}
+			inner[cells[j]] = cnts[j]
+		}
+		m.nonClickS[p] = inner
 	}
-	return m, nil
-}
-
-// ValidateTables runs the deep O(n) structural checks DBNFromArtifact
-// defers (see PBM.ValidateTables).
-func (m *DBN) ValidateTables() error { return m.pairs.validate() }
-
-// --- dispatch ---
-
-// SaveV2Model writes a v2 artifact for any model with zero-parse
-// support (PBM and DBN, fitted or artifact-backed); other models
-// return an error naming the v1 fallback.
-func SaveV2Model(w io.Writer, m Model) error {
-	if sv, ok := m.(interface{ SaveV2(io.Writer) error }); ok {
-		return sv.SaveV2(w)
-	}
-	return fmt.Errorf("clickmodel: model %q has no v2 (zero-parse) codec; use the v1 snapshot format", m.Name())
-}
-
-// MappedFromArtifact constructs the model named in a parsed v2
-// artifact, served from the artifact's bytes.
-func MappedFromArtifact(a *snapshot.V2Artifact) (Model, error) {
-	switch strings.ToUpper(a.ModelName) {
-	case "PBM":
-		return PBMFromArtifact(a)
-	case "DBN":
-		return DBNFromArtifact(a)
-	}
-	return nil, fmt.Errorf("clickmodel: artifact model %q has no v2 (zero-parse) support", a.ModelName)
+	return nil
 }

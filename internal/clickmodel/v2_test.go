@@ -18,8 +18,8 @@ import (
 func v2Mapped(t *testing.T, m Model) Model {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := SaveV2Model(&buf, m); err != nil {
-		t.Fatalf("SaveV2Model: %v", err)
+	if err := m.(Snapshotter).Save(&buf); err != nil {
+		t.Fatalf("Save: %v", err)
 	}
 	a, err := snapshot.ParseV2(buf.Bytes())
 	if err != nil {
@@ -28,9 +28,9 @@ func v2Mapped(t *testing.T, m Model) Model {
 	if err := a.VerifySections(); err != nil {
 		t.Fatalf("VerifySections: %v", err)
 	}
-	mapped, err := MappedFromArtifact(a)
-	if err != nil {
-		t.Fatalf("MappedFromArtifact: %v", err)
+	mapped, views, err := FromArtifact(a)
+	if err != nil || !views {
+		t.Fatalf("FromArtifact: views %v, %v", views, err)
 	}
 	return mapped
 }
@@ -128,7 +128,7 @@ func TestV2MappedImmutable(t *testing.T) {
 func TestV2MappedWritesCannotFault(t *testing.T) {
 	train := snapSessions(11, 300, 5)
 	var buf bytes.Buffer
-	if err := SaveV2Model(&buf, fitFresh(t, "PBM", train)); err != nil {
+	if err := fitFresh(t, "PBM", train).(Snapshotter).Save(&buf); err != nil {
 		t.Fatal(err)
 	}
 	path := filepath.Join(t.TempDir(), "pbm.mbs2")
@@ -140,10 +140,11 @@ func TestV2MappedWritesCannotFault(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer art.Release()
-	m, err := PBMFromArtifact(art.V2Artifact)
+	served, _, err := FromArtifact(art.V2Artifact)
 	if err != nil {
 		t.Fatal(err)
 	}
+	m := served.(*PBM)
 	s := train[0]
 	before := m.ClickProbs(s)
 
@@ -157,11 +158,11 @@ func TestV2MappedWritesCannotFault(t *testing.T) {
 	if err := m.FitLog(c); !errors.Is(err, ErrMappedImmutable) {
 		t.Errorf("FitLog err = %v, want ErrMappedImmutable", err)
 	}
-	var v1 bytes.Buffer
-	if err := fitFresh(t, "PBM", train).(Snapshotter).Save(&v1); err != nil {
+	var saved bytes.Buffer
+	if err := fitFresh(t, "PBM", train).(Snapshotter).Save(&saved); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Load(&v1); !errors.Is(err, ErrMappedImmutable) {
+	if err := m.Load(&saved); !errors.Is(err, ErrMappedImmutable) {
 		t.Errorf("Load err = %v, want ErrMappedImmutable", err)
 	}
 	if got := m.ClickProbs(s); !reflect.DeepEqual(got, before) {
@@ -196,18 +197,10 @@ func TestV2MappedZeroAllocScore(t *testing.T) {
 	}
 }
 
-func TestSaveV2ModelUnsupported(t *testing.T) {
-	fitted := fitFresh(t, "UBM", snapSessions(3, 100, 4))
-	var buf bytes.Buffer
-	if err := SaveV2Model(&buf, fitted); err == nil {
-		t.Fatal("SaveV2Model accepted a model with no v2 codec")
-	}
-}
-
 func TestV2MappedRejectsCorruptPairs(t *testing.T) {
 	fitted := fitFresh(t, "DBN", snapSessions(4, 200, 5))
 	var buf bytes.Buffer
-	if err := SaveV2Model(&buf, fitted); err != nil {
+	if err := fitted.(Snapshotter).Save(&buf); err != nil {
 		t.Fatal(err)
 	}
 	orig, err := snapshot.ParseV2(buf.Bytes())
@@ -230,7 +223,7 @@ func TestV2MappedRejectsCorruptPairs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := MappedFromArtifact(a); err == nil {
+		if _, _, err := FromArtifact(a); err == nil {
 			t.Errorf("accepted an artifact missing %q", drop)
 		}
 	}
@@ -251,7 +244,7 @@ func TestV2MappedRejectsCorruptPairs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := MappedFromArtifact(a); err == nil {
+	if _, _, err := FromArtifact(a); err == nil {
 		t.Error("accepted a value array shorter than the pair table")
 	}
 
@@ -276,7 +269,7 @@ func TestV2MappedRejectsCorruptPairs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := MappedFromArtifact(a)
+	m, _, err := FromArtifact(a)
 	if err != nil {
 		t.Fatalf("O(1) constructor rejected deferred-validation corruption: %v", err)
 	}
@@ -289,6 +282,83 @@ func TestV2MappedRejectsCorruptPairs(t *testing.T) {
 	}
 	if err := dv.ValidateTables(); err == nil {
 		t.Error("deep validation accepted out-of-range pair IDs")
+	}
+
+	// A thawed model reads every pair, so the same damage — and any
+	// damage to BBM's CSR skip counts — fails at construction.
+	deep := make([]Session, 12)
+	for k := range deep {
+		s := Session{Query: "q", Docs: make([]string, 46), Clicks: make([]bool, 46)}
+		for i := range s.Docs {
+			s.Docs[i] = docName((i + k) % simDocs)
+			s.Clicks[i] = (i*k+3)%11 == 0
+		}
+		deep[k] = s
+	}
+	sparse := NewBBM()
+	sparse.SetIterations(2)
+	if err := sparse.Fit(deep); err != nil {
+		t.Fatal(err)
+	}
+	if sparse.nonClickS == nil {
+		t.Fatal("the BBM did not reach the sparse layout")
+	}
+	ints := func(tag string, edit func([]int32)) func(string, *snapshot.V2Writer, *snapshot.V2Artifact) bool {
+		return func(s string, w *snapshot.V2Writer, a *snapshot.V2Artifact) bool {
+			if s != tag {
+				return false
+			}
+			v, _ := a.Int32sView(tag)
+			v = append([]int32(nil), v...)
+			edit(v)
+			w.Int32s(tag, v)
+			return true
+		}
+	}
+	drop := func(tag string) func(string, *snapshot.V2Writer, *snapshot.V2Artifact) bool {
+		return func(s string, _ *snapshot.V2Writer, _ *snapshot.V2Artifact) bool { return s == tag }
+	}
+	for _, tc := range []struct {
+		name   string
+		model  Model
+		mangle func(string, *snapshot.V2Writer, *snapshot.V2Artifact) bool
+	}{
+		{"sdbn/no s.vals", fitFresh(t, "SDBN", snapSessions(4, 200, 5)), drop("s.vals")},
+		{"sdbn/no d.offs", fitFresh(t, "SDBN", snapSessions(4, 200, 5)), drop("d.offs")},
+		{"sdbn/pair query out of range", fitFresh(t, "SDBN", snapSessions(4, 200, 5)), ints("p.q", func(v []int32) { v[0] = 1 << 30 })},
+		{"sdbn/pair doc out of range", fitFresh(t, "SDBN", snapSessions(4, 200, 5)), ints("p.d", func(v []int32) { v[len(v)-1] = -2 })},
+		{"sdbn/bucket out of range", fitFresh(t, "SDBN", snapSessions(4, 200, 5)), ints("p.tabl", func(v []int32) { v[0] = 1 << 20 })},
+		{"bbm/no c.vals", sparse, drop("c.vals")},
+		{"bbm/no n.off", sparse, drop("n.off")},
+		{"bbm/no n.cell", sparse, drop("n.cell")},
+		{"bbm/no n.cnt", sparse, drop("n.cnt")},
+		{"bbm/cell out of range", sparse, ints("n.cell", func(v []int32) { v[len(v)/2] = 1 << 20 })},
+		{"bbm/negative cell", sparse, ints("n.cell", func(v []int32) { v[0] = -1 })},
+		{"bbm/offsets decrease", sparse, ints("n.off", func(v []int32) { v[1], v[2] = v[2], v[1]-1 })},
+		{"bbm/offsets overrun", sparse, ints("n.off", func(v []int32) { v[len(v)-1]++ })},
+	} {
+		var buf bytes.Buffer
+		if err := tc.model.(Snapshotter).Save(&buf); err != nil {
+			t.Fatal(err)
+		}
+		orig, err := snapshot.ParseV2(buf.Bytes())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := FromArtifact(orig); err != nil {
+			t.Fatalf("%s: the unmangled artifact fails: %v", tc.name, err)
+		}
+		b, err := rebuildV2(orig, tc.mangle)
+		if err != nil {
+			t.Fatal(err)
+		}
+		a, err := snapshot.ParseV2(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := FromArtifact(a); err == nil {
+			t.Errorf("%s: a thawed model accepted it", tc.name)
+		}
 	}
 }
 
@@ -334,14 +404,14 @@ func TestV2MappedLoadsUntaggedArtifact(t *testing.T) {
 		Session{Query: "novel query", Docs: []string{"zz", "yy"}, Clicks: []bool{true, false}})
 	for _, name := range []string{"PBM", "DBN"} {
 		var buf bytes.Buffer
-		if err := SaveV2Model(&buf, fitFresh(t, name, train)); err != nil {
+		if err := fitFresh(t, name, train).(Snapshotter).Save(&buf); err != nil {
 			t.Fatal(err)
 		}
 		orig, err := snapshot.ParseV2(buf.Bytes())
 		if err != nil {
 			t.Fatal(err)
 		}
-		tagged, err := MappedFromArtifact(orig)
+		tagged, _, err := FromArtifact(orig)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -363,7 +433,7 @@ func TestV2MappedLoadsUntaggedArtifact(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		untagged, err := MappedFromArtifact(a)
+		untagged, _, err := FromArtifact(a)
 		if err != nil {
 			t.Fatalf("%s: untagged artifact: %v", name, err)
 		}
@@ -387,10 +457,7 @@ func TestV2MappedLoadsUntaggedArtifact(t *testing.T) {
 // bucket and only valid pair IDs must end an absent pair's probe in a
 // miss after one pass, not spin the serving goroutine.
 func TestFrozenPairsFullTableTerminates(t *testing.T) {
-	p, _ := freezePairs([]map[qd]float64{{
-		{q: "q0", d: "d0"}: 0.5,
-		{q: "q1", d: "d1"}: 0.5,
-	}}, []float64{0})
+	p := freezePairs([]qd{{q: "q0", d: "d0"}, {q: "q1", d: "d1"}})
 	for i := range p.tab {
 		p.tab[i] = 0 // every bucket names pair 0 = (q0, d0)
 	}

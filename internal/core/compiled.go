@@ -72,12 +72,20 @@ func clampRel(r float64) float64 {
 // must be fully fitted: later mutations of the Relevance map or the
 // Attention layer are not observed by the compiled form.
 func (m *Model) Compile() *CompiledModel {
-	att := m.attention()
-	c := &CompiledModel{
-		src: m,
-		rel: make([]float64, len(m.Relevance)),
-		att: att,
+	rel := make([]float64, len(m.Relevance))
+	terms := make([]string, 0, len(m.Relevance))
+	for t, r := range m.Relevance {
+		rel[len(terms)] = clampRel(r)
+		terms = append(terms, t)
 	}
+	return m.compile(terms, rel)
+}
+
+// compile builds the compiled form over the model's terms, term i
+// with clamped relevance rel[i].
+func (m *Model) compile(terms []string, rel []float64) *CompiledModel {
+	att := m.attention()
+	c := &CompiledModel{src: m, rel: rel, att: att}
 	if _, ok := att.(FullAttention); ok {
 		c.attFull = true
 	}
@@ -89,11 +97,6 @@ func (m *Model) Compile() *CompiledModel {
 	c.defRel = clampRel(def)
 	c.defLogRel = math.Log(c.defRel)
 
-	terms := make([]string, 0, len(m.Relevance))
-	for t, r := range m.Relevance {
-		c.rel[len(terms)] = clampRel(r)
-		terms = append(terms, t)
-	}
 	c.vocab = textproc.FreezeVocab(terms)
 	c.logRel = make([]float64, len(c.rel))
 	for id, r := range c.rel {

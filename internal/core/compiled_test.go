@@ -262,8 +262,8 @@ func TestCompiledAfterSnapshotRoundTrip(t *testing.T) {
 	if err := m.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := core.LoadModel(&buf)
-	if err != nil {
+	loaded := new(core.Model)
+	if err := loaded.Load(&buf); err != nil {
 		t.Fatal(err)
 	}
 	cm := loaded.Compile()

@@ -1,17 +1,16 @@
 package core
 
-// Snapshot codec for the micro-browsing model: the per-term relevance
-// table, the default relevance, and the attention layer serialize to
-// the self-describing artifact format of internal/snapshot under the
-// reserved model name "micro". Only the shipped attention families
-// (Full, Geometric, Table, nil) are serializable; a custom Attention
-// implementation must be re-attached after Load.
+// Snapshots of the micro-browsing model: Save writes the compiled form
+// as a v2 artifact (v2.go) under the reserved model name "micro", and
+// Load thaws one back into the map-based fitting form. Only the shipped
+// attention families (Full, Geometric, Table, nil) are serializable; a
+// custom Attention implementation must be re-attached after Load. v1
+// artifacts are read by DecodeV1, for internal/engine's importer alone.
 
 import (
 	"fmt"
 	"io"
 	"sort"
-	"strings"
 
 	"repro/internal/snapshot"
 )
@@ -28,123 +27,113 @@ const (
 	attTable     = 3
 )
 
-// Save writes the model as a self-describing binary artifact. It
-// fails if the attention layer is a custom implementation the codec
-// cannot represent.
+// Save writes the model as a v2 artifact: its compiled form with the
+// terms numbered in sorted order, so equal models write equal bytes.
+// (Compile numbers them in map order, which costs nothing and differs
+// from run to run; the sort is paid on export only.) It fails if the
+// attention layer is a custom implementation the codec cannot
+// represent.
 func (m *Model) Save(w io.Writer) error {
-	e := snapshot.NewEncoder(w, SnapshotName)
-
 	terms := make([]string, 0, len(m.Relevance))
 	for t := range m.Relevance {
 		terms = append(terms, t)
 	}
-	sort.Strings(terms) // deterministic artifacts
-	e.Int(len(terms))
-	for _, t := range terms {
-		e.String(t)
+	sort.Strings(terms)
+	rel := make([]float64, len(terms))
+	for id, t := range terms {
+		rel[id] = clampRel(m.Relevance[t])
 	}
-	for _, t := range terms {
-		e.Float(m.Relevance[t])
-	}
-	e.Float(m.DefaultRelevance)
-
-	switch att := m.Attention.(type) {
-	case nil:
-		e.Uint(attNil)
-	case FullAttention:
-		e.Uint(attFull)
-	case GeometricAttention:
-		e.Uint(attGeometric)
-		e.Floats(att.LineWeights)
-		e.Float(att.Decay)
-	case TableAttention:
-		e.Uint(attTable)
-		e.Int(len(att.W))
-		for _, row := range att.W {
-			e.Floats(row)
-		}
-		e.Float(att.Default)
-	default:
-		_ = e.Close() // the type error below is the one worth reporting
-		return fmt.Errorf("core: attention %T is not snapshot-serializable", m.Attention)
-	}
-	return e.Close()
+	return m.compile(terms, rel).SaveV2(w)
 }
 
-// Load restores the model from an artifact written by Save.
+// Load restores the model from a v2 micro artifact: the relevance map
+// from the vocabulary and its (clamped) relevances, the default
+// relevance and the attention layer from meta. The bytes are checked —
+// section CRCs, the vocabulary's tables — and copied: the model keeps
+// no reference to them.
 func (m *Model) Load(r io.Reader) error {
-	d, err := snapshot.NewDecoder(r)
+	data, err := io.ReadAll(r)
 	if err != nil {
 		return err
 	}
-	if !strings.EqualFold(d.ModelName(), SnapshotName) {
-		return fmt.Errorf("core: artifact holds a %q model, not %q", d.ModelName(), SnapshotName)
+	a, err := snapshot.ParseV2(data)
+	if err != nil {
+		return err
 	}
-	m.decodeSnapshot(d)
-	return d.Close()
+	if err := a.VerifySections(); err != nil {
+		return err
+	}
+	c, err := CompiledFromArtifact(a)
+	if err != nil {
+		return err
+	}
+	if err := c.ValidateTables(); err != nil {
+		return err
+	}
+	rel := make(map[string]float64, c.vocab.Len())
+	for id := range c.vocab.Len() {
+		rel[c.vocab.Text(int32(id))] = c.rel[id]
+	}
+	m.Relevance, m.DefaultRelevance, m.Attention = rel, c.defRel, c.att
+	return nil
 }
 
-// LoadModel reads a micro-browsing artifact into a fresh model.
-func LoadModel(r io.Reader) (*Model, error) {
+// DecodeV1 builds the model a v1 micro payload describes, consuming it
+// exactly. internal/engine's importer is its one caller: the model is
+// saved again as v2, never served from v1.
+func DecodeV1(c *snapshot.Cursor) (*Model, error) {
 	m := NewModel(nil)
-	if err := m.Load(r); err != nil {
-		return nil, err
+	n := c.Int()
+	if n > c.Remaining() { // a term is at least its length byte
+		c.Failf("%d terms overrun the payload", n)
 	}
-	return m, nil
-}
-
-// Decode restores a fresh model's payload from an already-open
-// artifact decoder whose header named "micro". The caller must Close
-// the decoder (verifying the checksum) before trusting the result.
-func Decode(d *snapshot.Decoder) (*Model, error) {
-	m := NewModel(nil)
-	m.decodeSnapshot(d)
-	if err := d.Err(); err != nil {
-		return nil, err
+	if c.Err() != nil {
+		return nil, c.Err()
 	}
-	return m, nil
-}
-
-func (m *Model) decodeSnapshot(d *snapshot.Decoder) {
-	// Count-prefixed storage grows incrementally with early-out on read
-	// errors, so a corrupt count cannot pre-allocate gigabytes.
-	n := d.Int()
-	terms := make([]string, 0, min(n, 4096))
-	for i := 0; i < n; i++ {
-		terms = append(terms, d.String())
-		if d.Err() != nil {
-			return
-		}
+	terms := make([]string, n)
+	for i := range terms {
+		terms[i] = c.String()
 	}
-	m.Relevance = make(map[string]float64, min(n, 4096))
 	for _, t := range terms {
-		m.Relevance[t] = d.Float()
-		if d.Err() != nil {
-			return
-		}
+		m.Relevance[t] = c.Float()
 	}
-	m.DefaultRelevance = d.Float()
+	m.DefaultRelevance = c.Float()
 
-	switch kind := d.Uint(); kind {
+	switch kind := c.Uint(); kind {
 	case attNil:
-		m.Attention = nil
 	case attFull:
 		m.Attention = FullAttention{}
 	case attGeometric:
-		m.Attention = GeometricAttention{LineWeights: d.Floats(), Decay: d.Float()}
+		m.Attention = GeometricAttention{LineWeights: c.Floats(), Decay: c.Float()}
 	case attTable:
-		rows := d.Int()
-		w := make([][]float64, 0, min(rows, 4096))
-		for i := 0; i < rows; i++ {
-			w = append(w, d.Floats())
-			if d.Err() != nil {
-				return
-			}
-		}
-		m.Attention = TableAttention{W: w, Default: d.Float()}
+		m.Attention = TableAttention{W: readRows(c), Default: c.Float()}
 	default:
-		d.Failf("unknown attention kind %d", kind)
+		c.Failf("unknown attention kind %d", kind)
 	}
+	if err := c.Err(); err != nil {
+		return nil, err
+	}
+	if c.Remaining() != 0 {
+		return nil, fmt.Errorf("%w: %d bytes after the micro payload", snapshot.ErrCorrupt, c.Remaining())
+	}
+	return m, nil
+}
+
+// readRows reads a TableAttention's rows: a count, then each row's
+// floats — the same form in a v1 payload and a v2 meta section.
+func readRows(c *snapshot.Cursor) [][]float64 {
+	n := c.Int()
+	if n > c.Remaining() { // a row is at least its length byte
+		c.Failf("%d attention rows overrun the payload", n)
+	}
+	if c.Err() != nil {
+		return nil
+	}
+	rows := make([][]float64, n)
+	for i := range rows {
+		rows[i] = c.Floats()
+	}
+	return rows
 }
 
 // NumParams reports the relevance-table size — the engine's Models()

@@ -2,7 +2,11 @@ package core
 
 import (
 	"bytes"
+	"fmt"
+	"io"
 	"math"
+	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -20,6 +24,15 @@ func snapModel(att Attention) *Model {
 
 var snapLines = []string{"Acme Air", "Find cheap flights to Rome", "Terms apply"}
 
+// loadModel reads an artifact into a fresh model.
+func loadModel(r io.Reader) (*Model, error) {
+	m := new(Model)
+	if err := m.Load(r); err != nil {
+		return nil, err
+	}
+	return m, nil
+}
+
 func TestMicroSnapshotRoundTrip(t *testing.T) {
 	attentions := map[string]Attention{
 		"nil":       nil,
@@ -34,7 +47,7 @@ func TestMicroSnapshotRoundTrip(t *testing.T) {
 			if err := m.Save(&buf); err != nil {
 				t.Fatal(err)
 			}
-			got, err := LoadModel(bytes.NewReader(buf.Bytes()))
+			got, err := loadModel(bytes.NewReader(buf.Bytes()))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -68,6 +81,11 @@ func TestMicroSnapshotCustomAttention(t *testing.T) {
 	}
 }
 
+// TestMicroSnapshotRejectsDamage truncates an artifact at every byte
+// and flips every byte: no truncation loads, and a flip is detected or
+// harmless — a flip nothing catches lies in bytes no reader looks at
+// (padding between sections, the reserved header field), so what loads
+// scores exactly what the original does.
 func TestMicroSnapshotRejectsDamage(t *testing.T) {
 	m := snapModel(GeometricAttention{LineWeights: []float64{0.9}, Decay: 0.7})
 	var buf bytes.Buffer
@@ -76,15 +94,49 @@ func TestMicroSnapshotRejectsDamage(t *testing.T) {
 	}
 	raw := buf.Bytes()
 	for cut := 0; cut < len(raw); cut++ {
-		if _, err := LoadModel(bytes.NewReader(raw[:cut])); err == nil {
+		if _, err := loadModel(bytes.NewReader(raw[:cut])); err == nil {
 			t.Fatalf("truncation at %d/%d loaded cleanly", cut, len(raw))
 		}
 	}
+	terms := textproc.ExtractTerms(snapLines, 3)
 	for i := range raw {
 		bad := bytes.Clone(raw)
 		bad[i] ^= 0x5A
-		if _, err := LoadModel(bytes.NewReader(bad)); err == nil {
-			t.Fatalf("flipped byte %d/%d loaded cleanly", i, len(raw))
+		got, err := loadModel(bytes.NewReader(bad))
+		if err != nil {
+			continue
+		}
+		if w, g := m.ExpectedScore(terms), got.ExpectedScore(terms); math.Float64bits(w) != math.Float64bits(g) {
+			t.Fatalf("flipped byte %d/%d loaded and scores %v, want %v", i, len(raw), g, w)
+		}
+	}
+}
+
+// TestMicroSaveIsDeterministic: a model's artifact does not depend on
+// the order its relevance map was filled in. Compile numbers terms in
+// map order; Save numbers them in sorted order.
+func TestMicroSaveIsDeterministic(t *testing.T) {
+	terms := make([]string, 100)
+	for i := range terms {
+		terms[i] = fmt.Sprintf("term %02d", i)
+	}
+	fill := func(order []string) []byte {
+		m := NewModel(GeometricAttention{LineWeights: []float64{0.9, 0.5}, Decay: 0.8})
+		for _, t := range order {
+			m.Relevance[t] = 0.1 + float64(t[len(t)-1]-'0')/20
+		}
+		var buf bytes.Buffer
+		if err := m.Save(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	want := fill(terms)
+	for seed := int64(1); seed <= 3; seed++ {
+		shuffled := slices.Clone(terms)
+		rand.New(rand.NewSource(seed)).Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
+		if !bytes.Equal(fill(shuffled), want) {
+			t.Fatalf("insertion order %d saved different bytes", seed)
 		}
 	}
 }

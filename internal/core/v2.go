@@ -1,7 +1,7 @@
 package core
 
 // v2 (zero-parse) snapshot codec for the micro-browsing model. Where
-// the v1 artifact serializes the *fitting* form (the Relevance map,
+// the v1 artifact serialized the *fitting* form (the Relevance map,
 // re-compiled on every load), a v2 artifact serializes the *compiled*
 // form: the frozen vocabulary's flat sections, the clamped relevance
 // and precomputed log-relevance arrays, and the dense attention table
@@ -12,8 +12,9 @@ package core
 //
 // Section layout (tags are the v2 directory keys):
 //
-//	meta    bytes    raw-encoded scalars: default relevance, attention
-//	                 spec (kind + params), attention-table dims
+//	meta    bytes    scalars in the snapshot Append forms: default
+//	                 relevance, attention spec (kind + params),
+//	                 attention-table dims
 //	v.*     —        the frozen vocabulary's four sections (v.blob,
 //	                 v.offs, v.tabl, v.tags), written and read by
 //	                 textproc's WriteSections/ReadSections, which own
@@ -25,7 +26,6 @@ package core
 //	                 attention layer is Full (every weight 1)
 
 import (
-	"bytes"
 	"fmt"
 	"io"
 	"math"
@@ -44,37 +44,31 @@ const (
 )
 
 // SaveV2 writes the compiled model as a zero-parse v2 artifact. The
-// attention layer must be one of the shipped serializable families
-// (the same constraint as the v1 codec).
+// attention layer must be one of the shipped serializable families.
 func (c *CompiledModel) SaveV2(w io.Writer) error {
-	var meta bytes.Buffer
-	e := snapshot.NewRawEncoder(&meta)
-	e.Float(c.defRel)
+	meta := snapshot.AppendFloat(nil, c.defRel)
 	switch att := c.att.(type) {
 	case FullAttention:
-		e.Uint(attFull)
+		meta = snapshot.AppendUint(meta, attFull)
 	case GeometricAttention:
-		e.Uint(attGeometric)
-		e.Floats(att.LineWeights)
-		e.Float(att.Decay)
+		meta = snapshot.AppendUint(meta, attGeometric)
+		meta = snapshot.AppendFloats(meta, att.LineWeights)
+		meta = snapshot.AppendFloat(meta, att.Decay)
 	case TableAttention:
-		e.Uint(attTable)
-		e.Int(len(att.W))
+		meta = snapshot.AppendUint(meta, attTable)
+		meta = snapshot.AppendUint(meta, uint64(len(att.W)))
 		for _, row := range att.W {
-			e.Floats(row)
+			meta = snapshot.AppendFloats(meta, row)
 		}
-		e.Float(att.Default)
+		meta = snapshot.AppendFloat(meta, att.Default)
 	default:
 		return fmt.Errorf("core: attention %T is not snapshot-serializable", c.att)
 	}
-	e.Int(attTableLines)
-	e.Int(attTableCols)
-	if err := e.Flush(); err != nil {
-		return err
-	}
+	meta = snapshot.AppendUint(meta, attTableLines)
+	meta = snapshot.AppendUint(meta, attTableCols)
 
 	vw := snapshot.NewV2Writer(SnapshotName)
-	vw.Bytes(v2TagMeta, meta.Bytes())
+	vw.Bytes(v2TagMeta, meta)
 	c.vocab.WriteSections(vw, v2TagVocab)
 	vw.Floats(v2TagRel, c.rel)
 	vw.Floats(v2TagLogRel, c.logRel)
@@ -82,10 +76,6 @@ func (c *CompiledModel) SaveV2(w io.Writer) error {
 	_, err := vw.WriteTo(w)
 	return err
 }
-
-// SaveV2 compiles the model and writes the zero-parse artifact — the
-// export-side convenience (clickmodelfit -format v2, snapshot conv).
-func (m *Model) SaveV2(w io.Writer) error { return m.Compile().SaveV2(w) }
 
 // CompiledFromArtifact builds a serving-ready compiled model whose
 // tables are zero-copy views into the artifact's bytes. Nothing is
@@ -105,7 +95,7 @@ func CompiledFromArtifact(a *snapshot.V2Artifact) (*CompiledModel, error) {
 		return nil, err
 	}
 	c := &CompiledModel{}
-	d := snapshot.NewRawDecoder(bytes.NewReader(meta))
+	d := snapshot.NewCursor(meta)
 	c.defRel = clampRel(d.Float())
 	c.defLogRel = math.Log(c.defRel)
 	switch kind := d.Uint(); kind {
@@ -115,17 +105,9 @@ func CompiledFromArtifact(a *snapshot.V2Artifact) (*CompiledModel, error) {
 	case attGeometric:
 		c.att = GeometricAttention{LineWeights: d.Floats(), Decay: d.Float()}
 	case attTable:
-		rows := d.Int()
-		w := make([][]float64, 0, min(rows, 4096))
-		for i := 0; i < rows; i++ {
-			w = append(w, d.Floats())
-			if d.Err() != nil {
-				return nil, d.Err()
-			}
-		}
-		c.att = TableAttention{W: w, Default: d.Float()}
+		c.att = TableAttention{W: readRows(d), Default: d.Float()}
 	default:
-		return nil, fmt.Errorf("%w: unknown attention kind %d", snapshot.ErrCorrupt, kind)
+		d.Failf("unknown attention kind %d", kind)
 	}
 	lines, cols := d.Int(), d.Int()
 	if err := d.Err(); err != nil {

@@ -64,9 +64,9 @@ func TestV2CompiledParity(t *testing.T) {
 	}
 }
 
-// TestV2ParityVsV1Path pins the mapped scorer against the v1
-// save → load → recompile path end to end, the exact comparison the
-// serving smoke test automates.
+// TestV2ParityVsV1Path pins the mapped scorer against the
+// save → load → recompile path end to end: Save, thaw the artifact
+// into the fitting form, compile that again.
 func TestV2ParityVsV1Path(t *testing.T) {
 	m := core.NewModel(core.GeometricAttention{LineWeights: []float64{0.9, 0.6, 0.3}, Decay: 0.8})
 	m.Relevance["find cheap"] = 0.85
@@ -79,8 +79,8 @@ func TestV2ParityVsV1Path(t *testing.T) {
 	if err := m.Save(&v1); err != nil {
 		t.Fatal(err)
 	}
-	m1, err := core.LoadModel(bytes.NewReader(v1.Bytes()))
-	if err != nil {
+	m1 := new(core.Model)
+	if err := m1.Load(bytes.NewReader(v1.Bytes())); err != nil {
 		t.Fatal(err)
 	}
 	c1 := m1.Compile()
@@ -117,7 +117,7 @@ func TestCompiledFromArtifactRejects(t *testing.T) {
 	m := core.NewModel(core.FullAttention{})
 	m.Relevance["a"] = 0.5
 	var buf bytes.Buffer
-	if err := m.SaveV2(&buf); err != nil {
+	if err := m.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
 	good := buf.Bytes()
@@ -201,7 +201,7 @@ func TestV2UntaggedArtifactScoresIdentically(t *testing.T) {
 	for trial := 0; trial < 20; trial++ {
 		for _, att := range parityAttentions(rng) {
 			var buf bytes.Buffer
-			if err := randomModel(rng, att).SaveV2(&buf); err != nil {
+			if err := randomModel(rng, att).Save(&buf); err != nil {
 				t.Fatal(err)
 			}
 			tagged, err := snapshot.ParseV2(buf.Bytes())
@@ -243,7 +243,7 @@ func TestValidateTablesRejectsFlippedTag(t *testing.T) {
 		m.Relevance[term] = 0.5
 	}
 	var buf bytes.Buffer
-	if err := m.SaveV2(&buf); err != nil {
+	if err := m.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
 	a, err := snapshot.ParseV2(buf.Bytes())

@@ -40,6 +40,7 @@ package engine
 
 import (
 	"bufio"
+	"bytes"
 	"cmp"
 	"context"
 	"fmt"
@@ -542,12 +543,12 @@ func (e *Engine) Rollback(name string) (ModelInfo, error) {
 // flight keep the version they resolved, later requests see the new
 // one.
 //
-// Both artifact generations are accepted, sniffed by magic: v1 ("MBSN")
-// decodes through the varint codec, v2 ("MBS2") is read into anonymous
-// memory and served zero-parse. A stream's provenance is unknown, so
-// v2 bytes are checked like LoadSnapshotFileVerified checks a file's.
-// For a v2 file on disk use one of the file loads, which map the file
-// instead of copying it.
+// The bytes are read into anonymous memory and served from there: a v2
+// artifact ("MBS2") as it stands, a v1 one ("MBSN") after the importer
+// has turned it into the v2 artifact its model writes today. A stream's
+// provenance is unknown, so the bytes are checked like
+// LoadSnapshotFileVerified checks a file's. For a v2 file on disk use
+// one of the file loads, which map the file instead of copying it.
 func (e *Engine) LoadSnapshot(name string, r io.Reader) (ModelInfo, error) {
 	return e.load(name, r, func(rest io.Reader) (*mmap.Artifact, error) {
 		data, err := io.ReadAll(rest)
@@ -562,7 +563,7 @@ func (e *Engine) LoadSnapshot(name string, r io.Reader) (ModelInfo, error) {
 // is mapped read-only (O(1) in artifact size — the tables are served
 // straight off the page cache) without a checksum pass: a file the
 // operator names at start-up is trusted the way any loaded code is. A
-// v1 artifact is decoded from the file.
+// v1 artifact is imported from the file.
 func (e *Engine) LoadSnapshotFile(name, path string) (ModelInfo, error) {
 	return e.loadFile(name, path, false)
 }
@@ -575,8 +576,8 @@ func (e *Engine) LoadSnapshotFileVerified(name, path string) (ModelInfo, error) 
 	return e.loadFile(name, path, true)
 }
 
-// loadFile is load over a file: v1 bytes are decoded from it, a v2
-// file is mapped.
+// loadFile is load over a file: a v2 file is mapped, v1 bytes are
+// imported from it.
 func (e *Engine) loadFile(name, path string, verify bool) (ModelInfo, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -591,26 +592,31 @@ func (e *Engine) loadFile(name, path string, verify bool) (ModelInfo, error) {
 // not trusted, publish. r supplies the bytes; for a v2 artifact, v2
 // turns what is left of them into the refcounted artifact the scorer's
 // tables will view (a file is mapped, a stream is read onto the heap).
-// From the moment v2 returns, load owns that reference and drops it on
-// every path that does not publish, so a refused load leaves nothing
-// mapped and the previous version serving.
+// Anything else is read whole and handed to importV1, and the v2 bytes
+// it returns take the same route from the heap. From the moment the
+// artifact exists, load owns that reference: a scorer that views it
+// takes it into the version table, a thawed one (built by copying)
+// lets it go at once, and every path that does not publish drops it,
+// so a refused load leaves nothing mapped and the previous version
+// serving.
 func (e *Engine) load(name string, r io.Reader, v2 func(rest io.Reader) (*mmap.Artifact, error), verify bool) (info ModelInfo, err error) {
 	br := bufio.NewReader(r)
-	// A source too short to hold a magic falls through to the v1
-	// decoder, whose header check names the fault.
 	if magic, _ := br.Peek(4); !snapshot.IsV2(magic) {
-		s, model, err := DecodeScorer(br)
+		data, err := io.ReadAll(br)
 		if err != nil {
 			return ModelInfo{}, err
 		}
-		return e.publish(cmp.Or(canonical(name), model), s, "snapshot", nil)
+		if data, err = importV1(data); err != nil {
+			return ModelInfo{}, err
+		}
+		v2 = func(io.Reader) (*mmap.Artifact, error) { return mmap.FromBytes(data) }
 	}
 	art, err := v2(br)
 	if err != nil {
 		return ModelInfo{}, err
 	}
 	defer func() {
-		if err != nil {
+		if err != nil && art != nil {
 			art.Release()
 		}
 	}()
@@ -619,10 +625,7 @@ func (e *Engine) load(name string, r io.Reader, v2 func(rest io.Reader) (*mmap.A
 			return ModelInfo{}, err
 		}
 	}
-	// A v2 scorer is zero-copy views of the artifact's bytes.
-	s, model, err := scorerFor(art.ModelName,
-		func() (*core.CompiledModel, error) { return core.CompiledFromArtifact(art.V2Artifact) },
-		func() (clickmodel.Model, error) { return clickmodel.MappedFromArtifact(art.V2Artifact) })
+	s, model, views, err := scorerFor(art.V2Artifact)
 	if err != nil {
 		return ModelInfo{}, err
 	}
@@ -632,6 +635,10 @@ func (e *Engine) load(name string, r io.Reader, v2 func(rest io.Reader) (*mmap.A
 		if err = validateScorerTables(s); err != nil {
 			return ModelInfo{}, err
 		}
+	}
+	if !views {
+		art.Release()
+		art = nil
 	}
 	return e.publish(cmp.Or(canonical(name), model), s, "snapshot", art)
 }
@@ -650,57 +657,59 @@ func validateScorerTables(s Scorer) error {
 	return nil
 }
 
-// scorerFor is the one micro-vs-macro dispatch: given the model name an
-// artifact's header records, it builds the serving scorer from the
-// artifact generation's own constructor for that kind and returns it
-// with the canonical name.
-func scorerFor(header string, micro func() (*core.CompiledModel, error), click func() (clickmodel.Model, error)) (Scorer, string, error) {
-	model := canonical(header)
+// scorerFor is the one micro-vs-macro dispatch: it builds the serving
+// scorer of a v2 artifact through the kind's constructor and returns it
+// with the canonical model name and whether its tables view the
+// artifact's bytes (the micro model, PBM and DBN) or were copied out.
+func scorerFor(a *snapshot.V2Artifact) (s Scorer, model string, views bool, err error) {
+	model = canonical(a.ModelName)
 	if model == NameMicro {
-		c, err := micro()
+		c, err := core.CompiledFromArtifact(a)
 		if err != nil {
-			return nil, "", err
+			return nil, "", false, err
 		}
-		return NewCompiledMicroScorer(c), model, nil
+		return NewCompiledMicroScorer(c), model, true, nil
 	}
-	m, err := click()
+	m, views, err := clickmodel.FromArtifact(a)
 	if err != nil {
-		return nil, "", err
+		return nil, "", false, err
 	}
-	return NewClickModelScorer(m), model, nil
+	return NewClickModelScorer(m), model, views, nil
 }
 
-// DecodeScorer reads any v1 model artifact — macro or micro — and
-// returns a ready Scorer plus the canonical model name recorded in the
-// header. The payload is decoded into the fitted form, which for the
-// micro model is then compiled.
-func DecodeScorer(r io.Reader) (Scorer, string, error) {
-	d, err := snapshot.NewDecoder(r)
+// importV1 turns a v1 artifact into the v2 artifact its model writes
+// today: the payload is decoded into the fitted form and Saved. It is
+// the one way into the v1 decoders, and load its one caller, so every
+// route that accepts v1 bytes — LoadSnapshot, the two file loads, the
+// admin load endpoint, clickmodelfit -conv — reads them here.
+func importV1(data []byte) ([]byte, error) {
+	name, payload, err := snapshot.OpenV1(data)
 	if err != nil {
-		return nil, "", err
+		return nil, err
 	}
-	s, model, err := scorerFor(d.ModelName(),
-		func() (*core.CompiledModel, error) {
-			m, err := core.Decode(d)
-			if err != nil {
-				return nil, err
-			}
-			return m.Compile(), nil
-		},
-		func() (clickmodel.Model, error) { return clickmodel.Decode(d) })
+	var m interface{ Save(io.Writer) error }
+	if canonical(name) == NameMicro {
+		m, err = core.DecodeV1(payload)
+	} else {
+		var cm clickmodel.Model
+		if cm, err = clickmodel.DecodeV1(name, payload); err == nil {
+			m = cm.(clickmodel.Snapshotter)
+		}
+	}
 	if err != nil {
-		return nil, "", err
+		return nil, err
 	}
-	if err := d.Close(); err != nil {
-		return nil, "", err
+	var buf bytes.Buffer
+	if err := m.Save(&buf); err != nil {
+		return nil, err
 	}
-	return s, model, nil
+	return buf.Bytes(), nil
 }
 
 // SaveSnapshot writes the model a reference resolves to ("pbm",
-// "pbm@2", "micro", empty = engine default) as a binary artifact.
-// Fitted models emit the v1 varint format; artifact-backed (v2-loaded)
-// models re-emit a v2 artifact, since the fitted form no longer exists.
+// "pbm@2", "micro", empty = engine default) as a v2 artifact. A fitted
+// model writes its own Save; an artifact-backed one re-emits the
+// sections it serves.
 func (e *Engine) SaveSnapshot(ref string, w io.Writer) error {
 	_, _, mv, err := e.resolvePinned(ref)
 	if err != nil {

@@ -11,60 +11,93 @@ import (
 	"testing"
 
 	"repro/internal/clickmodel"
+	"repro/internal/core"
 	"repro/internal/mmap"
 	"repro/internal/snapshot"
 )
 
-// lifecycleModel is one model of the lifecycle table: the fitted form
-// wrapped for serving, the two artifacts it exports, and the requests
-// it is scored on.
+// lifecycleModel is one model of the lifecycle table: the form it is
+// served in when installed directly, wrapped for serving; its v2
+// artifact, which is that form's own Save; the v1 artifact it came from,
+// if any; and the requests it is scored on.
 type lifecycleModel struct {
+	label  string // the subtest prefix: "fitted " for a model fitted here
 	name   string
-	scorer func() Scorer // a fresh wrap of the fitted form
-	v1, v2 []byte
+	scorer func() Scorer // a fresh wrap of the served form
+	v1, v2 []byte        // v1 is nil for a model fitted here
 	v2path string
+	views  bool // served from its artifact's bytes, not thawed
 	reqs   []Request
 }
 
+// lifecycleModels lists micro, PBM and DBN twice — fitted here, and
+// thawed from the parent's v1 fixtures (testdata/parent_0c75e9e) through
+// the importer — and SDBN, a model that is always thawed, from its
+// fixture. Every model is scored on its golden inputs, if it has any,
+// and on every max_n and an unseen query over unseen documents, which
+// take the prior paths.
 func lifecycleModels(t *testing.T) []lifecycleModel {
 	t.Helper()
+	golden := readV1Golden(t)
 	sessions := testSessions(600)
 	dir := t.TempDir()
-	save := func(name string, v1, v2 func(io.Writer) error) lifecycleModel {
-		var b1, b2 bytes.Buffer
-		if err := v1(&b1); err != nil {
-			t.Fatalf("save %s v1: %v", name, err)
+	var models []lifecycleModel
+	add := func(label, name string, v1 []byte, s interface{ Save(io.Writer) error }, scorer func() Scorer, reqs []Request) {
+		var v2 bytes.Buffer
+		if err := s.Save(&v2); err != nil {
+			t.Fatalf("%s %s: Save: %v", label, name, err)
 		}
-		if err := v2(&b2); err != nil {
-			t.Fatalf("save %s v2: %v", name, err)
-		}
-		path := filepath.Join(dir, name+".mbs2")
-		if err := os.WriteFile(path, b2.Bytes(), 0o644); err != nil {
+		path := filepath.Join(dir, label+name+".mbs2")
+		if err := os.WriteFile(path, v2.Bytes(), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		return lifecycleModel{name: name, v1: b1.Bytes(), v2: b2.Bytes(), v2path: path}
+		if name == NameMicro {
+			for maxN := 0; maxN <= 3; maxN++ {
+				reqs = append(reqs,
+					Request{Lines: testLines, MaxN: maxN},
+					Request{Lines: []string{"unknown terms only", "Flights!"}, MaxN: maxN})
+			}
+		} else {
+			for i := range sessions[500:540] {
+				reqs = append(reqs, Request{Session: &sessions[500+i]})
+			}
+			reqs = append(reqs, Request{Session: &clickmodel.Session{Query: "novel", Docs: []string{"zz", "a", "yy"}, Clicks: make([]bool, 3)}})
+		}
+		models = append(models, lifecycleModel{label: label, name: name, scorer: scorer, v1: v1, v2: v2.Bytes(), v2path: path, views: name != "sdbn", reqs: reqs})
 	}
 
 	micro := testMicroModel()
-	mm := save(NameMicro, micro.Save, micro.SaveV2)
-	mm.scorer = func() Scorer { return NewMicroScorer(micro) }
-	for maxN := 0; maxN <= 3; maxN++ {
-		mm.reqs = append(mm.reqs,
-			Request{Lines: testLines, MaxN: maxN},
-			Request{Lines: []string{"unknown terms only", "Flights!"}, MaxN: maxN})
-	}
-	models := []lifecycleModel{mm}
-
+	add("fitted ", NameMicro, nil, micro, func() Scorer { return NewMicroScorer(micro) }, nil)
 	for _, name := range []string{"pbm", "dbn"} {
 		m := fitClick(t, name, sessions[:500])
-		cm := save(name, m.(clickmodel.Snapshotter).Save, func(w io.Writer) error { return clickmodel.SaveV2Model(w, m) })
-		cm.scorer = func() Scorer { return NewClickModelScorer(m) }
-		for i := range sessions[500:540] {
-			cm.reqs = append(cm.reqs, Request{Session: &sessions[500+i]})
+		add("fitted ", name, nil, m.(clickmodel.Snapshotter), func() Scorer { return NewClickModelScorer(m) }, nil)
+	}
+
+	for _, name := range []string{NameMicro, "pbm", "dbn", "sdbn"} {
+		v1, err := os.ReadFile(filepath.Join(v1Fixtures, name+".mbsn"))
+		if err != nil {
+			t.Fatal(err)
 		}
-		// Unseen query and documents: the prior paths.
-		cm.reqs = append(cm.reqs, Request{Session: &clickmodel.Session{Query: "novel", Docs: []string{"zz", "a", "yy"}, Clicks: make([]bool, 3)}})
-		models = append(models, cm)
+		imported, err := importV1(v1)
+		if err != nil {
+			t.Fatalf("import %s: %v", name, err)
+		}
+		if name == NameMicro {
+			m := new(core.Model)
+			if err := m.Load(bytes.NewReader(imported)); err != nil {
+				t.Fatal(err)
+			}
+			add("", name, v1, m, func() Scorer { return NewMicroScorer(m) }, golden.requests(name))
+		} else {
+			m, err := clickmodel.LoadModel(bytes.NewReader(imported))
+			if err != nil {
+				t.Fatal(err)
+			}
+			add("", name, v1, m.(clickmodel.Snapshotter), func() Scorer { return NewClickModelScorer(m) }, golden.requests(name))
+		}
+		if own := models[len(models)-1].v2; !bytes.Equal(own, imported) {
+			t.Fatalf("%s: the thawed model's own Save is not what the importer wrote (%d vs %d bytes)", name, len(own), len(imported))
+		}
 	}
 	return models
 }
@@ -92,32 +125,35 @@ func sameScores(t *testing.T, what string, got, want []Response) {
 }
 
 // TestInstallLifecycle follows one version from every way in — a
-// fitted scorer through Install, a v1 stream, a v2 stream, a v2 file
-// trusted and verified — for each model that has both artifact forms,
-// to the day it is pruned: what Models() says about it, what it
-// scores, what SaveSnapshot exports and whether that loads back, and
-// that the keep window lets go of the bytes it was served from.
+// fitted or thawed scorer through Install, a v1 stream, a v2 stream, a
+// v2 file trusted and verified — for the micro model, the two click
+// models that serve from their artifact and one that is thawed, to the
+// day it is pruned: what Models() says about it, what it scores, that
+// SaveSnapshot exports the model's own Save and that this loads back,
+// and that the keep window lets go of the bytes it was served from.
+// A model fitted here has no v1 artifact and skips the v1 route.
 func TestInstallLifecycle(t *testing.T) {
 	routes := []struct {
 		name    string
 		source  string // ModelInfo.Source
-		backed  bool   // served from a v2 artifact the version table owns
+		backed  bool   // a viewing model is served from a v2 artifact the version table owns
 		mapped  bool   // … which is a file mapping, not a heap copy
+		v1      bool   // installs the model's v1 artifact
 		install func(e *Engine, m lifecycleModel) (ModelInfo, error)
 	}{
-		{"fitted Install", SourceOnline, false, false, func(e *Engine, m lifecycleModel) (ModelInfo, error) {
+		{"fitted Install", SourceOnline, false, false, false, func(e *Engine, m lifecycleModel) (ModelInfo, error) {
 			return e.Install(m.name, m.scorer(), SourceOnline)
 		}},
-		{"v1 stream", "snapshot", false, false, func(e *Engine, m lifecycleModel) (ModelInfo, error) {
+		{"v1 stream", "snapshot", true, false, true, func(e *Engine, m lifecycleModel) (ModelInfo, error) {
 			return e.LoadSnapshot("", bytes.NewReader(m.v1))
 		}},
-		{"v2 stream", "snapshot", true, false, func(e *Engine, m lifecycleModel) (ModelInfo, error) {
+		{"v2 stream", "snapshot", true, false, false, func(e *Engine, m lifecycleModel) (ModelInfo, error) {
 			return e.LoadSnapshot("", bytes.NewReader(m.v2))
 		}},
-		{"v2 file trusted", "snapshot", true, true, func(e *Engine, m lifecycleModel) (ModelInfo, error) {
+		{"v2 file trusted", "snapshot", true, true, false, func(e *Engine, m lifecycleModel) (ModelInfo, error) {
 			return e.LoadSnapshotFile("", m.v2path)
 		}},
-		{"v2 file verified", "snapshot", true, true, func(e *Engine, m lifecycleModel) (ModelInfo, error) {
+		{"v2 file verified", "snapshot", true, true, false, func(e *Engine, m lifecycleModel) (ModelInfo, error) {
 			return e.LoadSnapshotFileVerified("", m.v2path)
 		}},
 	}
@@ -134,7 +170,10 @@ func TestInstallLifecycle(t *testing.T) {
 		want := ref.ScoreBatch(ctx, reqs)
 
 		for _, rt := range routes {
-			t.Run(m.name+"/"+rt.name, func(t *testing.T) {
+			if rt.v1 && m.v1 == nil {
+				continue
+			}
+			t.Run(m.label+m.name+"/"+rt.name, func(t *testing.T) {
 				e := New(WithKeepVersions(1))
 				info, err := rt.install(e, m)
 				if err != nil {
@@ -148,29 +187,28 @@ func TestInstallLifecycle(t *testing.T) {
 				}
 				sameScores(t, "installed", e.ScoreBatch(ctx, reqs), want)
 
+				backed := rt.backed && m.views
 				art := e.tab.Load().entries[m.name].versions[1].art
-				if (art != nil) != rt.backed {
-					t.Fatalf("artifact-backed = %v, want %v", art != nil, rt.backed)
+				if (art != nil) != backed {
+					t.Fatalf("artifact-backed = %v, want %v", art != nil, backed)
 				}
-				if rt.backed && (art.Path() != "") != rt.mapped {
+				if backed && (art.Path() != "") != rt.mapped {
 					t.Fatalf("artifact path %q, want mapped = %v", art.Path(), rt.mapped)
 				}
-				if rt.backed && art.Refs() != 1 {
+				if backed && art.Refs() != 1 {
 					t.Fatalf("idle artifact holds %d refs, want the table's one", art.Refs())
 				}
 
-				// Export: a fitted form writes v1, an artifact-backed one
-				// re-emits the v2 bytes it serves. Either loads back,
-				// under an explicit name, and scores the same.
+				// Export: a fitted or thawed form writes its own Save, an
+				// artifact-backed one re-emits the bytes it serves — the
+				// same bytes either way. They load back, under an explicit
+				// name, and score the same.
 				var out bytes.Buffer
 				if err := e.SaveSnapshot(m.name, &out); err != nil {
 					t.Fatalf("SaveSnapshot: %v", err)
 				}
-				if rt.backed && !bytes.Equal(out.Bytes(), m.v2) {
-					t.Fatalf("re-export of an artifact-backed version is not byte-identical (%d vs %d bytes)", out.Len(), len(m.v2))
-				}
-				if !rt.backed && !bytes.Equal(out.Bytes(), m.v1) {
-					t.Fatalf("export of a fitted version is not the model's own v1 artifact (%d vs %d bytes)", out.Len(), len(m.v1))
+				if !bytes.Equal(out.Bytes(), m.v2) {
+					t.Fatalf("the export is not the model's own Save (%d vs %d bytes)", out.Len(), len(m.v2))
 				}
 				back := New()
 				binfo, err := back.LoadSnapshot("canary", &out)
@@ -193,7 +231,7 @@ func TestInstallLifecycle(t *testing.T) {
 				if got := e.Models(); len(got) != 1 || got[0].Version != 2 {
 					t.Fatalf("after the second install Models() = %+v, want only version 2", got)
 				}
-				if rt.backed && art.Refs() != 0 {
+				if backed && art.Refs() != 0 {
 					t.Fatalf("pruned artifact still holds %d refs", art.Refs())
 				}
 			})
@@ -245,7 +283,7 @@ func rebuiltV2(t *testing.T, blob []byte, model string, mangle func(tag string, 
 func TestLoadRejectionsReleaseArtifact(t *testing.T) {
 	good := fitClick(t, "pbm", testSessions(300))
 	var buf bytes.Buffer
-	if err := clickmodel.SaveV2Model(&buf, good); err != nil {
+	if err := good.(clickmodel.Snapshotter).Save(&buf); err != nil {
 		t.Fatal(err)
 	}
 	pbm := buf.Bytes()

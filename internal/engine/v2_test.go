@@ -45,7 +45,8 @@ func fitClick(t *testing.T, name string, sessions []clickmodel.Session) clickmod
 // TestLoadSnapshotFileV2Parity is the acceptance-criteria parity test:
 // a micro model and two click models exported as v2 artifacts, loaded
 // through the mmap path, must score within 1e-12 of the fitted
-// originals — including the v1-save-and-reload comparison for micro.
+// originals — and, for micro, of the same artifact loaded from a
+// stream.
 func TestLoadSnapshotFileV2Parity(t *testing.T) {
 	sessions := testSessions(600)
 	eval := clickmodel.Session{Query: "q", Docs: []string{"a", "b", "zz", "c"}, Clicks: make([]bool, 4)}
@@ -53,7 +54,7 @@ func TestLoadSnapshotFileV2Parity(t *testing.T) {
 
 	t.Run("micro", func(t *testing.T) {
 		m := testMicroModel()
-		path := writeV2File(t, "micro", m.SaveV2)
+		path := writeV2File(t, "micro", m.Save)
 		e := New()
 		info, err := e.LoadSnapshotFile("", path)
 		if err != nil {
@@ -62,13 +63,16 @@ func TestLoadSnapshotFileV2Parity(t *testing.T) {
 		if info.Name != NameMicro {
 			t.Fatalf("installed as %q, want %q", info.Name, NameMicro)
 		}
-		// Reference: the v1 save → load → score path.
-		var v1 bytes.Buffer
-		if err := m.Save(&v1); err != nil {
+		// References: the fitted model, never serialised, and the
+		// save → stream load → score path.
+		fitted := New()
+		installed(t, fitted, NameMicro, NewMicroScorer(m))
+		var saved bytes.Buffer
+		if err := m.Save(&saved); err != nil {
 			t.Fatal(err)
 		}
-		ref := New()
-		if _, err := ref.LoadSnapshot("", bytes.NewReader(v1.Bytes())); err != nil {
+		stream := New()
+		if _, err := stream.LoadSnapshot("", bytes.NewReader(saved.Bytes())); err != nil {
 			t.Fatal(err)
 		}
 		for maxN := 1; maxN <= 3; maxN++ {
@@ -77,12 +81,17 @@ func TestLoadSnapshotFileV2Parity(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, err := ref.ScoreCTR(ctx, req)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if math.Abs(got.CTR-want.CTR) > 1e-12 || math.Abs(got.Score-want.Score) > 1e-12 {
-				t.Fatalf("maxN %d: mapped (%v, %v) vs v1 path (%v, %v)", maxN, got.CTR, got.Score, want.CTR, want.Score)
+			for _, ref := range []struct {
+				what string
+				e    *Engine
+			}{{"fitted", fitted}, {"stream", stream}} {
+				want, err := ref.e.ScoreCTR(ctx, req)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if math.Abs(got.CTR-want.CTR) > 1e-12 || math.Abs(got.Score-want.Score) > 1e-12 {
+					t.Fatalf("maxN %d: mapped (%v, %v) vs %s (%v, %v)", maxN, got.CTR, got.Score, ref.what, want.CTR, want.Score)
+				}
 			}
 		}
 	})
@@ -90,9 +99,7 @@ func TestLoadSnapshotFileV2Parity(t *testing.T) {
 	for _, name := range []string{"pbm", "dbn"} {
 		t.Run(name, func(t *testing.T) {
 			m := fitClick(t, name, sessions)
-			path := writeV2File(t, name, func(w io.Writer) error {
-				return clickmodel.SaveV2Model(w, m)
-			})
+			path := writeV2File(t, name, m.(clickmodel.Snapshotter).Save)
 			e := New()
 			info, err := e.LoadSnapshotFileVerified("", path)
 			if err != nil {
@@ -136,7 +143,7 @@ func TestHotSwapUnderLoadPinnedReaders(t *testing.T) {
 		m := testMicroModel()
 		m.Relevance["flights"] = 0.3 + 0.5*float64(i)/installs
 		var buf bytes.Buffer
-		if err := m.SaveV2(&buf); err != nil {
+		if err := m.Save(&buf); err != nil {
 			t.Fatal(err)
 		}
 		blobs[i] = buf.Bytes()

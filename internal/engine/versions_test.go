@@ -301,7 +301,7 @@ func TestVersionedTableModelCheck(t *testing.T) {
 		m.Relevance["flights"] = 0.2 + 0.15*float64(k)
 		m.Relevance["great rates"] = 0.9 - 0.1*float64(k)
 		models[k] = m
-		paths[k] = writeV2File(t, fmt.Sprintf("micro%d", k), m.SaveV2)
+		paths[k] = writeV2File(t, fmt.Sprintf("micro%d", k), m.Save)
 		blob, err := os.ReadFile(paths[k])
 		if err != nil {
 			t.Fatal(err)

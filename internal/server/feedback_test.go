@@ -20,6 +20,7 @@ import (
 	"testing"
 
 	"repro/internal/clickmodel"
+	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/stream"
 )
@@ -473,22 +474,25 @@ func TestFeedbackScannerFeedsLearnerLikeOracle(t *testing.T) {
 			if err := srv.eng.SaveSnapshot(name, &buf); err != nil {
 				t.Fatal(err)
 			}
-			sc, _, err := engine.DecodeScorer(&buf)
+			if name == engine.NameMicro {
+				var m core.Model
+				if err := m.Load(&buf); err != nil {
+					t.Fatal(err)
+				}
+				p.rel = m.Relevance
+				continue
+			}
+			cm, err := clickmodel.LoadModel(&buf)
 			if err != nil {
 				t.Fatal(err)
 			}
-			switch sc := sc.(type) {
-			case *engine.MicroScorer:
-				p.rel = sc.Compiled().Source().Relevance
-			case *engine.ClickModelScorer:
-				m := sc.M.(*clickmodel.SDBN)
-				p.a, p.s = map[string]float64{}, map[string]float64{}
-				for k, v := range m.AttrA {
-					p.a[fmt.Sprint(k)] = v
-				}
-				for k, v := range m.SatS {
-					p.s[fmt.Sprint(k)] = v
-				}
+			m := cm.(*clickmodel.SDBN)
+			p.a, p.s = map[string]float64{}, map[string]float64{}
+			for k, v := range m.AttrA {
+				p.a[fmt.Sprint(k)] = v
+			}
+			for k, v := range m.SatS {
+				p.s[fmt.Sprint(k)] = v
 			}
 		}
 		return p

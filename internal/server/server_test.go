@@ -323,7 +323,7 @@ func TestLoadEndpointMapsAndVerifiesV2(t *testing.T) {
 		t.Fatal(err)
 	}
 	var blob bytes.Buffer
-	if err := pbm.SaveV2(&blob); err != nil {
+	if err := pbm.Save(&blob); err != nil {
 		t.Fatal(err)
 	}
 	dir := t.TempDir()

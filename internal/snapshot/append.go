@@ -3,14 +3,15 @@ package snapshot
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 )
 
-// Append-style codec primitives: the same varint/string/bool wire forms
-// the Encoder/Decoder pair streams through an io.Writer, but over byte
-// slices, for callers that frame records themselves (internal/wal's
-// length-prefixed log records). AppendX grow dst in place; Cursor walks
-// a framed payload back out with the Decoder's sticky-error discipline
-// and the same maxLen bound on lengths.
+// Append-style codec primitives: uvarints, length-prefixed strings,
+// boolean bytes and little-endian float64s over byte slices — the wire
+// forms of a v2 artifact's meta section, of a v1 artifact's payload, and
+// of internal/wal's length-prefixed log records. AppendX grow dst in
+// place; Cursor walks a payload back out with a sticky error, bounding
+// every length by maxLen and by the bytes that are left.
 
 // AppendUint appends an unsigned varint.
 func AppendUint(dst []byte, v uint64) []byte {
@@ -29,6 +30,20 @@ func AppendBool(dst []byte, b bool) []byte {
 		return append(dst, 1)
 	}
 	return append(dst, 0)
+}
+
+// AppendFloat appends one float64 as little-endian IEEE-754 bits.
+func AppendFloat(dst []byte, f float64) []byte {
+	return binary.LittleEndian.AppendUint64(dst, math.Float64bits(f))
+}
+
+// AppendFloats appends a length-prefixed []float64.
+func AppendFloats(dst []byte, fs []float64) []byte {
+	dst = binary.AppendUvarint(dst, uint64(len(fs)))
+	for _, f := range fs {
+		dst = AppendFloat(dst, f)
+	}
+	return dst
 }
 
 // Cursor reads the Append* wire forms back out of one byte slice.
@@ -54,6 +69,13 @@ func (c *Cursor) fail(err error) {
 	if c.err == nil {
 		c.err = err
 	}
+}
+
+// Failf records a semantic payload error (a wrong shape, an unknown kind
+// byte) as ErrCorrupt, so a model decoder can reject bytes the wire
+// forms read cleanly.
+func (c *Cursor) Failf(format string, args ...any) {
+	c.fail(fmt.Errorf("%w: "+format, append([]any{ErrCorrupt}, args...)...))
 }
 
 // Uint reads an unsigned varint.
@@ -97,6 +119,38 @@ func (c *Cursor) Byte() byte {
 
 // Bool reads a single boolean byte.
 func (c *Cursor) Bool() bool { return c.Byte() != 0 }
+
+// Float reads one little-endian float64.
+func (c *Cursor) Float() float64 {
+	if c.err != nil {
+		return 0
+	}
+	if c.Remaining() < 8 {
+		c.fail(fmt.Errorf("%w: truncated payload", ErrCorrupt))
+		return 0
+	}
+	f := math.Float64frombits(binary.LittleEndian.Uint64(c.buf[c.off:]))
+	c.off += 8
+	return f
+}
+
+// Floats reads a length-prefixed []float64 (nil when empty). A count
+// the remaining bytes cannot hold fails before anything is allocated.
+func (c *Cursor) Floats() []float64 {
+	n := c.Int()
+	if c.err != nil || n == 0 {
+		return nil
+	}
+	if n > c.Remaining()/8 {
+		c.fail(fmt.Errorf("%w: %d floats overrun the payload", ErrCorrupt, n))
+		return nil
+	}
+	out := make([]float64, n)
+	for i := range out {
+		out[i] = c.Float()
+	}
+	return out
+}
 
 // String reads a length-prefixed string.
 func (c *Cursor) String() string {

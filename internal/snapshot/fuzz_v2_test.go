@@ -15,8 +15,8 @@ import (
 	"repro/internal/snapshot"
 )
 
-// realV2Artifacts returns one small artifact per model that has a v2
-// codec: the micro model, PBM and DBN.
+// realV2Artifacts returns one small artifact per model: the micro
+// model and every registry click model.
 func realV2Artifacts(tb testing.TB) [][]byte {
 	tb.Helper()
 	var out [][]byte
@@ -30,7 +30,7 @@ func realV2Artifacts(tb testing.TB) [][]byte {
 	micro := core.NewModel(core.GeometricAttention{LineWeights: []float64{0.9, 0.6, 0.3}, Decay: 0.8})
 	micro.Relevance["find cheap"] = 0.85
 	micro.Relevance["flights"] = 0.6
-	add(func(b *bytes.Buffer) error { return micro.SaveV2(b) })
+	add(func(b *bytes.Buffer) error { return micro.Save(b) })
 
 	var sessions []clickmodel.Session
 	docs := []string{"a", "b", "c", "d"}
@@ -41,7 +41,7 @@ func realV2Artifacts(tb testing.TB) [][]byte {
 			Clicks: []bool{k%2 == 0, k%3 == 0, k%7 == 0},
 		})
 	}
-	for _, name := range []string{"pbm", "dbn"} {
+	for _, name := range clickmodel.Names() {
 		m, err := clickmodel.New(name)
 		if err != nil {
 			tb.Fatal(err)
@@ -49,7 +49,7 @@ func realV2Artifacts(tb testing.TB) [][]byte {
 		if err := m.Fit(sessions); err != nil {
 			tb.Fatal(err)
 		}
-		add(func(b *bytes.Buffer) error { return clickmodel.SaveV2Model(b, m) })
+		add(func(b *bytes.Buffer) error { return m.(clickmodel.Snapshotter).Save(b) })
 	}
 	return out
 }
@@ -59,7 +59,7 @@ func realV2Artifacts(tb testing.TB) [][]byte {
 // sections and typed views lie inside the input and read back exactly
 // the little-endian values stored there; VerifySections and the four
 // *View accessors never panic, and a view of the wrong kind is an
-// error. Seeds are a real micro, PBM and DBN artifact and the hostile
+// error. Seeds are a real artifact of every model and the hostile
 // variants internal/mmap's tests build by hand: truncations, single
 // flipped bits in the header, the directory and the payloads.
 func FuzzParseV2(f *testing.F) {

@@ -2,42 +2,36 @@
 // versioned model artifacts: the train-offline / serve-online split
 // fits a model in one process, Saves it to a self-describing artifact,
 // and a serving binary Loads it back into a ready scorer (see
-// internal/clickmodel and internal/core for the per-model payloads,
-// and internal/engine for hot-swapping artifacts into a live engine).
+// internal/clickmodel and internal/core for the per-model parameter
+// lists, and internal/engine for hot-swapping artifacts into a live
+// engine).
 //
-// An artifact is
+// One artifact format is written: v2 ("MBS2", v2.go), a sectioned
+// container whose bytes are the serving tables. A model's scalars travel
+// in its "meta" section in the Append*/Cursor wire forms (append.go):
+// uvarint counts and little-endian IEEE-754 floats.
+//
+// The first generation, v1, is read and never written:
 //
 //	magic "MBSN" | format version (uvarint) | model name (string)
 //	| model payload | CRC-32 (IEEE, little-endian) of everything above
 //
-// with strings length-prefixed by uvarint and float64 values stored as
-// little-endian IEEE-754 bits. The header makes artifacts
-// self-describing (a loader dispatches on the recorded model name
-// without out-of-band metadata), the version gates format evolution,
-// and the checksum rejects corrupt or truncated files before a partial
-// model can reach serving.
-//
-// The Encoder/Decoder pair keeps a sticky error so per-field call
-// sites stay unchecked; Close surfaces the first failure and, on the
-// decoder, verifies the checksum.
+// with the payload in the same wire forms. OpenV1 checks the header and
+// the checksum and returns a Cursor over the payload; internal/engine's
+// importer turns that payload into the v2 artifact its model writes.
 package snapshot
 
 import (
-	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash"
 	"hash/crc32"
-	"io"
-	"math"
 )
 
-// magic identifies a micro-browsing snapshot artifact.
+// magic identifies a v1 artifact.
 const magic = "MBSN"
 
-// Version is the current artifact format version. Decoders reject
-// artifacts from a different version rather than guessing at layouts.
+// Version is the v1 format version OpenV1 reads.
 const Version = 1
 
 // ErrCorrupt is wrapped by decoder errors caused by damaged input:
@@ -49,273 +43,29 @@ var ErrCorrupt = errors.New("snapshot: corrupt artifact")
 // allocation.
 const maxLen = 1 << 28
 
-// Encoder writes one model artifact. Create with NewEncoder (which
-// writes the header), emit the payload with the typed methods, and
-// Close to append the checksum and flush. Methods after an error are
-// no-ops; Close returns the first error.
-type Encoder struct {
-	w   *bufio.Writer
-	crc hash.Hash32
-	err error
-}
-
-// NewEncoder starts an artifact for the named model on w, writing the
-// magic/version/name header.
-func NewEncoder(w io.Writer, modelName string) *Encoder {
-	e := &Encoder{w: bufio.NewWriter(w), crc: crc32.NewIEEE()}
-	e.write([]byte(magic))
-	e.Uint(Version)
-	e.String(modelName)
-	return e
-}
-
-// write sends raw bytes through both the output and the checksum.
-func (e *Encoder) write(p []byte) {
-	if e.err != nil {
-		return
+// OpenV1 checks a whole v1 artifact — magic, format version, checksum —
+// and returns the model name its header records and a Cursor over the
+// payload. A payload decoder should consume the cursor exactly: bytes
+// left over mean the artifact and the decoder disagree.
+func OpenV1(data []byte) (name string, payload *Cursor, err error) {
+	if len(data) < len(magic) || string(data[:len(magic)]) != magic {
+		return "", nil, fmt.Errorf("%w: bad magic %q", ErrCorrupt, data[:min(len(data), len(magic))])
 	}
-	e.crc.Write(p) // hash.Hash.Write never errors
-	_, e.err = e.w.Write(p)
+	c := &Cursor{buf: data, off: len(magic)}
+	if v := c.Uint(); c.err == nil && v != Version {
+		return "", nil, fmt.Errorf("snapshot: unsupported artifact version %d (this build reads version %d)", v, Version)
+	}
+	if c.err != nil || len(data)-4 < c.off {
+		return "", nil, fmt.Errorf("%w: %d bytes cannot hold a v1 header and checksum", ErrCorrupt, len(data))
+	}
+	body := data[:len(data)-4]
+	c.buf = body
+	name = c.String()
+	if c.err != nil {
+		return "", nil, c.err
+	}
+	if want, got := binary.LittleEndian.Uint32(data[len(body):]), crc32.ChecksumIEEE(body); want != got {
+		return "", nil, fmt.Errorf("%w: checksum mismatch (artifact %08x, computed %08x)", ErrCorrupt, want, got)
+	}
+	return name, c, nil
 }
-
-// Uint writes an unsigned varint.
-func (e *Encoder) Uint(v uint64) {
-	var buf [binary.MaxVarintLen64]byte
-	e.write(buf[:binary.PutUvarint(buf[:], v)])
-}
-
-// Int writes a non-negative int (lengths, counts). Negative values are
-// a programmer error and recorded as an encoder failure.
-func (e *Encoder) Int(v int) {
-	if v < 0 {
-		e.fail(fmt.Errorf("snapshot: negative length %d", v))
-		return
-	}
-	e.Uint(uint64(v))
-}
-
-// Float writes one float64 as little-endian IEEE-754 bits.
-func (e *Encoder) Float(f float64) {
-	var buf [8]byte
-	binary.LittleEndian.PutUint64(buf[:], math.Float64bits(f))
-	e.write(buf[:])
-}
-
-// Floats writes a length-prefixed []float64.
-func (e *Encoder) Floats(fs []float64) {
-	e.Int(len(fs))
-	for _, f := range fs {
-		e.Float(f)
-	}
-}
-
-// String writes a length-prefixed string.
-func (e *Encoder) String(s string) {
-	e.Int(len(s))
-	e.write([]byte(s))
-}
-
-// Bool writes a single boolean byte.
-func (e *Encoder) Bool(b bool) {
-	var buf [1]byte
-	if b {
-		buf[0] = 1
-	}
-	e.write(buf[:])
-}
-
-func (e *Encoder) fail(err error) {
-	if e.err == nil {
-		e.err = err
-	}
-}
-
-// Failf records a semantic encode error (an unencodable parameter
-// shape) so model codecs can refuse rather than mis-encode; Close
-// reports it.
-func (e *Encoder) Failf(format string, args ...any) {
-	e.fail(fmt.Errorf("snapshot: "+format, args...))
-}
-
-// Close appends the checksum, flushes, and returns the first error of
-// the whole encode.
-func (e *Encoder) Close() error {
-	if e.err == nil {
-		var buf [4]byte
-		binary.LittleEndian.PutUint32(buf[:], e.crc.Sum32())
-		_, e.err = e.w.Write(buf[:]) // the checksum is not checksummed
-	}
-	if e.err == nil {
-		e.err = e.w.Flush()
-	}
-	return e.err
-}
-
-// Decoder reads one model artifact. NewDecoder consumes and validates
-// the header; the typed methods mirror the Encoder's; Close verifies
-// the checksum and surfaces the first error. Methods after an error
-// return zero values.
-type Decoder struct {
-	r       *bufio.Reader
-	crc     hash.Hash32
-	err     error
-	name    string
-	version uint64
-}
-
-// NewDecoder reads the artifact header from r, failing on bad magic or
-// an unsupported format version.
-func NewDecoder(r io.Reader) (*Decoder, error) {
-	d := &Decoder{r: bufio.NewReader(r), crc: crc32.NewIEEE()}
-	var m [len(magic)]byte
-	d.read(m[:])
-	if d.err == nil && string(m[:]) != magic {
-		d.fail(fmt.Errorf("%w: bad magic %q", ErrCorrupt, m[:]))
-	}
-	d.version = d.Uint()
-	if d.err == nil && d.version != Version {
-		d.fail(fmt.Errorf("snapshot: unsupported artifact version %d (this build reads version %d)", d.version, Version))
-	}
-	d.name = d.String()
-	if d.err != nil {
-		return nil, d.err
-	}
-	return d, nil
-}
-
-// ModelName returns the model name recorded in the header.
-func (d *Decoder) ModelName() string { return d.name }
-
-// read fills p from the input, feeding the checksum.
-func (d *Decoder) read(p []byte) {
-	if d.err != nil {
-		return
-	}
-	if _, err := io.ReadFull(d.r, p); err != nil {
-		d.fail(fmt.Errorf("%w: %v", ErrCorrupt, err))
-		return
-	}
-	d.crc.Write(p)
-}
-
-// readByte reads one byte through the checksum (varint decoding).
-func (d *Decoder) readByte() (byte, error) {
-	b, err := d.r.ReadByte()
-	if err != nil {
-		return 0, err
-	}
-	d.crc.Write([]byte{b})
-	return b, nil
-}
-
-// Uint reads an unsigned varint.
-func (d *Decoder) Uint() uint64 {
-	if d.err != nil {
-		return 0
-	}
-	v, err := binary.ReadUvarint(byteReaderFunc(d.readByte))
-	if err != nil {
-		d.fail(fmt.Errorf("%w: %v", ErrCorrupt, err))
-		return 0
-	}
-	return v
-}
-
-// Int reads a length/count, bounding it against maxLen so corrupt
-// prefixes cannot drive huge allocations.
-func (d *Decoder) Int() int {
-	v := d.Uint()
-	if v > maxLen {
-		d.fail(fmt.Errorf("%w: implausible length %d", ErrCorrupt, v))
-		return 0
-	}
-	return int(v)
-}
-
-// Float reads one float64.
-func (d *Decoder) Float() float64 {
-	var buf [8]byte
-	d.read(buf[:])
-	if d.err != nil {
-		return 0
-	}
-	return math.Float64frombits(binary.LittleEndian.Uint64(buf[:]))
-}
-
-// Floats reads a length-prefixed []float64. The slice is grown
-// incrementally so a corrupt length prefix cannot pre-allocate
-// gigabytes before the read fails.
-func (d *Decoder) Floats() []float64 {
-	n := d.Int()
-	if d.err != nil || n == 0 {
-		return nil
-	}
-	out := make([]float64, 0, min(n, 4096))
-	for i := 0; i < n; i++ {
-		out = append(out, d.Float())
-		if d.err != nil {
-			return nil
-		}
-	}
-	return out
-}
-
-// String reads a length-prefixed string.
-func (d *Decoder) String() string {
-	n := d.Int()
-	if d.err != nil || n == 0 {
-		return ""
-	}
-	buf := make([]byte, n)
-	d.read(buf)
-	if d.err != nil {
-		return ""
-	}
-	return string(buf)
-}
-
-// Bool reads a single boolean byte.
-func (d *Decoder) Bool() bool {
-	var buf [1]byte
-	d.read(buf[:])
-	return d.err == nil && buf[0] != 0
-}
-
-// Err returns the decoder's sticky error, nil so far. Use Close at the
-// end of the payload; Err is for early-out in decode loops.
-func (d *Decoder) Err() error { return d.err }
-
-// Failf records a semantic payload error (wrong shape, unknown kind
-// byte) so model decoders can reject artifacts the byte-level codec
-// read successfully.
-func (d *Decoder) Failf(format string, args ...any) {
-	d.fail(fmt.Errorf("snapshot: "+format, args...))
-}
-
-func (d *Decoder) fail(err error) {
-	if d.err == nil {
-		d.err = err
-	}
-}
-
-// Close verifies the artifact checksum (computed over everything
-// consumed so far) and returns the first error of the whole decode.
-func (d *Decoder) Close() error {
-	if d.err != nil {
-		return d.err
-	}
-	sum := d.crc.Sum32() // before the trailer is read
-	var buf [4]byte
-	if _, err := io.ReadFull(d.r, buf[:]); err != nil {
-		return fmt.Errorf("%w: missing checksum: %v", ErrCorrupt, err)
-	}
-	if want := binary.LittleEndian.Uint32(buf[:]); want != sum {
-		return fmt.Errorf("%w: checksum mismatch (artifact %08x, computed %08x)", ErrCorrupt, want, sum)
-	}
-	return nil
-}
-
-// byteReaderFunc adapts a func to io.ByteReader for binary.ReadUvarint.
-type byteReaderFunc func() (byte, error)
-
-func (f byteReaderFunc) ReadByte() (byte, error) { return f() }

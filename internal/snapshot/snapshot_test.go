@@ -4,48 +4,54 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"math"
 	"strings"
 	"testing"
 )
 
-// encodeSample writes one artifact exercising every field type.
+// v1Artifact frames a payload as a v1 artifact by hand — magic,
+// version, name, payload, CRC-32 — the layout OpenV1 reads and nothing
+// in the repository writes any more.
+func v1Artifact(name string, payload []byte) []byte {
+	b := AppendUint([]byte(magic), Version)
+	b = AppendString(b, name)
+	b = append(b, payload...)
+	return binary.LittleEndian.AppendUint32(b, crc32.ChecksumIEEE(b))
+}
+
+// encodeSample is one v1 artifact exercising every wire form.
 func encodeSample(t *testing.T) []byte {
 	t.Helper()
-	var buf bytes.Buffer
-	e := NewEncoder(&buf, "pbm")
-	e.Uint(42)
-	e.Int(7)
-	e.Float(math.Pi)
-	e.Floats([]float64{0.25, 0.5, math.Inf(1), -0})
-	e.String("query string")
-	e.Bool(true)
-	e.Bool(false)
-	if err := e.Close(); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
+	var p []byte
+	p = AppendUint(p, 42)
+	p = AppendUint(p, 7)
+	p = AppendFloat(p, math.Pi)
+	p = AppendFloats(p, []float64{0.25, 0.5, math.Inf(1), -0})
+	p = AppendString(p, "query string")
+	p = AppendBool(p, true)
+	p = AppendBool(p, false)
+	return v1Artifact("pbm", p)
+}
+
+// readSample reads encodeSample's payload back, leaving the cursor's
+// verdict to the caller.
+func readSample(c *Cursor) (uint64, int, float64, []float64, string, bool, bool) {
+	return c.Uint(), c.Int(), c.Float(), c.Floats(), c.String(), c.Bool(), c.Bool()
 }
 
 func TestRoundTrip(t *testing.T) {
-	raw := encodeSample(t)
-	d, err := NewDecoder(bytes.NewReader(raw))
+	name, c, err := OpenV1(encodeSample(t))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d.ModelName() != "pbm" {
-		t.Errorf("ModelName = %q", d.ModelName())
+	if name != "pbm" {
+		t.Errorf("model name = %q", name)
 	}
-	if v := d.Uint(); v != 42 {
-		t.Errorf("Uint = %d", v)
+	u, n, f, fs, s, b1, b2 := readSample(c)
+	if u != 42 || n != 7 || f != math.Pi || s != "query string" || !b1 || b2 {
+		t.Errorf("read back %d %d %v %q %v %v", u, n, f, s, b1, b2)
 	}
-	if v := d.Int(); v != 7 {
-		t.Errorf("Int = %d", v)
-	}
-	if v := d.Float(); v != math.Pi {
-		t.Errorf("Float = %v", v)
-	}
-	fs := d.Floats()
 	want := []float64{0.25, 0.5, math.Inf(1), 0}
 	if len(fs) != len(want) {
 		t.Fatalf("Floats = %v", fs)
@@ -55,103 +61,72 @@ func TestRoundTrip(t *testing.T) {
 			t.Errorf("Floats[%d] = %v, want %v", i, fs[i], want[i])
 		}
 	}
-	if s := d.String(); s != "query string" {
-		t.Errorf("String = %q", s)
-	}
-	if !d.Bool() || d.Bool() {
-		t.Error("Bool round-trip failed")
-	}
-	if err := d.Close(); err != nil {
-		t.Fatal(err)
+	if c.Err() != nil || c.Remaining() != 0 {
+		t.Fatalf("err %v, %d bytes left over", c.Err(), c.Remaining())
 	}
 }
 
 func TestBadMagic(t *testing.T) {
 	raw := encodeSample(t)
 	raw[0] ^= 0xFF
-	if _, err := NewDecoder(bytes.NewReader(raw)); !errors.Is(err, ErrCorrupt) {
+	if _, _, err := OpenV1(raw); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("bad magic accepted: %v", err)
 	}
 }
 
 func TestWrongVersion(t *testing.T) {
-	// Hand-craft a header with an unsupported version.
-	var buf bytes.Buffer
-	buf.WriteString(magic)
-	var tmp [binary.MaxVarintLen64]byte
-	buf.Write(tmp[:binary.PutUvarint(tmp[:], 99)])
-	_, err := NewDecoder(&buf)
+	// A header with an unsupported version and nothing after it.
+	raw := AppendUint([]byte(magic), 99)
+	_, _, err := OpenV1(raw)
 	if err == nil || !strings.Contains(err.Error(), "version 99") {
 		t.Fatalf("future version accepted: %v", err)
 	}
 }
 
-// TestTruncated cuts the artifact at every length: no prefix may decode
-// cleanly through Close.
+// TestTruncated cuts the artifact at every length: no prefix may open
+// and read back cleanly.
 func TestTruncated(t *testing.T) {
 	raw := encodeSample(t)
 	for cut := 0; cut < len(raw); cut++ {
-		d, err := NewDecoder(bytes.NewReader(raw[:cut]))
+		_, c, err := OpenV1(raw[:cut])
 		if err != nil {
-			continue // header already broken
+			continue
 		}
-		d.Uint()
-		d.Int()
-		d.Float()
-		d.Floats()
-		_ = d.String()
-		d.Bool()
-		d.Bool()
-		if err := d.Close(); err == nil {
+		readSample(c)
+		if c.Err() == nil && c.Remaining() == 0 {
 			t.Fatalf("truncation at %d/%d decoded cleanly", cut, len(raw))
 		}
 	}
 }
 
-// TestCorrupt flips every byte in turn: either decoding fails outright
-// or the checksum catches the damage at Close.
+// TestCorrupt flips every byte in turn: the header check or the
+// checksum catches it.
 func TestCorrupt(t *testing.T) {
 	raw := encodeSample(t)
 	for i := range raw {
 		bad := bytes.Clone(raw)
 		bad[i] ^= 0x5A
-		d, err := NewDecoder(bytes.NewReader(bad))
-		if err != nil {
-			continue
-		}
-		d.Uint()
-		d.Int()
-		d.Float()
-		d.Floats()
-		_ = d.String()
-		d.Bool()
-		d.Bool()
-		if err := d.Close(); err == nil {
+		if _, _, err := OpenV1(bad); err == nil {
 			t.Fatalf("flipped byte %d went undetected", i)
 		}
 	}
 }
 
 func TestImplausibleLength(t *testing.T) {
-	var buf bytes.Buffer
-	e := NewEncoder(&buf, "x")
-	e.Uint(1 << 40) // far past maxLen, read back as a length
-	if err := e.Close(); err != nil {
-		t.Fatal(err)
-	}
-	d, err := NewDecoder(&buf)
+	_, c, err := OpenV1(v1Artifact("x", AppendUint(nil, 1<<40))) // far past maxLen, read back as a length
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d.Int(); d.Err() == nil {
+	if c.Int(); c.Err() == nil {
 		t.Fatal("implausible length accepted")
 	}
-}
-
-func TestNegativeLengthEncode(t *testing.T) {
-	e := NewEncoder(&bytes.Buffer{}, "x")
-	e.Int(-1)
-	if err := e.Close(); err == nil {
-		t.Fatal("negative length encoded cleanly")
+	// A count below maxLen that the payload cannot hold fails before
+	// anything is allocated for it.
+	_, c, err = OpenV1(v1Artifact("x", AppendUint(nil, 1<<27)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fs := c.Floats(); fs != nil || !errors.Is(c.Err(), ErrCorrupt) {
+		t.Fatalf("Floats of an overrunning count = %d values, err %v", len(fs), c.Err())
 	}
 }

@@ -1,7 +1,7 @@
 package snapshot
 
 // The v2 artifact layout: a zero-parse snapshot whose on-disk bytes
-// ARE the compiled serving tables. Where a v1 artifact is a stream
+// ARE the compiled serving tables. Where a v1 artifact was a stream
 // decoded varint-by-varint into heap structures (O(size) load, one
 // private copy per process), a v2 artifact is a sectioned, aligned
 // container designed to be mapped read-only and used in place:
@@ -42,7 +42,6 @@ package snapshot
 // which are always enforced. internal/mmap is the consuming side.
 
 import (
-	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -278,8 +277,8 @@ func (w *V2Writer) WriteTo(out io.Writer) (int64, error) {
 func align64(n int) int { return (n + v2Align - 1) &^ (v2Align - 1) }
 
 // IsV2 reports whether the bytes begin with the v2 magic — the sniff
-// used to route artifact loads between the v1 stream decoder and the
-// mmap loader.
+// that sends anything else through the v1 importer before the mmap
+// loader sees it.
 func IsV2(prefix []byte) bool {
 	return len(prefix) >= len(V2Magic) && string(prefix[:len(V2Magic)]) == V2Magic
 }
@@ -287,8 +286,7 @@ func IsV2(prefix []byte) bool {
 // ErrWrongArch is wrapped by parse errors caused by an artifact whose
 // byte order does not match this host: the bytes may be intact, but
 // zero-copy reinterpretation would read garbage, so the loader fails
-// closed (re-export the artifact on a matching host, or fall back to a
-// v1 artifact).
+// closed (re-export the artifact on a matching host).
 var ErrWrongArch = errors.New("snapshot: artifact byte order does not match this host")
 
 // V2Artifact is a parsed v2 container: structural metadata plus
@@ -467,30 +465,4 @@ func (a *V2Artifact) viewOf(tag string, kind uint32) (V2Section, error) {
 		return V2Section{}, fmt.Errorf("%w: section %q holds element kind %d, want %d", ErrCorrupt, tag, s.Kind, kind)
 	}
 	return s, nil
-}
-
-// raw codecs -----------------------------------------------------------
-
-// NewRawEncoder is an Encoder without the artifact header or checksum
-// trailer — the codec for v2 "meta" sections, whose few scalar fields
-// reuse the v1 typed methods while the section CRC supplies integrity.
-// Finish with Flush, not Close.
-func NewRawEncoder(w io.Writer) *Encoder {
-	return &Encoder{w: bufio.NewWriter(w), crc: crc32.NewIEEE()}
-}
-
-// Flush flushes a raw encoder without appending a checksum and returns
-// the first error of the encode.
-func (e *Encoder) Flush() error {
-	if e.err == nil {
-		e.err = e.w.Flush()
-	}
-	return e.err
-}
-
-// NewRawDecoder is a Decoder without header or checksum handling, for
-// payloads whose integrity an enclosing container already gates. Check
-// Err after decoding; do not Close.
-func NewRawDecoder(r io.Reader) *Decoder {
-	return &Decoder{r: bufio.NewReader(r), crc: crc32.NewIEEE()}
 }

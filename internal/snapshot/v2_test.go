@@ -296,21 +296,21 @@ func TestV2EveryByteCorruptionDetectedOrHarmless(t *testing.T) {
 }
 
 func TestV2RawCodecRoundTrip(t *testing.T) {
-	var buf bytes.Buffer
-	e := NewRawEncoder(&buf)
-	e.Uint(42)
-	e.Float(math.Pi)
-	e.String("geometric")
-	e.Bool(true)
-	if err := e.Flush(); err != nil {
-		t.Fatalf("Flush: %v", err)
-	}
-	d := NewRawDecoder(bytes.NewReader(buf.Bytes()))
+	// The meta section's codec: the Append* forms, read by a Cursor.
+	meta := AppendUint(nil, 42)
+	meta = AppendFloat(meta, math.Pi)
+	meta = AppendFloats(meta, []float64{0.9, 0.6})
+	meta = AppendString(meta, "geometric")
+	meta = AppendBool(meta, true)
+	d := NewCursor(meta)
 	if v := d.Uint(); v != 42 {
 		t.Fatalf("Uint = %d", v)
 	}
 	if v := d.Float(); v != math.Pi {
 		t.Fatalf("Float = %v", v)
+	}
+	if v := d.Floats(); len(v) != 2 || v[0] != 0.9 || v[1] != 0.6 {
+		t.Fatalf("Floats = %v", v)
 	}
 	if v := d.String(); v != "geometric" {
 		t.Fatalf("String = %q", v)
@@ -318,7 +318,11 @@ func TestV2RawCodecRoundTrip(t *testing.T) {
 	if v := d.Bool(); !v {
 		t.Fatalf("Bool = false")
 	}
-	if err := d.Err(); err != nil {
-		t.Fatalf("Err: %v", err)
+	if err := d.Err(); err != nil || d.Remaining() != 0 {
+		t.Fatalf("Err: %v, %d bytes left", err, d.Remaining())
+	}
+	// A float cut short is corrupt, not a zero.
+	if d := NewCursor(meta[:len(meta)-20]); d.Uint() != 42 || d.Float() != math.Pi || d.Floats() != nil || d.Err() == nil {
+		t.Fatal("a truncated float section decoded cleanly")
 	}
 }

@@ -23,8 +23,8 @@
 // every install (Engine.Install, and Fit, UseMicro and LoadSnapshot,
 // which end in it) publishes an immutable new version into a
 // lock-free table, fitted models Save to
-// self-describing binary artifacts and Load back (LoadClickModel,
-// LoadMicroModel, Engine.LoadSnapshot), Rollback un-ships a bad
+// self-describing binary artifacts and Load back (Model.Load,
+// LoadClickModel, Engine.LoadSnapshot), Rollback un-ships a bad
 // artifact, and cmd/microserve is the HTTP front over exactly this
 // surface. See internal/engine for the full contract and the README
 // "Serving" section for the fit → snapshot → serve → hot-swap
@@ -152,16 +152,9 @@ type (
 	ClickModelSnapshotter = clickmodel.Snapshotter
 )
 
-var (
-	// LoadClickModel reads any click-model artifact, constructing the
-	// model named in its header through the registry.
-	LoadClickModel = clickmodel.LoadModel
-	// LoadMicroModel reads a micro-browsing model artifact.
-	LoadMicroModel = core.LoadModel
-	// DecodeScorer reads any v1 artifact — macro or micro — into a ready
-	// Scorer plus the model name recorded in the header.
-	DecodeScorer = engine.DecodeScorer
-)
+// LoadClickModel reads any click-model artifact, constructing the
+// model named in its header through the registry.
+var LoadClickModel = clickmodel.LoadModel
 
 // Compiled session logs: CompileSessions interns a log once (queries
 // and (query, doc) pairs to dense IDs, flat click/derived-state

@@ -20,11 +20,12 @@
 #                BenchmarkMicroTokenize/{corpus,title_punct,apostrophe,
 #                long90,nonascii} (Scratch.Tokenize per line and MB/s,
 #                by line shape) + BenchmarkMicroCompile/{2k,200k}
-#                (core.Model.Compile: what a micro publish and a v1
-#                load pay to build the vocabulary), BENCH_engine.json
+#                (core.Model.Compile: what a micro publish and a Save
+#                pay to build the vocabulary), BENCH_engine.json
 #   serve      — BenchmarkServeProtocol/* (JSON vs MBSP binary framing
-#                over real TCP) + BenchmarkSnapshotLoad/* (v1 decode vs
-#                v2 mmap at 1/10/100MB artifacts), BENCH_engine.json
+#                over real TCP) + BenchmarkSnapshotLoad/mmap/* (a hot
+#                swap from a mapped v2 artifact at 1/10/100MB),
+#                BENCH_engine.json
 #   optimize   — BenchmarkOptimizeCandidates/* (naive per-candidate
 #                loop vs the amortised candidate-set pass vs the full
 #                engine path at N=16/128/512), BENCH_optimize.json

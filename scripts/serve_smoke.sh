@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # serve_smoke.sh — end-to-end smoke of the fit → snapshot → serve →
 # feedback → republish loop: build the three binaries, fit a small PBM
-# and snapshot it, start microserve with the artifact, the online
+# and snapshot it (a v2 artifact), start microserve with the artifact,
+# the online
 # learner and the feedback WAL enabled, hit /healthz and /metrics,
 # score through both browsing levels, rank candidate snippets through
 # /v1/optimize (explicit candidates and server-side generation; MBSP
@@ -35,6 +36,7 @@ go build -o "$workdir/loadgen" ./cmd/loadgen
 
 echo "serve_smoke: fitting pbm and writing snapshot"
 "$workdir/clickmodelfit" -sessions 1500 -groups 60 -model pbm -iters 3 -o "$workdir/pbm.bin" >/dev/null
+[ "$(head -c 4 "$workdir/pbm.bin")" = "MBS2" ] || { echo "serve_smoke: the fitted snapshot is not a v2 artifact" >&2; exit 1; }
 
 echo "serve_smoke: starting microserve (online learning + WAL on)"
 "$workdir/microserve" -addr "$addr" -load "pbm=$workdir/pbm.bin" \
@@ -89,12 +91,12 @@ base_ctr=$(score_ctr)
 [ -n "$base_ctr" ] || { echo "serve_smoke: baseline score failed" >&2; exit 1; }
 cp "$workdir/pbm.bin" "$workdir/pbm-v2.bin"
 "$workdir/clickmodelfit" -conv "$workdir/pbm-v2.bin" >/dev/null 2>&1
-[ "$(head -c 4 "$workdir/pbm-v2.bin")" = "MBS2" ] || { echo "serve_smoke: -conv did not produce a v2 artifact" >&2; exit 1; }
+cmp -s "$workdir/pbm.bin" "$workdir/pbm-v2.bin" || { echo "serve_smoke: -conv changed a current v2 artifact" >&2; exit 1; }
 check v2-load "$(curl -fs -X POST "http://$addr/v1/models/pbm/load" \
   -d "{\"path\":\"$workdir/pbm-v2.bin\"}")" '"name":"pbm"'
 v2_ctr=$(score_ctr)
 if [ "$v2_ctr" != "$base_ctr" ]; then
-  echo "serve_smoke: v2 score parity FAILED: v1 $base_ctr vs mapped $v2_ctr" >&2
+  echo "serve_smoke: v2 score parity FAILED: served $base_ctr vs reloaded $v2_ctr" >&2
   exit 1
 fi
 # Export the mapped model back out through the replica-sync surface:
@@ -114,6 +116,26 @@ if [ "$reload_ctr" != "$base_ctr" ]; then
   exit 1
 fi
 echo "serve_smoke: v2 round trip ok (ctr $base_ctr preserved across conv/export/reload)"
+
+# --- v1 import: -conv a committed v1 artifact, serve it, golden CTR ---
+# micro.mbsn is what the last build with a v1 writer wrote (0c75e9e);
+# golden.json beside it holds that build's answers by bits. Its first
+# micro input scored 0x3f723a0bba4ac0b6, which JSON prints as below.
+echo "serve_smoke: v1 import"
+golden_ctr=0.0044498880494502815
+cp internal/engine/testdata/parent_0c75e9e/micro.mbsn "$workdir/micro-old.bin"
+"$workdir/clickmodelfit" -conv "$workdir/micro-old.bin" >/dev/null 2>&1
+[ "$(head -c 4 "$workdir/micro-old.bin")" = "MBS2" ] || { echo "serve_smoke: -conv did not turn a v1 artifact into v2" >&2; exit 1; }
+check v1-conv-load "$(curl -fs -X POST "http://$addr/v1/models/parent/load" \
+  -d "{\"path\":\"$workdir/micro-old.bin\"}")" '"name":"parent"'
+old_ctr=$(curl -fs -X POST "http://$addr/v1/score" \
+  -d '{"id":"g0","model":"parent","max_n":1,"lines":["wearhouse outlet visit us","quality office chairs and save more curated bundle","always no reservation costs everyday collection"]}' \
+  | sed -n 's/.*"ctr":\([0-9.eE+-]*\).*/\1/p')
+if [ "$old_ctr" != "$golden_ctr" ]; then
+  echo "serve_smoke: converted v1 artifact scores $old_ctr, its writer answered $golden_ctr" >&2
+  exit 1
+fi
+echo "serve_smoke: v1 import ok (golden ctr $golden_ctr)"
 
 echo "serve_smoke: replaying feedback traffic"
 "$workdir/loadgen" -addr "http://$addr" -sessions 2000 -batch 250 -snippets 2 -clients 4
