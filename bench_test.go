@@ -1210,8 +1210,8 @@ func BenchmarkStreamFeedbackHandle(b *testing.B) {
 		}
 	}
 	b.StopTimer()
-	if c := l.Counters(); c.Dropped+c.Invalid != 0 || c.Accepted != uint64(b.N)*220 {
-		b.Fatalf("accepted %d of %d events (%d dropped, %d invalid)", c.Accepted, b.N*220, c.Dropped, c.Invalid)
+	if c := l.Metrics().Read(); c["stream.dropped"]+c["stream.invalid"] != 0 || c["stream.accepted"] != float64(b.N*220) {
+		b.Fatalf("accepted %v of %v events (%v dropped, %v invalid)", c["stream.accepted"], b.N*220, c["stream.dropped"], c["stream.invalid"])
 	}
 }
 

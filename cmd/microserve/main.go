@@ -183,9 +183,9 @@ func main() {
 		opts = append(opts, server.WithLearner(learner))
 		log.Printf("online learning enabled: models %v, publish every %v", cfg.Models, cfg.Interval)
 		if feedbackLog != nil {
-			c := feedbackLog.Counters()
-			log.Printf("feedback WAL open: fsync=%v, %d segments (%d bytes), replayed %d records (%d corrupt skipped, %d torn bytes truncated)",
-				feedbackLog.Policy(), c.Segments, c.Bytes, c.Replayed, c.CorruptSkipped, c.TruncatedBytes)
+			c := feedbackLog.Metrics().Read()
+			log.Printf("feedback WAL open: fsync=%v, %.0f segments (%.0f bytes), replayed %.0f records (%.0f corrupt skipped, %.0f torn bytes truncated)",
+				feedbackLog.Policy(), c["wal.segments"], c["wal.bytes"], c["wal.replayed"], c["wal.corrupt_skipped"], c["wal.truncated_bytes"])
 		}
 	}
 	if *rateSpec != "" {

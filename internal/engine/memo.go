@@ -30,6 +30,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/core"
+	"repro/internal/obs"
 	"repro/internal/textproc"
 )
 
@@ -346,34 +347,40 @@ func (s *memoShard) store(h, ident uint64, order int, lines []string, keyLen int
 	s.stores++
 }
 
-// MemoStats counts what the engine's snippet memo did since the engine
-// was built (Engine.MemoStats; the memo block of /healthz and the
-// microserve_engine_memo_*_total series of /metrics).
-type MemoStats struct {
-	// Lookups is micro requests that looked: Hits of them were answered
-	// from the memo, the rest ran the kernel.
-	Lookups uint64 `json:"lookups"`
-	Hits    uint64 `json:"hits"`
-	// Stores is records written (a snippet's second miss).
-	Stores uint64 `json:"stores"`
-	// Overwritten is records that left — the ring came round, or the
-	// index slot went to a newer entry — before answering any request.
-	Overwritten uint64 `json:"overwritten"`
+// metrics declares what the memo did since the engine was built: the
+// memo block of /healthz and the microserve_engine_memo_* families.
+// Lookups also count the oversized requests, which missed without
+// choosing a shard.
+func (m *snippetMemo) metrics() obs.List {
+	counter := func(key, help string, read func() float64) obs.Metric {
+		return obs.Metric{Name: "microserve_engine_memo_" + key + "_total", Help: help, Kind: obs.KindCounter,
+			Block: "memo", Key: key, Value: read}
+	}
+	return obs.List{
+		counter("lookups", "Micro requests that looked in the snippet memo.", func() float64 {
+			return float64(m.oversized.Load()) + m.sum(func(s *memoShard) uint64 { return s.lookups })
+		}),
+		counter("hits", "Micro requests answered from the snippet memo, the kernel not run.", func() float64 {
+			return m.sum(func(s *memoShard) uint64 { return s.hits })
+		}),
+		counter("stores", "Records written to the snippet memo (a snippet's second miss).", func() float64 {
+			return m.sum(func(s *memoShard) uint64 { return s.stores })
+		}),
+		counter("overwritten", "Snippet memo records that left (the ring came round, the index slot was reused) before answering any request.", func() float64 {
+			return m.sum(func(s *memoShard) uint64 { return s.overwritten })
+		}),
+	}
 }
 
-// MemoStats sums the memo's per-shard counters, taking each shard's
-// lock in turn: a scrape-time call, not a hot-path one.
-func (e *Engine) MemoStats() MemoStats {
-	m := e.memo
-	st := MemoStats{Lookups: m.oversized.Load()}
+// sum totals one per-shard counter, taking each shard's lock in turn: a
+// scrape-time read, not a hot-path one.
+func (m *snippetMemo) sum(field func(*memoShard) uint64) float64 {
+	var n uint64
 	for i := range m.shards {
 		s := &m.shards[i]
 		s.mu.Lock()
-		st.Lookups += s.lookups
-		st.Hits += s.hits
-		st.Stores += s.stores
-		st.Overwritten += s.overwritten
+		n += field(s)
 		s.mu.Unlock()
 	}
-	return st
+	return float64(n)
 }

@@ -45,6 +45,15 @@ func (st *memoStrand) score(t *testing.T, req Request) Response {
 	return resp
 }
 
+// memoCounts is what the memo did, as its list on the engine's
+// Metrics reports it.
+type memoCounts struct{ Lookups, Hits, Stores, Overwritten uint64 }
+
+func readMemo(e *Engine) memoCounts {
+	r := e.Metrics().Read()
+	return memoCounts{uint64(r["memo.lookups"]), uint64(r["memo.hits"]), uint64(r["memo.stores"]), uint64(r["memo.overwritten"])}
+}
+
 func keyBytes(lines []string) (n int) {
 	for _, l := range lines {
 		n += len(l)
@@ -99,28 +108,28 @@ func TestMemoBounds(t *testing.T) {
 	for _, row := range []struct {
 		name string
 		reqs []Request
-		want MemoStats // Lookups, Hits, Stores
+		want memoCounts // Lookups, Hits, Stores
 	}{
-		{"a 4096-byte key is stored", thrice(Request{Lines: []string{words[:4000], words[:96]}}), MemoStats{Lookups: 3, Hits: 1, Stores: 1}},
-		{"a 4097-byte key is a miss every time", thrice(Request{Lines: []string{words[:4000], words[:97]}}), MemoStats{Lookups: 3}},
-		{"255 lines are stored", thrice(Request{Lines: manyLines(255)}), MemoStats{Lookups: 3, Hits: 1, Stores: 1}},
-		{"256 lines are a miss every time", thrice(Request{Lines: manyLines(256)}), MemoStats{Lookups: 3}},
+		{"a 4096-byte key is stored", thrice(Request{Lines: []string{words[:4000], words[:96]}}), memoCounts{Lookups: 3, Hits: 1, Stores: 1}},
+		{"a 4097-byte key is a miss every time", thrice(Request{Lines: []string{words[:4000], words[:97]}}), memoCounts{Lookups: 3}},
+		{"255 lines are stored", thrice(Request{Lines: manyLines(255)}), memoCounts{Lookups: 3, Hits: 1, Stores: 1}},
+		{"256 lines are a miss every time", thrice(Request{Lines: manyLines(256)}), memoCounts{Lookups: 3}},
 		{"max_n -1, 0 and 2 are one entry",
 			[]Request{{Lines: testLines, MaxN: -1}, {Lines: testLines}, {Lines: testLines, MaxN: 2}},
-			MemoStats{Lookups: 3, Hits: 1, Stores: 1}},
+			memoCounts{Lookups: 3, Hits: 1, Stores: 1}},
 		{"max_n 3, 4 and 200 are one entry",
 			[]Request{{Lines: testLines, MaxN: 3}, {Lines: testLines, MaxN: 4}, {Lines: testLines, MaxN: 200}},
-			MemoStats{Lookups: 3, Hits: 1, Stores: 1}},
+			memoCounts{Lookups: 3, Hits: 1, Stores: 1}},
 		{"orders 1, 2 and 3 are three",
 			thrice(Request{Lines: testLines, MaxN: 1}, Request{Lines: testLines, MaxN: 2}, Request{Lines: testLines, MaxN: 3}),
-			MemoStats{Lookups: 9, Hits: 3, Stores: 3}},
+			memoCounts{Lookups: 9, Hits: 3, Stores: 3}},
 		{"an empty line is a line", thrice(Request{Lines: []string{"Find cheap", "", "flights"}}, Request{Lines: []string{"Find cheap", "flights"}}),
-			MemoStats{Lookups: 6, Hits: 2, Stores: 2}},
+			memoCounts{Lookups: 6, Hits: 2, Stores: 2}},
 		{"where a line ends is part of the key", thrice(Request{Lines: []string{"find cheap", "flights"}}, Request{Lines: []string{"find", "cheap flights"}}),
-			MemoStats{Lookups: 6, Hits: 2, Stores: 2}},
-		{"an empty-string-only snippet", thrice(Request{Lines: []string{""}}), MemoStats{Lookups: 3, Hits: 1, Stores: 1}},
+			memoCounts{Lookups: 6, Hits: 2, Stores: 2}},
+		{"an empty-string-only snippet", thrice(Request{Lines: []string{""}}), memoCounts{Lookups: 3, Hits: 1, Stores: 1}},
 		{"a line that spells a record", thrice(Request{Lines: []string{string(forged)}}, Request{Lines: victim}),
-			MemoStats{Lookups: 6, Hits: 2, Stores: 2}},
+			memoCounts{Lookups: 6, Hits: 2, Stores: 2}},
 	} {
 		t.Run(row.name, func(t *testing.T) {
 			e := New()
@@ -129,7 +138,7 @@ func TestMemoBounds(t *testing.T) {
 			for _, req := range row.reqs {
 				st.score(t, req)
 			}
-			got := e.MemoStats()
+			got := readMemo(e)
 			if got.Lookups != row.want.Lookups || got.Hits != row.want.Hits || got.Stores != row.want.Stores {
 				t.Errorf("after %d requests: %+v, want lookups %d hits %d stores %d",
 					len(row.reqs), got, row.want.Lookups, row.want.Hits, row.want.Stores)
@@ -255,22 +264,22 @@ func TestMemoAdmitsOnSecondSight(t *testing.T) {
 	}
 
 	st.score(t, req)
-	if got := e.MemoStats(); got.Stores != 0 || got.Hits != 0 || got.Lookups != 1 || rings() != 0 {
+	if got := readMemo(e); got.Stores != 0 || got.Hits != 0 || got.Lookups != 1 || rings() != 0 {
 		t.Fatalf("first sight: %+v, %d rings allocated; want one lookup and nothing else", got, rings())
 	}
 	st.score(t, req)
-	if got := e.MemoStats(); got.Stores != 1 || got.Hits != 0 || rings() != 1 {
+	if got := readMemo(e); got.Stores != 1 || got.Hits != 0 || rings() != 1 {
 		t.Fatalf("second sight: %+v, %d rings; want the one store", got, rings())
 	}
 	st.score(t, req)
-	if got := e.MemoStats(); got.Stores != 1 || got.Hits != 1 || got.Lookups != 3 {
+	if got := readMemo(e); got.Stores != 1 || got.Hits != 1 || got.Lookups != 3 {
 		t.Fatalf("third sight: %+v; want a hit", got)
 	}
 
 	// A new version is a new key: same lines, first sight again.
 	e.UseMicro(testMicroModel())
 	st.score(t, req)
-	if got := e.MemoStats(); got.Stores != 1 || got.Hits != 1 || got.Lookups != 4 {
+	if got := readMemo(e); got.Stores != 1 || got.Hits != 1 || got.Lookups != 4 {
 		t.Fatalf("first sight under the next version: %+v", got)
 	}
 	// And the old one, rolled back to, still has its record.
@@ -278,16 +287,16 @@ func TestMemoAdmitsOnSecondSight(t *testing.T) {
 		t.Fatal(err)
 	}
 	st.score(t, req)
-	if got := e.MemoStats(); got.Hits != 2 {
+	if got := readMemo(e); got.Hits != 2 {
 		t.Fatalf("after rollback: %+v; want the first version's record to answer", got)
 	}
 
 	// Traffic that never repeats leaves markers and writes no record.
-	before := e.MemoStats()
+	before := readMemo(e)
 	for i := 0; i < 1000; i++ {
 		st.score(t, Request{Lines: []string{"Acme Air", fmt.Sprintf("Find cheap flights to gate %d", i)}})
 	}
-	if got := e.MemoStats(); got.Stores != before.Stores || got.Hits != before.Hits || got.Lookups != before.Lookups+1000 {
+	if got := readMemo(e); got.Stores != before.Stores || got.Hits != before.Hits || got.Lookups != before.Lookups+1000 {
 		t.Fatalf("1000 distinct snippets: %+v → %+v; want lookups only", before, got)
 	}
 }
@@ -364,7 +373,7 @@ func FuzzSnippetMemo(f *testing.F) {
 				_, _ = e.Rollback(NameMicro) // refused when nothing is below the live version
 			}
 		}
-		st := e.MemoStats()
+		st := readMemo(e)
 		if st.Hits > st.Lookups || st.Stores > st.Lookups || st.Overwritten > st.Stores {
 			t.Fatalf("counters out of order: %+v", st)
 		}

@@ -29,7 +29,7 @@ func TestInstrumentedStrandScoreNoalloc(t *testing.T) {
 	if got := e.Observer().Score.Count(); got == 0 {
 		t.Fatal("sampled score timing recorded nothing over 200+ requests")
 	}
-	dists := e.CTRDistributions()
+	dists := predictedCTR(e)
 	if len(dists) != 1 || dists[0].Snap.Count == 0 {
 		t.Fatalf("CTR distribution not recorded: %+v", dists)
 	}
@@ -129,7 +129,7 @@ func TestMemoNoalloc(t *testing.T) {
 			t.Fatalf("shard %d stored nothing during warm-up", i)
 		}
 	}
-	before := e.MemoStats()
+	before := readMemo(e)
 
 	next := 2048
 	allocs := testing.AllocsPerRun(500, func() {
@@ -141,7 +141,7 @@ func TestMemoNoalloc(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("warm memo cycle allocates %v/op, want 0", allocs)
 	}
-	after := e.MemoStats()
+	after := readMemo(e)
 	if after.Hits-before.Hits < 500 || after.Stores-before.Stores < 500 {
 		t.Fatalf("the cycle did not hit and store every run: %+v → %+v", before, after)
 	}

@@ -11,6 +11,7 @@ package engine
 
 import (
 	"sort"
+	"strconv"
 	"time"
 
 	"repro/internal/obs"
@@ -105,27 +106,56 @@ func (e *Engine) Drift() []DriftStatus {
 	return out
 }
 
-// CTRDistribution is one serving version's live predicted-CTR
-// histogram (micro-CTR units; expose with obs.CTRScale).
-type CTRDistribution struct {
-	Model   string
-	Version int
-	Snap    obs.Snapshot
+// Metrics declares the engine's signals: how many versions are
+// installed, what the snippet memo did and — with an observer — the
+// pipeline stage timings and, per serving version, the predicted-CTR
+// distribution and its drift from the publish-time baseline.
+func (e *Engine) Metrics() obs.List {
+	l := obs.List{{Name: "microserve_models", Help: "Installed model versions.", Kind: obs.KindGauge,
+		Key: "models", Value: func() float64 { return float64(e.ModelCount()) }}}
+	l = append(l, e.memo.metrics()...)
+	o := e.obs
+	if o == nil {
+		return l
+	}
+	stage := func(name string, h *obs.Histogram) obs.Metric {
+		return obs.Metric{Name: "microserve_engine_stage_duration_seconds",
+			Help: "Engine pipeline stage wall time (score sampled 1-in-64 inside batches).",
+			Kind: obs.KindHistogram, Labels: `stage="` + name + `"`, Scale: 1e-9, Hist: h}
+	}
+	return append(l,
+		stage("batch", &o.Batch), stage("score", &o.Score), stage("resolve", &o.Resolve), stage("candidates", &o.Candidates),
+		obs.Metric{Name: "microserve_model_predicted_ctr", Help: "Live predicted-CTR distribution of each serving version.",
+			Kind: obs.KindHistogram, Scale: obs.CTRScale, Series: e.ctrSeries},
+		obs.Metric{Name: "microserve_model_ctr_drift_l1",
+			Help: "Normalised L1 distance between the live predicted-CTR distribution and the publish-time baseline, in [0, 2].",
+			Kind: obs.KindGauge, Series: e.driftSeries})
 }
 
-// CTRDistributions returns the live predicted-CTR distribution of
-// every model name's serving version, sorted by name. Empty without
-// an observer.
-func (e *Engine) CTRDistributions() []CTRDistribution {
+// ctrSeries is the live predicted-CTR distribution of every model
+// name's serving version (micro-CTR units), in name order.
+func (e *Engine) ctrSeries() []obs.Series {
 	t := e.tab.Load()
-	out := make([]CTRDistribution, 0, len(t.entries))
+	out := make([]obs.Series, 0, len(t.entries))
 	for name, ent := range t.entries {
 		mv, ok := ent.versions[ent.latest]
 		if !ok || mv.ctr == nil {
 			continue
 		}
-		out = append(out, CTRDistribution{Model: name, Version: ent.latest, Snap: mv.ctr.Snapshot()})
+		out = append(out, obs.Series{Labels: "model=" + strconv.Quote(name) + `,version="` + strconv.Itoa(ent.latest) + `"`,
+			Snap: mv.ctr.Snapshot()})
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Model < out[j].Model })
+	sort.Slice(out, func(i, j int) bool { return out[i].Labels < out[j].Labels })
+	return out
+}
+
+// driftSeries is Drift as one series per model name.
+func (e *Engine) driftSeries() []obs.Series {
+	drift := e.Drift()
+	out := make([]obs.Series, len(drift))
+	for i, d := range drift {
+		out[i] = obs.Series{Labels: "model=" + strconv.Quote(d.Model) + `,version="` + strconv.Itoa(d.Version) +
+			`",baseline="` + strconv.Itoa(d.BaselineVersion) + `"`, Value: d.L1}
+	}
 	return out
 }

@@ -24,6 +24,17 @@ func scoreN(t *testing.T, e *Engine, model string, n int) {
 	}
 }
 
+// predictedCTR is the engine list's per-version predicted-CTR family,
+// nil when the list does not declare one.
+func predictedCTR(e *Engine) []obs.Series {
+	for _, m := range e.Metrics() {
+		if m.Name == "microserve_model_predicted_ctr" {
+			return m.Series()
+		}
+	}
+	return nil
+}
+
 func TestDriftBaselinePinnedAtPublish(t *testing.T) {
 	e := New(WithObserver(&Observer{}))
 
@@ -74,7 +85,7 @@ func TestDriftRequiresObserver(t *testing.T) {
 	if d := e.Drift(); len(d) != 0 {
 		t.Fatalf("uninstrumented engine reports drift: %+v", d)
 	}
-	if cd := e.CTRDistributions(); len(cd) != 0 {
+	if cd := predictedCTR(e); len(cd) != 0 {
 		t.Fatalf("uninstrumented engine reports CTR distributions: %+v", cd)
 	}
 }
@@ -94,8 +105,8 @@ func TestDriftSurvivesRollback(t *testing.T) {
 	if d := e.Drift(); len(d) != 0 {
 		t.Fatalf("rolled-back v1 has no baseline, got %+v", d)
 	}
-	cd := e.CTRDistributions()
-	if len(cd) != 1 || cd[0].Version != 1 || cd[0].Snap.Count != 50 {
+	cd := predictedCTR(e)
+	if len(cd) != 1 || cd[0].Labels != `model="m",version="1"` || cd[0].Snap.Count != 50 {
 		t.Fatalf("serving distribution after rollback: %+v", cd)
 	}
 }

@@ -429,7 +429,7 @@ func TestVersionedTableModelCheck(t *testing.T) {
 	close(done)
 	readersWG.Wait()
 
-	st := e.MemoStats()
+	st := readMemo(e)
 	if st.Hits == 0 || st.Stores == 0 {
 		t.Errorf("the memo never answered during the check: %+v", st)
 	}

@@ -13,12 +13,11 @@
 // Feature keys are namespaced strings built by the Key helpers so that
 // term, positioned-term, rewrite, rewrite-position and position features
 // share one store without collisions. The store supports streaming
-// observation, sharded Merge, and gob/JSON persistence.
+// observation, sharded Merge, and gob persistence.
 package featstats
 
 import (
 	"encoding/gob"
-	"encoding/json"
 	"fmt"
 	"io"
 	"math"
@@ -137,29 +136,6 @@ func Load(r io.Reader) (*DB, error) {
 	var p persisted
 	if err := gob.NewDecoder(r).Decode(&p); err != nil {
 		return nil, fmt.Errorf("featstats: load: %w", err)
-	}
-	db := New(p.Smoothing)
-	if p.Stats != nil {
-		db.Stats = p.Stats
-	}
-	return db, nil
-}
-
-// SaveJSON writes the database as JSON, for inspection and tooling.
-func (db *DB) SaveJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(persisted{db.Smoothing, db.Stats}); err != nil {
-		return fmt.Errorf("featstats: save json: %w", err)
-	}
-	return nil
-}
-
-// LoadJSON reads a database written by SaveJSON.
-func LoadJSON(r io.Reader) (*DB, error) {
-	var p persisted
-	if err := json.NewDecoder(r).Decode(&p); err != nil {
-		return nil, fmt.Errorf("featstats: load json: %w", err)
 	}
 	db := New(p.Smoothing)
 	if p.Stats != nil {

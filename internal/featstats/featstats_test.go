@@ -131,28 +131,9 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	}
 }
 
-func TestSaveLoadJSONRoundTrip(t *testing.T) {
-	db := New(1)
-	db.Observe(TermPosKey("cheap", 1, 2), 1)
-	var buf bytes.Buffer
-	if err := db.SaveJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := LoadJSON(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Len() != 1 {
-		t.Errorf("JSON round trip Len = %d, want 1", got.Len())
-	}
-}
-
 func TestLoadGarbage(t *testing.T) {
 	if _, err := Load(bytes.NewBufferString("not gob")); err == nil {
 		t.Error("Load of garbage should fail")
-	}
-	if _, err := LoadJSON(bytes.NewBufferString("{")); err == nil {
-		t.Error("LoadJSON of garbage should fail")
 	}
 }
 

@@ -104,9 +104,9 @@ func bucketBounds(i int) (lo, hi uint64) {
 	return lo, uint64(1)<<i - 1
 }
 
-// UpperBound returns bucket i's inclusive upper bound in raw units;
+// upperBound returns bucket i's inclusive upper bound in raw units;
 // the last bucket returns +Inf.
-func UpperBound(i int) float64 {
+func upperBound(i int) float64 {
 	if i >= NumBuckets-1 {
 		return math.Inf(1)
 	}

@@ -163,11 +163,14 @@ func TestWritePromExposition(t *testing.T) {
 	var h Histogram
 	h.Record(0)
 	h.Record(5 * 1000) // 5µs in ns
-	var sb strings.Builder
-	WriteProm(&sb, "test_duration_seconds", "Test latencies.", 1e-9,
-		Series{Snap: h.Snapshot()},
-		Series{Labels: `endpoint="/v1/score"`, Snap: h.Snapshot()})
-	out := sb.String()
+	m := Metric{Name: "test_duration_seconds", Help: "Test latencies.", Kind: KindHistogram, Scale: 1e-9}
+	plain, labelled := m, m
+	plain.Hist = &h
+	labelled.Labels, labelled.Hist = `endpoint="/v1/score"`, &h
+	out := string(List{plain, labelled}.AppendProm(nil))
+	if n := strings.Count(out, "# TYPE test_duration_seconds histogram\n"); n != 1 {
+		t.Errorf("two entries of one family rendered %d TYPE lines, want 1", n)
+	}
 
 	for _, want := range []string{
 		"# HELP test_duration_seconds Test latencies.",

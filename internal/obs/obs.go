@@ -4,14 +4,19 @@
 // //mb:noalloc hot paths — feeding the hand-rolled /metrics and
 // /healthz surfaces.
 //
-// Four pieces:
+// Five pieces:
 //
+//   - Metric: the one declaration of a signal — name, help, kind, its
+//     place on /healthz and a reader of the value the hot path already
+//     bumps. Each subsystem returns its List from one method beside its
+//     atomics; a server concatenates the lists of what is attached and
+//     renders both surfaces from them (AppendProm, AppendJSON).
 //   - Histogram: a log2-bucketed atomic histogram. Record is one
 //     bits.Len64 and three atomic adds — no locks, no allocation — so
 //     it can sit inside the compiled score kernel's dispatch loop and
 //     the WAL's append path. Snapshot() returns a mergeable value
-//     type; WriteProm renders snapshots as Prometheus histogram
-//     exposition (_bucket/_sum/_count) with a unit scale, so the same
+//     type; a Metric's Scale renders it as Prometheus histogram
+//     exposition (_bucket/_sum/_count) in its own units, so the same
 //     primitive serves nanosecond latencies (scale 1e-9 → seconds)
 //     and micro-CTR distributions (scale 1e-6 → probability).
 //   - NormL1: the drift metric — the L1 distance between two

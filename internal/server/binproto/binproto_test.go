@@ -160,8 +160,8 @@ func TestServerMatchesJSONSemantics(t *testing.T) {
 			}
 		}
 	}
-	c := srv.Counters()
-	if c.Frames != 3 || c.Requests != uint64(3*len(reqs)) {
+	c := srv.Metrics().Read()
+	if c["mbsp.frames"] != 3 || c["mbsp.requests"] != float64(3*len(reqs)) {
 		t.Errorf("counters = %+v, want 3 frames / %d requests", c, 3*len(reqs))
 	}
 }
@@ -248,7 +248,7 @@ func TestStalledPeerIsClosed(t *testing.T) {
 	case <-time.After(10 * time.Second):
 		t.Fatal("ServeConn still running 10s after a 100ms read timeout")
 	}
-	if c := srv.Counters(); c.Errors != 1 || c.Frames != 0 {
+	if c := srv.Metrics().Read(); c["mbsp.errors"] != 1 || c["mbsp.frames"] != 0 {
 		t.Errorf("counters = %+v, want the stall counted as 1 error and no frame", c)
 	}
 }
@@ -276,7 +276,7 @@ func TestIdleWithinTimeoutKeepsWorking(t *testing.T) {
 			t.Fatalf("round %d: unexpected responses %+v", round, resps)
 		}
 	}
-	if c := srv.Counters(); c.Errors != 0 || c.Frames != 4 {
+	if c := srv.Metrics().Read(); c["mbsp.errors"] != 0 || c["mbsp.frames"] != 4 {
 		t.Errorf("counters = %+v, want 4 frames and no errors", c)
 	}
 }

@@ -47,10 +47,6 @@ type Server struct {
 // as "mbsp-<tag>" traces.
 func (s *Server) SetTracing(ring *obs.TraceRing) { s.ring = ring }
 
-// FrameLatency snapshots the per-frame service-time histogram
-// (nanosecond samples).
-func (s *Server) FrameLatency() obs.Snapshot { return s.frameH.Snapshot() }
-
 // frameReadTimeout bounds how long a connection may take to deliver
 // its next frame, header and payload together, counted from the end of
 // the previous one. It is an idle timeout and a stall timeout in one:
@@ -68,21 +64,21 @@ func NewServer(eng *engine.Engine, logger *log.Logger) *Server {
 	return &Server{eng: eng, log: logger, readTimeout: frameReadTimeout}
 }
 
-// Counters is a point-in-time snapshot of the binary surface's
-// traffic, the analogue of the HTTP metrics block.
-type Counters struct {
-	Frames   uint64 `json:"frames"`
-	Requests uint64 `json:"requests"`
-	Errors   uint64 `json:"errors"`
-}
-
-// Counters reports frames served, requests scored and connection
-// errors since start.
-func (s *Server) Counters() Counters {
-	return Counters{
-		Frames:   s.frames.Load(),
-		Requests: s.requests.Load(),
-		Errors:   s.errs.Load(),
+// Metrics declares the binary surface's traffic, the analogue of the
+// HTTP serving counters: frames served, requests scored, connection
+// errors, and the per-frame service time.
+func (s *Server) Metrics() obs.List {
+	counter := func(key, help string, a *atomic.Uint64) obs.Metric {
+		return obs.Metric{Name: "microserve_mbsp_" + key + "_total", Help: help, Kind: obs.KindCounter,
+			Block: "mbsp", Key: key, Value: func() float64 { return float64(a.Load()) }}
+	}
+	return obs.List{
+		counter("frames", "Binary-protocol frames served.", &s.frames),
+		counter("requests", "Requests scored over the binary protocol.", &s.requests),
+		counter("errors", "Binary-protocol connection errors.", &s.errs),
+		{Name: "microserve_mbsp_frame_duration_seconds",
+			Help: "Binary-protocol frame service time (read done to response written).",
+			Kind: obs.KindHistogram, Scale: 1e-9, Hist: &s.frameH},
 	}
 }
 

@@ -115,8 +115,10 @@ func TestFrameLatencyAndTracing(t *testing.T) {
 	for ring.Added() == 0 && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
 	}
-	if snap := srv.FrameLatency(); snap.Count != 1 {
-		t.Fatalf("frame latency samples = %d, want 1", snap.Count)
+	for _, m := range srv.Metrics() {
+		if m.Name == "microserve_mbsp_frame_duration_seconds" && m.Hist.Count() != 1 {
+			t.Fatalf("frame latency samples = %d, want 1", m.Hist.Count())
+		}
 	}
 	traces := ring.Snapshot()
 	if len(traces) != 1 {

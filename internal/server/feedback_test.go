@@ -315,8 +315,8 @@ func TestFeedbackCycleAllocs(t *testing.T) {
 	if allocs := testing.AllocsPerRun(50, cycle); allocs > 8 {
 		t.Errorf("a warm 220-event feedback cycle allocates %v/op, want at most 8", allocs)
 	}
-	if got := l.Counters().Accepted; got != 52*220 {
-		t.Errorf("the learner accepted %d events, want %d", got, 52*220)
+	if got := l.Metrics().Read()["stream.accepted"]; got != 52*220 {
+		t.Errorf("the learner accepted %v events, want %v", got, 52*220)
 	}
 }
 
@@ -412,7 +412,7 @@ func TestInternedKeysDoNotPinBodies(t *testing.T) {
 	if weight < 12<<20 {
 		t.Fatalf("the 200 bodies weigh %d bytes; the test wants ≈ 13 MB of them", weight)
 	}
-	if c := l.Counters(); c.Pairs < 200 || c.MicroTerms == 0 || c.Dropped+c.Invalid != 0 {
+	if c := l.Metrics().Read(); c["stream.pairs"] < 200 || c["stream.micro_terms"] == 0 || c["stream.dropped"]+c["stream.invalid"] != 0 {
 		t.Fatalf("the bodies did not reach the tables: %+v", c)
 	}
 	grown := int64(after) - int64(before)
@@ -457,7 +457,7 @@ func TestFeedbackScannerFeedsLearnerLikeOracle(t *testing.T) {
 			t.Fatalf("body %d: reply %s (%v), want %+v", i, c.out, err, want)
 		}
 	}
-	if oracleL.Counters().Invalid == 0 {
+	if oracleL.Metrics().Read()["stream.invalid"] == 0 {
 		t.Fatal("no body carried an invalid event; the test wants the count exercised")
 	}
 

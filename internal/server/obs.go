@@ -82,9 +82,9 @@ func WithTracing(ring *obs.TraceRing) Option {
 	return func(s *Server) { s.ring = ring }
 }
 
-// WithBinary surfaces a binary-protocol server's counters and frame
-// latency histogram on this server's /metrics, so one scrape covers
-// both protocols.
+// WithBinary attaches a binary-protocol server's list (its counters and
+// frame latency histogram) to this server's /metrics and /healthz, so
+// one scrape covers both protocols.
 func WithBinary(b *binproto.Server) Option {
 	return func(s *Server) { s.bin = b }
 }
@@ -135,7 +135,6 @@ func (ti *traceInfo) shape(model string, items int) {
 // ServeHTTP implements http.Handler: the observability middleware
 // around the route table.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	s.met.requests.Add(1)
 	rid := r.Header.Get("X-Request-ID")
 	if rid == "" {
 		rid = obs.NewRequestID()

@@ -2,9 +2,11 @@ package server
 
 import (
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -245,8 +247,8 @@ func TestHealthzObservability(t *testing.T) {
 
 // TestMemoCountersExposed: the engine's snippet memo can be asked what
 // it did. Three scores of one snippet are a first sight, a store and a
-// hit, and both /metrics (the three microserve_engine_memo_*_total
-// families) and the memo block of /healthz say so.
+// hit, and the engine's list, /metrics (the microserve_engine_memo_*
+// families) and the memo block of /healthz all say so.
 func TestMemoCountersExposed(t *testing.T) {
 	ts, eng, _ := newObservedServer(t)
 	for i := 0; i < 3; i++ {
@@ -256,9 +258,12 @@ func TestMemoCountersExposed(t *testing.T) {
 			t.Fatalf("score status %d", code)
 		}
 	}
-	want := engine.MemoStats{Lookups: 3, Hits: 1, Stores: 1}
-	if got := eng.MemoStats(); got != want {
-		t.Fatalf("Engine.MemoStats() = %+v, want %+v", got, want)
+	want := map[string]float64{"lookups": 3, "hits": 1, "stores": 1, "overwritten": 0}
+	got := eng.Metrics().Read()
+	for k, v := range want {
+		if got["memo."+k] != v {
+			t.Errorf("engine list: memo.%s = %v, want %v", k, got["memo."+k], v)
+		}
 	}
 
 	resp, err := http.Get(ts.URL + "/metrics")
@@ -267,24 +272,21 @@ func TestMemoCountersExposed(t *testing.T) {
 	}
 	defer resp.Body.Close()
 	raw, _ := io.ReadAll(resp.Body)
-	for family, v := range map[string]string{
-		"microserve_engine_memo_lookups_total": "3",
-		"microserve_engine_memo_hits_total":    "1",
-		"microserve_engine_memo_stores_total":  "1",
-	} {
-		if !strings.Contains(string(raw), "# TYPE "+family+" counter\n"+family+" "+v+"\n") {
-			t.Errorf("/metrics has no counter %s %s", family, v)
+	for k, v := range want {
+		family := "microserve_engine_memo_" + k + "_total"
+		if line := fmt.Sprintf("# TYPE %s counter\n%s %v\n", family, family, v); !strings.Contains(string(raw), line) {
+			t.Errorf("/metrics has no counter %s %v", family, v)
 		}
 	}
 
 	var body struct {
-		Memo *engine.MemoStats `json:"memo"`
+		Memo map[string]float64 `json:"memo"`
 	}
 	if code := getJSON(t, ts.URL+"/healthz", &body); code != http.StatusOK {
 		t.Fatalf("healthz status %d", code)
 	}
-	if body.Memo == nil || *body.Memo != want {
-		t.Errorf("healthz memo block = %+v, want %+v", body.Memo, want)
+	if !reflect.DeepEqual(body.Memo, want) {
+		t.Errorf("healthz memo block = %v, want %v", body.Memo, want)
 	}
 }
 

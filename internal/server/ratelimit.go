@@ -7,6 +7,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"repro/internal/obs"
 )
 
 // rateLimiter is a per-client token bucket over the feedback ingest
@@ -136,23 +138,21 @@ func (rl *rateLimiter) size() int {
 	return len(rl.clients)
 }
 
-// RateLimitSnapshot is the limiter's health block on /healthz.
-type RateLimitSnapshot struct {
-	// Rate and Burst echo the configured policy.
-	Rate  float64 `json:"rate"`
-	Burst int     `json:"burst"`
-	// Limited counts rejected feedback requests; Clients is the
-	// currently tracked client population.
-	Limited uint64 `json:"limited"`
-	Clients int    `json:"clients"`
-}
-
-func (rl *rateLimiter) snapshot() RateLimitSnapshot {
-	return RateLimitSnapshot{
-		Rate:    rl.rate,
-		Burst:   int(rl.burst),
-		Limited: rl.limited.Load(),
-		Clients: rl.size(),
+// metrics declares the limiter's policy and what it did: the ratelimit
+// block of /healthz.
+func (rl *rateLimiter) metrics() obs.List {
+	gauge := func(name, key, help string, v func() float64) obs.Metric {
+		return obs.Metric{Name: name, Help: help, Kind: obs.KindGauge, Block: "ratelimit", Key: key, Value: v}
+	}
+	return obs.List{
+		gauge("microserve_ratelimit_rate", "rate", "Configured sustained feedback events per second per client.",
+			func() float64 { return rl.rate }),
+		gauge("microserve_ratelimit_burst", "burst", "Configured token-bucket depth per client, in events.",
+			func() float64 { return rl.burst }),
+		{Name: "microserve_feedback_ratelimited_total", Help: "Feedback requests rejected by the per-client limiter.",
+			Kind: obs.KindCounter, Block: "ratelimit", Key: "limited", Value: func() float64 { return float64(rl.limited.Load()) }},
+		gauge("microserve_ratelimit_clients", "clients", "Clients currently tracked by the limiter.",
+			func() float64 { return float64(rl.size()) }),
 	}
 }
 

@@ -51,8 +51,8 @@ func TestRateLimiterRefill(t *testing.T) {
 	if ok, _ := rl.allowN("b", 20); !ok {
 		t.Fatal("second client shares the first client's bucket")
 	}
-	if got := rl.snapshot(); got.Limited != 2 || got.Clients != 2 {
-		t.Fatalf("snapshot = %+v", got)
+	if got := rl.metrics().Read(); got["ratelimit.limited"] != 2 || got["ratelimit.clients"] != 2 {
+		t.Fatalf("limiter list reads %v", got)
 	}
 }
 
@@ -222,11 +222,14 @@ func TestFeedbackRateLimitHTTP(t *testing.T) {
 		t.Fatalf("other client: status %d", resp.StatusCode)
 	}
 	// Rejected events never reached the sink or the log.
-	if c := w.Counters(); c.Appended != 15 {
-		t.Fatalf("WAL holds %d records, want the 15 accepted", c.Appended)
+	if c := w.Metrics().Read(); c["wal.appended"] != 15 {
+		t.Fatalf("WAL holds %v records, want the 15 accepted", c["wal.appended"])
 	}
 
-	var hb healthzBody
+	var hb struct {
+		RateLimit map[string]float64 `json:"ratelimit"`
+		WAL       map[string]float64 `json:"wal"`
+	}
 	hr, err := http.Get(ts.URL + "/healthz")
 	if err != nil {
 		t.Fatal(err)
@@ -235,11 +238,11 @@ func TestFeedbackRateLimitHTTP(t *testing.T) {
 	if err := json.NewDecoder(hr.Body).Decode(&hb); err != nil {
 		t.Fatal(err)
 	}
-	if hb.RateLimit == nil || hb.RateLimit.Limited != 1 || hb.RateLimit.Rate != 1 {
-		t.Fatalf("healthz ratelimit block: %+v", hb.RateLimit)
+	if hb.RateLimit["limited"] != 1 || hb.RateLimit["rate"] != 1 || hb.RateLimit["burst"] != 10 {
+		t.Fatalf("healthz ratelimit block: %v", hb.RateLimit)
 	}
-	if hb.WAL == nil || hb.WAL.Appended != 15 || hb.WAL.DurableSeq != 15 {
-		t.Fatalf("healthz wal block: %+v", hb.WAL)
+	if hb.WAL["appended"] != 15 || hb.WAL["durable_seq"] != 15 {
+		t.Fatalf("healthz wal block: %v", hb.WAL)
 	}
 }
 

@@ -7,8 +7,8 @@
 //
 // Routes:
 //
-//	GET  /healthz                    — liveness, model count, serving + stream + wal counters
-//	GET  /metrics                    — the same counters as Prometheus text exposition
+//	GET  /healthz                    — liveness, build, and every attached counter and gauge as JSON
+//	GET  /metrics                    — the same signals, with histograms, as Prometheus text exposition
 //	GET  /v1/models                  — metadata of every installed version
 //	POST /v1/score                   — score one engine.Request
 //	POST /v1/score/batch             — score a request slice concurrently
@@ -23,6 +23,13 @@
 // supplied, else a freshly minted process-unique ID — and every
 // request is timed into a per-route latency histogram exposed on
 // /metrics (see obs.go for the middleware).
+//
+// A signal is declared in one place: an obs.Metric in the list of the
+// subsystem that bumps it (metrics.go for the server's own, and the
+// Metrics method of the engine, learner, WAL and binary server). New
+// concatenates the lists of what is attached, and /metrics and /healthz
+// are both rendered from that one list (metrics.go), so neither surface
+// can carry a value the other lacks.
 //
 // Scoring endpoints speak engine.Request / engine.Response verbatim
 // (the engine types carry the wire tags); per-request failures travel
@@ -87,6 +94,9 @@ type Server struct {
 	mux        *http.ServeMux
 	log        *log.Logger
 	met        metrics
+	// signals is every attached subsystem's list, in /healthz block
+	// order; /metrics and /healthz are both rendered from it.
+	signals obs.List
 
 	// httpH distributes request latency per route class (nanosecond
 	// samples, exposed in seconds); ring and bin are the optional
@@ -100,15 +110,15 @@ type Server struct {
 type Option func(*Server)
 
 // WithLearner attaches an online learning loop: POST /v1/feedback
-// ingests into it and /healthz reports its counters. Without it the
-// feedback endpoint answers 503.
+// ingests into it and its list joins /healthz and /metrics. Without it
+// the feedback endpoint answers 503.
 func WithLearner(l *stream.Learner) Option {
 	return func(s *Server) { s.learner = l }
 }
 
-// WithWAL surfaces the feedback log's durability counters on /healthz
-// and /metrics. The server only observes the WAL — appends happen
-// inside the learner's ingest path, and the caller owns Close.
+// WithWAL attaches the feedback log's list to /healthz and /metrics.
+// The server only observes the WAL — appends happen inside the
+// learner's ingest path, and the caller owns Close.
 func WithWAL(w *wal.WAL) Option {
 	return func(s *Server) { s.wal = w }
 }
@@ -143,6 +153,19 @@ func New(eng *engine.Engine, logger *log.Logger, opts ...Option) *Server {
 	}
 	if s.limiter != nil && s.limiterTTL != nil {
 		s.limiter.ttl = *s.limiterTTL
+	}
+	s.signals = append(s.servingMetrics(), eng.Metrics()...)
+	if s.learner != nil {
+		s.signals = append(s.signals, s.learner.Metrics()...)
+	}
+	if s.wal != nil {
+		s.signals = append(s.signals, s.wal.Metrics()...)
+	}
+	if s.limiter != nil {
+		s.signals = append(s.signals, s.limiter.metrics()...)
+	}
+	if s.bin != nil {
+		s.signals = append(s.signals, s.bin.Metrics()...)
 	}
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
 	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
@@ -229,53 +252,6 @@ func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, v any) bool 
 		return false
 	}
 	return true
-}
-
-// healthzBody is the GET /healthz wire shape: liveness, build and
-// uptime identity, the serving counters, what the engine's snippet memo
-// did, the stream / WAL / rate-limit blocks when those subsystems are
-// attached, and — when the engine is
-// instrumented — the per-model CTR drift block comparing each serving
-// version's live predicted-CTR distribution against the distribution
-// pinned when it was published.
-type healthzBody struct {
-	Status        string               `json:"status"`
-	Build         obs.BuildInfo        `json:"build"`
-	UptimeSeconds float64              `json:"uptime_seconds"`
-	Models        int                  `json:"models"`
-	Serving       MetricsSnapshot      `json:"serving"`
-	Memo          engine.MemoStats     `json:"memo"`
-	Stream        *stream.Counters     `json:"stream,omitempty"`
-	WAL           *wal.Counters        `json:"wal,omitempty"`
-	RateLimit     *RateLimitSnapshot   `json:"ratelimit,omitempty"`
-	Drift         []engine.DriftStatus `json:"drift,omitempty"`
-}
-
-func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	body := healthzBody{
-		Status:        "ok",
-		Build:         obs.Build(),
-		UptimeSeconds: obs.Uptime().Seconds(),
-		Models:        s.eng.ModelCount(),
-		Serving:       s.met.snapshot(),
-		Memo:          s.eng.MemoStats(),
-	}
-	if s.learner != nil {
-		c := s.learner.Counters()
-		body.Stream = &c
-	}
-	if s.wal != nil {
-		c := s.wal.Counters()
-		body.WAL = &c
-	}
-	if s.limiter != nil {
-		rl := s.limiter.snapshot()
-		body.RateLimit = &rl
-	}
-	if s.eng.Observer() != nil {
-		body.Drift = s.eng.Drift()
-	}
-	s.writeJSON(w, http.StatusOK, body)
 }
 
 func (s *Server) handleModels(w http.ResponseWriter, r *http.Request) {

@@ -70,51 +70,3 @@ func (p BetaPrior) Shrink(s Stats) float64 {
 
 // PriorMean returns the prior's mean CTR.
 func (p BetaPrior) PriorMean() float64 { return p.Alpha / (p.Alpha + p.Beta) }
-
-// ShrunkPairs enumerates the adgroup's creative pairs with serve weights
-// computed from empirical-Bayes-shrunk CTRs instead of the raw ratios,
-// using a prior fitted across all the supplied groups. Lightly served
-// creatives regress towards the population mean, so fewer pairs carry
-// spurious labels.
-func ShrunkPairs(groups []AdGroup, minImpressions int64) []Pair {
-	var all []Stats
-	for _, g := range groups {
-		all = append(all, g.Stats...)
-	}
-	prior := FitBetaPrior(all, minImpressions)
-
-	var pairs []Pair
-	for _, g := range groups {
-		// Group CTR from shrunk components keeps serve weights
-		// comparable across adgroups.
-		var groupSum float64
-		var m int
-		for _, s := range g.Stats {
-			groupSum += prior.Shrink(s)
-			m++
-		}
-		if m == 0 || groupSum == 0 {
-			continue
-		}
-		groupCTR := groupSum / float64(m)
-		for i := 0; i < len(g.Creatives); i++ {
-			for j := i + 1; j < len(g.Creatives); j++ {
-				if g.Stats[i].Impressions < minImpressions || g.Stats[j].Impressions < minImpressions {
-					continue
-				}
-				if g.Creatives[i].Equal(g.Creatives[j]) {
-					continue
-				}
-				pairs = append(pairs, Pair{
-					R:      g.Creatives[i],
-					S:      g.Creatives[j],
-					SWR:    prior.Shrink(g.Stats[i]) / groupCTR,
-					SWS:    prior.Shrink(g.Stats[j]) / groupCTR,
-					RStats: g.Stats[i],
-					SStats: g.Stats[j],
-				})
-			}
-		}
-	}
-	return pairs
-}

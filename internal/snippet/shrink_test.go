@@ -85,59 +85,3 @@ func TestShrinkMovesTowardPrior(t *testing.T) {
 		t.Errorf("heavy evidence should dominate: %v", got)
 	}
 }
-
-func TestShrunkPairsReducesSpuriousLabels(t *testing.T) {
-	// Two creatives with identical true CTR; with few impressions the
-	// raw pair often gets a confident (spurious) serve-weight gap, while
-	// the shrunk pair's gap is pulled towards zero.
-	rng := rand.New(rand.NewSource(2))
-	var groups []AdGroup
-	for i := 0; i < 400; i++ {
-		g := AdGroup{
-			ID:        "g",
-			Creatives: []Creative{MustNew("a", "alpha text"), MustNew("b", "beta text")},
-		}
-		for c := 0; c < 2; c++ {
-			st := Stats{Impressions: 200}
-			for k := 0; k < 200; k++ {
-				if rng.Float64() < 0.10 {
-					st.Clicks++
-				}
-			}
-			g.Stats = append(g.Stats, st)
-		}
-		groups = append(groups, g)
-	}
-	shrunk := ShrunkPairs(groups, 100)
-	if len(shrunk) == 0 {
-		t.Fatal("no shrunk pairs")
-	}
-	var rawGap, shrunkGap float64
-	var n float64
-	for _, g := range groups {
-		for _, p := range g.Pairs(100) {
-			rawGap += math.Abs(p.SWR - p.SWS)
-			n++
-		}
-	}
-	for _, p := range shrunk {
-		shrunkGap += math.Abs(p.SWR - p.SWS)
-	}
-	rawGap /= n
-	shrunkGap /= float64(len(shrunk))
-	if shrunkGap >= rawGap {
-		t.Errorf("shrinkage did not reduce spurious gaps: raw %v vs shrunk %v", rawGap, shrunkGap)
-	}
-}
-
-func TestShrunkPairsSkipsDuplicatesAndUnderserved(t *testing.T) {
-	groups := []AdGroup{{
-		Creatives: []Creative{MustNew("a", "same"), MustNew("b", "same"), MustNew("c", "other")},
-		Stats:     []Stats{{500, 50}, {500, 40}, {5, 1}},
-	}}
-	pairs := ShrunkPairs(groups, 100)
-	// (a,b) are text-identical; (x,c) underserved. Nothing qualifies.
-	if len(pairs) != 0 {
-		t.Errorf("got %d pairs, want 0: %+v", len(pairs), pairs)
-	}
-}

@@ -65,8 +65,14 @@ func TestSinkAllocatesOnDemand(t *testing.T) {
 	drain() // swaps in the second buffer, still empty
 	fill()  // grows it
 	drain() // back on the first
-	// AllocsPerRun(1, f) calls f twice: two more swaps, the first buffer again.
+	// AllocsPerRun(1, f) calls f twice: two more swaps, the first buffer
+	// again. It counts the whole process's allocations over a run of tens
+	// of milliseconds, so one stray runtime allocation on a loaded host is
+	// measured again: an allocation in the sink repeats on every run.
 	allocs := testing.AllocsPerRun(1, func() { fill(); drain() })
+	for retry := 0; retry < 2 && allocs != 0; retry++ {
+		allocs = testing.AllocsPerRun(1, func() { fill(); drain() })
+	}
 	if allocs != 0 {
 		t.Fatalf("filling and draining warm shards allocated %v times, want 0", allocs)
 	}
@@ -88,7 +94,7 @@ func TestSinkAllocatesOnDemand(t *testing.T) {
 // waitFolded polls until the learner has folded want sessions or the
 // deadline passes, and reports which.
 func waitFolded(l *Learner, want uint64, deadline time.Time) bool {
-	for l.Counters().FoldedSessions != want {
+	for l.Metrics().Read()["stream.folded_sessions"] != float64(want) {
 		if time.Now().After(deadline) {
 			return false
 		}
@@ -135,7 +141,7 @@ func TestFoldFollowsFill(t *testing.T) {
 
 		ingest(mark - 1)
 		time.Sleep(100 * time.Millisecond)
-		early := l.Counters().FoldedSessions
+		early := l.Metrics().Read()["stream.folded_sessions"]
 		ingest(1)
 		first := waitFolded(l, mark, window)
 		ingest(mark)
@@ -155,11 +161,11 @@ func TestFoldFollowsFill(t *testing.T) {
 			continue // too slow to tell a fill-triggered fold from the backstop tick
 		}
 		if early != 0 {
-			t.Fatalf("%d of %d events were folded below the fill mark with no ticker due", early, mark-1)
+			t.Fatalf("%v of %v events were folded below the fill mark with no ticker due", early, mark-1)
 		}
 		if !first || !parked || !second {
 			t.Fatalf("no ticker was due, and the shard was not folded on fill: first fill folded %v, second fold started %v, the fill made during it folded %v; %+v",
-				first, parked, second, l.Counters())
+				first, parked, second, l.Metrics().Read())
 		}
 		return
 	}
@@ -230,7 +236,7 @@ func sameFits(t *testing.T, what string, got, want *clickmodel.Stats, probe []cl
 // max(1, GOMAXPROCS-1)) strands, the caller's included — alone on two
 // CPUs, where it starts no goroutine, and one P short of all of them on
 // eight — and what it folds does not depend on how many: statistics,
-// term counts and Counters equal the serial oracle either way.
+// term counts and the learner's list equal the serial oracle either way.
 func TestFoldStrandBound(t *testing.T) {
 	const shards = 8
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
@@ -268,9 +274,9 @@ func TestFoldStrandBound(t *testing.T) {
 		}
 		sameFits(t, "merged statistics", l.global, o.stats, o.sessions[:50])
 		sameCounts(t, "merged term table", l.terms, o.terms)
-		c := l.Counters()
-		if c.FoldedSessions != uint64(len(o.sessions)) || c.FoldedSnippets != uint64(len(o.snippets)) ||
-			c.Pairs != o.stats.NumPairs() || c.MicroTerms != len(o.terms) || c.Weight != o.stats.Weight() || c.Dropped != 0 {
+		c := l.Metrics().Read()
+		if c["stream.folded_sessions"] != float64(len(o.sessions)) || c["stream.folded_snippets"] != float64(len(o.snippets)) ||
+			c["stream.pairs"] != float64(o.stats.NumPairs()) || c["stream.micro_terms"] != float64(len(o.terms)) || c["stream.weight"] != o.stats.Weight() || c["stream.dropped"] != 0 {
 			t.Fatalf("GOMAXPROCS %d: counters %+v; the oracle has %d sessions, %d snippets, %d pairs, %d terms, weight %v",
 				tc.procs, c, len(o.sessions), len(o.snippets), o.stats.NumPairs(), len(o.terms), o.stats.Weight())
 		}
@@ -322,8 +328,8 @@ func TestReplayPublishesBeforeFirstTick(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer l2.Close()
-	if c := l2.Counters(); c.Replayed != 550 {
-		t.Fatalf("replayed %d events, want 550", c.Replayed)
+	if c := l2.Metrics().Read(); c["stream.replayed"] != 550 {
+		t.Fatalf("replayed %v events, want 550", c["stream.replayed"])
 	}
 	l2.Start()
 	deadline := time.Now().Add(time.Second)
@@ -337,7 +343,7 @@ func TestReplayPublishesBeforeFirstTick(t *testing.T) {
 	if err != nil || resp.ModelVersion != 1 {
 		t.Fatalf("the engine resolves sdbn as %+v, %v", resp, err)
 	}
-	if c := l2.Counters(); c.Publishes != 1 || c.PublishSkips != 0 {
+	if c := l2.Metrics().Read(); c["stream.publishes"] != 1 || c["stream.publish_skips"] != 0 {
 		t.Fatalf("counters after the replay-time publish: %+v", c)
 	}
 }

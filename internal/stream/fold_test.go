@@ -171,8 +171,8 @@ func TestWindowOnlyForEMModels(t *testing.T) {
 			}
 		}
 		l.Publish() // folds; micro has nothing to fit from and says so
-		if c := l.Counters(); c.WindowSessions != tc.window || c.FoldedSessions != 300 {
-			t.Errorf("%v: window holds %d sessions of %d folded, want %d", tc.models, c.WindowSessions, c.FoldedSessions, tc.window)
+		if c := l.Metrics().Read(); c["stream.window_sessions"] != float64(tc.window) || c["stream.folded_sessions"] != 300 {
+			t.Errorf("%v: window holds %v sessions of %v folded, want %v", tc.models, c["stream.window_sessions"], c["stream.folded_sessions"], tc.window)
 		}
 	}
 }

@@ -137,38 +137,6 @@ func (r *sessionRing) add(s clickmodel.Session) {
 	}
 }
 
-// Counters is a snapshot of the loop's health, exposed on /healthz.
-type Counters struct {
-	// Accepted/Dropped/Invalid count ingest outcomes: queued into a
-	// shard, rejected on saturation, rejected as malformed.
-	Accepted uint64 `json:"accepted"`
-	Dropped  uint64 `json:"dropped"`
-	Invalid  uint64 `json:"invalid"`
-	// FoldedSessions/FoldedSnippets count events folded into the
-	// accumulators (always <= Accepted + Replayed; the rest is still
-	// buffered).
-	FoldedSessions uint64 `json:"folded_sessions"`
-	FoldedSnippets uint64 `json:"folded_snippets"`
-	// Replayed counts events recovered from the WAL at construction
-	// (already folded; they also count toward FoldedSessions/Snippets).
-	Replayed uint64 `json:"replayed"`
-	// Publishes/PublishSkips/PublishErrors count publisher ticks that
-	// installed versions, were gated by MinEvents, or failed.
-	Publishes     uint64 `json:"publishes"`
-	PublishSkips  uint64 `json:"publish_skips"`
-	PublishErrors uint64 `json:"publish_errors"`
-	// LastPublishMS is the wall time of the last publish (fold + merge
-	// + fits + installs).
-	LastPublishMS float64 `json:"last_publish_ms"`
-	// WindowSessions / Pairs / MicroTerms / Weight describe the
-	// accumulated state: EM window fill, distinct (query, doc) pairs,
-	// micro vocabulary size, decayed session mass.
-	WindowSessions int     `json:"window_sessions"`
-	Pairs          int     `json:"pairs"`
-	MicroTerms     int     `json:"micro_terms"`
-	Weight         float64 `json:"weight"`
-}
-
 // Learner owns the online loop: a Sink for ingest, per-shard
 // accumulators, and the publisher. Create with New, feed with Ingest,
 // run the background publisher with Start/Close — or drive Publish
@@ -216,7 +184,7 @@ type Learner struct {
 	lastFolded uint64 // foldedSessions at the last publish
 	lastInfos  []engine.ModelInfo
 
-	// What Counters reports of the state above, stored where it changes
+	// What Metrics reports of the state above, stored where it changes
 	// (fold and replay, merge, publish, a skipped tick) so that a health
 	// probe takes no lock: mu is held across a whole publish — every
 	// configured fit — and a liveness check must not wait on EM.
@@ -429,7 +397,7 @@ func (l *Learner) foldStrand() {
 	}
 }
 
-// noteWindow publishes the EM window's fill to Counters. The caller owns
+// noteWindow publishes the EM window's fill to Metrics. The caller owns
 // every ring: a fold under l.mu, or replay before the learner is shared.
 func (l *Learner) noteWindow() {
 	n := 0
@@ -772,46 +740,50 @@ func (l *Learner) LastPublished() []engine.ModelInfo {
 	return out
 }
 
-// Counters returns a consistent-enough snapshot of the loop's health. It
-// takes no lock and never waits for a fold or a publish in flight: the
-// values that live under l.mu are read from their atomic copies, each as
-// of the last fold, merge or publish that finished.
-func (l *Learner) Counters() Counters {
-	return Counters{
-		Accepted:       l.sink.Queued(),
-		Dropped:        l.sink.Dropped(),
-		Invalid:        l.invalid.Load(),
-		FoldedSessions: l.foldedSessions.Load(),
-		FoldedSnippets: l.foldedSnippets.Load(),
-		Replayed:       l.replayed,
-		Publishes:      l.publishes.Load(),
-		PublishSkips:   l.publishSkips.Load(),
-		PublishErrors:  l.publishErrors.Load(),
-		LastPublishMS:  float64(l.lastPublish.Load()) / float64(time.Millisecond),
-		WindowSessions: int(l.window.Load()),
-		Pairs:          int(l.pairs.Load()),
-		MicroTerms:     int(l.microTerms.Load()),
-		Weight:         math.Float64frombits(l.weight.Load()),
+// Metrics declares the loop's health: ingest outcomes, what was folded
+// and replayed, publisher ticks, the accumulated state, and the stage
+// histograms. No reading takes a lock or waits for a fold or a publish
+// in flight: the values that live under l.mu are read from their atomic
+// copies, each as of the last fold, merge or publish that finished.
+func (l *Learner) Metrics() obs.List {
+	counter := func(key, help string, v func() uint64) obs.Metric {
+		return obs.Metric{Name: "microserve_stream_" + key + "_total", Help: help, Kind: obs.KindCounter,
+			Block: "stream", Key: key, Value: func() float64 { return float64(v()) }}
 	}
-}
-
-// HistSnapshots is the loop's latency detail behind the Counters
-// summary: all samples are nanoseconds.
-type HistSnapshots struct {
-	// FoldLag is how long each event sat in the sink between Ingest
-	// and the fold that absorbed it — the freshness of online learning.
-	FoldLag obs.Snapshot
-	// Fold is foldLocked wall time per drain.
-	Fold obs.Snapshot
-	// Publish is publishLocked wall time per publish.
-	Publish obs.Snapshot
-}
-
-// Hists snapshots the loop-health histograms for /metrics.
-func (l *Learner) Hists() HistSnapshots {
-	return HistSnapshots{
-		FoldLag: l.foldLagH.Snapshot(),
-		Fold:    l.foldH.Snapshot(),
-		Publish: l.publishH.Snapshot(),
+	gauge := func(key, help string, v func() int64) obs.Metric {
+		return obs.Metric{Name: "microserve_stream_" + key, Help: help, Kind: obs.KindGauge,
+			Block: "stream", Key: key, Value: func() float64 { return float64(v()) }}
+	}
+	stage := func(name string, h *obs.Histogram) obs.Metric {
+		return obs.Metric{Name: "microserve_stream_stage_duration_seconds",
+			Help: "Online-loop stage durations: sink residence (offer to fold), fold, publish.",
+			Kind: obs.KindHistogram, Labels: `stage="` + name + `"`, Scale: 1e-9, Hist: h}
+	}
+	return obs.List{
+		counter("accepted", "Feedback events queued into the sink.", l.sink.Queued),
+		counter("dropped", "Feedback events dropped on sink saturation.", l.sink.Dropped),
+		counter("invalid", "Feedback events rejected as malformed.", l.invalid.Load),
+		// Folded counts are at most accepted + replayed; the rest is still
+		// in the sink. Replayed events count as folded too.
+		counter("folded_sessions", "Sessions folded into the statistics.", l.foldedSessions.Load),
+		counter("folded_snippets", "Snippet events folded into the term counts.", l.foldedSnippets.Load),
+		counter("replayed", "Events recovered from the WAL at boot.", func() uint64 { return l.replayed }),
+		counter("publishes", "Publisher ticks that installed versions.", l.publishes.Load),
+		counter("publish_skips", "Publisher ticks gated by MinEvents.", l.publishSkips.Load),
+		counter("publish_errors", "Publisher ticks with fit/install failures.", l.publishErrors.Load),
+		{Name: "microserve_stream_last_publish_seconds", Help: "Wall time of the last publish.", Kind: obs.KindGauge,
+			Block: "stream", Key: "last_publish_ms", Scale: 1e-3,
+			Value: func() float64 { return float64(l.lastPublish.Load()) / float64(time.Millisecond) }},
+		gauge("window_sessions", "EM mini-batch window fill.", l.window.Load),
+		gauge("pairs", "Distinct (query, doc) pairs accumulated.", l.pairs.Load),
+		gauge("micro_terms", "Micro vocabulary size.", l.microTerms.Load),
+		{Name: "microserve_stream_weight", Help: "Decayed session mass.", Kind: obs.KindGauge,
+			Block: "stream", Key: "weight", Value: func() float64 { return math.Float64frombits(l.weight.Load()) }},
+		// How long each event sat in the sink between Ingest and the fold
+		// that absorbed it (the freshness of online learning), each
+		// foldLocked and each publishLocked.
+		stage("fold_lag", &l.foldLagH),
+		stage("fold", &l.foldH),
+		stage("publish", &l.publishH),
 	}
 }

@@ -151,8 +151,8 @@ func TestOnlineLoopImprovesPerplexity(t *testing.T) {
 		t.Fatalf("rollback landed on %d", info.Version)
 	}
 
-	c := l.Counters()
-	if c.Accepted != uint64(len(live)) || c.FoldedSessions != uint64(len(live)) || c.Publishes != 1 || c.Pairs == 0 {
+	c := l.Metrics().Read()
+	if c["stream.accepted"] != float64(len(live)) || c["stream.folded_sessions"] != float64(len(live)) || c["stream.publishes"] != 1 || c["stream.pairs"] == 0 {
 		t.Fatalf("counters: %+v", c)
 	}
 }
@@ -184,9 +184,9 @@ func TestPublishEMWindow(t *testing.T) {
 	if len(infos) != 1 || infos[0].Name != "pbm" || infos[0].Source != engine.SourceOnline {
 		t.Fatalf("published %+v", infos)
 	}
-	c := l.Counters()
-	if c.WindowSessions != 2000 {
-		t.Fatalf("window filled to %d, want the configured 2000", c.WindowSessions)
+	c := l.Metrics().Read()
+	if c["stream.window_sessions"] != 2000 {
+		t.Fatalf("window filled to %v, want the configured 2000", c["stream.window_sessions"])
 	}
 	// The published model answers requests.
 	resp, err := eng.ScoreCTR(context.Background(), engine.Request{Model: "pbm", Session: &live[0]})
@@ -233,7 +233,7 @@ func TestPublishMicro(t *testing.T) {
 	if !(hi.CTR > lo.CTR) {
 		t.Fatalf("learned relevance did not separate snippets: %.4f vs %.4f", hi.CTR, lo.CTR)
 	}
-	if c := l.Counters(); c.FoldedSnippets != 2 || c.MicroTerms == 0 {
+	if c := l.Metrics().Read(); c["stream.folded_snippets"] != 2 || c["stream.micro_terms"] == 0 {
 		t.Fatalf("counters: %+v", c)
 	}
 }
@@ -259,7 +259,7 @@ func TestPublishPartialFailure(t *testing.T) {
 	if len(infos) != 1 || infos[0].Name != "sdbn" {
 		t.Fatalf("published %+v", infos)
 	}
-	if c := l.Counters(); c.PublishErrors != 1 || c.Publishes != 1 {
+	if c := l.Metrics().Read(); c["stream.publish_errors"] != 1 || c["stream.publishes"] != 1 {
 		t.Fatalf("counters: %+v", c)
 	}
 }
@@ -281,7 +281,7 @@ func TestDecayAgesOutTraffic(t *testing.T) {
 	if _, err := l.Publish(); err != nil {
 		t.Fatal(err)
 	}
-	w1 := l.Counters().Weight
+	w1 := l.Metrics().Read()["stream.weight"]
 	skippy := clickmodel.Session{Query: "q", Docs: []string{"a", "b"}, Clicks: []bool{false, false}}
 	for round := 0; round < 4; round++ {
 		for i := 0; i < 100; i++ {
@@ -293,7 +293,7 @@ func TestDecayAgesOutTraffic(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if w2 := l.Counters().Weight; w2 >= w1+400 {
+	if w2 := l.Metrics().Read()["stream.weight"]; w2 >= w1+400 {
 		t.Fatalf("decay did not age traffic out: weight %v -> %v", w1, w2)
 	}
 	// Recent all-skip traffic should have pulled a's attractiveness
@@ -324,7 +324,7 @@ func TestBackgroundLoopGates(t *testing.T) {
 		}
 	}
 	deadline := time.After(2 * time.Second)
-	for l.Counters().PublishSkips == 0 {
+	for l.Metrics().Read()["stream.publish_skips"] == 0 {
 		select {
 		case <-deadline:
 			t.Fatal("background loop never ticked")
@@ -334,7 +334,7 @@ func TestBackgroundLoopGates(t *testing.T) {
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if c := l.Counters(); c.Publishes != 0 {
+	if c := l.Metrics().Read(); c["stream.publishes"] != 0 {
 		t.Fatalf("gated loop still published: %+v", c)
 	}
 	// Close is idempotent and safe after the loop exited.
@@ -360,10 +360,10 @@ func TestBackgroundLoopPublishes(t *testing.T) {
 		}
 	}
 	deadline := time.After(5 * time.Second)
-	for l.Counters().Publishes == 0 {
+	for l.Metrics().Read()["stream.publishes"] == 0 {
 		select {
 		case <-deadline:
-			t.Fatalf("loop never auto-published: %+v", l.Counters())
+			t.Fatalf("loop never auto-published: %+v", l.Metrics().Read())
 		case <-time.After(10 * time.Millisecond):
 		}
 	}
@@ -455,12 +455,12 @@ func concurrentIngestPublishScore(t *testing.T, queueCap int) {
 		t.Fatal(err)
 	}
 
-	c := l.Counters()
-	if c.Publishes == 0 || c.FoldedSessions == 0 {
+	c := l.Metrics().Read()
+	if c["stream.publishes"] == 0 || c["stream.folded_sessions"] == 0 {
 		t.Fatalf("counters: %+v", c)
 	}
-	if c.Accepted+c.Dropped != uint64(len(live)) {
-		t.Fatalf("accounting: accepted %d + dropped %d != %d", c.Accepted, c.Dropped, len(live))
+	if c["stream.accepted"]+c["stream.dropped"] != float64(len(live)) {
+		t.Fatalf("accounting: accepted %v + dropped %v != %v", c["stream.accepted"], c["stream.dropped"], len(live))
 	}
 }
 
@@ -482,7 +482,7 @@ func TestDecayPrunesPairs(t *testing.T) {
 	if _, err := l.Publish(); err != nil {
 		t.Fatal(err)
 	}
-	peak := l.Counters().Pairs
+	peak := l.Metrics().Read()["stream.pairs"]
 	steady := clickmodel.Session{Query: "q", Docs: []string{"evergreen"}, Clicks: []bool{true}}
 	for round := 0; round < 4; round++ {
 		for i := 0; i < 50; i++ {
@@ -494,8 +494,8 @@ func TestDecayPrunesPairs(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got := l.Counters().Pairs; got >= peak {
-		t.Fatalf("pair table never shrank: %d -> %d", peak, got)
+	if got := l.Metrics().Read()["stream.pairs"]; got >= peak {
+		t.Fatalf("pair table never shrank: %v -> %v", peak, got)
 	}
 	// The evergreen pair still serves.
 	resp, err := eng.ScoreCTR(context.Background(), engine.Request{Model: "sdbn", Session: &steady})
@@ -533,7 +533,7 @@ func (m parkedModel) SessionLogLikelihood(s clickmodel.Session) float64 {
 	return m.pbm.SessionLogLikelihood(s)
 }
 
-// countersUnderLock is what Counters must report of the state l.mu
+// countersUnderLock is what the learner's list must report of the state l.mu
 // guards, read from that state itself with the lock held.
 func countersUnderLock(l *Learner) (window, pairs, terms int, weight float64) {
 	l.mu.Lock()
@@ -544,9 +544,9 @@ func countersUnderLock(l *Learner) (window, pairs, terms int, weight float64) {
 	return window, l.global.NumPairs(), len(l.terms), l.global.Weight()
 }
 
-// TestCountersDoNotWaitForPublish: /healthz and /metrics read Counters,
-// and a liveness probe must not queue behind a model fit. With a publish
-// parked inside a fit — l.mu held — Counters answers at once, with what
+// TestCountersDoNotWaitForPublish: /healthz and /metrics read the
+// learner's list, and a liveness probe must not queue behind a model fit.
+// With a publish parked inside a fit — l.mu held — the list reads at once, with what
 // the fold and the merge of that publish already made true; once the
 // publish is through it reports what a read under the lock finds.
 func TestCountersDoNotWaitForPublish(t *testing.T) {
@@ -583,15 +583,16 @@ func TestCountersDoNotWaitForPublish(t *testing.T) {
 	case <-time.After(10 * time.Second):
 		t.Fatal("the publish never reached the parked fit")
 	}
-	got := make(chan Counters, 1)
-	go func() { got <- l.Counters() }()
+	got := make(chan map[string]float64, 1)
+	go func() { got <- l.Metrics().Read() }()
 	select {
 	case c := <-got:
-		if c.FoldedSessions != 400 || c.WindowSessions != 400 || c.Pairs == 0 || c.MicroTerms == 0 || c.Weight != 400 || c.Publishes != 0 {
+		if c["stream.folded_sessions"] != 400 || c["stream.window_sessions"] != 400 || c["stream.pairs"] == 0 ||
+			c["stream.micro_terms"] == 0 || c["stream.weight"] != 400 || c["stream.publishes"] != 0 {
 			t.Errorf("during the publish, after its fold and merge: %+v", c)
 		}
 	case <-time.After(100 * time.Millisecond):
-		t.Error("Counters waited for a publish that is inside a model fit")
+		t.Error("reading the learner's list waited for a publish that is inside a model fit")
 	}
 	close(gate.release)
 	if err := <-published; err != nil {
@@ -600,15 +601,15 @@ func TestCountersDoNotWaitForPublish(t *testing.T) {
 
 	check := func(when string, l *Learner, publishes uint64) {
 		t.Helper()
-		c := l.Counters()
+		c := l.Metrics().Read()
 		window, pairs, terms, weight := countersUnderLock(l)
-		if c.WindowSessions != window || c.Pairs != pairs || c.MicroTerms != terms || c.Weight != weight {
-			t.Errorf("%s: Counters reports window %d, %d pairs, %d terms, weight %v; under the lock %d, %d, %d, %v",
-				when, c.WindowSessions, c.Pairs, c.MicroTerms, c.Weight, window, pairs, terms, weight)
+		if c["stream.window_sessions"] != float64(window) || c["stream.pairs"] != float64(pairs) || c["stream.micro_terms"] != float64(terms) || c["stream.weight"] != weight {
+			t.Errorf("%s: the list reads window %v, %v pairs, %v terms, weight %v; under the lock %d, %d, %d, %v",
+				when, c["stream.window_sessions"], c["stream.pairs"], c["stream.micro_terms"], c["stream.weight"], window, pairs, terms, weight)
 		}
-		if c.Publishes != publishes || c.PublishErrors != 0 || c.PublishSkips != 0 || (c.LastPublishMS > 0) != (publishes > 0) {
-			t.Errorf("%s: %d publishes, %d errors, %d skips, last took %v ms; want %d clean ones",
-				when, c.Publishes, c.PublishErrors, c.PublishSkips, c.LastPublishMS, publishes)
+		if c["stream.publishes"] != float64(publishes) || c["stream.publish_errors"] != 0 || c["stream.publish_skips"] != 0 || (c["stream.last_publish_ms"] > 0) != (publishes > 0) {
+			t.Errorf("%s: %v publishes, %v errors, %v skips, last took %v ms; want %d clean ones",
+				when, c["stream.publishes"], c["stream.publish_errors"], c["stream.publish_skips"], c["stream.last_publish_ms"], publishes)
 		}
 	}
 	check("after the publish", l, 1)
@@ -628,8 +629,8 @@ func TestCountersDoNotWaitForPublish(t *testing.T) {
 	defer cfg.WAL.Close()
 	l2 := mustLearner(t, cfg)
 	defer l2.Close()
-	if c := l2.Counters(); c.WindowSessions != 400 {
-		t.Errorf("after replay Counters reports a window of %d sessions, want 400", c.WindowSessions)
+	if c := l2.Metrics().Read(); c["stream.window_sessions"] != 400 {
+		t.Errorf("after replay Metrics reports a window of %v sessions, want 400", c["stream.window_sessions"])
 	}
 	check("after replay", l2, 0)
 }

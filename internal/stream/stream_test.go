@@ -129,8 +129,8 @@ func TestIngestValidation(t *testing.T) {
 	if err := l.Ingest(Event{Session: bad}); err == nil {
 		t.Fatal("invalid session accepted")
 	}
-	if got := l.Counters().Invalid; got != 2 {
-		t.Fatalf("invalid counter = %d, want 2", got)
+	if got := l.Metrics().Read()["stream.invalid"]; got != 2 {
+		t.Fatalf("invalid counter = %v, want 2", got)
 	}
 	// Saturation surfaces as ErrDropped.
 	if err := l.Ingest(Event{Session: testSession("q")}); err != nil {
@@ -139,8 +139,8 @@ func TestIngestValidation(t *testing.T) {
 	if err := l.Ingest(Event{Session: testSession("q")}); !errors.Is(err, ErrDropped) {
 		t.Fatalf("saturated ingest returned %v, want ErrDropped", err)
 	}
-	c := l.Counters()
-	if c.Accepted != 1 || c.Dropped != 1 {
+	c := l.Metrics().Read()
+	if c["stream.accepted"] != 1 || c["stream.dropped"] != 1 {
 		t.Fatalf("counters after saturation: %+v", c)
 	}
 }

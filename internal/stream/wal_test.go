@@ -43,8 +43,8 @@ func TestLearnerWALReplay(t *testing.T) {
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if c := w.Counters(); c.Appended != uint64(len(sessions)+3) {
-		t.Fatalf("WAL Appended = %d, want %d", c.Appended, len(sessions)+3)
+	if c := w.Metrics().Read(); c["wal.appended"] != float64(len(sessions)+3) {
+		t.Fatalf("WAL Appended = %v, want %v", c["wal.appended"], len(sessions)+3)
 	}
 
 	// "Restart": a fresh WAL, engine and learner over the same
@@ -61,14 +61,14 @@ func TestLearnerWALReplay(t *testing.T) {
 	}
 	defer l2.Close()
 
-	c := l2.Counters()
-	if c.Replayed != uint64(len(sessions)+3) {
-		t.Fatalf("Replayed = %d, want %d", c.Replayed, len(sessions)+3)
+	c := l2.Metrics().Read()
+	if c["stream.replayed"] != float64(len(sessions)+3) {
+		t.Fatalf("Replayed = %v, want %v", c["stream.replayed"], len(sessions)+3)
 	}
-	if c.FoldedSessions != uint64(len(sessions)) || c.FoldedSnippets != 3 {
-		t.Fatalf("folded %d sessions / %d snippets, want %d / 3", c.FoldedSessions, c.FoldedSnippets, len(sessions))
+	if c["stream.folded_sessions"] != float64(len(sessions)) || c["stream.folded_snippets"] != 3 {
+		t.Fatalf("folded %v sessions / %v snippets, want %v / 3", c["stream.folded_sessions"], c["stream.folded_snippets"], len(sessions))
 	}
-	if wc := w2.Counters(); wc.Replayed != uint64(len(sessions)+3) || wc.CorruptSkipped != 0 {
+	if wc := w2.Metrics().Read(); wc["wal.replayed"] != float64(len(sessions)+3) || wc["wal.corrupt_skipped"] != 0 {
 		t.Fatalf("WAL replay counters: %+v", wc)
 	}
 
@@ -83,7 +83,7 @@ func TestLearnerWALReplay(t *testing.T) {
 	if got := eng2.ModelCount(); got != 2 {
 		t.Fatalf("engine has %d models after replay publish, want 2", got)
 	}
-	if c := l2.Counters(); c.Pairs == 0 || c.MicroTerms == 0 {
+	if c := l2.Metrics().Read(); c["stream.pairs"] == 0 || c["stream.micro_terms"] == 0 {
 		t.Fatalf("replayed state is empty: %+v", c)
 	}
 }
@@ -106,7 +106,7 @@ func TestLearnerWALAppendFailure(t *testing.T) {
 			t.Fatalf("ingest with a dead WAL: %v", err)
 		}
 	}
-	if c := w.Counters(); c.AppendErrors != 5 {
-		t.Fatalf("AppendErrors = %d, want 5", c.AppendErrors)
+	if c := w.Metrics().Read(); c["wal.append_errors"] != 5 {
+		t.Fatalf("AppendErrors = %v, want 5", c["wal.append_errors"])
 	}
 }

@@ -156,17 +156,3 @@ var stopwords = map[string]bool{
 // IsStopword reports whether the (already normalised) unigram w is a
 // stopword.
 func IsStopword(w string) bool { return stopwords[w] }
-
-// FilterStopTerms removes unigram terms that are stopwords. Longer grams
-// are kept even if they contain stopwords, since phrases such as
-// "best of 2019" remain meaningful.
-func FilterStopTerms(terms []Term) []Term {
-	out := terms[:0:0]
-	for _, t := range terms {
-		if t.N == 1 && IsStopword(t.Text) {
-			continue
-		}
-		out = append(out, t)
-	}
-	return out
-}

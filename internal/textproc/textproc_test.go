@@ -157,36 +157,6 @@ func TestTermKey(t *testing.T) {
 	}
 }
 
-func TestFilterStopTerms(t *testing.T) {
-	terms := ExtractTerms([]string{"the best of rates"}, 2)
-	filtered := FilterStopTerms(terms)
-	for _, tm := range filtered {
-		if tm.N == 1 && IsStopword(tm.Text) {
-			t.Errorf("stopword unigram %q survived filtering", tm.Text)
-		}
-	}
-	// Bigrams containing stopwords must survive.
-	var hasBigram bool
-	for _, tm := range filtered {
-		if tm.Text == "best of" {
-			hasBigram = true
-		}
-	}
-	if !hasBigram {
-		t.Error("bigram containing stopword was wrongly removed")
-	}
-}
-
-func TestFilterStopTermsDoesNotAlias(t *testing.T) {
-	terms := []Term{{Text: "the", N: 1}, {Text: "deal", N: 1}}
-	orig := make([]Term, len(terms))
-	copy(orig, terms)
-	_ = FilterStopTerms(terms)
-	if !reflect.DeepEqual(terms, orig) {
-		t.Error("FilterStopTerms mutated its input")
-	}
-}
-
 func BenchmarkTokenize(b *testing.B) {
 	line := "Find cheap flights to New York. No reservation costs, great rates!"
 	b.ReportAllocs()

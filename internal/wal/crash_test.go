@@ -109,6 +109,6 @@ func TestCrashRecovery(t *testing.T) {
 	if replayed != lastSeq {
 		t.Fatalf("replayed %d records up to seq %d — a gap appeared", replayed, lastSeq)
 	}
-	t.Logf("child last reported appended=%d durable=%d; recovered %d records (torn bytes truncated %d)",
-		lastAppended, lastDurable, replayed, w.Counters().TruncatedBytes)
+	t.Logf("child last reported appended=%v durable=%v; recovered %v records (torn bytes truncated %v)",
+		lastAppended, lastDurable, replayed, w.Metrics().Read()["wal.truncated_bytes"])
 }

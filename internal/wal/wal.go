@@ -195,23 +195,6 @@ type segmentInfo struct {
 	SealedUnix int64  `json:"sealed_unix"`
 }
 
-// Counters is a snapshot of the log's health, exposed on /healthz and
-// /metrics.
-type Counters struct {
-	Appended       uint64 `json:"appended"`
-	AppendErrors   uint64 `json:"append_errors"`
-	Flushes        uint64 `json:"flushes"`
-	Syncs          uint64 `json:"syncs"`
-	Replayed       uint64 `json:"replayed"`
-	CorruptSkipped uint64 `json:"corrupt_skipped"`
-	TruncatedBytes uint64 `json:"truncated_bytes"`
-	PrunedSegments uint64 `json:"pruned_segments"`
-	Segments       int    `json:"segments"`
-	Bytes          int64  `json:"bytes"`
-	DurableSeq     uint64 `json:"durable_seq"`
-	NextSeq        uint64 `json:"next_seq"`
-}
-
 // WAL is one open log directory. Open it, Replay history into the
 // learner, then Append accepted feedback for the life of the process;
 // Close flushes and seals. Append is safe for concurrent callers.
@@ -918,61 +901,63 @@ func (w *WAL) Close() error {
 	return err
 }
 
-// Counters returns a snapshot of the log's health. It waits for the
-// encoder to catch up to the appends accepted before the call, so the
-// segment inventory and watermarks it reports are current.
-func (w *WAL) Counters() Counters {
+// Metrics declares the log's health: appends and their failures,
+// flushes and fsyncs, what recovery replayed, skipped and truncated,
+// pruning, the segment inventory and the sequence watermarks, and the
+// operation histograms (appends sampled 1-in-appendSampleEvery, with
+// ring backpressure and SyncAlways group commit; per write, per fsync,
+// per rotation).
+func (w *WAL) Metrics() obs.List {
+	counter := func(key, help string, a *atomic.Uint64) obs.Metric {
+		return obs.Metric{Name: "microserve_wal_" + key + "_total", Help: help, Kind: obs.KindCounter,
+			Block: "wal", Key: key, Value: func() float64 { return float64(a.Load()) }}
+	}
+	gauge := func(key, help string, v func() float64) obs.Metric {
+		return obs.Metric{Name: "microserve_wal_" + key, Help: help, Kind: obs.KindGauge, Block: "wal", Key: key, Value: v}
+	}
+	op := func(name string, h *obs.Histogram) obs.Metric {
+		return obs.Metric{Name: "microserve_wal_op_duration_seconds",
+			Help: "WAL operation durations (append sampled 1-in-64; syscalls exact).",
+			Kind: obs.KindHistogram, Labels: `op="` + name + `"`, Scale: 1e-9, Hist: h}
+	}
+	return obs.List{
+		// The inventory comes first: the barrier it takes lets every
+		// reading after it in a scrape see the appends accepted before.
+		gauge("segments", "Live segment files.", func() float64 { n, _ := w.inventory(); return float64(n) }),
+		gauge("bytes", "Total log bytes (including buffered).", func() float64 { _, b := w.inventory(); return float64(b) }),
+		counter("appended", "Records appended to the feedback WAL.", &w.head),
+		counter("append_errors", "WAL appends that failed.", &w.appendErrors),
+		counter("flushes", "Append-buffer flushes to the OS.", &w.flushes),
+		counter("syncs", "fsync calls.", &w.syncs),
+		counter("replayed", "Records replayed at boot.", &w.replayed),
+		counter("corrupt_skipped", "Corrupt records skipped during replay.", &w.corrupt),
+		counter("truncated_bytes", "Torn-tail bytes truncated during recovery.", &w.truncatedBytes),
+		counter("pruned_segments", "Sealed segments pruned.", &w.prunedSegments),
+		gauge("durable_seq", "Highest fsynced sequence number.", func() float64 { return float64(w.durable.Load()) }),
+		gauge("next_seq", "Next sequence number to be appended.", func() float64 { return float64(w.base + w.head.Load()) }),
+		op("append", &w.appendH),
+		op("flush", &w.flushH),
+		op("sync", &w.syncH),
+		op("rotate", &w.rotateH),
+	}
+}
+
+// inventory counts the live segment files and their bytes. It waits for
+// the encoder to catch up to the appends accepted before the call, so
+// what it reports is current as of the read.
+func (w *WAL) inventory() (segments int, bytes int64) {
 	w.drainBarrier()
 	w.mu.Lock()
-	segs := len(w.sealed)
-	bytes := int64(0)
+	defer w.mu.Unlock()
 	for _, s := range w.sealed {
 		bytes += s.Bytes
 	}
+	segments = len(w.sealed)
 	if !w.closed {
-		segs++
+		segments++
 		bytes += w.segBytes
 	}
-	w.mu.Unlock()
-	head := w.head.Load()
-	return Counters{
-		Appended:       head,
-		AppendErrors:   w.appendErrors.Load(),
-		Flushes:        w.flushes.Load(),
-		Syncs:          w.syncs.Load(),
-		Replayed:       w.replayed.Load(),
-		CorruptSkipped: w.corrupt.Load(),
-		TruncatedBytes: w.truncatedBytes.Load(),
-		PrunedSegments: w.prunedSegments.Load(),
-		Segments:       segs,
-		Bytes:          bytes,
-		DurableSeq:     w.durable.Load(),
-		NextSeq:        w.base + head,
-	}
-}
-
-// HistSnapshots is the durability-latency detail behind the Counters
-// summary: all samples are nanoseconds.
-type HistSnapshots struct {
-	// Append is the sampled (1-in-appendSampleEvery) accept latency,
-	// including ring backpressure and SyncAlways group commit.
-	Append obs.Snapshot
-	// Flush is per-write buffer hand-off latency to the OS.
-	Flush obs.Snapshot
-	// Sync is per-fsync device latency on the syncTo path.
-	Sync obs.Snapshot
-	// Rotate is segment seal-and-reopen latency.
-	Rotate obs.Snapshot
-}
-
-// Hists snapshots the durability-latency histograms for /metrics.
-func (w *WAL) Hists() HistSnapshots {
-	return HistSnapshots{
-		Append: w.appendH.Snapshot(),
-		Flush:  w.flushH.Snapshot(),
-		Sync:   w.syncH.Snapshot(),
-		Rotate: w.rotateH.Snapshot(),
-	}
+	return segments, bytes
 }
 
 // manifest is the JSON inventory rewritten on every rotation/prune.

@@ -115,8 +115,8 @@ func TestRoundTrip(t *testing.T) {
 			}
 		}
 	}
-	c := w2.Counters()
-	if c.Replayed != 4 || c.CorruptSkipped != 0 || c.TruncatedBytes != 0 {
+	c := w2.Metrics().Read()
+	if c["wal.replayed"] != 4 || c["wal.corrupt_skipped"] != 0 || c["wal.truncated_bytes"] != 0 {
 		t.Fatalf("counters after clean replay: %+v", c)
 	}
 }
@@ -216,12 +216,12 @@ func TestPruneMaxBytes(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	c := w.Counters()
-	if c.PrunedSegments == 0 {
+	c := w.Metrics().Read()
+	if c["wal.pruned_segments"] == 0 {
 		t.Fatalf("no segments pruned under a 1KiB budget: %+v", c)
 	}
-	if c.Bytes > 1024+256 {
-		t.Fatalf("log holds %d bytes, budget 1024 (+1 segment slack)", c.Bytes)
+	if c["wal.bytes"] > 1024+256 {
+		t.Fatalf("log holds %v bytes, budget 1024 (+1 segment slack)", c["wal.bytes"])
 	}
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
@@ -234,8 +234,8 @@ func TestPruneMaxBytes(t *testing.T) {
 	if len(got) == 0 || len(got) >= n {
 		t.Fatalf("replayed %d records, want a proper pruned suffix of %d", len(got), n)
 	}
-	if c2 := w2.Counters(); c2.NextSeq != n+1 {
-		t.Fatalf("NextSeq after prune+reopen = %d, want %d", c2.NextSeq, n+1)
+	if c2 := w2.Metrics().Read(); c2["wal.next_seq"] != float64(n+1) {
+		t.Fatalf("NextSeq after prune+reopen = %v, want %v", c2["wal.next_seq"], n+1)
 	}
 }
 
@@ -260,8 +260,8 @@ func TestPruneRetention(t *testing.T) {
 	if err := w.Rotate(); err != nil {
 		t.Fatal(err)
 	}
-	if c := w.Counters(); c.PrunedSegments != 1 {
-		t.Fatalf("PrunedSegments = %d, want 1: %+v", c.PrunedSegments, c)
+	if c := w.Metrics().Read(); c["wal.pruned_segments"] != 1 {
+		t.Fatalf("PrunedSegments = %v, want 1: %+v", c["wal.pruned_segments"], c)
 	}
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
@@ -336,9 +336,9 @@ func TestTornTailTruncated(t *testing.T) {
 	if got := replayAll(t, w2); len(got) != 10 {
 		t.Fatalf("replayed %d records, want the 10 whole ones", len(got))
 	}
-	c := w2.Counters()
-	if c.TruncatedBytes != uint64(len(torn)) {
-		t.Fatalf("TruncatedBytes = %d, want %d", c.TruncatedBytes, len(torn))
+	c := w2.Metrics().Read()
+	if c["wal.truncated_bytes"] != float64(len(torn)) {
+		t.Fatalf("TruncatedBytes = %v, want %v", c["wal.truncated_bytes"], len(torn))
 	}
 	after, err := os.Stat(segs[0])
 	if err != nil {
@@ -410,8 +410,8 @@ func TestCorruptEveryByte(t *testing.T) {
 			if replayed > n {
 				t.Fatalf("%s byte %d: replayed %d > written %d", filepath.Base(seg), off, replayed, n)
 			}
-			c := w2.Counters()
-			if replayed < n && c.CorruptSkipped == 0 && c.TruncatedBytes == 0 {
+			c := w2.Metrics().Read()
+			if replayed < n && c["wal.corrupt_skipped"] == 0 && c["wal.truncated_bytes"] == 0 {
 				t.Fatalf("%s byte %d: lost %d records without a counter: %+v",
 					filepath.Base(seg), off, n-replayed, c)
 			}
@@ -447,12 +447,12 @@ func TestConcurrentSyncAlwaysGroupCommit(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	c := w.Counters()
-	if c.Appended != writers*each {
-		t.Fatalf("Appended = %d, want %d", c.Appended, writers*each)
+	c := w.Metrics().Read()
+	if c["wal.appended"] != float64(writers*each) {
+		t.Fatalf("Appended = %v, want %v", c["wal.appended"], writers*each)
 	}
-	if c.Syncs >= c.Appended {
-		t.Logf("no group commit observed (%d syncs for %d appends) — legal but slow", c.Syncs, c.Appended)
+	if c["wal.syncs"] >= c["wal.appended"] {
+		t.Logf("no group commit observed (%v syncs for %v appends) — legal but slow", c["wal.syncs"], c["wal.appended"])
 	}
 	if err := w.Close(); err != nil {
 		t.Fatal(err)

@@ -57,6 +57,10 @@ if [ -z "$up" ]; then
   exit 1
 fi
 
+series() { # series <name>: one unlabelled series' value on /metrics
+  curl -fs "http://$addr/metrics" | sed -n "s/^$1 \([0-9]*\)\$/\1/p"
+}
+
 check() { # check <name> <got> <needle>
   case "$2" in
     *"$3"*) echo "serve_smoke: $1 ok" ;;
@@ -233,9 +237,9 @@ code=$(curl -s -o /dev/null -w '%{http_code}' "http://$addr/debug/pprof/")
 echo "serve_smoke: observability ok"
 
 # --- crash recovery: kill -9, restart on the same log, republish ---
-# A last healthz read pins how much the WAL holds; the 50ms flush
-# interval has long since passed, so every appended record is durable.
-appended=$(curl -fs "http://$addr/healthz" | sed -n 's/.*"appended":\([0-9]*\).*/\1/p')
+# A last scrape pins how much the WAL holds; the 50ms flush interval
+# has long since passed, so every appended record is durable.
+appended=$(series microserve_wal_appended_total)
 if [ -z "$appended" ] || [ "$appended" -lt 2000 ]; then
   echo "serve_smoke: WAL appended only ${appended:-0} records before the crash" >&2
   exit 1
@@ -266,7 +270,7 @@ if [ -z "$up" ]; then
   exit 1
 fi
 
-replayed=$(curl -fs "http://$addr/healthz" | sed -n 's/.*"wal":{[^}]*"replayed":\([0-9]*\).*/\1/p')
+replayed=$(series microserve_wal_replayed_total)
 if [ -z "$replayed" ] || [ "$replayed" -lt "$appended" ]; then
   echo "serve_smoke: replayed only ${replayed:-0} of $appended logged records" >&2
   curl -fs "http://$addr/healthz" >&2 || true
