@@ -1078,26 +1078,128 @@ func BenchmarkStreamIngest(b *testing.B) {
 	b.Run("parallel", func(b *testing.B) { run(b, true) })
 }
 
+// countingShape is a (query, doc) space for the counting models' write
+// and read benchmarks: queries × docs pairs, doc i named alike under
+// every query.
+type countingShape struct {
+	name          string
+	queries, docs int // docs per query
+}
+
+// countingShapes are the two ends of the space: mixed_online's one query
+// over a large ad inventory, and many queries of a few docs each.
+var countingShapes = []countingShape{
+	{"queries=1/docs=16384", 1, 16384},
+	{"queries=20000/docs=10", 20000, 10},
+}
+
+var countingLogs struct {
+	mu   sync.Mutex
+	logs map[countingShape][2][]clickmodel.Session
+}
+
+// countingShapeLogs returns a shape's training log, which lists every
+// doc of every query in sessions of four, and a pool of 4096 four-doc
+// sessions of random docs under random queries. Clicks fall off with
+// the position.
+func countingShapeLogs(sh countingShape) (train, pool []clickmodel.Session) {
+	countingLogs.mu.Lock()
+	defer countingLogs.mu.Unlock()
+	if l, ok := countingLogs.logs[sh]; ok {
+		return l[0], l[1]
+	}
+	rng := rand.New(rand.NewSource(int64(sh.queries)*31 + int64(sh.docs)))
+	docs := make([]string, sh.docs)
+	for i := range docs {
+		docs[i] = fmt.Sprintf("ad-%06d", i)
+	}
+	session := func(q int, ds []string) clickmodel.Session {
+		s := clickmodel.Session{Query: fmt.Sprintf("query %d", q), Docs: ds, Clicks: make([]bool, len(ds))}
+		for i := range ds {
+			s.Clicks[i] = rng.Float64() < 0.3/float64(i+1)
+		}
+		return s
+	}
+	for q := 0; q < sh.queries; q++ {
+		for d := 0; d < sh.docs; d += 4 {
+			ds := make([]string, 4)
+			for i := range ds {
+				ds[i] = docs[(d+i)%sh.docs]
+			}
+			train = append(train, session(q, ds))
+		}
+	}
+	for i := 0; i < 4096; i++ {
+		ds := make([]string, 4)
+		for j, d := range rng.Perm(sh.docs)[:4] {
+			ds[j] = docs[d]
+		}
+		pool = append(pool, session(rng.Intn(sh.queries), ds))
+	}
+	if countingLogs.logs == nil {
+		countingLogs.logs = map[countingShape][2][]clickmodel.Session{}
+	}
+	countingLogs.logs[sh] = [2][]clickmodel.Session{train, pool}
+	return train, pool
+}
+
 // BenchmarkStreamFold prices the per-session accumulation into the
 // incremental sufficient statistics (interning plus dense count
-// updates); after the first pass over the log every pair is interned
-// and the steady state allocates nothing.
+// updates) in each countingShape; the pool is folded once before the
+// timer, so every pair is interned and the steady state allocates
+// nothing.
 func BenchmarkStreamFold(b *testing.B) {
-	sessions := getStreamSessions(b)
-	st := clickmodel.NewStats()
-	for i := range sessions {
-		if err := st.Add(sessions[i]); err != nil {
-			b.Fatal(err)
+	for _, sh := range countingShapes {
+		b.Run(sh.name, func(b *testing.B) {
+			train, pool := countingShapeLogs(sh)
+			st := clickmodel.NewStats()
+			for _, log := range [][]clickmodel.Session{train, pool} {
+				if err := st.AddAll(log); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := st.Add(pool[i%len(pool)]); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "sessions/s")
+		})
+	}
+}
+
+// BenchmarkCountingServe prices what a reader pays per macro session of
+// a counting model the learner published: ClickProbsInto over four docs
+// into a reused buffer, the model fitted by FitStats on the shape's
+// training log.
+func BenchmarkCountingServe(b *testing.B) {
+	for _, name := range []string{"sdbn", "cascade", "dcm"} {
+		for _, sh := range countingShapes {
+			b.Run(name+"/"+sh.name, func(b *testing.B) {
+				train, pool := countingShapeLogs(sh)
+				st := clickmodel.NewStats()
+				if err := st.AddAll(train); err != nil {
+					b.Fatal(err)
+				}
+				m, err := clickmodel.New(name)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if err := m.(clickmodel.StatsFitter).FitStats(st); err != nil {
+					b.Fatal(err)
+				}
+				ip := m.(clickmodel.InplaceScorer)
+				buf := make([]float64, 0, 4)
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					buf = ip.ClickProbsInto(pool[i%len(pool)], buf)
+				}
+			})
 		}
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := st.Add(sessions[i%len(sessions)]); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "sessions/s")
 }
 
 // BenchmarkStreamPublish measures publish latency end to end — drain,

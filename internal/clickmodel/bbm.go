@@ -33,8 +33,7 @@ type BBM struct {
 	// (0 = GOMAXPROCS); the single counting pass itself is serial.
 	Workers int
 
-	queries   *Vocab              // interned queries of the fitted log
-	pairIDs   map[pairKey]int32   // (query ID, doc) -> dense pair ID
+	pairs     *pairTable          // the fitted log's (query, doc) pairs
 	clicks    []float64           // pair ID -> click count
 	nCell     int                 // triangular cells per pair (dense layout)
 	cellGamma []float64           // cell -> fitted browsing gamma
@@ -94,8 +93,7 @@ func (m *BBM) FitLog(c *CompiledLog) error {
 
 	nPair := c.NumPairs()
 	nCell := tri(c.maxPos)
-	m.queries = c.Queries
-	m.pairIDs = c.pairIDs
+	m.pairs = c.tab
 	m.clicks = reuseFloats(m.clicks, nPair)
 	clear(m.clicks)
 	m.cellGamma = reuseFloats(m.cellGamma, nCell)
@@ -202,11 +200,7 @@ func (m *BBM) posteriorMeanID(p int32) float64 {
 // uniform prior, evaluated on the grid. Unseen pairs return the prior
 // mean 0.5.
 func (m *BBM) PosteriorMean(query, doc string) float64 {
-	qid, ok := m.queries.Lookup(query)
-	if !ok {
-		return 0.5
-	}
-	p, ok := m.pairIDs[pairKey{qid, doc}]
+	p, ok := m.pairs.find(query, doc)
 	if !ok {
 		return 0.5
 	}

@@ -13,14 +13,18 @@ package clickmodel
 // fraction of its *examined* impressions that were clicked, where the
 // examined positions of a session are those up to and including the first
 // click (all positions, if there is no click). The counts are a Stats'
-// (examFirst, clickFirst) and the ratio is FitStats'.
+// (examFirst, clickFirst) and the ratio is FitStats'. The alphas are
+// fitted over a pair table of the pairs examined at or above a first
+// click, one per pair ID.
 type Cascade struct {
-	Alpha      map[qd]float64
 	PriorAlpha float64 // attractiveness for unseen (query, doc); default 0.5
 
 	// LaplaceA and LaplaceB are the add-a/add-b smoothing counts for the
 	// click/examination ratio (default 1 and 2: a Beta(1,1) prior mean).
 	LaplaceA, LaplaceB float64
+
+	pairs  *pairTable
+	alphas []float64
 }
 
 // NewCascade returns a Cascade with default smoothing.
@@ -57,9 +61,11 @@ func (m *Cascade) FitLog(c *CompiledLog) error {
 	return m.FitStats(&st)
 }
 
-func (m *Cascade) alpha(q, d string) float64 {
-	if a, ok := m.Alpha[qd{q, d}]; ok {
-		return a
+// alpha returns the attractiveness of doc d under the query whose doc
+// map is row (pairTable.row): one probe.
+func (m *Cascade) alpha(row map[string]int32, d string) float64 {
+	if p, ok := row[d]; ok {
+		return m.alphas[p]
 	}
 	return m.PriorAlpha
 }
@@ -72,9 +78,10 @@ func (m *Cascade) ClickProbs(s Session) []float64 {
 // ClickProbsInto implements InplaceScorer.
 func (m *Cascade) ClickProbsInto(s Session, buf []float64) []float64 {
 	out := resizeProbs(buf, len(s.Docs))
+	row := m.pairs.row(s.Query)
 	survive := 1.0
 	for i, d := range s.Docs {
-		a := m.alpha(s.Query, d)
+		a := m.alpha(row, d)
 		out[i] = survive * a
 		survive *= 1 - a
 	}
@@ -85,10 +92,11 @@ func (m *Cascade) ClickProbsInto(s Session, buf []float64) []float64 {
 // reaches position i.
 func (m *Cascade) ExaminationProbs(s Session) []float64 {
 	out := make([]float64, len(s.Docs))
+	row := m.pairs.row(s.Query)
 	survive := 1.0
 	for i, d := range s.Docs {
 		out[i] = survive
-		survive *= 1 - m.alpha(s.Query, d)
+		survive *= 1 - m.alpha(row, d)
 	}
 	return out
 }
@@ -97,10 +105,11 @@ func (m *Cascade) ExaminationProbs(s Session) []float64 {
 // are impossible under the cascade hypothesis and score the floor
 // probability per extra click.
 func (m *Cascade) SessionLogLikelihood(s Session) float64 {
+	row := m.pairs.row(s.Query)
 	ll := 0.0
 	stopped := false
 	for i, d := range s.Docs {
-		a := m.alpha(s.Query, d)
+		a := m.alpha(row, d)
 		switch {
 		case stopped:
 			// Anything after the first click is unexamined: a click here

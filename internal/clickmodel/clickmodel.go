@@ -15,22 +15,26 @@
 // All models share the Session type — one query impression with the shown
 // documents and the observed click pattern — and the Model interface, so
 // they can be fitted and evaluated interchangeably. Estimation runs on a
-// compiled form of the log (see Vocab and CompiledLog): queries and
-// (query, doc) pairs are interned to dense int32 IDs once, and the passes
-// accumulate into flat ID-indexed arrays instead of rebuilding
+// compiled form of the log (see CompiledLog): (query, doc) pairs are
+// interned to dense int32 IDs once — by the one pair interner, which
+// resolves a query once and then each doc with one probe — and the
+// passes accumulate into flat ID-indexed arrays instead of rebuilding
 // string-keyed maps per iteration: the EM models' E-steps sharded over a
 // worker pool, the counting models (SDBN, Cascade, DCM) in one pass into
 // a Stats — their sufficient statistics, grown a session at a time by an
 // online learner or filled at once from a compiled log — from which
-// FitStats, the one statement of their closed forms, estimates.
+// FitStats, the one statement of their closed forms, estimates into a
+// pair table of the model's own and one dense value array per parameter.
 // Fit(sessions) compiles internally; callers fitting several models on
 // one log should Compile once and use each model's FitLog.
 package clickmodel
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
+	"strings"
 )
 
 // Session is a single query impression: the ranked documents that were
@@ -155,6 +159,10 @@ func clickProbsInto(m Model, s Session, buf []float64) []float64 {
 
 // qd keys attractiveness/relevance parameters by (query, document).
 type qd struct{ q, d string }
+
+// compareQD orders pairs by query, then doc: the order artifacts list
+// them in.
+func compareQD(a, b qd) int { return cmp.Or(strings.Compare(a.q, b.q), strings.Compare(a.d, b.d)) }
 
 // probEps clamps probabilities away from {0,1} so logarithms and EM
 // posteriors stay finite.

@@ -185,7 +185,7 @@ func TestCascadeRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	for d := 0; d < simDocs; d++ {
-		a := m.alpha("q", docName(d))
+		a := m.alpha(m.pairs.row("q"), docName(d))
 		if math.Abs(a-truthAlpha(d)) > 0.05 {
 			t.Errorf("alpha[%s] = %.3f, want %.3f", docName(d), a, truthAlpha(d))
 		}
@@ -194,7 +194,7 @@ func TestCascadeRecovery(t *testing.T) {
 
 func TestCascadeSingleClickLikelihood(t *testing.T) {
 	m := NewCascade()
-	m.Alpha = map[qd]float64{{"q", "a"}: 0.3, {"q", "b"}: 0.5}
+	m.pairs, m.alphas = pairTableOf([]qd{{"q", "a"}, {"q", "b"}}), []float64{0.3, 0.5}
 	s := Session{Query: "q", Docs: []string{"a", "b"}, Clicks: []bool{false, true}}
 	want := math.Log(0.7) + math.Log(0.5)
 	if got := m.SessionLogLikelihood(s); math.Abs(got-want) > 1e-9 {
@@ -242,18 +242,21 @@ func TestSDBNClosedForm(t *testing.T) {
 	if err := m.Fit(sessions); err != nil {
 		t.Fatal(err)
 	}
-	if got := m.a("q", "a"); math.Abs(got-0.5) > 1e-9 {
-		t.Errorf("a(a) = %v, want 0.5", got)
+	row := m.pairs.row("q")
+	aa, sa := m.as(row, "a")
+	ab, sb := m.as(row, "b")
+	if math.Abs(aa-0.5) > 1e-9 {
+		t.Errorf("a(a) = %v, want 0.5", aa)
 	}
-	if got := m.a("q", "b"); math.Abs(got-1.0) > 1e-6 {
-		t.Errorf("a(b) = %v, want 1", got)
+	if math.Abs(ab-1.0) > 1e-6 {
+		t.Errorf("a(b) = %v, want 1", ab)
 	}
 	// a was clicked once, never as last click; b last-clicked 2/2.
-	if got := m.s("q", "a"); got > 1e-6 {
-		t.Errorf("s(a) = %v, want 0", got)
+	if sa > 1e-6 {
+		t.Errorf("s(a) = %v, want 0", sa)
 	}
-	if got := m.s("q", "b"); math.Abs(got-1.0) > 1e-6 {
-		t.Errorf("s(b) = %v, want 1", got)
+	if math.Abs(sb-1.0) > 1e-6 {
+		t.Errorf("s(b) = %v, want 1", sb)
 	}
 }
 

@@ -9,12 +9,10 @@ import (
 )
 
 // Vocab interns strings to dense int32 IDs (fslm-style): the first
-// distinct string becomes ID 0, the next ID 1, and so on. Interning the
-// session log once lets every EM pass index flat parameter arrays
-// instead of re-hashing (query, doc) string pairs on each iteration.
+// distinct string becomes ID 0, the next ID 1, and so on. An artifact's
+// query and doc vocabularies are numbered with one before they freeze.
 //
-// A Vocab is not safe for concurrent mutation; Compile builds it once
-// and the fitted read paths only call the read-only accessors.
+// A Vocab is not safe for concurrent mutation.
 type Vocab struct {
 	ids  map[string]int32
 	strs []string
@@ -52,8 +50,106 @@ func (v *Vocab) String(id int32) string { return v.strs[id] }
 // Len returns the number of interned strings.
 func (v *Vocab) Len() int { return len(v.strs) }
 
-// CompiledLog is a session log compiled for dense estimation: queries
-// and (query, doc) pairs are interned to dense IDs, the per-session
+// pairTable is the one growable interner of (query, doc) pairs, laid out
+// query first: a map from each query to its row — that query's own map
+// from doc to pair ID — and pairs, every pair's strings by ID. A session
+// resolves its query once and then each doc with one probe of a
+// string-keyed map, hashing and comparing the doc alone. A CompiledLog
+// (and the BBM fitted on it), a Stats and every fitted counting model
+// hold one.
+//
+// The table keeps the strings it is given, never copies: a caller whose
+// strings borrow a larger buffer (Stats.Add's feedback bodies) enters
+// copies. Like Vocab it is not safe for concurrent mutation: a table a
+// model scores from changes only when that model is refitted in place.
+type pairTable struct {
+	rows  map[string]pairRow // query -> its docs
+	pairs []qd               // pair ID -> (query, doc)
+}
+
+// pairRow is one query's docs: the query string the table keeps (the
+// one pairs lists) and the map from each doc to its pair ID.
+type pairRow struct {
+	q    string
+	docs map[string]int32
+}
+
+func newPairTable() *pairTable { return &pairTable{rows: make(map[string]pairRow)} }
+
+// pairTableOf builds the table of keys: pair i is keys[i]. A key given
+// twice resolves to its last ID, as a map built from the keys would.
+func pairTableOf(keys []qd) *pairTable {
+	t := newPairTable()
+	for _, k := range keys {
+		t.add(t.query(k.q, 0), k.d)
+	}
+	return t
+}
+
+// query returns the row of q, entering q with an empty doc map (sized
+// for hint docs) when the table lacks it.
+func (t *pairTable) query(q string, hint int) pairRow {
+	r, ok := t.rows[q]
+	if !ok {
+		r = pairRow{q, make(map[string]int32, hint)}
+		t.rows[q] = r
+	}
+	return r
+}
+
+// add enters doc under row r as the next pair ID; the caller has found
+// the pair absent.
+func (t *pairTable) add(r pairRow, doc string) int32 {
+	id := int32(len(t.pairs))
+	r.docs[doc] = id
+	t.pairs = append(t.pairs, qd{r.q, doc})
+	return id
+}
+
+// row returns query q's doc map. It is nil — every doc misses in it —
+// when q, or the table itself, is unknown.
+func (t *pairTable) row(q string) map[string]int32 {
+	if t == nil {
+		return nil
+	}
+	return t.rows[q].docs
+}
+
+// find returns the ID of pair (q, d), and whether the table holds it.
+func (t *pairTable) find(q, d string) (int32, bool) {
+	id, ok := t.row(q)[d]
+	return id, ok
+}
+
+// retain keeps the pairs keep reports and drops the rest, renumbering
+// the survivors densely in their old order, and drops the row of every
+// query it leaves without a doc. It returns how many pairs it dropped.
+// keep is asked once per pair, by old ID.
+func (t *pairTable) retain(keep func(p int) bool) int {
+	kept := 0
+	for p, k := range t.pairs {
+		docs := t.rows[k.q].docs
+		if !keep(p) {
+			delete(docs, k.d)
+			if len(docs) == 0 {
+				delete(t.rows, k.q)
+			}
+			continue
+		}
+		if kept != p {
+			docs[k.d] = int32(kept)
+			t.pairs[kept] = k
+		}
+		kept++
+	}
+	dropped := len(t.pairs) - kept
+	clear(t.pairs[kept:])
+	t.pairs = t.pairs[:kept]
+	return dropped
+}
+
+// CompiledLog is a session log compiled for dense estimation: (query,
+// doc) pairs are interned to dense IDs in a pairTable, the per-session
 // documents and clicks live in flat backing slices (CSR layout), and
 // the derived state every model re-derives per EM iteration — last and
 // first click, UBM's previous-click column, per-position and per-pair
@@ -64,10 +160,7 @@ func (v *Vocab) Len() int { return len(v.strs) }
 // that do not reuse the log. A CompiledLog is immutable after Compile
 // and safe for concurrent use.
 type CompiledLog struct {
-	// Queries interns the query strings; pair interning and PairID
-	// lookups key on the dense query ID, so each impression hashes one
-	// string instead of two.
-	Queries *Vocab
+	tab *pairTable // the log's (query, doc) pairs
 
 	off   []int32 // CSR offsets: session s spans impressions off[s]..off[s+1]
 	last  []int32 // per session: 0-based last-click index, -1 for none
@@ -76,9 +169,6 @@ type CompiledLog struct {
 	pair  []int32 // per impression: dense (query, doc) pair ID
 	click []bool  // per impression: observed click
 	prev  []int32 // per impression: UBM gamma column (0 = no prior click)
-
-	pairs   []qd              // pair ID -> (query, doc)
-	pairIDs map[pairKey]int32 // (query ID, doc) -> pair ID
 
 	// sessions references the source log (no copy), so callers holding
 	// only the compiled form can still reach models that need raw
@@ -116,7 +206,7 @@ func Compile(sessions []Session) (*CompiledLog, error) {
 
 	nSess := len(sessions)
 	c := &CompiledLog{
-		Queries:  NewVocab(),
+		tab:      newPairTable(),
 		sessions: sessions,
 		off:      make([]int32, nSess+1),
 		last:     make([]int32, nSess),
@@ -124,7 +214,6 @@ func Compile(sessions []Session) (*CompiledLog, error) {
 		pair:     make([]int32, nImp),
 		click:    make([]bool, nImp),
 		prev:     make([]int32, nImp),
-		pairIDs:  make(map[pairKey]int32),
 		posCount: make([]float64, maxPos),
 		maxPos:   maxPos,
 	}
@@ -133,17 +222,14 @@ func Compile(sessions []Session) (*CompiledLog, error) {
 	for si := range sessions {
 		s := &sessions[si]
 		c.off[si] = at
-		qid := c.Queries.ID(s.Query)
+		r := c.tab.query(s.Query, 0)
 		c.last[si] = int32(s.LastClick())
 		c.first[si] = int32(s.FirstClick())
 		prevClick := int32(0)
 		for i, d := range s.Docs {
-			k := pairKey{qid, d}
-			p, ok := c.pairIDs[k]
+			p, ok := r.docs[d]
 			if !ok {
-				p = int32(len(c.pairs))
-				c.pairIDs[k] = p
-				c.pairs = append(c.pairs, qd{s.Query, d})
+				p = c.tab.add(r, d)
 			}
 			c.pair[at] = p
 			c.click[at] = s.Clicks[i]
@@ -157,7 +243,7 @@ func Compile(sessions []Session) (*CompiledLog, error) {
 	}
 	c.off[nSess] = at
 
-	c.pairCount = make([]float64, len(c.pairs))
+	c.pairCount = make([]float64, c.NumPairs())
 	for _, p := range c.pair {
 		c.pairCount[p]++
 	}
@@ -177,34 +263,10 @@ func (c *CompiledLog) Sessions() []Session { return c.sessions }
 func (c *CompiledLog) NumImpressions() int { return len(c.pair) }
 
 // NumPairs returns the number of distinct (query, doc) pairs.
-func (c *CompiledLog) NumPairs() int { return len(c.pairs) }
+func (c *CompiledLog) NumPairs() int { return len(c.tab.pairs) }
 
 // MaxPositions returns the longest result list in the log.
 func (c *CompiledLog) MaxPositions() int { return c.maxPos }
-
-// Pair returns the (query, doc) strings behind a dense pair ID.
-func (c *CompiledLog) Pair(id int32) (query, doc string) {
-	k := c.pairs[id]
-	return k.q, k.d
-}
-
-// PairID returns the dense ID of a (query, doc) pair, and whether the
-// pair occurs in the log.
-func (c *CompiledLog) PairID(query, doc string) (int32, bool) {
-	qid, ok := c.Queries.Lookup(query)
-	if !ok {
-		return 0, false
-	}
-	id, ok := c.pairIDs[pairKey{qid, doc}]
-	return id, ok
-}
-
-// pairKey identifies a (query, doc) pair by the query's interned ID,
-// so interning and lookups hash one string, not two.
-type pairKey struct {
-	q int32
-	d string
-}
 
 // tri is the row offset of position i in triangular (i, j<=i) layout.
 func tri(i int) int { return i * (i + 1) / 2 }
@@ -227,22 +289,16 @@ func (c *CompiledLog) ubmCellCounts() []float64 {
 	return c.ubmCells
 }
 
-// reuseMap clears and returns dst when a previous fit left one behind
-// (refits then allocate nothing), or allocates a fresh pre-sized map.
-func reuseMap(dst map[qd]float64, hint int) map[qd]float64 {
+// materializeInto builds the exported map form of an EM model's dense
+// per-pair parameter vector, covering every pair of the log and reusing
+// dst's storage when a previous fit left one (refits then allocate
+// nothing).
+func (c *CompiledLog) materializeInto(dst map[qd]float64, vals []float64) map[qd]float64 {
 	if dst == nil {
-		return make(map[qd]float64, hint)
+		dst = make(map[qd]float64, len(vals))
 	}
 	clear(dst)
-	return dst
-}
-
-// materializeInto builds the exported map form of a dense per-pair
-// parameter vector, covering every pair of the log and reusing dst's
-// storage when possible.
-func (c *CompiledLog) materializeInto(dst map[qd]float64, vals []float64) map[qd]float64 {
-	dst = reuseMap(dst, len(vals))
-	for p, k := range c.pairs {
+	for p, k := range c.tab.pairs {
 		dst[k] = vals[p]
 	}
 	return dst
@@ -252,9 +308,9 @@ func (c *CompiledLog) materializeInto(dst map[qd]float64, vals []float64) map[qd
 // CompiledLog, skipping the per-call interning Fit(sessions) performs.
 // Compile once and call FitLog on each model when fitting several
 // models (or refitting) over the same log. Refitting reuses the
-// model's exported parameter storage (maps and slices) in place, so a
-// steady-state refit allocates nothing; treat a model as read-only for
-// other goroutines while a refit is in flight.
+// model's parameter storage (maps, slices and pair tables) in place, so
+// a steady-state refit allocates nothing; treat a model as read-only
+// for other goroutines while a refit is in flight.
 type LogFitter interface {
 	FitLog(c *CompiledLog) error
 }

@@ -49,16 +49,16 @@ func TestCompileLayout(t *testing.T) {
 	if c.NumPairs() != 4 {
 		t.Fatalf("NumPairs = %d, want 4", c.NumPairs())
 	}
-	if id, ok := c.PairID("q1", "b"); !ok {
+	if id, ok := c.tab.find("q1", "b"); !ok {
 		t.Fatal("missing pair (q1, b)")
-	} else if q, d := c.Pair(id); q != "q1" || d != "b" {
-		t.Fatalf("Pair round-trip = (%s, %s)", q, d)
+	} else if k := c.tab.pairs[id]; k.q != "q1" || k.d != "b" {
+		t.Fatalf("pair round-trip = (%s, %s)", k.q, k.d)
 	}
-	if _, ok := c.PairID("q2", "b"); ok {
-		t.Fatal("PairID invented a pair")
+	if _, ok := c.tab.find("q2", "b"); ok {
+		t.Fatal("find invented a pair")
 	}
 	// Session 2 shares pair IDs with session 0.
-	id1, _ := c.PairID("q1", "b")
+	id1, _ := c.tab.find("q1", "b")
 	if c.pair[c.off[2]] != id1 {
 		t.Fatal("pair interning not shared across sessions")
 	}
@@ -80,7 +80,7 @@ func TestCompileLayout(t *testing.T) {
 	if c.posCount[0] != 3 || c.posCount[1] != 2 || c.posCount[2] != 1 {
 		t.Fatalf("posCount = %v", c.posCount)
 	}
-	if id, _ := c.PairID("q1", "a"); c.pairCount[id] != 2 {
+	if id, _ := c.tab.find("q1", "a"); c.pairCount[id] != 2 {
 		t.Fatalf("pairCount[(q1,a)] = %v, want 2", c.pairCount[id])
 	}
 }

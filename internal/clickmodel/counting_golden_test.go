@@ -19,10 +19,14 @@ import (
 const countingGolden = "testdata/parent_57071f2/counting_golden.txt"
 
 // countingFitLines fits the three counting models on one seed's log and
-// renders every fitted parameter, sorted.
+// renders every fitted parameter, sorted. The golden lists what the
+// parent's maps held: every pair of each model's table, except that
+// SDBN's satisfaction map held only the clicked pairs — the ones the
+// reference estimator gives a satisfaction.
 func countingFitLines(t *testing.T, seed int64) []string {
 	t.Helper()
-	c, err := Compile(synthParityLog(seed, 1500))
+	sessions := synthParityLog(seed, 1500)
+	c, err := Compile(sessions)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,16 +36,19 @@ func countingFitLines(t *testing.T, seed int64) []string {
 			t.Fatal(err)
 		}
 	}
+	_, clicked := refSDBN(sessions, sdbn.LaplaceA, sdbn.LaplaceB)
 	var lines []string
-	perPair := func(what string, vals map[qd]float64) {
-		for k, v := range vals {
-			lines = append(lines, fmt.Sprintf("%d %s %s %s %016x", seed, what, k.q, k.d, math.Float64bits(v)))
+	perPair := func(what string, tab *pairTable, vals []float64, held map[qd]float64) {
+		for p, k := range tab.pairs {
+			if _, ok := held[k]; held == nil || ok {
+				lines = append(lines, fmt.Sprintf("%d %s %s %s %016x", seed, what, k.q, k.d, math.Float64bits(vals[p])))
+			}
 		}
 	}
-	perPair("sdbn.a", sdbn.AttrA)
-	perPair("sdbn.s", sdbn.SatS)
-	perPair("cascade.alpha", cascade.Alpha)
-	perPair("dcm.alpha", dcm.Alpha)
+	perPair("sdbn.a", sdbn.pairs, sdbn.attr, nil)
+	perPair("sdbn.s", sdbn.pairs, sdbn.sat, clicked)
+	perPair("cascade.alpha", cascade.pairs, cascade.alphas, nil)
+	perPair("dcm.alpha", dcm.pairs, dcm.alphas, nil)
 	for i, v := range dcm.Lambda {
 		lines = append(lines, fmt.Sprintf("%d dcm.lambda %02d - %016x", seed, i, math.Float64bits(v)))
 	}

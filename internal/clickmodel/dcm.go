@@ -13,13 +13,17 @@ package clickmodel
 // click are certainly examined; lambda_i is one minus the fraction of
 // clicks at position i that were the session's last click; with no
 // click the whole list counts as examined (the user never stops after a
-// skip). The counts are a Stats' and the ratios are FitStats'.
+// skip). The counts are a Stats' and the ratios are FitStats'. The
+// alphas are fitted over a pair table of the pairs examined at or above
+// a last click, one per pair ID.
 type DCM struct {
-	Alpha  map[qd]float64
 	Lambda []float64 // Lambda[i]: continue probability after a click at position i+1
 
 	PriorAlpha         float64
 	LaplaceA, LaplaceB float64
+
+	pairs  *pairTable
+	alphas []float64
 }
 
 // NewDCM returns a DCM with default smoothing.
@@ -56,9 +60,11 @@ func (m *DCM) FitLog(c *CompiledLog) error {
 	return m.FitStats(&st)
 }
 
-func (m *DCM) alpha(q, d string) float64 {
-	if a, ok := m.Alpha[qd{q, d}]; ok {
-		return a
+// alpha returns the attractiveness of doc d under the query whose doc
+// map is row (pairTable.row): one probe.
+func (m *DCM) alpha(row map[string]int32, d string) float64 {
+	if p, ok := row[d]; ok {
+		return m.alphas[p]
 	}
 	return m.PriorAlpha
 }
@@ -79,9 +85,10 @@ func (m *DCM) ClickProbs(s Session) []float64 {
 // ClickProbsInto implements InplaceScorer.
 func (m *DCM) ClickProbsInto(s Session, buf []float64) []float64 {
 	out := resizeProbs(buf, len(s.Docs))
+	row := m.pairs.row(s.Query)
 	exam := 1.0
 	for i, d := range s.Docs {
-		a := m.alpha(s.Query, d)
+		a := m.alpha(row, d)
 		out[i] = exam * a
 		// E_{i+1} = E_i and (clicked -> lambda_i, skipped -> 1).
 		exam = exam * (a*m.lambda(i) + (1 - a))
@@ -92,10 +99,11 @@ func (m *DCM) ClickProbsInto(s Session, buf []float64) []float64 {
 // ExaminationProbs implements Examiner.
 func (m *DCM) ExaminationProbs(s Session) []float64 {
 	out := make([]float64, len(s.Docs))
+	row := m.pairs.row(s.Query)
 	exam := 1.0
 	for i, d := range s.Docs {
 		out[i] = exam
-		a := m.alpha(s.Query, d)
+		a := m.alpha(row, d)
 		exam = exam * (a*m.lambda(i) + (1 - a))
 	}
 	return out
@@ -105,10 +113,11 @@ func (m *DCM) ExaminationProbs(s Session) []float64 {
 // up to the last click are examined with certainty; the tail after the
 // last click marginalises over where the user abandoned.
 func (m *DCM) SessionLogLikelihood(s Session) float64 {
+	row := m.pairs.row(s.Query)
 	last := s.LastClick()
 	ll := 0.0
 	for i := 0; i <= last; i++ {
-		a := m.alpha(s.Query, s.Docs[i])
+		a := m.alpha(row, s.Docs[i])
 		if s.Clicks[i] {
 			ll += log(a)
 			if i < last {
@@ -125,7 +134,7 @@ func (m *DCM) SessionLogLikelihood(s Session) float64 {
 	// continued and skipped everything; marginalise the stop decision.
 	tail := 1.0 // probability of observing all-skips after `last`
 	for i := len(s.Docs) - 1; i > last; i-- {
-		a := m.alpha(s.Query, s.Docs[i])
+		a := m.alpha(row, s.Docs[i])
 		tail = (1 - a) * tail
 	}
 	if last >= 0 {

@@ -63,13 +63,11 @@ func TestLogStatsMatchesAdd(t *testing.T) {
 				return [5]float64{st.clicks[p], st.examLast[p], st.satNum[p], st.clickFirst[p], st.examFirst[p]}
 			}
 			met := 0
-			for p, k := range dense.pairs {
+			for p, k := range dense.tab.pairs {
 				var want [5]float64
-				if qid, ok := online.queries.Lookup(k.q); ok {
-					if id, ok := online.pairIDs[pairKey{qid, k.d}]; ok {
-						want = perPair(online, int(id))
-						met++
-					}
+				if id, ok := online.tab.find(k.q, k.d); ok {
+					want = perPair(online, int(id))
+					met++
 				}
 				if got := perPair(&dense, p); got != want {
 					t.Errorf("pair %v: logStats counted %v, Add %v (clicks, examLast, satNum, clickFirst, examFirst)", k, got, want)

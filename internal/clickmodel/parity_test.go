@@ -65,6 +65,30 @@ func compareQDMaps(t *testing.T, what string, got, want map[qd]float64) {
 	}
 }
 
+// tableMap lists dense per-pair values as the map the reference
+// estimators return: every pair of the table, by (query, doc).
+func tableMap(tab *pairTable, vals []float64) map[qd]float64 {
+	out := make(map[qd]float64, len(vals))
+	for p, k := range tab.pairs {
+		out[k] = vals[p]
+	}
+	return out
+}
+
+// withPrior is a reference map as a model scores it over the pairs of
+// keys: a pair the reference holds no value for scores prior.
+func withPrior(ref, keys map[qd]float64, prior float64) map[qd]float64 {
+	out := make(map[qd]float64, len(keys))
+	for k := range keys {
+		v, ok := ref[k]
+		if !ok {
+			v = prior
+		}
+		out[k] = v
+	}
+	return out
+}
+
 func compareSlices(t *testing.T, what string, got, want []float64) {
 	t.Helper()
 	if len(got) != len(want) {
@@ -736,7 +760,7 @@ func TestCascadeParity(t *testing.T) {
 		if err := m.Fit(sessions); err != nil {
 			t.Fatal(err)
 		}
-		compareQDMaps(t, "Cascade alpha", m.Alpha, refCascade(sessions, m.LaplaceA, m.LaplaceB))
+		compareQDMaps(t, "Cascade alpha", tableMap(m.pairs, m.alphas), refCascade(sessions, m.LaplaceA, m.LaplaceB))
 	}
 }
 
@@ -748,7 +772,7 @@ func TestDCMParity(t *testing.T) {
 			t.Fatal(err)
 		}
 		alpha, lambda := refDCM(sessions, m.LaplaceA, m.LaplaceB)
-		compareQDMaps(t, "DCM alpha", m.Alpha, alpha)
+		compareQDMaps(t, "DCM alpha", tableMap(m.pairs, m.alphas), alpha)
 		compareSlices(t, "DCM lambda", m.Lambda, lambda)
 	}
 }
@@ -761,8 +785,8 @@ func TestSDBNParity(t *testing.T) {
 			t.Fatal(err)
 		}
 		attr, sat := refSDBN(sessions, m.LaplaceA, m.LaplaceB)
-		compareQDMaps(t, "SDBN attr", m.AttrA, attr)
-		compareQDMaps(t, "SDBN sat", m.SatS, sat)
+		compareQDMaps(t, "SDBN attr", tableMap(m.pairs, m.attr), attr)
+		compareQDMaps(t, "SDBN sat", tableMap(m.pairs, m.sat), withPrior(sat, attr, m.PriorS))
 	}
 }
 
@@ -1062,5 +1086,5 @@ func TestRefitReusesStorage(t *testing.T) {
 	if err := cas.FitLog(c2); err != nil {
 		t.Fatal(err)
 	}
-	compareQDMaps(t, "cascade refit", cas.Alpha, refCascade(other, cas.LaplaceA, cas.LaplaceB))
+	compareQDMaps(t, "cascade refit", tableMap(cas.pairs, cas.alphas), refCascade(other, cas.LaplaceA, cas.LaplaceB))
 }

@@ -8,12 +8,16 @@ package clickmodel
 //
 //	a(q,d) = clicks on d / impressions of d at positions <= last click
 //	s(q,d) = sessions where d was the last click / sessions where d clicked
+//
+// The fit is a pair table of the (query, doc) pairs with an examination
+// or a click and, per pair ID, a and s — the prior where a pair has no
+// evidence for one of them, which is what an unseen pair scores.
 type SDBN struct {
-	AttrA map[qd]float64
-	SatS  map[qd]float64
-
 	PriorA, PriorS     float64
 	LaplaceA, LaplaceB float64
+
+	pairs     *pairTable
+	attr, sat []float64
 }
 
 // NewSDBN returns an SDBN with default smoothing.
@@ -57,18 +61,13 @@ func (m *SDBN) FitLog(c *CompiledLog) error {
 	return m.FitStats(&st)
 }
 
-func (m *SDBN) a(q, d string) float64 {
-	if v, ok := m.AttrA[qd{q, d}]; ok {
-		return v
+// as returns the attractiveness and satisfaction of doc d under the
+// query whose doc map is row (pairTable.row): one probe.
+func (m *SDBN) as(row map[string]int32, d string) (a, s float64) {
+	if p, ok := row[d]; ok {
+		return m.attr[p], m.sat[p]
 	}
-	return m.PriorA
-}
-
-func (m *SDBN) s(q, d string) float64 {
-	if v, ok := m.SatS[qd{q, d}]; ok {
-		return v
-	}
-	return m.PriorS
+	return m.PriorA, m.PriorS
 }
 
 // ClickProbs implements Model.
@@ -79,11 +78,12 @@ func (m *SDBN) ClickProbs(s Session) []float64 {
 // ClickProbsInto implements InplaceScorer.
 func (m *SDBN) ClickProbsInto(s Session, buf []float64) []float64 {
 	out := resizeProbs(buf, len(s.Docs))
+	row := m.pairs.row(s.Query)
 	exam := 1.0
 	for i, d := range s.Docs {
-		a := m.a(s.Query, d)
+		a, sat := m.as(row, d)
 		out[i] = exam * a
-		exam *= a*(1-m.s(s.Query, d)) + (1 - a)
+		exam *= a*(1-sat) + (1 - a)
 	}
 	return out
 }
@@ -91,11 +91,12 @@ func (m *SDBN) ClickProbsInto(s Session, buf []float64) []float64 {
 // ExaminationProbs implements Examiner.
 func (m *SDBN) ExaminationProbs(s Session) []float64 {
 	out := make([]float64, len(s.Docs))
+	row := m.pairs.row(s.Query)
 	exam := 1.0
 	for i, d := range s.Docs {
 		out[i] = exam
-		a := m.a(s.Query, d)
-		exam *= a*(1-m.s(s.Query, d)) + (1 - a)
+		a, sat := m.as(row, d)
+		exam *= a*(1-sat) + (1 - a)
 	}
 	return out
 }
@@ -103,14 +104,15 @@ func (m *SDBN) ExaminationProbs(s Session) []float64 {
 // SessionLogLikelihood implements Model. With gamma = 1 the only
 // marginalisation left is the satisfaction of the last click.
 func (m *SDBN) SessionLogLikelihood(s Session) float64 {
+	row := m.pairs.row(s.Query)
 	last := s.LastClick()
 	ll := 0.0
 	for i := 0; i <= last; i++ {
-		a := m.a(s.Query, s.Docs[i])
+		a, sat := m.as(row, s.Docs[i])
 		if s.Clicks[i] {
 			ll += log(a)
 			if i < last {
-				ll += log(1 - m.s(s.Query, s.Docs[i]))
+				ll += log(1 - sat)
 			}
 		} else {
 			ll += log(1 - a)
@@ -120,10 +122,11 @@ func (m *SDBN) SessionLogLikelihood(s Session) float64 {
 	// every remaining result (gamma = 1 leaves no stopping choice).
 	tail := 1.0
 	for i := len(s.Docs) - 1; i > last; i-- {
-		tail *= 1 - m.a(s.Query, s.Docs[i])
+		a, _ := m.as(row, s.Docs[i])
+		tail *= 1 - a
 	}
 	if last >= 0 {
-		sat := m.s(s.Query, s.Docs[last])
+		_, sat := m.as(row, s.Docs[last])
 		ll += log(sat + (1-sat)*tail)
 	} else {
 		ll += log(tail)

@@ -111,9 +111,12 @@ func load(r io.Reader, m listed) error {
 
 // ParamCount reports the number of fitted parameters a model holds —
 // the engine's Models() metadata: every value of its dense, triangular
-// and per-pair parameters, its fitted scalars, BBM's clicks. Models
-// outside the built-in set may implement interface{ NumParams() int };
-// others report 0.
+// and per-pair parameters, its fitted scalars, BBM's clicks. A counting
+// model (SDBN, Cascade, DCM) holds a value for every pair of its table
+// and every per-pair parameter — the prior where the pair has no
+// evidence — so it counts pairs × per-pair parameters, fitted or loaded
+// alike. Models outside the built-in set may implement
+// interface{ NumParams() int }; others report 0.
 func ParamCount(m Model) int {
 	lm, ok := m.(listed)
 	if !ok {
@@ -129,7 +132,7 @@ func ParamCount(m Model) int {
 			if p.fitted {
 				n++
 			}
-		case denseVals:
+		case denseVals, pairDense:
 			n += len(*p.vals)
 		case triVals:
 			n += tri(len(*p.rows))
@@ -163,7 +166,7 @@ func (m *PBM) ValidateTables() error { return m.pairs.validate() }
 func (m *Cascade) params() []param {
 	return []param{
 		scalar(&m.PriorAlpha), scalar(&m.LaplaceA), scalar(&m.LaplaceB),
-		perPair("a.vals", &m.Alpha, &m.PriorAlpha),
+		overPairs("a.vals", &m.pairs, &m.alphas, &m.PriorAlpha),
 	}
 }
 
@@ -171,7 +174,7 @@ func (m *DCM) params() []param {
 	return []param{
 		scalar(&m.PriorAlpha), scalar(&m.LaplaceA), scalar(&m.LaplaceB),
 		dense("lambda", &m.Lambda),
-		perPair("a.vals", &m.Alpha, &m.PriorAlpha),
+		overPairs("a.vals", &m.pairs, &m.alphas, &m.PriorAlpha),
 	}
 }
 
@@ -223,8 +226,8 @@ func (m *DBN) ValidateTables() error { return m.pairs.validate() }
 func (m *SDBN) params() []param {
 	return []param{
 		scalar(&m.PriorA), scalar(&m.PriorS), scalar(&m.LaplaceA), scalar(&m.LaplaceB),
-		perPair("a.vals", &m.AttrA, &m.PriorA),
-		perPair("s.vals", &m.SatS, &m.PriorS),
+		overPairs("a.vals", &m.pairs, &m.attr, &m.PriorA),
+		overPairs("s.vals", &m.pairs, &m.sat, &m.PriorS),
 	}
 }
 

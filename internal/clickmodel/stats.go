@@ -29,15 +29,13 @@ import (
 // Counts are float64 so Decay can age old traffic out exponentially —
 // the sliding-window semantics of the online loop. Merge folds one
 // accumulator into another (per-shard deltas into a global table), and
-// Reset zeroes the counts while keeping the interned vocabulary, so a
+// Reset zeroes the counts while keeping the interned pairs, so a
 // steady-state delta shard allocates nothing.
 //
 // A Stats is not safe for concurrent use; the stream layer gives each
 // ingest shard its own and serialises merges.
 type Stats struct {
-	queries *Vocab
-	pairIDs map[pairKey]int32
-	pairs   []qd
+	tab *pairTable // the pairs the per-pair arrays are indexed by
 
 	clicks     []float64 // per pair: clicks (every click is <= the last click)
 	examLast   []float64 // per pair: impressions at positions <= last click
@@ -53,27 +51,17 @@ type Stats struct {
 }
 
 // NewStats returns an empty accumulator.
-func NewStats() *Stats {
-	return &Stats{queries: NewVocab(), pairIDs: make(map[pairKey]int32)}
-}
+func NewStats() *Stats { return &Stats{tab: newPairTable()} }
 
-// pairID interns a (query ID, doc) pair, growing every per-pair array
-// in step so the count slices always cover pair IDs densely. Like
-// Vocab.ID it keeps a copy of a new doc, not the caller's string.
-func (st *Stats) pairID(qid int32, doc string) int32 {
-	if id, ok := st.pairIDs[pairKey{qid, doc}]; ok {
-		return id
-	}
-	doc = strings.Clone(doc)
-	id := int32(len(st.pairs))
-	st.pairIDs[pairKey{qid, doc}] = id
-	st.pairs = append(st.pairs, qd{st.queries.String(qid), doc})
+// add enters a pair the table lacks, growing every per-pair array in
+// step so the count slices always cover pair IDs densely.
+func (st *Stats) add(r pairRow, doc string) int32 {
 	st.clicks = append(st.clicks, 0)
 	st.examLast = append(st.examLast, 0)
 	st.satNum = append(st.satNum, 0)
 	st.clickFirst = append(st.clickFirst, 0)
 	st.examFirst = append(st.examFirst, 0)
-	return id
+	return st.tab.add(r, doc)
 }
 
 // growPos extends the per-position arrays to cover n positions.
@@ -114,7 +102,12 @@ func (st *Stats) Add(s Session) error {
 	if err := s.Validate(); err != nil {
 		return err
 	}
-	qid := st.queries.ID(s.Query)
+	// The strings of s may borrow a feedback body: the table keeps
+	// copies of the ones it has not seen.
+	r, ok := st.tab.rows[s.Query]
+	if !ok {
+		r = st.tab.query(strings.Clone(s.Query), 0)
+	}
 	st.growPos(len(s.Docs))
 	last, first := s.LastClick(), s.FirstClick()
 	stop := last
@@ -122,7 +115,11 @@ func (st *Stats) Add(s Session) error {
 		stop = len(s.Docs) - 1
 	}
 	for i, d := range s.Docs[:stop+1] {
-		st.tally(st.pairID(qid, d), i, last, first, s.Clicks[i])
+		p, ok := r.docs[d]
+		if !ok {
+			p = st.add(r, strings.Clone(d))
+		}
+		st.tally(p, i, last, first, s.Clicks[i])
 	}
 	st.sessions++
 	st.added++
@@ -134,14 +131,15 @@ func (st *Stats) Add(s Session) error {
 // only at some 40,000 sessions and wins at 400,000, where the Compile
 // that must come first costs 90 ms (DESIGN.md §6) — in arrays carved
 // from the pooled fit scratch, sharing the log's pair table. The result
-// is for FitStats to read and dies with putScratch(fs): it has no
-// interning maps, so Add, Merge and Prune are not for it.
+// is for FitStats to read and dies with putScratch(fs): its arrays
+// cannot grow and its table is the immutable log's, so Add, Merge and
+// Prune are not for it.
 func logStats(c *CompiledLog) (fs *fitScratch, st Stats) {
 	nPair, nSess := c.NumPairs(), c.NumSessions()
 	fs, buf := getScratch(5*nPair + 2*c.maxPos)
 	sl := slab{buf}
 	st = Stats{
-		pairs:  c.pairs,
+		tab:    c.tab,
 		clicks: sl.take(nPair), examLast: sl.take(nPair), satNum: sl.take(nPair),
 		clickFirst: sl.take(nPair), examFirst: sl.take(nPair),
 		clickAt: sl.take(c.maxPos), lastAt: sl.take(c.maxPos),
@@ -201,11 +199,16 @@ func (st *Stats) Merge(src *Stats, idmap []int32) []int32 {
 	if src == nil {
 		return idmap
 	}
-	for p := len(idmap); p < len(src.pairs); p++ {
-		k := src.pairs[p]
-		idmap = append(idmap, st.pairID(st.queries.ID(k.q), k.d))
+	for p := len(idmap); p < len(src.tab.pairs); p++ {
+		k := src.tab.pairs[p]
+		r := st.tab.query(k.q, 0)
+		id, ok := r.docs[k.d]
+		if !ok {
+			id = st.add(r, k.d)
+		}
+		idmap = append(idmap, id)
 	}
-	for p := range src.pairs {
+	for p := range src.tab.pairs {
 		id := idmap[p]
 		st.clicks[id] += src.clicks[p]
 		st.examLast[id] += src.examLast[p]
@@ -224,23 +227,23 @@ func (st *Stats) Merge(src *Stats, idmap []int32) []int32 {
 }
 
 // Prune drops every pair whose impression mass has decayed below
-// minMass, compacting the pair table and count arrays in place, and
-// returns how many pairs were dropped. Pair IDs are renumbered, so any
-// externally cached ID mapping (Merge idmaps) must be discarded after
-// a prune that dropped pairs. Long-lived decayed accumulators call
-// this periodically — an open-ended query/doc space otherwise grows
-// the table with every pair ever seen.
+// minMass, and every query it leaves without a pair, compacting the pair
+// table and count arrays in place, and returns how many pairs were
+// dropped. Pair IDs are renumbered, so any externally cached ID mapping
+// (Merge idmaps) must be discarded after a prune that dropped pairs; a
+// model fitted before the prune holds a table of its own and answers as
+// it did. Long-lived decayed accumulators call this periodically — an
+// open-ended query/doc space otherwise grows the table with every pair
+// and every query ever seen.
 func (st *Stats) Prune(minMass float64) int {
+	live := func(p int) bool { return !(st.examLast[p] < minMass && st.examFirst[p] < minMass) }
+	dropped := st.tab.retain(live)
 	kept := 0
-	for p := range st.pairs {
-		if st.examLast[p] < minMass && st.examFirst[p] < minMass {
-			delete(st.pairIDs, pairKey{st.queries.ID(st.pairs[p].q), st.pairs[p].d})
+	for p := range st.clicks {
+		if !live(p) {
 			continue
 		}
 		if kept != p {
-			k := st.pairs[p]
-			st.pairs[kept] = k
-			st.pairIDs[pairKey{st.queries.ID(k.q), k.d}] = int32(kept)
 			st.clicks[kept] = st.clicks[p]
 			st.examLast[kept] = st.examLast[p]
 			st.satNum[kept] = st.satNum[p]
@@ -249,8 +252,6 @@ func (st *Stats) Prune(minMass float64) int {
 		}
 		kept++
 	}
-	dropped := len(st.pairs) - kept
-	st.pairs = st.pairs[:kept]
 	st.clicks = st.clicks[:kept]
 	st.examLast = st.examLast[:kept]
 	st.satNum = st.satNum[:kept]
@@ -259,7 +260,7 @@ func (st *Stats) Prune(minMass float64) int {
 	return dropped
 }
 
-// Reset zeroes every count but keeps the interned vocabulary and array
+// Reset zeroes every count but keeps the interned pairs and array
 // capacity, so a delta accumulator refills without allocating.
 func (st *Stats) Reset() {
 	clear(st.clicks)
@@ -274,7 +275,7 @@ func (st *Stats) Reset() {
 }
 
 // NumPairs returns the number of distinct (query, doc) pairs observed.
-func (st *Stats) NumPairs() int { return len(st.pairs) }
+func (st *Stats) NumPairs() int { return len(st.tab.pairs) }
 
 // MaxPositions returns the longest result list observed.
 func (st *Stats) MaxPositions() int { return len(st.clickAt) }
@@ -288,8 +289,9 @@ func (st *Stats) Added() uint64 { return st.added }
 // StatsFitter is implemented by the counting-family models, whose
 // closed-form estimates need only the sufficient statistics a Stats
 // holds — what the online learner fits through, and what FitLog of
-// those models ends in. FitStats reuses the model's exported parameter
-// storage, so a steady-state refit allocates nothing.
+// those models ends in. FitStats builds the model's own pair table, so
+// a fitted model shares nothing mutable with the accumulator: folds,
+// merges and prunes after the fit leave its answers as they were.
 type StatsFitter interface {
 	FitStats(st *Stats) error
 }
@@ -297,56 +299,110 @@ type StatsFitter interface {
 // errEmptyStats guards the FitStats entry points.
 var errEmptyStats = errors.New("clickmodel: FitStats on an empty accumulator")
 
+// fitTable builds the pair table a counting model serves from: the pairs
+// of st that fit reports evidence for, in st's order, sharing st's
+// strings. fit is called once per pair of st, with its ID there; when it
+// reports true it has appended the pair's values to the model's arrays,
+// so pair i of the table owns value i of each. t, the table the model's
+// previous fit left (or nil), is refilled in place: its rows keep their
+// maps' storage, so a steady-state refit allocates nothing.
+func (st *Stats) fitTable(t *pairTable, fit func(p int) bool) *pairTable {
+	if t == nil {
+		t = newPairTable()
+	}
+	for _, r := range t.rows {
+		clear(r.docs)
+	}
+	clear(t.pairs)
+	t.pairs = t.pairs[:0]
+	var r pairRow
+	for p, k := range st.tab.pairs {
+		if !fit(p) {
+			continue
+		}
+		if r.docs == nil || k.q != r.q {
+			// A large row is sized up front, or it grows a dozen times. A
+			// small one grows from empty, so it keeps Go's one-group map
+			// form at eight docs or fewer: sized past eight a map is a
+			// table, one more pointer between a reader and the doc.
+			hint := len(st.tab.row(k.q))
+			if hint <= 64 {
+				hint = 0
+			}
+			r = t.query(k.q, hint)
+		}
+		t.add(r, k.d)
+	}
+	for q, r := range t.rows {
+		if len(r.docs) == 0 {
+			delete(t.rows, q)
+		}
+	}
+	return t
+}
+
 // FitStats implements StatsFitter: SDBN's closed-form estimates, the
-// ratios stated on the type.
+// ratios stated on the type, over the pairs with an examination or a
+// click. A pair with examinations and no click keeps the satisfaction
+// prior.
 func (m *SDBN) FitStats(st *Stats) error {
 	if st == nil || st.NumPairs() == 0 {
 		return errEmptyStats
 	}
 	m.defaults()
-	m.AttrA = reuseMap(m.AttrA, st.NumPairs())
-	m.SatS = reuseMap(m.SatS, st.NumPairs())
-	for p, k := range st.pairs {
+	m.attr, m.sat = reuseFloats(m.attr, st.NumPairs())[:0], reuseFloats(m.sat, st.NumPairs())[:0]
+	m.pairs = st.fitTable(m.pairs, func(p int) bool {
+		if !(st.examLast[p] > 0 || st.clicks[p] > 0) {
+			return false
+		}
+		a, s := m.PriorA, m.PriorS
 		if st.examLast[p] > 0 {
-			m.AttrA[k] = clampProb((st.clicks[p] + m.LaplaceA) / (st.examLast[p] + m.LaplaceB))
+			a = clampProb((st.clicks[p] + m.LaplaceA) / (st.examLast[p] + m.LaplaceB))
 		}
 		if st.clicks[p] > 0 {
-			m.SatS[k] = clampProb((st.satNum[p] + m.LaplaceA) / (st.clicks[p] + m.LaplaceB))
+			s = clampProb((st.satNum[p] + m.LaplaceA) / (st.clicks[p] + m.LaplaceB))
 		}
-	}
+		m.attr, m.sat = append(m.attr, a), append(m.sat, s)
+		return true
+	})
 	return nil
 }
 
 // FitStats implements StatsFitter: the cascade MLE from accumulated
-// first-click-truncated counts.
+// first-click-truncated counts, over the pairs examined at or above a
+// first click.
 func (m *Cascade) FitStats(st *Stats) error {
 	if st == nil || st.NumPairs() == 0 {
 		return errEmptyStats
 	}
 	m.defaults()
-	m.Alpha = reuseMap(m.Alpha, st.NumPairs())
-	for p, k := range st.pairs {
-		if st.examFirst[p] > 0 {
-			m.Alpha[k] = clampProb((st.clickFirst[p] + m.LaplaceA) / (st.examFirst[p] + m.LaplaceB))
+	m.alphas = reuseFloats(m.alphas, st.NumPairs())[:0]
+	m.pairs = st.fitTable(m.pairs, func(p int) bool {
+		if !(st.examFirst[p] > 0) {
+			return false
 		}
-	}
+		m.alphas = append(m.alphas, clampProb((st.clickFirst[p]+m.LaplaceA)/(st.examFirst[p]+m.LaplaceB)))
+		return true
+	})
 	return nil
 }
 
 // FitStats implements StatsFitter: DCM's alphas from the last-click-
-// truncated counts and its lambdas from the per-position click /
-// last-click ratios.
+// truncated counts, over the pairs examined at or above a last click,
+// and its lambdas from the per-position click / last-click ratios.
 func (m *DCM) FitStats(st *Stats) error {
 	if st == nil || st.NumPairs() == 0 {
 		return errEmptyStats
 	}
 	m.defaults()
-	m.Alpha = reuseMap(m.Alpha, st.NumPairs())
-	for p, k := range st.pairs {
-		if st.examLast[p] > 0 {
-			m.Alpha[k] = clampProb((st.clicks[p] + m.LaplaceA) / (st.examLast[p] + m.LaplaceB))
+	m.alphas = reuseFloats(m.alphas, st.NumPairs())[:0]
+	m.pairs = st.fitTable(m.pairs, func(p int) bool {
+		if !(st.examLast[p] > 0) {
+			return false
 		}
-	}
+		m.alphas = append(m.alphas, clampProb((st.clicks[p]+m.LaplaceA)/(st.examLast[p]+m.LaplaceB)))
+		return true
+	})
 	n := st.MaxPositions()
 	m.Lambda = reuseFloats(m.Lambda, n)
 	for i := 0; i < n; i++ {

@@ -71,18 +71,18 @@ func TestStatsParity(t *testing.T) {
 	t.Run("sdbn", func(t *testing.T) {
 		batch, online := NewSDBN(), NewSDBN()
 		fitPair(t, batch, online, sessions)
-		mapsEqual(t, "AttrA", batch.AttrA, online.AttrA)
-		mapsEqual(t, "SatS", batch.SatS, online.SatS)
+		mapsEqual(t, "attr", tableMap(batch.pairs, batch.attr), tableMap(online.pairs, online.attr))
+		mapsEqual(t, "sat", tableMap(batch.pairs, batch.sat), tableMap(online.pairs, online.sat))
 	})
 	t.Run("cascade", func(t *testing.T) {
 		batch, online := NewCascade(), NewCascade()
 		fitPair(t, batch, online, sessions)
-		mapsEqual(t, "Alpha", batch.Alpha, online.Alpha)
+		mapsEqual(t, "alpha", tableMap(batch.pairs, batch.alphas), tableMap(online.pairs, online.alphas))
 	})
 	t.Run("dcm", func(t *testing.T) {
 		batch, online := NewDCM(), NewDCM()
 		fitPair(t, batch, online, sessions)
-		mapsEqual(t, "Alpha", batch.Alpha, online.Alpha)
+		mapsEqual(t, "alpha", tableMap(batch.pairs, batch.alphas), tableMap(online.pairs, online.alphas))
 		if len(batch.Lambda) != len(online.Lambda) {
 			t.Fatalf("lambda lengths %d vs %d", len(batch.Lambda), len(online.Lambda))
 		}
@@ -145,8 +145,8 @@ func TestStatsMergeParity(t *testing.T) {
 	if err := b.FitStats(global); err != nil {
 		t.Fatal(err)
 	}
-	mapsEqual(t, "AttrA", a.AttrA, b.AttrA)
-	mapsEqual(t, "SatS", a.SatS, b.SatS)
+	mapsEqual(t, "attr", tableMap(a.pairs, a.attr), tableMap(b.pairs, b.attr))
+	mapsEqual(t, "sat", tableMap(a.pairs, a.sat), tableMap(b.pairs, b.sat))
 	if single.Weight() != global.Weight() {
 		t.Fatalf("weights %v vs %v", single.Weight(), global.Weight())
 	}
@@ -178,7 +178,7 @@ func TestStatsDecay(t *testing.T) {
 	}
 	// a: clicks 0.5, exams 4.5 -> (0.5+1)/(4.5+2)
 	want := (0.5 + 1) / (4.5 + 2)
-	if got := m.AttrA[qd{"q", "a"}]; math.Abs(got-want) > 1e-12 {
+	if got, _ := m.as(m.pairs.row("q"), "a"); math.Abs(got-want) > 1e-12 {
 		t.Fatalf("decayed attractiveness = %v, want %v", got, want)
 	}
 	// Full decay to zero is allowed and FitStats still works (priors).
@@ -218,8 +218,8 @@ func TestStatsReset(t *testing.T) {
 	if err := m.FitStats(st); err != nil {
 		t.Fatal(err)
 	}
-	if len(m.AttrA) != 0 {
-		t.Fatalf("zeroed stats produced parameters: %v", m.AttrA)
+	if n := ParamCount(m); n != 0 {
+		t.Fatalf("zeroed stats produced %d parameters", n)
 	}
 }
 
@@ -278,16 +278,16 @@ func TestStatsPrune(t *testing.T) {
 	if err := m.FitStats(st); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := m.AttrA[qd{"q", "hot2"}]; !ok {
-		t.Fatalf("survivor lost its parameters: %v", m.AttrA)
+	if _, ok := m.pairs.find("q", "hot2"); !ok {
+		t.Fatalf("survivor lost its parameters: %v", m.pairs.pairs)
 	}
-	if _, ok := m.AttrA[qd{"q", "cold1"}]; ok {
-		t.Fatalf("pruned pair still has parameters: %v", m.AttrA)
+	if _, ok := m.pairs.find("q", "cold1"); ok {
+		t.Fatalf("pruned pair still has parameters: %v", m.pairs.pairs)
 	}
 
 	// Survivor counts are intact: attractiveness reflects the 10 fresh
 	// clicks (plus decayed dust) over as many examined impressions.
-	got := m.AttrA[qd{"q", "hot2"}]
+	got, _ := m.as(m.pairs.row("q"), "hot2")
 	want := (10.0001 + 1) / (10.0001 + 2)
 	if math.Abs(got-want) > 1e-3 {
 		t.Fatalf("survivor attractiveness %v, want ~%v", got, want)
@@ -301,5 +301,91 @@ func TestStatsPrune(t *testing.T) {
 	st.Merge(delta, nil)
 	if st.NumPairs() != 4 {
 		t.Fatalf("pairs after post-prune merge: %d", st.NumPairs())
+	}
+}
+
+// TestStatsPruneDropsEmptiedQueries: a query whose every pair decays out
+// leaves the table with them — its string and its doc map — and every
+// pair that survives the renumbering is still found at its own ID with
+// its own counts. A model fitted before the prune holds a table of its
+// own and answers exactly as it did.
+func TestStatsPruneDropsEmptiedQueries(t *testing.T) {
+	st := NewStats()
+	add := func(q string, docs ...string) {
+		t.Helper()
+		if err := st.Add(Session{Query: q, Docs: docs, Clicks: make([]bool, len(docs))}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	add("early", "a", "b") // all of this query's traffic decays out
+	add("kept", "a", "c")
+	add("mixed", "x", "y")
+	st.Decay(1e-5)
+	for i := 0; i < 3; i++ {
+		add("kept", "a", "c")
+		add("mixed", "y")
+		add("late", "z")
+	}
+	before := NewSDBN()
+	if err := before.FitStats(st); err != nil {
+		t.Fatal(err)
+	}
+	probe := []Session{
+		{Query: "early", Docs: []string{"a", "b"}, Clicks: make([]bool, 2)},
+		{Query: "mixed", Docs: []string{"x", "y"}, Clicks: []bool{false, true}},
+		{Query: "kept", Docs: []string{"c", "a", "nope"}, Clicks: make([]bool, 3)},
+		{Query: "late", Docs: []string{"z"}, Clicks: []bool{true}},
+	}
+	var want [][]float64
+	for _, s := range probe {
+		want = append(want, append(before.ClickProbs(s), before.SessionLogLikelihood(s)))
+	}
+
+	counts := func(p int32) [5]float64 {
+		return [5]float64{st.clicks[p], st.examLast[p], st.satNum[p], st.clickFirst[p], st.examFirst[p]}
+	}
+	survivors := map[qd][5]float64{}
+	for _, k := range []qd{{"kept", "a"}, {"kept", "c"}, {"mixed", "y"}, {"late", "z"}} {
+		id, ok := st.tab.find(k.q, k.d)
+		if !ok {
+			t.Fatalf("%v not interned", k)
+		}
+		survivors[k] = counts(id)
+	}
+	if dropped := st.Prune(1e-3); dropped != 3 {
+		t.Fatalf("dropped %d pairs, want (early, a), (early, b) and (mixed, x)", dropped)
+	}
+	if _, ok := st.tab.rows["early"]; ok || len(st.tab.rows) != 3 {
+		t.Fatalf("the emptied query stayed: %d rows", len(st.tab.rows))
+	}
+	if st.NumPairs() != len(survivors) {
+		t.Fatalf("%d pairs after the prune, want %d", st.NumPairs(), len(survivors))
+	}
+	for q, r := range st.tab.rows {
+		for d, id := range r.docs {
+			if k := st.tab.pairs[id]; k != (qd{q, d}) || r.q != q {
+				t.Fatalf("query %q (row of %q) maps %q to pair %d, which is %v", q, r.q, d, id, k)
+			}
+		}
+	}
+	for k, c := range survivors {
+		id, ok := st.tab.find(k.q, k.d)
+		if !ok || st.tab.pairs[id] != k || counts(id) != c {
+			t.Fatalf("%v: found %v at %d with counts %v, want %v", k, ok, id, counts(id), c)
+		}
+	}
+
+	for i, s := range probe {
+		got := append(before.ClickProbs(s), before.SessionLogLikelihood(s))
+		for j := range got {
+			if math.Float64bits(got[j]) != math.Float64bits(want[i][j]) {
+				t.Fatalf("probe %d: the model fitted before the prune answers %v, it answered %v", i, got, want[i])
+			}
+		}
+	}
+	// Interning after the prune lands on the compacted table.
+	add("early", "b")
+	if id, ok := st.tab.find("early", "b"); !ok || int(id) != st.NumPairs()-1 {
+		t.Fatalf("re-interned (early, b) at %d (%v) of %d pairs", id, ok, st.NumPairs())
 	}
 }

@@ -13,6 +13,8 @@ package clickmodel
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 
 	"repro/internal/snapshot"
 )
@@ -31,12 +33,16 @@ func DecodeV1(name string, c *snapshot.Cursor) (Model, error) {
 		t.PriorAlpha = c.Float()
 		t.Iterations = c.Int()
 	case *Cascade:
-		t.Alpha = v1Pairs(c)
+		alpha := v1Pairs(c)
 		t.PriorAlpha, t.LaplaceA, t.LaplaceB = c.Float(), c.Float(), c.Float()
+		t.pairs = v1Table(alpha)
+		t.alphas = mapValues(t.pairs.pairs, alpha, t.PriorAlpha)
 	case *DCM:
-		t.Alpha = v1Pairs(c)
+		alpha := v1Pairs(c)
 		t.Lambda = c.Floats()
 		t.PriorAlpha, t.LaplaceA, t.LaplaceB = c.Float(), c.Float(), c.Float()
+		t.pairs = v1Table(alpha)
+		t.alphas = mapValues(t.pairs.pairs, alpha, t.PriorAlpha)
 	case *UBM:
 		v1UBM(t, c)
 	case *BBM:
@@ -52,9 +58,10 @@ func DecodeV1(name string, c *snapshot.Cursor) (Model, error) {
 		t.Gamma, t.PriorA, t.PriorS = c.Float(), c.Float(), c.Float()
 		t.Iterations = c.Int()
 	case *SDBN:
-		t.AttrA = v1Pairs(c)
-		t.SatS = v1Pairs(c)
+		attr, sat := v1Pairs(c), v1Pairs(c)
 		t.PriorA, t.PriorS, t.LaplaceA, t.LaplaceB = c.Float(), c.Float(), c.Float(), c.Float()
+		t.pairs = v1Table(attr, sat)
+		t.attr, t.sat = mapValues(t.pairs.pairs, attr, t.PriorA), mapValues(t.pairs.pairs, sat, t.PriorS)
 	case *GCM:
 		t.Rel = v1Pairs(c)
 		t.LambdaSkip = c.Floats()
@@ -107,6 +114,17 @@ func v1Pairs(c *snapshot.Cursor) map[qd]float64 {
 	return out
 }
 
+// v1Table is a counting model's pair table over the union of the keys
+// of its v1 per-pair maps, in sorted order.
+func v1Table(ms ...map[qd]float64) *pairTable {
+	var keys []qd
+	for _, m := range ms {
+		keys = slices.AppendSeq(keys, maps.Keys(m))
+	}
+	slices.SortFunc(keys, compareQD)
+	return pairTableOf(slices.Compact(keys))
+}
+
 // v1Queries reads a query vocabulary: a count, then each string.
 func v1Queries(c *snapshot.Cursor) []string {
 	n := c.Int()
@@ -148,11 +166,7 @@ func v1BBM(m *BBM, c *snapshot.Cursor) {
 	m.Browse = NewUBM()
 	v1UBM(m.Browse, c)
 
-	m.queries = NewVocab()
-	for _, q := range v1Queries(c) {
-		m.queries.ID(q) // IDs are assigned in encode order
-	}
-	nq := len(m.queries.strs)
+	queries := v1Queries(c)
 	nPair := c.Int()
 	if nPair > c.Remaining()/2 { // a pair is at least a query ID and a doc length
 		c.Failf("%d BBM pairs overrun the payload", nPair)
@@ -160,23 +174,23 @@ func v1BBM(m *BBM, c *snapshot.Cursor) {
 	if c.Err() != nil {
 		return
 	}
-	m.pairIDs = make(map[pairKey]int32, nPair)
-	for i := 0; i < nPair; i++ {
+	keys := make([]qd, nPair)
+	for i := range keys {
 		qid, doc := c.Uint(), c.String()
 		if c.Err() != nil {
 			return
 		}
-		if qid >= uint64(nq) {
-			c.Failf("BBM pair %d references query %d of %d", i, qid, nq)
+		if qid >= uint64(len(queries)) {
+			c.Failf("BBM pair %d references query %d of %d", i, qid, len(queries))
 			return
 		}
-		m.pairIDs[pairKey{int32(qid), doc}] = int32(i)
+		keys[i] = qd{queries[qid], doc}
 	}
+	m.pairs = pairTableOf(keys)
 	// A fit counts every pair its browsing layer holds. A layer holding
 	// more would cost a row of skip counts per extra pair on export.
 	for k := range m.Browse.Alpha {
-		qid, ok := m.queries.Lookup(k.q)
-		if _, counted := m.pairIDs[pairKey{qid, k.d}]; !ok || !counted {
+		if _, counted := m.pairs.find(k.q, k.d); !counted {
 			c.Failf("BBM browsing layer holds a pair (%q, %q) its counts lack", k.q, k.d)
 			return
 		}

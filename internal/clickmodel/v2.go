@@ -19,9 +19,9 @@ package clickmodel
 //	p.q       int32    pair -> query ID
 //	p.d       int32    pair -> doc ID
 //	p.tabl    int32    open-addressed (qid, did) probe table
-//	<x>.vals  float64  one value per pair for each per-pair map; a pair
-//	                   a map lacks holds that map's prior, which is what
-//	                   a miss scores
+//	<x>.vals  float64  one value per pair for each per-pair parameter;
+//	                   a pair the parameter has no value for holds its
+//	                   prior, which is what a miss scores
 //	c.vals, n.*        BBM's per-pair counts (writeCounts)
 //
 // Pairs and both vocabularies are numbered in sorted (query, doc)
@@ -33,8 +33,10 @@ package clickmodel
 // the accessor that reads a fitted map, so each model's scoring maths
 // exists once; such a model does not refit. Every other model, and
 // every model Load or LoadModel reads, is thawed: its values are copied
-// into the maps and slices it fits into, and it keeps no reference to
-// the artifact.
+// into the maps, slices and pair tables it fits into, and it keeps no
+// reference to the artifact. The counting models (SDBN, Cascade, DCM)
+// fit into a pair table and dense values over it (pairDense), which
+// write the same sections a map does, byte for byte.
 //
 // A probe-table miss — including one caused by a corrupted table that
 // slipped past the CRCs — degrades to the model's prior, exactly the
@@ -42,7 +44,6 @@ package clickmodel
 // hit is confirmed against the pair arrays.
 
 import (
-	"cmp"
 	"fmt"
 	"io"
 	"maps"
@@ -272,6 +273,7 @@ const (
 	denseVals                  // a []float64 section
 	triVals                    // a [][]float64 whose row i holds i+1 cells: one flat section, the row count in meta
 	pairMap                    // a map[qd]float64: a value section over the pair table
+	pairDense                  // a []float64 over the model's own pairTable: a value section likewise
 	bbmCounts                  // BBM's counts, keyed by its own pair IDs
 )
 
@@ -283,10 +285,11 @@ type param struct {
 	fitted bool // a metaFloat ParamCount counts; the rest are priors and hyper-parameters
 	f      *float64
 	n      *int
-	vals   *[]float64      // denseVals
+	vals   *[]float64      // denseVals; pairDense: the values, by pair ID of
+	tab    **pairTable     // pairDense: the table they are over
 	rows   *[][]float64    // triVals
 	m      *map[qd]float64 // pairMap: the fitted values,
-	prior  *float64        // what a pair the map lacks scores,
+	prior  *float64        // what a pair the map (or the table) lacks scores,
 	table  **frozenPairs   // and, for a model that can serve from its artifact,
 	view   *[]float64      // where the pair table and a view of the values go instead
 	bbm    *BBM
@@ -304,6 +307,13 @@ func triangular(tag string, rows *[][]float64) param {
 
 func perPair(tag string, m *map[qd]float64, prior *float64) param {
 	return param{kind: pairMap, tag: tag, m: m, prior: prior}
+}
+
+// overPairs lists dense per-pair values over the model's own pair
+// table; the artifact form is perPair's, byte for byte. Several entries
+// may share one table.
+func overPairs(tag string, tab **pairTable, vals *[]float64, prior *float64) param {
+	return param{kind: pairDense, tag: tag, tab: tab, vals: vals, prior: prior}
 }
 
 // servedFrom marks a per-pair parameter the model can serve from its
@@ -345,6 +355,7 @@ func writeArtifact(w io.Writer, m listed) error {
 
 	var keys []qd
 	var served *frozenPairs
+	var seen *pairTable // the table whose pairs keys holds already
 	for _, p := range ps {
 		switch p.kind {
 		case denseVals:
@@ -363,13 +374,17 @@ func writeArtifact(w io.Writer, m listed) error {
 				served = *p.table
 			}
 			keys = slices.AppendSeq(keys, maps.Keys(*p.m))
+		case pairDense:
+			if t := *p.tab; t != nil && t != seen {
+				keys, seen = append(keys, t.pairs...), t
+			}
 		case bbmCounts:
 			keys = p.bbm.appendKeys(keys)
 		}
 	}
 	reemit := served != nil
 	if !reemit {
-		slices.SortFunc(keys, func(a, b qd) int { return cmp.Or(strings.Compare(a.q, b.q), strings.Compare(a.d, b.d)) })
+		slices.SortFunc(keys, compareQD)
 		keys = slices.Compact(keys)
 		served = freezePairs(keys)
 	}
@@ -386,11 +401,13 @@ func writeArtifact(w io.Writer, m listed) error {
 				vw.Floats(p.tag, *p.view)
 				continue
 			}
+			vw.Floats(p.tag, mapValues(keys, *p.m, *p.prior))
+		case pairDense:
 			v := make([]float64, len(keys))
 			for i, k := range keys {
-				x, ok := (*p.m)[k]
-				if !ok {
-					x = *p.prior
+				x := *p.prior
+				if id, ok := (*p.tab).find(k.q, k.d); ok {
+					x = (*p.vals)[id]
 				}
 				v[i] = x
 			}
@@ -401,6 +418,20 @@ func writeArtifact(w io.Writer, m listed) error {
 	}
 	_, err := vw.WriteTo(w)
 	return err
+}
+
+// mapValues lists a per-pair map over keys, a key the map lacks holding
+// the prior it scores.
+func mapValues(keys []qd, m map[qd]float64, prior float64) []float64 {
+	out := make([]float64, len(keys))
+	for i, k := range keys {
+		v, ok := m[k]
+		if !ok {
+			v = prior
+		}
+		out[i] = v
+	}
+	return out
 }
 
 // readArtifact fills m from a through its parameter list. Dense values
@@ -427,7 +458,7 @@ func readArtifact(a *snapshot.V2Artifact, m listed, serve bool) (views bool, err
 			*p.n = c.Int()
 		case triVals:
 			rows[i] = c.Int()
-		case pairMap, bbmCounts:
+		case pairMap, pairDense, bbmCounts:
 			serve = serve && p.table != nil
 		}
 	}
@@ -463,6 +494,7 @@ func readArtifact(a *snapshot.V2Artifact, m listed, serve bool) (views bool, err
 		return false, err
 	}
 	var keys []qd
+	var thawed *pairTable // the table every pairDense entry shares
 	if !serve {
 		if err := tab.validate(); err != nil {
 			return false, err
@@ -471,6 +503,15 @@ func readArtifact(a *snapshot.V2Artifact, m listed, serve bool) (views bool, err
 	}
 	for _, p := range ps {
 		switch p.kind {
+		case pairDense:
+			v, err := pairVals(a, p.tag, tab.NumPairs())
+			if err != nil {
+				return false, err
+			}
+			if thawed == nil {
+				thawed = pairTableOf(keys)
+			}
+			*p.tab, *p.vals = thawed, slices.Clone(v)
 		case pairMap:
 			v, err := pairVals(a, p.tag, tab.NumPairs())
 			if err != nil {
@@ -502,10 +543,10 @@ const maxGridSize = 1 << 16
 
 // appendKeys lists the pairs BBM holds counts for.
 func (m *BBM) appendKeys(keys []qd) []qd {
-	for k := range m.pairIDs {
-		keys = append(keys, qd{m.queries.String(k.q), k.d})
+	if m.pairs == nil {
+		return keys
 	}
-	return keys
+	return append(keys, m.pairs.pairs...)
 }
 
 // writeCounts writes BBM's per-pair counts over the pair table keys:
@@ -514,10 +555,6 @@ func (m *BBM) appendKeys(keys []qd) []qd {
 // — n.off (int32, pairs+1: where each pair's cells start), n.cell
 // (int32, ascending within a pair) and n.cnt (float64).
 func (m *BBM) writeCounts(w *snapshot.V2Writer, keys []qd) {
-	ids := make(map[qd]int32, len(m.pairIDs))
-	for k, id := range m.pairIDs {
-		ids[qd{m.queries.String(k.q), k.d}] = id
-	}
 	clicks := make([]float64, len(keys))
 	var skips, cnts []float64
 	if m.nCell > 0 {
@@ -525,7 +562,7 @@ func (m *BBM) writeCounts(w *snapshot.V2Writer, keys []qd) {
 	}
 	off, cells := make([]int32, 1, len(keys)+1), []int32(nil)
 	for i, k := range keys {
-		if id, ok := ids[k]; ok {
+		if id, ok := m.pairs.find(k.q, k.d); ok {
 			clicks[i] = m.clicks[id]
 			if m.nCell > 0 {
 				copy(skips[i*m.nCell:(i+1)*m.nCell], m.nonClick[int(id)*m.nCell:])
@@ -559,11 +596,7 @@ func (m *BBM) readCounts(a *snapshot.V2Artifact, keys []qd) error {
 	if err != nil {
 		return err
 	}
-	m.queries = NewVocab()
-	m.pairIDs = make(map[pairKey]int32, n)
-	for i, k := range keys {
-		m.pairIDs[pairKey{m.queries.ID(k.q), k.d}] = int32(i)
-	}
+	m.pairs = pairTableOf(keys)
 	m.clicks = slices.Clone(clicks)
 	m.nonClick, m.nonClickS = nil, nil
 	if m.nCell > 0 {

@@ -928,46 +928,75 @@ const minStrandBatch = 128
 // last strand to finish is at most one chunk behind the others.
 const strandChunk = 16
 
-// batchState is one scoring strand's memoised model resolution.
-// Batches overwhelmingly score one or two models, so each strand
-// memoises its last successful resolution: repeated references skip
-// the ref parse and table lookup, keeping the hot dispatch loop at a
-// string compare per request. The cache lives for one batch only — a
-// hot-swap lands no later than the next ScoreBatch call. Mapped
-// versions are pinned once per cache fill, not per request, so the
-// artifact refcount is off the per-request path; the pin is released
-// when the cache rolls over or the strand drains (release()).
+// batchState is one scoring strand's memoised model resolutions.
+// Batches overwhelmingly score one or two models — the mixed frames of
+// a serving protocol alternate a click model and the micro model — so
+// each strand keeps its last two successful resolutions: a repeated
+// reference skips the ref parse, the table lookup and the timing,
+// keeping the hot dispatch loop at a string compare or two per request.
+// The cache lives for one batch only — a hot-swap lands no later than
+// the next ScoreBatch call — and within it each reference answers from
+// one version while it stays cached. Mapped versions are pinned once
+// per cache fill, not per request, so the artifact refcount is off the
+// per-request path; a pin is released when its slot is evicted or the
+// strand drains (release()).
 type batchState struct {
+	resolution            // the slot the first resolution fills
+	other      resolution // the second slot
+	lastOther  bool       // the last request used other: a miss evicts the slot it did not use
+	n          uint32     // requests scored this batch, the sampling clock (observed engines)
+}
+
+// resolution is one memoised (reference, model version) pair.
+type resolution struct {
 	ref  string
 	name string
 	mv   modelVersion
-	n    uint32 // requests scored this batch, the sampling clock (observed engines)
 }
 
-// release drops the strand's artifact pin, if any.
+// release drops the slot's artifact pin, if any.
 //
 //mb:noalloc
-func (bs *batchState) release() {
-	if bs.mv.art != nil {
-		bs.mv.art.Release()
-		bs.mv.art = nil
+func (r *resolution) release() {
+	if r.mv.art != nil {
+		r.mv.art.Release()
+		r.mv.art = nil
 	}
 }
 
+// release drops the strand's artifact pins.
+//
+//mb:noalloc
+func (bs *batchState) release() {
+	bs.resolution.release()
+	bs.other.release()
+}
+
 // scoreOne scores one batch element into *out through the strand's
-// memoised resolution.
+// memoised resolutions.
 //
 //mb:noalloc
 func (e *Engine) scoreOne(ctx context.Context, req Request, out *Response, bs *batchState, sc *scratch) {
-	if bs.mv.scorer == nil || req.Model != bs.ref {
+	r := &bs.resolution
+	switch {
+	case r.mv.scorer != nil && req.Model == r.ref:
+		bs.lastOther = false
+	case bs.other.mv.scorer != nil && req.Model == bs.other.ref:
+		r, bs.lastOther = &bs.other, true
+	default:
 		name, _, mv, err := e.resolvePinnedTimed(req.Model)
 		if err != nil {
 			*out = Response{ID: req.ID, Model: name}
 			out.setErr(err)
 			return
 		}
-		bs.release() // after the new pin: never drains a shared artifact
-		bs.ref, bs.name, bs.mv = req.Model, name, mv
+		// Fill the first slot first, then evict the least recently used.
+		if r.mv.scorer != nil && !bs.lastOther {
+			r = &bs.other
+		}
+		r.release() // after the new pin: never drains a shared artifact
+		r.ref, r.name, r.mv = req.Model, name, mv
+		bs.lastOther = r == &bs.other
 	}
 	// Per-request timing is sampled 1-in-scoreSampleEvery per strand:
 	// the compiled kernel scores in ~1µs, so unconditional timing would
@@ -979,7 +1008,7 @@ func (e *Engine) scoreOne(ctx context.Context, req Request, out *Response, bs *b
 			t0 = time.Now()
 		}
 	}
-	*out, _ = e.scoreResolved(ctx, req, bs.name, &bs.mv, sc)
+	*out, _ = e.scoreResolved(ctx, req, r.name, &r.mv, sc)
 	if !t0.IsZero() {
 		e.obs.Score.RecordSince(t0)
 	}

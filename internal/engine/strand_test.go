@@ -286,3 +286,75 @@ func TestStrandClaim(t *testing.T) {
 		}
 	}
 }
+
+// installingScorer installs a new version of a model the first time it
+// scores: a hot swap that lands in the middle of a batch.
+type installingScorer struct {
+	e    *Engine
+	name string
+	once sync.Once
+}
+
+func (s *installingScorer) ScoreCTR(ctx context.Context, req Request) (Response, error) {
+	s.once.Do(func() {
+		if _, err := s.e.Install(s.name, fixedScorer{ctr: 0.9}, "register"); err != nil {
+			panic(err)
+		}
+	})
+	return Response{CTR: 0.1}, nil
+}
+
+// TestStrandMemoisesTwoModels: a strand keeps two resolutions, so a
+// batch that alternates two models — the mixed frames of a serving
+// protocol — resolves each once, not once per item; and every item of
+// one reference in one strand answers from one version, even when an
+// install of that model lands while the batch is scored. A third
+// reference evicts the resolution used least recently.
+func TestStrandMemoisesTwoModels(t *testing.T) {
+	o := &Observer{}
+	e := New(WithObserver(o))
+	installed(t, e, "a", &installingScorer{e: e, name: "a"})
+	installed(t, e, "b", fixedScorer{ctr: 0.2})
+	installed(t, e, "c", fixedScorer{ctr: 0.3})
+	ctx := context.Background()
+	batch := func(refs ...string) []Response {
+		reqs := make([]Request, 64)
+		for i := range reqs {
+			reqs[i] = Request{Model: refs[i%len(refs)]}
+		}
+		before := o.Resolve.Count()
+		resps := e.ScoreBatch(ctx, reqs)
+		if got, want := o.Resolve.Count()-before, uint64(len(refs)); got != want {
+			t.Fatalf("a batch alternating %v recorded %d resolve samples, want %d", refs, got, want)
+		}
+		return resps
+	}
+
+	for i, r := range batch("a", "b") {
+		want := map[string]int{"a": 1, "b": 1}[r.Model]
+		if r.Err != nil || r.ModelVersion != want {
+			t.Fatalf("item %d: %s@%d (%v), want version %d: the install mid-batch reached it", i, r.Model, r.ModelVersion, r.Err, want)
+		}
+	}
+	if r := batch("a")[0]; r.ModelVersion != 2 || r.CTR != 0.9 {
+		t.Fatalf("the next batch scored %s@%d at %v, want the installed a@2", r.Model, r.ModelVersion, r.CTR)
+	}
+
+	// Three references in turn: each miss evicts the slot the previous
+	// request did not use, which is the next one asked for.
+	var bs batchState
+	defer bs.release()
+	var out Response
+	sc := getScratch()
+	defer putScratch(sc)
+	before := o.Resolve.Count()
+	for _, ref := range []string{"a", "b", "a", "b", "c", "b", "c", "a"} {
+		e.scoreOne(ctx, Request{Model: ref}, &out, &bs, sc)
+		if out.Err != nil || out.Model != ref {
+			t.Fatalf("%s scored as %s (%v)", ref, out.Model, out.Err)
+		}
+	}
+	if got := o.Resolve.Count() - before; got != 4 {
+		t.Fatalf("a, b, a, b, c, b, c, a resolved %d times, want 4 (a, b, c, a)", got)
+	}
+}

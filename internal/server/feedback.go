@@ -17,9 +17,8 @@ package server
 // docs, lines and clicks from exact-size slabs — five allocations per
 // body, whatever the event count. The price is that any substring pins
 // the whole string, which is why every table that outlives the window
-// clones a key the first time it interns it (clickmodel.Vocab.ID and
-// Stats' pair table; the micro term table's keys come from the fold's
-// own scratch).
+// clones a key the first time it interns it (clickmodel.Stats.Add; the
+// micro term table's keys come from the fold's own scratch).
 
 import (
 	"errors"

@@ -463,52 +463,45 @@ func TestFeedbackScannerFeedsLearnerLikeOracle(t *testing.T) {
 
 	type params struct {
 		rel  map[string]float64
-		a, s map[string]float64
+		sdbn []byte // the export: every pair's a and s, by bits
 	}
 	publish := func(srv *Server, l *stream.Learner) (p params) {
 		if _, err := l.Publish(); err != nil {
 			t.Fatal(err)
 		}
-		for _, name := range []string{"sdbn", engine.NameMicro} {
-			var buf bytes.Buffer
-			if err := srv.eng.SaveSnapshot(name, &buf); err != nil {
-				t.Fatal(err)
-			}
-			if name == engine.NameMicro {
-				var m core.Model
-				if err := m.Load(&buf); err != nil {
-					t.Fatal(err)
-				}
-				p.rel = m.Relevance
-				continue
-			}
-			cm, err := clickmodel.LoadModel(&buf)
-			if err != nil {
-				t.Fatal(err)
-			}
-			m := cm.(*clickmodel.SDBN)
-			p.a, p.s = map[string]float64{}, map[string]float64{}
-			for k, v := range m.AttrA {
-				p.a[fmt.Sprint(k)] = v
-			}
-			for k, v := range m.SatS {
-				p.s[fmt.Sprint(k)] = v
-			}
+		var buf bytes.Buffer
+		if err := srv.eng.SaveSnapshot(engine.NameMicro, &buf); err != nil {
+			t.Fatal(err)
 		}
+		var m core.Model
+		if err := m.Load(&buf); err != nil {
+			t.Fatal(err)
+		}
+		p.rel = m.Relevance
+		buf.Reset()
+		if err := srv.eng.SaveSnapshot("sdbn", &buf); err != nil {
+			t.Fatal(err)
+		}
+		cm, err := clickmodel.LoadModel(bytes.NewReader(buf.Bytes()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := clickmodel.ParamCount(cm); n < 100 {
+			t.Fatalf("sdbn holds %d parameters; the test wants fifty pairs or more", n)
+		}
+		p.sdbn = buf.Bytes()
 		return p
 	}
 	want, got := publish(oracleSrv, oracleL), publish(scanSrv, scanL)
-	for _, tab := range []struct {
-		name      string
-		got, want map[string]float64
-	}{{"micro relevance", got.rel, want.rel}, {"sdbn a", got.a, want.a}, {"sdbn s", got.s, want.s}} {
-		if len(tab.want) < 50 || len(tab.got) != len(tab.want) {
-			t.Fatalf("%s: %d parameters against the oracle's %d", tab.name, len(tab.got), len(tab.want))
-		}
-		for k, w := range tab.want {
-			if g, ok := tab.got[k]; !ok || math.Float64bits(g) != math.Float64bits(w) {
-				t.Errorf("%s[%q] = %v (present: %v), the oracle's learner has %v", tab.name, k, g, ok, w)
-			}
+	if !bytes.Equal(got.sdbn, want.sdbn) {
+		t.Errorf("the sdbn export (%d bytes) differs from the oracle learner's (%d bytes)", len(got.sdbn), len(want.sdbn))
+	}
+	if len(want.rel) < 50 || len(got.rel) != len(want.rel) {
+		t.Fatalf("micro relevance: %d parameters against the oracle's %d", len(got.rel), len(want.rel))
+	}
+	for k, w := range want.rel {
+		if g, ok := got.rel[k]; !ok || math.Float64bits(g) != math.Float64bits(w) {
+			t.Errorf("micro relevance[%q] = %v (present: %v), the oracle's learner has %v", k, g, ok, w)
 		}
 	}
 }

@@ -465,7 +465,9 @@ func concurrentIngestPublishScore(t *testing.T, queueCap int) {
 }
 
 // TestDecayPrunesPairs: with decay on, pairs whose traffic stopped are
-// dropped from the global table instead of leaking forever.
+// dropped from the global table instead of leaking forever — and the
+// version published before they went, fitted on a table of its own,
+// answers by bits as it did.
 func TestDecayPrunesPairs(t *testing.T) {
 	eng := engine.New()
 	l, err := New(eng, Config{Models: []string{"sdbn"}, Shards: 2, QueueCap: 1 << 12, Decay: 0.01})
@@ -483,6 +485,11 @@ func TestDecayPrunesPairs(t *testing.T) {
 		t.Fatal(err)
 	}
 	peak := l.Metrics().Read()["stream.pairs"]
+	oneOff := clickmodel.Session{Query: "q", Docs: []string{"one-off-7", "one-off-8", "evergreen"}, Clicks: make([]bool, 3)}
+	first, err := eng.ScoreCTR(context.Background(), engine.Request{Model: "sdbn@1", Session: &oneOff})
+	if err != nil {
+		t.Fatal(err)
+	}
 	steady := clickmodel.Session{Query: "q", Docs: []string{"evergreen"}, Clicks: []bool{true}}
 	for round := 0; round < 4; round++ {
 		for i := 0; i < 50; i++ {
@@ -504,6 +511,15 @@ func TestDecayPrunesPairs(t *testing.T) {
 	}
 	if resp.Positions[0] <= 0.5 {
 		t.Fatalf("evergreen pair lost its clicks: %+v", resp)
+	}
+	again, err := eng.ScoreCTR(context.Background(), engine.Request{Model: "sdbn@1", Session: &oneOff})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, p := range first.Positions {
+		if math.Float64bits(again.Positions[i]) != math.Float64bits(p) {
+			t.Fatalf("sdbn@1 answered %v before the prunes and %v after", first.Positions, again.Positions)
+		}
 	}
 }
 
