@@ -1282,39 +1282,56 @@ func getFeedbackBench(b *testing.B) ([][]byte, []stream.SnippetEvent) {
 	return fb.bodies, fb.snippets
 }
 
-// BenchmarkStreamFeedbackHandle prices POST /v1/feedback in process,
-// per 220-event body: route, body read, decode, the learner's ingest
-// (no WAL — durability has its own suite) and the reply. The sink is
-// emptied by a publish outside the timer every 256 bodies, so nothing
-// drops and no fold runs beside the handler.
-func BenchmarkStreamFeedbackHandle(b *testing.B) {
+// BenchmarkStreamFeedback prices POST /v1/feedback in process, per
+// 220-event body: route, body read, decode, the learner's ingest and the
+// reply — without a WAL, and with the default batched one (its encoder
+// and writer run on their own goroutines; on a host with few CPUs their
+// work lands beside the handler's). The sink is emptied by a publish
+// outside the timer every 256 bodies, so nothing drops and no fold runs
+// beside the handler.
+func BenchmarkStreamFeedback(b *testing.B) {
 	bodies, _ := getFeedbackBench(b)
-	eng := micro.NewEngine(micro.WithKeepVersions(2))
-	l, err := stream.New(eng, stream.Config{Models: []string{"sdbn", "micro"}, Shards: 2, QueueCap: 1 << 15})
-	if err != nil {
-		b.Fatal(err)
-	}
-	srv := server.New(eng, nil, server.WithLearner(l))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if i%256 == 255 {
-			b.StopTimer()
-			if _, err := l.Publish(); err != nil {
+	run := func(b *testing.B, durable bool) {
+		cfg := stream.Config{Models: []string{"sdbn", "micro"}, Shards: 2, QueueCap: 1 << 15}
+		if durable {
+			// Bounded retention, as in production (see BenchmarkWALAppend).
+			w, err := wal.Open(b.TempDir(), wal.Options{MaxBytes: 256 << 20})
+			if err != nil {
 				b.Fatal(err)
 			}
-			b.StartTimer()
+			defer w.Close()
+			cfg.WAL = w
 		}
-		rec := httptest.NewRecorder()
-		srv.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/feedback", bytes.NewReader(bodies[i%len(bodies)])))
-		if rec.Code != http.StatusOK {
-			b.Fatalf("feedback answered %d: %s", rec.Code, rec.Body)
+		eng := micro.NewEngine(micro.WithKeepVersions(2))
+		l, err := stream.New(eng, cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer l.Close()
+		srv := server.New(eng, nil, server.WithLearner(l))
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if i%256 == 255 {
+				b.StopTimer()
+				if _, err := l.Publish(); err != nil {
+					b.Fatal(err)
+				}
+				b.StartTimer()
+			}
+			rec := httptest.NewRecorder()
+			srv.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/feedback", bytes.NewReader(bodies[i%len(bodies)])))
+			if rec.Code != http.StatusOK {
+				b.Fatalf("feedback answered %d: %s", rec.Code, rec.Body)
+			}
+		}
+		b.StopTimer()
+		if c := l.Metrics().Read(); c["stream.dropped"]+c["stream.invalid"] != 0 || c["stream.accepted"] != float64(b.N*220) {
+			b.Fatalf("accepted %v of %v events (%v dropped, %v invalid)", c["stream.accepted"], b.N*220, c["stream.dropped"], c["stream.invalid"])
 		}
 	}
-	b.StopTimer()
-	if c := l.Metrics().Read(); c["stream.dropped"]+c["stream.invalid"] != 0 || c["stream.accepted"] != float64(b.N*220) {
-		b.Fatalf("accepted %v of %v events (%v dropped, %v invalid)", c["stream.accepted"], b.N*220, c["stream.dropped"], c["stream.invalid"])
-	}
+	b.Run("wal=off", func(b *testing.B) { run(b, false) })
+	b.Run("wal=batched", func(b *testing.B) { run(b, true) })
 }
 
 // BenchmarkStreamFoldSnippet prices the snippet half of a fold, which

@@ -11,17 +11,21 @@ package server
 // is written; an accepted event sits in the learner's sink until the
 // next fold, in the WAL's ring until the encoder frames it, and — with
 // an EM-family model configured — in the session window for the next
-// Window sessions. So nothing handed to Learner.Ingest may alias a
-// pooled buffer: between scan and ingest, own copies every string byte
-// of the body's events into ONE string and cuts sessions, snippets,
-// docs, lines and clicks from exact-size slabs — five allocations per
-// body, whatever the event count. The price is that any substring pins
-// the whole string, which is why every table that outlives the window
+// Window sessions. So nothing handed to the learner may alias a pooled
+// buffer: between scan and ingest, own copies every string byte of the
+// body's events into ONE string and cuts sessions, snippets, docs,
+// lines and clicks from exact-size slabs — five allocations per body,
+// whatever the event count. The price is that any substring pins the
+// whole string, which is why every table that outlives the window
 // clones a key the first time it interns it (clickmodel.Stats.Add; the
 // micro term table's keys come from the fold's own scratch).
+//
+// The body then goes to the learner in one call, Learner.IngestRun:
+// each event is validated and counted on its own, and the body pays
+// once for one clock read, one run into the sink and one run into the
+// WAL. The reply's counts are that call's.
 
 import (
-	"errors"
 	"fmt"
 	"net/http"
 	"strconv"
@@ -30,6 +34,7 @@ import (
 
 	"repro/internal/clickmodel"
 	"repro/internal/stream"
+	"repro/internal/wal"
 )
 
 // Field tables: index = bit in the per-object seen mask.
@@ -54,10 +59,13 @@ const (
 // feedbackScan is what a feedback scan keeps beside the evidence arena:
 // the requests each of the four fields added (a key appears once, so a
 // field's events are one run of the arena), and per request the
-// impressions and clicks a snippet event carries.
+// impressions and clicks a snippet event carries. events and records
+// are the scratch the body's run into the learner is built in.
 type feedbackScan struct {
-	fields [fbSnippets + 1]eventRun
-	counts [][2]int
+	fields  [fbSnippets + 1]eventRun
+	counts  [][2]int
+	events  []stream.Event
+	records []wal.Record
 }
 
 type eventRun struct{ start, end int }
@@ -110,7 +118,8 @@ func (s *Server) handleFeedback(w http.ResponseWriter, r *http.Request) {
 //mb:noalloc
 func (c *scoreCodec) decodeFeedback(limit int) bool {
 	c.begin()
-	c.feedback = feedbackScan{counts: c.feedback.counts[:0]}
+	c.feedback.fields = [len(c.feedback.fields)]eventRun{}
+	c.feedback.counts = c.feedback.counts[:0]
 	if !c.events(limit) || !c.end() {
 		return false
 	}
@@ -144,7 +153,7 @@ func (c *scoreCodec) events(limit int) bool {
 		case f == fbSessions || f == fbSnippets:
 			ok = c.array("expected an array of events", event)
 		default:
-			ok = c.lit(litNull) || event()
+			ok = c.null() || event()
 		}
 		run.end = c.batch.Len()
 		return ok
@@ -253,45 +262,34 @@ func (c *scoreCodec) own() ([]clickmodel.Session, []stream.SnippetEvent) {
 	return sessions, snippets
 }
 
-// feedbackCounts reports what happened to each event of a body: queued
-// into the learner, dropped on saturation, or rejected as malformed.
-type feedbackCounts struct{ accepted, dropped, invalid int }
-
-func (n *feedbackCounts) add(err error) {
-	switch {
-	case err == nil:
-		n.accepted++
-	case errors.Is(err, stream.ErrDropped):
-		n.dropped++
-	default:
-		n.invalid++
-	}
-}
-
 // ingestFeedback is POST /v1/feedback between the scan and the reply
-// write: own the events, offer each to the learner, append the three
-// counts to c.out. It returns the status to reply with.
+// write: own the events, hand them to the learner as one run, append
+// the three counts to c.out. It returns the status to reply with.
 //
 //mb:noalloc
 func (s *Server) ingestFeedback(c *scoreCodec) int {
 	sessions, snippets := c.own()
-	var n feedbackCounts
+	fb := &c.feedback
+	fb.events = fb.events[:0]
 	for i := range sessions {
-		n.add(s.learner.Ingest(stream.Event{Session: &sessions[i]}))
+		fb.events = append(fb.events, stream.Event{Session: &sessions[i]})
 	}
 	for i := range snippets {
-		n.add(s.learner.Ingest(stream.Event{Snippet: &snippets[i]}))
+		fb.events = append(fb.events, stream.Event{Snippet: &snippets[i]})
 	}
+	var n stream.Counts
+	n, fb.records = s.learner.IngestRun(fb.events, fb.records)
+	clear(fb.events) // the pooled codec must not pin the body's events
 	c.out = append(c.out[:0], `{"accepted":`...)
-	c.out = strconv.AppendInt(c.out, int64(n.accepted), 10)
+	c.out = strconv.AppendInt(c.out, int64(n.Accepted), 10)
 	c.out = append(c.out, `,"dropped":`...)
-	c.out = strconv.AppendInt(c.out, int64(n.dropped), 10)
+	c.out = strconv.AppendInt(c.out, int64(n.Dropped), 10)
 	c.out = append(c.out, `,"invalid":`...)
-	c.out = strconv.AppendInt(c.out, int64(n.invalid), 10)
+	c.out = strconv.AppendInt(c.out, int64(n.Invalid), 10)
 	c.out = append(c.out, "}\n"...)
 	// All-dropped is backpressure, not success: tell the producer to
 	// slow down. Partial acceptance stays 200 with the counts.
-	if n.accepted == 0 && n.dropped > 0 {
+	if n.Accepted == 0 && n.Dropped > 0 {
 		return http.StatusTooManyRequests
 	}
 	return http.StatusOK

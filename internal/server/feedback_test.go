@@ -10,10 +10,12 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
 	"net/http"
+	"net/http/httptest"
 	"reflect"
 	"runtime"
 	"strings"
@@ -208,6 +210,9 @@ func FuzzFeedbackDecode(f *testing.F) {
 		for _, doc := range seeds {
 			f.Add([]byte(doc))
 		}
+	}
+	for _, s := range boundaryStrings() {
+		f.Add([]byte(`{"snippet":{"lines":["` + s + `"],"impressions":1}}`))
 	}
 	c := new(scoreCodec)
 	f.Fuzz(func(t *testing.T, body []byte) {
@@ -423,11 +428,28 @@ func TestInternedKeysDoNotPinBodies(t *testing.T) {
 	runtime.KeepAlive(l)
 }
 
+// ingestEach is the ingest loop the route used to run: one
+// Learner.Ingest per event, each outcome counted from its error.
+func ingestEach(l *stream.Learner, evs []stream.Event) (n stream.Counts) {
+	for _, ev := range evs {
+		switch err := l.Ingest(ev); {
+		case err == nil:
+			n.Accepted++
+		case errors.Is(err, stream.ErrDropped):
+			n.Dropped++
+		default:
+			n.Invalid++
+		}
+	}
+	return n
+}
+
 // TestFeedbackScannerFeedsLearnerLikeOracle is the behaviour held end
 // to end: the same bodies through the oracle decoder plus the ingest
 // loop the route used to run, and through the scanner plus the route's
-// own, give the same reply counts and — after a publish — sdbn and micro
-// models whose every parameter is equal by bits.
+// run into the learner, give the same reply counts and — after a
+// publish — sdbn and micro models whose every parameter is equal by
+// bits.
 func TestFeedbackScannerFeedsLearnerLikeOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	bodies := [][]byte{[]byte(feedbackSeeds[0]), []byte(feedbackSeeds[5]), []byte(feedbackSeeds[6]), []byte(`{"sessions":[null],"snippets":[null,{"lines":["a"],"impressions":1,"clicks":2}]}`)}
@@ -443,17 +465,14 @@ func TestFeedbackScannerFeedsLearnerLikeOracle(t *testing.T) {
 		if err != nil {
 			t.Fatalf("body %d: %v", i, err)
 		}
-		var want feedbackCounts
-		for _, ev := range req.events() {
-			want.add(oracleL.Ingest(ev))
-		}
+		want := ingestEach(oracleL, req.events())
 		c.body = append(c.body[:0], body...)
 		if !c.decodeFeedback(maxBatchItems) {
 			t.Fatalf("body %d: %d %q", i, c.status, c.errMsg)
 		}
 		scanSrv.ingestFeedback(c)
 		var got feedbackResponse
-		if err := json.Unmarshal(c.out, &got); err != nil || got != (feedbackResponse{want.accepted, want.dropped, want.invalid}) {
+		if err := json.Unmarshal(c.out, &got); err != nil || got != (feedbackResponse{want.Accepted, want.Dropped, want.Invalid}) {
 			t.Fatalf("body %d: reply %s (%v), want %+v", i, c.out, err, want)
 		}
 	}
@@ -502,6 +521,83 @@ func TestFeedbackScannerFeedsLearnerLikeOracle(t *testing.T) {
 	for k, w := range want.rel {
 		if g, ok := got.rel[k]; !ok || math.Float64bits(g) != math.Float64bits(w) {
 			t.Errorf("micro relevance[%q] = %v (present: %v), the oracle's learner has %v", k, g, ok, w)
+		}
+	}
+}
+
+// TestFeedbackReplyFollowsSinkState: the body goes to the learner as
+// one run, and for a given sink state the reply means what one Ingest
+// per event meant — accepted while some shard has room, dropped past
+// that, invalid for a malformed event wherever it sits — and the status
+// is 429 exactly when nothing was accepted and something was dropped.
+// Nothing drains the sinks, so each case's state is what it prefilled.
+func TestFeedbackReplyFollowsSinkState(t *testing.T) {
+	const shards, queueCap = 2, 8
+	learner := func() *stream.Learner {
+		l, err := stream.New(engine.New(), stream.Config{Models: []string{"sdbn"}, Shards: shards, QueueCap: queueCap})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { l.Close() })
+		return l
+	}
+	valid := `{"query":"q","docs":["a","b"],"clicks":[true,false]}`
+	invalid := `{"query":"q","docs":["a"],"clicks":[true,false]}`
+	// nValid sessions with nInvalid malformed ones among them, and a
+	// malformed snippet after them.
+	body := func(nValid, nInvalid int) string {
+		var evs []string
+		for i := 0; i < max(nValid, nInvalid); i++ {
+			if i < nValid {
+				evs = append(evs, valid)
+			}
+			if i < nInvalid {
+				evs = append(evs, invalid)
+			}
+		}
+		return `{"sessions":[` + strings.Join(evs, ",") + `],"snippet":{"lines":["x"],"impressions":0}}`
+	}
+	fill := clickmodel.Session{Query: "fill", Docs: []string{"a"}, Clicks: []bool{false}}
+	for _, tc := range []struct {
+		prefill, valid, invalid int
+		want                    feedbackResponse
+		status                  int
+	}{
+		{0, 6, 3, feedbackResponse{6, 0, 4}, http.StatusOK},
+		{12, 6, 3, feedbackResponse{4, 2, 4}, http.StatusOK},
+		{15, 1, 0, feedbackResponse{1, 0, 1}, http.StatusOK},
+		{16, 6, 3, feedbackResponse{0, 6, 4}, http.StatusTooManyRequests},
+		{16, 0, 3, feedbackResponse{0, 0, 4}, http.StatusOK},
+		{0, 20, 0, feedbackResponse{16, 4, 1}, http.StatusOK},
+	} {
+		route, oracle := learner(), learner()
+		for i := 0; i < tc.prefill; i++ {
+			for _, l := range []*stream.Learner{route, oracle} {
+				if err := l.Ingest(stream.Event{Session: &fill}); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		doc := body(tc.valid, tc.invalid)
+		req, err := oracleFeedback([]byte(doc), maxBatchItems)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := ingestEach(oracle, req.events())
+		if (feedbackResponse{want.Accepted, want.Dropped, want.Invalid}) != tc.want {
+			t.Fatalf("prefill %d: one Ingest per event counts %+v, the case says %+v", tc.prefill, want, tc.want)
+		}
+
+		rec := httptest.NewRecorder()
+		New(engine.New(), nil, WithLearner(route)).ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/feedback", strings.NewReader(doc)))
+		var got feedbackResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &got); err != nil || got != tc.want || rec.Code != tc.status {
+			t.Errorf("prefill %d, %d valid and %d invalid: %d %s, want %d %+v", tc.prefill, tc.valid, tc.invalid+1, rec.Code, rec.Body, tc.status, tc.want)
+		}
+		if c, o := route.Metrics().Read(), oracle.Metrics().Read(); c["stream.accepted"] != o["stream.accepted"] ||
+			c["stream.dropped"] != o["stream.dropped"] || c["stream.invalid"] != o["stream.invalid"] {
+			t.Errorf("prefill %d: the route's learner counts %v/%v/%v, the oracle's %v/%v/%v", tc.prefill,
+				c["stream.accepted"], c["stream.dropped"], c["stream.invalid"], o["stream.accepted"], o["stream.dropped"], o["stream.invalid"])
 		}
 	}
 }

@@ -18,8 +18,9 @@ package server
 // copied out first.
 
 import (
-	"bytes"
+	"encoding/binary"
 	"math"
+	"math/bits"
 	"net/http"
 	"unicode/utf16"
 	"unicode/utf8"
@@ -38,10 +39,10 @@ type scanner struct {
 	errPos int
 }
 
-var (
-	litNull  = []byte("null")
-	litTrue  = []byte("true")
-	litFalse = []byte("false")
+const (
+	litNull  = "null"
+	litTrue  = "true"
+	litFalse = "false"
 )
 
 // plain marks the bytes a string scan passes over without a second
@@ -52,6 +53,18 @@ var plain = func() (t [256]bool) {
 	}
 	return t
 }()
+
+// stops marks, in the high bit of each byte lane of x, the bytes plain
+// does not pass: the quote, the backslash, control bytes below 0x20 and
+// every byte from 0x80 up. The lowest marked lane is exact; a lane above
+// a marked one may be marked without reason (a borrow out of a true
+// mark), which a caller that stops at the first mark never looks at.
+func stops(x uint64) uint64 {
+	const ones, highs = 0x0101010101010101, 0x8080808080808080
+	quote := x ^ (ones * '"')
+	slash := x ^ (ones * '\\')
+	return ((quote-ones)&^quote | (slash-ones)&^slash | (x-ones*' ')&^x | x) & highs
+}
 
 // fail records the first failure of a scan — a 400: the document is not
 // what the route accepts — and returns false, so scanning code reads
@@ -102,14 +115,19 @@ func (s *scanner) peek() byte {
 	return 0
 }
 
-// lit consumes the literal at the cursor if it is there.
-func (s *scanner) lit(word []byte) bool {
-	if bytes.HasPrefix(s.body[s.pos:], word) {
-		s.pos += len(word)
+// lit consumes the literal at the cursor if it is there. Callers reach
+// it through the literal's first byte (null, or a switch on peek), so a
+// value that is not a literal costs one byte compare.
+func (s *scanner) lit(word string) bool {
+	if end := s.pos + len(word); end <= len(s.body) && string(s.body[s.pos:end]) == word {
+		s.pos = end
 		return true
 	}
 	return false
 }
+
+// null consumes a null literal at the cursor if one is there.
+func (s *scanner) null() bool { return s.peek() == 'n' && s.lit(litNull) }
 
 // enter steps over the opening bracket under the cursor and reports
 // whether the container closes right away (closer consumed too).
@@ -143,7 +161,7 @@ func (s *scanner) more(closer byte) (more, ok bool) {
 // fields (or null: an object without members), calling member with the
 // field each key names and the cursor on its value.
 func (s *scanner) object(fields []string, what string, member func(f int) bool) bool {
-	if s.lit(litNull) {
+	if s.null() {
 		return true
 	}
 	if s.peek() != '{' {
@@ -167,7 +185,7 @@ func (s *scanner) object(fields []string, what string, member func(f int) bool) 
 // array is object for an array (or null): elem is called with the
 // cursor on each element.
 func (s *scanner) array(what string, elem func() bool) bool {
-	if s.lit(litNull) {
+	if s.null() {
 		return true
 	}
 	if s.peek() != '[' {
@@ -198,13 +216,20 @@ func (s *scanner) key(fields []string, seen *uint) (int, bool) {
 	if !ok {
 		return 0, false
 	}
-	// No two fields of one shape are equal under folding, so the exact
-	// pass encoding/json makes first cannot pick a different field.
+	// The exact pass encoding/json makes first, then the folded one. No
+	// two fields of one shape are equal under folding, so the two passes
+	// cannot pick different fields; the first answers every key a client
+	// spells as the field is named, with a compare per field.
 	f := -1
 	for i, want := range fields {
-		if foldsTo(name, want) {
+		if string(name) == want {
 			f = i
 			break
+		}
+	}
+	for i := 0; f < 0 && i < len(fields); i++ {
+		if foldsTo(name, fields[i]) {
+			f = i
 		}
 	}
 	switch {
@@ -258,10 +283,18 @@ func foldsTo(key []byte, name string) bool {
 
 // str scans the string literal whose opening quote is under the
 // cursor. The result is a view of the body when the literal is free of
-// escapes and valid UTF-8, else of the side arena.
+// escapes and valid UTF-8, else of the side arena. Plain bytes are
+// passed over eight at a time; the byte loop takes over at the first
+// stop and for the tail shorter than a word.
 func (s *scanner) str() ([]byte, bool) {
 	b, start := s.body, s.pos+1
 	for i := start; i < len(b); {
+		for ; i+8 <= len(b); i += 8 {
+			if m := stops(binary.LittleEndian.Uint64(b[i:])); m != 0 {
+				i += bits.TrailingZeros64(m) >> 3
+				break
+			}
+		}
 		for i < len(b) && plain[b[i]] {
 			i++
 		}
@@ -396,11 +429,31 @@ func (s *scanner) strValue() ([]byte, bool) {
 	return nil, s.fail("expected a string")
 }
 
+// boolValue scans a value that must be a boolean or null (false, as
+// encoding/json leaves the zero value), dispatched on its first byte.
+func (s *scanner) boolValue() (bool, bool) {
+	switch s.peek() {
+	case 't':
+		if s.lit(litTrue) {
+			return true, true
+		}
+	case 'f':
+		if s.lit(litFalse) {
+			return false, true
+		}
+	case 'n':
+		if s.lit(litNull) {
+			return false, true
+		}
+	}
+	return false, s.fail("expected a boolean")
+}
+
 // intValue scans a value that must be an integer literal or null. A
 // fraction or an exponent is left under the cursor, where the caller's
 // more() rejects it.
 func (s *scanner) intValue() (int, bool) {
-	if s.lit(litNull) {
+	if s.null() {
 		return 0, true
 	}
 	b, i := s.body, s.pos

@@ -31,9 +31,12 @@ import (
 	"sync"
 	"time"
 	"unicode/utf8"
+	"unsafe"
 
 	"repro/internal/engine"
 	"repro/internal/server/binproto"
+	"repro/internal/stream"
+	"repro/internal/wal"
 )
 
 // scoreCodec is the working set of one hot-route request, pooled as a
@@ -54,15 +57,24 @@ var codecPool = sync.Pool{New: func() any { return new(scoreCodec) }}
 
 func getCodec() *scoreCodec { return codecPool.Get().(*scoreCodec) }
 
-// putCodec returns a codec to the pool unless one of its buffers grew
-// past maxPooledEncodeBuf: one giant batch must not pin its memory in
-// the pool forever.
+// putCodec returns a codec to the pool unless its buffers hold more
+// than maxPooledEncodeBuf bytes between them: one giant batch must not
+// pin its memory in the pool forever.
 func putCodec(c *scoreCodec) {
-	if cap(c.body) > maxPooledEncodeBuf || cap(c.esc) > maxPooledEncodeBuf ||
-		cap(c.out) > maxPooledEncodeBuf || c.batch.Size() > maxPooledEncodeBuf {
-		return
+	if c.size() <= maxPooledEncodeBuf {
+		codecPool.Put(c)
 	}
-	codecPool.Put(c)
+}
+
+// size is the memory the codec holds on to, in bytes: every buffer it
+// reuses from one request to the next.
+func (c *scoreCodec) size() int {
+	fb := &c.feedback
+	return cap(c.body) + cap(c.esc) + cap(c.out) + c.batch.Size() +
+		cap(c.resps)*int(unsafe.Sizeof(engine.Response{})) +
+		cap(fb.counts)*int(unsafe.Sizeof(fb.counts[0])) +
+		cap(fb.events)*int(unsafe.Sizeof(stream.Event{})) +
+		cap(fb.records)*int(unsafe.Sizeof(wal.Record{}))
 }
 
 // readBody reads the bounded request body into the codec's buffer,
@@ -223,15 +235,11 @@ func (c *scoreCodec) clickList() bool {
 		c.batch.Clicks()
 	}
 	return c.array("expected an array of booleans", func() bool {
-		switch {
-		case c.lit(litTrue):
-			c.batch.Click(true)
-		case c.lit(litFalse), c.lit(litNull):
-			c.batch.Click(false)
-		default:
-			return c.fail("expected a boolean")
+		click, ok := c.boolValue()
+		if ok {
+			c.batch.Click(click)
 		}
-		return true
+		return ok
 	})
 }
 

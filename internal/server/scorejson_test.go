@@ -21,10 +21,13 @@ import (
 	"strings"
 	"testing"
 	"time"
+	"unsafe"
 
 	"repro/internal/clickmodel"
 	"repro/internal/engine"
 	"repro/internal/obs"
+	"repro/internal/stream"
+	"repro/internal/wal"
 )
 
 // batchRequest / batchResponse are the /v1/score/batch wire shapes as
@@ -290,12 +293,71 @@ func TestFoldsToMatchesEqualFold(t *testing.T) {
 	}
 }
 
+// boundaryStrings are string contents — what stands between the quotes
+// — for the word-at-a-time string scan: every length from 0 to 24, of
+// filler letters that differ by offset, and the same with each of these
+// at every offset: a raw quote (the string ends there), a backslash
+// alone (an escape with the next letter, valid or not) and in whole
+// escapes, the two ends of the control range, 0x7F, valid UTF-8 of two,
+// three and four bytes, and invalid UTF-8 (a lone continuation byte,
+// 0xFF, a truncated lead, an encoded surrogate).
+func boundaryStrings() []string {
+	stops := []string{`"`, `\`, `\"`, `\\`, `\n`, `é`, "\x00", "\x1f", "\x7f",
+		"é", "世", "😀", "\x80", "\xff", "\xc3", "\xed\xa0\x80"}
+	var out []string
+	for n := 0; n <= 24; n++ {
+		filler := make([]byte, n)
+		for i := range filler {
+			filler[i] = 'a' + byte(i)
+		}
+		out = append(out, string(filler))
+		for _, stop := range stops {
+			for at := 0; at+len(stop) <= n; at++ {
+				out = append(out, string(filler[:at])+stop+string(filler[at+len(stop):]))
+			}
+		}
+	}
+	return out
+}
+
+// TestStringScanBoundaries: the string scan reads eight bytes a step
+// and hands over to the byte loop at the first stop. Every boundary
+// string, as a request's id and with and without whitespace after the
+// document (so that the string's last word is read whole, or by the
+// byte loop), decodes as encoding/json decodes it; a control byte is
+// reported at its own offset, and a raw quote ends the string where it
+// stands.
+func TestStringScanBoundaries(t *testing.T) {
+	const head = `{"id":"`
+	c := new(scoreCodec)
+	for _, s := range boundaryStrings() {
+		for _, pad := range []string{"", "         "} {
+			doc := head + s + `"}` + pad
+			var want engine.Request
+			werr := oracleDecode([]byte(doc), &want)
+			got, ok := scanOne(c, []byte(doc))
+			if (werr == nil) != ok || ok && got.ID != want.ID {
+				t.Fatalf("%q: scanner ok=%v id %q (%s at %d), oracle %q, %v", doc, ok, got.ID, c.errMsg, c.errPos, want.ID, werr)
+			}
+			if i := strings.IndexAny(s, "\x00\x1f"); i >= 0 && c.errPos != len(head)+i {
+				t.Fatalf("%q: the control byte at %d was reported at %d (%s)", doc, len(head)+i, c.errPos, c.errMsg)
+			}
+			if i := strings.IndexByte(s, '"'); i >= 0 && !strings.Contains(s, `\"`) && c.errPos != len(head)+i+1 {
+				t.Fatalf("%q: the string did not end at the raw quote at %d: the scan stopped at %d (%s)", doc, len(head)+i, c.errPos, c.errMsg)
+			}
+		}
+	}
+}
+
 // FuzzDecodeScoreBatch: for every input, oracle and scanner both
 // reject, or both accept with DeepEqual requests — as a batch body and
 // as a single-request body.
 func FuzzDecodeScoreBatch(f *testing.F) {
 	for _, doc := range decodeSeeds {
 		f.Add([]byte(doc))
+	}
+	for _, s := range boundaryStrings() {
+		f.Add([]byte(`{"requests":[{"id":"` + s + `"}]}`))
 	}
 	c := new(scoreCodec)
 	f.Fuzz(func(t *testing.T, body []byte) {
@@ -558,33 +620,64 @@ func TestBatchLimitStopsTheScan(t *testing.T) {
 	}
 }
 
-// TestOutsizedCodecIsNotPooled: a codec whose body, reply or arena
-// grew past maxPooledEncodeBuf is dropped, not pooled, so one giant
-// batch cannot pin its memory.
+// TestOutsizedCodecIsNotPooled: putCodec pools a codec only while the
+// buffers it keeps from one request to the next hold at most
+// maxPooledEncodeBuf bytes between them, so one giant batch cannot pin
+// its memory. The check is size, read here directly: every buffer past
+// the bound alone, buffers under it alone and past it together, and the
+// case a per-buffer check missed — a batch of bare requests whose arena
+// stays under the bound while its responses do not.
 func TestOutsizedCodecIsNotPooled(t *testing.T) {
-	drained := func() { // empty this P's view of the pool
-		for i := 0; i < 64; i++ {
-			codecPool.Get()
+	const bound = maxPooledEncodeBuf
+	past := func(elem uintptr) int { return bound/int(elem) + 1 }
+	grown := map[string]func(c *scoreCodec){
+		"body":    func(c *scoreCodec) { c.body = make([]byte, 0, bound+1) },
+		"esc":     func(c *scoreCodec) { c.esc = make([]byte, 0, bound+1) },
+		"out":     func(c *scoreCodec) { c.out = make([]byte, 0, bound+1) },
+		"resps":   func(c *scoreCodec) { c.resps = make([]engine.Response, 0, past(unsafe.Sizeof(engine.Response{}))) },
+		"counts":  func(c *scoreCodec) { c.feedback.counts = make([][2]int, 0, past(unsafe.Sizeof([2]int{}))) },
+		"events":  func(c *scoreCodec) { c.feedback.events = make([]stream.Event, 0, past(unsafe.Sizeof(stream.Event{}))) },
+		"records": func(c *scoreCodec) { c.feedback.records = make([]wal.Record, 0, past(unsafe.Sizeof(wal.Record{}))) },
+	}
+	for name, grow := range grown {
+		c := new(scoreCodec)
+		grow(c)
+		if c.size() <= bound {
+			t.Errorf("a codec whose %s holds past %d bytes reports %d", name, bound, c.size())
 		}
 	}
-	big := []*scoreCodec{codecOver(make([]byte, 0, maxPooledEncodeBuf+1)), new(scoreCodec), new(scoreCodec), new(scoreCodec)}
-	big[1].out = make([]byte, 0, maxPooledEncodeBuf+1)
-	big[2].esc = make([]byte, 0, maxPooledEncodeBuf+1)
-	if _, ok := scanBatch(big[3], []byte(`{"requests":[`+strings.Repeat(`{"lines":["a","b"]},`, maxBatchItems-1)+`{}]}`), maxBatchItems); !ok {
+
+	together := new(scoreCodec)
+	together.body = make([]byte, 0, bound/2+1)
+	together.out = make([]byte, 0, bound/2+1)
+	if together.size() <= bound {
+		t.Errorf("two buffers of half the bound and a little more report %d bytes in all", together.size())
+	}
+
+	if _, ok := scanBatch(together, []byte(`{"requests":[`+strings.Repeat(`{"lines":["a","b"]},`, maxBatchItems-1)+`{}]}`), maxBatchItems); !ok {
 		t.Fatal("the arena-filling batch was rejected")
 	}
-	big[3].body = nil
-	if size := big[3].batch.Size(); size <= maxPooledEncodeBuf {
-		t.Fatalf("a %d-request arena reports %d bytes; the test needs it past %d", maxBatchItems, size, maxPooledEncodeBuf)
+	if arena := together.batch.Size(); arena <= bound || together.size() < arena {
+		t.Fatalf("a %d-request arena reports %d bytes, the codec %d; the test needs the arena past %d", maxBatchItems, arena, together.size(), bound)
 	}
-	for i, c := range big {
-		drained()
-		putCodec(c)
-		for j := 0; j < 64; j++ {
-			if codecPool.Get() == any(c) {
-				t.Errorf("outsized codec %d came back from the pool", i)
-			}
-		}
+
+	bare := new(scoreCodec)
+	if _, ok := scanBatch(bare, []byte(`{"requests":[`+strings.Repeat(`{"model":"micro"},`, maxBatchItems-1)+`{}]}`), maxBatchItems); !ok {
+		t.Fatal("the batch of bare requests was rejected")
+	}
+	bare.body, bare.resps = nil, make([]engine.Response, maxBatchItems)
+	if arena := bare.batch.Size(); arena > bound || bare.size() <= bound {
+		t.Errorf("bare requests: the arena holds %d bytes and the codec %d; want the arena under %d and the codec past it", arena, bare.size(), bound)
+	}
+
+	warm := codecOver(cycleBody(t, 64, testSessions(300)))
+	if !warm.decodeBatch(maxBatchItems) {
+		t.Fatal(warm.errMsg)
+	}
+	warm.resps = make([]engine.Response, 64)
+	warm.encodeBatch()
+	if warm.size() > bound {
+		t.Errorf("a codec that served a 64-request batch holds %d bytes, past the %d a pooled one may", warm.size(), bound)
 	}
 }
 

@@ -138,8 +138,9 @@ func (r *sessionRing) add(s clickmodel.Session) {
 }
 
 // Learner owns the online loop: a Sink for ingest, per-shard
-// accumulators, and the publisher. Create with New, feed with Ingest,
-// run the background publisher with Start/Close — or drive Publish
+// accumulators, and the publisher. Create with New, feed with IngestRun
+// (a request body's events) or Ingest (one event), run the background
+// publisher with Start/Close — or drive Publish
 // directly (tests, manual retrain endpoints).
 type Learner struct {
 	cfg  Config
@@ -292,50 +293,116 @@ func (l *Learner) replayWAL() error {
 	})
 }
 
-// Ingest validates and enqueues one feedback event. Malformed events
-// return the validation error; a saturated sink returns ErrDropped.
-// Safe for any number of concurrent callers; the accept path takes one
-// shard lock and allocates nothing.
-func (l *Learner) Ingest(ev Event) error {
+// Counts is what became of the events of one IngestRun: queued into the
+// sink, dropped on saturation, or rejected as malformed.
+type Counts struct{ Accepted, Dropped, Invalid int }
+
+// errNoEvidence is hoisted so that rejecting an empty event allocates
+// nothing.
+var errNoEvidence = errors.New("stream: feedback event carries neither session nor snippet")
+
+// validate reports whether the event is one the learner may fold: it
+// carries a session or a snippet, and each it carries is well-formed.
+func (ev *Event) validate() error {
 	if ev.Session == nil && ev.Snippet == nil {
-		l.invalid.Add(1)
-		return errors.New("stream: feedback event carries neither session nor snippet")
+		return errNoEvidence
 	}
 	if ev.Session != nil {
 		if err := ev.Session.Validate(); err != nil {
-			l.invalid.Add(1)
 			return err
 		}
 	}
 	if ev.Snippet != nil {
-		if err := ev.Snippet.Validate(); err != nil {
-			l.invalid.Add(1)
-			return err
-		}
+		return ev.Snippet.Validate()
 	}
-	ev.enqueuedNS = time.Now().UnixNano()
-	if !l.sink.Offer(ev) {
+	return nil
+}
+
+// Ingest validates and enqueues one feedback event: IngestRun's code
+// for a run of one. Malformed events return the validation error; a
+// saturated sink returns ErrDropped. Safe for any number of concurrent
+// callers; the accept path allocates nothing.
+func (l *Learner) Ingest(ev Event) error {
+	if err := ev.validate(); err != nil {
+		l.invalid.Add(1)
+		return err
+	}
+	one := [1]Event{ev}
+	var rec [1]wal.Record
+	if accepted, _ := l.enqueue(one[:], rec[:0]); accepted == 0 {
 		return ErrDropped
 	}
-	if l.wal != nil {
+	return nil
+}
+
+// IngestRun validates and enqueues a run of feedback events — one
+// request body's worth — and reports what became of them. Each event is
+// validated and counted on its own; what belongs to the run is paid
+// once: one clock read stamps every event, the valid ones are offered
+// to the sink as one run and appended to the WAL as one run.
+//
+// The run works in the caller's memory. evs is rewritten: on return
+// evs[:Accepted] are the accepted events, in order, and the rest of evs
+// is left as scratch. recs is where the run's WAL records are built;
+// pass the slice the previous call returned, and a caller that reuses
+// both allocates nothing once they have grown to its largest run. Safe
+// for any number of concurrent callers with their own slices.
+//
+//mb:noalloc
+func (l *Learner) IngestRun(evs []Event, recs []wal.Record) (Counts, []wal.Record) {
+	valid := evs[:0]
+	for i := range evs {
+		if evs[i].validate() == nil {
+			valid = append(valid, evs[i])
+		}
+	}
+	var n Counts
+	if n.Invalid = len(evs) - len(valid); n.Invalid > 0 {
+		l.invalid.Add(uint64(n.Invalid))
+	}
+	n.Accepted, recs = l.enqueue(valid, recs)
+	n.Dropped = len(valid) - n.Accepted
+	return n, recs
+}
+
+// enqueue stamps a run of valid events with one clock read, offers it
+// to the sink, and appends what the sink accepted — a prefix of the run
+// — to the WAL as one run, its records built in recs. It returns how
+// many the sink accepted and recs for the next run.
+//
+//mb:noalloc
+func (l *Learner) enqueue(evs []Event, recs []wal.Record) (int, []wal.Record) {
+	now := time.Now().UnixNano()
+	for i := range evs {
+		evs[i].enqueuedNS = now
+	}
+	accepted := l.sink.offerRun(evs)
+	if l.wal == nil || accepted == 0 {
+		return accepted, recs
+	}
+	recs = recs[:0]
+	for i := range evs[:accepted] {
+		ev := &evs[i]
 		rec := wal.Record{Session: ev.Session}
 		if ev.Snippet != nil {
-			rec.SnippetLines = ev.Snippet.Lines
-			rec.Impressions = ev.Snippet.Impressions
-			rec.Clicks = ev.Snippet.Clicks
+			rec.SnippetLines, rec.Impressions, rec.Clicks = ev.Snippet.Lines, ev.Snippet.Impressions, ev.Snippet.Clicks
 		}
-		if _, err := l.wal.Append(rec); err != nil {
-			// Durability degraded but the event is in RAM and serving
-			// continues; the WAL counters record every failure, the log
-			// line fires only on the edge so a dead disk cannot spam.
-			if l.walDown.CompareAndSwap(false, true) && l.cfg.Logger != nil {
-				l.cfg.Logger.Printf("stream: wal append failed, learning is no longer crash-safe: %v", err)
-			}
-		} else if l.walDown.CompareAndSwap(true, false) && l.cfg.Logger != nil {
+		recs = append(recs, rec)
+	}
+	_, err := l.wal.AppendRun(recs)
+	clear(recs) // the ring holds its own copies; scratch must not pin the events
+	// Durability degraded but the events are in RAM and serving
+	// continues; the WAL counters record every failure, the log line
+	// fires only on the edge so a dead disk cannot spam. The Load keeps
+	// the steady state off the CAS.
+	if down := err != nil; l.walDown.Load() != down && l.walDown.CompareAndSwap(!down, down) && l.cfg.Logger != nil {
+		if down {
+			l.cfg.Logger.Printf("stream: wal append failed, learning is no longer crash-safe: %v", err) //mb:allocok the edge, logged once
+		} else {
 			l.cfg.Logger.Printf("stream: wal append recovered")
 		}
 	}
-	return nil
+	return accepted, recs
 }
 
 // foldLocked is the one fold, whoever asks for it — a shard that

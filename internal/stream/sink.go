@@ -9,13 +9,14 @@
 // pieces, wired by a Learner:
 //
 //   - Sink: a sharded, lock-minimal ingest queue. Producers (the HTTP
-//     feedback handler) round-robin events over N shards, each owning a
-//     bounded append buffer; a full shard drops the event and counts
-//     the drop rather than blocking the serving path. Bounded is not
-//     preallocated: a buffer grows to what the shard has had to hold
-//     and no further, and the Offer that half-fills a shard (at most
-//     4096 events) wakes the learner's fold, so what the queue holds
-//     follows the feedback rate and not a timer.
+//     feedback handler) offer a body's events as one run into N shards,
+//     each owning a bounded append buffer: the run fills the shard under
+//     a round-robin cursor and spills into the next, and what no shard
+//     has room for is dropped and counted rather than blocking the
+//     serving path. Bounded is not preallocated: a buffer grows to what
+//     the shard has had to hold and no further, and the run that
+//     half-fills a shard (at most 4096 events) wakes the learner's fold,
+//     so what the queue holds follows the feedback rate and not a timer.
 //   - Accumulation: each shard folds its drained events into its own
 //     clickmodel.Stats delta (counting-family sufficient statistics),
 //     a ring of recent raw sessions (the mini-batch window for the
@@ -50,10 +51,11 @@ type Event struct {
 	// Snippet is the micro evidence: one snippet's aggregated counts.
 	Snippet *SnippetEvent `json:"snippet,omitempty"`
 
-	// enqueuedNS is stamped by Learner.Ingest (UnixNano) so the fold
-	// that eventually absorbs the event can record how long it sat in
-	// the sink — the offer→fold lag histogram. Zero (events offered
-	// directly to a Sink, WAL replay) records nothing.
+	// enqueuedNS is stamped by the learner's ingest (UnixNano, one
+	// clock read per run) so the fold that eventually absorbs the event
+	// can record how long it sat in the sink — the offer→fold lag
+	// histogram. Zero (events offered directly to a Sink, WAL replay)
+	// records nothing.
 	enqueuedNS int64
 }
 
@@ -79,9 +81,9 @@ func (e *SnippetEvent) Validate() error {
 	return nil
 }
 
-// ErrDropped is returned by Ingest when every shard buffer the event
-// was offered to is full: the event was counted as dropped, not
-// queued. Producers treat it as backpressure, not failure.
+// ErrDropped is returned by Ingest when every shard buffer is full: the
+// event was counted as dropped, not queued. Producers treat it as
+// backpressure, not failure.
 var ErrDropped = errors.New("stream: ingest queue saturated, event dropped")
 
 // sinkShard is one ingest lane: a mutex and two swap buffers. Both
@@ -96,11 +98,11 @@ type sinkShard struct {
 	_     [64]byte
 }
 
-// Sink is the concurrent ingest front of the online loop: events are
-// distributed round-robin over shards and buffered until a drainer
-// folds them. Offer is safe for any number of concurrent producers and
-// allocates nothing on the steady-state accept path; a saturated shard
-// drops the event rather than blocking.
+// Sink is the concurrent ingest front of the online loop: runs of
+// events are distributed round-robin over shards and buffered until a
+// drainer folds them. Offering is safe for any number of concurrent
+// producers and allocates nothing on the steady-state accept path; a
+// saturated sink drops events rather than blocking.
 type Sink struct {
 	shards   []sinkShard
 	queueCap int // a shard holding this many events drops the next
@@ -112,7 +114,7 @@ type Sink struct {
 	filled chan struct{}
 	cursor atomic.Uint64
 	queued atomic.Uint64 // accepted into a shard buffer
-	drops  atomic.Uint64 // rejected because the shard was full
+	drops  atomic.Uint64 // rejected because no shard had room
 }
 
 // maxFill is the most events a shard collects before it asks for a
@@ -143,32 +145,54 @@ func NewSink(shards, queueCap int) *Sink {
 }
 
 // Offer enqueues one event, returning false (and counting a drop) when
-// the selected shard already holds its bound. Acceptance goes by the
-// buffer's length, never its capacity: append's doubling may leave room
-// past the bound, and that room is not queue. The Offer that brings a
-// shard to its fill mark leaves one token for the drainer and never
-// waits for it.
+// every shard already holds its bound: an offerRun of one.
 //
 //mb:noalloc
 func (s *Sink) Offer(ev Event) bool {
-	sh := &s.shards[s.cursor.Add(1)%uint64(len(s.shards))]
-	sh.mu.Lock()
-	if len(sh.buf) >= s.queueCap {
-		sh.mu.Unlock()
-		s.drops.Add(1)
-		return false
+	one := [1]Event{ev}
+	return s.offerRun(one[:]) == 1
+}
+
+// offerRun enqueues a run of events — one request body's worth — and
+// returns how many it accepted, always a prefix of evs. The run fills
+// the shard under the cursor up to its bound and goes on to the shards
+// after it; only what no shard has room for is dropped and counted.
+// Acceptance goes by a buffer's length, never its capacity: append's
+// doubling may leave room past the bound, and that room is not queue. A
+// run that takes a shard across its fill mark leaves one token for the
+// drainer and never waits for it.
+//
+//mb:noalloc
+func (s *Sink) offerRun(evs []Event) int {
+	if len(evs) == 0 {
+		return 0
 	}
-	sh.buf = append(sh.buf, ev)
-	n := len(sh.buf)
-	sh.mu.Unlock()
-	s.queued.Add(1)
-	if n == s.fillAt {
+	i := int(s.cursor.Add(1) % uint64(len(s.shards)))
+	taken, fill := 0, false
+	for k := 0; k < len(s.shards) && taken < len(evs); k++ {
+		sh := &s.shards[i]
+		sh.mu.Lock()
+		held := len(sh.buf)
+		n := min(s.queueCap-held, len(evs)-taken)
+		sh.buf = append(sh.buf, evs[taken:taken+n]...)
+		sh.mu.Unlock()
+		taken += n
+		fill = fill || held < s.fillAt && held+n >= s.fillAt
+		if i++; i == len(s.shards) {
+			i = 0
+		}
+	}
+	s.queued.Add(uint64(taken))
+	if taken < len(evs) {
+		s.drops.Add(uint64(len(evs) - taken))
+	}
+	if fill {
 		select {
 		case s.filled <- struct{}{}:
 		default:
 		}
 	}
-	return true
+	return taken
 }
 
 // holding appends to dst the shards that hold events right now.

@@ -2,6 +2,7 @@ package stream
 
 import (
 	"errors"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -36,6 +37,83 @@ func TestSinkOfferAndDrop(t *testing.T) {
 	// Capacity is back after the drain.
 	if !s.Offer(Event{Session: testSession("q")}) {
 		t.Fatal("offer rejected after drain")
+	}
+}
+
+// TestSinkRunSpills: a run fills the shard under the cursor and spills
+// into the shards after it, in order; only what no shard has room for
+// is dropped and counted, and the accepted events are the run's prefix.
+func TestSinkRunSpills(t *testing.T) {
+	s := NewSink(3, 10)
+	run := func(n int) []Event {
+		evs := make([]Event, n)
+		for i := range evs {
+			evs[i] = Event{Session: testSession(string(rune('a' + i)))}
+		}
+		return evs
+	}
+	if got := s.offerRun(run(4)); got != 4 { // the cursor's first shard is 1
+		t.Fatalf("a run of 4 into an empty sink: %d accepted", got)
+	}
+	second := run(25)
+	if got := s.offerRun(second); got != 25 || s.Dropped() != 0 {
+		t.Fatalf("a run of 25 into 26 free slots: %d accepted, %d dropped", got, s.Dropped())
+	}
+	held := func(i int) []string {
+		var qs []string
+		for _, ev := range s.shards[i].buf {
+			qs = append(qs, ev.Session.Query)
+		}
+		return qs
+	}
+	// Cursor shard 2 first, then 0, then the rest of shard 1's room.
+	want := [][]string{
+		{"k", "l", "m", "n", "o", "p", "q", "r", "s", "t"},
+		{"a", "b", "c", "d", "u", "v", "w", "x", "y"},
+		{"a", "b", "c", "d", "e", "f", "g", "h", "i", "j"},
+	}
+	for i := range want {
+		if got := held(i); !reflect.DeepEqual(got, want[i]) {
+			t.Fatalf("shard %d holds %v, want %v", i, got, want[i])
+		}
+	}
+	third := run(3)
+	if got := s.offerRun(third); got != 1 || s.Dropped() != 2 || s.Queued() != 30 {
+		t.Fatalf("a run of 3 into 1 free slot: %d accepted, %d dropped, %d queued", got, s.Dropped(), s.Queued())
+	}
+	if last := s.shards[1].buf[9]; last.Session != third[0].Session {
+		t.Fatalf("the free slot took %q, want the run's first event", last.Session.Query)
+	}
+	if s.offerRun(nil) != 0 || s.Dropped() != 2 {
+		t.Fatal("an empty run was counted")
+	}
+}
+
+// TestSinkRunFillToken: the fill token is posted by the run that takes a
+// shard across its mark, whether or not the run lands on it, and by no
+// run that starts past it.
+func TestSinkRunFillToken(t *testing.T) {
+	s := NewSink(1, 10) // marks the shard full at 5
+	tokens := func() int {
+		select {
+		case <-s.filled:
+			return 1
+		default:
+			return 0
+		}
+	}
+	evs := make([]Event, 10)
+	for i, n := range []struct{ run, tokens int }{{3, 0}, {4, 1}, {2, 0}, {1, 0}} {
+		if got := s.offerRun(evs[:n.run]); got != n.run {
+			t.Fatalf("run %d: %d of %d accepted", i, got, n.run)
+		}
+		if got := tokens(); got != n.tokens {
+			t.Fatalf("run %d of %d events (shard at %d after it): %d fill tokens, want %d", i, n.run, len(s.shards[0].buf), got, n.tokens)
+		}
+	}
+	s.DrainShard(0, func(*Event) {})
+	if s.offerRun(evs[:10]) != 10 || tokens() != 1 {
+		t.Fatal("a run from empty to the bound did not ask for a fold")
 	}
 }
 

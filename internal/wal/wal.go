@@ -328,40 +328,101 @@ func (w *WAL) Dir() string { return w.dir }
 // Policy returns the effective fsync policy.
 func (w *WAL) Policy() SyncPolicy { return w.opt.Sync }
 
-// Append records one feedback event, returning its sequence number.
-// The hot path is lock-free: take a ticket, store the record into the
-// ring, publish the slot — no mutex, no encode, no syscall, no
-// allocation. The encoder goroutine frames and checksums published
-// records in ticket order; under SyncAlways, Append then waits on the
-// group-committed fsync barrier before returning, so the record is
-// durable; otherwise it is flushed within one SyncInterval.
+// Append records one feedback event, returning its sequence number: an
+// AppendRun of one.
 //
 //mb:noalloc
 func (w *WAL) Append(rec Record) (uint64, error) {
-	if rec.empty() {
-		return 0, errEmptyRecord
+	one := [1]Record{rec}
+	return w.AppendRun(one[:])
+}
+
+// AppendRun records a run of feedback events — one request body's
+// worth — in order, under consecutive sequence numbers, and returns the
+// last. A run with an empty record is refused whole; an empty run
+// appends nothing and returns 0. The hot path is lock-free, and what
+// belongs to the run is paid once: one check of the closed and failing
+// gates, one ticket reservation per ring's worth of records, one poke
+// of the encoder, one fsync barrier. Per record it is a slot store and
+// its publish — no mutex, no encode, no syscall, no allocation. The
+// encoder goroutine frames and checksums published records in ticket
+// order, each exactly as if it had been appended alone; under
+// SyncAlways, AppendRun then waits on the group-committed fsync barrier
+// for the run's last sequence before returning, so the whole run is
+// durable; otherwise it is flushed within one SyncInterval.
+//
+//mb:noalloc
+func (w *WAL) AppendRun(recs []Record) (uint64, error) {
+	for i := range recs {
+		if recs[i].empty() {
+			return 0, errEmptyRecord
+		}
 	}
+	if len(recs) == 0 {
+		return 0, nil
+	}
+	n := uint64(len(recs))
 	w.inflight.Add(1)
 	if w.closedA.Load() {
 		w.inflight.Add(-1)
-		w.appendErrors.Add(1)
+		w.appendErrors.Add(n)
 		return 0, ErrClosed
 	}
 	if ep := w.fail.Load(); ep != nil {
 		w.inflight.Add(-1)
-		w.appendErrors.Add(1)
+		w.appendErrors.Add(n)
 		return 0, *ep
 	}
-	t := w.head.Add(1) - 1
 	var t0 time.Time
-	if t&(appendSampleEvery-1) == 0 {
-		t0 = time.Now()
+	var last uint64
+	for len(recs) > 0 {
+		// A reservation holds at most a ring's worth of tickets, so no
+		// ticket is taken more than a lap ahead of the slots its producer
+		// has published, and appenders behind a long run wait on one lap
+		// of it, not the whole run.
+		k := uint64(min(len(recs), ringSize))
+		t := w.head.Add(k) - k
+		if t0.IsZero() && crossesMultiple(t, k, appendSampleEvery) {
+			t0 = time.Now()
+		}
+		for i := range recs[:k] {
+			w.publish(t+uint64(i), &recs[i])
+		}
+		recs = recs[k:]
+		last = w.base + t + k - 1
+		if w.opt.Sync == SyncAlways || crossesMultiple(t, k, pokeStride) {
+			select {
+			case w.encC <- struct{}{}:
+			default:
+			}
+		}
 	}
+	w.inflight.Add(-1)
+	if w.opt.Sync == SyncAlways {
+		if err := w.syncTo(last); err != nil {
+			w.appendErrors.Add(n)
+			return last, err
+		}
+	}
+	if !t0.IsZero() {
+		// Sampled run: the histogram sees ring backpressure and (for
+		// SyncAlways) the group-commit wait — the latency an ingesting
+		// caller actually pays.
+		w.appendH.RecordSince(t0)
+	}
+	return last, nil
+}
+
+// publish stores rec into ticket t's ring slot and hands the slot to
+// the encoder, first waiting out a ring that is a full lap ahead of it.
+//
+//mb:noalloc
+func (w *WAL) publish(t uint64, rec *Record) {
 	slot := &w.ring[t&ringMask]
 	for spin := 0; slot.turn.Load() != t; spin++ {
-		// The ring is a full lap ahead of the encoder. Poke it and
-		// yield; slots free as it drains, even when the segment is
-		// failing (the encoder discards instead of wedging the ring).
+		// Poke the encoder and yield; slots free as it drains, even when
+		// the segment is failing (the encoder discards instead of wedging
+		// the ring).
 		if spin&63 == 0 {
 			select {
 			case w.encC <- struct{}{}:
@@ -370,33 +431,19 @@ func (w *WAL) Append(rec Record) (uint64, error) {
 		}
 		runtime.Gosched()
 	}
-	slot.rec = rec
+	slot.rec = *rec
 	slot.turn.Store(t + 1)
-	w.inflight.Add(-1)
-	seq := w.base + t
-	if w.opt.Sync == SyncAlways || t%pokeStride == 0 {
-		select {
-		case w.encC <- struct{}{}:
-		default:
-		}
-	}
-	if w.opt.Sync == SyncAlways {
-		if err := w.syncTo(seq); err != nil {
-			w.appendErrors.Add(1)
-			return seq, err
-		}
-	}
-	if !t0.IsZero() {
-		// Sampled ticket: the histogram sees ring backpressure and (for
-		// SyncAlways) the group-commit wait — the latency an ingesting
-		// caller actually pays.
-		w.appendH.RecordSince(t0)
-	}
-	return seq, nil
 }
 
-// appendSampleEvery is Append's sampling stride (power of two; the
-// gate is one mask on the ticket already in hand).
+// crossesMultiple reports whether the k tickets from t hold a multiple
+// of stride: the run meets the point where a ticket at a time would have
+// acted.
+func crossesMultiple(t, k, stride uint64) bool {
+	return t%stride == 0 || t/stride != (t+k-1)/stride
+}
+
+// appendSampleEvery is the append histogram's sampling stride in
+// tickets: a run is timed when one of its tickets is a multiple.
 const appendSampleEvery = 64
 
 // failLocked records a sticky segment error and mirrors it into the

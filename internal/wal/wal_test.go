@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -529,10 +530,12 @@ func TestPolicyString(t *testing.T) {
 }
 
 // TestBatchedAppendAllocates pins the hot-path guarantee: steady-state
-// batched appends do not allocate.
+// batched appends do not allocate, one at a time (Append) or as a run
+// (AppendRun, whose records publish one slot each).
 func TestBatchedAppendAllocates(t *testing.T) {
 	w := mustOpen(t, t.TempDir(), Options{SyncInterval: time.Hour})
 	rec := sessRec(1)
+	run := []Record{sessRec(2), snipRec(3), bothRec(4), sessRec(5)}
 	// Warm the append buffer and the encoder scratch.
 	for i := 0; i < 2000; i++ {
 		if _, err := w.Append(rec); err != nil {
@@ -549,6 +552,170 @@ func TestBatchedAppendAllocates(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("batched Append allocates %.1f objects/op, want 0", allocs)
+	}
+	allocs = testing.AllocsPerRun(500, func() {
+		if _, err := w.AppendRun(run); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("batched AppendRun of %d records allocates %.1f objects/op, want 0", len(run), allocs)
+	}
+}
+
+// segmentFrames reads a closed log's segments in order and returns,
+// for each, its first sequence and the bytes after its header — what
+// the log wrote, less the creation time in the header.
+func segmentFrames(t *testing.T, dir string) (firsts []uint64, frames [][]byte) {
+	t.Helper()
+	segs, err := filepath.Glob(filepath.Join(dir, "wal-*.log"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range segs {
+		b, err := os.ReadFile(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		first, _, n, err := parseSegmentHeader(b)
+		if err != nil {
+			t.Fatalf("%s: %v", s, err)
+		}
+		firsts, frames = append(firsts, first), append(frames, b[n:])
+	}
+	return firsts, frames
+}
+
+// TestAppendRunMatchesAppends: records appended as runs leave the same
+// segment files as the same records appended one by one — every frame
+// byte for byte, the same rotations — including a run longer than the
+// ring (two reservations) and runs that wrap the ring's end. Replay
+// returns them in order, and each run's reply is its last sequence.
+func TestAppendRunMatchesAppends(t *testing.T) {
+	var recs []Record
+	for i := 0; len(recs) < 2*ringSize+500; i++ {
+		recs = append(recs, sessRec(i), snipRec(i), bothRec(i))
+	}
+	// Run lengths: singles, a run past the ring's end, one longer than
+	// the ring, and the rest as bodies of a few hundred.
+	runs := []int{1, 1, ringSize - 3, ringSize + 7}
+	for n := 2 + 2*ringSize + 4; n < len(recs); n += 220 {
+		runs = append(runs, min(220, len(recs)-n))
+	}
+
+	opt := Options{Sync: SyncOff, SyncInterval: time.Hour, SegmentBytes: 256 << 10}
+	oneDir, runDir := t.TempDir(), t.TempDir()
+	one := mustOpen(t, oneDir, opt)
+	for i := range recs {
+		if seq, err := one.Append(recs[i]); err != nil || seq != uint64(i+1) {
+			t.Fatalf("append %d: seq %d, %v", i, seq, err)
+		}
+	}
+	w := mustOpen(t, runDir, opt)
+	at := 0
+	for _, n := range runs {
+		last, err := w.AppendRun(recs[at : at+n])
+		if at += n; err != nil || last != uint64(at) {
+			t.Fatalf("run of %d ending at record %d: last seq %d, %v", n, at, last, err)
+		}
+	}
+	if at != len(recs) {
+		t.Fatalf("the runs cover %d of %d records", at, len(recs))
+	}
+	for _, l := range []*WAL{one, w} {
+		if err := l.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	wantFirst, want := segmentFrames(t, oneDir)
+	gotFirst, got := segmentFrames(t, runDir)
+	if len(want) < 2 || !reflect.DeepEqual(gotFirst, wantFirst) {
+		t.Fatalf("segments start at %v as runs, %v one by one (the test wants several)", gotFirst, wantFirst)
+	}
+	for i := range want {
+		if !bytes.Equal(got[i], want[i]) {
+			t.Fatalf("segment %d (first seq %d): %d frame bytes as runs, %d one by one, first difference at %d",
+				i, wantFirst[i], len(got[i]), len(want[i]), firstDiff(got[i], want[i]))
+		}
+	}
+
+	back := replayAll(t, mustOpen(t, runDir, Options{}))
+	if len(back) != len(recs) {
+		t.Fatalf("replayed %d records, want %d", len(back), len(recs))
+	}
+	for i := range recs {
+		if !reflect.DeepEqual(back[i], recs[i]) {
+			t.Fatalf("record %d replays as %+v, want %+v", i, back[i], recs[i])
+		}
+	}
+}
+
+func firstDiff(a, b []byte) int {
+	for i := range min(len(a), len(b)) {
+		if a[i] != b[i] {
+			return i
+		}
+	}
+	return min(len(a), len(b))
+}
+
+// TestAppendRunSyncAlways: under SyncAlways a run returns only once its
+// last sequence is durable, with concurrent runs group-committing; an
+// empty run appends nothing and a run holding an empty record is
+// refused whole.
+func TestAppendRunSyncAlways(t *testing.T) {
+	dir := t.TempDir()
+	w := mustOpen(t, dir, Options{Sync: SyncAlways})
+	if last, err := w.AppendRun(nil); last != 0 || err != nil {
+		t.Fatalf("empty run: %d, %v", last, err)
+	}
+	if _, err := w.AppendRun([]Record{sessRec(0), {}}); err == nil {
+		t.Fatal("a run holding an empty record was accepted")
+	}
+	const writers, runs, each = 4, 10, 25
+	var wg sync.WaitGroup
+	for g := 0; g < writers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			run := make([]Record, each)
+			for r := 0; r < runs; r++ {
+				for i := range run {
+					run[i] = sessRec((g*runs+r)*each + i)
+				}
+				last, err := w.AppendRun(run)
+				if err != nil {
+					t.Errorf("run: %v", err)
+					return
+				}
+				if w.DurableSeq() < last {
+					t.Errorf("a run returned before its last seq %d was durable (durable %d)", last, w.DurableSeq())
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	if c := w.Metrics().Read(); c["wal.appended"] != writers*runs*each || c["wal.append_errors"] != 0 {
+		t.Fatalf("counters after the runs: %+v", c)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	got := replayAll(t, mustOpen(t, dir, Options{}))
+	if len(got) != writers*runs*each {
+		t.Fatalf("replayed %d, want %d", len(got), writers*runs*each)
+	}
+	// Runs may interleave with each other, never within themselves.
+	for i := 0; i < len(got); i += each {
+		var first int
+		fmt.Sscanf(got[i].Session.Query, "q%d", &first)
+		for j := 0; j < each; j++ {
+			if want := fmt.Sprintf("q%d", first+j); got[i+j].Session.Query != want {
+				t.Fatalf("record %d of a run replays as %q, want %q", j, got[i+j].Session.Query, want)
+			}
+		}
 	}
 }
 
