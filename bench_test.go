@@ -1632,12 +1632,24 @@ func BenchmarkObsHistogramRecord(b *testing.B) {
 }
 
 // BenchmarkObsScoreBatch prices the instrumentation tax on the
-// engine's hottest path: the same 4-worker batch scored with no
-// observer attached (off) and with the full stage-timing + sampled
-// per-score + predicted-CTR pipeline (on). The acceptance bar is the
-// two staying within 5% of each other — the observer costs two
-// monotonic clock reads per batch plus a 1-in-64 sampled score timing,
-// which amortises to noise over a multi-thousand-request batch.
+// engine's hottest path: the same batches scored with no observer
+// attached (off) and with the full stage-timing + sampled per-score +
+// predicted-CTR pipeline (on). The observer costs two monotonic clock
+// reads per batch, a 1-in-64 sampled score timing and one
+// predicted-CTR sample per scored request. A strand tallies those
+// samples in its own memory and hands them to the version's shared
+// histogram once per resolution it held, so the per-request share is
+// three plain adds, not three atomic adds on a line every strand
+// writes.
+//
+// off and on score one 1,204-request batch on up to four strands; the
+// acceptance bar is the two staying within 5% of each other. The
+// frames sub-benches are the serving shape that per-request sample
+// was expensive on: two goroutines — two connections — score
+// 64-request frames on one engine, every request a memo hit (1,024
+// distinct snippets, after two passes), so little but the dispatch,
+// the memo lookup and the observer is left per request; cpu-ns/req is
+// what the process spent on each.
 func BenchmarkObsScoreBatch(b *testing.B) {
 	reqs, model := getEngineBench(b)
 	ctx := context.Background()
@@ -1660,6 +1672,54 @@ func BenchmarkObsScoreBatch(b *testing.B) {
 		eo := &micro.EngineObserver{}
 		eng := micro.NewEngine(micro.WithWorkers(4), micro.WithObserver(eo))
 		run(b, eng)
+		if eo.Batch.Snapshot().Count == 0 {
+			b.Fatal("observer attached but batch stage never recorded")
+		}
+	})
+
+	repeatModel, repeatPool := repeatBench()
+	pool := repeatPool[:1<<10]
+	frames := func(b *testing.B, eng *micro.Engine) {
+		eng.UseMicro(repeatModel)
+		outs := [2][]micro.ScoreResponse{make([]micro.ScoreResponse, scoreFrame), make([]micro.ScoreResponse, scoreFrame)}
+		for at := 0; at < 2*len(pool); at += scoreFrame { // two passes: every snippet is stored
+			outs[0] = eng.ScoreBatchInto(ctx, pool[at%len(pool):][:scoreFrame], outs[0])
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		cpu0 := processCPU()
+		var wg sync.WaitGroup
+		for g, out := range outs {
+			n := b.N / 2
+			if g == 0 {
+				n = b.N - n
+			}
+			wg.Add(1)
+			go func(at, n int) {
+				defer wg.Done()
+				for i := 0; i < n; i++ {
+					out = eng.ScoreBatchInto(ctx, pool[at:at+scoreFrame], out)
+					if out[0].Err != nil {
+						b.Error(out[0].Err)
+						return
+					}
+					if at += scoreFrame; at == len(pool) {
+						at = 0
+					}
+				}
+			}(g*len(pool)/2, n)
+		}
+		wg.Wait()
+		perReq := scoreFrame * float64(b.N)
+		b.ReportMetric(float64(processCPU()-cpu0)/perReq, "cpu-ns/req")
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/perReq, "ns/req")
+	}
+	b.Run("frames/off", func(b *testing.B) {
+		frames(b, micro.NewEngine())
+	})
+	b.Run("frames/on", func(b *testing.B) {
+		eo := &micro.EngineObserver{}
+		frames(b, micro.NewEngine(micro.WithObserver(eo)))
 		if eo.Batch.Snapshot().Count == 0 {
 			b.Fatal("observer attached but batch stage never recorded")
 		}

@@ -860,45 +860,55 @@ func (e *Engine) ScoreCTR(ctx context.Context, req Request) (Response, error) {
 	}
 	sc := e.getScratch()
 	defer e.putScratch(sc)
+	var resp Response
 	if e.obs == nil {
-		return e.scoreResolved(ctx, req, name, &mv, sc)
+		err = e.scoreResolved(ctx, &req, name, &mv, sc, &resp)
+		return resp, err
 	}
 	// Single requests are timed unconditionally: the HTTP score path
 	// already pays JSON costs orders of magnitude above two time.Now
-	// calls. Batch strands sample instead (see scoreOne).
+	// calls. Batch strands sample instead (see scoreOne), and tally
+	// their CTR samples where this records its one.
 	t0 := time.Now()
-	resp, err := e.scoreResolved(ctx, req, name, &mv, sc)
+	err = e.scoreResolved(ctx, &req, name, &mv, sc, &resp)
 	e.obs.Score.RecordSince(t0)
-	return resp, err
-}
-
-// scoreResolved is the post-resolution half of ScoreCTR. Scorers that
-// implement the internal scratchScorer surface run with the caller's
-// scratch (per-strand in batches, pooled for single requests) and
-// leave the cancellation check to the caller; third-party Scorer
-// implementations take their public path, context included. When the
-// version carries a CTR histogram (observed engines), every
-// successful score lands one atomic sample in it — the raw material
-// of the drift block.
-//
-//mb:noalloc
-func (e *Engine) scoreResolved(ctx context.Context, req Request, name string, mv *modelVersion, sc *scratch) (Response, error) {
-	var resp Response
-	var err error
-	if ss, ok := mv.scorer.(scratchScorer); ok {
-		sc.ident = mv.ident
-		resp, err = ss.scoreCTR(req, sc)
-	} else {
-		resp, err = mv.scorer.ScoreCTR(ctx, req)
-	}
-	resp.ID = req.ID
-	resp.Model = name // canonical table key, whatever the scorer stamped
-	resp.ModelVersion = mv.info.Version
-	resp.setErr(err)
 	if err == nil && mv.ctr != nil {
 		mv.ctr.Record(obs.CTRUnits(resp.CTR))
 	}
 	return resp, err
+}
+
+// scoreResolved is the post-resolution half of ScoreCTR: it scores
+// *req with the resolved version into *out and overwrites every field
+// of *out. The built-in scorers run with the caller's scratch
+// (per-strand in batches, pooled for single requests) and take no
+// context: they run in about a microsecond, so the engine checks for
+// cancellation around them (once per request in ScoreCTR, once per
+// claimed chunk in a strand) instead of paying cancelCtx.Err's mutex
+// inside every call. Third-party Scorer implementations take their
+// public path, context included. The switch names the built-in types
+// rather than calling through an interface because a pointer handed
+// to an interface method escapes: ScoreCTR's request and response
+// would cost two heap allocations per call. It records no CTR sample;
+// ScoreCTR and scoreOne do.
+//
+//mb:noalloc
+func (e *Engine) scoreResolved(ctx context.Context, req *Request, name string, mv *modelVersion, sc *scratch, out *Response) error {
+	var err error
+	switch s := mv.scorer.(type) {
+	case *MicroScorer:
+		sc.ident = mv.ident
+		err = s.scoreCTR(req, sc, out)
+	case *ClickModelScorer:
+		err = s.scoreCTR(req, sc, out)
+	default:
+		*out, err = mv.scorer.ScoreCTR(ctx, *req)
+	}
+	out.ID = req.ID
+	out.Model = name // canonical table key, whatever the scorer stamped
+	out.ModelVersion = mv.info.Version
+	out.setErr(err)
+	return err
 }
 
 // minStrandBatch is the number of requests a batch must hold per
@@ -940,6 +950,13 @@ const strandChunk = 16
 // per cache fill, not per request, so the artifact refcount is off the
 // per-request path; a pin is released when its slot is evicted or the
 // strand drains (release()).
+//
+// The version's predicted-CTR histogram is off that path too: each slot
+// tallies its version's samples in the strand's own memory and hands
+// them over in release, so a request writes no cache line that another
+// strand writes. A scrape therefore lags by at most the batch each
+// strand has in hand, and a batch's samples are all in the histogram by
+// the time ScoreBatchInto returns.
 type batchState struct {
 	resolution            // the slot the first resolution fills
 	other      resolution // the second slot
@@ -947,24 +964,31 @@ type batchState struct {
 	n          uint32     // requests scored this batch, the sampling clock (observed engines)
 }
 
-// resolution is one memoised (reference, model version) pair.
+// resolution is one memoised (reference, model version) pair and the
+// CTR samples its version has not been given yet.
 type resolution struct {
 	ref  string
 	name string
 	mv   modelVersion
+	ctr  obs.Tally // recorded only when mv.ctr is non-nil
 }
 
-// release drops the slot's artifact pin, if any.
+// release hands the slot's tallied CTR samples to its version and drops
+// its artifact pin, if any.
 //
 //mb:noalloc
 func (r *resolution) release() {
+	if r.mv.ctr != nil {
+		r.mv.ctr.Absorb(&r.ctr)
+	}
 	if r.mv.art != nil {
 		r.mv.art.Release()
 		r.mv.art = nil
 	}
 }
 
-// release drops the strand's artifact pins.
+// release hands over the strand's CTR samples and drops its artifact
+// pins.
 //
 //mb:noalloc
 func (bs *batchState) release() {
@@ -976,7 +1000,7 @@ func (bs *batchState) release() {
 // memoised resolutions.
 //
 //mb:noalloc
-func (e *Engine) scoreOne(ctx context.Context, req Request, out *Response, bs *batchState, sc *scratch) {
+func (e *Engine) scoreOne(ctx context.Context, req *Request, out *Response, bs *batchState, sc *scratch) {
 	r := &bs.resolution
 	switch {
 	case r.mv.scorer != nil && req.Model == r.ref:
@@ -1008,9 +1032,12 @@ func (e *Engine) scoreOne(ctx context.Context, req Request, out *Response, bs *b
 			t0 = time.Now()
 		}
 	}
-	*out, _ = e.scoreResolved(ctx, req, r.name, &r.mv, sc)
+	err := e.scoreResolved(ctx, req, r.name, &r.mv, sc, out)
 	if !t0.IsZero() {
 		e.obs.Score.RecordSince(t0)
+	}
+	if err == nil && r.mv.ctr != nil {
+		r.ctr.Record(obs.CTRUnits(out.CTR))
 	}
 }
 
@@ -1135,7 +1162,7 @@ func (e *Engine) strand(ctx context.Context, reqs []Request, out []Response, cur
 			continue
 		}
 		for i := start; i < end; i++ {
-			e.scoreOne(ctx, reqs[i], &out[i], &bs, sc)
+			e.scoreOne(ctx, &reqs[i], &out[i], &bs, sc)
 		}
 	}
 }

@@ -248,7 +248,12 @@ func (s *memoShard) lookup(h, ident uint64, order int, lines []string, keyLen in
 		rec := s.ring[pos&uint64(s.size-1):]
 		if memoMatch(rec, h, ident, order, lines, keyLen) {
 			s.hits++
-			slots[i] = slot | memoUsedBit
+			// Set once: a hit on a record already used only reads its
+			// bucket, so cores hitting one bucket each keep a clean copy
+			// of that line instead of taking it from one another.
+			if slot&memoUsedBit == 0 {
+				slots[i] = slot | memoUsedBit
+			}
 			ctr = math.Float64frombits(binary.LittleEndian.Uint64(rec[16:]))
 			score = math.Float64frombits(binary.LittleEndian.Uint64(rec[24:]))
 			s.mu.Unlock()

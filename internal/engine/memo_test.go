@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -32,8 +33,8 @@ func (st *memoStrand) score(t *testing.T, req Request) Response {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp, err := st.e.scoreResolved(context.Background(), req, name, &mv, st.sc)
-	if err != nil {
+	var resp Response
+	if err := st.e.scoreResolved(context.Background(), &req, name, &mv, st.sc, &resp); err != nil {
 		t.Fatal(err)
 	}
 	var sc textproc.Scratch
@@ -176,24 +177,29 @@ func shardPut(t *testing.T, s *memoShard, h, ident uint64, lines []string, ctr, 
 // record never straddles the end, the records the newcomers overwrote
 // are misses (their index entries fail the position test, and become
 // markers), and every other record still answers with its own numbers.
+// The overwritten counter counts the dead records that never answered:
+// a record's first hit sets its used bit, and a hit on a record already
+// used only reads its bucket.
 func TestMemoRingWrap(t *testing.T) {
 	const ringLen = memoRingBytes / memoMaxShards // 8 KB, 16 buckets
 	for _, row := range []struct {
 		name      string
 		lineBytes int // one line per record
 		records   int
+		used      int    // the oldest records, hit as soon as they are stored
 		wantW     uint64 // virtual write position afterwards
 		wantDead  int    // of the oldest records
 	}{
 		// 36 + 2 + 90 = 128 bytes: 64 records fill the ring exactly and
 		// the 65th starts at offset 0 with nothing skipped.
-		{"filled exactly to its end", 90, 65, ringLen + 65*128, 1},
+		{"filled exactly to its end", 90, 65, 0, ringLen + 65*128, 1},
 		// 36 + 2 + 98 = 136 bytes: 60 fit, 32 bytes are left, the 61st
 		// skips them and lies where record 0 lay.
-		{"a tail too short for the record", 98, 61, 2*ringLen + 136, 1},
+		{"a tail too short for the record", 98, 61, 0, 2*ringLen + 136, 1},
 		// Nearly twice round (120 records keep every bucket within its
 		// eight ways, so an index entry is only ever lost to the ring).
-		{"two laps", 90, 120, ringLen + 120*128, 56},
+		{"two laps", 90, 120, 0, ringLen + 120*128, 56},
+		{"two laps, the oldest eight used", 90, 120, 8, ringLen + 120*128, 56},
 	} {
 		t.Run(row.name, func(t *testing.T) {
 			s := memoShard{size: ringLen}
@@ -205,6 +211,42 @@ func TestMemoRingWrap(t *testing.T) {
 			for i := 0; i < row.records; i++ {
 				h, lines := key(i)
 				shardPut(t, &s, h, 7, lines, float64(i), -float64(i))
+				if i >= row.used {
+					continue
+				}
+				slots, _ := s.bucket(h)
+				stored := slices.Clone(slots)
+				if _, _, hit, _ := s.lookup(h, 7, 2, lines, row.lineBytes); !hit {
+					t.Fatalf("record %d missed right after its store", i)
+				}
+				for j := range slots {
+					want := stored[j]
+					if want>>memoPosShift > memoMarker && want&0xffff == h&0xffff {
+						want |= memoUsedBit
+					}
+					if slots[j] != want {
+						t.Fatalf("record %d's first hit left way %d at %#x, want %#x", i, j, slots[j], want)
+					}
+				}
+				// The hits below must not write the bucket: a reader that
+				// takes no lock watches it meanwhile (-race reports a write).
+				used := slices.Clone(slots)
+				watched := make(chan bool)
+				go func() {
+					same := true
+					for k := 0; k < 100; k++ {
+						same = same && slices.Equal(slots, used)
+					}
+					watched <- same
+				}()
+				for k := 0; k < 100; k++ {
+					if _, _, hit, _ := s.lookup(h, 7, 2, lines, row.lineBytes); !hit {
+						t.Fatalf("record %d missed on hit %d", i, k+2)
+					}
+				}
+				if !<-watched || !slices.Equal(slots, used) {
+					t.Fatalf("hits on used record %d rewrote its bucket: %#x, was %#x", i, slots, used)
+				}
 			}
 			if s.w != row.wantW {
 				t.Errorf("write position %d, want %d", s.w, row.wantW)
@@ -219,8 +261,8 @@ func TestMemoRingWrap(t *testing.T) {
 					t.Errorf("record %d answered (%v, %v)", i, ctr, score)
 				}
 			}
-			if got := int(s.overwritten); got != row.wantDead {
-				t.Errorf("overwritten %d, want %d", got, row.wantDead)
+			if got, want := int(s.overwritten), row.wantDead-min(row.used, row.wantDead); got != want {
+				t.Errorf("overwritten %d, want %d", got, want)
 			}
 		})
 	}

@@ -8,9 +8,9 @@ import (
 )
 
 // TestStrandScoreNoalloc backs the //mb:noalloc annotations on
-// scoreOne, scoreResolved and batchState.release: one warm strand
-// cycle — memoised resolution hit, compiled scorer, pin bookkeeping —
-// must not allocate.
+// scoreOne, scoreResolved, resolution.release and batchState.release:
+// one warm strand cycle — memoised resolution hit, compiled scorer,
+// pin bookkeeping — must not allocate.
 func TestStrandScoreNoalloc(t *testing.T) {
 	e := New()
 	e.UseMicro(testMicroModel())
@@ -18,10 +18,10 @@ func TestStrandScoreNoalloc(t *testing.T) {
 }
 
 // TestInstrumentedStrandScoreNoalloc holds the observed engine to the
-// same bar: sampled timing (scoreOne), CTR histogram recording
-// (scoreResolved) and the batch histogram are all atomic arithmetic —
-// attaching an Observer must not put an allocation back on the warm
-// strand path.
+// same bar: sampled timing and the CTR tally (scoreOne), the tally's
+// hand-over (release) and the batch histogram are plain and atomic
+// arithmetic — attaching an Observer must not put an allocation back
+// on the warm strand path.
 func TestInstrumentedStrandScoreNoalloc(t *testing.T) {
 	e := New(WithObserver(&Observer{}))
 	e.UseMicro(testMicroModel())
@@ -46,16 +46,17 @@ func assertStrandScoreNoalloc(t *testing.T, e *Engine) {
 	defer bs.release()
 	var out Response
 
-	e.scoreOne(ctx, req, &out, &bs, sc) // warm the memoised resolution
+	e.scoreOne(ctx, &req, &out, &bs, sc) // warm the memoised resolution
 	if out.Err != nil {
 		t.Fatalf("warmup scoreOne failed: %v", out.Err)
 	}
 
 	allocs := testing.AllocsPerRun(200, func() {
-		e.scoreOne(ctx, req, &out, &bs, sc)
-		if _, err := e.scoreResolved(ctx, req, bs.name, &bs.mv, sc); err != nil {
+		e.scoreOne(ctx, &req, &out, &bs, sc)
+		if err := e.scoreResolved(ctx, &req, bs.name, &bs.mv, sc, &out); err != nil {
 			t.Fatal(err)
 		}
+		bs.release() // hands the tally over; the slot stays resolved
 	})
 	if allocs != 0 {
 		t.Fatalf("warm strand score allocates %v/op, want 0", allocs)

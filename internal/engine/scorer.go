@@ -75,10 +75,10 @@ type Response struct {
 	Error string `json:"error,omitempty"`
 }
 
-// setErr records a failure on both the in-process (Err) and wire
-// (Error) fields.
+// setErr records the outcome on both the in-process (Err) and wire
+// (Error) fields: a failure on both, success by clearing both.
 func (r *Response) setErr(err error) {
-	r.Err = err
+	r.Err, r.Error = err, ""
 	if err != nil {
 		r.Error = err.Error()
 	}
@@ -124,19 +124,26 @@ func (s *ClickModelScorer) ScoreCTR(ctx context.Context, req Request) (Response,
 	}
 	sc := getScratch()
 	defer putScratch(sc)
-	return s.scoreCTR(req, sc)
+	var resp Response
+	if err := s.scoreCTR(&req, sc, &resp); err != nil {
+		return Response{}, err
+	}
+	return resp, nil
 }
 
-// scoreCTR implements scratchScorer. Every built-in model's
+// scoreCTR is the engine's way in: it writes the scorer's fields of
+// *out — Model, CTR, Positions and Score, the last three zero on
+// failure — and leaves the rest to the caller. Every built-in model's
 // ClickProbsInto keeps the scoring recursion's internal state on the
 // stack and writes the marginals straight into the arena-carved
 // region, so the steady-state macro path allocates nothing.
-func (s *ClickModelScorer) scoreCTR(req Request, sc *scratch) (Response, error) {
+func (s *ClickModelScorer) scoreCTR(req *Request, sc *scratch, out *Response) error {
+	out.Model, out.CTR, out.Positions, out.Score = s.M.Name(), 0, nil, 0
 	if req.Session == nil {
-		return Response{}, fmt.Errorf("%w: click model %q needs a session", ErrNoEvidence, s.M.Name())
+		return fmt.Errorf("%w: click model %q needs a session", ErrNoEvidence, s.M.Name())
 	}
 	if err := req.Session.Validate(); err != nil {
-		return Response{}, err
+		return err
 	}
 	var probs []float64
 	if ip, ok := s.M.(clickmodel.InplaceScorer); ok {
@@ -151,7 +158,8 @@ func (s *ClickModelScorer) scoreCTR(req Request, sc *scratch) (Response, error) 
 	if len(probs) > 0 {
 		mean /= float64(len(probs))
 	}
-	return Response{Model: s.M.Name(), CTR: mean, Positions: probs}, nil
+	out.CTR, out.Positions = mean, probs
+	return nil
 }
 
 // MicroScorer adapts the paper's micro-browsing model (internal/core)
@@ -199,19 +207,25 @@ func (s *MicroScorer) ScoreCTR(ctx context.Context, req Request) (Response, erro
 	}
 	sc := getScratch()
 	defer putScratch(sc)
-	return s.scoreCTR(req, sc)
+	var resp Response
+	if err := s.scoreCTR(&req, sc, &resp); err != nil {
+		return Response{}, err
+	}
+	return resp, nil
 }
 
-// scoreCTR implements scratchScorer. Inside an engine the scratch
-// carries the engine's snippet memo and the version's identity, and the
-// kernel runs only for text this version has not scored before; the
-// pooled scratch of the public ScoreCTR carries neither.
-func (s *MicroScorer) scoreCTR(req Request, sc *scratch) (Response, error) {
+// scoreCTR writes the scorer's fields of *out as
+// ClickModelScorer.scoreCTR does. Inside an engine the scratch carries
+// the engine's snippet memo and the version's identity, and the kernel
+// runs only for text this version has not scored before; the pooled
+// scratch of the public ScoreCTR carries neither.
+func (s *MicroScorer) scoreCTR(req *Request, sc *scratch, out *Response) error {
+	out.Model, out.CTR, out.Positions, out.Score = NameMicro, 0, nil, 0
 	if len(req.Lines) == 0 {
-		return Response{}, fmt.Errorf("%w: micro scorer needs snippet lines", ErrNoEvidence)
+		return fmt.Errorf("%w: micro scorer needs snippet lines", ErrNoEvidence)
 	}
-	ctr, score := sc.scoreSnippet(s.c, req.Lines, req.maxN())
-	return Response{Model: NameMicro, CTR: ctr, Score: score}, nil
+	out.CTR, out.Score = sc.scoreSnippet(s.c, req.Lines, req.maxN())
+	return nil
 }
 
 // MeanCTR averages the headline CTR over a batch's responses,

@@ -30,7 +30,7 @@ import (
 //     strand and Engine.putScratch takes it back, so a scratch in the
 //     pool (and so MicroScorer.ScoreCTR outside an engine) has none.
 //     ident is the identity of the version the request in hand resolved
-//     to, set by scoreResolved before each scratchScorer call.
+//     to, set by scoreResolved before each micro scoreCTR call.
 type scratch struct {
 	text      textproc.Scratch
 	positions floatArena
@@ -85,17 +85,4 @@ func (a *floatArena) take(n int) []float64 {
 	out := a.buf[a.off : a.off+n : a.off+n]
 	a.off += n
 	return out
-}
-
-// scratchScorer is the widened internal scoring surface: scorers that
-// can use per-strand scratch implement it, and the engine's dispatch
-// prefers it over the public allocation-per-call Scorer method. It
-// takes no context: these scorers run in about a microsecond, so the
-// engine checks for cancellation around them (once per request in
-// ScoreCTR, once per claimed chunk in a batch strand) instead of
-// paying cancelCtx.Err's mutex inside every call. The public ScoreCTR
-// methods remain the same computation behind their own context check,
-// with a pooled scratch borrowed per call.
-type scratchScorer interface {
-	scoreCTR(req Request, sc *scratch) (Response, error)
 }

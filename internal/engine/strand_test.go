@@ -240,6 +240,102 @@ func TestScoreBatchCancelledWithHelpers(t *testing.T) {
 	}
 }
 
+// cancellingScorer predicts a constant CTR and cancels the batch's
+// context on its at-th call.
+type cancellingScorer struct {
+	calls  atomic.Int32
+	at     int32
+	cancel context.CancelFunc
+}
+
+func (c *cancellingScorer) ScoreCTR(ctx context.Context, req Request) (Response, error) {
+	if c.calls.Add(1) == c.at {
+		c.cancel()
+	}
+	return Response{CTR: 0.3}, nil
+}
+
+// TestStrandTally: a strand tallies its versions' predicted-CTR samples
+// in its own memory and hands them to each version's histogram when a
+// resolution slot is evicted and when the strand ends. By the time
+// ScoreBatchInto returns, every version's histogram counts exactly its
+// successful scores — helpers' included, a failed request's never — and
+// an install right after the batch pins a drift baseline that holds the
+// whole batch.
+func TestStrandTally(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		mix      []Request // request i is mix[i%len(mix)]
+		cancelAt int32     // the call of model "c" that cancels the batch; 0 never
+	}{
+		// Three references in turn evict a resolution slot on every request.
+		{"three models alternate", []Request{{Model: "a"}, {Model: "b"}, {Lines: testLines, MaxN: 3}}, 0},
+		{"failing requests", []Request{
+			{Lines: testLines},
+			{Model: NameMicro},                // resolves, then the scorer refuses it: no lines
+			{Model: "nope", Lines: testLines}, // does not resolve
+			{Model: "a"},
+			{Model: "a@9", Lines: testLines}, // no such version
+		}, 0},
+		{"cancelled", []Request{{Model: "c"}, {Model: "a"}, {Lines: testLines}}, 200},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			e := New(WithWorkers(4), WithObserver(&Observer{}))
+			e.UseMicro(testMicroModel())
+			installed(t, e, "a", fixedScorer{ctr: 0.01})
+			installed(t, e, "b", fixedScorer{ctr: 0.2})
+			installed(t, e, "c", &cancellingScorer{at: tc.cancelAt, cancel: cancel})
+			names := []string{NameMicro, "a", "b", "c"}
+
+			reqs := make([]Request, 1000) // the caller and three helpers
+			for i := range reqs {
+				reqs[i] = tc.mix[i%len(tc.mix)]
+			}
+			scored := map[string]uint64{} // successful scores by model@version
+			var out []Response
+			for batch := 0; batch < 2; batch++ {
+				out = e.ScoreBatchInto(ctx, reqs, out)
+				for _, r := range out {
+					if r.Err == nil {
+						scored[r.Model+"@"+strconv.Itoa(r.ModelVersion)]++
+					}
+				}
+				for _, name := range names {
+					_, v, mv, err := e.resolve(name)
+					if err != nil {
+						t.Fatal(err)
+					}
+					ref := name + "@" + strconv.Itoa(v)
+					if got := mv.ctr.Count(); got != scored[ref] {
+						t.Fatalf("batch %d: %s's predicted_ctr counts %d samples, %d scores succeeded", batch, ref, got, scored[ref])
+					}
+				}
+			}
+			if tc.cancelAt != 0 && !errors.Is(out[len(out)-1].Err, context.Canceled) {
+				t.Fatalf("the batch was not cancelled: %+v", out[len(out)-1])
+			}
+
+			// Every version with samples is a baseline for the next one,
+			// pinned with all of them.
+			for _, name := range names {
+				installed(t, e, name, fixedScorer{ctr: 0.5})
+			}
+			pinned := map[string]uint64{}
+			for _, d := range e.Drift() {
+				pinned[d.Model+"@"+strconv.Itoa(d.BaselineVersion)] = d.BaselineSamples
+			}
+			for _, name := range names {
+				ref := name + "@1"
+				if pinned[ref] != scored[ref] {
+					t.Errorf("%s@2 pinned a baseline of %d samples, %s scored %d", name, pinned[ref], ref, scored[ref])
+				}
+			}
+		})
+	}
+}
+
 // TestStrandClaim walks the claim arithmetic: a batch asks for one
 // strand per minStrandBatch requests, the caller's included, and gets
 // what the cap has left after the strands other batches hold — never
@@ -349,7 +445,7 @@ func TestStrandMemoisesTwoModels(t *testing.T) {
 	defer putScratch(sc)
 	before := o.Resolve.Count()
 	for _, ref := range []string{"a", "b", "a", "b", "c", "b", "c", "a"} {
-		e.scoreOne(ctx, Request{Model: ref}, &out, &bs, sc)
+		e.scoreOne(ctx, &Request{Model: ref}, &out, &bs, sc)
 		if out.Err != nil || out.Model != ref {
 			t.Fatalf("%s scored as %s (%v)", ref, out.Model, out.Err)
 		}

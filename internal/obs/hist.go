@@ -30,17 +30,58 @@ type Histogram struct {
 	count   atomic.Uint64
 }
 
+// bucketOf is the bucket a sample lands in.
+func bucketOf(v uint64) int {
+	return min(bits.Len64(v), NumBuckets-1)
+}
+
 // Record adds one sample.
 //
 //mb:noalloc
 func (h *Histogram) Record(v uint64) {
-	i := bits.Len64(v)
-	if i >= NumBuckets {
-		i = NumBuckets - 1
-	}
-	h.buckets[i].Add(1)
+	h.buckets[bucketOf(v)].Add(1)
 	h.sum.Add(v)
 	h.count.Add(1)
+}
+
+// Tally is a goroutine-private delta of a Histogram: the same buckets,
+// sum and count as plain counters. A loop that records a sample per
+// item into a histogram other goroutines also record into tallies
+// instead, and hands the tally over with Histogram.Absorb when it is
+// done, so the loop writes no cache line another core writes. The zero
+// value is an empty tally; a Tally must not be shared.
+type Tally struct {
+	buckets [NumBuckets]uint64
+	sum     uint64
+	count   uint64
+}
+
+// Record adds one sample to the tally.
+//
+//mb:noalloc
+func (t *Tally) Record(v uint64) {
+	t.buckets[bucketOf(v)]++
+	t.sum += v
+	t.count++
+}
+
+// Absorb adds t's samples to h, touching only the buckets t holds, and
+// empties t. An empty tally writes nothing.
+//
+//mb:noalloc
+func (h *Histogram) Absorb(t *Tally) {
+	if t.count == 0 {
+		return
+	}
+	for i := range t.buckets {
+		if n := t.buckets[i]; n != 0 {
+			h.buckets[i].Add(n)
+			t.buckets[i] = 0
+		}
+	}
+	h.sum.Add(t.sum)
+	h.count.Add(t.count)
+	t.sum, t.count = 0, 0
 }
 
 // RecordSince records the nanoseconds elapsed since t0.

@@ -61,6 +61,54 @@ func TestHistogramConcurrentRecord(t *testing.T) {
 	}
 }
 
+// TestTallyAbsorb: samples tallied and then absorbed leave a histogram
+// exactly as recording them directly would — every bucket, the sum and
+// the count — on top of what it already held, and the absorb empties
+// the tally.
+func TestTallyAbsorb(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		samples []uint64
+	}{
+		{"none", nil},
+		{"zeros", []uint64{0, 0, 0}},
+		{"one bucket", []uint64{64, 100, 127}},
+		{"spread", []uint64{1, 2, 3, 4, 999, CTRUnits(0.01), CTRUnits(0.5), CTRUnits(1)}},
+		{"overflow bucket", []uint64{1 << (NumBuckets - 2), 1 << (NumBuckets - 1), 1 << 62, math.MaxUint64}},
+		{"sum wraps", []uint64{math.MaxUint64, math.MaxUint64, 5}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var direct, absorbed Histogram
+			direct.Record(7) // what the histogram held before
+			absorbed.Record(7)
+			var tl Tally
+			for _, v := range tc.samples {
+				direct.Record(v)
+				tl.Record(v)
+			}
+			absorbed.Absorb(&tl)
+			want := direct.Snapshot()
+			if got := absorbed.Snapshot(); got != want {
+				t.Fatalf("absorbed %+v,\nrecorded %+v", got, want)
+			}
+			if want.Count != uint64(1+len(tc.samples)) {
+				t.Fatalf("count %d after %d samples", want.Count, 1+len(tc.samples))
+			}
+			if tl != (Tally{}) {
+				t.Fatalf("Absorb left %+v in the tally", tl)
+			}
+			absorbed.Absorb(&tl) // the emptied tally adds nothing
+			if got := absorbed.Snapshot(); got != want {
+				t.Fatalf("absorbing the emptied tally moved the histogram: %+v", got)
+			}
+		})
+	}
+	// An empty tally does not touch the histogram at all, not even to add
+	// zero: absorbing one into a nil histogram is safe.
+	var empty Tally
+	(*Histogram)(nil).Absorb(&empty)
+}
+
 func TestSnapshotMerge(t *testing.T) {
 	var a, b Histogram
 	a.Record(10)

@@ -21,6 +21,20 @@ func TestHistogramRecordNoalloc(t *testing.T) {
 	}
 }
 
+func TestTallyNoalloc(t *testing.T) {
+	var h Histogram
+	var tl Tally
+	var v uint64
+	if n := testing.AllocsPerRun(1000, func() {
+		tl.Record(v)
+		tl.Record(v >> 20)
+		h.Absorb(&tl)
+		v += 1234567
+	}); n != 0 {
+		t.Fatalf("Tally.Record and Histogram.Absorb allocate %v/op, want 0", n)
+	}
+}
+
 func TestRecordSinceNoalloc(t *testing.T) {
 	var h Histogram
 	t0 := time.Now()
