@@ -185,10 +185,9 @@ func getBenchSessions(b *testing.B) ([]clickmodel.Session, *clickmodel.CompiledL
 // benchClickModel measures the steady-state fit: the log is compiled
 // (interned) once and one model instance is refitted per op — the shape
 // of a serving system re-estimating on live traffic, where refits reuse
-// the exported parameter storage and the pooled accumulator slab. Each
-// op is one full parameter estimation including materializing the
-// exported map form. Models predating the compiled-log layer fall back
-// to Fit, which re-interns per call.
+// the model's per-pair value arrays and the pooled accumulator slab.
+// Each op is one full parameter estimation. Models predating the
+// compiled-log layer fall back to Fit, which re-interns per call.
 func benchClickModel(b *testing.B, newModel func() clickmodel.Model) {
 	sessions, compiled := getBenchSessions(b)
 	m := newModel()
@@ -1171,23 +1170,34 @@ func BenchmarkStreamFold(b *testing.B) {
 }
 
 // BenchmarkCountingServe prices what a reader pays per macro session of
-// a counting model the learner published: ClickProbsInto over four docs
-// into a reused buffer, the model fitted by FitStats on the shape's
-// training log.
+// a model the learner published: ClickProbsInto over four docs into a
+// reused buffer, the model fitted on the shape's training log — a
+// counting model by FitStats, PBM, UBM and DBN by FitLog (five EM
+// rounds). Every model reads its per-pair values the same way, through
+// a pair table.
 func BenchmarkCountingServe(b *testing.B) {
-	for _, name := range []string{"sdbn", "cascade", "dcm"} {
+	for _, name := range []string{"sdbn", "cascade", "dcm", "pbm", "ubm", "dbn"} {
 		for _, sh := range countingShapes {
 			b.Run(name+"/"+sh.name, func(b *testing.B) {
 				train, pool := countingShapeLogs(sh)
-				st := clickmodel.NewStats()
-				if err := st.AddAll(train); err != nil {
-					b.Fatal(err)
-				}
 				m, err := clickmodel.New(name)
 				if err != nil {
 					b.Fatal(err)
 				}
-				if err := m.(clickmodel.StatsFitter).FitStats(st); err != nil {
+				if sf, ok := m.(clickmodel.StatsFitter); ok {
+					st := clickmodel.NewStats()
+					if err := st.AddAll(train); err != nil {
+						b.Fatal(err)
+					}
+					err = sf.FitStats(st)
+				} else {
+					m.(clickmodel.IterativeModel).SetIterations(5)
+					var c *clickmodel.CompiledLog
+					if c, err = clickmodel.Compile(train); err == nil {
+						err = m.(clickmodel.LogFitter).FitLog(c)
+					}
+				}
+				if err != nil {
 					b.Fatal(err)
 				}
 				ip := m.(clickmodel.InplaceScorer)

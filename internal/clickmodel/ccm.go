@@ -12,15 +12,18 @@ package clickmodel
 // EM that enumerates the latent stop position exactly (as in DBN) and
 // updates alpha2/alpha3 by relevance-weighted moment matching, a standard
 // approximation when relevance is a point estimate rather than a random
-// variable. The EM runs over the compiled log with per-worker scratch.
+// variable. The EM runs over the compiled log with per-worker scratch,
+// and the fit keeps the log's pair table and one relevance per pair.
 type CCM struct {
-	Rel                    map[qd]float64
 	Alpha1, Alpha2, Alpha3 float64
 
 	Iterations int
 	PriorR     float64
 	// Workers caps the parallel E-step fan-out (0 = GOMAXPROCS).
 	Workers int
+
+	pairs *pairTable // the fitted log's (query, doc) pairs
+	rel   []float64  // pair ID -> relevance
 }
 
 // NewCCM returns a CCM with default hyper-parameters.
@@ -52,9 +55,11 @@ func (m *CCM) defaults() {
 	}
 }
 
-func (m *CCM) r(q, d string) float64 {
-	if v, ok := m.Rel[qd{q, d}]; ok {
-		return v
+// r returns the relevance of doc d under the query whose doc map is
+// row (pairTable.row): one probe.
+func (m *CCM) r(row map[string]int32, d string) float64 {
+	if p, ok := row[d]; ok {
+		return m.rel[p]
 	}
 	return m.PriorR
 }
@@ -70,13 +75,13 @@ func (m *CCM) contClick(r float64) float64 {
 // keeps examining skipped results with alpha1 per step. This
 // Session-based form serves SessionLogLikelihood; the compiled E-step
 // inlines the same enumeration over worker-owned scratch.
-func (m *CCM) tailPosterior(s Session, last int) (pCont float64, pExam []float64, z float64) {
+func (m *CCM) tailPosterior(s Session, row map[string]int32, last int) (pCont float64, pExam []float64, z float64) {
 	n := len(s.Docs)
 	pExam = make([]float64, n)
 	wStop := make([]float64, n)
 
 	if last >= 0 {
-		cont := m.contClick(m.r(s.Query, s.Docs[last]))
+		cont := m.contClick(m.r(row, s.Docs[last]))
 		cur := 1.0
 		for t := last; t < n; t++ {
 			if t > last {
@@ -84,7 +89,7 @@ func (m *CCM) tailPosterior(s Session, last int) (pCont float64, pExam []float64
 				if t == last+1 {
 					step = cont
 				}
-				cur *= step * (1 - m.r(s.Query, s.Docs[t]))
+				cur *= step * (1 - m.r(row, s.Docs[t]))
 			}
 			w := cur
 			if t < n-1 {
@@ -102,7 +107,7 @@ func (m *CCM) tailPosterior(s Session, last int) (pCont float64, pExam []float64
 			if t > 0 {
 				cur *= m.Alpha1
 			}
-			cur *= 1 - m.r(s.Query, s.Docs[t])
+			cur *= 1 - m.r(row, s.Docs[t])
 			w := cur
 			if t < n-1 {
 				w *= 1 - m.Alpha1
@@ -141,7 +146,8 @@ func (m *CCM) Fit(sessions []Session) error {
 // [rNum | rDen | a1Num a1Den a2Num a2Den a3Num a3Den].
 func ccmAccStride(nPair int) int { return 2*nPair + 6 }
 
-// FitLog runs EM over a compiled log.
+// FitLog runs EM over a compiled log, fitting the relevances in place
+// over the log's pair table.
 func (m *CCM) FitLog(c *CompiledLog) error {
 	if c == nil {
 		return errNilLog
@@ -151,13 +157,12 @@ func (m *CCM) FitLog(c *CompiledLog) error {
 	stride := ccmAccStride(nPair)
 	workers := emWorkers(m.Workers, c.NumSessions())
 
-	fs, buf := getScratch(nPair + workers*(stride+2*c.maxPos))
+	m.pairs = c.tab
+	m.rel = filled(m.rel, nPair, m.PriorR)
+	rel := m.rel
+	fs, buf := getScratch(workers * (stride + 2*c.maxPos))
 	defer putScratch(fs)
 	sl := slab{buf}
-	rel := sl.take(nPair)
-	for p := range rel {
-		rel[p] = m.PriorR
-	}
 	accAll := sl.take(workers * stride)
 	tails := sl.take(workers * 2 * c.maxPos)
 
@@ -196,8 +201,6 @@ func (m *CCM) FitLog(c *CompiledLog) error {
 			m.Alpha3 = clampProb(sc[4] / sc[5])
 		}
 	}
-
-	m.Rel = c.materializeInto(m.Rel, rel)
 	return nil
 }
 
@@ -323,9 +326,10 @@ func (m *CCM) ClickProbs(s Session) []float64 {
 // ClickProbsInto implements InplaceScorer.
 func (m *CCM) ClickProbsInto(s Session, buf []float64) []float64 {
 	out := resizeProbs(buf, len(s.Docs))
+	row := m.pairs.row(s.Query)
 	exam := 1.0
 	for i, d := range s.Docs {
-		r := m.r(s.Query, d)
+		r := m.r(row, d)
 		out[i] = exam * r
 		exam *= r*m.contClick(r) + (1-r)*m.Alpha1
 	}
@@ -335,10 +339,11 @@ func (m *CCM) ClickProbsInto(s Session, buf []float64) []float64 {
 // ExaminationProbs implements Examiner.
 func (m *CCM) ExaminationProbs(s Session) []float64 {
 	out := make([]float64, len(s.Docs))
+	row := m.pairs.row(s.Query)
 	exam := 1.0
 	for i, d := range s.Docs {
 		out[i] = exam
-		r := m.r(s.Query, d)
+		r := m.r(row, d)
 		exam *= r*m.contClick(r) + (1-r)*m.Alpha1
 	}
 	return out
@@ -346,10 +351,11 @@ func (m *CCM) ExaminationProbs(s Session) []float64 {
 
 // SessionLogLikelihood implements Model.
 func (m *CCM) SessionLogLikelihood(s Session) float64 {
+	row := m.pairs.row(s.Query)
 	last := s.LastClick()
 	ll := 0.0
 	for j := 0; j <= last; j++ {
-		r := m.r(s.Query, s.Docs[j])
+		r := m.r(row, s.Docs[j])
 		if s.Clicks[j] {
 			ll += log(r)
 			if j < last {
@@ -359,7 +365,7 @@ func (m *CCM) SessionLogLikelihood(s Session) float64 {
 			ll += log(1-r) + log(m.Alpha1)
 		}
 	}
-	_, _, z := m.tailPosterior(s, last)
+	_, _, z := m.tailPosterior(s, row, last)
 	ll += log(z)
 	return ll
 }

@@ -25,6 +25,8 @@
 // online learner or filled at once from a compiled log — from which
 // FitStats, the one statement of their closed forms, estimates into a
 // pair table of the model's own and one dense value array per parameter.
+// That is every model's fitted form: the EM models fit their per-pair
+// values in place over the compiled log's pair table, which they keep.
 // Fit(sessions) compiles internally; callers fitting several models on
 // one log should Compile once and use each model's FitLog.
 package clickmodel

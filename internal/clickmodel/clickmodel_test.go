@@ -152,8 +152,9 @@ func TestPBMRecovery(t *testing.T) {
 			t.Errorf("gamma[%d] = %.3f (rescaled), want %.3f", i, got, gamma[i])
 		}
 	}
+	alpha := tableMap(m.pairs, m.alphas)
 	for d := 0; d < simDocs; d++ {
-		a, ok := m.Alpha[qd{"q", docName(d)}]
+		a, ok := alpha[qd{"q", docName(d)}]
 		if !ok {
 			t.Fatalf("no alpha for doc %s", docName(d))
 		}
@@ -218,12 +219,12 @@ func TestDBNRecovery(t *testing.T) {
 	if math.Abs(m.Gamma-gamma) > 0.08 {
 		t.Errorf("gamma = %.3f, want %.3f", m.Gamma, gamma)
 	}
+	row := m.pairs.row("q")
 	for d := 0; d < simDocs; d++ {
-		a := m.a("q", docName(d))
+		a, s := m.as(row, "q", docName(d))
 		if math.Abs(a-truthAlpha(d)) > 0.07 {
 			t.Errorf("a[%s] = %.3f, want %.3f", docName(d), a, truthAlpha(d))
 		}
-		s := m.s("q", docName(d))
 		if math.Abs(s-sat) > 0.12 {
 			t.Errorf("s[%s] = %.3f, want %.3f", docName(d), s, sat)
 		}
@@ -342,7 +343,7 @@ func TestGCMSubsumesDCMShape(t *testing.T) {
 	}
 	// Relevance ordering must match the planted attractiveness ordering.
 	for d := 1; d < simDocs; d++ {
-		if m.r("q", docName(d)) <= m.r("q", docName(d-1)) {
+		if row := m.pairs.row("q"); m.r(row, docName(d)) <= m.r(row, docName(d-1)) {
 			t.Errorf("relevance ordering violated at doc %d", d)
 		}
 	}

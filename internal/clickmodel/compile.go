@@ -4,64 +4,22 @@ import (
 	"errors"
 	"math"
 	"runtime"
-	"strings"
 	"sync"
 )
-
-// Vocab interns strings to dense int32 IDs (fslm-style): the first
-// distinct string becomes ID 0, the next ID 1, and so on. An artifact's
-// query and doc vocabularies are numbered with one before they freeze.
-//
-// A Vocab is not safe for concurrent mutation.
-type Vocab struct {
-	ids  map[string]int32
-	strs []string
-}
-
-// NewVocab returns an empty vocabulary.
-func NewVocab() *Vocab { return &Vocab{ids: make(map[string]int32)} }
-
-// ID interns s, returning its dense ID (allocating the next one for a
-// string never seen before). The vocabulary keeps a copy of a new
-// string, never s itself: s may be a substring of something large and
-// short-lived — a feedback body owns all its strings as one — which a
-// long-lived table must not hold alive for the sake of one key.
-func (v *Vocab) ID(s string) int32 {
-	if id, ok := v.ids[s]; ok {
-		return id
-	}
-	s = strings.Clone(s)
-	id := int32(len(v.strs))
-	v.ids[s] = id
-	v.strs = append(v.strs, s)
-	return id
-}
-
-// Lookup returns the ID of s without interning, and whether it is known.
-func (v *Vocab) Lookup(s string) (int32, bool) {
-	id, ok := v.ids[s]
-	return id, ok
-}
-
-// String returns the string behind an ID. IDs come from ID/Lookup, so
-// out-of-range values are programmer errors and panic via the slice.
-func (v *Vocab) String(id int32) string { return v.strs[id] }
-
-// Len returns the number of interned strings.
-func (v *Vocab) Len() int { return len(v.strs) }
 
 // pairTable is the one growable interner of (query, doc) pairs, laid out
 // query first: a map from each query to its row — that query's own map
 // from doc to pair ID — and pairs, every pair's strings by ID. A session
 // resolves its query once and then each doc with one probe of a
 // string-keyed map, hashing and comparing the doc alone. A CompiledLog
-// (and the BBM fitted on it), a Stats and every fitted counting model
-// hold one.
+// holds one, which every EM model fitted on it keeps; so do a Stats,
+// every fitted counting model and SUM, each its own.
 //
 // The table keeps the strings it is given, never copies: a caller whose
 // strings borrow a larger buffer (Stats.Add's feedback bodies) enters
-// copies. Like Vocab it is not safe for concurrent mutation: a table a
-// model scores from changes only when that model is refitted in place.
+// copies. It is not safe for concurrent mutation: a table a model
+// scores from changes only when that model is refitted in place, and a
+// compiled log's never does.
 type pairTable struct {
 	rows  map[string]pairRow // query -> its docs
 	pairs []qd               // pair ID -> (query, doc)
@@ -289,26 +247,11 @@ func (c *CompiledLog) ubmCellCounts() []float64 {
 	return c.ubmCells
 }
 
-// materializeInto builds the exported map form of an EM model's dense
-// per-pair parameter vector, covering every pair of the log and reusing
-// dst's storage when a previous fit left one (refits then allocate
-// nothing).
-func (c *CompiledLog) materializeInto(dst map[qd]float64, vals []float64) map[qd]float64 {
-	if dst == nil {
-		dst = make(map[qd]float64, len(vals))
-	}
-	clear(dst)
-	for p, k := range c.tab.pairs {
-		dst[k] = vals[p]
-	}
-	return dst
-}
-
 // LogFitter is implemented by models that can fit directly from a
 // CompiledLog, skipping the per-call interning Fit(sessions) performs.
 // Compile once and call FitLog on each model when fitting several
 // models (or refitting) over the same log. Refitting reuses the
-// model's parameter storage (maps, slices and pair tables) in place, so
+// model's parameter storage (value slices and pair tables) in place, so
 // a steady-state refit allocates nothing; treat a model as read-only
 // for other goroutines while a refit is in flight.
 type LogFitter interface {
@@ -323,6 +266,16 @@ func reuseFloats(dst []float64, n int) []float64 {
 		return dst[:n]
 	}
 	return make([]float64, n)
+}
+
+// filled is reuseFloats with every value set to v: the point an EM fit
+// starts a parameter array from (per-pair values at their prior).
+func filled(dst []float64, n int, v float64) []float64 {
+	dst = reuseFloats(dst, n)
+	for i := range dst {
+		dst[i] = v
+	}
+	return dst
 }
 
 // errNilLog guards the exported FitLog entry points.

@@ -6,31 +6,6 @@ import (
 	"testing"
 )
 
-func TestVocabInterning(t *testing.T) {
-	v := NewVocab()
-	if got := v.ID("alpha"); got != 0 {
-		t.Fatalf("first ID = %d, want 0", got)
-	}
-	if got := v.ID("beta"); got != 1 {
-		t.Fatalf("second ID = %d, want 1", got)
-	}
-	if got := v.ID("alpha"); got != 0 {
-		t.Fatalf("re-interning changed ID: %d", got)
-	}
-	if got, ok := v.Lookup("beta"); !ok || got != 1 {
-		t.Fatalf("Lookup(beta) = %d, %v", got, ok)
-	}
-	if _, ok := v.Lookup("gamma"); ok {
-		t.Fatal("Lookup invented an ID")
-	}
-	if v.Len() != 2 {
-		t.Fatalf("Len = %d, want 2", v.Len())
-	}
-	if v.String(0) != "alpha" || v.String(1) != "beta" {
-		t.Fatal("String round-trip broken")
-	}
-}
-
 func TestCompileLayout(t *testing.T) {
 	sessions := []Session{
 		{Query: "q1", Docs: []string{"a", "b", "c"}, Clicks: []bool{false, true, false}},

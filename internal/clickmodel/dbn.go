@@ -16,22 +16,22 @@ package clickmodel
 // latent structure is where examination stopped in the tail and whether
 // the last click satisfied the user. Both are handled exactly by
 // enumerating the stop position, with per-worker scratch buffers
-// replacing the per-session allocations of the map-based fit.
+// replacing the per-session allocations of the map-based fit. The fit
+// keeps the log's pair table and a and s per pair.
 type DBN struct {
-	AttrA map[qd]float64 // attractiveness
-	SatS  map[qd]float64 // satisfaction
-	Gamma float64        // continuation probability
+	Gamma float64 // continuation probability
 
 	Iterations     int
 	PriorA, PriorS float64
 	// Workers caps the parallel E-step fan-out (0 = GOMAXPROCS).
 	Workers int
 
-	// pairs, attrVals and satVals are set only by FromArtifact: the
-	// frozen pair table and per-pair values of a v2 artifact, read in
-	// place of AttrA and SatS. Such a model is immutable.
-	pairs             *frozenPairs
-	attrVals, satVals []float64
+	pairs     *pairTable // the fitted log's (query, doc) pairs
+	attr, sat []float64  // pair ID -> attractiveness, satisfaction
+	// frozen is set only by FromArtifact: the frozen pair table of a v2
+	// artifact, read in place of pairs, attr and sat then viewing the
+	// artifact's values. Such a model is immutable.
+	frozen *frozenPairs
 }
 
 // NewDBN returns a DBN with default hyper-parameters.
@@ -58,12 +58,13 @@ func (m *DBN) defaults() {
 	}
 }
 
-func (m *DBN) a(q, d string) float64 {
-	return pairParam(m.pairs, m.attrVals, m.AttrA, q, d, m.PriorA)
-}
-
-func (m *DBN) s(q, d string) float64 {
-	return pairParam(m.pairs, m.satVals, m.SatS, q, d, m.PriorS)
+// as returns the attractiveness and satisfaction of doc d under query
+// q, whose doc map in the fitted table is row (pairTable.row).
+func (m *DBN) as(row map[string]int32, q, d string) (a, s float64) {
+	if id, ok := pairID(m.frozen, row, q, d); ok {
+		return m.attr[id], m.sat[id]
+	}
+	return m.PriorA, m.PriorS
 }
 
 // tailZ is the likelihood of the observed all-skip tail past the last
@@ -72,18 +73,19 @@ func (m *DBN) s(q, d string) float64 {
 // plus — when there is a click — the branch in which that click
 // satisfied the user. The compiled E-step inlines the same enumeration
 // over worker-owned scratch.
-func (m *DBN) tailZ(s Session, last int) float64 {
+func (m *DBN) tailZ(s Session, row map[string]int32, last int) float64 {
 	n := len(s.Docs)
 	g := m.Gamma
 	var z float64
 	if last >= 0 {
-		sat := m.s(s.Query, s.Docs[last])
+		_, sat := m.as(row, s.Query, s.Docs[last])
 		z = sat
 		cur := 1 - sat // unsatisfied, still deciding
 		for t := last; t < n; t++ {
 			if t > last {
 				// Continue into t, which must then be skipped.
-				cur *= g * (1 - m.a(s.Query, s.Docs[t]))
+				a, _ := m.as(row, s.Query, s.Docs[t])
+				cur *= g * (1 - a)
 			}
 			w := cur
 			if t < n-1 {
@@ -97,7 +99,8 @@ func (m *DBN) tailZ(s Session, last int) float64 {
 			if t > 0 {
 				cur *= g
 			}
-			cur *= 1 - m.a(s.Query, s.Docs[t])
+			a, _ := m.as(row, s.Query, s.Docs[t])
+			cur *= 1 - a
 			w := cur
 			if t < n-1 {
 				w *= 1 - g
@@ -113,7 +116,7 @@ func (m *DBN) tailZ(s Session, last int) float64 {
 
 // Fit implements Model: compile the log, then run the dense EM.
 func (m *DBN) Fit(sessions []Session) error {
-	if m.pairs != nil {
+	if m.frozen != nil {
 		return ErrMappedImmutable
 	}
 	c, err := Compile(sessions)
@@ -128,9 +131,10 @@ func (m *DBN) Fit(sessions []Session) error {
 // scalars at the end.
 func dbnAccStride(nPair int) int { return 4*nPair + 2 }
 
-// FitLog runs EM with exact tail enumeration over a compiled log.
+// FitLog runs EM with exact tail enumeration over a compiled log,
+// fitting a and s in place over the log's pair table.
 func (m *DBN) FitLog(c *CompiledLog) error {
-	if m.pairs != nil {
+	if m.frozen != nil {
 		return ErrMappedImmutable
 	}
 	if c == nil {
@@ -141,15 +145,12 @@ func (m *DBN) FitLog(c *CompiledLog) error {
 	stride := dbnAccStride(nPair)
 	workers := emWorkers(m.Workers, c.NumSessions())
 
-	fs, buf := getScratch(2*nPair + workers*(stride+2*c.maxPos))
+	m.pairs = c.tab
+	m.attr, m.sat = filled(m.attr, nPair, m.PriorA), filled(m.sat, nPair, m.PriorS)
+	attr, sat := m.attr, m.sat
+	fs, buf := getScratch(workers * (stride + 2*c.maxPos))
 	defer putScratch(fs)
 	sl := slab{buf}
-	attr := sl.take(nPair)
-	sat := sl.take(nPair)
-	for p := 0; p < nPair; p++ {
-		attr[p] = m.PriorA
-		sat[p] = m.PriorS
-	}
 	accAll := sl.take(workers * stride)
 	tails := sl.take(workers * 2 * c.maxPos)
 
@@ -187,9 +188,6 @@ func (m *DBN) FitLog(c *CompiledLog) error {
 			m.Gamma = clampProb(gNum / gDen)
 		}
 	}
-
-	m.AttrA = c.materializeInto(m.AttrA, attr)
-	m.SatS = c.materializeInto(m.SatS, sat)
 	return nil
 }
 
@@ -306,10 +304,10 @@ func (m *DBN) ClickProbs(s Session) []float64 {
 // ClickProbsInto implements InplaceScorer.
 func (m *DBN) ClickProbsInto(s Session, buf []float64) []float64 {
 	out := resizeProbs(buf, len(s.Docs))
+	row := m.pairs.row(s.Query)
 	exam := 1.0
 	for i, d := range s.Docs {
-		a := m.a(s.Query, d)
-		sat := m.s(s.Query, d)
+		a, sat := m.as(row, s.Query, d)
 		out[i] = exam * a
 		exam *= m.Gamma * (a*(1-sat) + (1 - a))
 	}
@@ -319,11 +317,11 @@ func (m *DBN) ClickProbsInto(s Session, buf []float64) []float64 {
 // ExaminationProbs implements Examiner.
 func (m *DBN) ExaminationProbs(s Session) []float64 {
 	out := make([]float64, len(s.Docs))
+	row := m.pairs.row(s.Query)
 	exam := 1.0
 	for i, d := range s.Docs {
 		out[i] = exam
-		a := m.a(s.Query, d)
-		sat := m.s(s.Query, d)
+		a, sat := m.as(row, s.Query, d)
 		exam *= m.Gamma * (a*(1-sat) + (1 - a))
 	}
 	return out
@@ -332,20 +330,21 @@ func (m *DBN) ExaminationProbs(s Session) []float64 {
 // SessionLogLikelihood implements Model: exact likelihood with the
 // certainly-examined prefix plus the marginalised tail.
 func (m *DBN) SessionLogLikelihood(s Session) float64 {
+	row := m.pairs.row(s.Query)
 	last := s.LastClick()
 	ll := 0.0
 	for j := 0; j <= last; j++ {
-		a := m.a(s.Query, s.Docs[j])
+		a, sat := m.as(row, s.Query, s.Docs[j])
 		if s.Clicks[j] {
 			ll += log(a)
 			if j < last {
 				// Unsatisfied and continued.
-				ll += log((1 - m.s(s.Query, s.Docs[j])) * m.Gamma)
+				ll += log((1 - sat) * m.Gamma)
 			}
 		} else {
 			ll += log(1-a) + log(m.Gamma)
 		}
 	}
-	ll += log(m.tailZ(s, last))
+	ll += log(m.tailZ(s, row, last))
 	return ll
 }

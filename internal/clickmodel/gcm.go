@@ -14,9 +14,9 @@ package clickmodel
 //
 // Special cases: cascade (lambdaSkip = 1, lambdaClick = 0), DCM
 // (lambdaSkip = 1, lambdaClick = lambda_i), DBN with fixed satisfaction,
-// and CCM with position-tied alphas.
+// and CCM with position-tied alphas. The fit keeps the log's pair
+// table and one relevance per pair.
 type GCM struct {
-	Rel         map[qd]float64
 	LambdaSkip  []float64
 	LambdaClick []float64
 
@@ -24,6 +24,9 @@ type GCM struct {
 	PriorR     float64
 	// Workers caps the parallel E-step fan-out (0 = GOMAXPROCS).
 	Workers int
+
+	pairs *pairTable // the fitted log's (query, doc) pairs
+	rel   []float64  // pair ID -> relevance
 }
 
 // NewGCM returns a GCM with default hyper-parameters.
@@ -44,9 +47,11 @@ func (m *GCM) defaults() {
 	}
 }
 
-func (m *GCM) r(q, d string) float64 {
-	if v, ok := m.Rel[qd{q, d}]; ok {
-		return v
+// r returns the relevance of doc d under the query whose doc map is
+// row (pairTable.row): one probe.
+func (m *GCM) r(row map[string]int32, d string) float64 {
+	if p, ok := row[d]; ok {
+		return m.rel[p]
 	}
 	return m.PriorR
 }
@@ -68,7 +73,7 @@ func (m *GCM) lClick(i int) float64 {
 // tailPosterior enumerates the latent stop position past the last
 // click. This Session-based form serves SessionLogLikelihood; the
 // compiled E-step inlines the same enumeration over worker scratch.
-func (m *GCM) tailPosterior(s Session, last int) (pExam []float64, z float64) {
+func (m *GCM) tailPosterior(s Session, row map[string]int32, last int) (pExam []float64, z float64) {
 	n := len(s.Docs)
 	pExam = make([]float64, n)
 	wStop := make([]float64, n)
@@ -86,11 +91,11 @@ func (m *GCM) tailPosterior(s Session, last int) (pExam []float64, z float64) {
 		case last >= 0 && t == last:
 			// No factors: the click itself is accounted upstream.
 		case last >= 0 && t == last+1:
-			cur *= cont0 * (1 - m.r(s.Query, s.Docs[t]))
+			cur *= cont0 * (1 - m.r(row, s.Docs[t]))
 		case last < 0 && t == 0:
-			cur *= 1 - m.r(s.Query, s.Docs[t]) // E_1 = 1 always
+			cur *= 1 - m.r(row, s.Docs[t]) // E_1 = 1 always
 		default:
-			cur *= m.lSkip(t-1) * (1 - m.r(s.Query, s.Docs[t]))
+			cur *= m.lSkip(t-1) * (1 - m.r(row, s.Docs[t]))
 		}
 		w := cur
 		if t < n-1 {
@@ -130,7 +135,8 @@ func (m *GCM) Fit(sessions []Session) error {
 // [rNum | rDen | skipNum | skipDen | clickNum | clickDen].
 func gcmAccStride(nPair, n int) int { return 2*nPair + 4*n }
 
-// FitLog runs EM over a compiled log.
+// FitLog runs EM over a compiled log, fitting the relevances in place
+// over the log's pair table.
 func (m *GCM) FitLog(c *CompiledLog) error {
 	if c == nil {
 		return errNilLog
@@ -141,20 +147,14 @@ func (m *GCM) FitLog(c *CompiledLog) error {
 	stride := gcmAccStride(nPair, n)
 	workers := emWorkers(m.Workers, c.NumSessions())
 
-	m.LambdaSkip = reuseFloats(m.LambdaSkip, n)
-	m.LambdaClick = reuseFloats(m.LambdaClick, n)
-	for i := 0; i < n; i++ {
-		m.LambdaSkip[i] = 0.9
-		m.LambdaClick[i] = 0.6
-	}
+	m.LambdaSkip, m.LambdaClick = filled(m.LambdaSkip, n, 0.9), filled(m.LambdaClick, n, 0.6)
 
-	fs, buf := getScratch(nPair + workers*(stride+c.maxPos))
+	m.pairs = c.tab
+	m.rel = filled(m.rel, nPair, m.PriorR)
+	rel := m.rel
+	fs, buf := getScratch(workers * (stride + c.maxPos))
 	defer putScratch(fs)
 	sl := slab{buf}
-	rel := sl.take(nPair)
-	for p := range rel {
-		rel[p] = m.PriorR
-	}
 	accAll := sl.take(workers * stride)
 	tails := sl.take(workers * c.maxPos)
 
@@ -194,8 +194,6 @@ func (m *GCM) FitLog(c *CompiledLog) error {
 			}
 		}
 	}
-
-	m.Rel = c.materializeInto(m.Rel, rel)
 	return nil
 }
 
@@ -303,9 +301,10 @@ func (m *GCM) ClickProbs(s Session) []float64 {
 // ClickProbsInto implements InplaceScorer.
 func (m *GCM) ClickProbsInto(s Session, buf []float64) []float64 {
 	out := resizeProbs(buf, len(s.Docs))
+	row := m.pairs.row(s.Query)
 	exam := 1.0
 	for i, d := range s.Docs {
-		r := m.r(s.Query, d)
+		r := m.r(row, d)
 		out[i] = exam * r
 		exam *= r*m.lClick(i) + (1-r)*m.lSkip(i)
 	}
@@ -315,10 +314,11 @@ func (m *GCM) ClickProbsInto(s Session, buf []float64) []float64 {
 // ExaminationProbs implements Examiner.
 func (m *GCM) ExaminationProbs(s Session) []float64 {
 	out := make([]float64, len(s.Docs))
+	row := m.pairs.row(s.Query)
 	exam := 1.0
 	for i, d := range s.Docs {
 		out[i] = exam
-		r := m.r(s.Query, d)
+		r := m.r(row, d)
 		exam *= r*m.lClick(i) + (1-r)*m.lSkip(i)
 	}
 	return out
@@ -326,10 +326,11 @@ func (m *GCM) ExaminationProbs(s Session) []float64 {
 
 // SessionLogLikelihood implements Model.
 func (m *GCM) SessionLogLikelihood(s Session) float64 {
+	row := m.pairs.row(s.Query)
 	last := s.LastClick()
 	ll := 0.0
 	for j := 0; j <= last; j++ {
-		r := m.r(s.Query, s.Docs[j])
+		r := m.r(row, s.Docs[j])
 		if s.Clicks[j] {
 			ll += log(r)
 			if j < last {
@@ -339,7 +340,7 @@ func (m *GCM) SessionLogLikelihood(s Session) float64 {
 			ll += log(1-r) + log(m.lSkip(j))
 		}
 	}
-	_, z := m.tailPosterior(s, last)
+	_, z := m.tailPosterior(s, row, last)
 	ll += log(z)
 	return ll
 }

@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -730,7 +731,7 @@ func TestPBMParity(t *testing.T) {
 		}
 		gamma, alpha := refPBM(sessions, 8, m.PriorAlpha)
 		compareSlices(t, "PBM gamma", m.Gamma, gamma)
-		compareQDMaps(t, "PBM alpha", m.Alpha, alpha)
+		compareQDMaps(t, "PBM alpha", tableMap(m.pairs, m.alphas), alpha)
 	}
 }
 
@@ -749,7 +750,7 @@ func TestUBMParity(t *testing.T) {
 		for i := range gamma {
 			compareSlices(t, fmt.Sprintf("UBM gamma[%d]", i), m.Gamma[i], gamma[i])
 		}
-		compareQDMaps(t, "UBM alpha", m.Alpha, alpha)
+		compareQDMaps(t, "UBM alpha", tableMap(m.pairs, m.alphas), alpha)
 	}
 }
 
@@ -799,8 +800,8 @@ func TestDBNParity(t *testing.T) {
 			t.Fatal(err)
 		}
 		attr, sat, gamma := refDBN(sessions, 8, m.PriorA, m.PriorS, 0.9)
-		compareQDMaps(t, "DBN attr", m.AttrA, attr)
-		compareQDMaps(t, "DBN sat", m.SatS, sat)
+		compareQDMaps(t, "DBN attr", tableMap(m.pairs, m.attr), attr)
+		compareQDMaps(t, "DBN sat", tableMap(m.pairs, m.sat), sat)
 		compareScalar(t, "DBN gamma", m.Gamma, gamma)
 	}
 }
@@ -814,7 +815,7 @@ func TestCCMParity(t *testing.T) {
 			t.Fatal(err)
 		}
 		rel, a1, a2, a3 := refCCM(sessions, 8, 0.5, 0.8, 0.6, 0.9)
-		compareQDMaps(t, "CCM rel", m.Rel, rel)
+		compareQDMaps(t, "CCM rel", tableMap(m.pairs, m.rel), rel)
 		compareScalar(t, "CCM alpha1", m.Alpha1, a1)
 		compareScalar(t, "CCM alpha2", m.Alpha2, a2)
 		compareScalar(t, "CCM alpha3", m.Alpha3, a3)
@@ -830,7 +831,7 @@ func TestGCMParity(t *testing.T) {
 			t.Fatal(err)
 		}
 		rel, lSkip, lClick := refGCM(sessions, 8, 0.5)
-		compareQDMaps(t, "GCM rel", m.Rel, rel)
+		compareQDMaps(t, "GCM rel", tableMap(m.pairs, m.rel), rel)
 		compareSlices(t, "GCM lambdaSkip", m.LambdaSkip, lSkip)
 		compareSlices(t, "GCM lambdaClick", m.LambdaClick, lClick)
 	}
@@ -1049,29 +1050,65 @@ func TestParallelFitParity(t *testing.T) {
 	}
 }
 
-// TestRefitReusesStorage pins the refit contract: fitting the same
-// model twice on a log reuses the exported map storage and yields the
-// same parameters (cold refits of closed-form models are exact; EM
-// models restart from the same initial point for slices/maps).
+// TestRefitReusesStorage pins the refit contract: fitting an EM model
+// twice on a log refills the dense per-pair values in their backing
+// arrays, keeps the log's pair table, and yields the same parameters
+// bit for bit once the scalars DBN and CCM carry from fit to fit are
+// back at their first fit's start (EM restarts every per-pair value
+// from the prior); a closed-form refit on another log leaks no stale
+// pairs.
 func TestRefitReusesStorage(t *testing.T) {
 	sessions := synthParityLog(505, 1500)
 	c, err := Compile(sessions)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := NewPBM()
-	m.Iterations = 5
-	if err := m.FitLog(c); err != nil {
-		t.Fatal(err)
+	pbm, ubm, dbn, ccm, gcm := NewPBM(), NewUBM(), NewDBN(), NewCCM(), NewGCM()
+	for _, tc := range []struct {
+		m     LogFitter
+		table func() *pairTable
+		vals  func() [][]float64
+		reset func()
+	}{
+		{pbm, func() *pairTable { return pbm.pairs }, func() [][]float64 { return [][]float64{pbm.alphas} }, func() {}},
+		{ubm, func() *pairTable { return ubm.pairs }, func() [][]float64 { return [][]float64{ubm.alphas} }, func() {}},
+		{dbn, func() *pairTable { return dbn.pairs }, func() [][]float64 { return [][]float64{dbn.attr, dbn.sat} },
+			func() { dbn.Gamma = NewDBN().Gamma }},
+		{ccm, func() *pairTable { return ccm.pairs }, func() [][]float64 { return [][]float64{ccm.rel} },
+			func() { d := NewCCM(); ccm.Alpha1, ccm.Alpha2, ccm.Alpha3 = d.Alpha1, d.Alpha2, d.Alpha3 }},
+		{gcm, func() *pairTable { return gcm.pairs }, func() [][]float64 { return [][]float64{gcm.rel} }, func() {}},
+	} {
+		name := tc.m.(Model).Name()
+		tc.m.(IterativeModel).SetIterations(5)
+		if err := tc.m.FitLog(c); err != nil {
+			t.Fatal(err)
+		}
+		if tc.table() != c.tab {
+			t.Errorf("%s keeps a pair table other than the log's", name)
+		}
+		var first [][]float64
+		for _, v := range tc.vals() {
+			if len(v) != c.NumPairs() {
+				t.Fatalf("%s holds %d values for %d pairs", name, len(v), c.NumPairs())
+			}
+			first = append(first, slices.Clone(v))
+		}
+		before := tc.vals()
+		tc.reset()
+		if err := tc.m.FitLog(c); err != nil {
+			t.Fatal(err)
+		}
+		for i, v := range tc.vals() {
+			if &v[0] != &before[i][0] {
+				t.Errorf("%s: the refit moved per-pair parameter %d to a new array", name, i)
+			}
+			for p := range v {
+				if math.Float64bits(v[p]) != math.Float64bits(first[i][p]) {
+					t.Fatalf("%s: refit parameter %d of pair %v is %v, the first fit's %v", name, i, c.tab.pairs[p], v[p], first[i][p])
+				}
+			}
+		}
 	}
-	first := make(map[qd]float64, len(m.Alpha))
-	for k, v := range m.Alpha {
-		first[k] = v
-	}
-	if err := m.FitLog(c); err != nil {
-		t.Fatal(err)
-	}
-	compareQDMaps(t, "refit alpha", m.Alpha, first)
 
 	// Closed-form refit on a different log must not leak stale pairs.
 	other := synthParityLog(606, 500)

@@ -7,13 +7,12 @@ package clickmodel
 //
 // Examination depends only on the position, independent of every other
 // result (Section II-A of the paper). Parameters are estimated with EM
-// over the compiled (interned, dense) form of the log.
+// over the compiled (interned, dense) form of the log; the fit keeps
+// the log's pair table and one attractiveness — the probability of a
+// click given examination — per pair.
 type PBM struct {
 	// Gamma[i] is the probability that position i+1 is examined.
 	Gamma []float64
-	// Alpha maps (query, doc) to attractiveness: the probability of a
-	// click given examination.
-	Alpha map[qd]float64
 
 	// Iterations is the number of EM rounds (default 20).
 	Iterations int
@@ -22,11 +21,12 @@ type PBM struct {
 	// Workers caps the parallel E-step fan-out (0 = GOMAXPROCS).
 	Workers int
 
-	// pairs and alphaVals are set only by FromArtifact: the frozen
-	// pair table and attractiveness values of a v2 artifact, read in
-	// place of Alpha. Such a model is immutable.
-	pairs     *frozenPairs
-	alphaVals []float64
+	pairs  *pairTable // the fitted log's (query, doc) pairs
+	alphas []float64  // pair ID -> attractiveness
+	// frozen is set only by FromArtifact: the frozen pair table of a v2
+	// artifact, read in place of pairs, alphas then viewing the
+	// artifact's values. Such a model is immutable.
+	frozen *frozenPairs
 }
 
 // NewPBM returns a PBM with default hyper-parameters.
@@ -49,7 +49,7 @@ func (m *PBM) defaults() {
 
 // Fit implements Model: compile the log, then run the dense EM.
 func (m *PBM) Fit(sessions []Session) error {
-	if m.pairs != nil {
+	if m.frozen != nil {
 		return ErrMappedImmutable
 	}
 	c, err := Compile(sessions)
@@ -66,9 +66,10 @@ func (m *PBM) Fit(sessions []Session) error {
 // alphas. Impressions are sharded over Workers goroutines with
 // per-worker accumulators merged before the M-step; the posterior
 // denominators (impressions per position and per pair) are log
-// constants precomputed at Compile.
+// constants precomputed at Compile. The alphas are fitted in place,
+// over the log's pair table.
 func (m *PBM) FitLog(c *CompiledLog) error {
-	if m.pairs != nil {
+	if m.frozen != nil {
 		return ErrMappedImmutable
 	}
 	if c == nil {
@@ -86,13 +87,12 @@ func (m *PBM) FitLog(c *CompiledLog) error {
 		m.Gamma[i] = 1.0 / (1.0 + float64(i))
 	}
 
-	fs, buf := getScratch(nPair + workers*(n+nPair))
+	m.pairs = c.tab
+	m.alphas = filled(m.alphas, nPair, m.PriorAlpha)
+	alpha := m.alphas
+	fs, buf := getScratch(workers * (n + nPair))
 	defer putScratch(fs)
 	sl := slab{buf}
-	alpha := sl.take(nPair)
-	for p := range alpha {
-		alpha[p] = m.PriorAlpha
-	}
 	gAll := sl.take(workers * n)
 	aAll := sl.take(workers * nPair)
 
@@ -124,8 +124,6 @@ func (m *PBM) FitLog(c *CompiledLog) error {
 			}
 		}
 	}
-
-	m.Alpha = c.materializeInto(m.Alpha, alpha)
 	return nil
 }
 
@@ -153,8 +151,13 @@ func pbmEStep(c *CompiledLog, gamma, alpha, gNum, aNum []float64, lo, hi int) {
 	}
 }
 
-func (m *PBM) alpha(q, d string) float64 {
-	return pairParam(m.pairs, m.alphaVals, m.Alpha, q, d, m.PriorAlpha)
+// alpha returns the attractiveness of doc d under query q, whose doc
+// map in the fitted table is row (pairTable.row).
+func (m *PBM) alpha(row map[string]int32, q, d string) float64 {
+	if id, ok := pairID(m.frozen, row, q, d); ok {
+		return m.alphas[id]
+	}
+	return m.PriorAlpha
 }
 
 // ClickProbs implements Model.
@@ -166,12 +169,13 @@ func (m *PBM) ClickProbs(s Session) []float64 {
 // capacity.
 func (m *PBM) ClickProbsInto(s Session, buf []float64) []float64 {
 	out := resizeProbs(buf, len(s.Docs))
+	row := m.pairs.row(s.Query)
 	for i, d := range s.Docs {
 		g := 0.0
 		if i < len(m.Gamma) {
 			g = m.Gamma[i]
 		}
-		out[i] = m.alpha(s.Query, d) * g
+		out[i] = m.alpha(row, s.Query, d) * g
 	}
 	return out
 }
@@ -192,12 +196,13 @@ func (m *PBM) ExaminationProbs(s Session) []float64 {
 // independent, so the session likelihood factorises.
 func (m *PBM) SessionLogLikelihood(s Session) float64 {
 	ll := 0.0
+	row := m.pairs.row(s.Query)
 	for i, d := range s.Docs {
 		g := 0.0
 		if i < len(m.Gamma) {
 			g = m.Gamma[i]
 		}
-		ll += bernoulliLL(m.alpha(s.Query, d)*g, s.Clicks[i])
+		ll += bernoulliLL(m.alpha(row, s.Query, d)*g, s.Clicks[i])
 	}
 	return ll
 }

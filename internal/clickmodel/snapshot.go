@@ -97,7 +97,7 @@ func readChecked(r io.Reader) (*snapshot.V2Artifact, error) {
 // anything else is thawed from r.
 func load(r io.Reader, m listed) error {
 	for _, p := range m.params() {
-		if p.table != nil && *p.table != nil {
+		if p.frozen != nil && *p.frozen != nil {
 			return ErrMappedImmutable
 		}
 	}
@@ -111,12 +111,12 @@ func load(r io.Reader, m listed) error {
 
 // ParamCount reports the number of fitted parameters a model holds —
 // the engine's Models() metadata: every value of its dense, triangular
-// and per-pair parameters, its fitted scalars, BBM's clicks. A counting
-// model (SDBN, Cascade, DCM) holds a value for every pair of its table
-// and every per-pair parameter — the prior where the pair has no
-// evidence — so it counts pairs × per-pair parameters, fitted or loaded
-// alike. Models outside the built-in set may implement
-// interface{ NumParams() int }; others report 0.
+// and per-pair parameters, its fitted scalars, BBM's clicks. A model
+// holds a value for every pair of its table and every per-pair
+// parameter — the prior where the pair has no evidence — so it counts
+// pairs × per-pair parameters, fitted or loaded alike. Models outside
+// the built-in set may implement interface{ NumParams() int }; others
+// report 0.
 func ParamCount(m Model) int {
 	lm, ok := m.(listed)
 	if !ok {
@@ -136,11 +136,6 @@ func ParamCount(m Model) int {
 			n += len(*p.vals)
 		case triVals:
 			n += tri(len(*p.rows))
-		case pairMap:
-			n += len(*p.m)
-			if p.view != nil {
-				n += len(*p.view)
-			}
 		case bbmCounts:
 			n += len(p.bbm.clicks)
 		}
@@ -154,14 +149,14 @@ func (m *PBM) params() []param {
 	return []param{
 		scalar(&m.PriorAlpha),
 		dense("gamma", &m.Gamma),
-		perPair("a.vals", &m.Alpha, &m.PriorAlpha).servedFrom(&m.pairs, &m.alphaVals),
+		overPairs("a.vals", &m.pairs, &m.alphas, &m.PriorAlpha).servedFrom(&m.frozen),
 	}
 }
 
 // ValidateTables runs the deep O(n) structural checks an artifact-backed
 // PBM defers; verified load paths call it before install. A fitted model
 // has no frozen tables and passes.
-func (m *PBM) ValidateTables() error { return m.pairs.validate() }
+func (m *PBM) ValidateTables() error { return m.frozen.validate() }
 
 func (m *Cascade) params() []param {
 	return []param{
@@ -182,7 +177,7 @@ func (m *UBM) params() []param {
 	return []param{
 		scalar(&m.PriorAlpha),
 		triangular("gamma", &m.Gamma),
-		perPair("a.vals", &m.Alpha, &m.PriorAlpha),
+		overPairs("a.vals", &m.pairs, &m.alphas, &m.PriorAlpha),
 	}
 }
 
@@ -199,7 +194,7 @@ func (m *BBM) params() []param {
 	return append(browse.params(),
 		count(&m.GridSize), count(&m.nCell),
 		dense("cgam", &m.cellGamma),
-		param{kind: bbmCounts, bbm: m},
+		param{kind: bbmCounts, bbm: m, tab: &m.pairs},
 	)
 }
 
@@ -207,21 +202,21 @@ func (m *CCM) params() []param {
 	return []param{
 		fittedScalar(&m.Alpha1), fittedScalar(&m.Alpha2), fittedScalar(&m.Alpha3),
 		scalar(&m.PriorR),
-		perPair("r.vals", &m.Rel, &m.PriorR),
+		overPairs("r.vals", &m.pairs, &m.rel, &m.PriorR),
 	}
 }
 
 func (m *DBN) params() []param {
 	return []param{
 		fittedScalar(&m.Gamma), scalar(&m.PriorA), scalar(&m.PriorS),
-		perPair("a.vals", &m.AttrA, &m.PriorA).servedFrom(&m.pairs, &m.attrVals),
-		perPair("s.vals", &m.SatS, &m.PriorS).servedFrom(&m.pairs, &m.satVals),
+		overPairs("a.vals", &m.pairs, &m.attr, &m.PriorA).servedFrom(&m.frozen),
+		overPairs("s.vals", &m.pairs, &m.sat, &m.PriorS).servedFrom(&m.frozen),
 	}
 }
 
 // ValidateTables runs the deep O(n) structural checks an artifact-backed
 // DBN defers (see PBM.ValidateTables).
-func (m *DBN) ValidateTables() error { return m.pairs.validate() }
+func (m *DBN) ValidateTables() error { return m.frozen.validate() }
 
 func (m *SDBN) params() []param {
 	return []param{
@@ -235,7 +230,7 @@ func (m *GCM) params() []param {
 	return []param{
 		scalar(&m.PriorR),
 		dense("lskip", &m.LambdaSkip), dense("lclick", &m.LambdaClick),
-		perPair("r.vals", &m.Rel, &m.PriorR),
+		overPairs("r.vals", &m.pairs, &m.rel, &m.PriorR),
 	}
 }
 
@@ -243,7 +238,7 @@ func (m *SUM) params() []param {
 	return []param{
 		scalar(&m.PriorU),
 		dense("basectr", &m.baseCTR),
-		perPair("u.vals", &m.Utility, &m.PriorU),
+		overPairs("u.vals", &m.pairs, &m.utility, &m.PriorU),
 	}
 }
 

@@ -18,14 +18,16 @@ package clickmodel
 // (ClickProbs falls back to per-position click rates, as SUM does not
 // model examination).
 type SUM struct {
-	// Utility maps (query, doc) to intrinsic post-click relevance.
-	Utility map[qd]float64
+	Iterations int
+	PriorU     float64
+
+	// pairs holds the clicked (query, doc) pairs of the fitted log and
+	// utility each one's intrinsic post-click relevance, by pair ID.
+	pairs   *pairTable
+	utility []float64
 	// baseCTR is the per-position empirical click rate used for the
 	// marginal ClickProbs fallback.
 	baseCTR []float64
-
-	Iterations int
-	PriorU     float64
 }
 
 // NewSUM returns a SUM with default hyper-parameters.
@@ -46,9 +48,11 @@ func (m *SUM) defaults() {
 	}
 }
 
-func (m *SUM) u(q, d string) float64 {
-	if v, ok := m.Utility[qd{q, d}]; ok {
-		return v
+// u returns the utility of doc d under the query whose doc map is row
+// (pairTable.row): one probe.
+func (m *SUM) u(row map[string]int32, d string) float64 {
+	if p, ok := row[d]; ok {
+		return m.utility[p]
 	}
 	return m.PriorU
 }
@@ -68,28 +72,37 @@ func clickedDocs(s Session) []string {
 // the last is evidence of non-satisfaction (the user clicked again);
 // the last clicked document's satisfaction is latent (the user may have
 // stopped satisfied, or continued and found nothing) and receives a
-// posterior weight in the E-step.
+// posterior weight in the E-step. The clicked pairs are interned in a
+// pair table of the model's own, and the statistics accumulate by pair
+// ID.
 func (m *SUM) Fit(sessions []Session) error {
 	if err := validateAll(sessions); err != nil {
 		return err
 	}
 	m.defaults()
 	m.baseCTR = MeanCTRByPosition(sessions)
-	m.Utility = make(map[qd]float64)
+	m.pairs = newPairTable()
 	for _, s := range sessions {
 		for _, d := range clickedDocs(s) {
-			m.Utility[qd{s.Query, d}] = m.PriorU
+			r := m.pairs.query(s.Query, 0)
+			if _, ok := r.docs[d]; !ok {
+				m.pairs.add(r, d)
+			}
 		}
 	}
-	type acc struct{ num, den float64 }
+	nPair := len(m.pairs.pairs)
+	m.utility = filled(m.utility, nPair, m.PriorU)
+	fs, buf := getScratch(2 * nPair)
+	defer putScratch(fs)
+	num, den := buf[:nPair], buf[nPair:]
 	for iter := 0; iter < m.Iterations; iter++ {
-		accs := make(map[qd]acc, len(m.Utility))
+		clear(buf)
 		for _, s := range sessions {
 			clicked := clickedDocs(s)
+			row := m.pairs.row(s.Query)
 			for i, d := range clicked {
-				k := qd{s.Query, d}
-				a := accs[k]
-				a.den++
+				p := row[d]
+				den[p]++
 				if i == len(clicked)-1 {
 					// Last click: P(satisfied | session ended here).
 					// Ending evidence: no clicks followed. The session
@@ -97,16 +110,15 @@ func (m *SUM) Fit(sessions []Session) error {
 					// no further attractive results (approximated by
 					// the residual 1-u mass ending anyway with the
 					// base rate of clickless continuation).
-					u := m.u(s.Query, d)
+					u := m.utility[p]
 					cont := (1 - u) * m.tailNoClickProb(s)
-					a.num += u / (u + cont)
+					num[p] += u / (u + cont)
 				}
-				accs[k] = a
 			}
 		}
-		for k, a := range accs {
-			if a.den > 0 {
-				m.Utility[k] = clampProb(a.num / a.den)
+		for p := range m.utility {
+			if den[p] > 0 {
+				m.utility[p] = clampProb(num[p] / den[p])
 			}
 		}
 	}
@@ -154,8 +166,9 @@ func (m *SUM) SessionLogLikelihood(s Session) float64 {
 		return log(m.tailNoClickProb(s))
 	}
 	ll := 0.0
+	row := m.pairs.row(s.Query)
 	for i, d := range clicked {
-		u := m.u(s.Query, d)
+		u := m.u(row, d)
 		if i < len(clicked)-1 {
 			ll += log(1 - u)
 		} else {
@@ -169,8 +182,9 @@ func (m *SUM) SessionLogLikelihood(s Session) float64 {
 // clicked sequence — the quantity SUM ranks sessions and documents by.
 func (m *SUM) SessionUtility(s Session) float64 {
 	p := 1.0
+	row := m.pairs.row(s.Query)
 	for _, d := range clickedDocs(s) {
-		p *= 1 - m.u(s.Query, d)
+		p *= 1 - m.u(row, d)
 	}
 	return 1 - p
 }

@@ -48,7 +48,7 @@ func TestSUMUtilityOrdering(t *testing.T) {
 	for a := 0; a < simDocs; a++ {
 		for b := a + 2; b < simDocs; b++ { // skip direct neighbours
 			comparisons++
-			if m.u("q", docName(a)) >= m.u("q", docName(b)) {
+			if row := m.pairs.row("q"); m.u(row, docName(a)) >= m.u(row, docName(b)) {
 				violations++
 			}
 		}
@@ -60,7 +60,7 @@ func TestSUMUtilityOrdering(t *testing.T) {
 
 func TestSUMSessionUtility(t *testing.T) {
 	m := NewSUM()
-	m.Utility = map[qd]float64{{"q", "a"}: 0.5, {"q", "b"}: 0.5}
+	m.pairs, m.utility = pairTableOf([]qd{{"q", "a"}, {"q", "b"}}), []float64{0.5, 0.5}
 	m.baseCTR = []float64{0.1, 0.1}
 	s := Session{Query: "q", Docs: []string{"a", "b"}, Clicks: []bool{true, true}}
 	// 1 - (1-0.5)(1-0.5) = 0.75.

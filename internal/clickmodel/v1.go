@@ -4,7 +4,9 @@ package clickmodel
 // turns a v1 payload into the fitted model it describes, and
 // internal/engine's importer — its one caller — saves that model again
 // as v2. Per-pair maps were stored as a query vocabulary, a (query ID,
-// doc) pair table and one value per pair.
+// doc) pair table and one value per pair; a model's maps decode into
+// the one form every model holds, a pair table over the union of their
+// keys and one value array per map (v1Table, v1Map.over).
 //
 // Every count is bounded by the bytes left in the payload before
 // anything is sized from it, and every decoded shape a scorer indexes
@@ -13,7 +15,6 @@ package clickmodel
 
 import (
 	"fmt"
-	"maps"
 	"slices"
 
 	"repro/internal/snapshot"
@@ -26,50 +27,47 @@ func DecodeV1(name string, c *snapshot.Cursor) (Model, error) {
 	if err != nil {
 		return nil, err
 	}
+	var maps []v1Map // in the order m's parameter list names them
+	pairs := func() { maps = append(maps, v1Pairs(c)) }
 	switch t := m.(type) {
 	case *PBM:
 		t.Gamma = c.Floats()
-		t.Alpha = v1Pairs(c)
+		pairs()
 		t.PriorAlpha = c.Float()
 		t.Iterations = c.Int()
 	case *Cascade:
-		alpha := v1Pairs(c)
+		pairs()
 		t.PriorAlpha, t.LaplaceA, t.LaplaceB = c.Float(), c.Float(), c.Float()
-		t.pairs = v1Table(alpha)
-		t.alphas = mapValues(t.pairs.pairs, alpha, t.PriorAlpha)
 	case *DCM:
-		alpha := v1Pairs(c)
+		pairs()
 		t.Lambda = c.Floats()
 		t.PriorAlpha, t.LaplaceA, t.LaplaceB = c.Float(), c.Float(), c.Float()
-		t.pairs = v1Table(alpha)
-		t.alphas = mapValues(t.pairs.pairs, alpha, t.PriorAlpha)
 	case *UBM:
-		v1UBM(t, c)
+		maps = append(maps, v1UBM(t, c))
 	case *BBM:
-		v1BBM(t, c)
+		maps = append(maps, v1BBM(t, c))
 	case *CCM:
-		t.Rel = v1Pairs(c)
+		pairs()
 		t.Alpha1, t.Alpha2, t.Alpha3 = c.Float(), c.Float(), c.Float()
 		t.PriorR = c.Float()
 		t.Iterations = c.Int()
 	case *DBN:
-		t.AttrA = v1Pairs(c)
-		t.SatS = v1Pairs(c)
+		pairs()
+		pairs()
 		t.Gamma, t.PriorA, t.PriorS = c.Float(), c.Float(), c.Float()
 		t.Iterations = c.Int()
 	case *SDBN:
-		attr, sat := v1Pairs(c), v1Pairs(c)
+		pairs()
+		pairs()
 		t.PriorA, t.PriorS, t.LaplaceA, t.LaplaceB = c.Float(), c.Float(), c.Float(), c.Float()
-		t.pairs = v1Table(attr, sat)
-		t.attr, t.sat = mapValues(t.pairs.pairs, attr, t.PriorA), mapValues(t.pairs.pairs, sat, t.PriorS)
 	case *GCM:
-		t.Rel = v1Pairs(c)
+		pairs()
 		t.LambdaSkip = c.Floats()
 		t.LambdaClick = c.Floats()
 		t.PriorR = c.Float()
 		t.Iterations = c.Int()
 	case *SUM:
-		t.Utility = v1Pairs(c)
+		pairs()
 		t.baseCTR = c.Floats()
 		t.PriorU = c.Float()
 		t.Iterations = c.Int()
@@ -82,47 +80,71 @@ func DecodeV1(name string, c *snapshot.Cursor) (Model, error) {
 	if c.Remaining() != 0 {
 		return nil, fmt.Errorf("%w: %d bytes after the %s payload", snapshot.ErrCorrupt, c.Remaining(), m.Name())
 	}
+	// One table over every map's pairs, and each map's values over it.
+	tab := v1Table(maps...)
+	for _, p := range m.(listed).params() {
+		if p.kind == pairDense {
+			*p.tab, *p.vals = tab, maps[0].over(tab, *p.prior)
+			maps = maps[1:]
+		}
+	}
 	return m, nil
 }
 
+// v1Map is one per-pair map as v1 stored it: its keys in a table of
+// their own — a key listed twice resolves to its last value, as the map
+// held it — and the values by pair ID.
+type v1Map struct {
+	tab  *pairTable
+	vals []float64
+}
+
 // v1Pairs reads one per-pair map.
-func v1Pairs(c *snapshot.Cursor) map[qd]float64 {
+func v1Pairs(c *snapshot.Cursor) v1Map {
 	queries := v1Queries(c)
 	n := c.Int()
 	if n > c.Remaining()/10 { // a pair is at least a query ID, a doc length and a value
 		c.Failf("%d pairs overrun the payload", n)
 	}
 	if c.Err() != nil {
-		return nil
+		return v1Map{}
 	}
 	keys := make([]qd, n)
 	for i := range keys {
 		qi, doc := c.Uint(), c.String()
 		if c.Err() != nil {
-			return nil
+			return v1Map{}
 		}
 		if qi >= uint64(len(queries)) {
 			c.Failf("pair %d references query %d of %d", i, qi, len(queries))
-			return nil
+			return v1Map{}
 		}
 		keys[i] = qd{queries[qi], doc}
 	}
-	out := make(map[qd]float64, n)
-	for _, k := range keys {
-		out[k] = c.Float()
+	vals := make([]float64, n)
+	for i := range vals {
+		vals[i] = c.Float()
 	}
-	return out
+	return v1Map{pairTableOf(keys), vals}
 }
 
-// v1Table is a counting model's pair table over the union of the keys
-// of its v1 per-pair maps, in sorted order.
-func v1Table(ms ...map[qd]float64) *pairTable {
+// v1Table is a model's pair table over the union of the keys of its v1
+// per-pair maps, in sorted order.
+func v1Table(ms ...v1Map) *pairTable {
 	var keys []qd
 	for _, m := range ms {
-		keys = slices.AppendSeq(keys, maps.Keys(m))
+		if m.tab != nil {
+			keys = append(keys, m.tab.pairs...)
+		}
 	}
 	slices.SortFunc(keys, compareQD)
 	return pairTableOf(slices.Compact(keys))
+}
+
+// over lists the map's values by pair ID of tab, a pair the map lacks
+// holding prior.
+func (m v1Map) over(tab *pairTable, prior float64) []float64 {
+	return valuesOver(tab.pairs, m.tab, m.vals, prior)
 }
 
 // v1Queries reads a query vocabulary: a count, then each string.
@@ -141,7 +163,8 @@ func v1Queries(c *snapshot.Cursor) []string {
 	return out
 }
 
-func v1UBM(m *UBM, c *snapshot.Cursor) {
+// v1UBM reads a UBM, returning its per-pair map.
+func v1UBM(m *UBM, c *snapshot.Cursor) v1Map {
 	n := c.Int()
 	flat := c.Floats()
 	if c.Err() == nil && len(flat) != tri(n) {
@@ -153,18 +176,20 @@ func v1UBM(m *UBM, c *snapshot.Cursor) {
 			m.Gamma[i] = flat[tri(i) : tri(i)+i+1 : tri(i)+i+1]
 		}
 	}
-	m.Alpha = v1Pairs(c)
+	alpha := v1Pairs(c)
 	m.PriorAlpha = c.Float()
 	m.Iterations = c.Int()
+	return alpha
 }
 
-func v1BBM(m *BBM, c *snapshot.Cursor) {
+// v1BBM reads a BBM, returning its browsing layer's per-pair map.
+func v1BBM(m *BBM, c *snapshot.Cursor) (alpha v1Map) {
 	m.GridSize = c.Int()
 	if m.GridSize > maxGridSize {
 		c.Failf("BBM grid of %d points", m.GridSize)
 	}
 	m.Browse = NewUBM()
-	v1UBM(m.Browse, c)
+	alpha = v1UBM(m.Browse, c)
 
 	queries := v1Queries(c)
 	nPair := c.Int()
@@ -189,7 +214,7 @@ func v1BBM(m *BBM, c *snapshot.Cursor) {
 	m.pairs = pairTableOf(keys)
 	// A fit counts every pair its browsing layer holds. A layer holding
 	// more would cost a row of skip counts per extra pair on export.
-	for k := range m.Browse.Alpha {
+	for _, k := range alpha.tab.pairs {
 		if _, counted := m.pairs.find(k.q, k.d); !counted {
 			c.Failf("BBM browsing layer holds a pair (%q, %q) its counts lack", k.q, k.d)
 			return
@@ -233,4 +258,5 @@ func v1BBM(m *BBM, c *snapshot.Cursor) {
 		}
 		m.nonClickS[p] = inner
 	}
+	return alpha
 }

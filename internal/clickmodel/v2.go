@@ -27,21 +27,20 @@ package clickmodel
 // Pairs and both vocabularies are numbered in sorted (query, doc)
 // order, so equal parameters write equal bytes.
 //
-// PBM and DBN serve straight from an artifact (FromArtifact): their
-// pair table and value sections stay zero-copy views of its bytes
-// (typically a read-only file mapping owned by internal/mmap), read by
-// the accessor that reads a fitted map, so each model's scoring maths
-// exists once; such a model does not refit. Every other model, and
-// every model Load or LoadModel reads, is thawed: its values are copied
-// into the maps, slices and pair tables it fits into, and it keeps no
-// reference to the artifact. The counting models (SDBN, Cascade, DCM)
-// fit into a pair table and dense values over it (pairDense), which
-// write the same sections a map does, byte for byte.
+// In memory every per-pair parameter is one value per pair ID over a
+// pairTable the model holds (pairDense), a pair the table lacks scoring
+// the prior. PBM and DBN can also serve straight from an artifact
+// (FromArtifact): their value slices are then zero-copy views of its
+// sections (typically a read-only file mapping owned by internal/mmap),
+// indexed through its frozen pair table by the accessor a fitted model
+// uses, so each model's scoring maths exists once; such a model does
+// not refit. Every other model, and every model Load or LoadModel
+// reads, is thawed into a pair table and value slices like a fit's,
+// keeping no reference to the artifact.
 //
-// A probe-table miss — including one caused by a corrupted table that
-// slipped past the CRCs — degrades to the model's prior, exactly the
-// behaviour of a map miss; it can never alias two pairs, because every
-// hit is confirmed against the pair arrays.
+// A probe-table miss degrades to the model's prior; it can never alias
+// two pairs, because every hit is confirmed against the pair arrays,
+// and the deep checks (frozenPairs.validate) prove it finds every pair.
 
 import (
 	"fmt"
@@ -122,8 +121,9 @@ func (p *frozenPairs) find(q, d string) (int32, bool) {
 // validate runs the O(n) per-element checks pairsFromArtifact skips:
 // every pair references in-range vocabulary IDs and every probe bucket
 // is empty or a valid pair ID, plus the underlying vocabularies' own
-// deep checks. Verified load paths call this before install, and a
-// thaw before it reads a single term.
+// deep checks, and that find — the scorer's own probe — resolves every
+// pair to its ID, as its thawed copy would. Verified load paths call this before install, and a thaw before it
+// reads a single term.
 func (p *frozenPairs) validate() error {
 	if p == nil {
 		return nil // a fitted model: no frozen tables to check
@@ -143,6 +143,11 @@ func (p *frozenPairs) validate() error {
 	for i, id := range p.tab {
 		if id < -1 || int(id) >= n {
 			return fmt.Errorf("%w: pair bucket %d holds id %d of %d pairs", snapshot.ErrCorrupt, i, id, n)
+		}
+	}
+	for i, k := range p.keys() {
+		if id, ok := p.find(k.q, k.d); !ok || id != int32(i) {
+			return fmt.Errorf("%w: pair %d (%q, %q) is not found by the probe", snapshot.ErrCorrupt, i, k.q, k.d)
 		}
 	}
 	return nil
@@ -167,17 +172,28 @@ func (p *frozenPairs) keys() []qd {
 }
 
 // freezePairs builds the pair table of keys, which must be sorted and
-// distinct: pair i is keys[i].
+// distinct: pair i is keys[i], and each vocabulary numbers its strings
+// in order of first appearance.
 func freezePairs(keys []qd) *frozenPairs {
 	n := len(keys)
-	qv, dv := NewVocab(), NewVocab()
 	p := &frozenPairs{pairQ: make([]int32, n), pairD: make([]int32, n)}
+	var qs, ds []string
+	dids := make(map[string]int32)
 	for i, k := range keys {
-		p.pairQ[i] = qv.ID(k.q)
-		p.pairD[i] = dv.ID(k.d)
+		if i == 0 || k.q != keys[i-1].q { // sorted: a query's pairs are adjacent
+			qs = append(qs, k.q)
+		}
+		p.pairQ[i] = int32(len(qs) - 1)
+		did, ok := dids[k.d]
+		if !ok {
+			did = int32(len(ds))
+			dids[k.d] = did
+			ds = append(ds, k.d)
+		}
+		p.pairD[i] = did
 	}
-	p.qv = textproc.FreezeVocab(qv.strs)
-	p.dv = textproc.FreezeVocab(dv.strs)
+	p.qv = textproc.FreezeVocab(qs)
+	p.dv = textproc.FreezeVocab(ds)
 
 	size := minPairTable
 	for size < 2*n {
@@ -245,21 +261,17 @@ func pairVals(a *snapshot.V2Artifact, tag string, n int) ([]float64, error) {
 	return v, nil
 }
 
-// pairParam reads one per-pair parameter of a model that is either
-// fitted (its exported map holds the values) or artifact-backed (vals
-// is a view of the artifact, indexed through the frozen pair table).
-// Either way a pair the model never saw takes the prior.
-func pairParam(p *frozenPairs, vals []float64, fitted map[qd]float64, q, d string, prior float64) float64 {
-	if p != nil {
-		if id, ok := p.find(q, d); ok {
-			return vals[id]
-		}
-		return prior
+// pairID resolves the pair (q, d) of a model that can serve from its
+// artifact to the ID its values are indexed by: through the frozen pair
+// table when it serves (frozen is set), else through row, q's doc map
+// in the pair table it was fitted or thawed into (pairTable.row). A
+// pair it lacks takes the prior.
+func pairID(frozen *frozenPairs, row map[string]int32, q, d string) (int32, bool) {
+	if frozen != nil {
+		return frozen.find(q, d)
 	}
-	if v, ok := fitted[qd{q, d}]; ok {
-		return v
-	}
-	return prior
+	id, ok := row[d]
+	return id, ok
 }
 
 // --- parameter lists ---
@@ -272,8 +284,7 @@ const (
 	metaCount                  // a non-negative int in meta
 	denseVals                  // a []float64 section
 	triVals                    // a [][]float64 whose row i holds i+1 cells: one flat section, the row count in meta
-	pairMap                    // a map[qd]float64: a value section over the pair table
-	pairDense                  // a []float64 over the model's own pairTable: a value section likewise
+	pairDense                  // a []float64 by pair ID of the model's pairTable: a value section over the artifact's pair table
 	bbmCounts                  // BBM's counts, keyed by its own pair IDs
 )
 
@@ -285,13 +296,11 @@ type param struct {
 	fitted bool // a metaFloat ParamCount counts; the rest are priors and hyper-parameters
 	f      *float64
 	n      *int
-	vals   *[]float64      // denseVals; pairDense: the values, by pair ID of
-	tab    **pairTable     // pairDense: the table they are over
-	rows   *[][]float64    // triVals
-	m      *map[qd]float64 // pairMap: the fitted values,
-	prior  *float64        // what a pair the map (or the table) lacks scores,
-	table  **frozenPairs   // and, for a model that can serve from its artifact,
-	view   *[]float64      // where the pair table and a view of the values go instead
+	vals   *[]float64    // denseVals; pairDense: the values, by pair ID of
+	tab    **pairTable   // the table they are over (bbmCounts: BBM's own),
+	prior  *float64      // what a pair the table lacks scores, and, for a model
+	frozen **frozenPairs // that can serve from its artifact, where the artifact's table goes instead
+	rows   *[][]float64  // triVals
 	bbm    *BBM
 }
 
@@ -305,22 +314,17 @@ func triangular(tag string, rows *[][]float64) param {
 	return param{kind: triVals, tag: tag, rows: rows}
 }
 
-func perPair(tag string, m *map[qd]float64, prior *float64) param {
-	return param{kind: pairMap, tag: tag, m: m, prior: prior}
-}
-
-// overPairs lists dense per-pair values over the model's own pair
-// table; the artifact form is perPair's, byte for byte. Several entries
-// may share one table.
+// overPairs lists dense per-pair values over the model's pair table.
+// Several entries may share one table.
 func overPairs(tag string, tab **pairTable, vals *[]float64, prior *float64) param {
 	return param{kind: pairDense, tag: tag, tab: tab, vals: vals, prior: prior}
 }
 
 // servedFrom marks a per-pair parameter the model can serve from its
-// artifact: FromArtifact leaves the pair table and a view of the values
-// in table and view, and the map stays nil.
-func (p param) servedFrom(table **frozenPairs, view *[]float64) param {
-	p.table, p.view = table, view
+// artifact: FromArtifact leaves the artifact's pair table in frozen and
+// a view of the values in vals, and the growable table stays nil.
+func (p param) servedFrom(frozen **frozenPairs) param {
+	p.frozen = frozen
 	return p
 }
 
@@ -369,17 +373,12 @@ func writeArtifact(w io.Writer, m listed) error {
 				flat = append(flat, row...)
 			}
 			vw.Floats(p.tag, flat)
-		case pairMap:
-			if p.table != nil && *p.table != nil {
-				served = *p.table
-			}
-			keys = slices.AppendSeq(keys, maps.Keys(*p.m))
-		case pairDense:
-			if t := *p.tab; t != nil && t != seen {
+		case pairDense, bbmCounts:
+			if p.frozen != nil && *p.frozen != nil {
+				served = *p.frozen
+			} else if t := *p.tab; t != nil && t != seen {
 				keys, seen = append(keys, t.pairs...), t
 			}
-		case bbmCounts:
-			keys = p.bbm.appendKeys(keys)
 		}
 	}
 	reemit := served != nil
@@ -396,22 +395,12 @@ func writeArtifact(w io.Writer, m listed) error {
 
 	for _, p := range ps {
 		switch p.kind {
-		case pairMap:
+		case pairDense:
 			if reemit {
-				vw.Floats(p.tag, *p.view)
+				vw.Floats(p.tag, *p.vals)
 				continue
 			}
-			vw.Floats(p.tag, mapValues(keys, *p.m, *p.prior))
-		case pairDense:
-			v := make([]float64, len(keys))
-			for i, k := range keys {
-				x := *p.prior
-				if id, ok := (*p.tab).find(k.q, k.d); ok {
-					x = (*p.vals)[id]
-				}
-				v[i] = x
-			}
-			vw.Floats(p.tag, v)
+			vw.Floats(p.tag, valuesOver(keys, *p.tab, *p.vals, *p.prior))
 		case bbmCounts:
 			p.bbm.writeCounts(vw, keys)
 		}
@@ -420,25 +409,25 @@ func writeArtifact(w io.Writer, m listed) error {
 	return err
 }
 
-// mapValues lists a per-pair map over keys, a key the map lacks holding
-// the prior it scores.
-func mapValues(keys []qd, m map[qd]float64, prior float64) []float64 {
+// valuesOver lists vals, by pair ID of tab, over keys: a key tab lacks
+// holds prior, which is what it scores.
+func valuesOver(keys []qd, tab *pairTable, vals []float64, prior float64) []float64 {
 	out := make([]float64, len(keys))
 	for i, k := range keys {
-		v, ok := m[k]
-		if !ok {
-			v = prior
+		out[i] = prior
+		if id, ok := tab.find(k.q, k.d); ok {
+			out[i] = vals[id]
 		}
-		out[i] = v
 	}
 	return out
 }
 
 // readArtifact fills m from a through its parameter list. Dense values
 // are copied; per-pair values stay views of a when serve is asked for
-// and every per-pair parameter of m can be served, and are thawed into
-// maps otherwise — after the pair table has passed its deep checks.
-// It reports whether m now views a's bytes.
+// and every per-pair parameter of m can be served, and are thawed
+// otherwise — copied over one pair table, which every per-pair entry
+// and BBM's counts share, after the artifact's table has passed its
+// deep checks. It reports whether m now views a's bytes.
 func readArtifact(a *snapshot.V2Artifact, m listed, serve bool) (views bool, err error) {
 	if !strings.EqualFold(a.ModelName, m.Name()) {
 		return false, fmt.Errorf("clickmodel: artifact holds a %q model, not %q", a.ModelName, m.Name())
@@ -458,8 +447,8 @@ func readArtifact(a *snapshot.V2Artifact, m listed, serve bool) (views bool, err
 			*p.n = c.Int()
 		case triVals:
 			rows[i] = c.Int()
-		case pairMap, pairDense, bbmCounts:
-			serve = serve && p.table != nil
+		case pairDense, bbmCounts:
+			serve = serve && p.frozen != nil
 		}
 	}
 	if err := c.Err(); err != nil {
@@ -493,13 +482,12 @@ func readArtifact(a *snapshot.V2Artifact, m listed, serve bool) (views bool, err
 	if err != nil {
 		return false, err
 	}
-	var keys []qd
-	var thawed *pairTable // the table every pairDense entry shares
+	var thawed *pairTable
 	if !serve {
 		if err := tab.validate(); err != nil {
 			return false, err
 		}
-		keys = tab.keys()
+		thawed = pairTableOf(tab.keys())
 	}
 	for _, p := range ps {
 		switch p.kind {
@@ -508,26 +496,13 @@ func readArtifact(a *snapshot.V2Artifact, m listed, serve bool) (views bool, err
 			if err != nil {
 				return false, err
 			}
-			if thawed == nil {
-				thawed = pairTableOf(keys)
-			}
-			*p.tab, *p.vals = thawed, slices.Clone(v)
-		case pairMap:
-			v, err := pairVals(a, p.tag, tab.NumPairs())
-			if err != nil {
-				return false, err
-			}
 			if serve {
-				*p.table, *p.view = tab, v
+				*p.frozen, *p.vals = tab, v
 				continue
 			}
-			vals := make(map[qd]float64, len(keys))
-			for i, k := range keys {
-				vals[k] = v[i]
-			}
-			*p.m = vals
+			*p.tab, *p.vals = thawed, slices.Clone(v)
 		case bbmCounts:
-			if err := p.bbm.readCounts(a, keys); err != nil {
+			if err := p.bbm.readCounts(a, thawed); err != nil {
 				return false, err
 			}
 		}
@@ -540,14 +515,6 @@ func readArtifact(a *snapshot.V2Artifact, m listed, serve bool) (views bool, err
 // maxGridSize bounds BBM's posterior grid on load: every PosteriorMean
 // allocates GridSize floats, so a corrupt size must not reach scoring.
 const maxGridSize = 1 << 16
-
-// appendKeys lists the pairs BBM holds counts for.
-func (m *BBM) appendKeys(keys []qd) []qd {
-	if m.pairs == nil {
-		return keys
-	}
-	return append(keys, m.pairs.pairs...)
-}
 
 // writeCounts writes BBM's per-pair counts over the pair table keys:
 // c.vals holds each pair's clicks; the skip counts are n.vals, the
@@ -585,10 +552,10 @@ func (m *BBM) writeCounts(w *snapshot.V2Writer, keys []qd) {
 	w.Floats("n.cnt", cnts)
 }
 
-// readCounts thaws writeCounts' sections over the validated pair table
-// keys, BBM's pair IDs becoming the table's.
-func (m *BBM) readCounts(a *snapshot.V2Artifact, keys []qd) error {
-	n := len(keys)
+// readCounts thaws writeCounts' sections over the thawed pair table
+// tab, BBM's pair IDs becoming the table's.
+func (m *BBM) readCounts(a *snapshot.V2Artifact, tab *pairTable) error {
+	n := len(tab.pairs)
 	if m.GridSize > maxGridSize {
 		return fmt.Errorf("%w: BBM grid of %d points", snapshot.ErrCorrupt, m.GridSize)
 	}
@@ -596,7 +563,7 @@ func (m *BBM) readCounts(a *snapshot.V2Artifact, keys []qd) error {
 	if err != nil {
 		return err
 	}
-	m.pairs = pairTableOf(keys)
+	m.pairs = tab
 	m.clicks = slices.Clone(clicks)
 	m.nonClick, m.nonClickS = nil, nil
 	if m.nCell > 0 {

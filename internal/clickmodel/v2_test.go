@@ -455,14 +455,16 @@ func TestV2MappedLoadsUntaggedArtifact(t *testing.T) {
 // hostile-artifact regression (see textproc's
 // TestFrozenVocabFullTableTerminates): a probe table with no empty
 // bucket and only valid pair IDs must end an absent pair's probe in a
-// miss after one pass, not spin the serving goroutine.
+// miss after one pass, not spin the serving goroutine — a trusted load
+// serves such a table unvalidated. The deep checks refuse it: a pair
+// no bucket names cannot be found.
 func TestFrozenPairsFullTableTerminates(t *testing.T) {
 	p := freezePairs([]qd{{q: "q0", d: "d0"}, {q: "q1", d: "d1"}})
 	for i := range p.tab {
 		p.tab[i] = 0 // every bucket names pair 0 = (q0, d0)
 	}
-	if err := p.validate(); err != nil {
-		t.Fatalf("the full table is made of valid IDs, yet validate says %v", err)
+	if err := p.validate(); !errors.Is(err, snapshot.ErrCorrupt) {
+		t.Errorf("validate of a table that cannot find pair 1 = %v, want ErrCorrupt", err)
 	}
 	if id, ok := p.find("q1", "d1"); ok {
 		t.Errorf("find of a pair no bucket names resolved to %d", id)

@@ -164,8 +164,6 @@ var LoadClickModel = clickmodel.LoadModel
 type (
 	// CompiledSessionLog is the interned, dense form of a session log.
 	CompiledSessionLog = clickmodel.CompiledLog
-	// SessionVocab interns strings to dense int32 IDs.
-	SessionVocab = clickmodel.Vocab
 	// ClickModelLogFitter is implemented by models fittable from a
 	// CompiledSessionLog.
 	ClickModelLogFitter = clickmodel.LogFitter
