@@ -969,8 +969,8 @@ func benchInitAblation(b *testing.B, useInit bool) {
 func BenchmarkAblation_StatsInit(b *testing.B) { benchInitAblation(b, true) }
 func BenchmarkAblation_ZeroInit(b *testing.B)  { benchInitAblation(b, false) }
 
-// BenchmarkAblation_FTRL vs _BatchLR compare the two L1 optimisers on
-// the same M1 dataset.
+// BenchmarkAblation_BatchLR prices one L1 logistic-regression fit on
+// the M1 dataset.
 func BenchmarkAblation_BatchLR(b *testing.B) {
 	data, setup := getBenchData(b)
 	pipe := classifier.NewPipeline(classifier.M1, data.DB)
@@ -980,21 +980,6 @@ func BenchmarkAblation_BatchLR(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		m := &ml.LogisticRegression{L1: 1e-4, Epochs: 40, LearningRate: 0.5}
-		if err := m.Fit(ds.Flat); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkAblation_FTRL(b *testing.B) {
-	data, setup := getBenchData(b)
-	pipe := classifier.NewPipeline(classifier.M1, data.DB)
-	pipe.Seed = setup.Seed
-	ds := pipe.Dataset(data.Pairs)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m := ml.NewFTRL()
 		if err := m.Fit(ds.Flat); err != nil {
 			b.Fatal(err)
 		}

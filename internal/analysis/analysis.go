@@ -41,7 +41,7 @@ type Analyzer struct {
 	// Doc is the one-paragraph description shown by `mbvet -list`.
 	Doc string
 	// Run applies the analyzer to one package unit, reporting findings
-	// through pass.Report. A non-nil error aborts the whole run (it
+	// through pass.Reportf. A non-nil error aborts the whole run (it
 	// means the analyzer itself failed, not that the code is wrong).
 	Run func(*Pass) error
 }
@@ -67,9 +67,6 @@ type Diagnostic struct {
 	Pos     token.Pos
 	Message string
 }
-
-// Report emits one diagnostic.
-func (p *Pass) Report(d Diagnostic) { p.report(d) }
 
 // Reportf formats and emits one diagnostic at pos.
 func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {

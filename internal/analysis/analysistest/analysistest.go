@@ -9,7 +9,6 @@
 package analysistest
 
 import (
-	"fmt"
 	"go/token"
 	"regexp"
 	"strings"
@@ -105,10 +104,4 @@ func match(wants []*expectation, pos token.Position, msg string) bool {
 		}
 	}
 	return false
-}
-
-// Fixture returns the conventional fixture directory for an analyzer
-// test: testdata/<name> under the test's working directory.
-func Fixture(name string) string {
-	return fmt.Sprintf("testdata/%s", name)
 }

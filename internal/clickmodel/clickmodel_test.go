@@ -319,13 +319,13 @@ func TestCCMFitImprovesLikelihood(t *testing.T) {
 	if err := m.Fit(sessions); err != nil {
 		t.Fatal(err)
 	}
-	ll1 := LogLikelihood(m, sessions)
+	ll1 := Evaluate(m, sessions).LogLikelihood
 	m2 := NewCCM()
 	m2.Iterations = 15
 	if err := m2.Fit(sessions); err != nil {
 		t.Fatal(err)
 	}
-	ll15 := LogLikelihood(m2, sessions)
+	ll15 := Evaluate(m2, sessions).LogLikelihood
 	if ll15 < ll1-1e-6 {
 		t.Errorf("more EM iterations decreased LL: %v -> %v", ll1, ll15)
 	}
@@ -415,12 +415,12 @@ func TestPerplexityPerfectAndRandom(t *testing.T) {
 		{Query: "q", Docs: []string{"a"}, Clicks: []bool{false}},
 	}
 	half := &constModel{p: 0.5}
-	overall, _ := Perplexity(half, sessions)
+	overall := Evaluate(half, sessions).Perplexity
 	if math.Abs(overall-2) > 1e-9 {
 		t.Errorf("coin-flip perplexity = %v, want 2", overall)
 	}
 	sharp := &constModel{p: probEps}
-	overall, _ = Perplexity(sharp, sessions)
+	overall = Evaluate(sharp, sessions).Perplexity
 	if overall > 1.001 {
 		t.Errorf("near-perfect perplexity = %v, want ~1", overall)
 	}

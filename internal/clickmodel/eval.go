@@ -17,19 +17,6 @@ type Evaluation struct {
 	Sessions         int
 }
 
-// LogLikelihood returns the mean per-session log-likelihood of the model
-// on the log.
-func LogLikelihood(m Model, sessions []Session) float64 {
-	if len(sessions) == 0 {
-		return 0
-	}
-	ll := 0.0
-	for _, s := range sessions {
-		ll += m.SessionLogLikelihood(s)
-	}
-	return ll / float64(len(sessions))
-}
-
 // perplexityAccum holds the running per-rank log2 sums of a perplexity
 // computation, so evaluation folds into a single pass over the log.
 type perplexityAccum struct {
@@ -75,25 +62,12 @@ func (a *perplexityAccum) finish() (overall float64, byRank []float64) {
 	return overall, byRank
 }
 
-// Perplexity returns the overall and per-rank click perplexity of the
-// model's marginal click probabilities:
-//
-//	p_i = 2^{ -1/N · Σ ( c log2 q + (1-c) log2(1-q) ) }
-func Perplexity(m Model, sessions []Session) (overall float64, byRank []float64) {
-	n := maxPositions(sessions)
-	if n == 0 {
-		return 0, nil
-	}
-	acc := newPerplexityAccum(n)
-	for _, s := range sessions {
-		acc.add(m, s)
-	}
-	return acc.finish()
-}
-
 // Evaluate fits nothing; it scores an already-fitted model on sessions.
 // Log-likelihood and perplexity are folded into one pass over the log
-// with a reused scoring buffer.
+// with a reused scoring buffer. Perplexity is that of the model's
+// marginal click probabilities:
+//
+//	p_i = 2^{ -1/N · Σ ( c log2 q + (1-c) log2(1-q) ) }
 func Evaluate(m Model, sessions []Session) Evaluation {
 	ev := Evaluation{Model: m.Name(), Sessions: len(sessions)}
 	n := maxPositions(sessions)

@@ -57,10 +57,6 @@ type CandidateScratch struct {
 	offs    []int32
 }
 
-// Set exposes the underlying CandidateSet (tests and the optimizer's
-// generation loop share its arena).
-func (cs *CandidateScratch) Set() *textproc.CandidateSet { return &cs.set }
-
 // reset opens a new scoring pass: forget all lines, invalidate every
 // cached partial by epoch bump.
 func (cs *CandidateScratch) reset() {

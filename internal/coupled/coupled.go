@@ -250,15 +250,6 @@ func (m *Model) Score(in *Instance) float64 {
 // Predict returns P(R beats S) for the instance.
 func (m *Model) Predict(in *Instance) float64 { return ml.Sigmoid(m.Score(in)) }
 
-// PredictAll returns P(R beats S) for every instance.
-func (m *Model) PredictAll(data []Instance) []float64 {
-	out := make([]float64, len(data))
-	for i := range data {
-		out[i] = m.Predict(&data[i])
-	}
-	return out
-}
-
 // LogLoss returns the mean negative log-likelihood on the data.
 func (m *Model) LogLoss(data []Instance) float64 {
 	if len(data) == 0 {

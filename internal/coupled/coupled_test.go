@@ -106,9 +106,10 @@ func TestPredictBeatsChance(t *testing.T) {
 		t.Fatal(err)
 	}
 	_ = test // truth differs per call; evaluate on training draw instead
-	preds := m.PredictAll(data)
+	preds := make([]float64, len(data))
 	labels := make([]bool, len(data))
 	for i := range data {
+		preds[i] = m.Predict(&data[i])
 		labels[i] = data[i].Label
 	}
 	met := ml.EvaluateBinary(preds, labels)

@@ -175,8 +175,9 @@ func TestTopKZero(t *testing.T) {
 	}
 }
 
-// TestTopKNoalloc backs the //mb:noalloc annotations on Offer and
-// Sorted: a warm Reset/Offer/Sorted cycle must not allocate.
+// TestTopKNoalloc backs the //mb:noalloc annotations on Offer, Sorted
+// and Rank: a warm Reset/Offer/Sorted cycle, and a warm Rank, must not
+// allocate.
 func TestTopKNoalloc(t *testing.T) {
 	var tk TopK
 	vals := make([]float64, 512)
@@ -196,6 +197,20 @@ func TestTopKNoalloc(t *testing.T) {
 	cycle() // warm the backing arrays
 	if allocs := testing.AllocsPerRun(200, cycle); allocs != 0 {
 		t.Fatalf("warm top-k cycle allocates %v/op, want 0", allocs)
+	}
+
+	scores := make([]core.CandidateScore, len(vals)+1)
+	for i, v := range vals {
+		scores[i+1].CTR = v
+	}
+	rank := func() {
+		if idx, best := tk.Rank(scores, 8); len(idx) != 8 || best != int(idx[0]) {
+			t.Fatal("bad ranking")
+		}
+	}
+	rank()
+	if allocs := testing.AllocsPerRun(200, rank); allocs != 0 {
+		t.Fatalf("warm Rank allocates %v/op, want 0", allocs)
 	}
 }
 

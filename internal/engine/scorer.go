@@ -188,10 +188,6 @@ func NewCompiledMicroScorer(c *core.CompiledModel) *MicroScorer {
 	return &MicroScorer{c: c}
 }
 
-// Compiled exposes the scorer's compiled form. Its Source is the
-// fitted model where one exists and nil for an artifact-backed scorer.
-func (s *MicroScorer) Compiled() *core.CompiledModel { return s.c }
-
 // ScoreCTR implements Scorer. CTR is the exact expectation of Eq. 3
 // under independent micro-examination,
 //

@@ -1,5 +1,7 @@
 package engine
 
+import "repro/internal/core"
+
 // TopK is the bounded best-k selector of the candidate-set serving
 // path: /v1/optimize ranks N candidate scores but returns only the top
 // handful, so a full sort.Slice over every scored variant is both
@@ -64,6 +66,32 @@ func (t *TopK) Sorted() (idx []int32, val []float64) {
 		t.down(0, end)
 	}
 	return t.idx, t.val
+}
+
+// Rank is /v1/optimize's ranking rule, the one both its front ends
+// (HTTP and MBSP) serve. scores is a candidate-set pass: scores[0] the
+// base, scores[1:] the candidates. idx lists up to k candidate indices
+// (0-based into scores[1:]; k <= 0 keeps every candidate) by
+// descending CTR, ties to the earlier candidate, as a view valid until
+// the next Reset. best is idx[0] when that candidate's CTR beats the
+// base's, and -1 (keep the base) otherwise.
+//
+//mb:noalloc
+func (t *TopK) Rank(scores []core.CandidateScore, k int) (idx []int32, best int) {
+	n := len(scores) - 1
+	if k <= 0 || k > n {
+		k = n
+	}
+	t.Reset(k)
+	for i := 0; i < n; i++ {
+		t.Offer(i, scores[i+1].CTR)
+	}
+	idx, _ = t.Sorted()
+	best = -1
+	if len(idx) > 0 && scores[int(idx[0])+1].CTR > scores[0].CTR {
+		best = int(idx[0])
+	}
+	return idx, best
 }
 
 // worse reports whether element i loses to element j under the

@@ -12,14 +12,11 @@
 //
 // Feature keys are namespaced strings built by the Key helpers so that
 // term, positioned-term, rewrite, rewrite-position and position features
-// share one store without collisions. The store supports streaming
-// observation, sharded Merge, and gob persistence.
+// share one store without collisions.
 package featstats
 
 import (
-	"encoding/gob"
 	"fmt"
-	"io"
 	"math"
 	"strings"
 )
@@ -105,44 +102,6 @@ func (db *DB) Count(key string) float64 { return db.Stats[key].Count() }
 
 // Len returns the number of distinct features observed.
 func (db *DB) Len() int { return len(db.Stats) }
-
-// Merge folds another database's counts into db (for sharded builds).
-// Smoothing settings are kept from db.
-func (db *DB) Merge(other *DB) {
-	for k, o := range other.Stats {
-		s := db.Stats[k]
-		s.Pos += o.Pos
-		s.Neg += o.Neg
-		db.Stats[k] = s
-	}
-}
-
-// persisted is the serialisation envelope.
-type persisted struct {
-	Smoothing float64
-	Stats     map[string]Stat
-}
-
-// Save writes the database in gob format.
-func (db *DB) Save(w io.Writer) error {
-	if err := gob.NewEncoder(w).Encode(persisted{db.Smoothing, db.Stats}); err != nil {
-		return fmt.Errorf("featstats: save: %w", err)
-	}
-	return nil
-}
-
-// Load reads a database written by Save.
-func Load(r io.Reader) (*DB, error) {
-	var p persisted
-	if err := gob.NewDecoder(r).Decode(&p); err != nil {
-		return nil, fmt.Errorf("featstats: load: %w", err)
-	}
-	db := New(p.Smoothing)
-	if p.Stats != nil {
-		db.Stats = p.Stats
-	}
-	return db, nil
-}
 
 // --- key scheme ---
 //

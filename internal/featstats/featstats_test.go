@@ -1,7 +1,6 @@
 package featstats
 
 import (
-	"bytes"
 	"math"
 	"testing"
 	"testing/quick"
@@ -88,52 +87,6 @@ func TestLogOddsAntisymmetry(t *testing.T) {
 	}
 	if got := db.LogOdds(a) + db.LogOdds(b); math.Abs(got) > 1e-12 {
 		t.Errorf("log odds not antisymmetric: %v", got)
-	}
-}
-
-func TestMerge(t *testing.T) {
-	shard1 := New(1)
-	shard2 := New(1)
-	k := RewriteKey("find cheap", "get discounts")
-	shard1.Observe(k, 1)
-	shard1.Observe(k, 1)
-	shard2.Observe(k, -1)
-	shard2.Observe(TermKey("other"), 1)
-
-	shard1.Merge(shard2)
-	if got := shard1.Stats[k]; got.Pos != 2 || got.Neg != 1 {
-		t.Errorf("merged stat = %+v, want {2 1}", got)
-	}
-	if shard1.Len() != 2 {
-		t.Errorf("merged Len = %d, want 2", shard1.Len())
-	}
-}
-
-func TestSaveLoadRoundTrip(t *testing.T) {
-	db := New(2)
-	db.Observe(TermKey("cheap"), 1)
-	db.Observe(RewriteKey("a", "b"), -1)
-	db.Observe(PosKey(1, 2), 1)
-
-	var buf bytes.Buffer
-	if err := db.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := Load(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Smoothing != 2 || got.Len() != 3 {
-		t.Errorf("round trip lost data: smoothing=%v len=%d", got.Smoothing, got.Len())
-	}
-	if got.P(TermKey("cheap")) != db.P(TermKey("cheap")) {
-		t.Error("round trip changed P")
-	}
-}
-
-func TestLoadGarbage(t *testing.T) {
-	if _, err := Load(bytes.NewBufferString("not gob")); err == nil {
-		t.Error("Load of garbage should fail")
 	}
 }
 

@@ -39,43 +39,3 @@ func KFold(n, k int, seed int64) ([]Fold, error) {
 	}
 	return folds, nil
 }
-
-// Subset materialises the instances at the given indices.
-func Subset(data []Instance, idx []int) []Instance {
-	out := make([]Instance, len(idx))
-	for i, j := range idx {
-		out[i] = data[j]
-	}
-	return out
-}
-
-// Classifier is the common interface of the package's trainable models.
-type Classifier interface {
-	Fit(data []Instance) error
-	PredictAll(data []Instance) []float64
-}
-
-// CrossValidate runs k-fold cross-validation of the classifier produced
-// by newModel and returns the per-fold metrics.
-func CrossValidate(data []Instance, k int, seed int64, newModel func() Classifier) ([]BinaryMetrics, error) {
-	folds, err := KFold(len(data), k, seed)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]BinaryMetrics, 0, k)
-	for fi, fold := range folds {
-		train := Subset(data, fold.Train)
-		test := Subset(data, fold.Test)
-		m := newModel()
-		if err := m.Fit(train); err != nil {
-			return nil, fmt.Errorf("ml: fold %d: %w", fi, err)
-		}
-		preds := m.PredictAll(test)
-		labels := make([]bool, len(test))
-		for i := range test {
-			labels[i] = test[i].Label
-		}
-		out = append(out, EvaluateBinary(preds, labels))
-	}
-	return out, nil
-}

@@ -1,8 +1,8 @@
 // Package ml provides the machine-learning substrate for the snippet
 // classifier: an interning feature vocabulary, sparse instances, logistic
-// regression with L1 regularisation (batch proximal gradient descent and
-// FTRL-Proximal online learning), binary classification metrics, and
-// k-fold cross-validation. Stdlib only.
+// regression with L1 regularisation (batch proximal gradient descent),
+// binary classification metrics, and the k-fold splits that
+// classifier.CrossValidate runs. Stdlib only.
 package ml
 
 import (

@@ -3,7 +3,6 @@ package ml
 import (
 	"errors"
 	"math"
-	"math/rand"
 )
 
 // Sigmoid returns 1/(1+exp(-z)) computed stably for large |z|.
@@ -62,11 +61,6 @@ type LogisticRegression struct {
 	// fits the bias. Used by the coupled trainer to hold one factor
 	// fixed.
 	FreezeWeights bool
-}
-
-// NewLogisticRegression returns a trainer with default hyper-parameters.
-func NewLogisticRegression() *LogisticRegression {
-	return &LogisticRegression{L1: 1e-4, LearningRate: 0.5, Epochs: 100, Tolerance: 1e-6}
 }
 
 func (m *LogisticRegression) defaults() {
@@ -146,171 +140,4 @@ func (m *LogisticRegression) Fit(data []Instance) error {
 // Predict returns P(label = true) for the instance.
 func (m *LogisticRegression) Predict(in *Instance) float64 {
 	return Sigmoid(in.Dot(m.Weights) + m.Bias)
-}
-
-// PredictAll returns P(label = true) for every instance.
-func (m *LogisticRegression) PredictAll(data []Instance) []float64 {
-	out := make([]float64, len(data))
-	for i := range data {
-		out[i] = m.Predict(&data[i])
-	}
-	return out
-}
-
-// NonZeroWeights counts the coefficients L1 has not zeroed out.
-func (m *LogisticRegression) NonZeroWeights() int {
-	n := 0
-	for _, w := range m.Weights {
-		if w != 0 {
-			n++
-		}
-	}
-	return n
-}
-
-// FTRL is the FTRL-Proximal online learner (McMahan et al.), the standard
-// industrial optimiser for sparse L1-regularised logistic regression in
-// ad CTR systems. It reaches the same objective as the batch trainer but
-// in streaming passes with per-coordinate learning rates.
-type FTRL struct {
-	// Alpha and Beta set the per-coordinate learning-rate schedule
-	// (defaults 0.1 and 1).
-	Alpha, Beta float64
-	// L1 and L2 are the regularisation strengths (defaults 1e-4, 0).
-	L1, L2 float64
-	// Passes is the number of shuffled passes over the data (default 5).
-	Passes int
-	// Seed drives the shuffle; fits are deterministic given Seed.
-	Seed int64
-	// InitialWeights seeds the model as if those weights had already
-	// been learned (used for stats-DB initialisation).
-	InitialWeights []float64
-
-	z, n    []float64
-	Weights []float64
-	Bias    float64
-	zb, nb  float64
-}
-
-// NewFTRL returns an FTRL learner with default hyper-parameters.
-func NewFTRL() *FTRL {
-	return &FTRL{Alpha: 0.1, Beta: 1, L1: 1e-4, Passes: 5, Seed: 1}
-}
-
-func (m *FTRL) defaults() {
-	if m.Alpha <= 0 {
-		m.Alpha = 0.1
-	}
-	if m.Beta <= 0 {
-		m.Beta = 1
-	}
-	if m.Passes <= 0 {
-		m.Passes = 5
-	}
-}
-
-func (m *FTRL) grow(dim int) {
-	for len(m.z) < dim {
-		m.z = append(m.z, 0)
-		m.n = append(m.n, 0)
-		m.Weights = append(m.Weights, 0)
-	}
-}
-
-// weight materialises the lazy FTRL weight for coordinate j.
-func (m *FTRL) weight(j int) float64 {
-	z, n := m.z[j], m.n[j]
-	if math.Abs(z) <= m.L1 {
-		return 0
-	}
-	sign := 1.0
-	if z < 0 {
-		sign = -1
-	}
-	return -(z - sign*m.L1) / ((m.Beta+math.Sqrt(n))/m.Alpha + m.L2)
-}
-
-// Fit trains on the dataset with Passes shuffled epochs.
-func (m *FTRL) Fit(data []Instance) error {
-	if len(data) == 0 {
-		return errors.New("ml: empty training set")
-	}
-	if err := CheckDataset(data); err != nil {
-		return err
-	}
-	m.defaults()
-	dim := MaxFeatureID(data) + 1
-	if len(m.InitialWeights) > dim {
-		dim = len(m.InitialWeights)
-	}
-	m.grow(dim)
-	// Seed initial weights directly in the lazy representation: choose z
-	// so that weight(j) == w while n is still zero.
-	base := m.Beta/m.Alpha + m.L2
-	for j, w := range m.InitialWeights {
-		if w != 0 && m.n[j] == 0 {
-			if w > 0 {
-				m.z[j] = -w*base - m.L1
-			} else {
-				m.z[j] = -w*base + m.L1
-			}
-		}
-	}
-
-	rng := rand.New(rand.NewSource(m.Seed))
-	order := make([]int, len(data))
-	for i := range order {
-		order[i] = i
-	}
-	for pass := 0; pass < m.Passes; pass++ {
-		rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
-		for _, idx := range order {
-			in := &data[idx]
-			// Predict with lazy weights.
-			var dot float64
-			for _, f := range in.Features {
-				dot += m.weight(f.ID) * f.Val
-			}
-			p := Sigmoid(dot + m.Bias)
-			y := 0.0
-			if in.Label {
-				y = 1
-			}
-			g := p - y
-			for _, f := range in.Features {
-				gj := g * f.Val
-				sigma := (math.Sqrt(m.n[f.ID]+gj*gj) - math.Sqrt(m.n[f.ID])) / m.Alpha
-				m.z[f.ID] += gj - sigma*m.weight(f.ID)
-				m.n[f.ID] += gj * gj
-			}
-			sigma := (math.Sqrt(m.nb+g*g) - math.Sqrt(m.nb)) / m.Alpha
-			m.zb += g - sigma*m.Bias
-			m.nb += g * g
-			m.Bias = -m.zb / ((m.Beta + math.Sqrt(m.nb)) / m.Alpha)
-		}
-	}
-	for j := range m.Weights {
-		m.Weights[j] = m.weight(j)
-	}
-	return nil
-}
-
-// Predict returns P(label = true) for the instance.
-func (m *FTRL) Predict(in *Instance) float64 {
-	var dot float64
-	for _, f := range in.Features {
-		if f.ID < len(m.Weights) {
-			dot += m.Weights[f.ID] * f.Val
-		}
-	}
-	return Sigmoid(dot + m.Bias)
-}
-
-// PredictAll returns P(label = true) for every instance.
-func (m *FTRL) PredictAll(data []Instance) []float64 {
-	out := make([]float64, len(data))
-	for i := range data {
-		out[i] = m.Predict(&data[i])
-	}
-	return out
 }

@@ -122,15 +122,32 @@ func makeLinearlySeparable(rng *rand.Rand, n int) []Instance {
 	return data
 }
 
+func predictAll(m *LogisticRegression, data []Instance) []float64 {
+	out := make([]float64, len(data))
+	for i := range data {
+		out[i] = m.Predict(&data[i])
+	}
+	return out
+}
+
+func nonZero(w []float64) int {
+	n := 0
+	for _, v := range w {
+		if v != 0 {
+			n++
+		}
+	}
+	return n
+}
+
 func TestLogisticRegressionSeparable(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	data := makeLinearlySeparable(rng, 500)
-	m := NewLogisticRegression()
-	m.Epochs = 300
+	m := &LogisticRegression{L1: 1e-4, Epochs: 300}
 	if err := m.Fit(data); err != nil {
 		t.Fatal(err)
 	}
-	preds := m.PredictAll(data)
+	preds := predictAll(m, data)
 	labels := make([]bool, len(data))
 	for i := range data {
 		labels[i] = data[i].Label
@@ -156,21 +173,17 @@ func TestLogisticRegressionL1Sparsity(t *testing.T) {
 		}
 		data[i] = Instance{Features: fs, Label: x0 > 0}
 	}
-	strong := NewLogisticRegression()
-	strong.L1 = 0.05
-	strong.Epochs = 200
+	strong := &LogisticRegression{L1: 0.05, Epochs: 200}
 	if err := strong.Fit(data); err != nil {
 		t.Fatal(err)
 	}
-	weak := NewLogisticRegression()
-	weak.L1 = 0
-	weak.Epochs = 200
+	weak := &LogisticRegression{Epochs: 200}
 	if err := weak.Fit(data); err != nil {
 		t.Fatal(err)
 	}
-	if strong.NonZeroWeights() >= weak.NonZeroWeights() {
+	if nonZero(strong.Weights) >= nonZero(weak.Weights) {
 		t.Errorf("L1 did not sparsify: strong=%d weak=%d nonzeros",
-			strong.NonZeroWeights(), weak.NonZeroWeights())
+			nonZero(strong.Weights), nonZero(weak.Weights))
 	}
 	if strong.Weights[0] == 0 {
 		t.Error("L1 zeroed the genuinely predictive feature")
@@ -186,7 +199,7 @@ func TestLogisticRegressionInitialWeights(t *testing.T) {
 	if err := m.Fit(data); err != nil {
 		t.Fatal(err)
 	}
-	preds := m.PredictAll(data)
+	preds := predictAll(m, data)
 	labels := make([]bool, len(data))
 	for i := range data {
 		labels[i] = data[i].Label
@@ -197,14 +210,14 @@ func TestLogisticRegressionInitialWeights(t *testing.T) {
 }
 
 func TestLogisticRegressionEmpty(t *testing.T) {
-	m := NewLogisticRegression()
+	m := &LogisticRegression{}
 	if err := m.Fit(nil); err == nil {
 		t.Error("Fit(nil) should fail")
 	}
 }
 
 func TestLogisticRegressionRejectsBadData(t *testing.T) {
-	m := NewLogisticRegression()
+	m := &LogisticRegression{}
 	bad := []Instance{{Features: []Feature{{-1, 1}}}}
 	if err := m.Fit(bad); err == nil {
 		t.Error("negative feature id accepted")
@@ -212,65 +225,6 @@ func TestLogisticRegressionRejectsBadData(t *testing.T) {
 	nan := []Instance{{Features: []Feature{{0, math.NaN()}}}}
 	if err := m.Fit(nan); err == nil {
 		t.Error("NaN value accepted")
-	}
-}
-
-func TestFTRLSeparable(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	data := makeLinearlySeparable(rng, 500)
-	m := NewFTRL()
-	m.Alpha = 0.5
-	m.Passes = 10
-	if err := m.Fit(data); err != nil {
-		t.Fatal(err)
-	}
-	preds := m.PredictAll(data)
-	labels := make([]bool, len(data))
-	for i := range data {
-		labels[i] = data[i].Label
-	}
-	met := EvaluateBinary(preds, labels)
-	if met.Accuracy < 0.95 {
-		t.Errorf("FTRL accuracy %v, want >= 0.95", met.Accuracy)
-	}
-}
-
-func TestFTRLInitialWeights(t *testing.T) {
-	m := NewFTRL()
-	m.defaults()
-	m.InitialWeights = []float64{1.5, -2}
-	m.grow(2)
-	base := m.Beta/m.Alpha + m.L2
-	for j, w := range m.InitialWeights {
-		if w > 0 {
-			m.z[j] = -w*base - m.L1
-		} else {
-			m.z[j] = -w*base + m.L1
-		}
-	}
-	if got := m.weight(0); math.Abs(got-1.5) > 1e-9 {
-		t.Errorf("seeded weight(0) = %v, want 1.5", got)
-	}
-	if got := m.weight(1); math.Abs(got-(-2)) > 1e-9 {
-		t.Errorf("seeded weight(1) = %v, want -2", got)
-	}
-}
-
-func TestFTRLDeterminism(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	data := makeLinearlySeparable(rng, 300)
-	a := NewFTRL()
-	b := NewFTRL()
-	if err := a.Fit(data); err != nil {
-		t.Fatal(err)
-	}
-	if err := b.Fit(data); err != nil {
-		t.Fatal(err)
-	}
-	for j := range a.Weights {
-		if a.Weights[j] != b.Weights[j] {
-			t.Fatalf("same seed produced different weights at %d", j)
-		}
 	}
 }
 
@@ -363,26 +317,6 @@ func TestKFoldErrors(t *testing.T) {
 	}
 }
 
-func TestCrossValidate(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	data := makeLinearlySeparable(rng, 400)
-	ms, err := CrossValidate(data, 5, 1, func() Classifier {
-		m := NewLogisticRegression()
-		m.Epochs = 150
-		return m
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ms) != 5 {
-		t.Fatalf("got %d fold metrics", len(ms))
-	}
-	mean := MeanMetrics(ms)
-	if mean.Accuracy < 0.95 {
-		t.Errorf("CV accuracy %v, want >= 0.95", mean.Accuracy)
-	}
-}
-
 func TestMeanMetricsEmpty(t *testing.T) {
 	if got := MeanMetrics(nil); got.Accuracy != 0 {
 		t.Errorf("MeanMetrics(nil) = %+v", got)
@@ -395,21 +329,7 @@ func BenchmarkLogisticRegressionFit(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m := NewLogisticRegression()
-		m.Epochs = 50
-		if err := m.Fit(data); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkFTRLFit(b *testing.B) {
-	rng := rand.New(rand.NewSource(9))
-	data := makeLinearlySeparable(rng, 2000)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m := NewFTRL()
+		m := &LogisticRegression{L1: 1e-4, Epochs: 50}
 		if err := m.Fit(data); err != nil {
 			b.Fatal(err)
 		}

@@ -114,35 +114,11 @@ func (h *Histogram) Snapshot() Snapshot {
 }
 
 // Snapshot is a point-in-time copy of a Histogram: a plain value type
-// that merges, diffs and renders without touching the live atomics.
+// that diffs and renders without touching the live atomics.
 type Snapshot struct {
 	Buckets [NumBuckets]uint64
 	Sum     uint64
 	Count   uint64
-}
-
-// Merge accumulates o into s, the aggregation step for per-shard or
-// per-connection histograms.
-func (s *Snapshot) Merge(o Snapshot) {
-	for i := range s.Buckets {
-		s.Buckets[i] += o.Buckets[i]
-	}
-	s.Sum += o.Sum
-	s.Count += o.Count
-}
-
-// bucketBounds returns bucket i's value range [lo, hi]. The last
-// bucket reports hi = lo*2 as a rendering cap for quantile
-// interpolation; its exposition bound is +Inf.
-func bucketBounds(i int) (lo, hi uint64) {
-	if i == 0 {
-		return 0, 0
-	}
-	lo = uint64(1) << (i - 1)
-	if i >= NumBuckets-1 {
-		return lo, lo * 2
-	}
-	return lo, uint64(1)<<i - 1
 }
 
 // upperBound returns bucket i's inclusive upper bound in raw units;
@@ -152,50 +128,6 @@ func upperBound(i int) float64 {
 		return math.Inf(1)
 	}
 	return float64(uint64(1)<<i - 1)
-}
-
-// Quantile estimates the q-th quantile (q in [0, 1]) of the recorded
-// samples in raw units, interpolating linearly inside the bucket the
-// rank lands in. Log2 buckets bound the relative error at 2x — the
-// honest precision for a 40-word summary, and plenty to tell p50 from
-// p99. Returns 0 when the snapshot is empty.
-func (s Snapshot) Quantile(q float64) float64 {
-	if s.Count == 0 {
-		return 0
-	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	rank := uint64(math.Ceil(q * float64(s.Count)))
-	if rank == 0 {
-		rank = 1
-	}
-	var cum uint64
-	for i, n := range s.Buckets {
-		if n == 0 {
-			continue
-		}
-		cum += n
-		if cum < rank {
-			continue
-		}
-		lo, hi := bucketBounds(i)
-		frac := float64(rank-(cum-n)) / float64(n)
-		return float64(lo) + frac*float64(hi-lo)
-	}
-	return 0
-}
-
-// Mean returns the average recorded value in raw units (exact, from
-// the atomic sum — not a bucket estimate). Returns 0 when empty.
-func (s Snapshot) Mean() float64 {
-	if s.Count == 0 {
-		return 0
-	}
-	return float64(s.Sum) / float64(s.Count)
 }
 
 // NormL1 is the drift distance between two snapshots: the L1 distance

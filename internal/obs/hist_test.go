@@ -109,51 +109,6 @@ func TestTallyAbsorb(t *testing.T) {
 	(*Histogram)(nil).Absorb(&empty)
 }
 
-func TestSnapshotMerge(t *testing.T) {
-	var a, b Histogram
-	a.Record(10)
-	a.Record(100)
-	b.Record(1000)
-	sa, sb := a.Snapshot(), b.Snapshot()
-	sa.Merge(sb)
-	if sa.Count != 3 || sa.Sum != 1110 {
-		t.Fatalf("merged count/sum = %d/%d, want 3/1110", sa.Count, sa.Sum)
-	}
-}
-
-func TestQuantile(t *testing.T) {
-	var h Histogram
-	if got := h.Snapshot().Quantile(0.5); got != 0 {
-		t.Fatalf("empty quantile = %v, want 0", got)
-	}
-	// 1000 samples uniform on [1, 1000]: log2 buckets bound relative
-	// error at 2x, so p50 must land within a factor of two of 500.
-	for i := 1; i <= 1000; i++ {
-		h.Record(uint64(i))
-	}
-	s := h.Snapshot()
-	for _, tc := range []struct{ q, exact float64 }{{0.5, 500}, {0.95, 950}, {0.99, 990}} {
-		got := s.Quantile(tc.q)
-		if got < tc.exact/2 || got > tc.exact*2 {
-			t.Errorf("Quantile(%v) = %v, want within 2x of %v", tc.q, got, tc.exact)
-		}
-	}
-	if p0 := s.Quantile(0); p0 < 1 || p0 > 2 {
-		t.Errorf("Quantile(0) = %v, want ~1", p0)
-	}
-}
-
-func TestQuantileSingleBucket(t *testing.T) {
-	var h Histogram
-	for i := 0; i < 10; i++ {
-		h.Record(70) // bucket [64, 127]
-	}
-	got := h.Snapshot().Quantile(0.5)
-	if got < 64 || got > 127 {
-		t.Fatalf("Quantile(0.5) = %v, want inside [64, 127]", got)
-	}
-}
-
 func TestNormL1(t *testing.T) {
 	var a, b Histogram
 	if d := NormL1(a.Snapshot(), b.Snapshot()); d != 0 {

@@ -14,7 +14,7 @@
 //   - Histogram: a log2-bucketed atomic histogram. Record is one
 //     bits.Len64 and three atomic adds — no locks, no allocation — so
 //     it can sit inside the compiled score kernel's dispatch loop and
-//     the WAL's append path. Snapshot() returns a mergeable value
+//     the WAL's append path. Snapshot() returns a plain value
 //     type; a Metric's Scale renders it as Prometheus histogram
 //     exposition (_bucket/_sum/_count) in its own units, so the same
 //     primitive serves nanosecond latencies (scale 1e-9 → seconds)

@@ -1,24 +1,29 @@
-// Package optimize implements the paper's second future-work direction:
-// "automatic generation of snippets". Given a micro-browsing model —
-// per-term relevance plus positional attention — it searches the edit
-// space of a creative (replace a phrase, insert a phrase, move a phrase
-// to a stronger micro-position) for the variants the model predicts will
-// raise click-through rate.
+// Package optimize implements the candidate half of the paper's second
+// future-work direction, "automatic generation of snippets": Generate
+// lists the single-edit variants of a creative (replace or drop a
+// phrase, insert a phrase at the front of a line, move a phrase to the
+// front of its line). Scoring is not done here: /v1/optimize scores
+// the base and every variant in one engine.ScoreCandidates pass and
+// ranks them with engine.TopK, over HTTP and MBSP alike.
 //
-// The search is deliberately conservative: it proposes edits built from
-// an explicit phrase inventory (in practice, the high-lift phrases mined
+// The edit space is deliberately conservative: edits are built from an
+// explicit phrase inventory (in practice, the high-lift phrases mined
 // from the rewrite database; see examples/rewritemining), so every
-// suggestion is something an advertiser plausibly writes.
+// suggestion is something an advertiser plausibly writes, and a
+// deletion removes one inventory phrase at most, so the product-form
+// objective of Eq. 3 — under which every deletion "improves" a
+// snippet — cannot strip a snippet bare.
 package optimize
 
 import (
 	"strings"
 
-	"repro/internal/core"
-	"repro/internal/engine"
 	"repro/internal/snippet"
 	"repro/internal/textproc"
 )
+
+// maxTokensPerLine rejects edits that would overflow a line.
+const maxTokensPerLine = 12
 
 // Edit is one proposed change to a creative. The JSON tags are the
 // /v1/optimize wire shape.
@@ -27,119 +32,97 @@ type Edit struct {
 	Kind string `json:"kind"`
 	// Line is the 1-based line the edit touches.
 	Line int `json:"line"`
-	// Old and New are the phrase texts involved ("" where not
-	// applicable: inserts have no Old).
+	// Old and New are the phrase texts involved, spelled as the
+	// inventory first gave them ("" where not applicable: inserts have
+	// no Old, drops no New).
 	Old string `json:"old,omitempty"`
 	New string `json:"new,omitempty"`
 }
 
-// Candidate is a scored variant of the base creative.
+// Candidate is one variant of the base creative and the edit that
+// made it.
 type Candidate struct {
 	Creative snippet.Creative
 	Edit     Edit
-	// Score is the micro-browsing pair score of the variant against the
-	// base (Eq. 5): positive means the model predicts a CTR lift.
-	Score float64
 }
 
-// Optimizer proposes model-guided creative improvements.
-//
-// Scoring happens in log-odds space: each term carries a CTR-lift weight
-// (log odds, positive for phrases that pull clicks — e.g. the statistics
-// database's LogOdds, or a trained classifier's term weights), and a
-// variant's score is the attention-weighted sum of its term weights.
-// This is the additive form of Eq. 5 that the snippet classifier learns;
-// the product-form Eq. 3 relevances (always ≤ 1) cannot drive generation
-// because under them every deletion "improves" a snippet.
-//
-// When Model is set it takes over variant scoring: a candidate's score
-// is then the exact Eq. 5 pair score (expected log-probability
-// difference against the base) computed through the compiled model's
-// amortised candidate-set pass — every variant shares the base's
-// tokenised lines, so the search loop pays per distinct edited line,
-// not per variant. The same conservatism note applies: the edit space
-// keeps deletions bounded, so the product-form objective cannot strip a
-// snippet bare.
-//
-// An Optimizer reuses internal scoring arenas across calls and is owned
-// by one goroutine at a time.
-type Optimizer struct {
-	// Attention weighs each micro-position; required for Weights-based
-	// scoring.
-	Attention core.Attention
-	// Weights maps term text to its CTR-lift log odds. Unknown terms
-	// weigh zero.
-	Weights map[string]float64
-	// Inventory is the phrase pool edits draw from.
-	Inventory []string
-	// MaxN is the n-gram ceiling for scoring (default 3).
-	MaxN int
-	// MaxTokensPerLine rejects edits that would overflow a line
-	// (default 12).
-	MaxTokensPerLine int
-	// Model, when non-nil, scores variants through the compiled
-	// micro-browsing model instead of Weights.
-	Model *core.CompiledModel
-
-	// Reused working state of the scoring pass.
-	topk    engine.TopK
-	scratch core.CandidateScratch
-	scores  []core.CandidateScore
-	cands   []Candidate
-	lines   [][]string
+// phrase is one inventory entry: the spelling reported in an Edit and
+// its normal form.
+type phrase struct {
+	text string
+	norm string
 }
 
-// New returns an optimizer over the attention curve, term weights and
-// phrase inventory.
-func New(att core.Attention, weights map[string]float64, inventory []string) *Optimizer {
-	return &Optimizer{Attention: att, Weights: weights, Inventory: inventory, MaxN: 3, MaxTokensPerLine: 12}
-}
-
-// NewModelGuided returns an optimizer that scores variants through a
-// compiled micro-browsing model (the /v1/optimize serving path).
-func NewModelGuided(m *core.CompiledModel, inventory []string) *Optimizer {
-	return &Optimizer{Model: m, Inventory: inventory, MaxN: 3, MaxTokensPerLine: 12}
-}
-
-func (o *Optimizer) maxN() int {
-	if o.MaxN <= 0 {
-		return 3
-	}
-	return o.MaxN
-}
-
-func (o *Optimizer) maxTokens() int {
-	if o.MaxTokensPerLine <= 0 {
-		return 12
-	}
-	return o.MaxTokensPerLine
-}
-
-// Score returns the attention-weighted lift score of a creative. Each
-// distinct phrase counts once, at its most-attended occurrence:
-// repeating "20% off" on every line does not multiply its effect on the
-// reader.
-func (o *Optimizer) Score(c snippet.Creative) float64 {
-	best := make(map[string]float64)
-	for _, t := range c.Terms(o.maxN()) {
-		if _, ok := o.Weights[t.Text]; !ok {
+// phrases normalises the inventory once, dropping phrases with no
+// tokens and later spellings of a normal form already listed.
+func phrases(inventory []string) []phrase {
+	out := make([]phrase, 0, len(inventory))
+	seen := make(map[string]bool, len(inventory))
+	for _, text := range inventory {
+		norm := textproc.Normalize(text)
+		if norm == "" || seen[norm] {
 			continue
 		}
-		att := o.Attention.Examine(t.Line, t.Pos)
-		if att > best[t.Text] {
-			best[t.Text] = att
-		}
+		seen[norm] = true
+		out = append(out, phrase{text: text, norm: norm})
 	}
-	var s float64
-	for text, att := range best {
-		s += att * o.Weights[text]
-	}
-	return s
+	return out
 }
 
-// score returns the predicted lift of variant over base.
-func (o *Optimizer) score(variant, base snippet.Creative) float64 {
-	return o.Score(variant) - o.Score(base)
+// Generate enumerates the single-edit variants of base drawn from the
+// inventory, in a fixed order: per line, each phrase the line contains
+// is replaced by every other phrase, dropped and moved to the front;
+// then each phrase the line lacks is inserted at its front. A variant
+// that would empty a line or overflow the per-line token budget is
+// skipped, and phrases that normalise alike count once, so every
+// candidate differs from the base.
+func Generate(base snippet.Creative, inventory []string) []Candidate {
+	ps := phrases(inventory)
+	var out []Candidate
+	emit := func(li int, line string, e Edit) {
+		if strings.TrimSpace(line) == "" {
+			return
+		}
+		c := cloneWithLine(base, li, line)
+		for _, l := range c.Lines {
+			if len(textproc.Tokenize(l)) > maxTokensPerLine {
+				return
+			}
+		}
+		out = append(out, Candidate{Creative: c, Edit: e})
+	}
+
+	for li, line := range base.Lines {
+		for i, old := range ps {
+			pos, ok := containsPhrase(line, old.norm)
+			if !ok {
+				continue
+			}
+			// The line contains old, so replaceInLine cannot fail below.
+			// Replacements: the phrase may be rewritten to any other
+			// inventory phrase...
+			for j, new := range ps {
+				if j != i {
+					newLine, _ := replaceInLine(line, old.norm, new.norm)
+					emit(li, newLine, Edit{Kind: "replace", Line: li + 1, Old: old.text, New: new.text})
+				}
+			}
+			stripped, _ := replaceInLine(line, old.norm, "")
+			// ...or dropped entirely (e.g. removing small print).
+			emit(li, stripped, Edit{Kind: "replace", Line: li + 1, Old: old.text})
+			// Moves: relocate the phrase to the front of its line.
+			if pos > 1 {
+				emit(li, old.norm+" "+stripped, Edit{Kind: "move", Line: li + 1, Old: old.text, New: old.text})
+			}
+		}
+		// Insertions at the front of the line.
+		for _, p := range ps {
+			if _, ok := containsPhrase(line, p.norm); !ok {
+				emit(li, p.norm+" "+line, Edit{Kind: "insert", Line: li + 1, New: p.text})
+			}
+		}
+	}
+	return out
 }
 
 // containsPhrase reports whether the normalised line contains the phrase
@@ -186,143 +169,6 @@ func replaceInLine(line, old, new string) (string, bool) {
 		out = append(out, toks[i].Text)
 	}
 	return strings.Join(out, " "), true
-}
-
-// generate enumerates the single-edit variants of base that respect
-// the per-line token budget, calling emit for each.
-func (o *Optimizer) generate(base snippet.Creative, emit func(snippet.Creative, Edit)) {
-	try := func(c snippet.Creative, e Edit) {
-		for _, line := range c.Lines {
-			if len(textproc.Tokenize(line)) > o.maxTokens() {
-				return
-			}
-		}
-		emit(c, e)
-	}
-
-	for li, line := range base.Lines {
-		// Replacements: any inventory phrase present in the line may be
-		// rewritten to any other inventory phrase (or dropped).
-		for _, old := range o.Inventory {
-			if _, ok := containsPhrase(line, old); !ok {
-				continue
-			}
-			for _, new := range o.Inventory {
-				if new == old {
-					continue
-				}
-				if newLine, ok := replaceInLine(line, old, new); ok {
-					v := cloneWithLine(base, li, newLine)
-					try(v, Edit{Kind: "replace", Line: li + 1, Old: old, New: new})
-				}
-			}
-			// Dropping the phrase entirely (e.g. removing small print).
-			if newLine, ok := replaceInLine(line, old, ""); ok && strings.TrimSpace(newLine) != "" {
-				v := cloneWithLine(base, li, newLine)
-				try(v, Edit{Kind: "replace", Line: li + 1, Old: old, New: ""})
-			}
-			// Moves: relocate the phrase to the front of its line.
-			if pos, _ := containsPhrase(line, old); pos > 1 {
-				if stripped, ok := replaceInLine(line, old, ""); ok {
-					moved := strings.TrimSpace(textproc.Normalize(old) + " " + stripped)
-					v := cloneWithLine(base, li, moved)
-					try(v, Edit{Kind: "move", Line: li + 1, Old: old, New: old})
-				}
-			}
-		}
-		// Insertions at the front of the line.
-		for _, phrase := range o.Inventory {
-			if _, ok := containsPhrase(line, phrase); ok {
-				continue
-			}
-			v := cloneWithLine(base, li, textproc.Normalize(phrase)+" "+line)
-			try(v, Edit{Kind: "insert", Line: li + 1, New: phrase})
-		}
-	}
-}
-
-// Generate enumerates the single-edit variants of the creative,
-// unscored — the candidate half of the /v1/optimize server path, where
-// scoring happens downstream through the engine's candidate-set pass.
-func (o *Optimizer) Generate(base snippet.Creative) []Candidate {
-	var cands []Candidate
-	o.generate(base, func(c snippet.Creative, e Edit) {
-		cands = append(cands, Candidate{Creative: c, Edit: e})
-	})
-	return cands
-}
-
-// Propose enumerates single-edit variants of the creative and returns
-// those the model scores above the base, best first.
-func (o *Optimizer) Propose(base snippet.Creative) []Candidate {
-	return o.ProposeTop(base, 0)
-}
-
-// ProposeTop is Propose bounded to the k best variants (k <= 0 keeps
-// every improving one). Selection runs through the engine's bounded
-// top-k heap instead of a full sort over the scored variants; equal
-// scores break toward the earlier-generated edit.
-func (o *Optimizer) ProposeTop(base snippet.Creative, k int) []Candidate {
-	o.cands = o.cands[:0]
-	o.generate(base, func(c snippet.Creative, e Edit) {
-		o.cands = append(o.cands, Candidate{Creative: c, Edit: e})
-	})
-
-	if o.Model != nil {
-		// One amortised candidate-set pass scores the base and every
-		// variant; the pair score is the Eq. 5 difference.
-		o.lines = o.lines[:0]
-		o.lines = append(o.lines, base.Lines)
-		for i := range o.cands {
-			o.lines = append(o.lines, o.cands[i].Creative.Lines)
-		}
-		o.scores = o.Model.ScoreCandidates(o.lines, o.maxN(), &o.scratch, o.scores)
-		baseScore := o.scores[0].Score
-		for i := range o.cands {
-			o.cands[i].Score = o.scores[i+1].Score - baseScore
-		}
-	} else {
-		baseScore := o.Score(base)
-		for i := range o.cands {
-			o.cands[i].Score = o.Score(o.cands[i].Creative) - baseScore
-		}
-	}
-
-	if k <= 0 {
-		k = len(o.cands)
-	}
-	o.topk.Reset(k)
-	for i := range o.cands {
-		if o.cands[i].Score > 1e-9 {
-			o.topk.Offer(i, o.cands[i].Score)
-		}
-	}
-	idx, _ := o.topk.Sorted()
-	out := make([]Candidate, len(idx))
-	for r, i := range idx {
-		out[r] = o.cands[i]
-	}
-	return out
-}
-
-// HillClimb applies the best available edit up to steps times, returning
-// the improved creative, the edits taken, and the total predicted lift
-// (sum of per-step pair scores against each step's base).
-func (o *Optimizer) HillClimb(base snippet.Creative, steps int) (snippet.Creative, []Edit, float64) {
-	cur := base
-	var edits []Edit
-	var total float64
-	for i := 0; i < steps; i++ {
-		cands := o.ProposeTop(cur, 1)
-		if len(cands) == 0 {
-			break
-		}
-		best := cands[0]
-		cur = best.Creative
-		edits = append(edits, best.Edit)
-		total += best.Score
-	}
-	return cur, edits, total
 }
 
 // cloneWithLine copies the creative with line index li replaced.

@@ -1,144 +1,158 @@
 package optimize
 
 import (
-	"math"
 	"strings"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/snippet"
 	"repro/internal/textproc"
 )
-
-// testAttention and testWeights plant clear lift differences and
-// decaying attention.
-func testAttention() core.Attention {
-	return core.GeometricAttention{
-		LineWeights: []float64{0.95, 0.65, 0.35},
-		Decay:       0.75,
-	}
-}
-
-func testWeights() map[string]float64 {
-	return map[string]float64{
-		"20% off":     +1.5,
-		"learn more":  -0.5,
-		"terms apply": -1.2,
-		"great rates": +0.6,
-	}
-}
 
 func inventory() []string {
 	return []string{"20% off", "learn more", "terms apply", "great rates"}
 }
 
+// generateCase pins part of the edit space for one base creative: its
+// want candidates must be generated (with exact lines) and its absent
+// edits must not be.
+type generateCase struct {
+	base      []string
+	inventory []string
+	want      []Candidate
+	exact     bool // want lists every candidate, in order
+	absent    []Edit
+}
+
+// checkGenerate runs Generate on tc's base and checks tc's wants and
+// absences, plus the invariants every output must hold: each candidate
+// differs from the base and from every other candidate, and no line is
+// empty or over the token budget.
+func checkGenerate(t *testing.T, tc generateCase) {
+	t.Helper()
+	base := snippet.MustNew("base", tc.base...)
+	got := Generate(base, tc.inventory)
+	if tc.exact && len(got) != len(tc.want) {
+		t.Errorf("%d candidates, want %d: %+v", len(got), len(tc.want), got)
+	}
+	for i, w := range tc.want {
+		found := false
+		for j, c := range got {
+			if c.Edit == w.Edit && strings.Join(c.Creative.Lines, "|") == strings.Join(w.Creative.Lines, "|") {
+				found = !tc.exact || i == j
+			}
+		}
+		if !found {
+			t.Errorf("missing %+v", w)
+		}
+	}
+	for _, c := range got {
+		for _, e := range tc.absent {
+			if c.Edit == e {
+				t.Errorf("unwanted edit %+v", e)
+			}
+		}
+	}
+	seen := make(map[string]Edit, len(got))
+	for _, c := range got {
+		if c.Creative.Equal(base) {
+			t.Errorf("%+v yields the base", c.Edit)
+		}
+		for _, line := range c.Creative.Lines {
+			if n := len(textproc.Tokenize(line)); n == 0 || n > maxTokensPerLine {
+				t.Errorf("%+v leaves a line of %d tokens", c.Edit, n)
+			}
+		}
+		key := c.Creative.Text()
+		if prev, dup := seen[key]; dup {
+			t.Errorf("%+v repeats the variant of %+v", c.Edit, prev)
+		}
+		seen[key] = c.Edit
+	}
+}
+
+// Phrases with no tokens and a second spelling of a normal form add
+// nothing: the one real variant inserts the phrase where the base lacks
+// it, spelled as the inventory first gave it. Dropping line 2's only
+// phrase would empty it.
+func TestGenerate(t *testing.T) {
+	checkGenerate(t, generateCase{
+		base:      []string{"cheap flights to rome", "book today"},
+		inventory: []string{"!!!", "", "book today", "Book Today"},
+		want: []Candidate{{
+			Creative: snippet.Creative{Lines: []string{"book today cheap flights to rome", "book today"}},
+			Edit:     Edit{Kind: "insert", Line: 1, New: "book today"},
+		}},
+		exact: true,
+	})
+}
+
+// A weak hook is replaced by, or fronted with, the strongest phrase.
 func TestProposeUpgradesWeakHook(t *testing.T) {
-	o := New(testAttention(), testWeights(), inventory())
-	base := snippet.MustNew("base",
-		"acme store learn more",
-		"running shoes",
-		"great rates")
-	cands := o.Propose(base)
-	if len(cands) == 0 {
-		t.Fatal("no improvements proposed")
-	}
-	best := cands[0]
-	if best.Edit.Kind != "replace" && best.Edit.Kind != "insert" {
-		t.Errorf("best edit kind = %q", best.Edit.Kind)
-	}
-	// The strongest proposal must involve the highest-appeal phrase.
-	if !strings.Contains(best.Creative.Text(), "20% off") {
-		t.Errorf("best variant lacks the strongest phrase: %s", best.Creative.Text())
-	}
-	if best.Score <= 0 {
-		t.Errorf("best score %v", best.Score)
-	}
+	checkGenerate(t, generateCase{
+		base:      []string{"acme store learn more", "running shoes", "great rates"},
+		inventory: inventory(),
+		want: []Candidate{{
+			Creative: snippet.Creative{Lines: []string{"acme store 20% off", "running shoes", "great rates"}},
+			Edit:     Edit{Kind: "replace", Line: 1, Old: "learn more", New: "20% off"},
+		}, {
+			Creative: snippet.Creative{Lines: []string{"20% off acme store learn more", "running shoes", "great rates"}},
+			Edit:     Edit{Kind: "insert", Line: 1, New: "20% off"},
+		}},
+	})
 }
 
 func TestProposeDropsSmallPrint(t *testing.T) {
-	o := New(testAttention(), testWeights(), inventory())
-	base := snippet.MustNew("base",
-		"acme store 20% off",
-		"running shoes terms apply",
-		"great rates")
-	cands := o.Propose(base)
-	// Some proposal should remove or replace "terms apply".
-	found := false
-	for _, c := range cands {
-		if c.Edit.Old == "terms apply" {
-			found = true
-			if strings.Contains(c.Creative.Lines[1], "terms apply") && c.Edit.New == "" {
-				t.Errorf("drop edit did not remove the phrase: %q", c.Creative.Lines[1])
-			}
-		}
-	}
-	if !found {
-		t.Error("no proposal touches the negative phrase")
-	}
+	checkGenerate(t, generateCase{
+		base:      []string{"acme store 20% off", "running shoes terms apply", "great rates"},
+		inventory: inventory(),
+		want: []Candidate{{
+			Creative: snippet.Creative{Lines: []string{"acme store 20% off", "running shoes", "great rates"}},
+			Edit:     Edit{Kind: "replace", Line: 2, Old: "terms apply"},
+		}},
+		// A line that is only the phrase keeps it.
+		absent: []Edit{{Kind: "replace", Line: 3, Old: "great rates"}},
+	})
 }
 
 func TestProposeMovesPhraseForward(t *testing.T) {
-	o := New(testAttention(), testWeights(), inventory())
-	// Strong phrase stuck at the end of line 1.
-	base := snippet.MustNew("base",
-		"acme store brand words 20% off",
-		"running shoes",
-		"great rates")
-	cands := o.Propose(base)
-	for _, c := range cands {
-		if c.Edit.Kind == "move" && c.Edit.Old == "20% off" {
-			if !strings.HasPrefix(c.Creative.Lines[0], "20% off") {
-				t.Errorf("move did not front the phrase: %q", c.Creative.Lines[0])
-			}
-			if c.Score <= 0 {
-				t.Errorf("fronting a strong phrase should score positive: %v", c.Score)
-			}
-			return
-		}
-	}
-	t.Error("no move proposal for the mis-placed strong phrase")
+	checkGenerate(t, generateCase{
+		base:      []string{"acme store brand words 20% off", "running shoes", "great rates"},
+		inventory: inventory(),
+		want: []Candidate{{
+			Creative: snippet.Creative{Lines: []string{"20% off acme store brand words", "running shoes", "great rates"}},
+			Edit:     Edit{Kind: "move", Line: 1, Old: "20% off", New: "20% off"},
+		}},
+		// Already at the front: no move, and no second copy inserted.
+		absent: []Edit{
+			{Kind: "move", Line: 3, Old: "great rates", New: "great rates"},
+			{Kind: "insert", Line: 1, New: "20% off"},
+		},
+	})
 }
 
-func TestHillClimbImproves(t *testing.T) {
-	o := New(testAttention(), testWeights(), inventory())
-	base := snippet.MustNew("base",
-		"acme store learn more",
-		"running shoes terms apply",
-		"plain line")
-	improved, edits, lift := o.HillClimb(base, 4)
-	if len(edits) == 0 {
-		t.Fatal("hill climb made no edits")
-	}
-	if lift <= 0 {
-		t.Errorf("total lift %v", lift)
-	}
-	// The final creative must outscore the base directly.
-	if o.Score(improved) <= o.Score(base) {
-		t.Error("hill-climbed creative does not beat the base")
-	}
-}
-
+// A base that already fronts the only inventory phrase gets no edit
+// that inserts it again or moves it.
 func TestHillClimbStopsAtOptimum(t *testing.T) {
-	o := New(testAttention(), testWeights(), []string{"20% off"})
-	// Already has the only inventory phrase at the best position.
-	base := snippet.MustNew("base", "20% off", "shoes", "rates")
-	_, edits, _ := o.HillClimb(base, 5)
-	for _, e := range edits {
-		if e.Kind == "insert" && e.New == "20% off" {
-			t.Errorf("re-inserted an already present phrase: %+v", e)
-		}
-	}
+	checkGenerate(t, generateCase{
+		base:      []string{"20% off", "shoes", "rates"},
+		inventory: []string{"20% off"},
+		absent: []Edit{
+			{Kind: "insert", Line: 1, New: "20% off"},
+			{Kind: "move", Line: 1, Old: "20% off", New: "20% off"},
+		},
+	})
 }
 
 func TestProposeRespectsLineBudget(t *testing.T) {
-	o := New(testAttention(), testWeights(), inventory())
-	o.MaxTokensPerLine = 4
-	base := snippet.MustNew("base", "one two three four", "shoes", "rates")
-	for _, c := range o.Propose(base) {
-		if c.Edit.Line == 1 && c.Edit.Kind == "insert" {
-			t.Errorf("insert overflowed the token budget: %+v", c.Edit)
-		}
-	}
+	checkGenerate(t, generateCase{
+		base:      []string{"one two three four five six seven eight nine ten eleven", "shoes", "rates"},
+		inventory: []string{"20% off"},
+		want: []Candidate{{
+			Creative: snippet.Creative{Lines: []string{"one two three four five six seven eight nine ten eleven", "20% off shoes", "rates"}},
+			Edit:     Edit{Kind: "insert", Line: 2, New: "20% off"},
+		}},
+		absent: []Edit{{Kind: "insert", Line: 1, New: "20% off"}},
+	})
 }
 
 func TestContainsPhrase(t *testing.T) {
@@ -168,149 +182,13 @@ func TestReplaceInLine(t *testing.T) {
 	}
 }
 
-func BenchmarkPropose(b *testing.B) {
-	o := New(testAttention(), testWeights(), inventory())
+func BenchmarkGenerate(b *testing.B) {
 	base := snippet.MustNew("base",
 		"acme store learn more",
 		"running shoes terms apply",
 		"great rates always")
 	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		o.Propose(base)
-	}
-}
-
-func TestProposeTopBounds(t *testing.T) {
-	o := New(testAttention(), testWeights(), inventory())
-	base := snippet.MustNew("base",
-		"acme store learn more",
-		"running shoes terms apply",
-		"great rates")
-	all := o.Propose(base)
-	if len(all) < 3 {
-		t.Fatalf("workload too small to test bounding: %d candidates", len(all))
-	}
-	top := o.ProposeTop(base, 2)
-	if len(top) != 2 {
-		t.Fatalf("ProposeTop(2) returned %d candidates", len(top))
-	}
-	for i := range top {
-		// Weights scoring sums over map iteration order, so scores of
-		// separate calls agree only to float re-association.
-		if math.Abs(top[i].Score-all[i].Score) > 1e-9 {
-			t.Errorf("rank %d: bounded score %v, full score %v", i, top[i].Score, all[i].Score)
-		}
-	}
-	// Scores must be positive (improving) and descending.
-	for i, c := range all {
-		if c.Score <= 1e-9 {
-			t.Errorf("candidate %d not improving: %v", i, c.Score)
-		}
-		if i > 0 && all[i-1].Score < c.Score {
-			t.Errorf("candidates not sorted: %v before %v", all[i-1].Score, c.Score)
-		}
-	}
-}
-
-func TestGenerateMatchesProposeSpace(t *testing.T) {
-	o := New(testAttention(), testWeights(), inventory())
-	base := snippet.MustNew("base",
-		"acme store learn more",
-		"running shoes terms apply",
-		"great rates")
-	gen := o.Generate(base)
-	if len(gen) == 0 {
-		t.Fatal("no variants generated")
-	}
-	// Every proposed (improving) candidate must come from the generated
-	// edit space.
-	seen := make(map[string]bool, len(gen))
-	for _, c := range gen {
-		seen[c.Creative.Text()] = true
-		if c.Score != 0 {
-			t.Fatalf("Generate scored a candidate: %+v", c)
-		}
-	}
-	for _, c := range o.Propose(base) {
-		if !seen[c.Creative.Text()] {
-			t.Errorf("proposed variant outside the generated space: %s", c.Creative.Text())
-		}
-	}
-}
-
-// TestModelGuidedPropose pins the Model routing: candidate scores are
-// exact Eq. 5 pair differences under the compiled model, and ranking
-// follows them.
-func TestModelGuidedPropose(t *testing.T) {
-	m := core.NewModel(testAttention())
-	m.DefaultRelevance = 0.5
-	m.Relevance["20% off"] = 0.95
-	m.Relevance["learn more"] = 0.35
-	m.Relevance["terms apply"] = 0.1
-	m.Relevance["great rates"] = 0.7
-	cm := m.Compile()
-
-	o := NewModelGuided(cm, inventory())
-	base := snippet.MustNew("base",
-		"acme store learn more",
-		"running shoes",
-		"great rates")
-	cands := o.Propose(base)
-	if len(cands) == 0 {
-		t.Fatal("model-guided search proposed nothing")
-	}
-
-	var sc textproc.Scratch
-	_, baseScore := cm.ScoreSnippet(base.Lines, 3, &sc)
-	prev := math.Inf(1)
-	for i, c := range cands {
-		_, vs := cm.ScoreSnippet(c.Creative.Lines, 3, &sc)
-		want := vs - baseScore
-		if math.Abs(c.Score-want) > 1e-12 {
-			t.Errorf("candidate %d: score %v, want pair score %v", i, c.Score, want)
-		}
-		if c.Score <= 1e-9 {
-			t.Errorf("candidate %d not improving: %v", i, c.Score)
-		}
-		if c.Score > prev {
-			t.Errorf("candidate %d breaks descending order: %v after %v", i, c.Score, prev)
-		}
-		prev = c.Score
-	}
-	// Under the product-form objective the top edits remove weak
-	// phrases (the documented deletion bias the bounded edit space
-	// contains); the strong phrase must still surface somewhere with a
-	// predicted lift.
-	found := false
-	for _, c := range cands {
-		if c.Edit.New == "20% off" && c.Score > 0 {
-			found = true
-		}
-	}
-	if !found {
-		t.Error("no improving model-guided variant introduces the strongest phrase")
-	}
-}
-
-func TestModelGuidedHillClimb(t *testing.T) {
-	m := core.NewModel(testAttention())
-	m.Relevance["20% off"] = 0.95
-	m.Relevance["learn more"] = 0.2
-	cm := m.Compile()
-	o := NewModelGuided(cm, []string{"20% off", "learn more"})
-	base := snippet.MustNew("base", "acme store learn more", "running shoes", "plain line")
-	improved, edits, lift := o.HillClimb(base, 3)
-	if len(edits) == 0 {
-		t.Fatal("model-guided hill climb made no edits")
-	}
-	if lift <= 0 {
-		t.Errorf("total lift %v", lift)
-	}
-	var sc textproc.Scratch
-	_, before := cm.ScoreSnippet(base.Lines, 3, &sc)
-	_, after := cm.ScoreSnippet(improved.Lines, 3, &sc)
-	if after <= before {
-		t.Errorf("hill-climbed creative does not beat the base: %v vs %v", after, before)
+	for b.Loop() {
+		Generate(base, inventory())
 	}
 }

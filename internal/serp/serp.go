@@ -277,18 +277,3 @@ func (s *Simulator) TrueModel(lex *adcorpus.Lexicon) *core.Model {
 	}
 	return m
 }
-
-// ExpectedCTR returns the creative's exact unconditional CTR under the
-// simulator: mean macro examination times the marginal micro click
-// probability.
-func (s *Simulator) ExpectedCTR(c *adcorpus.Creative) float64 {
-	var g float64
-	for _, v := range s.cfg.MacroGamma {
-		g += v
-	}
-	g /= float64(len(s.cfg.MacroGamma))
-	return g * s.MarginalClickProb(c)
-}
-
-// Sigmoid is re-exported for ground-truth computations in tests.
-func Sigmoid(z float64) float64 { return ml.Sigmoid(z) }

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/adcorpus"
 	"repro/internal/clickmodel"
+	"repro/internal/ml"
 )
 
 func testCorpus(groups int) *adcorpus.Corpus {
@@ -150,18 +151,8 @@ func TestTrueModelPrefersAppeal(t *testing.T) {
 	if m.TermRelevance("20% off") <= m.TermRelevance("terms apply") {
 		t.Error("true model lost the appeal ordering")
 	}
-	if got := m.TermRelevance("20% off"); math.Abs(got-Sigmoid(1.2)) > 1e-12 {
+	if got := m.TermRelevance("20% off"); math.Abs(got-ml.Sigmoid(1.2)) > 1e-12 {
 		t.Errorf("relevance mapping = %v, want sigmoid(appeal)", got)
-	}
-}
-
-func TestExpectedCTRScalesWithPlacement(t *testing.T) {
-	corpus := testCorpus(5)
-	c := &corpus.Groups[0].Creatives[0]
-	top := New(Config{Seed: 9, Placement: Top})
-	rhs := New(Config{Seed: 9, Placement: RHS})
-	if top.ExpectedCTR(c) <= rhs.ExpectedCTR(c) {
-		t.Error("expected CTR should be higher at top placement")
 	}
 }
 

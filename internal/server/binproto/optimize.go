@@ -125,22 +125,9 @@ func (s *Server) processOptimize(ctx context.Context, st *connState, payload []b
 	st.out = appendF64(st.out, scores[0].CTR)
 	st.out = appendF64(st.out, scores[0].Score)
 
-	// Rank candidates by predicted CTR; ties break toward the earlier
-	// candidate. Best is 0 (keep the base) unless a candidate beats it.
-	ncands := len(o.cands) - 1
-	if topK <= 0 || topK > ncands {
-		topK = ncands
-	}
-	o.topk.Reset(topK)
-	for i := 0; i < ncands; i++ {
-		o.topk.Offer(i, scores[i+1].CTR)
-	}
-	idx, _ := o.topk.Sorted()
-	best := uint32(0)
-	if len(idx) > 0 && scores[int(idx[0])+1].CTR > scores[0].CTR {
-		best = uint32(idx[0]) + 1
-	}
-	st.out = appendU32(st.out, best)
+	// Best is 0 (keep the base) or the winning candidate's index + 1.
+	idx, best := o.topk.Rank(scores, topK)
+	st.out = appendU32(st.out, uint32(best+1))
 	st.out = appendU32(st.out, uint32(len(idx)))
 	for _, i := range idx {
 		st.out = appendU32(st.out, uint32(i))

@@ -7,7 +7,9 @@ package server
 // base creative (the optimize package's Generate). Either way the base
 // and every candidate are scored in a single engine.ScoreCandidates
 // call — the whole set resolves to one pinned model version, shares
-// the line-dedup arena, and pays per distinct line, not per candidate.
+// the line-dedup arena, and pays per distinct line, not per candidate —
+// and ranked by engine.TopK.Rank, the rule the MBSP optimize frame
+// shares.
 
 import (
 	"errors"
@@ -100,8 +102,7 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 			s.writeError(w, http.StatusUnprocessableEntity, "optimize: %v", err)
 			return
 		}
-		o := optimize.New(nil, nil, req.Inventory)
-		gen = o.Generate(base)
+		gen = optimize.Generate(base, req.Inventory)
 		cands = make([][]string, len(gen))
 		for i := range gen {
 			cands[i] = gen[i].Creative.Lines
@@ -140,32 +141,19 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 	}
 	resp.Base = optimizeCandidate{Index: -1, CTR: scores[0].CTR, Score: scores[0].Score}
 
-	// Rank candidates by predicted CTR through the bounded top-k heap;
-	// ties break toward the earlier candidate.
-	k := req.TopK
-	if k <= 0 {
-		k = len(cands)
-	}
 	var tk engine.TopK
-	tk.Reset(k)
-	for i := range cands {
-		tk.Offer(i, scores[i+1].CTR)
-	}
-	idx, _ := tk.Sorted()
+	idx, best := tk.Rank(scores, req.TopK)
 	resp.Candidates = make([]optimizeCandidate, len(idx))
 	for rank, i := range idx {
 		resp.Candidates[rank] = newOptimizeCandidate(int(i), scores[int(i)+1], cands, gen)
 	}
 
-	// Best is the argmax — the base itself when no candidate beats it.
+	// Best is the base itself when no candidate beats it.
 	resp.Best = resp.Base
 	resp.Best.Lines = req.Lines
-	if len(idx) > 0 {
-		top := int(idx[0])
-		if scores[top+1].CTR > scores[0].CTR {
-			resp.Best = newOptimizeCandidate(top, scores[top+1], cands, gen)
-			resp.Best.Lines = cands[top]
-		}
+	if best >= 0 {
+		resp.Best = newOptimizeCandidate(best, scores[best+1], cands, gen)
+		resp.Best.Lines = cands[best]
 	}
 	s.writeJSON(w, http.StatusOK, resp)
 }

@@ -1,11 +1,14 @@
 package server
 
 import (
+	"context"
 	"math"
+	"net"
 	"net/http"
 	"testing"
 
 	"repro/internal/engine"
+	"repro/internal/server/binproto"
 )
 
 func TestOptimizeEndpointExplicitCandidates(t *testing.T) {
@@ -179,5 +182,89 @@ func TestOptimizeEndpointErrors(t *testing.T) {
 		Model: engine.NameMicro, Lines: []string{"x"}, Candidates: big,
 	}, &got); code != http.StatusRequestEntityTooLarge {
 		t.Errorf("oversized candidate set: status %d, want 413 (%+v)", code, got)
+	}
+}
+
+// TestOptimizeRankingSameOverHTTPAndMBSP sends the same candidate sets
+// to /v1/optimize and as MBSP optimize frames: the two front ends must
+// rank the same indices in the same order, with the same scores, and
+// pick the same best. Duplicated candidates force ties (broken toward
+// the earlier candidate), and a candidate equal to the base ties with
+// it (the base is kept).
+func TestOptimizeRankingSameOverHTTPAndMBSP(t *testing.T) {
+	ts, eng, _ := newTestServer(t)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	srv := binproto.NewServer(eng, nil)
+	go func() {
+		for {
+			c, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			go srv.ServeConn(context.Background(), c)
+		}
+	}()
+	cli, err := binproto.Dial(ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { cli.Close() })
+
+	base := []string{"find cheap flights", "to rome", "book today"}
+	hook := []string{"find cheap flights", "to rome", "flights today"}
+	plain := []string{"plain words", "to rome", "book today"}
+	long := []string{"find cheap flights to rome", "flights", "book today"}
+	for _, set := range []struct {
+		name  string
+		cands [][]string
+	}{
+		{"ties among winners", [][]string{hook, plain, long, hook, base, long, plain}},
+		{"nothing beats the base", [][]string{long, base, long, base}},
+	} {
+		n := len(set.cands)
+		for _, k := range []int{0, 3, n + 5} {
+			var hr optimizeResponse
+			if code := postJSON(t, ts.URL+"/v1/optimize", optimizeRequest{
+				Model: engine.NameMicro, Lines: base, Candidates: set.cands, MaxN: 3, TopK: k,
+			}, &hr); code != http.StatusOK {
+				t.Fatalf("%s, top_k %d: status %d: %+v", set.name, k, code, hr)
+			}
+			br, err := cli.Optimize(binproto.OptimizeRequest{
+				Model: engine.NameMicro, Lines: base, Candidates: set.cands, MaxN: 3, TopK: k,
+			})
+			if err != nil || br.Err != "" {
+				t.Fatalf("%s, top_k %d: MBSP %v / %q", set.name, k, err, br.Err)
+			}
+			want := n
+			if k > 0 && k < n {
+				want = k
+			}
+			if len(hr.Candidates) != want || len(br.Ranked) != want {
+				t.Fatalf("%s, top_k %d: ranked %d over HTTP and %d over MBSP, want %d",
+					set.name, k, len(hr.Candidates), len(br.Ranked), want)
+			}
+			for r, hc := range hr.Candidates {
+				bc := br.Ranked[r]
+				if hc.Index != bc.Index || hc.CTR != bc.CTR || hc.Score != bc.Score {
+					t.Errorf("%s, top_k %d, rank %d: HTTP %+v, MBSP %+v", set.name, k, r, hc, bc)
+				}
+				if r > 0 {
+					prev := hr.Candidates[r-1]
+					if prev.CTR < hc.CTR || (prev.CTR == hc.CTR && prev.Index > hc.Index) {
+						t.Errorf("%s, top_k %d: rank %d (%+v) after %+v", set.name, k, r, hc, prev)
+					}
+				}
+			}
+			if hr.Best.Index != br.Best {
+				t.Errorf("%s, top_k %d: best %d over HTTP, %d over MBSP", set.name, k, hr.Best.Index, br.Best)
+			}
+			if set.name == "nothing beats the base" && hr.Best.Index != -1 {
+				t.Errorf("%s, top_k %d: best %d, want the base", set.name, k, hr.Best.Index)
+			}
+		}
 	}
 }

@@ -159,8 +159,7 @@ func TestOnlineLoopImprovesPerplexity(t *testing.T) {
 
 func perplexityOf(t *testing.T, m clickmodel.Model, held []clickmodel.Session) float64 {
 	t.Helper()
-	p, _ := clickmodel.Perplexity(m, held)
-	return p
+	return clickmodel.Evaluate(m, held).Perplexity
 }
 
 // TestPublishEMWindow: EM-family models refit from the windowed

@@ -142,17 +142,3 @@ func ExtractTerms(lines []string, maxN int) []Term {
 	}
 	return terms
 }
-
-// stopwords are high-frequency function words whose presence differences
-// between creatives carry no appeal signal. Kept deliberately small: ad
-// text is terse and aggressive stopwording destroys bigrams like
-// "fly to" that do matter.
-var stopwords = map[string]bool{
-	"a": true, "an": true, "the": true,
-	"of": true, "and": true, "or": true,
-	"is": true, "are": true, "be": true,
-}
-
-// IsStopword reports whether the (already normalised) unigram w is a
-// stopword.
-func IsStopword(w string) bool { return stopwords[w] }

@@ -50,7 +50,8 @@
 //
 // Two future-work directions from the paper's Section VI are also
 // implemented: HMM-based eye-tracking studies (internal/gaze) and
-// model-guided snippet optimisation (internal/optimize).
+// snippet generation (internal/optimize), whose variants an Engine
+// scores and ranks.
 //
 // See the examples/ directory for runnable walk-throughs and DESIGN.md
 // for the system inventory.
@@ -338,18 +339,18 @@ var (
 )
 
 // Snippet optimisation (the paper's "automatic generation of snippets"
-// future work).
+// future work): GenerateVariants lists a creative's single-edit
+// variants drawn from a phrase inventory, and an Engine's
+// ScoreCandidates scores the base and every variant in one pass — the
+// path /v1/optimize serves.
 type (
-	// Optimizer proposes model-guided creative improvements.
-	Optimizer = optimize.Optimizer
 	// OptimizerEdit is one proposed change.
 	OptimizerEdit = optimize.Edit
-	// OptimizerCandidate is a scored creative variant.
+	// OptimizerCandidate is one creative variant and the edit that made
+	// it.
 	OptimizerCandidate = optimize.Candidate
 )
 
-// NewOptimizer returns a snippet optimizer over an attention curve,
-// term lift weights (log odds) and a phrase inventory.
-func NewOptimizer(att Attention, weights map[string]float64, inventory []string) *Optimizer {
-	return optimize.New(att, weights, inventory)
-}
+// GenerateVariants lists the single-edit variants of a creative drawn
+// from a phrase inventory.
+var GenerateVariants = optimize.Generate
