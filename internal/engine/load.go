@@ -1,0 +1,214 @@
+package engine
+
+import (
+	"bufio"
+	"bytes"
+	"cmp"
+	"fmt"
+	"io"
+	"os"
+
+	"repro/internal/clickmodel"
+	"repro/internal/core"
+	"repro/internal/mmap"
+	"repro/internal/snapshot"
+)
+
+// LoadSnapshot reads a model artifact (written by SaveSnapshot, a
+// model's own Save, or cmd/clickmodelfit -o) from a stream and installs
+// it as a new version under name; an empty name installs under the
+// model name recorded in the artifact. The swap is atomic: requests in
+// flight keep the version they resolved, later requests see the new
+// one.
+//
+// The bytes are read into anonymous memory and served from there: a v2
+// artifact ("MBS2") as it stands, a v1 one ("MBSN") after the importer
+// has turned it into the v2 artifact its model writes today. A stream's
+// provenance is unknown, so the bytes are checked like
+// LoadSnapshotFileVerified checks a file's. For a v2 file on disk use
+// one of the file loads, which map the file instead of copying it.
+func (e *Engine) LoadSnapshot(name string, r io.Reader) (ModelInfo, error) {
+	return e.load(name, r, func(rest io.Reader) (*mmap.Artifact, error) {
+		data, err := io.ReadAll(rest)
+		if err != nil {
+			return nil, err
+		}
+		return mmap.FromBytes(data)
+	}, true)
+}
+
+// LoadSnapshotFile installs a model artifact from disk. A v2 artifact
+// is mapped read-only (O(1) in artifact size — the tables are served
+// straight off the page cache) without a checksum pass: a file the
+// operator names at start-up is trusted the way any loaded code is. A
+// v1 artifact is imported from the file.
+func (e *Engine) LoadSnapshotFile(name, path string) (ModelInfo, error) {
+	return e.loadFile(name, path, false)
+}
+
+// LoadSnapshotFileVerified is LoadSnapshotFile for a file of doubtful
+// provenance: before anything is installed, every v2 section's CRC-32C
+// is checked (one sequential read of the file) and the probe tables
+// are scanned. It is what the admin load endpoint calls.
+func (e *Engine) LoadSnapshotFileVerified(name, path string) (ModelInfo, error) {
+	return e.loadFile(name, path, true)
+}
+
+// loadFile is load over a file: a v2 file is mapped, v1 bytes are
+// imported from it.
+func (e *Engine) loadFile(name, path string, verify bool) (ModelInfo, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return ModelInfo{}, err
+	}
+	defer f.Close()
+	return e.load(name, f, func(io.Reader) (*mmap.Artifact, error) { return mmap.Open(path) }, verify)
+}
+
+// load is the one route from artifact bytes to a published version:
+// sniff the magic, build the scorer, check it when the provenance is
+// not trusted, publish. r supplies the bytes; for a v2 artifact, v2
+// turns what is left of them into the refcounted artifact the scorer's
+// tables will view (a file is mapped, a stream is read onto the heap).
+// Anything else is read whole and handed to importV1, and the v2 bytes
+// it returns take the same route from the heap. From the moment the
+// artifact exists, load owns that reference: a scorer that views it
+// takes it into the version table, a thawed one (built by copying)
+// lets it go at once, and every path that does not publish drops it,
+// so a refused load leaves nothing mapped and the previous version
+// serving.
+func (e *Engine) load(name string, r io.Reader, v2 func(rest io.Reader) (*mmap.Artifact, error), verify bool) (info ModelInfo, err error) {
+	br := bufio.NewReader(r)
+	if magic, _ := br.Peek(4); !snapshot.IsV2(magic) {
+		data, err := io.ReadAll(br)
+		if err != nil {
+			return ModelInfo{}, err
+		}
+		if data, err = importV1(data); err != nil {
+			return ModelInfo{}, err
+		}
+		v2 = func(io.Reader) (*mmap.Artifact, error) { return mmap.FromBytes(data) }
+	}
+	art, err := v2(br)
+	if err != nil {
+		return ModelInfo{}, err
+	}
+	defer func() {
+		if err != nil && art != nil {
+			art.Release()
+		}
+	}()
+	if verify {
+		if err = art.Verify(); err != nil {
+			return ModelInfo{}, err
+		}
+	}
+	s, model, views, err := scorerFor(art.V2Artifact)
+	if err != nil {
+		return ModelInfo{}, err
+	}
+	if verify {
+		// The deep O(n) table scan the constructors defer to keep a
+		// trusted load O(1) in artifact size.
+		if err = validateScorerTables(s); err != nil {
+			return ModelInfo{}, err
+		}
+	}
+	if !views {
+		art.Release()
+		art = nil
+	}
+	return e.publish(cmp.Or(canonical(name), model), s, "snapshot", art)
+}
+
+// validateScorerTables runs the deep structural checks of an
+// artifact-backed scorer's probe tables.
+func validateScorerTables(s Scorer) error {
+	switch t := s.(type) {
+	case *MicroScorer:
+		return t.c.ValidateTables()
+	case *ClickModelScorer:
+		if dv, ok := t.M.(interface{ ValidateTables() error }); ok {
+			return dv.ValidateTables()
+		}
+	}
+	return nil
+}
+
+// scorerFor is the one micro-vs-macro dispatch: it builds the serving
+// scorer of a v2 artifact through the kind's constructor and returns it
+// with the canonical model name and whether its tables view the
+// artifact's bytes (the micro model, PBM and DBN) or were copied out.
+func scorerFor(a *snapshot.V2Artifact) (s Scorer, model string, views bool, err error) {
+	model = canonical(a.ModelName)
+	if model == NameMicro {
+		c, err := core.CompiledFromArtifact(a)
+		if err != nil {
+			return nil, "", false, err
+		}
+		return NewCompiledMicroScorer(c), model, true, nil
+	}
+	m, views, err := clickmodel.FromArtifact(a)
+	if err != nil {
+		return nil, "", false, err
+	}
+	return NewClickModelScorer(m), model, views, nil
+}
+
+// importV1 turns a v1 artifact into the v2 artifact its model writes
+// today: the payload is decoded into the fitted form and Saved. It is
+// the one way into the v1 decoders, and load its one caller, so every
+// route that accepts v1 bytes — LoadSnapshot, the two file loads, the
+// admin load endpoint, clickmodelfit -conv — reads them here.
+func importV1(data []byte) ([]byte, error) {
+	name, payload, err := snapshot.OpenV1(data)
+	if err != nil {
+		return nil, err
+	}
+	var m interface{ Save(io.Writer) error }
+	if canonical(name) == NameMicro {
+		m, err = core.DecodeV1(payload)
+	} else {
+		var cm clickmodel.Model
+		if cm, err = clickmodel.DecodeV1(name, payload); err == nil {
+			m = cm.(clickmodel.Snapshotter)
+		}
+	}
+	if err != nil {
+		return nil, err
+	}
+	var buf bytes.Buffer
+	if err := m.Save(&buf); err != nil {
+		return nil, err
+	}
+	return buf.Bytes(), nil
+}
+
+// SaveSnapshot writes the model a reference resolves to ("pbm",
+// "pbm@2", "micro", empty = engine default) as a v2 artifact. A fitted
+// model writes its own Save; an artifact-backed one re-emits the
+// sections it serves.
+func (e *Engine) SaveSnapshot(ref string, w io.Writer) error {
+	_, _, mv, err := e.resolvePinned(ref)
+	if err != nil {
+		return err
+	}
+	if mv.art != nil {
+		defer mv.art.Release()
+	}
+	switch t := mv.scorer.(type) {
+	case *ClickModelScorer:
+		if sn, ok := t.M.(clickmodel.Snapshotter); ok {
+			return sn.Save(w)
+		}
+		return fmt.Errorf("engine: click model %q does not implement clickmodel.Snapshotter", t.M.Name())
+	case *MicroScorer:
+		if m := t.c.Source(); m != nil {
+			return m.Save(w)
+		}
+		return t.c.SaveV2(w)
+	case interface{ Save(io.Writer) error }:
+		return t.Save(w)
+	}
+	return fmt.Errorf("engine: scorer %q is not snapshot-serializable", ref)
+}
