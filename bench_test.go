@@ -17,6 +17,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math"
 	"math/rand"
 	"net"
 	"net/http"
@@ -1156,44 +1157,94 @@ func BenchmarkStreamFold(b *testing.B) {
 
 // BenchmarkCountingServe prices what a reader pays per macro session of
 // a model the learner published: ClickProbsInto over four docs into a
-// reused buffer, the model fitted on the shape's training log — a
-// counting model by FitStats, PBM, UBM and DBN by FitLog (five EM
-// rounds). Every model reads its per-pair values the same way, through
-// a pair table.
+// reused buffer, the model fitted on the shape's training log through
+// clickmodel.Train — a counting model from its statistics, PBM, UBM and
+// DBN from the compiled log (five EM rounds). Every fitted model reads
+// its per-pair values the same way, through a pair table. The served
+// arms of PBM and DBN ("pbm/served/...") price the same answers read
+// from the model's saved artifact, the way the engine serves a loaded
+// one (clickmodel.FromArtifact): two FrozenVocab probes and a pair
+// probe in place of the pair table. Their setup checks that the served
+// answers equal the fitted ones by bits.
 func BenchmarkCountingServe(b *testing.B) {
 	for _, name := range []string{"sdbn", "cascade", "dcm", "pbm", "ubm", "dbn"} {
 		for _, sh := range countingShapes {
 			b.Run(name+"/"+sh.name, func(b *testing.B) {
-				train, pool := countingShapeLogs(sh)
-				m, err := clickmodel.New(name)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if sf, ok := m.(clickmodel.StatsFitter); ok {
-					st := clickmodel.NewStats()
-					if err := st.AddAll(train); err != nil {
-						b.Fatal(err)
-					}
-					err = sf.FitStats(st)
-				} else {
-					m.(clickmodel.IterativeModel).SetIterations(5)
-					var c *clickmodel.CompiledLog
-					if c, err = clickmodel.Compile(train); err == nil {
-						err = m.(clickmodel.LogFitter).FitLog(c)
-					}
-				}
-				if err != nil {
-					b.Fatal(err)
-				}
-				ip := m.(clickmodel.InplaceScorer)
-				buf := make([]float64, 0, 4)
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					buf = ip.ClickProbsInto(pool[i%len(pool)], buf)
-				}
+				m, pool := countingServeModel(b, name, sh)
+				benchClickProbsInto(b, m, pool)
+			})
+			if name != "pbm" && name != "dbn" {
+				continue
+			}
+			b.Run(name+"/served/"+sh.name, func(b *testing.B) {
+				m, pool := countingServeModel(b, name, sh)
+				benchClickProbsInto(b, servedFromArtifact(b, m, pool), pool)
 			})
 		}
+	}
+}
+
+// countingServeModel fits the named model on a shape's training log and
+// returns it with the shape's scoring pool.
+func countingServeModel(b *testing.B, name string, sh countingShape) (clickmodel.Model, []clickmodel.Session) {
+	b.Helper()
+	train, pool := countingShapeLogs(sh)
+	c, err := clickmodel.Compile(train)
+	if err != nil {
+		b.Fatal(err)
+	}
+	st := clickmodel.NewStats()
+	if err := st.AddAll(train); err != nil {
+		b.Fatal(err)
+	}
+	m, err := clickmodel.Train(name, 5, c, st)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return m, pool
+}
+
+// servedFromArtifact saves a fitted model, parses the bytes and builds
+// the model that views them, failing unless it answers every session
+// of the pool as the fitted model does, by bits.
+func servedFromArtifact(b *testing.B, m clickmodel.Model, pool []clickmodel.Session) clickmodel.Model {
+	b.Helper()
+	var buf bytes.Buffer
+	if err := m.(clickmodel.Snapshotter).Save(&buf); err != nil {
+		b.Fatal(err)
+	}
+	a, err := snapshot.ParseV2(buf.Bytes())
+	if err != nil {
+		b.Fatal(err)
+	}
+	served, views, err := clickmodel.FromArtifact(a)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if !views {
+		b.Fatalf("%s built from its artifact does not view it", m.Name())
+	}
+	fitted, frozen := m.(clickmodel.InplaceScorer), served.(clickmodel.InplaceScorer)
+	for _, s := range pool {
+		want, got := fitted.ClickProbsInto(s, nil), frozen.ClickProbsInto(s, nil)
+		for i := range want {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				b.Fatalf("%s %v: served P(C_%d) = %v, fitted %v", m.Name(), s, i, got[i], want[i])
+			}
+		}
+	}
+	return served
+}
+
+// benchClickProbsInto scores the pool round-robin into one reused
+// buffer.
+func benchClickProbsInto(b *testing.B, m clickmodel.Model, pool []clickmodel.Session) {
+	ip := m.(clickmodel.InplaceScorer)
+	buf := make([]float64, 0, 4)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		buf = ip.ClickProbsInto(pool[i%len(pool)], buf)
 	}
 }
 

@@ -116,7 +116,7 @@ func main() {
 	fmt.Printf("%-8s %14s %12s %10s  %s\n", "model", "mean LL", "perplexity", "mean pCTR", "perplexity by rank")
 	for _, name := range names {
 		start := time.Now()
-		m, err := eng.FitCompiled(name, compiled, engine.Iterations(*iters))
+		m, err := eng.Fit(name, compiled, *iters)
 		if err != nil {
 			log.Fatalf("%s: %v", name, err)
 		}

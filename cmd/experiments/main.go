@@ -122,7 +122,11 @@ func runCTR(setup experiments.Setup, model string, workers, iters int) {
 	eng := engine.New(engine.WithWorkers(workers), engine.WithDefaultModel(model))
 	eng.UseMicro(sim.TrueModel(lex))
 
-	fitted, err := eng.Fit(model, train, engine.Iterations(iters))
+	compiled, err := clickmodel.Compile(train)
+	if err != nil {
+		log.Fatal(err)
+	}
+	fitted, err := eng.Fit(model, compiled, iters)
 	if err != nil {
 		log.Fatal(err)
 	}

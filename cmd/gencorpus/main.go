@@ -126,7 +126,11 @@ func scoreSummary(corpus *adcorpus.Corpus, sim *serp.Simulator, lex *adcorpus.Le
 	} else {
 		sessions := sim.Sessions(corpus, 4000, 4)
 		split := len(sessions) * 4 / 5
-		if _, err := eng.Fit(model, sessions[:split]); err != nil {
+		compiled, err := clickmodel.Compile(sessions[:split])
+		if err != nil {
+			log.Fatal(err)
+		}
+		if _, err := eng.Fit(model, compiled, 0); err != nil {
 			log.Fatal(err)
 		}
 		held := sessions[split:]

@@ -115,7 +115,11 @@ func runClickModel(name string, setup experiments.Setup, workers int) {
 		len(sessions), len(train), len(test), setup.Placement)
 
 	eng := engine.New(engine.WithWorkers(workers), engine.WithDefaultModel(name))
-	fitted, err := eng.Fit(name, train)
+	compiled, err := clickmodel.Compile(train)
+	if err != nil {
+		log.Fatal(err)
+	}
+	fitted, err := eng.Fit(name, compiled, 0)
 	if err != nil {
 		log.Fatal(err)
 	}

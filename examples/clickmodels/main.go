@@ -40,9 +40,14 @@ func main() {
 		reqs[i] = micro.ScoreRequest{Session: &test[i]}
 	}
 
+	// Intern the training log once; every model fits from it.
+	compiled, err := micro.CompileSessions(train)
+	if err != nil {
+		panic(err)
+	}
 	fitted := make([]micro.ClickModel, 0, len(names))
 	for _, name := range names {
-		m, err := eng.Fit(name, train)
+		m, err := eng.Fit(name, compiled, 0)
 		if err != nil {
 			panic(err)
 		}

@@ -32,7 +32,11 @@ func main() {
 	sessions := sim.Sessions(corpus, 12000, 4)
 
 	offline := micro.NewEngine()
-	if _, err := offline.Fit("pbm", sessions, micro.FitIterations(10)); err != nil {
+	compiled, err := micro.CompileSessions(sessions)
+	if err != nil {
+		log.Fatal(err)
+	}
+	if _, err := offline.Fit("pbm", compiled, 10); err != nil {
 		log.Fatal(err)
 	}
 	offline.UseMicro(sim.TrueModel(lex)) // the planted ground-truth micro model
@@ -84,7 +88,11 @@ func main() {
 	}
 
 	// --- hot swap: refit offline, ship the new artifact -------------
-	if _, err := offline.Fit("pbm", sessions[:6000], micro.FitIterations(3)); err != nil {
+	refresh, err := micro.CompileSessions(sessions[:6000])
+	if err != nil {
+		log.Fatal(err)
+	}
+	if _, err := offline.Fit("pbm", refresh, 3); err != nil {
 		log.Fatal(err)
 	}
 	f, err := os.Create(pbmPath)

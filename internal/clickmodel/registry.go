@@ -1,6 +1,7 @@
 package clickmodel
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 	"sync"
@@ -62,6 +63,46 @@ func New(name string) (Model, error) {
 		return nil, err
 	}
 	return f(), nil
+}
+
+// Train constructs the named registry model, sets its EM iteration
+// count (iterations <= 0 keeps the model's default) and fits it. It is
+// the one place an estimator is picked: a counting model fits from st
+// when st is non-nil (FitStats); otherwise the model fits from c,
+// through FitLog when it has one and through Fit over c's source
+// sessions when it has not.
+func Train(name string, iterations int, c *CompiledLog, st *Stats) (Model, error) {
+	m, err := New(name)
+	if err != nil {
+		return nil, err
+	}
+	if it, ok := m.(IterativeModel); ok && iterations > 0 {
+		it.SetIterations(iterations)
+	}
+	sf, counting := m.(StatsFitter)
+	lf, logFitter := m.(LogFitter)
+	switch {
+	case counting && st != nil:
+		err = sf.FitStats(st)
+	case c == nil:
+		err = errors.New("no sessions to fit from")
+	case logFitter:
+		err = lf.FitLog(c)
+	default:
+		err = m.Fit(c.Sessions())
+	}
+	if err != nil {
+		return nil, fmt.Errorf("clickmodel: fitting %s: %w", m.Name(), err)
+	}
+	return m, nil
+}
+
+// Counting reports whether m is of the counting family, which Train
+// fits from statistics alone: a caller that holds a Stats needs no
+// session log for it.
+func Counting(m Model) bool {
+	_, ok := m.(StatsFitter)
+	return ok
 }
 
 // Names returns every registered model name in registration order —

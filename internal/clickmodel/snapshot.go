@@ -17,68 +17,22 @@ import (
 )
 
 // Snapshotter is the persistence half of the model contract: Save
-// writes a complete v2 artifact; Load restores the receiver from one,
-// thawed (see v2.go), failing on foreign model names and damaged bytes.
-// Every built-in model implements it. An artifact holds what scoring
-// reads, not how the model was fitted: an EM model's Iterations is not
-// saved — LoadModel leaves the constructor's count, Load the receiver's
-// — so call SetIterations before refitting a loaded model whose fit
-// used another. (v1 artifacts stored it; the importer drops it.)
+// writes a complete v2 artifact, which LoadModel thaws back into a
+// fresh model (see v2.go) and FromArtifact serves. Every built-in model
+// implements it. An artifact holds what scoring reads, not how the
+// model was fitted: an EM model's Iterations is not saved — a loaded
+// model keeps its constructor's count — so call SetIterations before
+// refitting a loaded model whose fit used another. (v1 artifacts
+// stored it; the importer drops it.)
 type Snapshotter interface {
 	Save(w io.Writer) error
-	Load(r io.Reader) error
 }
 
 // LoadModel reads any click-model artifact from r, constructing the
-// model named in its header through the registry. The model is thawed:
-// it keeps nothing of the bytes.
+// model named in its header through the registry. A stream's
+// provenance is unknown, so every section CRC is checked. The model is
+// thawed: it keeps nothing of the bytes.
 func LoadModel(r io.Reader) (Model, error) {
-	a, err := readChecked(r)
-	if err != nil {
-		return nil, err
-	}
-	m, err := newListed(a.ModelName)
-	if err != nil {
-		return nil, err
-	}
-	if _, err := readArtifact(a, m, false); err != nil {
-		return nil, err
-	}
-	return m, nil
-}
-
-// FromArtifact builds the model a parsed v2 artifact names, the way
-// the engine serves it: PBM and DBN view the artifact's per-pair
-// sections in place (views is true, and the bytes must outlive the
-// model), every other model is thawed. Section CRCs are the caller's to
-// check; the deep table checks a served model defers are its
-// ValidateTables.
-func FromArtifact(a *snapshot.V2Artifact) (m Model, views bool, err error) {
-	lm, err := newListed(a.ModelName)
-	if err != nil {
-		return nil, false, err
-	}
-	if views, err = readArtifact(a, lm, true); err != nil {
-		return nil, false, err
-	}
-	return lm, views, nil
-}
-
-func newListed(name string) (listed, error) {
-	m, err := New(name)
-	if err != nil {
-		return nil, err
-	}
-	lm, ok := m.(listed)
-	if !ok {
-		return nil, fmt.Errorf("clickmodel: model %q has no parameter list to load", name)
-	}
-	return lm, nil
-}
-
-// readChecked reads a whole artifact from r and checks every section
-// CRC: a stream's provenance is unknown.
-func readChecked(r io.Reader) (*snapshot.V2Artifact, error) {
 	data, err := io.ReadAll(r)
 	if err != nil {
 		return nil, err
@@ -90,23 +44,36 @@ func readChecked(r io.Reader) (*snapshot.V2Artifact, error) {
 	if err := a.VerifySections(); err != nil {
 		return nil, err
 	}
-	return a, nil
+	m, _, err := build(a, false)
+	return m, err
 }
 
-// load is every Load method: a model serving from an artifact refuses,
-// anything else is thawed from r.
-func load(r io.Reader, m listed) error {
-	for _, p := range m.params() {
-		if p.frozen != nil && *p.frozen != nil {
-			return ErrMappedImmutable
-		}
-	}
-	a, err := readChecked(r)
+// FromArtifact builds the model a parsed v2 artifact names, the way
+// the engine serves it: PBM and DBN view the artifact's per-pair
+// sections in place (views is true, and the bytes must outlive the
+// model), every other model is thawed. Section CRCs are the caller's to
+// check; the deep table checks a served model defers are its
+// ValidateTables.
+func FromArtifact(a *snapshot.V2Artifact) (m Model, views bool, err error) {
+	return build(a, true)
+}
+
+// build constructs the model an artifact names through the registry and
+// reads its parameters, viewing the bytes where serve allows it.
+func build(a *snapshot.V2Artifact, serve bool) (Model, bool, error) {
+	m, err := New(a.ModelName)
 	if err != nil {
-		return err
+		return nil, false, err
 	}
-	_, err = readArtifact(a, m, false)
-	return err
+	lm, ok := m.(listed)
+	if !ok {
+		return nil, false, fmt.Errorf("clickmodel: model %q has no parameter list to load", a.ModelName)
+	}
+	views, err := readArtifact(a, lm, serve)
+	if err != nil {
+		return nil, false, err
+	}
+	return lm, views, nil
 }
 
 // ParamCount reports the number of fitted parameters a model holds —
@@ -185,7 +152,8 @@ func (m *UBM) params() []param {
 // relevance sufficient statistics — click counts and per-gamma-cell
 // skip counts — so posterior means are recomputable without the log.
 // A BBM built without NewBBM and never fitted lists a default browsing
-// layer; params only reads the model (Load gives it a layer to fill).
+// layer; params only reads the model (a loaded BBM comes from NewBBM,
+// which gives it a layer to fill).
 func (m *BBM) params() []param {
 	browse := m.Browse
 	if browse == nil {
@@ -242,36 +210,16 @@ func (m *SUM) params() []param {
 	}
 }
 
-// Save and Load implement Snapshotter for every built-in model: Save
-// writes the model's artifact from its parameter list (refusing a UBM
-// gamma that is not triangular, row i of i+1 cells), and Load thaws
-// one into the receiver (an artifact-backed PBM or DBN refuses with
-// ErrMappedImmutable).
+// Save implements Snapshotter for every built-in model: it writes the
+// model's artifact from its parameter list, refusing a UBM gamma that
+// is not triangular (row i of i+1 cells).
 func (m *PBM) Save(w io.Writer) error     { return writeArtifact(w, m) }
-func (m *PBM) Load(r io.Reader) error     { return load(r, m) }
 func (m *Cascade) Save(w io.Writer) error { return writeArtifact(w, m) }
-func (m *Cascade) Load(r io.Reader) error { return load(r, m) }
 func (m *DCM) Save(w io.Writer) error     { return writeArtifact(w, m) }
-func (m *DCM) Load(r io.Reader) error     { return load(r, m) }
 func (m *UBM) Save(w io.Writer) error     { return writeArtifact(w, m) }
-func (m *UBM) Load(r io.Reader) error     { return load(r, m) }
 func (m *BBM) Save(w io.Writer) error     { return writeArtifact(w, m) }
 func (m *CCM) Save(w io.Writer) error     { return writeArtifact(w, m) }
-func (m *CCM) Load(r io.Reader) error     { return load(r, m) }
 func (m *DBN) Save(w io.Writer) error     { return writeArtifact(w, m) }
-func (m *DBN) Load(r io.Reader) error     { return load(r, m) }
 func (m *SDBN) Save(w io.Writer) error    { return writeArtifact(w, m) }
-func (m *SDBN) Load(r io.Reader) error    { return load(r, m) }
 func (m *GCM) Save(w io.Writer) error     { return writeArtifact(w, m) }
-func (m *GCM) Load(r io.Reader) error     { return load(r, m) }
 func (m *SUM) Save(w io.Writer) error     { return writeArtifact(w, m) }
-func (m *SUM) Load(r io.Reader) error     { return load(r, m) }
-
-// Load on a BBM built without NewBBM first gives it the browsing layer
-// its parameter list names.
-func (m *BBM) Load(r io.Reader) error {
-	if m.Browse == nil {
-		m.Browse = NewUBM()
-	}
-	return load(r, m)
-}

@@ -127,16 +127,6 @@ func TestSnapshotRoundTrip(t *testing.T) {
 				}
 			}
 
-			fresh, err := New(name)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := fresh.(Snapshotter).Load(bytes.NewReader(buf.Bytes())); err != nil {
-				t.Fatalf("load: %v", err)
-			}
-			sameAnswers(t, "Load", fitted, fresh, eval)
-			resaves("Load", fresh)
-
 			viaRegistry, err := LoadModel(bytes.NewReader(buf.Bytes()))
 			if err != nil {
 				t.Fatalf("LoadModel: %v", err)
@@ -204,10 +194,11 @@ func TestSnapshotBBMSparse(t *testing.T) {
 	if err := m.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	fresh := NewBBM()
-	if err := fresh.Load(bytes.NewReader(buf.Bytes())); err != nil {
+	loaded, err := LoadModel(bytes.NewReader(buf.Bytes()))
+	if err != nil {
 		t.Fatal(err)
 	}
+	fresh := loaded.(*BBM)
 	if fresh.nonClickS == nil {
 		t.Fatal("the sparse layout did not survive the round trip")
 	}
@@ -227,8 +218,7 @@ func TestSnapshotBBMSparse(t *testing.T) {
 
 // TestBBMParamsOnlyRead: listing a BBM's parameters — ParamCount, the
 // engine's concurrent Models() metadata, and Save — does not write the
-// model, even one built without NewBBM; Load gives such a BBM the
-// browsing layer it fills.
+// model, even one built without NewBBM.
 func TestBBMParamsOnlyRead(t *testing.T) {
 	bare := &BBM{}
 	if ParamCount(bare) != 0 {
@@ -239,24 +229,6 @@ func TestBBMParamsOnlyRead(t *testing.T) {
 	}
 	if bare.Browse != nil {
 		t.Fatal("listing a bare BBM's parameters gave it a browsing layer")
-	}
-
-	sessions := snapSessions(404, 200, 4)
-	fitted := fitFresh(t, "bbm", sessions)
-	var buf bytes.Buffer
-	if err := fitted.(Snapshotter).Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if err := bare.Load(&buf); err != nil {
-		t.Fatal(err)
-	}
-	for i, s := range sessions[:5] {
-		want, got := fitted.ClickProbs(s), bare.ClickProbs(s)
-		for j := range want {
-			if math.Abs(want[j]-got[j]) > 1e-12 {
-				t.Fatalf("session %d pos %d: %v, want %v", i, j, got[j], want[j])
-			}
-		}
 	}
 }
 
@@ -286,6 +258,10 @@ func TestLoadModelDispatch(t *testing.T) {
 	}
 }
 
+// TestSnapshotWrongModel: reading a model's parameters from an artifact
+// that names another model is refused. LoadModel and FromArtifact build
+// the model the header names, so only a registry name whose factory
+// builds another model could reach the check.
 func TestSnapshotWrongModel(t *testing.T) {
 	sessions := snapSessions(404, 200, 4)
 	pbm := fitFresh(t, "pbm", sessions)
@@ -293,9 +269,14 @@ func TestSnapshotWrongModel(t *testing.T) {
 	if err := pbm.(Snapshotter).Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	err := NewUBM().Load(bytes.NewReader(buf.Bytes()))
-	if err == nil || !strings.Contains(err.Error(), "PBM") {
-		t.Fatalf("UBM loaded a PBM artifact: %v", err)
+	a, err := snapshot.ParseV2(buf.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, serve := range []bool{false, true} {
+		if _, err := readArtifact(a, NewUBM(), serve); err == nil || !strings.Contains(err.Error(), "PBM") {
+			t.Fatalf("UBM read a PBM artifact (serve %v): %v", serve, err)
+		}
 	}
 }
 
@@ -315,7 +296,7 @@ func TestSnapshotRejectsDamage(t *testing.T) {
 	raw := buf.Bytes()
 
 	for cut := 0; cut < len(raw); cut++ {
-		if err := NewPBM().Load(bytes.NewReader(raw[:cut])); err == nil {
+		if _, err := LoadModel(bytes.NewReader(raw[:cut])); err == nil {
 			t.Fatalf("truncation at %d/%d loaded cleanly", cut, len(raw))
 		}
 	}
@@ -333,11 +314,8 @@ func TestSnapshotRejectsDamage(t *testing.T) {
 	for i := range raw {
 		bad := bytes.Clone(raw)
 		bad[i] ^= 0x5A
-		if m := NewPBM(); m.Load(bytes.NewReader(bad)) == nil && !harmless(m) {
-			t.Fatalf("flipped byte %d/%d loaded and changed the answers", i, len(raw))
-		}
 		if m, err := LoadModel(bytes.NewReader(bad)); err == nil && !harmless(m) {
-			t.Fatalf("LoadModel accepted flipped byte %d and changed the answers", i)
+			t.Fatalf("flipped byte %d/%d loaded and changed the answers", i, len(raw))
 		}
 	}
 }
@@ -405,7 +383,7 @@ func TestSnapshotCorruptIsErrCorrupt(t *testing.T) {
 	}
 	raw := buf.Bytes()
 	raw[len(raw)-1] ^= 0xFF // the last section's last payload byte
-	if err := NewPBM().Load(bytes.NewReader(raw)); !errors.Is(err, snapshot.ErrCorrupt) {
+	if _, err := LoadModel(bytes.NewReader(raw)); !errors.Is(err, snapshot.ErrCorrupt) {
 		t.Fatalf("payload damage not ErrCorrupt: %v", err)
 	}
 }

@@ -34,9 +34,9 @@ package clickmodel
 // sections (typically a read-only file mapping owned by internal/mmap),
 // indexed through its frozen pair table by the accessor a fitted model
 // uses, so each model's scoring maths exists once; such a model does
-// not refit. Every other model, and every model Load or LoadModel
-// reads, is thawed into a pair table and value slices like a fit's,
-// keeping no reference to the artifact.
+// not refit. Every other model, and every model LoadModel reads, is
+// thawed into a pair table and value slices like a fit's, keeping no
+// reference to the artifact.
 //
 // A probe-table miss degrades to the model's prior; it can never alias
 // two pairs, because every hit is confirmed against the pair arrays,
@@ -54,8 +54,8 @@ import (
 	"repro/internal/textproc"
 )
 
-// ErrMappedImmutable is returned by the Fit, FitLog and Load methods of
-// an artifact-backed model: it is a read-only serving view. Refit a
+// ErrMappedImmutable is returned by the Fit and FitLog methods of an
+// artifact-backed model: it is a read-only serving view. Refit a
 // fresh model and export a new artifact instead.
 var ErrMappedImmutable = fmt.Errorf("clickmodel: mapped models are immutable serving views")
 

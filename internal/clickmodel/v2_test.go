@@ -113,14 +113,11 @@ func TestV2MappedImmutable(t *testing.T) {
 	if err := mapped.Fit(nil); !errors.Is(err, ErrMappedImmutable) {
 		t.Fatalf("Fit err = %v, want ErrMappedImmutable", err)
 	}
-	if err := mapped.(Snapshotter).Load(bytes.NewReader(nil)); !errors.Is(err, ErrMappedImmutable) {
-		t.Fatalf("Load err = %v, want ErrMappedImmutable", err)
-	}
 }
 
 // TestV2MappedWritesCannotFault maps a PBM artifact read-only, as the
 // serving path does, and then does everything a caller holding the
-// *PBM can do to change it: Fit, FitLog, Load, and a store through the
+// *PBM can do to change it: Fit, FitLog, and a store through the
 // exported Gamma. Each must be refused or land in heap memory; a store
 // into the PROT_READ mapping would kill the process with SIGSEGV, so
 // reaching the end of the test is the assertion. The scores are
@@ -157,13 +154,6 @@ func TestV2MappedWritesCannotFault(t *testing.T) {
 	}
 	if err := m.FitLog(c); !errors.Is(err, ErrMappedImmutable) {
 		t.Errorf("FitLog err = %v, want ErrMappedImmutable", err)
-	}
-	var saved bytes.Buffer
-	if err := fitFresh(t, "PBM", train).(Snapshotter).Save(&saved); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Load(&saved); !errors.Is(err, ErrMappedImmutable) {
-		t.Errorf("Load err = %v, want ErrMappedImmutable", err)
 	}
 	if got := m.ClickProbs(s); !reflect.DeepEqual(got, before) {
 		t.Errorf("refused writes changed the scores: %v, was %v", got, before)

@@ -67,7 +67,7 @@ func TestEngineScoreCandidatesErrors(t *testing.T) {
 	if _, _, err := e.ScoreCandidates(context.Background(), "nope", nil, 2, nil); !errors.Is(err, ErrNoModel) {
 		t.Fatalf("unknown model: err = %v, want ErrNoModel", err)
 	}
-	if _, err := e.Fit("pbm", testSessions(20)); err != nil {
+	if _, err := e.Fit("pbm", mustCompile(t, testSessions(20)), 0); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, err := e.ScoreCandidates(context.Background(), "pbm", testCandidates(2), 2, nil); !errors.Is(err, ErrNoEvidence) {

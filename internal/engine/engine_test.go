@@ -17,6 +17,16 @@ import (
 	"repro/internal/textproc"
 )
 
+// mustCompile compiles a session log for Engine.Fit.
+func mustCompile(t testing.TB, sessions []clickmodel.Session) *clickmodel.CompiledLog {
+	t.Helper()
+	c, err := clickmodel.Compile(sessions)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
 // testSessions builds a deterministic synthetic session log with a
 // strong position bias, enough to fit any registry model.
 func testSessions(n int) []clickmodel.Session {
@@ -119,7 +129,7 @@ func TestClickModelMatchesDirect(t *testing.T) {
 	train, test := sessions[:300], sessions[300:]
 
 	e := New(WithWorkers(4), WithDefaultModel("pbm"))
-	fitted, err := e.Fit("pbm", train)
+	fitted, err := e.Fit("pbm", mustCompile(t, train), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,7 +262,7 @@ func TestConcurrentScoreBatch(t *testing.T) {
 	sessions := testSessions(200)
 	e := New(WithWorkers(4))
 	e.UseMicro(testMicroModel())
-	if _, err := e.Fit("sdbn", sessions[:150]); err != nil {
+	if _, err := e.Fit("sdbn", mustCompile(t, sessions[:150]), 0); err != nil {
 		t.Fatal(err)
 	}
 
@@ -286,7 +296,7 @@ func TestEngineModelsAndRegister(t *testing.T) {
 		t.Fatalf("fresh engine has %d scorers", n)
 	}
 	e.UseMicro(testMicroModel())
-	if _, err := e.Fit("cascade", testSessions(50)); err != nil {
+	if _, err := e.Fit("cascade", mustCompile(t, testSessions(50)), 0); err != nil {
 		t.Fatal(err)
 	}
 	got := e.Models()
@@ -322,14 +332,15 @@ func TestEngineModelsAndRegister(t *testing.T) {
 
 func TestFitUnknownModel(t *testing.T) {
 	e := New()
-	if _, err := e.Fit("nope", testSessions(10)); err == nil {
+	if _, err := e.Fit("nope", mustCompile(t, testSessions(10)), 0); err == nil {
 		t.Fatal("Fit of unknown model succeeded")
 	}
 }
 
 func TestFitIterationsOption(t *testing.T) {
 	e := New()
-	m, err := e.Fit("pbm", testSessions(50), Iterations(3))
+	c := mustCompile(t, testSessions(50))
+	m, err := e.Fit("pbm", c, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -337,15 +348,15 @@ func TestFitIterationsOption(t *testing.T) {
 		t.Errorf("Iterations = %d, want 3", got)
 	}
 	// Non-positive values keep the model default.
-	m, err = e.Fit("ubm", testSessions(50), Iterations(0))
+	m, err = e.Fit("ubm", c, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := m.(*clickmodel.UBM).Iterations; got != 20 {
 		t.Errorf("default Iterations = %d, want 20", got)
 	}
-	// Non-iterative models ignore the option.
-	if _, err := e.Fit("cascade", testSessions(50), Iterations(7)); err != nil {
+	// Non-iterative models ignore the count.
+	if _, err := e.Fit("cascade", c, 7); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -353,17 +364,16 @@ func TestFitIterationsOption(t *testing.T) {
 func TestFitCompiled(t *testing.T) {
 	e := New()
 	sessions := testSessions(100)
-	c, err := clickmodel.Compile(sessions)
+	c := mustCompile(t, sessions)
+	// Dense path: the compiled log feeds FitLog directly and matches a
+	// fit over the raw sessions.
+	m, err := e.Fit("pbm", c, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Dense path: the compiled log feeds FitLog directly.
-	m, err := e.FitCompiled("pbm", c, Iterations(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := New().Fit("pbm", sessions, Iterations(4))
-	if err != nil {
+	want := clickmodel.NewPBM()
+	want.Iterations = 4
+	if err := want.Fit(sessions); err != nil {
 		t.Fatal(err)
 	}
 	for i, s := range sessions[:20] {
@@ -375,18 +385,18 @@ func TestFitCompiled(t *testing.T) {
 		}
 	}
 	// Fallback path: SUM has no FitLog and trains from c.Sessions().
-	if _, err := e.FitCompiled("sum", c); err != nil {
+	if _, err := e.Fit("sum", c, 0); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.FitCompiled("nope", c); err == nil {
-		t.Fatal("FitCompiled of unknown model succeeded")
+	if _, err := e.Fit("nope", c, 0); err == nil {
+		t.Fatal("Fit of unknown model succeeded")
 	}
 	// A nil log errors for both the FitLog and the fallback path.
-	if _, err := e.FitCompiled("pbm", nil); err == nil {
-		t.Fatal("FitCompiled(pbm, nil) succeeded")
+	if _, err := e.Fit("pbm", nil, 0); err == nil {
+		t.Fatal("Fit(pbm, nil) succeeded")
 	}
-	if _, err := e.FitCompiled("sum", nil); err == nil {
-		t.Fatal("FitCompiled(sum, nil) succeeded")
+	if _, err := e.Fit("sum", nil, 0); err == nil {
+		t.Fatal("Fit(sum, nil) succeeded")
 	}
 }
 
@@ -395,7 +405,7 @@ func TestFitCompiled(t *testing.T) {
 func TestScoreCTRInplacePath(t *testing.T) {
 	e := New()
 	sessions := testSessions(200)
-	m, err := e.Fit("dbn", sessions)
+	m, err := e.Fit("dbn", mustCompile(t, sessions), 0)
 	if err != nil {
 		t.Fatal(err)
 	}

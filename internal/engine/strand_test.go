@@ -21,10 +21,10 @@ func TestScoreBatchMatchesSerial(t *testing.T) {
 	build := func(workers int) *Engine {
 		e := New(WithWorkers(workers))
 		e.UseMicro(testMicroModel())
-		if _, err := e.Fit("pbm", sessions[:200]); err != nil {
+		if _, err := e.Fit("pbm", mustCompile(t, sessions[:200]), 0); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := e.Fit("pbm", sessions[:250], Iterations(3)); err != nil { // pbm@2; pbm@1 stays pinned-addressable
+		if _, err := e.Fit("pbm", mustCompile(t, sessions[:250]), 3); err != nil { // pbm@2; pbm@1 stays pinned-addressable
 			t.Fatal(err)
 		}
 		return e

@@ -248,60 +248,16 @@ func (e *Engine) UseMicro(m *core.Model) ModelInfo {
 	return info
 }
 
-// FitOption tunes a freshly constructed registry model before Fit
-// trains it.
-type FitOption func(clickmodel.Model)
-
-// Iterations sets the EM iteration count on models that expose one
-// (clickmodel.IterativeModel); other models ignore it. Values <= 0
-// keep the model default.
-func Iterations(n int) FitOption {
-	return func(m clickmodel.Model) {
-		if n <= 0 {
-			return
-		}
-		if it, ok := m.(clickmodel.IterativeModel); ok {
-			it.SetIterations(n)
-		}
-	}
-}
-
-// Fit constructs the named model from the clickmodel registry, applies
-// the options, trains it on the session log, installs it as a new
-// version, and returns the fitted instance (e.g. for offline
-// evaluation with clickmodel.Evaluate or snapshotting with Save).
-func (e *Engine) Fit(name string, sessions []clickmodel.Session, opts ...FitOption) (clickmodel.Model, error) {
-	return e.fit(name, opts, func(m clickmodel.Model) error { return m.Fit(sessions) })
-}
-
-// FitCompiled is Fit over a pre-compiled session log: when several
-// models train on one log, Compile once and the per-model interning
-// pass disappears. Models without a FitLog path fall back to the
-// compiled log's source sessions.
-func (e *Engine) FitCompiled(name string, c *clickmodel.CompiledLog, opts ...FitOption) (clickmodel.Model, error) {
-	if c == nil {
-		return nil, fmt.Errorf("engine: FitCompiled(%q) on a nil compiled log", name)
-	}
-	return e.fit(name, opts, func(m clickmodel.Model) error {
-		if lf, ok := m.(clickmodel.LogFitter); ok {
-			return lf.FitLog(c)
-		}
-		return m.Fit(c.Sessions())
-	})
-}
-
-// fit is the body Fit and FitCompiled share: registry lookup, options,
-// the given training step, Install under the model's own name.
-func (e *Engine) fit(name string, opts []FitOption, train func(clickmodel.Model) error) (clickmodel.Model, error) {
-	m, err := clickmodel.New(name)
+// Fit trains the named registry model on a compiled session log
+// through clickmodel.Train (iterations <= 0 keeps the model's EM
+// default), installs it as a new version under the model's own name,
+// and returns the fitted instance (e.g. for offline evaluation with
+// clickmodel.Evaluate or snapshotting with Save). Compile a log once to
+// fit several models on it.
+func (e *Engine) Fit(name string, c *clickmodel.CompiledLog, iterations int) (clickmodel.Model, error) {
+	m, err := clickmodel.Train(name, iterations, c, nil)
 	if err != nil {
 		return nil, err
-	}
-	for _, opt := range opts {
-		opt(m)
-	}
-	if err := train(m); err != nil {
-		return nil, fmt.Errorf("engine: fitting %s: %w", m.Name(), err)
 	}
 	if _, err := e.Install(m.Name(), NewClickModelScorer(m), "fit"); err != nil {
 		return nil, err
@@ -468,7 +424,7 @@ func (e *Engine) resolve(ref string) (name string, version int, mv modelVersion,
 		return name, info.Version, mv, nil
 	}
 	if _, lookupErr := clickmodel.Lookup(name); lookupErr == nil {
-		return name, 0, modelVersion{}, fmt.Errorf("%w: click model %q is known but not fitted; call Fit(%q, sessions) or LoadSnapshot first", ErrNoModel, name, name)
+		return name, 0, modelVersion{}, fmt.Errorf("%w: click model %q is known but not fitted; call Fit(%q, log, iterations) or LoadSnapshot first", ErrNoModel, name, name)
 	}
 	return name, 0, modelVersion{}, fmt.Errorf("%w: unknown model %q (installed: %s; registry: %s)",
 		ErrNoModel, ref, strings.Join(e.ModelNames(), ", "), strings.Join(clickmodel.Names(), ", "))

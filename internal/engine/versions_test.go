@@ -162,7 +162,7 @@ func TestDefaultModelMayPinVersion(t *testing.T) {
 func TestHotSwapUnderLoad(t *testing.T) {
 	sessions := testSessions(300)
 	e := New(WithWorkers(4))
-	if _, err := e.Fit("pbm", sessions[:150], Iterations(2)); err != nil {
+	if _, err := e.Fit("pbm", mustCompile(t, sessions[:150]), 2); err != nil {
 		t.Fatal(err)
 	}
 	var artifact bytes.Buffer
@@ -202,7 +202,7 @@ func TestHotSwapUnderLoad(t *testing.T) {
 	}
 
 	for k := 0; k < 15; k++ {
-		if _, err := e.Fit("pbm", sessions[:150], Iterations(1)); err != nil {
+		if _, err := e.Fit("pbm", mustCompile(t, sessions[:150]), 1); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := e.LoadSnapshot("pbm", bytes.NewReader(artifact.Bytes())); err != nil {

@@ -29,7 +29,7 @@ func newObservedServer(t *testing.T) (*httptest.Server, *engine.Engine, *obs.Tra
 	sessions := testSessions(300)
 	eo := &engine.Observer{}
 	eng := engine.New(engine.WithWorkers(2), engine.WithObserver(eo))
-	if _, err := eng.Fit("pbm", sessions[:200], engine.Iterations(5)); err != nil {
+	if _, err := eng.Fit("pbm", mustCompile(t, sessions[:200]), 5); err != nil {
 		t.Fatal(err)
 	}
 	eng.UseMicro(testMicroModel())

@@ -488,7 +488,7 @@ func TestScoreCycleZeroAlloc(t *testing.T) {
 	}
 	sessions := testSessions(300)
 	eng := engine.New(engine.WithWorkers(4))
-	if _, err := eng.Fit("pbm", sessions[:200], engine.Iterations(5)); err != nil {
+	if _, err := eng.Fit("pbm", mustCompile(t, sessions[:200]), 5); err != nil {
 		t.Fatal(err)
 	}
 	eng.UseMicro(testMicroModel())

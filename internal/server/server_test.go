@@ -22,6 +22,16 @@ import (
 	"repro/internal/stream"
 )
 
+// mustCompile compiles a session log for Engine.Fit.
+func mustCompile(t testing.TB, sessions []clickmodel.Session) *clickmodel.CompiledLog {
+	t.Helper()
+	c, err := clickmodel.Compile(sessions)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
 // testSessions builds a deterministic synthetic log (mirrors the
 // engine tests' generator).
 func testSessions(n int) []clickmodel.Session {
@@ -53,7 +63,7 @@ func newTestServer(t *testing.T) (*httptest.Server, *engine.Engine, []clickmodel
 	t.Helper()
 	sessions := testSessions(300)
 	eng := engine.New(engine.WithWorkers(2))
-	if _, err := eng.Fit("pbm", sessions[:200], engine.Iterations(5)); err != nil {
+	if _, err := eng.Fit("pbm", mustCompile(t, sessions[:200]), 5); err != nil {
 		t.Fatal(err)
 	}
 	eng.UseMicro(testMicroModel())
@@ -226,7 +236,7 @@ func TestLoadAndRollbackEndpoints(t *testing.T) {
 
 	// Offline fit with different hyper-parameters, snapshot to disk.
 	offline := engine.New()
-	if _, err := offline.Fit("pbm", sessions[:100], engine.Iterations(2)); err != nil {
+	if _, err := offline.Fit("pbm", mustCompile(t, sessions[:100]), 2); err != nil {
 		t.Fatal(err)
 	}
 	path := filepath.Join(t.TempDir(), "pbm-v2.bin")
@@ -399,7 +409,7 @@ func newOnlineServer(t *testing.T, models ...string) (*httptest.Server, *engine.
 	t.Helper()
 	sessions := testSessions(600)
 	eng := engine.New(engine.WithWorkers(2))
-	if _, err := eng.Fit("pbm", sessions[:200], engine.Iterations(5)); err != nil {
+	if _, err := eng.Fit("pbm", mustCompile(t, sessions[:200]), 5); err != nil {
 		t.Fatal(err)
 	}
 	if len(models) == 0 {
@@ -750,7 +760,7 @@ func TestSnapshotExportGet(t *testing.T) {
 
 	// Install a new version: the same conditional poll now gets fresh
 	// bytes and a new tag.
-	if _, err := eng.Fit("pbm", testSessions(100), engine.Iterations(3)); err != nil {
+	if _, err := eng.Fit("pbm", mustCompile(t, testSessions(100)), 3); err != nil {
 		t.Fatal(err)
 	}
 	resp3, err := http.DefaultClient.Do(req)

@@ -91,7 +91,7 @@ func scriptedRun(t *testing.T) (*Server, *httptest.Server) {
 	seedWAL(t, dir, sessions)
 
 	eng := engine.New(engine.WithWorkers(2), engine.WithObserver(&engine.Observer{}))
-	if _, err := eng.Fit("pbm", sessions[:200], engine.Iterations(5)); err != nil {
+	if _, err := eng.Fit("pbm", mustCompile(t, sessions[:200]), 5); err != nil {
 		t.Fatal(err)
 	}
 	eng.UseMicro(testMicroModel())

@@ -180,7 +180,7 @@ type Learner struct {
 	strandHook func() // tests: called by every strand of a fold as it runs out of shards
 
 	wantMicro bool
-	emModels  int // configured models that need the session window
+	windowed  map[string]bool // configured models that fit from the session window
 
 	lastFolded uint64 // foldedSessions at the last publish
 	lastInfos  []engine.ModelInfo
@@ -212,13 +212,14 @@ func New(eng *engine.Engine, cfg Config) (*Learner, error) {
 	}
 	cfg.defaults()
 	l := &Learner{
-		cfg:    cfg,
-		eng:    eng,
-		sink:   NewSink(cfg.Shards, cfg.QueueCap),
-		global: clickmodel.NewStats(),
-		terms:  make(map[string]termCount),
-		stop:   make(chan struct{}),
-		done:   make(chan struct{}),
+		cfg:      cfg,
+		eng:      eng,
+		sink:     NewSink(cfg.Shards, cfg.QueueCap),
+		global:   clickmodel.NewStats(),
+		terms:    make(map[string]termCount),
+		windowed: make(map[string]bool),
+		stop:     make(chan struct{}),
+		done:     make(chan struct{}),
 	}
 	for _, name := range cfg.Models {
 		if name == engine.NameMicro {
@@ -229,8 +230,8 @@ func New(eng *engine.Engine, cfg Config) (*Learner, error) {
 		if err != nil {
 			return nil, fmt.Errorf("stream: %w", err)
 		}
-		if _, counting := m.(clickmodel.StatsFitter); !counting {
-			l.emModels++
+		if !clickmodel.Counting(m) {
+			l.windowed[name] = true
 		}
 	}
 	shards := l.sink.Shards()
@@ -241,7 +242,7 @@ func New(eng *engine.Engine, cfg Config) (*Learner, error) {
 		l.deltas[i] = clickmodel.NewStats()
 		l.termDeltas[i].ids = make(map[string]int32)
 	}
-	if l.emModels > 0 {
+	if len(l.windowed) > 0 {
 		// Only windowLocked reads the rings, and only an EM-family refit
 		// calls it: counting-family models must not pin Window sessions.
 		l.rings = make([]sessionRing, shards)
@@ -627,20 +628,24 @@ func (l *Learner) publishLocked() ([]engine.ModelInfo, error) {
 
 	var window []clickmodel.Session
 	var compiled *clickmodel.CompiledLog
-	if l.emModels > 0 {
+	var compileErr error
+	if len(l.windowed) > 0 {
 		window = l.windowLocked()
 		if len(window) > 0 {
-			var err error
-			if compiled, err = clickmodel.Compile(window); err != nil {
-				compiled = nil // defensive: fall back to per-model Fit
-			}
+			// Every session was validated at ingest, so the one error
+			// left is the log's size cap: each windowed model reports it.
+			compiled, compileErr = clickmodel.Compile(window)
 		}
 	}
 
 	infos := make([]engine.ModelInfo, 0, len(l.cfg.Models))
 	var errs []error
 	for _, name := range l.cfg.Models {
-		info, err := l.fitOneLocked(name, window, compiled)
+		var info engine.ModelInfo
+		err := compileErr
+		if err == nil || !l.windowed[name] {
+			info, err = l.fitOneLocked(name, compiled)
+		}
 		if err != nil {
 			errs = append(errs, fmt.Errorf("%s: %w", name, err))
 			continue
@@ -671,33 +676,15 @@ func (l *Learner) publishLocked() ([]engine.ModelInfo, error) {
 }
 
 // fitOneLocked refits one configured model from the accumulated state
-// and installs it. A fresh model instance is fitted per publish so the
-// versions already serving (including pinned name@version readers) are
-// never mutated.
-func (l *Learner) fitOneLocked(name string, window []clickmodel.Session, compiled *clickmodel.CompiledLog) (engine.ModelInfo, error) {
+// and installs it: a counting model from the global statistics, any
+// other from the compiled window. A fresh model instance is fitted per
+// publish so the versions already serving (including pinned
+// name@version readers) are never mutated.
+func (l *Learner) fitOneLocked(name string, compiled *clickmodel.CompiledLog) (engine.ModelInfo, error) {
 	if name == engine.NameMicro {
 		return l.fitMicroLocked()
 	}
-	m, err := clickmodel.New(name)
-	if err != nil {
-		return engine.ModelInfo{}, err
-	}
-	if it, ok := m.(clickmodel.IterativeModel); ok {
-		it.SetIterations(l.cfg.Iterations)
-	}
-	if sf, ok := m.(clickmodel.StatsFitter); ok {
-		err = sf.FitStats(l.global)
-	} else if compiled != nil {
-		if lf, ok := m.(clickmodel.LogFitter); ok {
-			err = lf.FitLog(compiled)
-		} else {
-			err = m.Fit(compiled.Sessions())
-		}
-	} else if len(window) > 0 {
-		err = m.Fit(window)
-	} else {
-		err = errors.New("no sessions in the window yet")
-	}
+	m, err := clickmodel.Train(name, l.cfg.Iterations, compiled, l.global)
 	if err != nil {
 		return engine.ModelInfo{}, err
 	}

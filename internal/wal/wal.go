@@ -322,9 +322,6 @@ func Open(dir string, opt Options) (*WAL, error) {
 	return w, nil
 }
 
-// Dir returns the log directory.
-func (w *WAL) Dir() string { return w.dir }
-
 // Policy returns the effective fsync policy.
 func (w *WAL) Policy() SyncPolicy { return w.opt.Sync }
 

@@ -123,7 +123,11 @@ func TestFacadeEngine(t *testing.T) {
 
 	eng := micro.NewEngine(micro.WithWorkers(2), micro.WithDefaultModel("sdbn"))
 	eng.UseMicro(sim.TrueModel(lex))
-	if _, err := eng.Fit("sdbn", sessions[:1500]); err != nil {
+	train, err := micro.CompileSessions(sessions[:1500])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := eng.Fit("sdbn", train, 0); err != nil {
 		t.Fatal(err)
 	}
 

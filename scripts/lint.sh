@@ -5,8 +5,8 @@
 # test oracles stay in tests (the reference scorer internal/core/coreref;
 # feedbackRequest, the encoding/json shape of POST /v1/feedback), the
 # checks that the token hash, the vocabulary builder, the counting
-# family's closed forms and latency measurement each keep their one
-# owner, and — when the pinned tools are installed — staticcheck and
+# family's closed forms, the choice of a click model's estimator and
+# latency measurement each keep their one owner, and — when the pinned tools are installed — staticcheck and
 # govulncheck.
 #
 # Usage: scripts/lint.sh
@@ -85,6 +85,20 @@ ratios=$(grep -l 'LaplaceA) /' internal/clickmodel/sdbn.go internal/clickmodel/c
 if [ -n "$ratios" ]; then
   echo "a counting-family ratio is spelled outside stats.go:" >&2
   echo "$ratios" >&2
+  fail=1
+fi
+
+echo "== a click model's estimator is picked in one place"
+# clickmodel.Train constructs a registry model, applies its iteration
+# count and picks FitStats, FitLog or Fit; a type assertion on one of
+# those interfaces elsewhere is a second estimator switch.
+switchers=$(grep -rlE --include='*.go' \
+  -e '\.\(clickmodel\.(StatsFitter|LogFitter|IterativeModel)\)' \
+  -e 'case .*clickmodel\.(StatsFitter|LogFitter|IterativeModel)\b' . \
+  | grep -v -e '^\./\.bench_build/' -e '/testdata/' -e '_test\.go$' || true)
+if [ -n "$switchers" ]; then
+  echo "non-test code outside internal/clickmodel type-asserts a fit interface:" >&2
+  echo "$switchers" >&2
   fail=1
 fi
 
