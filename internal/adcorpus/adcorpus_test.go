@@ -53,16 +53,16 @@ func TestSlotsMatchText(t *testing.T) {
 				if sl.Line < 1 || sl.Line > len(c.Lines) {
 					t.Fatalf("creative %s slot %q has line %d", c.ID, sl.Text, sl.Line)
 				}
-				toks := textproc.Tokenize(c.Lines[sl.Line-1])
+				toks := strings.Fields(textproc.Normalize(c.Lines[sl.Line-1]))
 				want := strings.Fields(sl.Text)
 				if sl.Pos-1+len(want) > len(toks) {
 					t.Fatalf("creative %s slot %q at pos %d overruns line %q",
 						c.ID, sl.Text, sl.Pos, c.Lines[sl.Line-1])
 				}
 				for i, w := range want {
-					if toks[sl.Pos-1+i].Text != w {
+					if toks[sl.Pos-1+i] != w {
 						t.Fatalf("creative %s slot %q token %d: line has %q",
-							c.ID, sl.Text, i, toks[sl.Pos-1+i].Text)
+							c.ID, sl.Text, i, toks[sl.Pos-1+i])
 					}
 				}
 			}

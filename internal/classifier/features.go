@@ -138,8 +138,8 @@ type Dataset struct {
 	Flat     []ml.Instance
 	Coup     []coupled.Instance
 	Labels   []bool
-	RelVocab *ml.Vocab
-	PosVocab *ml.Vocab
+	RelVocab *textproc.Vocab
+	PosVocab *textproc.Vocab
 	// InitRel[i] is the stats-DB log-odds for relevance feature i;
 	// InitPos[i] the normalised position prior for position feature i.
 	InitRel []float64
@@ -174,8 +174,8 @@ func (p *Pipeline) Dataset(pairs []snippet.Pair) *Dataset {
 	rng := rand.New(rand.NewSource(p.Seed))
 	ds := &Dataset{
 		Spec:     p.Spec,
-		RelVocab: &ml.Vocab{},
-		PosVocab: &ml.Vocab{},
+		RelVocab: &textproc.Vocab{},
+		PosVocab: &textproc.Vocab{},
 	}
 	for _, pair := range pairs {
 		if pair.Label() == 0 {
@@ -192,8 +192,8 @@ func (p *Pipeline) Dataset(pairs []snippet.Pair) *Dataset {
 			ci := coupled.Instance{Label: label}
 			for _, o := range occs {
 				ci.Occs = append(ci.Occs, coupled.Occurrence{
-					PosID: ds.PosVocab.ID(o.posKey),
-					RelID: ds.RelVocab.ID(o.relKey),
+					PosID: int(ds.PosVocab.ID(o.posKey)),
+					RelID: int(ds.RelVocab.ID(o.relKey)),
 					Dir:   o.dir,
 				})
 			}
@@ -201,7 +201,7 @@ func (p *Pipeline) Dataset(pairs []snippet.Pair) *Dataset {
 		} else {
 			in := ml.Instance{Label: label}
 			for _, o := range occs {
-				in.Features = append(in.Features, ml.Feature{ID: ds.RelVocab.ID(o.relKey), Val: o.dir})
+				in.Features = append(in.Features, ml.Feature{ID: int(ds.RelVocab.ID(o.relKey)), Val: o.dir})
 			}
 			in.Canonicalize()
 			ds.Flat = append(ds.Flat, in)
@@ -219,8 +219,8 @@ func (p *Pipeline) Dataset(pairs []snippet.Pair) *Dataset {
 func (p *Pipeline) initWeights(ds *Dataset) {
 	ds.InitRel = make([]float64, ds.RelVocab.Len())
 	if p.Spec.UseStatsInit {
-		for i := range ds.InitRel {
-			ds.InitRel[i] = p.DB.LogOddsSmoothed(ds.RelVocab.Name(i), p.InitSmoothing)
+		for i, key := range ds.RelVocab.Texts() {
+			ds.InitRel[i] = p.DB.LogOddsSmoothed(key, p.InitSmoothing)
 		}
 	}
 	ds.InitPos = make([]float64, ds.PosVocab.Len())
@@ -237,8 +237,8 @@ func (p *Pipeline) initWeights(ds *Dataset) {
 	// to a weight with 1.0 at the neutral point (p = 0.5), so
 	// uninformative positions start at full attention rather than being
 	// crushed by a noisy maximum.
-	for i := range ds.InitPos {
-		lo := p.DB.LogOddsSmoothed(ds.PosVocab.Name(i), p.InitSmoothing)
+	for i, key := range ds.PosVocab.Texts() {
+		lo := p.DB.LogOddsSmoothed(key, p.InitSmoothing)
 		ds.InitPos[i] = 2 * ml.Sigmoid(lo)
 	}
 }

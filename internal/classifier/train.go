@@ -8,6 +8,7 @@ import (
 	"repro/internal/featstats"
 	"repro/internal/ml"
 	"repro/internal/snippet"
+	"repro/internal/textproc"
 )
 
 // Options tunes the learners. The zero value selects the defaults used
@@ -63,7 +64,7 @@ type Trained struct {
 	Flat *ml.LogisticRegression
 	Coup *coupled.Model
 	// Vocabularies of the dataset the model was trained on.
-	RelVocab, PosVocab *ml.Vocab
+	RelVocab, PosVocab *textproc.Vocab
 }
 
 // Train fits the spec's learner on the instances of ds selected by idx
@@ -157,14 +158,14 @@ func (t *Trained) PredictPair(p *Pipeline, pair snippet.Pair) float64 {
 			if !ok {
 				continue
 			}
-			in.Occs = append(in.Occs, coupled.Occurrence{PosID: posID, RelID: relID, Dir: o.dir})
+			in.Occs = append(in.Occs, coupled.Occurrence{PosID: int(posID), RelID: int(relID), Dir: o.dir})
 		}
 		return t.Coup.Predict(&in)
 	}
 	in := ml.Instance{}
 	for _, o := range occs {
 		if relID, ok := t.RelVocab.Lookup(o.relKey); ok {
-			in.Features = append(in.Features, ml.Feature{ID: relID, Val: o.dir})
+			in.Features = append(in.Features, ml.Feature{ID: int(relID), Val: o.dir})
 		}
 	}
 	in.Canonicalize()
@@ -180,8 +181,8 @@ func (t *Trained) PositionWeights() [][]float64 {
 		return nil
 	}
 	var table [][]float64
-	for id := 0; id < t.PosVocab.Len(); id++ {
-		pos, line, ok := featstats.ParsePosKey(t.PosVocab.Name(id))
+	for id, key := range t.PosVocab.Texts() {
+		pos, line, ok := featstats.ParsePosKey(key)
 		if !ok || line < 1 || pos < 1 {
 			continue
 		}

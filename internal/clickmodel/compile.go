@@ -20,6 +20,11 @@ import (
 // copies. It is not safe for concurrent mutation: a table a model
 // scores from changes only when that model is refitted in place, and a
 // compiled log's never does.
+//
+// The table stays two-level rather than a growable textproc.Vocab of
+// queries beside per-query doc maps: that layout costs one dependent
+// load more per session, 303 ns against this map of rows' 262 ns
+// (Cascade, 20,000 queries × 10 docs, 2 vCPUs).
 type pairTable struct {
 	rows  map[string]pairRow // query -> its docs
 	pairs []qd               // pair ID -> (query, doc)

@@ -177,23 +177,17 @@ func (p *frozenPairs) keys() []qd {
 func freezePairs(keys []qd) *frozenPairs {
 	n := len(keys)
 	p := &frozenPairs{pairQ: make([]int32, n), pairD: make([]int32, n)}
-	var qs, ds []string
-	dids := make(map[string]int32)
+	var qs []string
+	var ds textproc.Vocab
 	for i, k := range keys {
 		if i == 0 || k.q != keys[i-1].q { // sorted: a query's pairs are adjacent
 			qs = append(qs, k.q)
 		}
 		p.pairQ[i] = int32(len(qs) - 1)
-		did, ok := dids[k.d]
-		if !ok {
-			did = int32(len(ds))
-			dids[k.d] = did
-			ds = append(ds, k.d)
-		}
-		p.pairD[i] = did
+		p.pairD[i] = ds.ID(k.d)
 	}
 	p.qv = textproc.FreezeVocab(qs)
-	p.dv = textproc.FreezeVocab(ds)
+	p.dv = textproc.FreezeVocab(ds.Texts())
 
 	size := minPairTable
 	for size < 2*n {

@@ -75,13 +75,7 @@ func (cs *CandidateScratch) reset() {
 //
 //mb:noalloc
 func (c *CompiledModel) ScoreCandidates(cands [][]string, maxN int, cs *CandidateScratch, out []CandidateScore) []CandidateScore {
-	// Mirror textproc.ExtractTerms's gram-order clamp.
-	if maxN < 1 {
-		maxN = 1
-	}
-	if maxN > 3 {
-		maxN = 3
-	}
+	maxN = textproc.GramOrder(maxN)
 	cs.reset()
 
 	// Pass 1: dedup every candidate's lines into the shared set. Each

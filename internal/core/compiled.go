@@ -149,13 +149,7 @@ func (c *CompiledModel) examine(line, pos int) float64 {
 // every n-gram window resolves through the interned vocab by byte
 // hashing, so no term string is ever materialised.
 func (c *CompiledModel) ScoreSnippet(lines []string, maxN int, sc *textproc.Scratch) (ctr, score float64) {
-	// Mirror textproc.ExtractTerms's gram-order clamp.
-	if maxN < 1 {
-		maxN = 1
-	}
-	if maxN > 3 {
-		maxN = 3
-	}
+	maxN = textproc.GramOrder(maxN)
 	ctr = 1.0
 	terms := 0
 	vocab := c.vocab

@@ -2,6 +2,7 @@ package core_test
 
 import (
 	"bytes"
+	"maps"
 	"math"
 	"math/rand"
 	"strconv"
@@ -249,9 +250,10 @@ func TestCompiledZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestCompiledAfterSnapshotRoundTrip compiles a Save/Load round-tripped
-// model and checks parity against the original — the LoadSnapshot
-// compile-on-install path end to end.
+// TestCompiledAfterSnapshotRoundTrip loads a saved model through
+// CompiledFromArtifact and ValidateTables — the verified engine load —
+// and checks it against the original: the same vocabulary, and the
+// reference answers.
 func TestCompiledAfterSnapshotRoundTrip(t *testing.T) {
 	m := core.NewModel(core.TableAttention{W: [][]float64{{0.9, 0.7}, {0.5, 0.3}}, Default: 0.2})
 	m.Relevance["find cheap"] = 0.85
@@ -262,16 +264,18 @@ func TestCompiledAfterSnapshotRoundTrip(t *testing.T) {
 	if err := m.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	loaded := new(core.Model)
-	if err := loaded.Load(&buf); err != nil {
+	cm, err := core.LoadCompiled(buf.Bytes())
+	if err != nil {
 		t.Fatal(err)
 	}
-	cm := loaded.Compile()
 	if cm.NumParams() != len(m.Relevance) {
 		t.Errorf("NumParams = %d, want %d", cm.NumParams(), len(m.Relevance))
 	}
-	if cm.Source() != loaded {
-		t.Error("Source should return the compiled model's origin")
+	if got, want := core.VocabRel(cm), core.VocabRel(m.Compile()); !maps.Equal(got, want) {
+		t.Errorf("vocabulary %v, want %v", got, want)
+	}
+	if cm.Source() != nil {
+		t.Error("a model served from its artifact has no fitting form")
 	}
 	var sc textproc.Scratch
 	lines := []string{"Find cheap flights", "Great rates"}

@@ -5,7 +5,10 @@
 // the 1e-12 parity suites and the benchmarks hold
 // core.CompiledModel.ScoreSnippet and ScoreCandidates against, the
 // arrangement encoding/json has for the score-route scanner and the
-// linear probe has for the tagged vocabulary lookup.
+// linear probe has for the tagged vocabulary lookup. Its terms come
+// from textproc.ExtractTerms, which cuts them from the same token spans
+// the kernel walks; textproc's tests hold ExtractTerms to an independent
+// strings.Fields statement.
 //
 // No non-test package may import it; scripts/lint.sh enforces that.
 package coreref

@@ -1,6 +1,43 @@
 package core
 
+import (
+	"math"
+
+	"repro/internal/snapshot"
+)
+
 // ClampRel exposes the relevance clamp to the external parity tests,
 // which live in package core_test so they can import the reference
 // implementation (coreref imports core).
 var ClampRel = clampRel
+
+// LoadCompiled is the round trip the snapshot tests hold Save to: parse
+// the artifact, verify its section CRCs, wrap its views and run the deep
+// table checks, as a verified engine load does.
+func LoadCompiled(data []byte) (*CompiledModel, error) {
+	a, err := snapshot.ParseV2(data)
+	if err != nil {
+		return nil, err
+	}
+	if err := a.VerifySections(); err != nil {
+		return nil, err
+	}
+	c, err := CompiledFromArtifact(a)
+	if err != nil {
+		return nil, err
+	}
+	if err := c.ValidateTables(); err != nil {
+		return nil, err
+	}
+	return c, nil
+}
+
+// VocabRel lists a compiled model's vocabulary: each term and the bits of
+// its clamped relevance.
+func VocabRel(c *CompiledModel) map[string]uint64 {
+	out := make(map[string]uint64, c.vocab.Len())
+	for id := range c.vocab.Len() {
+		out[c.vocab.Text(int32(id))] = math.Float64bits(c.rel[id])
+	}
+	return out
+}

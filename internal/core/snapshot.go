@@ -1,11 +1,10 @@
 package core
 
 // Snapshots of the micro-browsing model: Save writes the compiled form
-// as a v2 artifact (v2.go) under the reserved model name "micro", and
-// Load thaws one back into the map-based fitting form. Only the shipped
-// attention families (Full, Geometric, Table, nil) are serializable; a
-// custom Attention implementation must be re-attached after Load. v1
-// artifacts are read by DecodeV1, for internal/engine's importer alone.
+// as a v2 artifact (v2.go) under the reserved model name "micro", which
+// CompiledFromArtifact serves. Only the shipped attention families
+// (Full, Geometric, Table, nil) are serializable. v1 artifacts are read
+// by DecodeV1, for internal/engine's importer alone.
 
 import (
 	"fmt"
@@ -44,38 +43,6 @@ func (m *Model) Save(w io.Writer) error {
 		rel[id] = clampRel(m.Relevance[t])
 	}
 	return m.compile(terms, rel).SaveV2(w)
-}
-
-// Load restores the model from a v2 micro artifact: the relevance map
-// from the vocabulary and its (clamped) relevances, the default
-// relevance and the attention layer from meta. The bytes are checked —
-// section CRCs, the vocabulary's tables — and copied: the model keeps
-// no reference to them.
-func (m *Model) Load(r io.Reader) error {
-	data, err := io.ReadAll(r)
-	if err != nil {
-		return err
-	}
-	a, err := snapshot.ParseV2(data)
-	if err != nil {
-		return err
-	}
-	if err := a.VerifySections(); err != nil {
-		return err
-	}
-	c, err := CompiledFromArtifact(a)
-	if err != nil {
-		return err
-	}
-	if err := c.ValidateTables(); err != nil {
-		return err
-	}
-	rel := make(map[string]float64, c.vocab.Len())
-	for id := range c.vocab.Len() {
-		rel[c.vocab.Text(int32(id))] = c.rel[id]
-	}
-	m.Relevance, m.DefaultRelevance, m.Attention = rel, c.defRel, c.att
-	return nil
 }
 
 // DecodeV1 builds the model a v1 micro payload describes, consuming it

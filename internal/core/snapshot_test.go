@@ -3,7 +3,7 @@ package core
 import (
 	"bytes"
 	"fmt"
-	"io"
+	"maps"
 	"math"
 	"math/rand"
 	"slices"
@@ -24,13 +24,25 @@ func snapModel(att Attention) *Model {
 
 var snapLines = []string{"Acme Air", "Find cheap flights to Rome", "Terms apply"}
 
-// loadModel reads an artifact into a fresh model.
-func loadModel(r io.Reader) (*Model, error) {
-	m := new(Model)
-	if err := m.Load(r); err != nil {
-		return nil, err
+// sameCompiled reports where got, a model loaded from want's artifact,
+// differs from want: in its vocabulary (terms and relevance bits), its
+// default relevance or its ScoreSnippet answers by bits at every order.
+func sameCompiled(got, want *CompiledModel) error {
+	if g, w := VocabRel(got), VocabRel(want); !maps.Equal(g, w) {
+		return fmt.Errorf("vocabulary %v, want %v", g, w)
 	}
-	return m, nil
+	if math.Float64bits(got.defRel) != math.Float64bits(want.defRel) {
+		return fmt.Errorf("default relevance %v, want %v", got.defRel, want.defRel)
+	}
+	var sc textproc.Scratch
+	for maxN := 1; maxN <= 3; maxN++ {
+		gc, gs := got.ScoreSnippet(snapLines, maxN, &sc)
+		wc, ws := want.ScoreSnippet(snapLines, maxN, &sc)
+		if math.Float64bits(gc) != math.Float64bits(wc) || math.Float64bits(gs) != math.Float64bits(ws) {
+			return fmt.Errorf("maxN %d scores (%v, %v), want (%v, %v)", maxN, gc, gs, wc, ws)
+		}
+	}
+	return nil
 }
 
 func TestMicroSnapshotRoundTrip(t *testing.T) {
@@ -47,21 +59,12 @@ func TestMicroSnapshotRoundTrip(t *testing.T) {
 			if err := m.Save(&buf); err != nil {
 				t.Fatal(err)
 			}
-			got, err := loadModel(bytes.NewReader(buf.Bytes()))
+			got, err := LoadCompiled(buf.Bytes())
 			if err != nil {
 				t.Fatal(err)
 			}
-			terms := textproc.ExtractTerms(snapLines, 2)
-			if w, g := m.ExpectedScore(terms), got.ExpectedScore(terms); math.Abs(w-g) > 1e-12 {
-				t.Errorf("ExpectedScore %v, want %v", g, w)
-			}
-			for _, tm := range terms {
-				if w, g := m.Examine(tm), got.Examine(tm); math.Abs(w-g) > 1e-12 {
-					t.Errorf("Examine(%v) %v, want %v", tm, g, w)
-				}
-				if w, g := m.TermRelevance(tm.Text), got.TermRelevance(tm.Text); math.Abs(w-g) > 1e-12 {
-					t.Errorf("TermRelevance(%q) %v, want %v", tm.Text, g, w)
-				}
+			if err := sameCompiled(got, m.Compile()); err != nil {
+				t.Error(err)
 			}
 			if got.NumParams() != m.NumParams() {
 				t.Errorf("NumParams %d, want %d", got.NumParams(), m.NumParams())
@@ -94,20 +97,20 @@ func TestMicroSnapshotRejectsDamage(t *testing.T) {
 	}
 	raw := buf.Bytes()
 	for cut := 0; cut < len(raw); cut++ {
-		if _, err := loadModel(bytes.NewReader(raw[:cut])); err == nil {
+		if _, err := LoadCompiled(raw[:cut]); err == nil {
 			t.Fatalf("truncation at %d/%d loaded cleanly", cut, len(raw))
 		}
 	}
-	terms := textproc.ExtractTerms(snapLines, 3)
+	want := m.Compile()
 	for i := range raw {
 		bad := bytes.Clone(raw)
 		bad[i] ^= 0x5A
-		got, err := loadModel(bytes.NewReader(bad))
+		got, err := LoadCompiled(bad)
 		if err != nil {
 			continue
 		}
-		if w, g := m.ExpectedScore(terms), got.ExpectedScore(terms); math.Float64bits(w) != math.Float64bits(g) {
-			t.Fatalf("flipped byte %d/%d loaded and scores %v, want %v", i, len(raw), g, w)
+		if err := sameCompiled(got, want); err != nil {
+			t.Fatalf("flipped byte %d/%d loaded: %v", i, len(raw), err)
 		}
 	}
 }

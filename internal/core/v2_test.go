@@ -2,6 +2,7 @@ package core_test
 
 import (
 	"bytes"
+	"maps"
 	"math"
 	"math/rand"
 	"testing"
@@ -64,9 +65,11 @@ func TestV2CompiledParity(t *testing.T) {
 	}
 }
 
-// TestV2ParityVsV1Path pins the mapped scorer against the
-// save → load → recompile path end to end: Save, thaw the artifact
-// into the fitting form, compile that again.
+// TestV2ParityVsV1Path pins the two ways a fitted model reaches an
+// artifact against each other: Model.Save (terms numbered in sorted
+// order) loaded through CompiledFromArtifact and ValidateTables, and the
+// map-ordered Compile written by SaveV2 and mapped back. Both hold the
+// same vocabulary and answer alike by bits.
 func TestV2ParityVsV1Path(t *testing.T) {
 	m := core.NewModel(core.GeometricAttention{LineWeights: []float64{0.9, 0.6, 0.3}, Decay: 0.8})
 	m.Relevance["find cheap"] = 0.85
@@ -75,24 +78,26 @@ func TestV2ParityVsV1Path(t *testing.T) {
 	m.Relevance["book"] = 0.4
 	m.DefaultRelevance = 0.3
 
-	var v1 bytes.Buffer
-	if err := m.Save(&v1); err != nil {
+	var saved bytes.Buffer
+	if err := m.Save(&saved); err != nil {
 		t.Fatal(err)
 	}
-	m1 := new(core.Model)
-	if err := m1.Load(bytes.NewReader(v1.Bytes())); err != nil {
+	c1, err := core.LoadCompiled(saved.Bytes())
+	if err != nil {
 		t.Fatal(err)
 	}
-	c1 := m1.Compile()
 	mapped := v2RoundTrip(t, m.Compile())
+	if a, b := core.VocabRel(c1), core.VocabRel(mapped); !maps.Equal(a, b) {
+		t.Fatalf("vocabularies differ: %v vs %v", a, b)
+	}
 
 	var sc1, sc2 textproc.Scratch
 	lines := []string{"Find CHEAP flights now!", "book early, save 20%"}
 	for maxN := 1; maxN <= 3; maxN++ {
 		aCTR, aScore := c1.ScoreSnippet(lines, maxN, &sc1)
 		bCTR, bScore := mapped.ScoreSnippet(lines, maxN, &sc2)
-		if math.Abs(aCTR-bCTR) > 1e-12 || math.Abs(aScore-bScore) > 1e-12 {
-			t.Fatalf("maxN %d: v1 path (%v, %v) vs v2 path (%v, %v)", maxN, aCTR, aScore, bCTR, bScore)
+		if math.Float64bits(aCTR) != math.Float64bits(bCTR) || math.Float64bits(aScore) != math.Float64bits(bScore) {
+			t.Fatalf("maxN %d: Save path (%v, %v) vs SaveV2 path (%v, %v)", maxN, aCTR, aScore, bCTR, bScore)
 		}
 	}
 }

@@ -43,8 +43,6 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-
-	"repro/internal/core"
 )
 
 // NameMicro is the reserved scorer name of the micro-browsing model.
@@ -61,7 +59,6 @@ const NameMicro = "micro"
 // against one consistent table.
 type Engine struct {
 	workers      int
-	attention    core.Attention
 	defaultModel string
 	keep         int
 	obs          *Observer // nil = uninstrumented (see WithObserver)
@@ -95,14 +92,6 @@ func WithWorkers(n int) Option {
 		}
 		e.workers = n
 	}
-}
-
-// WithAttention sets the attention layer used when the engine builds
-// its own default micro-browsing scorer (i.e. when no scorer was
-// explicitly installed under NameMicro). nil keeps the degenerate
-// FullAttention bag-of-terms behaviour.
-func WithAttention(att core.Attention) Option {
-	return func(e *Engine) { e.attention = att }
 }
 
 // WithDefaultModel sets the scorer used by requests that leave

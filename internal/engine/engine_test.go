@@ -321,7 +321,7 @@ func TestEngineModelsAndRegister(t *testing.T) {
 		t.Errorf("ModelNames() = %v", names)
 	}
 	// The default micro scorer is materialised lazily on first use.
-	e2 := New(WithAttention(core.FullAttention{}))
+	e2 := New()
 	if _, err := e2.ScoreCTR(context.Background(), Request{Lines: testLines}); err != nil {
 		t.Fatal(err)
 	}

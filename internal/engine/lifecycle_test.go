@@ -31,7 +31,7 @@ type lifecycleModel struct {
 }
 
 // lifecycleModels lists micro, PBM and DBN twice — fitted here, and
-// thawed from the parent's v1 fixtures (testdata/parent_0c75e9e) through
+// loaded from the parent's v1 fixtures (testdata/parent_0c75e9e) through
 // the importer — and SDBN, a model that is always thawed, from its
 // fixture. Every model is scored on its golden inputs, if it has any,
 // and on every max_n and an unseen query over unseen documents, which
@@ -42,9 +42,9 @@ func lifecycleModels(t *testing.T) []lifecycleModel {
 	sessions := testSessions(600)
 	dir := t.TempDir()
 	var models []lifecycleModel
-	add := func(label, name string, v1 []byte, s interface{ Save(io.Writer) error }, scorer func() Scorer, reqs []Request) {
+	add := func(label, name string, v1 []byte, save func(io.Writer) error, scorer func() Scorer, reqs []Request) {
 		var v2 bytes.Buffer
-		if err := s.Save(&v2); err != nil {
+		if err := save(&v2); err != nil {
 			t.Fatalf("%s %s: Save: %v", label, name, err)
 		}
 		path := filepath.Join(dir, label+name+".mbs2")
@@ -67,10 +67,10 @@ func lifecycleModels(t *testing.T) []lifecycleModel {
 	}
 
 	micro := testMicroModel()
-	add("fitted ", NameMicro, nil, micro, func() Scorer { return NewMicroScorer(micro) }, nil)
+	add("fitted ", NameMicro, nil, micro.Save, func() Scorer { return NewMicroScorer(micro) }, nil)
 	for _, name := range []string{"pbm", "dbn"} {
 		m := fitClick(t, name, sessions[:500])
-		add("fitted ", name, nil, m.(clickmodel.Snapshotter), func() Scorer { return NewClickModelScorer(m) }, nil)
+		add("fitted ", name, nil, m.(clickmodel.Snapshotter).Save, func() Scorer { return NewClickModelScorer(m) }, nil)
 	}
 
 	for _, name := range []string{NameMicro, "pbm", "dbn", "sdbn"} {
@@ -83,17 +83,24 @@ func lifecycleModels(t *testing.T) []lifecycleModel {
 			t.Fatalf("import %s: %v", name, err)
 		}
 		if name == NameMicro {
-			m := new(core.Model)
-			if err := m.Load(bytes.NewReader(imported)); err != nil {
+			a, err := snapshot.ParseV2(imported)
+			if err != nil {
 				t.Fatal(err)
 			}
-			add("", name, v1, m, func() Scorer { return NewMicroScorer(m) }, golden.requests(name))
+			c, err := core.CompiledFromArtifact(a)
+			if err == nil {
+				err = c.ValidateTables()
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			add("", name, v1, c.SaveV2, func() Scorer { return NewCompiledMicroScorer(c) }, golden.requests(name))
 		} else {
 			m, err := clickmodel.LoadModel(bytes.NewReader(imported))
 			if err != nil {
 				t.Fatal(err)
 			}
-			add("", name, v1, m.(clickmodel.Snapshotter), func() Scorer { return NewClickModelScorer(m) }, golden.requests(name))
+			add("", name, v1, m.(clickmodel.Snapshotter).Save, func() Scorer { return NewClickModelScorer(m) }, golden.requests(name))
 		}
 		if own := models[len(models)-1].v2; !bytes.Equal(own, imported) {
 			t.Fatalf("%s: the thawed model's own Save is not what the importer wrote (%d vs %d bytes)", name, len(own), len(imported))

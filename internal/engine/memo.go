@@ -158,9 +158,9 @@ func (sc *scratch) scoreSnippet(c *core.CompiledModel, lines []string, maxN int)
 		}
 		if len(lines) <= memoMaxLines && keyLen <= memoMaxKey {
 			// The key holds the order the kernel will use, not the one
-			// asked for: ScoreSnippet clamps to [1, 3] and Request.maxN has
-			// already turned <= 0 into 2, so max_n 3, 4 and 200 are one entry.
-			order := min(maxN, 3)
+			// asked for: ScoreSnippet clamps through textproc.GramOrder, so
+			// max_n 3, 4 and 200 are one entry.
+			order := textproc.GramOrder(maxN)
 			return sc.scoreHashed(c, lines, maxN, order, keyLen, memoHash(lines, order, sc.ident))
 		}
 		sc.memo.oversized.Add(1)

@@ -378,8 +378,8 @@ func (e *Engine) Stat(ref string) (ModelInfo, error) {
 
 // resolve maps a request's model reference to an installed version from
 // one atomic load of the table — no locks on the read path. The micro
-// scorer is built (and installed) on demand from the engine's
-// attention option; registry click-model names that were never fitted
+// scorer is built (and installed) on demand, an empty model under full
+// attention; registry click-model names that were never fitted
 // are rejected with a hint rather than silently scored from priors.
 func (e *Engine) resolve(ref string) (name string, version int, mv modelVersion, err error) {
 	name, version, err = parseRef(ref)
@@ -414,7 +414,7 @@ func (e *Engine) resolve(ref string) (name string, version int, mv modelVersion,
 			e.mu.Unlock()
 			return name, ent.latest, mv, nil
 		}
-		s := NewMicroScorer(core.NewModel(e.attention))
+		s := NewMicroScorer(core.NewModel(nil))
 		info := e.installLocked(name, s, "register", nil)
 		// Return the stored version, not a reconstruction: the install
 		// may have attached observation state (the CTR histogram) that a

@@ -182,8 +182,8 @@ func Figure3(s Setup) (*Figure3Data, error) {
 	// trim trailing empty cells per line.
 	support := ds.PosSupport()
 	supported := func(line, pos int) bool {
-		for id := 0; id < ds.PosVocab.Len(); id++ {
-			p, l, ok := featstats.ParsePosKey(ds.PosVocab.Name(id))
+		for id, key := range ds.PosVocab.Texts() {
+			p, l, ok := featstats.ParsePosKey(key)
 			if ok && l == line && p == pos {
 				return support[id] >= figure3MinSupport
 			}

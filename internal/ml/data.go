@@ -1,7 +1,8 @@
 // Package ml provides the machine-learning substrate for the snippet
-// classifier: an interning feature vocabulary, sparse instances, logistic
-// regression with L1 regularisation (batch proximal gradient descent),
-// binary classification metrics, and the k-fold splits that
+// classifier: sparse instances over dense feature ids (the classifier
+// numbers its features with textproc.Vocab), logistic regression with
+// L1 regularisation (batch proximal gradient descent), binary
+// classification metrics, and the k-fold splits that
 // classifier.CrossValidate runs. Stdlib only.
 package ml
 
@@ -9,40 +10,6 @@ import (
 	"fmt"
 	"sort"
 )
-
-// Vocab interns feature names to dense integer ids. The zero value is
-// ready to use. Vocab is not safe for concurrent mutation.
-type Vocab struct {
-	names []string
-	index map[string]int
-}
-
-// ID returns the id for name, interning it if new.
-func (v *Vocab) ID(name string) int {
-	if v.index == nil {
-		v.index = make(map[string]int)
-	}
-	if id, ok := v.index[name]; ok {
-		return id
-	}
-	id := len(v.names)
-	v.names = append(v.names, name)
-	v.index[name] = id
-	return id
-}
-
-// Lookup returns the id for name without interning.
-func (v *Vocab) Lookup(name string) (int, bool) {
-	id, ok := v.index[name]
-	return id, ok
-}
-
-// Name returns the name for id; it panics on out-of-range ids, which
-// indicate a programming error.
-func (v *Vocab) Name(id int) string { return v.names[id] }
-
-// Len returns the number of interned features.
-func (v *Vocab) Len() int { return len(v.names) }
 
 // Feature is one (id, value) coordinate of a sparse vector.
 type Feature struct {

@@ -7,27 +7,6 @@ import (
 	"testing/quick"
 )
 
-func TestVocabIntern(t *testing.T) {
-	var v Vocab
-	a := v.ID("alpha")
-	b := v.ID("beta")
-	if a == b {
-		t.Fatal("distinct names share an id")
-	}
-	if got := v.ID("alpha"); got != a {
-		t.Errorf("re-interning changed id: %d != %d", got, a)
-	}
-	if v.Len() != 2 {
-		t.Errorf("Len = %d, want 2", v.Len())
-	}
-	if v.Name(a) != "alpha" {
-		t.Errorf("Name(%d) = %q", a, v.Name(a))
-	}
-	if _, ok := v.Lookup("gamma"); ok {
-		t.Error("Lookup invented an id")
-	}
-}
-
 func TestInstanceCanonicalize(t *testing.T) {
 	in := Instance{Features: []Feature{{3, 1}, {1, 2}, {3, 0.5}, {2, -1}}}
 	in.Canonicalize()

@@ -79,13 +79,14 @@ func phrases(inventory []string) []phrase {
 func Generate(base snippet.Creative, inventory []string) []Candidate {
 	ps := phrases(inventory)
 	var out []Candidate
+	var sc textproc.Scratch
 	emit := func(li int, line string, e Edit) {
 		if strings.TrimSpace(line) == "" {
 			return
 		}
 		c := cloneWithLine(base, li, line)
 		for _, l := range c.Lines {
-			if len(textproc.Tokenize(l)) > maxTokensPerLine {
+			if len(sc.Tokenize(l)) > maxTokensPerLine {
 				return
 			}
 		}
@@ -125,50 +126,38 @@ func Generate(base snippet.Creative, inventory []string) []Candidate {
 	return out
 }
 
-// containsPhrase reports whether the normalised line contains the phrase
-// as a token subsequence, returning its token position.
-func containsPhrase(line, phrase string) (pos int, ok bool) {
-	toks := textproc.Tokenize(line)
-	want := strings.Fields(textproc.Normalize(phrase))
-	if len(want) == 0 || len(toks) < len(want) {
-		return 0, false
-	}
-	for i := 0; i+len(want) <= len(toks); i++ {
-		match := true
-		for j, w := range want {
-			if toks[i+j].Text != w {
-				match = false
-				break
-			}
-		}
-		if match {
-			return i + 1, true
-		}
-	}
-	return 0, false
+// A normal form is its tokens joined by single spaces, so a normalised
+// phrase is a run of whole tokens of a line exactly when " "+phrase+" "
+// occurs in the padded normal form of the line; padded returns that
+// form and the index of the phrase's first occurrence, or -1.
+func padded(line, phrase string) (norm string, at int) {
+	norm = " " + textproc.Normalize(line) + " "
+	return norm, strings.Index(norm, " "+phrase+" ")
 }
 
-// replaceInLine substitutes the first occurrence of old with new in the
-// normalised token stream of the line.
+// containsPhrase reports whether the line contains the normalised
+// phrase as a run of whole tokens, returning the 1-based position of
+// its first token: one plus the spaces before it.
+func containsPhrase(line, phrase string) (pos int, ok bool) {
+	norm, at := padded(line, phrase)
+	if at < 0 {
+		return 0, false
+	}
+	return 1 + strings.Count(norm[:at], " "), true
+}
+
+// replaceInLine substitutes the first occurrence of the normalised
+// phrase old with the normalised phrase new ("" drops it) in the normal
+// form of the line.
 func replaceInLine(line, old, new string) (string, bool) {
-	toks := textproc.Tokenize(line)
-	oldToks := strings.Fields(textproc.Normalize(old))
-	pos, ok := containsPhrase(line, old)
-	if !ok {
+	norm, at := padded(line, old)
+	if at < 0 {
 		return "", false
 	}
-	var out []string
-	for i := 0; i < len(toks); i++ {
-		if i == pos-1 {
-			if new != "" {
-				out = append(out, textproc.Normalize(new))
-			}
-			i += len(oldToks) - 1
-			continue
-		}
-		out = append(out, toks[i].Text)
+	if new != "" {
+		new += " "
 	}
-	return strings.Join(out, " "), true
+	return strings.TrimSpace(norm[:at] + " " + new + norm[at+len(old)+2:]), true
 }
 
 // cloneWithLine copies the creative with line index li replaced.

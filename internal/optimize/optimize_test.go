@@ -1,6 +1,9 @@
 package optimize
 
 import (
+	"encoding/json"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -58,7 +61,7 @@ func checkGenerate(t *testing.T, tc generateCase) {
 			t.Errorf("%+v yields the base", c.Edit)
 		}
 		for _, line := range c.Creative.Lines {
-			if n := len(textproc.Tokenize(line)); n == 0 || n > maxTokensPerLine {
+			if n := len(strings.Fields(textproc.Normalize(line))); n == 0 || n > maxTokensPerLine {
 				t.Errorf("%+v leaves a line of %d tokens", c.Edit, n)
 			}
 		}
@@ -179,6 +182,51 @@ func TestReplaceInLine(t *testing.T) {
 	}
 	if _, ok := replaceInLine("plain line", "absent", "x"); ok {
 		t.Error("replacement of absent phrase succeeded")
+	}
+}
+
+// generateGolden is testdata/parent_380dd5e/golden.json: seeded random
+// bases crossed with seeded random inventories, and every candidate the
+// parent's Generate returned for each, in order. Its generator is beside
+// it.
+type generateGolden struct {
+	Commit string `json:"commit"`
+	Cases  []struct {
+		Base       []string `json:"base"`
+		Inventory  []string `json:"inventory"`
+		Candidates []struct {
+			Lines []string `json:"lines"`
+			Edit  Edit     `json:"edit"`
+		} `json:"candidates"`
+	} `json:"cases"`
+}
+
+// TestGenerateMatchesParentGolden pins Generate to the last commit that
+// matched phrases over strings.Fields of the normalised line: the same
+// candidates, lines and edits, in the same order.
+func TestGenerateMatchesParentGolden(t *testing.T) {
+	raw, err := os.ReadFile(filepath.Join("testdata", "parent_380dd5e", "golden.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var g generateGolden
+	if err := json.Unmarshal(raw, &g); err != nil {
+		t.Fatal(err)
+	}
+	if len(g.Cases) == 0 {
+		t.Fatal("golden holds no cases")
+	}
+	for i, gc := range g.Cases {
+		got := Generate(snippet.MustNew("base", gc.Base...), gc.Inventory)
+		if len(got) != len(gc.Candidates) {
+			t.Errorf("case %d: %d candidates, want %d", i, len(got), len(gc.Candidates))
+			continue
+		}
+		for j, want := range gc.Candidates {
+			if got[j].Edit != want.Edit || strings.Join(got[j].Creative.Lines, "\n") != strings.Join(want.Lines, "\n") {
+				t.Errorf("case %d candidate %d: %+v %q, want %+v %q", i, j, got[j].Edit, got[j].Creative.Lines, want.Edit, want.Lines)
+			}
+		}
 	}
 }
 

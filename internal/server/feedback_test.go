@@ -12,7 +12,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"math"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -24,6 +23,7 @@ import (
 	"repro/internal/clickmodel"
 	"repro/internal/core"
 	"repro/internal/engine"
+	"repro/internal/snapshot"
 	"repro/internal/stream"
 )
 
@@ -481,8 +481,8 @@ func TestFeedbackScannerFeedsLearnerLikeOracle(t *testing.T) {
 	}
 
 	type params struct {
-		rel  map[string]float64
-		sdbn []byte // the export: every pair's a and s, by bits
+		micro []byte // the export: every term's relevance, by bits
+		sdbn  []byte // the export: every pair's a and s, by bits
 	}
 	publish := func(srv *Server, l *stream.Learner) (p params) {
 		if _, err := l.Publish(); err != nil {
@@ -492,11 +492,21 @@ func TestFeedbackScannerFeedsLearnerLikeOracle(t *testing.T) {
 		if err := srv.eng.SaveSnapshot(engine.NameMicro, &buf); err != nil {
 			t.Fatal(err)
 		}
-		var m core.Model
-		if err := m.Load(&buf); err != nil {
+		a, err := snapshot.ParseV2(buf.Bytes())
+		if err != nil {
 			t.Fatal(err)
 		}
-		p.rel = m.Relevance
+		c, err := core.CompiledFromArtifact(a)
+		if err == nil {
+			err = c.ValidateTables()
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := c.NumParams(); n < 50 {
+			t.Fatalf("micro holds %d terms; the test wants fifty or more", n)
+		}
+		p.micro = bytes.Clone(buf.Bytes())
 		buf.Reset()
 		if err := srv.eng.SaveSnapshot("sdbn", &buf); err != nil {
 			t.Fatal(err)
@@ -515,13 +525,8 @@ func TestFeedbackScannerFeedsLearnerLikeOracle(t *testing.T) {
 	if !bytes.Equal(got.sdbn, want.sdbn) {
 		t.Errorf("the sdbn export (%d bytes) differs from the oracle learner's (%d bytes)", len(got.sdbn), len(want.sdbn))
 	}
-	if len(want.rel) < 50 || len(got.rel) != len(want.rel) {
-		t.Fatalf("micro relevance: %d parameters against the oracle's %d", len(got.rel), len(want.rel))
-	}
-	for k, w := range want.rel {
-		if g, ok := got.rel[k]; !ok || math.Float64bits(g) != math.Float64bits(w) {
-			t.Errorf("micro relevance[%q] = %v (present: %v), the oracle's learner has %v", k, g, ok, w)
-		}
+	if !bytes.Equal(got.micro, want.micro) {
+		t.Errorf("the micro export (%d bytes) differs from the oracle learner's (%d bytes)", len(got.micro), len(want.micro))
 	}
 }
 

@@ -66,7 +66,7 @@ func sameCounts(t *testing.T, what string, got, want map[string]termCount) {
 
 // TestFoldSnippetMatchesTermSet: the scratch-based fold and the
 // set-per-event oracle build identical term → (imps, clicks) tables, by
-// bits, for every n-gram order (with ExtractTerms' [1,3] clamp), across
+// bits, for every n-gram order (with GramOrder's [1,3] clamp), across
 // merges — which empty the shard's table — and across the wrap-around of
 // the event numbering, where a count stamped by event k long ago meets a
 // new event k.
@@ -82,8 +82,8 @@ func TestFoldSnippetMatchesTermSet(t *testing.T) {
 				l.foldSnippet(0, &ev)
 				foldSnippetTermSet(delta, &ev, maxN)
 			}
-			got := make(map[string]termCount, len(shard.ids))
-			for term, id := range shard.ids {
+			got := make(map[string]termCount, shard.terms.Len())
+			for id, term := range shard.terms.Texts() {
 				got[term] = shard.counts[id].termCount
 			}
 			sameCounts(t, "shard delta", got, delta)
@@ -105,8 +105,8 @@ func TestFoldSnippetMatchesTermSet(t *testing.T) {
 				global[term] = cur
 			}
 			clear(delta)
-			if len(shard.ids)+len(shard.counts) != 0 {
-				t.Fatalf("a merge left %d terms and %d counts in the shard", len(shard.ids), len(shard.counts))
+			if shard.terms.Len()+len(shard.counts) != 0 {
+				t.Fatalf("a merge left %d terms and %d counts in the shard", shard.terms.Len(), len(shard.counts))
 			}
 			sameCounts(t, "merged table", l.terms, global)
 		}

@@ -94,21 +94,19 @@ func (c *Config) defaults() {
 	if c.MicroMaxN < 1 {
 		c.MicroMaxN = 2
 	}
-	if c.MicroMaxN > 3 {
-		c.MicroMaxN = 3 // the paper's unigrams, bigrams and trigrams: textproc.ExtractTerms' clamp
-	}
+	c.MicroMaxN = textproc.GramOrder(c.MicroMaxN)
 }
 
 // termCount is one micro term's decayed impression/click mass.
 type termCount struct{ imps, clicks float64 }
 
 // termShard is one shard's micro accumulator between two merges: the
-// terms sighted since the last merge, their counts in a slab beside the
-// map (crediting a known term is a map read and two adds), and the
-// scratch the shard's snippets are tokenised into.
+// terms sighted since the last merge, their counts by term ID in a slab
+// beside the vocabulary (crediting a known term is a map read and two
+// adds), and the scratch the shard's snippets are tokenised into.
 type termShard struct {
-	ids    map[string]int32
-	counts []termDelta
+	terms  textproc.Vocab
+	counts []termDelta // by term ID
 	// event numbers the snippet events the shard folds. A count stamped
 	// with the current number has had this event's mass: each distinct
 	// term is credited once per event without a set per event. 0: none.
@@ -240,7 +238,6 @@ func New(eng *engine.Engine, cfg Config) (*Learner, error) {
 	l.termDeltas = make([]termShard, shards)
 	for i := 0; i < shards; i++ {
 		l.deltas[i] = clickmodel.NewStats()
-		l.termDeltas[i].ids = make(map[string]int32)
 	}
 	if len(l.windowed) > 0 {
 		// Only windowLocked reads the rings, and only an EM-family refit
@@ -525,9 +522,10 @@ func (l *Learner) foldSnippet(shard int, ev *SnippetEvent) {
 		for i := range spans {
 			for n := 1; n <= l.cfg.MicroMaxN && i+n <= len(spans); n++ {
 				term := t.sc.Norm[spans[i].Start:spans[i+n-1].End]
-				id, known := t.ids[string(term)]
+				id, known := t.terms.LookupBytes(term)
 				if !known {
-					id = t.add(term)
+					id = t.terms.ID(string(term)) //mb:allocok a term's first sighting since the last merge
+					t.counts = append(t.counts, termDelta{})
 				}
 				if d := &t.counts[id]; d.event != t.event {
 					d.event = t.event
@@ -537,14 +535,6 @@ func (l *Learner) foldSnippet(shard int, ev *SnippetEvent) {
 			}
 		}
 	}
-}
-
-// add enters a term the shard has not sighted since the last merge.
-func (t *termShard) add(term []byte) int32 {
-	id := int32(len(t.counts))
-	t.ids[string(term)] = id
-	t.counts = append(t.counts, termDelta{})
-	return id
 }
 
 // pruneMass is the decayed impression mass below which a pair or term
@@ -575,13 +565,14 @@ func (l *Learner) mergeLocked() {
 	}
 	for i := range l.termDeltas {
 		t := &l.termDeltas[i]
-		for term, id := range t.ids {
+		for id, d := range t.counts {
+			term := t.terms.Text(int32(id))
 			cur := l.terms[term]
-			cur.imps += t.counts[id].imps
-			cur.clicks += t.counts[id].clicks
+			cur.imps += d.imps
+			cur.clicks += d.clicks
 			l.terms[term] = cur
 		}
-		clear(t.ids)
+		t.terms.Reset()
 		t.counts = t.counts[:0]
 	}
 	if decaying && l.global.Prune(pruneMass) > 0 {

@@ -197,11 +197,12 @@ func (cs *CandidateSet) place(h uint64, id int32) {
 }
 
 // Terms returns line id's n-gram term IDs resolved against v, laid out
-// maxN entries per token: entry i*maxN+(n-1) is the vocabulary ID of
-// the n-gram window starting at token i, or -1 when the window is not
-// in the vocabulary (or extends past the line — callers bound n by the
-// remaining token count, so those tail entries are never read). The
-// first call per line does the vocab lookups; repeats are memo hits.
+// GramOrder(maxN) entries per token: with maxN so clamped, entry
+// i*maxN+(n-1) is the vocabulary ID of the n-gram window starting at
+// token i, or -1 when the window is not in the vocabulary (or extends
+// past the line — callers bound n by the remaining token count, so
+// those tail entries are never read). The first call per line does the
+// vocab lookups; repeats are memo hits.
 // The returned slice is valid until the next Terms call (the memo
 // arena may grow and move).
 //
@@ -212,9 +213,7 @@ func (cs *CandidateSet) place(h uint64, id int32) {
 //
 //mb:noalloc
 func (cs *CandidateSet) Terms(id LineID, maxN int, v *FrozenVocab) []int32 {
-	if maxN < 1 {
-		maxN = 1
-	}
+	maxN = GramOrder(maxN)
 	if v != cs.memoVocab || maxN != cs.memoMaxN {
 		cs.ids = cs.ids[:0]
 		for i := range cs.lines {

@@ -73,6 +73,60 @@ func hashTag(h uint64) byte { return byte(h>>56) | 1 }
 // candidates.
 func zeroBytes(w uint64) uint64 { return (w - swarLo) & ^w & swarHi }
 
+// Vocab is the growable vocabulary: it interns strings to dense int32
+// IDs in first-seen order, so FreezeVocab(v.Texts()) freezes it with
+// every ID kept. The zero value is ready to use; it is not safe for
+// concurrent mutation.
+type Vocab struct {
+	texts []string
+	ids   map[string]int32
+}
+
+// ID returns the ID of s, interning it if new.
+func (v *Vocab) ID(s string) int32 {
+	if id, ok := v.ids[s]; ok {
+		return id
+	}
+	if v.ids == nil {
+		v.ids = make(map[string]int32)
+	}
+	id := int32(len(v.texts))
+	v.texts = append(v.texts, s)
+	v.ids[s] = id
+	return id
+}
+
+// Lookup returns the ID of s without interning it.
+func (v *Vocab) Lookup(s string) (int32, bool) {
+	id, ok := v.ids[s]
+	return id, ok
+}
+
+// LookupBytes is Lookup of string(b), without building the string.
+//
+//mb:noalloc
+func (v *Vocab) LookupBytes(b []byte) (int32, bool) {
+	id, ok := v.ids[string(b)]
+	return id, ok
+}
+
+// Text returns the string of id.
+func (v *Vocab) Text(id int32) string { return v.texts[id] }
+
+// Texts lists the interned strings by ID; the slice is the vocabulary's
+// own.
+func (v *Vocab) Texts() []string { return v.texts }
+
+// Len returns the number of interned strings.
+func (v *Vocab) Len() int { return len(v.texts) }
+
+// Reset forgets every string and keeps the storage.
+func (v *Vocab) Reset() {
+	clear(v.ids)
+	clear(v.texts)
+	v.texts = v.texts[:0]
+}
+
 // FreezeVocab builds the vocabulary of terms, which must be distinct:
 // term i gets ID i, the texts are copied into one blob, and the probe
 // table is the smallest power of two holding them at load factor 1/2.

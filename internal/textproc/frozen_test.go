@@ -743,3 +743,93 @@ func FuzzFrozenLookup(f *testing.F) {
 		}
 	})
 }
+
+// TestVocab is the growable vocabulary's contract, one row per input
+// sequence: IDs are dense and first-seen, a string not interned misses,
+// Text inverts ID, LookupBytes agrees with Lookup without allocating,
+// Reset forgets everything, and FreezeVocab(Texts()) keeps every ID.
+func TestVocab(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		in   []string
+		ids  []int32 // the ID each input gets
+		miss []string
+	}{
+		{"empty", nil, nil, []string{"", "a"}},
+		{"first seen", []string{"b", "a", "c"}, []int32{0, 1, 2}, []string{"d", "ab"}},
+		{"repeats keep their ID", []string{"x", "y", "x", "y", "z"}, []int32{0, 1, 0, 1, 2}, []string{"X"}},
+		{"n-grams and the empty string", []string{"find cheap", "", "find", "find cheap"}, []int32{0, 1, 2, 0}, []string{"cheap", "find "}},
+		{"non-ASCII", []string{"café", "cafe", "ünïted"}, []int32{0, 1, 2}, []string{"CAFÉ"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var v Vocab
+			for i, s := range tc.in {
+				if id := v.ID(s); id != tc.ids[i] {
+					t.Fatalf("ID(%q) = %d, want %d", s, id, tc.ids[i])
+				}
+			}
+			distinct := slices.Compact(slices.Sorted(slices.Values(tc.ids)))
+			if v.Len() != len(distinct) || len(v.Texts()) != len(distinct) {
+				t.Fatalf("Len %d, Texts %d, want %d", v.Len(), len(v.Texts()), len(distinct))
+			}
+			for i, s := range tc.in {
+				id, ok := v.Lookup(s)
+				bid, bok := v.LookupBytes([]byte(s))
+				if !ok || id != tc.ids[i] || bid != id || !bok {
+					t.Errorf("Lookup(%q) = %d,%v, LookupBytes %d,%v, want %d", s, id, ok, bid, bok, tc.ids[i])
+				}
+				if got := v.Text(tc.ids[i]); got != s {
+					t.Errorf("Text(%d) = %q, want %q", tc.ids[i], got, s)
+				}
+			}
+			for _, s := range tc.miss {
+				if id, ok := v.Lookup(s); ok {
+					t.Errorf("Lookup(%q) = %d, want a miss", s, id)
+				}
+				if id, ok := v.LookupBytes([]byte(s)); ok {
+					t.Errorf("LookupBytes(%q) = %d, want a miss", s, id)
+				}
+			}
+			fv := FreezeVocab(v.Texts())
+			for id, s := range v.Texts() {
+				if got, ok := fv.Lookup(s); !ok || got != int32(id) {
+					t.Errorf("frozen Lookup(%q) = %d,%v, want %d", s, got, ok, id)
+				}
+			}
+			v.Reset()
+			if v.Len() != 0 {
+				t.Errorf("Len after Reset = %d", v.Len())
+			}
+			for _, s := range tc.in {
+				if _, ok := v.Lookup(s); ok {
+					t.Errorf("Lookup(%q) hits after Reset", s)
+				}
+			}
+			if len(tc.in) > 0 {
+				if id := v.ID(tc.in[len(tc.in)-1]); id != 0 {
+					t.Errorf("first ID after Reset = %d, want 0", id)
+				}
+			}
+		})
+	}
+}
+
+// TestVocabLookupBytesNoalloc backs the //mb:noalloc annotation on
+// Vocab.LookupBytes: a hit and a miss look the map up with the bytes as
+// they are.
+func TestVocabLookupBytesNoalloc(t *testing.T) {
+	var v Vocab
+	v.ID("find cheap")
+	hit, miss := []byte("find cheap"), []byte("find dear")
+	allocs := testing.AllocsPerRun(200, func() {
+		if _, ok := v.LookupBytes(hit); !ok {
+			t.Fatal("miss on an interned term")
+		}
+		if _, ok := v.LookupBytes(miss); ok {
+			t.Fatal("hit on a term never interned")
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("LookupBytes allocates %v per run, want 0", allocs)
+	}
+}

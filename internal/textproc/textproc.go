@@ -1,23 +1,21 @@
-// Package textproc provides text normalisation, tokenisation and n-gram
-// extraction for snippet text.
+// Package textproc provides text normalisation, tokenisation, n-gram
+// extraction and the vocabularies terms are numbered in.
 //
 // Snippets (ad creatives) are short multi-line texts. The micro-browsing
 // model reasons about terms — unigrams, bigrams and trigrams — located at a
 // (line, position) coordinate, so every extracted Term carries both the
 // surface text and where it sits in the snippet. Positions are 1-based, as
 // in the paper's examples ("find cheap" at position 1 of line 2).
+//
+// The splitting rule is stated once: Scratch.Tokenize normalises a line
+// and cuts it into token spans, and a term is the bytes of a run of 1 to
+// GramOrder(maxN) spans — in ExtractTerms, the scorers, CandidateSet and
+// the learner's fold alike. Vocab interns strings as they arrive;
+// FreezeVocab turns a list of them into the read-only FrozenVocab that
+// artifacts carry and the scorers look windows up in.
 package textproc
 
-import (
-	"strings"
-)
-
-// Token is a single normalised word together with its 1-based position
-// within its line.
-type Token struct {
-	Text string
-	Pos  int
-}
+import "strconv"
 
 // Term is an n-gram extracted from a snippet line. Text is the
 // space-joined normalised token text; N is the gram size; Line and Pos
@@ -32,35 +30,7 @@ type Term struct {
 // Key renders the term in the paper's feature notation "text:pos:line",
 // e.g. "find cheap:1:2".
 func (t Term) Key() string {
-	var b strings.Builder
-	b.Grow(len(t.Text) + 8)
-	b.WriteString(t.Text)
-	b.WriteByte(':')
-	writeInt(&b, t.Pos)
-	b.WriteByte(':')
-	writeInt(&b, t.Line)
-	return b.String()
-}
-
-// writeInt appends an integer without allocating. Term positions are
-// 1-based so negatives never occur in practice, but Key must not emit
-// garbage when handed a malformed Term: the sign is peeled off in
-// uint space, so even math.MinInt (whose negation overflows int)
-// prints correctly.
-func writeInt(b *strings.Builder, v int) {
-	u := uint(v)
-	if v < 0 {
-		b.WriteByte('-')
-		u = -u // two's-complement negation: exact for every int, MinInt included
-	}
-	writeUint(b, u)
-}
-
-func writeUint(b *strings.Builder, u uint) {
-	if u >= 10 {
-		writeUint(b, u/10)
-	}
-	b.WriteByte(byte('0' + u%10))
+	return t.Text + ":" + strconv.Itoa(t.Pos) + ":" + strconv.Itoa(t.Line)
 }
 
 // Normalize lower-cases s and removes punctuation that carries no appeal
@@ -74,69 +44,26 @@ func Normalize(s string) string {
 	return string(NormalizeInto(nil, s))
 }
 
-// Tokenize normalises a line and splits it into positioned tokens.
-func Tokenize(line string) []Token {
-	fields := strings.Fields(Normalize(line))
-	if len(fields) == 0 {
-		return nil
-	}
-	toks := make([]Token, len(fields))
-	for i, f := range fields {
-		toks[i] = Token{Text: f, Pos: i + 1}
-	}
-	return toks
-}
-
-// NGrams returns all n-grams of exactly size n over toks, preserving the
-// position of the first token. It returns nil when the line is shorter
-// than n.
-func NGrams(toks []Token, n int) []Term {
-	if n <= 0 || len(toks) < n {
-		return nil
-	}
-	grams := make([]Term, 0, len(toks)-n+1)
-	for i := 0; i+n <= len(toks); i++ {
-		grams = append(grams, Term{
-			Text: joinTokens(toks[i : i+n]),
-			N:    n,
-			Pos:  toks[i].Pos,
-		})
-	}
-	return grams
-}
-
-func joinTokens(toks []Token) string {
-	if len(toks) == 1 {
-		return toks[0].Text
-	}
-	var b strings.Builder
-	for i, t := range toks {
-		if i > 0 {
-			b.WriteByte(' ')
-		}
-		b.WriteString(t.Text)
-	}
-	return b.String()
-}
+// GramOrder clamps a requested n-gram order to [1, 3]: the paper uses
+// unigrams, bigrams and trigrams. Every reader of a max_n clamps here.
+func GramOrder(maxN int) int { return min(max(maxN, 1), 3) }
 
 // ExtractTerms tokenises every line and returns all terms of gram sizes
-// 1..maxN with (line, position) coordinates. Lines are numbered from 1.
-// maxN is clamped to [1, 3]: the paper uses unigrams, bigrams and
-// trigrams.
+// 1..GramOrder(maxN) with (line, position) coordinates, ordered by line,
+// then gram size, then position. Lines are numbered from 1. A term is a
+// window of Scratch.Tokenize spans, as every scorer cuts it: its text is
+// the normalised bytes from its first token's start to its last token's
+// end.
 func ExtractTerms(lines []string, maxN int) []Term {
-	if maxN < 1 {
-		maxN = 1
-	}
-	if maxN > 3 {
-		maxN = 3
-	}
+	maxN = GramOrder(maxN)
 	var terms []Term
+	var sc Scratch
 	for li, line := range lines {
-		toks := Tokenize(line)
+		spans := sc.Tokenize(line)
+		norm := string(sc.Norm)
 		for n := 1; n <= maxN; n++ {
-			for _, g := range NGrams(toks, n) {
-				g.Line = li + 1
-				terms = append(terms, g)
+			for i := 0; i+n <= len(spans); i++ {
+				terms = append(terms, Term{Text: norm[spans[i].Start:spans[i+n-1].End], N: n, Line: li + 1, Pos: i + 1})
 			}
 		}
 	}

@@ -1,8 +1,11 @@
 package textproc
 
-// Zero-copy tokenisation and n-gram lookup: the serving read path of
-// the micro-browsing model (internal/core.CompiledModel) scores a
-// snippet without materialising a single string. Normalisation writes
+// Zero-copy tokenisation and n-gram lookup: appendTokens is the one
+// tokeniser — ExtractTerms, the compiled scorer and the learner's fold
+// cut terms from Scratch.Tokenize's spans, CandidateSet appends lines
+// into its arena through it — and the serving read path of the
+// micro-browsing model (internal/core.CompiledModel) scores a snippet
+// without materialising a single string. Normalisation writes
 // into a reusable byte buffer, tokens are recorded as byte spans into
 // that buffer, and — because normalisation emits exactly one space
 // between tokens — every n-gram window is a contiguous byte slice

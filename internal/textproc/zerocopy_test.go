@@ -79,7 +79,7 @@ func FuzzNormalize(f *testing.F) {
 }
 
 // TestScratchTokenize checks that byte spans reconstruct exactly the
-// tokens (text and 1-based position) of the string-materialising path.
+// fields of the normalised line, in order.
 func TestScratchTokenize(t *testing.T) {
 	var sc Scratch
 	lines := []string{
@@ -89,16 +89,13 @@ func TestScratchTokenize(t *testing.T) {
 	}
 	for _, line := range lines {
 		spans := sc.Tokenize(line)
-		want := Tokenize(line)
+		want := strings.Fields(Normalize(line))
 		if len(spans) != len(want) {
 			t.Fatalf("Tokenize(%q): %d spans, want %d tokens", line, len(spans), len(want))
 		}
 		for i, sp := range spans {
-			if got := string(sc.Norm[sp.Start:sp.End]); got != want[i].Text {
-				t.Errorf("Tokenize(%q) span %d = %q, want %q", line, i, got, want[i].Text)
-			}
-			if want[i].Pos != i+1 {
-				t.Errorf("Tokenize(%q) token %d has Pos %d, want %d", line, i, want[i].Pos, i+1)
+			if got := string(sc.Norm[sp.Start:sp.End]); got != want[i] {
+				t.Errorf("Tokenize(%q) span %d = %q, want %q", line, i, got, want[i])
 			}
 		}
 	}
@@ -262,31 +259,26 @@ func TestNGramWindowContiguity(t *testing.T) {
 	var sc Scratch
 	line := "Find cheap flights to New York today"
 	spans := sc.Tokenize(line)
-	toks := Tokenize(line)
-	for n := 1; n <= 3; n++ {
-		grams := NGrams(toks, n)
-		for i, g := range grams {
-			win := string(sc.Norm[spans[i].Start:spans[i+n-1].End])
-			if win != g.Text {
-				t.Errorf("n=%d window %d = %q, want %q", n, i, win, g.Text)
-			}
+	for _, g := range oracleTerms([]string{line}, 3) {
+		i := g.Pos - 1
+		if win := string(sc.Norm[spans[i].Start:spans[i+g.N-1].End]); win != g.Text {
+			t.Errorf("n=%d window %d = %q, want %q", g.N, i, win, g.Text)
 		}
 	}
 }
 
-// TestWriteIntNegative makes the sign branch live: malformed Terms
-// with negative coordinates must render sign-correctly, including the
-// one value whose int negation overflows.
-func TestWriteIntNegative(t *testing.T) {
+// TestTermKeyNegative: malformed Terms with negative coordinates
+// render sign-correctly, including the one value whose int negation
+// overflows.
+func TestTermKeyNegative(t *testing.T) {
 	tm := Term{Text: "x", N: 1, Line: -12, Pos: -3}
 	if got, want := tm.Key(), "x:-3:-12"; got != want {
 		t.Errorf("Key = %q, want %q", got, want)
 	}
 	for _, v := range []int{0, 7, -1, -10, 12345, -98765, math.MaxInt, math.MinInt} {
-		var b strings.Builder
-		writeInt(&b, v)
-		if got, want := b.String(), strconv.Itoa(v); got != want {
-			t.Errorf("writeInt(%d) = %q, want %q", v, got, want)
+		tm := Term{Text: "x", N: 1, Line: v, Pos: v}
+		if got, want := tm.Key(), "x:"+strconv.Itoa(v)+":"+strconv.Itoa(v); got != want {
+			t.Errorf("Key at %d = %q, want %q", v, got, want)
 		}
 	}
 }

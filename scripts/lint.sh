@@ -4,8 +4,8 @@
 # cmd/go handles package loading and caching), the checks that the two
 # test oracles stay in tests (the reference scorer internal/core/coreref;
 # feedbackRequest, the encoding/json shape of POST /v1/feedback), the
-# checks that the token hash, the vocabulary builder, the counting
-# family's closed forms, the choice of a click model's estimator and
+# checks that the token hash, the splitting rule, the vocabulary
+# builder, the counting family's closed forms, the choice of a click model's estimator and
 # latency measurement each keep their one owner, and — when the pinned tools are installed — staticcheck and
 # govulncheck.
 #
@@ -75,6 +75,19 @@ builders=$(grep -rlw --include='*.go' TermVocab . | grep -v '^\./\.bench_build/'
 if [ -n "$builders" ]; then
   echo "non-test code names TermVocab:" >&2
   echo "$builders" >&2
+  fail=1
+fi
+
+echo "== the splitting rule has one owner"
+# textproc's Scratch.Tokenize normalises a line and cuts it into token
+# spans, and every term is a run of them; a strings.Fields beside a
+# textproc import is that rule written a second time.
+splitters=$(grep -rl --include='*.go' 'strings\.Fields(' . \
+  | grep -v -e '^\./\.bench_build/' -e '/testdata/' -e '_test\.go$' -e '^\./internal/textproc/' \
+  | xargs -r grep -l '"repro/internal/textproc"' || true)
+if [ -n "$splitters" ]; then
+  echo "non-test code outside internal/textproc imports textproc and calls strings.Fields:" >&2
+  echo "$splitters" >&2
   fail=1
 fi
 
