@@ -187,21 +187,14 @@ func getBenchSessions(b *testing.B) ([]clickmodel.Session, *clickmodel.CompiledL
 // (interned) once and one model instance is refitted per op — the shape
 // of a serving system re-estimating on live traffic, where refits reuse
 // the model's per-pair value arrays and the pooled accumulator slab.
-// Each op is one full parameter estimation. Models predating the
-// compiled-log layer fall back to Fit, which re-interns per call.
+// Each op is one full parameter estimation.
 func benchClickModel(b *testing.B, newModel func() clickmodel.Model) {
-	sessions, compiled := getBenchSessions(b)
+	_, compiled := getBenchSessions(b)
 	m := newModel()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		var err error
-		if lf, ok := m.(clickmodel.LogFitter); ok {
-			err = lf.FitLog(compiled)
-		} else {
-			err = m.Fit(sessions)
-		}
-		if err != nil {
+		if err := m.FitLog(compiled); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -239,7 +232,7 @@ func BenchmarkClickModel_UBM(b *testing.B) {
 func BenchmarkClickModel_BBM(b *testing.B) {
 	benchClickModel(b, func() clickmodel.Model {
 		m := clickmodel.NewBBM()
-		m.SetIterations(5)
+		m.Browse.Iterations = 5
 		return m
 	})
 }
@@ -1210,7 +1203,7 @@ func countingServeModel(b *testing.B, name string, sh countingShape) (clickmodel
 func servedFromArtifact(b *testing.B, m clickmodel.Model, pool []clickmodel.Session) clickmodel.Model {
 	b.Helper()
 	var buf bytes.Buffer
-	if err := m.(clickmodel.Snapshotter).Save(&buf); err != nil {
+	if err := m.Save(&buf); err != nil {
 		b.Fatal(err)
 	}
 	a, err := snapshot.ParseV2(buf.Bytes())
@@ -1224,9 +1217,8 @@ func servedFromArtifact(b *testing.B, m clickmodel.Model, pool []clickmodel.Sess
 	if !views {
 		b.Fatalf("%s built from its artifact does not view it", m.Name())
 	}
-	fitted, frozen := m.(clickmodel.InplaceScorer), served.(clickmodel.InplaceScorer)
 	for _, s := range pool {
-		want, got := fitted.ClickProbsInto(s, nil), frozen.ClickProbsInto(s, nil)
+		want, got := m.ClickProbsInto(s, nil), served.ClickProbsInto(s, nil)
 		for i := range want {
 			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
 				b.Fatalf("%s %v: served P(C_%d) = %v, fitted %v", m.Name(), s, i, got[i], want[i])
@@ -1239,12 +1231,11 @@ func servedFromArtifact(b *testing.B, m clickmodel.Model, pool []clickmodel.Sess
 // benchClickProbsInto scores the pool round-robin into one reused
 // buffer.
 func benchClickProbsInto(b *testing.B, m clickmodel.Model, pool []clickmodel.Session) {
-	ip := m.(clickmodel.InplaceScorer)
 	buf := make([]float64, 0, 4)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		buf = ip.ClickProbsInto(pool[i%len(pool)], buf)
+		buf = m.ClickProbsInto(pool[i%len(pool)], buf)
 	}
 }
 

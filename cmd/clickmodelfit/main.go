@@ -78,10 +78,10 @@ func main() {
 
 	names := clickmodel.Names()
 	if *only != "" {
-		if _, err := clickmodel.Lookup(*only); err != nil {
+		if _, err := clickmodel.New(*only); err != nil {
 			log.Fatal(err)
 		}
-		names = []string{*only} // the registry canonicalises on lookup
+		names = []string{*only} // the registry canonicalises the name
 	}
 
 	corpus := adcorpus.Generate(adcorpus.Config{Seed: *seed, Groups: *groups}, adcorpus.DefaultLexicon())
@@ -140,13 +140,9 @@ func main() {
 			time.Since(start).Round(time.Millisecond))
 
 		if *out != "" && strings.EqualFold(name, snapTarget) {
-			sn, ok := m.(clickmodel.Snapshotter)
-			if !ok {
-				log.Fatalf("-o %s: model %s does not support snapshots", *out, m.Name())
-			}
 			// Atomic (temp file, then rename): a serving process never
 			// loads a half-written file.
-			if err := snapshot.WriteFileAtomic(*out, sn.Save); err != nil {
+			if err := snapshot.WriteFileAtomic(*out, m.Save); err != nil {
 				log.Fatalf("-o %s: %v", *out, err)
 			}
 			log.Printf("wrote %s snapshot to %s (serve with: microserve -load %s=%s)",

@@ -34,7 +34,7 @@ func main() {
 
 	run := flag.String("run", "all", "experiment to run: table2, figure3, table4, ctr or all")
 	groups := flag.Int("groups", 0, "adgroups in the synthetic corpus (default 1200)")
-	impressions := flag.Int("impressions", 0, "impressions per creative (default 4000)")
+	impressions := flag.Int("impressions", 0, "impressions per creative (default 800)")
 	folds := flag.Int("folds", 0, "cross-validation folds (default 10)")
 	seed := flag.Int64("seed", 0, "base random seed (default 2019)")
 	model := flag.String("model", "pbm", "macro click model for -run ctr (registry name)")
@@ -44,7 +44,7 @@ func main() {
 
 	// Validate the model name up front, whatever the run: a typo in a
 	// config string should fail before minutes of corpus building.
-	if _, err := clickmodel.Lookup(*model); err != nil {
+	if _, err := clickmodel.New(*model); err != nil {
 		log.Fatal(err)
 	}
 

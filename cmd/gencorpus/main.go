@@ -52,7 +52,7 @@ func main() {
 	flag.Parse()
 
 	if *model != engine.NameMicro {
-		if _, err := clickmodel.Lookup(*model); err != nil {
+		if _, err := clickmodel.New(*model); err != nil {
 			log.Fatal(err)
 		}
 	}

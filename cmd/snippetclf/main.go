@@ -63,7 +63,7 @@ func main() {
 			return
 		}
 	}
-	if _, err := clickmodel.Lookup(*model); err != nil {
+	if _, err := clickmodel.New(*model); err != nil {
 		specs := make([]string, 0, len(classifier.Specs()))
 		for _, s := range classifier.Specs() {
 			specs = append(specs, s.Name)

@@ -52,25 +52,6 @@ func NewBBM() *BBM { return &BBM{Browse: NewUBM(), GridSize: 51} }
 // Name implements Model.
 func (m *BBM) Name() string { return "BBM" }
 
-// SetIterations implements IterativeModel, tuning the browsing layer's
-// EM iteration count.
-func (m *BBM) SetIterations(n int) {
-	if m.Browse == nil {
-		m.Browse = NewUBM()
-	}
-	m.Browse.Iterations = n
-}
-
-// Fit implements Model: compile the log, fit the UBM browsing layer,
-// then accumulate the relevance sufficient statistics.
-func (m *BBM) Fit(sessions []Session) error {
-	c, err := Compile(sessions)
-	if err != nil {
-		return err
-	}
-	return m.FitLog(c)
-}
-
 // FitLog fits from a compiled log: the UBM browsing layer first, then
 // one counting pass over the impressions into dense pair-indexed
 // arrays.
@@ -207,13 +188,8 @@ func (m *BBM) PosteriorMean(query, doc string) float64 {
 	return m.posteriorMeanID(p)
 }
 
-// ClickProbs implements Model using the UBM forward recursion with the
+// ClickProbsInto implements Model using the UBM forward recursion with the
 // posterior-mean relevance in place of a point-estimated alpha.
-func (m *BBM) ClickProbs(s Session) []float64 {
-	return m.ClickProbsInto(s, nil)
-}
-
-// ClickProbsInto implements InplaceScorer.
 func (m *BBM) ClickProbsInto(s Session, buf []float64) []float64 {
 	n := len(s.Docs)
 	out := resizeProbs(buf, n)

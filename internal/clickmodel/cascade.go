@@ -42,16 +42,7 @@ func (m *Cascade) defaults() {
 	}
 }
 
-// Fit implements Model: compile the log, then FitLog.
-func (m *Cascade) Fit(sessions []Session) error {
-	c, err := Compile(sessions)
-	if err != nil {
-		return err
-	}
-	return m.FitLog(c)
-}
-
-// FitLog implements LogFitter: the log's statistics, then FitStats.
+// FitLog implements Model: the log's statistics, then FitStats.
 func (m *Cascade) FitLog(c *CompiledLog) error {
 	if c == nil {
 		return errNilLog
@@ -70,12 +61,7 @@ func (m *Cascade) alpha(row map[string]int32, d string) float64 {
 	return m.PriorAlpha
 }
 
-// ClickProbs implements Model: P(C_i=1) = alpha_i * prod_{j<i} (1-alpha_j).
-func (m *Cascade) ClickProbs(s Session) []float64 {
-	return m.ClickProbsInto(s, nil)
-}
-
-// ClickProbsInto implements InplaceScorer.
+// ClickProbsInto implements Model: P(C_i=1) = alpha_i * prod_{j<i} (1-alpha_j).
 func (m *Cascade) ClickProbsInto(s Session, buf []float64) []float64 {
 	out := resizeProbs(buf, len(s.Docs))
 	row := m.pairs.row(s.Query)

@@ -34,9 +34,6 @@ func NewCCM() *CCM {
 // Name implements Model.
 func (m *CCM) Name() string { return "CCM" }
 
-// SetIterations implements IterativeModel.
-func (m *CCM) SetIterations(n int) { m.Iterations = n }
-
 func (m *CCM) defaults() {
 	if m.Iterations <= 0 {
 		m.Iterations = 20
@@ -131,15 +128,6 @@ func (m *CCM) tailPosterior(s Session, row map[string]int32, last int) (pCont fl
 		pCont = pExam[last+1]
 	}
 	return pCont, pExam, z
-}
-
-// Fit implements Model: compile the log, then run the dense EM.
-func (m *CCM) Fit(sessions []Session) error {
-	c, err := Compile(sessions)
-	if err != nil {
-		return err
-	}
-	return m.FitLog(c)
 }
 
 // ccmAccStride is one worker's accumulator layout:
@@ -318,12 +306,7 @@ func ccmEStep(c *CompiledLog, rel []float64, a1, a2, a3 float64, acc, tails []fl
 	}
 }
 
-// ClickProbs implements Model via the forward examination recursion.
-func (m *CCM) ClickProbs(s Session) []float64 {
-	return m.ClickProbsInto(s, nil)
-}
-
-// ClickProbsInto implements InplaceScorer.
+// ClickProbsInto implements Model via the forward examination recursion.
 func (m *CCM) ClickProbsInto(s Session, buf []float64) []float64 {
 	out := resizeProbs(buf, len(s.Docs))
 	row := m.pairs.row(s.Query)

@@ -27,14 +27,15 @@
 // pair table of the model's own and one dense value array per parameter.
 // That is every model's fitted form: the EM models fit their per-pair
 // values in place over the compiled log's pair table, which they keep.
-// Fit(sessions) compiles internally; callers fitting several models on
-// one log should Compile once and use each model's FitLog.
+// Every model fits through FitLog: callers fitting several models on
+// one log Compile it once.
 package clickmodel
 
 import (
 	"cmp"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"strings"
 )
@@ -95,23 +96,39 @@ func (s Session) ClickCount() int {
 	return n
 }
 
-// Model is a trainable click model.
+// Model is a click model: what Train fits, the engine scores and an
+// artifact holds. Every built-in model implements it, and only they
+// can — params is unexported — so every Model has a parameter list.
 type Model interface {
 	// Name identifies the model in reports ("PBM", "UBM", ...).
 	Name() string
 
-	// Fit estimates the model parameters from a session log.
-	Fit(sessions []Session) error
+	// FitLog estimates the model parameters from a compiled session log
+	// (see Compile): compile once, then fit any number of models on it.
+	// Refitting reuses the model's parameter storage (value slices and
+	// pair tables) in place, so a steady-state refit allocates nothing;
+	// treat a model as read-only for other goroutines while a refit is
+	// in flight.
+	FitLog(c *CompiledLog) error
 
-	// ClickProbs returns the marginal probability P(C_i = 1) for every
-	// position of the session, using only the query and shown documents
-	// (never the session's own clicks). This is the quantity scored by
-	// perplexity and used for CTR prediction.
-	ClickProbs(s Session) []float64
+	InplaceScorer
 
 	// SessionLogLikelihood returns log P(observed click vector) under the
 	// model, honouring the model's sequential dependence structure.
 	SessionLogLikelihood(s Session) float64
+
+	// Save writes the model's complete v2 artifact, which LoadModel
+	// thaws back into a fresh model (see v2.go) and FromArtifact serves.
+	// An artifact holds what scoring reads, not how the model was
+	// fitted: an EM model's Iterations is not saved — a loaded model
+	// keeps its constructor's count — so set Iterations (BBM's
+	// Browse.Iterations) before refitting a loaded model whose fit used
+	// another. (v1 artifacts stored it; the importer drops it.)
+	Save(w io.Writer) error
+
+	// params is the model's parameter list (snapshot.go): the one place
+	// its artifact layout is spelled.
+	params() []param
 }
 
 // Examiner is implemented by models that expose a marginal examination
@@ -121,19 +138,15 @@ type Examiner interface {
 	ExaminationProbs(s Session) []float64
 }
 
-// InplaceScorer is implemented by models whose ClickProbs can write into
-// a caller-provided buffer, making repeated scoring allocation-free.
-// The returned slice is buf (resliced) when buf has the capacity, or a
-// fresh slice otherwise. Every built-in model implements it.
+// InplaceScorer is Model's scoring half. ClickProbsInto returns the
+// marginal probability P(C_i = 1) for every position of the session,
+// using only the query and shown documents (never the session's own
+// clicks): the quantity scored by perplexity and used for CTR
+// prediction. The returned slice is buf (resliced) when buf has the
+// capacity, or a fresh slice otherwise, so repeated scoring into one
+// buffer allocates nothing.
 type InplaceScorer interface {
 	ClickProbsInto(s Session, buf []float64) []float64
-}
-
-// IterativeModel is implemented by models estimated with EM, whose
-// iteration count is tunable (e.g. from a command-line flag) without
-// knowing the concrete type.
-type IterativeModel interface {
-	SetIterations(n int)
 }
 
 // maxStackPositions is the deepest result list for which the scoring
@@ -148,15 +161,6 @@ func resizeProbs(buf []float64, n int) []float64 {
 		return buf[:n]
 	}
 	return make([]float64, n)
-}
-
-// clickProbsInto scores through the model's in-place path when it has
-// one, falling back to the allocating ClickProbs.
-func clickProbsInto(m Model, s Session, buf []float64) []float64 {
-	if ip, ok := m.(InplaceScorer); ok {
-		return ip.ClickProbsInto(s, buf)
-	}
-	return m.ClickProbs(s)
 }
 
 // qd keys attractiveness/relevance parameters by (query, document).

@@ -64,6 +64,16 @@ func TestPrevClickIndex(t *testing.T) {
 
 const simDocs = 8
 
+// fitSessions fits m on a session log the one way a caller does:
+// Compile, then FitLog.
+func fitSessions(m Model, sessions []Session) error {
+	c, err := Compile(sessions)
+	if err != nil {
+		return err
+	}
+	return m.FitLog(c)
+}
+
 func docName(i int) string { return string(rune('a' + i)) }
 
 // truthAlpha is the planted attractiveness of doc i (same for all queries).
@@ -139,7 +149,7 @@ func TestPBMRecovery(t *testing.T) {
 	sessions := simulatePBM(rng, 30000, gamma)
 
 	m := NewPBM()
-	if err := m.Fit(sessions); err != nil {
+	if err := fitSessions(m, sessions); err != nil {
 		t.Fatal(err)
 	}
 	// PBM's (gamma, alpha) factorisation is identifiable only up to a
@@ -168,7 +178,7 @@ func TestPBMGammaDecreasing(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	gamma := []float64{0.9, 0.6, 0.4, 0.25}
 	m := NewPBM()
-	if err := m.Fit(simulatePBM(rng, 10000, gamma)); err != nil {
+	if err := fitSessions(m, simulatePBM(rng, 10000, gamma)); err != nil {
 		t.Fatal(err)
 	}
 	for i := 1; i < len(m.Gamma); i++ {
@@ -182,7 +192,7 @@ func TestCascadeRecovery(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	sessions := simulateCascade(rng, 30000, 5)
 	m := NewCascade()
-	if err := m.Fit(sessions); err != nil {
+	if err := fitSessions(m, sessions); err != nil {
 		t.Fatal(err)
 	}
 	for d := 0; d < simDocs; d++ {
@@ -213,7 +223,7 @@ func TestDBNRecovery(t *testing.T) {
 	const sat, gamma = 0.6, 0.85
 	sessions := simulateDBN(rng, 40000, 6, sat, gamma)
 	m := NewDBN()
-	if err := m.Fit(sessions); err != nil {
+	if err := fitSessions(m, sessions); err != nil {
 		t.Fatal(err)
 	}
 	if math.Abs(m.Gamma-gamma) > 0.08 {
@@ -240,7 +250,7 @@ func TestSDBNClosedForm(t *testing.T) {
 	}
 	m := NewSDBN()
 	m.LaplaceA, m.LaplaceB = 0, 0 // raw MLE for hand-checking
-	if err := m.Fit(sessions); err != nil {
+	if err := fitSessions(m, sessions); err != nil {
 		t.Fatal(err)
 	}
 	row := m.pairs.row("q")
@@ -265,14 +275,14 @@ func TestUBMFitsAndScores(t *testing.T) {
 	rng := rand.New(rand.NewSource(45))
 	sessions := simulateDBN(rng, 8000, 5, 0.5, 0.9)
 	m := NewUBM()
-	if err := m.Fit(sessions); err != nil {
+	if err := fitSessions(m, sessions); err != nil {
 		t.Fatal(err)
 	}
 	for _, s := range sessions[:100] {
-		probs := m.ClickProbs(s)
+		probs := m.ClickProbsInto(s, nil)
 		for i, p := range probs {
 			if p < 0 || p > 1 || math.IsNaN(p) {
-				t.Fatalf("ClickProbs[%d] = %v out of range", i, p)
+				t.Fatalf("ClickProbsInto[%d] = %v out of range", i, p)
 			}
 		}
 		if ll := m.SessionLogLikelihood(s); math.IsNaN(ll) || ll > 0 {
@@ -291,7 +301,7 @@ func TestBBMPosteriorMean(t *testing.T) {
 	rng := rand.New(rand.NewSource(46))
 	sessions := simulatePBM(rng, 10000, []float64{1, 0.6, 0.35, 0.2})
 	m := NewBBM()
-	if err := m.Fit(sessions); err != nil {
+	if err := fitSessions(m, sessions); err != nil {
 		t.Fatal(err)
 	}
 	// Posterior means must be ordered like the planted attractiveness.
@@ -316,13 +326,13 @@ func TestCCMFitImprovesLikelihood(t *testing.T) {
 	sessions := simulateDBN(rng, 10000, 5, 0.5, 0.85)
 	m := NewCCM()
 	m.Iterations = 1
-	if err := m.Fit(sessions); err != nil {
+	if err := fitSessions(m, sessions); err != nil {
 		t.Fatal(err)
 	}
 	ll1 := Evaluate(m, sessions).LogLikelihood
 	m2 := NewCCM()
 	m2.Iterations = 15
-	if err := m2.Fit(sessions); err != nil {
+	if err := fitSessions(m2, sessions); err != nil {
 		t.Fatal(err)
 	}
 	ll15 := Evaluate(m2, sessions).LogLikelihood
@@ -338,7 +348,7 @@ func TestGCMSubsumesDCMShape(t *testing.T) {
 	rng := rand.New(rand.NewSource(48))
 	sessions := simulateDBN(rng, 15000, 5, 0.55, 0.9)
 	m := NewGCM()
-	if err := m.Fit(sessions); err != nil {
+	if err := fitSessions(m, sessions); err != nil {
 		t.Fatal(err)
 	}
 	// Relevance ordering must match the planted attractiveness ordering.
@@ -355,7 +365,7 @@ func TestAllModelsFitAndEvaluate(t *testing.T) {
 	test := simulateDBN(rng, 2000, 5, 0.5, 0.85)
 	for _, m := range All() {
 		t.Run(m.Name(), func(t *testing.T) {
-			if err := m.Fit(train); err != nil {
+			if err := fitSessions(m, train); err != nil {
 				t.Fatalf("Fit: %v", err)
 			}
 			ev := Evaluate(m, test)
@@ -369,9 +379,9 @@ func TestAllModelsFitAndEvaluate(t *testing.T) {
 				t.Errorf("perplexity %v absurdly high for a fitted model", ev.Perplexity)
 			}
 			for _, s := range test[:50] {
-				for i, p := range m.ClickProbs(s) {
+				for i, p := range m.ClickProbsInto(s, nil) {
 					if p < 0 || p > 1 || math.IsNaN(p) {
-						t.Fatalf("%s ClickProbs[%d] = %v", m.Name(), i, p)
+						t.Fatalf("%s ClickProbsInto[%d] = %v", m.Name(), i, p)
 					}
 				}
 			}
@@ -382,10 +392,10 @@ func TestAllModelsFitAndEvaluate(t *testing.T) {
 func TestFitRejectsBadLogs(t *testing.T) {
 	bad := []Session{{Query: "q", Docs: []string{"a"}, Clicks: nil}}
 	for _, m := range All() {
-		if err := m.Fit(nil); err == nil {
+		if err := fitSessions(m, nil); err == nil {
 			t.Errorf("%s accepted empty log", m.Name())
 		}
-		if err := m.Fit(bad); err == nil {
+		if err := fitSessions(m, bad); err == nil {
 			t.Errorf("%s accepted malformed session", m.Name())
 		}
 	}
@@ -414,36 +424,18 @@ func TestPerplexityPerfectAndRandom(t *testing.T) {
 		{Query: "q", Docs: []string{"a"}, Clicks: []bool{false}},
 		{Query: "q", Docs: []string{"a"}, Clicks: []bool{false}},
 	}
-	half := &constModel{p: 0.5}
+	// SUM predicts its per-position base rate: one position at p is a
+	// constant p everywhere.
+	half := &SUM{baseCTR: []float64{0.5}}
 	overall := Evaluate(half, sessions).Perplexity
 	if math.Abs(overall-2) > 1e-9 {
 		t.Errorf("coin-flip perplexity = %v, want 2", overall)
 	}
-	sharp := &constModel{p: probEps}
+	sharp := &SUM{baseCTR: []float64{probEps}}
 	overall = Evaluate(sharp, sessions).Perplexity
 	if overall > 1.001 {
 		t.Errorf("near-perfect perplexity = %v, want ~1", overall)
 	}
-}
-
-// constModel predicts a constant click probability everywhere.
-type constModel struct{ p float64 }
-
-func (c *constModel) Name() string        { return "const" }
-func (c *constModel) Fit([]Session) error { return nil }
-func (c *constModel) ClickProbs(s Session) []float64 {
-	out := make([]float64, len(s.Docs))
-	for i := range out {
-		out[i] = c.p
-	}
-	return out
-}
-func (c *constModel) SessionLogLikelihood(s Session) float64 {
-	ll := 0.0
-	for _, cl := range s.Clicks {
-		ll += bernoulliLL(c.p, cl)
-	}
-	return ll
 }
 
 func BenchmarkPBMFit(b *testing.B) {
@@ -454,7 +446,7 @@ func BenchmarkPBMFit(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		m := NewPBM()
 		m.Iterations = 5
-		if err := m.Fit(sessions); err != nil {
+		if err := fitSessions(m, sessions); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -468,7 +460,7 @@ func BenchmarkDBNFit(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		m := NewDBN()
 		m.Iterations = 5
-		if err := m.Fit(sessions); err != nil {
+		if err := fitSessions(m, sessions); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -479,12 +471,12 @@ func BenchmarkUBMClickProbs(b *testing.B) {
 	sessions := simulateDBN(rng, 2000, 8, 0.5, 0.85)
 	m := NewUBM()
 	m.Iterations = 5
-	if err := m.Fit(sessions); err != nil {
+	if err := fitSessions(m, sessions); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m.ClickProbs(sessions[i%len(sessions)])
+		m.ClickProbsInto(sessions[i%len(sessions)], nil)
 	}
 }

@@ -119,9 +119,8 @@ func (t *pairTable) retain(keep func(p int) bool) int {
 // impression counts — is precomputed once.
 //
 // Compile once, then fit any number of models on the same log via
-// their FitLog methods; Fit(sessions) compiles internally for callers
-// that do not reuse the log. A CompiledLog is immutable after Compile
-// and safe for concurrent use.
+// their FitLog methods. A CompiledLog is immutable after Compile and
+// safe for concurrent use.
 type CompiledLog struct {
 	tab *pairTable // the log's (query, doc) pairs
 
@@ -150,8 +149,7 @@ type CompiledLog struct {
 }
 
 // Compile validates and interns a session log. The log must be
-// non-empty and every session well-formed (the same contract Fit has
-// always enforced).
+// non-empty and every session well-formed.
 func Compile(sessions []Session) (*CompiledLog, error) {
 	if err := validateAll(sessions); err != nil {
 		return nil, err
@@ -218,8 +216,8 @@ func (c *CompiledLog) NumSessions() int { return len(c.last) }
 
 // Sessions returns the source log the CompiledLog was built from (a
 // reference, not a copy) — for callers that hold only the compiled
-// form but need the raw sessions, e.g. fitting a model without a
-// FitLog path. Treat it as read-only.
+// form but need the raw sessions, e.g. SUM's clicked-sequence fit.
+// Treat it as read-only.
 func (c *CompiledLog) Sessions() []Session { return c.sessions }
 
 // NumImpressions returns the total number of (session, position) cells.
@@ -250,17 +248,6 @@ func (c *CompiledLog) ubmCellCounts() []float64 {
 		c.ubmCells = cells
 	})
 	return c.ubmCells
-}
-
-// LogFitter is implemented by models that can fit directly from a
-// CompiledLog, skipping the per-call interning Fit(sessions) performs.
-// Compile once and call FitLog on each model when fitting several
-// models (or refitting) over the same log. Refitting reuses the
-// model's parameter storage (value slices and pair tables) in place, so
-// a steady-state refit allocates nothing; treat a model as read-only
-// for other goroutines while a refit is in flight.
-type LogFitter interface {
-	FitLog(c *CompiledLog) error
 }
 
 // reuseFloats returns dst resliced when a previous fit left storage of
@@ -359,7 +346,7 @@ func mergeShards(all []float64, stride, workers int) []float64 {
 // fitScratch is the pooled scratch slab for dense fits. Refitting
 // models on live traffic is the hot loop this package serves, so the
 // (often hundreds of KB) accumulator arrays are recycled rather than
-// reallocated per Fit.
+// reallocated per fit.
 type fitScratch struct{ buf []float64 }
 
 var scratchPool = sync.Pool{New: func() any { return new(fitScratch) }}

@@ -72,11 +72,7 @@ func TestCompileRejectsBadLogs(t *testing.T) {
 
 func TestFitLogNilGuard(t *testing.T) {
 	for _, m := range All() {
-		lf, ok := m.(LogFitter)
-		if !ok {
-			continue
-		}
-		if err := lf.FitLog(nil); err == nil {
+		if err := m.FitLog(nil); err == nil {
 			t.Errorf("%s.FitLog(nil) succeeded", m.Name())
 		}
 	}
@@ -172,23 +168,19 @@ func TestConcurrentFitsShareLog(t *testing.T) {
 	}
 }
 
-// TestInplaceScorersMatchClickProbs pins ClickProbsInto to ClickProbs
-// for every registered model, including buffer reuse across sessions
-// of different lengths.
+// TestInplaceScorersMatchClickProbs pins ClickProbsInto into a reused
+// buffer to ClickProbsInto into a fresh one for every model, across
+// sessions of different lengths.
 func TestInplaceScorersMatchClickProbs(t *testing.T) {
 	sessions := synthParityLog(808, 800)
 	for _, m := range All() {
-		if err := m.Fit(sessions); err != nil {
+		if err := fitSessions(m, sessions); err != nil {
 			t.Fatalf("%s: %v", m.Name(), err)
-		}
-		ip, ok := m.(InplaceScorer)
-		if !ok {
-			t.Fatalf("%s does not implement InplaceScorer", m.Name())
 		}
 		var buf []float64
 		for _, s := range sessions[:100] {
-			want := m.ClickProbs(s)
-			buf = ip.ClickProbsInto(s, buf)
+			want := m.ClickProbsInto(s, nil)
+			buf = m.ClickProbsInto(s, buf)
 			if len(buf) != len(want) {
 				t.Fatalf("%s: len %d, want %d", m.Name(), len(buf), len(want))
 			}
@@ -214,7 +206,7 @@ func TestDeepSessionScoring(t *testing.T) {
 	sessions := []Session{{Query: "q", Docs: docs, Clicks: clicks}}
 	m := NewUBM()
 	m.Iterations = 2
-	if err := m.Fit(sessions); err != nil {
+	if err := fitSessions(m, sessions); err != nil {
 		t.Fatal(err)
 	}
 	probs := m.ClickProbsInto(sessions[0], nil)

@@ -31,7 +31,7 @@ func countingFitLines(t *testing.T, seed int64) []string {
 		t.Fatal(err)
 	}
 	sdbn, cascade, dcm := NewSDBN(), NewCascade(), NewDCM()
-	for _, m := range []LogFitter{sdbn, cascade, dcm} {
+	for _, m := range []Model{sdbn, cascade, dcm} {
 		if err := m.FitLog(c); err != nil {
 			t.Fatal(err)
 		}

@@ -40,9 +40,6 @@ func NewDBN() *DBN { return &DBN{Iterations: 20, PriorA: 0.5, PriorS: 0.5, Gamma
 // Name implements Model.
 func (m *DBN) Name() string { return "DBN" }
 
-// SetIterations implements IterativeModel.
-func (m *DBN) SetIterations(n int) { m.Iterations = n }
-
 func (m *DBN) defaults() {
 	if m.Iterations <= 0 {
 		m.Iterations = 20
@@ -112,18 +109,6 @@ func (m *DBN) tailZ(s Session, row map[string]int32, last int) float64 {
 		z = probEps
 	}
 	return z
-}
-
-// Fit implements Model: compile the log, then run the dense EM.
-func (m *DBN) Fit(sessions []Session) error {
-	if m.frozen != nil {
-		return ErrMappedImmutable
-	}
-	c, err := Compile(sessions)
-	if err != nil {
-		return err
-	}
-	return m.FitLog(c)
 }
 
 // dbnAcc is the layout of one worker's accumulator region:
@@ -296,12 +281,7 @@ func dbnEStep(c *CompiledLog, attr, sat []float64, g float64, acc, tails []float
 	}
 }
 
-// ClickProbs implements Model via the forward examination recursion.
-func (m *DBN) ClickProbs(s Session) []float64 {
-	return m.ClickProbsInto(s, nil)
-}
-
-// ClickProbsInto implements InplaceScorer.
+// ClickProbsInto implements Model via the forward examination recursion.
 func (m *DBN) ClickProbsInto(s Session, buf []float64) []float64 {
 	out := resizeProbs(buf, len(s.Docs))
 	row := m.pairs.row(s.Query)

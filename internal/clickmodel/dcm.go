@@ -41,16 +41,7 @@ func (m *DCM) defaults() {
 	}
 }
 
-// Fit implements Model: compile the log, then FitLog.
-func (m *DCM) Fit(sessions []Session) error {
-	c, err := Compile(sessions)
-	if err != nil {
-		return err
-	}
-	return m.FitLog(c)
-}
-
-// FitLog implements LogFitter: the log's statistics, then FitStats.
+// FitLog implements Model: the log's statistics, then FitStats.
 func (m *DCM) FitLog(c *CompiledLog) error {
 	if c == nil {
 		return errNilLog
@@ -76,13 +67,8 @@ func (m *DCM) lambda(i int) float64 {
 	return 0.5
 }
 
-// ClickProbs implements Model: forward recursion over the marginal
+// ClickProbsInto implements Model: forward recursion over the marginal
 // examination probability.
-func (m *DCM) ClickProbs(s Session) []float64 {
-	return m.ClickProbsInto(s, nil)
-}
-
-// ClickProbsInto implements InplaceScorer.
 func (m *DCM) ClickProbsInto(s Session, buf []float64) []float64 {
 	out := resizeProbs(buf, len(s.Docs))
 	row := m.pairs.row(s.Query)

@@ -28,10 +28,10 @@ func newPerplexityAccum(n int) *perplexityAccum {
 	return &perplexityAccum{sum: make([]float64, n), cnt: make([]float64, n)}
 }
 
-// add scores one session through the model (via its in-place path when
-// available, reusing the accumulator's scratch buffer).
+// add scores one session through the model, reusing the accumulator's
+// scratch buffer.
 func (a *perplexityAccum) add(m Model, s Session) {
-	probs := clickProbsInto(m, s, a.scratch)
+	probs := m.ClickProbsInto(s, a.scratch)
 	a.scratch = probs
 	for i, c := range s.Clicks {
 		q := clampProb(probs[i])
@@ -83,20 +83,4 @@ func Evaluate(m Model, sessions []Session) Evaluation {
 	ev.LogLikelihood = ll / float64(len(sessions))
 	ev.Perplexity, ev.PerplexityByRank = acc.finish()
 	return ev
-}
-
-// All returns one fresh instance of every registered model, in
-// registration order — for the built-ins, the order they appear in the
-// paper's related-work taxonomy.
-func All() []Model {
-	names := Names()
-	out := make([]Model, 0, len(names))
-	for _, name := range names {
-		m, err := New(name)
-		if err != nil { // unreachable: Names and New share the registry
-			panic(err)
-		}
-		out = append(out, m)
-	}
-	return out
 }

@@ -29,19 +29,17 @@ func fuzzLog() []Session { return synthParityLog(7, 120) }
 // The seeds are every registry model's export; an input whose artifact
 // does not parse is skipped.
 func FuzzClickModelArtifact(f *testing.F) {
+	c, err := Compile(fuzzLog())
+	if err != nil {
+		f.Fatal(err)
+	}
 	for _, name := range Names() {
-		m, err := New(name)
+		m, err := Train(name, 3, c, nil)
 		if err != nil {
 			f.Fatal(err)
 		}
-		if it, ok := m.(IterativeModel); ok {
-			it.SetIterations(3)
-		}
-		if err := m.Fit(fuzzLog()); err != nil {
-			f.Fatal(err)
-		}
 		var buf bytes.Buffer
-		if err := m.(Snapshotter).Save(&buf); err != nil {
+		if err := m.Save(&buf); err != nil {
 			f.Fatal(err)
 		}
 		f.Add(buf.Bytes(), uint8(0), uint8(0), uint32(0), []byte(nil))
@@ -81,7 +79,7 @@ func FuzzClickModelArtifact(f *testing.F) {
 		}
 		for _, m := range []Model{thawed, served} {
 			var buf bytes.Buffer
-			if err := m.(Snapshotter).Save(&buf); err != nil {
+			if err := m.Save(&buf); err != nil {
 				t.Fatalf("an accepted %s does not export: %v", m.Name(), err)
 			}
 			if _, err := LoadModel(&buf); err != nil {
@@ -173,7 +171,7 @@ func fuzzEval(a *snapshot.V2Artifact) []Session {
 	return eval
 }
 
-// answerBits lists what m answers on eval, by bits: ClickProbs, the
+// answerBits lists what m answers on eval, by bits: ClickProbsInto, the
 // in-place ClickProbsInto, ExaminationProbs for an Examiner, and
 // SessionLogLikelihood.
 func answerBits(m Model, eval []Session) string {
@@ -186,7 +184,7 @@ func answerBits(m Model, eval []Session) string {
 	}
 	var buf []float64
 	for _, s := range eval {
-		put(m.ClickProbs(s)...)
+		put(m.ClickProbsInto(s, nil)...)
 		buf = m.(InplaceScorer).ClickProbsInto(s, buf)
 		put(buf...)
 		if e, ok := m.(Examiner); ok {

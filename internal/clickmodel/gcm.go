@@ -35,9 +35,6 @@ func NewGCM() *GCM { return &GCM{Iterations: 20, PriorR: 0.5} }
 // Name implements Model.
 func (m *GCM) Name() string { return "GCM" }
 
-// SetIterations implements IterativeModel.
-func (m *GCM) SetIterations(n int) { m.Iterations = n }
-
 func (m *GCM) defaults() {
 	if m.Iterations <= 0 {
 		m.Iterations = 20
@@ -120,15 +117,6 @@ func (m *GCM) tailPosterior(s Session, row map[string]int32, last int) (pExam []
 		pExam[j] = suffix / z
 	}
 	return pExam, z
-}
-
-// Fit implements Model: compile the log, then run the dense EM.
-func (m *GCM) Fit(sessions []Session) error {
-	c, err := Compile(sessions)
-	if err != nil {
-		return err
-	}
-	return m.FitLog(c)
 }
 
 // gcmAccStride is one worker's accumulator layout:
@@ -293,12 +281,7 @@ func gcmEStep(c *CompiledLog, rel, lSkip, lClick []float64, acc, tails []float64
 	}
 }
 
-// ClickProbs implements Model via the forward examination recursion.
-func (m *GCM) ClickProbs(s Session) []float64 {
-	return m.ClickProbsInto(s, nil)
-}
-
-// ClickProbsInto implements InplaceScorer.
+// ClickProbsInto implements Model via the forward examination recursion.
 func (m *GCM) ClickProbsInto(s Session, buf []float64) []float64 {
 	out := resizeProbs(buf, len(s.Docs))
 	row := m.pairs.row(s.Query)

@@ -726,7 +726,7 @@ func TestPBMParity(t *testing.T) {
 		sessions := synthParityLog(seed, 3000)
 		m := NewPBM()
 		m.Iterations = 8
-		if err := m.Fit(sessions); err != nil {
+		if err := fitSessions(m, sessions); err != nil {
 			t.Fatal(err)
 		}
 		gamma, alpha := refPBM(sessions, 8, m.PriorAlpha)
@@ -740,7 +740,7 @@ func TestUBMParity(t *testing.T) {
 		sessions := synthParityLog(seed, 3000)
 		m := NewUBM()
 		m.Iterations = 8
-		if err := m.Fit(sessions); err != nil {
+		if err := fitSessions(m, sessions); err != nil {
 			t.Fatal(err)
 		}
 		gamma, alpha := refUBM(sessions, 8, m.PriorAlpha)
@@ -758,7 +758,7 @@ func TestCascadeParity(t *testing.T) {
 	for _, seed := range paritySeeds {
 		sessions := synthParityLog(seed, 3000)
 		m := NewCascade()
-		if err := m.Fit(sessions); err != nil {
+		if err := fitSessions(m, sessions); err != nil {
 			t.Fatal(err)
 		}
 		compareQDMaps(t, "Cascade alpha", tableMap(m.pairs, m.alphas), refCascade(sessions, m.LaplaceA, m.LaplaceB))
@@ -769,7 +769,7 @@ func TestDCMParity(t *testing.T) {
 	for _, seed := range paritySeeds {
 		sessions := synthParityLog(seed, 3000)
 		m := NewDCM()
-		if err := m.Fit(sessions); err != nil {
+		if err := fitSessions(m, sessions); err != nil {
 			t.Fatal(err)
 		}
 		alpha, lambda := refDCM(sessions, m.LaplaceA, m.LaplaceB)
@@ -782,7 +782,7 @@ func TestSDBNParity(t *testing.T) {
 	for _, seed := range paritySeeds {
 		sessions := synthParityLog(seed, 3000)
 		m := NewSDBN()
-		if err := m.Fit(sessions); err != nil {
+		if err := fitSessions(m, sessions); err != nil {
 			t.Fatal(err)
 		}
 		attr, sat := refSDBN(sessions, m.LaplaceA, m.LaplaceB)
@@ -796,7 +796,7 @@ func TestDBNParity(t *testing.T) {
 		sessions := synthParityLog(seed, 3000)
 		m := NewDBN()
 		m.Iterations = 8
-		if err := m.Fit(sessions); err != nil {
+		if err := fitSessions(m, sessions); err != nil {
 			t.Fatal(err)
 		}
 		attr, sat, gamma := refDBN(sessions, 8, m.PriorA, m.PriorS, 0.9)
@@ -811,7 +811,7 @@ func TestCCMParity(t *testing.T) {
 		sessions := synthParityLog(seed, 3000)
 		m := NewCCM()
 		m.Iterations = 8
-		if err := m.Fit(sessions); err != nil {
+		if err := fitSessions(m, sessions); err != nil {
 			t.Fatal(err)
 		}
 		rel, a1, a2, a3 := refCCM(sessions, 8, 0.5, 0.8, 0.6, 0.9)
@@ -827,7 +827,7 @@ func TestGCMParity(t *testing.T) {
 		sessions := synthParityLog(seed, 3000)
 		m := NewGCM()
 		m.Iterations = 8
-		if err := m.Fit(sessions); err != nil {
+		if err := fitSessions(m, sessions); err != nil {
 			t.Fatal(err)
 		}
 		rel, lSkip, lClick := refGCM(sessions, 8, 0.5)
@@ -880,8 +880,8 @@ func TestBBMParity(t *testing.T) {
 	for _, seed := range paritySeeds {
 		sessions := synthParityLog(seed, 2000)
 		m := NewBBM()
-		m.SetIterations(8)
-		if err := m.Fit(sessions); err != nil {
+		m.Browse.Iterations = 8
+		if err := fitSessions(m, sessions); err != nil {
 			t.Fatal(err)
 		}
 
@@ -945,8 +945,8 @@ func TestBBMSparseFallbackParity(t *testing.T) {
 		sessions = append(sessions, Session{Query: "q", Docs: docs, Clicks: clicks})
 	}
 	m := NewBBM()
-	m.SetIterations(3)
-	if err := m.Fit(sessions); err != nil {
+	m.Browse.Iterations = 3
+	if err := fitSessions(m, sessions); err != nil {
 		t.Fatal(err)
 	}
 	if m.nonClickS == nil {
@@ -1004,11 +1004,11 @@ func TestParallelFitParity(t *testing.T) {
 		case *GCM:
 			mm.Iterations, mm.Workers = 6, workers
 		case *BBM:
-			mm.SetIterations(6)
+			mm.Browse.Iterations = 6
 			mm.Workers = workers
 			mm.Browse.Workers = workers
 		}
-		return m, m.(LogFitter).FitLog(c)
+		return m, m.FitLog(c)
 	}
 	news := []func() Model{
 		func() Model { return NewPBM() },
@@ -1034,8 +1034,8 @@ func TestParallelFitParity(t *testing.T) {
 			probe := sessions[:200]
 			buf := make([]float64, 0, 16)
 			for _, s := range probe {
-				seq := seqM.ClickProbs(s)
-				par := clickProbsInto(parM, s, buf)
+				seq := seqM.ClickProbsInto(s, nil)
+				par := parM.ClickProbsInto(s, buf)
 				for i := range seq {
 					if math.Abs(seq[i]-par[i]) > parityTol {
 						t.Fatalf("%s: parallel fit diverged at %v pos %d: %.15f vs %.15f",
@@ -1064,8 +1064,11 @@ func TestRefitReusesStorage(t *testing.T) {
 		t.Fatal(err)
 	}
 	pbm, ubm, dbn, ccm, gcm := NewPBM(), NewUBM(), NewDBN(), NewCCM(), NewGCM()
+	for _, n := range []*int{&pbm.Iterations, &ubm.Iterations, &dbn.Iterations, &ccm.Iterations, &gcm.Iterations} {
+		*n = 5
+	}
 	for _, tc := range []struct {
-		m     LogFitter
+		m     Model
 		table func() *pairTable
 		vals  func() [][]float64
 		reset func()
@@ -1078,8 +1081,7 @@ func TestRefitReusesStorage(t *testing.T) {
 			func() { d := NewCCM(); ccm.Alpha1, ccm.Alpha2, ccm.Alpha3 = d.Alpha1, d.Alpha2, d.Alpha3 }},
 		{gcm, func() *pairTable { return gcm.pairs }, func() [][]float64 { return [][]float64{gcm.rel} }, func() {}},
 	} {
-		name := tc.m.(Model).Name()
-		tc.m.(IterativeModel).SetIterations(5)
+		name := tc.m.Name()
 		if err := tc.m.FitLog(c); err != nil {
 			t.Fatal(err)
 		}

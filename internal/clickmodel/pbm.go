@@ -35,9 +35,6 @@ func NewPBM() *PBM { return &PBM{Iterations: 20, PriorAlpha: 0.5} }
 // Name implements Model.
 func (m *PBM) Name() string { return "PBM" }
 
-// SetIterations implements IterativeModel.
-func (m *PBM) SetIterations(n int) { m.Iterations = n }
-
 func (m *PBM) defaults() {
 	if m.Iterations <= 0 {
 		m.Iterations = 20
@@ -45,18 +42,6 @@ func (m *PBM) defaults() {
 	if m.PriorAlpha <= 0 || m.PriorAlpha >= 1 {
 		m.PriorAlpha = 0.5
 	}
-}
-
-// Fit implements Model: compile the log, then run the dense EM.
-func (m *PBM) Fit(sessions []Session) error {
-	if m.frozen != nil {
-		return ErrMappedImmutable
-	}
-	c, err := Compile(sessions)
-	if err != nil {
-		return err
-	}
-	return m.FitLog(c)
 }
 
 // FitLog runs EM over a compiled log. The E-step computes, for every
@@ -160,12 +145,7 @@ func (m *PBM) alpha(row map[string]int32, q, d string) float64 {
 	return m.PriorAlpha
 }
 
-// ClickProbs implements Model.
-func (m *PBM) ClickProbs(s Session) []float64 {
-	return m.ClickProbsInto(s, nil)
-}
-
-// ClickProbsInto implements InplaceScorer, reusing buf when it has the
+// ClickProbsInto implements Model, reusing buf when it has the
 // capacity.
 func (m *PBM) ClickProbsInto(s Session, buf []float64) []float64 {
 	out := resizeProbs(buf, len(s.Docs))

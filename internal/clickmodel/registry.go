@@ -4,92 +4,71 @@ import (
 	"errors"
 	"fmt"
 	"strings"
-	"sync"
 )
 
-// Factory constructs a fresh, unfitted instance of one click model.
-type Factory func() Model
+// models is every click model constructible by name, in the paper's
+// related-work taxonomy order: its canonical (lower-case) name and a
+// constructor taking the EM iteration count, where iterations <= 0
+// keeps the model's default and a model fitted in closed form ignores
+// it.
+var models = [...]struct {
+	name string
+	new  func(iterations int) Model
+}{
+	{"pbm", func(n int) Model { m := NewPBM(); setIterations(&m.Iterations, n); return m }},
+	{"cascade", func(int) Model { return NewCascade() }},
+	{"dcm", func(int) Model { return NewDCM() }},
+	{"ubm", func(n int) Model { m := NewUBM(); setIterations(&m.Iterations, n); return m }},
+	{"bbm", func(n int) Model { m := NewBBM(); setIterations(&m.Browse.Iterations, n); return m }},
+	{"ccm", func(n int) Model { m := NewCCM(); setIterations(&m.Iterations, n); return m }},
+	{"dbn", func(n int) Model { m := NewDBN(); setIterations(&m.Iterations, n); return m }},
+	{"sdbn", func(int) Model { return NewSDBN() }},
+	{"gcm", func(n int) Model { m := NewGCM(); setIterations(&m.Iterations, n); return m }},
+	{"sum", func(n int) Model { m := NewSUM(); setIterations(&m.Iterations, n); return m }},
+}
 
-// registry maps canonical (lower-case) model names to factories. The
-// built-in models register themselves in init below; external callers
-// may add their own with Register. Guarded by a mutex so registration
-// and lookup are safe from concurrent goroutines (the engine resolves
-// names lazily from its worker pool).
-var registry = struct {
-	sync.RWMutex
-	factories map[string]Factory
-	order     []string // registration order, for Names/All
-}{factories: make(map[string]Factory)}
+// setIterations overrides a constructor's default iteration count with
+// n when n is positive.
+func setIterations(dst *int, n int) {
+	if n > 0 {
+		*dst = n
+	}
+}
 
-// Register makes a model constructible by name. Names are
-// case-insensitive; registering an empty name, a nil factory or a
-// duplicate name panics — all three are programmer errors that should
-// fail loudly at process start, not at request time.
-func Register(name string, f Factory) {
+// construct builds the named model (case-insensitive) with the given
+// iteration count. Unknown names return an error listing the valid
+// choices.
+func construct(name string, iterations int) (Model, error) {
 	key := strings.ToLower(strings.TrimSpace(name))
-	if key == "" {
-		panic("clickmodel: Register with empty name")
+	for _, e := range models {
+		if e.name == key {
+			return e.new(iterations), nil
+		}
 	}
-	if f == nil {
-		panic("clickmodel: Register " + name + " with nil factory")
-	}
-	registry.Lock()
-	defer registry.Unlock()
-	if _, dup := registry.factories[key]; dup {
-		panic("clickmodel: Register called twice for " + key)
-	}
-	registry.factories[key] = f
-	registry.order = append(registry.order, key)
+	return nil, fmt.Errorf("clickmodel: unknown model %q (registered: %s)",
+		name, strings.Join(Names(), ", "))
 }
 
-// Lookup returns the factory registered under name (case-insensitive).
-// Unknown names return a descriptive error listing the valid choices.
-func Lookup(name string) (Factory, error) {
-	key := strings.ToLower(strings.TrimSpace(name))
-	registry.RLock()
-	f, ok := registry.factories[key]
-	registry.RUnlock()
-	if !ok {
-		return nil, fmt.Errorf("clickmodel: unknown model %q (registered: %s)",
-			name, strings.Join(Names(), ", "))
-	}
-	return f, nil
-}
+// New constructs a fresh, unfitted model by name, with its default
+// hyper-parameters.
+func New(name string) (Model, error) { return construct(name, 0) }
 
-// New constructs a fresh, unfitted model by registry name.
-func New(name string) (Model, error) {
-	f, err := Lookup(name)
-	if err != nil {
-		return nil, err
-	}
-	return f(), nil
-}
-
-// Train constructs the named registry model, sets its EM iteration
-// count (iterations <= 0 keeps the model's default) and fits it. It is
-// the one place an estimator is picked: a counting model fits from st
-// when st is non-nil (FitStats); otherwise the model fits from c,
-// through FitLog when it has one and through Fit over c's source
-// sessions when it has not.
+// Train constructs the named model with the given EM iteration count
+// (iterations <= 0 keeps the model's default) and fits it. It is the
+// one place an estimator is picked: a counting model fits from st when
+// st is non-nil (FitStats); otherwise the model fits from c (FitLog).
 func Train(name string, iterations int, c *CompiledLog, st *Stats) (Model, error) {
-	m, err := New(name)
+	m, err := construct(name, iterations)
 	if err != nil {
 		return nil, err
 	}
-	if it, ok := m.(IterativeModel); ok && iterations > 0 {
-		it.SetIterations(iterations)
-	}
-	sf, counting := m.(StatsFitter)
-	lf, logFitter := m.(LogFitter)
-	switch {
+	switch sf, counting := m.(StatsFitter); {
 	case counting && st != nil:
 		err = sf.FitStats(st)
 	case c == nil:
 		err = errors.New("no sessions to fit from")
-	case logFitter:
-		err = lf.FitLog(c)
 	default:
-		err = m.Fit(c.Sessions())
+		err = m.FitLog(c)
 	}
 	if err != nil {
 		return nil, fmt.Errorf("clickmodel: fitting %s: %w", m.Name(), err)
@@ -105,25 +84,22 @@ func Counting(m Model) bool {
 	return ok
 }
 
-// Names returns every registered model name in registration order —
-// for the built-ins, the paper's related-work taxonomy order.
+// Names returns every model name in the paper's related-work taxonomy
+// order.
 func Names() []string {
-	registry.RLock()
-	defer registry.RUnlock()
-	out := make([]string, len(registry.order))
-	copy(out, registry.order)
+	out := make([]string, len(models))
+	for i, e := range models {
+		out[i] = e.name
+	}
 	return out
 }
 
-func init() {
-	Register("pbm", func() Model { return NewPBM() })
-	Register("cascade", func() Model { return NewCascade() })
-	Register("dcm", func() Model { return NewDCM() })
-	Register("ubm", func() Model { return NewUBM() })
-	Register("bbm", func() Model { return NewBBM() })
-	Register("ccm", func() Model { return NewCCM() })
-	Register("dbn", func() Model { return NewDBN() })
-	Register("sdbn", func() Model { return NewSDBN() })
-	Register("gcm", func() Model { return NewGCM() })
-	Register("sum", func() Model { return NewSUM() })
+// All returns one fresh instance of every model, in the paper's
+// related-work taxonomy order.
+func All() []Model {
+	out := make([]Model, len(models))
+	for i, e := range models {
+		out[i] = e.new(0)
+	}
+	return out
 }

@@ -1,6 +1,7 @@
 package clickmodel
 
 import (
+	"fmt"
 	"math"
 	"reflect"
 	"strings"
@@ -55,26 +56,8 @@ func TestRegistryUnknownName(t *testing.T) {
 	if !strings.Contains(err.Error(), "nope") || !strings.Contains(err.Error(), "pbm") {
 		t.Errorf("error should name the request and list choices: %v", err)
 	}
-	if _, err := Lookup(""); err == nil {
-		t.Error("Lookup(\"\") succeeded")
-	}
-}
-
-func TestRegisterPanics(t *testing.T) {
-	cases := map[string]func(){
-		"empty name":  func() { Register("", func() Model { return NewPBM() }) },
-		"nil factory": func() { Register("x-nil", nil) },
-		"duplicate":   func() { Register("pbm", func() Model { return NewPBM() }) },
-	}
-	for name, fn := range cases {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("Register with %s did not panic", name)
-				}
-			}()
-			fn()
-		}()
+	if _, err := New(""); err == nil {
+		t.Error("New(\"\") succeeded")
 	}
 }
 
@@ -91,9 +74,35 @@ func TestAllMatchesRegistry(t *testing.T) {
 	}
 }
 
-// TestTrain pins the one fit entry point: the iteration count it sets,
-// the estimator it picks for each kind of model — compared by bits with
-// the same fit done by hand — and the inputs it refuses.
+// iterationsField is the EM round count of m's constructor, which
+// Train sets — BBM's lives in its browsing layer — or nil for a model
+// fitted in closed form.
+func iterationsField(m Model) *int {
+	switch t := m.(type) {
+	case *PBM:
+		return &t.Iterations
+	case *UBM:
+		return &t.Iterations
+	case *BBM:
+		return &t.Browse.Iterations
+	case *CCM:
+		return &t.Iterations
+	case *DBN:
+		return &t.Iterations
+	case *GCM:
+		return &t.Iterations
+	case *SUM:
+		return &t.Iterations
+	}
+	return nil
+}
+
+// TestTrain pins the one fit entry point over every model: the
+// iteration count reaches the model and one <= 0 keeps the
+// constructor's default, and the estimator picked — FitStats for a
+// counting model given statistics, FitLog otherwise — matches the same
+// fit done by hand, by bits. The statistics cover another log than the
+// compiled one, so the two estimators answer differently.
 func TestTrain(t *testing.T) {
 	sessions := snapSessions(21, 200, 4)
 	c, err := Compile(sessions)
@@ -101,58 +110,41 @@ func TestTrain(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := NewStats()
-	if err := st.AddAll(sessions); err != nil {
+	if err := st.AddAll(sessions[:120]); err != nil {
 		t.Fatal(err)
 	}
-	withIterations := func(m Model, n int) Model {
-		m.(IterativeModel).SetIterations(n)
-		return m
+	type trainCase struct {
+		name, model string
+		iterations  int
+		log         *CompiledLog
+		stats       *Stats
+		fails       bool
 	}
-	for _, tc := range []struct {
-		name       string
-		model      string
-		iterations int
-		log        *CompiledLog
-		stats      *Stats
-		// want fits the same model by hand; nil when Train must fail.
-		want func() (Model, error)
-	}{
-		{"iterations applied", "pbm", 4, c, nil, func() (Model, error) {
-			m := withIterations(NewPBM(), 4)
-			return m, m.Fit(sessions)
-		}},
-		{"non-positive iterations keep the default", "ubm", 0, c, nil, func() (Model, error) {
-			m := NewUBM()
-			return m, m.FitLog(c)
-		}},
-		{"non-iterative model ignores iterations", "cascade", 7, c, nil, func() (Model, error) {
-			m := NewCascade()
-			return m, m.FitLog(c)
-		}},
-		{"counting model from stats", "sdbn", 0, c, st, func() (Model, error) {
-			m := NewSDBN()
-			return m, m.FitStats(st)
-		}},
-		{"counting model from the log without stats", "dcm", 0, c, nil, func() (Model, error) {
-			m := NewDCM()
-			return m, m.FitLog(c)
-		}},
-		{"EM model ignores stats", "dbn", 3, c, st, func() (Model, error) {
-			m := withIterations(NewDBN(), 3)
-			return m, m.(LogFitter).FitLog(c)
-		}},
-		{"sum via the Fit fallback", "sum", 2, c, st, func() (Model, error) {
-			m := withIterations(NewSUM(), 2)
-			return m, m.Fit(sessions)
-		}},
-		{"unknown name", "nope", 0, c, st, nil},
-		{"nil log, EM model", "pbm", 0, nil, st, nil},
-		{"nil log, Fit fallback", "sum", 0, nil, st, nil},
-		{"nil log and stats, counting model", "sdbn", 0, nil, nil, nil},
-	} {
+	cases := []trainCase{
+		{"iterations applied", "pbm", 4, c, nil, false},
+		{"non-positive iterations keep the default", "ubm", 0, c, nil, false},
+		{"non-iterative model ignores iterations", "cascade", 7, c, nil, false},
+		{"counting model from stats", "sdbn", 0, c, st, false},
+		{"counting model from the log without stats", "dcm", 0, c, nil, false},
+		{"EM model ignores stats", "dbn", 3, c, st, false},
+		{"sum via its FitLog", "sum", 2, c, st, false},
+		{"unknown name", "nope", 0, c, st, true},
+		{"nil log, EM model", "pbm", 0, nil, st, true},
+		{"nil log, SUM", "sum", 0, nil, st, true},
+		{"nil log and stats, counting model", "sdbn", 0, nil, nil, true},
+	}
+	for _, name := range Names() {
+		for _, iterations := range []int{-1, 0, 3} {
+			for _, stats := range []*Stats{nil, st} {
+				cases = append(cases, trainCase{fmt.Sprintf("%s/iterations=%d/stats=%t", name, iterations, stats != nil),
+					name, iterations, c, stats, false})
+			}
+		}
+	}
+	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			m, err := Train(tc.model, tc.iterations, tc.log, tc.stats)
-			if tc.want == nil {
+			if tc.fails {
 				if err == nil {
 					t.Fatalf("Train(%q) fitted %s", tc.model, m.Name())
 				}
@@ -161,18 +153,31 @@ func TestTrain(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, err := tc.want()
+			want, err := New(tc.model)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if m.Name() != want.Name() {
-				t.Fatalf("Train built %s, want %s", m.Name(), want.Name())
+			if p := iterationsField(want); p != nil {
+				if tc.iterations > 0 {
+					*p = tc.iterations
+				}
+				if got := *iterationsField(m); got != *p {
+					t.Errorf("Train(%q, %d) runs %d iterations, want %d", tc.model, tc.iterations, got, *p)
+				}
+			}
+			if sf, counting := want.(StatsFitter); counting && tc.stats != nil {
+				err = sf.FitStats(tc.stats)
+			} else {
+				err = want.FitLog(tc.log)
+			}
+			if err != nil {
+				t.Fatal(err)
 			}
 			if !reflect.DeepEqual(m, want) {
 				t.Errorf("Train's %s differs from the same fit by hand", m.Name())
 			}
 			for i, s := range sessions[:20] {
-				got, exp := m.ClickProbs(s), want.ClickProbs(s)
+				got, exp := m.ClickProbsInto(s, nil), want.ClickProbsInto(s, nil)
 				for j := range exp {
 					if math.Float64bits(got[j]) != math.Float64bits(exp[j]) {
 						t.Fatalf("session %d pos %d: %v, want %v", i, j, got[j], exp[j])

@@ -42,16 +42,7 @@ func (m *SDBN) defaults() {
 	}
 }
 
-// Fit implements Model: compile the log, then FitLog.
-func (m *SDBN) Fit(sessions []Session) error {
-	c, err := Compile(sessions)
-	if err != nil {
-		return err
-	}
-	return m.FitLog(c)
-}
-
-// FitLog implements LogFitter: the log's statistics, then FitStats.
+// FitLog implements Model: the log's statistics, then FitStats.
 func (m *SDBN) FitLog(c *CompiledLog) error {
 	if c == nil {
 		return errNilLog
@@ -70,12 +61,7 @@ func (m *SDBN) as(row map[string]int32, d string) (a, s float64) {
 	return m.PriorA, m.PriorS
 }
 
-// ClickProbs implements Model.
-func (m *SDBN) ClickProbs(s Session) []float64 {
-	return m.ClickProbsInto(s, nil)
-}
-
-// ClickProbsInto implements InplaceScorer.
+// ClickProbsInto implements Model.
 func (m *SDBN) ClickProbsInto(s Session, buf []float64) []float64 {
 	out := resizeProbs(buf, len(s.Docs))
 	row := m.pairs.row(s.Query)

@@ -10,23 +10,10 @@ package clickmodel
 // DecodeV1 (v1.go), for internal/engine's importer alone.
 
 import (
-	"fmt"
 	"io"
 
 	"repro/internal/snapshot"
 )
-
-// Snapshotter is the persistence half of the model contract: Save
-// writes a complete v2 artifact, which LoadModel thaws back into a
-// fresh model (see v2.go) and FromArtifact serves. Every built-in model
-// implements it. An artifact holds what scoring reads, not how the
-// model was fitted: an EM model's Iterations is not saved — a loaded
-// model keeps its constructor's count — so call SetIterations before
-// refitting a loaded model whose fit used another. (v1 artifacts
-// stored it; the importer drops it.)
-type Snapshotter interface {
-	Save(w io.Writer) error
-}
 
 // LoadModel reads any click-model artifact from r, constructing the
 // model named in its header through the registry. A stream's
@@ -65,15 +52,11 @@ func build(a *snapshot.V2Artifact, serve bool) (Model, bool, error) {
 	if err != nil {
 		return nil, false, err
 	}
-	lm, ok := m.(listed)
-	if !ok {
-		return nil, false, fmt.Errorf("clickmodel: model %q has no parameter list to load", a.ModelName)
-	}
-	views, err := readArtifact(a, lm, serve)
+	views, err := readArtifact(a, m, serve)
 	if err != nil {
 		return nil, false, err
 	}
-	return lm, views, nil
+	return m, views, nil
 }
 
 // ParamCount reports the number of fitted parameters a model holds —
@@ -81,19 +64,10 @@ func build(a *snapshot.V2Artifact, serve bool) (Model, bool, error) {
 // and per-pair parameters, its fitted scalars, BBM's clicks. A model
 // holds a value for every pair of its table and every per-pair
 // parameter — the prior where the pair has no evidence — so it counts
-// pairs × per-pair parameters, fitted or loaded alike. Models outside
-// the built-in set may implement interface{ NumParams() int }; others
-// report 0.
+// pairs × per-pair parameters, fitted or loaded alike.
 func ParamCount(m Model) int {
-	lm, ok := m.(listed)
-	if !ok {
-		if t, ok := m.(interface{ NumParams() int }); ok {
-			return t.NumParams()
-		}
-		return 0
-	}
 	n := 0
-	for _, p := range lm.params() {
+	for _, p := range m.params() {
 		switch p.kind {
 		case metaFloat:
 			if p.fitted {
@@ -210,7 +184,7 @@ func (m *SUM) params() []param {
 	}
 }
 
-// Save implements Snapshotter for every built-in model: it writes the
+// Save implements Model for every built-in model: it writes the
 // model's artifact from its parameter list, refusing a UBM gamma that
 // is not triangular (row i of i+1 cells).
 func (m *PBM) Save(w io.Writer) error     { return writeArtifact(w, m) }

@@ -43,34 +43,32 @@ func snapSessions(seed int64, n, maxDepth int) []Session {
 	return out
 }
 
-// fitFresh constructs, tunes and fits one registry model.
+// fitFresh fits one model by name at 5 EM iterations.
 func fitFresh(t *testing.T, name string, sessions []Session) Model {
 	t.Helper()
-	m, err := New(name)
+	c, err := Compile(sessions)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if it, ok := m.(IterativeModel); ok {
-		it.SetIterations(5)
-	}
-	if err := m.Fit(sessions); err != nil {
-		t.Fatalf("fit %s: %v", name, err)
+	m, err := Train(name, 5, c, nil)
+	if err != nil {
+		t.Fatal(err)
 	}
 	return m
 }
 
-// sameAnswers pins got's predictions (ClickProbs, SessionLogLikelihood,
+// sameAnswers pins got's predictions (ClickProbsInto, SessionLogLikelihood,
 // ExaminationProbs) to want's within 1e-12 on eval.
 func sameAnswers(t *testing.T, what string, want, got Model, eval []Session) {
 	t.Helper()
 	for i, s := range eval {
-		w, g := want.ClickProbs(s), got.ClickProbs(s)
+		w, g := want.ClickProbsInto(s, nil), got.ClickProbsInto(s, nil)
 		if len(w) != len(g) {
 			t.Fatalf("%s session %d: %d probs, want %d", what, i, len(g), len(w))
 		}
 		for j := range w {
 			if math.Abs(w[j]-g[j]) > 1e-12 {
-				t.Errorf("%s session %d pos %d: ClickProbs %v, want %v", what, i, j, g[j], w[j])
+				t.Errorf("%s session %d pos %d: ClickProbsInto %v, want %v", what, i, j, g[j], w[j])
 			}
 		}
 		wll, gll := want.SessionLogLikelihood(s), got.SessionLogLikelihood(s)
@@ -110,7 +108,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 			fitted := fitFresh(t, name, train)
 
 			var buf bytes.Buffer
-			if err := fitted.(Snapshotter).Save(&buf); err != nil {
+			if err := fitted.Save(&buf); err != nil {
 				t.Fatalf("save: %v", err)
 			}
 			if !snapshot.IsV2(buf.Bytes()) {
@@ -119,7 +117,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 			resaves := func(what string, m Model) {
 				t.Helper()
 				var again bytes.Buffer
-				if err := m.(Snapshotter).Save(&again); err != nil {
+				if err := m.Save(&again); err != nil {
 					t.Fatalf("%s re-save: %v", what, err)
 				}
 				if !bytes.Equal(buf.Bytes(), again.Bytes()) {
@@ -182,8 +180,8 @@ func TestSnapshotBBMSparse(t *testing.T) {
 		sessions[k] = s
 	}
 	m := NewBBM()
-	m.SetIterations(2)
-	if err := m.Fit(sessions); err != nil {
+	m.Browse.Iterations = 2
+	if err := fitSessions(m, sessions); err != nil {
 		t.Fatal(err)
 	}
 	if m.nonClickS == nil {
@@ -203,7 +201,7 @@ func TestSnapshotBBMSparse(t *testing.T) {
 		t.Fatal("the sparse layout did not survive the round trip")
 	}
 	for i, s := range sessions[:5] {
-		want, got := m.ClickProbs(s), fresh.ClickProbs(s)
+		want, got := m.ClickProbsInto(s, nil), fresh.ClickProbsInto(s, nil)
 		for j := range want {
 			if math.Abs(want[j]-got[j]) > 1e-12 {
 				t.Fatalf("session %d pos %d: %v, want %v", i, j, got[j], want[j])
@@ -239,7 +237,7 @@ func TestLoadModelDispatch(t *testing.T) {
 	for _, name := range []string{"pbm", "dbn", "sum"} {
 		fitted := fitFresh(t, name, sessions)
 		var buf bytes.Buffer
-		if err := fitted.(Snapshotter).Save(&buf); err != nil {
+		if err := fitted.Save(&buf); err != nil {
 			t.Fatal(err)
 		}
 		m, err := LoadModel(&buf)
@@ -249,7 +247,7 @@ func TestLoadModelDispatch(t *testing.T) {
 		if !strings.EqualFold(m.Name(), name) {
 			t.Errorf("LoadModel gave %q, want %q", m.Name(), name)
 		}
-		want, got := fitted.ClickProbs(sessions[0]), m.ClickProbs(sessions[0])
+		want, got := fitted.ClickProbsInto(sessions[0], nil), m.ClickProbsInto(sessions[0], nil)
 		for j := range want {
 			if math.Abs(want[j]-got[j]) > 1e-12 {
 				t.Errorf("%s pos %d: %v, want %v", name, j, got[j], want[j])
@@ -266,7 +264,7 @@ func TestSnapshotWrongModel(t *testing.T) {
 	sessions := snapSessions(404, 200, 4)
 	pbm := fitFresh(t, "pbm", sessions)
 	var buf bytes.Buffer
-	if err := pbm.(Snapshotter).Save(&buf); err != nil {
+	if err := pbm.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
 	a, err := snapshot.ParseV2(buf.Bytes())
@@ -290,7 +288,7 @@ func TestSnapshotRejectsDamage(t *testing.T) {
 	sessions := snapSessions(505, 120, 4)
 	pbm := fitFresh(t, "pbm", sessions)
 	var buf bytes.Buffer
-	if err := pbm.(Snapshotter).Save(&buf); err != nil {
+	if err := pbm.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
 	raw := buf.Bytes()
@@ -302,7 +300,7 @@ func TestSnapshotRejectsDamage(t *testing.T) {
 	}
 	harmless := func(m Model) bool {
 		for _, s := range sessions[:20] {
-			want, got := pbm.ClickProbs(s), m.ClickProbs(s)
+			want, got := pbm.ClickProbsInto(s, nil), m.ClickProbsInto(s, nil)
 			for j := range want {
 				if math.Float64bits(want[j]) != math.Float64bits(got[j]) {
 					return false
@@ -378,7 +376,7 @@ func TestSnapshotCorruptIsErrCorrupt(t *testing.T) {
 	sessions := snapSessions(606, 100, 4)
 	pbm := fitFresh(t, "pbm", sessions)
 	var buf bytes.Buffer
-	if err := pbm.(Snapshotter).Save(&buf); err != nil {
+	if err := pbm.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
 	raw := buf.Bytes()

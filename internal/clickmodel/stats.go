@@ -97,7 +97,7 @@ func (st *Stats) tally(p int32, pos, last, first int, clicked bool) {
 }
 
 // Add folds one session into the accumulator. The session must be
-// well-formed (the same contract Fit enforces on whole logs).
+// well-formed (the same contract Compile enforces on whole logs).
 func (st *Stats) Add(s Session) error {
 	if err := s.Validate(); err != nil {
 		return err

@@ -29,7 +29,7 @@ func statsTestLog(n int, seed int64) []Session {
 // through the incremental path over the same sessions.
 func fitPair[M Model](t *testing.T, batch, online M, sessions []Session) {
 	t.Helper()
-	if err := batch.Fit(sessions); err != nil {
+	if err := fitSessions(batch, sessions); err != nil {
 		t.Fatal(err)
 	}
 	st := NewStats()
@@ -338,7 +338,7 @@ func TestStatsPruneDropsEmptiedQueries(t *testing.T) {
 	}
 	var want [][]float64
 	for _, s := range probe {
-		want = append(want, append(before.ClickProbs(s), before.SessionLogLikelihood(s)))
+		want = append(want, append(before.ClickProbsInto(s, nil), before.SessionLogLikelihood(s)))
 	}
 
 	counts := func(p int32) [5]float64 {
@@ -376,7 +376,7 @@ func TestStatsPruneDropsEmptiedQueries(t *testing.T) {
 	}
 
 	for i, s := range probe {
-		got := append(before.ClickProbs(s), before.SessionLogLikelihood(s))
+		got := append(before.ClickProbsInto(s, nil), before.SessionLogLikelihood(s))
 		for j := range got {
 			if math.Float64bits(got[j]) != math.Float64bits(want[i][j]) {
 				t.Fatalf("probe %d: the model fitted before the prune answers %v, it answered %v", i, got, want[i])

@@ -15,7 +15,7 @@ package clickmodel
 // by EM over the session-termination evidence. This reproduction keeps
 // the model's defining characteristic — only clicked sequences matter —
 // and is evaluated only through SessionLogLikelihood on click sequences
-// (ClickProbs falls back to per-position click rates, as SUM does not
+// (ClickProbsInto falls back to per-position click rates, as SUM does not
 // model examination).
 type SUM struct {
 	Iterations int
@@ -26,7 +26,7 @@ type SUM struct {
 	pairs   *pairTable
 	utility []float64
 	// baseCTR is the per-position empirical click rate used for the
-	// marginal ClickProbs fallback.
+	// marginal ClickProbsInto fallback.
 	baseCTR []float64
 }
 
@@ -35,9 +35,6 @@ func NewSUM() *SUM { return &SUM{Iterations: 20, PriorU: 0.3} }
 
 // Name implements Model.
 func (m *SUM) Name() string { return "SUM" }
-
-// SetIterations implements IterativeModel.
-func (m *SUM) SetIterations(n int) { m.Iterations = n }
 
 func (m *SUM) defaults() {
 	if m.Iterations <= 0 {
@@ -68,17 +65,19 @@ func clickedDocs(s Session) []string {
 	return out
 }
 
-// Fit implements Model. For every session, each clicked document except
-// the last is evidence of non-satisfaction (the user clicked again);
-// the last clicked document's satisfaction is latent (the user may have
-// stopped satisfied, or continued and found nothing) and receives a
-// posterior weight in the E-step. The clicked pairs are interned in a
-// pair table of the model's own, and the statistics accumulate by pair
-// ID.
-func (m *SUM) Fit(sessions []Session) error {
-	if err := validateAll(sessions); err != nil {
-		return err
+// FitLog implements Model over the compiled log's source sessions:
+// SUM reads clicked sequences, not the interned impressions. For every
+// session, each clicked document except the last is evidence of
+// non-satisfaction (the user clicked again); the last clicked
+// document's satisfaction is latent (the user may have stopped
+// satisfied, or continued and found nothing) and receives a posterior
+// weight in the E-step. The clicked pairs are interned in a pair table
+// of the model's own, and the statistics accumulate by pair ID.
+func (m *SUM) FitLog(c *CompiledLog) error {
+	if c == nil {
+		return errNilLog
 	}
+	sessions := c.Sessions()
 	m.defaults()
 	m.baseCTR = MeanCTRByPosition(sessions)
 	m.pairs = newPairTable()
@@ -136,14 +135,9 @@ func (m *SUM) tailNoClickProb(s Session) float64 {
 	return clampProb(p)
 }
 
-// ClickProbs implements Model with the per-position empirical rate: SUM
-// does not model pre-click behaviour, so its marginal prediction is the
-// position baseline.
-func (m *SUM) ClickProbs(s Session) []float64 {
-	return m.ClickProbsInto(s, nil)
-}
-
-// ClickProbsInto implements InplaceScorer.
+// ClickProbsInto implements Model with the per-position empirical rate:
+// SUM does not model pre-click behaviour, so its marginal prediction is
+// the position baseline.
 func (m *SUM) ClickProbsInto(s Session, buf []float64) []float64 {
 	out := resizeProbs(buf, len(s.Docs))
 	for i := range out {

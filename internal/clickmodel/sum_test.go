@@ -38,7 +38,7 @@ func TestSUMUtilityOrdering(t *testing.T) {
 	rng := rand.New(rand.NewSource(61))
 	sessions := simulateSUM(rng, 30000)
 	m := NewSUM()
-	if err := m.Fit(sessions); err != nil {
+	if err := fitSessions(m, sessions); err != nil {
 		t.Fatal(err)
 	}
 	// Utilities must be ordered like the planted values. Allow local
@@ -77,7 +77,7 @@ func TestSUMLogLikelihoodFinite(t *testing.T) {
 	rng := rand.New(rand.NewSource(62))
 	sessions := simulateSUM(rng, 5000)
 	m := NewSUM()
-	if err := m.Fit(sessions); err != nil {
+	if err := fitSessions(m, sessions); err != nil {
 		t.Fatal(err)
 	}
 	for _, s := range sessions[:200] {
@@ -94,7 +94,10 @@ func TestSUMLogLikelihoodFinite(t *testing.T) {
 
 func TestSUMRejectsBadInput(t *testing.T) {
 	m := NewSUM()
-	if err := m.Fit(nil); err == nil {
+	if err := m.FitLog(nil); err == nil {
+		t.Error("nil compiled log accepted")
+	}
+	if err := fitSessions(m, nil); err == nil {
 		t.Error("empty log accepted")
 	}
 }

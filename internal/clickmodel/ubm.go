@@ -36,9 +36,6 @@ func NewUBM() *UBM { return &UBM{Iterations: 20, PriorAlpha: 0.5} }
 // Name implements Model.
 func (m *UBM) Name() string { return "UBM" }
 
-// SetIterations implements IterativeModel.
-func (m *UBM) SetIterations(n int) { m.Iterations = n }
-
 func (m *UBM) defaults() {
 	if m.Iterations <= 0 {
 		m.Iterations = 20
@@ -69,15 +66,6 @@ func prevClickIndex(s Session) []int {
 		}
 	}
 	return idx
-}
-
-// Fit implements Model: compile the log, then run the dense EM.
-func (m *UBM) Fit(sessions []Session) error {
-	c, err := Compile(sessions)
-	if err != nil {
-		return err
-	}
-	return m.FitLog(c)
 }
 
 // FitLog runs EM over a compiled log. The triangular gamma table is
@@ -208,16 +196,11 @@ func (m *UBM) alpha(row map[string]int32, d string) float64 {
 	return m.PriorAlpha
 }
 
-// ClickProbs implements Model. The marginal click probability requires
-// integrating over the unobserved click history; a forward recursion over
-// the "position of the last click so far" does this exactly in O(n²).
-func (m *UBM) ClickProbs(s Session) []float64 {
-	return m.ClickProbsInto(s, nil)
-}
-
-// ClickProbsInto implements InplaceScorer. For typical SERP depths the
-// forward recursion's state lives on the stack, so scoring into a
-// reused buffer is allocation-free.
+// ClickProbsInto implements Model. The marginal click probability
+// requires integrating over the unobserved click history; a forward
+// recursion over the "position of the last click so far" does this
+// exactly in O(n²). For typical SERP depths the recursion's state lives
+// on the stack, so scoring into a reused buffer is allocation-free.
 func (m *UBM) ClickProbsInto(s Session, buf []float64) []float64 {
 	n := len(s.Docs)
 	out := resizeProbs(buf, n)

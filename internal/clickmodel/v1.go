@@ -82,7 +82,7 @@ func DecodeV1(name string, c *snapshot.Cursor) (Model, error) {
 	}
 	// One table over every map's pairs, and each map's values over it.
 	tab := v1Table(maps...)
-	for _, p := range m.(listed).params() {
+	for _, p := range m.params() {
 		if p.kind == pairDense {
 			*p.tab, *p.vals = tab, maps[0].over(tab, *p.prior)
 			maps = maps[1:]

@@ -322,17 +322,11 @@ func (p param) servedFrom(frozen **frozenPairs) param {
 	return p
 }
 
-// listed is a model with a parameter list: every built-in model.
-type listed interface {
-	Model
-	params() []param
-}
-
 // writeArtifact writes m's v2 artifact from its parameter list: meta,
 // the dense sections, the pair table, then the per-pair sections, each
 // group in list order. A model serving from an artifact re-emits the
 // pair table and the values it serves, byte for byte.
-func writeArtifact(w io.Writer, m listed) error {
+func writeArtifact(w io.Writer, m Model) error {
 	ps := m.params()
 	var meta []byte
 	for _, p := range ps {
@@ -422,7 +416,7 @@ func valuesOver(keys []qd, tab *pairTable, vals []float64, prior float64) []floa
 // otherwise — copied over one pair table, which every per-pair entry
 // and BBM's counts share, after the artifact's table has passed its
 // deep checks. It reports whether m now views a's bytes.
-func readArtifact(a *snapshot.V2Artifact, m listed, serve bool) (views bool, err error) {
+func readArtifact(a *snapshot.V2Artifact, m Model, serve bool) (views bool, err error) {
 	if !strings.EqualFold(a.ModelName, m.Name()) {
 		return false, fmt.Errorf("clickmodel: artifact holds a %q model, not %q", a.ModelName, m.Name())
 	}

@@ -18,7 +18,7 @@ import (
 func v2Mapped(t *testing.T, m Model) Model {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := m.(Snapshotter).Save(&buf); err != nil {
+	if err := m.Save(&buf); err != nil {
 		t.Fatalf("Save: %v", err)
 	}
 	a, err := snapshot.ParseV2(buf.Bytes())
@@ -36,7 +36,7 @@ func v2Mapped(t *testing.T, m Model) Model {
 }
 
 // TestV2MappedParity fits PBM and DBN, round-trips each through a v2
-// artifact, and pins mapped-vs-map predictions (ClickProbs,
+// artifact, and pins mapped-vs-map predictions (ClickProbsInto,
 // SessionLogLikelihood, ExaminationProbs) to 1e-12 on held-out
 // sessions including unseen queries and documents (the prior paths).
 func TestV2MappedParity(t *testing.T) {
@@ -60,7 +60,7 @@ func TestV2MappedParity(t *testing.T) {
 			}
 			var buf []float64
 			for i, s := range eval {
-				want := fitted.ClickProbs(s)
+				want := fitted.ClickProbsInto(s, nil)
 				buf = mapped.(InplaceScorer).ClickProbsInto(s, buf)
 				if len(buf) != len(want) {
 					t.Fatalf("session %d: %d probs, want %d", i, len(buf), len(want))
@@ -96,8 +96,8 @@ func TestV2MappedReExport(t *testing.T) {
 		mapped := v2Mapped(t, fitted)
 		again := v2Mapped(t, mapped)
 		for _, s := range eval {
-			a := mapped.ClickProbs(s)
-			b := again.ClickProbs(s)
+			a := mapped.ClickProbsInto(s, nil)
+			b := again.ClickProbsInto(s, nil)
 			for j := range a {
 				if a[j] != b[j] {
 					t.Fatalf("%s: re-exported artifact diverges at pos %d: %v vs %v", name, j, a[j], b[j])
@@ -110,8 +110,8 @@ func TestV2MappedReExport(t *testing.T) {
 func TestV2MappedImmutable(t *testing.T) {
 	fitted := fitFresh(t, "PBM", snapSessions(1, 100, 4))
 	mapped := v2Mapped(t, fitted)
-	if err := mapped.Fit(nil); !errors.Is(err, ErrMappedImmutable) {
-		t.Fatalf("Fit err = %v, want ErrMappedImmutable", err)
+	if err := mapped.FitLog(nil); !errors.Is(err, ErrMappedImmutable) {
+		t.Fatalf("FitLog err = %v, want ErrMappedImmutable", err)
 	}
 }
 
@@ -125,7 +125,7 @@ func TestV2MappedImmutable(t *testing.T) {
 func TestV2MappedWritesCannotFault(t *testing.T) {
 	train := snapSessions(11, 300, 5)
 	var buf bytes.Buffer
-	if err := fitFresh(t, "PBM", train).(Snapshotter).Save(&buf); err != nil {
+	if err := fitFresh(t, "PBM", train).Save(&buf); err != nil {
 		t.Fatal(err)
 	}
 	path := filepath.Join(t.TempDir(), "pbm.mbs2")
@@ -143,10 +143,10 @@ func TestV2MappedWritesCannotFault(t *testing.T) {
 	}
 	m := served.(*PBM)
 	s := train[0]
-	before := m.ClickProbs(s)
+	before := m.ClickProbsInto(s, nil)
 
-	if err := m.Fit(train); !errors.Is(err, ErrMappedImmutable) {
-		t.Errorf("Fit err = %v, want ErrMappedImmutable", err)
+	if err := fitSessions(m, train); !errors.Is(err, ErrMappedImmutable) {
+		t.Errorf("fit err = %v, want ErrMappedImmutable", err)
 	}
 	c, err := Compile(train)
 	if err != nil {
@@ -155,14 +155,14 @@ func TestV2MappedWritesCannotFault(t *testing.T) {
 	if err := m.FitLog(c); !errors.Is(err, ErrMappedImmutable) {
 		t.Errorf("FitLog err = %v, want ErrMappedImmutable", err)
 	}
-	if got := m.ClickProbs(s); !reflect.DeepEqual(got, before) {
+	if got := m.ClickProbsInto(s, nil); !reflect.DeepEqual(got, before) {
 		t.Errorf("refused writes changed the scores: %v, was %v", got, before)
 	}
 
 	// Gamma is a heap copy: the store succeeds, is observed by scoring,
 	// and leaves the artifact's own section as it was.
 	m.Gamma[0] = 0.25
-	if got := m.ClickProbs(s)[0]; got == before[0] {
+	if got := m.ClickProbsInto(s, nil)[0]; got == before[0] {
 		t.Errorf("a store through Gamma was not observed: position 0 still scores %v", got)
 	}
 	mapped, err := art.FloatsView("gamma")
@@ -190,7 +190,7 @@ func TestV2MappedZeroAllocScore(t *testing.T) {
 func TestV2MappedRejectsCorruptPairs(t *testing.T) {
 	fitted := fitFresh(t, "DBN", snapSessions(4, 200, 5))
 	var buf bytes.Buffer
-	if err := fitted.(Snapshotter).Save(&buf); err != nil {
+	if err := fitted.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
 	orig, err := snapshot.ParseV2(buf.Bytes())
@@ -263,7 +263,7 @@ func TestV2MappedRejectsCorruptPairs(t *testing.T) {
 	if err != nil {
 		t.Fatalf("O(1) constructor rejected deferred-validation corruption: %v", err)
 	}
-	if probs := m.ClickProbs(Session{Query: "q0", Docs: []string{"d0", "d1"}}); len(probs) != 2 {
+	if probs := m.ClickProbsInto(Session{Query: "q0", Docs: []string{"d0", "d1"}}, nil); len(probs) != 2 {
 		t.Fatalf("corrupt-table scoring returned %d probs, want 2", len(probs))
 	}
 	dv, ok := m.(interface{ ValidateTables() error })
@@ -286,8 +286,8 @@ func TestV2MappedRejectsCorruptPairs(t *testing.T) {
 		deep[k] = s
 	}
 	sparse := NewBBM()
-	sparse.SetIterations(2)
-	if err := sparse.Fit(deep); err != nil {
+	sparse.Browse.Iterations = 2
+	if err := fitSessions(sparse, deep); err != nil {
 		t.Fatal(err)
 	}
 	if sparse.nonClickS == nil {
@@ -328,7 +328,7 @@ func TestV2MappedRejectsCorruptPairs(t *testing.T) {
 		{"bbm/offsets overrun", sparse, ints("n.off", func(v []int32) { v[len(v)-1]++ })},
 	} {
 		var buf bytes.Buffer
-		if err := tc.model.(Snapshotter).Save(&buf); err != nil {
+		if err := tc.model.Save(&buf); err != nil {
 			t.Fatal(err)
 		}
 		orig, err := snapshot.ParseV2(buf.Bytes())
@@ -394,7 +394,7 @@ func TestV2MappedLoadsUntaggedArtifact(t *testing.T) {
 		Session{Query: "novel query", Docs: []string{"zz", "yy"}, Clicks: []bool{true, false}})
 	for _, name := range []string{"PBM", "DBN"} {
 		var buf bytes.Buffer
-		if err := fitFresh(t, name, train).(Snapshotter).Save(&buf); err != nil {
+		if err := fitFresh(t, name, train).Save(&buf); err != nil {
 			t.Fatal(err)
 		}
 		orig, err := snapshot.ParseV2(buf.Bytes())
@@ -431,7 +431,7 @@ func TestV2MappedLoadsUntaggedArtifact(t *testing.T) {
 			t.Fatalf("%s: untagged artifact fails deep validation: %v", name, err)
 		}
 		for i, s := range eval {
-			want, got := tagged.ClickProbs(s), untagged.ClickProbs(s)
+			want, got := tagged.ClickProbsInto(s, nil), untagged.ClickProbsInto(s, nil)
 			for j := range want {
 				if got[j] != want[j] {
 					t.Fatalf("%s session %d pos %d: untagged %v, tagged %v", name, i, j, got[j], want[j])

@@ -126,7 +126,7 @@ func TestCompiledMicroHotSwapUnderLoad(t *testing.T) {
 // the write-once arena contract.
 func TestPositionsArenaNoAliasing(t *testing.T) {
 	m := clickmodel.NewPBM()
-	if err := m.Fit(clickSessions(40, 4)); err != nil {
+	if err := m.FitLog(mustCompile(t, clickSessions(40, 4))); err != nil {
 		t.Fatal(err)
 	}
 	e := New(WithWorkers(2))
@@ -142,7 +142,7 @@ func TestPositionsArenaNoAliasing(t *testing.T) {
 		if resp.Err != nil {
 			t.Fatal(resp.Err)
 		}
-		want := m.ClickProbs(sessions[i])
+		want := m.ClickProbsInto(sessions[i], nil)
 		if len(resp.Positions) != len(want) {
 			t.Fatalf("resp %d: %d positions, want %d", i, len(resp.Positions), len(want))
 		}
@@ -193,7 +193,7 @@ func TestModelCount(t *testing.T) {
 	}
 	e.UseMicro(testMicroModel())
 	m := clickmodel.NewPBM()
-	if err := m.Fit(clickSessions(10, 3)); err != nil {
+	if err := m.FitLog(mustCompile(t, clickSessions(10, 3))); err != nil {
 		t.Fatal(err)
 	}
 	installed(t, e, m.Name(), NewClickModelScorer(m))

@@ -123,7 +123,7 @@ func TestMicroMatchesDirectModel(t *testing.T) {
 }
 
 // TestClickModelMatchesDirect fits PBM through the engine and checks
-// batch responses against the fitted model's own ClickProbs.
+// batch responses against the fitted model's own ClickProbsInto.
 func TestClickModelMatchesDirect(t *testing.T) {
 	sessions := testSessions(400)
 	train, test := sessions[:300], sessions[300:]
@@ -143,7 +143,7 @@ func TestClickModelMatchesDirect(t *testing.T) {
 		if resp.Err != nil {
 			t.Fatalf("resp %d: %v", i, resp.Err)
 		}
-		want := fitted.ClickProbs(test[i])
+		want := fitted.ClickProbsInto(test[i], nil)
 		if len(resp.Positions) != len(want) {
 			t.Fatalf("resp %d: %d positions, want %d", i, len(resp.Positions), len(want))
 		}
@@ -365,19 +365,19 @@ func TestFitCompiled(t *testing.T) {
 	e := New()
 	sessions := testSessions(100)
 	c := mustCompile(t, sessions)
-	// Dense path: the compiled log feeds FitLog directly and matches a
-	// fit over the raw sessions.
+	// Dense path: the compiled log feeds FitLog directly and matches
+	// the same fit by hand on a fresh compile of the sessions.
 	m, err := e.Fit("pbm", c, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := clickmodel.NewPBM()
 	want.Iterations = 4
-	if err := want.Fit(sessions); err != nil {
+	if err := want.FitLog(mustCompile(t, sessions)); err != nil {
 		t.Fatal(err)
 	}
 	for i, s := range sessions[:20] {
-		a, b := m.ClickProbs(s), want.ClickProbs(s)
+		a, b := m.ClickProbsInto(s, nil), want.ClickProbsInto(s, nil)
 		for j := range a {
 			if math.Abs(a[j]-b[j]) > 1e-9 {
 				t.Fatalf("session %d pos %d: %v vs %v", i, j, a[j], b[j])
@@ -413,7 +413,7 @@ func TestScoreCTRInplacePath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := m.ClickProbs(sessions[0])
+	want := m.ClickProbsInto(sessions[0], nil)
 	if len(resp.Positions) != len(want) {
 		t.Fatalf("positions len %d, want %d", len(resp.Positions), len(want))
 	}

@@ -70,7 +70,7 @@ func lifecycleModels(t *testing.T) []lifecycleModel {
 	add("fitted ", NameMicro, nil, micro.Save, func() Scorer { return NewMicroScorer(micro) }, nil)
 	for _, name := range []string{"pbm", "dbn"} {
 		m := fitClick(t, name, sessions[:500])
-		add("fitted ", name, nil, m.(clickmodel.Snapshotter).Save, func() Scorer { return NewClickModelScorer(m) }, nil)
+		add("fitted ", name, nil, m.Save, func() Scorer { return NewClickModelScorer(m) }, nil)
 	}
 
 	for _, name := range []string{NameMicro, "pbm", "dbn", "sdbn"} {
@@ -100,7 +100,7 @@ func lifecycleModels(t *testing.T) []lifecycleModel {
 			if err != nil {
 				t.Fatal(err)
 			}
-			add("", name, v1, m.(clickmodel.Snapshotter).Save, func() Scorer { return NewClickModelScorer(m) }, golden.requests(name))
+			add("", name, v1, m.Save, func() Scorer { return NewClickModelScorer(m) }, golden.requests(name))
 		}
 		if own := models[len(models)-1].v2; !bytes.Equal(own, imported) {
 			t.Fatalf("%s: the thawed model's own Save is not what the importer wrote (%d vs %d bytes)", name, len(own), len(imported))
@@ -290,7 +290,7 @@ func rebuiltV2(t *testing.T, blob []byte, model string, mangle func(tag string, 
 func TestLoadRejectionsReleaseArtifact(t *testing.T) {
 	good := fitClick(t, "pbm", testSessions(300))
 	var buf bytes.Buffer
-	if err := good.(clickmodel.Snapshotter).Save(&buf); err != nil {
+	if err := good.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
 	pbm := buf.Bytes()

@@ -169,10 +169,7 @@ func importV1(data []byte) ([]byte, error) {
 	if canonical(name) == NameMicro {
 		m, err = core.DecodeV1(payload)
 	} else {
-		var cm clickmodel.Model
-		if cm, err = clickmodel.DecodeV1(name, payload); err == nil {
-			m = cm.(clickmodel.Snapshotter)
-		}
+		m, err = clickmodel.DecodeV1(name, payload)
 	}
 	if err != nil {
 		return nil, err
@@ -198,10 +195,7 @@ func (e *Engine) SaveSnapshot(ref string, w io.Writer) error {
 	}
 	switch t := mv.scorer.(type) {
 	case *ClickModelScorer:
-		if sn, ok := t.M.(clickmodel.Snapshotter); ok {
-			return sn.Save(w)
-		}
-		return fmt.Errorf("engine: click model %q does not implement clickmodel.Snapshotter", t.M.Name())
+		return t.M.Save(w)
 	case *MicroScorer:
 		if m := t.c.Source(); m != nil {
 			return m.Save(w)

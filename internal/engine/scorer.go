@@ -102,8 +102,9 @@ var ErrNoEvidence = errors.New("engine: request lacks the evidence this scorer c
 var ErrNoModel = errors.New("engine: no such model")
 
 // ClickModelScorer adapts a fitted macro click model (internal/clickmodel)
-// to the Scorer interface. The wrapped model's ClickProbs must be
-// read-only after Fit, which holds for every model in this repository.
+// to the Scorer interface. The wrapped model's ClickProbsInto must be
+// read-only after its fit, which holds for every model in this
+// repository.
 type ClickModelScorer struct {
 	M clickmodel.Model
 }
@@ -145,12 +146,7 @@ func (s *ClickModelScorer) scoreCTR(req *Request, sc *scratch, out *Response) er
 	if err := req.Session.Validate(); err != nil {
 		return err
 	}
-	var probs []float64
-	if ip, ok := s.M.(clickmodel.InplaceScorer); ok {
-		probs = ip.ClickProbsInto(*req.Session, sc.positions.take(len(req.Session.Docs)))
-	} else {
-		probs = s.M.ClickProbs(*req.Session)
-	}
+	probs := s.M.ClickProbsInto(*req.Session, sc.positions.take(len(req.Session.Docs)))
 	var mean float64
 	for _, p := range probs {
 		mean += p

@@ -36,7 +36,7 @@ func fitClick(t *testing.T, name string, sessions []clickmodel.Session) clickmod
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Fit(sessions); err != nil {
+	if err := m.FitLog(mustCompile(t, sessions)); err != nil {
 		t.Fatal(err)
 	}
 	return m
@@ -99,7 +99,7 @@ func TestLoadSnapshotFileV2Parity(t *testing.T) {
 	for _, name := range []string{"pbm", "dbn"} {
 		t.Run(name, func(t *testing.T) {
 			m := fitClick(t, name, sessions)
-			path := writeV2File(t, name, m.(clickmodel.Snapshotter).Save)
+			path := writeV2File(t, name, m.Save)
 			e := New()
 			info, err := e.LoadSnapshotFileVerified("", path)
 			if err != nil {
@@ -115,7 +115,7 @@ func TestLoadSnapshotFileV2Parity(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want := m.ClickProbs(eval)
+			want := m.ClickProbsInto(eval, nil)
 			if len(resp.Positions) != len(want) {
 				t.Fatalf("%d positions, want %d", len(resp.Positions), len(want))
 			}

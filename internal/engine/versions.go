@@ -423,7 +423,7 @@ func (e *Engine) resolve(ref string) (name string, version int, mv modelVersion,
 		e.mu.Unlock()
 		return name, info.Version, mv, nil
 	}
-	if _, lookupErr := clickmodel.Lookup(name); lookupErr == nil {
+	if _, newErr := clickmodel.New(name); newErr == nil {
 		return name, 0, modelVersion{}, fmt.Errorf("%w: click model %q is known but not fitted; call Fit(%q, log, iterations) or LoadSnapshot first", ErrNoModel, name, name)
 	}
 	return name, 0, modelVersion{}, fmt.Errorf("%w: unknown model %q (installed: %s; registry: %s)",

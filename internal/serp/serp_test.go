@@ -131,7 +131,11 @@ func TestSessionsValidAndFitPBM(t *testing.T) {
 	}
 	m := clickmodel.NewPBM()
 	m.Iterations = 10
-	if err := m.Fit(sessions); err != nil {
+	c, err := clickmodel.Compile(sessions)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m.FitLog(c); err != nil {
 		t.Fatal(err)
 	}
 	// The macro curve decays, so the fitted gammas must decay too.

@@ -33,7 +33,11 @@ func testEngine(t *testing.T, opts ...engine.Option) *engine.Engine {
 		s := clickmodel.Session{Query: "q", Docs: docs, Clicks: []bool{k%2 == 0, k%3 == 0, false, k%7 == 0}}
 		sessions = append(sessions, s)
 	}
-	if err := pbm.Fit(sessions); err != nil {
+	c, err := clickmodel.Compile(sessions)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := pbm.FitLog(c); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := e.Install(pbm.Name(), engine.NewClickModelScorer(pbm), "fit"); err != nil {

@@ -8,12 +8,10 @@ import (
 	"net/http/httptest"
 	"reflect"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
-	"repro/internal/clickmodel"
 	"repro/internal/engine"
 	"repro/internal/obs"
 	"repro/internal/server/binproto"
@@ -354,30 +352,25 @@ func TestMetricNamesTheBenchmarkScrapes(t *testing.T) {
 	}
 }
 
-// parkedModel is a click model whose next Fit parks until the test
-// releases it, holding the learner's lock the way a long EM refit does
-// (the stream package's own test of Learner.Counters has its twin: the
-// registry is process-wide and has no unregister).
-type parkedModel struct{ pbm *clickmodel.PBM }
+// parkedAttention is the attention layer the learner stamps onto the
+// micro models it publishes. Installing one compiles its attention
+// table through Examine inside the publish, with the learner's lock
+// held, so while a gate is armed the next Examine parks there until the
+// test releases it: a publish held inside a fit, the way a long EM
+// refit holds it (the stream package's own test of the learner's
+// counters has its twin).
+type parkedAttention struct{}
 
 type parkGate struct{ entered, release chan struct{} }
 
-var (
-	parkedGate     atomic.Pointer[parkGate]
-	registerParked sync.Once
-)
+var parkedGate atomic.Pointer[parkGate] // the gate the next Examine parks at; nil: none
 
-func (m parkedModel) Name() string { return "parked" }
-func (m parkedModel) Fit(s []clickmodel.Session) error {
+func (parkedAttention) Examine(line, pos int) float64 {
 	if g := parkedGate.Swap(nil); g != nil {
 		close(g.entered)
 		<-g.release
 	}
-	return m.pbm.Fit(s)
-}
-func (m parkedModel) ClickProbs(s clickmodel.Session) []float64 { return m.pbm.ClickProbs(s) }
-func (m parkedModel) SessionLogLikelihood(s clickmodel.Session) float64 {
-	return m.pbm.SessionLogLikelihood(s)
+	return 1
 }
 
 // TestProbesDoNotWaitForPublish: while the online learner is inside a
@@ -385,14 +378,23 @@ func (m parkedModel) SessionLogLikelihood(s clickmodel.Session) float64 {
 // scrape with a short timeout must not read a slow publish as a dead
 // server.
 func TestProbesDoNotWaitForPublish(t *testing.T) {
-	registerParked.Do(func() {
-		clickmodel.Register("parked", func() clickmodel.Model { return parkedModel{clickmodel.NewPBM()} })
-	})
-	ts, _, l, sessions := newOnlineServer(t, "sdbn", "parked")
+	eng := engine.New()
+	l, err := stream.New(eng, stream.Config{Models: []string{"sdbn", engine.NameMicro}, Shards: 2, Attention: parkedAttention{}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { l.Close() })
+	ts := httptest.NewServer(New(eng, nil, WithLearner(l)))
+	t.Cleanup(ts.Close)
+	sessions := testSessions(200)
 	for i := range sessions {
 		if err := l.Ingest(stream.Event{Session: &sessions[i]}); err != nil {
 			t.Fatal(err)
 		}
+	}
+	snip := stream.SnippetEvent{Lines: []string{"Acme Air", "Find cheap flights"}, Impressions: 40, Clicks: 7}
+	if err := l.Ingest(stream.Event{Snippet: &snip}); err != nil {
+		t.Fatal(err)
 	}
 	gate := &parkGate{entered: make(chan struct{}), release: make(chan struct{})}
 	parkedGate.Store(gate)

@@ -329,7 +329,7 @@ func TestLoadAndRollbackEndpoints(t *testing.T) {
 func TestLoadEndpointMapsAndVerifiesV2(t *testing.T) {
 	ts, eng, sessions := newTestServer(t)
 	pbm := clickmodel.NewPBM()
-	if err := pbm.Fit(sessions[:100]); err != nil {
+	if err := pbm.FitLog(mustCompile(t, sessions[:100])); err != nil {
 		t.Fatal(err)
 	}
 	var blob bytes.Buffer
@@ -369,7 +369,7 @@ func TestLoadEndpointMapsAndVerifiesV2(t *testing.T) {
 	}
 	var got engine.Response
 	postJSON(t, ts.URL+"/v1/score", engine.Request{Model: "pbm", Session: &sessions[250]}, &got)
-	want := pbm.ClickProbs(sessions[250])
+	want := pbm.ClickProbsInto(sessions[250], nil)
 	if got.ModelVersion != 2 || len(got.Positions) != len(want) {
 		t.Fatalf("served %+v, want version 2 with %d positions", got, len(want))
 	}

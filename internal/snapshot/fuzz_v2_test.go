@@ -41,15 +41,19 @@ func realV2Artifacts(tb testing.TB) [][]byte {
 			Clicks: []bool{k%2 == 0, k%3 == 0, k%7 == 0},
 		})
 	}
+	c, err := clickmodel.Compile(sessions)
+	if err != nil {
+		tb.Fatal(err)
+	}
 	for _, name := range clickmodel.Names() {
 		m, err := clickmodel.New(name)
 		if err != nil {
 			tb.Fatal(err)
 		}
-		if err := m.Fit(sessions); err != nil {
+		if err := m.FitLog(c); err != nil {
 			tb.Fatal(err)
 		}
-		add(func(b *bytes.Buffer) error { return m.(clickmodel.Snapshotter).Save(b) })
+		add(func(b *bytes.Buffer) error { return m.Save(b) })
 	}
 	return out
 }

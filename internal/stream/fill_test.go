@@ -222,7 +222,7 @@ func sameFits(t *testing.T, what string, got, want *clickmodel.Stats, probe []cl
 			fits[i] = m
 		}
 		for _, s := range probe {
-			g, w := fits[0].ClickProbs(s), fits[1].ClickProbs(s)
+			g, w := fits[0].ClickProbsInto(s, nil), fits[1].ClickProbsInto(s, nil)
 			for j := range w {
 				if math.Float64bits(g[j]) != math.Float64bits(w[j]) {
 					t.Fatalf("%s: %s fitted from the fold gives %v, from the oracle %v", what, name, g, w)

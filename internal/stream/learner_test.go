@@ -15,6 +15,18 @@ import (
 	"repro/internal/wal"
 )
 
+// fitOn fits m on a session log: Compile, then FitLog.
+func fitOn(t testing.TB, m clickmodel.Model, sessions []clickmodel.Session) {
+	t.Helper()
+	c, err := clickmodel.Compile(sessions)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m.FitLog(c); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // genSessions simulates a PBM-style ground truth: per-doc
 // attractiveness times a per-position examination curve. Enough
 // structure that a click model fitted on more traffic is measurably
@@ -101,9 +113,7 @@ func TestOnlineLoopImprovesPerplexity(t *testing.T) {
 
 	eng := engine.New()
 	seed := clickmodel.NewSDBN()
-	if err := seed.Fit(seedLog); err != nil {
-		t.Fatal(err)
-	}
+	fitOn(t, seed, seedLog)
 	if info, err := eng.Install(seed.Name(), engine.NewClickModelScorer(seed), "fit"); err != nil || info.Version != 1 {
 		t.Fatalf("seed install: %+v, %v", info, err)
 	}
@@ -134,9 +144,7 @@ func TestOnlineLoopImprovesPerplexity(t *testing.T) {
 	// The counting path must agree exactly with a batch fit on the
 	// same sessions — the parity contract end to end.
 	batch := clickmodel.NewSDBN()
-	if err := batch.Fit(live); err != nil {
-		t.Fatal(err)
-	}
+	fitOn(t, batch, live)
 	wantPerp := perplexityOf(t, batch, held)
 	if math.Abs(after-wantPerp) > 1e-9 {
 		t.Fatalf("online perplexity %.6f != batch-fit perplexity %.6f", after, wantPerp)
@@ -393,9 +401,7 @@ func concurrentIngestPublishScore(t *testing.T, queueCap int) {
 	live := genSessions(4000, 31)
 	eng := engine.New(engine.WithKeepVersions(4))
 	seed := clickmodel.NewSDBN()
-	if err := seed.Fit(live[:100]); err != nil {
-		t.Fatal(err)
-	}
+	fitOn(t, seed, live[:100])
 	if _, err := eng.Install(seed.Name(), engine.NewClickModelScorer(seed), "fit"); err != nil {
 		t.Fatal(err)
 	}
@@ -522,30 +528,24 @@ func TestDecayPrunesPairs(t *testing.T) {
 	}
 }
 
-// parkedModel is a click model whose next Fit parks until the test
-// releases it: a publish that holds l.mu for as long as the test likes,
-// the way an EM refit on a full window holds it for real. It implements
-// neither StatsFitter nor LogFitter, so the learner fits it with Fit.
-type parkedModel struct{ pbm *clickmodel.PBM }
+// parkedAttention is the attention layer the learner stamps onto the
+// micro models it publishes. fitMicroLocked compiles its attention
+// table through Examine with l.mu held, so while a gate is armed the
+// next Examine parks there until the test releases it: a publish that
+// holds l.mu for as long as the test likes, the way an EM refit on a
+// full window holds it for real.
+type parkedAttention struct{}
 
 type parkGate struct{ entered, release chan struct{} }
 
-var (
-	parkedGate     atomic.Pointer[parkGate] // the gate the next Fit parks at; nil: none
-	registerParked sync.Once                // the registry has no unregister, and -count reruns the test
-)
+var parkedGate atomic.Pointer[parkGate] // the gate the next Examine parks at; nil: none
 
-func (m parkedModel) Name() string { return "parked" }
-func (m parkedModel) Fit(s []clickmodel.Session) error {
+func (parkedAttention) Examine(line, pos int) float64 {
 	if g := parkedGate.Swap(nil); g != nil {
 		close(g.entered)
 		<-g.release
 	}
-	return m.pbm.Fit(s)
-}
-func (m parkedModel) ClickProbs(s clickmodel.Session) []float64 { return m.pbm.ClickProbs(s) }
-func (m parkedModel) SessionLogLikelihood(s clickmodel.Session) float64 {
-	return m.pbm.SessionLogLikelihood(s)
+	return 1
 }
 
 // countersUnderLock is what the learner's list must report of the state l.mu
@@ -565,15 +565,13 @@ func countersUnderLock(l *Learner) (window, pairs, terms int, weight float64) {
 // the fold and the merge of that publish already made true; once the
 // publish is through it reports what a read under the lock finds.
 func TestCountersDoNotWaitForPublish(t *testing.T) {
-	registerParked.Do(func() {
-		clickmodel.Register("parked", func() clickmodel.Model { return parkedModel{clickmodel.NewPBM()} })
-	})
 	dir := t.TempDir()
 	w, err := wal.Open(dir, wal.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := Config{Models: []string{"sdbn", engine.NameMicro, "parked"}, Shards: 2, Decay: 0.9, WAL: w}
+	// pbm keeps a window; micro, fitted last, parks the publish.
+	cfg := Config{Models: []string{"sdbn", "pbm", engine.NameMicro}, Shards: 2, Decay: 0.9, WAL: w, Attention: parkedAttention{}}
 	l := mustLearner(t, cfg)
 	sessions := genSessions(400, 11)
 	for i := range sessions {

@@ -112,7 +112,7 @@ var (
 	MeanCTR = engine.MeanCTR
 )
 
-// Click model registry: macro models are constructible by config
+// Click models by name: macro models are constructible by config
 // string ("pbm", "cascade", ..., see ClickModelNames).
 var (
 	// NewClickModel constructs a fresh, unfitted model by name.
@@ -120,12 +120,6 @@ var (
 	// ClickModelNames lists the registered names in taxonomy order.
 	ClickModelNames = clickmodel.Names
 )
-
-// ClickModelSnapshotter is the Save contract every built-in click
-// model implements: fitted models serialize to self-describing binary
-// artifacts (fit offline → Save → ship → load into a serving engine;
-// cmd/microserve hot-swaps them over HTTP).
-type ClickModelSnapshotter = clickmodel.Snapshotter
 
 // LoadClickModel reads any click-model artifact, constructing the
 // model named in its header through the registry.
@@ -171,7 +165,10 @@ func NewCreative(id string, lines ...string) (Creative, error) {
 
 // Macro click models (Section II of the paper).
 type (
-	// ClickModel is a trainable macro browsing model.
+	// ClickModel is a macro browsing model: fitted from a compiled log
+	// (FitLog), scored into a buffer (ClickProbsInto) and serialized to
+	// a self-describing binary artifact (Save) that LoadClickModel reads
+	// back and cmd/microserve hot-swaps over HTTP.
 	ClickModel = clickmodel.Model
 	// Session is one query impression with its click pattern: the
 	// element of the log CompileSessions takes.

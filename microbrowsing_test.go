@@ -61,14 +61,15 @@ func TestFacadeEndToEnd(t *testing.T) {
 		t.Errorf("PredictPair = %v", p)
 	}
 
-	// 4. Click models through the facade registry.
+	// 4. Click models through the facade: compile the log once and fit
+	// by name with an EM iteration count.
 	sessions := sim.Sessions(corpus, 2000, 4)
-	pbm, err := micro.NewClickModel("pbm")
+	train, err := micro.CompileSessions(sessions)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pbm.(interface{ SetIterations(int) }).SetIterations(5)
-	if err := pbm.Fit(sessions); err != nil {
+	pbm, err := micro.NewEngine().Fit("pbm", train, 5)
+	if err != nil {
 		t.Fatal(err)
 	}
 	ev := micro.EvaluateClickModel(pbm, sessions)
@@ -79,14 +80,14 @@ func TestFacadeEndToEnd(t *testing.T) {
 	// 5. Snapshot round-trip through the facade: the fitted model
 	// serializes and restores to identical predictions.
 	var artifact bytes.Buffer
-	if err := pbm.(micro.ClickModelSnapshotter).Save(&artifact); err != nil {
+	if err := pbm.Save(&artifact); err != nil {
 		t.Fatal(err)
 	}
 	restored, err := micro.LoadClickModel(&artifact)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, got := pbm.ClickProbs(sessions[0]), restored.ClickProbs(sessions[0])
+	want, got := pbm.ClickProbsInto(sessions[0], nil), restored.ClickProbsInto(sessions[0], nil)
 	for i := range want {
 		if math.Abs(want[i]-got[i]) > 1e-12 {
 			t.Errorf("pos %d: restored %v, want %v", i, got[i], want[i])

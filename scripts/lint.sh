@@ -102,15 +102,17 @@ if [ -n "$ratios" ]; then
 fi
 
 echo "== a click model's estimator is picked in one place"
-# clickmodel.Train constructs a registry model, applies its iteration
-# count and picks FitStats, FitLog or Fit; a type assertion on one of
-# those interfaces elsewhere is a second estimator switch.
+# clickmodel.Train constructs a model with its iteration count and picks
+# FitStats or FitLog. A type assertion on StatsFitter elsewhere, or on
+# an anonymous interface that makes FitLog, FitStats or SetIterations an
+# optional half of a model again, is a second estimator switch.
 switchers=$(grep -rlE --include='*.go' \
-  -e '\.\(clickmodel\.(StatsFitter|LogFitter|IterativeModel)\)' \
-  -e 'case .*clickmodel\.(StatsFitter|LogFitter|IterativeModel)\b' . \
+  -e '\.\(clickmodel\.StatsFitter\)' \
+  -e 'case .*clickmodel\.StatsFitter\b' \
+  -e '(\.\(|case )interface *\{ *(FitLog|FitStats|SetIterations)\(' . \
   | grep -v -e '^\./\.bench_build/' -e '/testdata/' -e '_test\.go$' || true)
 if [ -n "$switchers" ]; then
-  echo "non-test code outside internal/clickmodel type-asserts a fit interface:" >&2
+  echo "non-test code outside clickmodel.Train type-asserts a fit interface:" >&2
   echo "$switchers" >&2
   fail=1
 fi
