@@ -9,7 +9,8 @@
 //	BenchmarkClickModel_*         — the S1 click-model substrate
 //
 // The benchmark corpora are small so `go test -bench=.` stays quick; the
-// full-scale numbers come from cmd/experiments (see EXPERIMENTS.md).
+// full-scale numbers come from cmd/experiments (ROADMAP.md item 1 has
+// the measured comparison with the paper).
 package microbrowsing_test
 
 import (

@@ -13,20 +13,20 @@
 // at the file (or POST it to /v1/models/{name}/load) to serve it. Every
 // model writes the one artifact format, v2: a sectioned layout that
 // microserve maps read-only (PBM and DBN serve from the mapping, the
-// other models copy their values out of it). -conv rewrites an existing
-// artifact — v1, which microserve still reads through its importer, or
-// v2 placed under an earlier build's hash scheme, which it loads only
-// by rebuilding its probe tables on the heap — as a current v2 one in
-// place (atomic temp-file + rename, so a serving process watching the
-// path never sees a half-written file) without refitting anything: it
-// loads the artifact into an engine and exports it again.
+// other models copy their values out of it). -conv rewrites an
+// artifact placed under an earlier build's hash scheme, which
+// microserve loads only by rebuilding its probe tables on the heap, as
+// a current one in place (atomic temp-file + rename, so a serving
+// process watching the path never sees a half-written file) without
+// refitting anything: it loads the artifact into an engine and exports
+// it again.
 //
 // Usage:
 //
 //	clickmodelfit -sessions 20000 -ads 4
 //	clickmodelfit -model pbm -workers 8 -iters 10
 //	clickmodelfit -model pbm -o pbm.bin              # fit → snapshot → serve
-//	clickmodelfit -conv pbm.bin                      # v1 or older v2 → current v2, in place
+//	clickmodelfit -conv pbm.bin                      # older placement → current, in place
 //	clickmodelfit -list
 package main
 
@@ -60,7 +60,7 @@ func main() {
 	iters := flag.Int("iters", 0, "EM iterations for iterative models (0 = model default)")
 	workers := flag.Int("workers", runtime.GOMAXPROCS(0), "engine-wide cap on batch-scoring strands (the calling goroutine always scores)")
 	out := flag.String("o", "", "write the fitted model (-model; default pbm when fitting all) as a snapshot artifact")
-	conv := flag.String("conv", "", "rewrite the named artifact (v1, or v2 from an earlier build) as a current v2 one in place (atomic) and exit; no fitting")
+	conv := flag.String("conv", "", "rewrite the named artifact (placed by an earlier build) as a current one in place (atomic) and exit; no fitting")
 	list := flag.Bool("list", false, "list registered click models and exit")
 	flag.Parse()
 
@@ -164,11 +164,10 @@ func main() {
 	fmt.Printf("\nempirical CTR by position: [%s] (mean %.4f)\n", strings.Join(parts, " "), mean)
 }
 
-// convertToV2 rewrites an existing artifact as a current v2 one, in
-// place: it is loaded as a stream is (a v1 artifact through the
-// engine's importer; v2 checked, foreign vocabularies re-placed) and
-// exported again, which gives a current artifact back byte for byte —
-// safe to run twice.
+// convertToV2 rewrites an existing artifact as a current one, in
+// place: it is loaded as a stream is (checked, foreign vocabularies
+// re-placed) and exported again, which gives a current artifact back
+// byte for byte — safe to run twice.
 func convertToV2(path string) error {
 	f, err := os.Open(path)
 	if err != nil {

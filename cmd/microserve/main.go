@@ -7,8 +7,7 @@
 // bytes) — with admin endpoints to hot-swap new artifacts in and roll
 // bad ones back without a restart. Artifacts are mapped read-only
 // instead of decoded: loads are O(1) in artifact size and replicas
-// share the page cache. A v1 artifact from an older build is imported
-// into the v2 bytes its model writes today, in memory, as it loads.
+// share the page cache.
 //
 // With -online the process also becomes a learner: click feedback
 // POSTed to /v1/feedback streams into internal/stream's sharded sink,
@@ -444,9 +443,8 @@ func parseRateLimit(spec string) (float64, int, time.Duration, error) {
 	return rate, burst, ttl, nil
 }
 
-// loadArtifact installs one snapshot file into the engine: v2
-// artifacts are mapped read-only (O(1) load, page-cache shared across
-// processes), v1 artifacts go through the engine's importer first.
+// loadArtifact installs one snapshot file into the engine: the artifact
+// is mapped read-only (O(1) load, page-cache shared across processes).
 func loadArtifact(eng *engine.Engine, name, path string) (engine.ModelInfo, error) {
 	info, err := eng.LoadSnapshotFile(name, path)
 	if err != nil {

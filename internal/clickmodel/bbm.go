@@ -151,8 +151,13 @@ func (m *BBM) posteriorMeanID(p int32) float64 {
 	step := 1.0 / float64(m.GridSize-1)
 	var num, den, maxLW float64
 	maxLW = math.Inf(-1)
-	lws := make([]float64, m.GridSize)
-	for i := 0; i < m.GridSize; i++ {
+	var lwStack [64]float64 // holds the default 51-point grid
+	lws := lwStack[:]
+	if m.GridSize > len(lws) {
+		lws = make([]float64, m.GridSize)
+	}
+	lws = lws[:m.GridSize]
+	for i := range lws {
 		r := float64(i) * step
 		lw := 0.0
 		if c > 0 {

@@ -123,7 +123,7 @@ type Model interface {
 	// fitted: an EM model's Iterations is not saved — a loaded model
 	// keeps its constructor's count — so set Iterations (BBM's
 	// Browse.Iterations) before refitting a loaded model whose fit used
-	// another. (v1 artifacts stored it; the importer drops it.)
+	// another.
 	Save(w io.Writer) error
 
 	// params is the model's parameter list (snapshot.go): the one place

@@ -6,8 +6,7 @@ package clickmodel
 // layout is spelled. This is the train-offline half of the serving
 // split: fit on a log, Save, ship the artifact, and a serving process
 // loads it without re-estimating anything (see internal/engine's
-// LoadSnapshot family and cmd/microserve). v1 artifacts are read by
-// DecodeV1 (v1.go), for internal/engine's importer alone.
+// LoadSnapshot family and cmd/microserve).
 
 import (
 	"io"

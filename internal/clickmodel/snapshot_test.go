@@ -2,9 +2,7 @@ package clickmodel
 
 import (
 	"bytes"
-	"encoding/binary"
 	"errors"
-	"hash/crc32"
 	"io"
 	"math"
 	"math/rand"
@@ -12,7 +10,6 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/mmap"
 	"repro/internal/snapshot"
@@ -111,7 +108,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 			if err := fitted.Save(&buf); err != nil {
 				t.Fatalf("save: %v", err)
 			}
-			if !snapshot.IsV2(buf.Bytes()) {
+			if !bytes.HasPrefix(buf.Bytes(), []byte(snapshot.V2Magic)) {
 				t.Fatalf("Save wrote %q, not a v2 artifact", buf.Bytes()[:4])
 			}
 			resaves := func(what string, m Model) {
@@ -315,43 +312,6 @@ func TestSnapshotRejectsDamage(t *testing.T) {
 		if m, err := LoadModel(bytes.NewReader(bad)); err == nil && !harmless(m) {
 			t.Fatalf("flipped byte %d/%d loaded and changed the answers", i, len(raw))
 		}
-	}
-}
-
-// v1Artifact frames a v1 payload by hand — magic, version, name,
-// payload, CRC-32 — the way the deleted v1 writer did.
-func v1Artifact(name string, payload []byte) []byte {
-	b := snapshot.AppendUint([]byte("MBSN"), snapshot.Version)
-	b = snapshot.AppendString(b, name)
-	b = append(b, payload...)
-	return binary.LittleEndian.AppendUint32(b, crc32.ChecksumIEEE(b))
-}
-
-// TestSnapshotHugeCountFailsFast: a corrupt count prefix near the
-// codec's length bound must fail the v1 importer on the first missing
-// element instead of pre-allocating gigabytes or spinning through
-// millions of no-op reads.
-func TestSnapshotHugeCountFailsFast(t *testing.T) {
-	var p []byte
-	p = snapshot.AppendFloats(p, nil) // Gamma
-	p = snapshot.AppendUint(p, 1<<27) // query count: plausible to Int(), far past the data
-	p = snapshot.AppendString(p, "q") // one query, then nothing
-	raw := v1Artifact("PBM", p)
-	done := make(chan error, 1)
-	go func() {
-		name, c, err := snapshot.OpenV1(raw)
-		if err == nil {
-			_, err = DecodeV1(name, c)
-		}
-		done <- err
-	}()
-	select {
-	case err := <-done:
-		if err == nil {
-			t.Fatal("huge-count artifact decoded cleanly")
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("decoder spun on a corrupt count instead of failing fast")
 	}
 }
 

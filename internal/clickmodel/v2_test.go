@@ -174,16 +174,37 @@ func TestV2MappedWritesCannotFault(t *testing.T) {
 	}
 }
 
+// TestV2MappedZeroAllocScore: every model's warm ClickProbsInto into
+// a reused buffer allocates nothing, fitted and served from a mapped
+// artifact, over seen and unseen documents.
 func TestV2MappedZeroAllocScore(t *testing.T) {
-	fitted := fitFresh(t, "PBM", snapSessions(2, 300, 5))
-	mapped := v2Mapped(t, fitted).(*PBM)
-	s := Session{Query: "flights", Docs: []string{"d1", "d2", "d3", "d4"}, Clicks: make([]bool, 4)}
-	buf := make([]float64, 4)
-	allocs := testing.AllocsPerRun(200, func() {
-		buf = mapped.ClickProbsInto(s, buf)
-	})
-	if allocs != 0 {
-		t.Fatalf("mapped ClickProbsInto allocates %v/op, want 0", allocs)
+	train := snapSessions(2, 300, 5)
+	s := train[0]
+	for i := 1; len(s.Docs) < 4; i++ {
+		s = train[i]
+	}
+	s = Session{Query: s.Query, Docs: append(s.Docs[:4:4], "unseen"), Clicks: make([]bool, 5)}
+	for _, name := range Names() {
+		fitted := fitFresh(t, name, train)
+		path := filepath.Join(t.TempDir(), name+".mbs2")
+		if err := snapshot.WriteFileAtomic(path, fitted.Save); err != nil {
+			t.Fatal(err)
+		}
+		art, err := mmap.Open(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer art.Release()
+		served, _, err := FromArtifact(art.V2Artifact)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for form, m := range map[string]Model{"fitted": fitted, "mapped": served} {
+			buf := m.ClickProbsInto(s, nil)
+			if allocs := testing.AllocsPerRun(200, func() { buf = m.ClickProbsInto(s, buf) }); allocs != 0 {
+				t.Errorf("%s %s: ClickProbsInto allocates %v/op, want 0", form, name, allocs)
+			}
+		}
 	}
 }
 

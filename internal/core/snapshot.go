@@ -3,11 +3,9 @@ package core
 // Snapshots of the micro-browsing model: Save writes the compiled form
 // as a v2 artifact (v2.go) under the reserved model name "micro", which
 // CompiledFromArtifact serves. Only the shipped attention families
-// (Full, Geometric, Table, nil) are serializable. v1 artifacts are read
-// by DecodeV1, for internal/engine's importer alone.
+// (Full, Geometric, Table, nil) are serializable.
 
 import (
-	"fmt"
 	"io"
 	"sort"
 
@@ -45,49 +43,8 @@ func (m *Model) Save(w io.Writer) error {
 	return m.compile(terms, rel).SaveV2(w)
 }
 
-// DecodeV1 builds the model a v1 micro payload describes, consuming it
-// exactly. internal/engine's importer is its one caller: the model is
-// saved again as v2, never served from v1.
-func DecodeV1(c *snapshot.Cursor) (*Model, error) {
-	m := NewModel(nil)
-	n := c.Int()
-	if n > c.Remaining() { // a term is at least its length byte
-		c.Failf("%d terms overrun the payload", n)
-	}
-	if c.Err() != nil {
-		return nil, c.Err()
-	}
-	terms := make([]string, n)
-	for i := range terms {
-		terms[i] = c.String()
-	}
-	for _, t := range terms {
-		m.Relevance[t] = c.Float()
-	}
-	m.DefaultRelevance = c.Float()
-
-	switch kind := c.Uint(); kind {
-	case attNil:
-	case attFull:
-		m.Attention = FullAttention{}
-	case attGeometric:
-		m.Attention = GeometricAttention{LineWeights: c.Floats(), Decay: c.Float()}
-	case attTable:
-		m.Attention = TableAttention{W: readRows(c), Default: c.Float()}
-	default:
-		c.Failf("unknown attention kind %d", kind)
-	}
-	if err := c.Err(); err != nil {
-		return nil, err
-	}
-	if c.Remaining() != 0 {
-		return nil, fmt.Errorf("%w: %d bytes after the micro payload", snapshot.ErrCorrupt, c.Remaining())
-	}
-	return m, nil
-}
-
-// readRows reads a TableAttention's rows: a count, then each row's
-// floats — the same form in a v1 payload and a v2 meta section.
+// readRows reads a TableAttention's rows from a v2 meta section: a
+// count, then each row's floats.
 func readRows(c *snapshot.Cursor) [][]float64 {
 	n := c.Int()
 	if n > c.Remaining() { // a row is at least its length byte

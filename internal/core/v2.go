@@ -1,11 +1,10 @@
 package core
 
-// v2 (zero-parse) snapshot codec for the micro-browsing model. Where
-// the v1 artifact serialized the *fitting* form (the Relevance map,
-// re-compiled on every load), a v2 artifact serializes the *compiled*
-// form: the frozen vocabulary's flat sections, the clamped relevance
-// and precomputed log-relevance arrays, and the dense attention table
-// are written as raw little-endian memory. Loading is therefore O(1) in
+// v2 (zero-parse) snapshot codec for the micro-browsing model. A v2
+// artifact serializes the *compiled* form, not the Relevance map: the
+// frozen vocabulary's flat sections, the clamped relevance and
+// precomputed log-relevance arrays, and the dense attention table are
+// written as raw little-endian memory. Loading is therefore O(1) in
 // the table size — CompiledFromArtifact wraps zero-copy views over the
 // artifact bytes (typically a read-only file mapping owned by
 // internal/mmap) and computes nothing but a few scalars.

@@ -18,31 +18,30 @@ import (
 
 // lifecycleModel is one model of the lifecycle table: the form it is
 // served in when installed directly, wrapped for serving; its v2
-// artifact, which is that form's own Save; the v1 artifact it came from,
-// if any; and the requests it is scored on.
+// artifact, which is that form's own Save; and the requests it is
+// scored on.
 type lifecycleModel struct {
 	label  string // the subtest prefix: "fitted " for a model fitted here
 	name   string
 	scorer func() Scorer // a fresh wrap of the served form
-	v1, v2 []byte        // v1 is nil for a model fitted here
+	v2     []byte
 	v2path string
 	views  bool // served from its artifact's bytes, not thawed
 	reqs   []Request
 }
 
 // lifecycleModels lists micro, PBM and DBN twice — fitted here, and
-// loaded from the parent's v1 fixtures (testdata/parent_0c75e9e) through
-// the importer — and SDBN, a model that is always thawed, from its
-// fixture. Every model is scored on its golden inputs, if it has any,
-// and on every max_n and an unseen query over unseen documents, which
-// take the prior paths.
+// thawed from the parent's fixtures (testdata/parent_0c75e9e) — and
+// SDBN, a model that is always thawed, from its fixture. Every model is
+// scored on its golden inputs, if it has any, and on every max_n and an
+// unseen query over unseen documents, which take the prior paths.
 func lifecycleModels(t *testing.T) []lifecycleModel {
 	t.Helper()
-	golden := readV1Golden(t)
+	golden := readGolden(t, v1Parity)
 	sessions := testSessions(600)
 	dir := t.TempDir()
 	var models []lifecycleModel
-	add := func(label, name string, v1 []byte, save func(io.Writer) error, scorer func() Scorer, reqs []Request) {
+	add := func(label, name string, save func(io.Writer) error, scorer func() Scorer, reqs []Request) {
 		var v2 bytes.Buffer
 		if err := save(&v2); err != nil {
 			t.Fatalf("%s %s: Save: %v", label, name, err)
@@ -63,27 +62,23 @@ func lifecycleModels(t *testing.T) []lifecycleModel {
 			}
 			reqs = append(reqs, Request{Session: &clickmodel.Session{Query: "novel", Docs: []string{"zz", "a", "yy"}, Clicks: make([]bool, 3)}})
 		}
-		models = append(models, lifecycleModel{label: label, name: name, scorer: scorer, v1: v1, v2: v2.Bytes(), v2path: path, views: name != "sdbn", reqs: reqs})
+		models = append(models, lifecycleModel{label: label, name: name, scorer: scorer, v2: v2.Bytes(), v2path: path, views: name != "sdbn", reqs: reqs})
 	}
 
 	micro := testMicroModel()
-	add("fitted ", NameMicro, nil, micro.Save, func() Scorer { return NewMicroScorer(micro) }, nil)
+	add("fitted ", NameMicro, micro.Save, func() Scorer { return NewMicroScorer(micro) }, nil)
 	for _, name := range []string{"pbm", "dbn"} {
 		m := fitClick(t, name, sessions[:500])
-		add("fitted ", name, nil, m.Save, func() Scorer { return NewClickModelScorer(m) }, nil)
+		add("fitted ", name, m.Save, func() Scorer { return NewClickModelScorer(m) }, nil)
 	}
 
 	for _, name := range []string{NameMicro, "pbm", "dbn", "sdbn"} {
-		v1, err := os.ReadFile(filepath.Join(v1Fixtures, name+".mbsn"))
+		fixture, err := os.ReadFile(filepath.Join(v1Parity.dir, name+".mbs2"))
 		if err != nil {
 			t.Fatal(err)
 		}
-		imported, err := importV1(v1)
-		if err != nil {
-			t.Fatalf("import %s: %v", name, err)
-		}
 		if name == NameMicro {
-			a, err := snapshot.ParseV2(imported)
+			a, err := snapshot.ParseV2(fixture)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -94,16 +89,16 @@ func lifecycleModels(t *testing.T) []lifecycleModel {
 			if err != nil {
 				t.Fatal(err)
 			}
-			add("", name, v1, c.SaveV2, func() Scorer { return NewCompiledMicroScorer(c) }, golden.requests(name))
+			add("", name, c.SaveV2, func() Scorer { return NewCompiledMicroScorer(c) }, golden.requests(name))
 		} else {
-			m, err := clickmodel.LoadModel(bytes.NewReader(imported))
+			m, err := clickmodel.LoadModel(bytes.NewReader(fixture))
 			if err != nil {
 				t.Fatal(err)
 			}
-			add("", name, v1, m.Save, func() Scorer { return NewClickModelScorer(m) }, golden.requests(name))
+			add("", name, m.Save, func() Scorer { return NewClickModelScorer(m) }, golden.requests(name))
 		}
-		if own := models[len(models)-1].v2; !bytes.Equal(own, imported) {
-			t.Fatalf("%s: the thawed model's own Save is not what the importer wrote (%d vs %d bytes)", name, len(own), len(imported))
+		if own := models[len(models)-1].v2; !bytes.Equal(own, fixture) {
+			t.Fatalf("%s: the thawed model's own Save is not the fixture (%d vs %d bytes)", name, len(own), len(fixture))
 		}
 	}
 	return models
@@ -132,35 +127,30 @@ func sameScores(t *testing.T, what string, got, want []Response) {
 }
 
 // TestInstallLifecycle follows one version from every way in — a
-// fitted or thawed scorer through Install, a v1 stream, a v2 stream, a
-// v2 file trusted and verified — for the micro model, the two click
+// fitted or thawed scorer through Install, a v2 stream, a v2 file
+// trusted and verified — for the micro model, the two click
 // models that serve from their artifact and one that is thawed, to the
 // day it is pruned: what Models() says about it, what it scores, that
 // SaveSnapshot exports the model's own Save and that this loads back,
 // and that the keep window lets go of the bytes it was served from.
-// A model fitted here has no v1 artifact and skips the v1 route.
 func TestInstallLifecycle(t *testing.T) {
 	routes := []struct {
 		name    string
 		source  string // ModelInfo.Source
 		backed  bool   // a viewing model is served from a v2 artifact the version table owns
 		mapped  bool   // … which is a file mapping, not a heap copy
-		v1      bool   // installs the model's v1 artifact
 		install func(e *Engine, m lifecycleModel) (ModelInfo, error)
 	}{
-		{"fitted Install", SourceOnline, false, false, false, func(e *Engine, m lifecycleModel) (ModelInfo, error) {
+		{"fitted Install", SourceOnline, false, false, func(e *Engine, m lifecycleModel) (ModelInfo, error) {
 			return e.Install(m.name, m.scorer(), SourceOnline)
 		}},
-		{"v1 stream", "snapshot", true, false, true, func(e *Engine, m lifecycleModel) (ModelInfo, error) {
-			return e.LoadSnapshot("", bytes.NewReader(m.v1))
-		}},
-		{"v2 stream", "snapshot", true, false, false, func(e *Engine, m lifecycleModel) (ModelInfo, error) {
+		{"v2 stream", "snapshot", true, false, func(e *Engine, m lifecycleModel) (ModelInfo, error) {
 			return e.LoadSnapshot("", bytes.NewReader(m.v2))
 		}},
-		{"v2 file trusted", "snapshot", true, true, false, func(e *Engine, m lifecycleModel) (ModelInfo, error) {
+		{"v2 file trusted", "snapshot", true, true, func(e *Engine, m lifecycleModel) (ModelInfo, error) {
 			return e.LoadSnapshotFile("", m.v2path)
 		}},
-		{"v2 file verified", "snapshot", true, true, false, func(e *Engine, m lifecycleModel) (ModelInfo, error) {
+		{"v2 file verified", "snapshot", true, true, func(e *Engine, m lifecycleModel) (ModelInfo, error) {
 			return e.LoadSnapshotFileVerified("", m.v2path)
 		}},
 	}
@@ -177,9 +167,6 @@ func TestInstallLifecycle(t *testing.T) {
 		want := ref.ScoreBatch(ctx, reqs)
 
 		for _, rt := range routes {
-			if rt.v1 && m.v1 == nil {
-				continue
-			}
 			t.Run(m.label+m.name+"/"+rt.name, func(t *testing.T) {
 				e := New(WithKeepVersions(1))
 				info, err := rt.install(e, m)
@@ -327,17 +314,12 @@ func TestLoadRejectionsReleaseArtifact(t *testing.T) {
 			if err := os.WriteFile(path, tc.blob, 0o644); err != nil {
 				t.Fatal(err)
 			}
-			var art *mmap.Artifact
-			_, err := e.load(tc.install, bytes.NewReader(tc.blob), func(io.Reader) (*mmap.Artifact, error) {
-				var err error
-				art, err = mmap.Open(path)
-				return art, err
-			}, tc.verify)
-			if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
-				t.Fatalf("load error = %v, want one mentioning %q", err, tc.wantErr)
+			art, err := mmap.Open(path)
+			if err != nil {
+				t.Fatalf("the case does not test the release: %v", err)
 			}
-			if art == nil {
-				t.Fatal("load refused before opening the artifact; the case does not test the release")
+			if _, err := e.load(tc.install, art, tc.verify); err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+				t.Fatalf("load error = %v, want one mentioning %q", err, tc.wantErr)
 			}
 			if refs := art.Refs(); refs != 0 {
 				t.Fatalf("refused load left %d refs on the mapping", refs)

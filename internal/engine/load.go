@@ -1,12 +1,9 @@
 package engine
 
 import (
-	"bufio"
-	"bytes"
 	"cmp"
 	"fmt"
 	"io"
-	"os"
 
 	"repro/internal/clickmodel"
 	"repro/internal/core"
@@ -21,78 +18,54 @@ import (
 // flight keep the version they resolved, later requests see the new
 // one.
 //
-// The bytes are read into anonymous memory and served from there: a v2
-// artifact ("MBS2") as it stands, a v1 one ("MBSN") after the importer
-// has turned it into the v2 artifact its model writes today. A stream's
-// provenance is unknown, so the bytes are checked like
-// LoadSnapshotFileVerified checks a file's. For a v2 file on disk use
-// one of the file loads, which map the file instead of copying it.
+// The bytes are read into anonymous memory and served from there. A
+// stream's provenance is unknown, so they are checked like
+// LoadSnapshotFileVerified checks a file's. For a file on disk use one
+// of the file loads, which map the file instead of copying it.
 func (e *Engine) LoadSnapshot(name string, r io.Reader) (ModelInfo, error) {
-	return e.load(name, r, func(rest io.Reader) (*mmap.Artifact, error) {
-		data, err := io.ReadAll(rest)
-		if err != nil {
-			return nil, err
-		}
-		return mmap.FromBytes(data)
-	}, true)
+	data, err := io.ReadAll(r)
+	if err != nil {
+		return ModelInfo{}, err
+	}
+	art, err := mmap.FromBytes(data)
+	if err != nil {
+		return ModelInfo{}, err
+	}
+	return e.load(name, art, true)
 }
 
-// LoadSnapshotFile installs a model artifact from disk. A v2 artifact
-// is mapped read-only (O(1) in artifact size — the tables are served
+// LoadSnapshotFile installs a model artifact from disk. The file is
+// mapped read-only (O(1) in artifact size — the tables are served
 // straight off the page cache) without a checksum pass: a file the
-// operator names at start-up is trusted the way any loaded code is. A
-// v1 artifact is imported from the file.
+// operator names at start-up is trusted the way any loaded code is.
 func (e *Engine) LoadSnapshotFile(name, path string) (ModelInfo, error) {
 	return e.loadFile(name, path, false)
 }
 
 // LoadSnapshotFileVerified is LoadSnapshotFile for a file of doubtful
-// provenance: before anything is installed, every v2 section's CRC-32C
-// is checked (one sequential read of the file) and the probe tables
-// are scanned. It is what the admin load endpoint calls.
+// provenance: before anything is installed, every section's CRC-32C is
+// checked (one sequential read of the file) and the probe tables are
+// scanned. It is what the admin load endpoint calls.
 func (e *Engine) LoadSnapshotFileVerified(name, path string) (ModelInfo, error) {
 	return e.loadFile(name, path, true)
 }
 
-// loadFile is load over a file: a v2 file is mapped, v1 bytes are
-// imported from it.
+// loadFile is load over a mapped file.
 func (e *Engine) loadFile(name, path string, verify bool) (ModelInfo, error) {
-	f, err := os.Open(path)
+	art, err := mmap.Open(path)
 	if err != nil {
 		return ModelInfo{}, err
 	}
-	defer f.Close()
-	return e.load(name, f, func(io.Reader) (*mmap.Artifact, error) { return mmap.Open(path) }, verify)
+	return e.load(name, art, verify)
 }
 
-// load is the one route from artifact bytes to a published version:
-// sniff the magic, build the scorer, check it when the provenance is
-// not trusted, publish. r supplies the bytes; for a v2 artifact, v2
-// turns what is left of them into the refcounted artifact the scorer's
-// tables will view (a file is mapped, a stream is read onto the heap).
-// Anything else is read whole and handed to importV1, and the v2 bytes
-// it returns take the same route from the heap. From the moment the
-// artifact exists, load owns that reference: a scorer that views it
-// takes it into the version table, a thawed one (built by copying)
-// lets it go at once, and every path that does not publish drops it,
-// so a refused load leaves nothing mapped and the previous version
-// serving.
-func (e *Engine) load(name string, r io.Reader, v2 func(rest io.Reader) (*mmap.Artifact, error), verify bool) (info ModelInfo, err error) {
-	br := bufio.NewReader(r)
-	if magic, _ := br.Peek(4); !snapshot.IsV2(magic) {
-		data, err := io.ReadAll(br)
-		if err != nil {
-			return ModelInfo{}, err
-		}
-		if data, err = importV1(data); err != nil {
-			return ModelInfo{}, err
-		}
-		v2 = func(io.Reader) (*mmap.Artifact, error) { return mmap.FromBytes(data) }
-	}
-	art, err := v2(br)
-	if err != nil {
-		return ModelInfo{}, err
-	}
+// load is the one route from an artifact to a published version: build
+// the scorer, check it when the provenance is not trusted, publish.
+// load owns the artifact's reference: a scorer that views it takes it
+// into the version table, a thawed one (built by copying) lets it go at
+// once, and every path that does not publish drops it, so a refused
+// load leaves nothing mapped and the previous version serving.
+func (e *Engine) load(name string, art *mmap.Artifact, verify bool) (info ModelInfo, err error) {
 	defer func() {
 		if err != nil && art != nil {
 			art.Release()
@@ -153,32 +126,6 @@ func scorerFor(a *snapshot.V2Artifact) (s Scorer, model string, views bool, err 
 		return nil, "", false, err
 	}
 	return NewClickModelScorer(m), model, views, nil
-}
-
-// importV1 turns a v1 artifact into the v2 artifact its model writes
-// today: the payload is decoded into the fitted form and Saved. It is
-// the one way into the v1 decoders, and load its one caller, so every
-// route that accepts v1 bytes — LoadSnapshot, the two file loads, the
-// admin load endpoint, clickmodelfit -conv — reads them here.
-func importV1(data []byte) ([]byte, error) {
-	name, payload, err := snapshot.OpenV1(data)
-	if err != nil {
-		return nil, err
-	}
-	var m interface{ Save(io.Writer) error }
-	if canonical(name) == NameMicro {
-		m, err = core.DecodeV1(payload)
-	} else {
-		m, err = clickmodel.DecodeV1(name, payload)
-	}
-	if err != nil {
-		return nil, err
-	}
-	var buf bytes.Buffer
-	if err := m.Save(&buf); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
 }
 
 // SaveSnapshot writes the model a reference resolves to ("pbm",

@@ -15,23 +15,126 @@ import (
 	"repro/internal/clickmodel"
 )
 
-// parentFixtures is testdata/parent_8bb530c: three v2 artifacts written
-// by the commit before the vocabulary's hash scheme changed — probe
-// tables and tags placed under the old hash — and what that commit's
-// engine answered from them, by bits. generate_test.go beside them is
-// the program that wrote them.
-const parentFixtures = "testdata/parent_8bb530c"
+// fixtureDir is one directory of artifacts an earlier commit wrote,
+// with what that commit's engine answered from them, by bits, in its
+// golden.json. generate_test.go beside them is the program that wrote
+// them.
+type fixtureDir struct {
+	dir      string
+	fixtures []string // one artifact per fixture, <fixture>.mbs2
+	// replaced: the probe tables were placed under an earlier hash
+	// scheme, so every load re-places them and the export differs from
+	// the fixture. Otherwise the fixture is a current artifact.
+	replaced bool
+}
 
+// v1Parity is testdata/parent_0c75e9e: the micro model, every registry
+// click model, and a BBM deep enough for sparse skip counts, as the
+// last commit with a v1 writer wrote them (the golden answers are that
+// commit's), converted to v2 by the last commit with a v1 reader
+// (convert_test.go beside them).
+var v1Parity = fixtureDir{"testdata/parent_0c75e9e", append([]string{NameMicro, "bbm_sparse"}, clickmodel.Names()...), false}
+
+// parentFixtureDirs lists every directory of parent-written engine
+// fixtures. testdata/parent_8bb530c holds three v2 artifacts written by
+// the commit before the vocabulary's hash scheme changed.
+var parentFixtureDirs = []fixtureDir{
+	v1Parity,
+	{"testdata/parent_8bb530c", []string{NameMicro, "pbm", "dbn"}, true},
+}
+
+type goldenSession struct {
+	Query string
+	Docs  []string
+	Probs []string
+}
+
+// parentGolden is a fixture directory's golden.json. parent_0c75e9e
+// keys its click models' sessions by fixture; parent_8bb530c names
+// PBM's and DBN's at the top level.
 type parentGolden struct {
 	Micro []struct {
 		Lines      []string
 		MaxN       int `json:"max_n"`
 		CTR, Score string
 	}
-	PBM, DBN []struct {
-		Query string
-		Docs  []string
-		Probs []string
+	Click    map[string][]goldenSession
+	PBM, DBN []goldenSession
+}
+
+func readGolden(t testing.TB, d fixtureDir) *parentGolden {
+	t.Helper()
+	data, err := os.ReadFile(filepath.Join(d.dir, "golden.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var g parentGolden
+	if err := json.Unmarshal(data, &g); err != nil {
+		t.Fatal(err)
+	}
+	if g.Click == nil {
+		g.Click = map[string][]goldenSession{"pbm": g.PBM, "dbn": g.DBN}
+	}
+	for _, fixture := range d.fixtures {
+		if fixture == NameMicro && len(g.Micro) == 0 || fixture != NameMicro && len(g.Click[fixture]) == 0 {
+			t.Fatalf("%s/golden.json holds no inputs for %s", d.dir, fixture)
+		}
+	}
+	return &g
+}
+
+// requests returns a fixture's golden inputs, the model left unset.
+func (g *parentGolden) requests(fixture string) []Request {
+	var out []Request
+	if fixture == NameMicro {
+		for _, m := range g.Micro {
+			out = append(out, Request{Lines: m.Lines, MaxN: m.MaxN})
+		}
+		return out
+	}
+	for _, c := range g.Click[fixture] {
+		out = append(out, Request{Session: &clickmodel.Session{Query: c.Query, Docs: c.Docs, Clicks: make([]bool, len(c.Docs))}})
+	}
+	return out
+}
+
+func bitsHex(f float64) string { return fmt.Sprintf("%016x", math.Float64bits(f)) }
+
+// check scores every golden input of a fixture, installed on e under
+// model, and compares the answers to the parent's by bits — but for
+// the sparse BBM, whose posterior sums its skip counts in map order, so
+// that no build answers it bit for bit twice: it is held to 1e-12.
+func (g *parentGolden) check(t *testing.T, e *Engine, fixture, model string) {
+	t.Helper()
+	same := func(got float64, want string) bool {
+		if fixture != "bbm_sparse" {
+			return bitsHex(got) == want
+		}
+		var bits uint64
+		_, err := fmt.Sscanf(want, "%x", &bits)
+		return err == nil && math.Abs(got-math.Float64frombits(bits)) <= 1e-12
+	}
+	for i, req := range g.requests(fixture) {
+		req.Model = model
+		resp, err := e.ScoreCTR(context.Background(), req)
+		if err != nil {
+			t.Fatalf("%s %d: %v", fixture, i, err)
+		}
+		if fixture == NameMicro {
+			if want := g.Micro[i]; bitsHex(resp.CTR) != want.CTR || bitsHex(resp.Score) != want.Score {
+				t.Errorf("micro %d %q: CTR %s score %s, the parent answered %s and %s", i, req.Lines, bitsHex(resp.CTR), bitsHex(resp.Score), want.CTR, want.Score)
+			}
+			continue
+		}
+		want := g.Click[fixture][i].Probs
+		if len(resp.Positions) != len(want) {
+			t.Fatalf("%s %d: %d positions, the parent answered %d", fixture, i, len(resp.Positions), len(want))
+		}
+		for pos, p := range resp.Positions {
+			if !same(p, want[pos]) {
+				t.Errorf("%s %d position %d: %s, the parent answered %s", fixture, i, pos, bitsHex(p), want[pos])
+			}
+		}
 	}
 }
 
@@ -47,63 +150,14 @@ func captureLog(t *testing.T, fn func()) string {
 }
 
 // TestParentArtifactsLoadAndScoreIdentically is the compatibility
-// contract of a hash-scheme change: an artifact whose probe tables were
-// placed under the previous scheme loads through every route — stream,
-// trusted file, verified file — by re-placing its vocabularies, and
-// answers exactly what the build that wrote it answered. Exported again
-// it is a current artifact: it loads without re-placing, answers the
-// same, and exporting that changes nothing.
+// contract of the artifact format: every artifact an earlier commit
+// wrote loads through every route — stream, trusted file, verified
+// file — under the model name it records, and answers exactly what the
+// build that wrote it answered. A current artifact loads as it stands
+// and exports to itself. One placed under the previous hash scheme is
+// re-placed on load; exported again it is a current artifact, which
+// loads without re-placing, answers the same, and exports to itself.
 func TestParentArtifactsLoadAndScoreIdentically(t *testing.T) {
-	data, err := os.ReadFile(filepath.Join(parentFixtures, "golden.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var want parentGolden
-	if err := json.Unmarshal(data, &want); err != nil {
-		t.Fatal(err)
-	}
-	if len(want.Micro) == 0 || len(want.PBM) == 0 || len(want.DBN) == 0 {
-		t.Fatal("golden file is missing a model")
-	}
-	ctx := context.Background()
-	bitsOf := func(f float64) string { return fmt.Sprintf("%016x", math.Float64bits(f)) }
-	// check scores every golden input of one model against e.
-	check := func(t *testing.T, e *Engine, model string) {
-		t.Helper()
-		switch model {
-		case NameMicro:
-			for i, g := range want.Micro {
-				resp, err := e.ScoreCTR(ctx, Request{Model: model, Lines: g.Lines, MaxN: g.MaxN})
-				if err != nil {
-					t.Fatalf("micro %d: %v", i, err)
-				}
-				if bitsOf(resp.CTR) != g.CTR || bitsOf(resp.Score) != g.Score {
-					t.Errorf("micro %d %q: CTR %s score %s, the parent answered %s and %s", i, g.Lines, bitsOf(resp.CTR), bitsOf(resp.Score), g.CTR, g.Score)
-				}
-			}
-		default:
-			sessions := want.PBM
-			if model == "dbn" {
-				sessions = want.DBN
-			}
-			for i, g := range sessions {
-				s := clickmodel.Session{Query: g.Query, Docs: g.Docs, Clicks: make([]bool, len(g.Docs))}
-				resp, err := e.ScoreCTR(ctx, Request{Model: model, Session: &s})
-				if err != nil {
-					t.Fatalf("%s %d: %v", model, i, err)
-				}
-				if len(resp.Positions) != len(g.Probs) {
-					t.Fatalf("%s %d: %d positions, the parent answered %d", model, i, len(resp.Positions), len(g.Probs))
-				}
-				for pos, p := range resp.Positions {
-					if bitsOf(p) != g.Probs[pos] {
-						t.Errorf("%s %d position %d: %s, the parent answered %s", model, i, pos, bitsOf(p), g.Probs[pos])
-					}
-				}
-			}
-		}
-	}
-
 	loaders := []struct {
 		name string
 		load func(e *Engine, path string) (ModelInfo, error)
@@ -119,56 +173,64 @@ func TestParentArtifactsLoadAndScoreIdentically(t *testing.T) {
 		{"file", func(e *Engine, path string) (ModelInfo, error) { return e.LoadSnapshotFile("", path) }},
 		{"file verified", func(e *Engine, path string) (ModelInfo, error) { return e.LoadSnapshotFileVerified("", path) }},
 	}
-	for _, model := range []string{NameMicro, "pbm", "dbn"} {
-		fixture := filepath.Join(parentFixtures, model+".mbs2")
-		written, err := os.ReadFile(fixture)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, l := range loaders {
-			t.Run(model+"/"+l.name, func(t *testing.T) {
-				e := New()
-				var info ModelInfo
-				said := captureLog(t, func() { info, err = l.load(e, fixture) })
-				if err != nil {
-					t.Fatalf("loading the parent's artifact: %v", err)
-				}
-				if info.Name != model {
-					t.Fatalf("installed as %q, want %q", info.Name, model)
-				}
-				if !strings.Contains(said, "probe table rebuilt") {
-					t.Errorf("the load did not say it re-placed a vocabulary (log: %q): is the fixture still placed under the parent's hash?", said)
-				}
-				check(t, e, model)
+	for _, d := range parentFixtureDirs {
+		g := readGolden(t, d)
+		for _, fixture := range d.fixtures {
+			path := filepath.Join(d.dir, fixture+".mbs2")
+			written, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			model := strings.TrimSuffix(fixture, "_sparse")
+			for _, l := range loaders {
+				t.Run(filepath.Base(d.dir)+"/"+fixture+"/"+l.name, func(t *testing.T) {
+					e := New()
+					var info ModelInfo
+					var err error
+					said := captureLog(t, func() { info, err = l.load(e, path) })
+					if err != nil {
+						t.Fatalf("loading the parent's artifact: %v", err)
+					}
+					if info.Name != model {
+						t.Fatalf("installed as %q, want %q", info.Name, model)
+					}
+					if rebuilt := strings.Contains(said, "probe table rebuilt"); rebuilt != d.replaced {
+						t.Errorf("the load re-placed a vocabulary: %v, want %v (log: %q)", rebuilt, d.replaced, said)
+					}
+					g.check(t, e, fixture, model)
 
-				var exported bytes.Buffer
-				if err := e.SaveSnapshot(info.Ref(), &exported); err != nil {
-					t.Fatalf("re-export: %v", err)
-				}
-				if bytes.Equal(exported.Bytes(), written) {
-					t.Error("the re-export is the parent's bytes: nothing was re-placed")
-				}
-				path := filepath.Join(t.TempDir(), model+".mbs2")
-				if err := os.WriteFile(path, exported.Bytes(), 0o644); err != nil {
-					t.Fatal(err)
-				}
-				e2 := New()
-				said = captureLog(t, func() { info, err = l.load(e2, path) })
-				if err != nil {
-					t.Fatalf("loading the re-export: %v", err)
-				}
-				if said != "" {
-					t.Errorf("loading the re-export logged %q: it should load as it stands", said)
-				}
-				check(t, e2, model)
-				var again bytes.Buffer
-				if err := e2.SaveSnapshot(info.Ref(), &again); err != nil {
-					t.Fatalf("second re-export: %v", err)
-				}
-				if !bytes.Equal(again.Bytes(), exported.Bytes()) {
-					t.Error("exporting a current artifact changed it")
-				}
-			})
+					var exported bytes.Buffer
+					if err := e.SaveSnapshot(info.Ref(), &exported); err != nil {
+						t.Fatalf("export: %v", err)
+					}
+					if same := bytes.Equal(exported.Bytes(), written); same == d.replaced {
+						t.Errorf("the export equals the parent's bytes: %v, want %v", same, !d.replaced)
+					}
+					if !d.replaced {
+						return
+					}
+					path := filepath.Join(t.TempDir(), fixture+".mbs2")
+					if err := os.WriteFile(path, exported.Bytes(), 0o644); err != nil {
+						t.Fatal(err)
+					}
+					e2 := New()
+					said = captureLog(t, func() { info, err = l.load(e2, path) })
+					if err != nil {
+						t.Fatalf("loading the re-export: %v", err)
+					}
+					if said != "" {
+						t.Errorf("loading the re-export logged %q: it should load as it stands", said)
+					}
+					g.check(t, e2, fixture, model)
+					var again bytes.Buffer
+					if err := e2.SaveSnapshot(info.Ref(), &again); err != nil {
+						t.Fatalf("second export: %v", err)
+					}
+					if !bytes.Equal(again.Bytes(), exported.Bytes()) {
+						t.Error("exporting a current artifact changed it")
+					}
+				})
+			}
 		}
 	}
 }

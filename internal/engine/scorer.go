@@ -161,8 +161,8 @@ func (s *ClickModelScorer) scoreCTR(req *Request, sc *scratch, out *Response) er
 // MicroScorer adapts the paper's micro-browsing model (internal/core)
 // to the Scorer interface. It always holds the compiled form (interned
 // relevance vocab, precomputed log-relevances, dense attention table),
-// so every route to an installed version — UseMicro, Install, a v1 or
-// v2 load, an online publish — serves through the same
+// so every route to an installed version — UseMicro, Install, a
+// snapshot load, an online publish — serves through the same
 // allocation-free pass. NewMicroScorer compiles a fitted model, which
 // must not be mutated afterwards (the compiled form snapshots it);
 // NewCompiledMicroScorer wraps tables that already exist, such as the

@@ -12,7 +12,9 @@ package engine
 // model, and a BBM fitted on result lists deep enough for its sparse
 // skip counts (bbm_sparse.mbsn); and golden.json: the inputs scored
 // and, bit for bit, what that commit's engine answered after loading
-// each artifact with LoadSnapshotFile.
+// each artifact with LoadSnapshotFile. The v1 files are not kept:
+// convert_test.go turned each into the <model>.mbs2 beside it, and
+// golden.json is as this program wrote it.
 
 import (
 	"context"

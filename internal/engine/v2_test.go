@@ -160,7 +160,7 @@ func TestHotSwapUnderLoadPinnedReaders(t *testing.T) {
 			return
 		}
 		arts[i] = art
-		if _, err := e.load(NameMicro, bytes.NewReader(blobs[i]), func(io.Reader) (*mmap.Artifact, error) { return art, nil }, false); err != nil {
+		if _, err := e.load(NameMicro, art, false); err != nil {
 			t.Errorf("install %d: %v", i, err)
 		}
 	}

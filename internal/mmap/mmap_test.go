@@ -2,10 +2,12 @@ package mmap
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 
@@ -139,16 +141,29 @@ func TestWrongArchRejected(t *testing.T) {
 	}
 }
 
+// TestV1ArtifactRejectedBySniff: a v1 artifact (magic "MBSN", which
+// nothing reads any more) is refused by its magic on every way in — the
+// parser, a mapped file, bytes from a stream — with an error that names
+// v1 and the conversion, rather than as an unknown magic.
 func TestV1ArtifactRejectedBySniff(t *testing.T) {
-	// A v1 artifact must not parse as v2 — the engine's load path
-	// sniffs the magic and falls back to the stream decoder.
-	v1 := []byte("MBSN\x01and then a varint stream")
-	if snapshot.IsV2(v1) {
-		t.Fatal("IsV2 claimed a v1 artifact")
+	// The v1 layout: magic, format version 1, model name, payload,
+	// CRC-32 (IEEE) of everything before it.
+	v1 := snapshot.AppendUint([]byte("MBSN"), 1)
+	v1 = snapshot.AppendString(v1, "pbm")
+	v1 = snapshot.AppendFloats(v1, []float64{0.9, 0.7, 0.5, 0.4, 0.3, 0.2, 0.1, 0.05})
+	v1 = binary.LittleEndian.AppendUint32(v1, crc32.ChecksumIEEE(v1))
+	refused := func(how string, err error) {
+		t.Helper()
+		if err == nil || !strings.Contains(err.Error(), "v1 artifact") || !strings.Contains(err.Error(), "clickmodelfit -conv") {
+			t.Errorf("%s of a v1 artifact: err = %v, want one naming v1 and clickmodelfit -conv", how, err)
+		}
 	}
-	if _, err := FromBytes(v1); err == nil {
-		t.Fatal("FromBytes accepted a v1 artifact")
-	}
+	_, err := snapshot.ParseV2(v1)
+	refused("ParseV2", err)
+	_, err = Open(writeArtifact(t, v1))
+	refused("Open", err)
+	_, err = FromBytes(v1)
+	refused("FromBytes", err)
 }
 
 func TestRetainRelease(t *testing.T) {

@@ -8,8 +8,8 @@ import (
 
 // Append-style codec primitives: uvarints, length-prefixed strings,
 // boolean bytes and little-endian float64s over byte slices — the wire
-// forms of a v2 artifact's meta section, of a v1 artifact's payload, and
-// of internal/wal's length-prefixed log records. AppendX grow dst in
+// forms of a v2 artifact's meta section and of internal/wal's
+// length-prefixed log records. AppendX grow dst in
 // place; Cursor walks a payload back out with a sticky error, bounding
 // every length by maxLen and by the bytes that are left.
 

@@ -1,10 +1,9 @@
 package snapshot
 
 // The v2 artifact layout: a zero-parse snapshot whose on-disk bytes
-// ARE the compiled serving tables. Where a v1 artifact was a stream
-// decoded varint-by-varint into heap structures (O(size) load, one
-// private copy per process), a v2 artifact is a sectioned, aligned
-// container designed to be mapped read-only and used in place:
+// ARE the compiled serving tables — a sectioned, aligned container
+// designed to be mapped read-only and used in place, not decoded into
+// heap structures:
 //
 //	offset 0            header (64 bytes)
 //	offset 64           section directory (count × 32-byte entries)
@@ -51,9 +50,7 @@ import (
 	"unsafe"
 )
 
-// V2Magic identifies a v2 (zero-parse) artifact; the first-byte sniff
-// that routes artifact loads (engine.LoadSnapshotFile) dispatches on
-// it versus v1's "MBSN".
+// V2Magic identifies a v2 (zero-parse) artifact.
 const V2Magic = "MBS2"
 
 // V2Version is the sectioned-layout format version.
@@ -276,13 +273,6 @@ func (w *V2Writer) WriteTo(out io.Writer) (int64, error) {
 // align64 rounds up to the next multiple of v2Align.
 func align64(n int) int { return (n + v2Align - 1) &^ (v2Align - 1) }
 
-// IsV2 reports whether the bytes begin with the v2 magic — the sniff
-// that sends anything else through the v1 importer before the mmap
-// loader sees it.
-func IsV2(prefix []byte) bool {
-	return len(prefix) >= len(V2Magic) && string(prefix[:len(V2Magic)]) == V2Magic
-}
-
 // ErrWrongArch is wrapped by parse errors caused by an artifact whose
 // byte order does not match this host: the bytes may be intact, but
 // zero-copy reinterpretation would read garbage, so the loader fails
@@ -308,11 +298,14 @@ type V2Artifact struct {
 // here: that is VerifySections (O(size)), which callers schedule
 // according to trust in the artifact's provenance.
 func ParseV2(data []byte) (*V2Artifact, error) {
+	if magic := data[:min(len(data), len(V2Magic))]; string(magic) != V2Magic {
+		if string(magic) == "MBSN" {
+			return nil, errors.New(`snapshot: a v1 artifact (magic "MBSN"); this build reads v2 only: convert it once with clickmodelfit -conv built at commit 7dc123b or earlier`)
+		}
+		return nil, fmt.Errorf("%w: bad magic %q", ErrCorrupt, magic)
+	}
 	if len(data) < v2HeaderSize {
 		return nil, fmt.Errorf("%w: %d bytes is shorter than a v2 header", ErrCorrupt, len(data))
-	}
-	if !IsV2(data) {
-		return nil, fmt.Errorf("%w: bad magic %q", ErrCorrupt, data[:4])
 	}
 	if v := binary.LittleEndian.Uint16(data[4:]); v != V2Version {
 		return nil, fmt.Errorf("snapshot: unsupported v2 format version %d (this build reads version %d)", v, V2Version)

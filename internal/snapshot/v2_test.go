@@ -35,12 +35,6 @@ func buildV2(t *testing.T) ([]byte, []float64, []int32, []uint32) {
 
 func TestV2RoundTrip(t *testing.T) {
 	data, floats, ints, uints := buildV2(t)
-	if !IsV2(data) {
-		t.Fatalf("IsV2 = false on a v2 artifact")
-	}
-	if IsV2([]byte(magic)) {
-		t.Fatalf("IsV2 = true on a v1 artifact")
-	}
 	a, err := ParseV2(data)
 	if err != nil {
 		t.Fatalf("ParseV2: %v", err)

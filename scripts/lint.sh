@@ -6,7 +6,8 @@
 # feedbackRequest, the encoding/json shape of POST /v1/feedback), the
 # checks that the token hash, the splitting rule, the vocabulary
 # builder, the counting family's closed forms, the choice of a click model's estimator and
-# latency measurement each keep their one owner, and — when the pinned tools are installed — staticcheck and
+# latency measurement each keep their one owner, the check that every
+# *.md a Go file names exists, and — when the pinned tools are installed — staticcheck and
 # govulncheck.
 #
 # Usage: scripts/lint.sh
@@ -126,6 +127,28 @@ measuring=$(go list -f '{{range .Imports}}{{.}}{{"\n"}}{{end}}' ./cmd/loadgen \
 if [ -n "$measuring" ]; then
   echo "cmd/loadgen imports:" >&2
   echo "$measuring" >&2
+  fail=1
+fi
+
+echo "== every doc a Go file names exists"
+# A Go file outside benchmark/ that names a *.md file sends its reader
+# there, so the file must be in the repository: at that path from the
+# root, or at a path that ends in it.
+docs=$(find . -name '*.md' -not -path './.git/*' -not -path './.bench_build/*' | sed 's|^\./||')
+missing=$(grep -rnoE --include='*.go' '[A-Za-z0-9_./-]*[A-Za-z0-9_-]\.md\b' . \
+  | grep -v -e '^\./\.bench_build/' -e '^\./benchmark/' \
+  | while IFS= read -r hit; do
+      name=${hit##*:}
+      name=${name#./}
+      found=""
+      for d in $docs; do
+        case "$d" in "$name" | */"$name") found=1; break ;; esac
+      done
+      [ -n "$found" ] || echo "$hit"
+    done || true)
+if [ -n "$missing" ]; then
+  echo "Go files name docs the repository does not hold:" >&2
+  echo "$missing" >&2
   fail=1
 fi
 

@@ -121,25 +121,39 @@ if [ "$reload_ctr" != "$base_ctr" ]; then
 fi
 echo "serve_smoke: v2 round trip ok (ctr $base_ctr preserved across conv/export/reload)"
 
-# --- v1 import: -conv a committed v1 artifact, serve it, golden CTR ---
-# micro.mbsn is what the last build with a v1 writer wrote (0c75e9e);
-# golden.json beside it holds that build's answers by bits. Its first
-# micro input scored 0x3f723a0bba4ac0b6, which JSON prints as below.
-echo "serve_smoke: v1 import"
+# --- -conv of an older placement, served at its golden CTR; v1 refused ---
+# parent_8bb530c/micro.mbs2 was written before the vocabulary's hash
+# scheme changed: it loads only by re-placing its probe tables, and
+# -conv rewrites it as a current artifact. golden.json beside it holds
+# that build's answers by bits; its first micro input scored
+# 0x3f723a0bba4ac0b6, which JSON prints as below.
+echo "serve_smoke: -conv of an older artifact"
 golden_ctr=0.0044498880494502815
-cp internal/engine/testdata/parent_0c75e9e/micro.mbsn "$workdir/micro-old.bin"
+score_parent() {
+  curl -fs -X POST "http://$addr/v1/score" \
+    -d '{"id":"g0","model":"parent","max_n":1,"lines":["wearhouse outlet visit us","quality office chairs and save more curated bundle","always no reservation costs everyday collection"]}'
+}
+cp internal/engine/testdata/parent_8bb530c/micro.mbs2 "$workdir/micro-old.bin"
 "$workdir/clickmodelfit" -conv "$workdir/micro-old.bin" >/dev/null 2>&1
-[ "$(head -c 4 "$workdir/micro-old.bin")" = "MBS2" ] || { echo "serve_smoke: -conv did not turn a v1 artifact into v2" >&2; exit 1; }
-check v1-conv-load "$(curl -fs -X POST "http://$addr/v1/models/parent/load" \
+! cmp -s internal/engine/testdata/parent_8bb530c/micro.mbs2 "$workdir/micro-old.bin" \
+  || { echo "serve_smoke: -conv left an artifact of the old placement as it was" >&2; exit 1; }
+check conv-load "$(curl -fs -X POST "http://$addr/v1/models/parent/load" \
   -d "{\"path\":\"$workdir/micro-old.bin\"}")" '"name":"parent"'
-old_ctr=$(curl -fs -X POST "http://$addr/v1/score" \
-  -d '{"id":"g0","model":"parent","max_n":1,"lines":["wearhouse outlet visit us","quality office chairs and save more curated bundle","always no reservation costs everyday collection"]}' \
-  | sed -n 's/.*"ctr":\([0-9.eE+-]*\).*/\1/p')
+old_ctr=$(score_parent | sed -n 's/.*"ctr":\([0-9.eE+-]*\).*/\1/p')
 if [ "$old_ctr" != "$golden_ctr" ]; then
-  echo "serve_smoke: converted v1 artifact scores $old_ctr, its writer answered $golden_ctr" >&2
+  echo "serve_smoke: converted artifact scores $old_ctr, its writer answered $golden_ctr" >&2
   exit 1
 fi
-echo "serve_smoke: v1 import ok (golden ctr $golden_ctr)"
+echo "serve_smoke: -conv ok (golden ctr $golden_ctr)"
+# A v1 artifact ("MBSN") is refused by name, and the version that was
+# serving still is.
+printf 'MBSN\001\003pbm and then a v1 payload' >"$workdir/old-v1.bin"
+code=$(curl -s -o "$workdir/v1-load.json" -w '%{http_code}' -X POST "http://$addr/v1/models/parent/load" \
+  -d "{\"path\":\"$workdir/old-v1.bin\"}")
+[ "$code" != "200" ] || { echo "serve_smoke: a v1 artifact loaded" >&2; exit 1; }
+check v1-refused "$code $(cat "$workdir/v1-load.json")" 'v1 artifact'
+check v1-keeps-serving "$(score_parent)" "\"ctr\":$golden_ctr,"
+check v1-keeps-version "$(score_parent)" '"model_version":1'
 
 echo "serve_smoke: replaying feedback traffic"
 "$workdir/loadgen" -addr "http://$addr" -sessions 2000 -batch 250 -snippets 2 -clients 4
