@@ -35,13 +35,9 @@ type fixtureDir struct {
 // (convert_test.go beside them).
 var v1Parity = fixtureDir{"testdata/parent_0c75e9e", append([]string{NameMicro, "bbm_sparse"}, clickmodel.Names()...), false}
 
-// parentFixtureDirs lists every directory of parent-written engine
-// fixtures. testdata/parent_8bb530c holds three v2 artifacts written by
-// the commit before the vocabulary's hash scheme changed.
-var parentFixtureDirs = []fixtureDir{
-	v1Parity,
-	{"testdata/parent_8bb530c", []string{NameMicro, "pbm", "dbn"}, true},
-}
+// replacedParity is testdata/parent_8bb530c: three v2 artifacts written
+// by the commit before the vocabulary's hash scheme changed.
+var replacedParity = fixtureDir{"testdata/parent_8bb530c", []string{NameMicro, "pbm", "dbn"}, true}
 
 type goldenSession struct {
 	Query string
@@ -150,14 +146,28 @@ func captureLog(t *testing.T, fn func()) string {
 }
 
 // TestParentArtifactsLoadAndScoreIdentically is the compatibility
-// contract of the artifact format: every artifact an earlier commit
-// wrote loads through every route — stream, trusted file, verified
-// file — under the model name it records, and answers exactly what the
-// build that wrote it answered. A current artifact loads as it stands
-// and exports to itself. One placed under the previous hash scheme is
+// contract of the artifact format, on the three artifacts placed under
+// the previous hash scheme (parent_8bb530c): see checkParentArtifacts.
+func TestParentArtifactsLoadAndScoreIdentically(t *testing.T) {
+	checkParentArtifacts(t, replacedParity)
+}
+
+// TestParentV1ArtifactsImportIdentically holds the v1 artifacts of
+// parent_0c75e9e, as the last v1 reader imported them, to the answers
+// of the v1 writer: every model loads and scores as it did before the
+// format changed, and exports to the bytes the import produced.
+func TestParentV1ArtifactsImportIdentically(t *testing.T) {
+	checkParentArtifacts(t, v1Parity)
+}
+
+// checkParentArtifacts loads every artifact of d through every route —
+// stream, trusted file, verified file — and checks that it installs
+// under the model name it records and answers exactly what the build
+// that wrote it answered. A current artifact loads as it stands and
+// exports to itself. One placed under the previous hash scheme is
 // re-placed on load; exported again it is a current artifact, which
 // loads without re-placing, answers the same, and exports to itself.
-func TestParentArtifactsLoadAndScoreIdentically(t *testing.T) {
+func checkParentArtifacts(t *testing.T, d fixtureDir) {
 	loaders := []struct {
 		name string
 		load func(e *Engine, path string) (ModelInfo, error)
@@ -173,64 +183,62 @@ func TestParentArtifactsLoadAndScoreIdentically(t *testing.T) {
 		{"file", func(e *Engine, path string) (ModelInfo, error) { return e.LoadSnapshotFile("", path) }},
 		{"file verified", func(e *Engine, path string) (ModelInfo, error) { return e.LoadSnapshotFileVerified("", path) }},
 	}
-	for _, d := range parentFixtureDirs {
-		g := readGolden(t, d)
-		for _, fixture := range d.fixtures {
-			path := filepath.Join(d.dir, fixture+".mbs2")
-			written, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			model := strings.TrimSuffix(fixture, "_sparse")
-			for _, l := range loaders {
-				t.Run(filepath.Base(d.dir)+"/"+fixture+"/"+l.name, func(t *testing.T) {
-					e := New()
-					var info ModelInfo
-					var err error
-					said := captureLog(t, func() { info, err = l.load(e, path) })
-					if err != nil {
-						t.Fatalf("loading the parent's artifact: %v", err)
-					}
-					if info.Name != model {
-						t.Fatalf("installed as %q, want %q", info.Name, model)
-					}
-					if rebuilt := strings.Contains(said, "probe table rebuilt"); rebuilt != d.replaced {
-						t.Errorf("the load re-placed a vocabulary: %v, want %v (log: %q)", rebuilt, d.replaced, said)
-					}
-					g.check(t, e, fixture, model)
+	g := readGolden(t, d)
+	for _, fixture := range d.fixtures {
+		path := filepath.Join(d.dir, fixture+".mbs2")
+		written, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		model := strings.TrimSuffix(fixture, "_sparse")
+		for _, l := range loaders {
+			t.Run(fixture+"/"+l.name, func(t *testing.T) {
+				e := New()
+				var info ModelInfo
+				var err error
+				said := captureLog(t, func() { info, err = l.load(e, path) })
+				if err != nil {
+					t.Fatalf("loading the parent's artifact: %v", err)
+				}
+				if info.Name != model {
+					t.Fatalf("installed as %q, want %q", info.Name, model)
+				}
+				if rebuilt := strings.Contains(said, "probe table rebuilt"); rebuilt != d.replaced {
+					t.Errorf("the load re-placed a vocabulary: %v, want %v (log: %q)", rebuilt, d.replaced, said)
+				}
+				g.check(t, e, fixture, model)
 
-					var exported bytes.Buffer
-					if err := e.SaveSnapshot(info.Ref(), &exported); err != nil {
-						t.Fatalf("export: %v", err)
-					}
-					if same := bytes.Equal(exported.Bytes(), written); same == d.replaced {
-						t.Errorf("the export equals the parent's bytes: %v, want %v", same, !d.replaced)
-					}
-					if !d.replaced {
-						return
-					}
-					path := filepath.Join(t.TempDir(), fixture+".mbs2")
-					if err := os.WriteFile(path, exported.Bytes(), 0o644); err != nil {
-						t.Fatal(err)
-					}
-					e2 := New()
-					said = captureLog(t, func() { info, err = l.load(e2, path) })
-					if err != nil {
-						t.Fatalf("loading the re-export: %v", err)
-					}
-					if said != "" {
-						t.Errorf("loading the re-export logged %q: it should load as it stands", said)
-					}
-					g.check(t, e2, fixture, model)
-					var again bytes.Buffer
-					if err := e2.SaveSnapshot(info.Ref(), &again); err != nil {
-						t.Fatalf("second export: %v", err)
-					}
-					if !bytes.Equal(again.Bytes(), exported.Bytes()) {
-						t.Error("exporting a current artifact changed it")
-					}
-				})
-			}
+				var exported bytes.Buffer
+				if err := e.SaveSnapshot(info.Ref(), &exported); err != nil {
+					t.Fatalf("export: %v", err)
+				}
+				if same := bytes.Equal(exported.Bytes(), written); same == d.replaced {
+					t.Errorf("the export equals the parent's bytes: %v, want %v", same, !d.replaced)
+				}
+				if !d.replaced {
+					return
+				}
+				path := filepath.Join(t.TempDir(), fixture+".mbs2")
+				if err := os.WriteFile(path, exported.Bytes(), 0o644); err != nil {
+					t.Fatal(err)
+				}
+				e2 := New()
+				said = captureLog(t, func() { info, err = l.load(e2, path) })
+				if err != nil {
+					t.Fatalf("loading the re-export: %v", err)
+				}
+				if said != "" {
+					t.Errorf("loading the re-export logged %q: it should load as it stands", said)
+				}
+				g.check(t, e2, fixture, model)
+				var again bytes.Buffer
+				if err := e2.SaveSnapshot(info.Ref(), &again); err != nil {
+					t.Fatalf("second export: %v", err)
+				}
+				if !bytes.Equal(again.Bytes(), exported.Bytes()) {
+					t.Error("exporting a current artifact changed it")
+				}
+			})
 		}
 	}
 }
