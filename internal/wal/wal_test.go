@@ -3,12 +3,14 @@ package wal
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -734,5 +736,190 @@ func TestManifestHumanReadable(t *testing.T) {
 	}
 	if !bytes.Contains(raw, []byte("\n")) || !strings.Contains(string(raw), "next_seq") {
 		t.Fatalf("manifest should be indented JSON with next_seq, got %q", raw)
+	}
+}
+
+// TestCloseRacesAppendRun: Close lands while eight goroutines append
+// runs. Every run that returned nil replays in order under the
+// sequences it was given, every run refused with ErrClosed replays
+// nowhere, and nothing hangs.
+func TestCloseRacesAppendRun(t *testing.T) {
+	for _, policy := range []SyncPolicy{SyncBatched, SyncAlways} {
+		t.Run(policy.String(), func(t *testing.T) {
+			dir := t.TempDir()
+			w, err := Open(dir, Options{Sync: policy})
+			if err != nil {
+				t.Fatal(err)
+			}
+			type run struct {
+				r, n int
+				last uint64
+			}
+			name := func(g, r, i int) string { return fmt.Sprintf("g%d r%d i%d", g, r, i) }
+			const writers = 8
+			var (
+				wg       sync.WaitGroup
+				started  atomic.Int64
+				accepted [writers][]run
+				refused  [writers][]run
+			)
+			for g := 0; g < writers; g++ {
+				wg.Add(1)
+				go func(g int) {
+					defer wg.Done()
+					for r := 0; ; r++ {
+						recs := make([]Record, 1+r%5)
+						for i := range recs {
+							recs[i] = Record{SnippetLines: []string{name(g, r, i)}, Impressions: 1}
+						}
+						started.Add(1)
+						last, err := w.AppendRun(recs)
+						switch {
+						case err == nil:
+							accepted[g] = append(accepted[g], run{r, len(recs), last})
+						case errors.Is(err, ErrClosed):
+							refused[g] = append(refused[g], run{r, len(recs), last})
+							return
+						default:
+							t.Errorf("writer %d run %d: %v", g, r, err)
+							return
+						}
+					}
+				}(g)
+			}
+			for started.Load() < 500 {
+				time.Sleep(time.Millisecond)
+			}
+			closed := make(chan error, 1)
+			go func() { closed <- w.Close() }()
+			finished := make(chan struct{})
+			go func() { wg.Wait(); close(finished) }()
+			select {
+			case <-finished:
+			case <-time.After(30 * time.Second):
+				t.Fatal("AppendRun racing Close hung")
+			}
+			select {
+			case err := <-closed:
+				if err != nil {
+					t.Fatalf("close: %v", err)
+				}
+			case <-time.After(30 * time.Second):
+				t.Fatal("Close racing AppendRun hung")
+			}
+
+			lines := map[uint64]string{}
+			seen := map[string]bool{}
+			err = mustOpen(t, dir, Options{}).Replay(func(seq uint64, rec *Record) error {
+				lines[seq] = rec.SnippetLines[0]
+				seen[rec.SnippetLines[0]] = true
+				return nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			total := 0
+			for g := range accepted {
+				for _, a := range accepted[g] {
+					for i := 0; i < a.n; i++ {
+						seq := a.last - uint64(a.n-1-i)
+						if got := lines[seq]; got != name(g, a.r, i) {
+							t.Fatalf("seq %d replays as %q, want %q", seq, got, name(g, a.r, i))
+						}
+					}
+					total += a.n
+				}
+				for _, a := range refused[g] {
+					for i := 0; i < a.n; i++ {
+						if seen[name(g, a.r, i)] {
+							t.Fatalf("%q was refused with ErrClosed yet replays", name(g, a.r, i))
+						}
+					}
+				}
+			}
+			if len(lines) != total {
+				t.Fatalf("replayed %d records, the accepted runs hold %d", len(lines), total)
+			}
+		})
+	}
+}
+
+// TestWriteFailureIsSticky: once a write to the active segment fails,
+// every later AppendRun returns that error at once and takes nothing,
+// Close returns it, and a reopened log replays the prefix written
+// before the failure, gap-free, with nothing counted corrupt.
+func TestWriteFailureIsSticky(t *testing.T) {
+	dir := t.TempDir()
+	w, err := Open(dir, Options{SyncInterval: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const written = 5
+	for i := 0; i < written; i++ {
+		if _, err := w.Append(sessRec(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	// Swap the active segment's file for a read-only handle on the same
+	// file: the next write to it fails.
+	w.mu.Lock()
+	ro, err := os.Open(filepath.Join(dir, w.fname))
+	if err != nil {
+		w.mu.Unlock()
+		t.Fatal(err)
+	}
+	good := w.f
+	w.f = ro
+	w.mu.Unlock()
+	if err := good.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for i := written; i < written+3; i++ {
+		if _, err := w.Append(sessRec(i)); err != nil {
+			t.Fatalf("append %d before the failure showed: %v", i, err)
+		}
+	}
+	werr := w.Sync()
+	if werr == nil {
+		t.Fatal("Sync wrote through a read-only file")
+	}
+
+	before := w.Metrics().Read()
+	for i := 0; i < 3; i++ {
+		if _, err := w.AppendRun([]Record{sessRec(10 + i), snipRec(10 + i)}); !errors.Is(err, werr) {
+			t.Fatalf("AppendRun after the failure: %v, want %v", err, werr)
+		}
+	}
+	after := w.Metrics().Read()
+	for _, k := range []string{"wal.appended", "wal.next_seq", "wal.bytes"} {
+		if after[k] != before[k] {
+			t.Fatalf("%s moved from %v to %v: a refused run was buffered", k, before[k], after[k])
+		}
+	}
+	if got := after["wal.append_errors"] - before["wal.append_errors"]; got != 6 {
+		t.Fatalf("append_errors grew by %v over three refused runs of two, want 6", got)
+	}
+	if err := w.Close(); !errors.Is(err, werr) {
+		t.Fatalf("Close: %v, want %v", err, werr)
+	}
+
+	w2 := mustOpen(t, dir, Options{})
+	var seqs []uint64
+	if err := w2.Replay(func(seq uint64, _ *Record) error { seqs = append(seqs, seq); return nil }); err != nil {
+		t.Fatal(err)
+	}
+	if len(seqs) != written {
+		t.Fatalf("replayed seqs %v, want the %d written before the failure", seqs, written)
+	}
+	for i, s := range seqs {
+		if s != uint64(i+1) {
+			t.Fatalf("replayed seqs %v: not a gap-free prefix", seqs)
+		}
+	}
+	if c := w2.Metrics().Read(); c["wal.corrupt_skipped"] != 0 {
+		t.Fatalf("corrupt_skipped = %v after replaying a failed log, want 0", c["wal.corrupt_skipped"])
 	}
 }
