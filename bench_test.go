@@ -1322,9 +1322,9 @@ func getFeedbackBench(b *testing.B) ([][]byte, []stream.SnippetEvent) {
 
 // BenchmarkStreamFeedback prices POST /v1/feedback in process, per
 // 220-event body: route, body read, decode, the learner's ingest and the
-// reply — without a WAL, and with the default batched one (its encoder
-// and writer run on their own goroutines; on a host with few CPUs their
-// work lands beside the handler's). The sink is emptied by a publish
+// reply — without a WAL, and with the default batched one (its flusher
+// runs on its own goroutine; on a host with few CPUs its work lands
+// beside the handler's). The sink is emptied by a publish
 // outside the timer every 256 bodies, so nothing drops and no fold runs
 // beside the handler.
 func BenchmarkStreamFeedback(b *testing.B) {
@@ -1454,8 +1454,8 @@ func BenchmarkWALAppend(b *testing.B) {
 }
 
 // BenchmarkWALIngest prices the full accept path of one feedback event
-// — sink offer plus (optionally) the WAL append — the comparison
-// behind the durability tax: wal=batched must stay within 2x of nowal.
+// — sink offer plus (optionally) the WAL append — so wal=batched
+// against nowal is the durability tax.
 func BenchmarkWALIngest(b *testing.B) {
 	sessions := getStreamSessions(b)
 	run := func(b *testing.B, sync wal.SyncPolicy, durable bool) {
@@ -1469,7 +1469,7 @@ func BenchmarkWALIngest(b *testing.B) {
 				b.Fatal(err)
 			}
 			defer w.Close()
-			// Warm the encoder buffers so steady state is measured.
+			// Warm the log's buffers so steady state is measured.
 			for i := 0; i < 1000; i++ {
 				if _, err := w.Append(benchWALRecord(sessions, i)); err != nil {
 					b.Fatal(err)

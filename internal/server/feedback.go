@@ -9,7 +9,7 @@ package server
 //
 // What differs is the lifetime. A scored request is dead when the reply
 // is written; an accepted event sits in the learner's sink until the
-// next fold, in the WAL's ring until the encoder frames it, and — with
+// next fold, in the WAL's pending buffer until the flusher frames it, and — with
 // an EM-family model configured — in the session window for the next
 // Window sessions. So nothing handed to the learner may alias a pooled
 // buffer: between scan and ingest, own copies every string byte of the

@@ -282,7 +282,7 @@ func (l *Learner) replayWAL() error {
 		if ev.Session == nil && ev.Snippet == nil {
 			return nil
 		}
-		ns, nn := l.absorb(shard, &ev, 0)
+		ns, nn := l.absorb(shard, &ev)
 		l.foldedSessions.Add(ns)
 		l.foldedSnippets.Add(nn)
 		l.replayed += ns + nn
@@ -388,7 +388,7 @@ func (l *Learner) enqueue(evs []Event, recs []wal.Record) (int, []wal.Record) {
 		recs = append(recs, rec)
 	}
 	_, err := l.wal.AppendRun(recs)
-	clear(recs) // the ring holds its own copies; scratch must not pin the events
+	clear(recs) // the log holds its own copies; scratch must not pin the events
 	// Durability degraded but the events are in RAM and serving
 	// continues; the WAL counters record every failure, the log line
 	// fires only on the edge so a dead disk cannot spam. The Load keeps
@@ -435,8 +435,12 @@ func (l *Learner) foldLocked() {
 // foldStrand claims shards from the fold's work list until none is left
 // and drains each into that shard's accumulators. The fold-lag clock is
 // read once per shard, before its buffer is swapped out: an event
-// offered in between reads as folded at once.
+// offered in between reads as folded at once. Each event's lag goes
+// into the strand's own tally, handed to the shared histogram once the
+// strand is done, so concurrent strands write no common cache line per
+// event.
 func (l *Learner) foldStrand() {
+	var lag obs.Tally
 	for {
 		k := int(l.foldCursor.Add(1)) - 1
 		if k >= len(l.foldShards) {
@@ -446,7 +450,10 @@ func (l *Learner) foldStrand() {
 		var ns, nn uint64
 		now := time.Now().UnixNano()
 		l.sink.DrainShard(i, func(ev *Event) {
-			s, n := l.absorb(i, ev, now)
+			if ev.enqueuedNS > 0 {
+				lag.Record(uint64(max(now-ev.enqueuedNS, 0)))
+			}
+			s, n := l.absorb(i, ev)
 			ns += s
 			nn += n
 		})
@@ -457,6 +464,7 @@ func (l *Learner) foldStrand() {
 			l.foldedSnippets.Add(nn)
 		}
 	}
+	l.foldLagH.Absorb(&lag)
 	if l.strandHook != nil {
 		l.strandHook()
 	}
@@ -474,15 +482,9 @@ func (l *Learner) noteWindow() {
 
 // absorb folds one event into shard i's accumulators (statistics
 // delta, session ring, term counts), returning how many sessions and
-// snippets it credited. now is the drain's clock reading (UnixNano), the
-// far end of the event's fold lag; one reading serves every event of the
-// drain, and a sample is still recorded per event. Callers must own
-// shard i: the strand that claimed it does, and replay runs before the
-// learner is shared.
-func (l *Learner) absorb(i int, ev *Event, now int64) (sessions, snippets uint64) {
-	if ev.enqueuedNS > 0 {
-		l.foldLagH.Record(uint64(max(now-ev.enqueuedNS, 0)))
-	}
+// snippets it credited. Callers must own shard i: the strand that
+// claimed it does, and replay runs before the learner is shared.
+func (l *Learner) absorb(i int, ev *Event) (sessions, snippets uint64) {
 	if ev.Session != nil {
 		if l.deltas[i].Add(*ev.Session) == nil {
 			if l.rings != nil {

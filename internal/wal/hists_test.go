@@ -20,7 +20,7 @@ func TestWALHists(t *testing.T) {
 	}
 	defer w.Close()
 
-	for i := 0; i < appendSampleEvery+1; i++ {
+	for i := 0; i < 2*appendSampleEvery; i++ {
 		if _, err := w.Append(Record{SnippetLines: []string{"cheap flights"}, Impressions: 5, Clicks: 1}); err != nil {
 			t.Fatalf("append %d: %v", i, err)
 		}
@@ -29,9 +29,10 @@ func TestWALHists(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Tickets 0 and appendSampleEvery are the sampled ones.
-	if n := opCount(w, "append"); n < 2 {
-		t.Fatalf("append samples = %d, want >= 2", n)
+	// Sequences appendSampleEvery and 2*appendSampleEvery are the
+	// sampled ones.
+	if n := opCount(w, "append"); n != 2 {
+		t.Fatalf("append samples = %d, want 2", n)
 	}
 	if opCount(w, "sync") == 0 {
 		t.Fatal("sync histogram recorded nothing under SyncAlways")

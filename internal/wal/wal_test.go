@@ -590,22 +590,23 @@ func segmentFrames(t *testing.T, dir string) (firsts []uint64, frames [][]byte) 
 
 // TestAppendRunMatchesAppends: records appended as runs leave the same
 // segment files as the same records appended one by one — every frame
-// byte for byte, the same rotations — including a run longer than the
-// ring (two reservations) and runs that wrap the ring's end. Replay
+// byte for byte, the same rotations — including a run across the fill
+// mark, one longer than the pending bound, and enough records that the
+// framed bytes pass maxBuffered before a segment rotates. Replay
 // returns them in order, and each run's reply is its last sequence.
 func TestAppendRunMatchesAppends(t *testing.T) {
 	var recs []Record
-	for i := 0; len(recs) < 2*ringSize+500; i++ {
+	for i := 0; len(recs) < 5*maxPending; i++ {
 		recs = append(recs, sessRec(i), snipRec(i), bothRec(i))
 	}
-	// Run lengths: singles, a run past the ring's end, one longer than
-	// the ring, and the rest as bodies of a few hundred.
-	runs := []int{1, 1, ringSize - 3, ringSize + 7}
-	for n := 2 + 2*ringSize + 4; n < len(recs); n += 220 {
+	// Run lengths: singles, a run across the fill mark, one longer than
+	// the pending bound, and the rest as bodies of a few hundred.
+	runs := []int{1, 1, fillMark, maxPending + 7}
+	for n := 2 + fillMark + maxPending + 7; n < len(recs); n += 220 {
 		runs = append(runs, min(220, len(recs)-n))
 	}
 
-	opt := Options{Sync: SyncOff, SyncInterval: time.Hour, SegmentBytes: 256 << 10}
+	opt := Options{Sync: SyncOff, SyncInterval: time.Hour, SegmentBytes: maxBuffered + maxBuffered/4}
 	oneDir, runDir := t.TempDir(), t.TempDir()
 	one := mustOpen(t, oneDir, opt)
 	for i := range recs {
@@ -905,6 +906,24 @@ func TestWriteFailureIsSticky(t *testing.T) {
 	if err := w.Close(); !errors.Is(err, werr) {
 		t.Fatalf("Close: %v, want %v", err, werr)
 	}
+	raw, err := os.ReadFile(filepath.Join(dir, manifestName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var man manifest
+	if err := json.Unmarshal(raw, &man); err != nil {
+		t.Fatal(err)
+	}
+	if len(man.Segments) != 1 || man.Segments[0].LastSeq != written || man.Segments[0].Records != written {
+		t.Fatalf("the manifest lists %+v, want one segment of the %d records written", man.Segments, written)
+	}
+	fi, err := os.Stat(filepath.Join(dir, man.Segments[0].File))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fi.Size() != man.Segments[0].Bytes {
+		t.Fatalf("the manifest says %d bytes, the segment holds %d", man.Segments[0].Bytes, fi.Size())
+	}
 
 	w2 := mustOpen(t, dir, Options{})
 	var seqs []uint64
@@ -921,5 +940,93 @@ func TestWriteFailureIsSticky(t *testing.T) {
 	}
 	if c := w2.Metrics().Read(); c["wal.corrupt_skipped"] != 0 {
 		t.Fatalf("corrupt_skipped = %v after replaying a failed log, want 0", c["wal.corrupt_skipped"])
+	}
+}
+
+// TestAppendWaitsForTheFlusher: with the flusher held off the device
+// lock, appends past the pending bound wait instead of growing memory —
+// a run that fits the bound waits to go in whole, a longer one fills
+// the room there is — and every one of them lands once the flusher is
+// let go, a fitting run under consecutive sequences.
+func TestAppendWaitsForTheFlusher(t *testing.T) {
+	dir := t.TempDir()
+	w := mustOpen(t, dir, Options{SyncInterval: time.Hour})
+	const short, extra = 5, 100
+	var recs []Record
+	for i := 0; i < 2*maxPending+short+extra; i++ {
+		recs = append(recs, sessRec(i))
+	}
+	first, fits, long := recs[:maxPending-2], recs[maxPending-2:maxPending-2+short], recs[maxPending-2+short:]
+	parked := func() (waiting, pending int, next uint64) {
+		w.amu.Lock()
+		defer w.amu.Unlock()
+		return w.waiting, len(w.pending), w.nextSeq
+	}
+	waitParked := func(want int) {
+		for n, _, _ := parked(); n < want; n, _, _ = parked() {
+			time.Sleep(time.Millisecond)
+		}
+	}
+	type reply struct {
+		last uint64
+		err  error
+	}
+	appendRun := func(run []Record) chan reply {
+		c := make(chan reply, 1)
+		go func() { last, err := w.AppendRun(run); c <- reply{last, err} }()
+		return c
+	}
+
+	w.mu.Lock() // the flusher cannot swap pending out
+	if _, err := w.AppendRun(first); err != nil {
+		w.mu.Unlock()
+		t.Fatal(err)
+	}
+	fitsC := appendRun(fits)
+	waitParked(1)
+	_, n1, next1 := parked()
+	longC := appendRun(long)
+	waitParked(2)
+	_, n2, next2 := parked()
+	w.mu.Unlock()
+	if n1 != len(first) || next1 != uint64(len(first)+1) {
+		t.Fatalf("a run of %d with room for 2 left pending at %d records, next seq %d: it must wait to go in whole",
+			short, n1, next1)
+	}
+	if n2 != maxPending || next2 != maxPending+1 {
+		t.Fatalf("pending held %d records, next seq %d, with a run past the bound parked: want %d and %d",
+			n2, next2, maxPending, maxPending+1)
+	}
+
+	var fitsLast uint64
+	for _, c := range []chan reply{fitsC, longC} {
+		select {
+		case r := <-c:
+			if r.err != nil {
+				t.Fatal(r.err)
+			}
+			if c == fitsC {
+				fitsLast = r.last
+			}
+		case <-time.After(30 * time.Second):
+			t.Fatal("an append stayed parked after the flusher was let go")
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	got := replayAll(t, mustOpen(t, dir, Options{}))
+	if len(got) != len(recs) {
+		t.Fatalf("replayed %d records, want %d", len(got), len(recs))
+	}
+	for i := range first {
+		if !reflect.DeepEqual(got[i], first[i]) {
+			t.Fatalf("record %d replays as %+v, want %+v", i, got[i], first[i])
+		}
+	}
+	for i := range fits {
+		if at := int(fitsLast) - short + i; !reflect.DeepEqual(got[at], fits[i]) {
+			t.Fatalf("record %d of the fitting run replays as %+v at seq %d, want %+v", i, got[at], at+1, fits[i])
+		}
 	}
 }
