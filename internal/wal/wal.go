@@ -182,8 +182,7 @@ type WAL struct {
 	// pending; the flusher holds it only to swap pending out.
 	amu     sync.Mutex
 	room    sync.Cond // broadcast when pending is swapped out, or the log closes or fails
-	pending []Record  // accepted, not yet framed: sequences pendSeq..nextSeq-1
-	pendSeq uint64
+	pending []Record  // accepted, not yet framed: the len(pending) sequences before nextSeq
 	nextSeq uint64
 	waiting int   // appenders parked on room
 	closed  bool  // appends are refused; runs already inside are taken whole
@@ -253,7 +252,7 @@ func Open(dir string, opt Options) (*WAL, error) {
 	if err := w.recover(); err != nil {
 		return nil, err
 	}
-	w.base, w.pendSeq = w.nextSeq, w.nextSeq
+	w.base = w.nextSeq
 	w.framed, w.flushed = w.nextSeq-1, w.nextSeq-1
 	w.durable.Store(w.nextSeq - 1)
 	if err := w.openSegmentLocked(); err != nil {
@@ -415,8 +414,8 @@ func (w *WAL) flushLoop() {
 // swaps out is discarded and counted. Caller holds mu.
 func (w *WAL) frameLocked() error {
 	w.amu.Lock()
-	batch, seq, err := w.pending, w.pendSeq, w.err
-	w.pending, w.pendSeq = w.spare, w.nextSeq
+	batch, seq, err := w.pending, w.nextSeq-uint64(len(w.pending)), w.err
+	w.pending = w.spare
 	w.room.Broadcast()
 	w.amu.Unlock()
 	n := 0
