@@ -815,10 +815,11 @@ func BenchmarkServeProtocol(b *testing.B) {
 	})
 
 	b.Run("binary", func(b *testing.B) {
-		c, err := binproto.Dial(addr)
+		conn, err := net.Dial("tcp", addr)
 		if err != nil {
 			b.Fatal(err)
 		}
+		c := binproto.NewClient(conn)
 		defer c.Close()
 		b.ReportAllocs()
 		b.ResetTimer()
@@ -918,29 +919,29 @@ func BenchmarkAblation_GreedyMatching(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m.MatchPair(r, s)
+		m.MatchTerms(m.Diff(r, s))
 	}
 }
 
 func BenchmarkAblation_NaiveMatching(b *testing.B) {
-	m := &rewrite.Matcher{Scorer: rewrite.PositionScorer{}}
+	m := &rewrite.Matcher{}
 	r, s := ablationPair()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m.MatchPair(r, s)
+		m.MatchTerms(m.Diff(r, s))
 	}
 }
 
 func ablationPair() (snippet.Creative, snippet.Creative) {
-	return snippet.MustNew("r",
+	return snippet.Creative{ID: "r", Lines: []string{
 			"XYZ Airlines official site",
 			"Find cheap flights to New York today",
-			"No reservation costs. Great rates"),
-		snippet.MustNew("s",
+			"No reservation costs. Great rates"}},
+		snippet.Creative{ID: "s", Lines: []string{
 			"XYZ Airlines official site",
 			"Flying to New York? Get discounts.",
-			"No reservation costs. Great rates!")
+			"No reservation costs. Great rates!"}}
 }
 
 // BenchmarkAblation_StatsInit vs _ZeroInit measure the cost/benefit of
@@ -1024,7 +1025,7 @@ func BenchmarkStreamIngest(b *testing.B) {
 		var drainMu sync.Mutex
 		discard := func(*stream.Event) {}
 		offer := func(ev stream.Event) {
-			for !sink.Offer(ev) {
+			for sink.OfferRun([]stream.Event{ev}) == 0 {
 				drainMu.Lock()
 				for s := 0; s < sink.Shards(); s++ {
 					sink.DrainShard(s, discard)
@@ -1133,8 +1134,10 @@ func BenchmarkStreamFold(b *testing.B) {
 			train, pool := countingShapeLogs(sh)
 			st := clickmodel.NewStats()
 			for _, log := range [][]clickmodel.Session{train, pool} {
-				if err := st.AddAll(log); err != nil {
-					b.Fatal(err)
+				for _, s := range log {
+					if err := st.Add(s); err != nil {
+						b.Fatal(err)
+					}
 				}
 			}
 			b.ReportAllocs()
@@ -1188,8 +1191,10 @@ func countingServeModel(b *testing.B, name string, sh countingShape) (clickmodel
 		b.Fatal(err)
 	}
 	st := clickmodel.NewStats()
-	if err := st.AddAll(train); err != nil {
-		b.Fatal(err)
+	for _, s := range train {
+		if err := st.Add(s); err != nil {
+			b.Fatal(err)
+		}
 	}
 	m, err := clickmodel.Train(name, 5, c, st)
 	if err != nil {
@@ -1480,7 +1485,7 @@ func BenchmarkWALIngest(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			ev := stream.Event{Session: &sessions[i%len(sessions)]}
-			for !sink.Offer(ev) {
+			for sink.OfferRun([]stream.Event{ev}) == 0 {
 				for s := 0; s < sink.Shards(); s++ {
 					sink.DrainShard(s, discard)
 				}

@@ -37,8 +37,8 @@ func main() {
 	}
 	var mined []minedRewrite
 	for key := range db.Stats {
-		if kind := keyKind(key); kind != "rw" {
-			continue
+		if !strings.HasPrefix(key, "rw|") {
+			continue // not a rewrite key
 		}
 		if db.Count(key) < 12 {
 			continue // too little evidence to report
@@ -98,16 +98,6 @@ func main() {
 			resp.ID, resp.CTR, resp.Score)
 	}
 	fmt.Printf("  score(R→S) = %+.4f under the mined statistics\n", resps[0].Score-resps[1].Score)
-}
-
-// keyKind mirrors featstats.KeyKind for the small set of kinds used here.
-func keyKind(key string) string {
-	switch {
-	case strings.HasPrefix(key, "rw|"):
-		return "rw"
-	default:
-		return ""
-	}
 }
 
 // splitRewrite parses a "rw|from\x1fto" key.

@@ -362,16 +362,6 @@ func Generate(cfg Config, lex *Lexicon) *Corpus {
 	return corpus
 }
 
-// TotalAppeal sums the appeal of every slot: the creative's click pull
-// if the user read everything (used in tests and diagnostics).
-func (c Creative) TotalAppeal() float64 {
-	var s float64
-	for _, sl := range c.Slots {
-		s += sl.Appeal
-	}
-	return s
-}
-
 // hookWindow, trustWindow and tailWindow are the appeal-neighbourhood
 // radii for within-adgroup phrase selection.
 const (

@@ -19,19 +19,3 @@ func (c *Corpus) SaveJSONL(w io.Writer) error {
 	}
 	return bw.Flush()
 }
-
-// LoadJSONL reads a corpus written by SaveJSONL.
-func LoadJSONL(r io.Reader) (*Corpus, error) {
-	dec := json.NewDecoder(bufio.NewReader(r))
-	corpus := &Corpus{}
-	for {
-		var g Group
-		if err := dec.Decode(&g); err == io.EOF {
-			break
-		} else if err != nil {
-			return nil, fmt.Errorf("adcorpus: load group %d: %w", len(corpus.Groups), err)
-		}
-		corpus.Groups = append(corpus.Groups, g)
-	}
-	return corpus, nil
-}

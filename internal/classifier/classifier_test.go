@@ -2,6 +2,7 @@ package classifier
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/adcorpus"
@@ -86,7 +87,7 @@ func TestOccurrencesPerSpec(t *testing.T) {
 	// Find a pair with a hook rewrite (differing line 2).
 	var pick *snippet.Pair
 	for i := range pairs {
-		if len(pairs[i].R.DiffLines(pairs[i].S)) > 0 {
+		if !pairs[i].R.Equal(pairs[i].S) {
 			pick = &pairs[i]
 			break
 		}
@@ -99,7 +100,8 @@ func TestOccurrencesPerSpec(t *testing.T) {
 		p := NewPipeline(spec, db)
 		counts := make(map[string]int)
 		for _, o := range p.occurrences(*pick) {
-			counts[featstats.KeyKind(o.relKey)]++
+			kind, _, _ := strings.Cut(o.relKey, "|") // the key's namespace
+			counts[kind]++
 		}
 		return counts
 	}

@@ -85,17 +85,6 @@ func (s Session) FirstClick() int {
 	return -1
 }
 
-// ClickCount returns the number of clicks in the session.
-func (s Session) ClickCount() int {
-	n := 0
-	for _, c := range s.Clicks {
-		if c {
-			n++
-		}
-	}
-	return n
-}
-
 // Model is a click model: what Train fits, the engine scores and an
 // artifact holds. Every built-in model implements it, and only they
 // can — params is unexported — so every Model has a parameter list.

@@ -37,13 +37,26 @@ func TestSessionClickHelpers(t *testing.T) {
 	if got := s.LastClick(); got != 3 {
 		t.Errorf("LastClick = %d, want 3", got)
 	}
-	if got := s.ClickCount(); got != 2 {
-		t.Errorf("ClickCount = %d, want 2", got)
-	}
 	empty := Session{Docs: []string{"a"}, Clicks: []bool{false}}
-	if empty.FirstClick() != -1 || empty.LastClick() != -1 || empty.ClickCount() != 0 {
+	if empty.FirstClick() != -1 || empty.LastClick() != -1 {
 		t.Error("click helpers wrong on clickless session")
 	}
+}
+
+// prevClickIndex returns, for each position of the session, the gamma
+// column: 0 when no click precedes it, otherwise the 1-based position of
+// the most recent preceding click. (Compile precomputes the same
+// columns for every impression of a log.)
+func prevClickIndex(s Session) []int {
+	idx := make([]int, len(s.Docs))
+	prev := 0
+	for i := range s.Docs {
+		idx[i] = prev
+		if s.Clicks[i] {
+			prev = i + 1
+		}
+	}
+	return idx
 }
 
 func TestPrevClickIndex(t *testing.T) {
@@ -363,7 +376,7 @@ func TestAllModelsFitAndEvaluate(t *testing.T) {
 	rng := rand.New(rand.NewSource(49))
 	train := simulateDBN(rng, 6000, 5, 0.5, 0.85)
 	test := simulateDBN(rng, 2000, 5, 0.5, 0.85)
-	for _, m := range All() {
+	for _, m := range allModels(t) {
 		t.Run(m.Name(), func(t *testing.T) {
 			if err := fitSessions(m, train); err != nil {
 				t.Fatalf("Fit: %v", err)
@@ -391,7 +404,7 @@ func TestAllModelsFitAndEvaluate(t *testing.T) {
 
 func TestFitRejectsBadLogs(t *testing.T) {
 	bad := []Session{{Query: "q", Docs: []string{"a"}, Clicks: nil}}
-	for _, m := range All() {
+	for _, m := range allModels(t) {
 		if err := fitSessions(m, nil); err == nil {
 			t.Errorf("%s accepted empty log", m.Name())
 		}

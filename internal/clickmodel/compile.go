@@ -220,14 +220,8 @@ func (c *CompiledLog) NumSessions() int { return len(c.last) }
 // Treat it as read-only.
 func (c *CompiledLog) Sessions() []Session { return c.sessions }
 
-// NumImpressions returns the total number of (session, position) cells.
-func (c *CompiledLog) NumImpressions() int { return len(c.pair) }
-
 // NumPairs returns the number of distinct (query, doc) pairs.
 func (c *CompiledLog) NumPairs() int { return len(c.tab.pairs) }
-
-// MaxPositions returns the longest result list in the log.
-func (c *CompiledLog) MaxPositions() int { return c.maxPos }
 
 // tri is the row offset of position i in triangular (i, j<=i) layout.
 func tri(i int) int { return i * (i + 1) / 2 }

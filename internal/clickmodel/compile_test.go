@@ -16,9 +16,9 @@ func TestCompileLayout(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.NumSessions() != 3 || c.NumImpressions() != 6 || c.MaxPositions() != 3 {
+	if c.NumSessions() != 3 || len(c.pair) != 6 || c.maxPos != 3 {
 		t.Fatalf("sizes: %d sessions, %d impressions, %d maxPos",
-			c.NumSessions(), c.NumImpressions(), c.MaxPositions())
+			c.NumSessions(), len(c.pair), c.maxPos)
 	}
 	// (q1,a), (q1,b), (q1,c), (q2,a) — 4 distinct pairs; (q1,b) reused.
 	if c.NumPairs() != 4 {
@@ -71,7 +71,7 @@ func TestCompileRejectsBadLogs(t *testing.T) {
 }
 
 func TestFitLogNilGuard(t *testing.T) {
-	for _, m := range All() {
+	for _, m := range allModels(t) {
 		if err := m.FitLog(nil); err == nil {
 			t.Errorf("%s.FitLog(nil) succeeded", m.Name())
 		}
@@ -173,7 +173,7 @@ func TestConcurrentFitsShareLog(t *testing.T) {
 // sessions of different lengths.
 func TestInplaceScorersMatchClickProbs(t *testing.T) {
 	sessions := synthParityLog(808, 800)
-	for _, m := range All() {
+	for _, m := range allModels(t) {
 		if err := fitSessions(m, sessions); err != nil {
 			t.Fatalf("%s: %v", m.Name(), err)
 		}

@@ -60,7 +60,7 @@ var countingGoldenPaths = []goldenPath{
 	}},
 	{"stats", func(m Model, train []Session) (Model, error) {
 		st := NewStats()
-		if err := st.AddAll(train); err != nil {
+		if err := addAll(st, train); err != nil {
 			return nil, err
 		}
 		return m, m.(StatsFitter).FitStats(st)
@@ -68,11 +68,11 @@ var countingGoldenPaths = []goldenPath{
 	{"stats_decay_prune", func(m Model, train []Session) (Model, error) {
 		st := NewStats()
 		half := len(train) / 2
-		if err := st.AddAll(train[:half]); err != nil {
+		if err := addAll(st, train[:half]); err != nil {
 			return nil, err
 		}
 		st.Decay(0.01)
-		if err := st.AddAll(train[half:]); err != nil {
+		if err := addAll(st, train[half:]); err != nil {
 			return nil, err
 		}
 		if st.Prune(0.015) == 0 {

@@ -55,7 +55,7 @@ func TestLogStatsMatchesAdd(t *testing.T) {
 			fs, dense := logStats(c)
 			defer putScratch(fs)
 			online := NewStats()
-			if err := online.AddAll(log); err != nil {
+			if err := addAll(online, log); err != nil {
 				t.Fatal(err)
 			}
 
@@ -80,9 +80,8 @@ func TestLogStatsMatchesAdd(t *testing.T) {
 				t.Errorf("per position: logStats clickAt %v lastAt %v, Add clickAt %v lastAt %v",
 					dense.clickAt, dense.lastAt, online.clickAt, online.lastAt)
 			}
-			if dense.Weight() != online.Weight() || dense.Added() != online.Added() {
-				t.Errorf("logStats holds weight %v of %d sessions, Add %v of %d",
-					dense.Weight(), dense.Added(), online.Weight(), online.Added())
+			if dense.Weight() != online.Weight() {
+				t.Errorf("logStats holds weight %v, Add %v", dense.Weight(), online.Weight())
 			}
 		})
 	}

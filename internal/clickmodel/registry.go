@@ -93,13 +93,3 @@ func Names() []string {
 	}
 	return out
 }
-
-// All returns one fresh instance of every model, in the paper's
-// related-work taxonomy order.
-func All() []Model {
-	out := make([]Model, len(models))
-	for i, e := range models {
-		out[i] = e.new(0)
-	}
-	return out
-}

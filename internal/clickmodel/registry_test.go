@@ -9,7 +9,7 @@ import (
 )
 
 // taxonomyOrder is the paper's related-work order the built-ins must
-// keep, because All() and reports iterate it.
+// keep, because Names() and reports iterate it.
 var taxonomyOrder = []string{"pbm", "cascade", "dcm", "ubm", "bbm", "ccm", "dbn", "sdbn", "gcm", "sum"}
 
 func TestRegistryNamesOrder(t *testing.T) {
@@ -61,15 +61,26 @@ func TestRegistryUnknownName(t *testing.T) {
 	}
 }
 
-func TestAllMatchesRegistry(t *testing.T) {
-	all := All()
-	names := Names()
-	if len(all) != len(names) {
-		t.Fatalf("All() returned %d models, registry has %d", len(all), len(names))
+// allModels returns one fresh instance of every registered model, in
+// the registry's order.
+func allModels(t testing.TB) []Model {
+	t.Helper()
+	var out []Model
+	for _, name := range Names() {
+		m, err := New(name)
+		if err != nil {
+			t.Fatalf("New(%q): %v", name, err)
+		}
+		out = append(out, m)
 	}
-	for i, m := range all {
+	return out
+}
+
+func TestAllMatchesRegistry(t *testing.T) {
+	names := Names()
+	for i, m := range allModels(t) {
 		if got := strings.ToLower(m.Name()); got != names[i] {
-			t.Errorf("All()[%d].Name() = %q, want %q", i, m.Name(), names[i])
+			t.Errorf("New(%q).Name() = %q", names[i], m.Name())
 		}
 	}
 }
@@ -110,7 +121,7 @@ func TestTrain(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := NewStats()
-	if err := st.AddAll(sessions[:120]); err != nil {
+	if err := addAll(st, sessions[:120]); err != nil {
 		t.Fatal(err)
 	}
 	type trainCase struct {

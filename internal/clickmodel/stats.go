@@ -47,7 +47,6 @@ type Stats struct {
 	lastAt  []float64 // per position: last clicks
 
 	sessions float64 // decayed session mass
-	added    uint64  // sessions ever added (undecayed)
 }
 
 // NewStats returns an empty accumulator.
@@ -122,7 +121,6 @@ func (st *Stats) Add(s Session) error {
 		st.tally(p, i, last, first, s.Clicks[i])
 	}
 	st.sessions++
-	st.added++
 	return nil
 }
 
@@ -143,7 +141,7 @@ func logStats(c *CompiledLog) (fs *fitScratch, st Stats) {
 		clicks: sl.take(nPair), examLast: sl.take(nPair), satNum: sl.take(nPair),
 		clickFirst: sl.take(nPair), examFirst: sl.take(nPair),
 		clickAt: sl.take(c.maxPos), lastAt: sl.take(c.maxPos),
-		sessions: float64(nSess), added: uint64(nSess),
+		sessions: float64(nSess),
 	}
 	for s := 0; s < nSess; s++ {
 		b, last, first := int(c.off[s]), int(c.last[s]), int(c.first[s])
@@ -157,16 +155,6 @@ func logStats(c *CompiledLog) (fs *fitScratch, st Stats) {
 		}
 	}
 	return fs, st
-}
-
-// AddAll folds a whole log, stopping at the first invalid session.
-func (st *Stats) AddAll(sessions []Session) error {
-	for i := range sessions {
-		if err := st.Add(sessions[i]); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // Decay scales every count by f in [0, 1], exponentially aging out old
@@ -222,7 +210,6 @@ func (st *Stats) Merge(src *Stats, idmap []int32) []int32 {
 		st.lastAt[i] += src.lastAt[i]
 	}
 	st.sessions += src.sessions
-	st.added += src.added
 	return idmap
 }
 
@@ -271,7 +258,6 @@ func (st *Stats) Reset() {
 	clear(st.clickAt)
 	clear(st.lastAt)
 	st.sessions = 0
-	st.added = 0
 }
 
 // NumPairs returns the number of distinct (query, doc) pairs observed.
@@ -282,9 +268,6 @@ func (st *Stats) MaxPositions() int { return len(st.clickAt) }
 
 // Weight returns the decayed session mass currently in the accumulator.
 func (st *Stats) Weight() float64 { return st.sessions }
-
-// Added returns the number of sessions ever folded in (undecayed).
-func (st *Stats) Added() uint64 { return st.added }
 
 // StatsFitter is implemented by the counting-family models, whose
 // closed-form estimates need only the sufficient statistics a Stats

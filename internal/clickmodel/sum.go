@@ -172,15 +172,4 @@ func (m *SUM) SessionLogLikelihood(s Session) float64 {
 	return ll
 }
 
-// SessionUtility returns the expected accumulated utility of a session's
-// clicked sequence — the quantity SUM ranks sessions and documents by.
-func (m *SUM) SessionUtility(s Session) float64 {
-	p := 1.0
-	row := m.pairs.row(s.Query)
-	for _, d := range clickedDocs(s) {
-		p *= 1 - m.u(row, d)
-	}
-	return 1 - p
-}
-
 var _ Model = (*SUM)(nil)

@@ -58,21 +58,6 @@ func TestSUMUtilityOrdering(t *testing.T) {
 	}
 }
 
-func TestSUMSessionUtility(t *testing.T) {
-	m := NewSUM()
-	m.pairs, m.utility = pairTableOf([]qd{{"q", "a"}, {"q", "b"}}), []float64{0.5, 0.5}
-	m.baseCTR = []float64{0.1, 0.1}
-	s := Session{Query: "q", Docs: []string{"a", "b"}, Clicks: []bool{true, true}}
-	// 1 - (1-0.5)(1-0.5) = 0.75.
-	if got := m.SessionUtility(s); math.Abs(got-0.75) > 1e-12 {
-		t.Errorf("SessionUtility = %v, want 0.75", got)
-	}
-	empty := Session{Query: "q", Docs: []string{"a"}, Clicks: []bool{false}}
-	if got := m.SessionUtility(empty); got != 0 {
-		t.Errorf("clickless session utility = %v, want 0", got)
-	}
-}
-
 func TestSUMLogLikelihoodFinite(t *testing.T) {
 	rng := rand.New(rand.NewSource(62))
 	sessions := simulateSUM(rng, 5000)

@@ -52,22 +52,6 @@ func (m *UBM) gamma(i, j int) float64 {
 	return 0.5
 }
 
-// prevClickIndex returns, for each position of the session, the gamma
-// column: 0 when no click precedes it, otherwise the 1-based position of
-// the most recent preceding click. (Compile precomputes the same
-// columns for every impression of a log.)
-func prevClickIndex(s Session) []int {
-	idx := make([]int, len(s.Docs))
-	prev := 0
-	for i := range s.Docs {
-		idx[i] = prev
-		if s.Clicks[i] {
-			prev = i + 1
-		}
-	}
-	return idx
-}
-
 // FitLog runs EM over a compiled log. The triangular gamma table is
 // kept flat (cell (i, j) at tri(i)+j); its denominators — impressions
 // per (position, previous-click) cell — are log constants cached on

@@ -2,8 +2,9 @@ package core
 
 // Compiled serving path: the map-based Model is the fitting and
 // analysis surface; CompiledModel is its read-optimised twin, built
-// once per install (engine.NewMicroScorer compiles on wrap, so
-// Register/LoadSnapshot/hot-swap all publish pre-compiled versions).
+// once per install (engine.NewMicroScorer compiles on wrap, so UseMicro,
+// Fit, the LoadSnapshot loaders and online publishes all install
+// pre-compiled versions through Engine.Install).
 //
 // Compilation mirrors what internal/clickmodel's compile layer did for
 // training: the relevance keys, distinct by construction, are listed
@@ -56,8 +57,9 @@ type CompiledModel struct {
 	attFull bool      // FullAttention short-circuit: every a_i = 1
 }
 
-// clampRel mirrors Model.TermRelevance's clamp to (0, 1] so that the
-// precomputed logarithm is finite.
+// clampRel clamps a relevance to (0, 1] so that the precomputed
+// logarithm is finite; the reference scorer (coreref.TermRelevance)
+// applies the same clamp.
 func clampRel(r float64) float64 {
 	if r < 1e-9 {
 		return 1e-9

@@ -20,13 +20,13 @@ func legacyScore(m *core.Model, lines []string, maxN int) (ctr, score float64) {
 	terms := textproc.ExtractTerms(lines, maxN)
 	ctr = 1.0
 	for _, t := range terms {
-		a := m.Examine(t)
-		ctr *= a*m.TermRelevance(t.Text) + 1 - a
+		a := coreref.Examine(m, t)
+		ctr *= a*coreref.TermRelevance(m, t.Text) + 1 - a
 	}
 	if len(terms) == 0 || math.IsNaN(ctr) {
 		ctr = 0
 	}
-	return ctr, m.ExpectedScore(terms)
+	return ctr, coreref.ExpectedScore(m, terms)
 }
 
 // randomWords is the shared lexicon for the parity corpus; scoring
@@ -43,7 +43,7 @@ func randomModel(rng *rand.Rand, att core.Attention) *core.Model {
 	m := core.NewModel(att)
 	for _, w := range randomWords(rng, 120) {
 		// Deliberately out-of-range values exercise the clamps: the
-		// compiled table must bake in exactly TermRelevance's clamping.
+		// compiled table must bake in exactly coreref.TermRelevance's clamping.
 		m.Relevance[w] = rng.Float64()*1.4 - 0.1
 	}
 	// Bigrams and trigrams in the table make n-gram window lookups hit.

@@ -21,17 +21,15 @@
 //
 // Examination indicators are latent; the package models them through an
 // Attention: the probability that the micro-position (line, pos) is read.
-// Expectations over v replace the indicators wherever a deterministic
-// score is needed, and SampleExamination draws concrete indicator
-// vectors for simulation.
+// Serving replaces the indicators by their expectation: a Model is
+// compiled (Compile, or CompiledFromArtifact over a v2 artifact) into
+// the CompiledModel whose ScoreSnippet is the one scoring pass
+// production runs. The equations stated term by term over a Model —
+// Eq. 3, the pairwise forms of Eq. 5, 6 and 8, and sampled examination
+// vectors — are the test-only reference package coreref.
 package core
 
-import (
-	"math"
-	"math/rand"
-
-	"repro/internal/textproc"
-)
+import "math"
 
 // Attention models micro-examination: the probability that a user reads
 // the term starting at a (line, pos) micro-position. Implementations
@@ -126,114 +124,9 @@ func NewModel(att Attention) *Model {
 	return &Model{Relevance: make(map[string]float64), DefaultRelevance: 0.5, Attention: att}
 }
 
-// TermRelevance returns r for the term text, clamped to (0, 1] so that
-// log r is finite.
-func (m *Model) TermRelevance(text string) float64 {
-	r, ok := m.Relevance[text]
-	if !ok {
-		r = m.DefaultRelevance
-		if r == 0 {
-			r = 0.5
-		}
-	}
-	if r < 1e-9 {
-		r = 1e-9
-	}
-	if r > 1 {
-		r = 1
-	}
-	return r
-}
-
 func (m *Model) attention() Attention {
 	if m.Attention == nil {
 		return FullAttention{}
 	}
 	return m.Attention
-}
-
-// Examine returns the examination probability of a term's micro-position.
-func (m *Model) Examine(t textproc.Term) float64 {
-	return m.attention().Examine(t.Line, t.Pos)
-}
-
-// SnippetLogProb evaluates Eq. 3 in log space for a concrete examination
-// vector: log Pr(R|q) = Σ v_i·log r_i. examined must be parallel to
-// terms; a nil examined means every term was read.
-func (m *Model) SnippetLogProb(terms []textproc.Term, examined []bool) float64 {
-	var lp float64
-	for i, t := range terms {
-		if examined == nil || examined[i] {
-			lp += math.Log(m.TermRelevance(t.Text))
-		}
-	}
-	return lp
-}
-
-// ExpectedScore is the expectation of Σ v_i·log r_i under the attention
-// layer: E[v_i] = Examine(line_i, pos_i). This is the deterministic
-// per-snippet score used for ranking snippets.
-func (m *Model) ExpectedScore(terms []textproc.Term) float64 {
-	var s float64
-	for _, t := range terms {
-		s += m.Examine(t) * math.Log(m.TermRelevance(t.Text))
-	}
-	return s
-}
-
-// ScorePair evaluates Eq. 5 in expectation: the log probability ratio of
-// snippet R over snippet S. Positive means R is the better snippet.
-func (m *Model) ScorePair(r, s []textproc.Term) float64 {
-	return m.ExpectedScore(r) - m.ExpectedScore(s)
-}
-
-// RewritePair is one matched rewrite between a pair of snippets: the
-// term From in R was rewritten to the term To in S (the (p,q) entries of
-// pair(R,S) in Eq. 6).
-type RewritePair struct {
-	From, To textproc.Term
-}
-
-// ScoreRewrites evaluates Eq. 6: the pair score refactored into matched
-// rewrites plus the leftover terms present only in R or only in S.
-// Because Eq. 6 is an exact refactoring of Eq. 5, the result equals
-// ScorePair whenever pairs ∪ onlyR covers R's terms and pairs ∪ onlyS
-// covers S's terms.
-func (m *Model) ScoreRewrites(pairs []RewritePair, onlyR, onlyS []textproc.Term) float64 {
-	var s float64
-	for _, p := range pairs {
-		s += m.Examine(p.From) * math.Log(m.TermRelevance(p.From.Text))
-		s -= m.Examine(p.To) * math.Log(m.TermRelevance(p.To.Text))
-	}
-	for _, t := range onlyR {
-		s += m.Examine(t) * math.Log(m.TermRelevance(t.Text))
-	}
-	for _, t := range onlyS {
-		s -= m.Examine(t) * math.Log(m.TermRelevance(t.Text))
-	}
-	return s
-}
-
-// DecoupledScore evaluates Eq. 8: position and relevance are decoupled
-// so that rewrite relevance statistics can be shared across positions.
-// The position factor f(v_p, w_q) is taken as the mean examination
-// probability of the two micro-positions — the symmetric choice; the
-// classifier learns its own f from data (Eq. 9).
-func (m *Model) DecoupledScore(pairs []RewritePair) float64 {
-	var s float64
-	for _, p := range pairs {
-		f := (m.Examine(p.From) + m.Examine(p.To)) / 2
-		s += f * math.Log(m.TermRelevance(p.From.Text)/m.TermRelevance(p.To.Text))
-	}
-	return s
-}
-
-// SampleExamination draws a concrete examination vector v for the terms
-// under the attention layer. Deterministic given the rng state.
-func (m *Model) SampleExamination(rng *rand.Rand, terms []textproc.Term) []bool {
-	v := make([]bool, len(terms))
-	for i, t := range terms {
-		v[i] = rng.Float64() < m.Examine(t)
-	}
-	return v
 }

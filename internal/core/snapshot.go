@@ -12,9 +12,9 @@ import (
 	"repro/internal/snapshot"
 )
 
-// SnapshotName is the model name recorded in micro-browsing artifacts,
+// snapshotName is the model name recorded in micro-browsing artifacts,
 // matching the engine's reserved "micro" scorer name.
-const SnapshotName = "micro"
+const snapshotName = "micro"
 
 // Attention kind bytes in artifacts.
 const (

@@ -66,7 +66,7 @@ func (c *CompiledModel) SaveV2(w io.Writer) error {
 	meta = snapshot.AppendUint(meta, attTableLines)
 	meta = snapshot.AppendUint(meta, attTableCols)
 
-	vw := snapshot.NewV2Writer(SnapshotName)
+	vw := snapshot.NewV2Writer(snapshotName)
 	vw.Bytes(v2TagMeta, meta)
 	c.vocab.WriteSections(vw, v2TagVocab)
 	vw.Floats(v2TagRel, c.rel)
@@ -86,8 +86,8 @@ func (c *CompiledModel) SaveV2(w io.Writer) error {
 // The returned model's Source is nil: a mapped model has no fitting
 // form. It scores; it does not refit.
 func CompiledFromArtifact(a *snapshot.V2Artifact) (*CompiledModel, error) {
-	if !strings.EqualFold(a.ModelName, SnapshotName) {
-		return nil, fmt.Errorf("core: artifact holds a %q model, not %q", a.ModelName, SnapshotName)
+	if !strings.EqualFold(a.ModelName, snapshotName) {
+		return nil, fmt.Errorf("core: artifact holds a %q model, not %q", a.ModelName, snapshotName)
 	}
 	meta, err := a.BytesView(v2TagMeta)
 	if err != nil {
@@ -144,8 +144,50 @@ func CompiledFromArtifact(a *snapshot.V2Artifact) (*CompiledModel, error) {
 	return c, nil
 }
 
-// ValidateTables runs the deep O(n) checks CompiledFromArtifact defers
-// (the frozen vocabulary's per-element invariants, its tags included);
-// verified load paths call it before install so untrusted artifacts
-// stay fail-closed while trusted local loads remain O(1).
-func (c *CompiledModel) ValidateTables() error { return c.vocab.Validate() }
+// ValidateTables runs the deep O(n) checks CompiledFromArtifact defers,
+// so that a verified load serves only tables Compile could have built:
+// the frozen vocabulary's per-element invariants (its tags included);
+// every relevance, the default's too, in [1e-9, 1] and every
+// log-relevance exactly math.Log of it; a table attention's cells not
+// NaN and its default in [0, 1] (cells outside [0, 1] are clamped by
+// Examine); and the dense attention table, a cache of the attention
+// layer, equal to it bit for bit. Any other table could put a CTR
+// outside [0, 1]. Verified load paths call it before install so
+// untrusted artifacts stay fail-closed while trusted local loads remain
+// O(1).
+func (c *CompiledModel) ValidateTables() error {
+	if err := c.vocab.Validate(); err != nil {
+		return err
+	}
+	if !(c.defRel >= 1e-9 && c.defRel <= 1) {
+		return fmt.Errorf("%w: default relevance %v outside [1e-9, 1]", snapshot.ErrCorrupt, c.defRel)
+	}
+	for id, r := range c.rel {
+		if !(r >= 1e-9 && r <= 1) {
+			return fmt.Errorf("%w: term %d has relevance %v outside [1e-9, 1]", snapshot.ErrCorrupt, id, r)
+		}
+		if math.Float64bits(c.logRel[id]) != math.Float64bits(math.Log(r)) {
+			return fmt.Errorf("%w: term %d has log-relevance %v, not log(%v)", snapshot.ErrCorrupt, id, c.logRel[id], r)
+		}
+	}
+	if t, ok := c.att.(TableAttention); ok {
+		if !(t.Default >= 0 && t.Default <= 1) {
+			return fmt.Errorf("%w: attention default %v outside [0, 1]", snapshot.ErrCorrupt, t.Default)
+		}
+		for i, row := range t.W {
+			for j, v := range row {
+				if math.IsNaN(v) {
+					return fmt.Errorf("%w: attention cell (%d, %d) is NaN", snapshot.ErrCorrupt, i+1, j+1)
+				}
+			}
+		}
+	}
+	for i, v := range c.attW {
+		line, pos := i/attTableCols+1, i%attTableCols+1
+		if !(v >= 0 && v <= 1) || math.Float64bits(v) != math.Float64bits(c.att.Examine(line, pos)) {
+			return fmt.Errorf("%w: attention table cell (%d, %d) is %v, the attention layer says %v",
+				snapshot.ErrCorrupt, line, pos, v, c.att.Examine(line, pos))
+		}
+	}
+	return nil
+}

@@ -2,6 +2,7 @@ package core_test
 
 import (
 	"bytes"
+	"errors"
 	"maps"
 	"math"
 	"math/rand"
@@ -165,6 +166,22 @@ func withoutSection(t *testing.T, art []byte, drop string) *snapshot.V2Artifact 
 	if _, ok := orig.Section(drop); !ok {
 		t.Fatalf("artifact has no section %q to drop", drop)
 	}
+	a, err := snapshot.ParseV2(rewritten(t, art, drop, nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return a
+}
+
+// rewritten re-emits a v2 artifact under fresh section checksums, with
+// the section drop left out and each float section passed through patch
+// (when non-nil) first.
+func rewritten(t *testing.T, art []byte, drop string, patch func(tag string, f []float64)) []byte {
+	t.Helper()
+	orig, err := snapshot.ParseV2(art)
+	if err != nil {
+		t.Fatal(err)
+	}
 	w := snapshot.NewV2Writer(orig.ModelName)
 	for _, s := range orig.Sections {
 		if s.Tag == drop {
@@ -172,7 +189,11 @@ func withoutSection(t *testing.T, art []byte, drop string) *snapshot.V2Artifact 
 		}
 		switch s.Kind {
 		case snapshot.V2Float64:
-			f, _ := orig.FloatsView(s.Tag)
+			v, _ := orig.FloatsView(s.Tag)
+			f := append([]float64(nil), v...)
+			if patch != nil {
+				patch(s.Tag, f)
+			}
 			w.Floats(s.Tag, f)
 		case snapshot.V2Int32:
 			v, _ := orig.Int32sView(s.Tag)
@@ -189,11 +210,68 @@ func withoutSection(t *testing.T, art []byte, drop string) *snapshot.V2Artifact 
 	if _, err := w.WriteTo(&out); err != nil {
 		t.Fatal(err)
 	}
-	a, err := snapshot.ParseV2(out.Bytes())
-	if err != nil {
-		t.Fatal(err)
+	return out.Bytes()
+}
+
+// TestValidateTablesRefusesOutOfRangeTables: an artifact whose tables
+// Compile could not have built passes its checksums and the O(1) wrap,
+// and the deep scan of a verified load refuses it as corrupt — each
+// table that could put a CTR outside [0, 1], one at a time.
+func TestValidateTablesRefusesOutOfRangeTables(t *testing.T) {
+	save := func(m *core.Model) []byte {
+		t.Helper()
+		var buf bytes.Buffer
+		if err := m.Save(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
 	}
-	return a
+	model := func(att core.Attention) *core.Model {
+		m := core.NewModel(att)
+		m.Relevance["find cheap"] = 0.85
+		m.Relevance["flights"] = 0.6
+		return m
+	}
+	geometric := core.GeometricAttention{LineWeights: []float64{0.9, 0.6, 0.3}, Decay: 0.8}
+	good := save(model(geometric))
+	patched := func(tag string, at int, v float64) []byte {
+		return rewritten(t, good, "", func(s string, f []float64) {
+			if s == tag {
+				f[at] = v
+			}
+		})
+	}
+	deep := make([][]float64, 9) // a row past the dense table: only Examine reads it
+	deep[8] = []float64{math.NaN()}
+	nanDefault := model(geometric)
+	nanDefault.DefaultRelevance = math.NaN()
+	cases := map[string][]byte{
+		"relevance 5":                  patched("rel", 0, 5),
+		"relevance NaN":                patched("rel", 1, math.NaN()),
+		"relevance 0":                  patched("rel", 0, 0),
+		"log-relevance one ulp off":    patched("logrel", 0, math.Nextafter(math.Log(0.85), 0)),
+		"attention cell 3":             patched("attw", 0, 3),
+		"attention cell NaN":           patched("attw", 5, math.NaN()),
+		"attention cell not the layer": patched("attw", 40, 0.5),
+		"default relevance NaN":        save(nanDefault),
+		"table attention NaN cell":     save(model(core.TableAttention{W: deep, Default: 0.2})),
+		"table attention default 3":    save(model(core.TableAttention{W: [][]float64{{0.9}}, Default: 3})),
+	}
+	if _, err := core.LoadCompiled(good); err != nil {
+		t.Fatalf("the unpatched artifact: %v", err)
+	}
+	for name, blob := range cases {
+		a, err := snapshot.ParseV2(blob)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if _, err := core.CompiledFromArtifact(a); err != nil {
+			t.Errorf("%s: the O(1) wrap refused it (%v); the deep scan is what must", name, err)
+		}
+		if _, err := core.LoadCompiled(blob); !errors.Is(err, snapshot.ErrCorrupt) {
+			t.Errorf("%s: verified load says %v, want %v", name, err, snapshot.ErrCorrupt)
+		}
+	}
 }
 
 // TestV2UntaggedArtifactScoresIdentically is the compatibility pin: an

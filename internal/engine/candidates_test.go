@@ -170,8 +170,8 @@ func TestTopKZero(t *testing.T) {
 	}
 	tk.Reset(-3)
 	tk.Offer(1, 2)
-	if tk.Len() != 0 {
-		t.Fatalf("k<0 kept %d survivors", tk.Len())
+	if len(tk.idx) != 0 {
+		t.Fatalf("k<0 kept %d survivors", len(tk.idx))
 	}
 }
 

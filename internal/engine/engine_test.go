@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/clickmodel"
 	"repro/internal/core"
+	"repro/internal/core/coreref"
 	"repro/internal/featstats"
 	"repro/internal/ml"
 	"repro/internal/textproc"
@@ -105,13 +106,13 @@ func TestMicroMatchesDirectModel(t *testing.T) {
 			maxN = 2
 		}
 		terms := textproc.ExtractTerms(reqs[i].Lines, maxN)
-		if want := m.ExpectedScore(terms); math.Abs(resp.Score-want) > 1e-12 {
+		if want := coreref.ExpectedScore(m, terms); math.Abs(resp.Score-want) > 1e-12 {
 			t.Errorf("resp %d: Score %v, want %v", i, resp.Score, want)
 		}
 		want := 1.0
 		for _, tm := range terms {
-			a := m.Examine(tm)
-			want *= a*m.TermRelevance(tm.Text) + 1 - a
+			a := coreref.Examine(m, tm)
+			want *= a*coreref.TermRelevance(m, tm.Text) + 1 - a
 		}
 		if math.Abs(resp.CTR-want) > 1e-12 {
 			t.Errorf("resp %d: CTR %v, want %v", i, resp.CTR, want)

@@ -138,19 +138,18 @@ func TestInstallLifecycle(t *testing.T) {
 		name    string
 		source  string // ModelInfo.Source
 		backed  bool   // a viewing model is served from a v2 artifact the version table owns
-		mapped  bool   // … which is a file mapping, not a heap copy
 		install func(e *Engine, m lifecycleModel) (ModelInfo, error)
 	}{
-		{"fitted Install", SourceOnline, false, false, func(e *Engine, m lifecycleModel) (ModelInfo, error) {
+		{"fitted Install", SourceOnline, false, func(e *Engine, m lifecycleModel) (ModelInfo, error) {
 			return e.Install(m.name, m.scorer(), SourceOnline)
 		}},
-		{"v2 stream", "snapshot", true, false, func(e *Engine, m lifecycleModel) (ModelInfo, error) {
+		{"v2 stream", "snapshot", true, func(e *Engine, m lifecycleModel) (ModelInfo, error) {
 			return e.LoadSnapshot("", bytes.NewReader(m.v2))
 		}},
-		{"v2 file trusted", "snapshot", true, true, func(e *Engine, m lifecycleModel) (ModelInfo, error) {
+		{"v2 file trusted", "snapshot", true, func(e *Engine, m lifecycleModel) (ModelInfo, error) {
 			return e.LoadSnapshotFile("", m.v2path)
 		}},
-		{"v2 file verified", "snapshot", true, true, func(e *Engine, m lifecycleModel) (ModelInfo, error) {
+		{"v2 file verified", "snapshot", true, func(e *Engine, m lifecycleModel) (ModelInfo, error) {
 			return e.LoadSnapshotFileVerified("", m.v2path)
 		}},
 	}
@@ -186,11 +185,8 @@ func TestInstallLifecycle(t *testing.T) {
 				if (art != nil) != backed {
 					t.Fatalf("artifact-backed = %v, want %v", art != nil, backed)
 				}
-				if backed && (art.Path() != "") != rt.mapped {
-					t.Fatalf("artifact path %q, want mapped = %v", art.Path(), rt.mapped)
-				}
-				if backed && art.Refs() != 1 {
-					t.Fatalf("idle artifact holds %d refs, want the table's one", art.Refs())
+				if backed && drained(art) {
+					t.Fatal("the idle artifact drained while the table holds it")
 				}
 
 				// Export: a fitted or thawed form writes its own Save, an
@@ -225,8 +221,8 @@ func TestInstallLifecycle(t *testing.T) {
 				if got := e.Models(); len(got) != 1 || got[0].Version != 2 {
 					t.Fatalf("after the second install Models() = %+v, want only version 2", got)
 				}
-				if backed && art.Refs() != 0 {
-					t.Fatalf("pruned artifact still holds %d refs", art.Refs())
+				if backed && !drained(art) {
+					t.Fatal("the pruned artifact is still referenced")
 				}
 			})
 		}
@@ -234,9 +230,9 @@ func TestInstallLifecycle(t *testing.T) {
 }
 
 // rebuiltV2 re-emits a v2 artifact under a (possibly different) model
-// name, passing each section through mangle first; every CRC of the
-// result is valid.
-func rebuiltV2(t *testing.T, blob []byte, model string, mangle func(tag string, ids []int32)) []byte {
+// name, passing each int32 section through mangle and each float
+// section through mangleFloats first; every CRC of the result is valid.
+func rebuiltV2(t *testing.T, blob []byte, model string, mangle func(tag string, ids []int32), mangleFloats func(tag string, f []float64)) []byte {
 	t.Helper()
 	a, err := snapshot.ParseV2(blob)
 	if err != nil {
@@ -246,7 +242,9 @@ func rebuiltV2(t *testing.T, blob []byte, model string, mangle func(tag string, 
 	for _, s := range a.Sections {
 		switch s.Kind {
 		case snapshot.V2Float64:
-			f, _ := a.FloatsView(s.Tag)
+			v, _ := a.FloatsView(s.Tag)
+			f := append([]float64(nil), v...)
+			mangleFloats(s.Tag, f)
 			w.Floats(s.Tag, f)
 		case snapshot.V2Int32:
 			v, _ := a.Int32sView(s.Tag)
@@ -270,7 +268,7 @@ func rebuiltV2(t *testing.T, blob []byte, model string, mangle func(tag string, 
 
 // TestLoadRejectionsReleaseArtifact is the fail-closed half of the
 // lifecycle: whatever makes load refuse a v2 artifact, the mapping it
-// opened is gone by the time load returns (Refs() == 0 is munmap),
+// opened is gone by the time load returns (drained, so unmapped),
 // nothing was published, and the version that was serving still is.
 // The same inputs are then put through the public entry points, which
 // must refuse them too.
@@ -282,9 +280,26 @@ func TestLoadRejectionsReleaseArtifact(t *testing.T) {
 	}
 	pbm := buf.Bytes()
 	keep := func(string, []int32) {}
+	keepFloats := func(string, []float64) {}
 
 	flipped := append([]byte(nil), pbm...)
 	flipped[len(flipped)-2] ^= 0x01 // a payload byte: the structure parses, a section CRC does not match
+	var micro bytes.Buffer
+	if err := testMicroModel().Save(&micro); err != nil {
+		t.Fatal(err)
+	}
+	// Relevances of 5 and an attention cell (1, 1) of 3 under valid CRCs:
+	// served, "flights" would score a CTR of 13.
+	outOfRange := rebuiltV2(t, micro.Bytes(), NameMicro, keep, func(tag string, f []float64) {
+		switch tag {
+		case "rel":
+			for i := range f {
+				f[i] = 5
+			}
+		case "attw":
+			f[0] = 3
+		}
+	})
 
 	cases := []struct {
 		name, install string
@@ -294,13 +309,14 @@ func TestLoadRejectionsReleaseArtifact(t *testing.T) {
 	}{
 		{"bad name", "@", pbm, false, "'@'"},
 		{"name@version", "pbm@2", pbm, false, "'@'"},
-		{"unknown model in the header", "", rebuiltV2(t, pbm, "ghost", keep), false, "ghost"},
+		{"unknown model in the header", "", rebuiltV2(t, pbm, "ghost", keep, keepFloats), false, "ghost"},
 		{"failed Verify", "pbm", flipped, true, "checksum"},
 		{"failed ValidateTables", "pbm", rebuiltV2(t, pbm, "PBM", func(tag string, ids []int32) {
 			if tag == "p.q" {
 				ids[0] = 1 << 30 // valid CRC, pair 0 names a query far outside the vocabulary
 			}
-		}), true, "out-of-range"},
+		}, keepFloats), true, "out-of-range"},
+		{"micro tables out of range", "", outOfRange, true, "corrupt artifact"},
 	}
 	ctx := context.Background()
 	probe := Request{Model: "pbm", Session: &clickmodel.Session{Query: "q", Docs: []string{"a", "b"}, Clicks: make([]bool, 2)}}
@@ -321,8 +337,8 @@ func TestLoadRejectionsReleaseArtifact(t *testing.T) {
 			if _, err := e.load(tc.install, art, tc.verify); err == nil || !strings.Contains(err.Error(), tc.wantErr) {
 				t.Fatalf("load error = %v, want one mentioning %q", err, tc.wantErr)
 			}
-			if refs := art.Refs(); refs != 0 {
-				t.Fatalf("refused load left %d refs on the mapping", refs)
+			if !drained(art) {
+				t.Fatal("a refused load left a reference on the mapping")
 			}
 
 			if _, err := e.LoadSnapshotFileVerified(tc.install, path); err == nil {

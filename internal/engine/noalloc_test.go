@@ -26,7 +26,7 @@ func TestInstrumentedStrandScoreNoalloc(t *testing.T) {
 	e := New(WithObserver(&Observer{}))
 	e.UseMicro(testMicroModel())
 	assertStrandScoreNoalloc(t, e)
-	if got := e.Observer().Score.Count(); got == 0 {
+	if got := e.obs.Score.Count(); got == 0 {
 		t.Fatal("sampled score timing recorded nothing over 200+ requests")
 	}
 	dists := predictedCTR(e)

@@ -47,10 +47,6 @@ func WithObserver(o *Observer) Option {
 	return func(e *Engine) { e.obs = o }
 }
 
-// Observer returns the attached instrument block, nil when the engine
-// is uninstrumented.
-func (e *Engine) Observer() *Observer { return e.obs }
-
 // resolvePinnedTimed wraps resolvePinned with resolve-stage timing
 // when an observer is attached.
 func (e *Engine) resolvePinnedTimed(ref string) (name string, version int, mv modelVersion, err error) {

@@ -30,10 +30,6 @@ func (t *TopK) Reset(k int) {
 	t.val = t.val[:0]
 }
 
-// Len reports how many survivors the selector currently holds
-// (min(k, offers so far)).
-func (t *TopK) Len() int { return len(t.idx) }
-
 // Offer submits one (index, score) pair.
 //
 //mb:noalloc

@@ -166,25 +166,3 @@ func ParsePosKey(key string) (pos, line int, ok bool) {
 	}
 	return p, l, true
 }
-
-// KeyKind reports the namespace of a key ("term", "tpos", "rw", "rwpos",
-// "pos" or "" for foreign keys).
-func KeyKind(key string) string {
-	i := strings.IndexByte(key, '|')
-	if i < 0 {
-		return ""
-	}
-	switch key[:i+1] {
-	case prefixTerm:
-		return "term"
-	case prefixTermPos:
-		return "tpos"
-	case prefixRewrite:
-		return "rw"
-	case prefixRewritePos:
-		return "rwpos"
-	case prefixPos:
-		return "pos"
-	}
-	return ""
-}

@@ -12,8 +12,8 @@
 // into — the micro-browsing model's Attention layer.
 //
 // No eye-tracking hardware is available in this reproduction, so
-// fixation sequences are simulated from a planted attention curve by the
-// Simulate helper; the round trip (simulate → fit → recover the curve)
+// fixation sequences are simulated from a planted attention curve by
+// Study.Scanpath; the round trip (simulate → fit → recover the curve)
 // is what the tests validate, exactly the correlation study the paper
 // proposes.
 package gaze
@@ -22,7 +22,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"math/rand"
 )
 
 // HMM is a discrete hidden Markov model with K hidden states and M
@@ -145,40 +144,6 @@ func (h *HMM) backward(obs []int, scale []float64) [][]float64 {
 		}
 	}
 	return beta
-}
-
-// LogLikelihood returns log P(obs) under the model.
-func (h *HMM) LogLikelihood(obs []int) float64 {
-	if len(obs) == 0 {
-		return 0
-	}
-	_, _, ll := h.forward(obs)
-	return ll
-}
-
-// Posterior returns P(state i at t | obs) for every t.
-func (h *HMM) Posterior(obs []int) [][]float64 {
-	if len(obs) == 0 {
-		return nil
-	}
-	alpha, scale, _ := h.forward(obs)
-	beta := h.backward(obs, scale)
-	k := len(h.Init)
-	post := make([][]float64, len(obs))
-	for t := range obs {
-		post[t] = make([]float64, k)
-		var z float64
-		for i := 0; i < k; i++ {
-			post[t][i] = alpha[t][i] * beta[t][i]
-			z += post[t][i]
-		}
-		if z > 0 {
-			for i := 0; i < k; i++ {
-				post[t][i] /= z
-			}
-		}
-	}
-	return post
 }
 
 // Viterbi returns the most likely hidden state sequence.
@@ -344,30 +309,4 @@ func (h *HMM) Fit(seqs [][]int, maxIter int, tol float64) (float64, error) {
 		prevLL = totalLL
 	}
 	return totalLL, nil
-}
-
-// Sample draws an observation sequence of length n from the model.
-func (h *HMM) Sample(rng *rand.Rand, n int) (obs, states []int) {
-	obs = make([]int, n)
-	states = make([]int, n)
-	draw := func(p []float64) int {
-		u := rng.Float64()
-		acc := 0.0
-		for i, v := range p {
-			acc += v
-			if u < acc {
-				return i
-			}
-		}
-		return len(p) - 1
-	}
-	st := draw(h.Init)
-	for t := 0; t < n; t++ {
-		states[t] = st
-		obs[t] = draw(h.Emit[st])
-		if t < n-1 {
-			st = draw(h.Trans[st])
-		}
-	}
-	return obs, states
 }

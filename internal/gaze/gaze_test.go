@@ -6,8 +6,72 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/core/coreref"
 	"repro/internal/textproc"
 )
+
+// The likelihood, the posterior and sampling are the tests' view of a
+// model: production fits one (Fit) and decodes with it (Viterbi).
+
+// LogLikelihood returns log P(obs) under the model.
+func (h *HMM) LogLikelihood(obs []int) float64 {
+	if len(obs) == 0 {
+		return 0
+	}
+	_, _, ll := h.forward(obs)
+	return ll
+}
+
+// Posterior returns P(state i at t | obs) for every t.
+func (h *HMM) Posterior(obs []int) [][]float64 {
+	if len(obs) == 0 {
+		return nil
+	}
+	alpha, scale, _ := h.forward(obs)
+	beta := h.backward(obs, scale)
+	k := len(h.Init)
+	post := make([][]float64, len(obs))
+	for t := range obs {
+		post[t] = make([]float64, k)
+		var z float64
+		for i := 0; i < k; i++ {
+			post[t][i] = alpha[t][i] * beta[t][i]
+			z += post[t][i]
+		}
+		if z > 0 {
+			for i := 0; i < k; i++ {
+				post[t][i] /= z
+			}
+		}
+	}
+	return post
+}
+
+// Sample draws an observation sequence of length n from the model.
+func (h *HMM) Sample(rng *rand.Rand, n int) (obs, states []int) {
+	obs = make([]int, n)
+	states = make([]int, n)
+	draw := func(p []float64) int {
+		u := rng.Float64()
+		acc := 0.0
+		for i, v := range p {
+			acc += v
+			if u < acc {
+				return i
+			}
+		}
+		return len(p) - 1
+	}
+	st := draw(h.Init)
+	for t := 0; t < n; t++ {
+		states[t] = st
+		obs[t] = draw(h.Emit[st])
+		if t < n-1 {
+			st = draw(h.Trans[st])
+		}
+	}
+	return obs, states
+}
 
 func TestHMMValidate(t *testing.T) {
 	h := NewHMM(2, 3)
@@ -180,7 +244,7 @@ func TestAttentionFromRatesRoundTrip(t *testing.T) {
 	m := core.NewModel(att)
 	m.Relevance["deal"] = 0.9
 	terms := textproc.ExtractTerms([]string{"deal deal deal deal"}, 1)
-	if s := m.ExpectedScore(terms); s >= 0 {
+	if s := coreref.ExpectedScore(m, terms); s >= 0 {
 		t.Errorf("expected negative log-relevance score, got %v", s)
 	}
 }

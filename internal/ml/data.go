@@ -53,9 +53,9 @@ func (in *Instance) Dot(w []float64) float64 {
 	return s
 }
 
-// MaxFeatureID returns the largest feature id in the dataset, or -1 for
+// maxFeatureID returns the largest feature id in the dataset, or -1 for
 // an empty dataset.
-func MaxFeatureID(data []Instance) int {
+func maxFeatureID(data []Instance) int {
 	max := -1
 	for _, in := range data {
 		for _, f := range in.Features {
@@ -67,9 +67,9 @@ func MaxFeatureID(data []Instance) int {
 	return max
 }
 
-// CheckDataset validates that feature ids are non-negative and values are
+// checkDataset validates that feature ids are non-negative and values are
 // finite; it returns the first problem found.
-func CheckDataset(data []Instance) error {
+func checkDataset(data []Instance) error {
 	for i, in := range data {
 		for _, f := range in.Features {
 			if f.ID < 0 {

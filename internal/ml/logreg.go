@@ -80,11 +80,11 @@ func (m *LogisticRegression) Fit(data []Instance) error {
 	if len(data) == 0 {
 		return errors.New("ml: empty training set")
 	}
-	if err := CheckDataset(data); err != nil {
+	if err := checkDataset(data); err != nil {
 		return err
 	}
 	m.defaults()
-	dim := MaxFeatureID(data) + 1
+	dim := maxFeatureID(data) + 1
 	if len(m.InitialWeights) > dim {
 		dim = len(m.InitialWeights)
 	}

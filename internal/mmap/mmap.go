@@ -36,7 +36,6 @@ type Artifact struct {
 	refs atomic.Int64
 
 	mapping []byte // non-nil only for real mappings; nil for FromBytes
-	path    string
 	size    int64
 }
 
@@ -70,7 +69,7 @@ func Open(path string) (*Artifact, error) {
 		_ = syscall.Munmap(data)
 		return nil, fmt.Errorf("mmap: %s: %w", path, err)
 	}
-	a := &Artifact{V2Artifact: parsed, mapping: data, path: path, size: size}
+	a := &Artifact{V2Artifact: parsed, mapping: data, size: size}
 	a.refs.Store(1)
 	return a, nil
 }
@@ -87,9 +86,6 @@ func FromBytes(data []byte) (*Artifact, error) {
 	a.refs.Store(1)
 	return a, nil
 }
-
-// Path returns the mapped file's path ("" for FromBytes artifacts).
-func (a *Artifact) Path() string { return a.path }
 
 // Size returns the artifact size in bytes.
 func (a *Artifact) Size() int64 { return a.size }
@@ -136,7 +132,3 @@ func (a *Artifact) Release() {
 		panic("mmap: artifact released more times than retained")
 	}
 }
-
-// Refs reports the current reference count (for tests and /healthz
-// introspection; racy by nature).
-func (a *Artifact) Refs() int64 { return a.refs.Load() }

@@ -174,7 +174,7 @@ func TestRetainRelease(t *testing.T) {
 	if !a.Retain() {
 		t.Fatal("Retain failed on a live artifact")
 	}
-	if got := a.Refs(); got != 2 {
+	if got := a.refs.Load(); got != 2 {
 		t.Fatalf("Refs = %d, want 2", got)
 	}
 	a.Release()

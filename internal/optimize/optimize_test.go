@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -32,7 +33,7 @@ type generateCase struct {
 // empty or over the token budget.
 func checkGenerate(t *testing.T, tc generateCase) {
 	t.Helper()
-	base := snippet.MustNew("base", tc.base...)
+	base := snippet.Creative{ID: "base", Lines: slices.Clone(tc.base)}
 	got := Generate(base, tc.inventory)
 	if tc.exact && len(got) != len(tc.want) {
 		t.Errorf("%d candidates, want %d: %+v", len(got), len(tc.want), got)
@@ -217,7 +218,7 @@ func TestGenerateMatchesParentGolden(t *testing.T) {
 		t.Fatal("golden holds no cases")
 	}
 	for i, gc := range g.Cases {
-		got := Generate(snippet.MustNew("base", gc.Base...), gc.Inventory)
+		got := Generate(snippet.Creative{ID: "base", Lines: slices.Clone(gc.Base)}, gc.Inventory)
 		if len(got) != len(gc.Candidates) {
 			t.Errorf("case %d: %d candidates, want %d", i, len(got), len(gc.Candidates))
 			continue
@@ -231,10 +232,10 @@ func TestGenerateMatchesParentGolden(t *testing.T) {
 }
 
 func BenchmarkGenerate(b *testing.B) {
-	base := snippet.MustNew("base",
+	base := snippet.Creative{ID: "base", Lines: []string{
 		"acme store learn more",
 		"running shoes terms apply",
-		"great rates always")
+		"great rates always"}}
 	b.ReportAllocs()
 	for b.Loop() {
 		Generate(base, inventory())

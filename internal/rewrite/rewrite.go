@@ -60,20 +60,11 @@ func (s DBScorer) Score(from, to string) float64 {
 	return math.Log1p(c) + math.Abs(s.DB.LogOdds(key))
 }
 
-// PositionScorer is the naive ablation baseline: it knows nothing about
-// the corpus and simply prefers matching terms at nearby positions of
-// the same gram size.
-type PositionScorer struct{}
-
-// Score implements Scorer. It is used through Matcher, which passes
-// terms, so this text-only interface gives every pair the same score;
-// the positional preference comes from Matcher's deterministic
-// tie-breaking (position order). Exposed for the matching ablation.
-func (PositionScorer) Score(from, to string) float64 { return 0 }
-
 // Matcher diffs and matches creative pairs.
 type Matcher struct {
-	// Scorer ranks candidate rewrites; nil behaves like PositionScorer.
+	// Scorer ranks candidate rewrites. Nil scores every content rewrite
+	// 0, so only MatchTerms' positional tie-breaking orders them: the
+	// naive baseline of the matching ablation.
 	Scorer Scorer
 	// MaxN is the largest n-gram size (default 3).
 	MaxN int
@@ -190,18 +181,12 @@ func overlaps(a, b textproc.Term) bool {
 	return a.Pos < b.Pos+b.N && b.Pos < a.Pos+a.N
 }
 
-// MatchPair diffs the creative pair and greedily matches the differing
-// terms. The greedy order is by descending scorer score; ties break by
-// positional proximity and then deterministically by text, so the result
-// does not depend on map iteration order. Every accepted match blocks
-// later matches whose spans overlap it on either side, and the leftover
-// terms are those not covered by any accepted match.
-func (m *Matcher) MatchPair(r, s snippet.Creative) Match {
-	onlyR, onlyS := m.Diff(r, s)
-	return m.MatchTerms(onlyR, onlyS)
-}
-
-// MatchTerms matches precomputed difference sets (see MatchPair).
+// MatchTerms greedily matches the differing terms of a pair (Diff's
+// two sets). The greedy order is by descending scorer score; ties break
+// by positional proximity and then deterministically by text, so the
+// result does not depend on map iteration order. Every accepted match
+// blocks later matches whose spans overlap it on either side, and the
+// leftover terms are those not covered by any accepted match.
 func (m *Matcher) MatchTerms(onlyR, onlyS []textproc.Term) Match {
 	var cands []candidate
 	for i, a := range onlyR {

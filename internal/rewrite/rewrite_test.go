@@ -10,14 +10,14 @@ import (
 
 // paperPair builds the exact example pair from Section IV-A.
 func paperPair() (snippet.Creative, snippet.Creative) {
-	r := snippet.MustNew("R",
+	r := snippet.Creative{ID: "R", Lines: []string{
 		"XYZ Airlines",
 		"Find cheap flights to New York.",
-		"No reservation costs. Great rates")
-	s := snippet.MustNew("S",
+		"No reservation costs. Great rates"}}
+	s := snippet.Creative{ID: "S", Lines: []string{
 		"XYZ Airlines",
 		"Flying to New York? Get discounts.",
-		"No reservation costs. Great rates!")
+		"No reservation costs. Great rates!"}}
 	return r, s
 }
 
@@ -60,7 +60,7 @@ func TestGreedyMatchFollowsDatabase(t *testing.T) {
 	m := NewMatcher(db)
 	m.MaxN = 2
 	r, s := paperPair()
-	match := m.MatchPair(r, s)
+	match := m.MatchTerms(m.Diff(r, s))
 
 	got := make(map[string]string)
 	for _, p := range match.Pairs {
@@ -83,7 +83,7 @@ func TestPaperRewriteTuple(t *testing.T) {
 	m := NewMatcher(db)
 	m.MaxN = 2
 	r, s := paperPair()
-	match := m.MatchPair(r, s)
+	match := m.MatchTerms(m.Diff(r, s))
 	for _, p := range match.Pairs {
 		if p.From.Text == "find cheap" {
 			if p.From.Key() != "find cheap:1:2" {
@@ -106,7 +106,7 @@ func TestMatchedSpansBlockOverlaps(t *testing.T) {
 	m := NewMatcher(db)
 	m.MaxN = 2
 	r, s := paperPair()
-	match := m.MatchPair(r, s)
+	match := m.MatchTerms(m.Diff(r, s))
 
 	// Once "find cheap" [1,3) is matched, the overlapping unigrams
 	// "find" and "cheap" must appear neither in pairs nor leftovers.
@@ -148,9 +148,9 @@ func TestCrossLineOption(t *testing.T) {
 
 func TestIdenticalCreativesNothingToMatch(t *testing.T) {
 	m := &Matcher{MaxN: 3}
-	r := snippet.MustNew("r", "Same text here", "And here")
-	s := snippet.MustNew("s", "Same text here!", "And here")
-	match := m.MatchPair(r, s)
+	r := snippet.Creative{ID: "r", Lines: []string{"Same text here", "And here"}}
+	s := snippet.Creative{ID: "s", Lines: []string{"Same text here!", "And here"}}
+	match := m.MatchTerms(m.Diff(r, s))
 	if len(match.Pairs)+len(match.OnlyR)+len(match.OnlyS) != 0 {
 		t.Errorf("identical creatives produced %+v", match)
 	}
@@ -161,9 +161,9 @@ func TestMatchDeterminism(t *testing.T) {
 	m := NewMatcher(db)
 	m.MaxN = 2
 	r, s := paperPair()
-	first := m.MatchPair(r, s)
+	first := m.MatchTerms(m.Diff(r, s))
 	for i := 0; i < 10; i++ {
-		again := m.MatchPair(r, s)
+		again := m.MatchTerms(m.Diff(r, s))
 		if len(again.Pairs) != len(first.Pairs) {
 			t.Fatal("match count varies across runs")
 		}
@@ -221,6 +221,6 @@ func BenchmarkMatchPair(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m.MatchPair(r, s)
+		m.MatchTerms(m.Diff(r, s))
 	}
 }

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/adcorpus"
 	"repro/internal/clickmodel"
+	"repro/internal/core/coreref"
 	"repro/internal/ml"
 )
 
@@ -152,10 +153,10 @@ func TestTrueModelPrefersAppeal(t *testing.T) {
 	m := sim.TrueModel(lex)
 	// "20% off" (appeal 1.2) must have higher relevance than
 	// "terms apply" (appeal -0.6).
-	if m.TermRelevance("20% off") <= m.TermRelevance("terms apply") {
+	if coreref.TermRelevance(m, "20% off") <= coreref.TermRelevance(m, "terms apply") {
 		t.Error("true model lost the appeal ordering")
 	}
-	if got := m.TermRelevance("20% off"); math.Abs(got-ml.Sigmoid(1.2)) > 1e-12 {
+	if got := coreref.TermRelevance(m, "20% off"); math.Abs(got-ml.Sigmoid(1.2)) > 1e-12 {
 		t.Errorf("relevance mapping = %v, want sigmoid(appeal)", got)
 	}
 }

@@ -133,12 +133,6 @@ func IsMagic(b []byte) bool {
 	return len(b) >= 4 && b[0] == Magic[0] && b[1] == Magic[1] && b[2] == Magic[2] && b[3] == Magic[3]
 }
 
-// putHeader writes a frame header with a zero request tag into the
-// first HeaderSize bytes of b.
-func putHeader(b []byte, ftype byte, payloadLen int) {
-	putHeaderTag(b, ftype, 0, payloadLen)
-}
-
 // putHeaderTag writes a frame header carrying a request tag. Clients
 // pick the tag; the server echoes the request frame's tag in the
 // answering result or error frame.

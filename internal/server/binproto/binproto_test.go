@@ -15,6 +15,15 @@ import (
 	"repro/internal/engine"
 )
 
+// dial connects a client to a binary-protocol (or muxed) address.
+func dial(addr string) (*Client, error) {
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		return nil, err
+	}
+	return NewClient(conn), nil
+}
+
 func testEngine(t *testing.T, opts ...engine.Option) *engine.Engine {
 	t.Helper()
 	e := engine.New(opts...)
@@ -126,7 +135,7 @@ func TestServerMatchesJSONSemantics(t *testing.T) {
 		}
 	}()
 
-	cli, err := Dial(ln.Addr().String())
+	cli, err := dial(ln.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -360,7 +369,7 @@ func TestMuxSplitsProtocols(t *testing.T) {
 		}()
 		go func() {
 			defer wg.Done()
-			cli, err := Dial(addr)
+			cli, err := dial(addr)
 			if err != nil {
 				t.Errorf("binary over mux: %v", err)
 				return

@@ -34,15 +34,6 @@ type Client struct {
 	seq uint16
 }
 
-// Dial connects a client to a binary-protocol (or muxed) address.
-func Dial(addr string) (*Client, error) {
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		return nil, err
-	}
-	return NewClient(conn), nil
-}
-
 // NewClient wraps an established connection.
 func NewClient(conn net.Conn) *Client {
 	return &Client{conn: conn, br: bufio.NewReaderSize(conn, 64<<10)}

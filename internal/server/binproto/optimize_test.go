@@ -41,7 +41,7 @@ func TestOptimizeRoundTrip(t *testing.T) {
 			go srv.ServeConn(context.Background(), c)
 		}
 	}()
-	cli, err := Dial(ln.Addr().String())
+	cli, err := dial(ln.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -24,8 +24,8 @@ func TestHeaderTagRoundTrip(t *testing.T) {
 			t.Fatalf("tag %d: parsed (type=%d tag=%d n=%d)", tag, ftype, got, n)
 		}
 	}
-	// putHeader is the zero-tag shorthand old clients effectively use.
-	putHeader(b, FrameScore, 9)
+	// A zero tag is what old clients effectively send.
+	putHeaderTag(b, FrameScore, 0, 9)
 	if _, tag, _, err := parseHeader(b); err != nil || tag != 0 {
 		t.Fatalf("zero-tag header: tag=%d err=%v", tag, err)
 	}
@@ -52,7 +52,7 @@ func TestServerEchoesTag(t *testing.T) {
 		}
 	}()
 
-	cli, err := Dial(ln.Addr().String())
+	cli, err := dial(ln.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +99,7 @@ func TestFrameLatencyAndTracing(t *testing.T) {
 		}
 	}()
 
-	cli, err := Dial(ln.Addr().String())
+	cli, err := dial(ln.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -346,10 +346,10 @@ func TestFeedbackEventsOwnTheirMemory(t *testing.T) {
 	sessions, snippets := c.own()
 	sink := stream.NewSink(1, 16)
 	for i := range sessions {
-		sink.Offer(stream.Event{Session: &sessions[i]})
+		sink.OfferRun([]stream.Event{{Session: &sessions[i]}})
 	}
 	for i := range snippets {
-		sink.Offer(stream.Event{Snippet: &snippets[i]})
+		sink.OfferRun([]stream.Event{{Snippet: &snippets[i]}})
 	}
 	sessions, snippets = nil, nil
 

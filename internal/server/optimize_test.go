@@ -208,10 +208,11 @@ func TestOptimizeRankingSameOverHTTPAndMBSP(t *testing.T) {
 			go srv.ServeConn(context.Background(), c)
 		}
 	}()
-	cli, err := binproto.Dial(ln.Addr().String())
+	conn, err := net.Dial("tcp", ln.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
+	cli := binproto.NewClient(conn)
 	t.Cleanup(func() { cli.Close() })
 
 	base := []string{"find cheap flights", "to rome", "book today"}

@@ -95,7 +95,7 @@ func scriptedRun(t *testing.T) (*Server, *httptest.Server) {
 		t.Fatal(err)
 	}
 	eng.UseMicro(testMicroModel())
-	w, err := wal.Open(dir, wal.Options{MaxBytes: 1})
+	w, err := wal.Open(dir, wal.Options{MaxBytes: 1, SegmentBytes: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,12 +198,10 @@ func scriptedRun(t *testing.T) (*Server, *httptest.Server) {
 		eng.ScoreBatch(context.Background(), long)
 	}
 
-	// The WAL: a rotation under a 1-byte budget prunes every sealed
+	// The WAL: each framed record fills a 1-byte segment, and the
+	// rotation it triggers under a 1-byte budget prunes every sealed
 	// segment; the loop's tick skips for want of events; once the log is
 	// closed an accepted event's append fails.
-	if err := w.Rotate(); err != nil {
-		t.Fatal(err)
-	}
 	l.Start()
 	for deadline := time.Now().Add(10 * time.Second); l.Metrics().Read()["stream.publish_skips"] == 0; {
 		if time.Now().After(deadline) {

@@ -142,11 +142,11 @@ func TestCursorIntBound(t *testing.T) {
 }
 
 func TestSyncDir(t *testing.T) {
-	if err := SyncDir(t.TempDir()); err != nil {
-		t.Fatalf("SyncDir on a real directory: %v", err)
+	if err := syncDir(t.TempDir()); err != nil {
+		t.Fatalf("syncDir on a real directory: %v", err)
 	}
-	if err := SyncDir("/does/not/exist"); err == nil ||
+	if err := syncDir("/does/not/exist"); err == nil ||
 		!strings.Contains(err.Error(), "no such file") {
-		t.Fatalf("SyncDir on a missing directory: %v", err)
+		t.Fatalf("syncDir on a missing directory: %v", err)
 	}
 }

@@ -37,14 +37,14 @@ func WriteFileAtomic(path string, save func(w io.Writer) error) error {
 	if err := os.Rename(tmp.Name(), path); err != nil {
 		return err
 	}
-	return SyncDir(dir)
+	return syncDir(dir)
 }
 
-// SyncDir fsyncs a directory, making renames and file creations inside
+// syncDir fsyncs a directory, making renames and file creations inside
 // it durable. Filesystems that cannot fsync a directory (some network
 // and FUSE mounts report EINVAL or ENOTSUP) degrade gracefully rather
 // than failing the write that already landed.
-func SyncDir(dir string) error {
+func syncDir(dir string) error {
 	d, err := os.Open(dir)
 	if err != nil {
 		return err

@@ -93,18 +93,6 @@ type V2Section struct {
 	Data []byte // view into the artifact; nil only for empty sections
 }
 
-// Elems returns the element count under the section's kind.
-func (s V2Section) Elems() int {
-	switch s.Kind {
-	case V2Float64:
-		return len(s.Data) / 8
-	case V2Int32, V2Uint32:
-		return len(s.Data) / 4
-	default:
-		return len(s.Data)
-	}
-}
-
 // hostLittleEndian reports the running process's byte order; v2
 // zero-copy views are only valid when it matches the artifact's.
 var hostLittleEndian = func() bool {

@@ -103,8 +103,8 @@ func TestV2RoundTrip(t *testing.T) {
 			t.Fatalf("section %q payload is a copy, not a view", sec.Tag)
 		}
 	}
-	if s.Elems() != len(floats) {
-		t.Fatalf("rel Elems = %d, want %d", s.Elems(), len(floats))
+	if len(s.Data) != 8*len(floats) {
+		t.Fatalf("rel holds %d bytes, want 8 per float of %d", len(s.Data), len(floats))
 	}
 }
 

@@ -43,15 +43,6 @@ func New(id string, lines ...string) (Creative, error) {
 	return Creative{ID: id, Lines: append([]string(nil), lines...)}, nil
 }
 
-// MustNew is New but panics on error; for tests and literals.
-func MustNew(id string, lines ...string) Creative {
-	c, err := New(id, lines...)
-	if err != nil {
-		panic(err)
-	}
-	return c
-}
-
 // Terms extracts the positioned n-gram terms (1..maxN) of the creative.
 func (c Creative) Terms(maxN int) []textproc.Term {
 	return textproc.ExtractTerms(c.Lines, maxN)
@@ -74,30 +65,6 @@ func (c Creative) Equal(o Creative) bool {
 		}
 	}
 	return true
-}
-
-// DiffLines returns the 1-based indices of lines whose normalised text
-// differs between c and o. Lines present in only one creative count as
-// differing.
-func (c Creative) DiffLines(o Creative) []int {
-	n := len(c.Lines)
-	if len(o.Lines) > n {
-		n = len(o.Lines)
-	}
-	var diff []int
-	for i := 0; i < n; i++ {
-		var a, b string
-		if i < len(c.Lines) {
-			a = textproc.Normalize(c.Lines[i])
-		}
-		if i < len(o.Lines) {
-			b = textproc.Normalize(o.Lines[i])
-		}
-		if a != b {
-			diff = append(diff, i+1)
-		}
-	}
-	return diff
 }
 
 // Stats holds the observed click/impression counts for a creative.

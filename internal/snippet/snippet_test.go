@@ -5,7 +5,42 @@ import (
 	"reflect"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/textproc"
 )
+
+// mustNew is New but panics on error, for fixtures.
+func mustNew(id string, lines ...string) Creative {
+	c, err := New(id, lines...)
+	if err != nil {
+		panic(err)
+	}
+	return c
+}
+
+// DiffLines returns the 1-based indices of lines whose normalised text
+// differs between c and o. Lines present in only one creative count as
+// differing.
+func (c Creative) DiffLines(o Creative) []int {
+	n := len(c.Lines)
+	if len(o.Lines) > n {
+		n = len(o.Lines)
+	}
+	var diff []int
+	for i := 0; i < n; i++ {
+		var a, b string
+		if i < len(c.Lines) {
+			a = textproc.Normalize(c.Lines[i])
+		}
+		if i < len(o.Lines) {
+			b = textproc.Normalize(o.Lines[i])
+		}
+		if a != b {
+			diff = append(diff, i+1)
+		}
+	}
+	return diff
+}
 
 func TestNewValidation(t *testing.T) {
 	if _, err := New("c1"); err == nil {
@@ -35,27 +70,27 @@ func TestNewCopiesLines(t *testing.T) {
 func TestMustNewPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Error("MustNew did not panic on invalid input")
+			t.Error("mustNew did not panic on invalid input")
 		}
 	}()
-	MustNew("bad")
+	mustNew("bad")
 }
 
 func TestEqualIgnoresCaseAndPunct(t *testing.T) {
-	a := MustNew("a", "XYZ Airlines", "Great rates!")
-	b := MustNew("b", "xyz airlines", "great rates")
+	a := mustNew("a", "XYZ Airlines", "Great rates!")
+	b := mustNew("b", "xyz airlines", "great rates")
 	if !a.Equal(b) {
 		t.Error("creatives equal up to normalisation should be Equal")
 	}
-	c := MustNew("c", "XYZ Airlines", "Great fares!")
+	c := mustNew("c", "XYZ Airlines", "Great fares!")
 	if a.Equal(c) {
 		t.Error("different text should not be Equal")
 	}
 }
 
 func TestDiffLines(t *testing.T) {
-	r := MustNew("r", "XYZ Airlines", "Find cheap flights to New York.", "No reservation costs. Great rates")
-	s := MustNew("s", "XYZ Airlines", "Flying to New York? Get discounts.", "No reservation costs. Great rates!")
+	r := mustNew("r", "XYZ Airlines", "Find cheap flights to New York.", "No reservation costs. Great rates")
+	s := mustNew("s", "XYZ Airlines", "Flying to New York? Get discounts.", "No reservation costs. Great rates!")
 	got := r.DiffLines(s)
 	// Line 3 differs only by '!', which normalisation removes.
 	want := []int{2}
@@ -65,8 +100,8 @@ func TestDiffLines(t *testing.T) {
 }
 
 func TestDiffLinesLengthMismatch(t *testing.T) {
-	r := MustNew("r", "one line")
-	s := MustNew("s", "one line", "second line")
+	r := mustNew("r", "one line")
+	s := mustNew("s", "one line", "second line")
 	if got, want := r.DiffLines(s), []int{2}; !reflect.DeepEqual(got, want) {
 		t.Errorf("DiffLines = %v, want %v", got, want)
 	}
@@ -116,7 +151,7 @@ func TestPairLabelAndSwap(t *testing.T) {
 func TestSwapInvolution(t *testing.T) {
 	f := func(swr, sws float64, imps1, clicks1 uint16) bool {
 		p := Pair{
-			R: MustNew("r", "a"), S: MustNew("s", "b"),
+			R: mustNew("r", "a"), S: mustNew("s", "b"),
 			SWR: swr, SWS: sws,
 			RStats: Stats{int64(imps1), int64(clicks1)},
 		}
@@ -129,7 +164,7 @@ func TestSwapInvolution(t *testing.T) {
 
 func TestAdGroupCTR(t *testing.T) {
 	g := AdGroup{
-		Creatives: []Creative{MustNew("a", "x"), MustNew("b", "y")},
+		Creatives: []Creative{mustNew("a", "x"), mustNew("b", "y")},
 		Stats:     []Stats{{100, 10}, {100, 0}},
 	}
 	if got := g.CTR(); math.Abs(got-0.05) > 1e-12 {
@@ -142,9 +177,9 @@ func TestAdGroupPairs(t *testing.T) {
 		ID:      "g1",
 		Keyword: "cheap flights",
 		Creatives: []Creative{
-			MustNew("a", "Find cheap flights"),
-			MustNew("b", "Get flight discounts"),
-			MustNew("c", "Find cheap flights"), // duplicate of a
+			mustNew("a", "Find cheap flights"),
+			mustNew("b", "Get flight discounts"),
+			mustNew("c", "Find cheap flights"), // duplicate of a
 		},
 		Stats: []Stats{{1000, 50}, {1000, 30}, {1000, 40}},
 	}
@@ -168,7 +203,7 @@ func TestAdGroupPairs(t *testing.T) {
 
 func TestAdGroupPairsMinImpressions(t *testing.T) {
 	g := AdGroup{
-		Creatives: []Creative{MustNew("a", "x"), MustNew("b", "y")},
+		Creatives: []Creative{mustNew("a", "x"), mustNew("b", "y")},
 		Stats:     []Stats{{5, 1}, {1000, 30}},
 	}
 	if got := g.Pairs(100); len(got) != 0 {
@@ -180,7 +215,7 @@ func TestAdGroupPairsMinImpressions(t *testing.T) {
 }
 
 func TestTermsDelegation(t *testing.T) {
-	c := MustNew("c", "Find cheap flights")
+	c := mustNew("c", "Find cheap flights")
 	terms := c.Terms(2)
 	if len(terms) != 5 { // 3 unigrams + 2 bigrams
 		t.Errorf("got %d terms, want 5", len(terms))
@@ -188,7 +223,7 @@ func TestTermsDelegation(t *testing.T) {
 }
 
 func TestText(t *testing.T) {
-	c := MustNew("c", "A", "B")
+	c := mustNew("c", "A", "B")
 	if got, want := c.Text(), "A / B"; got != want {
 		t.Errorf("Text = %q, want %q", got, want)
 	}

@@ -33,7 +33,7 @@ func TestSinkAllocatesOnDemand(t *testing.T) {
 	fill := func() {
 		t.Helper()
 		for i := 0; i < shards*queueCap; i++ {
-			if !s.Offer(ev) {
+			if !offer(s, ev) {
 				t.Fatalf("offer %d rejected below the bound", i)
 			}
 		}
@@ -54,7 +54,7 @@ func TestSinkAllocatesOnDemand(t *testing.T) {
 			t.Fatalf("shard %d holds %d events in a buffer of %d, bound %d", i, len(sh.buf), cap(sh.buf), queueCap)
 		}
 	}
-	if s.Offer(ev) {
+	if offer(s, ev) {
 		t.Fatal("offer accepted past the bound")
 	}
 	if s.Queued() != shards*queueCap || s.Dropped() != 1 {
@@ -76,17 +76,17 @@ func TestSinkAllocatesOnDemand(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("filling and draining warm shards allocated %v times, want 0", allocs)
 	}
-	if s.Offer(ev); &s.shards[0].buf[0] != first {
+	if offer(s, ev); &s.shards[0].buf[0] != first {
 		t.Fatal("a warm shard is not appending into the buffer it grew first")
 	}
 
 	// The smallest bound: the fill mark is 1, not 0 — the one event a
 	// shard may hold asks for its fold.
 	one := NewSink(1, 1)
-	if !one.Offer(ev) || len(one.filled) != 1 {
+	if !offer(one, ev) || len(one.filled) != 1 {
 		t.Fatalf("QueueCap 1: the first offer left %d fold requests, want 1", len(one.filled))
 	}
-	if one.Offer(ev) || one.Dropped() != 1 {
+	if offer(one, ev) || one.Dropped() != 1 {
 		t.Fatal("QueueCap 1: a second event was accepted")
 	}
 }
@@ -189,8 +189,10 @@ func newFoldOracle(t *testing.T, maxN int) *foldOracle {
 	for i := range o.sessions {
 		o.sessions[i].Query = []string{"q", "flights", "hotels"}[rng.Intn(3)]
 	}
-	if err := o.stats.AddAll(o.sessions); err != nil {
-		t.Fatal(err)
+	for i := range o.sessions {
+		if err := o.stats.Add(o.sessions[i]); err != nil {
+			t.Fatal(err)
+		}
 	}
 	o.snippets = make([]SnippetEvent, 400)
 	for i := range o.snippets {
@@ -204,10 +206,10 @@ func newFoldOracle(t *testing.T, maxN int) *foldOracle {
 // can see: their sizes, and every counting-family fit, by bits.
 func sameFits(t *testing.T, what string, got, want *clickmodel.Stats, probe []clickmodel.Session) {
 	t.Helper()
-	if got.NumPairs() != want.NumPairs() || got.MaxPositions() != want.MaxPositions() || got.Weight() != want.Weight() || got.Added() != want.Added() {
-		t.Fatalf("%s: %d pairs, %d positions, weight %v, %d added; the oracle has %d, %d, %v, %d", what,
-			got.NumPairs(), got.MaxPositions(), got.Weight(), got.Added(),
-			want.NumPairs(), want.MaxPositions(), want.Weight(), want.Added())
+	if got.NumPairs() != want.NumPairs() || got.MaxPositions() != want.MaxPositions() || got.Weight() != want.Weight() {
+		t.Fatalf("%s: %d pairs, %d positions, weight %v; the oracle has %d, %d, %v", what,
+			got.NumPairs(), got.MaxPositions(), got.Weight(),
+			want.NumPairs(), want.MaxPositions(), want.Weight())
 	}
 	for _, name := range []string{"sdbn", "cascade", "dcm"} {
 		var fits [2]clickmodel.Model
@@ -311,8 +313,8 @@ func TestReplayPublishesBeforeFirstTick(t *testing.T) {
 		}
 	}
 	l.Close()
-	if got := l.LastPublished(); len(got) != 0 {
-		t.Fatalf("a learner with an empty log and an hour to its first tick published %+v", got)
+	if got := l.Metrics().Read()["stream.publishes"]; got != 0 {
+		t.Fatalf("a learner with an empty log and an hour to its first tick published %v times", got)
 	}
 	if err := w.Close(); err != nil { // the crash: nothing was ever published
 		t.Fatal(err)
@@ -333,10 +335,10 @@ func TestReplayPublishesBeforeFirstTick(t *testing.T) {
 	}
 	l2.Start()
 	deadline := time.Now().Add(time.Second)
-	for len(l2.LastPublished()) == 0 && time.Now().Before(deadline) {
+	for eng.ModelCount() < 2 && time.Now().Before(deadline) {
 		time.Sleep(5 * time.Millisecond)
 	}
-	if got := l2.LastPublished(); len(got) != 2 {
+	if got := eng.Models(); len(got) != 2 {
 		t.Fatalf("within 1 s of Start the replayed learner had published %+v, want sdbn and micro", got)
 	}
 	resp, err := eng.ScoreCTR(context.Background(), engine.Request{Model: "sdbn", Session: &sessions[0]})

@@ -181,7 +181,6 @@ type Learner struct {
 	windowed  map[string]bool // configured models that fit from the session window
 
 	lastFolded uint64 // foldedSessions at the last publish
-	lastInfos  []engine.ModelInfo
 
 	// What Metrics reports of the state above, stored where it changes
 	// (fold and replay, merge, publish, a skipped tick) so that a health
@@ -374,7 +373,7 @@ func (l *Learner) enqueue(evs []Event, recs []wal.Record) (int, []wal.Record) {
 	for i := range evs {
 		evs[i].enqueuedNS = now
 	}
-	accepted := l.sink.offerRun(evs)
+	accepted := l.sink.OfferRun(evs)
 	if l.wal == nil || accepted == 0 {
 		return accepted, recs
 	}
@@ -649,7 +648,6 @@ func (l *Learner) publishLocked() ([]engine.ModelInfo, error) {
 	took := time.Since(start)
 	l.lastPublish.Store(int64(took))
 	l.publishH.Record(uint64(took))
-	l.lastInfos = infos
 	if len(infos) > 0 {
 		l.publishes.Add(1)
 	}
@@ -775,16 +773,6 @@ func (l *Learner) Close() error {
 		<-l.done
 	}
 	return nil
-}
-
-// LastPublished returns the versions installed by the most recent
-// publish.
-func (l *Learner) LastPublished() []engine.ModelInfo {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	out := make([]engine.ModelInfo, len(l.lastInfos))
-	copy(out, l.lastInfos)
-	return out
 }
 
 // Metrics declares the loop's health: ingest outcomes, what was folded

@@ -381,9 +381,6 @@ func TestBackgroundLoopPublishes(t *testing.T) {
 	if resp.ModelVersion < 1 {
 		t.Fatalf("scored %+v", resp)
 	}
-	if got := l.LastPublished(); len(got) == 0 || got[0].Name != "sdbn" {
-		t.Fatalf("LastPublished = %+v", got)
-	}
 }
 
 // TestConcurrentIngestPublishScore is the -race acceptance test:

@@ -7,7 +7,7 @@ import (
 	"repro/internal/wal"
 )
 
-// TestOfferNoalloc backs the //mb:noalloc annotation on Sink.Offer:
+// TestOfferNoalloc backs the //mb:noalloc annotation on Sink.OfferRun:
 // enqueueing into a shard with spare capacity is a mutex, an append
 // into preallocated backing and two counters — no allocation. The
 // drop path (full shard) is measured too; it is even cheaper.
@@ -16,7 +16,7 @@ func TestOfferNoalloc(t *testing.T) {
 	ev := Event{Session: testSession("q")}
 
 	allocs := testing.AllocsPerRun(500, func() {
-		if !s.Offer(ev) {
+		if !offer(s, ev) {
 			t.Fatal("Offer dropped with spare capacity")
 		}
 	})
@@ -24,10 +24,10 @@ func TestOfferNoalloc(t *testing.T) {
 		t.Fatalf("Offer allocates %v/op, want 0", allocs)
 	}
 
-	for s.Offer(ev) {
+	for offer(s, ev) {
 	} // fill the shard
 	allocs = testing.AllocsPerRun(100, func() {
-		if s.Offer(ev) {
+		if offer(s, ev) {
 			t.Fatal("Offer accepted into a full shard")
 		}
 	})
@@ -37,7 +37,7 @@ func TestOfferNoalloc(t *testing.T) {
 }
 
 // TestIngestRunNoalloc backs the //mb:noalloc annotations on
-// Sink.offerRun, Learner.IngestRun and enqueue: once the shards' buffers
+// Sink.OfferRun, Learner.IngestRun and enqueue: once the shards' buffers
 // and the caller's record scratch have grown, a run of valid, invalid
 // and (past the bound) dropped events into a learner with a batched WAL
 // allocates nothing.

@@ -144,16 +144,7 @@ func NewSink(shards, queueCap int) *Sink {
 	}
 }
 
-// Offer enqueues one event, returning false (and counting a drop) when
-// every shard already holds its bound: an offerRun of one.
-//
-//mb:noalloc
-func (s *Sink) Offer(ev Event) bool {
-	one := [1]Event{ev}
-	return s.offerRun(one[:]) == 1
-}
-
-// offerRun enqueues a run of events — one request body's worth — and
+// OfferRun enqueues a run of events — one request body's worth — and
 // returns how many it accepted, always a prefix of evs. The run fills
 // the shard under the cursor up to its bound and goes on to the shards
 // after it; only what no shard has room for is dropped and counted.
@@ -163,7 +154,7 @@ func (s *Sink) Offer(ev Event) bool {
 // drainer and never waits for it.
 //
 //mb:noalloc
-func (s *Sink) offerRun(evs []Event) int {
+func (s *Sink) OfferRun(evs []Event) int {
 	if len(evs) == 0 {
 		return 0
 	}

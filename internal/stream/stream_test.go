@@ -13,14 +13,20 @@ func testSession(q string) *clickmodel.Session {
 	return &clickmodel.Session{Query: q, Docs: []string{"a", "b"}, Clicks: []bool{true, false}}
 }
 
+// offer enqueues one event: an OfferRun of one.
+func offer(s *Sink, ev Event) bool {
+	one := [1]Event{ev}
+	return s.OfferRun(one[:]) == 1
+}
+
 func TestSinkOfferAndDrop(t *testing.T) {
 	s := NewSink(2, 4)
 	for i := 0; i < 8; i++ {
-		if !s.Offer(Event{Session: testSession("q")}) {
+		if !offer(s, Event{Session: testSession("q")}) {
 			t.Fatalf("offer %d rejected below capacity", i)
 		}
 	}
-	if s.Offer(Event{Session: testSession("q")}) {
+	if offer(s, Event{Session: testSession("q")}) {
 		t.Fatal("offer accepted into a full sink")
 	}
 	if s.Queued() != 8 || s.Dropped() != 1 {
@@ -35,7 +41,7 @@ func TestSinkOfferAndDrop(t *testing.T) {
 		t.Fatalf("drained %d, want 8", drained)
 	}
 	// Capacity is back after the drain.
-	if !s.Offer(Event{Session: testSession("q")}) {
+	if !offer(s, Event{Session: testSession("q")}) {
 		t.Fatal("offer rejected after drain")
 	}
 }
@@ -52,11 +58,11 @@ func TestSinkRunSpills(t *testing.T) {
 		}
 		return evs
 	}
-	if got := s.offerRun(run(4)); got != 4 { // the cursor's first shard is 1
+	if got := s.OfferRun(run(4)); got != 4 { // the cursor's first shard is 1
 		t.Fatalf("a run of 4 into an empty sink: %d accepted", got)
 	}
 	second := run(25)
-	if got := s.offerRun(second); got != 25 || s.Dropped() != 0 {
+	if got := s.OfferRun(second); got != 25 || s.Dropped() != 0 {
 		t.Fatalf("a run of 25 into 26 free slots: %d accepted, %d dropped", got, s.Dropped())
 	}
 	held := func(i int) []string {
@@ -78,13 +84,13 @@ func TestSinkRunSpills(t *testing.T) {
 		}
 	}
 	third := run(3)
-	if got := s.offerRun(third); got != 1 || s.Dropped() != 2 || s.Queued() != 30 {
+	if got := s.OfferRun(third); got != 1 || s.Dropped() != 2 || s.Queued() != 30 {
 		t.Fatalf("a run of 3 into 1 free slot: %d accepted, %d dropped, %d queued", got, s.Dropped(), s.Queued())
 	}
 	if last := s.shards[1].buf[9]; last.Session != third[0].Session {
 		t.Fatalf("the free slot took %q, want the run's first event", last.Session.Query)
 	}
-	if s.offerRun(nil) != 0 || s.Dropped() != 2 {
+	if s.OfferRun(nil) != 0 || s.Dropped() != 2 {
 		t.Fatal("an empty run was counted")
 	}
 }
@@ -104,7 +110,7 @@ func TestSinkRunFillToken(t *testing.T) {
 	}
 	evs := make([]Event, 10)
 	for i, n := range []struct{ run, tokens int }{{3, 0}, {4, 1}, {2, 0}, {1, 0}} {
-		if got := s.offerRun(evs[:n.run]); got != n.run {
+		if got := s.OfferRun(evs[:n.run]); got != n.run {
 			t.Fatalf("run %d: %d of %d accepted", i, got, n.run)
 		}
 		if got := tokens(); got != n.tokens {
@@ -112,7 +118,7 @@ func TestSinkRunFillToken(t *testing.T) {
 		}
 	}
 	s.DrainShard(0, func(*Event) {})
-	if s.offerRun(evs[:10]) != 10 || tokens() != 1 {
+	if s.OfferRun(evs[:10]) != 10 || tokens() != 1 {
 		t.Fatal("a run from empty to the bound did not ask for a fold")
 	}
 }
@@ -122,7 +128,7 @@ func TestSinkDefaults(t *testing.T) {
 	if s.Shards() != 1 {
 		t.Fatalf("shards = %d", s.Shards())
 	}
-	if !s.Offer(Event{}) {
+	if !offer(s, Event{}) {
 		t.Fatal("default-capacity sink rejected first event")
 	}
 }
@@ -158,7 +164,7 @@ func TestSinkConcurrent(t *testing.T) {
 			defer wg.Done()
 			ev := Event{Session: testSession("q")}
 			for i := 0; i < perProducer; i++ {
-				s.Offer(ev)
+				offer(s, ev)
 			}
 		}()
 	}

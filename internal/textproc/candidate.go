@@ -87,9 +87,6 @@ func (cs *CandidateSet) Tokens(id LineID) int {
 	return int(l.spanEnd - l.spanStart)
 }
 
-// Line returns the raw text line id was first added as.
-func (cs *CandidateSet) Line(id LineID) string { return cs.lines[id].raw }
-
 // AddLine interns a raw line, tokenising it only if its content has
 // not been seen since the last Reset, and returns its dense ID.
 //

@@ -45,7 +45,7 @@ func TestCandidateSetDedupAndTokenParity(t *testing.T) {
 		if got := cs.Tokens(id); got != len(spans) {
 			t.Fatalf("line %d: Tokens = %d, Scratch tokenised %d", i, got, len(spans))
 		}
-		if got := cs.Line(id); got != ln {
+		if got := cs.lines[id].raw; got != ln {
 			t.Fatalf("line %d: Line() = %q, want %q", i, got, ln)
 		}
 		// The arena spans must carry the same hashes and the same
@@ -150,8 +150,8 @@ func TestCandidateSetForcedCollision(t *testing.T) {
 	if got := cs.addLine("beta two", h); got != b {
 		t.Fatalf("colliding duplicate resolved to %d, want %d", got, b)
 	}
-	if cs.Line(a) != "alpha one" || cs.Line(b) != "beta two" {
-		t.Fatalf("collided lines corrupted: %q / %q", cs.Line(a), cs.Line(b))
+	if cs.lines[a].raw != "alpha one" || cs.lines[b].raw != "beta two" {
+		t.Fatalf("collided lines corrupted: %q / %q", cs.lines[a].raw, cs.lines[b].raw)
 	}
 }
 

@@ -397,9 +397,3 @@ func (v *FrozenVocab) Len() int { return len(v.offs) - 1 }
 func (v *FrozenVocab) Text(id int32) string {
 	return string(v.blob[v.offs[id]:v.offs[id+1]])
 }
-
-// AppendText appends term id's bytes to dst without allocating a
-// string — the export path's way to stream terms out of a mapping.
-func (v *FrozenVocab) AppendText(dst []byte, id int32) []byte {
-	return append(dst, v.blob[v.offs[id]:v.offs[id+1]]...)
-}

@@ -87,9 +87,6 @@ func TestFrozenVocabParity(t *testing.T) {
 		if f.Text(int32(i)) != s {
 			t.Errorf("frozen Text(%d) = %q, want %q", i, f.Text(int32(i)), s)
 		}
-		if string(f.AppendText(nil, int32(i))) != s {
-			t.Errorf("frozen AppendText(%d) = %q, want %q", i, f.AppendText(nil, int32(i)), s)
-		}
 	}
 	for _, s := range []string{"", "nope", "cheap flight", "find cheap", "flights ", " flights", "FLIGHTS"} {
 		checkLookup(t, f, s, 0, false)

@@ -33,7 +33,7 @@ func TestCrashHelper(t *testing.T) {
 		if i%64 == 0 {
 			// The parent parses these lines; durable lags appended by at
 			// most one flush interval.
-			fmt.Printf("appended %d durable %d\n", seq, w.DurableSeq())
+			fmt.Printf("appended %d durable %d\n", seq, w.durable.Load())
 		}
 	}
 	os.Exit(2) // the parent was supposed to SIGKILL us

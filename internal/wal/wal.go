@@ -190,7 +190,7 @@ type WAL struct {
 	kick    chan struct{}
 
 	// mu is the device lock, held by whoever frames, writes, fsyncs or
-	// rotates: the flusher, syncTo, Rotate, Close and the inventory.
+	// rotates: the flusher, syncTo, Close and the inventory.
 	mu         sync.Mutex
 	spare      []Record // pending's other half
 	buf        []byte   // frames not yet written
@@ -526,9 +526,6 @@ func (w *WAL) Sync() error {
 	return w.syncTo(w.next() - 1)
 }
 
-// DurableSeq returns the highest sequence number known to be fsynced.
-func (w *WAL) DurableSeq() uint64 { return w.durable.Load() }
-
 // rotateLocked seals the active segment (write, fsync unless SyncOff,
 // close), prunes history, opens a successor and rewrites the manifest.
 // Caller holds mu. Rotating an empty segment is a no-op.
@@ -624,20 +621,6 @@ func (w *WAL) openSegmentLocked() error {
 	w.segBytes = int64(len(hdr))
 	w.segCreated = time.Now()
 	return nil
-}
-
-// Rotate seals the active segment now — the manual form of the size
-// and age triggers, for tests and admin tooling.
-func (w *WAL) Rotate() error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.f == nil {
-		return ErrClosed
-	}
-	if err := w.frameLocked(); err != nil {
-		return err
-	}
-	return w.rotateLocked()
 }
 
 // Close stops accepting appends, lets the runs already inside finish,

@@ -53,6 +53,19 @@ func mustOpen(t *testing.T, dir string, opt Options) *WAL {
 	return w
 }
 
+// rotate seals the active segment now, as the size and age triggers do.
+func rotate(w *WAL) error {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if w.f == nil {
+		return ErrClosed
+	}
+	if err := w.frameLocked(); err != nil {
+		return err
+	}
+	return w.rotateLocked()
+}
+
 // replayAll collects every retained record.
 func replayAll(t *testing.T, w *WAL) []Record {
 	t.Helper()
@@ -89,8 +102,8 @@ func TestRoundTrip(t *testing.T) {
 			t.Fatalf("append %d: seq = %d", i, seq)
 		}
 	}
-	if got := w.DurableSeq(); got != 4 {
-		t.Fatalf("DurableSeq = %d after SyncAlways appends, want 4", got)
+	if got := w.durable.Load(); got != 4 {
+		t.Fatalf("durable = %d after SyncAlways appends, want 4", got)
 	}
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
@@ -248,7 +261,7 @@ func TestPruneRetention(t *testing.T) {
 	if _, err := w.Append(sessRec(0)); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Rotate(); err != nil {
+	if err := rotate(w); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := w.Append(sessRec(1)); err != nil {
@@ -260,7 +273,7 @@ func TestPruneRetention(t *testing.T) {
 	w.mu.Lock()
 	w.sealed[0].SealedUnix = time.Now().Add(-2 * time.Hour).Unix()
 	w.mu.Unlock()
-	if err := w.Rotate(); err != nil {
+	if err := rotate(w); err != nil {
 		t.Fatal(err)
 	}
 	if c := w.Metrics().Read(); c["wal.pruned_segments"] != 1 {
@@ -442,8 +455,8 @@ func TestConcurrentSyncAlwaysGroupCommit(t *testing.T) {
 					t.Errorf("append: %v", err)
 					return
 				}
-				if w.DurableSeq() < seq {
-					t.Errorf("append returned before seq %d was durable (durable %d)", seq, w.DurableSeq())
+				if w.durable.Load() < seq {
+					t.Errorf("append returned before seq %d was durable (durable %d)", seq, w.durable.Load())
 					return
 				}
 			}
@@ -473,14 +486,14 @@ func TestSyncBarrier(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got := w.DurableSeq(); got != 0 {
-		t.Fatalf("DurableSeq before barrier = %d, want 0", got)
+	if got := w.durable.Load(); got != 0 {
+		t.Fatalf("durable before barrier = %d, want 0", got)
 	}
 	if err := w.Sync(); err != nil {
 		t.Fatal(err)
 	}
-	if got := w.DurableSeq(); got != 7 {
-		t.Fatalf("DurableSeq after barrier = %d, want 7", got)
+	if got := w.durable.Load(); got != 7 {
+		t.Fatalf("durable after barrier = %d, want 7", got)
 	}
 }
 
@@ -692,8 +705,8 @@ func TestAppendRunSyncAlways(t *testing.T) {
 					t.Errorf("run: %v", err)
 					return
 				}
-				if w.DurableSeq() < last {
-					t.Errorf("a run returned before its last seq %d was durable (durable %d)", last, w.DurableSeq())
+				if w.durable.Load() < last {
+					t.Errorf("a run returned before its last seq %d was durable (durable %d)", last, w.durable.Load())
 					return
 				}
 			}

@@ -175,9 +175,6 @@ type (
 	Session = clickmodel.Session
 )
 
-// AllClickModels returns a fresh instance of every macro model.
-func AllClickModels() []ClickModel { return clickmodel.All() }
-
 // EvaluateClickModel scores a fitted model on held-out sessions.
 func EvaluateClickModel(m ClickModel, sessions []Session) clickmodel.Evaluation {
 	return clickmodel.Evaluate(m, sessions)
@@ -197,20 +194,12 @@ var (
 	M6 = classifier.M6
 )
 
-// ClassifierSpecs returns M1..M6 in Table 2 order.
-func ClassifierSpecs() []classifier.ModelSpec { return classifier.Specs() }
-
 // NewExtractor returns the phase-one feature extractor.
 func NewExtractor() *classifier.Extractor { return classifier.NewExtractor() }
 
 // NewPipeline returns the phase-two data generator for a spec.
 func NewPipeline(spec classifier.ModelSpec, db *featstats.DB) *classifier.Pipeline {
 	return classifier.NewPipeline(spec, db)
-}
-
-// CrossValidateClassifier runs the paper's k-fold evaluation of a spec.
-func CrossValidateClassifier(spec classifier.ModelSpec, pairs []CreativePair, db *featstats.DB, k int, seed int64, opt ClassifierOptions) (classifier.Result, error) {
-	return classifier.CrossValidate(spec, pairs, db, k, seed, opt)
 }
 
 // Synthetic corpus and simulator (the ADCORPUS substitute).

@@ -4,10 +4,13 @@ import (
 	"bytes"
 	"context"
 	"math"
+	"slices"
+	"strings"
 	"testing"
 
 	micro "repro"
 	"repro/internal/classifier"
+	"repro/internal/core/coreref"
 )
 
 // TestFacadeEndToEnd walks the public API through the whole story: build
@@ -30,7 +33,7 @@ func TestFacadeEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	score := model.ScorePair(
+	score := coreref.ScorePair(model,
 		micro.ExtractTerms(r.Lines, 2),
 		micro.ExtractTerms(s.Lines, 2))
 	if score <= 0 {
@@ -96,12 +99,18 @@ func TestFacadeEndToEnd(t *testing.T) {
 }
 
 func TestFacadeSpecs(t *testing.T) {
-	specs := micro.ClassifierSpecs()
-	if len(specs) != 6 || specs[0].Name != "M1" || specs[5].Name != "M6" {
-		t.Errorf("ClassifierSpecs = %v", specs)
+	specs := []classifier.ModelSpec{micro.M1, micro.M2, micro.M3, micro.M4, micro.M5, micro.M6}
+	if !slices.Equal(specs, classifier.Specs()) || specs[0].Name != "M1" || specs[5].Name != "M6" {
+		t.Errorf("M1..M6 = %v, want Table 2's specs %v", specs, classifier.Specs())
 	}
-	if len(micro.AllClickModels()) != 10 {
-		t.Errorf("AllClickModels returned %d models, want 10", len(micro.AllClickModels()))
+	names := micro.ClickModelNames()
+	if len(names) != 10 {
+		t.Errorf("ClickModelNames returned %d models, want 10", len(names))
+	}
+	for _, name := range names {
+		if m, err := micro.NewClickModel(name); err != nil || !strings.EqualFold(m.Name(), name) {
+			t.Errorf("NewClickModel(%q) = %v, %v", name, m, err)
+		}
 	}
 }
 
@@ -160,7 +169,7 @@ func TestFacadeCrossValidate(t *testing.T) {
 	ex := micro.NewExtractor()
 	pairs := ex.Pairs(groups)
 	db := ex.BuildDB(groups)
-	res, err := micro.CrossValidateClassifier(micro.M1, pairs, db, 3, 1,
+	res, err := classifier.CrossValidate(micro.M1, pairs, db, 3, 1,
 		micro.ClassifierOptions{Epochs: 20})
 	if err != nil {
 		t.Fatal(err)

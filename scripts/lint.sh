@@ -7,8 +7,10 @@
 # checks that the token hash, the splitting rule, the vocabulary
 # builder, the counting family's closed forms, the choice of a click model's estimator and
 # latency measurement each keep their one owner, the check that every
-# *.md a Go file names exists, and — when the pinned tools are installed — staticcheck and
-# govulncheck.
+# *.md a Go file names exists and that every test DESIGN.md and README.md
+# cite is declared, scripts/surface.sh (every func a binary does not link
+# is on scripts/unreached.allow with a reason), and — when the pinned
+# tools are installed — staticcheck and govulncheck.
 #
 # Usage: scripts/lint.sh
 # Exits nonzero on any finding. CI installs staticcheck/govulncheck
@@ -151,6 +153,32 @@ if [ -n "$missing" ]; then
   echo "$missing" >&2
   fail=1
 fi
+
+echo "== every test a doc cites exists"
+# DESIGN.md and README.md tie claims to named tests, benchmarks and fuzz
+# targets; each name must be declared by a _test.go file, in the module
+# or in benchmark/. A trailing * (BenchmarkAblation_*) cites a prefix.
+# CHANGES.md and ROADMAP.md are history and name what once was.
+declared=$(grep -rhoE --include='*_test.go' '^func (Test|Benchmark|Fuzz)[A-Za-z0-9_]+' . \
+  --exclude-dir=.bench_build --exclude-dir=testdata | sed 's/^func //' | sort -u)
+unknown=$(grep -noE '\b(Test|Benchmark|Fuzz)[A-Z_][A-Za-z0-9_]*\*?' DESIGN.md README.md \
+  | while IFS= read -r hit; do
+      name=${hit##*:}
+      case "$name" in
+        *'*') grep -q "^${name%\*}" <<< "$declared" ;;
+        *) grep -qx "$name" <<< "$declared" ;;
+      esac || echo "$hit"
+    done || true)
+if [ -n "$unknown" ]; then
+  echo "docs cite tests no _test.go declares:" >&2
+  echo "$unknown" >&2
+  fail=1
+fi
+
+echo "== every func a binary links, or a reason to keep it"
+# surface.sh prints the unreached funcs and fails on one missing from
+# scripts/unreached.allow, or on an allowlist line that is stale.
+./scripts/surface.sh || fail=1
 
 echo "== staticcheck"
 if command -v staticcheck >/dev/null 2>&1; then
