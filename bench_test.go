@@ -18,7 +18,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"math"
 	"math/rand"
 	"net"
 	"net/http"
@@ -1156,26 +1155,16 @@ func BenchmarkStreamFold(b *testing.B) {
 // a model the learner published: ClickProbsInto over four docs into a
 // reused buffer, the model fitted on the shape's training log through
 // clickmodel.Train — a counting model from its statistics, PBM, UBM and
-// DBN from the compiled log (five EM rounds). Every fitted model reads
-// its per-pair values the same way, through a pair table. The served
-// arms of PBM and DBN ("pbm/served/...") price the same answers read
-// from the model's saved artifact, the way the engine serves a loaded
-// one (clickmodel.FromArtifact): two FrozenVocab probes and a pair
-// probe in place of the pair table. Their setup checks that the served
-// answers equal the fitted ones by bits.
+// DBN from the compiled log (five EM rounds). Every model reads its
+// per-pair values the same way, through a pair table, and a model the
+// engine loads from an artifact is thawed into that same form
+// (clickmodel.FromArtifact), so these arms price it too.
 func BenchmarkCountingServe(b *testing.B) {
 	for _, name := range []string{"sdbn", "cascade", "dcm", "pbm", "ubm", "dbn"} {
 		for _, sh := range countingShapes {
 			b.Run(name+"/"+sh.name, func(b *testing.B) {
 				m, pool := countingServeModel(b, name, sh)
 				benchClickProbsInto(b, m, pool)
-			})
-			if name != "pbm" && name != "dbn" {
-				continue
-			}
-			b.Run(name+"/served/"+sh.name, func(b *testing.B) {
-				m, pool := countingServeModel(b, name, sh)
-				benchClickProbsInto(b, servedFromArtifact(b, m, pool), pool)
 			})
 		}
 	}
@@ -1201,37 +1190,6 @@ func countingServeModel(b *testing.B, name string, sh countingShape) (clickmodel
 		b.Fatal(err)
 	}
 	return m, pool
-}
-
-// servedFromArtifact saves a fitted model, parses the bytes and builds
-// the model that views them, failing unless it answers every session
-// of the pool as the fitted model does, by bits.
-func servedFromArtifact(b *testing.B, m clickmodel.Model, pool []clickmodel.Session) clickmodel.Model {
-	b.Helper()
-	var buf bytes.Buffer
-	if err := m.Save(&buf); err != nil {
-		b.Fatal(err)
-	}
-	a, err := snapshot.ParseV2(buf.Bytes())
-	if err != nil {
-		b.Fatal(err)
-	}
-	served, views, err := clickmodel.FromArtifact(a)
-	if err != nil {
-		b.Fatal(err)
-	}
-	if !views {
-		b.Fatalf("%s built from its artifact does not view it", m.Name())
-	}
-	for _, s := range pool {
-		want, got := m.ClickProbsInto(s, nil), served.ClickProbsInto(s, nil)
-		for i := range want {
-			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-				b.Fatalf("%s %v: served P(C_%d) = %v, fitted %v", m.Name(), s, i, got[i], want[i])
-			}
-		}
-	}
-	return served
 }
 
 // benchClickProbsInto scores the pool round-robin into one reused

@@ -12,8 +12,8 @@
 // train-offline half of the serving split; point cmd/microserve -load
 // at the file (or POST it to /v1/models/{name}/load) to serve it. Every
 // model writes the one artifact format, v2: a sectioned layout that
-// microserve maps read-only (PBM and DBN serve from the mapping, the
-// other models copy their values out of it). -conv rewrites an
+// microserve maps read-only and every click model is thawed from — its
+// values copied into the form a fit produces. -conv rewrites an
 // artifact placed under an earlier build's hash scheme, which
 // microserve loads only by rebuilding its probe tables on the heap, as
 // a current one in place (atomic temp-file + rename, so a serving

@@ -5,9 +5,11 @@
 // on the same port, over the length-prefixed binary protocol
 // (internal/server/binproto; connections are sniffed by their first
 // bytes) — with admin endpoints to hot-swap new artifacts in and roll
-// bad ones back without a restart. Artifacts are mapped read-only
-// instead of decoded: loads are O(1) in artifact size and replicas
-// share the page cache.
+// bad ones back without a restart. Artifacts are mapped read-only. A
+// micro model is served from its mapping — its load is O(1) in artifact
+// size and replicas share the page cache — and a click model is thawed
+// from it: its values are copied into the form a fit produces, each
+// checked on the way, and the mapping is let go.
 //
 // With -online the process also becomes a learner: click feedback
 // POSTed to /v1/feedback streams into internal/stream's sharded sink,
@@ -78,6 +80,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"math"
 	"net"
 	"net/http"
 	"net/http/pprof"
@@ -281,15 +284,34 @@ func main() {
 	log.Print("bye")
 }
 
+// errUnknownKey is what a spec's setter returns for a key it does not
+// take.
+var errUnknownKey = errors.New("unknown spec key")
+
+// walkSpec hands each entry of a comma-separated key=value spec to set,
+// in order. An entry that is not key=value, a key set answers with
+// errUnknownKey (keys lists the known ones for the message) and a value
+// set refuses are errors.
+func walkSpec(spec, keys string, set func(key, val string) error) error {
+	for _, part := range strings.Split(spec, ",") {
+		key, val, ok := strings.Cut(strings.TrimSpace(part), "=")
+		if !ok || val == "" {
+			return fmt.Errorf("bad spec entry %q (want key=value)", part)
+		}
+		if err := set(key, val); errors.Is(err, errUnknownKey) {
+			return fmt.Errorf("unknown spec key %q (%s)", key, keys)
+		} else if err != nil {
+			return fmt.Errorf("bad %s value %q: %v", key, val, err)
+		}
+	}
+	return nil
+}
+
 // parseOnline turns the -online spec (comma-separated key=value pairs)
 // into a stream.Config. "model" may repeat or join names with '+'.
 func parseOnline(spec string) (stream.Config, error) {
 	var cfg stream.Config
-	for _, part := range strings.Split(spec, ",") {
-		key, val, ok := strings.Cut(strings.TrimSpace(part), "=")
-		if !ok || val == "" {
-			return cfg, fmt.Errorf("bad spec entry %q (want key=value)", part)
-		}
+	err := walkSpec(spec, "model, interval, window, decay, shards, queue, min, iters", func(key, val string) error {
 		var err error
 		switch key {
 		case "model", "models":
@@ -302,6 +324,9 @@ func parseOnline(spec string) (stream.Config, error) {
 			cfg.Window, err = strconv.Atoi(val)
 		case "decay":
 			cfg.Decay, err = strconv.ParseFloat(val, 64)
+			if err == nil && !(cfg.Decay >= 0 && cfg.Decay <= 1) {
+				err = errors.New("want a fraction in [0, 1]")
+			}
 		case "shards":
 			cfg.Shards, err = strconv.Atoi(val)
 		case "queue":
@@ -311,11 +336,12 @@ func parseOnline(spec string) (stream.Config, error) {
 		case "iters":
 			cfg.Iterations, err = strconv.Atoi(val)
 		default:
-			return cfg, fmt.Errorf("unknown spec key %q (model, interval, window, decay, shards, queue, min, iters)", key)
+			err = errUnknownKey
 		}
-		if err != nil {
-			return cfg, fmt.Errorf("bad %s value %q: %v", key, val, err)
-		}
+		return err
+	})
+	if err != nil {
+		return cfg, err
 	}
 	if len(cfg.Models) == 0 {
 		return cfg, fmt.Errorf("spec needs at least one model=NAME entry")
@@ -329,11 +355,7 @@ func parseOnline(spec string) (stream.Config, error) {
 func parseWAL(spec string) (string, wal.Options, error) {
 	var dir string
 	var opt wal.Options
-	for _, part := range strings.Split(spec, ",") {
-		key, val, ok := strings.Cut(strings.TrimSpace(part), "=")
-		if !ok || val == "" {
-			return "", opt, fmt.Errorf("bad spec entry %q (want key=value)", part)
-		}
+	err := walkSpec(spec, "dir, fsync, segment, age, retain, max", func(key, val string) error {
 		var err error
 		switch key {
 		case "dir":
@@ -349,11 +371,12 @@ func parseWAL(spec string) (string, wal.Options, error) {
 		case "max":
 			opt.MaxBytes, err = parseSize(val)
 		default:
-			return "", opt, fmt.Errorf("unknown spec key %q (dir, fsync, segment, age, retain, max)", key)
+			err = errUnknownKey
 		}
-		if err != nil {
-			return "", opt, fmt.Errorf("bad %s value %q: %v", key, val, err)
-		}
+		return err
+	})
+	if err != nil {
+		return "", opt, err
 	}
 	if dir == "" {
 		return "", opt, fmt.Errorf("spec needs dir=PATH")
@@ -382,8 +405,8 @@ func parseFsync(val string) (wal.SyncPolicy, time.Duration, error) {
 	}
 }
 
-// parseSize parses a byte count with an optional KB/MB/GB suffix
-// (binary multiples).
+// parseSize parses a positive byte count with an optional KB/MB/GB
+// suffix (binary multiples) that fits in an int64.
 func parseSize(val string) (int64, error) {
 	mult := int64(1)
 	switch {
@@ -403,6 +426,9 @@ func parseSize(val string) (int64, error) {
 	if n <= 0 {
 		return 0, fmt.Errorf("size must be positive")
 	}
+	if n > math.MaxInt64/mult {
+		return 0, fmt.Errorf("size overflows int64")
+	}
 	return n * mult, nil
 }
 
@@ -414,25 +440,25 @@ func parseRateLimit(spec string) (float64, int, time.Duration, error) {
 	var rate float64
 	var burst int
 	var ttl time.Duration
-	for _, part := range strings.Split(spec, ",") {
-		key, val, ok := strings.Cut(strings.TrimSpace(part), "=")
-		if !ok || val == "" {
-			return 0, 0, 0, fmt.Errorf("bad spec entry %q (want key=value)", part)
-		}
+	err := walkSpec(spec, "rate, burst, ttl", func(key, val string) error {
 		var err error
 		switch key {
 		case "rate":
 			rate, err = strconv.ParseFloat(val, 64)
+			if err == nil && (math.IsNaN(rate) || math.IsInf(rate, 1)) { // -Inf is refused below, with 0
+				err = errors.New("want a finite number")
+			}
 		case "burst":
 			burst, err = strconv.Atoi(val)
 		case "ttl":
 			ttl, err = time.ParseDuration(val)
 		default:
-			return 0, 0, 0, fmt.Errorf("unknown spec key %q (rate, burst, ttl)", key)
+			err = errUnknownKey
 		}
-		if err != nil {
-			return 0, 0, 0, fmt.Errorf("bad %s value %q: %v", key, val, err)
-		}
+		return err
+	})
+	if err != nil {
+		return 0, 0, 0, err
 	}
 	if rate <= 0 {
 		return 0, 0, 0, fmt.Errorf("spec needs rate=EVENTS_PER_SEC > 0")
@@ -443,8 +469,10 @@ func parseRateLimit(spec string) (float64, int, time.Duration, error) {
 	return rate, burst, ttl, nil
 }
 
-// loadArtifact installs one snapshot file into the engine: the artifact
-// is mapped read-only (O(1) load, page-cache shared across processes).
+// loadArtifact installs one snapshot file into the engine through the
+// trusted file load: the artifact is mapped read-only, and a micro
+// model is served from the mapping (O(1) load, page cache shared
+// across processes) while a click model is thawed from it.
 func loadArtifact(eng *engine.Engine, name, path string) (engine.ModelInfo, error) {
 	info, err := eng.LoadSnapshotFile(name, path)
 	if err != nil {

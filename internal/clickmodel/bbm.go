@@ -59,7 +59,7 @@ func (m *BBM) FitLog(c *CompiledLog) error {
 	if c == nil {
 		return errNilLog
 	}
-	if m.GridSize < 3 {
+	if m.GridSize < minGridSize {
 		m.GridSize = 51
 	}
 	if m.Browse == nil {
@@ -176,7 +176,7 @@ func (m *BBM) posteriorMeanID(p int32) float64 {
 		num += w * float64(i) * step
 		den += w
 	}
-	if den == 0 {
+	if !(den > 0) { // counts so large that every log-weight overflowed to -Inf
 		return 0.5
 	}
 	return num / den

@@ -106,8 +106,8 @@ type Model interface {
 	// model, honouring the model's sequential dependence structure.
 	SessionLogLikelihood(s Session) float64
 
-	// Save writes the model's complete v2 artifact, which LoadModel
-	// thaws back into a fresh model (see v2.go) and FromArtifact serves.
+	// Save writes the model's complete v2 artifact, which LoadModel and
+	// FromArtifact thaw back into a fresh model (see v2.go).
 	// An artifact holds what scoring reads, not how the model was
 	// fitted: an EM model's Iterations is not saved — a loaded model
 	// keeps its constructor's count — so set Iterations (BBM's

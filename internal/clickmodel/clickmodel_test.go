@@ -244,7 +244,7 @@ func TestDBNRecovery(t *testing.T) {
 	}
 	row := m.pairs.row("q")
 	for d := 0; d < simDocs; d++ {
-		a, s := m.as(row, "q", docName(d))
+		a, s := m.as(row, docName(d))
 		if math.Abs(a-truthAlpha(d)) > 0.07 {
 			t.Errorf("a[%s] = %.3f, want %.3f", docName(d), a, truthAlpha(d))
 		}
@@ -331,6 +331,14 @@ func TestBBMPosteriorMean(t *testing.T) {
 	}
 	if got := m.PosteriorMean("q", "unseen-doc"); got != 0.5 {
 		t.Errorf("unseen doc posterior = %v, want prior 0.5", got)
+	}
+
+	// Counts a load accepts (finite, non-negative) but so large that
+	// every grid point's log-weight overflows to -Inf: the prior mean,
+	// not the NaN of normalising by no weight at all.
+	huge := &BBM{GridSize: 51, clicks: []float64{1.5e308}, cellGamma: []float64{1}, nCell: 1, nonClick: []float64{1.5e308}}
+	if pm := huge.posteriorMeanID(0); pm != 0.5 {
+		t.Errorf("posterior mean of overflowing counts = %v, want the prior 0.5", pm)
 	}
 }
 

@@ -28,10 +28,6 @@ type DBN struct {
 
 	pairs     *pairTable // the fitted log's (query, doc) pairs
 	attr, sat []float64  // pair ID -> attractiveness, satisfaction
-	// frozen is set only by FromArtifact: the frozen pair table of a v2
-	// artifact, read in place of pairs, attr and sat then viewing the
-	// artifact's values. Such a model is immutable.
-	frozen *frozenPairs
 }
 
 // NewDBN returns a DBN with default hyper-parameters.
@@ -55,10 +51,10 @@ func (m *DBN) defaults() {
 	}
 }
 
-// as returns the attractiveness and satisfaction of doc d under query
-// q, whose doc map in the fitted table is row (pairTable.row).
-func (m *DBN) as(row map[string]int32, q, d string) (a, s float64) {
-	if id, ok := pairID(m.frozen, row, q, d); ok {
+// as returns the attractiveness and satisfaction of doc d under the
+// query whose doc map is row (pairTable.row): one probe.
+func (m *DBN) as(row map[string]int32, d string) (a, s float64) {
+	if id, ok := row[d]; ok {
 		return m.attr[id], m.sat[id]
 	}
 	return m.PriorA, m.PriorS
@@ -75,13 +71,13 @@ func (m *DBN) tailZ(s Session, row map[string]int32, last int) float64 {
 	g := m.Gamma
 	var z float64
 	if last >= 0 {
-		_, sat := m.as(row, s.Query, s.Docs[last])
+		_, sat := m.as(row, s.Docs[last])
 		z = sat
 		cur := 1 - sat // unsatisfied, still deciding
 		for t := last; t < n; t++ {
 			if t > last {
 				// Continue into t, which must then be skipped.
-				a, _ := m.as(row, s.Query, s.Docs[t])
+				a, _ := m.as(row, s.Docs[t])
 				cur *= g * (1 - a)
 			}
 			w := cur
@@ -96,7 +92,7 @@ func (m *DBN) tailZ(s Session, row map[string]int32, last int) float64 {
 			if t > 0 {
 				cur *= g
 			}
-			a, _ := m.as(row, s.Query, s.Docs[t])
+			a, _ := m.as(row, s.Docs[t])
 			cur *= 1 - a
 			w := cur
 			if t < n-1 {
@@ -119,9 +115,6 @@ func dbnAccStride(nPair int) int { return 4*nPair + 2 }
 // FitLog runs EM with exact tail enumeration over a compiled log,
 // fitting a and s in place over the log's pair table.
 func (m *DBN) FitLog(c *CompiledLog) error {
-	if m.frozen != nil {
-		return ErrMappedImmutable
-	}
 	if c == nil {
 		return errNilLog
 	}
@@ -287,7 +280,7 @@ func (m *DBN) ClickProbsInto(s Session, buf []float64) []float64 {
 	row := m.pairs.row(s.Query)
 	exam := 1.0
 	for i, d := range s.Docs {
-		a, sat := m.as(row, s.Query, d)
+		a, sat := m.as(row, d)
 		out[i] = exam * a
 		exam *= m.Gamma * (a*(1-sat) + (1 - a))
 	}
@@ -301,7 +294,7 @@ func (m *DBN) ExaminationProbs(s Session) []float64 {
 	exam := 1.0
 	for i, d := range s.Docs {
 		out[i] = exam
-		a, sat := m.as(row, s.Query, d)
+		a, sat := m.as(row, d)
 		exam *= m.Gamma * (a*(1-sat) + (1 - a))
 	}
 	return out
@@ -314,7 +307,7 @@ func (m *DBN) SessionLogLikelihood(s Session) float64 {
 	last := s.LastClick()
 	ll := 0.0
 	for j := 0; j <= last; j++ {
-		a, sat := m.as(row, s.Query, s.Docs[j])
+		a, sat := m.as(row, s.Docs[j])
 		if s.Clicks[j] {
 			ll += log(a)
 			if j < last {

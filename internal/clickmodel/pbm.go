@@ -23,10 +23,6 @@ type PBM struct {
 
 	pairs  *pairTable // the fitted log's (query, doc) pairs
 	alphas []float64  // pair ID -> attractiveness
-	// frozen is set only by FromArtifact: the frozen pair table of a v2
-	// artifact, read in place of pairs, alphas then viewing the
-	// artifact's values. Such a model is immutable.
-	frozen *frozenPairs
 }
 
 // NewPBM returns a PBM with default hyper-parameters.
@@ -54,9 +50,6 @@ func (m *PBM) defaults() {
 // constants precomputed at Compile. The alphas are fitted in place,
 // over the log's pair table.
 func (m *PBM) FitLog(c *CompiledLog) error {
-	if m.frozen != nil {
-		return ErrMappedImmutable
-	}
 	if c == nil {
 		return errNilLog
 	}
@@ -136,10 +129,10 @@ func pbmEStep(c *CompiledLog, gamma, alpha, gNum, aNum []float64, lo, hi int) {
 	}
 }
 
-// alpha returns the attractiveness of doc d under query q, whose doc
-// map in the fitted table is row (pairTable.row).
-func (m *PBM) alpha(row map[string]int32, q, d string) float64 {
-	if id, ok := pairID(m.frozen, row, q, d); ok {
+// alpha returns the attractiveness of doc d under the query whose doc
+// map is row (pairTable.row): one probe.
+func (m *PBM) alpha(row map[string]int32, d string) float64 {
+	if id, ok := row[d]; ok {
 		return m.alphas[id]
 	}
 	return m.PriorAlpha
@@ -155,7 +148,7 @@ func (m *PBM) ClickProbsInto(s Session, buf []float64) []float64 {
 		if i < len(m.Gamma) {
 			g = m.Gamma[i]
 		}
-		out[i] = m.alpha(row, s.Query, d) * g
+		out[i] = m.alpha(row, d) * g
 	}
 	return out
 }
@@ -182,7 +175,7 @@ func (m *PBM) SessionLogLikelihood(s Session) float64 {
 		if i < len(m.Gamma) {
 			g = m.Gamma[i]
 		}
-		ll += bernoulliLL(m.alpha(row, s.Query, d)*g, s.Clicks[i])
+		ll += bernoulliLL(m.alpha(row, d)*g, s.Clicks[i])
 	}
 	return ll
 }

@@ -3,9 +3,10 @@ package clickmodel
 // Snapshots: every built-in model saves its fitted parameters as a v2
 // artifact (v2.go) and restores from one, through one parameter list
 // per model — the params methods below are the only place a model's
-// layout is spelled. This is the train-offline half of the serving
-// split: fit on a log, Save, ship the artifact, and a serving process
-// loads it without re-estimating anything (see internal/engine's
+// layout is spelled, and which of its values are probabilities. This is
+// the train-offline half of the serving split: fit on a log, Save, ship
+// the artifact, and a serving process thaws it into the form a fit
+// produces, without re-estimating anything (see internal/engine's
 // LoadSnapshot family and cmd/microserve).
 
 import (
@@ -14,10 +15,8 @@ import (
 	"repro/internal/snapshot"
 )
 
-// LoadModel reads any click-model artifact from r, constructing the
-// model named in its header through the registry. A stream's
-// provenance is unknown, so every section CRC is checked. The model is
-// thawed: it keeps nothing of the bytes.
+// LoadModel reads any click-model artifact from r: FromArtifact, after
+// every section CRC is checked, since a stream's provenance is unknown.
 func LoadModel(r io.Reader) (Model, error) {
 	data, err := io.ReadAll(r)
 	if err != nil {
@@ -30,32 +29,23 @@ func LoadModel(r io.Reader) (Model, error) {
 	if err := a.VerifySections(); err != nil {
 		return nil, err
 	}
-	m, _, err := build(a, false)
-	return m, err
+	return FromArtifact(a)
 }
 
-// FromArtifact builds the model a parsed v2 artifact names, the way
-// the engine serves it: PBM and DBN view the artifact's per-pair
-// sections in place (views is true, and the bytes must outlive the
-// model), every other model is thawed. Section CRCs are the caller's to
-// check; the deep table checks a served model defers are its
-// ValidateTables.
-func FromArtifact(a *snapshot.V2Artifact) (m Model, views bool, err error) {
-	return build(a, true)
-}
-
-// build constructs the model an artifact names through the registry and
-// reads its parameters, viewing the bytes where serve allows it.
-func build(a *snapshot.V2Artifact, serve bool) (Model, bool, error) {
+// FromArtifact builds the model a parsed v2 artifact names, through the
+// registry, and thaws the artifact into it: the model holds the pair
+// table and value slices a fit produces and keeps no reference to the
+// bytes. Every value and the pair table are checked (readArtifact);
+// section CRCs are the caller's to check.
+func FromArtifact(a *snapshot.V2Artifact) (Model, error) {
 	m, err := New(a.ModelName)
 	if err != nil {
-		return nil, false, err
+		return nil, err
 	}
-	views, err := readArtifact(a, m, serve)
-	if err != nil {
-		return nil, false, err
+	if err := readArtifact(a, m); err != nil {
+		return nil, err
 	}
-	return m, views, nil
+	return m, nil
 }
 
 // ParamCount reports the number of fitted parameters a model holds —
@@ -87,37 +77,32 @@ func ParamCount(m Model) int {
 
 func (m *PBM) params() []param {
 	return []param{
-		scalar(&m.PriorAlpha),
-		dense("gamma", &m.Gamma),
-		overPairs("a.vals", &m.pairs, &m.alphas, &m.PriorAlpha).servedFrom(&m.frozen),
+		scalar(&m.PriorAlpha).prob(),
+		dense("gamma", &m.Gamma).prob(),
+		overPairs("a.vals", &m.pairs, &m.alphas, &m.PriorAlpha).prob(),
 	}
 }
 
-// ValidateTables runs the deep O(n) structural checks an artifact-backed
-// PBM defers; verified load paths call it before install. A fitted model
-// has no frozen tables and passes.
-func (m *PBM) ValidateTables() error { return m.frozen.validate() }
-
 func (m *Cascade) params() []param {
 	return []param{
-		scalar(&m.PriorAlpha), scalar(&m.LaplaceA), scalar(&m.LaplaceB),
-		overPairs("a.vals", &m.pairs, &m.alphas, &m.PriorAlpha),
+		scalar(&m.PriorAlpha).prob(), scalar(&m.LaplaceA), scalar(&m.LaplaceB),
+		overPairs("a.vals", &m.pairs, &m.alphas, &m.PriorAlpha).prob(),
 	}
 }
 
 func (m *DCM) params() []param {
 	return []param{
-		scalar(&m.PriorAlpha), scalar(&m.LaplaceA), scalar(&m.LaplaceB),
-		dense("lambda", &m.Lambda),
-		overPairs("a.vals", &m.pairs, &m.alphas, &m.PriorAlpha),
+		scalar(&m.PriorAlpha).prob(), scalar(&m.LaplaceA), scalar(&m.LaplaceB),
+		dense("lambda", &m.Lambda).prob(),
+		overPairs("a.vals", &m.pairs, &m.alphas, &m.PriorAlpha).prob(),
 	}
 }
 
 func (m *UBM) params() []param {
 	return []param{
-		scalar(&m.PriorAlpha),
-		triangular("gamma", &m.Gamma),
-		overPairs("a.vals", &m.pairs, &m.alphas, &m.PriorAlpha),
+		scalar(&m.PriorAlpha).prob(),
+		triangular("gamma", &m.Gamma).prob(),
+		overPairs("a.vals", &m.pairs, &m.alphas, &m.PriorAlpha).prob(),
 	}
 }
 
@@ -134,52 +119,48 @@ func (m *BBM) params() []param {
 	}
 	return append(browse.params(),
 		count(&m.GridSize), count(&m.nCell),
-		dense("cgam", &m.cellGamma),
+		dense("cgam", &m.cellGamma).prob(),
 		param{kind: bbmCounts, bbm: m, tab: &m.pairs},
 	)
 }
 
 func (m *CCM) params() []param {
 	return []param{
-		fittedScalar(&m.Alpha1), fittedScalar(&m.Alpha2), fittedScalar(&m.Alpha3),
-		scalar(&m.PriorR),
-		overPairs("r.vals", &m.pairs, &m.rel, &m.PriorR),
+		fittedScalar(&m.Alpha1).prob(), fittedScalar(&m.Alpha2).prob(), fittedScalar(&m.Alpha3).prob(),
+		scalar(&m.PriorR).prob(),
+		overPairs("r.vals", &m.pairs, &m.rel, &m.PriorR).prob(),
 	}
 }
 
 func (m *DBN) params() []param {
 	return []param{
-		fittedScalar(&m.Gamma), scalar(&m.PriorA), scalar(&m.PriorS),
-		overPairs("a.vals", &m.pairs, &m.attr, &m.PriorA).servedFrom(&m.frozen),
-		overPairs("s.vals", &m.pairs, &m.sat, &m.PriorS).servedFrom(&m.frozen),
+		fittedScalar(&m.Gamma).prob(), scalar(&m.PriorA).prob(), scalar(&m.PriorS).prob(),
+		overPairs("a.vals", &m.pairs, &m.attr, &m.PriorA).prob(),
+		overPairs("s.vals", &m.pairs, &m.sat, &m.PriorS).prob(),
 	}
 }
 
-// ValidateTables runs the deep O(n) structural checks an artifact-backed
-// DBN defers (see PBM.ValidateTables).
-func (m *DBN) ValidateTables() error { return m.frozen.validate() }
-
 func (m *SDBN) params() []param {
 	return []param{
-		scalar(&m.PriorA), scalar(&m.PriorS), scalar(&m.LaplaceA), scalar(&m.LaplaceB),
-		overPairs("a.vals", &m.pairs, &m.attr, &m.PriorA),
-		overPairs("s.vals", &m.pairs, &m.sat, &m.PriorS),
+		scalar(&m.PriorA).prob(), scalar(&m.PriorS).prob(), scalar(&m.LaplaceA), scalar(&m.LaplaceB),
+		overPairs("a.vals", &m.pairs, &m.attr, &m.PriorA).prob(),
+		overPairs("s.vals", &m.pairs, &m.sat, &m.PriorS).prob(),
 	}
 }
 
 func (m *GCM) params() []param {
 	return []param{
-		scalar(&m.PriorR),
-		dense("lskip", &m.LambdaSkip), dense("lclick", &m.LambdaClick),
-		overPairs("r.vals", &m.pairs, &m.rel, &m.PriorR),
+		scalar(&m.PriorR).prob(),
+		dense("lskip", &m.LambdaSkip).prob(), dense("lclick", &m.LambdaClick).prob(),
+		overPairs("r.vals", &m.pairs, &m.rel, &m.PriorR).prob(),
 	}
 }
 
 func (m *SUM) params() []param {
 	return []param{
-		scalar(&m.PriorU),
-		dense("basectr", &m.baseCTR),
-		overPairs("u.vals", &m.pairs, &m.utility, &m.PriorU),
+		scalar(&m.PriorU).prob(),
+		dense("basectr", &m.baseCTR).prob(),
+		overPairs("u.vals", &m.pairs, &m.utility, &m.PriorU).prob(),
 	}
 }
 

@@ -89,8 +89,8 @@ func sameAnswers(t *testing.T, what string, want, got Model, eval []Session) {
 // identical predictions within 1e-12 on held-out sessions, including
 // sessions with unseen queries and documents so the round-tripped
 // priors are exercised too. Each of the three re-saves the original
-// bytes. A thawed model is scored after its mapping is gone: it must
-// not pin the artifact.
+// bytes. The model FromArtifact thaws is scored after its mapping is
+// gone: it must not pin the artifact.
 func TestSnapshotRoundTrip(t *testing.T) {
 	train := snapSessions(101, 800, 6)
 	eval := snapSessions(202, 60, 6)
@@ -137,23 +137,13 @@ func TestSnapshotRoundTrip(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			mapped, views, err := FromArtifact(art.V2Artifact)
+			mapped, err := FromArtifact(art.V2Artifact)
+			art.Release() // unmapped: a model reading it would fault
 			if err != nil {
-				art.Release()
 				t.Fatalf("FromArtifact: %v", err)
 			}
-			if wantViews := name == "pbm" || name == "dbn"; views != wantViews {
-				t.Errorf("FromArtifact views = %v, want %v", views, wantViews)
-			}
-			if views {
-				sameAnswers(t, "mapped", fitted, mapped, eval)
-				resaves("mapped", mapped)
-				art.Release()
-			} else {
-				art.Release() // unmapped: a thawed model reading it would fault
-				sameAnswers(t, "thawed", fitted, mapped, eval)
-				resaves("thawed", mapped)
-			}
+			sameAnswers(t, "thawed", fitted, mapped, eval)
+			resaves("thawed", mapped)
 
 			if ParamCount(fitted) <= 0 || ParamCount(mapped) != ParamCount(fitted) {
 				t.Errorf("ParamCount(%s) = %d fitted, %d loaded", name, ParamCount(fitted), ParamCount(mapped))
@@ -268,10 +258,8 @@ func TestSnapshotWrongModel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, serve := range []bool{false, true} {
-		if _, err := readArtifact(a, NewUBM(), serve); err == nil || !strings.Contains(err.Error(), "PBM") {
-			t.Fatalf("UBM read a PBM artifact (serve %v): %v", serve, err)
-		}
+	if err := readArtifact(a, NewUBM()); err == nil || !strings.Contains(err.Error(), "PBM") {
+		t.Fatalf("UBM read a PBM artifact: %v", err)
 	}
 }
 

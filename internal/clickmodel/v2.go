@@ -29,23 +29,22 @@ package clickmodel
 //
 // In memory every per-pair parameter is one value per pair ID over a
 // pairTable the model holds (pairDense), a pair the table lacks scoring
-// the prior. PBM and DBN can also serve straight from an artifact
-// (FromArtifact): their value slices are then zero-copy views of its
-// sections (typically a read-only file mapping owned by internal/mmap),
-// indexed through its frozen pair table by the accessor a fitted model
-// uses, so each model's scoring maths exists once; such a model does
-// not refit. Every other model, and every model LoadModel reads, is
-// thawed into a pair table and value slices like a fit's, keeping no
-// reference to the artifact.
+// the prior. A load thaws: it copies the artifact's values into a pair
+// table and value slices like a fit's and keeps no reference to the
+// bytes, so a loaded model scores, refits and saves as a fitted one
+// does. Before the model exists, a load refuses a value outside its
+// parameter's domain (checkRange) and a pair table that fails its deep
+// checks (frozenPairs.validate).
 //
-// A probe-table miss degrades to the model's prior; it can never alias
-// two pairs, because every hit is confirmed against the pair arrays,
-// and the deep checks (frozenPairs.validate) prove it finds every pair.
+// The pair probe table (p.tabl) is part of the format: every writer
+// places it, and every read proves that probing finds each pair at its
+// ID. No model scores through it.
 
 import (
 	"fmt"
 	"io"
 	"maps"
+	"math"
 	"math/bits"
 	"slices"
 	"strings"
@@ -53,11 +52,6 @@ import (
 	"repro/internal/snapshot"
 	"repro/internal/textproc"
 )
-
-// ErrMappedImmutable is returned by the Fit and FitLog methods of an
-// artifact-backed model: it is a read-only serving view. Refit a
-// fresh model and export a new artifact instead.
-var ErrMappedImmutable = fmt.Errorf("clickmodel: mapped models are immutable serving views")
 
 // minPairTable mirrors the vocabulary's minimum probe-table size.
 const minPairTable = 16
@@ -73,9 +67,11 @@ func pairHash(qid, did int32) uint64 {
 	return h
 }
 
-// frozenPairs is the immutable flat pair table: interned query/doc
-// vocabularies, pair ID arrays, and a probe table. Values live in
-// separate dense arrays (one per parameter) indexed by pair ID.
+// frozenPairs is the pair table as the artifact holds it: interned
+// query/doc vocabularies, pair ID arrays, and a probe table. Values live
+// in separate dense arrays (one per parameter) indexed by pair ID. It is
+// only the codec's form: a write freezes one, a read parses, checks and
+// lists it, and the model thaws its keys into a pairTable.
 type frozenPairs struct {
 	qv, dv *textproc.FrozenVocab
 	pairQ  []int32
@@ -84,14 +80,11 @@ type frozenPairs struct {
 	mask   uint64
 }
 
-// NumPairs returns the number of interned (query, doc) pairs.
-func (p *frozenPairs) NumPairs() int { return len(p.pairQ) }
-
 // find resolves a (query, doc) pair to its dense ID; a miss anywhere
 // along the way (unknown query, unknown doc, absent pair) returns
-// false and the caller falls back to the prior. Like the vocabulary
-// lookups, the probe gives up after one pass over the table, so an
-// unvalidated table with no empty bucket ends in a miss, not a spin.
+// false. Like the vocabulary lookups, the probe gives up after one pass
+// over the table, so a table with no empty bucket ends in a miss, not a
+// spin.
 func (p *frozenPairs) find(q, d string) (int32, bool) {
 	qid, ok := p.qv.Lookup(q)
 	if !ok {
@@ -106,11 +99,6 @@ func (p *frozenPairs) find(q, d string) (int32, bool) {
 		if id < 0 {
 			return 0, false
 		}
-		// Bounds-check the probe: unvalidated mappings (trusted local
-		// loads skip the O(n) scan) degrade to misses, never panics.
-		if uint(id) >= uint(len(p.pairQ)) {
-			return 0, false
-		}
 		if p.pairQ[id] == qid && p.pairD[id] == did {
 			return id, true
 		}
@@ -118,16 +106,12 @@ func (p *frozenPairs) find(q, d string) (int32, bool) {
 	return 0, false
 }
 
-// validate runs the O(n) per-element checks pairsFromArtifact skips:
-// every pair references in-range vocabulary IDs and every probe bucket
-// is empty or a valid pair ID, plus the underlying vocabularies' own
-// deep checks, and that find — the scorer's own probe — resolves every
-// pair to its ID, as its thawed copy would. Verified load paths call this before install, and a thaw before it
-// reads a single term.
+// validate runs the O(n) per-element checks pairsFromArtifact leaves
+// out: every pair references in-range vocabulary IDs and every probe
+// bucket is empty or a valid pair ID, plus the underlying vocabularies'
+// own deep checks, and that find resolves every pair to its ID. A load
+// runs it before it lists a single key.
 func (p *frozenPairs) validate() error {
-	if p == nil {
-		return nil // a fitted model: no frozen tables to check
-	}
 	if err := p.qv.Validate(); err != nil {
 		return fmt.Errorf("%w: query vocab: %v", snapshot.ErrCorrupt, err)
 	}
@@ -210,7 +194,8 @@ func freezePairs(keys []qd) *frozenPairs {
 	return p
 }
 
-// pairsFromArtifact wraps the pair sections after O(1) structural checks.
+// pairsFromArtifact wraps the pair sections after checking their
+// lengths; validate is the deep pass.
 func pairsFromArtifact(a *snapshot.V2Artifact) (*frozenPairs, error) {
 	p := &frozenPairs{}
 	var err error
@@ -236,15 +221,13 @@ func pairsFromArtifact(a *snapshot.V2Artifact) (*frozenPairs, error) {
 	if len(p.tab) < minPairTable || bits.OnesCount(uint(len(p.tab))) != 1 || len(p.tab) < 2*n {
 		return nil, fmt.Errorf("%w: pair probe table size %d cannot hold %d pairs", snapshot.ErrCorrupt, len(p.tab), n)
 	}
-	// Per-element invariants (in-range pair and bucket IDs) are NOT
-	// scanned here — mapped loads must stay O(1) in artifact size; see
-	// frozenPairs.validate for the deep pass verified loads run.
 	p.mask = uint64(len(p.tab) - 1)
 	return p, nil
 }
 
-// pairVals returns a dense value section and checks it covers every pair.
-func pairVals(a *snapshot.V2Artifact, tag string, n int) ([]float64, error) {
+// pairVals copies a per-pair value section, checking that it holds one
+// value per pair and that each lies in its domain (checkRange).
+func pairVals(a *snapshot.V2Artifact, tag string, n int, prob bool) ([]float64, error) {
 	v, err := a.FloatsView(tag)
 	if err != nil {
 		return nil, err
@@ -252,20 +235,27 @@ func pairVals(a *snapshot.V2Artifact, tag string, n int) ([]float64, error) {
 	if len(v) != n {
 		return nil, fmt.Errorf("%w: section %q holds %d values for %d pairs", snapshot.ErrCorrupt, tag, len(v), n)
 	}
-	return v, nil
+	if err := checkRange(tag, prob, v...); err != nil {
+		return nil, err
+	}
+	return slices.Clone(v), nil
 }
 
-// pairID resolves the pair (q, d) of a model that can serve from its
-// artifact to the ID its values are indexed by: through the frozen pair
-// table when it serves (frozen is set), else through row, q's doc map
-// in the pair table it was fitted or thawed into (pairTable.row). A
-// pair it lacks takes the prior.
-func pairID(frozen *frozenPairs, row map[string]int32, q, d string) (int32, bool) {
-	if frozen != nil {
-		return frozen.find(q, d)
+// checkRange refuses, with snapshot.ErrCorrupt, the first of vs outside
+// the domain of the parameter it belongs to: [0, 1] for a probability
+// (prob), [0, +Inf) for any other float a model stores — a smoothing
+// weight or a count. NaN lies in neither.
+func checkRange(what string, prob bool, vs ...float64) error {
+	hi, domain := math.MaxFloat64, "[0, +Inf)"
+	if prob {
+		hi, domain = 1, "[0, 1]"
 	}
-	id, ok := row[d]
-	return id, ok
+	for _, v := range vs {
+		if !(v >= 0 && v <= hi) {
+			return fmt.Errorf("%w: %s holds %v, outside %s", snapshot.ErrCorrupt, what, v, domain)
+		}
+	}
+	return nil
 }
 
 // --- parameter lists ---
@@ -288,13 +278,13 @@ type param struct {
 	kind   paramKind
 	tag    string
 	fitted bool // a metaFloat ParamCount counts; the rest are priors and hyper-parameters
+	unit   bool // its values are probabilities (prob)
 	f      *float64
 	n      *int
-	vals   *[]float64    // denseVals; pairDense: the values, by pair ID of
-	tab    **pairTable   // the table they are over (bbmCounts: BBM's own),
-	prior  *float64      // what a pair the table lacks scores, and, for a model
-	frozen **frozenPairs // that can serve from its artifact, where the artifact's table goes instead
-	rows   *[][]float64  // triVals
+	vals   *[]float64   // denseVals; pairDense: the values, by pair ID of
+	tab    **pairTable  // the table they are over (bbmCounts: BBM's own),
+	prior  *float64     // and what a pair the table lacks scores
+	rows   *[][]float64 // triVals
 	bbm    *BBM
 }
 
@@ -314,18 +304,17 @@ func overPairs(tag string, tab **pairTable, vals *[]float64, prior *float64) par
 	return param{kind: pairDense, tag: tag, tab: tab, vals: vals, prior: prior}
 }
 
-// servedFrom marks a per-pair parameter the model can serve from its
-// artifact: FromArtifact leaves the artifact's pair table in frozen and
-// a view of the values in vals, and the growable table stays nil.
-func (p param) servedFrom(frozen **frozenPairs) param {
-	p.frozen = frozen
+// prob marks a float parameter as a probability: a load refuses a value
+// of it that is NaN or outside [0, 1]. An unmarked float must be finite
+// and non-negative.
+func (p param) prob() param {
+	p.unit = true
 	return p
 }
 
 // writeArtifact writes m's v2 artifact from its parameter list: meta,
 // the dense sections, the pair table, then the per-pair sections, each
-// group in list order. A model serving from an artifact re-emits the
-// pair table and the values it serves, byte for byte.
+// group in list order.
 func writeArtifact(w io.Writer, m Model) error {
 	ps := m.params()
 	var meta []byte
@@ -346,7 +335,6 @@ func writeArtifact(w io.Writer, m Model) error {
 	vw.Bytes("meta", meta)
 
 	var keys []qd
-	var served *frozenPairs
 	var seen *pairTable // the table whose pairs keys holds already
 	for _, p := range ps {
 		switch p.kind {
@@ -362,32 +350,23 @@ func writeArtifact(w io.Writer, m Model) error {
 			}
 			vw.Floats(p.tag, flat)
 		case pairDense, bbmCounts:
-			if p.frozen != nil && *p.frozen != nil {
-				served = *p.frozen
-			} else if t := *p.tab; t != nil && t != seen {
+			if t := *p.tab; t != nil && t != seen {
 				keys, seen = append(keys, t.pairs...), t
 			}
 		}
 	}
-	reemit := served != nil
-	if !reemit {
-		slices.SortFunc(keys, compareQD)
-		keys = slices.Compact(keys)
-		served = freezePairs(keys)
-	}
-	served.qv.WriteSections(vw, "q")
-	served.dv.WriteSections(vw, "d")
-	vw.Int32s("p.q", served.pairQ)
-	vw.Int32s("p.d", served.pairD)
-	vw.Int32s("p.tabl", served.tab)
+	slices.SortFunc(keys, compareQD)
+	keys = slices.Compact(keys)
+	pairs := freezePairs(keys)
+	pairs.qv.WriteSections(vw, "q")
+	pairs.dv.WriteSections(vw, "d")
+	vw.Int32s("p.q", pairs.pairQ)
+	vw.Int32s("p.d", pairs.pairD)
+	vw.Int32s("p.tabl", pairs.tab)
 
 	for _, p := range ps {
 		switch p.kind {
 		case pairDense:
-			if reemit {
-				vw.Floats(p.tag, *p.vals)
-				continue
-			}
 			vw.Floats(p.tag, valuesOver(keys, *p.tab, *p.vals, *p.prior))
 		case bbmCounts:
 			p.bbm.writeCounts(vw, keys)
@@ -410,19 +389,17 @@ func valuesOver(keys []qd, tab *pairTable, vals []float64, prior float64) []floa
 	return out
 }
 
-// readArtifact fills m from a through its parameter list. Dense values
-// are copied; per-pair values stay views of a when serve is asked for
-// and every per-pair parameter of m can be served, and are thawed
-// otherwise — copied over one pair table, which every per-pair entry
-// and BBM's counts share, after the artifact's table has passed its
-// deep checks. It reports whether m now views a's bytes.
-func readArtifact(a *snapshot.V2Artifact, m Model, serve bool) (views bool, err error) {
+// readArtifact thaws a into m through its parameter list: every value
+// is copied and checked against its parameter's domain, and the
+// per-pair values and BBM's counts are copied over one pair table,
+// built from the artifact's after it has passed its deep checks.
+func readArtifact(a *snapshot.V2Artifact, m Model) error {
 	if !strings.EqualFold(a.ModelName, m.Name()) {
-		return false, fmt.Errorf("clickmodel: artifact holds a %q model, not %q", a.ModelName, m.Name())
+		return fmt.Errorf("clickmodel: artifact holds a %q model, not %q", a.ModelName, m.Name())
 	}
 	meta, err := a.BytesView("meta")
 	if err != nil {
-		return false, err
+		return err
 	}
 	ps := m.params()
 	c := snapshot.NewCursor(meta)
@@ -431,16 +408,17 @@ func readArtifact(a *snapshot.V2Artifact, m Model, serve bool) (views bool, err 
 		switch p.kind {
 		case metaFloat:
 			*p.f = c.Float()
+			if err := checkRange("meta", p.unit, *p.f); err != nil {
+				return err
+			}
 		case metaCount:
 			*p.n = c.Int()
 		case triVals:
 			rows[i] = c.Int()
-		case pairDense, bbmCounts:
-			serve = serve && p.frozen != nil
 		}
 	}
 	if err := c.Err(); err != nil {
-		return false, err
+		return err
 	}
 	for i, p := range ps {
 		if p.kind != denseVals && p.kind != triVals {
@@ -448,7 +426,10 @@ func readArtifact(a *snapshot.V2Artifact, m Model, serve bool) (views bool, err 
 		}
 		v, err := a.FloatsView(p.tag)
 		if err != nil {
-			return false, err
+			return err
+		}
+		if err := checkRange(p.tag, p.unit, v...); err != nil {
+			return err
 		}
 		v = slices.Clone(v)
 		if p.kind == denseVals {
@@ -457,7 +438,7 @@ func readArtifact(a *snapshot.V2Artifact, m Model, serve bool) (views bool, err 
 		}
 		n := rows[i]
 		if n > len(v) || tri(n) != len(v) {
-			return false, fmt.Errorf("%w: triangular section %q claims %d rows but holds %d cells", snapshot.ErrCorrupt, p.tag, n, len(v))
+			return fmt.Errorf("%w: triangular section %q claims %d rows but holds %d cells", snapshot.ErrCorrupt, p.tag, n, len(v))
 		}
 		// Rows over one backing array, as a fit leaves them.
 		*p.rows = make([][]float64, n)
@@ -466,43 +447,41 @@ func readArtifact(a *snapshot.V2Artifact, m Model, serve bool) (views bool, err 
 		}
 	}
 
-	tab, err := pairsFromArtifact(a)
+	frozen, err := pairsFromArtifact(a)
 	if err != nil {
-		return false, err
+		return err
 	}
-	var thawed *pairTable
-	if !serve {
-		if err := tab.validate(); err != nil {
-			return false, err
-		}
-		thawed = pairTableOf(tab.keys())
+	if err := frozen.validate(); err != nil {
+		return err
 	}
+	tab := pairTableOf(frozen.keys())
 	for _, p := range ps {
 		switch p.kind {
 		case pairDense:
-			v, err := pairVals(a, p.tag, tab.NumPairs())
+			v, err := pairVals(a, p.tag, len(tab.pairs), p.unit)
 			if err != nil {
-				return false, err
+				return err
 			}
-			if serve {
-				*p.frozen, *p.vals = tab, v
-				continue
-			}
-			*p.tab, *p.vals = thawed, slices.Clone(v)
+			*p.tab, *p.vals = tab, v
 		case bbmCounts:
-			if err := p.bbm.readCounts(a, thawed); err != nil {
-				return false, err
+			if err := p.bbm.readCounts(a, tab); err != nil {
+				return err
 			}
 		}
 	}
-	return serve, nil
+	return nil
 }
 
 // --- BBM's counts ---
 
-// maxGridSize bounds BBM's posterior grid on load: every PosteriorMean
-// allocates GridSize floats, so a corrupt size must not reach scoring.
-const maxGridSize = 1 << 16
+// minGridSize and maxGridSize bound BBM's posterior grid: a grid of
+// fewer points has no interior point, and FitLog raises a smaller size
+// to its default; every PosteriorMean allocates GridSize floats, so a
+// corrupt size must not reach scoring.
+const (
+	minGridSize = 3
+	maxGridSize = 1 << 16
+)
 
 // writeCounts writes BBM's per-pair counts over the pair table keys:
 // c.vals holds each pair's clicks; the skip counts are n.vals, the
@@ -541,18 +520,19 @@ func (m *BBM) writeCounts(w *snapshot.V2Writer, keys []qd) {
 }
 
 // readCounts thaws writeCounts' sections over the thawed pair table
-// tab, BBM's pair IDs becoming the table's.
+// tab, BBM's pair IDs becoming the table's. Every count must be finite
+// and non-negative.
 func (m *BBM) readCounts(a *snapshot.V2Artifact, tab *pairTable) error {
 	n := len(tab.pairs)
-	if m.GridSize > maxGridSize {
+	if m.GridSize < minGridSize || m.GridSize > maxGridSize {
 		return fmt.Errorf("%w: BBM grid of %d points", snapshot.ErrCorrupt, m.GridSize)
 	}
-	clicks, err := pairVals(a, "c.vals", n)
+	clicks, err := pairVals(a, "c.vals", n, false)
 	if err != nil {
 		return err
 	}
 	m.pairs = tab
-	m.clicks = slices.Clone(clicks)
+	m.clicks = clicks
 	m.nonClick, m.nonClickS = nil, nil
 	if m.nCell > 0 {
 		if m.nCell != len(m.cellGamma) {
@@ -564,6 +544,9 @@ func (m *BBM) readCounts(a *snapshot.V2Artifact, tab *pairTable) error {
 		}
 		if len(skips) != n*m.nCell {
 			return fmt.Errorf("%w: BBM skip matrix holds %d cells, want %d×%d", snapshot.ErrCorrupt, len(skips), n, m.nCell)
+		}
+		if err := checkRange("n.vals", false, skips...); err != nil {
+			return err
 		}
 		m.nonClick = slices.Clone(skips)
 		return nil
@@ -582,6 +565,9 @@ func (m *BBM) readCounts(a *snapshot.V2Artifact, tab *pairTable) error {
 	}
 	if len(off) != n+1 || off[0] != 0 || int(off[n]) != len(cells) || len(cnts) != len(cells) {
 		return fmt.Errorf("%w: BBM skip offsets do not cover %d pairs and %d cells", snapshot.ErrCorrupt, n, len(cells))
+	}
+	if err := checkRange("n.cnt", false, cnts...); err != nil {
+		return err
 	}
 	for p := 0; p < n; p++ {
 		if off[p] > off[p+1] {

@@ -3,18 +3,17 @@ package clickmodel
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math"
-	"os"
 	"path/filepath"
-	"reflect"
 	"testing"
 
 	"repro/internal/mmap"
 	"repro/internal/snapshot"
 )
 
-// v2Mapped round-trips a fitted model through a v2 artifact into its
-// mapped serving view.
+// v2Mapped round-trips a fitted model through a v2 artifact and loads
+// it back the way the engine does, through FromArtifact.
 func v2Mapped(t *testing.T, m Model) Model {
 	t.Helper()
 	var buf bytes.Buffer
@@ -28,15 +27,15 @@ func v2Mapped(t *testing.T, m Model) Model {
 	if err := a.VerifySections(); err != nil {
 		t.Fatalf("VerifySections: %v", err)
 	}
-	mapped, views, err := FromArtifact(a)
-	if err != nil || !views {
-		t.Fatalf("FromArtifact: views %v, %v", views, err)
+	loaded, err := FromArtifact(a)
+	if err != nil {
+		t.Fatalf("FromArtifact: %v", err)
 	}
-	return mapped
+	return loaded
 }
 
 // TestV2MappedParity fits PBM and DBN, round-trips each through a v2
-// artifact, and pins mapped-vs-map predictions (ClickProbsInto,
+// artifact, and pins loaded-vs-fitted predictions (ClickProbsInto,
 // SessionLogLikelihood, ExaminationProbs) to 1e-12 on held-out
 // sessions including unseen queries and documents (the prior paths).
 func TestV2MappedParity(t *testing.T) {
@@ -85,9 +84,9 @@ func TestV2MappedParity(t *testing.T) {
 	}
 }
 
-// TestV2MappedReExport round-trips mapped → Save → mapped again and
-// checks predictions are preserved (the replica-sync path re-exports
-// from a mapping).
+// TestV2MappedReExport round-trips loaded → Save → loaded again and
+// checks predictions are preserved (the replica-sync path re-exports a
+// loaded model).
 func TestV2MappedReExport(t *testing.T) {
 	train := snapSessions(505, 400, 5)
 	eval := snapSessions(606, 30, 5)
@@ -107,75 +106,8 @@ func TestV2MappedReExport(t *testing.T) {
 	}
 }
 
-func TestV2MappedImmutable(t *testing.T) {
-	fitted := fitFresh(t, "PBM", snapSessions(1, 100, 4))
-	mapped := v2Mapped(t, fitted)
-	if err := mapped.FitLog(nil); !errors.Is(err, ErrMappedImmutable) {
-		t.Fatalf("FitLog err = %v, want ErrMappedImmutable", err)
-	}
-}
-
-// TestV2MappedWritesCannotFault maps a PBM artifact read-only, as the
-// serving path does, and then does everything a caller holding the
-// *PBM can do to change it: Fit, FitLog, and a store through the
-// exported Gamma. Each must be refused or land in heap memory; a store
-// into the PROT_READ mapping would kill the process with SIGSEGV, so
-// reaching the end of the test is the assertion. The scores are
-// compared before and after to show the refusals changed nothing.
-func TestV2MappedWritesCannotFault(t *testing.T) {
-	train := snapSessions(11, 300, 5)
-	var buf bytes.Buffer
-	if err := fitFresh(t, "PBM", train).Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(t.TempDir(), "pbm.mbs2")
-	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	art, err := mmap.Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer art.Release()
-	served, _, err := FromArtifact(art.V2Artifact)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := served.(*PBM)
-	s := train[0]
-	before := m.ClickProbsInto(s, nil)
-
-	if err := fitSessions(m, train); !errors.Is(err, ErrMappedImmutable) {
-		t.Errorf("fit err = %v, want ErrMappedImmutable", err)
-	}
-	c, err := Compile(train)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := m.FitLog(c); !errors.Is(err, ErrMappedImmutable) {
-		t.Errorf("FitLog err = %v, want ErrMappedImmutable", err)
-	}
-	if got := m.ClickProbsInto(s, nil); !reflect.DeepEqual(got, before) {
-		t.Errorf("refused writes changed the scores: %v, was %v", got, before)
-	}
-
-	// Gamma is a heap copy: the store succeeds, is observed by scoring,
-	// and leaves the artifact's own section as it was.
-	m.Gamma[0] = 0.25
-	if got := m.ClickProbsInto(s, nil)[0]; got == before[0] {
-		t.Errorf("a store through Gamma was not observed: position 0 still scores %v", got)
-	}
-	mapped, err := art.FloatsView("gamma")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if mapped[0] == 0.25 {
-		t.Error("the store through Gamma reached the mapped section")
-	}
-}
-
 // TestV2MappedZeroAllocScore: every model's warm ClickProbsInto into
-// a reused buffer allocates nothing, fitted and served from a mapped
+// a reused buffer allocates nothing, fitted and loaded from a mapped
 // artifact, over seen and unseen documents.
 func TestV2MappedZeroAllocScore(t *testing.T) {
 	train := snapSessions(2, 300, 5)
@@ -194,12 +126,12 @@ func TestV2MappedZeroAllocScore(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer art.Release()
-		served, _, err := FromArtifact(art.V2Artifact)
+		loaded, err := FromArtifact(art.V2Artifact)
+		art.Release()
 		if err != nil {
 			t.Fatal(err)
 		}
-		for form, m := range map[string]Model{"fitted": fitted, "mapped": served} {
+		for form, m := range map[string]Model{"fitted": fitted, "loaded": loaded} {
 			buf := m.ClickProbsInto(s, nil)
 			if allocs := testing.AllocsPerRun(200, func() { buf = m.ClickProbsInto(s, buf) }); allocs != 0 {
 				t.Errorf("%s %s: ClickProbsInto allocates %v/op, want 0", form, name, allocs)
@@ -234,7 +166,7 @@ func TestV2MappedRejectsCorruptPairs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, _, err := FromArtifact(a); err == nil {
+		if _, err := FromArtifact(a); err == nil {
 			t.Errorf("accepted an artifact missing %q", drop)
 		}
 	}
@@ -255,14 +187,12 @@ func TestV2MappedRejectsCorruptPairs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := FromArtifact(a); err == nil {
+	if _, err := FromArtifact(a); err == nil {
 		t.Error("accepted a value array shorter than the pair table")
 	}
 
-	// Pair IDs out of vocabulary range: the constructor stays O(1) in
-	// artifact size, so this corruption is NOT caught at wrap time — it
-	// must build, score without panicking (the probe loop degrades to
-	// misses), and fail the deep scan verified loads run before install.
+	// Pair IDs out of vocabulary range: the load runs the pair table's
+	// deep checks before it reads a key.
 	b, err = rebuild(func(tag string, w *snapshot.V2Writer, a *snapshot.V2Artifact) bool {
 		if tag == "p.q" {
 			v, _ := a.Int32sView(tag)
@@ -280,23 +210,12 @@ func TestV2MappedRejectsCorruptPairs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, _, err := FromArtifact(a)
-	if err != nil {
-		t.Fatalf("O(1) constructor rejected deferred-validation corruption: %v", err)
-	}
-	if probs := m.ClickProbsInto(Session{Query: "q0", Docs: []string{"d0", "d1"}}, nil); len(probs) != 2 {
-		t.Fatalf("corrupt-table scoring returned %d probs, want 2", len(probs))
-	}
-	dv, ok := m.(interface{ ValidateTables() error })
-	if !ok {
-		t.Fatalf("mapped model %T lacks ValidateTables", m)
-	}
-	if err := dv.ValidateTables(); err == nil {
-		t.Error("deep validation accepted out-of-range pair IDs")
+	if _, err := FromArtifact(a); !errors.Is(err, snapshot.ErrCorrupt) {
+		t.Errorf("the load of out-of-range pair IDs = %v, want ErrCorrupt", err)
 	}
 
-	// A thawed model reads every pair, so the same damage — and any
-	// damage to BBM's CSR skip counts — fails at construction.
+	// The same damage to another model, and any damage to BBM's CSR skip
+	// counts, fails the load too.
 	deep := make([]Session, 12)
 	for k := range deep {
 		s := Session{Query: "q", Docs: make([]string, 46), Clicks: make([]bool, 46)}
@@ -356,7 +275,7 @@ func TestV2MappedRejectsCorruptPairs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, _, err := FromArtifact(orig); err != nil {
+		if _, err := FromArtifact(orig); err != nil {
 			t.Fatalf("%s: the unmangled artifact fails: %v", tc.name, err)
 		}
 		b, err := rebuildV2(orig, tc.mangle)
@@ -367,8 +286,92 @@ func TestV2MappedRejectsCorruptPairs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, _, err := FromArtifact(a); err == nil {
-			t.Errorf("%s: a thawed model accepted it", tc.name)
+		if _, err := FromArtifact(a); err == nil {
+			t.Errorf("%s: the load accepted it", tc.name)
+		}
+	}
+}
+
+// TestLoadRefusesValuesOutsideTheirDomain: a load refuses, with
+// ErrCorrupt, what would score a click probability outside [0, 1] — a
+// PBM saved with every attractiveness at 7, which scored P(C_1) = 7,
+// and a BBM saved with a grid of fewer than three points, which scored
+// NaN — and, through every registry model's parameter list, an export
+// whose first value of any one parameter is NaN, outside [0, 1] for a
+// probability, or negative or infinite for a smoothing weight or BBM's
+// counts. The models as fitted load.
+func TestLoadRefusesValuesOutsideTheirDomain(t *testing.T) {
+	train := snapSessions(9, 200, 5)
+	load := func(m Model) (Model, error) {
+		t.Helper()
+		var buf bytes.Buffer
+		if err := m.Save(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return LoadModel(&buf)
+	}
+	refused := func(what string, m Model) {
+		t.Helper()
+		if loaded, err := load(m); !errors.Is(err, snapshot.ErrCorrupt) {
+			t.Errorf("%s: LoadModel = %v, want ErrCorrupt", what, err)
+			if loaded != nil {
+				t.Logf("%s: the loaded model scores %v", what, loaded.ClickProbsInto(train[0], nil))
+			}
+		}
+	}
+
+	pbm := fitFresh(t, "pbm", train).(*PBM)
+	for i := range pbm.alphas {
+		pbm.alphas[i] = 7
+	}
+	refused("a PBM with every attractiveness at 7", pbm)
+
+	for _, size := range []int{0, 1, 2, minGridSize, 51, maxGridSize, maxGridSize + 1} {
+		bbm := fitFresh(t, "bbm", train).(*BBM)
+		bbm.GridSize = size
+		if size >= minGridSize && size <= maxGridSize {
+			if _, err := load(bbm); err != nil {
+				t.Errorf("a BBM with a %d-point grid: %v", size, err)
+			}
+			continue
+		}
+		refused(fmt.Sprintf("a BBM with a %d-point grid", size), bbm)
+	}
+
+	for _, name := range Names() {
+		m := fitFresh(t, name, train)
+		if _, err := load(m); err != nil {
+			t.Fatalf("%s as fitted: %v", name, err)
+		}
+		for i, p := range m.params() {
+			var slot *float64
+			switch p.kind {
+			case metaFloat:
+				slot = p.f
+			case denseVals, pairDense:
+				if len(*p.vals) > 0 {
+					slot = &(*p.vals)[0]
+				}
+			case triVals:
+				if len(*p.rows) > 0 {
+					slot = &(*p.rows)[0][0]
+				}
+			case bbmCounts:
+				slot = &p.bbm.clicks[0]
+			}
+			if slot == nil {
+				continue
+			}
+			bad := []float64{-1, math.Inf(1), math.NaN()}
+			if p.unit {
+				bad = []float64{-0.5, 7, math.NaN()}
+			}
+			was := *slot
+			for _, v := range bad {
+				*slot = v
+				refused(fmt.Sprintf("%s parameter %d (%q) at %v", name, i, p.tag, v), m)
+			}
+			*slot = was
 		}
 	}
 }
@@ -406,9 +409,9 @@ func rebuildV2(orig *snapshot.V2Artifact, mangle func(tag string, w *snapshot.V2
 
 // TestV2MappedLoadsUntaggedArtifact is the compatibility pin for the
 // macro models: a PBM or DBN artifact written before the vocabularies
-// carried tags (no q.tags / d.tags) loads — the tags are derived — passes
-// deep validation, and scores bit for bit what the tagged one scores,
-// known pairs and prior fallbacks alike.
+// carried tags (no q.tags / d.tags) loads — the tags are derived and the
+// pair table passes its deep checks — and scores bit for bit what the
+// tagged one scores, known pairs and prior fallbacks alike.
 func TestV2MappedLoadsUntaggedArtifact(t *testing.T) {
 	train := snapSessions(707, 400, 5)
 	eval := append(snapSessions(808, 40, 5),
@@ -422,7 +425,7 @@ func TestV2MappedLoadsUntaggedArtifact(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		tagged, _, err := FromArtifact(orig)
+		tagged, err := FromArtifact(orig)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -444,12 +447,9 @@ func TestV2MappedLoadsUntaggedArtifact(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		untagged, _, err := FromArtifact(a)
+		untagged, err := FromArtifact(a)
 		if err != nil {
 			t.Fatalf("%s: untagged artifact: %v", name, err)
-		}
-		if err := untagged.(interface{ ValidateTables() error }).ValidateTables(); err != nil {
-			t.Fatalf("%s: untagged artifact fails deep validation: %v", name, err)
 		}
 		for i, s := range eval {
 			want, got := tagged.ClickProbsInto(s, nil), untagged.ClickProbsInto(s, nil)
@@ -466,9 +466,8 @@ func TestV2MappedLoadsUntaggedArtifact(t *testing.T) {
 // hostile-artifact regression (see textproc's
 // TestFrozenVocabFullTableTerminates): a probe table with no empty
 // bucket and only valid pair IDs must end an absent pair's probe in a
-// miss after one pass, not spin the serving goroutine — a trusted load
-// serves such a table unvalidated. The deep checks refuse it: a pair
-// no bucket names cannot be found.
+// miss after one pass, not spin the loading goroutine. The deep checks
+// refuse it: a pair no bucket names cannot be found.
 func TestFrozenPairsFullTableTerminates(t *testing.T) {
 	p := freezePairs([]qd{{q: "q0", d: "d0"}, {q: "q1", d: "d1"}})
 	for i := range p.tab {

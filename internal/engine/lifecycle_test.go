@@ -26,13 +26,13 @@ type lifecycleModel struct {
 	scorer func() Scorer // a fresh wrap of the served form
 	v2     []byte
 	v2path string
-	views  bool // served from its artifact's bytes, not thawed
+	views  bool // served from its artifact's bytes, not thawed: the micro model
 	reqs   []Request
 }
 
 // lifecycleModels lists micro, PBM and DBN twice — fitted here, and
 // thawed from the parent's fixtures (testdata/parent_0c75e9e) — and
-// SDBN, a model that is always thawed, from its fixture. Every model is
+// SDBN from its fixture. Every model is
 // scored on its golden inputs, if it has any, and on every max_n and an
 // unseen query over unseen documents, which take the prior paths.
 func lifecycleModels(t *testing.T) []lifecycleModel {
@@ -62,7 +62,7 @@ func lifecycleModels(t *testing.T) []lifecycleModel {
 			}
 			reqs = append(reqs, Request{Session: &clickmodel.Session{Query: "novel", Docs: []string{"zz", "a", "yy"}, Clicks: make([]bool, 3)}})
 		}
-		models = append(models, lifecycleModel{label: label, name: name, scorer: scorer, v2: v2.Bytes(), v2path: path, views: name != "sdbn", reqs: reqs})
+		models = append(models, lifecycleModel{label: label, name: name, scorer: scorer, v2: v2.Bytes(), v2path: path, views: name == NameMicro, reqs: reqs})
 	}
 
 	micro := testMicroModel()
@@ -128,11 +128,12 @@ func sameScores(t *testing.T, what string, got, want []Response) {
 
 // TestInstallLifecycle follows one version from every way in — a
 // fitted or thawed scorer through Install, a v2 stream, a v2 file
-// trusted and verified — for the micro model, the two click
-// models that serve from their artifact and one that is thawed, to the
-// day it is pruned: what Models() says about it, what it scores, that
+// trusted and verified — for the micro model, which is served from its
+// artifact, and three click models, which every load thaws, to the day
+// it is pruned: what Models() says about it, what it scores, that
 // SaveSnapshot exports the model's own Save and that this loads back,
-// and that the keep window lets go of the bytes it was served from.
+// that a click-model load leaves its artifact drained at once, and that
+// the keep window lets go of the bytes the micro model was served from.
 func TestInstallLifecycle(t *testing.T) {
 	routes := []struct {
 		name    string
@@ -185,13 +186,25 @@ func TestInstallLifecycle(t *testing.T) {
 				if (art != nil) != backed {
 					t.Fatalf("artifact-backed = %v, want %v", art != nil, backed)
 				}
+				if rt.backed && !m.views {
+					art, err := mmap.Open(m.v2path)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if _, err := New().load("", art, rt.name == "v2 file verified"); err != nil {
+						t.Fatal(err)
+					}
+					if !drained(art) {
+						t.Fatal("a thawed click model left a reference on its artifact")
+					}
+				}
 				if backed && drained(art) {
 					t.Fatal("the idle artifact drained while the table holds it")
 				}
 
-				// Export: a fitted or thawed form writes its own Save, an
-				// artifact-backed one re-emits the bytes it serves — the
-				// same bytes either way. They load back, under an explicit
+				// Export: a fitted or thawed form writes its own Save, the
+				// artifact-backed micro model re-emits the bytes it serves —
+				// the same bytes either way. They load back, under an explicit
 				// name, and score the same.
 				var out bytes.Buffer
 				if err := e.SaveSnapshot(m.name, &out); err != nil {
@@ -315,7 +328,12 @@ func TestLoadRejectionsReleaseArtifact(t *testing.T) {
 			if tag == "p.q" {
 				ids[0] = 1 << 30 // valid CRC, pair 0 names a query far outside the vocabulary
 			}
-		}, keepFloats), true, "out-of-range"},
+		}, keepFloats), false, "out-of-range"},
+		{"pbm attractiveness out of range", "pbm", rebuiltV2(t, pbm, "PBM", keep, func(tag string, f []float64) {
+			if tag == "a.vals" {
+				f[0] = 7 // valid CRC: served, the pair would score P(C_1) = 7·gamma_1
+			}
+		}), false, "outside [0, 1]"},
 		{"micro tables out of range", "", outOfRange, true, "corrupt artifact"},
 	}
 	ctx := context.Background()

@@ -35,17 +35,20 @@ func (e *Engine) LoadSnapshot(name string, r io.Reader) (ModelInfo, error) {
 }
 
 // LoadSnapshotFile installs a model artifact from disk. The file is
-// mapped read-only (O(1) in artifact size — the tables are served
-// straight off the page cache) without a checksum pass: a file the
-// operator names at start-up is trusted the way any loaded code is.
+// mapped read-only without a checksum pass: a file the operator names
+// at start-up is trusted the way any loaded code is. A micro model is
+// served straight off the mapping (O(1) in artifact size, the page
+// cache shared across processes); a click model is thawed from it, its
+// values and pair table checked as they are copied, and the mapping let
+// go before the version is published.
 func (e *Engine) LoadSnapshotFile(name, path string) (ModelInfo, error) {
 	return e.loadFile(name, path, false)
 }
 
 // LoadSnapshotFileVerified is LoadSnapshotFile for a file of doubtful
 // provenance: before anything is installed, every section's CRC-32C is
-// checked (one sequential read of the file) and the probe tables are
-// scanned. It is what the admin load endpoint calls.
+// checked (one sequential read of the file) and a micro model's tables
+// are scanned. It is what the admin load endpoint calls.
 func (e *Engine) LoadSnapshotFileVerified(name, path string) (ModelInfo, error) {
 	return e.loadFile(name, path, true)
 }
@@ -61,8 +64,8 @@ func (e *Engine) loadFile(name, path string, verify bool) (ModelInfo, error) {
 
 // load is the one route from an artifact to a published version: build
 // the scorer, check it when the provenance is not trusted, publish.
-// load owns the artifact's reference: a scorer that views it takes it
-// into the version table, a thawed one (built by copying) lets it go at
+// load owns the artifact's reference: a micro scorer, which views it,
+// takes it into the version table, a thawed click model lets it go at
 // once, and every path that does not publish drops it, so a refused
 // load leaves nothing mapped and the previous version serving.
 func (e *Engine) load(name string, art *mmap.Artifact, verify bool) (info ModelInfo, err error) {
@@ -80,10 +83,10 @@ func (e *Engine) load(name string, art *mmap.Artifact, verify bool) (info ModelI
 	if err != nil {
 		return ModelInfo{}, err
 	}
-	if verify {
-		// The deep O(n) table scan the constructors defer to keep a
-		// trusted load O(1) in artifact size.
-		if err = validateScorerTables(s); err != nil {
+	if views && verify {
+		// The deep O(n) table scan CompiledFromArtifact defers to keep a
+		// trusted load O(1) in artifact size; a thaw has run its own.
+		if err = s.(*MicroScorer).c.ValidateTables(); err != nil {
 			return ModelInfo{}, err
 		}
 	}
@@ -94,24 +97,11 @@ func (e *Engine) load(name string, art *mmap.Artifact, verify bool) (info ModelI
 	return e.publish(cmp.Or(canonical(name), model), s, "snapshot", art)
 }
 
-// validateScorerTables runs the deep structural checks of an
-// artifact-backed scorer's probe tables.
-func validateScorerTables(s Scorer) error {
-	switch t := s.(type) {
-	case *MicroScorer:
-		return t.c.ValidateTables()
-	case *ClickModelScorer:
-		if dv, ok := t.M.(interface{ ValidateTables() error }); ok {
-			return dv.ValidateTables()
-		}
-	}
-	return nil
-}
-
 // scorerFor is the one micro-vs-macro dispatch: it builds the serving
 // scorer of a v2 artifact through the kind's constructor and returns it
 // with the canonical model name and whether its tables view the
-// artifact's bytes (the micro model, PBM and DBN) or were copied out.
+// artifact's bytes — true only for the micro model; a click model is
+// thawed, copied out of them.
 func scorerFor(a *snapshot.V2Artifact) (s Scorer, model string, views bool, err error) {
 	model = canonical(a.ModelName)
 	if model == NameMicro {
@@ -121,16 +111,16 @@ func scorerFor(a *snapshot.V2Artifact) (s Scorer, model string, views bool, err 
 		}
 		return NewCompiledMicroScorer(c), model, true, nil
 	}
-	m, views, err := clickmodel.FromArtifact(a)
+	m, err := clickmodel.FromArtifact(a)
 	if err != nil {
 		return nil, "", false, err
 	}
-	return NewClickModelScorer(m), model, views, nil
+	return NewClickModelScorer(m), model, false, nil
 }
 
 // SaveSnapshot writes the model a reference resolves to ("pbm",
-// "pbm@2", "micro", empty = engine default) as a v2 artifact. A fitted
-// model writes its own Save; an artifact-backed one re-emits the
+// "pbm@2", "micro", empty = engine default) as a v2 artifact: the
+// model's own Save, or, for a micro model served from its artifact, the
 // sections it serves.
 func (e *Engine) SaveSnapshot(ref string, w io.Writer) error {
 	_, _, mv, err := e.resolvePinned(ref)

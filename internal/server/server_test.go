@@ -322,10 +322,11 @@ func TestLoadAndRollbackEndpoints(t *testing.T) {
 }
 
 // TestLoadEndpointMapsAndVerifiesV2 is the admin load of a v2 artifact:
-// the file is served from a mapping (a stream copy onto the heap would
-// not show in the process's maps), and because the path arrived over
-// the wire its CRCs are checked first — a flipped byte answers 422,
-// maps nothing and leaves the model table as it was.
+// a micro model is served from a mapping of the file (a stream copy
+// onto the heap would not show in the process's maps), a click model is
+// thawed from it and leaves nothing mapped, and because the path
+// arrived over the wire its CRCs are checked first — a flipped byte
+// answers 422, maps nothing and leaves the model table as it was.
 func TestLoadEndpointMapsAndVerifiesV2(t *testing.T) {
 	ts, eng, sessions := newTestServer(t)
 	pbm := clickmodel.NewPBM()
@@ -356,11 +357,32 @@ func TestLoadEndpointMapsAndVerifiesV2(t *testing.T) {
 	if info.Name != "pbm" || info.Version != 2 || info.Source != "snapshot" {
 		t.Fatalf("load info = %+v", info)
 	}
-	if !mapped(path) {
-		t.Errorf("%s is not mapped after the admin load: the artifact was copied, not mapped", path)
+	if mapped(path) {
+		t.Errorf("%s is still mapped after the admin load: a thawed click model must let it go", path)
 	}
-	// Artifact-backed: the export of this version is the file itself.
+	var micro bytes.Buffer
+	if err := testMicroModel().Save(&micro); err != nil {
+		t.Fatal(err)
+	}
+	microPath := filepath.Join(dir, "micro.mbs2")
+	if err := os.WriteFile(microPath, micro.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if code := postJSON(t, ts.URL+"/v1/models/micro/load", map[string]string{"path": microPath}, &info); code != http.StatusOK {
+		t.Fatalf("micro load status %d: %+v", code, info)
+	}
+	if !mapped(microPath) {
+		t.Errorf("%s is not mapped after the admin load: the artifact was copied, not mapped", microPath)
+	}
+	// The export of either version is the file itself.
 	var out bytes.Buffer
+	if err := eng.SaveSnapshot("micro", &out); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(out.Bytes(), micro.Bytes()) {
+		t.Errorf("export of the loaded micro version differs from the artifact (%d vs %d bytes)", out.Len(), micro.Len())
+	}
+	out.Reset()
 	if err := eng.SaveSnapshot("pbm@2", &out); err != nil {
 		t.Fatal(err)
 	}

@@ -103,7 +103,7 @@ if [ "$v2_ctr" != "$base_ctr" ]; then
   echo "serve_smoke: v2 score parity FAILED: served $base_ctr vs reloaded $v2_ctr" >&2
   exit 1
 fi
-# Export the mapped model back out through the replica-sync surface:
+# Export the loaded model back out through the replica-sync surface:
 # the bytes must be a v2 artifact, the ETag must round-trip as a 304,
 # and reloading the export must preserve the score exactly.
 curl -fs -D "$workdir/snap.hdr" -o "$workdir/pbm-exported.bin" "http://$addr/v1/models/pbm/snapshot"
@@ -111,7 +111,7 @@ etag=$(grep -i '^etag:' "$workdir/snap.hdr" | tr -d '\r' | cut -d' ' -f2)
 [ -n "$etag" ] || { echo "serve_smoke: snapshot export carried no ETag" >&2; exit 1; }
 code=$(curl -fs -o /dev/null -w '%{http_code}' -H "If-None-Match: $etag" "http://$addr/v1/models/pbm/snapshot")
 [ "$code" = "304" ] || { echo "serve_smoke: If-None-Match $etag got $code, want 304" >&2; exit 1; }
-[ "$(head -c 4 "$workdir/pbm-exported.bin")" = "MBS2" ] || { echo "serve_smoke: mapped export is not a v2 artifact" >&2; exit 1; }
+[ "$(head -c 4 "$workdir/pbm-exported.bin")" = "MBS2" ] || { echo "serve_smoke: the exported pbm is not a v2 artifact" >&2; exit 1; }
 check v2-reload "$(curl -fs -X POST "http://$addr/v1/models/pbm/load" \
   -d "{\"path\":\"$workdir/pbm-exported.bin\"}")" '"name":"pbm"'
 reload_ctr=$(score_ctr)
