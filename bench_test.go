@@ -1154,13 +1154,13 @@ func BenchmarkStreamFold(b *testing.B) {
 // BenchmarkCountingServe prices what a reader pays per macro session of
 // a model the learner published: ClickProbsInto over four docs into a
 // reused buffer, the model fitted on the shape's training log through
-// clickmodel.Train — a counting model from its statistics, PBM, UBM and
-// DBN from the compiled log (five EM rounds). Every model reads its
-// per-pair values the same way, through a pair table, and a model the
-// engine loads from an artifact is thawed into that same form
-// (clickmodel.FromArtifact), so these arms price it too.
+// clickmodel.Train — a counting model from its statistics, PBM, UBM,
+// BBM, DBN, CCM and GCM from the compiled log (five EM rounds). Every
+// model reads its per-pair values the same way, through a pair table,
+// and a model the engine loads from an artifact is thawed into that
+// same form (clickmodel.FromArtifact), so these arms price it too.
 func BenchmarkCountingServe(b *testing.B) {
-	for _, name := range []string{"sdbn", "cascade", "dcm", "pbm", "ubm", "dbn"} {
+	for _, name := range []string{"sdbn", "cascade", "dcm", "pbm", "ubm", "bbm", "dbn", "ccm", "gcm"} {
 		for _, sh := range countingShapes {
 			b.Run(name+"/"+sh.name, func(b *testing.B) {
 				m, pool := countingServeModel(b, name, sh)
