@@ -13,11 +13,18 @@ import "math"
 //	p(R | log) ∝ R^{#clicks} · Π_k (1 - gamma_k·R)^{n_k}
 //
 // where n_k counts the non-clicked impressions observed under examination
-// probability gamma_k. Only those compact counts are stored (the "petabyte
-// scale" trick); the posterior is evaluated on a grid on demand. The
-// counts live in dense pair-ID-indexed arrays keyed by the compiled
-// log's triangular (position, previous-click) cells — for very deep
-// result lists the per-pair cell axis falls back to sparse maps.
+// probability gamma_k. Those compact counts are what the model fits and
+// its artifact holds (the "petabyte scale" trick). They live in dense
+// pair-ID-indexed arrays keyed by the compiled log's triangular
+// (position, previous-click) cells — for very deep result lists the
+// per-pair cell axis falls back to sparse maps.
+//
+// Each pair's posterior mean E[R | log] is evaluated on a grid once, at
+// the end of FitLog and of a thaw (fillMeans), and stored: BBM scores
+// and computes likelihoods through UBM's recursion (UBM.forward,
+// UBM.logLikelihood) with one stored mean per pair in place of alpha,
+// so no request evaluates a posterior. TestBBMScoresThroughUBM pins
+// this by bits against a UBM holding those means.
 //
 // In this reproduction the gammas are themselves estimated by running the
 // UBM EM on the same log first, which the paper treats as equivalent for
@@ -39,6 +46,7 @@ type BBM struct {
 	cellGamma []float64           // cell -> fitted browsing gamma
 	nonClick  []float64           // pair*nCell + cell -> skip count (dense)
 	nonClickS []map[int32]float64 // sparse fallback for deep lists
+	means     []float64           // pair ID -> posterior mean relevance (fillMeans)
 }
 
 // maxDenseBBMCells bounds the dense (pairs × cells) skip-count matrix:
@@ -54,7 +62,7 @@ func (m *BBM) Name() string { return "BBM" }
 
 // FitLog fits from a compiled log: the UBM browsing layer first, then
 // one counting pass over the impressions into dense pair-indexed
-// arrays.
+// arrays, then every pair's posterior mean (fillMeans).
 func (m *BBM) FitLog(c *CompiledLog) error {
 	if c == nil {
 		return errNilLog
@@ -116,6 +124,7 @@ func (m *BBM) FitLog(c *CompiledLog) error {
 			}
 		}
 	}
+	m.fillMeans()
 	return nil
 }
 
@@ -125,38 +134,43 @@ type bbmCell struct {
 	n    float64
 }
 
-// posteriorMeanID evaluates E[R | log] on the grid for a dense pair ID.
-func (m *BBM) posteriorMeanID(p int32) float64 {
-	c := m.clicks[p]
-	// Collect the nonzero skip counts once so the grid loop touches
-	// only observed cells, not the whole (mostly zero) dense row.
-	var nzStack [48]bbmCell
-	nz := nzStack[:0]
-	if m.nonClick != nil {
-		for cell, n := range m.nonClick[int(p)*m.nCell : (int(p)+1)*m.nCell] {
-			if n > 0 {
-				nz = append(nz, bbmCell{int32(cell), n})
+// fillMeans stores every pair's posterior mean, evaluated from its
+// counts on the grid: what scoring reads in place of UBM's alpha.
+func (m *BBM) fillMeans() {
+	m.means = reuseFloats(m.means, len(m.clicks))
+	lws := make([]float64, m.GridSize)
+	var nz []bbmCell
+	for p := range m.means {
+		// Collect the nonzero skip counts once so the grid loop touches
+		// only observed cells, not the whole (mostly zero) dense row.
+		nz = nz[:0]
+		if m.nonClick != nil {
+			for cell, n := range m.nonClick[p*m.nCell : (p+1)*m.nCell] {
+				if n > 0 {
+					nz = append(nz, bbmCell{int32(cell), n})
+				}
+			}
+		} else {
+			for cell, n := range m.nonClickS[p] {
+				nz = append(nz, bbmCell{cell, n})
 			}
 		}
-	} else {
-		for cell, n := range m.nonClickS[p] {
-			nz = append(nz, bbmCell{cell, n})
-		}
+		m.means[p] = m.posteriorMean(m.clicks[p], nz, lws)
 	}
+}
+
+// posteriorMean evaluates E[R | log] on the grid for a pair with c
+// clicks and the skip counts nz, over lws (GridSize floats of scratch).
+// A pair without evidence has the prior mean 0.5.
+func (m *BBM) posteriorMean(c float64, nz []bbmCell, lws []float64) float64 {
 	if c == 0 && len(nz) == 0 {
 		return 0.5
 	}
 	// Evaluate log-weights first and normalise by their maximum so the
 	// posterior does not underflow on documents with many impressions.
 	step := 1.0 / float64(m.GridSize-1)
-	var num, den, maxLW float64
-	maxLW = math.Inf(-1)
-	var lwStack [64]float64 // holds the default 51-point grid
-	lws := lwStack[:]
-	if m.GridSize > len(lws) {
-		lws = make([]float64, m.GridSize)
-	}
-	lws = lws[:m.GridSize]
+	var num, den float64
+	maxLW := math.Inf(-1)
 	for i := range lws {
 		r := float64(i) * step
 		lw := 0.0
@@ -182,53 +196,16 @@ func (m *BBM) posteriorMeanID(p int32) float64 {
 	return num / den
 }
 
-// PosteriorMean returns E[R | log] for the (query, doc) pair under a
-// uniform prior, evaluated on the grid. Unseen pairs return the prior
-// mean 0.5.
-func (m *BBM) PosteriorMean(query, doc string) float64 {
-	p, ok := m.pairs.find(query, doc)
-	if !ok {
-		return 0.5
-	}
-	return m.posteriorMeanID(p)
-}
-
-// ClickProbsInto implements Model using the UBM forward recursion with the
-// posterior-mean relevance in place of a point-estimated alpha.
+// ClickProbsInto implements Model: UBM's recursion with the stored
+// posterior means in place of a point-estimated alpha.
 func (m *BBM) ClickProbsInto(s Session, buf []float64) []float64 {
-	n := len(s.Docs)
-	out := resizeProbs(buf, n)
-	var stack [maxStackPositions + 1]float64
-	pLast := stack[:]
-	if n+1 > len(stack) {
-		pLast = make([]float64, n+1)
-	}
-	pLast[0] = 1 // the rest of pLast is zero: fresh stack array or make()
-	for i, d := range s.Docs {
-		a := m.PosteriorMean(s.Query, d)
-		var pc float64
-		for j := 0; j <= i; j++ {
-			pc += pLast[j] * a * m.Browse.gamma(i, j)
-		}
-		out[i] = pc
-		for j := 0; j <= i; j++ {
-			pLast[j] *= 1 - a*m.Browse.gamma(i, j)
-		}
-		pLast[i+1] = pc
-	}
+	out := resizeProbs(buf, len(s.Docs))
+	m.Browse.forward(s, m.pairs.row(s.Query), m.means, 0.5, out, nil)
 	return out
 }
 
-// SessionLogLikelihood implements Model.
+// SessionLogLikelihood implements Model, through UBM's likelihood with
+// the stored posterior means.
 func (m *BBM) SessionLogLikelihood(s Session) float64 {
-	ll := 0.0
-	prev := 0
-	for i, d := range s.Docs {
-		p := m.PosteriorMean(s.Query, d) * m.Browse.gamma(i, prev)
-		ll += bernoulliLL(p, s.Clicks[i])
-		if s.Clicks[i] {
-			prev = i + 1
-		}
-	}
-	return ll
+	return m.Browse.logLikelihood(s, m.pairs.row(s.Query), m.means, 0.5)
 }

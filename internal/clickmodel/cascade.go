@@ -52,39 +52,30 @@ func (m *Cascade) FitLog(c *CompiledLog) error {
 	return m.FitStats(&st)
 }
 
-// alpha returns the attractiveness of doc d under the query whose doc
-// map is row (pairTable.row): one probe.
+// alpha is doc d's attractiveness under the query whose doc map is row.
 func (m *Cascade) alpha(row map[string]int32, d string) float64 {
-	if p, ok := row[d]; ok {
-		return m.alphas[p]
+	return pairVal(row, m.alphas, d, m.PriorAlpha)
+}
+
+// step is Cascade's chainWalk step under query q: the scan goes on past
+// every result it does not click.
+func (m *Cascade) step(q string) chainStep {
+	row := m.pairs.row(q)
+	return func(_ int, d string) (float64, float64) {
+		a := m.alpha(row, d)
+		return a, 1 - a
 	}
-	return m.PriorAlpha
 }
 
 // ClickProbsInto implements Model: P(C_i=1) = alpha_i * prod_{j<i} (1-alpha_j).
 func (m *Cascade) ClickProbsInto(s Session, buf []float64) []float64 {
-	out := resizeProbs(buf, len(s.Docs))
-	row := m.pairs.row(s.Query)
-	survive := 1.0
-	for i, d := range s.Docs {
-		a := m.alpha(row, d)
-		out[i] = survive * a
-		survive *= 1 - a
-	}
-	return out
+	return chainWalk(s.Docs, resizeProbs(buf, len(s.Docs)), false, m.step(s.Query))
 }
 
 // ExaminationProbs implements Examiner: the marginal probability the scan
 // reaches position i.
 func (m *Cascade) ExaminationProbs(s Session) []float64 {
-	out := make([]float64, len(s.Docs))
-	row := m.pairs.row(s.Query)
-	survive := 1.0
-	for i, d := range s.Docs {
-		out[i] = survive
-		survive *= 1 - m.alpha(row, d)
-	}
-	return out
+	return chainWalk(s.Docs, make([]float64, len(s.Docs)), true, m.step(s.Query))
 }
 
 // SessionLogLikelihood implements Model. Sessions with more than one click

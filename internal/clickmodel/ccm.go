@@ -52,13 +52,9 @@ func (m *CCM) defaults() {
 	}
 }
 
-// r returns the relevance of doc d under the query whose doc map is
-// row (pairTable.row): one probe.
+// r is doc d's relevance under the query whose doc map is row.
 func (m *CCM) r(row map[string]int32, d string) float64 {
-	if p, ok := row[d]; ok {
-		return m.rel[p]
-	}
-	return m.PriorR
+	return pairVal(row, m.rel, d, m.PriorR)
 }
 
 // contClick is the continuation probability after a click on a result
@@ -67,16 +63,15 @@ func (m *CCM) contClick(r float64) float64 {
 	return m.Alpha2*(1-r) + m.Alpha3*r
 }
 
-// tailPosterior mirrors DBN.tailZ for CCM's transition structure:
-// after the last click the user continues with contClick(r_last), then
-// keeps examining skipped results with alpha1 per step. This
-// Session-based form serves SessionLogLikelihood; the compiled E-step
+// tailZ mirrors DBN.tailZ for CCM's transition structure: the
+// likelihood of the all-skip tail past the last click (index last, -1
+// for none), summed over the position where examination stopped. After
+// the last click the user continues with contClick(r_last), then keeps
+// examining skipped results with alpha1 per step. The compiled E-step
 // inlines the same enumeration over worker-owned scratch.
-func (m *CCM) tailPosterior(s Session, row map[string]int32, last int) (pCont float64, pExam []float64, z float64) {
+func (m *CCM) tailZ(s Session, row map[string]int32, last int) float64 {
 	n := len(s.Docs)
-	pExam = make([]float64, n)
-	wStop := make([]float64, n)
-
+	var z float64
 	if last >= 0 {
 		cont := m.contClick(m.r(row, s.Docs[last]))
 		cur := 1.0
@@ -96,7 +91,7 @@ func (m *CCM) tailPosterior(s Session, row map[string]int32, last int) (pCont fl
 				}
 				w *= stop
 			}
-			wStop[t] = w
+			z += w
 		}
 	} else {
 		cur := 1.0
@@ -109,25 +104,13 @@ func (m *CCM) tailPosterior(s Session, row map[string]int32, last int) (pCont fl
 			if t < n-1 {
 				w *= 1 - m.Alpha1
 			}
-			wStop[t] = w
+			z += w
 		}
-	}
-
-	for _, w := range wStop {
-		z += w
 	}
 	if z <= 0 {
 		z = probEps
 	}
-	suffix := 0.0
-	for j := n - 1; j > last; j-- {
-		suffix += wStop[j]
-		pExam[j] = suffix / z
-	}
-	if last >= 0 && last < n-1 {
-		pCont = pExam[last+1]
-	}
-	return pCont, pExam, z
+	return z
 }
 
 // ccmAccStride is one worker's accumulator layout:
@@ -306,30 +289,24 @@ func ccmEStep(c *CompiledLog, rel []float64, a1, a2, a3 float64, acc, tails []fl
 	}
 }
 
-// ClickProbsInto implements Model via the forward examination recursion.
-func (m *CCM) ClickProbsInto(s Session, buf []float64) []float64 {
-	out := resizeProbs(buf, len(s.Docs))
-	row := m.pairs.row(s.Query)
-	exam := 1.0
-	for i, d := range s.Docs {
+// step is CCM's chainWalk step under query q: contClick after a click,
+// alpha1 after a skip.
+func (m *CCM) step(q string) chainStep {
+	row := m.pairs.row(q)
+	return func(_ int, d string) (float64, float64) {
 		r := m.r(row, d)
-		out[i] = exam * r
-		exam *= r*m.contClick(r) + (1-r)*m.Alpha1
+		return r, r*m.contClick(r) + (1-r)*m.Alpha1
 	}
-	return out
+}
+
+// ClickProbsInto implements Model.
+func (m *CCM) ClickProbsInto(s Session, buf []float64) []float64 {
+	return chainWalk(s.Docs, resizeProbs(buf, len(s.Docs)), false, m.step(s.Query))
 }
 
 // ExaminationProbs implements Examiner.
 func (m *CCM) ExaminationProbs(s Session) []float64 {
-	out := make([]float64, len(s.Docs))
-	row := m.pairs.row(s.Query)
-	exam := 1.0
-	for i, d := range s.Docs {
-		out[i] = exam
-		r := m.r(row, d)
-		exam *= r*m.contClick(r) + (1-r)*m.Alpha1
-	}
-	return out
+	return chainWalk(s.Docs, make([]float64, len(s.Docs)), true, m.step(s.Query))
 }
 
 // SessionLogLikelihood implements Model.
@@ -348,7 +325,5 @@ func (m *CCM) SessionLogLikelihood(s Session) float64 {
 			ll += log(1-r) + log(m.Alpha1)
 		}
 	}
-	_, _, z := m.tailPosterior(s, row, last)
-	ll += log(z)
-	return ll
+	return ll + log(m.tailZ(s, row, last))
 }

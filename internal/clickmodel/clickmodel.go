@@ -138,10 +138,33 @@ type InplaceScorer interface {
 	ClickProbsInto(s Session, buf []float64) []float64
 }
 
-// maxStackPositions is the deepest result list for which the scoring
-// recursions keep their state on the stack; longer (rare) sessions
-// fall back to heap scratch.
+// maxStackPositions is the deepest result list for which UBM's scoring
+// recursion keeps its state on the stack; longer (rare) sessions fall
+// back to heap scratch.
 const maxStackPositions = 64
+
+// chainStep is one position of a cascade-family model (Cascade, DCM,
+// SDBN, DBN, CCM, GCM) under one query: the click probability of doc d
+// at position i given examination, and the probability that the user
+// goes on to position i+1 given examination.
+type chainStep func(i int, d string) (click, cont float64)
+
+// chainWalk is the forward recursion every cascade-family model scores
+// through: P(E_1) = 1, P(E_{i+1}) = P(E_i)·cont_i and P(C_i) =
+// P(E_i)·click_i. It writes P(C_i) into out, or P(E_i) when exam is
+// set, and returns out.
+func chainWalk(docs []string, out []float64, exam bool, step chainStep) []float64 {
+	e := 1.0
+	for i, d := range docs {
+		click, cont := step(i, d)
+		out[i] = e * click
+		if exam {
+			out[i] = e
+		}
+		e *= cont
+	}
+	return out
+}
 
 // resizeProbs returns buf resliced to n when it has the capacity, or a
 // fresh slice of length n.

@@ -310,6 +310,15 @@ func TestUBMFitsAndScores(t *testing.T) {
 	}
 }
 
+// PosteriorMean returns the stored E[R | log] of the (query, doc) pair
+// under a uniform prior; an unseen pair has the prior mean 0.5.
+func (m *BBM) PosteriorMean(query, doc string) float64 {
+	if p, ok := m.pairs.find(query, doc); ok {
+		return m.means[p]
+	}
+	return 0.5
+}
+
 func TestBBMPosteriorMean(t *testing.T) {
 	rng := rand.New(rand.NewSource(46))
 	sessions := simulatePBM(rng, 10000, []float64{1, 0.6, 0.35, 0.2})
@@ -337,8 +346,35 @@ func TestBBMPosteriorMean(t *testing.T) {
 	// every grid point's log-weight overflows to -Inf: the prior mean,
 	// not the NaN of normalising by no weight at all.
 	huge := &BBM{GridSize: 51, clicks: []float64{1.5e308}, cellGamma: []float64{1}, nCell: 1, nonClick: []float64{1.5e308}}
-	if pm := huge.posteriorMeanID(0); pm != 0.5 {
-		t.Errorf("posterior mean of overflowing counts = %v, want the prior 0.5", pm)
+	if huge.fillMeans(); huge.means[0] != 0.5 {
+		t.Errorf("posterior mean of overflowing counts = %v, want the prior 0.5", huge.means[0])
+	}
+}
+
+// TestBBMScoresThroughUBM: BBM scores and computes likelihoods through
+// UBM's recursion over its stored posterior means — by bits what a UBM
+// holding BBM's browsing layer, with the means as its alphas, answers —
+// and a request reads nothing else: with the counts and the cell gammas
+// gone, fitted and loaded BBMs answer alike.
+func TestBBMScoresThroughUBM(t *testing.T) {
+	train := snapSessions(47, 600, 6)
+	eval := append(snapSessions(48, 60, 6),
+		Session{Query: "novel query", Docs: []string{"zz", "a"}, Clicks: []bool{false, true}})
+	fitted := fitFresh(t, "bbm", train).(*BBM)
+	for form, m := range map[string]*BBM{"fitted": fitted, "loaded": v2Mapped(t, fitted).(*BBM)} {
+		ref := &UBM{Gamma: m.Browse.Gamma, PriorAlpha: 0.5, pairs: m.pairs, alphas: m.means}
+		m.clicks, m.nonClick, m.nonClickS, m.cellGamma = nil, nil, nil, nil
+		for i, s := range eval {
+			got, want := m.ClickProbsInto(s, nil), ref.ClickProbsInto(s, nil)
+			for j := range want {
+				if math.Float64bits(got[j]) != math.Float64bits(want[j]) {
+					t.Fatalf("%s session %d pos %d: BBM %v, UBM over its means %v", form, i, j, got[j], want[j])
+				}
+			}
+			if got, want := m.SessionLogLikelihood(s), ref.SessionLogLikelihood(s); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("%s session %d: BBM LL %v, UBM over its means %v", form, i, got, want)
+			}
+		}
 	}
 }
 

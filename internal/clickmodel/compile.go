@@ -78,6 +78,15 @@ func (t *pairTable) row(q string) map[string]int32 {
 	return t.rows[q].docs
 }
 
+// pairVal returns doc d's value in vals, by its pair ID in row
+// (pairTable.row), or prior where row lacks d: one probe.
+func pairVal(row map[string]int32, vals []float64, d string, prior float64) float64 {
+	if p, ok := row[d]; ok {
+		return vals[p]
+	}
+	return prior
+}
+
 // find returns the ID of pair (q, d), and whether the table holds it.
 func (t *pairTable) find(q, d string) (int32, bool) {
 	id, ok := t.row(q)[d]

@@ -274,30 +274,24 @@ func dbnEStep(c *CompiledLog, attr, sat []float64, g float64, acc, tails []float
 	}
 }
 
-// ClickProbsInto implements Model via the forward examination recursion.
-func (m *DBN) ClickProbsInto(s Session, buf []float64) []float64 {
-	out := resizeProbs(buf, len(s.Docs))
-	row := m.pairs.row(s.Query)
-	exam := 1.0
-	for i, d := range s.Docs {
+// step is DBN's chainWalk step under query q: an unsatisfied user goes
+// on with probability gamma.
+func (m *DBN) step(q string) chainStep {
+	row := m.pairs.row(q)
+	return func(_ int, d string) (float64, float64) {
 		a, sat := m.as(row, d)
-		out[i] = exam * a
-		exam *= m.Gamma * (a*(1-sat) + (1 - a))
+		return a, m.Gamma * (a*(1-sat) + (1 - a))
 	}
-	return out
+}
+
+// ClickProbsInto implements Model.
+func (m *DBN) ClickProbsInto(s Session, buf []float64) []float64 {
+	return chainWalk(s.Docs, resizeProbs(buf, len(s.Docs)), false, m.step(s.Query))
 }
 
 // ExaminationProbs implements Examiner.
 func (m *DBN) ExaminationProbs(s Session) []float64 {
-	out := make([]float64, len(s.Docs))
-	row := m.pairs.row(s.Query)
-	exam := 1.0
-	for i, d := range s.Docs {
-		out[i] = exam
-		a, sat := m.as(row, d)
-		exam *= m.Gamma * (a*(1-sat) + (1 - a))
-	}
-	return out
+	return chainWalk(s.Docs, make([]float64, len(s.Docs)), true, m.step(s.Query))
 }
 
 // SessionLogLikelihood implements Model: exact likelihood with the
@@ -318,6 +312,5 @@ func (m *DBN) SessionLogLikelihood(s Session) float64 {
 			ll += log(1-a) + log(m.Gamma)
 		}
 	}
-	ll += log(m.tailZ(s, row, last))
-	return ll
+	return ll + log(m.tailZ(s, row, last))
 }

@@ -51,13 +51,9 @@ func (m *DCM) FitLog(c *CompiledLog) error {
 	return m.FitStats(&st)
 }
 
-// alpha returns the attractiveness of doc d under the query whose doc
-// map is row (pairTable.row): one probe.
+// alpha is doc d's attractiveness under the query whose doc map is row.
 func (m *DCM) alpha(row map[string]int32, d string) float64 {
-	if p, ok := row[d]; ok {
-		return m.alphas[p]
-	}
-	return m.PriorAlpha
+	return pairVal(row, m.alphas, d, m.PriorAlpha)
 }
 
 func (m *DCM) lambda(i int) float64 {
@@ -67,32 +63,24 @@ func (m *DCM) lambda(i int) float64 {
 	return 0.5
 }
 
-// ClickProbsInto implements Model: forward recursion over the marginal
-// examination probability.
-func (m *DCM) ClickProbsInto(s Session, buf []float64) []float64 {
-	out := resizeProbs(buf, len(s.Docs))
-	row := m.pairs.row(s.Query)
-	exam := 1.0
-	for i, d := range s.Docs {
+// step is DCM's chainWalk step under query q: E_{i+1} = E_i and
+// (clicked -> lambda_i, skipped -> 1).
+func (m *DCM) step(q string) chainStep {
+	row := m.pairs.row(q)
+	return func(i int, d string) (float64, float64) {
 		a := m.alpha(row, d)
-		out[i] = exam * a
-		// E_{i+1} = E_i and (clicked -> lambda_i, skipped -> 1).
-		exam = exam * (a*m.lambda(i) + (1 - a))
+		return a, a*m.lambda(i) + (1 - a)
 	}
-	return out
+}
+
+// ClickProbsInto implements Model.
+func (m *DCM) ClickProbsInto(s Session, buf []float64) []float64 {
+	return chainWalk(s.Docs, resizeProbs(buf, len(s.Docs)), false, m.step(s.Query))
 }
 
 // ExaminationProbs implements Examiner.
 func (m *DCM) ExaminationProbs(s Session) []float64 {
-	out := make([]float64, len(s.Docs))
-	row := m.pairs.row(s.Query)
-	exam := 1.0
-	for i, d := range s.Docs {
-		out[i] = exam
-		a := m.alpha(row, d)
-		exam = exam * (a*m.lambda(i) + (1 - a))
-	}
-	return out
+	return chainWalk(s.Docs, make([]float64, len(s.Docs)), true, m.step(s.Query))
 }
 
 // SessionLogLikelihood implements Model. Given the click vector, positions

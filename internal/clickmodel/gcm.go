@@ -44,13 +44,9 @@ func (m *GCM) defaults() {
 	}
 }
 
-// r returns the relevance of doc d under the query whose doc map is
-// row (pairTable.row): one probe.
+// r is doc d's relevance under the query whose doc map is row.
 func (m *GCM) r(row map[string]int32, d string) float64 {
-	if p, ok := row[d]; ok {
-		return m.rel[p]
-	}
-	return m.PriorR
+	return pairVal(row, m.rel, d, m.PriorR)
 }
 
 func (m *GCM) lSkip(i int) float64 {
@@ -67,14 +63,13 @@ func (m *GCM) lClick(i int) float64 {
 	return 0.5
 }
 
-// tailPosterior enumerates the latent stop position past the last
-// click. This Session-based form serves SessionLogLikelihood; the
+// tailZ mirrors DBN.tailZ for GCM's transition structure: the
+// likelihood of the all-skip tail past the last click (index last, -1
+// for none), summed over the position where examination stopped. The
 // compiled E-step inlines the same enumeration over worker scratch.
-func (m *GCM) tailPosterior(s Session, row map[string]int32, last int) (pExam []float64, z float64) {
+func (m *GCM) tailZ(s Session, row map[string]int32, last int) float64 {
 	n := len(s.Docs)
-	pExam = make([]float64, n)
-	wStop := make([]float64, n)
-
+	var z float64
 	start := last
 	cont0 := 1.0
 	if last >= 0 {
@@ -102,21 +97,12 @@ func (m *GCM) tailPosterior(s Session, row map[string]int32, last int) (pExam []
 			}
 			w *= stop
 		}
-		wStop[t] = w
-	}
-
-	for _, w := range wStop {
 		z += w
 	}
 	if z <= 0 {
 		z = probEps
 	}
-	suffix := 0.0
-	for j := n - 1; j > last; j-- {
-		suffix += wStop[j]
-		pExam[j] = suffix / z
-	}
-	return pExam, z
+	return z
 }
 
 // gcmAccStride is one worker's accumulator layout:
@@ -281,30 +267,24 @@ func gcmEStep(c *CompiledLog, rel, lSkip, lClick []float64, acc, tails []float64
 	}
 }
 
-// ClickProbsInto implements Model via the forward examination recursion.
-func (m *GCM) ClickProbsInto(s Session, buf []float64) []float64 {
-	out := resizeProbs(buf, len(s.Docs))
-	row := m.pairs.row(s.Query)
-	exam := 1.0
-	for i, d := range s.Docs {
+// step is GCM's chainWalk step under query q: lambdaClick[i] after a
+// click, lambdaSkip[i] after a skip.
+func (m *GCM) step(q string) chainStep {
+	row := m.pairs.row(q)
+	return func(i int, d string) (float64, float64) {
 		r := m.r(row, d)
-		out[i] = exam * r
-		exam *= r*m.lClick(i) + (1-r)*m.lSkip(i)
+		return r, r*m.lClick(i) + (1-r)*m.lSkip(i)
 	}
-	return out
+}
+
+// ClickProbsInto implements Model.
+func (m *GCM) ClickProbsInto(s Session, buf []float64) []float64 {
+	return chainWalk(s.Docs, resizeProbs(buf, len(s.Docs)), false, m.step(s.Query))
 }
 
 // ExaminationProbs implements Examiner.
 func (m *GCM) ExaminationProbs(s Session) []float64 {
-	out := make([]float64, len(s.Docs))
-	row := m.pairs.row(s.Query)
-	exam := 1.0
-	for i, d := range s.Docs {
-		out[i] = exam
-		r := m.r(row, d)
-		exam *= r*m.lClick(i) + (1-r)*m.lSkip(i)
-	}
-	return out
+	return chainWalk(s.Docs, make([]float64, len(s.Docs)), true, m.step(s.Query))
 }
 
 // SessionLogLikelihood implements Model.
@@ -323,7 +303,5 @@ func (m *GCM) SessionLogLikelihood(s Session) float64 {
 			ll += log(1-r) + log(m.lSkip(j))
 		}
 	}
-	_, z := m.tailPosterior(s, row, last)
-	ll += log(z)
-	return ll
+	return ll + log(m.tailZ(s, row, last))
 }

@@ -129,13 +129,9 @@ func pbmEStep(c *CompiledLog, gamma, alpha, gNum, aNum []float64, lo, hi int) {
 	}
 }
 
-// alpha returns the attractiveness of doc d under the query whose doc
-// map is row (pairTable.row): one probe.
+// alpha is doc d's attractiveness under the query whose doc map is row.
 func (m *PBM) alpha(row map[string]int32, d string) float64 {
-	if id, ok := row[d]; ok {
-		return m.alphas[id]
-	}
-	return m.PriorAlpha
+	return pairVal(row, m.alphas, d, m.PriorAlpha)
 }
 
 // ClickProbsInto implements Model, reusing buf when it has the

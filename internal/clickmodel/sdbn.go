@@ -61,30 +61,24 @@ func (m *SDBN) as(row map[string]int32, d string) (a, s float64) {
 	return m.PriorA, m.PriorS
 }
 
+// step is SDBN's chainWalk step under query q: the user goes on after
+// a skip, or after a click that did not satisfy.
+func (m *SDBN) step(q string) chainStep {
+	row := m.pairs.row(q)
+	return func(_ int, d string) (float64, float64) {
+		a, sat := m.as(row, d)
+		return a, a*(1-sat) + (1 - a)
+	}
+}
+
 // ClickProbsInto implements Model.
 func (m *SDBN) ClickProbsInto(s Session, buf []float64) []float64 {
-	out := resizeProbs(buf, len(s.Docs))
-	row := m.pairs.row(s.Query)
-	exam := 1.0
-	for i, d := range s.Docs {
-		a, sat := m.as(row, d)
-		out[i] = exam * a
-		exam *= a*(1-sat) + (1 - a)
-	}
-	return out
+	return chainWalk(s.Docs, resizeProbs(buf, len(s.Docs)), false, m.step(s.Query))
 }
 
 // ExaminationProbs implements Examiner.
 func (m *SDBN) ExaminationProbs(s Session) []float64 {
-	out := make([]float64, len(s.Docs))
-	row := m.pairs.row(s.Query)
-	exam := 1.0
-	for i, d := range s.Docs {
-		out[i] = exam
-		a, sat := m.as(row, d)
-		exam *= a*(1-sat) + (1 - a)
-	}
-	return out
+	return chainWalk(s.Docs, make([]float64, len(s.Docs)), true, m.step(s.Query))
 }
 
 // SessionLogLikelihood implements Model. With gamma = 1 the only

@@ -45,13 +45,9 @@ func (m *SUM) defaults() {
 	}
 }
 
-// u returns the utility of doc d under the query whose doc map is row
-// (pairTable.row): one probe.
+// u is doc d's utility under the query whose doc map is row.
 func (m *SUM) u(row map[string]int32, d string) float64 {
-	if p, ok := row[d]; ok {
-		return m.utility[p]
-	}
-	return m.PriorU
+	return pairVal(row, m.utility, d, m.PriorU)
 }
 
 // clickedDocs returns the clicked documents of a session in order.
@@ -155,15 +151,18 @@ func (m *SUM) ClickProbsInto(s Session, buf []float64) []float64 {
 // continued); the final click contributes the satisfied/abandoned
 // mixture.
 func (m *SUM) SessionLogLikelihood(s Session) float64 {
-	clicked := clickedDocs(s)
-	if len(clicked) == 0 {
+	last := s.LastClick()
+	if last < 0 {
 		return log(m.tailNoClickProb(s))
 	}
 	ll := 0.0
 	row := m.pairs.row(s.Query)
-	for i, d := range clicked {
+	for i, d := range s.Docs[:last+1] {
+		if !s.Clicks[i] {
+			continue
+		}
 		u := m.u(row, d)
-		if i < len(clicked)-1 {
+		if i < last {
 			ll += log(1 - u)
 		} else {
 			ll += log(u + (1-u)*m.tailNoClickProb(s))

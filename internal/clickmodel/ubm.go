@@ -171,23 +171,17 @@ func ubmEStep(c *CompiledLog, gamma, alpha, gNum, aNum []float64, lo, hi int) {
 	}
 }
 
-// alpha returns the attractiveness of doc d under the query whose doc
-// map is row (pairTable.row): one probe.
-func (m *UBM) alpha(row map[string]int32, d string) float64 {
-	if p, ok := row[d]; ok {
-		return m.alphas[p]
-	}
-	return m.PriorAlpha
-}
-
-// ClickProbsInto implements Model. The marginal click probability
-// requires integrating over the unobserved click history; a forward
-// recursion over the "position of the last click so far" does this
-// exactly in O(n²). For typical SERP depths the recursion's state lives
-// on the stack, so scoring into a reused buffer is allocation-free.
-func (m *UBM) ClickProbsInto(s Session, buf []float64) []float64 {
+// forward is the recursion every UBM-family model scores through, over
+// m's browsing layer: doc d's attractiveness is vals at its pair ID in
+// row, or prior where row lacks d (UBM's alphas, BBM's posterior
+// means). The marginal click probability integrates over the unobserved
+// click history; a forward recursion over the "position of the last
+// click so far" does this exactly in O(n²). It writes P(C_i) into
+// clicks and, when exam is not nil, P(E_i) into exam. For typical SERP
+// depths its state lives on the stack, so scoring into a reused buffer
+// is allocation-free.
+func (m *UBM) forward(s Session, row map[string]int32, vals []float64, prior float64, clicks, exam []float64) {
 	n := len(s.Docs)
-	out := resizeProbs(buf, n)
 	var stack [maxStackPositions + 1]float64
 	pLast := stack[:]
 	if n+1 > len(stack) {
@@ -197,59 +191,59 @@ func (m *UBM) ClickProbsInto(s Session, buf []float64) []float64 {
 	// recent click was at position j (1-based), j = 0 for none. The rest
 	// of pLast is zero already: fresh stack array or make().
 	pLast[0] = 1
-	row := m.pairs.row(s.Query)
 	for i, d := range s.Docs {
-		a := m.alpha(row, d)
+		a := pairVal(row, vals, d, prior)
 		var pc float64
 		for j := 0; j <= i; j++ {
 			pc += pLast[j] * a * m.gamma(i, j)
 		}
-		out[i] = pc
+		clicks[i] = pc
+		if exam != nil {
+			var pe float64
+			for j := 0; j <= i; j++ {
+				pe += pLast[j] * m.gamma(i, j)
+			}
+			exam[i] = pe
+		}
 		for j := 0; j <= i; j++ {
 			pLast[j] *= 1 - a*m.gamma(i, j)
 		}
 		pLast[i+1] = pc
 	}
-	return out
 }
 
-// ExaminationProbs implements Examiner, marginalising over click
-// histories with the same forward recursion.
-func (m *UBM) ExaminationProbs(s Session) []float64 {
-	n := len(s.Docs)
-	out := make([]float64, n)
-	pLast := make([]float64, n+1)
-	pLast[0] = 1
-	row := m.pairs.row(s.Query)
-	for i, d := range s.Docs {
-		a := m.alpha(row, d)
-		var pe, pc float64
-		for j := 0; j <= i; j++ {
-			g := m.gamma(i, j)
-			pe += pLast[j] * g
-			pc += pLast[j] * a * g
-		}
-		out[i] = pe
-		for j := 0; j <= i; j++ {
-			pLast[j] *= 1 - a*m.gamma(i, j)
-		}
-		pLast[i+1] = pc
-	}
-	return out
-}
-
-// SessionLogLikelihood implements Model. Conditioned on the observed
+// logLikelihood is SessionLogLikelihood over m's browsing layer, the
+// attractiveness read as forward reads it. Conditioned on the observed
 // click history the session likelihood factorises position by position.
-func (m *UBM) SessionLogLikelihood(s Session) float64 {
+func (m *UBM) logLikelihood(s Session, row map[string]int32, vals []float64, prior float64) float64 {
 	ll := 0.0
 	prev := 0
-	row := m.pairs.row(s.Query)
 	for i, d := range s.Docs {
-		p := m.alpha(row, d) * m.gamma(i, prev)
+		p := pairVal(row, vals, d, prior) * m.gamma(i, prev)
 		ll += bernoulliLL(p, s.Clicks[i])
 		if s.Clicks[i] {
 			prev = i + 1
 		}
 	}
 	return ll
+}
+
+// ClickProbsInto implements Model.
+func (m *UBM) ClickProbsInto(s Session, buf []float64) []float64 {
+	out := resizeProbs(buf, len(s.Docs))
+	m.forward(s, m.pairs.row(s.Query), m.alphas, m.PriorAlpha, out, nil)
+	return out
+}
+
+// ExaminationProbs implements Examiner, marginalising over click
+// histories with the same forward recursion.
+func (m *UBM) ExaminationProbs(s Session) []float64 {
+	exam := make([]float64, len(s.Docs))
+	m.forward(s, m.pairs.row(s.Query), m.alphas, m.PriorAlpha, make([]float64, len(s.Docs)), exam)
+	return exam
+}
+
+// SessionLogLikelihood implements Model.
+func (m *UBM) SessionLogLikelihood(s Session) float64 {
+	return m.logLikelihood(s, m.pairs.row(s.Query), m.alphas, m.PriorAlpha)
 }

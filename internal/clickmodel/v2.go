@@ -476,8 +476,8 @@ func readArtifact(a *snapshot.V2Artifact, m Model) error {
 
 // minGridSize and maxGridSize bound BBM's posterior grid: a grid of
 // fewer points has no interior point, and FitLog raises a smaller size
-// to its default; every PosteriorMean allocates GridSize floats, so a
-// corrupt size must not reach scoring.
+// to its default; a thaw evaluates every pair's mean over GridSize
+// points (fillMeans), so a corrupt size must not reach it.
 const (
 	minGridSize = 3
 	maxGridSize = 1 << 16
@@ -520,8 +520,9 @@ func (m *BBM) writeCounts(w *snapshot.V2Writer, keys []qd) {
 }
 
 // readCounts thaws writeCounts' sections over the thawed pair table
-// tab, BBM's pair IDs becoming the table's. Every count must be finite
-// and non-negative.
+// tab, BBM's pair IDs becoming the table's, and stores the posterior
+// means they give (fillMeans). Every count must be finite and
+// non-negative.
 func (m *BBM) readCounts(a *snapshot.V2Artifact, tab *pairTable) error {
 	n := len(tab.pairs)
 	if m.GridSize < minGridSize || m.GridSize > maxGridSize {
@@ -549,6 +550,7 @@ func (m *BBM) readCounts(a *snapshot.V2Artifact, tab *pairTable) error {
 			return err
 		}
 		m.nonClick = slices.Clone(skips)
+		m.fillMeans()
 		return nil
 	}
 	off, err := a.Int32sView("n.off")
@@ -588,5 +590,6 @@ func (m *BBM) readCounts(a *snapshot.V2Artifact, tab *pairTable) error {
 		}
 		m.nonClickS[p] = inner
 	}
+	m.fillMeans()
 	return nil
 }

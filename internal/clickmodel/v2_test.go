@@ -106,17 +106,17 @@ func TestV2MappedReExport(t *testing.T) {
 	}
 }
 
-// TestV2MappedZeroAllocScore: every model's warm ClickProbsInto into
-// a reused buffer allocates nothing, fitted and loaded from a mapped
-// artifact, over seen and unseen documents.
-func TestV2MappedZeroAllocScore(t *testing.T) {
-	train := snapSessions(2, 300, 5)
-	s := train[0]
+// zeroAllocSetup fits every registry model on a small log and loads
+// each back from a mapped artifact, and returns a five-doc session of
+// four seen documents and an unseen one, with its train log.
+func zeroAllocSetup(t *testing.T) (s Session, train []Session, forms func(name string) map[string]Model) {
+	train = snapSessions(2, 300, 5)
+	s = train[0]
 	for i := 1; len(s.Docs) < 4; i++ {
 		s = train[i]
 	}
 	s = Session{Query: s.Query, Docs: append(s.Docs[:4:4], "unseen"), Clicks: make([]bool, 5)}
-	for _, name := range Names() {
+	return s, train, func(name string) map[string]Model {
 		fitted := fitFresh(t, name, train)
 		path := filepath.Join(t.TempDir(), name+".mbs2")
 		if err := snapshot.WriteFileAtomic(path, fitted.Save); err != nil {
@@ -131,10 +131,48 @@ func TestV2MappedZeroAllocScore(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for form, m := range map[string]Model{"fitted": fitted, "loaded": loaded} {
+		return map[string]Model{"fitted": fitted, "loaded": loaded}
+	}
+}
+
+// TestV2MappedZeroAllocScore: every model's warm ClickProbsInto into
+// a reused buffer allocates nothing, fitted and loaded from a mapped
+// artifact, over seen and unseen documents.
+func TestV2MappedZeroAllocScore(t *testing.T) {
+	s, _, forms := zeroAllocSetup(t)
+	for _, name := range Names() {
+		for form, m := range forms(name) {
 			buf := m.ClickProbsInto(s, nil)
 			if allocs := testing.AllocsPerRun(200, func() { buf = m.ClickProbsInto(s, buf) }); allocs != 0 {
 				t.Errorf("%s %s: ClickProbsInto allocates %v/op, want 0", form, name, allocs)
+			}
+		}
+	}
+}
+
+// TestZeroAllocLogLikelihood: every model's SessionLogLikelihood
+// allocates nothing, fitted and loaded from a mapped artifact, on
+// sessions of up to maxStackPositions docs — with no click, a click
+// mid-list and a click at the end, over seen and unseen documents.
+func TestZeroAllocLogLikelihood(t *testing.T) {
+	s, train, forms := zeroAllocSetup(t)
+	deep := Session{Query: s.Query}
+	for len(deep.Docs) < maxStackPositions {
+		deep.Docs = append(deep.Docs, train[len(deep.Docs)].Docs[0])
+		deep.Clicks = append(deep.Clicks, len(deep.Docs)%9 == 0)
+	}
+	sessions := []Session{s, deep}
+	for _, click := range []int{1, len(s.Docs) - 1} {
+		c := Session{Query: s.Query, Docs: s.Docs, Clicks: make([]bool, len(s.Docs))}
+		c.Clicks[click] = true
+		sessions = append(sessions, c)
+	}
+	for _, name := range Names() {
+		for form, m := range forms(name) {
+			for i, s := range sessions {
+				if allocs := testing.AllocsPerRun(100, func() { m.SessionLogLikelihood(s) }); allocs != 0 {
+					t.Errorf("%s %s session %d (%d docs): SessionLogLikelihood allocates %v/op, want 0", form, name, i, len(s.Docs), allocs)
+				}
 			}
 		}
 	}
