@@ -433,9 +433,9 @@ func parseSize(val string) (int64, error) {
 }
 
 // parseRateLimit turns the -ratelimit spec into (events/s, burst,
-// idle-client TTL). Burst defaults to 2x the rate: one batch of
-// catch-up headroom. ttl=0 in the return means "use the server
-// default".
+// idle-client TTL). Burst defaults to 2x the rate, capped at
+// math.MaxInt32: one batch of catch-up headroom. ttl=0 in the return
+// means "use the server default".
 func parseRateLimit(spec string) (float64, int, time.Duration, error) {
 	var rate float64
 	var burst int
@@ -464,7 +464,9 @@ func parseRateLimit(spec string) (float64, int, time.Duration, error) {
 		return 0, 0, 0, fmt.Errorf("spec needs rate=EVENTS_PER_SEC > 0")
 	}
 	if burst <= 0 {
-		burst = int(2 * rate)
+		// Converted only once in range: an out-of-range float-to-int
+		// conversion is implementation-defined (MinInt64 on amd64).
+		burst = int(min(2*rate, math.MaxInt32))
 	}
 	return rate, burst, ttl, nil
 }

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -84,6 +85,8 @@ func TestSpecParsers(t *testing.T) {
 		{"ratelimit", rateOf, "rate=5000,burst=10000", rateSpec{5000, 10000, 0}, ""},
 		{"ratelimit", rateOf, "rate=2.5", rateSpec{2.5, 5, 0}, ""},
 		{"ratelimit", rateOf, "rate=100,ttl=30s", rateSpec{100, 200, 30 * time.Second}, ""},
+		{"ratelimit", rateOf, "rate=1e300", rateSpec{1e300, math.MaxInt32, 0}, ""},
+		{"ratelimit", rateOf, "rate=5e18", rateSpec{5e18, math.MaxInt32, 0}, ""},
 		{"ratelimit", rateOf, "rate=0", nil, "spec needs rate=EVENTS_PER_SEC > 0"},
 		{"ratelimit", rateOf, "burst=5", nil, "spec needs rate=EVENTS_PER_SEC > 0"},
 		{"ratelimit", rateOf, "rate=-Inf", nil, "spec needs rate=EVENTS_PER_SEC > 0"},

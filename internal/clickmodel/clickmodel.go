@@ -157,9 +157,10 @@ func chainWalk(docs []string, out []float64, exam bool, step chainStep) []float6
 	e := 1.0
 	for i, d := range docs {
 		click, cont := step(i, d)
-		out[i] = e * click
 		if exam {
 			out[i] = e
+		} else {
+			out[i] = e * click
 		}
 		e *= cont
 	}

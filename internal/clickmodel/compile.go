@@ -39,21 +39,35 @@ type pairRow struct {
 
 func newPairTable() *pairTable { return &pairTable{rows: make(map[string]pairRow)} }
 
-// pairTableOf builds the table of keys: pair i is keys[i]. A key given
-// twice resolves to its last ID, as a map built from the keys would.
+// pairTableOf builds the table of keys, adopting keys as its pair list:
+// pair i is keys[i]. A key given twice resolves to its last ID, as a map
+// built from the keys would. A run of adjacent keys under one query is
+// its row's size hint, so a thawed table has a fitted one's form.
 func pairTableOf(keys []qd) *pairTable {
-	t := newPairTable()
-	for _, k := range keys {
-		t.add(t.query(k.q, 0), k.d)
+	t := &pairTable{rows: make(map[string]pairRow), pairs: keys}
+	for i := 0; i < len(keys); {
+		j := i + 1
+		for j < len(keys) && keys[j].q == keys[i].q {
+			j++
+		}
+		for r := t.query(keys[i].q, j-i); i < j; i++ {
+			r.docs[keys[i].d] = int32(i)
+		}
 	}
 	return t
 }
 
-// query returns the row of q, entering q with an empty doc map (sized
-// for hint docs) when the table lacks it.
+// query returns the row of q, entering q with an empty doc map when the
+// table lacks it. A row of more than 64 docs (hint) is sized up front,
+// or it grows a dozen times. A small one grows from empty, so it keeps
+// Go's one-group map form at eight docs or fewer: sized past eight a
+// map is a table, one more pointer between a reader and the doc.
 func (t *pairTable) query(q string, hint int) pairRow {
 	r, ok := t.rows[q]
 	if !ok {
+		if hint <= 64 {
+			hint = 0
+		}
 		r = pairRow{q, make(map[string]int32, hint)}
 		t.rows[q] = r
 	}

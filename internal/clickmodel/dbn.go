@@ -312,5 +312,6 @@ func (m *DBN) SessionLogLikelihood(s Session) float64 {
 			ll += log(1-a) + log(m.Gamma)
 		}
 	}
-	return ll + log(m.tailZ(s, row, last))
+	ll += log(m.tailZ(s, row, last))
+	return ll
 }

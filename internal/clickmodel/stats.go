@@ -304,15 +304,7 @@ func (st *Stats) fitTable(t *pairTable, fit func(p int) bool) *pairTable {
 			continue
 		}
 		if r.docs == nil || k.q != r.q {
-			// A large row is sized up front, or it grows a dozen times. A
-			// small one grows from empty, so it keeps Go's one-group map
-			// form at eight docs or fewer: sized past eight a map is a
-			// table, one more pointer between a reader and the doc.
-			hint := len(st.tab.row(k.q))
-			if hint <= 64 {
-				hint = 0
-			}
-			r = t.query(k.q, hint)
+			r = t.query(k.q, len(st.tab.row(k.q)))
 		}
 		t.add(r, k.d)
 	}

@@ -289,7 +289,7 @@ func ReadSections(a *snapshot.V2Artifact, prefix string) (*FrozenVocab, error) {
 		text, _ := v.term(0)
 		if id, ok := v.LookupHashed(hashTerm(text), text); !ok || id != 0 {
 			v.place(len(v.tab))
-			log.Printf("textproc: vocabulary %q (%d terms) was placed under another build's hash scheme: probe table rebuilt on the heap; re-export the artifact (clickmodelfit -conv) to load it mapped", prefix, v.Len())
+			log.Printf("textproc: vocabulary %q (%d terms) was placed under another build's hash scheme: probe table rebuilt on the heap, as it will be on every load; re-export the artifact (clickmodelfit -conv) so that a load rebuilds nothing", prefix, v.Len())
 		}
 	}
 	return v, nil

@@ -57,8 +57,11 @@
 # REV keeps its own otherwise (the record says which). Two records are
 # appended, REV's and the working tree's, each benchmark with the median
 # ns/op of its rounds and their min and max (ns_per_op, ns_per_op_min,
-# ns_per_op_max), median B/op and allocs/op; a table of the medians and
-# the rounds the working tree won goes to stdout.
+# ns_per_op_max), median B/op and allocs/op. A table goes to stdout:
+# each side's median and interquartile spread (as a percentage of its
+# median), the ratio, the rounds the working tree won, and "unresolved"
+# where the medians differ by no more than REV's interquartile spread —
+# a move that small is inside what REV does against itself.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -69,7 +72,7 @@ label=""
 suite="clickmodel"
 against=""
 rounds=5
-usage() { sed -n '2,61p' "$0"; }
+usage() { sed -n '2,64p' "$0"; }
 while [ $# -gt 0 ]; do
   case "$1" in
     -s) suite="$2"; shift 2 ;;
@@ -239,8 +242,9 @@ for r in $(seq 1 "$rounds"); do
   done
 done
 
-# The medians side by side, and in how many rounds the working tree
-# beat REV (a round pairs the two runs of one benchmark it holds).
+# The medians side by side with each side's interquartile spread, and
+# in how many rounds the working tree beat REV (a round pairs the two
+# runs of one benchmark it holds).
 awk '
   /^Benchmark/ {
     name = $1; sub(/-[0-9]+$/, "", name); sub(/^Benchmark/, "", name)
@@ -252,14 +256,19 @@ awk '
     v[k, name, n] = ns
     if (k == "rev" && n == 1) order[++count] = name
   }
-  function med(k, name,    n, a, i, j, t) {
+  # q returns the p-quantile of side k'"'"'s rounds of name, interpolated
+  # between the sorted values; the median is the lower middle value, as
+  # in the records.
+  function q(k, name, p,    n, a, i, j, t, pos, lo) {
     n = seen[k, name]
     for (i = 1; i <= n; i++) a[i] = v[k, name, i]
     for (i = 2; i <= n; i++) for (j = i; j > 1 && a[j-1] + 0 > a[j] + 0; j--) { t = a[j]; a[j] = a[j-1]; a[j-1] = t }
-    return a[int((n + 1) / 2)]
+    if (p == 0.5) return a[int((n + 1) / 2)]
+    pos = 1 + p * (n - 1); lo = int(pos)
+    return lo < n ? a[lo] + (pos - lo) * (a[lo+1] - a[lo]) : a[n]
   }
   END {
-    printf "%-60s %12s %12s %7s %6s\n", "benchmark (ns/op medians)", "rev", "tree", "ratio", "wins"
+    printf "%-60s %12s %6s %12s %6s %7s %6s\n", "benchmark (ns/op medians, IQR % of median)", "rev", "iqr", "tree", "iqr", "ratio", "wins"
     for (c = 1; c <= count; c++) {
       name = order[c]
       if (!seen["tree", name]) continue
@@ -268,8 +277,12 @@ awk '
         pairs++
         if (v["tree", name, i] + 0 < v["rev", name, i] + 0) wins++
       }
-      a = med("rev", name); b = med("tree", name)
-      printf "%-60s %12s %12s %7.3f %3d/%d\n", name, a, b, (a > 0 ? b / a : 0), wins, pairs
+      a = q("rev", name, 0.5); b = q("tree", name, 0.5)
+      ra = q("rev", name, 0.75) - q("rev", name, 0.25)
+      rb = q("tree", name, 0.75) - q("tree", name, 0.25)
+      d = b - a; if (d < 0) d = -d
+      printf "%-60s %12s %5.1f%% %12s %5.1f%% %7.3f %3d/%d%s\n", name, a, (a > 0 ? 100 * ra / a : 0), b, (b > 0 ? 100 * rb / b : 0), \
+        (a > 0 ? b / a : 0), wins, pairs, (d <= ra ? "  unresolved" : "")
     }
   }
 ' "$tmp/rev.raw" "$tmp/tree.raw"
