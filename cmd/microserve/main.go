@@ -52,9 +52,9 @@
 //
 // The -ratelimit spec throttles POST /v1/feedback per client
 // (X-Client-ID header, else remote host): rate (events/s, required),
-// burst (bucket depth, default 2x rate) and ttl (how long an idle
-// client's bucket is remembered, default 10m). Over-budget requests
-// get 429 with a Retry-After hint.
+// burst (bucket depth, default 2x rate, at most 2^31-1) and ttl (how
+// long an idle client's bucket is remembered, default 10m).
+// Over-budget requests get 429 with a Retry-After hint.
 //
 // Endpoints (see internal/server):
 //
