@@ -272,6 +272,53 @@ func BenchmarkClickModel_Evaluate(b *testing.B) {
 	}
 }
 
+// BenchmarkClickModel_Artifact prices a click-model artifact both ways
+// on countingServeModel's queries=20000/docs=10 fit: save writes the
+// model's v2 artifact into a reused buffer, thaw parses that artifact
+// once and thaws it per op (clickmodel.FromArtifact, with every check a
+// load runs). Both report the artifact's size as artifact-B.
+func BenchmarkClickModel_Artifact(b *testing.B) {
+	sh := countingShapes[1]
+	for _, name := range []string{"pbm", "sdbn", "bbm"} {
+		artifact := sync.OnceValues(func() (clickmodel.Model, []byte) {
+			m, _ := countingServeModel(b, name, sh)
+			var buf bytes.Buffer
+			if err := m.Save(&buf); err != nil {
+				b.Fatal(err)
+			}
+			return m, buf.Bytes()
+		})
+		b.Run(name+"/save", func(b *testing.B) {
+			m, data := artifact()
+			buf := bytes.NewBuffer(make([]byte, 0, len(data)))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				buf.Reset()
+				if err := m.Save(buf); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(buf.Len()), "artifact-B")
+		})
+		b.Run(name+"/thaw", func(b *testing.B) {
+			_, data := artifact()
+			a, err := snapshot.ParseV2(data)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := clickmodel.FromArtifact(a); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(len(data)), "artifact-B")
+		})
+	}
+}
+
 // --- unified scoring engine ---
 
 // benchEngineCorpus lazily builds the engine bench corpus: one micro

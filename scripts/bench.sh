@@ -46,13 +46,15 @@
 # newest; each record carries the environment — commit, Go version and
 # host shape (CPU model, nproc, GOMAXPROCS) — and the parsed
 # ns/op / B/op / allocs/op (and req/s, ns/req, cpu-ns/req, MB/s where
-# reported) of every benchmark in the suite.
+# reported, and artifact-B, an artifact's size in bytes) of every
+# benchmark in the suite.
 #
 # -against REV is the before/after procedure a performance claim needs:
 # REV is checked out under a temp dir (git archive), the suite's test
 # binary is built once there and once from the working tree, and the two
 # run alternately for -rounds rounds (default 5), so that a drift in
-# host speed lands on both sides. The benchmark code is held fixed: the
+# host speed lands on both sides; the working tree runs first on even
+# rounds. The benchmark code is held fixed: the
 # working tree's bench_test.go replaces REV's when it compiles there, and
 # REV keeps its own otherwise (the record says which). Two records are
 # appended, REV's and the working tree's, each benchmark with the median
@@ -72,7 +74,7 @@ label=""
 suite="clickmodel"
 against=""
 rounds=5
-usage() { sed -n '2,64p' "$0"; }
+usage() { sed -n '2,66p' "$0"; }
 while [ $# -gt 0 ]; do
   case "$1" in
     -s) suite="$2"; shift 2 ;;
@@ -143,12 +145,12 @@ results() {
       for (i = 3; i <= NF; i++) {
         u = $i
         if (u == "ns/op" || u == "B/op" || u == "allocs/op" || u == "req/s" || u == "sessions/s" || \
-            u == "cand/s" || u == "ns/req" || u == "cpu-ns/req" || u == "MB/s") val[name, u] = val[name, u] " " $(i-1)
+            u == "cand/s" || u == "ns/req" || u == "cpu-ns/req" || u == "MB/s" || u == "artifact-B") val[name, u] = val[name, u] " " $(i-1)
       }
     }
     END {
-      split("req/s sessions/s cand/s ns/req cpu-ns/req MB/s", units, " ")
-      split("req_per_s sessions_per_s cand_per_s ns_per_req cpu_ns_per_req mb_per_s", keys, " ")
+      split("req/s sessions/s cand/s ns/req cpu-ns/req MB/s artifact-B", units, " ")
+      split("req_per_s sessions_per_s cand_per_s ns_per_req cpu_ns_per_req mb_per_s artifact_bytes", keys, " ")
       for (k = 1; k <= count; k++) {
         name = order[k]
         if (val[name, "ns/op"] == "") continue
@@ -156,7 +158,7 @@ results() {
         line = sprintf("{\"name\": \"%s\", \"iters\": %s, \"ns_per_op\": %s", name, median(iters[name]), ns)
         if (runs[name] > 1) line = line sprintf(", \"ns_per_op_min\": %s, \"ns_per_op_max\": %s", nlo, nhi)
         line = line sprintf(", \"bytes_per_op\": %s, \"allocs_per_op\": %s", median(val[name, "B/op"]), median(val[name, "allocs/op"]))
-        for (u = 1; u <= 6; u++)
+        for (u = 1; u <= 7; u++)
           if (val[name, units[u]] != "") line = line sprintf(", \"%s\": %s", keys[u], median(val[name, units[u]]))
         printf "%s    %s}", sep, line
         sep = ",\n"
@@ -227,8 +229,12 @@ else
 fi
 go test -c -o "$tmp/tree.test" .
 
+# REV runs first on odd rounds and the working tree on even ones, so a
+# drift inside a round does not always land on the same side.
 for r in $(seq 1 "$rounds"); do
-  for side in rev tree; do
+  order="rev tree"
+  [ $((r % 2)) -eq 0 ] && order="tree rev"
+  for side in $order; do
     dir=.
     [ "$side" = rev ] && dir="$tmp/rev"
     echo "bench.sh: round $r/$rounds, $side" >&2
