@@ -14,19 +14,21 @@
 // model writes the one artifact format, v2: a sectioned layout that
 // microserve maps read-only and every click model is thawed from — its
 // values copied into the form a fit produces. -conv rewrites an
-// artifact placed under an earlier build's hash scheme, which
-// microserve loads only by rebuilding its probe tables on the heap, as
-// a current one in place (atomic temp-file + rename, so a serving
-// process watching the path never sees a half-written file) without
-// refitting anything: it loads the artifact into an engine and exports
-// it again.
+// artifact an earlier build wrote as a current one in place (atomic
+// temp-file + rename, so a serving process watching the path never
+// sees a half-written file) without refitting anything: it loads the
+// artifact into an engine and exports it again. A micro model placed
+// under an earlier hash scheme, which microserve loads only by
+// rebuilding its probe tables on the heap, comes back placed under
+// this one; a click model comes back without the probe-table sections
+// older builds wrote and no load reads.
 //
 // Usage:
 //
 //	clickmodelfit -sessions 20000 -ads 4
 //	clickmodelfit -model pbm -workers 8 -iters 10
 //	clickmodelfit -model pbm -o pbm.bin              # fit → snapshot → serve
-//	clickmodelfit -conv pbm.bin                      # older placement → current, in place
+//	clickmodelfit -conv pbm.bin                      # older artifact → current, in place
 //	clickmodelfit -list
 package main
 

@@ -1,6 +1,10 @@
 package clickmodel
 
-import "math"
+import (
+	"cmp"
+	"math"
+	"slices"
+)
 
 // BBM is the Bayesian browsing model of Liu, Guo & Faloutsos. Its browsing
 // layer is exactly UBM's — examination depends on the position and the
@@ -154,6 +158,9 @@ func (m *BBM) fillMeans() {
 			for cell, n := range m.nonClickS[p] {
 				nz = append(nz, bbmCell{cell, n})
 			}
+			// Sum in ascending cell order, as the dense row does: a map
+			// ranges in random order, and the sum's bits depend on it.
+			slices.SortFunc(nz, func(a, b bbmCell) int { return cmp.Compare(a.cell, b.cell) })
 		}
 		m.means[p] = m.posteriorMean(m.clicks[p], nz, lws)
 	}

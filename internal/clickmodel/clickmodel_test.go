@@ -218,7 +218,11 @@ func TestCascadeRecovery(t *testing.T) {
 
 func TestCascadeSingleClickLikelihood(t *testing.T) {
 	m := NewCascade()
-	m.pairs, m.alphas = pairTableOf([]qd{{"q", "a"}, {"q", "b"}}), []float64{0.3, 0.5}
+	tab, err := pairTableOf([]qd{{"q", "a"}, {"q", "b"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.pairs, m.alphas = tab, []float64{0.3, 0.5}
 	s := Session{Query: "q", Docs: []string{"a", "b"}, Clicks: []bool{false, true}}
 	want := math.Log(0.7) + math.Log(0.5)
 	if got := m.SessionLogLikelihood(s); math.Abs(got-want) > 1e-9 {

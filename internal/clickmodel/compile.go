@@ -2,9 +2,12 @@ package clickmodel
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"runtime"
 	"sync"
+
+	"repro/internal/snapshot"
 )
 
 // pairTable is the one growable interner of (query, doc) pairs, laid out
@@ -40,10 +43,10 @@ type pairRow struct {
 func newPairTable() *pairTable { return &pairTable{rows: make(map[string]pairRow)} }
 
 // pairTableOf builds the table of keys, adopting keys as its pair list:
-// pair i is keys[i]. A key given twice resolves to its last ID, as a map
-// built from the keys would. A run of adjacent keys under one query is
+// pair i is keys[i]. A key given twice is snapshot.ErrCorrupt: no table
+// holds a pair under two IDs. A run of adjacent keys under one query is
 // its row's size hint, so a thawed table has a fitted one's form.
-func pairTableOf(keys []qd) *pairTable {
+func pairTableOf(keys []qd) (*pairTable, error) {
 	t := &pairTable{rows: make(map[string]pairRow), pairs: keys}
 	for i := 0; i < len(keys); {
 		j := i + 1
@@ -51,10 +54,13 @@ func pairTableOf(keys []qd) *pairTable {
 			j++
 		}
 		for r := t.query(keys[i].q, j-i); i < j; i++ {
-			r.docs[keys[i].d] = int32(i)
+			n := len(r.docs)
+			if r.docs[keys[i].d] = int32(i); len(r.docs) == n {
+				return nil, fmt.Errorf("%w: pair %d (%q, %q) repeats an earlier one", snapshot.ErrCorrupt, i, keys[i].q, keys[i].d)
+			}
 		}
 	}
-	return t
+	return t, nil
 }
 
 // query returns the row of q, entering q with an empty doc map when the

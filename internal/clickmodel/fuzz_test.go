@@ -145,17 +145,17 @@ func patchSection(orig *snapshot.V2Artifact, i int, op uint8, off uint32, patch 
 }
 
 // fuzzEval is what an accepted model is scored on: the seed log's
-// first sessions, and a session per query of the artifact's (validated)
-// pair table over its first docs and one the table lacks.
+// first sessions, and a session per query of the artifact's pairs
+// (readPairs) over its first docs and one no pair names.
 func fuzzEval(a *snapshot.V2Artifact) []Session {
 	eval := fuzzLog()[:8]
-	tab, err := pairsFromArtifact(a)
-	if err != nil || tab.validate() != nil {
+	keys, err := readPairs(a)
+	if err != nil {
 		return eval
 	}
 	byQuery := map[string][]string{}
 	var queries []string
-	for _, k := range tab.keys() {
+	for _, k := range keys {
 		if _, ok := byQuery[k.q]; !ok {
 			queries = append(queries, k.q)
 		}

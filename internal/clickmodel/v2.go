@@ -13,12 +13,10 @@ package clickmodel
 //	                   (UBM's gamma) is flattened row after row
 //	q.*, d.*  —        the query and doc vocabularies of the one pair
 //	                   table every per-(query, doc) parameter shares:
-//	                   the four sections textproc's WriteSections owns
-//	                   (blob, offs, tabl, tags; without tags it predates
-//	                   them and still loads)
+//	                   the two term sections of textproc's WriteTerms
+//	                   (blob, offs)
 //	p.q       int32    pair -> query ID
 //	p.d       int32    pair -> doc ID
-//	p.tabl    int32    open-addressed (qid, did) probe table
 //	<x>.vals  float64  one value per pair for each per-pair parameter;
 //	                   a pair the parameter has no value for holds its
 //	                   prior, which is what a miss scores
@@ -33,19 +31,19 @@ package clickmodel
 // table and value slices like a fit's and keeps no reference to the
 // bytes, so a loaded model scores, refits and saves as a fitted one
 // does. Before the model exists, a load refuses a value outside its
-// parameter's domain (checkRange) and a pair table that fails its deep
-// checks (frozenPairs.validate).
+// parameter's domain (checkRange), and term offsets, pair IDs or a
+// repeated pair that no writer produces (readPairs, pairTableOf).
 //
-// The pair probe table (p.tabl) is part of the format: every writer
-// places it, and every read proves that probing finds each pair at its
-// ID. No model scores through it.
+// An artifact an earlier build wrote also carries a probe table and its
+// tags for each vocabulary (q.tabl, q.tags, d.tabl, d.tags) and one for
+// the pairs (p.tabl). No load reads them, so such an artifact loads as
+// it stands and exports without them.
 
 import (
 	"fmt"
 	"io"
 	"maps"
 	"math"
-	"math/bits"
 	"slices"
 	"strings"
 
@@ -53,176 +51,60 @@ import (
 	"repro/internal/textproc"
 )
 
-// minPairTable mirrors the vocabulary's minimum probe-table size.
-const minPairTable = 16
-
-// pairHash mixes a (query ID, doc ID) pair into the probe-table hash.
-// It must be identical on the freeze and lookup sides; nothing else
-// depends on it.
-func pairHash(qid, did int32) uint64 {
-	h := uint64(uint32(qid))*0x9E3779B97F4A7C15 ^ uint64(uint32(did))*0xC2B2AE3D27D4EB4F
-	h ^= h >> 29
-	h *= 0xBF58476D1CE4E5B9
-	h ^= h >> 32
-	return h
-}
-
-// frozenPairs is the pair table as the artifact holds it: interned
-// query/doc vocabularies, pair ID arrays, and a probe table. Values live
-// in separate dense arrays (one per parameter) indexed by pair ID. It is
-// only the codec's form: a write freezes one, a read parses, checks and
-// lists it, and the model thaws its keys into a pairTable.
-type frozenPairs struct {
-	qv, dv *textproc.FrozenVocab
-	pairQ  []int32
-	pairD  []int32
-	tab    []int32
-	mask   uint64
-}
-
-// find resolves a (query, doc) pair to its dense ID; a miss anywhere
-// along the way (unknown query, unknown doc, absent pair) returns
-// false. Like the vocabulary lookups, the probe gives up after one pass
-// over the table, so a table with no empty bucket ends in a miss, not a
-// spin.
-func (p *frozenPairs) find(q, d string) (int32, bool) {
-	qid, ok := p.qv.Lookup(q)
-	if !ok {
-		return 0, false
-	}
-	did, ok := p.dv.Lookup(d)
-	if !ok {
-		return 0, false
-	}
-	for i, left := pairHash(qid, did)&p.mask, len(p.tab); left > 0; i, left = (i+1)&p.mask, left-1 {
-		id := p.tab[i]
-		if id < 0 {
-			return 0, false
-		}
-		if p.pairQ[id] == qid && p.pairD[id] == did {
-			return id, true
-		}
-	}
-	return 0, false
-}
-
-// validate runs the O(n) per-element checks pairsFromArtifact leaves
-// out: every pair references in-range vocabulary IDs and every probe
-// bucket is empty or a valid pair ID, plus the underlying vocabularies'
-// own deep checks, and that find resolves every pair to its ID. A load
-// runs it before it lists a single key.
-func (p *frozenPairs) validate() error {
-	if err := p.qv.Validate(); err != nil {
-		return fmt.Errorf("%w: query vocab: %v", snapshot.ErrCorrupt, err)
-	}
-	if err := p.dv.Validate(); err != nil {
-		return fmt.Errorf("%w: doc vocab: %v", snapshot.ErrCorrupt, err)
-	}
-	n := len(p.pairQ)
-	for i := 0; i < n; i++ {
-		if int(p.pairQ[i]) >= p.qv.Len() || p.pairQ[i] < 0 || int(p.pairD[i]) >= p.dv.Len() || p.pairD[i] < 0 {
-			return fmt.Errorf("%w: pair %d references out-of-range vocabulary IDs", snapshot.ErrCorrupt, i)
-		}
-	}
-	for i, id := range p.tab {
-		if id < -1 || int(id) >= n {
-			return fmt.Errorf("%w: pair bucket %d holds id %d of %d pairs", snapshot.ErrCorrupt, i, id, n)
-		}
-	}
-	for i, k := range p.keys() {
-		if id, ok := p.find(k.q, k.d); !ok || id != int32(i) {
-			return fmt.Errorf("%w: pair %d (%q, %q) is not found by the probe", snapshot.ErrCorrupt, i, k.q, k.d)
-		}
-	}
-	return nil
-}
-
-// keys lists every pair's (query, doc), sharing one string per distinct
-// query and doc. Only a validated table may be listed.
-func (p *frozenPairs) keys() []qd {
-	texts := func(v *textproc.FrozenVocab) []string {
-		out := make([]string, v.Len())
-		for i := range out {
-			out[i] = v.Text(int32(i))
-		}
-		return out
-	}
-	qs, ds := texts(p.qv), texts(p.dv)
-	out := make([]qd, len(p.pairQ))
-	for i := range out {
-		out[i] = qd{qs[p.pairQ[i]], ds[p.pairD[i]]}
-	}
-	return out
-}
-
-// freezePairs builds the pair table of keys, which must be sorted and
-// distinct: pair i is keys[i], and each vocabulary numbers its strings
-// in order of first appearance.
-func freezePairs(keys []qd) *frozenPairs {
-	n := len(keys)
-	p := &frozenPairs{pairQ: make([]int32, n), pairD: make([]int32, n)}
+// writePairs writes the pair table of keys, which must be sorted and
+// distinct: each vocabulary numbers its strings in order of first
+// appearance (textproc.WriteTerms), and pair i, keys[i], is its query's
+// and its doc's ID at i of p.q and p.d.
+func writePairs(w *snapshot.V2Writer, keys []qd) {
+	pairQ, pairD := make([]int32, len(keys)), make([]int32, len(keys))
 	var qs []string
 	var ds textproc.Vocab
 	for i, k := range keys {
 		if i == 0 || k.q != keys[i-1].q { // sorted: a query's pairs are adjacent
 			qs = append(qs, k.q)
 		}
-		p.pairQ[i] = int32(len(qs) - 1)
-		p.pairD[i] = ds.ID(k.d)
+		pairQ[i] = int32(len(qs) - 1)
+		pairD[i] = ds.ID(k.d)
 	}
-	p.qv = textproc.FreezeVocab(qs)
-	p.dv = textproc.FreezeVocab(ds.Texts())
-
-	size := minPairTable
-	for size < 2*n {
-		size <<= 1
-	}
-	p.tab = make([]int32, size)
-	for i := range p.tab {
-		p.tab[i] = -1
-	}
-	p.mask = uint64(size - 1)
-	for i := 0; i < n; i++ {
-		h := pairHash(p.pairQ[i], p.pairD[i])
-		for j := h & p.mask; ; j = (j + 1) & p.mask {
-			if p.tab[j] < 0 {
-				p.tab[j] = int32(i)
-				break
-			}
-		}
-	}
-	return p
+	textproc.WriteTerms(w, "q", qs)
+	textproc.WriteTerms(w, "d", ds.Texts())
+	w.Int32s("p.q", pairQ)
+	w.Int32s("p.d", pairD)
 }
 
-// pairsFromArtifact wraps the pair sections after checking their
-// lengths; validate is the deep pass.
-func pairsFromArtifact(a *snapshot.V2Artifact) (*frozenPairs, error) {
-	p := &frozenPairs{}
-	var err error
-	if p.qv, err = textproc.ReadSections(a, "q"); err != nil {
+// readPairs reads writePairs' sections back as the keys by pair ID,
+// sharing one string per vocabulary (textproc.ReadTerms). Unequal p.q
+// and p.d, or a pair naming an ID its vocabulary lacks, is
+// snapshot.ErrCorrupt.
+func readPairs(a *snapshot.V2Artifact) ([]qd, error) {
+	qs, err := textproc.ReadTerms(a, "q")
+	if err != nil {
 		return nil, err
 	}
-	if p.dv, err = textproc.ReadSections(a, "d"); err != nil {
+	ds, err := textproc.ReadTerms(a, "d")
+	if err != nil {
 		return nil, err
 	}
-	if p.pairQ, err = a.Int32sView("p.q"); err != nil {
+	pairQ, err := a.Int32sView("p.q")
+	if err != nil {
 		return nil, err
 	}
-	if p.pairD, err = a.Int32sView("p.d"); err != nil {
+	pairD, err := a.Int32sView("p.d")
+	if err != nil {
 		return nil, err
 	}
-	if p.tab, err = a.Int32sView("p.tabl"); err != nil {
-		return nil, err
+	if len(pairD) != len(pairQ) {
+		return nil, fmt.Errorf("%w: %d pair queries but %d pair docs", snapshot.ErrCorrupt, len(pairQ), len(pairD))
 	}
-	n := len(p.pairQ)
-	if len(p.pairD) != n {
-		return nil, fmt.Errorf("%w: %d pair queries but %d pair docs", snapshot.ErrCorrupt, n, len(p.pairD))
+	keys := make([]qd, len(pairQ))
+	for i, q := range pairQ {
+		d := pairD[i]
+		if uint32(q) >= uint32(len(qs)) || uint32(d) >= uint32(len(ds)) {
+			return nil, fmt.Errorf("%w: pair %d references out-of-range vocabulary IDs", snapshot.ErrCorrupt, i)
+		}
+		keys[i] = qd{qs[q], ds[d]}
 	}
-	if len(p.tab) < minPairTable || bits.OnesCount(uint(len(p.tab))) != 1 || len(p.tab) < 2*n {
-		return nil, fmt.Errorf("%w: pair probe table size %d cannot hold %d pairs", snapshot.ErrCorrupt, len(p.tab), n)
-	}
-	p.mask = uint64(len(p.tab) - 1)
-	return p, nil
+	return keys, nil
 }
 
 // pairVals copies a per-pair value section, checking that it holds one
@@ -357,12 +239,7 @@ func writeArtifact(w io.Writer, m Model) error {
 	}
 	slices.SortFunc(keys, compareQD)
 	keys = slices.Compact(keys)
-	pairs := freezePairs(keys)
-	pairs.qv.WriteSections(vw, "q")
-	pairs.dv.WriteSections(vw, "d")
-	vw.Int32s("p.q", pairs.pairQ)
-	vw.Int32s("p.d", pairs.pairD)
-	vw.Int32s("p.tabl", pairs.tab)
+	writePairs(vw, keys)
 
 	for _, p := range ps {
 		switch p.kind {
@@ -392,7 +269,7 @@ func valuesOver(keys []qd, tab *pairTable, vals []float64, prior float64) []floa
 // readArtifact thaws a into m through its parameter list: every value
 // is copied and checked against its parameter's domain, and the
 // per-pair values and BBM's counts are copied over one pair table,
-// built from the artifact's after it has passed its deep checks.
+// built from the artifact's keys (readPairs, pairTableOf).
 func readArtifact(a *snapshot.V2Artifact, m Model) error {
 	if !strings.EqualFold(a.ModelName, m.Name()) {
 		return fmt.Errorf("clickmodel: artifact holds a %q model, not %q", a.ModelName, m.Name())
@@ -447,14 +324,14 @@ func readArtifact(a *snapshot.V2Artifact, m Model) error {
 		}
 	}
 
-	frozen, err := pairsFromArtifact(a)
+	keys, err := readPairs(a)
 	if err != nil {
 		return err
 	}
-	if err := frozen.validate(); err != nil {
+	tab, err := pairTableOf(keys)
+	if err != nil {
 		return err
 	}
-	tab := pairTableOf(frozen.keys())
 	for _, p := range ps {
 		switch p.kind {
 		case pairDense:

@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"math"
 	"path/filepath"
+	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/mmap"
@@ -195,7 +197,7 @@ func TestV2MappedRejectsCorruptPairs(t *testing.T) {
 		return rebuildV2(orig, mangle)
 	}
 
-	for _, drop := range []string{"meta", "q.blob", "p.q", "p.tabl", "a.vals", "s.vals"} {
+	for _, drop := range []string{"meta", "q.blob", "p.q", "a.vals", "s.vals"} {
 		b, err := rebuild(func(tag string, w *snapshot.V2Writer, a *snapshot.V2Artifact) bool { return tag == drop })
 		if err != nil {
 			t.Fatal(err)
@@ -229,8 +231,8 @@ func TestV2MappedRejectsCorruptPairs(t *testing.T) {
 		t.Error("accepted a value array shorter than the pair table")
 	}
 
-	// Pair IDs out of vocabulary range: the load runs the pair table's
-	// deep checks before it reads a key.
+	// Pair IDs out of vocabulary range: the load checks every pair
+	// before it builds a key.
 	b, err = rebuild(func(tag string, w *snapshot.V2Writer, a *snapshot.V2Artifact) bool {
 		if tag == "p.q" {
 			v, _ := a.Int32sView(tag)
@@ -254,23 +256,7 @@ func TestV2MappedRejectsCorruptPairs(t *testing.T) {
 
 	// The same damage to another model, and any damage to BBM's CSR skip
 	// counts, fails the load too.
-	deep := make([]Session, 12)
-	for k := range deep {
-		s := Session{Query: "q", Docs: make([]string, 46), Clicks: make([]bool, 46)}
-		for i := range s.Docs {
-			s.Docs[i] = docName((i + k) % simDocs)
-			s.Clicks[i] = (i*k+3)%11 == 0
-		}
-		deep[k] = s
-	}
-	sparse := NewBBM()
-	sparse.Browse.Iterations = 2
-	if err := fitSessions(sparse, deep); err != nil {
-		t.Fatal(err)
-	}
-	if sparse.nonClickS == nil {
-		t.Fatal("the BBM did not reach the sparse layout")
-	}
+	sparse, _ := sparseBBM(t)
 	ints := func(tag string, edit func([]int32)) func(string, *snapshot.V2Writer, *snapshot.V2Artifact) bool {
 		return func(s string, w *snapshot.V2Writer, a *snapshot.V2Artifact) bool {
 			if s != tag {
@@ -283,8 +269,33 @@ func TestV2MappedRejectsCorruptPairs(t *testing.T) {
 			return true
 		}
 	}
+	uints := func(tag string, edit func([]uint32)) func(string, *snapshot.V2Writer, *snapshot.V2Artifact) bool {
+		return func(s string, w *snapshot.V2Writer, a *snapshot.V2Artifact) bool {
+			if s != tag {
+				return false
+			}
+			v, _ := a.Uint32sView(tag)
+			v = append([]uint32(nil), v...)
+			edit(v)
+			w.Uint32s(tag, v)
+			return true
+		}
+	}
 	drop := func(tag string) func(string, *snapshot.V2Writer, *snapshot.V2Artifact) bool {
 		return func(s string, _ *snapshot.V2Writer, _ *snapshot.V2Artifact) bool { return s == tag }
+	}
+	// short drops the last pair's doc.
+	short := func(s string, w *snapshot.V2Writer, a *snapshot.V2Artifact) bool {
+		if s != "p.d" {
+			return false
+		}
+		v, _ := a.Int32sView(s)
+		w.Int32s(s, v[:len(v)-1])
+		return true
+	}
+	// repeat makes pair 1 name pair 0's query and doc.
+	repeat := func(s string, w *snapshot.V2Writer, a *snapshot.V2Artifact) bool {
+		return (s == "p.q" || s == "p.d") && ints(s, func(v []int32) { v[1] = v[0] })(s, w, a)
 	}
 	for _, tc := range []struct {
 		name   string
@@ -295,7 +306,10 @@ func TestV2MappedRejectsCorruptPairs(t *testing.T) {
 		{"sdbn/no d.offs", fitFresh(t, "SDBN", snapSessions(4, 200, 5)), drop("d.offs")},
 		{"sdbn/pair query out of range", fitFresh(t, "SDBN", snapSessions(4, 200, 5)), ints("p.q", func(v []int32) { v[0] = 1 << 30 })},
 		{"sdbn/pair doc out of range", fitFresh(t, "SDBN", snapSessions(4, 200, 5)), ints("p.d", func(v []int32) { v[len(v)-1] = -2 })},
-		{"sdbn/bucket out of range", fitFresh(t, "SDBN", snapSessions(4, 200, 5)), ints("p.tabl", func(v []int32) { v[0] = 1 << 20 })},
+		{"sdbn/query offsets decrease", fitFresh(t, "SDBN", snapSessions(4, 200, 5)), uints("q.offs", func(v []uint32) { v[1] = v[2] + 1 })},
+		{"sdbn/doc offsets overrun the blob", fitFresh(t, "SDBN", snapSessions(4, 200, 5)), uints("d.offs", func(v []uint32) { v[len(v)-1]++ })},
+		{"sdbn/repeated pair", fitFresh(t, "SDBN", snapSessions(4, 200, 5)), repeat},
+		{"sdbn/fewer pair docs than pair queries", fitFresh(t, "SDBN", snapSessions(4, 200, 5)), short},
 		{"bbm/no c.vals", sparse, drop("c.vals")},
 		{"bbm/no n.off", sparse, drop("n.off")},
 		{"bbm/no n.cell", sparse, drop("n.cell")},
@@ -324,8 +338,62 @@ func TestV2MappedRejectsCorruptPairs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := FromArtifact(a); err == nil {
-			t.Errorf("%s: the load accepted it", tc.name)
+		if _, err := FromArtifact(a); !errors.Is(err, snapshot.ErrCorrupt) {
+			t.Errorf("%s: the load = %v, want ErrCorrupt", tc.name, err)
+		}
+	}
+}
+
+// sparseBBM fits a BBM on twelve 46-doc sessions over eight docs, deep
+// enough for the sparse skip-count layout, and returns it with its log.
+func sparseBBM(t *testing.T) (*BBM, []Session) {
+	t.Helper()
+	deep := make([]Session, 12)
+	for k := range deep {
+		s := Session{Query: "q", Docs: make([]string, 46), Clicks: make([]bool, 46)}
+		for i := range s.Docs {
+			s.Docs[i] = docName((i + k) % simDocs)
+			s.Clicks[i] = (i*k+3)%11 == 0
+		}
+		deep[k] = s
+	}
+	m := NewBBM()
+	m.Browse.Iterations = 2
+	if err := fitSessions(m, deep); err != nil {
+		t.Fatal(err)
+	}
+	if m.nonClickS == nil {
+		t.Fatal("the BBM did not reach the sparse layout")
+	}
+	return m, deep
+}
+
+// TestBBMSparseMeansAreDeterministic: a sparse BBM sums each pair's
+// skip counts in ascending cell order, as the dense layout does, so
+// every fillMeans stores the same bits and the model its artifact thaws
+// into answers the fitted one by bits. Summed in map order, most means
+// differed in their last bits from one fill to the next.
+func TestBBMSparseMeansAreDeterministic(t *testing.T) {
+	m, deep := sparseBBM(t)
+	first := slices.Clone(m.means)
+	for fill := range 50 {
+		m.fillMeans()
+		for p, v := range m.means {
+			if math.Float64bits(v) != math.Float64bits(first[p]) {
+				t.Fatalf("fill %d: pair %d's mean is %v, the first fill stored %v", fill+2, p, v, first[p])
+			}
+		}
+	}
+	thawed := v2Mapped(t, m)
+	for i, s := range deep {
+		want, got := m.ClickProbsInto(s, nil), thawed.ClickProbsInto(s, nil)
+		for j := range want {
+			if math.Float64bits(got[j]) != math.Float64bits(want[j]) {
+				t.Fatalf("session %d pos %d: thawed %v, fitted %v", i, j, got[j], want[j])
+			}
+		}
+		if a, b := m.SessionLogLikelihood(s), thawed.SessionLogLikelihood(s); math.Float64bits(a) != math.Float64bits(b) {
+			t.Fatalf("session %d: log-likelihood thawed %v, fitted %v", i, b, a)
 		}
 	}
 }
@@ -445,11 +513,14 @@ func rebuildV2(orig *snapshot.V2Artifact, mangle func(tag string, w *snapshot.V2
 	return out.Bytes(), nil
 }
 
-// TestV2MappedLoadsUntaggedArtifact is the compatibility pin for the
-// macro models: a PBM or DBN artifact written before the vocabularies
-// carried tags (no q.tags / d.tags) loads — the tags are derived and the
-// pair table passes its deep checks — and scores bit for bit what the
-// tagged one scores, known pairs and prior fallbacks alike.
+// TestV2MappedLoadsUntaggedArtifact is the compatibility pin for
+// artifacts an earlier build wrote, which carry probe tables beside the
+// terms and pairs: q.tabl and d.tabl, with or without the tags that came
+// later (q.tags, d.tags), and p.tabl. No load reads those tables, so
+// such an artifact loads whatever they hold — here, buckets no probe
+// could use — scores bit for bit what the artifact without them scores,
+// known pairs and prior fallbacks alike, and exports to it byte for
+// byte.
 func TestV2MappedLoadsUntaggedArtifact(t *testing.T) {
 	train := snapSessions(707, 400, 5)
 	eval := append(snapSessions(808, 40, 5),
@@ -463,61 +534,60 @@ func TestV2MappedLoadsUntaggedArtifact(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		tagged, err := FromArtifact(orig)
-		if err != nil {
-			t.Fatal(err)
-		}
-		dropped := 0
-		b, err := rebuildV2(orig, func(tag string, _ *snapshot.V2Writer, _ *snapshot.V2Artifact) bool {
-			if tag == "q.tags" || tag == "d.tags" {
-				dropped++
-				return true
+		for _, s := range orig.Sections {
+			if strings.HasSuffix(s.Tag, ".tabl") || strings.HasSuffix(s.Tag, ".tags") {
+				t.Fatalf("%s: the export carries %q", name, s.Tag)
 			}
-			return false
-		})
+		}
+		lean, err := FromArtifact(orig)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if dropped != 2 {
-			t.Fatalf("%s: artifact carries %d vocabulary tag sections, want 2", name, dropped)
-		}
-		a, err := snapshot.ParseV2(b)
-		if err != nil {
-			t.Fatal(err)
-		}
-		untagged, err := FromArtifact(a)
-		if err != nil {
-			t.Fatalf("%s: untagged artifact: %v", name, err)
-		}
-		for i, s := range eval {
-			want, got := tagged.ClickProbsInto(s, nil), untagged.ClickProbsInto(s, nil)
-			for j := range want {
-				if got[j] != want[j] {
-					t.Fatalf("%s session %d pos %d: untagged %v, tagged %v", name, i, j, got[j], want[j])
+		for _, tagged := range []bool{false, true} {
+			b, err := rebuildV2(orig, func(tag string, w *snapshot.V2Writer, a *snapshot.V2Artifact) bool {
+				prefix, ok := map[string]string{"q.offs": "q", "d.offs": "d", "p.d": "p"}[tag]
+				if !ok {
+					return false
+				}
+				if tag == "p.d" {
+					v, _ := a.Int32sView(tag)
+					w.Int32s(tag, v)
+				} else {
+					v, _ := a.Uint32sView(tag)
+					w.Uint32s(tag, v)
+				}
+				w.Int32s(prefix+".tabl", []int32{1 << 20, -7, 3})
+				if tagged && prefix != "p" {
+					w.Bytes(prefix+".tags", []byte{0, 1, 2})
+				}
+				return true
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			a, err := snapshot.ParseV2(b)
+			if err != nil {
+				t.Fatal(err)
+			}
+			old, err := FromArtifact(a)
+			if err != nil {
+				t.Fatalf("%s tagged=%v: the artifact with tables: %v", name, tagged, err)
+			}
+			for i, s := range eval {
+				want, got := lean.ClickProbsInto(s, nil), old.ClickProbsInto(s, nil)
+				for j := range want {
+					if math.Float64bits(got[j]) != math.Float64bits(want[j]) {
+						t.Fatalf("%s tagged=%v session %d pos %d: %v, without the tables %v", name, tagged, i, j, got[j], want[j])
+					}
 				}
 			}
+			var out bytes.Buffer
+			if err := old.Save(&out); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(out.Bytes(), buf.Bytes()) {
+				t.Errorf("%s tagged=%v: the export is not the artifact without the tables", name, tagged)
+			}
 		}
-	}
-}
-
-// TestFrozenPairsFullTableTerminates is the pair-table half of the
-// hostile-artifact regression (see textproc's
-// TestFrozenVocabFullTableTerminates): a probe table with no empty
-// bucket and only valid pair IDs must end an absent pair's probe in a
-// miss after one pass, not spin the loading goroutine. The deep checks
-// refuse it: a pair no bucket names cannot be found.
-func TestFrozenPairsFullTableTerminates(t *testing.T) {
-	p := freezePairs([]qd{{q: "q0", d: "d0"}, {q: "q1", d: "d1"}})
-	for i := range p.tab {
-		p.tab[i] = 0 // every bucket names pair 0 = (q0, d0)
-	}
-	if err := p.validate(); !errors.Is(err, snapshot.ErrCorrupt) {
-		t.Errorf("validate of a table that cannot find pair 1 = %v, want ErrCorrupt", err)
-	}
-	if id, ok := p.find("q1", "d1"); ok {
-		t.Errorf("find of a pair no bucket names resolved to %d", id)
-	}
-	if id, ok := p.find("q0", "d0"); !ok || id != 0 {
-		t.Errorf("find(q0, d0) = %d, %v; want 0, true", id, ok)
 	}
 }

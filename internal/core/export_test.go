@@ -1,9 +1,11 @@
 package core
 
 import (
+	"bytes"
 	"math"
 
 	"repro/internal/snapshot"
+	"repro/internal/textproc"
 )
 
 // ClampRel exposes the relevance clamp to the external parity tests,
@@ -33,11 +35,26 @@ func LoadCompiled(data []byte) (*CompiledModel, error) {
 }
 
 // VocabRel lists a compiled model's vocabulary: each term and the bits of
-// its clamped relevance.
+// its clamped relevance. The terms are read back from the vocabulary's
+// own sections.
 func VocabRel(c *CompiledModel) map[string]uint64 {
-	out := make(map[string]uint64, c.vocab.Len())
-	for id := range c.vocab.Len() {
-		out[c.vocab.Text(int32(id))] = math.Float64bits(c.rel[id])
+	w := snapshot.NewV2Writer("vocab")
+	c.vocab.WriteSections(w, v2TagVocab)
+	var buf bytes.Buffer
+	if _, err := w.WriteTo(&buf); err != nil {
+		panic(err)
+	}
+	a, err := snapshot.ParseV2(buf.Bytes())
+	if err != nil {
+		panic(err)
+	}
+	terms, err := textproc.ReadTerms(a, v2TagVocab)
+	if err != nil {
+		panic(err)
+	}
+	out := make(map[string]uint64, len(terms))
+	for id, term := range terms {
+		out[term] = math.Float64bits(c.rel[id])
 	}
 	return out
 }

@@ -97,8 +97,11 @@ func lifecycleModels(t *testing.T) []lifecycleModel {
 			}
 			add("", name, m.Save, func() Scorer { return NewClickModelScorer(m) }, golden.requests(name))
 		}
+		if name != NameMicro {
+			fixture = withoutProbeTables(t, fixture)
+		}
 		if own := models[len(models)-1].v2; !bytes.Equal(own, fixture) {
-			t.Fatalf("%s: the thawed model's own Save is not the fixture (%d vs %d bytes)", name, len(own), len(fixture))
+			t.Fatalf("%s: the thawed model's own Save is not the fixture, less any probe table (%d vs %d bytes)", name, len(own), len(fixture))
 		}
 	}
 	return models

@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"repro/internal/clickmodel"
+	"repro/internal/snapshot"
 )
 
 // fixtureDir is one directory of artifacts an earlier commit wrote,
@@ -22,9 +23,10 @@ import (
 type fixtureDir struct {
 	dir      string
 	fixtures []string // one artifact per fixture, <fixture>.mbs2
-	// replaced: the probe tables were placed under an earlier hash
-	// scheme, so every load re-places them and the export differs from
-	// the fixture. Otherwise the fixture is a current artifact.
+	// replaced: the micro model's probe tables were placed under an
+	// earlier hash scheme, so every load re-places them and the export
+	// differs from the fixture. Otherwise its fixture is a current
+	// artifact.
 	replaced bool
 }
 
@@ -163,10 +165,12 @@ func TestParentV1ArtifactsImportIdentically(t *testing.T) {
 // checkParentArtifacts loads every artifact of d through every route —
 // stream, trusted file, verified file — and checks that it installs
 // under the model name it records and answers exactly what the build
-// that wrote it answered. A current artifact loads as it stands and
-// exports to itself. One placed under the previous hash scheme is
-// re-placed on load; exported again it is a current artifact, which
-// loads without re-placing, answers the same, and exports to itself.
+// that wrote it answered. A current micro artifact loads as it stands
+// and exports to itself. One placed under the previous hash scheme is
+// re-placed on load, and a click model exports to its artifact without
+// the probe tables no load reads (withoutProbeTables): either export is
+// a current artifact, which loads without a word in the log, answers
+// the same, and exports to itself.
 func checkParentArtifacts(t *testing.T, d fixtureDir) {
 	loaders := []struct {
 		name string
@@ -191,6 +195,11 @@ func checkParentArtifacts(t *testing.T, d fixtureDir) {
 			t.Fatal(err)
 		}
 		model := strings.TrimSuffix(fixture, "_sparse")
+		replaced := d.replaced && fixture == NameMicro
+		want := written
+		if fixture != NameMicro {
+			want = withoutProbeTables(t, written)
+		}
 		for _, l := range loaders {
 			t.Run(fixture+"/"+l.name, func(t *testing.T) {
 				e := New()
@@ -203,8 +212,11 @@ func checkParentArtifacts(t *testing.T, d fixtureDir) {
 				if info.Name != model {
 					t.Fatalf("installed as %q, want %q", info.Name, model)
 				}
-				if rebuilt := strings.Contains(said, "probe table rebuilt"); rebuilt != d.replaced {
-					t.Errorf("the load re-placed a vocabulary: %v, want %v (log: %q)", rebuilt, d.replaced, said)
+				if rebuilt := strings.Contains(said, "probe table rebuilt"); rebuilt != replaced {
+					t.Errorf("the load re-placed a vocabulary: %v, want %v (log: %q)", rebuilt, replaced, said)
+				}
+				if !replaced && said != "" {
+					t.Errorf("the load logged %q", said)
 				}
 				g.check(t, e, fixture, model)
 
@@ -212,10 +224,14 @@ func checkParentArtifacts(t *testing.T, d fixtureDir) {
 				if err := e.SaveSnapshot(info.Ref(), &exported); err != nil {
 					t.Fatalf("export: %v", err)
 				}
-				if same := bytes.Equal(exported.Bytes(), written); same == d.replaced {
-					t.Errorf("the export equals the parent's bytes: %v, want %v", same, !d.replaced)
+				if replaced {
+					if bytes.Equal(exported.Bytes(), written) {
+						t.Error("the export of a re-placed artifact equals the parent's bytes")
+					}
+				} else if !bytes.Equal(exported.Bytes(), want) {
+					t.Errorf("the export (%d bytes) is not the parent's artifact without its probe tables (%d bytes)", exported.Len(), len(want))
 				}
-				if !d.replaced {
+				if bytes.Equal(exported.Bytes(), written) {
 					return
 				}
 				path := filepath.Join(t.TempDir(), fixture+".mbs2")
@@ -241,4 +257,47 @@ func checkParentArtifacts(t *testing.T, d fixtureDir) {
 			})
 		}
 	}
+}
+
+// withoutProbeTables re-emits a click-model artifact an earlier build
+// wrote without its five probe-table sections — q.tabl, q.tags, d.tabl,
+// d.tags and p.tabl — which no load reads and no export writes: what a
+// click model loaded from it exports.
+func withoutProbeTables(t *testing.T, data []byte) []byte {
+	t.Helper()
+	a, err := snapshot.ParseV2(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := snapshot.NewV2Writer(a.ModelName)
+	dropped := 0
+	for _, s := range a.Sections {
+		switch s.Tag {
+		case "q.tabl", "q.tags", "d.tabl", "d.tags", "p.tabl":
+			dropped++
+			continue
+		}
+		switch s.Kind {
+		case snapshot.V2Float64:
+			v, _ := a.FloatsView(s.Tag)
+			w.Floats(s.Tag, v)
+		case snapshot.V2Int32:
+			v, _ := a.Int32sView(s.Tag)
+			w.Int32s(s.Tag, v)
+		case snapshot.V2Uint32:
+			v, _ := a.Uint32sView(s.Tag)
+			w.Uint32s(s.Tag, v)
+		default:
+			v, _ := a.BytesView(s.Tag)
+			w.Bytes(s.Tag, v)
+		}
+	}
+	if dropped != 5 {
+		t.Fatalf("the %s artifact carries %d probe-table sections, want 5", a.ModelName, dropped)
+	}
+	var out bytes.Buffer
+	if _, err := w.WriteTo(&out); err != nil {
+		t.Fatal(err)
+	}
+	return out.Bytes()
 }

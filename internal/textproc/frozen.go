@@ -131,22 +131,43 @@ func (v *Vocab) Reset() {
 // term i gets ID i, the texts are copied into one blob, and the probe
 // table is the smallest power of two holding them at load factor 1/2.
 func FreezeVocab(terms []string) *FrozenVocab {
-	total := 0
-	for _, s := range terms {
-		total += len(s)
-	}
-	v := &FrozenVocab{blob: make([]byte, 0, total), offs: make([]uint32, len(terms)+1)}
-	for i, s := range terms {
-		v.offs[i] = uint32(len(v.blob))
-		v.blob = append(v.blob, s...)
-	}
-	v.offs[len(terms)] = uint32(len(v.blob))
+	v := &FrozenVocab{}
+	v.blob, v.offs = packTerms(terms)
 	size := minVocabTable
 	for size < 2*len(terms) {
 		size <<= 1
 	}
 	v.place(size)
 	return v
+}
+
+// packTerms lays terms out as a vocabulary's first two sections hold
+// them: their bytes in one blob, and len(terms)+1 offsets, term i being
+// blob[offs[i]:offs[i+1]].
+func packTerms(terms []string) ([]byte, []uint32) {
+	total := 0
+	for _, s := range terms {
+		total += len(s)
+	}
+	blob, offs := make([]byte, 0, total), make([]uint32, len(terms)+1)
+	for i, s := range terms {
+		offs[i] = uint32(len(blob))
+		blob = append(blob, s...)
+	}
+	offs[len(terms)] = uint32(len(blob))
+	return blob, offs
+}
+
+// checkOffs is the O(1) check of a blob and its offsets: there is at
+// least one offset, the first is 0 and the last is the blob's length.
+func checkOffs(blob []byte, offs []uint32) error {
+	if len(offs) == 0 {
+		return errors.New("textproc: frozen vocab needs an offsets array")
+	}
+	if n := len(offs) - 1; offs[0] != 0 || uint32(len(blob)) != offs[n] {
+		return fmt.Errorf("textproc: frozen vocab offsets cover [%d,%d) but blob holds %d bytes", offs[0], offs[n], len(blob))
+	}
+	return nil
 }
 
 // newFrozenVocab wraps four pre-built sections — views into a mapped
@@ -170,13 +191,10 @@ func FreezeVocab(terms []string) *FrozenVocab {
 // "hit" — so no aliased terms, no panic, no endless probe and no read
 // outside the mapping.
 func newFrozenVocab(blob []byte, offs []uint32, tab []int32, tags []byte) (*FrozenVocab, error) {
-	if len(offs) == 0 {
-		return nil, errors.New("textproc: frozen vocab needs an offsets array")
+	if err := checkOffs(blob, offs); err != nil {
+		return nil, err
 	}
 	n := len(offs) - 1
-	if offs[0] != 0 || uint32(len(blob)) != offs[n] {
-		return nil, fmt.Errorf("textproc: frozen vocab offsets cover [%d,%d) but blob holds %d bytes", offs[0], offs[n], len(blob))
-	}
 	if len(tab) < minVocabTable || bits.OnesCount(uint(len(tab))) != 1 {
 		return nil, fmt.Errorf("textproc: frozen vocab probe table size %d is not a power of two >= %d", len(tab), minVocabTable)
 	}
@@ -235,7 +253,9 @@ func (v *FrozenVocab) place(size int) {
 }
 
 // Section suffixes of a vocabulary inside a v2 artifact; the prefix
-// ("v", "q", "d") names which vocabulary of the model it is.
+// ("v", "q", "d") names which vocabulary of the model it is. The first
+// two are the terms (WriteTerms, ReadTerms); a FrozenVocab adds its
+// lookup, the last two.
 const (
 	secBlob = ".blob" // bytes   term bytes
 	secOffs = ".offs" // uint32  term offsets (n+1)
@@ -243,11 +263,63 @@ const (
 	secTags = ".tags" // bytes   one tag per bucket + tagStep mirrored
 )
 
+// writeTerms adds the two term sections, blob and offs, under prefix.
+func writeTerms(w *snapshot.V2Writer, prefix string, blob []byte, offs []uint32) {
+	w.Bytes(prefix+secBlob, blob)
+	w.Uint32s(prefix+secOffs, offs)
+}
+
+// readTerms views the two term sections under prefix, unchecked.
+func readTerms(a *snapshot.V2Artifact, prefix string) ([]byte, []uint32, error) {
+	blob, err := a.BytesView(prefix + secBlob)
+	if err != nil {
+		return nil, nil, err
+	}
+	offs, err := a.Uint32sView(prefix + secOffs)
+	if err != nil {
+		return nil, nil, err
+	}
+	return blob, offs, nil
+}
+
+// WriteTerms adds terms under prefix as the two sections every
+// vocabulary begins with, blob and offs: the bytes FreezeVocab(terms)
+// writes first, without the lookup. It is the form for a reader that
+// needs each term's text by ID and never looks one up (ReadTerms).
+func WriteTerms(w *snapshot.V2Writer, prefix string, terms []string) {
+	blob, offs := packTerms(terms)
+	writeTerms(w, prefix, blob, offs)
+}
+
+// ReadTerms reads the two term sections under prefix — WriteTerms', or
+// the first two of a FrozenVocab's — as the list of terms by ID. Every
+// term is a substring of one string copied from the blob, so the list
+// keeps no reference to the artifact. Offsets that do not start at 0,
+// decrease or do not end at the blob's length are snapshot.ErrCorrupt.
+func ReadTerms(a *snapshot.V2Artifact, prefix string) ([]string, error) {
+	blob, offs, err := readTerms(a, prefix)
+	if err != nil {
+		return nil, err
+	}
+	if err := checkOffs(blob, offs); err != nil {
+		return nil, fmt.Errorf("%w: %q: %v", snapshot.ErrCorrupt, prefix, err)
+	}
+	all := string(blob)
+	terms := make([]string, len(offs)-1)
+	for i := range terms {
+		lo, hi := offs[i], offs[i+1]
+		if lo > hi || int(hi) > len(all) { // the offsets decrease here or further on
+			return nil, fmt.Errorf("%w: %q: term %d spans [%d,%d) of a %d-byte blob", snapshot.ErrCorrupt, prefix, i, lo, hi, len(all))
+		}
+		terms[i] = all[lo:hi]
+	}
+	return terms, nil
+}
+
 // WriteSections adds the vocabulary's four sections to a v2 writer
-// under the given prefix.
+// under the given prefix: its terms, then its probe table and tags.
 func (v *FrozenVocab) WriteSections(w *snapshot.V2Writer, prefix string) {
-	w.Bytes(prefix+secBlob, v.blob)
-	w.Uint32s(prefix+secOffs, v.offs)
+	writeTerms(w, prefix, v.blob, v.offs)
 	w.Int32s(prefix+secTabl, v.tab)
 	w.Bytes(prefix+secTags, v.tags)
 }
@@ -263,11 +335,7 @@ func (v *FrozenVocab) WriteSections(w *snapshot.V2Writer, prefix string) {
 // and WriteSections then emits the rebuilt sections (clickmodelfit
 // -conv). Structurally unsound sections are snapshot.ErrCorrupt.
 func ReadSections(a *snapshot.V2Artifact, prefix string) (*FrozenVocab, error) {
-	blob, err := a.BytesView(prefix + secBlob)
-	if err != nil {
-		return nil, err
-	}
-	offs, err := a.Uint32sView(prefix + secOffs)
+	blob, offs, err := readTerms(a, prefix)
 	if err != nil {
 		return nil, err
 	}
@@ -384,16 +452,5 @@ func probe[K string | []byte](v *FrozenVocab, h uint64, key K) (int32, bool) {
 //mb:noalloc
 func (v *FrozenVocab) LookupHashed(h uint64, b []byte) (int32, bool) { return probe(v, h, b) }
 
-// Lookup resolves a term string without interning.
-//
-//mb:noalloc
-func (v *FrozenVocab) Lookup(s string) (int32, bool) { return probe(v, hashTerm(s), s) }
-
 // Len returns the number of terms.
 func (v *FrozenVocab) Len() int { return len(v.offs) - 1 }
-
-// Text returns the term text behind an ID, allocating a string (cold
-// path: exports, debugging). IDs outside [0, Len) panic via the slice.
-func (v *FrozenVocab) Text(id int32) string {
-	return string(v.blob[v.offs[id]:v.offs[id+1]])
-}

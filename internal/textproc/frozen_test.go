@@ -33,6 +33,16 @@ func oracleLookup(v *FrozenVocab, h uint64, key []byte) (int32, bool) {
 	return 0, false
 }
 
+// Lookup resolves a term string: the probe LookupHashed makes for a
+// window, entered with the term's hash.
+func (v *FrozenVocab) Lookup(s string) (int32, bool) { return probe(v, hashTerm(s), s) }
+
+// termText is the text of term id, "" where the offsets are corrupt.
+func termText(v *FrozenVocab, id int32) string {
+	b, _ := v.term(id)
+	return string(b)
+}
+
 // freezeTerms freezes distinct terms in order (so term i has ID i).
 func freezeTerms(terms ...string) *FrozenVocab { return FreezeVocab(terms) }
 
@@ -84,8 +94,8 @@ func TestFrozenVocabParity(t *testing.T) {
 	}
 	for i, s := range terms {
 		checkLookup(t, f, s, int32(i), true)
-		if f.Text(int32(i)) != s {
-			t.Errorf("frozen Text(%d) = %q, want %q", i, f.Text(int32(i)), s)
+		if got := termText(f, int32(i)); got != s {
+			t.Errorf("frozen term %d = %q, want %q", i, got, s)
 		}
 	}
 	for _, s := range []string{"", "nope", "cheap flight", "find cheap", "flights ", " flights", "FLIGHTS"} {
@@ -166,6 +176,71 @@ func TestFrozenVocabRoundTrip(t *testing.T) {
 			checkLookup(t, re, s, int32(i), true)
 			checkLookup(t, re, s+"x", 0, false)
 		}
+	}
+}
+
+// TestReadTerms: WriteTerms writes exactly the first two sections a
+// frozen vocabulary of the same terms writes, and ReadTerms reads either
+// back as the terms by ID, empty list and empty terms included. Offsets
+// that do not start at 0, decrease, or overrun or fall short of the
+// blob — an overrun that a later decrease brings back too — and a
+// missing section, are refused with ErrCorrupt.
+func TestReadTerms(t *testing.T) {
+	artifact := func(write func(w *snapshot.V2Writer)) *snapshot.V2Artifact {
+		t.Helper()
+		w := snapshot.NewV2Writer("terms")
+		write(w)
+		var buf bytes.Buffer
+		if _, err := w.WriteTo(&buf); err != nil {
+			t.Fatal(err)
+		}
+		a, err := snapshot.ParseV2(buf.Bytes())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return a
+	}
+	for _, terms := range [][]string{nil, {"flights"}, {"cheap", "", "cheap flights", "20% off", "é"}} {
+		lean := artifact(func(w *snapshot.V2Writer) { WriteTerms(w, "q", terms) })
+		full := artifact(func(w *snapshot.V2Writer) { FreezeVocab(terms).WriteSections(w, "q") })
+		if len(lean.Sections) != 2 {
+			t.Fatalf("WriteTerms wrote %d sections, want 2", len(lean.Sections))
+		}
+		for i, s := range lean.Sections {
+			if f := full.Sections[i]; s.Tag != f.Tag || s.Kind != f.Kind || !bytes.Equal(s.Data, f.Data) {
+				t.Errorf("%q: section %d of WriteTerms is %q, of WriteSections %q, or their bytes differ", terms, i, s.Tag, f.Tag)
+			}
+		}
+		for _, a := range []*snapshot.V2Artifact{lean, full} {
+			got, err := ReadTerms(a, "q")
+			if err != nil || len(got) != len(terms) {
+				t.Fatalf("ReadTerms of %q = %q, %v", terms, got, err)
+			}
+			for i := range terms {
+				if got[i] != terms[i] {
+					t.Errorf("term %d = %q, want %q", i, got[i], terms[i])
+				}
+			}
+		}
+	}
+
+	blob := []byte("abcdef")
+	for name, offs := range map[string][]uint32{
+		"no offsets":         {},
+		"nonzero start":      {1, 3, 6},
+		"decreasing":         {0, 4, 2, 6},
+		"overrun":            {0, 3, 7},
+		"overrun, then back": {0, 9, 6},
+		"short of the blob":  {0, 3, 5},
+	} {
+		a := artifact(func(w *snapshot.V2Writer) { w.Bytes("q"+secBlob, blob); w.Uint32s("q"+secOffs, offs) })
+		if got, err := ReadTerms(a, "q"); !errors.Is(err, snapshot.ErrCorrupt) {
+			t.Errorf("%s: ReadTerms = %q, %v; want ErrCorrupt", name, got, err)
+		}
+	}
+	a := artifact(func(w *snapshot.V2Writer) { w.Bytes("q"+secBlob, blob) })
+	if _, err := ReadTerms(a, "q"); !errors.Is(err, snapshot.ErrCorrupt) {
+		t.Errorf("ReadTerms without an offsets section = %v, want ErrCorrupt", err)
 	}
 }
 
@@ -526,8 +601,8 @@ func TestFreezeVocabPlacement(t *testing.T) {
 			}
 			for i, s := range terms {
 				checkLookup(t, f, s, int32(i), true)
-				if f.Text(int32(i)) != s {
-					t.Errorf("Text(%d) = %q, want %q", i, f.Text(int32(i)), s)
+				if got := termText(f, int32(i)); got != s {
+					t.Errorf("term %d = %q, want %q", i, got, s)
 				}
 				for _, absent := range []string{s + "x", s[:len(s)-1], s + " ", " " + s, strings.ToUpper(s) + "!"} {
 					if !member[absent] {
