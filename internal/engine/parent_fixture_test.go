@@ -100,8 +100,8 @@ func bitsHex(f float64) string { return fmt.Sprintf("%016x", math.Float64bits(f)
 
 // check scores every golden input of a fixture, installed on e under
 // model, and compares the answers to the parent's by bits — but for
-// the sparse BBM, whose posterior sums its skip counts in map order, so
-// that no build answers it bit for bit twice: it is held to 1e-12.
+// the sparse BBM, whose golden was written by a build that summed its
+// posterior's skip counts in map order: it is held to 1e-12.
 func (g *parentGolden) check(t *testing.T, e *Engine, fixture, model string) {
 	t.Helper()
 	same := func(got float64, want string) bool {
